@@ -607,8 +607,17 @@ fn check_superedge(
             return;
         }
     };
-    let index = match SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge) {
-        Ok(i) => i,
+    // The analyzer reads every stored list, so it asks for the list count
+    // — and with it the list-stream directory — straight after the parse.
+    let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).and_then(
+        |index| {
+            let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;
+            let end_bit = index.end_bit(&bytes, loc.bit_len)?;
+            Ok((index, num_stored, end_bit))
+        },
+    );
+    let (index, num_stored, end_bit) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             diags.push(Diagnostic::new(
                 Code::DecodeError,
@@ -619,8 +628,8 @@ fn check_superedge(
         }
     };
     // Decode every stored list once; all per-list checks run off this.
-    let mut stored = Vec::with_capacity(index.num_stored_lists() as usize);
-    for i in 0..index.num_stored_lists() {
+    let mut stored = Vec::with_capacity(num_stored as usize);
+    for i in 0..num_stored {
         match index.stored_list(&bytes, loc.bit_len, i) {
             Ok(l) => stored.push(l),
             Err(e) => {
@@ -725,15 +734,11 @@ fn check_superedge(
             )),
         }
     }
-    if index.end_bit() < loc.bit_len {
+    if end_bit < loc.bit_len {
         diags.push(Diagnostic::new(
             Code::TrailingBits,
             here,
-            format!(
-                "decode consumed {} of {} declared bits",
-                index.end_bit(),
-                loc.bit_len
-            ),
+            format!("decode consumed {end_bit} of {} declared bits", loc.bit_len),
         ));
     }
 }

@@ -91,9 +91,10 @@ const MUT_VALUE_OWNERS: &[&str] = &[
 /// `&mut self` owners that live *inside* a shared-state lock: `Pager` is a
 /// field of `PoolInner`, which only exists behind `BufferPool`'s mutex, so
 /// every serving-time call (flush/clear housekeeping) already holds the
-/// pool lock. Exclusivity is provided by the lock, not demanded of the
-/// caller.
-const MUT_LOCKED_OWNERS: &[&str] = &["Pager"];
+/// pool lock; `Shard` (one `GraphCache` shard's graphs and eviction
+/// order) only exists behind that shard's mutex. Exclusivity is provided
+/// by the lock, not demanded of the caller.
+const MUT_LOCKED_OWNERS: &[&str] = &["Pager", "Shard"];
 
 /// Modules allowed to own locks and interior mutability (SN201): the
 /// metrics registry plus the shared-read-path state (sharded caches,
@@ -102,6 +103,8 @@ const SYNC_ALLOW_PREFIXES: &[&str] = &[
     "crates/obs/src/",
     "crates/core/src/cache.rs",
     "crates/core/src/repr.rs",
+    // The once-built list-stream directory of a superedge graph.
+    "crates/core/src/subgraphs.rs",
     "crates/store/src/buffer.rs",
     "crates/query/src/reps.rs",
     "crates/serve/src/",
@@ -112,6 +115,9 @@ const ZERO_ALLOC_NAMES: &[&str] = &[
     "out_neighbors_into",
     "out_neighbors_batch",
     "decode_list_into",
+    // The offsets-only scan behind `ListsIndex::parse`: per payload it
+    // counts and checks, and must never build a list.
+    "scan_payload",
 ];
 
 /// In the bitio crate, every `read_*` decoder is a declared zero-alloc

@@ -202,6 +202,46 @@ impl<'a> BitReader<'a> {
         Ok(bit == 1)
     }
 
+    /// The 64 bits starting at byte `byte`, big-endian (stream order), with
+    /// zeros where the buffer has ended. Shifting the result left by
+    /// `pos % 8` aligns bit `pos` with the window's most significant bit
+    /// and leaves `64 - pos % 8` stream bits in view.
+    #[inline]
+    fn window(&self, byte: usize) -> u64 {
+        let rest = self.buf.get(byte..).unwrap_or(&[]);
+        match rest.first_chunk::<8>() {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => {
+                let mut tail = [0u8; 8];
+                tail[..rest.len()].copy_from_slice(rest);
+                u64::from_be_bytes(tail)
+            }
+        }
+    }
+
+    /// The bits ahead of the cursor, aligned to the top of a word, and how
+    /// many of them are stream bits (up to 64; fewer than 57 only within
+    /// eight bytes of the end). What the word holds beyond that count is
+    /// unspecified. Lets a decoder take a whole short codeword from one
+    /// load; pair with [`BitReader::advance`].
+    #[inline]
+    pub(crate) fn peek(&self) -> (u64, u32) {
+        let offset = (self.pos % 8) as u32;
+        let in_view = u64::from(64 - offset).min(self.bit_len - self.pos);
+        (
+            self.window((self.pos / 8) as usize) << offset,
+            in_view as u32,
+        )
+    }
+
+    /// Moves the cursor over `n` bits that a [`BitReader::peek`] at this
+    /// position reported as stream bits.
+    #[inline]
+    pub(crate) fn advance(&mut self, n: u32) {
+        debug_assert!(self.pos + u64::from(n) <= self.bit_len);
+        self.pos += u64::from(n);
+    }
+
     /// Reads `n` bits MSB-first into the low bits of a `u64`.
     ///
     /// # Panics
@@ -212,52 +252,44 @@ impl<'a> BitReader<'a> {
         if self.pos + u64::from(n) > self.bit_len {
             return Err(BitError::UnexpectedEof { position: self.pos });
         }
-        let mut out = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let byte = self.buf[(self.pos / 8) as usize];
-            let offset = (self.pos % 8) as u32;
-            let avail = 8 - offset;
-            let take = avail.min(remaining);
-            let chunk = (u64::from(byte) >> (avail - take)) & ((1u64 << take) - 1);
-            out = (out << take) | chunk;
-            self.pos += u64::from(take);
-            remaining -= take;
+        if n == 0 {
+            return Ok(0);
         }
+        let byte = (self.pos / 8) as usize;
+        let offset = (self.pos % 8) as u32;
+        let mut out = (self.window(byte) << offset) >> (64 - n);
+        let in_view = 64 - offset;
+        if n > in_view {
+            // Only an unaligned read of 58..=64 bits gets here: its last
+            // `n - in_view` bits are the top of the ninth byte, which the
+            // EOF check above has shown to exist.
+            out |= u64::from(self.buf[byte + 8]) >> (8 - (n - in_view));
+        }
+        self.pos += u64::from(n);
         Ok(out)
     }
 
     /// Counts and consumes consecutive zero bits up to (not including) the
     /// next one bit, then consumes that one bit. Returns the zero count.
     ///
-    /// This is the primitive behind unary decoding.
+    /// This is the primitive behind unary decoding: one `leading_zeros` per
+    /// 64-bit window instead of a loop over bytes.
     #[inline]
     pub fn read_unary(&mut self) -> Result<u64> {
         let mut count = 0u64;
-        loop {
-            if self.pos >= self.bit_len {
-                return Err(BitError::UnexpectedEof { position: self.pos });
+        while self.pos < self.bit_len {
+            // `in_view` stops at `bit_len`, so a one bit found inside it
+            // is a stream bit, not padding.
+            let (ahead, in_view) = self.peek();
+            let zeros = ahead.leading_zeros();
+            if zeros < in_view {
+                self.advance(zeros + 1); // consume the terminating 1 bit
+                return Ok(count + u64::from(zeros));
             }
-            // Fast path: inspect the rest of the current byte at once.
-            let byte = self.buf[(self.pos / 8) as usize];
-            let offset = (self.pos % 8) as u32;
-            let window = byte << offset;
-            if window == 0 {
-                let advance = u64::from(8 - offset).min(self.bit_len - self.pos);
-                count += advance;
-                self.pos += advance;
-                continue;
-            }
-            let zeros = u64::from(window.leading_zeros());
-            let usable = (self.bit_len - self.pos).min(u64::from(8 - offset));
-            if zeros >= usable {
-                self.pos += usable;
-                return Err(BitError::UnexpectedEof { position: self.pos });
-            }
-            count += zeros;
-            self.pos += zeros + 1; // consume the terminating 1 bit
-            return Ok(count);
+            count += u64::from(in_view);
+            self.advance(in_view);
         }
+        Err(BitError::UnexpectedEof { position: self.pos })
     }
 }
 

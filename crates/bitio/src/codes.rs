@@ -52,6 +52,15 @@ pub fn write_gamma(w: &mut BitWriter, x: u64) {
 /// Reads an Elias-γ-coded value.
 #[inline]
 pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    // A codeword is `b` zeros, then the `b + 1` bits of `v`. When all
+    // `2b + 1` bits are in view — every gap a graph produces, except at the
+    // very end of a stream — the top of the window *is* `v`.
+    let (ahead, in_view) = r.peek();
+    let b = ahead.leading_zeros();
+    if 2 * b < in_view {
+        r.advance(2 * b + 1);
+        return Ok((ahead >> (63 - 2 * b)) - 1);
+    }
     let b = r.read_unary()?; // zeros before the leading 1 of v
     if b > 63 {
         return Err(BitError::Corrupt {

@@ -199,7 +199,9 @@ pub enum CachedGraph {
         data: crate::disk::Blob,
         /// Exact bit length.
         bit_len: u64,
-        /// Parsed directory.
+        /// Parsed header; the list-stream directory of a positive graph
+        /// is built by the first lookup that finds its page among the
+        /// sources (its footprint is part of `bytes` from the start).
         index: SuperedgeIndex,
         /// `|Nj|`, needed to complement negative representations.
         nj: u64,
@@ -214,13 +216,19 @@ pub enum CachedGraph {
 }
 
 impl CachedGraph {
+    /// What every constructor charges for the `CachedGraph` value itself:
+    /// its size when the cache accounting was calibrated. A constant, so
+    /// that a field added to a variant does not move every eviction
+    /// counter the committed baselines compare.
+    const FIXED_BYTES: usize = 232;
+
     /// Wraps dense decoded lists, computing the footprint.
     pub fn new(lists: Vec<Vec<u32>>) -> Self {
         let bytes: usize = lists
             .iter()
             .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>())
             .sum::<usize>()
-            + std::mem::size_of::<Self>();
+            + Self::FIXED_BYTES;
         CachedGraph::Dense { lists, bytes }
     }
 
@@ -231,7 +239,7 @@ impl CachedGraph {
             .iter()
             .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>() + 4)
             .sum::<usize>()
-            + std::mem::size_of::<Self>();
+            + Self::FIXED_BYTES;
         CachedGraph::Sparse {
             sources,
             lists,
@@ -261,7 +269,7 @@ impl CachedGraph {
         let data = data.into();
         let encoded = data.len() + index.heap_bytes();
         let cap = Self::memo_cap(encoded);
-        let bytes = encoded + cap + std::mem::size_of::<Self>();
+        let bytes = encoded + cap + Self::FIXED_BYTES;
         CachedGraph::EncodedIntra {
             data,
             bit_len,
@@ -282,7 +290,7 @@ impl CachedGraph {
         let data = data.into();
         let encoded = data.len() + index.heap_bytes();
         let cap = Self::memo_cap(encoded);
-        let bytes = encoded + cap + std::mem::size_of::<Self>();
+        let bytes = encoded + cap + Self::FIXED_BYTES;
         CachedGraph::EncodedSuper {
             data,
             bit_len,
@@ -463,8 +471,9 @@ pub struct GraphCache {
     shard_tel: Vec<ShardTel>,
     tick: std::sync::atomic::AtomicU64,
     metrics: wg_obs::CacheMetrics,
-    /// When `Some`, every load/unload is appended here (the paper's log).
-    log: Mutex<Option<Vec<CacheEvent>>>,
+    /// Once set, every load/unload is appended here (the paper's log).
+    /// Unset, recording an event costs one load and no lock.
+    log: OnceLock<Mutex<Vec<CacheEvent>>>,
 }
 
 /// Per-shard instrumentation: hit/miss split plus the shard mutex's
@@ -499,6 +508,9 @@ impl ShardTel {
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<GraphKey, Entry>,
+    /// Eviction order as of the last scan of `map`: `(last_used, key)`,
+    /// oldest last. See [`Shard::evict_lru`].
+    victims: Vec<(u64, GraphKey)>,
     used: usize,
     budget: usize,
 }
@@ -507,6 +519,39 @@ struct Shard {
 struct Entry {
     graph: Arc<CachedGraph>,
     last_used: u64,
+}
+
+impl Shard {
+    /// Evicts the exact least recently used graph; `None` when empty.
+    ///
+    /// A hit stamps its entry with a fresh tick and does nothing else, so
+    /// finding the least tick takes a scan — but one scan serves many
+    /// evictions. The scan sorts every `(tick, key)` into `victims`; an
+    /// entry touched, replaced or stored after it carries a tick above
+    /// all of those, so the oldest candidate whose tick still stands in
+    /// the map *is* the shard's least recently used graph, and candidates
+    /// that no longer match are skipped. The next scan happens when the
+    /// candidates run out: amortised O(log n) per eviction where the scan
+    /// per eviction it replaces was O(n), with nothing added to a hit.
+    fn evict_lru(&mut self) -> Option<GraphKey> {
+        loop {
+            let Some((stamp, key)) = self.victims.pop() else {
+                if self.map.is_empty() {
+                    return None;
+                }
+                self.victims
+                    .extend(self.map.iter().map(|(&k, e)| (e.last_used, k)));
+                self.victims
+                    .sort_unstable_by_key(|&(stamp, _)| std::cmp::Reverse(stamp));
+                continue;
+            };
+            if self.map.get(&key).is_some_and(|e| e.last_used == stamp) {
+                let evicted = self.map.remove(&key)?;
+                self.used -= evicted.graph.bytes();
+                return Some(key);
+            }
+        }
+    }
 }
 
 /// Small-integer → static string for allocation-free trace args (shard
@@ -555,16 +600,15 @@ impl GraphCache {
             shards: (0..n)
                 .map(|_| {
                     Mutex::new(Shard {
-                        map: HashMap::new(),
-                        used: 0,
                         budget: per_shard,
+                        ..Shard::default()
                     })
                 })
                 .collect(),
             shard_tel: (0..n).map(ShardTel::auto).collect(),
             tick: std::sync::atomic::AtomicU64::new(0),
             metrics: wg_obs::CacheMetrics::auto("core.cache"),
-            log: Mutex::new(None),
+            log: OnceLock::new(),
         }
     }
 
@@ -604,18 +648,14 @@ impl GraphCache {
     /// Enables event logging (disabled by default; the log grows unbounded
     /// while enabled).
     pub fn enable_log(&self) {
-        let mut log = self.log.lock();
-        if log.is_none() {
-            *log = Some(Vec::new());
-        }
+        self.log.get_or_init(Mutex::default);
     }
 
     /// Takes the accumulated event log, leaving logging enabled.
     pub fn take_log(&self) -> Vec<CacheEvent> {
-        match &mut *self.log.lock() {
-            Some(l) => std::mem::take(l),
-            None => Vec::new(),
-        }
+        self.log
+            .get()
+            .map_or_else(Vec::new, |log| std::mem::take(&mut *log.lock()))
     }
 
     /// Total byte budget (split evenly across shards).
@@ -720,18 +760,9 @@ impl GraphCache {
         let sw = telemetry_enabled().then(Stopwatch::start);
         // Evict until it fits (or nothing is left to evict).
         while shard.used + bytes > shard.budget {
-            let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-            else {
+            let Some(victim) = shard.evict_lru() else {
                 break;
             };
-            let Some(removed) = shard.map.remove(&victim) else {
-                break;
-            };
-            shard.used -= removed.graph.bytes();
             self.metrics.evictions.inc();
             self.log_event(CacheEvent::Unload(victim));
         }
@@ -787,6 +818,7 @@ impl GraphCache {
             let mut shard = s.lock();
             let unloads: Vec<GraphKey> = shard.map.keys().copied().collect();
             shard.map.clear();
+            shard.victims.clear();
             shard.used = 0;
             drop(shard);
             for k in unloads {
@@ -796,8 +828,8 @@ impl GraphCache {
     }
 
     fn log_event(&self, ev: CacheEvent) {
-        if let Some(log) = &mut *self.log.lock() {
-            log.push(ev);
+        if let Some(log) = self.log.get() {
+            log.lock().push(ev);
         }
     }
 }
@@ -854,6 +886,83 @@ mod tests {
         c.insert(GraphKey::Intra(3), graph_of(3_000));
         assert!(c.get(GraphKey::Intra(0)).is_some(), "0 was touched");
         assert!(c.get(GraphKey::Intra(1)).is_none(), "1 was LRU");
+    }
+
+    /// Reference model: the policy in its plainest form — a unique tick
+    /// stamped on every touch, the victim found by scanning for the least
+    /// one at every eviction (how this cache first implemented it).
+    #[derive(Default)]
+    struct MinScanLru {
+        entries: Vec<(GraphKey, usize, u64)>,
+        used: usize,
+        budget: usize,
+        tick: u64,
+    }
+
+    impl MinScanLru {
+        fn get(&mut self, key: GraphKey) -> bool {
+            self.tick += 1;
+            let hit = self.entries.iter_mut().find(|e| e.0 == key);
+            hit.map(|e| e.2 = self.tick).is_some()
+        }
+
+        /// Returns the victims, in eviction order.
+        fn insert(&mut self, key: GraphKey, bytes: usize) -> Vec<GraphKey> {
+            self.tick += 1;
+            let mut victims = Vec::new();
+            while self.used + bytes > self.budget {
+                let Some(lru) = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2) else {
+                    break;
+                };
+                let (victim, freed, _) = self.entries.remove(lru);
+                self.used -= freed;
+                victims.push(victim);
+            }
+            if let Some(at) = self.entries.iter().position(|e| e.0 == key) {
+                self.used -= self.entries.remove(at).1;
+            }
+            self.entries.push((key, bytes, self.tick));
+            self.used += bytes;
+            victims
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Hits, misses, the victim sequence and the bytes in use all
+        /// repeat the min-scan model's, touch for touch.
+        #[test]
+        fn eviction_order_is_what_a_scan_per_eviction_would_give(
+            ops in proptest::collection::vec(
+                (proptest::any::<bool>(), 0u32..14, 1usize..8), 1..120),
+        ) {
+            let cache = GraphCache::with_shards(10_000, 1);
+            cache.enable_log();
+            let mut model = MinScanLru { budget: 10_000, ..MinScanLru::default() };
+            for (is_get, k, size) in ops {
+                // Two key kinds, so that equal ids never alias.
+                let key = if k % 2 == 0 { GraphKey::Intra(k) } else { GraphKey::Super(k, k + 1) };
+                if is_get {
+                    proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
+                    continue;
+                }
+                let graph = graph_of(size * 900);
+                let want = model.insert(key, graph.bytes());
+                cache.insert(key, graph);
+                let got: Vec<GraphKey> = cache
+                    .take_log()
+                    .into_iter()
+                    .filter_map(|ev| match ev {
+                        CacheEvent::Unload(victim) => Some(victim),
+                        CacheEvent::Load(_) => None,
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(cache.used(), model.used);
+                proptest::prop_assert_eq!(cache.len(), model.entries.len());
+            }
+        }
     }
 
     #[test]
@@ -953,7 +1062,7 @@ mod tests {
         assert_eq!(g.memo_cap_bytes(), encoded, "cap = encoded footprint");
         assert_eq!(
             *bytes,
-            encoded + g.memo_cap_bytes() + std::mem::size_of::<CachedGraph>(),
+            encoded + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
             "accounted bytes include the full memo cap up front"
         );
         assert_eq!(g.memo_used(), 0, "memo starts empty");

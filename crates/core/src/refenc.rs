@@ -253,7 +253,7 @@ pub(crate) fn encode_lists_planned(
     codes::write_gamma(&mut w, n as u64);
     // Payloads are self-delimiting when every reference points backward
     // (the default), so no per-list directory is stored: a loader rebuilds
-    // offsets with one sequential decode (see [`ListsIndex::load`]), the
+    // offsets with one sequential scan (see [`ListsIndex::parse_at`]), the
     // way the paper's scheme can afford fast in-memory access without
     // paying index bits on disk. Only Exact-mode encodings with forward
     // references carry an explicit directory (flagged by one bit).
@@ -319,6 +319,13 @@ impl ListsIndex {
     /// Like [`ListsIndex::parse`], but the encoded stream starts at bit
     /// offset `start` inside `data` (used when the stream is embedded in a
     /// larger structure, e.g. a superedge graph header).
+    ///
+    /// Unless references point forward the format stores no directory, so
+    /// the offsets come from one scan over every payload's structure —
+    /// counts, masks, gap codes — that materialises no list: a mask is as
+    /// long as the parent's list, so one length per list is all it keeps.
+    /// What needs the values themselves (a copied entry colliding with an
+    /// extra) is checked when a list is decoded.
     pub fn parse_at(
         data: &[u8],
         bit_len: u64,
@@ -326,31 +333,6 @@ impl ListsIndex {
         universe: Universe,
         codec: ListCodec,
     ) -> Result<Self> {
-        Ok(Self::load_at(data, bit_len, start, universe, codec)?.0)
-    }
-
-    /// Parses the stream and decodes every list in one sequential pass,
-    /// returning both the index (with rebuilt per-list offsets, enabling
-    /// random access) and the decoded lists. This is the load-time path:
-    /// the on-disk format stores no directory, so offsets come from the
-    /// decode that a loader performs anyway.
-    pub fn load(
-        data: &[u8],
-        bit_len: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<(Self, Vec<Vec<u32>>)> {
-        Self::load_at(data, bit_len, 0, universe, codec)
-    }
-
-    /// [`ListsIndex::load`] for a stream embedded at bit offset `start`.
-    pub fn load_at(
-        data: &[u8],
-        bit_len: u64,
-        start: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<(Self, Vec<Vec<u32>>)> {
         let mut r = BitReader::with_bit_len(data, bit_len);
         r.seek(start)?;
         let n = codes::read_gamma(&mut r)?;
@@ -365,81 +347,68 @@ impl ListsIndex {
             return Err(SNodeError::Corrupt("encoded graph exceeds 512 MiB"));
         }
         let has_dir = r.read_bit()?;
-        // `n` is untrusted until the per-list decodes below confirm it;
-        // clamp the eager reservations so a corrupt γ cannot turn into a
-        // giant allocation (the vectors still grow on demand).
-        let cap = (n as usize).saturating_add(1).min(1 << 20);
-        let mut offsets: Vec<u32> = Vec::with_capacity(cap);
-
+        // `n` is untrusted until the scan below confirms it; clamp the
+        // eager reservations so a corrupt γ cannot turn into a giant
+        // allocation (the vectors still grow on demand).
+        let cap = (n as usize).min(1 << 20);
+        let mut offsets: Vec<u32> = Vec::with_capacity(cap + 1);
         if has_dir {
-            // Explicit directory (Exact-mode encodings with forward refs).
-            let mut lens = Vec::with_capacity((n as usize).min(1 << 20));
+            // Explicit directory (Exact-mode encodings with forward refs)
+            // of untrusted γ lengths: sum them with checked arithmetic so
+            // a corrupt entry can neither wrap the position nor truncate
+            // into the u32 table. Relative to the directory's end for now.
+            let mut rel = 0u64;
             for _ in 0..n {
-                lens.push(codes::read_gamma(&mut r)?);
-            }
-            // The directory lengths are untrusted γ values: sum them with
-            // checked arithmetic so a corrupt entry can neither wrap `pos`
-            // nor silently truncate into the u32 offset table.
-            let mut pos = r.position();
-            for &l in &lens {
-                offsets.push(bit_offset_u32(pos)?);
-                pos = pos
-                    .checked_add(l)
+                offsets.push(bit_offset_u32(rel)?);
+                rel = rel
+                    .checked_add(codes::read_gamma(&mut r)?)
                     .ok_or(SNodeError::Corrupt("directory length sum overflows"))?;
             }
-            if pos > bit_len {
+            offsets.push(bit_offset_u32(rel)?);
+            let base = r.position();
+            if base + rel > bit_len {
                 return Err(SNodeError::Corrupt("directory overruns stream"));
             }
-            offsets.push(bit_offset_u32(pos)?);
-            let index = Self {
-                num_lists: n as u32,
-                universe,
-                codec,
-                offsets,
-            };
-            let lists = index.decode_all(data, bit_len)?;
-            return Ok((index, lists));
-        }
-
-        // No directory: decode sequentially (references always point
-        // backward in this layout), recording where each payload starts.
-        let mut lists: Vec<Vec<u32>> = Vec::with_capacity((n as usize).min(1 << 20));
-        let mut copied: Vec<u32> = Vec::new(); // scratch reused across lists
-        for i in 0..n {
+            // `base + rel <= bit_len <= u32::MAX`, checked above.
+            offsets.iter_mut().for_each(|o| *o += base as u32);
+        } else {
+            let mut lens: Vec<u32> = Vec::with_capacity(cap);
+            for i in 0..n {
+                offsets.push(bit_offset_u32(r.position())?);
+                let reference_len = if r.read_bit()? {
+                    let parent = codes::read_minimal_binary(&mut r, n)?;
+                    if parent >= i {
+                        return Err(SNodeError::Corrupt(
+                            "forward reference in directory-less stream",
+                        ));
+                    }
+                    Some(lens[parent as usize])
+                } else {
+                    None
+                };
+                lens.push(scan_payload(&mut r, reference_len, universe, codec)?);
+            }
             offsets.push(bit_offset_u32(r.position())?);
-            let is_ref = r.read_bit()?;
-            let list = if is_ref {
-                let parent = codes::read_minimal_binary(&mut r, n)? as usize;
-                if parent >= i as usize {
-                    return Err(SNodeError::Corrupt(
-                        "forward reference in directory-less stream",
-                    ));
-                }
-                let reference = &lists[parent];
-                copied.clear();
-                copied.reserve(reference.len());
-                read_mask_set_positions(&mut r, reference.len(), codec, |pos| {
-                    copied.push(reference[pos]);
-                })?;
-                let extras = read_bounded_gap_list(&mut r, universe, codec)?;
-                let mut merged = Vec::new();
-                merge_sorted_u32(&copied, &extras, &mut merged)?;
-                merged
-            } else {
-                read_bounded_gap_list(&mut r, universe, codec)?
-            };
-            lists.push(list);
         }
-        offsets.push(bit_offset_u32(r.position())?);
-        Ok((
-            Self {
-                num_lists: n as u32,
-                universe,
-                codec,
-                offsets,
-            },
-            lists,
-        ))
+        Ok(Self {
+            num_lists: n as u32,
+            universe,
+            codec,
+            offsets,
+        })
+    }
+
+    /// Parses the stream and decodes every list, returning both the index
+    /// and the decoded lists.
+    pub fn load(
+        data: &[u8],
+        bit_len: u64,
+        universe: Universe,
+        codec: ListCodec,
+    ) -> Result<(Self, Vec<Vec<u32>>)> {
+        let index = Self::parse(data, bit_len, universe, codec)?;
+        let lists = index.decode_all(data, bit_len)?;
+        Ok((index, lists))
     }
 
     /// Number of lists.
@@ -663,21 +632,10 @@ impl<'a> ListsReader<'a> {
         universe: Universe,
         codec: ListCodec,
     ) -> Result<Self> {
-        Self::parse_at(data, bit_len, 0, universe, codec)
-    }
-
-    /// Parses a stream embedded at bit offset `start`.
-    pub fn parse_at(
-        data: &'a [u8],
-        bit_len: u64,
-        start: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<Self> {
         Ok(Self {
             data,
             bit_len,
-            index: ListsIndex::parse_at(data, bit_len, start, universe, codec)?,
+            index: ListsIndex::parse(data, bit_len, universe, codec)?,
         })
     }
 
@@ -906,30 +864,29 @@ fn write_ascending_entries(w: &mut BitWriter, list: &[u32], universe: u64, k: u8
     }
 }
 
+/// Reads `count` ascending entries (first minimal-binary, then gaps) and
+/// hands each to `sink`. Every entry must lie inside the universe.
 fn read_ascending_entries(
     r: &mut BitReader<'_>,
     count: u64,
     universe: u64,
     k: u8,
-    out: &mut Vec<u32>,
+    mut sink: impl FnMut(u32),
 ) -> Result<()> {
-    let mut prev: Option<u32> = None;
+    let mut prev: Option<u64> = None;
     for _ in 0..count {
         let x = match prev {
             None => codes::read_minimal_binary(r, universe.max(1))?,
-            Some(p) => {
-                let g = read_gap_code(r, k)?;
-                u64::from(p)
-                    .checked_add(g)
-                    .and_then(|v| v.checked_add(1))
-                    .ok_or(SNodeError::Corrupt("gap overflow"))?
-            }
+            Some(p) => read_gap_code(r, k)?
+                .checked_add(p + 1)
+                .ok_or(SNodeError::Corrupt("gap overflow"))?,
         };
-        if x > u64::from(u32::MAX) {
-            return Err(SNodeError::Corrupt("list entry overflows u32"));
+        if x >= universe.max(1) {
+            return Err(SNodeError::Corrupt("list entry outside its universe"));
         }
-        out.push(x as u32);
-        prev = Some(x as u32);
+        let x32 = u32::try_from(x).map_err(|_| SNodeError::Corrupt("list entry overflows u32"))?;
+        sink(x32);
+        prev = Some(x);
     }
     Ok(())
 }
@@ -998,28 +955,21 @@ pub(crate) fn write_bounded_gap_list(
     write_ascending_entries(w, &residuals, universe, k);
 }
 
-/// Reads a list written by [`write_bounded_gap_list`].
-pub(crate) fn read_bounded_gap_list(
+/// Reads the interval section of a non-empty list of declared length
+/// `len` (γ(#intervals), then each run's left extreme and length), hands
+/// every `(left, run)` to `sink` and returns the entries the runs cover.
+fn read_intervals(
     r: &mut BitReader<'_>,
+    len: u64,
     universe: u64,
-    codec: ListCodec,
-) -> Result<Vec<u32>> {
-    let k = codec.zeta_k;
-    let len = codes::read_gamma(r)?;
-    if !codec.intervals {
-        let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
-        read_ascending_entries(r, len, universe, k, &mut out)?;
-        return Ok(out);
-    }
-    if len == 0 {
-        return Ok(Vec::new());
-    }
+    k: u8,
+    mut sink: impl FnMut(u32, u32),
+) -> Result<u64> {
     let num_intervals = codes::read_gamma(r)?;
     // Every interval covers at least MIN_INTERVAL of the declared entries.
     if num_intervals > len / u64::from(MIN_INTERVAL) {
         return Err(SNodeError::Corrupt("interval count exceeds list length"));
     }
-    let mut intervals: Vec<(u32, u32)> = Vec::with_capacity((num_intervals as usize).min(1 << 18));
     let mut covered = 0u64;
     let mut prev_end: Option<u64> = None;
     for _ in 0..num_intervals {
@@ -1045,16 +995,39 @@ pub(crate) fn read_bounded_gap_list(
             .checked_add(run - 1)
             .filter(|&l| l <= u64::from(u32::MAX))
             .ok_or(SNodeError::Corrupt("interval entry overflows u32"))?;
-        intervals.push((left as u32, run as u32));
+        if last >= universe.max(1) {
+            return Err(SNodeError::Corrupt("interval entry outside its universe"));
+        }
+        sink(left as u32, run as u32);
         prev_end = Some(last + 1);
     }
+    Ok(covered)
+}
+
+/// Reads a list written by [`write_bounded_gap_list`].
+pub(crate) fn read_bounded_gap_list(
+    r: &mut BitReader<'_>,
+    universe: u64,
+    codec: ListCodec,
+) -> Result<Vec<u32>> {
+    let k = codec.zeta_k;
+    let len = codes::read_gamma(r)?;
+    let mut out: Vec<u32> = Vec::with_capacity(len.min(1 << 20) as usize);
+    if !codec.intervals {
+        read_ascending_entries(r, len, universe, k, |x| out.push(x))?;
+        return Ok(out);
+    }
+    if len == 0 {
+        return Ok(out);
+    }
+    let mut intervals: Vec<(u32, u32)> = Vec::new();
+    let covered = read_intervals(r, len, universe, k, |left, run| intervals.push((left, run)))?;
     let mut residuals = Vec::with_capacity(((len - covered) as usize).min(1 << 20));
-    read_ascending_entries(r, len - covered, universe, k, &mut residuals)?;
+    read_ascending_entries(r, len - covered, universe, k, |x| residuals.push(x))?;
     // Merge the expanded runs with the residuals. Both sequences are
     // ascending on their own; the final monotonicity sweep rejects any
     // cross-contamination (a residual landing inside or between runs out
     // of order) that the per-sequence decoding cannot see.
-    let mut out: Vec<u32> = Vec::with_capacity(len.min(1 << 20) as usize);
     let mut ri = 0usize;
     for &(left, run) in &intervals {
         while ri < residuals.len() && residuals[ri] < left {
@@ -1068,6 +1041,31 @@ pub(crate) fn read_bounded_gap_list(
         return Err(SNodeError::Corrupt("interval and residual entries overlap"));
     }
     Ok(out)
+}
+
+/// Walks the rest of one payload — after its mode bit and parent field —
+/// with every check of the decoder that needs no second list to compare
+/// with, building nothing. Returns the length of the list it encodes: the
+/// set bits of its copy-mask over the parent's `reference_len` entries, if
+/// it has a parent, plus its extras.
+fn scan_payload(
+    r: &mut BitReader<'_>,
+    reference_len: Option<u32>,
+    universe: u64,
+    codec: ListCodec,
+) -> Result<u32> {
+    let mut copied = 0u64;
+    if let Some(m) = reference_len {
+        read_mask_set_positions(r, m as usize, codec, |_| copied += 1)?;
+    }
+    let extras = codes::read_gamma(r)?;
+    let covered = if codec.intervals && extras > 0 {
+        read_intervals(r, extras, universe, codec.zeta_k, |_, _| {})?
+    } else {
+        0
+    };
+    read_ascending_entries(r, extras - covered, universe, codec.zeta_k, |_| {})?;
+    u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))
 }
 
 // --- Reference selection --------------------------------------------------
@@ -1886,6 +1884,190 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The 13 cells of the ablation grid (`wg_bench::ablate::DEFAULT_CELLS`).
+    const GRID: [&str; 13] = [
+        "g", "z2", "z3", "z4", "g+iv", "z3+iv", "z3+cb", "g+iv+cb", "z2+iv+cb", "z3+iv+cb", "g+st",
+        "z2+st", "g+iv+st",
+    ];
+
+    /// Reference model for [`ListsIndex::parse`]: the loader this crate
+    /// used before the offsets-only scan. It decodes every list of a
+    /// directory-less stream in order — reference lists merged and kept —
+    /// and notes where each payload started.
+    fn materialising_offsets(
+        data: &[u8],
+        bit_len: u64,
+        universe: u64,
+        codec: ListCodec,
+    ) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
+        let mut r = BitReader::with_bit_len(data, bit_len);
+        let n = codes::read_gamma(&mut r)?;
+        assert!(!r.read_bit()?, "the model covers directory-less streams");
+        let mut offsets = Vec::new();
+        let mut lists: Vec<Vec<u32>> = Vec::new();
+        for i in 0..n {
+            offsets.push(bit_offset_u32(r.position())?);
+            let list = if r.read_bit()? {
+                let parent = codes::read_minimal_binary(&mut r, n)? as usize;
+                if parent >= i as usize {
+                    return Err(SNodeError::Corrupt("model: forward reference"));
+                }
+                let reference = &lists[parent];
+                let mut copied = Vec::new();
+                read_mask_set_positions(&mut r, reference.len(), codec, |pos| {
+                    copied.push(reference[pos]);
+                })?;
+                let extras = read_bounded_gap_list(&mut r, universe, codec)?;
+                let mut merged = Vec::new();
+                merge_sorted_u32(&copied, &extras, &mut merged)?;
+                merged
+            } else {
+                read_bounded_gap_list(&mut r, universe, codec)?
+            };
+            lists.push(list);
+        }
+        offsets.push(bit_offset_u32(r.position())?);
+        Ok((offsets, lists))
+    }
+
+    #[test]
+    fn scan_offsets_match_the_materialising_decoder() {
+        let universe = 600u64;
+        let lists = synth_lists(0x0FF5E7, 48, universe);
+        for cell in GRID {
+            let codec = ListCodec::parse_cell(cell).unwrap();
+            for mode in [RefMode::None, RefMode::Windowed(8), RefMode::Exact] {
+                let enc = encode_lists(&lists, universe, mode, codec);
+                let index =
+                    ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe), codec)
+                        .unwrap();
+                assert_eq!(index.end_bit(), enc.bit_len, "{cell} {mode:?}");
+                assert_eq!(
+                    index.decode_all(&enc.bytes, enc.bit_len).unwrap(),
+                    lists,
+                    "{cell} {mode:?}"
+                );
+                // Exact mode may point references forward and then carries
+                // its offsets in the stream; the model reads the other kind.
+                let mut header = BitReader::with_bit_len(&enc.bytes, enc.bit_len);
+                codes::read_gamma(&mut header).unwrap();
+                let has_dir = header.read_bit().unwrap();
+                if !has_dir {
+                    let (offsets, decoded) =
+                        materialising_offsets(&enc.bytes, enc.bit_len, universe, codec).unwrap();
+                    assert_eq!(index.offsets, offsets, "{cell} {mode:?}");
+                    assert_eq!(decoded, lists);
+                }
+            }
+        }
+    }
+
+    /// What a scan of damaged bytes may do: refuse them, or hand back a
+    /// directory no larger than the stream could hold and from which every
+    /// list decodes or fails cleanly.
+    fn scan_then_decode_everything(
+        data: &[u8],
+        bit_len: u64,
+        universe: Universe,
+        codec: ListCodec,
+    ) {
+        let Ok(index) = ListsIndex::parse(data, bit_len, universe, codec) else {
+            return;
+        };
+        assert!(
+            u64::from(index.num_lists()) <= bit_len,
+            "every list costs the stream at least a bit"
+        );
+        assert_eq!(index.offsets.len(), index.num_lists() as usize + 1);
+        assert!(index.offsets.iter().all(|&o| u64::from(o) <= bit_len));
+        for i in 0..index.num_lists() {
+            if let Ok(list) = index.decode_list(data, bit_len, i) {
+                assert!(
+                    list.windows(2).all(|p| p[0] < p[1]),
+                    "list {i} out of order"
+                );
+                assert!(list.iter().all(|&x| u64::from(x) < index.universe().max(1)));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_of_bit_flipped_streams_is_corrupt_or_decodable() {
+        let universe = 200u64;
+        let lists = synth_lists(0xF11B, 10, universe);
+        for cell in ["g", "z3+iv+cb", "g+iv", "z2+st"] {
+            let codec = ListCodec::parse_cell(cell).unwrap();
+            for mode in [RefMode::None, RefMode::Windowed(4), RefMode::Exact] {
+                let enc = encode_lists(&lists, universe, mode, codec);
+                for flip in 0..enc.bit_len {
+                    let mut bytes = enc.bytes.clone();
+                    bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
+                    for u in [Universe::Explicit(universe), Universe::SameAsCount] {
+                        scan_then_decode_everything(&bytes, enc.bit_len, u, codec);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn scan_of_byte_soup_is_corrupt_or_decodable(
+            soup in proptest::collection::vec(proptest::any::<u8>(), 0..160),
+            cell in 0usize..13,
+            cut in 0u64..8,
+            universe in 0u64..3000,
+            same_as_count in proptest::any::<bool>(),
+        ) {
+            let codec = ListCodec::parse_cell(GRID[cell]).unwrap();
+            let bit_len = (soup.len() as u64 * 8).saturating_sub(cut);
+            let universe = if same_as_count {
+                Universe::SameAsCount
+            } else {
+                Universe::Explicit(universe)
+            };
+            scan_then_decode_everything(&soup, bit_len, universe, codec);
+        }
+    }
+
+    #[test]
+    fn entries_outside_the_universe_are_corrupt_in_scan_and_decode() {
+        // [1, 5, 9] in a universe of 10: the last gap is γ(3) = 00100, and
+        // flipping its final bit makes it γ(4), i.e. an entry of 10.
+        let lists = vec![vec![1u32, 5, 9]];
+        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
+        let clean = ListsIndex::parse(
+            &enc.bytes,
+            enc.bit_len,
+            Universe::Explicit(10),
+            ListCodec::GAMMA,
+        )
+        .unwrap();
+        let (mut scan_caught, mut decode_caught) = (false, false);
+        let outside =
+            |e: &SNodeError| matches!(e, SNodeError::Corrupt("list entry outside its universe"));
+        for flip in 0..enc.bit_len {
+            let mut bytes = enc.bytes.clone();
+            bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
+            let scanned = ListsIndex::parse(
+                &bytes,
+                enc.bit_len,
+                Universe::Explicit(10),
+                ListCodec::GAMMA,
+            );
+            scan_caught |= scanned.as_ref().is_err_and(outside);
+            // The clean directory over the flipped bytes: the decoder on
+            // its own, as on a stream that carries its offsets.
+            match clean.decode_list(&bytes, enc.bit_len, 0) {
+                Ok(list) => assert!(list.iter().all(|&x| x < 10), "flip {flip}: {list:?}"),
+                Err(e) => decode_caught |= outside(&e),
+            }
+        }
+        assert!(scan_caught && decode_caught);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 use crate::codec::ListCodec;
 use crate::refenc::{
     bounded_gap_list_len, encode_lists_planned, encode_lists_t, plan_lists, EncodedLists,
-    ListsPlan, ListsReader, RefMode, Universe,
+    ListsIndex, ListsPlan, ListsReader, RefMode, Universe,
 };
 use crate::{Result, SNodeError};
+use std::sync::OnceLock;
 use wg_bitio::{codes, BitReader, BitWriter};
 
 /// How to choose between positive and negative superedge graphs.
@@ -358,7 +359,7 @@ pub fn decode_superedge_sparse(
 /// Owned directory of an encoded superedge graph (no byte references) —
 /// pair it with the bytes to decode, as with
 /// [`crate::refenc::ListsIndex`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SuperedgeIndex {
     /// Representation stored.
     pub kind: SuperedgeKind,
@@ -375,10 +376,10 @@ pub struct SuperedgeIndex {
 /// [`SuperedgeKind::Positive`]: [`SuperedgeIndex::parse`] reads the
 /// layout marker exclusively on the positive path, so the invariant is
 /// structural, not checked.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum SuperedgeBody {
-    /// A reference-encoded list stream with its parsed directory.
-    Lists(crate::refenc::ListsIndex),
+    /// A reference-encoded list stream.
+    Lists(ListStream),
     /// `+st` layout: each stored list is `vec![dict[index[i]]]`. Both
     /// vectors are fully materialised at parse time (they are tiny — one
     /// index per source, one entry per distinct target), so decodes are
@@ -390,22 +391,58 @@ pub(crate) enum SuperedgeBody {
     },
 }
 
+/// Where a superedge graph's list stream starts, and its directory once
+/// some access has needed it.
+///
+/// A page's adjacency list draws on every superedge graph of its supernode,
+/// but a positive graph holds lists only for the few pages among its
+/// `sources`: most lookups end at that binary search, so scanning the
+/// stream for list offsets at parse time would be paid by all of them for
+/// nothing. The directory is built by the first access that reaches a
+/// stored list and kept for the ones after it.
+#[derive(Debug)]
+pub(crate) struct ListStream {
+    /// Bit offset of the stream inside the graph's bytes.
+    start: u64,
+    /// `|Nj|`, the universe of the stored lists.
+    nj: u64,
+    codec: ListCodec,
+    directory: OnceLock<ListsIndex>,
+}
+
+impl ListStream {
+    /// The stream's directory, scanning the stream on first use. Readers
+    /// that race for the first use each scan; one result is kept.
+    fn directory(&self, bytes: &[u8], bit_len: u64) -> Result<&ListsIndex> {
+        if let Some(built) = self.directory.get() {
+            return Ok(built);
+        }
+        let universe = Universe::Explicit(self.nj);
+        let built = ListsIndex::parse_at(bytes, bit_len, self.start, universe, self.codec)?;
+        Ok(self.directory.get_or_init(|| built))
+    }
+}
+
 impl SuperedgeIndex {
-    /// Parses the header and directory of an encoded superedge graph.
-    /// `ni` = |Ni| and `nj` = |Nj| come from the supernode metadata; the
-    /// codec comes from the directory's `meta.bin` header.
+    /// Parses the header of an encoded superedge graph: its kind, and for a
+    /// positive graph its `sources` (or the whole single-target
+    /// dictionary). The list stream of a positive graph is left unscanned
+    /// until an access needs one of its lists — see [`ListStream`]; a
+    /// negative graph stores a list for every source page, so its
+    /// directory is built here. `ni` = |Ni| and `nj` = |Nj| come from the
+    /// supernode metadata; the codec comes from the directory's `meta.bin`
+    /// header.
     pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, codec: ListCodec) -> Result<Self> {
         let mut r = BitReader::with_bit_len(bytes, bit_len);
-        let negative = r.read_bit()?;
-        if negative {
-            let offset = r.position();
-            let lists = crate::refenc::ListsIndex::parse_at(
-                bytes,
-                bit_len,
-                offset,
-                crate::refenc::Universe::Explicit(nj),
-                codec,
-            )?;
+        let stream = |start| ListStream {
+            start,
+            nj,
+            codec,
+            directory: OnceLock::new(),
+        };
+        if r.read_bit()? {
+            let lists = stream(r.position());
+            lists.directory(bytes, bit_len)?;
             return Ok(Self {
                 kind: SuperedgeKind::Negative,
                 ni,
@@ -417,11 +454,6 @@ impl SuperedgeIndex {
         let sources = crate::refenc::read_bounded_gap_list(&mut r, ni, codec)?;
         let body = if dict_layout {
             let dict = crate::refenc::read_bounded_gap_list(&mut r, nj, codec)?;
-            if dict.last().is_some_and(|&t| u64::from(t) >= nj) {
-                return Err(SNodeError::Corrupt(
-                    "single-target dictionary entry outside |Nj|",
-                ));
-            }
             if dict.is_empty() && !sources.is_empty() {
                 return Err(SNodeError::Corrupt("single-target dictionary is empty"));
             }
@@ -438,14 +470,7 @@ impl SuperedgeIndex {
                 end_bit: r.position(),
             }
         } else {
-            let offset = r.position();
-            SuperedgeBody::Lists(crate::refenc::ListsIndex::parse_at(
-                bytes,
-                bit_len,
-                offset,
-                crate::refenc::Universe::Explicit(nj),
-                codec,
-            )?)
+            SuperedgeBody::Lists(stream(r.position()))
         };
         Ok(Self {
             kind: SuperedgeKind::Positive,
@@ -481,106 +506,111 @@ impl SuperedgeIndex {
         if s >= self.ni {
             return Err(SNodeError::Corrupt("superedge source out of range"));
         }
-        match &self.body {
-            SuperedgeBody::SingleTargets { dict, index, .. } => {
-                // Single-target bodies are always positive.
-                match self.sources.binary_search(&(s as u32)) {
-                    Ok(i) => Ok(vec![Self::dict_target(dict, index, i)?]),
-                    Err(_) => Ok(Vec::new()),
-                }
-            }
-            SuperedgeBody::Lists(lists) => match self.kind {
-                SuperedgeKind::Positive => match self.sources.binary_search(&(s as u32)) {
-                    Ok(idx) => lists.decode_list_with_memo(bytes, bit_len, idx as u32, memo),
-                    Err(_) => Ok(Vec::new()),
-                },
-                SuperedgeKind::Negative => {
-                    let neg = lists.decode_list_with_memo(bytes, bit_len, s as u32, memo)?;
-                    Ok(complement(&neg, nj as u32))
-                }
-            },
+        if self.kind == SuperedgeKind::Negative {
+            let neg = self.decode_stored(bytes, bit_len, s as u32, memo)?;
+            return Ok(complement(&neg, nj as u32));
+        }
+        match self.sources.binary_search(&(s as u32)) {
+            Ok(i) => self.decode_stored(bytes, bit_len, i as u32, memo),
+            Err(_) => Ok(Vec::new()),
         }
     }
 
-    /// The target of stored slot `i` of a single-target body. Parse
-    /// validates every index against the dictionary, so a miss here means
-    /// the directory was mutated after parsing.
-    fn dict_target(dict: &[u32], index: &[u32], i: usize) -> Result<u32> {
-        index
-            .get(i)
-            .and_then(|&d| dict.get(d as usize))
-            .copied()
-            .ok_or(SNodeError::Corrupt("single-target dictionary slot missing"))
+    /// Decodes stored list `i` (in stored order, not source-id space).
+    fn decode_stored(
+        &self,
+        bytes: &[u8],
+        bit_len: u64,
+        i: u32,
+        memo: &mut dyn crate::refenc::DecodeMemo,
+    ) -> Result<Vec<u32>> {
+        match &self.body {
+            SuperedgeBody::Lists(lists) => lists
+                .directory(bytes, bit_len)?
+                .decode_list_with_memo(bytes, bit_len, i, memo),
+            // Parse validates every index against the dictionary, so a
+            // miss here means the directory was mutated after parsing.
+            SuperedgeBody::SingleTargets { dict, index, .. } => index
+                .get(i as usize)
+                .and_then(|&d| dict.get(d as usize))
+                .map(|&t| vec![t])
+                .ok_or(SNodeError::Corrupt("single-target dictionary slot missing")),
+        }
     }
 
     /// Total number of positive edges represented.
     pub fn count_positive_edges(&self, bytes: &[u8], bit_len: u64, nj: u64) -> Result<u64> {
-        let lists = match &self.body {
-            // One target per stored source, by construction.
-            SuperedgeBody::SingleTargets { index, .. } => return Ok(index.len() as u64),
-            SuperedgeBody::Lists(lists) => lists,
-        };
         let mut total = 0u64;
         match self.kind {
             SuperedgeKind::Positive => {
-                for idx in 0..lists.num_lists() {
-                    total += lists.decode_list(bytes, bit_len, idx)?.len() as u64;
+                for i in 0..self.num_stored_lists(bytes, bit_len)? {
+                    total += self.stored_list(bytes, bit_len, i)?.len() as u64;
                 }
             }
             SuperedgeKind::Negative => {
                 for s in 0..self.ni {
-                    let neg = lists.decode_list(bytes, bit_len, s as u32)?;
-                    total += nj - neg.len() as u64;
+                    total += nj - self.stored_list(bytes, bit_len, s as u32)?.len() as u64;
                 }
             }
         }
         Ok(total)
     }
 
-    /// Approximate heap footprint of the directory.
+    /// Heap footprint of the directory, the list-stream offsets included
+    /// whether or not they have been built yet: a stream stores one list
+    /// per source (positive) or per page of `Ni` (negative), so the cache
+    /// can charge the finished size at admission and never re-account.
     pub fn heap_bytes(&self) -> usize {
         let body = match &self.body {
-            SuperedgeBody::Lists(lists) => lists.heap_bytes(),
+            SuperedgeBody::Lists(_) => {
+                let stored = match self.kind {
+                    SuperedgeKind::Positive => self.sources.len(),
+                    SuperedgeKind::Negative => self.ni as usize,
+                };
+                (stored + 1) * 4 + std::mem::size_of::<ListsIndex>()
+            }
             SuperedgeBody::SingleTargets { dict, index, .. } => (dict.len() + index.len()) * 4,
         };
-        self.sources.len() * 4 + body + std::mem::size_of::<Self>()
+        self.sources.len() * 4 + body + Self::FIXED_BYTES
     }
+
+    /// What [`SuperedgeIndex::heap_bytes`] charges for the struct itself:
+    /// its size when the cache accounting was calibrated. A constant, so
+    /// that a field added here does not move every eviction counter the
+    /// committed baselines compare.
+    const FIXED_BYTES: usize = 96;
 
     /// Directory over the stored lists — one per non-empty source for
     /// [`SuperedgeKind::Positive`], one per source page for
-    /// [`SuperedgeKind::Negative`] — or `None` for the single-target
-    /// dictionary layout, which stores no list stream.
-    pub fn lists(&self) -> Option<&crate::refenc::ListsIndex> {
+    /// [`SuperedgeKind::Negative`]. `None` while no access has needed it
+    /// yet, and for the single-target dictionary layout, which stores no
+    /// list stream.
+    pub fn lists(&self) -> Option<&ListsIndex> {
         match &self.body {
-            SuperedgeBody::Lists(lists) => Some(lists),
+            SuperedgeBody::Lists(lists) => lists.directory.get(),
             SuperedgeBody::SingleTargets { .. } => None,
         }
     }
 
     /// Number of stored lists (in stored order, not source-id space).
-    pub fn num_stored_lists(&self) -> u32 {
-        match &self.body {
-            SuperedgeBody::Lists(lists) => lists.num_lists(),
+    pub fn num_stored_lists(&self, bytes: &[u8], bit_len: u64) -> Result<u32> {
+        Ok(match &self.body {
+            SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.num_lists(),
             SuperedgeBody::SingleTargets { index, .. } => index.len() as u32,
-        }
+        })
     }
 
     /// Decodes stored list `i` (in stored order, not source-id space).
     pub fn stored_list(&self, bytes: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
-        match &self.body {
-            SuperedgeBody::Lists(lists) => lists.decode_list(bytes, bit_len, i),
-            SuperedgeBody::SingleTargets { dict, index, .. } => {
-                Ok(vec![Self::dict_target(dict, index, i as usize)?])
-            }
-        }
+        self.decode_stored(bytes, bit_len, i, &mut crate::refenc::NoMemo)
     }
 
     /// First bit past the encoded payload.
-    pub fn end_bit(&self) -> u64 {
-        match &self.body {
-            SuperedgeBody::Lists(lists) => lists.end_bit(),
+    pub fn end_bit(&self, bytes: &[u8], bit_len: u64) -> Result<u64> {
+        Ok(match &self.body {
+            SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.end_bit(),
             SuperedgeBody::SingleTargets { end_bit, .. } => *end_bit,
-        }
+        })
     }
 
     /// Positive encodings only: the sorted source ids with non-empty
@@ -877,8 +907,16 @@ mod tests {
         );
         let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 40, 20, st).unwrap();
         assert!(view.index().lists().is_none(), "must store no list stream");
-        assert_eq!(view.index().num_stored_lists(), 40);
-        assert_eq!(view.index().end_bit(), enc.bit_len);
+        assert_eq!(
+            view.index()
+                .num_stored_lists(&enc.bytes, enc.bit_len)
+                .unwrap(),
+            40
+        );
+        assert_eq!(
+            view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
+            enc.bit_len
+        );
         assert_eq!(view.count_positive_edges(20).unwrap(), 40);
         let (srcs, lists) = decode_superedge_sparse(&enc.bytes, enc.bit_len, 40, 20, st).unwrap();
         assert_eq!(srcs, (0..40u32).collect::<Vec<_>>());
@@ -904,9 +942,97 @@ mod tests {
             pos
         );
         let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 10, 50, st).unwrap();
+        assert_eq!(view.targets_of(2, 50).unwrap(), pos[2]);
         assert!(
             view.index().lists().is_some(),
             "mixed lists must keep the standard stream"
+        );
+    }
+
+    #[test]
+    fn positive_directory_is_built_by_the_first_hit_only() {
+        let mut pos = vec![Vec::new(); 40];
+        pos[3] = vec![0u32, 7, 14];
+        pos[11] = vec![7];
+        pos[19] = vec![0, 1, 2];
+        let enc = encode_superedge(
+            &pos,
+            15,
+            RefMode::Windowed(4),
+            SuperedgePolicy::EncodedSize,
+            ListCodec::GAMMA,
+        );
+        assert_eq!(enc.kind, SuperedgeKind::Positive);
+        let index =
+            SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 15, ListCodec::GAMMA).unwrap();
+        let charged = index.heap_bytes();
+        assert!(index.lists().is_none(), "parse reads `sources` only");
+        for s in (0..40).filter(|s| pos[*s as usize].is_empty()) {
+            assert!(index
+                .targets_of(&enc.bytes, enc.bit_len, s, 15)
+                .unwrap()
+                .is_empty());
+        }
+        assert!(
+            index.lists().is_none(),
+            "a miss on `sources` builds nothing"
+        );
+
+        // Eight readers released together onto stored lists: every one
+        // decodes correctly and all end up sharing one directory.
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let (index, enc, pos, barrier) = (&index, &enc, &pos, &barrier);
+                    scope.spawn(move || {
+                        let s = [3u64, 11, 19][(t % 3) as usize];
+                        barrier.wait();
+                        let got = index.targets_of(&enc.bytes, enc.bit_len, s, 15).unwrap();
+                        assert_eq!(got, pos[s as usize]);
+                        index.lists().expect("built by the hit") as *const ListsIndex as usize
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader panicked"))
+                .collect()
+        });
+        assert!(seen.iter().all(|&d| d == seen[0]), "one directory, kept");
+        let built = index.lists().expect("kept after the readers are gone");
+        assert_eq!(built.num_lists(), 3);
+        assert_eq!(
+            charged,
+            index.heap_bytes(),
+            "the footprint charged before the build already covers it"
+        );
+        assert_eq!(
+            charged,
+            3 * 4 + built.heap_bytes() + SuperedgeIndex::FIXED_BYTES
+        );
+    }
+
+    #[test]
+    fn damaged_list_stream_surfaces_at_the_first_hit() {
+        let mut pos = vec![Vec::new(); 12];
+        pos[2] = vec![5u32, 9];
+        pos[7] = vec![5];
+        let enc = encode_superedge(
+            &pos,
+            50,
+            RefMode::Windowed(8),
+            SuperedgePolicy::EncodedSize,
+            ListCodec::GAMMA,
+        );
+        // Cut the stream inside its last list: `sources` still parses.
+        let cut = enc.bit_len - 3;
+        let index = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec::GAMMA).unwrap();
+        assert!(index.targets_of(&enc.bytes, cut, 0, 50).unwrap().is_empty());
+        assert!(index.targets_of(&enc.bytes, cut, 2, 50).is_err());
+        assert!(
+            index.lists().is_none(),
+            "a failed scan leaves nothing behind"
         );
     }
 

@@ -377,3 +377,118 @@ fn degraded_query_exits_3_with_consistent_counts() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// Flips, in as many positive superedge graphs of `snode_dir` as have one,
+/// a bit of the list stream that leaves `sources` readable but makes the
+/// first stored list fail to decode — damage a directory without
+/// `sums.bin` can only find when a lookup reaches a stored list. Returns
+/// how many graphs were damaged.
+fn damage_list_streams(snode_dir: &Path) -> usize {
+    use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
+    use webgraph_repr::snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
+    let meta = SNodeMeta::read(snode_dir).unwrap();
+    let files = IndexFileReader::open(snode_dir).unwrap();
+    let codec = meta.codec.superedge;
+    let mut flips: Vec<(u32, u64)> = Vec::new();
+    for s in 0..meta.num_supernodes() {
+        let ni = u64::from(meta.supernode_size(s));
+        for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
+            let loc = meta.superedge_loc[s as usize][k];
+            let nj = u64::from(meta.supernode_size(j));
+            let clean = files.read(&loc).unwrap();
+            let sources = match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec) {
+                Ok(i) if i.kind == SuperedgeKind::Positive => i.sources().to_vec(),
+                _ => continue,
+            };
+            let Some(&first) = sources.first() else {
+                continue;
+            };
+            // Search from the end of the graph: the stream lies there.
+            let found = (0..loc.bit_len).rev().find(|&bit| {
+                let mut bytes = clean.clone();
+                bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
+                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).is_ok_and(|i| {
+                    i.sources() == sources.as_slice()
+                        && i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
+                            .is_err()
+                })
+            });
+            if let Some(bit) = found {
+                flips.push((loc.file, loc.offset * 8 + bit));
+            }
+        }
+    }
+    drop(files);
+    for &(file, bit) in &flips {
+        let path = index_file_path(snode_dir, file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
+        std::fs::write(&path, bytes).unwrap();
+    }
+    flips.len()
+}
+
+/// Without `sums.bin` nothing checks a blob before it is parsed, and a
+/// positive superedge graph's list stream is not scanned until a lookup
+/// finds its page among the sources. Damage there must still take the
+/// graceful path when it is met: quarantine at decode time, answers that
+/// only ever omit edges, and `wgr query` exiting 3.
+#[test]
+fn manifestless_list_stream_damage_degrades_at_decode_time() {
+    let root = temp_dir("lazydegrade");
+    let corpus = root.join("corpus");
+    let reps = root.join("reps");
+    let out = wgr()
+        .args(["gen", "--pages", "1500", "--seed", "9", "--out"])
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen: {out:?}");
+    let query = |reuse: bool| {
+        let mut cmd = wgr();
+        cmd.arg("query").arg(&corpus).arg("--reps").arg(&reps);
+        if reuse {
+            cmd.arg("--reuse");
+        }
+        cmd.args(["--scheme", "s-node"]).output().unwrap()
+    };
+    assert_eq!(query(false).status.code(), Some(0), "clean query");
+
+    let snode_dir = reps.join("snode");
+    let truth = SNode::open(&snode_dir, 1 << 20).unwrap();
+    let expected: Vec<Vec<u32>> = (0..truth.num_pages())
+        .map(|p| truth.out_neighbors(p).unwrap())
+        .collect();
+    drop(truth);
+    std::fs::remove_file(snode_dir.join("sums.bin")).unwrap();
+    let damaged = damage_list_streams(&snode_dir);
+    assert!(damaged > 0, "no positive list stream could be damaged");
+
+    let snode = SNode::open_degraded(&snode_dir, 1 << 20).unwrap();
+    assert!(!snode.verifies_checksums());
+    let mut shortened = 0u64;
+    for (p, want) in expected.iter().enumerate() {
+        let got = snode.out_neighbors(p as u32).unwrap();
+        let mut it = want.iter();
+        assert!(
+            got.iter().all(|t| it.any(|e| e == t)),
+            "page {p}: degraded answer invents edges"
+        );
+        shortened += u64::from(got.len() < want.len());
+    }
+    let d = snode.degraded();
+    assert!(d.quarantined_supernodes > 0 && d.skipped_edges > 0, "{d:?}");
+    assert!(shortened > 0, "the damaged lists must be missed somewhere");
+    assert_eq!(
+        snode.integrity_stats(),
+        (0, 0),
+        "found by the decoder, not by a checksum"
+    );
+    drop(snode);
+
+    let out = query(true);
+    assert_eq!(out.status.code(), Some(3), "degraded query: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("degraded answers"), "summary on stderr: {err}");
+    std::fs::remove_dir_all(&root).ok();
+}
