@@ -8,11 +8,11 @@ use crate::disk::{GraphLocator, IndexFileWriter, Renumbering, SNodeMeta};
 use crate::partition::{refine, Partition, RefineConfig, RefineStats};
 use crate::refenc::{EncodedLists, RefMode};
 use crate::subgraphs::{
-    encode_intranode_t, encode_superedge_t, EncodedSuperedge, SuperedgeKind, SuperedgePolicy,
+    encode_intranode_t, encode_superedge_t, EncodedSuperedge, SuperedgeKind, SuperedgeLinks,
+    SuperedgePolicy,
 };
 use crate::supergraph::SupernodeGraph;
 use crate::Result;
-use std::collections::HashMap;
 use std::path::Path;
 use wg_graph::Graph;
 use wg_obs::{record_span, Stopwatch};
@@ -79,9 +79,10 @@ pub struct StageTimings {
     pub threads: u32,
     /// Partition refinement (§3.2), including k-means.
     pub refine_secs: f64,
-    /// Page renumbering, graph remap, and supernode-graph derivation.
+    /// Page renumbering and, for a sharded build, shard planning.
     pub remap_secs: f64,
-    /// Intranode/superedge graph encoding (the parallel stage).
+    /// Per-supernode graph remap plus intranode/superedge graph encoding
+    /// (the parallel stage).
     pub encode_secs: f64,
     /// Serial index-file writing plus metadata output.
     pub write_secs: f64,
@@ -157,7 +158,7 @@ pub fn build_snode(
     config: &SNodeConfig,
     dir: &Path,
 ) -> Result<(BuildStats, Renumbering)> {
-    std::fs::create_dir_all(dir)?;
+    remove_owned_files(dir)?;
     let n_pages = input.graph.num_nodes();
     assert_eq!(input.urls.len(), n_pages as usize);
     assert_eq!(input.domains.len(), n_pages as usize);
@@ -181,61 +182,37 @@ pub fn build_snode(
     let t = Stopwatch::start();
     let renumbering = number_pages(&partition, input.urls);
     let range_start = compute_ranges(&partition);
-
-    // 3. Remap the graph into new ids, bucketed per supernode.
-    let remapped = remap(&partition, input.graph, &renumbering, &range_start);
-
-    // 4. Supernode graph.
-    let supergraph = supergraph_from_buckets(&remapped);
     record_span("core.build.remap", "build", &t);
     let remap_secs = t.elapsed().as_secs_f64();
 
-    // 5a. Encode every graph, in parallel across supernodes. Results come
-    //     back in supernode order, so the write phase below lays them out
-    //     exactly as the serial pipeline did. With fewer supernodes than
-    //     the pool can use, parallelism is pushed down into the per-graph
-    //     encoders instead (never both: nested pools would oversubscribe).
+    // 3. Remap and encode every graph, in parallel across supernodes (see
+    //    `SupernodeEncoder`). Results come back in supernode order, so the
+    //    write phase below lays them out exactly as a serial pipeline would.
     let t = Stopwatch::start();
     let n_super = partition.len();
-    let inner_threads = if n_super >= threads as usize * 2 {
-        1
-    } else {
-        threads
+    let encoder = SupernodeEncoder {
+        graph: input.graph,
+        partition: &partition,
+        renumbering: &renumbering,
+        range_start: &range_start,
+        config,
     };
-    let outer_threads = if inner_threads > 1 { 1 } else { threads };
-    let encoded: Vec<(EncodedLists, Vec<EncodedSuperedge>)> =
-        crate::par::par_map(outer_threads, n_super, |s| {
-            let intra = encode_intranode_t(
-                &remapped.intra[s],
-                config.ref_mode,
-                config.codec.intra,
-                inner_threads,
-            );
-            let edges: Vec<EncodedSuperedge> = supergraph.adj[s]
-                .iter()
-                .map(|&j| {
-                    let lists = remapped
-                        .superedges
-                        .get(&(s as u32, j))
-                        .expect("superedge bucket exists");
-                    let nj = u64::from(range_start[j as usize + 1] - range_start[j as usize]);
-                    encode_superedge_t(
-                        lists,
-                        nj,
-                        config.ref_mode,
-                        config.superedge_policy,
-                        config.codec.superedge,
-                        inner_threads,
-                    )
-                })
-                .collect();
-            (intra, edges)
-        });
+    let (outer_threads, inner_threads) = split_threads(n_super, threads);
+    let mut encoded: Vec<EncodedSupernode> = crate::par::par_map(outer_threads, n_super, |s| {
+        encoder.encode(s as u32, inner_threads)
+    });
+    // 4. Supernode graph: each supernode's sorted superedge targets.
+    let supergraph = SupernodeGraph {
+        adj: encoded
+            .iter_mut()
+            .map(|e| std::mem::take(&mut e.targets))
+            .collect(),
+    };
     record_span("core.build.encode", "build", &t);
     let encode_secs = t.elapsed().as_secs_f64();
 
-    // 5b. Write the index files serially in linear order: IntraNode_i,
-    //     then SEdge_{i, j} for each j in superedge order.
+    // 5. Write the index files serially in linear order: IntraNode_i,
+    //    then SEdge_{i, j} for each j in superedge order.
     let t = Stopwatch::start();
     let mut writer = IndexFileWriter::create(dir, config.max_file_bytes)?;
     let mut intranode_loc = Vec::with_capacity(n_super);
@@ -247,7 +224,7 @@ pub fn build_snode(
     // Per-blob CRCs for the integrity manifest, collected in the same
     // linear order the blobs hit the disk in.
     let mut blob_crc = Vec::new();
-    for (intra, edges) in &encoded {
+    for EncodedSupernode { intra, edges, .. } in &encoded {
         intranode_bits += intra.bit_len;
         blob_crc.push(wg_fault::crc32c(&intra.bytes));
         intranode_loc.push(writer.append(&intra.bytes, intra.bit_len)?);
@@ -322,18 +299,17 @@ pub fn build_snode(
     Ok((stats, renumbering))
 }
 
-/// Builds the same S-Node representation as [`build_snode`] while bounding
-/// peak memory: the graph remap and the encoded blobs — the two stages
-/// whose footprint grows with the corpus — are processed one domain shard
-/// at a time, with each shard's blobs spilled to a scratch file and
-/// stitched back into the global supernode order at the end.
+/// Builds the same S-Node representation as [`build_snode`] while holding
+/// the encoded blobs of only one domain shard at a time: each shard's blobs
+/// are spilled to a scratch file and stitched back into the global
+/// supernode order at the end.
 ///
 /// The output directory is byte-identical to `build_snode`'s for every
 /// file except the extra `shards.bin` manifest (and therefore `sums.bin`,
-/// which covers it): partition refinement, page renumbering, and the
-/// supernode graph are still computed globally, shards only split the
-/// encode work, and the per-graph encoders are representation-invariant
-/// across thread counts. `num_shards` is a work-splitting hint; the
+/// which covers it): partition refinement and page renumbering are still
+/// computed globally, shards only split the per-supernode encode work, and
+/// the per-graph encoders are representation-invariant across thread
+/// counts. `num_shards` is a work-splitting hint; the
 /// planner never splits a domain, so fewer shards come back when the
 /// corpus has fewer domains (see [`crate::shard::ShardManifest::plan`]).
 pub fn build_snode_sharded(
@@ -345,7 +321,7 @@ pub fn build_snode_sharded(
     use crate::shard::ShardManifest;
     use std::io::{BufWriter, Write as _};
 
-    std::fs::create_dir_all(dir)?;
+    remove_owned_files(dir)?;
     let n_pages = input.graph.num_nodes();
     assert_eq!(input.urls.len(), n_pages as usize);
     assert_eq!(input.domains.len(), n_pages as usize);
@@ -364,42 +340,14 @@ pub fn build_snode_sharded(
     record_span("core.build.refine", "build", &t);
     let refine_secs = t.elapsed().as_secs_f64();
 
-    // 2. Global renumbering + supernode graph. The supernode graph comes
-    //    from a dedicated edge pass here (not from remap buckets as in the
-    //    in-memory builder): a set of (i, j) pairs is corpus-scale cheap,
-    //    while the per-superedge list buckets are exactly what sharding
-    //    exists to avoid materialising all at once.
+    // 2. Global renumbering, then the shard plan over domains with each
+    //    supernode mapped to its shard. Refinement keeps elements
+    //    domain-pure, so the domain id of an element places the whole
+    //    supernode.
     let t = Stopwatch::start();
     let renumbering = number_pages(&partition, input.urls);
     let range_start = compute_ranges(&partition);
     let n_super = partition.len();
-    let super_of =
-        |new_id: u32| -> u32 { (range_start.partition_point(|&st| st <= new_id) - 1) as u32 };
-    let supergraph = {
-        let mut pairs: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        for new_src in 0..n_pages {
-            let old_src = renumbering.old_of_new[new_src as usize];
-            let s = super_of(new_src);
-            for &old_tgt in input.graph.neighbors(old_src) {
-                let j = super_of(renumbering.new_of_old[old_tgt as usize]);
-                if j != s {
-                    pairs.insert((s, j));
-                }
-            }
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n_super];
-        for (i, j) in pairs {
-            adj[i as usize].push(j);
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        SupernodeGraph { adj }
-    };
-
-    // Plan shards over domains and map each supernode to its shard.
-    // Refinement keeps elements domain-pure, so the domain id of an
-    // element places the whole supernode.
     let mut plan = ShardManifest::plan(input.domains, num_shards);
     let shard_of_super: Vec<u32> = partition
         .elements
@@ -413,109 +361,33 @@ pub fn build_snode_sharded(
     record_span("core.build.remap", "build", &t);
     let remap_secs = t.elapsed().as_secs_f64();
 
-    // 3. Per shard: remap only this shard's sources, encode, spill the
-    //    blobs to a scratch file. Peak memory is one shard's buckets plus
-    //    one shard's encoded blobs instead of the whole corpus's.
+    // 3. Per shard: remap and encode its supernodes (see
+    //    `SupernodeEncoder`), spill the blobs to a scratch file. Only one
+    //    shard's encoded blobs are in memory at a time.
     //    Spill record: [u64 bit_len][u32 byte_len][bytes].
     let t = Stopwatch::start();
-    let spill_dir = dir.join("spill");
+    let spill_dir = dir.join(SPILL_DIR);
     std::fs::create_dir_all(&spill_dir)?;
+    let encoder = SupernodeEncoder {
+        graph: input.graph,
+        partition: &partition,
+        renumbering: &renumbering,
+        range_start: &range_start,
+        config,
+    };
+    let mut supergraph = SupernodeGraph {
+        adj: vec![Vec::new(); n_super],
+    };
     let mut intranode_bits = 0u64;
     let mut superedge_bits = 0u64;
     let mut positive_superedges = 0u64;
     let mut negative_superedges = 0u64;
     for (k, supers) in shard_supers.iter().enumerate() {
-        // Partial remap: buckets exist only for this shard's supernodes.
-        // `sedges[m][a]` pairs with `supergraph.adj[s][a]` (both sorted by
-        // target supernode), so the encode loop below needs no hash map.
-        let mut intra: Vec<Vec<Vec<u32>>> = supers
-            .iter()
-            .map(|&s| {
-                vec![Vec::new(); (range_start[s as usize + 1] - range_start[s as usize]) as usize]
-            })
-            .collect();
-        let mut sedges: Vec<Vec<Vec<Vec<u32>>>> = supers
-            .iter()
-            .map(|&s| {
-                let ni = (range_start[s as usize + 1] - range_start[s as usize]) as usize;
-                supergraph.adj[s as usize]
-                    .iter()
-                    .map(|_| vec![Vec::new(); ni])
-                    .collect()
-            })
-            .collect();
-        for (m, &s) in supers.iter().enumerate() {
-            for new_src in range_start[s as usize]..range_start[s as usize + 1] {
-                let old_src = renumbering.old_of_new[new_src as usize];
-                let local_src = (new_src - range_start[s as usize]) as usize;
-                for &old_tgt in input.graph.neighbors(old_src) {
-                    let new_tgt = renumbering.new_of_old[old_tgt as usize];
-                    let j = super_of(new_tgt);
-                    let local_tgt = new_tgt - range_start[j as usize];
-                    if j == s {
-                        intra[m][local_src].push(local_tgt);
-                    } else {
-                        let a = supergraph.adj[s as usize]
-                            .binary_search(&j)
-                            .expect("superedge present in supernode graph");
-                        sedges[m][a][local_src].push(local_tgt);
-                    }
-                }
-            }
-        }
-        for lists in &mut intra {
-            for l in lists {
-                l.sort_unstable();
-                l.dedup();
-            }
-        }
-        for per_super in &mut sedges {
-            for lists in per_super {
-                for l in lists {
-                    l.sort_unstable();
-                    l.dedup();
-                }
-            }
-        }
-
-        // Encode this shard's supernodes with the same outer/inner thread
-        // split as the in-memory builder; the encoders are
-        // representation-invariant across thread counts, so the split only
-        // affects wall clock.
-        let inner_threads = if supers.len() >= threads as usize * 2 {
-            1
-        } else {
-            threads
-        };
-        let outer_threads = if inner_threads > 1 { 1 } else { threads };
-        let encoded: Vec<(EncodedLists, Vec<EncodedSuperedge>)> =
+        let (outer_threads, inner_threads) = split_threads(supers.len(), threads);
+        let encoded: Vec<EncodedSupernode> =
             crate::par::par_map(outer_threads, supers.len(), |m| {
-                let s = supers[m] as usize;
-                let enc_intra = encode_intranode_t(
-                    &intra[m],
-                    config.ref_mode,
-                    config.codec.intra,
-                    inner_threads,
-                );
-                let edges: Vec<EncodedSuperedge> = supergraph.adj[s]
-                    .iter()
-                    .enumerate()
-                    .map(|(a, &j)| {
-                        let nj = u64::from(range_start[j as usize + 1] - range_start[j as usize]);
-                        encode_superedge_t(
-                            &sedges[m][a],
-                            nj,
-                            config.ref_mode,
-                            config.superedge_policy,
-                            config.codec.superedge,
-                            inner_threads,
-                        )
-                    })
-                    .collect();
-                (enc_intra, edges)
+                encoder.encode(supers[m], inner_threads)
             });
-        drop(intra);
-        drop(sedges);
 
         // Spill in shard-local supernode order, which is ascending global
         // order — the invariant the stitch's sequential reads rely on.
@@ -523,14 +395,16 @@ pub fn build_snode_sharded(
         let mut out = BufWriter::new(std::fs::File::create(&spill_path)?);
         let info = &mut plan.shards[k];
         info.supernodes = supers.len() as u32;
-        for (enc_intra, edges) in &encoded {
+        for (&s, enc) in supers.iter().zip(encoded) {
+            supergraph.adj[s as usize] = enc.targets;
+            let enc_intra = &enc.intra;
             intranode_bits += enc_intra.bit_len;
             out.write_all(&enc_intra.bit_len.to_le_bytes())?;
             out.write_all(&(enc_intra.bytes.len() as u32).to_le_bytes())?;
             out.write_all(&enc_intra.bytes)?;
             info.blobs += 1;
             info.encoded_bytes += enc_intra.bytes.len() as u64;
-            for enc in edges {
+            for enc in &enc.edges {
                 superedge_bits += enc.bit_len;
                 match enc.kind {
                     SuperedgeKind::Positive => positive_superedges += 1,
@@ -553,24 +427,20 @@ pub fn build_snode_sharded(
     //    spilled in ascending global order, so every spill file is read
     //    strictly sequentially.
     let t = Stopwatch::start();
-    let readers: Vec<std::fs::File> = (0..plan.len())
-        .map(|k| std::fs::File::open(spill_dir.join(format!("shard_{k:03}.bin"))))
+    // Reads go through the wg-fault shim, a chunk at a time, so injected
+    // disk faults cover the stitch pass like every other read in the
+    // pipeline.
+    let mut readers: Vec<wg_fault::SequentialReader> = (0..plan.len())
+        .map(|k| wg_fault::SequentialReader::open(&spill_dir.join(format!("shard_{k:03}.bin"))))
         .collect::<std::io::Result<_>>()?;
-    let mut offsets = vec![0u64; plan.len()];
-    // Reads go through the wg-fault shim so injected disk faults cover the
-    // stitch pass like every other read in the pipeline.
     let mut read_blob = |k: usize| -> Result<(Vec<u8>, u64)> {
-        let (f, off) = (&readers[k], &mut offsets[k]);
-        let mut b8 = [0u8; 8];
-        let mut b4 = [0u8; 4];
-        wg_fault::read_exact_at(f, &mut b8, *off)?;
-        wg_fault::read_exact_at(f, &mut b4, *off + 8)?;
-        *off += 12;
-        let bit_len = u64::from_le_bytes(b8);
-        let mut bytes = vec![0u8; u32::from_le_bytes(b4) as usize];
-        wg_fault::read_exact_at(f, &mut bytes, *off)?;
-        *off += bytes.len() as u64;
-        Ok((bytes, bit_len))
+        let mut bit_len = [0u8; 8];
+        let mut byte_len = [0u8; 4];
+        readers[k].fill(&mut bit_len)?;
+        readers[k].fill(&mut byte_len)?;
+        let mut bytes = vec![0u8; u32::from_le_bytes(byte_len) as usize];
+        readers[k].fill(&mut bytes)?;
+        Ok((bytes, u64::from_le_bytes(bit_len)))
     };
     let mut writer = IndexFileWriter::create(dir, config.max_file_bytes)?;
     let mut intranode_loc = Vec::with_capacity(n_super);
@@ -671,76 +541,136 @@ fn compute_ranges(partition: &Partition) -> Vec<u32> {
     starts
 }
 
-/// The input graph re-expressed in new ids, bucketed per supernode.
-struct Remapped {
-    /// `intra[s][local]` = local targets within supernode `s`.
-    intra: Vec<Vec<Vec<u32>>>,
-    /// `(i, j)` → per-source (all |Ni| of them) local target lists in `Nj`.
-    superedges: HashMap<(u32, u32), Vec<Vec<u32>>>,
+/// Splits `threads` between the supernode loop and the per-graph encoders:
+/// `(outer, inner)`. With fewer supernodes than the pool can use,
+/// parallelism is pushed down into the encoders instead (never both:
+/// nested pools would oversubscribe). The encoders are
+/// representation-invariant across thread counts, so the split only
+/// affects wall clock.
+fn split_threads(n_super: usize, threads: u32) -> (u32, u32) {
+    if n_super >= threads as usize * 2 {
+        (threads, 1)
+    } else {
+        (1, threads)
+    }
 }
 
-fn remap(
-    partition: &Partition,
-    graph: &Graph,
-    renumbering: &Renumbering,
-    range_start: &[u32],
-) -> Remapped {
-    let n_super = partition.len();
-    let mut intra: Vec<Vec<Vec<u32>>> = (0..n_super)
-        .map(|s| vec![Vec::new(); (range_start[s + 1] - range_start[s]) as usize])
-        .collect();
-    let mut superedges: HashMap<(u32, u32), Vec<Vec<u32>>> = HashMap::new();
+/// Scratch directory of a sharded build, under the output directory.
+const SPILL_DIR: &str = "spill";
 
-    // supernode of a *new* id is cheap: binary search over range_start.
-    let super_of =
-        |new_id: u32| -> u32 { (range_start.partition_point(|&st| st <= new_id) - 1) as u32 };
+/// Creates `dir` if needed and removes from it the files whose presence
+/// depends on a build's shape (`index_NNN.bin`, `shards.bin`, `sums.bin`,
+/// a killed build's `spill/`): left in place, an earlier build's would be
+/// checksummed into this build's `sums.bin` and opened by readers.
+/// `meta.bin` and `pagemap.bin` are always overwritten.
+fn remove_owned_files(dir: &Path) -> Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name == SPILL_DIR {
+            std::fs::remove_dir_all(entry.path())?;
+        } else if name == crate::shard::SHARDS_FILE
+            || name == crate::integrity::SUMS_FILE
+            || (name.starts_with("index_") && name.ends_with(".bin"))
+        {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
 
-    for new_src in 0..graph.num_nodes() {
-        let old_src = renumbering.old_of_new[new_src as usize];
-        let s = super_of(new_src);
-        let local_src = new_src - range_start[s as usize];
-        for &old_tgt in graph.neighbors(old_src) {
-            let new_tgt = renumbering.new_of_old[old_tgt as usize];
-            let j = super_of(new_tgt);
-            let local_tgt = new_tgt - range_start[j as usize];
-            if j == s {
-                intra[s as usize][local_src as usize].push(local_tgt);
-            } else {
-                let ni = (range_start[s as usize + 1] - range_start[s as usize]) as usize;
-                let bucket = superedges
-                    .entry((s, j))
-                    .or_insert_with(|| vec![Vec::new(); ni]);
-                bucket[local_src as usize].push(local_tgt);
+/// One supernode's encoded graphs.
+struct EncodedSupernode {
+    /// The supernodes its superedges lead to, ascending: its row of the
+    /// supernode graph. `edges` is parallel to it.
+    targets: Vec<u32>,
+    intra: EncodedLists,
+    edges: Vec<EncodedSuperedge>,
+}
+
+/// Remaps and encodes one supernode at a time, from read-only views of the
+/// corpus and its numbering that every worker shares. A worker holds one
+/// supernode's lists, in space proportional to that supernode's links, so
+/// the build's peak is the corpus plus that per worker plus the encoded
+/// blobs.
+struct SupernodeEncoder<'a> {
+    graph: &'a Graph,
+    partition: &'a Partition,
+    renumbering: &'a Renumbering,
+    range_start: &'a [u32],
+    config: &'a SNodeConfig,
+}
+
+impl SupernodeEncoder<'_> {
+    /// Walks the pages of supernode `s` once, re-expressing every link in
+    /// local ids, and encodes the intranode graph and one superedge graph
+    /// per target supernode with up to `threads` workers each.
+    fn encode(&self, s: u32, threads: u32) -> EncodedSupernode {
+        let SNodeConfig {
+            ref_mode,
+            superedge_policy,
+            codec,
+            ..
+        } = *self.config;
+        let size = |j: u32| self.range_start[j as usize + 1] - self.range_start[j as usize];
+        let start = self.range_start[s as usize];
+        let mut intra: Vec<Vec<u32>> = vec![Vec::new(); size(s) as usize];
+        // Cross links as (target supernode, local source, local target):
+        // sorted, they fall into one run per superedge, in supernode-graph
+        // order, and within it one run per source page.
+        let mut cross: Vec<(u32, u32, u32)> = Vec::new();
+        for (local_src, list) in intra.iter_mut().enumerate() {
+            let old_src = self.renumbering.old_of_new[start as usize + local_src];
+            for &old_tgt in self.graph.neighbors(old_src) {
+                let j = self.partition.elem_of[old_tgt as usize];
+                let local_tgt =
+                    self.renumbering.new_of_old[old_tgt as usize] - self.range_start[j as usize];
+                if j == s {
+                    list.push(local_tgt);
+                } else {
+                    cross.push((j, local_src as u32, local_tgt));
+                }
             }
+            // Lists must be sorted for the codecs.
+            list.sort_unstable();
+            list.dedup();
         }
-    }
-    // Lists must be sorted for the codecs.
-    for lists in &mut intra {
-        for l in lists {
-            l.sort_unstable();
-            l.dedup();
-        }
-    }
-    for lists in superedges.values_mut() {
-        for l in lists {
-            l.sort_unstable();
-            l.dedup();
-        }
-    }
-    Remapped { intra, superedges }
-}
+        let enc_intra = encode_intranode_t(&intra, ref_mode, codec.intra, threads);
+        drop(intra);
 
-/// Derives the supernode graph from the superedge buckets (targets sorted).
-fn supergraph_from_buckets(remapped: &Remapped) -> SupernodeGraph {
-    let n = remapped.intra.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(i, j) in remapped.superedges.keys() {
-        adj[i as usize].push(j);
+        cross.sort_unstable();
+        cross.dedup();
+        let mut targets = Vec::new();
+        let mut edges = Vec::new();
+        for superedge in cross.chunk_by(|a, b| a.0 == b.0) {
+            let j = superedge[0].0;
+            let (sources, lists): (Vec<u32>, Vec<Vec<u32>>) = superedge
+                .chunk_by(|a, b| a.1 == b.1)
+                .map(|links| (links[0].1, links.iter().map(|l| l.2).collect()))
+                .unzip();
+            let links = SuperedgeLinks {
+                sources: &sources,
+                lists: &lists,
+                ni: u64::from(size(s)),
+                nj: u64::from(size(j)),
+            };
+            targets.push(j);
+            edges.push(encode_superedge_t(
+                links,
+                ref_mode,
+                superedge_policy,
+                codec.superedge,
+                threads,
+            ));
+        }
+        EncodedSupernode {
+            targets,
+            intra: enc_intra,
+            edges,
+        }
     }
-    for list in &mut adj {
-        list.sort_unstable();
-    }
-    SupernodeGraph { adj }
 }
 
 #[cfg(test)]
@@ -971,24 +901,25 @@ mod tests {
         out
     }
 
-    #[test]
-    fn sharded_build_is_byte_identical_except_manifest() {
-        let (urls, domains, graph) = small_repo();
-        let config = SNodeConfig {
-            max_file_bytes: 64,
-            ..Default::default()
-        };
-        let input = RepoInput {
-            urls: &urls,
-            domains: &domains,
-            graph: &graph,
-        };
-        let dir_mem = temp_dir("shard_mem");
-        let (stats_mem, renum_mem) = build_snode(input, &config, &dir_mem).unwrap();
+    /// `build_snode_sharded` against `build_snode` on one repository, for
+    /// every given shard and thread count.
+    fn assert_sharded_matches_plain(
+        name: &str,
+        input: RepoInput<'_>,
+        config: &SNodeConfig,
+        shard_counts: &[u32],
+        thread_counts: &[u32],
+    ) -> (std::path::PathBuf, BuildStats) {
+        let dir_mem = temp_dir(&format!("{name}_mem"));
+        let (stats_mem, renum_mem) = build_snode(input, config, &dir_mem).unwrap();
         let files_mem = dir_files(&dir_mem);
 
-        for shards in [1u32, 2, 3, 8] {
-            let dir_sh = temp_dir(&format!("shard_{shards}"));
+        for (&shards, &threads) in shard_counts
+            .iter()
+            .flat_map(|s| thread_counts.iter().map(move |t| (s, t)))
+        {
+            let config = SNodeConfig { threads, ..*config };
+            let dir_sh = temp_dir(&format!("{name}_{shards}x{threads}"));
             let (stats_sh, renum_sh) =
                 build_snode_sharded(input, &config, &dir_sh, shards).unwrap();
             assert_eq!(renum_sh, renum_mem);
@@ -1012,10 +943,9 @@ mod tests {
                     continue;
                 }
                 let found = files_sh.iter().find(|(n, _)| n == name);
-                assert_eq!(
-                    found.map(|(_, b)| b),
-                    Some(bytes),
-                    "{name} differs at shards={shards}"
+                assert!(
+                    found.map(|(_, b)| b) == Some(bytes),
+                    "{name} differs at shards={shards} threads={threads}"
                 );
             }
             assert_eq!(files_sh.len(), files_mem.len() + 1);
@@ -1025,7 +955,7 @@ mod tests {
             let supers: u32 = plan.shards.iter().map(|s| s.supernodes).sum();
             let pages: u32 = plan.shards.iter().map(|s| s.pages).sum();
             assert_eq!(supers, stats_mem.num_supernodes);
-            assert_eq!(pages, graph.num_nodes());
+            assert_eq!(pages, input.graph.num_nodes());
             if shards == 1 {
                 assert_eq!(plan.len(), 1);
             }
@@ -1034,7 +964,113 @@ mod tests {
             crate::verify::verify(&dir_sh).unwrap();
             std::fs::remove_dir_all(&dir_sh).ok();
         }
-        std::fs::remove_dir_all(&dir_mem).ok();
+        (dir_mem, stats_mem)
+    }
+
+    #[test]
+    fn sharded_build_is_byte_identical_except_manifest() {
+        let (urls, domains, graph) = small_repo();
+        let config = SNodeConfig {
+            max_file_bytes: 64,
+            ..Default::default()
+        };
+        let input = RepoInput {
+            urls: &urls,
+            domains: &domains,
+            graph: &graph,
+        };
+        let (dir, _) = assert_sharded_matches_plain("shard", input, &config, &[1, 2, 3, 8], &[0]);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A generated 3k-page corpus, plus every link from the pages of one
+        // host to the pages of a host in another domain: a superedge
+        // graph whose complement is empty, so a negative one.
+        let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(3000, 5));
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        let from = &corpus.hosts[0];
+        let to = (corpus.hosts.iter())
+            .find(|h| h.domain != from.domain && h.pages_by_url.len() >= 8)
+            .expect("a second domain");
+        let block =
+            (from.pages_by_url.iter()).flat_map(|&u| to.pages_by_url.iter().map(move |&v| (u, v)));
+        let graph = Graph::from_edges(corpus.num_pages(), corpus.graph.edges().chain(block));
+        let config = SNodeConfig {
+            max_file_bytes: 4096,
+            ..Default::default()
+        };
+        let input = RepoInput {
+            urls: &urls,
+            domains: &domains,
+            graph: &graph,
+        };
+        let (dir, stats) =
+            assert_sharded_matches_plain("shard3k", input, &config, &[1, 3, 8], &[1, 4]);
+        assert!(stats.negative_superedges >= 1, "the dense block");
+        assert!(stats.positive_superedges > stats.negative_superedges);
+        assert!(dir.join("index_003.bin").exists(), "several rotations");
+
+        // The supernode graph the per-supernode remap produced is the one
+        // a pass over every edge collects as a set of supernode pairs.
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let renum = Renumbering::read(&dir).unwrap();
+        let super_of = |old: u32| {
+            let new = renum.new_of_old[old as usize];
+            (meta.range_start.partition_point(|&st| st <= new) - 1) as u32
+        };
+        let pairs: std::collections::BTreeSet<(u32, u32)> = graph
+            .edges()
+            .map(|(u, v)| (super_of(u), super_of(v)))
+            .filter(|(i, j)| i != j)
+            .collect();
+        let adj = &meta.supergraph.adj;
+        let got = (adj.iter().enumerate()).flat_map(|(i, l)| l.iter().map(move |&j| (i as u32, j)));
+        assert!(got.eq(pairs.iter().copied()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A build into a used directory leaves nothing of the earlier build
+    /// behind: no `shards.bin` to checksum into a manifest of a build that
+    /// did not happen, no higher-numbered index files, no `spill/`.
+    #[test]
+    fn rebuild_removes_what_the_earlier_build_owned() {
+        let (urls, domains, graph) = small_repo();
+        let input = RepoInput {
+            urls: &urls,
+            domains: &domains,
+            graph: &graph,
+        };
+        let many_files = SNodeConfig {
+            max_file_bytes: 8,
+            ..Default::default()
+        };
+        let fresh = temp_dir("rebuild_fresh");
+        build_snode(input, &many_files, &fresh).unwrap();
+
+        // Sharded, then plain, into one directory.
+        let used = temp_dir("rebuild_used");
+        build_snode_sharded(input, &many_files, &used, 4).unwrap();
+        assert!(used.join(crate::shard::SHARDS_FILE).exists());
+        std::fs::create_dir_all(used.join("spill")).unwrap();
+        std::fs::write(used.join("spill/shard_000.bin"), b"killed mid-build").unwrap();
+        build_snode(input, &many_files, &used).unwrap();
+        assert!(!used.join("spill").exists());
+        assert!(dir_files(&used) == dir_files(&fresh), "sharded then plain");
+        crate::verify::verify(&used).unwrap();
+
+        // Many index files, then the default cap's single one.
+        assert!(used.join("index_001.bin").exists());
+        let (stats, _) = build_snode_sharded(input, &SNodeConfig::default(), &used, 4).unwrap();
+        let index_files = dir_files(&used)
+            .iter()
+            .filter(|(n, _)| n.starts_with("index_"))
+            .count();
+        assert_eq!(index_files, 1);
+        let resident = IndexFileReader::open_resident(&used).unwrap();
+        assert_eq!(resident.resident_bytes(), stats.index_bytes);
+        crate::verify::verify(&used).unwrap();
+        std::fs::remove_dir_all(&used).ok();
+        std::fs::remove_dir_all(&fresh).ok();
     }
 
     #[test]

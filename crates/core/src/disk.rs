@@ -22,7 +22,7 @@ use crate::codec::CodecConfig;
 use crate::supergraph::SupernodeGraph;
 use crate::{Result, SNodeError};
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const META_MAGIC: u32 = 0x534E_4F44; // "SNOD"
@@ -379,7 +379,7 @@ impl Renumbering {
 pub struct IndexFileWriter {
     dir: PathBuf,
     max_bytes: u64,
-    current: Option<File>,
+    current: Option<BufWriter<File>>,
     current_no: u32,
     current_used: u64,
     total_bytes: u64,
@@ -411,10 +411,11 @@ impl IndexFileWriter {
         };
         if must_rotate {
             if self.current.is_some() {
+                self.close_current()?;
                 self.current_no += 1;
             }
             let path = index_file_path(&self.dir, self.current_no);
-            self.current = Some(File::create(path)?);
+            self.current = Some(BufWriter::new(File::create(path)?));
             self.current_used = 0;
         }
         let Some(f) = self.current.as_mut() else {
@@ -438,6 +439,18 @@ impl IndexFileWriter {
         self.total_bytes
     }
 
+    /// Flushes the open file's buffer and syncs its data, reporting either
+    /// failure: a graph is not on disk until this has returned.
+    fn close_current(&mut self) -> Result<()> {
+        if let Some(f) = self.current.take() {
+            let f = f
+                .into_inner()
+                .map_err(std::io::IntoInnerError::into_error)?;
+            f.sync_data()?;
+        }
+        Ok(())
+    }
+
     /// Flushes and closes the current file; returns `(total_bytes, files)`.
     pub fn finish(mut self) -> Result<(u64, u32)> {
         let files = if self.current.is_some() {
@@ -445,9 +458,7 @@ impl IndexFileWriter {
         } else {
             0
         };
-        if let Some(f) = self.current.take() {
-            f.sync_data()?;
-        }
+        self.close_current()?;
         Ok((self.total_bytes, files))
     }
 }

@@ -798,41 +798,74 @@ fn plain_cost(list: &[u32], universe: u64, codec: ListCodec) -> u64 {
     1 + bounded_gap_list_len(list, universe, codec)
 }
 
-/// Cost in bits of encoding `target` referencing `reference`.
-fn ref_cost(
+/// Copy-mask and extras of one reference probe. Owned by the caller of
+/// [`ref_cost_into`] and reused from probe to probe, so costing a window
+/// of candidates allocates nothing once the buffers have grown.
+#[derive(Default)]
+struct DiffScratch {
+    mask: Vec<bool>,
+    extras: Vec<u32>,
+}
+
+/// Cost in bits of encoding `target` referencing `reference`, or `None`
+/// when the two share no entry.
+///
+/// Such a candidate can never be selected, whatever the codec: its extras
+/// are the whole of `target`, so it costs [`plain_cost`] plus the parent
+/// field and the mask, and selection demands a cost strictly below plain.
+fn ref_cost_into(
     reference: &[u32],
     target: &[u32],
     n_lists: u64,
     universe: u64,
     codec: ListCodec,
-) -> u64 {
-    let (bits, extras) = diff_against(reference, target);
+    scratch: &mut DiffScratch,
+) -> Option<u64> {
+    let shared = diff_into(reference, target, scratch);
+    (shared > 0).then(|| diff_cost(scratch, n_lists, universe, codec))
+}
+
+/// Cost in bits of the reference payload whose mask and extras `diff` holds.
+fn diff_cost(diff: &DiffScratch, n_lists: u64, universe: u64, codec: ListCodec) -> u64 {
     // Parent field: upper bound of ⌈log₂ n⌉ bits (minimal binary).
     let parent_bits = if n_lists <= 1 {
         0
     } else {
         u64::from(64 - (n_lists - 1).leading_zeros())
     };
-    1 + parent_bits + mask_len(&bits, codec) + bounded_gap_list_len(&extras, universe, codec)
+    1 + parent_bits
+        + mask_len(&diff.mask, codec)
+        + bounded_gap_list_len(&diff.extras, universe, codec)
 }
 
-/// Splits `target` into (copy bit vector over `reference`, extras).
-fn diff_against(reference: &[u32], target: &[u32]) -> (Vec<bool>, Vec<u32>) {
-    let mut bits = vec![false; reference.len()];
-    let mut extras = Vec::new();
+/// Splits `target` into a copy bit vector over `reference` and the extras,
+/// both written over `out`'s previous contents. Returns how many entries
+/// the two lists share.
+fn diff_into(reference: &[u32], target: &[u32], out: &mut DiffScratch) -> usize {
+    out.mask.clear();
+    out.mask.resize(reference.len(), false);
+    out.extras.clear();
     let mut ri = 0usize;
     for &t in target {
         while ri < reference.len() && reference[ri] < t {
             ri += 1;
         }
         if ri < reference.len() && reference[ri] == t {
-            bits[ri] = true;
+            out.mask[ri] = true;
             ri += 1;
         } else {
-            extras.push(t);
+            out.extras.push(t);
         }
     }
-    (bits, extras)
+    target.len() - out.extras.len()
+}
+
+/// [`diff_into`] into fresh buffers, for the one parent a list ends up
+/// encoded against.
+fn diff_against(reference: &[u32], target: &[u32]) -> (Vec<bool>, Vec<u32>) {
+    let mut out = DiffScratch::default();
+    diff_into(reference, target, &mut out);
+    (out.mask, out.extras)
 }
 
 /// Size in bits of a run of ascending entries: first minimal-binary over
@@ -1095,6 +1128,7 @@ fn choose_references(
             let w = w.max(1) as usize;
             let mut parents = vec![None; n];
             let mut depth = vec![0u32; n];
+            let mut scratch = DiffScratch::default();
             for y in 0..n {
                 if lists[y].is_empty() {
                     continue; // plain empty list is 2 bits; nothing beats it
@@ -1104,8 +1138,15 @@ fn choose_references(
                     if lists[x].is_empty() || depth[x] >= MAX_REF_CHAIN {
                         continue;
                     }
-                    let c = ref_cost(&lists[x], &lists[y], n as u64, universe, codec);
-                    if c < best {
+                    let c = ref_cost_into(
+                        &lists[x],
+                        &lists[y],
+                        n as u64,
+                        universe,
+                        codec,
+                        &mut scratch,
+                    );
+                    if let Some(c) = c.filter(|&c| c < best) {
                         best = c;
                         parents[y] = Some(x as u32);
                     }
@@ -1127,13 +1168,14 @@ fn choose_references(
                 return choose_references(lists, universe, RefMode::Windowed(256), codec, threads);
             }
             // Affinity graph: node n is the virtual root. Building it is
-            // the quadratic part (one ref_cost per ordered list pair);
+            // the quadratic part (one cost probe per ordered list pair);
             // each target's incoming-edge batch is independent, and
             // concatenating the batches in target order reproduces the
             // serial edge order exactly, so Edmonds sees the same input.
             let root = n;
             let edges: Vec<(u32, u32, u64)> = crate::par::par_chunks(threads, n, 8, |range| {
                 let mut batch: Vec<(u32, u32, u64)> = Vec::new();
+                let mut scratch = DiffScratch::default();
                 for y in range {
                     batch.push((
                         root as u32,
@@ -1147,11 +1189,12 @@ fn choose_references(
                         if x == y || lists[x].is_empty() {
                             continue;
                         }
-                        batch.push((
-                            x as u32,
-                            y as u32,
-                            ref_cost(&lists[x], &lists[y], n as u64, universe, codec),
-                        ));
+                        // Every pair stays in the edge list, disjoint ones
+                        // included: the arborescence breaks ties by edge
+                        // order.
+                        diff_into(&lists[x], &lists[y], &mut scratch);
+                        let c = diff_cost(&scratch, n as u64, universe, codec);
+                        batch.push((x as u32, y as u32, c));
                     }
                 }
                 batch
@@ -1177,7 +1220,7 @@ fn choose_references(
 /// Windowed selection with parallel candidate-cost evaluation.
 ///
 /// All `(candidate, target)` costs are computed up front in parallel —
-/// [`ref_cost`] is a pure function of the two lists, independent of the
+/// [`ref_cost_into`] is a pure function of the two lists, independent of the
 /// chain-depth bookkeeping — then a serial pass applies the depth gate and
 /// picks each target's cheapest candidate with the same iteration order
 /// and tie-breaks as the serial loop, so the selection is identical. The
@@ -1193,19 +1236,20 @@ fn choose_references_windowed_par(
     let n = lists.len();
     // (plain cost, candidate costs for x in window order) per target.
     let costs: Vec<(u64, Vec<u64>)> = crate::par::par_chunks(threads, n, 16, |range| {
+        let mut scratch = DiffScratch::default();
         range
             .map(|y| {
                 if lists[y].is_empty() {
                     return (0, Vec::new());
                 }
                 let plain = plain_cost(&lists[y], universe, codec);
+                // `u64::MAX` (an empty or disjoint candidate) never beats
+                // `plain`.
                 let cand: Vec<u64> = (y.saturating_sub(w)..y)
                     .map(|x| {
-                        if lists[x].is_empty() {
-                            u64::MAX
-                        } else {
-                            ref_cost(&lists[x], &lists[y], n as u64, universe, codec)
-                        }
+                        let (r, t) = (&lists[x], &lists[y]);
+                        ref_cost_into(r, t, n as u64, universe, codec, &mut scratch)
+                            .unwrap_or(u64::MAX)
                     })
                     .collect();
                 (plain, cand)
@@ -1891,6 +1935,131 @@ mod tests {
         "g", "z2", "z3", "z4", "g+iv", "z3+iv", "z3+cb", "g+iv+cb", "z2+iv+cb", "z3+iv+cb", "g+st",
         "z2+st", "g+iv+st",
     ];
+
+    /// Reference model for [`ref_cost_into`]: every candidate priced, from
+    /// a mask and extras built fresh by membership tests, not by a merge.
+    fn ref_cost_model(
+        reference: &[u32],
+        target: &[u32],
+        n_lists: u64,
+        universe: u64,
+        codec: ListCodec,
+    ) -> u64 {
+        let mask: Vec<bool> = reference
+            .iter()
+            .map(|r| target.binary_search(r).is_ok())
+            .collect();
+        let extras: Vec<u32> = target
+            .iter()
+            .copied()
+            .filter(|t| reference.binary_search(t).is_err())
+            .collect();
+        let parent_bits = (0..64).find(|&b| n_lists <= 1 << b).unwrap_or(64);
+        1 + parent_bits + mask_len(&mask, codec) + bounded_gap_list_len(&extras, universe, codec)
+    }
+
+    /// Reference model for [`choose_references`]: the serial selection
+    /// loops, driven by [`ref_cost_model`].
+    fn choose_references_model(
+        lists: &[Vec<u32>],
+        universe: u64,
+        mode: RefMode,
+        codec: ListCodec,
+    ) -> Vec<Option<u32>> {
+        let n = lists.len();
+        let cost =
+            |x: usize, y: usize| ref_cost_model(&lists[x], &lists[y], n as u64, universe, codec);
+        match mode {
+            RefMode::None => vec![None; n],
+            RefMode::Windowed(w) => {
+                let mut parents = vec![None; n];
+                let mut depth = vec![0u32; n];
+                for y in (0..n).filter(|&y| !lists[y].is_empty()) {
+                    let mut best = plain_cost(&lists[y], universe, codec);
+                    for x in y.saturating_sub(w.max(1) as usize)..y {
+                        if !lists[x].is_empty() && depth[x] < MAX_REF_CHAIN && cost(x, y) < best {
+                            best = cost(x, y);
+                            parents[y] = Some(x as u32);
+                        }
+                    }
+                    if let Some(p) = parents[y] {
+                        depth[y] = depth[p as usize] + 1;
+                    }
+                }
+                parents
+            }
+            RefMode::Exact => {
+                let mut edges = Vec::new();
+                for y in 0..n {
+                    edges.push((n as u32, y as u32, plain_cost(&lists[y], universe, codec)));
+                    for x in (0..n).filter(|&x| x != y) {
+                        if !lists[x].is_empty() && !lists[y].is_empty() {
+                            edges.push((x as u32, y as u32, cost(x, y)));
+                        }
+                    }
+                }
+                let parent = min_arborescence(n + 1, n as u32, &edges);
+                (0..n)
+                    .map(|y| Some(parent[y]).filter(|&p| p != n as u32))
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_reference_model() {
+        let modes = [
+            RefMode::None,
+            RefMode::Windowed(1),
+            RefMode::Windowed(32),
+            RefMode::Exact,
+        ];
+        for cell in ["g", "z3+iv+cb"] {
+            let codec = ListCodec::parse_cell(cell).unwrap();
+            for (seed, universe) in [(3u64, 40u64), (11, 400)] {
+                // 120 lists × a window of 32 is past `PAR_COST_PROBES_MIN`.
+                let lists = synth_lists(seed, 120, universe);
+                for mode in modes {
+                    let want = choose_references_model(&lists, universe, mode, codec);
+                    for threads in [1u32, 4] {
+                        let got = choose_references(&lists, universe, mode, codec, threads);
+                        assert_eq!(got, want, "{cell} {mode:?} threads={threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn probe_cost_matches_the_reference_model(
+            reference in proptest::collection::btree_set(0u32..90, 0..24),
+            target in proptest::collection::btree_set(0u32..90, 0..24),
+            dense in proptest::any::<bool>(),
+            n_lists in 1u64..600,
+        ) {
+            let universe = if dense { 90 } else { 5000 };
+            let reference: Vec<u32> = reference.into_iter().collect();
+            let target: Vec<u32> = target.into_iter().collect();
+            let intersect = target.iter().any(|t| reference.binary_search(t).is_ok());
+            // One scratch across all cells: whatever a probe leaves in it
+            // must not leak into the next.
+            let mut scratch = DiffScratch::default();
+            for cell in GRID {
+                let codec = ListCodec::parse_cell(cell).unwrap();
+                let model = ref_cost_model(&reference, &target, n_lists, universe, codec);
+                let got = ref_cost_into(&reference, &target, n_lists, universe, codec, &mut scratch);
+                if intersect {
+                    proptest::prop_assert_eq!(got, Some(model), "{}", cell);
+                } else {
+                    proptest::prop_assert_eq!(got, None, "{}", cell);
+                    proptest::prop_assert!(model >= plain_cost(&target, universe, codec), "{}", cell);
+                }
+            }
+        }
+    }
 
     /// Reference model for [`ListsIndex::parse`]: the loader this crate
     /// used before the offsets-only scan. It decodes every list of a

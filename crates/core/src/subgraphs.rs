@@ -85,10 +85,25 @@ impl EncodedSuperedge {
     }
 }
 
-/// Encodes the superedge graph for `i → j`.
-///
+/// The links of one superedge `i → j` in sparse positive form: what the
+/// builder produces and the positive representation stores.
+#[derive(Debug, Clone, Copy)]
+pub struct SuperedgeLinks<'a> {
+    /// The local pages of `Ni` that link into `Nj`, ascending.
+    pub sources: &'a [u32],
+    /// `lists[k]` is the sorted, non-empty list of local `Nj` targets of
+    /// page `sources[k]`.
+    pub lists: &'a [Vec<u32>],
+    /// `|Ni|`.
+    pub ni: u64,
+    /// `|Nj|`.
+    pub nj: u64,
+}
+
+/// Encodes the superedge graph for `i → j` from dense input, single-threaded:
 /// `pos_lists[s]` is the sorted list of local `Nj` targets of the `s`-th
-/// page of `Ni` (possibly empty); `nj = |Nj|`.
+/// page of `Ni` (possibly empty); `nj = |Nj|`. A convenience over
+/// [`encode_superedge_t`] for callers that hold one list per page.
 pub fn encode_superedge(
     pos_lists: &[Vec<u32>],
     nj: u64,
@@ -96,52 +111,59 @@ pub fn encode_superedge(
     policy: SuperedgePolicy,
     codec: ListCodec,
 ) -> EncodedSuperedge {
-    encode_superedge_t(pos_lists, nj, mode, policy, codec, 1)
+    let (sources, lists) = positive_sources(pos_lists);
+    let links = SuperedgeLinks {
+        sources: &sources,
+        lists: &lists,
+        ni: pos_lists.len() as u64,
+        nj,
+    };
+    encode_superedge_t(links, mode, policy, codec, 1)
 }
 
-/// [`encode_superedge`] with up to `threads` workers. Byte-identical for
-/// every thread count.
+/// Encodes the superedge graph `links` with up to `threads` workers.
+/// Byte-identical for every thread count.
 ///
 /// The polarity decision works on [`ListsPlan`]s — exact sizes computed
 /// without writing a bit stream — so only the winning orientation is ever
 /// encoded. (The plan's `total_bits` equals the encoded size exactly, so
 /// the winner is the same one full encoding of both sides would pick.)
 pub fn encode_superedge_t(
-    pos_lists: &[Vec<u32>],
-    nj: u64,
+    links: SuperedgeLinks<'_>,
     mode: RefMode,
     policy: SuperedgePolicy,
     codec: ListCodec,
     threads: u32,
 ) -> EncodedSuperedge {
-    let ni = pos_lists.len() as u64;
-    let pos_edges: u64 = pos_lists.iter().map(|l| l.len() as u64).sum();
-    let total = ni * nj;
-    let neg_edges = total - pos_edges;
+    let SuperedgeLinks { ni, nj, .. } = links;
+    debug_assert_eq!(links.sources.len(), links.lists.len());
+    debug_assert!(links.sources.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(links.sources.last().is_none_or(|&s| u64::from(s) < ni));
+    let pos_edges: u64 = links.lists.iter().map(|l| l.len() as u64).sum();
+    let neg_edges = ni * nj - pos_edges;
 
-    let (sources, pos_dense) = positive_sources(pos_lists);
     // Only consider the complement when it has fewer edges — otherwise
     // materialising it could cost Θ(|Ni|·|Nj|) for nothing.
     if neg_edges >= pos_edges {
-        let pos = plan_positive(&sources, &pos_dense, ni, nj, mode, codec, threads);
-        return write_superedge_positive(&sources, &pos_dense, ni, nj, &pos, codec, threads);
+        let pos = plan_positive(links, mode, codec, threads);
+        return write_superedge_positive(links, &pos, codec, threads);
     }
-    let neg_lists: Vec<Vec<u32>> = pos_lists.iter().map(|l| complement(l, nj as u32)).collect();
+    // The negative representation stores a list for every page of `Ni`.
+    let mut stored = links.sources.iter().zip(links.lists).peekable();
+    let neg_lists: Vec<Vec<u32>> = (0..ni as u32)
+        .map(|s| {
+            let links = stored.next_if(|(&src, _)| src == s);
+            complement(links.map_or(&[], |(_, list)| list), nj as u32)
+        })
+        .collect();
     let neg_plan = plan_lists(&neg_lists, nj, mode, codec, threads);
-    let negative_wins = match policy {
-        SuperedgePolicy::EncodedSize => {
-            let pos = plan_positive(&sources, &pos_dense, ni, nj, mode, codec, threads);
-            let neg_bits = 1 + neg_plan.total_bits;
-            if neg_bits >= pos.bits {
-                return write_superedge_positive(
-                    &sources, &pos_dense, ni, nj, &pos, codec, threads,
-                );
-            }
-            true
+    if policy == SuperedgePolicy::EncodedSize {
+        let pos = plan_positive(links, mode, codec, threads);
+        if 1 + neg_plan.total_bits >= pos.bits {
+            return write_superedge_positive(links, &pos, codec, threads);
         }
-        SuperedgePolicy::EdgeCount => true, // neg_edges < pos_edges here
-    };
-    debug_assert!(negative_wins);
+    }
+    // `SuperedgePolicy::EdgeCount`: neg_edges < pos_edges here.
     write_superedge_negative(&neg_lists, nj, &neg_plan, threads)
 }
 
@@ -161,14 +183,17 @@ struct PositivePlan {
 
 /// Prices both positive layouts and keeps the cheaper one.
 fn plan_positive(
-    sources: &[u32],
-    lists: &[Vec<u32>],
-    ni: u64,
-    nj: u64,
+    links: SuperedgeLinks<'_>,
     mode: RefMode,
     codec: ListCodec,
     threads: u32,
 ) -> PositivePlan {
+    let SuperedgeLinks {
+        sources,
+        lists,
+        ni,
+        nj,
+    } = links;
     let plan = plan_lists(lists, nj, mode, codec, threads);
     let marker = u64::from(codec.singles);
     let sources_bits = bounded_gap_list_len(sources, ni, codec);
@@ -219,36 +244,16 @@ fn single_target_dict(lists: &[Vec<u32>]) -> Option<(Vec<u32>, Vec<u32>)> {
 /// Splits a dense per-source list array into (non-empty source ids, their
 /// lists) — the positive representation's layout.
 fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    let sources: Vec<u32> = pos_lists
+    pos_lists
         .iter()
         .enumerate()
         .filter(|(_, l)| !l.is_empty())
-        .map(|(s, _)| s as u32)
-        .collect();
-    let lists: Vec<Vec<u32>> = sources
-        .iter()
-        .map(|&s| pos_lists[s as usize].clone())
-        .collect();
-    (sources, lists)
-}
-
-#[cfg(test)]
-fn encode_superedge_positive(
-    pos_lists: &[Vec<u32>],
-    nj: u64,
-    mode: RefMode,
-    codec: ListCodec,
-) -> EncodedSuperedge {
-    let (sources, lists) = positive_sources(pos_lists);
-    let pos = plan_positive(&sources, &lists, pos_lists.len() as u64, nj, mode, codec, 1);
-    write_superedge_positive(&sources, &lists, pos_lists.len() as u64, nj, &pos, codec, 1)
+        .map(|(s, l)| (s as u32, l.clone()))
+        .unzip()
 }
 
 fn write_superedge_positive(
-    sources: &[u32],
-    lists: &[Vec<u32>],
-    ni: u64,
-    nj: u64,
+    links: SuperedgeLinks<'_>,
     pos: &PositivePlan,
     codec: ListCodec,
     threads: u32,
@@ -261,16 +266,16 @@ fn write_superedge_positive(
         // Layout marker: dictionary (1) vs standard list stream (0).
         w.write_bit(pos.dict.is_some());
     }
-    crate::refenc::write_bounded_gap_list(&mut w, sources, ni, codec);
+    crate::refenc::write_bounded_gap_list(&mut w, links.sources, links.ni, codec);
     match &pos.dict {
         Some((dict, index)) => {
-            crate::refenc::write_bounded_gap_list(&mut w, dict, nj, codec);
+            crate::refenc::write_bounded_gap_list(&mut w, dict, links.nj, codec);
             for &i in index {
                 codes::write_minimal_binary(&mut w, u64::from(i), dict.len() as u64);
             }
         }
         None => {
-            let enc = encode_lists_planned(lists, nj, &pos.plan, threads);
+            let enc = encode_lists_planned(links.lists, links.nj, &pos.plan, threads);
             w.append(&enc.bytes, enc.bit_len);
         }
     }
@@ -696,6 +701,24 @@ mod tests {
         [RefMode::None, RefMode::Windowed(8), RefMode::Exact]
     }
 
+    /// The positive representation, whether or not it would win.
+    fn encode_superedge_positive(
+        pos_lists: &[Vec<u32>],
+        nj: u64,
+        mode: RefMode,
+        codec: ListCodec,
+    ) -> EncodedSuperedge {
+        let (sources, lists) = positive_sources(pos_lists);
+        let links = SuperedgeLinks {
+            sources: &sources,
+            lists: &lists,
+            ni: pos_lists.len() as u64,
+            nj,
+        };
+        let pos = plan_positive(links, mode, codec, 1);
+        write_superedge_positive(links, &pos, codec, 1)
+    }
+
     #[test]
     fn intranode_round_trip() {
         let lists = vec![vec![1u32, 2], vec![0, 2], vec![], vec![0, 1, 2]];
@@ -791,6 +814,99 @@ mod tests {
             decode_superedge(&enc.bytes, enc.bit_len, 4, u64::from(nj), ListCodec::GAMMA).unwrap(),
             pos
         );
+    }
+
+    /// The builder's sparse input and the dense convenience are one
+    /// encoder: same bits whichever way the links arrive, for a negative
+    /// winner, a lone source among empty ones, and the `+st` dictionary.
+    #[test]
+    fn sparse_input_encodes_bit_for_bit_like_dense() {
+        let lone = {
+            let mut pos = vec![Vec::new(); 300];
+            pos[217] = vec![4u32, 5, 30];
+            pos
+        };
+        // (name, dense lists, |Nj|, codec, the kind that must win)
+        type Case = (&'static str, Vec<Vec<u32>>, u64, ListCodec, SuperedgeKind);
+        let cases: [Case; 4] = [
+            (
+                "negative winner with unlinked sources",
+                (0..9u32)
+                    .map(|s| match s % 4 {
+                        3 => Vec::new(),
+                        _ => (0..20).filter(|&t| t != s).collect(),
+                    })
+                    .collect(),
+                20,
+                ListCodec::GAMMA,
+                SuperedgeKind::Negative,
+            ),
+            (
+                "all empty but one",
+                lone,
+                31,
+                ListCodec::GAMMA,
+                SuperedgeKind::Positive,
+            ),
+            (
+                "single-target dictionary",
+                (0..40u32)
+                    .map(|s| match s % 5 {
+                        0 => Vec::new(),
+                        _ => vec![[2u32, 9, 14][(s % 3) as usize]],
+                    })
+                    .collect(),
+                20,
+                st_codec(),
+                SuperedgeKind::Positive,
+            ),
+            (
+                "no links at all",
+                vec![Vec::new(); 6],
+                7,
+                st_codec(),
+                SuperedgeKind::Positive,
+            ),
+        ];
+        for (name, pos, nj, codec, kind) in cases {
+            let ni = pos.len() as u64;
+            // The sparse form as the builder derives it: sorted link triples
+            // cut into one run per source.
+            let triples: Vec<(u32, u32)> = pos
+                .iter()
+                .enumerate()
+                .flat_map(|(s, l)| l.iter().map(move |&t| (s as u32, t)))
+                .collect();
+            let (sources, lists): (Vec<u32>, Vec<Vec<u32>>) = triples
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| (run[0].0, run.iter().map(|l| l.1).collect()))
+                .unzip();
+            let links = SuperedgeLinks {
+                sources: &sources,
+                lists: &lists,
+                ni,
+                nj,
+            };
+            for mode in modes() {
+                for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
+                    let dense = encode_superedge(&pos, nj, mode, policy, codec);
+                    for threads in [1u32, 4] {
+                        let sparse = encode_superedge_t(links, mode, policy, codec, threads);
+                        assert_eq!(sparse, dense, "{name} {mode:?} {policy:?} x{threads}");
+                    }
+                    assert_eq!(dense.kind, kind, "{name} {mode:?} {policy:?}");
+                    let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj, codec);
+                    assert_eq!(back.unwrap(), pos, "{name} {mode:?} {policy:?}");
+                    let index =
+                        SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, codec).unwrap();
+                    assert_eq!(
+                        matches!(index.body, SuperedgeBody::SingleTargets { .. }),
+                        name == "single-target dictionary",
+                        "{name} {mode:?} {policy:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -115,29 +115,29 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
     }
 
     // Hosts derived from URLs.
-    let host_name = |url: &str| -> String {
+    fn host_name(url: &str) -> &str {
         let rest = url.strip_prefix("http://").unwrap_or(url);
-        rest.split('/').next().unwrap_or(rest).to_string()
-    };
+        rest.split('/').next().unwrap_or(rest)
+    }
     let mut host_ids: std::collections::HashMap<String, u32> = Default::default();
     let mut hosts: Vec<HostInfo> = Vec::new();
     let mut pages: Vec<PageMeta> = Vec::with_capacity(n);
-    for (i, url) in urls.iter().enumerate() {
-        let name = host_name(url);
-        let next_id = hosts.len() as u32;
-        let hid = *host_ids.entry(name.clone()).or_insert_with(|| {
-            hosts.push(HostInfo {
-                name,
-                domain: page_domain[i],
-                pages_by_url: Vec::new(),
-            });
-            next_id
-        });
-        pages.push(PageMeta {
-            url: url.clone(),
-            host: hid,
-            domain: page_domain[i],
-        });
+    for (url, &domain) in urls.into_iter().zip(&page_domain) {
+        let name = host_name(&url);
+        let host = match host_ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = hosts.len() as u32;
+                host_ids.insert(name.to_string(), id);
+                hosts.push(HostInfo {
+                    name: name.to_string(),
+                    domain,
+                    pages_by_url: Vec::new(),
+                });
+                id
+            }
+        };
+        pages.push(PageMeta { url, host, domain });
     }
     for (pid, page) in pages.iter().enumerate() {
         hosts[page.host as usize].pages_by_url.push(pid as PageId);
@@ -147,21 +147,23 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
             .sort_by(|&a, &b| pages[a as usize].url.cmp(&pages[b as usize].url));
     }
 
-    // Edges.
-    let mut builder = GraphBuilder::new(n as u32);
-    for line in BufReader::new(std::fs::File::open(dir.join("edges.txt"))?).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    // Edges, streamed through one reused line buffer. A line is two ids
+    // and two separators and most ids have as many digits as `n`, which
+    // sizes the edge array from the file's length.
+    let edges_file = std::fs::File::open(dir.join("edges.txt"))?;
+    let line_len = 2 * n.to_string().len() as u64 + 2;
+    let hint = edges_file.metadata()?.len() / line_len;
+    let mut builder = GraphBuilder::with_edge_capacity(n as u32, hint as usize);
+    let mut reader = BufReader::new(edges_file);
+    let mut line: Vec<u8> = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> Result<u32, TextIoError> {
-            tok.ok_or_else(|| TextIoError::Malformed(format!("short edge line {line:?}")))?
-                .parse()
-                .map_err(|_| TextIoError::Malformed(format!("bad edge line {line:?}")))
+        let Some((u, v)) = parse_edge_line(&line)? else {
+            continue;
         };
-        let u = parse(it.next())?;
-        let v = parse(it.next())?;
         if u as usize >= n || v as usize >= n {
             return Err(TextIoError::Malformed(format!(
                 "edge ({u}, {v}) out of range"
@@ -212,6 +214,68 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
         phrases,
         page_phrases,
     })
+}
+
+/// The two page ids of one `edges.txt` line, or `None` for a blank line.
+///
+/// The form every writer produces — decimal digits, ASCII whitespace — is
+/// parsed from the bytes. Any other line goes to
+/// [`parse_edge_line_general`], which decides what else is accepted and
+/// words every rejection.
+fn parse_edge_line(line: &[u8]) -> Result<Option<(u32, u32)>, TextIoError> {
+    let mut pos = 0usize;
+    if let (Some(u), Some(v)) = (ascii_id(line, &mut pos), ascii_id(line, &mut pos)) {
+        // Whatever follows the two ids is ignored, but must be text.
+        if line[pos..].is_ascii() {
+            return Ok(Some((u, v)));
+        }
+    }
+    parse_edge_line_general(line)
+}
+
+/// Skips ASCII whitespace from `*pos`, then reads one whitespace-delimited
+/// run of decimal digits that fits a `u32`.
+fn ascii_id(line: &[u8], pos: &mut usize) -> Option<u32> {
+    let is_space = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
+    while *pos < line.len() && is_space(line[*pos]) {
+        *pos += 1;
+    }
+    let start = *pos;
+    let mut id = 0u32;
+    while *pos < line.len() && line[*pos].is_ascii_digit() {
+        id = id
+            .checked_mul(10)?
+            .checked_add(u32::from(line[*pos] - b'0'))?;
+        *pos += 1;
+    }
+    let delimited = *pos == line.len() || is_space(line[*pos]);
+    (*pos > start && delimited).then_some(id)
+}
+
+/// [`parse_edge_line`] for any line at all: tokens split on Unicode
+/// whitespace and parsed as `u32` (a leading `+` is accepted), with the
+/// line quoted in the error when that fails.
+fn parse_edge_line_general(line: &[u8]) -> Result<Option<(u32, u32)>, TextIoError> {
+    let line = std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    if line.trim().is_empty() {
+        return Ok(None);
+    }
+    let mut it = line.split_whitespace();
+    let parse = |tok: Option<&str>| -> Result<u32, TextIoError> {
+        tok.ok_or_else(|| TextIoError::Malformed(format!("short edge line {line:?}")))?
+            .parse()
+            .map_err(|_| TextIoError::Malformed(format!("bad edge line {line:?}")))
+    };
+    let u = parse(it.next())?;
+    let v = parse(it.next())?;
+    Ok(Some((u, v)))
 }
 
 #[cfg(test)]
@@ -284,6 +348,72 @@ mod tests {
         std::fs::write(dir.join("edges.txt"), "0 1\n").unwrap();
         std::fs::write(dir.join("domains.txt"), "x.com\n--\n0\n5\n").unwrap();
         assert!(matches!(read_corpus(&dir), Err(TextIoError::Malformed(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every shape of `edges.txt` line: what it parses to, or the message
+    /// it is rejected with. The byte parser and the general parser must
+    /// agree on all of them.
+    #[test]
+    fn edge_line_table() {
+        type Edge = Option<(u32, u32)>;
+        let ok: [(&[u8], Edge); 12] = [
+            (b"0 1\n", Some((0, 1))),
+            (b"0 1", Some((0, 1))),
+            (b"  12\t 7  \r\n", Some((12, 7))),
+            (b"007 4294967295\n", Some((7, u32::MAX))),
+            (b"3 4 trailing tokens are ignored\n", Some((3, 4))),
+            (b"+3 +4\n", Some((3, 4))),
+            ("5\u{a0}6\n".as_bytes(), Some((5, 6))),
+            (b"8 9 \xc3\xa9\n", Some((8, 9))),
+            (b"", None),
+            (b"\n", None),
+            (b" \t \r\n", None),
+            ("\u{2003}\n".as_bytes(), None),
+        ];
+        for (line, want) in ok {
+            assert_eq!(parse_edge_line(line).unwrap(), want, "{line:?}");
+            assert_eq!(parse_edge_line_general(line).unwrap(), want, "{line:?}");
+        }
+        let bad: [(&[u8], &str); 8] = [
+            (b"7\n", "malformed corpus: short edge line \"7\""),
+            (b"7 \r\n", "malformed corpus: short edge line \"7 \""),
+            (b"7 x\n", "malformed corpus: bad edge line \"7 x\""),
+            (b"1.5 2\n", "malformed corpus: bad edge line \"1.5 2\""),
+            (b"-1 2\n", "malformed corpus: bad edge line \"-1 2\""),
+            (b"12a 2\n", "malformed corpus: bad edge line \"12a 2\""),
+            (
+                b"4294967296 2\n",
+                "malformed corpus: bad edge line \"4294967296 2\"",
+            ),
+            (
+                b"0 1 \xff\n",
+                "corpus I/O error: stream did not contain valid UTF-8",
+            ),
+        ];
+        for (line, want) in bad {
+            assert_eq!(parse_edge_line(line).unwrap_err().to_string(), want);
+            assert_eq!(parse_edge_line_general(line).unwrap_err().to_string(), want);
+        }
+    }
+
+    #[test]
+    fn edges_file_tolerates_blank_lines_and_rejects_out_of_range_ids() {
+        let dir = temp("edgefile");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("urls.txt"),
+            "http://a.x.com/p0\nhttp://a.x.com/p1\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join("domains.txt"), "x.com\n--\n0\n0\n").unwrap();
+        // Blank lines, CRLF, trailing whitespace, a duplicate, no final newline.
+        std::fs::write(dir.join("edges.txt"), "\n0 1 \r\n\n  \n1 0\n0 1").unwrap();
+        let corpus = read_corpus(&dir).unwrap();
+        assert_eq!(corpus.graph.edges().collect::<Vec<_>>(), [(0, 1), (1, 0)]);
+        std::fs::write(dir.join("edges.txt"), "0 1\n1 2\n").unwrap();
+        let err = read_corpus(&dir).unwrap_err().to_string();
+        assert_eq!(err, "malformed corpus: edge (1, 2) out of range");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -189,12 +189,14 @@ mod tests {
     use wg_corpus::CorpusConfig;
     use wg_snode::{build_snode, RepoInput, SNodeConfig};
 
-    fn setup() -> (Corpus, Renumbering, std::path::PathBuf) {
+    /// `name` keeps concurrently running tests out of each other's
+    /// directory: a build removes the index files it finds there.
+    fn setup(name: &str) -> (Corpus, Renumbering, std::path::PathBuf) {
         let corpus = Corpus::generate(CorpusConfig::scaled(800, 3));
         let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
         let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
         let mut dir = std::env::temp_dir();
-        dir.push(format!("wg_query_idx_{}", std::process::id()));
+        dir.push(format!("wg_query_idx_{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let input = RepoInput {
             urls: &urls,
@@ -207,7 +209,7 @@ mod tests {
 
     #[test]
     fn text_index_matches_corpus_membership() {
-        let (corpus, renum, dir) = setup();
+        let (corpus, renum, dir) = setup("text");
         let idx = TextIndex::build(&corpus, &renum);
         for ph in (0..corpus.phrases.len() as u32).step_by(7) {
             let pages = idx.pages_with_phrase(ph);
@@ -227,7 +229,7 @@ mod tests {
 
     #[test]
     fn domain_table_round_trips() {
-        let (corpus, renum, dir) = setup();
+        let (corpus, renum, dir) = setup("domains");
         let dt = DomainTable::build(&corpus, &renum);
         assert_eq!(dt.num_domains(), corpus.domains.len() as u32);
         let mut covered = 0usize;
@@ -245,7 +247,7 @@ mod tests {
 
     #[test]
     fn pagerank_index_is_permuted_correctly() {
-        let (corpus, renum, dir) = setup();
+        let (corpus, renum, dir) = setup("pagerank");
         let pr = PageRankIndex::build(&corpus.graph, &renum);
         let direct = pagerank(&corpus.graph, &PageRankConfig::default());
         for old in (0..corpus.num_pages()).step_by(97) {
