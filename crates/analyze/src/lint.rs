@@ -21,8 +21,7 @@
 //!   incidental, not inherent.
 //!
 //! SN210–SN214 re-host the five legacy `conventions` rules onto the token
-//! model, with file/line spans instead of substring matches. The
-//! `conventions` binary is now a thin wrapper over this module.
+//! model, with file/line spans instead of substring matches.
 //!
 //! All SN2xx findings are warnings: the committed `LINT_baseline.json`
 //! pins today's set, and CI (`wgr lint --deny warn --baseline …`) fails on
@@ -157,8 +156,6 @@ const DECODE_PATH_EXCLUDE: &[&str] = &[
     "crates/store/src/lib.rs",
     // Disk-model calculator: arithmetic over trusted stats, no parsing.
     "crates/store/src/diskmodel.rs",
-    // The conventions wrapper binary (reports on decode code, is not it).
-    "crates/analyze/src/bin/conventions.rs",
 ];
 
 /// Only `crates/obs` may touch `std::time::Instant` directly (SN211).

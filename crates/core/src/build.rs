@@ -79,12 +79,13 @@ pub struct StageTimings {
     pub threads: u32,
     /// Partition refinement (§3.2), including k-means.
     pub refine_secs: f64,
-    /// Page renumbering and, for a sharded build, shard planning.
+    /// Page renumbering.
     pub remap_secs: f64,
     /// Per-supernode graph remap plus intranode/superedge graph encoding
-    /// (the parallel stage).
+    /// (the parallel stage), summed over the windows.
     pub encode_secs: f64,
-    /// Serial index-file writing plus metadata output.
+    /// Serial index-file appends, summed over the windows, plus
+    /// `pagemap.bin`, `meta.bin` and `sums.bin`.
     pub write_secs: f64,
     /// Whole build, end to end.
     pub total_secs: f64,
@@ -149,6 +150,13 @@ impl BuildStats {
     }
 }
 
+/// Supernodes encoded, and their blobs held, between two appends to the
+/// index files: enough to keep every worker busy up to the window's end,
+/// few enough that their blobs are a rounding error next to the corpus.
+/// Build time is flat from 32 to 256 at 100k–1M pages; peak RSS with three
+/// or more workers starts to climb past 128 (DESIGN §5i).
+const ENCODE_WINDOW: usize = 64;
+
 /// Builds the complete S-Node representation of `input` under `dir`.
 ///
 /// Returns the build statistics and the page renumbering (input ids →
@@ -157,6 +165,29 @@ pub fn build_snode(
     input: RepoInput<'_>,
     config: &SNodeConfig,
     dir: &Path,
+) -> Result<(BuildStats, Renumbering)> {
+    build_windowed(input, config, dir, ENCODE_WINDOW)
+}
+
+/// Exists only for `benchmark/src/layers.rs`, which is frozen and calls the
+/// builder by this name; forwards to [`build_snode`] and goes with the next
+/// change to `benchmark/`.
+pub fn build_snode_sharded(
+    input: RepoInput<'_>,
+    config: &SNodeConfig,
+    dir: &Path,
+    _num_shards: u32,
+) -> Result<(BuildStats, Renumbering)> {
+    build_snode(input, config, dir)
+}
+
+/// [`build_snode`] with the window size as an argument, so tests can show
+/// that the output does not depend on it.
+fn build_windowed(
+    input: RepoInput<'_>,
+    config: &SNodeConfig,
+    dir: &Path,
+    window: usize,
 ) -> Result<(BuildStats, Renumbering)> {
     remove_owned_files(dir)?;
     let n_pages = input.graph.num_nodes();
@@ -174,21 +205,23 @@ pub fn build_snode(
     };
     let t = Stopwatch::start();
     let (partition, refine_stats) = refine(input.urls, input.domains, input.graph, &refine_config);
-    record_span("core.build.refine", "build", &t);
-    let refine_secs = t.elapsed().as_secs_f64();
+    let refine_secs = secs(record_span("core.build.refine", "build", &t));
 
     // 2. Page numbering (§3.3): supernodes numbered 1..n in element order;
     //    pages ordered by (supernode, lexicographic URL).
     let t = Stopwatch::start();
     let renumbering = number_pages(&partition, input.urls);
     let range_start = compute_ranges(&partition);
-    record_span("core.build.remap", "build", &t);
-    let remap_secs = t.elapsed().as_secs_f64();
+    let remap_secs = secs(record_span("core.build.remap", "build", &t));
 
-    // 3. Remap and encode every graph, in parallel across supernodes (see
-    //    `SupernodeEncoder`). Results come back in supernode order, so the
-    //    write phase below lays them out exactly as a serial pipeline would.
-    let t = Stopwatch::start();
+    // 3. Remap and encode every graph (see `SupernodeEncoder`), one window
+    //    of consecutive supernodes at a time, in parallel across the
+    //    window, and append the window's blobs to the index files in the
+    //    paper's linear order: IntraNode_i, then SEdge_{i, j} for each j in
+    //    superedge order. `par_map` returns results in supernode order, so
+    //    the files are what a serial pipeline would write, whatever the
+    //    window and thread count; only a supernode's row of the supernode
+    //    graph outlives its window.
     let n_super = partition.len();
     let encoder = SupernodeEncoder {
         graph: input.graph,
@@ -197,24 +230,10 @@ pub fn build_snode(
         range_start: &range_start,
         config,
     };
-    let (outer_threads, inner_threads) = split_threads(n_super, threads);
-    let mut encoded: Vec<EncodedSupernode> = crate::par::par_map(outer_threads, n_super, |s| {
-        encoder.encode(s as u32, inner_threads)
-    });
-    // 4. Supernode graph: each supernode's sorted superedge targets.
-    let supergraph = SupernodeGraph {
-        adj: encoded
-            .iter_mut()
-            .map(|e| std::mem::take(&mut e.targets))
-            .collect(),
-    };
-    record_span("core.build.encode", "build", &t);
-    let encode_secs = t.elapsed().as_secs_f64();
-
-    // 5. Write the index files serially in linear order: IntraNode_i,
-    //    then SEdge_{i, j} for each j in superedge order.
-    let t = Stopwatch::start();
     let mut writer = IndexFileWriter::create(dir, config.max_file_bytes)?;
+    let mut supergraph = SupernodeGraph {
+        adj: Vec::with_capacity(n_super),
+    };
     let mut intranode_loc = Vec::with_capacity(n_super);
     let mut superedge_loc: Vec<Vec<GraphLocator>> = Vec::with_capacity(n_super);
     let mut intranode_bits = 0u64;
@@ -224,27 +243,46 @@ pub fn build_snode(
     // Per-blob CRCs for the integrity manifest, collected in the same
     // linear order the blobs hit the disk in.
     let mut blob_crc = Vec::new();
-    for EncodedSupernode { intra, edges, .. } in &encoded {
-        intranode_bits += intra.bit_len;
-        blob_crc.push(wg_fault::crc32c(&intra.bytes));
-        intranode_loc.push(writer.append(&intra.bytes, intra.bit_len)?);
+    let (mut encode_secs, mut write_secs) = (0.0, 0.0);
+    for first in (0..n_super).step_by(window) {
+        let t = Stopwatch::start();
+        let len = window.min(n_super - first);
+        let (outer_threads, inner_threads) = split_threads(len, threads);
+        let encoded: Vec<EncodedSupernode> = crate::par::par_map(outer_threads, len, |m| {
+            encoder.encode((first + m) as u32, inner_threads)
+        });
+        encode_secs += secs(record_span("core.build.encode", "build", &t));
 
-        let mut locs = Vec::with_capacity(edges.len());
-        for enc in edges {
-            superedge_bits += enc.bit_len;
-            match enc.kind {
-                SuperedgeKind::Positive => positive_superedges += 1,
-                SuperedgeKind::Negative => negative_superedges += 1,
+        let t = Stopwatch::start();
+        for EncodedSupernode {
+            targets,
+            intra,
+            edges,
+        } in encoded
+        {
+            intranode_bits += intra.bit_len;
+            blob_crc.push(wg_fault::crc32c(&intra.bytes));
+            intranode_loc.push(writer.append(&intra.bytes, intra.bit_len)?);
+
+            let mut locs = Vec::with_capacity(edges.len());
+            for enc in &edges {
+                superedge_bits += enc.bit_len;
+                match enc.kind {
+                    SuperedgeKind::Positive => positive_superedges += 1,
+                    SuperedgeKind::Negative => negative_superedges += 1,
+                }
+                blob_crc.push(wg_fault::crc32c(&enc.bytes));
+                locs.push(writer.append(&enc.bytes, enc.bit_len)?);
             }
-            blob_crc.push(wg_fault::crc32c(&enc.bytes));
-            locs.push(writer.append(&enc.bytes, enc.bit_len)?);
+            superedge_loc.push(locs);
+            supergraph.adj.push(targets);
         }
-        superedge_loc.push(locs);
+        write_secs += secs(record_span("core.build.write", "build", &t));
     }
-    drop(encoded);
-    let (index_bytes, _files) = writer.finish()?;
 
-    // 6. Meta: supernode graph + pointers + PageID index + domain index.
+    // 4. Meta: supernode graph + pointers + PageID index + domain index.
+    let t = Stopwatch::start();
+    let (index_bytes, _files) = writer.finish()?;
     let num_domains = input.domains.iter().copied().max().map_or(0, |d| d + 1);
     let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains as usize];
     for (s, e) in partition.elements.iter().enumerate() {
@@ -262,14 +300,15 @@ pub fn build_snode(
         codec: config.codec,
         max_file_bytes: config.max_file_bytes,
     };
-    let meta_bytes = meta.write(dir)?;
+    // `meta.bin` is what a reader opens a directory by, so it goes in after
+    // everything it points to; then the sidecar integrity manifest, which
+    // checksums every file above. A build that dies before this point
+    // leaves a directory that does not open.
     renumbering.write(dir)?;
-    // Sidecar integrity manifest, last: it checksums every file above.
+    let meta_bytes = meta.write(dir)?;
     let checksum_bytes = crate::integrity::IntegrityManifest::compute(dir, blob_crc)?.write(dir)?;
-    record_span("core.build.write", "build", &t);
-    let write_secs = t.elapsed().as_secs_f64();
+    write_secs += secs(record_span("core.build.write", "build", &t));
 
-    record_span("core.build.total", "build", &t_build);
     // `StageTimings` is a *view* of the same stopwatches the spans above
     // record — one measurement, two renderings, never parallel bookkeeping.
     let timings = StageTimings {
@@ -278,7 +317,7 @@ pub fn build_snode(
         remap_secs,
         encode_secs,
         write_secs,
-        total_secs: t_build.elapsed().as_secs_f64(),
+        total_secs: secs(record_span("core.build.total", "build", &t_build)),
     };
     let stats = BuildStats {
         refine: refine_stats,
@@ -299,223 +338,9 @@ pub fn build_snode(
     Ok((stats, renumbering))
 }
 
-/// Builds the same S-Node representation as [`build_snode`] while holding
-/// the encoded blobs of only one domain shard at a time: each shard's blobs
-/// are spilled to a scratch file and stitched back into the global
-/// supernode order at the end.
-///
-/// The output directory is byte-identical to `build_snode`'s for every
-/// file except the extra `shards.bin` manifest (and therefore `sums.bin`,
-/// which covers it): partition refinement and page renumbering are still
-/// computed globally, shards only split the per-supernode encode work, and
-/// the per-graph encoders are representation-invariant across thread
-/// counts. `num_shards` is a work-splitting hint; the
-/// planner never splits a domain, so fewer shards come back when the
-/// corpus has fewer domains (see [`crate::shard::ShardManifest::plan`]).
-pub fn build_snode_sharded(
-    input: RepoInput<'_>,
-    config: &SNodeConfig,
-    dir: &Path,
-    num_shards: u32,
-) -> Result<(BuildStats, Renumbering)> {
-    use crate::shard::ShardManifest;
-    use std::io::{BufWriter, Write as _};
-
-    remove_owned_files(dir)?;
-    let n_pages = input.graph.num_nodes();
-    assert_eq!(input.urls.len(), n_pages as usize);
-    assert_eq!(input.domains.len(), n_pages as usize);
-    let threads = crate::par::resolve_threads(config.threads);
-    let t_build = Stopwatch::start();
-
-    // 1. Refinement is global and unchanged: the partition — and with it
-    //    the renumbering and the supernode graph — must not depend on the
-    //    shard count, or the representation would stop being canonical.
-    let refine_config = RefineConfig {
-        threads,
-        ..config.refine
-    };
-    let t = Stopwatch::start();
-    let (partition, refine_stats) = refine(input.urls, input.domains, input.graph, &refine_config);
-    record_span("core.build.refine", "build", &t);
-    let refine_secs = t.elapsed().as_secs_f64();
-
-    // 2. Global renumbering, then the shard plan over domains with each
-    //    supernode mapped to its shard. Refinement keeps elements
-    //    domain-pure, so the domain id of an element places the whole
-    //    supernode.
-    let t = Stopwatch::start();
-    let renumbering = number_pages(&partition, input.urls);
-    let range_start = compute_ranges(&partition);
-    let n_super = partition.len();
-    let mut plan = ShardManifest::plan(input.domains, num_shards);
-    let shard_of_super: Vec<u32> = partition
-        .elements
-        .iter()
-        .map(|e| plan.shard_of_domain(e.domain))
-        .collect();
-    let mut shard_supers: Vec<Vec<u32>> = vec![Vec::new(); plan.len()];
-    for (s, &k) in shard_of_super.iter().enumerate() {
-        shard_supers[k as usize].push(s as u32);
-    }
-    record_span("core.build.remap", "build", &t);
-    let remap_secs = t.elapsed().as_secs_f64();
-
-    // 3. Per shard: remap and encode its supernodes (see
-    //    `SupernodeEncoder`), spill the blobs to a scratch file. Only one
-    //    shard's encoded blobs are in memory at a time.
-    //    Spill record: [u64 bit_len][u32 byte_len][bytes].
-    let t = Stopwatch::start();
-    let spill_dir = dir.join(SPILL_DIR);
-    std::fs::create_dir_all(&spill_dir)?;
-    let encoder = SupernodeEncoder {
-        graph: input.graph,
-        partition: &partition,
-        renumbering: &renumbering,
-        range_start: &range_start,
-        config,
-    };
-    let mut supergraph = SupernodeGraph {
-        adj: vec![Vec::new(); n_super],
-    };
-    let mut intranode_bits = 0u64;
-    let mut superedge_bits = 0u64;
-    let mut positive_superedges = 0u64;
-    let mut negative_superedges = 0u64;
-    for (k, supers) in shard_supers.iter().enumerate() {
-        let (outer_threads, inner_threads) = split_threads(supers.len(), threads);
-        let encoded: Vec<EncodedSupernode> =
-            crate::par::par_map(outer_threads, supers.len(), |m| {
-                encoder.encode(supers[m], inner_threads)
-            });
-
-        // Spill in shard-local supernode order, which is ascending global
-        // order — the invariant the stitch's sequential reads rely on.
-        let spill_path = spill_dir.join(format!("shard_{k:03}.bin"));
-        let mut out = BufWriter::new(std::fs::File::create(&spill_path)?);
-        let info = &mut plan.shards[k];
-        info.supernodes = supers.len() as u32;
-        for (&s, enc) in supers.iter().zip(encoded) {
-            supergraph.adj[s as usize] = enc.targets;
-            let enc_intra = &enc.intra;
-            intranode_bits += enc_intra.bit_len;
-            out.write_all(&enc_intra.bit_len.to_le_bytes())?;
-            out.write_all(&(enc_intra.bytes.len() as u32).to_le_bytes())?;
-            out.write_all(&enc_intra.bytes)?;
-            info.blobs += 1;
-            info.encoded_bytes += enc_intra.bytes.len() as u64;
-            for enc in &enc.edges {
-                superedge_bits += enc.bit_len;
-                match enc.kind {
-                    SuperedgeKind::Positive => positive_superedges += 1,
-                    SuperedgeKind::Negative => negative_superedges += 1,
-                }
-                out.write_all(&enc.bit_len.to_le_bytes())?;
-                out.write_all(&(enc.bytes.len() as u32).to_le_bytes())?;
-                out.write_all(&enc.bytes)?;
-                info.blobs += 1;
-                info.encoded_bytes += enc.bytes.len() as u64;
-            }
-        }
-        out.flush()?;
-    }
-    record_span("core.build.encode", "build", &t);
-    let encode_secs = t.elapsed().as_secs_f64();
-
-    // 4. Stitch: walk supernodes in global order, pulling each one's blobs
-    //    from its shard's spill file. Within a shard supernodes were
-    //    spilled in ascending global order, so every spill file is read
-    //    strictly sequentially.
-    let t = Stopwatch::start();
-    // Reads go through the wg-fault shim, a chunk at a time, so injected
-    // disk faults cover the stitch pass like every other read in the
-    // pipeline.
-    let mut readers: Vec<wg_fault::SequentialReader> = (0..plan.len())
-        .map(|k| wg_fault::SequentialReader::open(&spill_dir.join(format!("shard_{k:03}.bin"))))
-        .collect::<std::io::Result<_>>()?;
-    let mut read_blob = |k: usize| -> Result<(Vec<u8>, u64)> {
-        let mut bit_len = [0u8; 8];
-        let mut byte_len = [0u8; 4];
-        readers[k].fill(&mut bit_len)?;
-        readers[k].fill(&mut byte_len)?;
-        let mut bytes = vec![0u8; u32::from_le_bytes(byte_len) as usize];
-        readers[k].fill(&mut bytes)?;
-        Ok((bytes, u64::from_le_bytes(bit_len)))
-    };
-    let mut writer = IndexFileWriter::create(dir, config.max_file_bytes)?;
-    let mut intranode_loc = Vec::with_capacity(n_super);
-    let mut superedge_loc: Vec<Vec<GraphLocator>> = Vec::with_capacity(n_super);
-    let mut blob_crc = Vec::new();
-    for (s, &shard) in shard_of_super.iter().enumerate() {
-        let k = shard as usize;
-        let (bytes, bit_len) = read_blob(k)?;
-        blob_crc.push(wg_fault::crc32c(&bytes));
-        intranode_loc.push(writer.append(&bytes, bit_len)?);
-        let mut locs = Vec::with_capacity(supergraph.adj[s].len());
-        for _ in 0..supergraph.adj[s].len() {
-            let (bytes, bit_len) = read_blob(k)?;
-            blob_crc.push(wg_fault::crc32c(&bytes));
-            locs.push(writer.append(&bytes, bit_len)?);
-        }
-        superedge_loc.push(locs);
-    }
-    let (index_bytes, _files) = writer.finish()?;
-
-    // 5. Metadata, identical to the in-memory builder, plus the shard
-    //    manifest. The spill scratch goes away before the integrity
-    //    manifest is computed, so `sums.bin` covers exactly the
-    //    representation plus `shards.bin`.
-    let num_domains = input.domains.iter().copied().max().map_or(0, |d| d + 1);
-    let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains as usize];
-    for (s, e) in partition.elements.iter().enumerate() {
-        domain_supernodes[e.domain as usize].push(s as u32);
-    }
-    let supergraph_bits = supergraph.encoded_bits();
-    let meta = SNodeMeta {
-        num_pages: n_pages,
-        range_start: range_start.clone(),
-        supergraph_bits,
-        supergraph,
-        intranode_loc,
-        superedge_loc,
-        domain_supernodes,
-        codec: config.codec,
-        max_file_bytes: config.max_file_bytes,
-    };
-    let meta_bytes = meta.write(dir)?;
-    renumbering.write(dir)?;
-    plan.write(dir)?;
-    std::fs::remove_dir_all(&spill_dir)?;
-    let checksum_bytes = crate::integrity::IntegrityManifest::compute(dir, blob_crc)?.write(dir)?;
-    record_span("core.build.write", "build", &t);
-    let write_secs = t.elapsed().as_secs_f64();
-
-    record_span("core.build.total", "build", &t_build);
-    let timings = StageTimings {
-        threads,
-        refine_secs,
-        remap_secs,
-        encode_secs,
-        write_secs,
-        total_secs: t_build.elapsed().as_secs_f64(),
-    };
-    let stats = BuildStats {
-        refine: refine_stats,
-        num_supernodes: meta.num_supernodes(),
-        num_superedges: meta.supergraph.num_superedges(),
-        supernode_graph_bytes_with_pointers: meta.supergraph.encoded_bytes_with_pointers(),
-        supernode_graph_bits: supergraph_bits,
-        intranode_bits,
-        superedge_bits,
-        meta_bytes,
-        index_bytes,
-        checksum_bytes,
-        positive_superedges,
-        negative_superedges,
-        num_edges: input.graph.num_edges(),
-        timings,
-    };
-    Ok((stats, renumbering))
+/// Span nanoseconds as the seconds `StageTimings` reports.
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
 }
 
 /// Orders pages: supernode by element index, lexicographic URL within.
@@ -555,23 +380,24 @@ fn split_threads(n_super: usize, threads: u32) -> (u32, u32) {
     }
 }
 
-/// Scratch directory of a sharded build, under the output directory.
-const SPILL_DIR: &str = "spill";
-
-/// Creates `dir` if needed and removes from it the files whose presence
-/// depends on a build's shape (`index_NNN.bin`, `shards.bin`, `sums.bin`,
-/// a killed build's `spill/`): left in place, an earlier build's would be
-/// checksummed into this build's `sums.bin` and opened by readers.
-/// `meta.bin` and `pagemap.bin` are always overwritten.
+/// Creates `dir` if needed and removes from it everything a build writes:
+/// `meta.bin`, `pagemap.bin`, `sums.bin`, every `index_NNN.bin`, and the
+/// `shards.bin` and `spill/` that builders before this one left. An
+/// earlier build's index files would be checksummed into this build's
+/// `sums.bin`; its `meta.bin` and `pagemap.bin`, were this build to die
+/// before replacing them, would open over this build's index files as a
+/// directory with no manifest to say otherwise.
 fn remove_owned_files(dir: &Path) -> Result<()> {
     std::fs::create_dir_all(dir)?;
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if name == SPILL_DIR {
-            std::fs::remove_dir_all(entry.path())?;
-        } else if name == crate::shard::SHARDS_FILE
+        if entry.file_type()?.is_dir() {
+            if name == "spill" {
+                std::fs::remove_dir_all(entry.path())?;
+            }
+        } else if matches!(&*name, "meta.bin" | "pagemap.bin" | "shards.bin")
             || name == crate::integrity::SUMS_FILE
             || (name.starts_with("index_") && name.ends_with(".bin"))
         {
@@ -593,8 +419,8 @@ struct EncodedSupernode {
 /// Remaps and encodes one supernode at a time, from read-only views of the
 /// corpus and its numbering that every worker shares. A worker holds one
 /// supernode's lists, in space proportional to that supernode's links, so
-/// the build's peak is the corpus plus that per worker plus the encoded
-/// blobs.
+/// the build's peak is the corpus plus that per worker plus one window's
+/// encoded blobs.
 struct SupernodeEncoder<'a> {
     graph: &'a Graph,
     partition: &'a Partition,
@@ -901,74 +727,45 @@ mod tests {
         out
     }
 
-    /// `build_snode_sharded` against `build_snode` on one repository, for
-    /// every given shard and thread count.
-    fn assert_sharded_matches_plain(
+    /// `build_windowed` at every given window and thread count against
+    /// `build_snode` on one repository: every file, `sums.bin` included.
+    fn assert_window_invariant(
         name: &str,
         input: RepoInput<'_>,
         config: &SNodeConfig,
-        shard_counts: &[u32],
-        thread_counts: &[u32],
     ) -> (std::path::PathBuf, BuildStats) {
-        let dir_mem = temp_dir(&format!("{name}_mem"));
-        let (stats_mem, renum_mem) = build_snode(input, config, &dir_mem).unwrap();
-        let files_mem = dir_files(&dir_mem);
+        let dir_ref = temp_dir(&format!("{name}_ref"));
+        let (stats_ref, renum_ref) = build_snode(input, config, &dir_ref).unwrap();
+        let files_ref = dir_files(&dir_ref);
+        let n_super = stats_ref.num_supernodes as usize;
 
-        for (&shards, &threads) in shard_counts
-            .iter()
-            .flat_map(|s| thread_counts.iter().map(move |t| (s, t)))
-        {
+        let windows = [1, 2, 7, n_super, n_super + 1];
+        for (window, threads) in windows.iter().flat_map(|&w| [(w, 1), (w, 4)]) {
             let config = SNodeConfig { threads, ..*config };
-            let dir_sh = temp_dir(&format!("{name}_{shards}x{threads}"));
-            let (stats_sh, renum_sh) =
-                build_snode_sharded(input, &config, &dir_sh, shards).unwrap();
-            assert_eq!(renum_sh, renum_mem);
-            assert_eq!(stats_sh.num_supernodes, stats_mem.num_supernodes);
-            assert_eq!(stats_sh.num_superedges, stats_mem.num_superedges);
-            assert_eq!(stats_sh.intranode_bits, stats_mem.intranode_bits);
-            assert_eq!(stats_sh.superedge_bits, stats_mem.superedge_bits);
-            assert_eq!(stats_sh.index_bytes, stats_mem.index_bytes);
-            assert_eq!(stats_sh.meta_bytes, stats_mem.meta_bytes);
-            assert_eq!(stats_sh.positive_superedges, stats_mem.positive_superedges);
-            assert_eq!(stats_sh.negative_superedges, stats_mem.negative_superedges);
-            assert!(!dir_sh.join("spill").exists(), "scratch cleaned up");
-
-            // Byte identity file by file: shards.bin is the only extra,
-            // sums.bin the only divergence (it covers shards.bin).
-            let files_sh = dir_files(&dir_sh);
-            let names_sh: Vec<&str> = files_sh.iter().map(|(n, _)| n.as_str()).collect();
-            assert!(names_sh.contains(&crate::shard::SHARDS_FILE));
-            for (name, bytes) in &files_mem {
-                if name == crate::integrity::SUMS_FILE {
-                    continue;
-                }
-                let found = files_sh.iter().find(|(n, _)| n == name);
-                assert!(
-                    found.map(|(_, b)| b) == Some(bytes),
-                    "{name} differs at shards={shards} threads={threads}"
-                );
-            }
-            assert_eq!(files_sh.len(), files_mem.len() + 1);
-
-            // The manifest accounts for every supernode and page.
-            let plan = crate::shard::ShardManifest::read(&dir_sh).unwrap().unwrap();
-            let supers: u32 = plan.shards.iter().map(|s| s.supernodes).sum();
-            let pages: u32 = plan.shards.iter().map(|s| s.pages).sum();
-            assert_eq!(supers, stats_mem.num_supernodes);
-            assert_eq!(pages, input.graph.num_nodes());
-            if shards == 1 {
-                assert_eq!(plan.len(), 1);
-            }
-
-            // And the sharded directory verifies clean.
-            crate::verify::verify(&dir_sh).unwrap();
-            std::fs::remove_dir_all(&dir_sh).ok();
+            let dir = temp_dir(&format!("{name}_{window}x{threads}"));
+            let (stats, renum) = build_windowed(input, &config, &dir, window).unwrap();
+            assert_eq!(renum, renum_ref);
+            assert_eq!(stats.num_supernodes, stats_ref.num_supernodes);
+            assert_eq!(stats.num_superedges, stats_ref.num_superedges);
+            assert_eq!(stats.intranode_bits, stats_ref.intranode_bits);
+            assert_eq!(stats.superedge_bits, stats_ref.superedge_bits);
+            assert_eq!(stats.index_bytes, stats_ref.index_bytes);
+            assert_eq!(stats.meta_bytes, stats_ref.meta_bytes);
+            assert_eq!(stats.checksum_bytes, stats_ref.checksum_bytes);
+            assert_eq!(stats.positive_superedges, stats_ref.positive_superedges);
+            assert_eq!(stats.negative_superedges, stats_ref.negative_superedges);
+            assert!(
+                dir_files(&dir) == files_ref,
+                "a file differs at window={window} threads={threads}"
+            );
+            crate::verify::verify(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
         }
-        (dir_mem, stats_mem)
+        (dir_ref, stats_ref)
     }
 
     #[test]
-    fn sharded_build_is_byte_identical_except_manifest() {
+    fn window_size_and_thread_count_do_not_change_a_byte() {
         let (urls, domains, graph) = small_repo();
         let config = SNodeConfig {
             max_file_bytes: 64,
@@ -979,7 +776,7 @@ mod tests {
             domains: &domains,
             graph: &graph,
         };
-        let (dir, _) = assert_sharded_matches_plain("shard", input, &config, &[1, 2, 3, 8], &[0]);
+        let (dir, _) = assert_window_invariant("window", input, &config);
         std::fs::remove_dir_all(&dir).ok();
 
         // A generated 3k-page corpus, plus every link from the pages of one
@@ -1004,8 +801,7 @@ mod tests {
             domains: &domains,
             graph: &graph,
         };
-        let (dir, stats) =
-            assert_sharded_matches_plain("shard3k", input, &config, &[1, 3, 8], &[1, 4]);
+        let (dir, stats) = assert_window_invariant("window3k", input, &config);
         assert!(stats.negative_superedges >= 1, "the dense block");
         assert!(stats.positive_superedges > stats.negative_superedges);
         assert!(dir.join("index_003.bin").exists(), "several rotations");
@@ -1030,8 +826,9 @@ mod tests {
     }
 
     /// A build into a used directory leaves nothing of the earlier build
-    /// behind: no `shards.bin` to checksum into a manifest of a build that
-    /// did not happen, no higher-numbered index files, no `spill/`.
+    /// behind: no higher-numbered index files, and none of what the
+    /// sharded builder of earlier versions wrote — no `shards.bin` to
+    /// checksum into this build's manifest, no killed build's `spill/`.
     #[test]
     fn rebuild_removes_what_the_earlier_build_owned() {
         let (urls, domains, graph) = small_repo();
@@ -1047,20 +844,19 @@ mod tests {
         let fresh = temp_dir("rebuild_fresh");
         build_snode(input, &many_files, &fresh).unwrap();
 
-        // Sharded, then plain, into one directory.
         let used = temp_dir("rebuild_used");
-        build_snode_sharded(input, &many_files, &used, 4).unwrap();
-        assert!(used.join(crate::shard::SHARDS_FILE).exists());
+        build_snode(input, &many_files, &used).unwrap();
+        std::fs::write(used.join("shards.bin"), b"SNSH of an earlier version").unwrap();
         std::fs::create_dir_all(used.join("spill")).unwrap();
         std::fs::write(used.join("spill/shard_000.bin"), b"killed mid-build").unwrap();
         build_snode(input, &many_files, &used).unwrap();
         assert!(!used.join("spill").exists());
-        assert!(dir_files(&used) == dir_files(&fresh), "sharded then plain");
+        assert!(dir_files(&used) == dir_files(&fresh), "stale files remain");
         crate::verify::verify(&used).unwrap();
 
         // Many index files, then the default cap's single one.
         assert!(used.join("index_001.bin").exists());
-        let (stats, _) = build_snode_sharded(input, &SNodeConfig::default(), &used, 4).unwrap();
+        let (stats, _) = build_snode(input, &SNodeConfig::default(), &used).unwrap();
         let index_files = dir_files(&used)
             .iter()
             .filter(|(n, _)| n.starts_with("index_"))

@@ -49,7 +49,6 @@ pub mod par;
 pub mod partition;
 pub mod refenc;
 pub mod repr;
-pub mod shard;
 pub mod subgraphs;
 pub mod supergraph;
 pub mod verify;
@@ -61,7 +60,6 @@ pub use codec::{CodecConfig, ListCodec};
 pub use disk::{Blob, Renumbering};
 pub use integrity::{IntegrityCounters, IntegrityManifest, DIRECTORY_VERSION, SUMS_FILE};
 pub use repr::{DegradedReport, SNode, SNodeInMemory};
-pub use shard::{ShardInfo, ShardManifest, SHARDS_FILE};
 pub use verify::{verify, VerifyReport};
 
 /// Errors produced while building, writing, or reading an S-Node

@@ -184,73 +184,6 @@ pub fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     })
 }
 
-/// Reads a file front to back in [`SequentialReader::CHUNK`]-sized shim
-/// reads, handing out the bytes in whatever sizes the caller asks for: one
-/// positioned read per chunk instead of one per field, with injection and
-/// retry applied to each like any other read in the workspace.
-#[derive(Debug)]
-pub struct SequentialReader {
-    file: File,
-    /// File length at open.
-    len: u64,
-    /// File offset of the next chunk.
-    next: u64,
-    chunk: Vec<u8>,
-    /// Bytes of `chunk` already handed out.
-    pos: usize,
-}
-
-impl SequentialReader {
-    /// Bytes fetched per shim read.
-    pub const CHUNK: usize = 64 << 10;
-
-    /// Opens `path` for reading from its start.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Self {
-            file,
-            len,
-            next: 0,
-            chunk: Vec::new(),
-            pos: 0,
-        })
-    }
-
-    /// Fills `out` with the next `out.len()` bytes of the file. Running
-    /// off the end is an error, never a zero-fill.
-    pub fn fill(&mut self, mut out: &mut [u8]) -> std::io::Result<()> {
-        while !out.is_empty() {
-            if self.pos == self.chunk.len() {
-                self.refill()?;
-            }
-            let n = out.len().min(self.chunk.len() - self.pos);
-            out[..n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
-            self.pos += n;
-            out = &mut out[n..];
-        }
-        Ok(())
-    }
-
-    fn refill(&mut self) -> std::io::Result<()> {
-        let want = (self.len - self.next).min(Self::CHUNK as u64) as usize;
-        if want == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "short sequential read",
-            ));
-        }
-        self.pos = 0;
-        self.chunk.resize(want, 0);
-        if let Err(e) = read_exact_at(&self.file, &mut self.chunk, self.next) {
-            self.chunk.clear();
-            return Err(e);
-        }
-        self.next += want as u64;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,47 +253,6 @@ mod tests {
         assert!(read_exact_at(&f, &mut buf, 0).is_err());
         clear_transients();
         read_exact_at(&f, &mut buf, 0).expect("clean read after clear");
-
-        // A sequential reader's chunk fetches are shim reads like any
-        // other: one fault is retried, a run past the budget surfaces and
-        // leaves the reader where it was.
-        let mut seq = SequentialReader::open(&path).expect("open fixture");
-        install_transients(vec![(0, TransientKind::Eio)]);
-        let (injected, retried) = (transient_faults_injected(), retries_performed());
-        seq.fill(&mut buf).expect("retried chunk fetch");
-        assert_eq!(transient_faults_injected(), injected + 1);
-        assert!(retries_performed() > retried);
-        let mut seq = SequentialReader::open(&path).expect("open fixture");
-        let run = (0..u64::from(RETRY_ATTEMPTS)).map(|i| (i, TransientKind::Interrupted));
-        install_transients(run.collect());
-        assert!(seq.fill(&mut buf).is_err());
-        clear_transients();
-        seq.fill(&mut buf).expect("clean read after clear");
-        assert_eq!(buf, [7u8; 8]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sequential_reader_crosses_chunks_and_stops_at_the_end() {
-        let _shim = shim_lock();
-        let path = temp("seq");
-        let len = SequentialReader::CHUNK * 2 + 1000;
-        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        std::fs::write(&path, &data).expect("write fixture");
-        let mut seq = SequentialReader::open(&path).expect("open fixture");
-        let mut got = Vec::new();
-        // Field-sized reads, then one longer than a chunk, then the rest.
-        for size in [8usize, 4, 35, SequentialReader::CHUNK + 17] {
-            let mut part = vec![0u8; size];
-            seq.fill(&mut part).expect("sequential read");
-            got.extend(part);
-        }
-        let mut rest = vec![0u8; len - got.len()];
-        seq.fill(&mut rest).expect("read to the end");
-        got.extend(rest);
-        assert_eq!(got, data);
-        let err = seq.fill(&mut [0u8; 1]).expect_err("past the end");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -25,7 +25,6 @@ pub mod plan;
 
 pub use crc32c::crc32c;
 pub use io::{
-    read_exact_at, read_file, retries_performed, transient_faults_injected, SequentialReader,
-    TransientKind,
+    read_exact_at, read_file, retries_performed, transient_faults_injected, TransientKind,
 };
 pub use plan::{AppliedFault, Fault, FaultPlan, FaultSpec};

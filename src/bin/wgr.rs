@@ -33,9 +33,7 @@ use webgraph_repr::query::queries::{QueryEnv, Workload};
 use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
-use webgraph_repr::snode::{
-    build_snode, build_snode_sharded, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig,
-};
+use webgraph_repr::snode::{build_snode, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,7 +63,6 @@ fn main() {
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
                  \x20      [--codec CELL[/CELL]]              list codec per class (e.g. g+st, z3+iv+cb)\n\
                  \x20      [--stream --pages N [--seed N]]    generate the corpus on the fly (bounded memory)\n\
-                 \x20      [--shards N]                       domain-sharded out-of-core build\n\
                  query  DIR [--scheme NAME|all] [--budget B] run the observed Q1-6 workload\n\
                  \x20      [--reps DIR] [--reuse]             over the corpus at DIR;\n\
                  \x20                                          exit 3 when answers were degraded\n\
@@ -92,8 +89,8 @@ fn main() {
                  \x20                                          + decode ns/edge per CodecConfig cell\n\
                  \x20                                          → BENCH_compress.json; exit 1 on any\n\
                  \x20                                          fingerprint drift from the γ baseline\n\
-                 \x20      [--scale [--sizes N,N] [--shards N] out-of-core scale benchmark instead:\n\
-                 \x20       [--probes N]]                      streamed corpus → sharded build →\n\
+                 \x20      [--scale [--sizes N,N] [--probes N]] scale benchmark instead:\n\
+                 \x20                                          streamed corpus → build →\n\
                  \x20                                          resident query probe per size, each in\n\
                  \x20                                          a fresh process for clean peak-RSS\n\
                  \x20                                          accounting → BENCH_scale.json\n\
@@ -275,10 +272,10 @@ fn cmd_build(args: &[String]) -> i32 {
             corpus_dir.display()
         );
     }
-    // --shards N routes through the out-of-core builder: per-shard
-    // encode + spill, stitched into the same byte-identical directory
-    // (plus the `shards.bin` manifest).
-    let shards: u32 = opt(args, "--shards").map_or(0, |s| s.parse().expect("--shards number"));
+    // Accepted for `benchmark/`, which is frozen and still passes it.
+    if opt(args, "--shards").is_some() {
+        eprintln!("--shards is ignored: there is one builder");
+    }
     let rss = obs::RssGauge::auto();
     let corpus = read_corpus(&corpus_dir).expect("read corpus");
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
@@ -294,19 +291,10 @@ fn cmd_build(args: &[String]) -> i32 {
         ..SNodeConfig::default()
     };
     let t0 = obs::Stopwatch::start();
-    let (stats, _renum) = if shards > 0 {
-        build_snode_sharded(input, &config, &out, shards).expect("build")
-    } else {
-        build_snode(input, &config, &out).expect("build")
-    };
+    let (stats, _renum) = build_snode(input, &config, &out).expect("build");
     rss.refresh();
-    let shard_note = if shards > 0 {
-        format!(", {shards} shards")
-    } else {
-        String::new()
-    };
     println!(
-        "built in {:?} ({} threads, codec {}{shard_note}): {} supernodes, {} superedges, \
+        "built in {:?} ({} threads, codec {}): {} supernodes, {} superedges, \
          {:.2} bits/edge → {}",
         t0.elapsed(),
         stats.timings.threads,
@@ -962,8 +950,8 @@ fn cmd_bench(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--ablate") {
         return bench_ablate(args, pages, seed, quick);
     }
-    // `--scale`: the out-of-core scale benchmark instead — streamed
-    // corpora, sharded builds, and resident query probes, one fresh
+    // `--scale`: the scale benchmark instead — streamed
+    // corpora, builds, and resident query probes, one fresh
     // process per measurement so `VmHWM` attributes peak RSS to exactly
     // that step.
     if args.iter().any(|a| a == "--scale") {
@@ -1245,21 +1233,16 @@ const SCALE_SIZES_QUICK: [u32; 1] = [100_000];
 /// gigabytes there).
 const SCALE_STREAM_RSS_BOUND: u64 = 512 << 20;
 
-/// `wgr bench --scale` — the out-of-core benchmark behind
-/// `BENCH_scale.json`. Three parts:
+/// `wgr bench --scale` — the scale benchmark behind
+/// `BENCH_scale.json`. Two parts:
 ///
-/// 1. **Equivalence** (in process): builds the full scheme set at a
-///    query-workload-sized corpus, records the Q1–6 fingerprints, swaps
-///    a sharded rebuild of the forward S-Node directory into the layout
-///    and reruns the workload — the answers must be identical, and the
-///    payload files byte-identical.
-/// 2. **Scale ladder** (subprocesses): per corpus size, a fresh process
-///    streams the corpus, builds with `--shards`, and reports its RSS
+/// 1. **Scale ladder** (subprocesses): per corpus size, a fresh process
+///    streams the corpus, builds it, and reports its RSS
 ///    high-water marks; then two more processes probe navigation
 ///    latency over the result — once through the zero-copy resident
 ///    read path, once through positioned reads — and must agree on an
 ///    answer fingerprint.
-/// 3. **Memory gates**: streamed generation stays under a fixed bound,
+/// 2. **Memory gates**: streamed generation stays under a fixed bound,
 ///    and resident-query overhead (peak RSS minus the resident index
 ///    bytes) stays flat up the ladder modulo the per-page metadata the
 ///    paper's model keeps in memory.
@@ -1278,7 +1261,6 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
                 .collect()
         },
     );
-    let shards: u32 = opt(args, "--shards").map_or(8, |s| s.parse().expect("--shards number"));
     let probes: u32 = opt(args, "--probes").map_or(if quick { 2_000 } else { 10_000 }, |s| {
         s.parse().expect("--probes number")
     });
@@ -1286,14 +1268,8 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
     let scratch = std::env::temp_dir().join(format!("wgr_scale_{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
 
-    let eq_pages: u32 = if quick { 2_000 } else { 20_000 };
-    let (eq_ok, eq_json) = scale_equivalence(&scratch.join("eq"), eq_pages, seed, shards);
-    if !eq_ok {
-        eprintln!("FAILED: sharded build is not equivalent to the in-memory build");
-    }
-
     let exe = std::env::current_exe().expect("current exe");
-    let mut ok = eq_ok;
+    let mut ok = true;
     let mut stream_bounded = true;
     let mut size_objs: Vec<String> = Vec::new();
     let mut overheads: Vec<(u32, u64)> = Vec::new();
@@ -1311,8 +1287,6 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
                 &seed.to_string(),
                 "--dir",
                 &dir_s,
-                "--shards",
-                &shards.to_string(),
             ],
         );
         let Some(b) = b else {
@@ -1395,7 +1369,6 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"wgr scale\",\n");
     json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"shards\": {shards},\n"));
     json.push_str(&format!("  \"probes\": {probes},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!(
@@ -1403,107 +1376,12 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
     ));
     json.push_str(&format!("  \"stream_rss_bounded\": {stream_bounded},\n"));
     json.push_str(&format!("  \"query_memory_flat\": {query_memory_flat},\n"));
-    json.push_str(&eq_json);
     json.push_str("  \"sizes\": [\n");
     json.push_str(&size_objs.join(",\n"));
     json.push_str("\n  ]\n}\n");
     std::fs::write(&out, &json).expect("write scale bench json");
     println!("wrote {}", out.display());
     i32::from(!(ok && stream_bounded && query_memory_flat))
-}
-
-/// The in-process equivalence leg of [`bench_scale`]: Q1–6 over the
-/// plain build vs the same workload over a sharded rebuild swapped into
-/// the scheme-set layout, plus payload byte-identity. Returns the
-/// verdict and the `"equivalence"` JSON fragment.
-fn scale_equivalence(root: &std::path::Path, pages: u32, seed: u64, shards: u32) -> (bool, String) {
-    let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let set_root = root.join("queryset");
-    let set = SchemeSet::build(
-        &set_root,
-        &urls,
-        &domains,
-        &corpus.graph,
-        &SNodeConfig::default(),
-        1 << 20,
-    )
-    .expect("build scheme set");
-    let text = TextIndex::build(&corpus, &set.renumbering);
-    let pagerank = PageRankIndex::build(&corpus.graph, &set.renumbering);
-    let domain_table = DomainTable::build(&corpus, &set.renumbering);
-    let env = QueryEnv {
-        text: &text,
-        pagerank: &pagerank,
-        domains: &domain_table,
-    };
-    let workload = Workload::discover(&text, &domain_table);
-    let fps = |set: &SchemeSet| -> Vec<u64> {
-        run_observed(env, set, Scheme::SNode, &workload)
-            .expect("scale equivalence workload")
-            .queries
-            .iter()
-            .map(|q| q.fingerprint)
-            .collect()
-    };
-    let plain = fps(&set);
-    drop(set);
-
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
-    let sh_dir = root.join("snode_sharded");
-    build_snode_sharded(input, &SNodeConfig::default(), &sh_dir, shards).expect("sharded build");
-    let payload_identical = dirs_payload_identical(&set_root.join("snode"), &sh_dir);
-    std::fs::rename(set_root.join("snode"), root.join("snode_plain")).expect("swap out snode");
-    std::fs::rename(&sh_dir, set_root.join("snode")).expect("swap in sharded snode");
-    let set2 = SchemeSet::open_existing(&set_root, &corpus.graph, 1 << 20)
-        .expect("reopen scheme set over sharded build");
-    let sharded = fps(&set2);
-    drop(set2);
-    std::fs::remove_dir_all(root).ok();
-
-    let hex = |v: &[u64]| {
-        v.iter()
-            .map(|f| format!("\"{f:016x}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let ok = payload_identical && !plain.is_empty() && plain == sharded;
-    let json = format!(
-        "  \"equivalence\": {{\n    \"pages\": {pages},\n    \"shards\": {shards},\n\
-         \x20   \"payload_identical\": {payload_identical},\n    \"q_plain\": [{}],\n\
-         \x20   \"q_sharded\": [{}],\n    \"match\": {ok}\n  }},\n",
-        hex(&plain),
-        hex(&sharded),
-    );
-    (ok, json)
-}
-
-/// Byte-compares every payload file of two S-Node directories, ignoring
-/// only `sums.bin` (checksums cover the manifest) and `shards.bin` (the
-/// sharded build's extra manifest).
-fn dirs_payload_identical(a: &std::path::Path, b: &std::path::Path) -> bool {
-    let list = |d: &std::path::Path| -> Vec<(String, Vec<u8>)> {
-        let mut v: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
-            .expect("read snode dir")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.is_file())
-            .filter_map(|p| {
-                let name = p.file_name()?.to_string_lossy().into_owned();
-                if name == "sums.bin" || name == "shards.bin" {
-                    return None;
-                }
-                Some((name, wg_fault::read_file(&p).expect("read snode file")))
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    list(a) == list(b)
 }
 
 /// Runs one hidden `scale-step` subprocess and returns the JSON line it
@@ -1537,8 +1415,8 @@ fn cmd_scale_step(args: &[String]) -> i32 {
     }
 }
 
-/// `wgr scale-step build --pages N --seed N --dir DIR [--shards K]` —
-/// streams the corpus to `DIR/corpus`, builds the (sharded) S-Node
+/// `wgr scale-step build --pages N --seed N --dir DIR` —
+/// streams the corpus to `DIR/corpus`, builds the S-Node
 /// representation at `DIR/repo`, and prints one JSON line with the
 /// timings, output fingerprint, and this process's RSS high-water
 /// marks: sampled once right after streaming (witnessing the writer's
@@ -1547,7 +1425,6 @@ fn scale_step_build(args: &[String]) -> i32 {
     let pages: u32 = req(args, "--pages").parse().expect("--pages number");
     let seed: u64 = opt(args, "--seed").map_or(42, |s| s.parse().expect("--seed number"));
     let dir = PathBuf::from(req(args, "--dir"));
-    let shards: u32 = opt(args, "--shards").map_or(0, |s| s.parse().expect("--shards number"));
     let corpus_dir = dir.join("corpus");
     let repo = dir.join("repo");
 
@@ -1572,17 +1449,12 @@ fn scale_step_build(args: &[String]) -> i32 {
     };
     let config = SNodeConfig::default();
     let sw = obs::Stopwatch::start();
-    let (stats, _renum) = if shards > 0 {
-        build_snode_sharded(input, &config, &repo, shards)
-    } else {
-        build_snode(input, &config, &repo)
-    }
-    .expect("scale build");
+    let (stats, _renum) = build_snode(input, &config, &repo).expect("scale build");
     let build_secs = sw.elapsed().as_secs_f64();
     let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
     let fp = fingerprint_dir(&repo);
     println!(
-        "{{\"step\":\"build\",\"pages\":{},\"edges\":{},\"shards\":{shards},\
+        "{{\"step\":\"build\",\"pages\":{},\"edges\":{},\
          \"stream_secs\":{stream_secs:.3},\"read_secs\":{read_secs:.3},\
          \"build_secs\":{build_secs:.3},\"supernodes\":{},\"superedges\":{},\
          \"bits_per_edge\":{:.4},\"fingerprint\":\"{fp:016x}\",\

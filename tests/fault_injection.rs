@@ -13,7 +13,9 @@ use std::process::Command;
 use std::sync::OnceLock;
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::{FaultPlan, FaultSpec};
-use webgraph_repr::snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use webgraph_repr::snode::{
+    build_snode, IntegrityManifest, RepoInput, SNode, SNodeConfig, SNodeInMemory,
+};
 
 fn wgr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wgr"))
@@ -228,6 +230,70 @@ fn stats_and_query_exit_2_with_clean_diagnostics() {
         "diagnostic must name the missing file: {err}"
     );
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A build that fails part-way into a directory holding an earlier build
+/// leaves something that does not open — not the earlier build's
+/// `meta.bin` over this build's index files with no manifest to say so.
+#[test]
+fn dead_rebuild_leaves_a_directory_that_does_not_open() {
+    let corpus = Corpus::generate(CorpusConfig::scaled(600, 77));
+    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+    let input = RepoInput {
+        urls: &urls,
+        domains: &domains,
+        graph: &corpus.graph,
+    };
+    let dir = temp_dir("dead_rebuild");
+    build_snode(input, &SNodeConfig::default(), &dir).expect("build A");
+    SNode::open(&dir, 1 << 20).expect("A opens");
+
+    // A directory where `pagemap.bin` goes: the second build writes its
+    // index files, then fails.
+    std::fs::remove_file(dir.join("pagemap.bin")).unwrap();
+    std::fs::create_dir(dir.join("pagemap.bin")).unwrap();
+    let small_files = SNodeConfig {
+        max_file_bytes: 4096,
+        ..SNodeConfig::default()
+    };
+    assert!(build_snode(input, &small_files, &dir).is_err());
+    assert!(dir.join("index_001.bin").exists(), "B's index files");
+
+    assert!(SNode::open(&dir, 1 << 20).is_err());
+    assert!(SNode::open_degraded(&dir, 1 << 20).is_err());
+    let out = wgr().arg("stats").arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "stats on a dead build: {out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Earlier versions' `wgr build --shards N` left a `shards.bin` that
+/// `sums.bin` covers. Nothing reads it any more; such a directory is
+/// still a valid one.
+#[test]
+fn directory_with_a_covered_shards_bin_stays_valid() {
+    let (pristine_dir, num_pages) = pristine();
+    let dir = temp_dir("old_shards");
+    copy_dir(pristine_dir, &dir);
+    // One shard record, as those versions wrote it: magic, version, count,
+    // then domain range, pages, supernodes, blobs, encoded bytes.
+    let mut shards = b"SNSH".to_vec();
+    for word in [1u32, 1, 0, 1, *num_pages, 1, 1, 0, 64, 0] {
+        shards.extend_from_slice(&word.to_le_bytes());
+    }
+    std::fs::write(dir.join("shards.bin"), shards).unwrap();
+    let blob_crc = IntegrityManifest::read(&dir).unwrap().unwrap().blob_crc;
+    let manifest = IntegrityManifest::compute(&dir, blob_crc).unwrap();
+    assert!(manifest.file_sum("shards.bin").is_some());
+    manifest.write(&dir).unwrap();
+
+    let snode = SNode::open(&dir, 1 << 20).expect("opens");
+    assert_eq!(snode.num_pages(), *num_pages);
+    for cmd in ["check", "fsck"] {
+        let out = wgr().arg(cmd).arg(&dir).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "wgr {cmd}: {out:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `wgr corrupt` → `wgr fsck` (exit 1, SN1xx verdicts) → `wgr fsck
