@@ -113,6 +113,8 @@ const SYNC_ALLOW_PREFIXES: &[&str] = &[
 const ZERO_ALLOC_NAMES: &[&str] = &[
     "out_neighbors_into",
     "out_neighbors_batch",
+    // The body of both: what it needs per group lives in `BatchScratch`.
+    "batch_run",
     "decode_list_into",
     // The offsets-only scan behind `ListsIndex::parse`: per payload it
     // counts and checks, and must never build a list.

@@ -6,10 +6,14 @@
 //! required by the queries". This cache is that space: decoded graphs enter
 //! on first use, are evicted least-recently-used when the byte budget
 //! overflows, and every load/unload is recorded — the paper instrumented
-//! exactly these events to explain its Figure 11 numbers.
+//! exactly these events to explain its Figure 11 numbers. A supernode's
+//! [`Fanout`] — which of its superedge graphs hold a list for which page —
+//! is derived from those graphs and lives in the same space, under the
+//! same budget.
 
 use crate::refenc::{DecodeMemo, ListsIndex};
-use crate::subgraphs::SuperedgeIndex;
+use crate::subgraphs::{SuperedgeIndex, SuperedgeKind};
+use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -148,6 +152,104 @@ pub enum GraphKey {
     Intra(u32),
     /// The superedge graph of superedge `from → to`.
     Super(u32, u32),
+    /// The [`Fanout`] of supernode `s`.
+    Fanout(u32),
+}
+
+/// Which out-superedge graphs of one supernode hold a list for each of its
+/// pages — the paper's "set of one or more superedge graphs" a page's
+/// adjacency list is partitioned across (§3). Derived from the `sources`
+/// of the supernode's superedge graphs and never stored: a probe consults
+/// the graphs its page's row names instead of every out-superedge.
+///
+/// A *slot* is a position in the supernode's row of the supernode graph
+/// (`supergraph.adj[s]`), which is also the order of its superedge blobs.
+#[derive(Debug)]
+pub struct Fanout {
+    /// CSR row starts: page `local` draws on
+    /// `slots[offsets[local]..offsets[local + 1]]`.
+    offsets: Vec<u32>,
+    /// Per page, the ascending slots of the positive graphs that list it
+    /// among their sources.
+    slots: Vec<u32>,
+    /// Ascending slots every page consults: negative graphs, which store
+    /// a list for every page, and graphs that could not be read, so that
+    /// each access keeps counting the part it went without.
+    always: Vec<u32>,
+}
+
+impl Fanout {
+    /// Builds the fanout of a supernode of `ni` pages from its
+    /// out-superedge graphs in slot order; `None` stands for a graph that
+    /// could not be read. Two counting passes over the `sources`,
+    /// O(Σ|sources| + `ni`): the biggest supernodes have thousands of
+    /// pages and hundreds of superedges, and are where a probe's tail
+    /// latency comes from.
+    pub fn build<'a>(
+        ni: u32,
+        graphs: impl Iterator<Item = Option<&'a SuperedgeIndex>> + Clone,
+    ) -> Result<Self> {
+        // Lazily: an `SNodeError` built and dropped per source, as
+        // `ok_or` would, tripled the time of the two loops below.
+        let range = || SNodeError::Corrupt("superedge source outside its supernode");
+        let positive = |g: Option<&'a SuperedgeIndex>| {
+            g.filter(|g| g.kind == SuperedgeKind::Positive)
+                .map(SuperedgeIndex::sources)
+        };
+        let mut offsets = vec![0u32; ni as usize + 1];
+        let mut always = Vec::new();
+        for (k, g) in (0u32..).zip(graphs.clone()) {
+            let Some(sources) = positive(g) else {
+                always.push(k);
+                continue;
+            };
+            for &src in sources {
+                *offsets.get_mut(src as usize + 1).ok_or_else(range)? += 1;
+            }
+        }
+        let mut total = 0u32;
+        for o in &mut offsets {
+            total = total
+                .checked_add(*o)
+                .ok_or(SNodeError::Corrupt("fanout overflows u32"))?;
+            *o = total;
+        }
+        let mut slots = vec![0u32; total as usize];
+        let mut next = offsets.clone();
+        for (k, g) in (0u32..).zip(graphs) {
+            // Slots ascend with the outer loop, so every row comes out
+            // sorted without a sort.
+            for &src in positive(g).unwrap_or_default() {
+                let at = next.get_mut(src as usize).ok_or_else(range)?;
+                *slots.get_mut(*at as usize).ok_or_else(range)? = k;
+                *at += 1;
+            }
+        }
+        Ok(Self {
+            offsets,
+            slots,
+            always,
+        })
+    }
+
+    /// The ascending slots of the positive graphs holding a list for page
+    /// `local` (empty for a page outside the supernode).
+    pub fn slots_of(&self, local: u32) -> &[u32] {
+        let row = |i: usize| self.offsets.get(i).map(|&o| o as usize);
+        match (row(local as usize), row(local as usize + 1)) {
+            (Some(lo), Some(hi)) => self.slots.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// The ascending slots every page of the supernode consults.
+    pub fn always(&self) -> &[u32] {
+        &self.always
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.len() + self.slots.len() + self.always.len()) * 4
+    }
 }
 
 /// A decoded graph: positive adjacency lists in local ids.
@@ -213,6 +315,9 @@ pub enum CachedGraph {
         /// Resident footprint.
         bytes: usize,
     },
+    /// Not a graph: a supernode's [`Fanout`], cached, charged (its three
+    /// vectors) and evicted beside the graphs it points into.
+    Fanout(Fanout),
 }
 
 impl CachedGraph {
@@ -301,6 +406,14 @@ impl CachedGraph {
         }
     }
 
+    /// The fanout, when this entry is one.
+    pub fn as_fanout(&self) -> Option<&Fanout> {
+        match self {
+            CachedGraph::Fanout(fanout) => Some(fanout),
+            _ => None,
+        }
+    }
+
     /// The positive target list of local id `local` (empty when absent).
     pub fn decode_list_for(&self, local: u32) -> crate::Result<Vec<u32>> {
         let mut out = Vec::new();
@@ -380,6 +493,7 @@ impl CachedGraph {
                 }
                 Ok(())
             }
+            CachedGraph::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
         }
     }
 
@@ -411,6 +525,7 @@ impl CachedGraph {
             | CachedGraph::Sparse { bytes, .. }
             | CachedGraph::EncodedIntra { bytes, .. }
             | CachedGraph::EncodedSuper { bytes, .. } => *bytes,
+            CachedGraph::Fanout(fanout) => fanout.heap_bytes() + Self::FIXED_BYTES,
         }
     }
 }
@@ -578,6 +693,7 @@ fn shard_hash(key: &GraphKey) -> u64 {
     match *key {
         GraphKey::Intra(s) => eat(eat(OFFSET, 1), s),
         GraphKey::Super(i, j) => eat(eat(eat(OFFSET, 2), i), j),
+        GraphKey::Fanout(s) => eat(eat(OFFSET, 3), s),
     }
 }
 
@@ -748,6 +864,7 @@ impl GraphCache {
             let kind = match key {
                 GraphKey::Intra(_) => "intra",
                 GraphKey::Super(..) => "super",
+                GraphKey::Fanout(_) => "fanout",
             };
             wg_obs::record_span_args(
                 "core.cache.load",
@@ -784,6 +901,18 @@ impl GraphCache {
             stage_add(Stage::CacheLookup, ns);
         }
         arc
+    }
+
+    /// Drops `key`'s entry, if cached (an unload in the event log, not
+    /// an eviction in the statistics).
+    pub fn remove(&self, key: GraphKey) {
+        let i = self.shard_index(&key);
+        let mut shard = self.lock_shard(i);
+        if let Some(e) = shard.map.remove(&key) {
+            shard.used -= e.graph.bytes();
+            drop(shard);
+            self.log_event(CacheEvent::Unload(key));
+        }
     }
 
     /// The shard heatmap: per-shard hit/miss traffic, resident entries
@@ -1134,6 +1263,80 @@ mod tests {
             .map(|s| s.lock.acquisitions)
             .sum();
         assert_eq!(acq_after, 2, "telemetry off: lock sites cost one load");
+    }
+
+    /// A superedge graph `Ni → Nj` over `ni` source pages, `nj` = 8.
+    fn superedge_index(ni: usize, links: &[(usize, Vec<u32>)]) -> SuperedgeIndex {
+        let mut pos = vec![Vec::new(); ni];
+        for (src, targets) in links {
+            pos[*src] = targets.clone();
+        }
+        let codec = crate::codec::ListCodec::GAMMA;
+        let enc = crate::subgraphs::encode_superedge(
+            &pos,
+            8,
+            crate::refenc::RefMode::Windowed(4),
+            crate::subgraphs::SuperedgePolicy::EncodedSize,
+            codec,
+        );
+        SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni as u64, 8, codec).expect("parse")
+    }
+
+    #[test]
+    fn fanout_rows_name_the_graphs_that_list_a_page() {
+        let everything: Vec<u32> = (0..8).collect();
+        let graphs = [
+            superedge_index(6, &[(1, vec![3]), (4, vec![0, 7])]),
+            // Every page links to every target: stored negative.
+            superedge_index(
+                6,
+                &(0..6).map(|s| (s, everything.clone())).collect::<Vec<_>>(),
+            ),
+            superedge_index(6, &[(4, vec![2])]),
+            superedge_index(6, &[(0, vec![1]), (4, vec![5]), (5, vec![6])]),
+        ];
+        assert_eq!(graphs[1].kind, SuperedgeKind::Negative);
+        // Slot 2 could not be read.
+        let slots = [Some(&graphs[0]), Some(&graphs[1]), None, Some(&graphs[3])];
+        let fanout = Fanout::build(6, slots.into_iter()).expect("build");
+        assert_eq!(fanout.always(), [1, 2]);
+        let rows: Vec<&[u32]> = (0..7).map(|local| fanout.slots_of(local)).collect();
+        let expect: [&[u32]; 7] = [&[3], &[0], &[], &[], &[0, 3], &[3], &[]];
+        assert_eq!(rows, expect, "page 6 is outside the supernode");
+        let cached = CachedGraph::Fanout(fanout);
+        assert_eq!(cached.bytes(), (7 + 5 + 2) * 4 + CachedGraph::FIXED_BYTES);
+        assert!(
+            cached.decode_list_for(0).is_err(),
+            "a fanout stores no lists"
+        );
+
+        // A graph parsed for a larger supernode than the one it is filed
+        // under is refused, not indexed out of range.
+        let err = Fanout::build(4, [Some(&graphs[0])].into_iter());
+        assert!(matches!(err, Err(SNodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn remove_frees_the_bytes_and_is_not_an_eviction() {
+        let c = GraphCache::new(1 << 20);
+        c.enable_log();
+        c.insert(GraphKey::Fanout(3), graph_of(2_000));
+        c.insert(GraphKey::Intra(3), graph_of(1_000));
+        let both = c.used();
+        c.remove(GraphKey::Fanout(3));
+        c.remove(GraphKey::Fanout(9));
+        assert!(c.get(GraphKey::Fanout(3)).is_none());
+        assert!(c.get(GraphKey::Intra(3)).is_some());
+        assert!(c.used() < both && c.used() > 0);
+        assert_eq!(c.stats().evictions, 0);
+        let unloads = c
+            .take_log()
+            .into_iter()
+            .filter(|ev| matches!(ev, CacheEvent::Unload(_)));
+        assert_eq!(
+            unloads.collect::<Vec<_>>(),
+            [CacheEvent::Unload(GraphKey::Fanout(3))]
+        );
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! * [`SNode`] — the disk-backed representation used by the §4.3 query
 //!   experiments: the supernode graph, PageID index and domain index stay
 //!   resident; intranode and superedge graphs are read from the index
-//!   files, decoded, and held in a byte-budgeted [`GraphCache`].
+//!   files, decoded, and held in a byte-budgeted [`GraphCache`], beside a
+//!   per-supernode [`Fanout`] that tells a probe which of them to ask.
 //! * [`SNodeInMemory`] — the Table 2 setup: all *encoded* graphs resident
 //!   in memory with pre-parsed directories, each adjacency-list access
 //!   paying the S-Node decode cost (reference-chain walk) but no I/O and
 //!   no cache management.
 
-use crate::cache::{CacheEvent, CachedGraph, GraphCache, GraphCacheStats, GraphKey};
-use crate::disk::{GraphLocator, IndexFileReader, SNodeMeta};
+use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey};
+use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{ListsIndex, Universe};
 use crate::subgraphs::SuperedgeIndex;
@@ -31,8 +32,11 @@ use wg_graph::PageId;
 /// adjacency-list contribution (one intranode or superedge list access)
 /// omitted from an answer because its graph is quarantined. Parts are the
 /// unit because a damaged blob cannot be decoded to count the exact edges
-/// it held. `retries` counts transient read errors absorbed by the I/O
-/// shim's bounded backoff since the representation was opened.
+/// it held — nor, for a superedge graph, which pages it held lists for, so
+/// every access to the supernode counts it (its slot sits in the
+/// supernode's [`Fanout`] among those every page consults). `retries`
+/// counts transient read errors absorbed by the I/O shim's bounded backoff
+/// since the representation was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradedReport {
     /// Distinct supernodes with at least one quarantined graph.
@@ -141,6 +145,30 @@ impl NavCounters {
     }
 }
 
+/// One graph the current group's pages draw on.
+#[derive(Debug)]
+struct Part {
+    /// First page id of the range the graph's local targets count from.
+    start: u32,
+    /// Out-superedge slot, or [`INTRA_SLOT`] for the intranode graph.
+    slot: u32,
+    /// Target supernode (the group's own for the intranode graph).
+    j: u32,
+    /// Consulted by every page of the group — the intranode graph, a
+    /// negative graph, a quarantined one — rather than only by the pages
+    /// whose fanout row names `slot`.
+    always: bool,
+    /// `None`: quarantined, each page that consults it counts a skip.
+    graph: Option<Arc<CachedGraph>>,
+}
+
+/// [`Part::slot`] of the intranode graph; a supernode's row of the
+/// supernode graph never has this many entries.
+const INTRA_SLOT: u32 = u32::MAX;
+
+/// An out-superedge graph as read for a fanout build.
+type ParsedSuperedge = (Blob, SuperedgeIndex);
+
 /// Reusable buffers of the batched navigation path, kept on the handle so
 /// steady-state BFS levels allocate nothing new.
 #[derive(Debug, Default)]
@@ -151,9 +179,14 @@ struct BatchScratch {
     results: Vec<Vec<PageId>>,
     /// One decoded local list at a time.
     tmp: Vec<u32>,
-    /// `(target-range start, part slot)` per contributing graph of the
-    /// current group; `u32::MAX` is the intranode slot.
-    part_order: Vec<(u32, u32)>,
+    /// The out-superedge slots the current group's pages draw on.
+    slots: Vec<u32>,
+    /// The current group's graphs, in ascending order of `start`.
+    parts: Vec<Part>,
+    /// After a fanout miss: every out-superedge graph of the current
+    /// group's supernode as the build read it, by slot (`None`:
+    /// quarantined, or already moved into the cache). Empty otherwise.
+    parsed: Vec<Option<ParsedSuperedge>>,
 }
 
 /// Disk-backed S-Node representation with a memory-budgeted graph cache.
@@ -355,10 +388,11 @@ impl SNode {
     }
 
     /// The complete adjacency list of page `p`, assembled from the
-    /// intranode graph of its supernode and all out-superedge graphs —
-    /// exactly the paper's observation that "the adjacency list of a page
-    /// is partitioned across an intranode graph and a set of one or more
-    /// superedge graphs".
+    /// intranode graph of its supernode and the out-superedge graphs its
+    /// supernode's [`Fanout`] names for it — exactly the paper's
+    /// observation that "the adjacency list of a page is partitioned
+    /// across an intranode graph and a set of one or more superedge
+    /// graphs".
     pub fn out_neighbors(&self, p: PageId) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
         self.out_neighbors_into(p, &mut out)?;
@@ -375,8 +409,9 @@ impl SNode {
     }
 
     /// Batched navigation: answers `out_neighbors` for every page in
-    /// `pages`, grouping pages of the same supernode so each group's
-    /// intranode and superedge graphs are looked up (and counted) once.
+    /// `pages`, grouping pages of the same supernode so the intranode
+    /// graph, the fanout and each superedge graph some page of the group
+    /// draws on are looked up (and counted) once.
     /// `visit` is invoked exactly once per input page, **in input order**,
     /// so callers with order-sensitive accumulation (Q1's f64 weights)
     /// observe the same sequence as a scalar loop.
@@ -388,15 +423,6 @@ impl SNode {
         self.batch_inner(pages, visit, true)
     }
 
-    /// Checked superedge-slot index: the `u32::MAX` sentinel marks the
-    /// intranode part in `part_order`, so a real slot may never equal it.
-    fn slot_index(k: usize) -> Result<u32> {
-        u32::try_from(k)
-            .ok()
-            .filter(|&v| v != u32::MAX)
-            .ok_or(SNodeError::Corrupt("superedge slot index overflows u32"))
-    }
-
     fn batch_inner(
         &self,
         pages: &[PageId],
@@ -405,6 +431,9 @@ impl SNode {
     ) -> Result<()> {
         let mut scratch = self.scratch.lock().pop().unwrap_or_default();
         let r = self.batch_run(pages, visit, count_batched, &mut scratch);
+        // A pooled scratch must not keep graphs alive past their eviction.
+        scratch.parts.clear();
+        scratch.parsed.clear();
         self.scratch.lock().push(scratch);
         r
     }
@@ -436,65 +465,97 @@ impl SNode {
                 end += 1;
             }
 
-            // One lookup per graph per group; counters charge the group as
-            // a whole (this is where batching beats the scalar path).
-            let mut intra = self.intranode(s)?;
-            let targets = self.meta.supergraph.adj[s as usize].clone();
-            if let Some(nav) = &self.nav {
-                nav.calls.add((end - g) as u64);
-                nav.supernodes_visited.inc();
-                nav.intra_lists_decoded.inc();
-                nav.super_lists_decoded.add(targets.len() as u64);
-                if count_batched {
-                    nav.batched_lookups.add(1 + targets.len() as u64);
-                }
+            // One lookup per graph per group (this is where batching beats
+            // the scalar path), and only of the graphs the fanout names
+            // for the group's pages.
+            let intra = self.intranode(s)?;
+            let fanout = self.fanout(s, &mut scratch.parsed)?;
+            let fanout = fanout.as_fanout().ok_or(SNodeError::Corrupt(
+                "graph cache holds a graph under a fanout key",
+            ))?;
+            scratch.slots.clear();
+            scratch.slots.extend_from_slice(fanout.always());
+            for gi in g..end {
+                let local = pages[scratch.order[gi] as usize] - range.start;
+                scratch.slots.extend_from_slice(fanout.slots_of(local));
             }
-            // (target-range start, target supernode, graph) per superedge.
-            let mut supers: Vec<(u32, u32, Option<Arc<CachedGraph>>)> =
-                Vec::with_capacity(targets.len());
-            for (k, j) in targets.into_iter().enumerate() {
-                let graph = self.superedge(s, Self::slot_index(k)?, j)?;
-                supers.push((self.meta.page_range(j).start, j, graph));
+            scratch.slots.sort_unstable();
+            scratch.slots.dedup();
+
+            scratch.parts.clear();
+            scratch.parts.push(Part {
+                start: range.start,
+                slot: INTRA_SLOT,
+                j: s,
+                always: true,
+                graph: intra,
+            });
+            let targets = &self.meta.supergraph.adj[s as usize];
+            for &k in &scratch.slots {
+                let j = *targets.get(k as usize).ok_or(SNodeError::Corrupt(
+                    "fanout slot beyond the supernode's row",
+                ))?;
+                let parsed = scratch.parsed.get_mut(k as usize).and_then(Option::take);
+                let graph = self.superedge(s, k, j, parsed)?;
+                scratch.parts.push(Part {
+                    start: self.meta.page_range(j).start,
+                    slot: k,
+                    j,
+                    always: graph.is_none() || fanout.always().binary_search(&k).is_ok(),
+                    graph,
+                });
             }
+            // What the build read and no page of the group needs is
+            // dropped here, never admitted.
+            scratch.parsed.clear();
             // Ranges are disjoint and each local list is sorted, so
             // decoding parts in ascending range-start order yields a
             // globally sorted adjacency list with no final sort.
-            scratch.part_order.clear();
-            scratch.part_order.push((range.start, u32::MAX));
-            for (k, &(j_start, _, _)) in supers.iter().enumerate() {
-                scratch.part_order.push((j_start, Self::slot_index(k)?));
+            scratch.parts.sort_unstable_by_key(|part| part.start);
+            if let Some(nav) = &self.nav {
+                let supers = scratch.slots.len() as u64;
+                nav.calls.add((end - g) as u64);
+                nav.supernodes_visited.inc();
+                nav.intra_lists_decoded.inc();
+                nav.super_lists_decoded.add(supers);
+                if count_batched {
+                    // The intranode graph, the fanout, the graphs it named.
+                    nav.batched_lookups.add(2 + supers);
+                }
             }
-            scratch.part_order.sort_unstable_by_key(|&(start, _)| start);
 
             for gi in g..end {
                 let oi = scratch.order[gi] as usize;
-                let p = pages[oi];
-                let local = p - range.start;
-                for pi in 0..scratch.part_order.len() {
-                    let (start, slot) = scratch.part_order[pi];
-                    let graph = if slot == u32::MAX {
-                        intra.clone()
-                    } else {
-                        supers[slot as usize].2.clone()
+                let local = pages[oi] - range.start;
+                let own = fanout.slots_of(local);
+                for pi in 0..scratch.parts.len() {
+                    let part = &scratch.parts[pi];
+                    if !part.always && own.binary_search(&part.slot).is_err() {
+                        continue;
+                    }
+                    let Some(graph) = &part.graph else {
+                        self.note_skip();
+                        continue;
                     };
-                    match graph {
-                        Some(gr) => match gr.decode_list_into(local, &mut scratch.tmp) {
-                            Ok(()) => {
-                                scratch.results[oi].extend(scratch.tmp.iter().map(|&t| start + t));
-                            }
-                            Err(e) => {
-                                if slot == u32::MAX {
-                                    self.quarantine(Quarantine::Intra(s), e)?;
-                                    intra = None;
-                                } else {
-                                    let j = supers[slot as usize].1;
-                                    self.quarantine(Quarantine::Super(s, j), e)?;
-                                    supers[slot as usize].2 = None;
-                                }
-                                self.note_skip();
-                            }
-                        },
-                        None => self.note_skip(),
+                    match graph.decode_list_into(local, &mut scratch.tmp) {
+                        Ok(()) => {
+                            let start = part.start;
+                            scratch.results[oi].extend(scratch.tmp.iter().map(|&t| start + t));
+                        }
+                        Err(e) => {
+                            let damaged = if part.slot == INTRA_SLOT {
+                                Quarantine::Intra(s)
+                            } else {
+                                Quarantine::Super(s, part.j)
+                            };
+                            self.quarantine(damaged, e)?;
+                            // From here on every access to the supernode
+                            // goes without this part, and counts it.
+                            let part = &mut scratch.parts[pi];
+                            part.graph = None;
+                            part.always = true;
+                            self.note_skip();
+                        }
                     }
                 }
             }
@@ -583,6 +644,9 @@ impl SNode {
             Quarantine::Super(s, j) => {
                 d.quarantined_super.insert((s, j));
                 d.mark_supernode(s);
+                // The next probe into `s` builds a fanout that sends
+                // every page to this slot, to count what it goes without.
+                self.cache.remove(GraphKey::Fanout(s));
             }
         }
         Ok(())
@@ -636,17 +700,47 @@ impl SNode {
         }
     }
 
-    /// `Ok(None)` means the graph is quarantined (degraded mode only).
-    fn superedge(&self, s: u32, edge_idx: u32, j: u32) -> Result<Option<Arc<CachedGraph>>> {
-        if let Some(d) = &self.degrade {
-            if d.read().quarantined_super.contains(&(s, j)) {
-                return Ok(None);
-            }
+    /// The fanout of supernode `s`. A miss builds it from what a cold probe
+    /// reads of every out-superedge graph anyway — the checksummed blob,
+    /// parsed as far as `sources` — and leaves those graphs in `parsed`
+    /// for the caller to admit the ones its pages need.
+    fn fanout(
+        &self,
+        s: u32,
+        parsed: &mut Vec<Option<ParsedSuperedge>>,
+    ) -> Result<Arc<CachedGraph>> {
+        let key = GraphKey::Fanout(s);
+        if let Some(f) = self.cache.get(key) {
+            return Ok(f);
         }
-        let key = GraphKey::Super(s, j);
-        if let Some(g) = self.cache.get(key) {
-            return Ok(Some(g));
+        parsed.clear();
+        for (k, &j) in (0u32..).zip(&self.meta.supergraph.adj[s as usize]) {
+            parsed.push(if self.superedge_quarantined(s, j) {
+                None
+            } else {
+                self.read_superedge(s, k, j)?
+            });
         }
+        let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
+        let built = Fanout::build(
+            self.meta.supernode_size(s),
+            parsed.iter().map(|p| p.as_ref().map(|(_, index)| index)),
+        );
+        if let Some(sw) = sw {
+            wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
+        }
+        Ok(self.cache.insert(key, CachedGraph::Fanout(built?)))
+    }
+
+    fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
+        self.degrade
+            .as_ref()
+            .is_some_and(|d| d.read().quarantined_super.contains(&(s, j)))
+    }
+
+    /// Reads, checksums and parses superedge graph `edge_idx` of `s`;
+    /// `Ok(None)` means it failed and was quarantined (degraded mode only).
+    fn read_superedge(&self, s: u32, edge_idx: u32, j: u32) -> Result<Option<ParsedSuperedge>> {
         let loc = self.meta.superedge_loc[s as usize][edge_idx as usize];
         let blob_idx = self.blob_base[s as usize] + 1 + u64::from(edge_idx);
         let ni = u64::from(self.meta.supernode_size(s));
@@ -661,15 +755,43 @@ impl SNode {
             wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
         }
         match parsed {
-            Ok((bytes, index)) => Ok(Some(self.cache.insert(
-                key,
-                CachedGraph::new_encoded_super(bytes, loc.bit_len, index, nj),
-            ))),
+            Ok(parsed) => Ok(Some(parsed)),
             Err(e) => {
                 self.quarantine(Quarantine::Super(s, j), e)?;
                 Ok(None)
             }
         }
+    }
+
+    /// Superedge graph `edge_idx` of `s`, from the cache, else from
+    /// `parsed` (this probe's fanout build already read it), else from
+    /// disk. `Ok(None)` means the graph is quarantined (degraded mode
+    /// only).
+    fn superedge(
+        &self,
+        s: u32,
+        edge_idx: u32,
+        j: u32,
+        mut parsed: Option<ParsedSuperedge>,
+    ) -> Result<Option<Arc<CachedGraph>>> {
+        if self.superedge_quarantined(s, j) {
+            return Ok(None);
+        }
+        let key = GraphKey::Super(s, j);
+        if let Some(g) = self.cache.get(key) {
+            return Ok(Some(g));
+        }
+        if parsed.is_none() {
+            parsed = self.read_superedge(s, edge_idx, j)?;
+        }
+        let bit_len = self.meta.superedge_loc[s as usize][edge_idx as usize].bit_len;
+        let nj = u64::from(self.meta.supernode_size(j));
+        Ok(parsed.map(|(bytes, index)| {
+            self.cache.insert(
+                key,
+                CachedGraph::new_encoded_super(bytes, bit_len, index, nj),
+            )
+        }))
     }
 }
 
@@ -681,6 +803,8 @@ pub struct SNodeInMemory {
     intra: Vec<(Vec<u8>, u64, ListsIndex)>,
     /// Per supernode, per superedge (order of `supergraph.adj[s]`).
     supers: Vec<Vec<(Vec<u8>, u64, SuperedgeIndex)>>,
+    /// Per supernode: which of `supers[s]` hold a list for each page.
+    fanout: Vec<Fanout>,
 }
 
 impl SNodeInMemory {
@@ -714,6 +838,7 @@ impl SNodeInMemory {
         let mut blob_idx = 0usize;
         let mut intra = Vec::with_capacity(n as usize);
         let mut supers = Vec::with_capacity(n as usize);
+        let mut fanout = Vec::with_capacity(n as usize);
         for s in 0..n {
             let loc = meta.intranode_loc[s as usize];
             let bytes = files.read(&loc)?;
@@ -734,12 +859,17 @@ impl SNodeInMemory {
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
                 row.push((bytes, loc.bit_len, index));
             }
+            fanout.push(Fanout::build(
+                meta.supernode_size(s),
+                row.iter().map(|(_, _, index)| Some(index)),
+            )?);
             supers.push(row);
         }
         Ok(Self {
             meta,
             intra,
             supers,
+            fanout,
         })
     }
 
@@ -769,8 +899,10 @@ impl SNodeInMemory {
                 parts.push((s_start, list));
             }
         }
-        for (k, &j) in self.meta.supergraph.adj[s as usize].iter().enumerate() {
-            let (bytes, bits, index) = &self.supers[s as usize][k];
+        let fanout = &self.fanout[s as usize];
+        for &k in fanout.always().iter().chain(fanout.slots_of(local)) {
+            let j = self.meta.supergraph.adj[s as usize][k as usize];
+            let (bytes, bits, index) = &self.supers[s as usize][k as usize];
             let nj = u64::from(self.meta.supernode_size(j));
             let list = index.targets_of(bytes, *bits, u64::from(local), nj)?;
             if !list.is_empty() {
@@ -1076,18 +1208,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A probe loads its supernode's intranode graph, its fanout, and
+    /// exactly the superedge graphs that hold a list for its page — not
+    /// one entry per out-superedge of the supernode.
     #[test]
     fn cache_log_shows_loaded_graph_counts() {
-        let (dir, _graph, _renum, _) = build_repo("log", 100);
+        let (dir, graph, _renum, _) = build_repo("log", 100);
         let snode = SNode::open(&dir, 8 << 20).unwrap();
         snode.enable_cache_log();
-        // One page's adjacency touches its intranode graph and its
-        // supernode's out-superedge graphs, nothing else.
-        snode.out_neighbors(0).unwrap();
-        let log = snode.take_cache_log();
-        let s = snode.supernode_of(0);
-        let expected_loads = 1 + snode.meta().supergraph.adj[s as usize].len();
-        assert_eq!(log.len(), expected_loads, "only relevant graphs load");
+        let meta = snode.meta();
+        let files = IndexFileReader::open(&dir).unwrap();
+        let mut spared = 0usize;
+        for p in 0..graph.num_nodes() {
+            let s = snode.supernode_of(p);
+            let local = p - snode.page_range(s).start;
+            let ni = u64::from(meta.supernode_size(s));
+            let mut expected = vec![GraphKey::Intra(s), GraphKey::Fanout(s)];
+            for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
+                let loc = meta.superedge_loc[s as usize][k];
+                let nj = u64::from(meta.supernode_size(j));
+                let bytes = files.read(&loc).unwrap();
+                let index =
+                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
+                        .unwrap();
+                if index.kind == crate::subgraphs::SuperedgeKind::Negative
+                    || index.sources().contains(&local)
+                {
+                    expected.push(GraphKey::Super(s, j));
+                } else {
+                    spared += 1;
+                }
+            }
+            snode.clear_cache();
+            snode.take_cache_log();
+            snode.out_neighbors(p).unwrap();
+            let loads: Vec<GraphKey> = snode
+                .take_cache_log()
+                .into_iter()
+                .filter_map(|ev| match ev {
+                    CacheEvent::Load(key) => Some(key),
+                    CacheEvent::Unload(_) => None,
+                })
+                .collect();
+            assert_eq!(loads, expected, "page {p}");
+        }
+        assert!(spared > 0, "some graph must hold nothing for some page");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

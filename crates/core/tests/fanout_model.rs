@@ -1,0 +1,299 @@
+//! The fanout against a reference model: for every page, the superedge
+//! graphs a probe consults are the ones that store a list for it, answers
+//! equal the source graph whatever the cache budget or read mode, and
+//! damage to one superedge blob costs exactly that blob's part.
+
+// Test code: unwrap on setup failure is the desired behaviour.
+#![allow(clippy::unwrap_used)]
+
+use std::path::{Path, PathBuf};
+use wg_corpus::{Corpus, CorpusConfig};
+use wg_graph::Graph;
+use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey, DEFAULT_CACHE_SHARDS};
+use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
+use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
+use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+
+/// A generated 3k-page corpus plus every link from the pages of one host
+/// to the pages of a host in another domain — a superedge graph stored
+/// negative — built under `codec`. Returns the directory and, per page in
+/// the representation's numbering, its sorted adjacency list.
+fn build_block_corpus(name: &str, codec: &str) -> (PathBuf, Vec<Vec<u32>>) {
+    let corpus = Corpus::generate(CorpusConfig::scaled(3000, 5));
+    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+    let from = &corpus.hosts[0];
+    let to = (corpus.hosts.iter())
+        .find(|h| h.domain != from.domain && h.pages_by_url.len() >= 8)
+        .expect("a second domain");
+    let block =
+        (from.pages_by_url.iter()).flat_map(|&u| to.pages_by_url.iter().map(move |&v| (u, v)));
+    let graph = Graph::from_edges(corpus.num_pages(), corpus.graph.edges().chain(block));
+
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("wg_snode_fanout_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = RepoInput {
+        urls: &urls,
+        domains: &domains,
+        graph: &graph,
+    };
+    let config = SNodeConfig {
+        codec: CodecConfig::parse(codec).unwrap(),
+        ..SNodeConfig::default()
+    };
+    let (stats, renum) = build_snode(input, &config, &dir).unwrap();
+    assert!(stats.negative_superedges >= 1, "the dense block");
+    let truth = (renum.old_of_new.iter())
+        .map(|&old| {
+            let mut l: Vec<u32> = (graph.neighbors(old).iter())
+                .map(|&t| renum.new_of_old[t as usize])
+                .collect();
+            l.sort_unstable();
+            l
+        })
+        .collect();
+    (dir, truth)
+}
+
+/// Every out-superedge graph of supernode `s`, parsed from the files.
+fn superedges_of(meta: &SNodeMeta, files: &IndexFileReader, s: u32) -> Vec<SuperedgeIndex> {
+    let ni = u64::from(meta.supernode_size(s));
+    (meta.supergraph.adj[s as usize].iter())
+        .zip(&meta.superedge_loc[s as usize])
+        .map(|(&j, loc)| {
+            let nj = u64::from(meta.supernode_size(j));
+            let bytes = files.read(loc).unwrap();
+            SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).unwrap()
+        })
+        .collect()
+}
+
+fn loads(snode: &SNode) -> Vec<GraphKey> {
+    (snode.take_cache_log().into_iter())
+        .filter_map(|ev| match ev {
+            CacheEvent::Load(key) => Some(key),
+            CacheEvent::Unload(_) => None,
+        })
+        .collect()
+}
+
+#[test]
+fn fanout_names_exactly_the_graphs_that_list_a_page() {
+    for (name, codec) in [("model_g", "g"), ("model_gst", "g+st")] {
+        let (dir, truth) = build_block_corpus(name, codec);
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let files = IndexFileReader::open(&dir).unwrap();
+        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        snode.enable_cache_log();
+        let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
+        for s in 0..meta.num_supernodes() {
+            let graphs = superedges_of(&meta, &files, s);
+            let fanout = Fanout::build(meta.supernode_size(s), graphs.iter().map(Some)).unwrap();
+            negatives += fanout.always().len();
+            for p in meta.page_range(s) {
+                let local = p - meta.page_range(s).start;
+                let model: Vec<u32> = (0u32..)
+                    .zip(&graphs)
+                    .filter(|(_, g)| {
+                        g.kind == SuperedgeKind::Negative || g.sources().contains(&local)
+                    })
+                    .map(|(k, _)| k)
+                    .collect();
+                let mut got: Vec<u32> = [fanout.always(), fanout.slots_of(local)].concat();
+                got.sort_unstable();
+                assert_eq!(got, model, "{codec}: page {p}");
+                named += model.len();
+                out_superedges += graphs.len();
+
+                // And a cold probe through the handle loads just those.
+                snode.clear_cache();
+                snode.take_cache_log();
+                assert_eq!(snode.out_neighbors(p).unwrap(), truth[p as usize]);
+                let mut expected = vec![GraphKey::Intra(s), GraphKey::Fanout(s)];
+                let row = &meta.supergraph.adj[s as usize];
+                expected.extend(model.iter().map(|&k| GraphKey::Super(s, row[k as usize])));
+                assert_eq!(loads(&snode), expected, "{codec}: page {p}");
+            }
+        }
+        assert!(
+            negatives >= 1,
+            "{codec}: a negative graph is consulted by every page"
+        );
+        assert!(
+            named * 4 < out_superedges,
+            "{codec}: {named} graphs named of {out_superedges} out-superedges"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn answers_hold_under_every_budget_and_read_mode() {
+    for (name, codec) in [("budget_g", "g"), ("budget_gst", "g+st")] {
+        let (dir, truth) = build_block_corpus(name, codec);
+        for budget in [1usize << 10, 1 << 20, 256 << 20] {
+            let positioned = SNode::open(&dir, budget).unwrap();
+            let resident = SNode::open_resident(&dir, budget).unwrap();
+            for (p, want) in (0u32..).zip(&truth) {
+                assert_eq!(
+                    &positioned.out_neighbors(p).unwrap(),
+                    want,
+                    "{codec} {budget} {p}"
+                );
+                assert_eq!(
+                    &resident.out_neighbors(p).unwrap(),
+                    want,
+                    "{codec} {budget} {p}"
+                );
+            }
+            assert_eq!(
+                positioned.cache_stats(),
+                resident.cache_stats(),
+                "{codec} {budget}"
+            );
+            assert_eq!(
+                positioned.disk_reads(),
+                resident.disk_reads(),
+                "{codec} {budget}"
+            );
+        }
+        // The batched path draws each group's graphs from the union of
+        // its pages' rows.
+        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let pages: Vec<u32> = (0..truth.len() as u32).rev().step_by(3).collect();
+        let mut seen = 0usize;
+        snode
+            .out_neighbors_batch(&pages, &mut |p, list| {
+                assert_eq!(list, truth[p as usize], "{codec}: batched page {p}");
+                seen += 1;
+            })
+            .unwrap();
+        assert_eq!(seen, pages.len());
+
+        let mem = SNodeInMemory::load(&dir).unwrap();
+        for (p, want) in (0u32..).zip(&truth) {
+            assert_eq!(
+                &mem.out_neighbors(p).unwrap(),
+                want,
+                "{codec}: in-memory page {p}"
+            );
+        }
+        let graph = mem.to_graph().unwrap();
+        for (p, want) in (0u32..).zip(&truth) {
+            assert_eq!(
+                graph.neighbors(p),
+                want.as_slice(),
+                "{codec}: to_graph page {p}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A supernode with at least two out-superedges, one of its positive
+/// superedge slots, and the first source page of that graph.
+fn pick_positive_superedge(meta: &SNodeMeta, files: &IndexFileReader) -> (u32, usize, u32) {
+    (0..meta.num_supernodes())
+        .find_map(|s| {
+            let graphs = superedges_of(meta, files, s);
+            if graphs.len() < 2 {
+                return None;
+            }
+            let k = (graphs.iter())
+                .position(|g| g.kind == SuperedgeKind::Positive && !g.sources().is_empty())?;
+            Some((s, k, graphs[k].sources()[0]))
+        })
+        .expect("a supernode with a positive out-superedge")
+}
+
+fn flip_byte(dir: &Path, file: u32, offset: u64) {
+    let path = index_file_path(dir, file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[offset as usize] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+}
+
+#[test]
+fn one_flipped_superedge_byte_costs_exactly_that_part() {
+    let (dir, truth) = build_block_corpus("flip", "g");
+    let meta = SNodeMeta::read(&dir).unwrap();
+    let files = IndexFileReader::open(&dir).unwrap();
+    let (s, k, source) = pick_positive_superedge(&meta, &files);
+    drop(files);
+    let loc = meta.superedge_loc[s as usize][k];
+    flip_byte(&dir, loc.file, loc.offset);
+    let range = meta.page_range(s);
+    let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
+
+    // Strict: the first probe into the supernode fails — the fanout build
+    // reads and checksums every out-superedge blob — whether or not the
+    // page had a list in the damaged graph; other supernodes answer.
+    let strict = SNode::open(&dir, 1 << 20).unwrap();
+    for p in range.clone() {
+        assert!(strict.out_neighbors(p).is_err(), "strict page {p}");
+    }
+    let elsewhere = if s == 0 { meta.page_range(1).start } else { 0 };
+    assert_eq!(
+        strict.out_neighbors(elsewhere).unwrap(),
+        truth[elsewhere as usize]
+    );
+
+    // Degraded: quarantined by the build, every later answer omits that
+    // part only, and each access to the supernode counts one skip.
+    let degraded = SNode::open_degraded(&dir, 1 << 20).unwrap();
+    let mut accesses = 0u64;
+    for round in 0..2 {
+        for p in range.clone() {
+            let want: Vec<u32> = (truth[p as usize].iter().copied())
+                .filter(|t| !lost.contains(t))
+                .collect();
+            assert_eq!(
+                degraded.out_neighbors(p).unwrap(),
+                want,
+                "round {round} page {p}"
+            );
+            accesses += 1;
+            let report = degraded.degraded();
+            assert_eq!(report.quarantined_supernodes, 1);
+            assert_eq!(report.skipped_edges, accesses, "one skip per access");
+        }
+    }
+    let first = range.start + source;
+    assert!(
+        truth[first as usize].iter().any(|t| lost.contains(t)),
+        "the damaged graph held a list of page {first}"
+    );
+    assert_eq!(degraded.integrity_stats().1, 1, "found once, not re-read");
+    for p in (0..truth.len() as u32).filter(|p| !range.contains(p)) {
+        assert_eq!(degraded.out_neighbors(p).unwrap(), truth[p as usize]);
+    }
+    assert_eq!(degraded.degraded().skipped_edges, accesses);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fanout_bigger_than_its_shard_is_still_admitted() {
+    let (dir, truth) = build_block_corpus("giant", "g");
+    let meta = SNodeMeta::read(&dir).unwrap();
+    let files = IndexFileReader::open(&dir).unwrap();
+    let budget = 1usize << 10;
+    let s = (0..meta.num_supernodes())
+        .max_by_key(|&s| meta.supernode_size(s))
+        .unwrap();
+    let graphs = superedges_of(&meta, &files, s);
+    let fanout = Fanout::build(meta.supernode_size(s), graphs.iter().map(Some)).unwrap();
+    assert!(CachedGraph::Fanout(fanout).bytes() > budget / DEFAULT_CACHE_SHARDS);
+
+    let snode = SNode::open(&dir, budget).unwrap();
+    snode.enable_cache_log();
+    for p in meta.page_range(s) {
+        assert_eq!(
+            snode.out_neighbors(p).unwrap(),
+            truth[p as usize],
+            "page {p}"
+        );
+    }
+    assert!(loads(&snode).contains(&GraphKey::Fanout(s)));
+    std::fs::remove_dir_all(&dir).ok();
+}
