@@ -608,7 +608,9 @@ fn check_superedge(
         }
     };
     // The analyzer reads every stored list, so it asks for the list count
-    // — and with it the list-stream directory — straight after the parse.
+    // and the end of the payload — and with them the list-stream directory
+    // or the dictionary, which parsing leaves unread — straight after the
+    // parse.
     let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).and_then(
         |index| {
             let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;
@@ -722,8 +724,10 @@ fn check_superedge(
         }
     }
 
-    // The single-target dictionary layout has no reference directory to
-    // audit; its slots were validated during parse.
+    // The reference forest of whatever list stream the graph stores: its
+    // per-source lists, or a list dictionary's entries. (A single-target
+    // dictionary stores none; decoding it, above, validated every index
+    // against its entries.)
     if let Some(lists) = index.lists() {
         match lists.reference_parents(&bytes, loc.bit_len) {
             Ok(parents) => audit_ref_chains(&parents, here, diags),

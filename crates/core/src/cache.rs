@@ -12,7 +12,7 @@
 //! same budget.
 
 use crate::refenc::{DecodeMemo, ListsIndex};
-use crate::subgraphs::{SuperedgeIndex, SuperedgeKind};
+use crate::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -394,7 +394,12 @@ impl CachedGraph {
     ) -> Self {
         let data = data.into();
         let encoded = data.len() + index.heap_bytes();
-        let cap = Self::memo_cap(encoded);
+        // A single-target dictionary answers from two arrays: there is no
+        // decoded list to keep, so no memo to reserve budget for.
+        let cap = match index.layout() {
+            Layout::SingleTargets => 0,
+            Layout::Lists | Layout::ListDictionary => Self::memo_cap(encoded),
+        };
         let bytes = encoded + cap + Self::FIXED_BYTES;
         CachedGraph::EncodedSuper {
             data,

@@ -18,7 +18,7 @@
 //!   S-Node page ids (old-of-new), kept separate because it is shared
 //!   repository metadata, not part of the graph representation proper.
 
-use crate::codec::CodecConfig;
+use crate::codec::{CodecConfig, SuperedgeLayouts};
 use crate::supergraph::SupernodeGraph;
 use crate::{Result, SNodeError};
 use std::fs::File;
@@ -28,20 +28,32 @@ use std::path::{Path, PathBuf};
 const META_MAGIC: u32 = 0x534E_4F44; // "SNOD"
 /// Format version written by this build. Version 2 added the codec word
 /// (one `u32` after the version) recording the per-list-class codec
-/// choice; version-1 directories are still readable and decode with the
-/// γ baseline, whose bit streams are identical to what they were built
-/// with (ζ₁ = γ).
-const META_VERSION: u32 = 2;
+/// choice; version 3 added the list dictionary to the layouts a positive
+/// superedge graph chooses between (and with it a second marker bit, see
+/// [`crate::codec::SuperedgeLayouts`]). Directories of every earlier version stay
+/// readable: version 1 decodes with the γ baseline, whose bit streams are
+/// identical to what it was built with (ζ₁ = γ), version 2 with the
+/// codec word it carries.
+const META_VERSION: u32 = 3;
 const PAGEMAP_MAGIC: u32 = 0x534E_504D; // "SNPM"
 
 /// Reads the version + optional codec word; shared by full parse and the
 /// supergraph-section reader so both accept the same set of versions.
 fn read_version_and_codec(c: &mut Cursor<'_>) -> Result<CodecConfig> {
-    match c.u32()? {
-        1 => Ok(CodecConfig::GAMMA),
-        2 => CodecConfig::from_header(c.u32()?),
-        _ => Err(SNodeError::Corrupt("unsupported meta version")),
+    let version = c.u32()?;
+    let codec = match version {
+        1 => return Ok(CodecConfig::GAMMA),
+        2 | 3 => CodecConfig::from_header(c.u32()?)?,
+        _ => return Err(SNodeError::Corrupt("unsupported meta version")),
+    };
+    // The v3 layouts under a v2 version word: that bit was reserved.
+    let priced = |l: crate::codec::ListCodec| l.layouts == SuperedgeLayouts::Priced;
+    if version == 2 && (priced(codec.intra) || priced(codec.superedge)) {
+        return Err(SNodeError::Corrupt(
+            "version-2 header names the version-3 superedge layouts",
+        ));
     }
+    Ok(codec)
 }
 
 /// Location of one encoded graph inside the index files.

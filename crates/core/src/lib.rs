@@ -25,12 +25,13 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`refenc`] | §3.1 | affinity graph, Chu–Liu/Edmonds arborescence, windowed reference selection, list codec |
-//! | [`codec`] | — | per-list-class codec selection: ζ_k gaps, interval runs, copy blocks |
+//! | [`codec`] | — | per-list-class codec selection: ζ_k gaps, interval runs, copy blocks, superedge layouts |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
 //! | [`kmeans`] | §3.2 | k-means over supernode-adjacency bit vectors |
 //! | [`partition`] | §3.2 | URL split, clustered split, iterative refinement loop |
 //! | [`supergraph`] | §3.3 | supernode graph + Huffman encoding + pointer accounting |
-//! | [`subgraphs`] | §2, §3.3 | intranode / positive / negative superedge graph codecs |
+//! | [`subgraphs`] | §2, §3.3 | intranode / positive / negative superedge graph codecs; a positive graph's three layouts |
+//! | [`bits`] | Table 1 | every bit of a directory, by class of stored material (`wgr stats --bits`) |
 //! | [`disk`] | §3.3 | index files, linear ordering, PageID index, domain index |
 //! | [`cache`] | §4.3 | memory-budgeted decoded-graph cache with load/unload instrumentation |
 //! | [`build`] | §3 | end-to-end construction: refine → renumber → encode → write |
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bits;
 pub mod build;
 pub mod cache;
 pub mod codec;

@@ -794,8 +794,24 @@ fn split_intervals(list: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
 // --- Cost model ----------------------------------------------------------
 
 /// Cost in bits of a plain payload for `list` (excluding the directory).
-fn plain_cost(list: &[u32], universe: u64, codec: ListCodec) -> u64 {
+pub(crate) fn plain_cost(list: &[u32], universe: u64, codec: ListCodec) -> u64 {
     1 + bounded_gap_list_len(list, universe, codec)
+}
+
+/// A floor under [`plan_lists`]' `total_bits` for a stream of lists whose
+/// [`plain_cost`]s are `plain`, in any [`RefMode`]: the stream header, and
+/// for every list the cheaper of its plain payload and the smallest
+/// payload a reference can have — mode bit, the shortest parent codeword,
+/// a one-bit mask, an empty extras list. One pass over the costs where
+/// reference selection makes a window of probes per list, so a caller
+/// with another price in hand can tell that selection is not worth running.
+pub(crate) fn stream_bits_floor(plain: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let n = plain.len() as u64;
+    let reference = match n {
+        0 | 1 => u64::MAX, // nothing to refer to
+        _ => 1 + codes::minimal_binary_len(0, n) + 1 + codes::gamma_len(0),
+    };
+    codes::gamma_len(n) + 1 + plain.map(|p| p.min(reference)).sum::<u64>()
 }
 
 /// Copy-mask and extras of one reference probe. Owned by the caller of
@@ -1526,7 +1542,7 @@ mod tests {
                         zeta_k: k,
                         intervals: iv,
                         copy_blocks: cb,
-                        singles: false,
+                        ..ListCodec::GAMMA
                     });
                 }
             }
@@ -1901,7 +1917,7 @@ mod tests {
             zeta_k: 3,
             intervals: true,
             copy_blocks: true,
-            singles: false,
+            ..ListCodec::GAMMA
         };
         let enc = encode_lists(&lists, universe, RefMode::Windowed(4), codec);
         // Truncation at every bit boundary.

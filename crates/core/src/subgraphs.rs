@@ -4,17 +4,24 @@
 //!   supernode, in local page indices (0..|Ni|), reference-encoded.
 //! * A **superedge graph** for superedge `i → j` holds the bipartite links
 //!   from `Ni` into `Nj`. It is stored either **positive** (the links that
-//!   exist: a gap-coded list of source pages that have any target, plus one
-//!   reference-encoded target list per such source) or **negative** (the
-//!   complement: one target list per *every* source of `Ni`, listing the
-//!   `Nj` pages it does **not** link to). The representation with the
-//!   smaller encoding wins; the paper's simpler edge-count heuristic is
-//!   available behind [`SuperedgePolicy::EdgeCount`] for the ablation.
+//!   exist: a gap-coded list of source pages that have any target, plus
+//!   their target lists) or **negative** (the complement: one target list
+//!   per *every* source of `Ni`, listing the `Nj` pages it does **not**
+//!   link to). The representation with the smaller encoding wins; the
+//!   paper's simpler edge-count heuristic is available behind
+//!   [`SuperedgePolicy::EdgeCount`] for the ablation.
+//! * A positive graph stores its target lists in one of three
+//!   **layouts** ([`Layout`]), again whichever encodes smallest: one
+//!   reference-encoded list per source (the paper's), or — because most
+//!   superedge graphs of a crawl are template links, the same one or two
+//!   lists repeated down a site — a dictionary of the distinct targets or
+//!   of the distinct lists, plus one index per source.
 
-use crate::codec::ListCodec;
+use crate::codec::{ListCodec, SuperedgeLayouts};
 use crate::refenc::{
-    bounded_gap_list_len, encode_lists_planned, encode_lists_t, plan_lists, EncodedLists,
-    ListsIndex, ListsPlan, ListsReader, RefMode, Universe,
+    bounded_gap_list_len, encode_lists_planned, encode_lists_t, plain_cost, plan_lists,
+    read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, EncodedLists, ListsIndex,
+    ListsPlan, ListsReader, RefMode, Universe,
 };
 use crate::{Result, SNodeError};
 use std::sync::OnceLock;
@@ -167,70 +174,270 @@ pub fn encode_superedge_t(
     write_superedge_negative(&neg_lists, nj, &neg_plan, threads)
 }
 
-/// A planned positive encoding: the standard per-source list stream, or
-/// (when the codec's `singles` feature applies and wins) the
-/// single-target dictionary layout, with the exact bit cost of whichever
-/// was chosen.
+/// How a positive superedge graph stores its target lists. Declared in
+/// the order ties are broken in: of two layouts of equal size the graph
+/// takes the one that is cheaper to read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Layout {
+    /// Every source links to exactly one target: the sorted distinct
+    /// targets as one gap list, then one minimal-binary index into it per
+    /// source. A decode is two array lookups.
+    SingleTargets,
+    /// One reference-encoded list per source — the paper's format, and
+    /// the only layout of a negative graph.
+    Lists,
+    /// The distinct lists once, in order of first appearance, as an
+    /// ordinary reference-encoded stream, then one minimal-binary index
+    /// into them per source.
+    ListDictionary,
+}
+
+impl Layout {
+    /// The marker that names this layout after the kind bit of a positive
+    /// graph, or `None` where `layouts` does not offer it. A prefix code:
+    /// [`Layout::read`] is its decoder.
+    fn marker(self, layouts: SuperedgeLayouts) -> Option<&'static [bool]> {
+        match (layouts, self) {
+            (SuperedgeLayouts::Standard, Layout::Lists) => Some(&[]),
+            (SuperedgeLayouts::SingleTarget, Layout::Lists) => Some(&[false]),
+            (SuperedgeLayouts::SingleTarget | SuperedgeLayouts::Priced, Layout::SingleTargets) => {
+                Some(&[true])
+            }
+            (SuperedgeLayouts::Priced, Layout::Lists) => Some(&[false, false]),
+            (SuperedgeLayouts::Priced, Layout::ListDictionary) => Some(&[false, true]),
+            _ => None,
+        }
+    }
+
+    fn read(r: &mut BitReader<'_>, layouts: SuperedgeLayouts) -> Result<Layout> {
+        if layouts == SuperedgeLayouts::Standard {
+            return Ok(Layout::Lists);
+        }
+        if r.read_bit()? {
+            return Ok(Layout::SingleTargets);
+        }
+        Ok(match layouts {
+            SuperedgeLayouts::Priced if r.read_bit()? => Layout::ListDictionary,
+            _ => Layout::Lists,
+        })
+    }
+}
+
+/// A planned positive encoding: the layout chosen, what writing it needs,
+/// and its exact size.
 struct PositivePlan {
-    /// Plan for the standard list stream (used when `dict` is `None`).
-    plan: ListsPlan,
-    /// `Some((distinct targets, per-source dictionary index))` when the
-    /// dictionary layout is chosen.
-    dict: Option<(Vec<u32>, Vec<u32>)>,
+    body: PlannedBody,
     /// Exact encoded size in bits, kind and marker bits included.
     bits: u64,
 }
 
-/// Prices both positive layouts and keeps the cheaper one.
+enum PlannedBody {
+    SingleTargets {
+        dict: Vec<u32>,
+        index: Vec<u32>,
+    },
+    Lists(ListsPlan),
+    ListDictionary {
+        dict: Vec<Vec<u32>>,
+        plan: ListsPlan,
+        index: Vec<u32>,
+    },
+}
+
+impl PositivePlan {
+    fn layout(&self) -> Layout {
+        match self.body {
+            PlannedBody::SingleTargets { .. } => Layout::SingleTargets,
+            PlannedBody::Lists(_) => Layout::Lists,
+            PlannedBody::ListDictionary { .. } => Layout::ListDictionary,
+        }
+    }
+
+    /// What the choice between plans minimises: size, then [`Layout`]'s
+    /// order.
+    fn rank(&self) -> (u64, Layout) {
+        (self.bits, self.layout())
+    }
+}
+
+/// The distinct lists of a positive graph, each named by the stored list
+/// that first holds it, and every stored list's position among them.
+struct Distinct {
+    first: Vec<u32>,
+    index: Vec<u32>,
+}
+
+impl Distinct {
+    fn of(lists: &[Vec<u32>]) -> Self {
+        let mut first = Vec::new();
+        let mut seen = std::collections::HashMap::with_capacity(lists.len());
+        let index = (0u32..)
+            .zip(lists)
+            .map(|(i, list)| {
+                *seen.entry(list.as_slice()).or_insert_with(|| {
+                    first.push(i);
+                    first.len() as u32 - 1
+                })
+            })
+            .collect();
+        Self { first, index }
+    }
+}
+
+/// Size of the per-source indexes into a dictionary of `entries`, in
+/// either dictionary layout.
+fn index_bits(index: &[u32], entries: usize) -> u64 {
+    let index = index.iter();
+    index
+        .map(|&i| codes::minimal_binary_len(u64::from(i), entries as u64))
+        .sum()
+}
+
+/// Prices the layouts `codec.layouts` offers for a positive graph and
+/// keeps the smallest, cheapest first: each layout gets a floor that costs
+/// one pass over the lists, the layouts are priced exactly in order of
+/// their floors, and pricing stops at the first floor the best exact price
+/// so far already beats — so windowed reference selection over all the
+/// stored lists, the expensive candidate, runs only for a graph the
+/// dictionaries might lose. The winner is the one pricing every layout
+/// exactly would pick.
 fn plan_positive(
     links: SuperedgeLinks<'_>,
     mode: RefMode,
     codec: ListCodec,
     threads: u32,
 ) -> PositivePlan {
-    let SuperedgeLinks {
-        sources,
-        lists,
-        ni,
-        nj,
-    } = links;
-    let plan = plan_lists(lists, nj, mode, codec, threads);
-    let marker = u64::from(codec.singles);
-    let sources_bits = bounded_gap_list_len(sources, ni, codec);
-    let standard = 1 + marker + sources_bits + plan.total_bits;
-    if codec.singles {
-        if let Some((dict, index)) = single_target_dict(lists) {
-            let index_bits: u64 = index
-                .iter()
-                .map(|&i| codes::minimal_binary_len(u64::from(i), dict.len() as u64))
-                .sum();
-            let bits = 2 + sources_bits + bounded_gap_list_len(&dict, nj, codec) + index_bits;
-            if bits < standard {
-                return PositivePlan {
-                    plan,
-                    dict: Some((dict, index)),
-                    bits,
-                };
-            }
+    let pricer = Pricer::new(links, mode, codec, threads);
+    if codec.layouts == SuperedgeLayouts::Standard {
+        return pricer.price(Layout::Lists);
+    }
+    let mut floors: Vec<(u64, Layout)> =
+        [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
+            .into_iter()
+            .filter_map(|layout| Some((pricer.floor(layout)?, layout)))
+            .collect();
+    floors.sort_unstable();
+    let mut floors = floors.into_iter();
+    // `Layout::Lists` always has a floor, so there is a first.
+    let mut best = pricer.price(floors.next().map_or(Layout::Lists, |(_, layout)| layout));
+    for (floor, layout) in floors {
+        if best.rank() <= (floor, layout) {
+            break;
+        }
+        let plan = pricer.price(layout);
+        if plan.rank() < best.rank() {
+            best = plan;
         }
     }
-    PositivePlan {
-        plan,
-        dict: None,
-        bits: standard,
+    best
+}
+
+/// One positive graph's links with what every layout's price shares.
+struct Pricer<'a> {
+    links: SuperedgeLinks<'a>,
+    mode: RefMode,
+    codec: ListCodec,
+    threads: u32,
+    /// Kind bit and `sources`: what every layout starts with, the marker
+    /// aside.
+    preamble_bits: u64,
+    /// Found when the list dictionary is first asked about.
+    distinct: std::cell::OnceCell<Distinct>,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(links: SuperedgeLinks<'a>, mode: RefMode, codec: ListCodec, threads: u32) -> Self {
+        Self {
+            links,
+            mode,
+            codec,
+            threads,
+            preamble_bits: 1 + bounded_gap_list_len(links.sources, links.ni, codec),
+            distinct: std::cell::OnceCell::new(),
+        }
+    }
+
+    fn distinct(&self) -> &Distinct {
+        self.distinct.get_or_init(|| Distinct::of(self.links.lists))
+    }
+
+    fn plain_cost(&self, stored: u32) -> u64 {
+        plain_cost(
+            &self.links.lists[stored as usize],
+            self.links.nj,
+            self.codec,
+        )
+    }
+
+    /// A lower bound on [`Pricer::price`]'s `bits` for `layout`, or `None`
+    /// where the layout is not on offer or cannot be the choice.
+    fn floor(&self, layout: Layout) -> Option<u64> {
+        let lists = self.links.lists;
+        let marker = layout.marker(self.codec.layouts)?.len() as u64;
+        let body = match layout {
+            Layout::SingleTargets => {
+                if lists.is_empty() || lists.iter().any(|l| l.len() != 1) {
+                    return None;
+                }
+                // Its exact price is one sort away, so no floor is worth
+                // computing: this one puts it first in line.
+                0
+            }
+            Layout::Lists => stream_bits_floor((0..lists.len() as u32).map(|i| self.plain_cost(i))),
+            Layout::ListDictionary => {
+                let Distinct { first, index } = self.distinct();
+                // With every list distinct the dictionary is the list
+                // stream, and the indexes come on top.
+                if first.len() == lists.len() {
+                    return None;
+                }
+                stream_bits_floor(first.iter().map(|&i| self.plain_cost(i)))
+                    + index_bits(index, first.len())
+            }
+        };
+        Some(self.preamble_bits + marker + body)
+    }
+
+    /// The exact encoding of the graph in `layout`, which must be one
+    /// [`Pricer::floor`] returned a floor for.
+    fn price(&self, layout: Layout) -> PositivePlan {
+        let SuperedgeLinks { lists, nj, .. } = self.links;
+        let (mode, codec, threads) = (self.mode, self.codec, self.threads);
+        let marker = layout.marker(codec.layouts).map_or(0, <[bool]>::len) as u64;
+        let (body, body_bits) = match layout {
+            Layout::SingleTargets => {
+                let (dict, index) = single_target_dict(lists);
+                let bits = bounded_gap_list_len(&dict, nj, codec) + index_bits(&index, dict.len());
+                (PlannedBody::SingleTargets { dict, index }, bits)
+            }
+            Layout::Lists => {
+                let plan = plan_lists(lists, nj, mode, codec, threads);
+                let bits = plan.total_bits;
+                (PlannedBody::Lists(plan), bits)
+            }
+            Layout::ListDictionary => {
+                let Distinct { first, index } = self.distinct();
+                let first = first.iter();
+                let dict: Vec<Vec<u32>> = first.map(|&i| lists[i as usize].clone()).collect();
+                let index = index.clone();
+                let plan = plan_lists(&dict, nj, mode, codec, threads);
+                let bits = plan.total_bits + index_bits(&index, dict.len());
+                (PlannedBody::ListDictionary { dict, plan, index }, bits)
+            }
+        };
+        PositivePlan {
+            body,
+            bits: self.preamble_bits + marker + body_bits,
+        }
     }
 }
 
-/// When every (non-empty) source links to exactly one target, returns the
-/// sorted distinct targets and each source's index into them. Real crawls
-/// are full of such superedge graphs — site-template links where every
-/// page of one site points at one or two hub pages of another — and the
-/// per-source γ(len)+reference-flag overhead of the standard stream
-/// dwarfs their information content.
-fn single_target_dict(lists: &[Vec<u32>]) -> Option<(Vec<u32>, Vec<u32>)> {
-    if lists.is_empty() || lists.iter().any(|l| l.len() != 1) {
-        return None;
-    }
+/// The sorted distinct targets of single-target `lists` and each list's
+/// index into them. Real crawls are full of such superedge graphs —
+/// site-template links where every page of one site points at one or two
+/// hub pages of another — and the per-source γ(len)+reference-flag
+/// overhead of the list stream dwarfs their information content.
+fn single_target_dict(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
     let mut dict: Vec<u32> = lists.iter().map(|l| l[0]).collect();
     dict.sort_unstable();
     dict.dedup();
@@ -238,7 +445,7 @@ fn single_target_dict(lists: &[Vec<u32>]) -> Option<(Vec<u32>, Vec<u32>)> {
         .iter()
         .map(|l| dict.binary_search(&l[0]).unwrap_or_default() as u32)
         .collect();
-    Some((dict, index))
+    (dict, index)
 }
 
 /// Splits a dense per-source list array into (non-empty source ids, their
@@ -259,24 +466,30 @@ fn write_superedge_positive(
     threads: u32,
 ) -> EncodedSuperedge {
     let mut w = BitWriter::new();
+    // |Ni| is NOT stored: the resident supernode metadata knows every
+    // supernode's size, and the decoder receives it as a parameter.
     w.write_bit(false); // kind = positive
-                        // |Ni| is NOT stored: the resident supernode metadata knows every
-                        // supernode's size, and the decoder receives it as a parameter.
-    if codec.singles {
-        // Layout marker: dictionary (1) vs standard list stream (0).
-        w.write_bit(pos.dict.is_some());
-    }
-    crate::refenc::write_bounded_gap_list(&mut w, links.sources, links.ni, codec);
-    match &pos.dict {
-        Some((dict, index)) => {
-            crate::refenc::write_bounded_gap_list(&mut w, dict, links.nj, codec);
-            for &i in index {
-                codes::write_minimal_binary(&mut w, u64::from(i), dict.len() as u64);
-            }
+    let marker = pos.layout().marker(codec.layouts).unwrap_or_default();
+    marker.iter().for_each(|&bit| w.write_bit(bit));
+    write_bounded_gap_list(&mut w, links.sources, links.ni, codec);
+    let write_index = |w: &mut BitWriter, index: &[u32], entries: usize| {
+        for &i in index {
+            codes::write_minimal_binary(w, u64::from(i), entries as u64);
         }
-        None => {
-            let enc = encode_lists_planned(links.lists, links.nj, &pos.plan, threads);
+    };
+    match &pos.body {
+        PlannedBody::SingleTargets { dict, index } => {
+            write_bounded_gap_list(&mut w, dict, links.nj, codec);
+            write_index(&mut w, index, dict.len());
+        }
+        PlannedBody::Lists(plan) => {
+            let enc = encode_lists_planned(links.lists, links.nj, plan, threads);
             w.append(&enc.bytes, enc.bit_len);
+        }
+        PlannedBody::ListDictionary { dict, plan, index } => {
+            let enc = encode_lists_planned(dict, links.nj, plan, threads);
+            w.append(&enc.bytes, enc.bit_len);
+            write_index(&mut w, index, dict.len());
         }
     }
     let (bytes, bit_len) = w.finish();
@@ -377,23 +590,15 @@ pub struct SuperedgeIndex {
 
 /// How the stored lists of a superedge graph are materialised.
 ///
-/// The single-target dictionary body only ever pairs with
-/// [`SuperedgeKind::Positive`]: [`SuperedgeIndex::parse`] reads the
-/// layout marker exclusively on the positive path, so the invariant is
-/// structural, not checked.
+/// A dictionary body only ever pairs with [`SuperedgeKind::Positive`]:
+/// [`SuperedgeIndex::parse`] reads the layout marker exclusively on the
+/// positive path, so the invariant is structural, not checked.
 #[derive(Debug)]
 pub(crate) enum SuperedgeBody {
-    /// A reference-encoded list stream.
+    /// [`Layout::Lists`].
     Lists(ListStream),
-    /// `+st` layout: each stored list is `vec![dict[index[i]]]`. Both
-    /// vectors are fully materialised at parse time (they are tiny — one
-    /// index per source, one entry per distinct target), so decodes are
-    /// plain lookups.
-    SingleTargets {
-        dict: Vec<u32>,
-        index: Vec<u32>,
-        end_bit: u64,
-    },
+    /// [`Layout::SingleTargets`] or [`Layout::ListDictionary`].
+    Dictionary(DictionaryBody),
 }
 
 /// Where a superedge graph's list stream starts, and its directory once
@@ -428,15 +633,149 @@ impl ListStream {
     }
 }
 
+/// Where a positive graph's dictionary starts, and the dictionary once
+/// some access has needed it — lazy for [`ListStream`]'s reason: a probe
+/// parses every out-superedge graph of its supernode to build the
+/// [`crate::cache::Fanout`] and then asks the handful that hold its page.
+#[derive(Debug)]
+pub(crate) struct DictionaryBody {
+    /// Bit offset of the dictionary inside the graph's bytes.
+    start: u64,
+    /// [`Layout::SingleTargets`] or [`Layout::ListDictionary`].
+    layout: Layout,
+    /// How many entries the dictionary declares: the γ code it opens
+    /// with, whichever kind it is. Between one and `stored` (none for a
+    /// graph without sources), checked when it was read.
+    entries: u32,
+    /// How many indexes follow the entries: one per source.
+    stored: u32,
+    /// `|Nj|`, the universe of the entries.
+    nj: u64,
+    codec: ListCodec,
+    decoded: OnceLock<Dictionary>,
+}
+
+/// A decoded dictionary body.
+#[derive(Debug)]
+struct Dictionary {
+    entries: DictionaryEntries,
+    /// Per source, in `sources` order, its entry.
+    index: Vec<u32>,
+    /// First bit past the entries, where the indexes start.
+    index_start: u64,
+    /// First bit past the indexes.
+    end_bit: u64,
+}
+
+#[derive(Debug)]
+enum DictionaryEntries {
+    /// The distinct targets.
+    Targets(Vec<u32>),
+    /// Directory of the stream of distinct lists.
+    Lists(ListsIndex),
+}
+
+impl DictionaryBody {
+    /// Reads as much of the dictionary that starts where `r` stands as
+    /// tells what it will occupy once decoded — its entry count — for a
+    /// graph of `stored` sources. A builder writes one entry per distinct
+    /// list, so never more than there are sources, and `sources` is
+    /// already in memory: checked here, the count bounds every allocation
+    /// of [`DictionaryBody::decode`] and makes
+    /// [`SuperedgeIndex::heap_bytes`] exact before anything is decoded.
+    fn open(
+        r: &mut BitReader<'_>,
+        layout: Layout,
+        stored: usize,
+        nj: u64,
+        codec: ListCodec,
+    ) -> Result<Self> {
+        let start = r.position();
+        let entries = codes::read_gamma(r)?;
+        if entries > stored as u64 || (entries == 0 && stored > 0) {
+            return Err(SNodeError::Corrupt(
+                "dictionary size disagrees with sources",
+            ));
+        }
+        Ok(Self {
+            start,
+            layout,
+            // `sources` are distinct `u32`s below `|Ni|`, itself a `u32`.
+            entries: entries as u32,
+            stored: stored as u32,
+            nj,
+            codec,
+            decoded: OnceLock::new(),
+        })
+    }
+
+    /// The dictionary, decoding it on first use. Readers that race for
+    /// the first use each decode; one result is kept.
+    fn decoded(&self, bytes: &[u8], bit_len: u64) -> Result<&Dictionary> {
+        if let Some(decoded) = self.decoded.get() {
+            return Ok(decoded);
+        }
+        let decoded = self.decode(bytes, bit_len)?;
+        Ok(self.decoded.get_or_init(|| decoded))
+    }
+
+    fn decode(&self, bytes: &[u8], bit_len: u64) -> Result<Dictionary> {
+        let mut r = BitReader::with_bit_len(bytes, bit_len);
+        r.seek(self.start)?;
+        let entries = if self.layout == Layout::ListDictionary {
+            let universe = Universe::Explicit(self.nj);
+            let lists = ListsIndex::parse_at(bytes, bit_len, self.start, universe, self.codec)?;
+            r.seek(lists.end_bit())?;
+            DictionaryEntries::Lists(lists)
+        } else {
+            DictionaryEntries::Targets(read_bounded_gap_list(&mut r, self.nj, self.codec)?)
+        };
+        let index_start = r.position();
+        let mut index = Vec::with_capacity(self.stored as usize);
+        for _ in 0..self.stored {
+            // Below `entries` by construction of the code, so a `u32`.
+            let entry = codes::read_minimal_binary(&mut r, u64::from(self.entries))?;
+            index.push(entry as u32);
+        }
+        Ok(Dictionary {
+            entries,
+            index,
+            index_start,
+            end_bit: r.position(),
+        })
+    }
+}
+
+/// Where the bits of one encoded superedge graph go, by section; the
+/// sections add up to the graph's bit length less any trailing bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuperedgeBits {
+    /// Layout of the stored lists ([`Layout::Lists`] for a negative graph).
+    pub layout: Layout,
+    /// Kind bit and layout marker.
+    pub header: u64,
+    /// The `sources` gap list of a positive graph.
+    pub sources: u64,
+    /// Dictionary entries: distinct targets or the stream of distinct
+    /// lists.
+    pub dictionary: u64,
+    /// Per-source dictionary indexes.
+    pub index: u64,
+    /// The per-source list stream of [`Layout::Lists`].
+    pub stream: u64,
+}
+
 impl SuperedgeIndex {
     /// Parses the header of an encoded superedge graph: its kind, and for a
-    /// positive graph its `sources` (or the whole single-target
-    /// dictionary). The list stream of a positive graph is left unscanned
-    /// until an access needs one of its lists — see [`ListStream`]; a
-    /// negative graph stores a list for every source page, so its
-    /// directory is built here. `ni` = |Ni| and `nj` = |Nj| come from the
-    /// supernode metadata; the codec comes from the directory's `meta.bin`
-    /// header.
+    /// positive graph its layout, its `sources` and, of a dictionary, the
+    /// entry count — and stops there. What follows (the list stream's
+    /// directory, or the dictionary's entries and indexes) is left unread
+    /// until an access needs one of the stored lists — see [`ListStream`];
+    /// a negative graph stores a list for every source page, so its
+    /// directory is built here. `ni` = |Ni| and
+    /// `nj` = |Nj| come from the supernode metadata; the codec, and with
+    /// it the set of layouts a marker may name, comes from the
+    /// directory's `meta.bin` header.
     pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, codec: ListCodec) -> Result<Self> {
         let mut r = BitReader::with_bit_len(bytes, bit_len);
         let stream = |start| ListStream {
@@ -455,27 +794,14 @@ impl SuperedgeIndex {
                 body: SuperedgeBody::Lists(lists),
             });
         }
-        let dict_layout = codec.singles && r.read_bit()?;
-        let sources = crate::refenc::read_bounded_gap_list(&mut r, ni, codec)?;
-        let body = if dict_layout {
-            let dict = crate::refenc::read_bounded_gap_list(&mut r, nj, codec)?;
-            if dict.is_empty() && !sources.is_empty() {
-                return Err(SNodeError::Corrupt("single-target dictionary is empty"));
+        let layout = Layout::read(&mut r, codec.layouts)?;
+        let sources = read_bounded_gap_list(&mut r, ni, codec)?;
+        let body = match layout {
+            Layout::Lists => SuperedgeBody::Lists(stream(r.position())),
+            Layout::SingleTargets | Layout::ListDictionary => {
+                let body = DictionaryBody::open(&mut r, layout, sources.len(), nj, codec)?;
+                SuperedgeBody::Dictionary(body)
             }
-            let mut index = Vec::with_capacity(sources.len());
-            for _ in 0..sources.len() {
-                let v = codes::read_minimal_binary(&mut r, dict.len() as u64)?;
-                index.push(u32::try_from(v).map_err(|_| {
-                    SNodeError::Corrupt("single-target dictionary index overflows u32")
-                })?);
-            }
-            SuperedgeBody::SingleTargets {
-                dict,
-                index,
-                end_bit: r.position(),
-            }
-        } else {
-            SuperedgeBody::Lists(stream(r.position()))
         };
         Ok(Self {
             kind: SuperedgeKind::Positive,
@@ -494,8 +820,9 @@ impl SuperedgeIndex {
     /// [`crate::refenc::DecodeMemo`].
     ///
     /// The memo is keyed in **lists-index space** — for a positive
-    /// representation the key of source `s` is its position among the
-    /// non-empty sources, for a negative one it is `s` itself — never in
+    /// list stream the key of source `s` is its position among the
+    /// non-empty sources, for a list dictionary the position of its list
+    /// among the distinct ones, for a negative graph `s` itself — never in
     /// source-id space, so reference-chain prefixes shared between sources
     /// are decoded once and found again whatever source asks next. Negative
     /// representations complement outside the memo: only the stored
@@ -529,17 +856,25 @@ impl SuperedgeIndex {
         i: u32,
         memo: &mut dyn crate::refenc::DecodeMemo,
     ) -> Result<Vec<u32>> {
-        match &self.body {
-            SuperedgeBody::Lists(lists) => lists
-                .directory(bytes, bit_len)?
-                .decode_list_with_memo(bytes, bit_len, i, memo),
-            // Parse validates every index against the dictionary, so a
-            // miss here means the directory was mutated after parsing.
-            SuperedgeBody::SingleTargets { dict, index, .. } => index
-                .get(i as usize)
-                .and_then(|&d| dict.get(d as usize))
+        let dictionary = match &self.body {
+            SuperedgeBody::Lists(lists) => {
+                return lists
+                    .directory(bytes, bit_len)?
+                    .decode_list_with_memo(bytes, bit_len, i, memo)
+            }
+            SuperedgeBody::Dictionary(body) => body.decoded(bytes, bit_len)?,
+        };
+        let entry = *(dictionary.index.get(i as usize))
+            .ok_or(SNodeError::Corrupt("stored list index out of range"))?;
+        match &dictionary.entries {
+            // Decoding validated every index against the entries, so a
+            // miss here means the dictionary was mutated afterwards.
+            DictionaryEntries::Targets(targets) => (targets.get(entry as usize))
                 .map(|&t| vec![t])
                 .ok_or(SNodeError::Corrupt("single-target dictionary slot missing")),
+            DictionaryEntries::Lists(lists) => {
+                lists.decode_list_with_memo(bytes, bit_len, entry, memo)
+            }
         }
     }
 
@@ -561,20 +896,28 @@ impl SuperedgeIndex {
         Ok(total)
     }
 
-    /// Heap footprint of the directory, the list-stream offsets included
-    /// whether or not they have been built yet: a stream stores one list
-    /// per source (positive) or per page of `Ni` (negative), so the cache
-    /// can charge the finished size at admission and never re-account.
+    /// Heap footprint of the directory with everything a first hit will
+    /// build, whether or not one has happened yet, from what parsing read:
+    /// a list stream stores one list per source (positive) or per page of
+    /// `Ni` (negative), a dictionary one index per source and as many
+    /// entries as it declares. So the cache charges the finished size at
+    /// admission and never re-accounts, and what it charges does not
+    /// depend on which probe arrived first.
     pub fn heap_bytes(&self) -> usize {
+        let offsets = |lists: usize| (lists + 1) * 4 + std::mem::size_of::<ListsIndex>();
         let body = match &self.body {
-            SuperedgeBody::Lists(_) => {
-                let stored = match self.kind {
-                    SuperedgeKind::Positive => self.sources.len(),
-                    SuperedgeKind::Negative => self.ni as usize,
+            SuperedgeBody::Lists(_) => offsets(match self.kind {
+                SuperedgeKind::Positive => self.sources.len(),
+                SuperedgeKind::Negative => self.ni as usize,
+            }),
+            SuperedgeBody::Dictionary(body) => {
+                let entries = body.entries as usize;
+                let entries = match body.layout {
+                    Layout::ListDictionary => offsets(entries),
+                    _ => entries * 4,
                 };
-                (stored + 1) * 4 + std::mem::size_of::<ListsIndex>()
+                body.stored as usize * 4 + entries
             }
-            SuperedgeBody::SingleTargets { dict, index, .. } => (dict.len() + index.len()) * 4,
         };
         self.sources.len() * 4 + body + Self::FIXED_BYTES
     }
@@ -585,15 +928,26 @@ impl SuperedgeIndex {
     /// committed baselines compare.
     const FIXED_BYTES: usize = 96;
 
-    /// Directory over the stored lists — one per non-empty source for
-    /// [`SuperedgeKind::Positive`], one per source page for
-    /// [`SuperedgeKind::Negative`]. `None` while no access has needed it
-    /// yet, and for the single-target dictionary layout, which stores no
-    /// list stream.
+    /// Directory over the reference-encoded lists the graph stores — one
+    /// per non-empty source ([`Layout::Lists`], positive), per source page
+    /// (negative) or per distinct list ([`Layout::ListDictionary`]).
+    /// `None` while no access has needed it yet, and for
+    /// [`Layout::SingleTargets`], which stores no list stream.
     pub fn lists(&self) -> Option<&ListsIndex> {
         match &self.body {
             SuperedgeBody::Lists(lists) => lists.directory.get(),
-            SuperedgeBody::SingleTargets { .. } => None,
+            SuperedgeBody::Dictionary(body) => match &body.decoded.get()?.entries {
+                DictionaryEntries::Targets(_) => None,
+                DictionaryEntries::Lists(lists) => Some(lists),
+            },
+        }
+    }
+
+    /// Layout of the stored lists ([`Layout::Lists`] for a negative graph).
+    pub fn layout(&self) -> Layout {
+        match &self.body {
+            SuperedgeBody::Lists(_) => Layout::Lists,
+            SuperedgeBody::Dictionary(body) => body.layout,
         }
     }
 
@@ -601,7 +955,7 @@ impl SuperedgeIndex {
     pub fn num_stored_lists(&self, bytes: &[u8], bit_len: u64) -> Result<u32> {
         Ok(match &self.body {
             SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.num_lists(),
-            SuperedgeBody::SingleTargets { index, .. } => index.len() as u32,
+            SuperedgeBody::Dictionary(_) => self.sources.len() as u32,
         })
     }
 
@@ -614,8 +968,43 @@ impl SuperedgeIndex {
     pub fn end_bit(&self, bytes: &[u8], bit_len: u64) -> Result<u64> {
         Ok(match &self.body {
             SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.end_bit(),
-            SuperedgeBody::SingleTargets { end_bit, .. } => *end_bit,
+            SuperedgeBody::Dictionary(body) => body.decoded(bytes, bit_len)?.end_bit,
         })
+    }
+
+    /// The graph's bits by section (building whatever directory it takes
+    /// to find the section boundaries).
+    pub fn bit_breakdown(&self, bytes: &[u8], bit_len: u64) -> Result<SuperedgeBits> {
+        let layout = self.layout();
+        let (body_start, layouts) = match &self.body {
+            SuperedgeBody::Lists(lists) => (lists.start, lists.codec.layouts),
+            SuperedgeBody::Dictionary(body) => (body.start, body.codec.layouts),
+        };
+        // The marker's length is the one thing about a graph's bytes that
+        // parsing does not keep; its code is a prefix code, so the layout
+        // gives it back. A negative graph has none, and no `sources`.
+        let marker = match self.kind {
+            SuperedgeKind::Positive => layout.marker(layouts).map_or(0, <[bool]>::len),
+            SuperedgeKind::Negative => 0,
+        };
+        let header = 1 + marker as u64;
+        let mut bits = SuperedgeBits {
+            layout,
+            header,
+            sources: body_start - header,
+            dictionary: 0,
+            index: 0,
+            stream: 0,
+        };
+        match &self.body {
+            SuperedgeBody::Lists(_) => bits.stream = self.end_bit(bytes, bit_len)? - body_start,
+            SuperedgeBody::Dictionary(body) => {
+                let decoded = body.decoded(bytes, bit_len)?;
+                bits.dictionary = decoded.index_start - body_start;
+                bits.index = decoded.end_bit - decoded.index_start;
+            }
+        }
+        Ok(bits)
     }
 
     /// Positive encodings only: the sorted source ids with non-empty
@@ -696,6 +1085,7 @@ fn complement(list: &[u32], n: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn modes() -> [RefMode; 3] {
         [RefMode::None, RefMode::Windowed(8), RefMode::Exact]
@@ -818,7 +1208,7 @@ mod tests {
 
     /// The builder's sparse input and the dense convenience are one
     /// encoder: same bits whichever way the links arrive, for a negative
-    /// winner, a lone source among empty ones, and the `+st` dictionary.
+    /// winner, a lone source among empty ones, and a `+st` dictionary.
     #[test]
     fn sparse_input_encodes_bit_for_bit_like_dense() {
         let lone = {
@@ -900,7 +1290,7 @@ mod tests {
                     let index =
                         SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, codec).unwrap();
                     assert_eq!(
-                        matches!(index.body, SuperedgeBody::SingleTargets { .. }),
+                        index.layout() == Layout::SingleTargets,
                         name == "single-target dictionary",
                         "{name} {mode:?} {policy:?}"
                     );
@@ -982,9 +1372,18 @@ mod tests {
         assert_eq!(complement(&[0, 1, 2], 3), Vec::<u32>::new());
     }
 
+    /// `g+st`: every layout on offer.
     fn st_codec() -> ListCodec {
         ListCodec {
-            singles: true,
+            layouts: SuperedgeLayouts::Priced,
+            ..ListCodec::GAMMA
+        }
+    }
+
+    /// What `g+st` meant in format v2.
+    fn v2_st_codec() -> ListCodec {
+        ListCodec {
+            layouts: SuperedgeLayouts::SingleTarget,
             ..ListCodec::GAMMA
         }
     }
@@ -1063,6 +1462,447 @@ mod tests {
             view.index().lists().is_some(),
             "mixed lists must keep the standard stream"
         );
+    }
+
+    /// The reference modes a layout has to hold in.
+    fn all_modes() -> [RefMode; 4] {
+        [
+            RefMode::None,
+            RefMode::Windowed(1),
+            RefMode::Windowed(32),
+            RefMode::Exact,
+        ]
+    }
+
+    /// Owned superedge links; `links()` lends them to the encoder.
+    #[derive(Debug)]
+    struct Links {
+        sources: Vec<u32>,
+        lists: Vec<Vec<u32>>,
+        ni: u64,
+        nj: u64,
+    }
+
+    impl Links {
+        fn links(&self) -> SuperedgeLinks<'_> {
+            SuperedgeLinks {
+                sources: &self.sources,
+                lists: &self.lists,
+                ni: self.ni,
+                nj: self.nj,
+            }
+        }
+
+        /// One list per page of `Ni`, empty where the page is no source.
+        fn dense(&self) -> Vec<Vec<u32>> {
+            let mut dense = vec![Vec::new(); self.ni as usize];
+            for (&s, list) in self.sources.iter().zip(&self.lists) {
+                dense[s as usize] = list.clone();
+            }
+            dense
+        }
+    }
+
+    /// `len` distinct values below `nj`, ascending, drawn from `rng`.
+    fn draw_list(rng: &mut impl FnMut() -> u64, len: u64, nj: u64) -> Vec<u32> {
+        let mut list = std::collections::BTreeSet::new();
+        while (list.len() as u64) < len.min(nj) {
+            list.insert((rng() % nj) as u32);
+        }
+        list.into_iter().collect()
+    }
+
+    /// Superedge links of `n` sources in one of four shapes, each of which
+    /// one representation is made for: 0 — a template, the same one to
+    /// three multi-target lists down every other page of a site (the list
+    /// dictionary); 1 — hubs, one target per source out of at most four
+    /// (the single-target dictionary); 2 — lists drawn independently (the
+    /// list stream); 3 — all but at most one link present (negative).
+    fn shaped_links(shape: usize, seed: u64, n: usize) -> Links {
+        let mut state = seed;
+        let mut rng = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let every_other = |n: usize| (0..n as u32).map(|i| 2 * i).collect::<Vec<_>>();
+        match shape {
+            0 => {
+                let nj = 64;
+                let distinct = 1 + rng() % 3;
+                let templates: Vec<Vec<u32>> = (0..distinct)
+                    .map(|_| {
+                        let len = 3 + rng() % 4;
+                        draw_list(&mut rng, len, nj)
+                    })
+                    .collect();
+                Links {
+                    sources: every_other(n),
+                    lists: (0..n)
+                        .map(|_| templates[(rng() % distinct) as usize].clone())
+                        .collect(),
+                    ni: 2 * n as u64 + 1,
+                    nj,
+                }
+            }
+            1 => {
+                let hubs = draw_list(&mut rng, 4, 32);
+                Links {
+                    sources: every_other(n),
+                    lists: (0..n)
+                        .map(|_| vec![hubs[(rng() % hubs.len() as u64) as usize]])
+                        .collect(),
+                    ni: 2 * n as u64 + 1,
+                    nj: 32,
+                }
+            }
+            2 => Links {
+                sources: every_other(n),
+                lists: (0..n)
+                    .map(|_| {
+                        let len = 2 + rng() % 4;
+                        draw_list(&mut rng, len, 256)
+                    })
+                    .collect(),
+                ni: 2 * n as u64 + 1,
+                nj: 256,
+            },
+            _ => {
+                let nj = 12u32;
+                Links {
+                    sources: (0..n as u32).collect(),
+                    lists: (0..n)
+                        .map(|_| {
+                            let hole = (rng() % (u64::from(nj) + 1)) as u32;
+                            (0..nj).filter(|&t| t != hole).collect()
+                        })
+                        .collect(),
+                    ni: n as u64,
+                    nj: u64::from(nj),
+                }
+            }
+        }
+    }
+
+    /// Every layout `layouts` offers for these links, priced whether or
+    /// not it could win: the model the cheapest-first planner answers to.
+    fn price_every_layout(pricer: &Pricer<'_>) -> Vec<PositivePlan> {
+        let lists = pricer.links.lists;
+        [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
+            .into_iter()
+            .filter(|layout| layout.marker(pricer.codec.layouts).is_some())
+            .filter(|&layout| {
+                layout != Layout::SingleTargets
+                    || (!lists.is_empty() && lists.iter().all(|l| l.len() == 1))
+            })
+            .map(|layout| pricer.price(layout))
+            .collect()
+    }
+
+    #[test]
+    fn each_shape_is_stored_in_the_representation_made_for_it() {
+        let expected = [
+            (SuperedgeKind::Positive, Layout::ListDictionary),
+            (SuperedgeKind::Positive, Layout::SingleTargets),
+            (SuperedgeKind::Positive, Layout::Lists),
+            (SuperedgeKind::Negative, Layout::Lists),
+        ];
+        for (shape, (kind, layout)) in expected.into_iter().enumerate() {
+            for mode in all_modes() {
+                let owned = shaped_links(shape, 7, 30);
+                let (links, st) = (owned.links(), st_codec());
+                let enc = encode_superedge_t(links, mode, SuperedgePolicy::EncodedSize, st, 1);
+                let index =
+                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
+                assert_eq!(
+                    (index.kind, index.layout()),
+                    (kind, layout),
+                    "{shape} {mode:?}"
+                );
+                // `g` knows one layout and no marker.
+                let plain = ListCodec::GAMMA;
+                let enc = encode_superedge_t(links, mode, SuperedgePolicy::EncodedSize, plain, 1);
+                let index =
+                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, plain)
+                        .unwrap();
+                assert_eq!((index.kind, index.layout()), (kind, Layout::Lists));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// encode → `parse` → `targets_of`, for every source and every
+        /// page that is none, in every layout and the negative form, every
+        /// reference mode, `g`, `g+st` and v2's `+st`; and not a byte
+        /// depends on the thread count.
+        #[test]
+        fn every_representation_round_trips(
+            shape in 0usize..4,
+            seed in any::<u64>(),
+            n in 1usize..48,
+        ) {
+            let owned = shaped_links(shape, seed, n);
+            let links = owned.links();
+            let dense = owned.dense();
+            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
+                for mode in all_modes() {
+                    let policy = SuperedgePolicy::EncodedSize;
+                    let enc = encode_superedge_t(links, mode, policy, codec, 1);
+                    let par = encode_superedge_t(links, mode, policy, codec, 4);
+                    prop_assert_eq!(&enc, &par, "{:?} {:?}: threads changed bytes", codec, mode);
+                    let view =
+                        SuperedgeView::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
+                            .unwrap();
+                    for (s, want) in dense.iter().enumerate() {
+                        let got = view.targets_of(s as u64, links.nj).unwrap();
+                        prop_assert_eq!(&got, want, "{:?} {:?} source {}", codec, mode, s);
+                    }
+                    prop_assert!(view.targets_of(links.ni, links.nj).is_err());
+                    let edges: u64 = dense.iter().map(|l| l.len() as u64).sum();
+                    prop_assert_eq!(view.count_positive_edges(links.nj).unwrap(), edges);
+                    prop_assert_eq!(
+                        view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
+                        enc.bit_len
+                    );
+                }
+            }
+        }
+
+        /// The layout written is the argmin of the exact sizes of all of
+        /// them — each fully encoded here, which also holds every plan to
+        /// the bits it promised — whatever the planner skipped on the
+        /// strength of a floor; and no floor is above the price it bounds.
+        #[test]
+        fn the_layout_written_is_the_smallest_fully_encoded(
+            shape in 0usize..4,
+            seed in any::<u64>(),
+            n in 1usize..48,
+        ) {
+            let owned = shaped_links(shape, seed, n);
+            let links = owned.links();
+            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
+                for mode in all_modes() {
+                    let pricer = Pricer::new(links, mode, codec, 1);
+                    let all = price_every_layout(&pricer);
+                    for plan in &all {
+                        let enc = write_superedge_positive(links, plan, codec, 1);
+                        prop_assert_eq!(enc.bit_len, plan.bits, "{:?} mispriced", plan.layout());
+                        if let Some(floor) = pricer.floor(plan.layout()) {
+                            prop_assert!(
+                                floor <= plan.bits,
+                                "{:?}: floor {} above price {}", plan.layout(), floor, plan.bits
+                            );
+                        }
+                    }
+                    let smallest = all.iter().min_by_key(|plan| plan.rank()).unwrap();
+                    let chosen = plan_positive(links, mode, codec, 1);
+                    prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?} {:?}", codec, mode);
+                    prop_assert_eq!(
+                        write_superedge_positive(links, &chosen, codec, 1),
+                        write_superedge_positive(links, smallest, codec, 1)
+                    );
+                }
+            }
+        }
+    }
+
+    /// A graph whose every source has one target is the same bytes under
+    /// v2's `+st` and v3's — the marker `1` means the same in both — and a
+    /// list stream is one marker bit longer under v3, which is why the
+    /// directory's codec has to say which of the two wrote it.
+    #[test]
+    fn v2_graphs_decode_under_the_one_bit_marker_they_were_written_with() {
+        let policy = SuperedgePolicy::EncodedSize;
+        let hubs = shaped_links(1, 3, 20);
+        let v2 = encode_superedge_t(hubs.links(), RefMode::default(), policy, v2_st_codec(), 1);
+        let v3 = encode_superedge_t(hubs.links(), RefMode::default(), policy, st_codec(), 1);
+        assert_eq!(v2, v3);
+        assert_eq!(v2.bytes[0] >> 6, 0b01, "positive, then the marker `1`");
+
+        let distinct = shaped_links(2, 3, 20);
+        let links = distinct.links();
+        let v2 = encode_superedge_t(links, RefMode::default(), policy, v2_st_codec(), 1);
+        let v3 = encode_superedge_t(links, RefMode::default(), policy, st_codec(), 1);
+        assert_eq!(v2.bit_len + 1, v3.bit_len);
+        let back = decode_superedge(&v2.bytes, v2.bit_len, links.ni, links.nj, v2_st_codec());
+        assert_eq!(back.unwrap(), distinct.dense());
+        let misread = decode_superedge(&v2.bytes, v2.bit_len, links.ni, links.nj, st_codec());
+        assert!(misread.is_err() || misread.unwrap() != distinct.dense());
+    }
+
+    /// The decoded dictionary of a graph in a dictionary layout, if any
+    /// access has built it.
+    fn decoded_dictionary(index: &SuperedgeIndex) -> Option<&Dictionary> {
+        match &index.body {
+            SuperedgeBody::Dictionary(body) => body.decoded.get(),
+            SuperedgeBody::Lists(_) => panic!("not a dictionary layout"),
+        }
+    }
+
+    #[test]
+    fn dictionary_is_decoded_by_the_first_hit_only_and_shared() {
+        for (shape, layout) in [(0, Layout::ListDictionary), (1, Layout::SingleTargets)] {
+            let owned = shaped_links(shape, 11, 24);
+            let (links, st) = (owned.links(), st_codec());
+            let dense = owned.dense();
+            let policy = SuperedgePolicy::EncodedSize;
+            let enc = encode_superedge_t(links, RefMode::default(), policy, st, 1);
+            let index =
+                SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
+            assert_eq!(index.layout(), layout);
+            let charged = index.heap_bytes();
+            assert!(
+                decoded_dictionary(&index).is_none(),
+                "parse stops at `sources`"
+            );
+            for s in (0..links.ni).filter(|&s| dense[s as usize].is_empty()) {
+                let got = index.targets_of(&enc.bytes, enc.bit_len, s, links.nj);
+                assert!(got.unwrap().is_empty());
+            }
+            assert!(
+                decoded_dictionary(&index).is_none() && index.lists().is_none(),
+                "a miss on `sources` decodes nothing"
+            );
+
+            // Eight readers released together onto stored lists: every one
+            // answers correctly and all end up sharing one dictionary.
+            let barrier = std::sync::Barrier::new(8);
+            let seen: Vec<usize> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..8usize)
+                    .map(|t| {
+                        let (index, enc, dense, barrier) = (&index, &enc, &dense, &barrier);
+                        let s = u64::from(owned.sources[t % owned.sources.len()]);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let got = index.targets_of(&enc.bytes, enc.bit_len, s, links.nj);
+                            assert_eq!(got.unwrap(), dense[s as usize]);
+                            decoded_dictionary(index).expect("decoded by the hit")
+                                as *const Dictionary as usize
+                        })
+                    })
+                    .collect();
+                readers
+                    .into_iter()
+                    .map(|r| r.join().expect("reader panicked"))
+                    .collect()
+            });
+            assert!(seen.iter().all(|&d| d == seen[0]), "one dictionary, kept");
+
+            // What the cache was charged at admission stands once the
+            // dictionary is there, and is what it occupies.
+            assert_eq!(charged, index.heap_bytes());
+            let dictionary = decoded_dictionary(&index).unwrap();
+            let entries = match &dictionary.entries {
+                DictionaryEntries::Targets(targets) => targets.len() * 4,
+                DictionaryEntries::Lists(lists) => lists.heap_bytes(),
+            };
+            let built = (index.sources.len() + dictionary.index.len()) * 4 + entries;
+            assert_eq!(built + SuperedgeIndex::FIXED_BYTES, charged, "{layout:?}");
+        }
+    }
+
+    /// Every single-bit flip and every truncation of a graph in a
+    /// dictionary layout: `Corrupt`, or a graph whose every answer is an
+    /// error or a sorted list inside `|Nj|`.
+    #[test]
+    fn damaged_dictionaries_are_corrupt_or_answer_inside_their_universe() {
+        for (shape, layout) in [(0, Layout::ListDictionary), (1, Layout::SingleTargets)] {
+            let owned = shaped_links(shape, 5, 18);
+            let (links, st) = (owned.links(), st_codec());
+            let policy = SuperedgePolicy::EncodedSize;
+            let enc = encode_superedge_t(links, RefMode::default(), policy, st, 1);
+            let parse = |bytes: &[u8], bit_len| {
+                SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, st)
+            };
+            assert_eq!(parse(&enc.bytes, enc.bit_len).unwrap().layout(), layout);
+            let check = |bytes: &[u8], bit_len: u64, what: &str| {
+                let Ok(index) = parse(bytes, bit_len) else {
+                    return;
+                };
+                for s in 0..links.ni {
+                    if let Ok(list) = index.targets_of(bytes, bit_len, s, links.nj) {
+                        assert!(list.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
+                        assert!(
+                            list.iter().all(|&t| u64::from(t) < links.nj),
+                            "{what}: range"
+                        );
+                    }
+                }
+            };
+            for cut in 0..enc.bit_len {
+                check(&enc.bytes, cut, &format!("{layout:?} cut at {cut}"));
+            }
+            for flip in 0..enc.bit_len {
+                let mut bytes = enc.bytes.clone();
+                bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
+                check(&bytes, enc.bit_len, &format!("{layout:?} flip of {flip}"));
+            }
+        }
+    }
+
+    /// An entry count no builder writes — more entries than sources, or
+    /// none for a graph that has sources — is refused when the graph is
+    /// parsed, before anything is sized by it.
+    #[test]
+    fn dictionary_entry_count_is_checked_against_sources_before_allocation() {
+        let st = st_codec();
+        for marker in [&[true][..], &[false, true][..]] {
+            for (entries, refused) in [(1u64 << 40, true), (3, true), (0, true), (2, false)] {
+                let mut w = BitWriter::new();
+                w.write_bit(false);
+                marker.iter().for_each(|&bit| w.write_bit(bit));
+                write_bounded_gap_list(&mut w, &[1, 4], 9, st);
+                codes::write_gamma(&mut w, entries);
+                w.write_bits(0, 64);
+                let (bytes, bit_len) = w.finish();
+                let got = SuperedgeIndex::parse(&bytes, bit_len, 9, 1 << 50, st);
+                match got {
+                    Err(SNodeError::Corrupt(_)) if refused => {}
+                    Ok(index) if !refused => assert_eq!(index.sources(), &[1, 4]),
+                    other => panic!("{marker:?} with {entries} entries: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The sections of a graph add up to its bit length, in every
+    /// representation.
+    #[test]
+    fn bit_breakdown_accounts_for_every_bit() {
+        for shape in 0..4 {
+            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
+                let owned = shaped_links(shape, 13, 21);
+                let links = owned.links();
+                let policy = SuperedgePolicy::EncodedSize;
+                let enc = encode_superedge_t(links, RefMode::default(), policy, codec, 1);
+                let index =
+                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
+                        .unwrap();
+                let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
+                assert_eq!(bits.layout, index.layout());
+                assert_eq!(
+                    bits.header + bits.sources + bits.dictionary + bits.index + bits.stream,
+                    enc.bit_len,
+                    "{shape} {codec:?}: {bits:?}"
+                );
+                let dictionary = bits.layout != Layout::Lists;
+                assert_eq!(
+                    bits.dictionary > 0,
+                    dictionary,
+                    "{shape} {codec:?}: {bits:?}"
+                );
+                assert_eq!(bits.stream > 0, !dictionary, "{shape} {codec:?}: {bits:?}");
+                let marker = match index.kind {
+                    SuperedgeKind::Negative => 0,
+                    SuperedgeKind::Positive => bits.layout.marker(codec.layouts).unwrap().len(),
+                };
+                assert_eq!(bits.header, 1 + marker as u64);
+            }
+        }
     }
 
     #[test]

@@ -14,20 +14,32 @@ use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
 use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
-/// A generated 3k-page corpus plus every link from the pages of one host
-/// to the pages of a host in another domain — a superedge graph stored
-/// negative — built under `codec`. Returns the directory and, per page in
-/// the representation's numbering, its sorted adjacency list.
+/// A generated 3k-page corpus plus fifteen in sixteen of the links from
+/// every page of one domain to every page of another, the missing ones
+/// scattered — superedge graphs stored negative (a small complement, and
+/// no two lists alike for a dictionary to share) — built under `codec`.
+/// Returns the directory and, per page in the representation's numbering,
+/// its sorted adjacency list.
 fn build_block_corpus(name: &str, codec: &str) -> (PathBuf, Vec<Vec<u32>>) {
     let corpus = Corpus::generate(CorpusConfig::scaled(3000, 5));
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let from = &corpus.hosts[0];
-    let to = (corpus.hosts.iter())
-        .find(|h| h.domain != from.domain && h.pages_by_url.len() >= 8)
+    // Supernodes never cross a domain, so whichever way refinement cuts
+    // the two domains, every superedge graph between them is this dense.
+    let (pages, domain_of) = (corpus.num_pages(), domains.as_slice());
+    let pages_of = move |d: u32| (0..pages).filter(move |&p| domain_of[p as usize] == d);
+    let from_domain = domain_of[0];
+    let to_domain = (0..corpus.domains.len() as u32)
+        .filter(|&d| d != from_domain)
+        .max_by_key(|&d| pages_of(d).count())
         .expect("a second domain");
-    let block =
-        (from.pages_by_url.iter()).flat_map(|&u| to.pages_by_url.iter().map(move |&v| (u, v)));
+    let block = pages_of(from_domain).flat_map(|u| {
+        let present = move |v: &u32| {
+            let mix = u64::from(u).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(*v);
+            mix.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 40 & 15 != 0
+        };
+        pages_of(to_domain).filter(present).map(move |v| (u, v))
+    });
     let graph = Graph::from_edges(corpus.num_pages(), corpus.graph.edges().chain(block));
 
     let mut dir = std::env::temp_dir();
@@ -43,7 +55,7 @@ fn build_block_corpus(name: &str, codec: &str) -> (PathBuf, Vec<Vec<u32>>) {
         ..SNodeConfig::default()
     };
     let (stats, renum) = build_snode(input, &config, &dir).unwrap();
-    assert!(stats.negative_superedges >= 1, "the dense block");
+    assert!(stats.negative_superedges >= 2, "the dense block");
     let truth = (renum.old_of_new.iter())
         .map(|&old| {
             let mut l: Vec<u32> = (graph.neighbors(old).iter())
@@ -216,7 +228,7 @@ fn flip_byte(dir: &Path, file: u32, offset: u64) {
 
 #[test]
 fn one_flipped_superedge_byte_costs_exactly_that_part() {
-    let (dir, truth) = build_block_corpus("flip", "g");
+    let (dir, truth) = build_block_corpus("flip", "g+st");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open(&dir).unwrap();
     let (s, k, source) = pick_positive_superedge(&meta, &files);
@@ -274,7 +286,7 @@ fn one_flipped_superedge_byte_costs_exactly_that_part() {
 
 #[test]
 fn fanout_bigger_than_its_shard_is_still_admitted() {
-    let (dir, truth) = build_block_corpus("giant", "g");
+    let (dir, truth) = build_block_corpus("giant", "g+st");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open(&dir).unwrap();
     let budget = 1usize << 10;

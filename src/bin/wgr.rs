@@ -5,6 +5,7 @@
 //! wgr build --corpus corpus/ --out repo/ --metrics       build the S-Node repo
 //! wgr query corpus/ --metrics=json                       observed Q1–6 workload
 //! wgr stats repo/ --json                                 representation statistics
+//! wgr stats repo/ --bits                                 every bit, by class of stored material
 //! wgr links --repo repo/ --page 1234                     adjacency of a page
 //! wgr domain --repo repo/ --name stanford.edu            pages of a domain
 //! wgr top   --corpus corpus/ --repo repo/ -k 10          top pages by PageRank
@@ -61,12 +62,15 @@ fn main() {
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
-                 \x20      [--codec CELL[/CELL]]              list codec per class (e.g. g+st, z3+iv+cb)\n\
+                 \x20      [--codec CELL[/CELL]]              list codec per class (default g+st; g is\n\
+                 \x20                                          the paper's plain format; z3+iv+cb, ...)\n\
                  \x20      [--stream --pages N [--seed N]]    generate the corpus on the fly (bounded memory)\n\
                  query  DIR [--scheme NAME|all] [--budget B] run the observed Q1-6 workload\n\
                  \x20      [--reps DIR] [--reuse]             over the corpus at DIR;\n\
                  \x20                                          exit 3 when answers were degraded\n\
-                 stats  DIR [--json]                        show representation statistics\n\
+                 stats  DIR [--bits] [--json]               show representation statistics;\n\
+                 \x20                                          --bits: where every bit of meta.bin\n\
+                 \x20                                          and the index files goes, by class\n\
                  links  --repo DIR --page N                 print a page's adjacency list\n\
                  domain --repo DIR --corpus DIR --name D    list a domain's pages\n\
                  top    --repo DIR --corpus DIR [-k N]      top pages by PageRank\n\
@@ -139,6 +143,7 @@ fn positional(args: &[String]) -> Option<String> {
                 || matches!(
                     a,
                     "--json"
+                        | "--bits"
                         | "--quick"
                         | "--metrics"
                         | "--reuse"
@@ -241,8 +246,9 @@ fn cmd_build(args: &[String]) -> i32 {
     // representation is byte-identical for every thread count.
     let threads: u32 = opt(args, "--threads").map_or(0, |s| s.parse().expect("--threads number"));
     // --codec exposes the per-list-class codec grid from the ablation
-    // harness (PR 9) on ordinary builds: `g+st`, `z3+iv+cb`, or an
-    // `<intra>/<superedge>` pair. Default stays the γ baseline.
+    // harness on ordinary builds: `g` (the paper's plain format),
+    // `z3+iv+cb`, or an `<intra>/<superedge>` pair. Without it a build
+    // writes `CodecConfig::default()`, which is `g+st`.
     let codec = match opt(args, "--codec").as_deref() {
         None => CodecConfig::default(),
         Some(s) => match CodecConfig::parse(s) {
@@ -491,17 +497,42 @@ fn print_report_text(r: &WorkloadReport) {
     }
 }
 
-/// `wgr stats DIR [--json]` (the historical `--repo DIR` spelling still
-/// works) — representation statistics, machine-readable with `--json`.
+/// `wgr stats DIR --bits [--json]` — Table 1's numerator taken apart: see
+/// [`webgraph_repr::snode::bits`].
+fn print_bit_ledger(repo: &std::path::Path, json: bool) -> i32 {
+    let ledger = match webgraph_repr::snode::bits::BitLedger::of(repo) {
+        Ok(ledger) => ledger,
+        Err(e) => {
+            eprintln!("cannot read S-Node directory {}: {e}", repo.display());
+            return 2;
+        }
+    };
+    let text = if json {
+        ledger.to_json()
+    } else {
+        ledger.to_string()
+    };
+    // The table is long and routinely piped into `head`; a closed pipe is
+    // not an error.
+    let _ = std::io::stdout().write_all(text.as_bytes());
+    0
+}
+
+/// `wgr stats DIR [--bits] [--json]` (the historical `--repo DIR` spelling
+/// still works) — representation statistics, machine-readable with
+/// `--json`; with `--bits`, [`print_bit_ledger`] instead.
 fn cmd_stats(args: &[String]) -> i32 {
     let repo = positional(args)
         .or_else(|| opt(args, "--repo"))
         .map(PathBuf::from);
     let Some(repo) = repo else {
-        eprintln!("usage: wgr stats DIR [--json]");
+        eprintln!("usage: wgr stats DIR [--bits] [--json]");
         return 2;
     };
     let json = args.iter().any(|a| a == "--json");
+    if args.iter().any(|a| a == "--bits") {
+        return print_bit_ledger(&repo, json);
+    }
     let snode = match SNode::open(&repo, 1 << 20) {
         Ok(s) => s,
         Err(e) => {

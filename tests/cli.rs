@@ -326,6 +326,67 @@ fn build_metrics_and_trace_and_stats_json() {
     ] {
         assert!(sjson.contains(key), "missing {key} in: {sjson}");
     }
+
+    // `wgr stats DIR --bits [--json]`: one row per class and part, the
+    // rows summing to exactly `(meta.bin + index files) × 8`.
+    let out = wgr()
+        .arg("stats")
+        .arg(&repo)
+        .args(["--bits", "--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stats --bits failed: {out:?}");
+    let bjson = String::from_utf8_lossy(&out.stdout);
+    let field = |line: &str, key: &str| -> Option<u64> {
+        let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().ok()
+    };
+    let rows: u64 = (bjson.lines())
+        .filter(|line| line.contains("\"class\""))
+        .map(|line| field(line, "bits").unwrap())
+        .sum();
+    let total = bjson.lines().find_map(|line| field(line, "total_bits"));
+    let on_disk: u64 = ["meta.bin", "index_000.bin"]
+        .iter()
+        .map(|name| std::fs::metadata(repo.join(name)).unwrap().len())
+        .sum();
+    assert!(!repo.join("index_001.bin").exists());
+    assert_eq!(total, Some(on_disk * 8), "{bjson}");
+    assert_eq!(rows, on_disk * 8, "{bjson}");
+    for class in [
+        "intranode lists",
+        "superedge positive, list stream",
+        "superedge positive, single-target dictionary",
+        "superedge positive, list dictionary",
+        "superedge negative",
+        "index files",
+        "meta.bin",
+    ] {
+        assert!(
+            bjson.contains(&format!("\"class\": \"{class}\"")),
+            "{class}: {bjson}"
+        );
+    }
+    let out = wgr()
+        .arg("stats")
+        .arg(&repo)
+        .arg("--bits")
+        .output()
+        .unwrap();
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && table.contains("bits/edge"),
+        "{table}"
+    );
+    let missing = root.join("nowhere");
+    let out = wgr()
+        .arg("stats")
+        .arg(&missing)
+        .arg("--bits")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -371,8 +432,9 @@ fn build_codec_flag_round_trips() {
         assert!(out.status.success(), "verify {flag} failed: {out:?}");
     }
 
-    // `--codec g` is the γ baseline spelled explicitly: byte-identical to
-    // a default build.
+    // `--codec g+st` is the default spelled explicitly: byte-identical to
+    // a build without the flag. `--codec g`, the paper's plain format, is
+    // not — and is bigger.
     let repo_default = root.join("repo_default");
     let repo_g = root.join("repo_g");
     for (repo, extra) in [(&repo_default, None), (&repo_g, Some("g"))] {
@@ -386,14 +448,21 @@ fn build_codec_flag_round_trips() {
         }
         assert!(cmd.output().unwrap().status.success());
     }
+    let repo_gst = root.join("repo_g+st");
     for entry in std::fs::read_dir(&repo_default).unwrap() {
         let name = entry.unwrap().file_name();
         assert_eq!(
             std::fs::read(repo_default.join(&name)).unwrap(),
-            std::fs::read(repo_g.join(&name)).unwrap(),
-            "file {name:?} differs between default and --codec g builds"
+            std::fs::read(repo_gst.join(&name)).unwrap(),
+            "file {name:?} differs between default and --codec g+st builds"
         );
     }
+    let index_len =
+        |repo: &std::path::Path| std::fs::metadata(repo.join("index_000.bin")).unwrap().len();
+    assert!(
+        index_len(&repo_default) < index_len(&repo_g),
+        "the default must be smaller than --codec g"
+    );
 
     // Unparseable cells are a usage error, not a panic.
     let out = wgr()

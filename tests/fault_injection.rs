@@ -254,7 +254,7 @@ fn dead_rebuild_leaves_a_directory_that_does_not_open() {
     std::fs::remove_file(dir.join("pagemap.bin")).unwrap();
     std::fs::create_dir(dir.join("pagemap.bin")).unwrap();
     let small_files = SNodeConfig {
-        max_file_bytes: 4096,
+        max_file_bytes: 1024,
         ..SNodeConfig::default()
     };
     assert!(build_snode(input, &small_files, &dir).is_err());
@@ -445,42 +445,47 @@ fn degraded_query_exits_3_with_consistent_counts() {
 }
 
 /// Flips, in as many positive superedge graphs of `snode_dir` as have one,
-/// a bit of the list stream that leaves `sources` readable but makes the
-/// first stored list fail to decode — damage a directory without
-/// `sums.bin` can only find when a lookup reaches a stored list. Returns
-/// how many graphs were damaged.
-fn damage_list_streams(snode_dir: &Path) -> usize {
+/// a bit past `sources` — in the list stream, or in the dictionary — that
+/// leaves `sources` readable but makes the first stored list fail to
+/// decode: damage a directory without `sums.bin` can only find when a
+/// lookup reaches a stored list. Returns how many graphs were damaged, and
+/// how many of those store a dictionary.
+fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
     use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
-    use webgraph_repr::snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
+    use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
     let meta = SNodeMeta::read(snode_dir).unwrap();
     let files = IndexFileReader::open(snode_dir).unwrap();
     let codec = meta.codec.superedge;
     let mut flips: Vec<(u32, u64)> = Vec::new();
+    let mut dictionaries = 0;
     for s in 0..meta.num_supernodes() {
         let ni = u64::from(meta.supernode_size(s));
         for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
             let loc = meta.superedge_loc[s as usize][k];
             let nj = u64::from(meta.supernode_size(j));
             let clean = files.read(&loc).unwrap();
-            let sources = match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec) {
-                Ok(i) if i.kind == SuperedgeKind::Positive => i.sources().to_vec(),
+            let (sources, layout) = match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec)
+            {
+                Ok(i) if i.kind == SuperedgeKind::Positive => (i.sources().to_vec(), i.layout()),
                 _ => continue,
             };
             let Some(&first) = sources.first() else {
                 continue;
             };
-            // Search from the end of the graph: the stream lies there.
+            // Search from the end of the graph: the stored lists lie there.
             let found = (0..loc.bit_len).rev().find(|&bit| {
                 let mut bytes = clean.clone();
                 bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
                 SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).is_ok_and(|i| {
                     i.sources() == sources.as_slice()
+                        && i.layout() == layout
                         && i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
                             .is_err()
                 })
             });
             if let Some(bit) = found {
                 flips.push((loc.file, loc.offset * 8 + bit));
+                dictionaries += usize::from(layout != Layout::Lists);
             }
         }
     }
@@ -491,12 +496,14 @@ fn damage_list_streams(snode_dir: &Path) -> usize {
         bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
         std::fs::write(&path, bytes).unwrap();
     }
-    flips.len()
+    (flips.len(), dictionaries)
 }
 
 /// Without `sums.bin` nothing checks a blob before it is parsed, and a
-/// positive superedge graph's list stream is not scanned until a lookup
-/// finds its page among the sources. Damage there must still take the
+/// positive superedge graph's list stream is not scanned, nor its
+/// dictionary decoded, until a lookup finds its page among the sources.
+/// Under the default codec most graphs store a dictionary, so most of the
+/// damage lands in one. Damage there must still take the
 /// graceful path when it is met: quarantine at decode time, answers that
 /// only ever omit edges, and `wgr query` exiting 3.
 #[test]
@@ -527,8 +534,9 @@ fn manifestless_list_stream_damage_degrades_at_decode_time() {
         .collect();
     drop(truth);
     std::fs::remove_file(snode_dir.join("sums.bin")).unwrap();
-    let damaged = damage_list_streams(&snode_dir);
-    assert!(damaged > 0, "no positive list stream could be damaged");
+    let (damaged, dictionaries) = damage_list_streams(&snode_dir);
+    assert!(damaged > dictionaries, "no list stream could be damaged");
+    assert!(dictionaries > 0, "no dictionary could be damaged");
 
     let snode = SNode::open_degraded(&snode_dir, 1 << 20).unwrap();
     assert!(!snode.verifies_checksums());
