@@ -521,18 +521,17 @@ fn check_intranode(
             return;
         }
     };
-    let (index, lists) =
-        match ListsIndex::load(&bytes, loc.bit_len, Universe::SameAsCount, meta.codec.intra) {
-            Ok(v) => v,
-            Err(e) => {
-                diags.push(Diagnostic::new(
-                    Code::DecodeError,
-                    here,
-                    format!("undecodable: {e}"),
-                ));
-                return;
-            }
-        };
+    let (index, lists) = match ListsIndex::load(&bytes, loc.bit_len, Universe::SameAsCount) {
+        Ok(v) => v,
+        Err(e) => {
+            diags.push(Diagnostic::new(
+                Code::DecodeError,
+                here,
+                format!("undecodable: {e}"),
+            ));
+            return;
+        }
+    };
     if u64::from(index.num_lists()) != ni {
         diags.push(Diagnostic::new(
             Code::IntranodeSizeMismatch,

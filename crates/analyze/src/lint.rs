@@ -922,6 +922,14 @@ pub fn new_findings<'r>(
         .collect()
 }
 
+/// The other side of [`new_findings`]: baseline keys that no finding of
+/// the report matches any more. They are to be deleted from the baseline
+/// file, so that it tolerates what exists and nothing that may come back.
+pub fn stale_keys<'b>(report: &LintReport, baseline: &'b BTreeSet<String>) -> Vec<&'b String> {
+    let live: HashSet<String> = report.findings.iter().map(LintFinding::key).collect();
+    baseline.iter().filter(|k| !live.contains(*k)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,5 +1003,8 @@ mod tests {
         )]);
         let r2 = lint_model(&m2);
         assert_eq!(new_findings(&r2, &keys).len(), 1);
+        // And the baseline's keys are stale for a report without them.
+        assert!(stale_keys(&r, &keys).is_empty());
+        assert_eq!(stale_keys(&r2, &keys).len(), keys.len());
     }
 }

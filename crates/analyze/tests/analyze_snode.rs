@@ -66,7 +66,7 @@ fn craft_corrupt(dir: &std::path::Path) {
     let mut superedge_loc: Vec<Vec<GraphLocator>> = Vec::new();
 
     // Linear order: intra0, se(0→2), intra1, intra2, se(2→0).
-    let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None, ListCodec::GAMMA);
+    let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra0.bytes, intra0.bit_len).unwrap());
     let se02 = encode_superedge(
         &[vec![], vec![], vec![]],
@@ -77,11 +77,11 @@ fn craft_corrupt(dir: &std::path::Path) {
     );
     superedge_loc.push(vec![w.append(&se02.bytes, se02.bit_len).unwrap()]);
 
-    let intra1 = encode_intranode(&[], RefMode::None, ListCodec::GAMMA);
+    let intra1 = encode_intranode(&[], RefMode::None);
     intranode_loc.push(w.append(&intra1.bytes, intra1.bit_len).unwrap());
     superedge_loc.push(vec![]);
 
-    let intra2 = encode_intranode(&[vec![1], vec![]], RefMode::None, ListCodec::GAMMA);
+    let intra2 = encode_intranode(&[vec![1], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra2.bytes, intra2.bit_len).unwrap());
     // Negative encoding of se(2→0): positive form would store 1 edge
     // (source 0 → target 0); the complement stores 5.

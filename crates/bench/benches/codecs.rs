@@ -140,25 +140,14 @@ fn bench_refenc(c: &mut Criterion) {
     let enc = encode_lists(&lists, 512, RefMode::Windowed(32), ListCodec::GAMMA);
     group.bench_function("decode_all", |b| {
         b.iter(|| {
-            ListsReader::parse(
-                &enc.bytes,
-                enc.bit_len,
-                Universe::Explicit(512),
-                ListCodec::GAMMA,
-            )
-            .expect("parse")
-            .decode_all()
-            .expect("decode")
-            .len()
+            ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(512))
+                .expect("parse")
+                .decode_all()
+                .expect("decode")
+                .len()
         });
     });
-    let reader = ListsReader::parse(
-        &enc.bytes,
-        enc.bit_len,
-        Universe::Explicit(512),
-        ListCodec::GAMMA,
-    )
-    .unwrap();
+    let reader = ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(512)).unwrap();
     group.bench_function("decode_single_random", |b| {
         let mut s = 3u64;
         b.iter(|| {

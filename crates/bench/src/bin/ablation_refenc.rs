@@ -6,7 +6,7 @@
 //! [--scale pages-per-million]`
 
 use wg_bench::{corpus_for, repo_columns, row, timed, BenchArgs};
-use wg_bitio::{codes, zeta};
+use wg_bitio::codes;
 use wg_snode::refenc::RefMode;
 use wg_snode::{build_snode, RepoInput, SNodeConfig};
 
@@ -93,13 +93,6 @@ fn main() {
     let d_bits: u64 = gaps.iter().map(|&g| codes::delta_len(g)).sum();
     println!("  gamma : {:.2}", g_bits as f64 / n);
     println!("  delta : {:.2}", d_bits as f64 / n);
-    for k in [2u32, 3, 4, 5] {
-        let z_bits: u64 = gaps
-            .iter()
-            .map(|&g| zeta::zeta_len(g, k).unwrap_or(0))
-            .sum();
-        println!("  zeta{k} : {:.2}", z_bits as f64 / n);
-    }
     println!(
         "(S-Node stores gaps in *local* id spaces after partitioning, which is why its\n\
          per-edge numbers beat every raw-gap code above)"

@@ -11,8 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablate;
-
 use std::time::Duration;
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_graph::Graph;

@@ -1,4 +1,4 @@
-//! Instantaneous integer codes: unary, Elias γ, Elias δ, Rice, and
+//! Instantaneous integer codes: unary, Elias γ, Elias δ, and
 //! minimal-binary ("truncated binary") codes.
 //!
 //! All codes in this module are defined over **non-negative** integers
@@ -105,47 +105,6 @@ pub fn read_delta(r: &mut BitReader<'_>) -> Result<u64> {
     }
     let low = if b > 0 { r.read_bits(b as u32)? } else { 0 };
     Ok(((1u64 << b) | low) - 1)
-}
-
-/// Number of bits used by the Rice code with parameter `k` for `x`.
-#[inline]
-pub fn rice_len(x: u64, k: u32) -> u64 {
-    (x >> k) + 1 + u64::from(k)
-}
-
-/// Writes `x` with a Rice code of parameter `k`: quotient `x >> k` in unary,
-/// then the `k` low-order bits verbatim.
-#[inline]
-pub fn write_rice(w: &mut BitWriter, x: u64, k: u32) {
-    assert!(k < 64, "rice parameter must be < 64");
-    write_unary(w, x >> k);
-    if k > 0 {
-        w.write_bits(x & ((1u64 << k) - 1), k);
-    }
-}
-
-/// Reads a Rice-coded value with parameter `k`.
-#[inline]
-pub fn read_rice(r: &mut BitReader<'_>, k: u32) -> Result<u64> {
-    assert!(k < 64, "rice parameter must be < 64");
-    let q = r.read_unary()?;
-    let low = if k > 0 { r.read_bits(k)? } else { 0 };
-    q.checked_shl(k)
-        .and_then(|hi| hi.checked_add(low))
-        .ok_or(BitError::Corrupt {
-            what: "rice quotient overflows u64",
-        })
-}
-
-/// Picks the Rice parameter that minimises expected code length for a list
-/// with the given mean, following the classic `k = max(0, ⌊log₂(mean)⌋)` rule.
-#[inline]
-pub fn rice_parameter_for_mean(mean: f64) -> u32 {
-    if mean <= 1.0 {
-        0
-    } else {
-        (mean.log2().floor() as u32).min(62)
-    }
 }
 
 /// Number of bits used by the minimal binary code for `x` in a universe of
@@ -281,17 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn rice_round_trip_various_k() {
-        for k in [0u32, 1, 3, 5, 8, 13] {
-            round_trip_one(
-                |w, v| write_rice(w, v, k),
-                |r| read_rice(r, k),
-                &[0, 1, 2, 5, 100, 1023, 4096, 100_000],
-            );
-        }
-    }
-
-    #[test]
     fn minimal_binary_round_trip_all_universes() {
         for n in 1u64..=40 {
             let values: Vec<u64> = (0..n).collect();
@@ -323,11 +271,6 @@ mod tests {
             let mut w = BitWriter::new();
             write_delta(&mut w, v);
             assert_eq!(w.bit_len(), delta_len(v), "delta len mismatch for {v}");
-        }
-        for (v, k) in [(0u64, 0u32), (5, 2), (100, 4), (1000, 7)] {
-            let mut w = BitWriter::new();
-            write_rice(&mut w, v, k);
-            assert_eq!(w.bit_len(), rice_len(v, k));
         }
         for n in 1u64..32 {
             for x in 0..n {
@@ -373,13 +316,5 @@ mod tests {
                 Ok(v) => panic!("decoded {v} from a truncated stream of {cut} bits"),
             }
         }
-    }
-
-    #[test]
-    fn rice_parameter_heuristic_is_sane() {
-        assert_eq!(rice_parameter_for_mean(0.5), 0);
-        assert_eq!(rice_parameter_for_mean(1.0), 0);
-        assert_eq!(rice_parameter_for_mean(2.0), 1);
-        assert_eq!(rice_parameter_for_mean(100.0), 6);
     }
 }

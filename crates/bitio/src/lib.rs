@@ -7,12 +7,9 @@
 //! Huffman codes keyed by in-degree. This crate provides those primitives:
 //!
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit streams over byte buffers.
-//! * [`codes`] — unary, Elias γ/δ, Rice, and minimal-binary codes.
+//! * [`codes`] — unary, Elias γ/δ, and minimal-binary codes.
 //! * [`huffman`] — canonical Huffman codes with table-driven decoding.
 //! * [`rle`] — run-length coding of bit vectors.
-//! * [`blocks`] — BV-style copy blocks (alternating-run copy-masks).
-//! * [`gaps`] — gap coding of strictly ascending integer lists.
-//! * [`zeta`] — Boldi–Vigna ζ codes (the WebGraph gap-code family).
 //!
 //! All codecs are exact: every `write_*` has a matching `read_*` that
 //! round-trips, and malformed input yields [`BitError`] rather than a panic.
@@ -21,12 +18,9 @@
 #![warn(missing_docs)]
 
 pub mod bitstream;
-pub mod blocks;
 pub mod codes;
-pub mod gaps;
 pub mod huffman;
 pub mod rle;
-pub mod zeta;
 
 pub use bitstream::{BitReader, BitWriter};
 pub use huffman::{HuffmanCode, HuffmanDecoder};

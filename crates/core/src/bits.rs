@@ -97,7 +97,7 @@ impl BitLedger {
             let loc = meta.intranode_loc[s as usize];
             let bytes = files.read(&loc)?;
             let universe = Universe::SameAsCount;
-            let (index, lists) = ListsIndex::load(&bytes, loc.bit_len, universe, meta.codec.intra)?;
+            let (index, lists) = ListsIndex::load(&bytes, loc.bit_len, universe)?;
             intranode_bits += index.end_bit();
             intranode_edges += lists.iter().map(|l| l.len() as u64).sum::<u64>();
             padding_bits += padding(&loc, index.end_bit());

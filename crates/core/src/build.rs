@@ -37,9 +37,9 @@ pub struct SNodeConfig {
     pub ref_mode: RefMode,
     /// Positive/negative superedge selection policy.
     pub superedge_policy: SuperedgePolicy,
-    /// Per-list-class codec choice ([`CodecConfig::default`] unless said
-    /// otherwise; the ablation harness sweeps the grid). Recorded in the
-    /// `meta.bin` header so readers decode with the same codec.
+    /// The format: [`CodecConfig::default`] (`g+st`) unless said otherwise,
+    /// which `wgr build --codec g` does. Recorded in the `meta.bin` header
+    /// so readers decode the way the directory was built.
     pub codec: CodecConfig,
     /// Index-file size cap (paper: 500 MB).
     pub max_file_bytes: u64,
@@ -461,7 +461,7 @@ impl SupernodeEncoder<'_> {
             list.sort_unstable();
             list.dedup();
         }
-        let enc_intra = encode_intranode_t(&intra, ref_mode, codec.intra, threads);
+        let enc_intra = encode_intranode_t(&intra, ref_mode, threads);
         drop(intra);
 
         cross.sort_unstable();
@@ -614,12 +614,7 @@ mod tests {
         for s in 0..meta.num_supernodes() {
             let start = meta.page_range(s).start;
             let bytes = files.read(&meta.intranode_loc[s as usize]).unwrap();
-            let lists = decode_intranode(
-                &bytes,
-                meta.intranode_loc[s as usize].bit_len,
-                meta.codec.intra,
-            )
-            .unwrap();
+            let lists = decode_intranode(&bytes, meta.intranode_loc[s as usize].bit_len).unwrap();
             for (local, list) in lists.iter().enumerate() {
                 for &t in list {
                     rebuilt[(start + local as u32) as usize].push(start + t);

@@ -1,37 +1,26 @@
-//! Per-list-class codec selection.
+//! The format choice a directory records.
 //!
-//! The S-Node paper fixes one list codec (γ-coded gaps, RLE copy-masks);
-//! the WebGraph line of work showed the remaining bits/edge live in the
-//! codec choices: ζ_k gap residuals, interval runs for consecutive-id
-//! blocks, and copy blocks instead of copy bit-vectors. This module is
-//! the configuration surface for those choices.
+//! The S-Node paper fixes one list codec (§3.3: γ-coded gaps, RLE
+//! copy-masks) and [`crate::refenc`] codes every list that one way. What
+//! is left to choose is how a positive superedge graph lays out its
+//! target lists ([`SuperedgeLayouts`]); a [`ListCodec`] records that
+//! choice for one *class* of adjacency lists, a [`CodecConfig`] holds one
+//! per class (intranode vs superedge). The config is chosen at build time
+//! ([`crate::build::SNodeConfig`]), recorded in the `meta.bin` header
+//! (since format v2), and every decode path reads it back from there — a
+//! directory always decodes the way it was built. Version-1 directories
+//! carry no codec word and decode as [`CodecConfig::GAMMA`].
 //!
-//! A [`ListCodec`] describes how one *class* of adjacency lists is
-//! coded; a [`CodecConfig`] holds one per class (intranode vs superedge).
-//! The config is chosen at build time ([`crate::build::SNodeConfig`]),
-//! recorded in the `meta.bin` header (since format v2), and every decode
-//! path reads it back from there — a directory always decodes with the
-//! codec it was built with. Version-1 directories carry no codec field
-//! and decode as [`CodecConfig::GAMMA`] (γ everywhere), which is
-//! bit-compatible because ζ₁ *is* γ.
-//!
-//! [`CodecConfig::default`] is the one definition of what a build writes
-//! when nobody says otherwise — `g+st`: γ gaps, and every positive
-//! superedge graph in the cheapest of its three layouts
-//! ([`SuperedgeLayouts::Priced`]). `g` still writes the paper's plain
-//! format.
-//!
-//! Cells of the ablation grid are named `<gaps>[+iv][+cb][+st]` per
-//! class: `g` (γ = ζ₁) or `z<k>` for the gap code, `+iv` for interval
-//! runs, `+cb` for copy blocks, `+st` for the dictionary layouts of
-//! superedge graphs — e.g. `z3+iv+cb` or `g+st`.
+//! Two configurations have a name: `g`, the paper's plain format, and
+//! `g+st`, which [`CodecConfig::default`] is — the one definition of what
+//! a build writes when nobody says otherwise: every positive superedge
+//! graph in the cheapest of its three layouts
+//! ([`SuperedgeLayouts::Priced`]). Formats v2 and v3 also had an ablation
+//! grid beside these (ζ_k gap codes, interval runs, copy blocks); each of
+//! its cells was larger and slower to decode than its γ counterpart
+//! (DESIGN §5h) and it is retired: a header that names one is `Corrupt`.
 
 use crate::{Result, SNodeError};
-
-/// Largest accepted ζ shrinking parameter. The useful range for Web-gap
-/// distributions is 2..=5; 8 leaves headroom without letting a damaged
-/// header smuggle in absurd values.
-pub const MAX_ZETA_K: u8 = 8;
 
 /// The layouts a positive superedge graph may be stored in. A graph's
 /// layout is chosen by exact encoded size when it is built and named by a
@@ -39,13 +28,13 @@ pub const MAX_ZETA_K: u8 = 8;
 /// directory, recorded here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SuperedgeLayouts {
-    /// The paper's format (cell `g`): always one reference-encoded list
-    /// per source, no marker.
+    /// The paper's format (`g`): always one reference-encoded list per
+    /// source, no marker.
     #[default]
     Standard,
     /// What `+st` meant in format v2: one marker bit, `0` the list stream,
-    /// `1` the single-target dictionary. No cell name writes it any more;
-    /// v2 directories built with `+st` decode through it.
+    /// `1` the single-target dictionary. No name writes it any more; v2
+    /// directories built with `+st` decode through it.
     SingleTarget,
     /// `+st` since format v3: the list stream (`00`), the single-target
     /// dictionary (`1`) or the list dictionary (`01`), whichever is
@@ -53,19 +42,17 @@ pub enum SuperedgeLayouts {
     Priced,
 }
 
-/// How one class of adjacency lists is coded.
+/// How one class of adjacency lists is coded: γ gaps and RLE copy-masks
+/// always, so the one field is the one choice.
+///
+/// `benchmark/src/layers.rs` (frozen) passes `meta.codec.intra` and
+/// `meta.codec.superedge` to [`crate::refenc::encode_lists`],
+/// [`crate::refenc::ListsIndex::parse`] and
+/// [`crate::subgraphs::SuperedgeIndex::parse`]: this type, its per-class
+/// pair in [`CodecConfig`] and the codec argument of those three keep
+/// their shapes until ROADMAP item 3 unfreezes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListCodec {
-    /// ζ shrinking parameter for gap residuals, `1..=MAX_ZETA_K`.
-    /// `1` is exactly the Elias γ code the seed format used.
-    pub zeta_k: u8,
-    /// Extract maximal runs of consecutive ids from plain lists and
-    /// store them as (left extreme, length) pairs before gap-coding the
-    /// residuals (BV interval runs).
-    pub intervals: bool,
-    /// Store reference-encoding copy-masks as BV copy blocks instead of
-    /// the literal-or-RLE bit vector.
-    pub copy_blocks: bool,
     /// Superedge graphs that repeat list material (site-template links
     /// dominate real crawls) may store each distinct target, or each
     /// distinct list, once, plus one minimal-binary index per source,
@@ -74,108 +61,51 @@ pub struct ListCodec {
 }
 
 impl ListCodec {
-    /// γ gaps, no intervals, no copy blocks, no dictionaries — the seed
-    /// (v1) format, cell `g`.
+    /// No dictionaries — the seed (v1) format, `g`.
     pub const GAMMA: ListCodec = ListCodec {
-        zeta_k: 1,
-        intervals: false,
-        copy_blocks: false,
         layouts: SuperedgeLayouts::Standard,
     };
 
-    /// True when this codec produces bit-identical output to the seed
-    /// (v1) γ format.
-    pub fn is_gamma_baseline(&self) -> bool {
-        *self == Self::GAMMA
-    }
-
-    /// Packs into one byte: low nibble ζ_k, bit 4 intervals, bit 5 copy
-    /// blocks, bit 6 the single-target dictionary, bit 7 (format v3) the
-    /// list dictionary beside it.
+    /// Packs into one byte: low nibble 1 (the γ gap code — the nibble held
+    /// ζ's shrinking parameter when there was a grid), bit 6 the
+    /// single-target dictionary, bit 7 (format v3) the list dictionary
+    /// beside it.
     fn to_byte(self) -> u8 {
-        let layouts = match self.layouts {
+        0x01 | match self.layouts {
             SuperedgeLayouts::Standard => 0x00,
             SuperedgeLayouts::SingleTarget => 0x40,
             SuperedgeLayouts::Priced => 0xC0,
-        };
-        self.zeta_k | (u8::from(self.intervals) << 4) | (u8::from(self.copy_blocks) << 5) | layouts
+        }
     }
 
-    /// Rejects out-of-range fields; used on every header read so a
-    /// damaged codec byte surfaces as `Corrupt`, never a panic deeper in
-    /// a ζ call (SN211).
+    /// Used on every header read, so a damaged codec byte — or one of the
+    /// retired grid, whose bits 4 and 5 were interval runs and copy
+    /// blocks — surfaces as `Corrupt` here and not as a misread list.
     fn from_byte(b: u8) -> Result<ListCodec> {
-        let zeta_k = b & 0x0F;
+        if b & 0x3F != 0x01 {
+            return Err(SNodeError::Corrupt(
+                "header names a list codec this version does not read (a retired \
+                 ablation cell: z<k>, +iv or +cb): rebuild the directory",
+            ));
+        }
         let layouts = match b & 0xC0 {
-            0x00 => Some(SuperedgeLayouts::Standard),
-            0x40 => Some(SuperedgeLayouts::SingleTarget),
-            0xC0 => Some(SuperedgeLayouts::Priced),
+            0x00 => SuperedgeLayouts::Standard,
+            0x40 => SuperedgeLayouts::SingleTarget,
+            0xC0 => SuperedgeLayouts::Priced,
             // A list dictionary without the single-target one: no version
             // writes it.
-            _ => None,
+            _ => return Err(SNodeError::Corrupt("invalid list codec id in header")),
         };
-        let (Some(layouts), 1..=MAX_ZETA_K) = (layouts, zeta_k) else {
-            return Err(SNodeError::Corrupt("invalid list codec id in header"));
-        };
-        Ok(ListCodec {
-            zeta_k,
-            intervals: b & 0x10 != 0,
-            copy_blocks: b & 0x20 != 0,
-            layouts,
-        })
-    }
-
-    /// Parses a cell name like `g`, `z3`, `z3+iv+cb`, or `g+st`.
-    pub fn parse_cell(s: &str) -> Result<ListCodec> {
-        let mut parts = s.split('+');
-        let gaps = parts.next().unwrap_or_default();
-        let zeta_k = match gaps {
-            "g" => 1u8,
-            _ => gaps
-                .strip_prefix('z')
-                .and_then(|k| k.parse::<u8>().ok())
-                .filter(|&k| (1..=MAX_ZETA_K).contains(&k))
-                .ok_or(SNodeError::Corrupt(
-                    "codec cell must start with 'g' or 'z<1..=8>'",
-                ))?,
-        };
-        let mut codec = ListCodec {
-            zeta_k,
-            ..ListCodec::GAMMA
-        };
-        for part in parts {
-            match part {
-                "iv" => codec.intervals = true,
-                "cb" => codec.copy_blocks = true,
-                "st" => codec.layouts = SuperedgeLayouts::Priced,
-                _ => {
-                    return Err(SNodeError::Corrupt(
-                        "unknown codec cell flag (expected 'iv', 'cb', or 'st')",
-                    ))
-                }
-            }
-        }
-        Ok(codec)
+        Ok(ListCodec { layouts })
     }
 }
 
 impl std::fmt::Display for ListCodec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.zeta_k == 1 {
-            write!(f, "g")?;
-        } else {
-            write!(f, "z{}", self.zeta_k)?;
-        }
-        if self.intervals {
-            write!(f, "+iv")?;
-        }
-        if self.copy_blocks {
-            write!(f, "+cb")?;
-        }
-        if self.layouts != SuperedgeLayouts::Standard {
-            write!(f, "+st")?;
-        }
-        Ok(())
+        f.write_str(match self.layouts {
+            SuperedgeLayouts::Standard => "g",
+            _ => "g+st",
+        })
     }
 }
 
@@ -190,12 +120,11 @@ pub struct CodecConfig {
 }
 
 /// What `wgr build`, [`crate::build::SNodeConfig::default`] and every
-/// figure and table write: cell `g+st`, as [`CodecConfig::parse`] reads it.
+/// figure and table write: `g+st`, as [`CodecConfig::parse`] reads it.
 impl Default for CodecConfig {
     fn default() -> Self {
         let st = ListCodec {
             layouts: SuperedgeLayouts::Priced,
-            ..ListCodec::GAMMA
         };
         CodecConfig {
             intra: st,
@@ -205,17 +134,11 @@ impl Default for CodecConfig {
 }
 
 impl CodecConfig {
-    /// The seed (v1) format and the paper's: γ everywhere, cell `g`.
+    /// The seed (v1) format and the paper's, `g`.
     pub const GAMMA: CodecConfig = CodecConfig {
         intra: ListCodec::GAMMA,
         superedge: ListCodec::GAMMA,
     };
-
-    /// True when every class uses the seed γ format, whose output is
-    /// bit-identical to version-1 directories.
-    pub fn is_gamma_baseline(&self) -> bool {
-        self.intra.is_gamma_baseline() && self.superedge.is_gamma_baseline()
-    }
 
     /// Header form: `[intra, superedge, 0, 0]` packed little-endian.
     /// The two reserved bytes must be zero (checked on read).
@@ -236,21 +159,12 @@ impl CodecConfig {
         })
     }
 
-    /// Parses `"<intra>/<superedge>"`, or one cell applied to both
-    /// classes (e.g. `z3` ≡ `z3/z3`).
+    /// Parses one of the two names a format has: `g` or `g+st`.
     pub fn parse(s: &str) -> Result<CodecConfig> {
-        match s.split_once('/') {
-            Some((i, e)) => Ok(CodecConfig {
-                intra: ListCodec::parse_cell(i)?,
-                superedge: ListCodec::parse_cell(e)?,
-            }),
-            None => {
-                let c = ListCodec::parse_cell(s)?;
-                Ok(CodecConfig {
-                    intra: c,
-                    superedge: c,
-                })
-            }
+        match s {
+            "g" => Ok(CodecConfig::GAMMA),
+            "g+st" => Ok(CodecConfig::default()),
+            _ => Err(SNodeError::Corrupt("codec must be 'g' or 'g+st'")),
         }
     }
 }
@@ -265,36 +179,18 @@ impl std::fmt::Display for CodecConfig {
 mod tests {
     use super::*;
 
-    /// Every cell with a name. (`SingleTarget` has none: see below.)
-    fn all_cells() -> Vec<ListCodec> {
-        let mut v = Vec::new();
-        for k in 1..=MAX_ZETA_K {
-            for iv in [false, true] {
-                for cb in [false, true] {
-                    for layouts in [SuperedgeLayouts::Standard, SuperedgeLayouts::Priced] {
-                        v.push(ListCodec {
-                            zeta_k: k,
-                            intervals: iv,
-                            copy_blocks: cb,
-                            layouts,
-                        });
-                    }
-                }
-            }
-        }
-        v
-    }
-
     #[test]
-    fn header_round_trips_every_cell_pair() {
-        for &a in &all_cells() {
-            for &b in &all_cells() {
-                let cfg = CodecConfig {
-                    intra: a,
-                    superedge: b,
-                };
-                let back = CodecConfig::from_header(cfg.to_header()).unwrap();
-                assert_eq!(back, cfg);
+    fn header_round_trips_every_layouts_pair() {
+        let all = [
+            SuperedgeLayouts::Standard,
+            SuperedgeLayouts::SingleTarget,
+            SuperedgeLayouts::Priced,
+        ];
+        for intra in all.map(|layouts| ListCodec { layouts }) {
+            for superedge in all.map(|layouts| ListCodec { layouts }) {
+                let cfg = CodecConfig { intra, superedge };
+                assert_eq!(cfg.to_header() & 0x3F3F, 0x0101, "{cfg}");
+                assert_eq!(CodecConfig::from_header(cfg.to_header()).unwrap(), cfg);
             }
         }
     }
@@ -316,8 +212,10 @@ mod tests {
     #[test]
     fn invalid_headers_are_rejected() {
         for bad in [
-            0u32,        // zeta_k = 0 in both classes
-            0x0000_0009, // zeta_k = 9 > MAX_ZETA_K
+            0u32,        // no gap code in either class
+            0x0000_0102, // ζ₂: a retired cell
+            0x0000_1101, // +iv in the superedge byte
+            0x0000_0121, // +cb
             0x0000_0081, // list dictionary without the single-target one
             0x0000_8101, // the same in the superedge byte
             0x0001_0101, // reserved high bytes non-zero
@@ -330,39 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn cell_names_round_trip() {
-        for &c in &all_cells() {
-            let name = c.to_string();
-            assert_eq!(ListCodec::parse_cell(&name).unwrap(), c, "{name}");
-        }
-        assert_eq!(ListCodec::parse_cell("g").unwrap(), ListCodec::GAMMA);
-        assert_eq!(ListCodec::parse_cell("z1").unwrap(), ListCodec::GAMMA);
-        assert!(ListCodec::parse_cell("z0").is_err());
-        assert!(ListCodec::parse_cell("z9").is_err());
-        assert!(ListCodec::parse_cell("g+xx").is_err());
-        assert!(ListCodec::parse_cell("").is_err());
-    }
-
-    #[test]
-    fn config_parse_single_and_pair() {
-        let c = CodecConfig::parse("z3").unwrap();
-        assert_eq!(c.intra.zeta_k, 3);
-        assert_eq!(c.superedge.zeta_k, 3);
-        let c = CodecConfig::parse("z3+iv/g").unwrap();
-        assert!(c.intra.intervals);
-        assert!(c.superedge.is_gamma_baseline());
-        assert_eq!(c.to_string(), "z3+iv/g");
-        assert_eq!(CodecConfig::parse(&c.to_string()).unwrap(), c);
-    }
-
-    #[test]
-    fn default_is_the_priced_layouts_cell() {
+    fn exactly_two_configurations_have_a_name() {
         let default = CodecConfig::default();
-        assert_eq!(default, CodecConfig::parse("g+st").unwrap());
+        assert_eq!(CodecConfig::parse("g+st").unwrap(), default);
         assert_eq!(default.to_string(), "g+st/g+st");
         assert_eq!(default.superedge.layouts, SuperedgeLayouts::Priced);
-        assert!(!default.is_gamma_baseline());
-        assert_eq!(CodecConfig::GAMMA, CodecConfig::parse("g").unwrap());
+        assert_eq!(CodecConfig::parse("g").unwrap(), CodecConfig::GAMMA);
         assert_eq!(CodecConfig::GAMMA.to_string(), "g/g");
+        assert_eq!(CodecConfig::GAMMA.to_header(), 0x0000_0101);
+        for retired in ["z1", "z3", "g+iv", "g+cb", "g/g+st", "g+st+st", ""] {
+            assert!(CodecConfig::parse(retired).is_err(), "{retired:?}");
+        }
     }
 }

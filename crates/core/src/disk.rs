@@ -31,15 +31,17 @@ const META_MAGIC: u32 = 0x534E_4F44; // "SNOD"
 /// choice; version 3 added the list dictionary to the layouts a positive
 /// superedge graph chooses between (and with it a second marker bit, see
 /// [`crate::codec::SuperedgeLayouts`]). Directories of every earlier version stay
-/// readable: version 1 decodes with the γ baseline, whose bit streams are
-/// identical to what it was built with (ζ₁ = γ), version 2 with the
-/// codec word it carries.
+/// readable: version 1, which has no codec word, as `g`, the only format
+/// there was; version 2 with the codec word it carries.
 const META_VERSION: u32 = 3;
 const PAGEMAP_MAGIC: u32 = 0x534E_504D; // "SNPM"
 
-/// Reads the version + optional codec word; shared by full parse and the
-/// supergraph-section reader so both accept the same set of versions.
-fn read_version_and_codec(c: &mut Cursor<'_>) -> Result<CodecConfig> {
+/// Reads the magic, the version and the optional codec word; shared by
+/// every reader of `meta.bin` so all accept the same set of versions.
+fn read_header(c: &mut Cursor<'_>) -> Result<CodecConfig> {
+    if c.u32()? != META_MAGIC {
+        return Err(SNodeError::Corrupt("bad meta magic"));
+    }
     let version = c.u32()?;
     let codec = match version {
         1 => return Ok(CodecConfig::GAMMA),
@@ -181,12 +183,7 @@ impl SNodeMeta {
     pub fn read_supergraph_section(dir: &Path) -> Result<(Vec<u8>, u64)> {
         let buf = read_whole_file(&dir.join("meta.bin"))?;
         let mut c = Cursor::new(&buf);
-        if c.u32()? != META_MAGIC {
-            return Err(SNodeError::Corrupt(
-                "bad meta magic before supergraph section",
-            ));
-        }
-        let _codec = read_version_and_codec(&mut c)?;
+        let _codec = read_header(&mut c)?;
         let _num_pages = c.u32()?;
         let n = c.u32()? as usize;
         for _ in 0..=n {
@@ -196,6 +193,13 @@ impl SNodeMeta {
         let sg_len = c.u64()? as usize;
         let sg_bytes = c.bytes(sg_len)?;
         Ok((sg_bytes.to_vec(), sg_bits))
+    }
+
+    /// Reads only the codec the header of `dir/meta.bin` records: what a
+    /// repair has to know of a directory whose `meta.bin` may be damaged
+    /// further in.
+    pub fn read_codec(dir: &Path) -> Result<CodecConfig> {
+        read_header(&mut Cursor::new(&read_whole_file(&dir.join("meta.bin"))?))
     }
 
     /// Deserialises from `dir/meta.bin`.
@@ -208,10 +212,7 @@ impl SNodeMeta {
     /// checksum the raw bytes parse the same buffer they verified).
     pub fn parse(buf: &[u8]) -> Result<Self> {
         let mut c = Cursor::new(buf);
-        if c.u32()? != META_MAGIC {
-            return Err(SNodeError::Corrupt("bad meta magic"));
-        }
-        let codec = read_version_and_codec(&mut c)?;
+        let codec = read_header(&mut c)?;
         let num_pages = c.u32()?;
         let n = c.u32()? as usize;
         // Counts are untrusted until the reads below confirm them; clamp the

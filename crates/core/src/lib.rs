@@ -25,7 +25,7 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`refenc`] | §3.1 | affinity graph, Chu–Liu/Edmonds arborescence, windowed reference selection, list codec |
-//! | [`codec`] | — | per-list-class codec selection: ζ_k gaps, interval runs, copy blocks, superedge layouts |
+//! | [`codec`] | — | the format choice a directory records: which layouts its positive superedge graphs may take (`g`, `g+st`) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
 //! | [`kmeans`] | §3.2 | k-means over supernode-adjacency bit vectors |
 //! | [`partition`] | §3.2 | URL split, clustered split, iterative refinement loop |

@@ -30,7 +30,7 @@
 
 use crate::codec::ListCodec;
 use crate::{Result, SNodeError};
-use wg_bitio::{blocks, codes, rle, zeta, BitReader, BitWriter};
+use wg_bitio::{codes, rle, BitReader, BitWriter};
 
 /// Depth cap on reference chains in [`RefMode::Windowed`] encoding.
 ///
@@ -93,7 +93,9 @@ impl EncodedLists {
 }
 
 /// Encodes `lists` (each strictly ascending, entries `< universe`) with the
-/// given reference mode and list codec, single-threaded.
+/// given reference mode, single-threaded. Every list is coded the one way
+/// the paper does: the codec argument is read by nothing, and
+/// [`ListCodec`] says which caller it stays for.
 ///
 /// # Panics
 /// Panics if a list entry is `>= universe` or a list is not strictly
@@ -102,9 +104,9 @@ pub fn encode_lists(
     lists: &[Vec<u32>],
     universe: u64,
     mode: RefMode,
-    codec: ListCodec,
+    _codec: ListCodec,
 ) -> EncodedLists {
-    encode_lists_t(lists, universe, mode, codec, 1)
+    encode_lists_t(lists, universe, mode, 1)
 }
 
 /// [`encode_lists`] with up to `threads` workers for reference selection
@@ -115,10 +117,9 @@ pub fn encode_lists_t(
     lists: &[Vec<u32>],
     universe: u64,
     mode: RefMode,
-    codec: ListCodec,
     threads: u32,
 ) -> EncodedLists {
-    let plan = plan_lists(lists, universe, mode, codec, threads);
+    let plan = plan_lists(lists, universe, mode, threads);
     encode_lists_planned(lists, universe, &plan, threads)
 }
 
@@ -138,9 +139,6 @@ pub(crate) struct ListsPlan {
     payload_bits: Vec<u64>,
     /// Whether the stream needs an explicit directory (forward refs).
     has_dir: bool,
-    /// The list codec the plan's sizes were computed under; the encode
-    /// step must use the same one.
-    codec: ListCodec,
     /// Exact size in bits of the full encoded stream.
     pub(crate) total_bits: u64,
 }
@@ -151,14 +149,13 @@ pub(crate) fn plan_lists(
     lists: &[Vec<u32>],
     universe: u64,
     mode: RefMode,
-    codec: ListCodec,
     threads: u32,
 ) -> ListsPlan {
     for list in lists {
         debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(list.iter().all(|&x| u64::from(x) < universe.max(1)));
     }
-    let parents = choose_references(lists, universe, mode, codec, threads);
+    let parents = choose_references(lists, universe, mode, threads);
     let n = lists.len();
     // Exact per-payload sizes: every component codec exposes an exact
     // length function, so the size of a payload is known without writing
@@ -166,12 +163,12 @@ pub(crate) fn plan_lists(
     let payload_bits: Vec<u64> = crate::par::par_chunks(threads, n, 64, |range| {
         range
             .map(|i| match parents[i] {
-                None => 1 + bounded_gap_list_len(&lists[i], universe, codec),
+                None => 1 + bounded_gap_list_len(&lists[i], universe),
                 Some(p) => {
                     let (bits, extras) = diff_against(&lists[p as usize], &lists[i]);
                     1 + codes::minimal_binary_len(u64::from(p), n as u64)
-                        + mask_len(&bits, codec)
-                        + bounded_gap_list_len(&extras, universe, codec)
+                        + rle::encoded_len(&bits)
+                        + bounded_gap_list_len(&extras, universe)
                 }
             })
             .collect::<Vec<u64>>()
@@ -195,7 +192,6 @@ pub(crate) fn plan_lists(
         parents,
         payload_bits,
         has_dir,
-        codec,
         total_bits,
     }
 }
@@ -210,7 +206,6 @@ pub(crate) fn encode_lists_planned(
 ) -> EncodedLists {
     let n = lists.len();
     debug_assert_eq!(plan.parents.len(), n);
-    let codec = plan.codec;
 
     // Encode payloads first so their lengths can go in the directory. The
     // universe size is NOT stored: every caller knows it (an intranode
@@ -226,15 +221,15 @@ pub(crate) fn encode_lists_planned(
                 match plan.parents[i] {
                     None => {
                         w.write_bit(false);
-                        write_bounded_gap_list(&mut w, list, universe, codec);
+                        write_bounded_gap_list(&mut w, list, universe);
                     }
                     Some(p) => {
                         w.write_bit(true);
                         codes::write_minimal_binary(&mut w, u64::from(p), n as u64);
                         let reference = &lists[p as usize];
                         let (bits, extras) = diff_against(reference, list);
-                        write_mask(&mut w, &bits, codec);
-                        write_bounded_gap_list(&mut w, &extras, universe, codec);
+                        rle::write_bitvec(&mut w, &bits);
+                        write_bounded_gap_list(&mut w, &extras, universe);
                     }
                 }
                 w.finish()
@@ -274,13 +269,8 @@ pub(crate) fn encode_lists_planned(
 /// Exact encoded size in bits without producing the encoding (for the
 /// positive-vs-negative superedge decision). Pays for reference selection
 /// only; no bit stream is written.
-pub fn encoded_size_bits(
-    lists: &[Vec<u32>],
-    universe: u64,
-    mode: RefMode,
-    codec: ListCodec,
-) -> u64 {
-    plan_lists(lists, universe, mode, codec, 1).total_bits
+pub fn encoded_size_bits(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> u64 {
+    plan_lists(lists, universe, mode, 1).total_bits
 }
 
 /// Owned directory of an [`EncodedLists`] stream: everything needed for
@@ -293,9 +283,6 @@ pub fn encoded_size_bits(
 pub struct ListsIndex {
     num_lists: u32,
     universe: u64,
-    /// The list codec the stream was encoded with (not stored in the
-    /// stream: the directory's `meta.bin` header records it once).
-    codec: ListCodec,
     /// Absolute bit offset of each payload (one extra end sentinel).
     /// `u32` bounds a single encoded graph at 512 MiB — orders of magnitude
     /// above any graph a sane partition produces, and half the resident
@@ -309,11 +296,11 @@ impl ListsIndex {
     /// `universe` declares the entry universe: [`Universe::SameAsCount`]
     /// for intranode-style graphs (entries index the lists themselves) or
     /// [`Universe::Explicit`] when the caller knows it (superedge targets
-    /// in `0..|Nj|`). `codec` declares the list codec the stream was
-    /// written with. Neither is stored in the stream — the universe comes
-    /// from resident metadata, the codec from the `meta.bin` header.
-    pub fn parse(data: &[u8], bit_len: u64, universe: Universe, codec: ListCodec) -> Result<Self> {
-        Self::parse_at(data, bit_len, 0, universe, codec)
+    /// in `0..|Nj|`). It is not stored in the stream: it comes from
+    /// resident metadata. The codec argument is read by nothing, and
+    /// [`ListCodec`] says which caller it stays for.
+    pub fn parse(data: &[u8], bit_len: u64, universe: Universe, _codec: ListCodec) -> Result<Self> {
+        Self::parse_at(data, bit_len, 0, universe)
     }
 
     /// Like [`ListsIndex::parse`], but the encoded stream starts at bit
@@ -326,13 +313,7 @@ impl ListsIndex {
     /// long as the parent's list, so one length per list is all it keeps.
     /// What needs the values themselves (a copied entry colliding with an
     /// extra) is checked when a list is decoded.
-    pub fn parse_at(
-        data: &[u8],
-        bit_len: u64,
-        start: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<Self> {
+    pub fn parse_at(data: &[u8], bit_len: u64, start: u64, universe: Universe) -> Result<Self> {
         let mut r = BitReader::with_bit_len(data, bit_len);
         r.seek(start)?;
         let n = codes::read_gamma(&mut r)?;
@@ -386,27 +367,21 @@ impl ListsIndex {
                 } else {
                     None
                 };
-                lens.push(scan_payload(&mut r, reference_len, universe, codec)?);
+                lens.push(scan_payload(&mut r, reference_len, universe)?);
             }
             offsets.push(bit_offset_u32(r.position())?);
         }
         Ok(Self {
             num_lists: n as u32,
             universe,
-            codec,
             offsets,
         })
     }
 
     /// Parses the stream and decodes every list, returning both the index
     /// and the decoded lists.
-    pub fn load(
-        data: &[u8],
-        bit_len: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<(Self, Vec<Vec<u32>>)> {
-        let index = Self::parse(data, bit_len, universe, codec)?;
+    pub fn load(data: &[u8], bit_len: u64, universe: Universe) -> Result<(Self, Vec<Vec<u32>>)> {
+        let index = Self::parse_at(data, bit_len, 0, universe)?;
         let lists = index.decode_all(data, bit_len)?;
         Ok((index, lists))
     }
@@ -549,7 +524,7 @@ impl ListsIndex {
         let mut r = self.reader_at(data, bit_len, i)?;
         let is_ref = r.read_bit()?;
         debug_assert!(!is_ref);
-        read_bounded_gap_list(&mut r, self.universe, self.codec)
+        read_bounded_gap_list(&mut r, self.universe)
     }
 
     /// Decodes payload `i`, known to be reference-encoded against
@@ -571,10 +546,10 @@ impl ListsIndex {
         let _parent = codes::read_minimal_binary(&mut r, u64::from(self.num_lists))?;
         copied.clear();
         copied.reserve(reference.len());
-        read_mask_set_positions(&mut r, reference.len(), self.codec, |pos| {
+        rle::read_bitvec_set_positions(&mut r, reference.len(), |pos| {
             copied.push(reference[pos]);
         })?;
-        let extras = read_bounded_gap_list(&mut r, self.universe, self.codec)?;
+        let extras = read_bounded_gap_list(&mut r, self.universe)?;
         let mut merged = Vec::new();
         merge_sorted_u32(copied, &extras, &mut merged)?;
         Ok(merged)
@@ -626,16 +601,11 @@ pub struct ListsReader<'a> {
 
 impl<'a> ListsReader<'a> {
     /// Parses the header + directory of an encoded stream.
-    pub fn parse(
-        data: &'a [u8],
-        bit_len: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) -> Result<Self> {
+    pub fn parse(data: &'a [u8], bit_len: u64, universe: Universe) -> Result<Self> {
         Ok(Self {
             data,
             bit_len,
-            index: ListsIndex::parse(data, bit_len, universe, codec)?,
+            index: ListsIndex::parse_at(data, bit_len, 0, universe)?,
         })
     }
 
@@ -693,109 +663,11 @@ impl DecodeMemo for VecMemo {
     }
 }
 
-// --- Codec-parameterised primitives ---------------------------------------
-
-/// Minimum length of a consecutive-id run extracted as an interval when a
-/// codec enables interval runs (the WebGraph default). Shorter runs stay
-/// in the gap sequence, where a consecutive pair already costs one bit.
-pub(crate) const MIN_INTERVAL: u32 = 4;
-
-/// Bits of the gap code for `x` under shrinking parameter `k` (ζ₁ = γ,
-/// dispatched to the tuned γ implementation).
-#[inline]
-fn gap_code_len(x: u64, k: u8) -> u64 {
-    if k <= 1 {
-        codes::gamma_len(x)
-    } else {
-        // Gap values fit u64 by construction (< 2^33) and `k` comes from
-        // a validated `ListCodec`, so the domain check cannot fire; the
-        // poisoned fallback keeps any future violation loud (the plan
-        // size cross-check catches it) without a decode-path panic.
-        zeta::zeta_len(x, u32::from(k)).unwrap_or(u64::MAX >> 8)
-    }
-}
-
-#[inline]
-fn write_gap_code(w: &mut BitWriter, x: u64, k: u8) {
-    if k <= 1 {
-        codes::write_gamma(w, x);
-    } else {
-        let ok = zeta::write_zeta(w, x, u32::from(k)).is_ok();
-        debug_assert!(ok, "gap value outside the zeta domain");
-    }
-}
-
-#[inline]
-fn read_gap_code(r: &mut BitReader<'_>, k: u8) -> Result<u64> {
-    if k <= 1 {
-        Ok(codes::read_gamma(r)?)
-    } else {
-        Ok(zeta::read_zeta(r, u32::from(k))?)
-    }
-}
-
-/// Bits of the copy-mask encoding `codec` selects.
-#[inline]
-fn mask_len(bits: &[bool], codec: ListCodec) -> u64 {
-    if codec.copy_blocks {
-        blocks::blocks_len(bits)
-    } else {
-        rle::encoded_len(bits)
-    }
-}
-
-#[inline]
-fn write_mask(w: &mut BitWriter, bits: &[bool], codec: ListCodec) {
-    if codec.copy_blocks {
-        blocks::write_blocks(w, bits);
-    } else {
-        rle::write_bitvec(w, bits);
-    }
-}
-
-#[inline]
-fn read_mask_set_positions(
-    r: &mut BitReader<'_>,
-    len: usize,
-    codec: ListCodec,
-    on_set: impl FnMut(usize),
-) -> Result<()> {
-    if codec.copy_blocks {
-        blocks::read_blocks_set_positions(r, len, on_set)?;
-    } else {
-        rle::read_bitvec_set_positions(r, len, on_set)?;
-    }
-    Ok(())
-}
-
-/// Splits `list` into maximal consecutive-id runs of length ≥
-/// [`MIN_INTERVAL`] (as `(left, len)` intervals) and the remaining
-/// residual entries, both in ascending order.
-fn split_intervals(list: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
-    let mut intervals = Vec::new();
-    let mut residuals = Vec::new();
-    let mut i = 0usize;
-    while i < list.len() {
-        let mut j = i + 1;
-        while j < list.len() && list[j] == list[j - 1] + 1 {
-            j += 1;
-        }
-        let run = (j - i) as u32;
-        if run >= MIN_INTERVAL {
-            intervals.push((list[i], run));
-        } else {
-            residuals.extend_from_slice(&list[i..j]);
-        }
-        i = j;
-    }
-    (intervals, residuals)
-}
-
 // --- Cost model ----------------------------------------------------------
 
 /// Cost in bits of a plain payload for `list` (excluding the directory).
-pub(crate) fn plain_cost(list: &[u32], universe: u64, codec: ListCodec) -> u64 {
-    1 + bounded_gap_list_len(list, universe, codec)
+pub(crate) fn plain_cost(list: &[u32], universe: u64) -> u64 {
+    1 + bounded_gap_list_len(list, universe)
 }
 
 /// A floor under [`plan_lists`]' `total_bits` for a stream of lists whose
@@ -826,7 +698,7 @@ struct DiffScratch {
 /// Cost in bits of encoding `target` referencing `reference`, or `None`
 /// when the two share no entry.
 ///
-/// Such a candidate can never be selected, whatever the codec: its extras
+/// Such a candidate can never be selected: its extras
 /// are the whole of `target`, so it costs [`plain_cost`] plus the parent
 /// field and the mask, and selection demands a cost strictly below plain.
 fn ref_cost_into(
@@ -834,24 +706,21 @@ fn ref_cost_into(
     target: &[u32],
     n_lists: u64,
     universe: u64,
-    codec: ListCodec,
     scratch: &mut DiffScratch,
 ) -> Option<u64> {
     let shared = diff_into(reference, target, scratch);
-    (shared > 0).then(|| diff_cost(scratch, n_lists, universe, codec))
+    (shared > 0).then(|| diff_cost(scratch, n_lists, universe))
 }
 
 /// Cost in bits of the reference payload whose mask and extras `diff` holds.
-fn diff_cost(diff: &DiffScratch, n_lists: u64, universe: u64, codec: ListCodec) -> u64 {
+fn diff_cost(diff: &DiffScratch, n_lists: u64, universe: u64) -> u64 {
     // Parent field: upper bound of ⌈log₂ n⌉ bits (minimal binary).
     let parent_bits = if n_lists <= 1 {
         0
     } else {
         u64::from(64 - (n_lists - 1).leading_zeros())
     };
-    1 + parent_bits
-        + mask_len(&diff.mask, codec)
-        + bounded_gap_list_len(&diff.extras, universe, codec)
+    1 + parent_bits + rle::encoded_len(&diff.mask) + bounded_gap_list_len(&diff.extras, universe)
 }
 
 /// Splits `target` into a copy bit vector over `reference` and the extras,
@@ -884,29 +753,32 @@ fn diff_against(reference: &[u32], target: &[u32]) -> (Vec<bool>, Vec<u32>) {
     (out.mask, out.extras)
 }
 
-/// Size in bits of a run of ascending entries: first minimal-binary over
-/// the universe, later entries as coded gaps.
-fn ascending_entries_len(list: &[u32], universe: u64, k: u8) -> u64 {
-    let mut total = 0;
+/// Size in bits of [`write_bounded_gap_list`]'s output.
+pub(crate) fn bounded_gap_list_len(list: &[u32], universe: u64) -> u64 {
+    let mut total = codes::gamma_len(list.len() as u64);
     let mut prev: Option<u32> = None;
     for &x in list {
         total += match prev {
             None => codes::minimal_binary_len(u64::from(x), universe.max(1)),
-            Some(p) => gap_code_len(u64::from(x - p - 1), k),
+            Some(p) => codes::gamma_len(u64::from(x - p - 1)),
         };
         prev = Some(x);
     }
     total
 }
 
-fn write_ascending_entries(w: &mut BitWriter, list: &[u32], universe: u64, k: u8) {
+/// A gap list: γ(len), then the first element minimal-binary coded over
+/// the known universe (γ would spend ~2·log₂ bits on it) and every later
+/// one as the γ-coded gap from its predecessor.
+pub(crate) fn write_bounded_gap_list(w: &mut BitWriter, list: &[u32], universe: u64) {
+    codes::write_gamma(w, list.len() as u64);
     let mut prev: Option<u32> = None;
     for &x in list {
         match prev {
             None => codes::write_minimal_binary(w, u64::from(x), universe.max(1)),
             Some(p) => {
                 assert!(x > p, "gap list must be strictly ascending");
-                write_gap_code(w, u64::from(x - p - 1), k);
+                codes::write_gamma(w, u64::from(x - p - 1));
             }
         }
         prev = Some(x);
@@ -919,14 +791,13 @@ fn read_ascending_entries(
     r: &mut BitReader<'_>,
     count: u64,
     universe: u64,
-    k: u8,
     mut sink: impl FnMut(u32),
 ) -> Result<()> {
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let x = match prev {
             None => codes::read_minimal_binary(r, universe.max(1))?,
-            Some(p) => read_gap_code(r, k)?
+            Some(p) => codes::read_gamma(r)?
                 .checked_add(p + 1)
                 .ok_or(SNodeError::Corrupt("gap overflow"))?,
         };
@@ -940,155 +811,11 @@ fn read_ascending_entries(
     Ok(())
 }
 
-/// Size in bits of [`write_bounded_gap_list`]'s output.
-pub(crate) fn bounded_gap_list_len(list: &[u32], universe: u64, codec: ListCodec) -> u64 {
-    let k = codec.zeta_k;
-    let total = codes::gamma_len(list.len() as u64);
-    if !codec.intervals {
-        return total + ascending_entries_len(list, universe, k);
-    }
-    if list.is_empty() {
-        return total;
-    }
-    let (intervals, residuals) = split_intervals(list);
-    let mut total = total + codes::gamma_len(intervals.len() as u64);
-    let mut prev_end: Option<u64> = None;
-    for &(left, run) in &intervals {
-        total += match prev_end {
-            None => codes::minimal_binary_len(u64::from(left), universe.max(1)),
-            Some(pe) => gap_code_len(u64::from(left) - pe - 1, k),
-        };
-        total += codes::gamma_len(u64::from(run - MIN_INTERVAL));
-        prev_end = Some(u64::from(left) + u64::from(run));
-    }
-    total + ascending_entries_len(&residuals, universe, k)
-}
-
-/// A gap list whose first element is minimal-binary coded over the known
-/// universe (γ would spend ~2·log₂ bits on it) and whose gaps are coded
-/// with the codec's gap code (γ = ζ₁ by default, ζ_k otherwise).
-///
-/// With `codec.intervals`, maximal runs of ≥ [`MIN_INTERVAL`] consecutive
-/// ids are pulled out first (BV interval runs): after γ(len) for a
-/// non-empty list come γ(#intervals), then per interval its left extreme
-/// (first minimal-binary, later ones gap-coded from the previous run's
-/// end — maximality guarantees at least a one-id hole between runs) and
-/// γ(run − MIN_INTERVAL); the leftover residuals follow as an ordinary
-/// gap sequence whose count is implicit (len − Σ runs).
-pub(crate) fn write_bounded_gap_list(
-    w: &mut BitWriter,
-    list: &[u32],
-    universe: u64,
-    codec: ListCodec,
-) {
-    let k = codec.zeta_k;
-    codes::write_gamma(w, list.len() as u64);
-    if !codec.intervals {
-        write_ascending_entries(w, list, universe, k);
-        return;
-    }
-    if list.is_empty() {
-        return;
-    }
-    let (intervals, residuals) = split_intervals(list);
-    codes::write_gamma(w, intervals.len() as u64);
-    let mut prev_end: Option<u64> = None;
-    for &(left, run) in &intervals {
-        match prev_end {
-            None => codes::write_minimal_binary(w, u64::from(left), universe.max(1)),
-            Some(pe) => write_gap_code(w, u64::from(left) - pe - 1, k),
-        }
-        codes::write_gamma(w, u64::from(run - MIN_INTERVAL));
-        prev_end = Some(u64::from(left) + u64::from(run));
-    }
-    write_ascending_entries(w, &residuals, universe, k);
-}
-
-/// Reads the interval section of a non-empty list of declared length
-/// `len` (γ(#intervals), then each run's left extreme and length), hands
-/// every `(left, run)` to `sink` and returns the entries the runs cover.
-fn read_intervals(
-    r: &mut BitReader<'_>,
-    len: u64,
-    universe: u64,
-    k: u8,
-    mut sink: impl FnMut(u32, u32),
-) -> Result<u64> {
-    let num_intervals = codes::read_gamma(r)?;
-    // Every interval covers at least MIN_INTERVAL of the declared entries.
-    if num_intervals > len / u64::from(MIN_INTERVAL) {
-        return Err(SNodeError::Corrupt("interval count exceeds list length"));
-    }
-    let mut covered = 0u64;
-    let mut prev_end: Option<u64> = None;
-    for _ in 0..num_intervals {
-        let left = match prev_end {
-            None => codes::read_minimal_binary(r, universe.max(1))?,
-            Some(pe) => {
-                let g = read_gap_code(r, k)?;
-                pe.checked_add(1)
-                    .and_then(|v| v.checked_add(g))
-                    .ok_or(SNodeError::Corrupt("interval gap overflow"))?
-            }
-        };
-        let run = u64::from(MIN_INTERVAL)
-            .checked_add(codes::read_gamma(r)?)
-            .ok_or(SNodeError::Corrupt("interval length overflow"))?;
-        covered = covered
-            .checked_add(run)
-            .filter(|&c| c <= len)
-            .ok_or(SNodeError::Corrupt(
-                "interval runs exceed declared list length",
-            ))?;
-        let last = left
-            .checked_add(run - 1)
-            .filter(|&l| l <= u64::from(u32::MAX))
-            .ok_or(SNodeError::Corrupt("interval entry overflows u32"))?;
-        if last >= universe.max(1) {
-            return Err(SNodeError::Corrupt("interval entry outside its universe"));
-        }
-        sink(left as u32, run as u32);
-        prev_end = Some(last + 1);
-    }
-    Ok(covered)
-}
-
 /// Reads a list written by [`write_bounded_gap_list`].
-pub(crate) fn read_bounded_gap_list(
-    r: &mut BitReader<'_>,
-    universe: u64,
-    codec: ListCodec,
-) -> Result<Vec<u32>> {
-    let k = codec.zeta_k;
+pub(crate) fn read_bounded_gap_list(r: &mut BitReader<'_>, universe: u64) -> Result<Vec<u32>> {
     let len = codes::read_gamma(r)?;
     let mut out: Vec<u32> = Vec::with_capacity(len.min(1 << 20) as usize);
-    if !codec.intervals {
-        read_ascending_entries(r, len, universe, k, |x| out.push(x))?;
-        return Ok(out);
-    }
-    if len == 0 {
-        return Ok(out);
-    }
-    let mut intervals: Vec<(u32, u32)> = Vec::new();
-    let covered = read_intervals(r, len, universe, k, |left, run| intervals.push((left, run)))?;
-    let mut residuals = Vec::with_capacity(((len - covered) as usize).min(1 << 20));
-    read_ascending_entries(r, len - covered, universe, k, |x| residuals.push(x))?;
-    // Merge the expanded runs with the residuals. Both sequences are
-    // ascending on their own; the final monotonicity sweep rejects any
-    // cross-contamination (a residual landing inside or between runs out
-    // of order) that the per-sequence decoding cannot see.
-    let mut ri = 0usize;
-    for &(left, run) in &intervals {
-        while ri < residuals.len() && residuals[ri] < left {
-            out.push(residuals[ri]);
-            ri += 1;
-        }
-        out.extend(left..=left + (run - 1));
-    }
-    out.extend_from_slice(&residuals[ri..]);
-    if !out.windows(2).all(|p| p[0] < p[1]) {
-        return Err(SNodeError::Corrupt("interval and residual entries overlap"));
-    }
+    read_ascending_entries(r, len, universe, |x| out.push(x))?;
     Ok(out)
 }
 
@@ -1097,23 +824,13 @@ pub(crate) fn read_bounded_gap_list(
 /// with, building nothing. Returns the length of the list it encodes: the
 /// set bits of its copy-mask over the parent's `reference_len` entries, if
 /// it has a parent, plus its extras.
-fn scan_payload(
-    r: &mut BitReader<'_>,
-    reference_len: Option<u32>,
-    universe: u64,
-    codec: ListCodec,
-) -> Result<u32> {
+fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64) -> Result<u32> {
     let mut copied = 0u64;
     if let Some(m) = reference_len {
-        read_mask_set_positions(r, m as usize, codec, |_| copied += 1)?;
+        rle::read_bitvec_set_positions(r, m as usize, |_| copied += 1)?;
     }
     let extras = codes::read_gamma(r)?;
-    let covered = if codec.intervals && extras > 0 {
-        read_intervals(r, extras, universe, codec.zeta_k, |_, _| {})?
-    } else {
-        0
-    };
-    read_ascending_entries(r, extras - covered, universe, codec.zeta_k, |_| {})?;
+    read_ascending_entries(r, extras, universe, |_| {})?;
     u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))
 }
 
@@ -1129,7 +846,6 @@ fn choose_references(
     lists: &[Vec<u32>],
     universe: u64,
     mode: RefMode,
-    codec: ListCodec,
     threads: u32,
 ) -> Vec<Option<u32>> {
     let n = lists.len();
@@ -1137,7 +853,7 @@ fn choose_references(
         RefMode::Windowed(w)
             if threads > 1 && n.saturating_mul(w.max(1) as usize) >= PAR_COST_PROBES_MIN =>
         {
-            choose_references_windowed_par(lists, universe, w.max(1) as usize, codec, threads)
+            choose_references_windowed_par(lists, universe, w.max(1) as usize, threads)
         }
         RefMode::None => vec![None; n],
         RefMode::Windowed(w) => {
@@ -1149,19 +865,12 @@ fn choose_references(
                 if lists[y].is_empty() {
                     continue; // plain empty list is 2 bits; nothing beats it
                 }
-                let mut best = plain_cost(&lists[y], universe, codec);
+                let mut best = plain_cost(&lists[y], universe);
                 for x in y.saturating_sub(w)..y {
                     if lists[x].is_empty() || depth[x] >= MAX_REF_CHAIN {
                         continue;
                     }
-                    let c = ref_cost_into(
-                        &lists[x],
-                        &lists[y],
-                        n as u64,
-                        universe,
-                        codec,
-                        &mut scratch,
-                    );
+                    let c = ref_cost_into(&lists[x], &lists[y], n as u64, universe, &mut scratch);
                     if let Some(c) = c.filter(|&c| c < best) {
                         best = c;
                         parents[y] = Some(x as u32);
@@ -1181,7 +890,7 @@ fn choose_references(
             // applies the scheme to "much smaller" graphs).
             const EXACT_MAX_LISTS: usize = 512;
             if n > EXACT_MAX_LISTS {
-                return choose_references(lists, universe, RefMode::Windowed(256), codec, threads);
+                return choose_references(lists, universe, RefMode::Windowed(256), threads);
             }
             // Affinity graph: node n is the virtual root. Building it is
             // the quadratic part (one cost probe per ordered list pair);
@@ -1193,11 +902,7 @@ fn choose_references(
                 let mut batch: Vec<(u32, u32, u64)> = Vec::new();
                 let mut scratch = DiffScratch::default();
                 for y in range {
-                    batch.push((
-                        root as u32,
-                        y as u32,
-                        plain_cost(&lists[y], universe, codec),
-                    ));
+                    batch.push((root as u32, y as u32, plain_cost(&lists[y], universe)));
                     if lists[y].is_empty() {
                         continue;
                     }
@@ -1209,7 +914,7 @@ fn choose_references(
                         // included: the arborescence breaks ties by edge
                         // order.
                         diff_into(&lists[x], &lists[y], &mut scratch);
-                        let c = diff_cost(&scratch, n as u64, universe, codec);
+                        let c = diff_cost(&scratch, n as u64, universe);
                         batch.push((x as u32, y as u32, c));
                     }
                 }
@@ -1246,7 +951,6 @@ fn choose_references_windowed_par(
     lists: &[Vec<u32>],
     universe: u64,
     w: usize,
-    codec: ListCodec,
     threads: u32,
 ) -> Vec<Option<u32>> {
     let n = lists.len();
@@ -1258,14 +962,13 @@ fn choose_references_windowed_par(
                 if lists[y].is_empty() {
                     return (0, Vec::new());
                 }
-                let plain = plain_cost(&lists[y], universe, codec);
+                let plain = plain_cost(&lists[y], universe);
                 // `u64::MAX` (an empty or disjoint candidate) never beats
                 // `plain`.
                 let cand: Vec<u64> = (y.saturating_sub(w)..y)
                     .map(|x| {
                         let (r, t) = (&lists[x], &lists[y]);
-                        ref_cost_into(r, t, n as u64, universe, codec, &mut scratch)
-                            .unwrap_or(u64::MAX)
+                        ref_cost_into(r, t, n as u64, universe, &mut scratch).unwrap_or(u64::MAX)
                     })
                     .collect();
                 (plain, cand)
@@ -1502,16 +1205,10 @@ pub fn min_arborescence(n: usize, root: u32, edges: &[(u32, u32, u64)]) -> Vec<u
 mod tests {
     use super::*;
 
-    fn round_trip_codec(
-        lists: &[Vec<u32>],
-        universe: u64,
-        mode: RefMode,
-        codec: ListCodec,
-    ) -> EncodedLists {
-        let enc = encode_lists(lists, universe, mode, codec);
+    fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
+        let enc = encode_lists_t(lists, universe, mode, 1);
         let reader =
-            ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe), codec)
-                .unwrap();
+            ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe)).unwrap();
         assert_eq!(reader.num_lists(), lists.len() as u32);
         assert_eq!(reader.universe(), universe);
         // decode_all
@@ -1527,31 +1224,8 @@ mod tests {
         enc
     }
 
-    fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
-        round_trip_codec(lists, universe, mode, ListCodec::GAMMA)
-    }
-
-    /// Every distinct codec shape: γ baseline, ζ only, each feature alone,
-    /// and the full stack.
-    fn codec_cells() -> Vec<ListCodec> {
-        let mut cells = Vec::new();
-        for k in [1u8, 2, 3, 4, 7] {
-            for iv in [false, true] {
-                for cb in [false, true] {
-                    cells.push(ListCodec {
-                        zeta_k: k,
-                        intervals: iv,
-                        copy_blocks: cb,
-                        ..ListCodec::GAMMA
-                    });
-                }
-            }
-        }
-        cells
-    }
-
-    /// Pseudorandom sorted lists with a mix of dense runs (interval bait)
-    /// and scattered entries.
+    /// Pseudorandom sorted lists with a mix of dense runs and scattered
+    /// entries.
     fn synth_lists(seed: u64, num: usize, universe: u64) -> Vec<Vec<u32>> {
         let mut s = seed;
         let mut next = move || {
@@ -1666,7 +1340,7 @@ mod tests {
         let base: Vec<u32> = (10..40).collect();
         let lists = vec![base.clone(); 30];
         let enc = round_trip(&lists, 64, RefMode::Windowed(4));
-        let plain = encode_lists(&lists, 64, RefMode::None, ListCodec::GAMMA);
+        let plain = encode_lists_t(&lists, 64, RefMode::None, 1);
         // Each referenced copy costs ~18 bits (mode + parent + RLE'd all-ones
         // mask + empty extras) vs ~55 plain, but the per-list directory entry
         // is shared overhead — net ≈ 2x, not the asymptotic |list| ratio.
@@ -1695,9 +1369,9 @@ mod tests {
     #[test]
     fn single_list_truncation_is_detected() {
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
+        let enc = encode_lists_t(&lists, 10, RefMode::None, 1);
         for cut in 1..enc.bit_len {
-            match ListsReader::parse(&enc.bytes, cut, Universe::Explicit(10), ListCodec::GAMMA) {
+            match ListsReader::parse(&enc.bytes, cut, Universe::Explicit(10)) {
                 Err(_) => {}
                 Ok(r) => {
                     // Header may parse; decoding must fail or return the
@@ -1837,93 +1511,31 @@ mod tests {
     fn encoded_size_bits_matches_encode() {
         let lists = vec![vec![1u32, 2, 3], vec![1, 2, 4], vec![7]];
         for mode in modes() {
-            for codec in codec_cells() {
-                assert_eq!(
-                    encoded_size_bits(&lists, 10, mode, codec),
-                    encode_lists(&lists, 10, mode, codec).bit_len,
-                    "{codec} {mode:?}"
-                );
-            }
+            assert_eq!(
+                encoded_size_bits(&lists, 10, mode),
+                encode_lists_t(&lists, 10, mode, 1).bit_len,
+                "{mode:?}"
+            );
         }
     }
 
     #[test]
-    fn every_codec_cell_round_trips() {
+    fn synthetic_lists_round_trip_in_every_mode() {
         let universe = 700u64;
         let lists = synth_lists(0xAB1E, 40, universe);
-        for codec in codec_cells() {
-            for mode in modes() {
-                round_trip_codec(&lists, universe, mode, codec);
-            }
+        for mode in modes() {
+            round_trip(&lists, universe, mode);
         }
     }
 
     #[test]
-    fn codec_cells_decode_identically_to_gamma() {
-        // Cross-codec equivalence: whatever the cell, decoding returns the
-        // exact lists the γ baseline encodes and decodes.
-        let universe = 900u64;
-        let lists = synth_lists(0xFACADE, 60, universe);
-        let base = encode_lists(&lists, universe, RefMode::Windowed(8), ListCodec::GAMMA);
-        let base_lists = ListsReader::parse(
-            &base.bytes,
-            base.bit_len,
-            Universe::Explicit(universe),
-            ListCodec::GAMMA,
-        )
-        .unwrap()
-        .decode_all()
-        .unwrap();
-        for codec in codec_cells() {
-            let enc = encode_lists(&lists, universe, RefMode::Windowed(8), codec);
-            let got =
-                ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe), codec)
-                    .unwrap()
-                    .decode_all()
-                    .unwrap();
-            assert_eq!(got, base_lists, "{codec}");
-        }
-    }
-
-    #[test]
-    fn intervals_win_on_dense_runs() {
-        // Lists dominated by long consecutive runs: the interval form must
-        // beat plain γ gaps.
-        let lists: Vec<Vec<u32>> = (0..20u32)
-            .map(|i| {
-                let start = i * 40;
-                (start..start + 30).chain([900 + i, 950 + i]).collect()
-            })
-            .collect();
-        let gamma = encode_lists(&lists, 1000, RefMode::None, ListCodec::GAMMA);
-        let iv = ListCodec {
-            intervals: true,
-            ..ListCodec::GAMMA
-        };
-        let with_iv = encode_lists(&lists, 1000, RefMode::None, iv);
-        assert!(
-            with_iv.bit_len < gamma.bit_len,
-            "intervals {} must beat gamma {} on dense runs",
-            with_iv.bit_len,
-            gamma.bit_len
-        );
-    }
-
-    #[test]
-    fn interval_stream_truncation_and_bit_flips_never_panic() {
+    fn stream_truncation_and_bit_flips_never_panic() {
         let universe = 300u64;
         let lists = synth_lists(0x5EED, 12, universe);
-        let codec = ListCodec {
-            zeta_k: 3,
-            intervals: true,
-            copy_blocks: true,
-            ..ListCodec::GAMMA
-        };
-        let enc = encode_lists(&lists, universe, RefMode::Windowed(4), codec);
+        let enc = encode_lists_t(&lists, universe, RefMode::Windowed(4), 1);
         // Truncation at every bit boundary.
         for cut in 0..enc.bit_len {
-            if let Ok(r) = ListsReader::parse(&enc.bytes, cut, Universe::Explicit(universe), codec)
-            {
+            if let Ok(r) = ListsReader::parse(&enc.bytes, cut, Universe::Explicit(universe)) {
                 for i in 0..r.num_lists() {
                     let _ = r.decode_list(i);
                 }
@@ -1934,9 +1546,7 @@ mod tests {
         for flip in 0..enc.bit_len.min(512) {
             let mut bytes = enc.bytes.clone();
             bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
-            if let Ok(r) =
-                ListsReader::parse(&bytes, enc.bit_len, Universe::Explicit(universe), codec)
-            {
+            if let Ok(r) = ListsReader::parse(&bytes, enc.bit_len, Universe::Explicit(universe)) {
                 for i in 0..r.num_lists() {
                     if let Ok(l) = r.decode_list(i) {
                         assert!(l.windows(2).all(|p| p[0] < p[1]), "flip={flip} list={i}");
@@ -1946,21 +1556,9 @@ mod tests {
         }
     }
 
-    /// The 13 cells of the ablation grid (`wg_bench::ablate::DEFAULT_CELLS`).
-    const GRID: [&str; 13] = [
-        "g", "z2", "z3", "z4", "g+iv", "z3+iv", "z3+cb", "g+iv+cb", "z2+iv+cb", "z3+iv+cb", "g+st",
-        "z2+st", "g+iv+st",
-    ];
-
     /// Reference model for [`ref_cost_into`]: every candidate priced, from
     /// a mask and extras built fresh by membership tests, not by a merge.
-    fn ref_cost_model(
-        reference: &[u32],
-        target: &[u32],
-        n_lists: u64,
-        universe: u64,
-        codec: ListCodec,
-    ) -> u64 {
+    fn ref_cost_model(reference: &[u32], target: &[u32], n_lists: u64, universe: u64) -> u64 {
         let mask: Vec<bool> = reference
             .iter()
             .map(|r| target.binary_search(r).is_ok())
@@ -1971,7 +1569,7 @@ mod tests {
             .filter(|t| reference.binary_search(t).is_err())
             .collect();
         let parent_bits = (0..64).find(|&b| n_lists <= 1 << b).unwrap_or(64);
-        1 + parent_bits + mask_len(&mask, codec) + bounded_gap_list_len(&extras, universe, codec)
+        1 + parent_bits + rle::encoded_len(&mask) + bounded_gap_list_len(&extras, universe)
     }
 
     /// Reference model for [`choose_references`]: the serial selection
@@ -1980,18 +1578,16 @@ mod tests {
         lists: &[Vec<u32>],
         universe: u64,
         mode: RefMode,
-        codec: ListCodec,
     ) -> Vec<Option<u32>> {
         let n = lists.len();
-        let cost =
-            |x: usize, y: usize| ref_cost_model(&lists[x], &lists[y], n as u64, universe, codec);
+        let cost = |x: usize, y: usize| ref_cost_model(&lists[x], &lists[y], n as u64, universe);
         match mode {
             RefMode::None => vec![None; n],
             RefMode::Windowed(w) => {
                 let mut parents = vec![None; n];
                 let mut depth = vec![0u32; n];
                 for y in (0..n).filter(|&y| !lists[y].is_empty()) {
-                    let mut best = plain_cost(&lists[y], universe, codec);
+                    let mut best = plain_cost(&lists[y], universe);
                     for x in y.saturating_sub(w.max(1) as usize)..y {
                         if !lists[x].is_empty() && depth[x] < MAX_REF_CHAIN && cost(x, y) < best {
                             best = cost(x, y);
@@ -2007,7 +1603,7 @@ mod tests {
             RefMode::Exact => {
                 let mut edges = Vec::new();
                 for y in 0..n {
-                    edges.push((n as u32, y as u32, plain_cost(&lists[y], universe, codec)));
+                    edges.push((n as u32, y as u32, plain_cost(&lists[y], universe)));
                     for x in (0..n).filter(|&x| x != y) {
                         if !lists[x].is_empty() && !lists[y].is_empty() {
                             edges.push((x as u32, y as u32, cost(x, y)));
@@ -2030,17 +1626,14 @@ mod tests {
             RefMode::Windowed(32),
             RefMode::Exact,
         ];
-        for cell in ["g", "z3+iv+cb"] {
-            let codec = ListCodec::parse_cell(cell).unwrap();
-            for (seed, universe) in [(3u64, 40u64), (11, 400)] {
-                // 120 lists × a window of 32 is past `PAR_COST_PROBES_MIN`.
-                let lists = synth_lists(seed, 120, universe);
-                for mode in modes {
-                    let want = choose_references_model(&lists, universe, mode, codec);
-                    for threads in [1u32, 4] {
-                        let got = choose_references(&lists, universe, mode, codec, threads);
-                        assert_eq!(got, want, "{cell} {mode:?} threads={threads}");
-                    }
+        for (seed, universe) in [(3u64, 40u64), (11, 400)] {
+            // 120 lists × a window of 32 is past `PAR_COST_PROBES_MIN`.
+            let lists = synth_lists(seed, 120, universe);
+            for mode in modes {
+                let want = choose_references_model(&lists, universe, mode);
+                for threads in [1u32, 4] {
+                    let got = choose_references(&lists, universe, mode, threads);
+                    assert_eq!(got, want, "{mode:?} threads={threads}");
                 }
             }
         }
@@ -2060,19 +1653,17 @@ mod tests {
             let reference: Vec<u32> = reference.into_iter().collect();
             let target: Vec<u32> = target.into_iter().collect();
             let intersect = target.iter().any(|t| reference.binary_search(t).is_ok());
-            // One scratch across all cells: whatever a probe leaves in it
-            // must not leak into the next.
+            // A scratch another probe has used: whatever that left in it
+            // must not leak into this one.
             let mut scratch = DiffScratch::default();
-            for cell in GRID {
-                let codec = ListCodec::parse_cell(cell).unwrap();
-                let model = ref_cost_model(&reference, &target, n_lists, universe, codec);
-                let got = ref_cost_into(&reference, &target, n_lists, universe, codec, &mut scratch);
-                if intersect {
-                    proptest::prop_assert_eq!(got, Some(model), "{}", cell);
-                } else {
-                    proptest::prop_assert_eq!(got, None, "{}", cell);
-                    proptest::prop_assert!(model >= plain_cost(&target, universe, codec), "{}", cell);
-                }
+            diff_into(&target, &reference, &mut scratch);
+            let model = ref_cost_model(&reference, &target, n_lists, universe);
+            let got = ref_cost_into(&reference, &target, n_lists, universe, &mut scratch);
+            if intersect {
+                proptest::prop_assert_eq!(got, Some(model));
+            } else {
+                proptest::prop_assert_eq!(got, None);
+                proptest::prop_assert!(model >= plain_cost(&target, universe));
             }
         }
     }
@@ -2085,7 +1676,6 @@ mod tests {
         data: &[u8],
         bit_len: u64,
         universe: u64,
-        codec: ListCodec,
     ) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
         let mut r = BitReader::with_bit_len(data, bit_len);
         let n = codes::read_gamma(&mut r)?;
@@ -2101,15 +1691,15 @@ mod tests {
                 }
                 let reference = &lists[parent];
                 let mut copied = Vec::new();
-                read_mask_set_positions(&mut r, reference.len(), codec, |pos| {
+                rle::read_bitvec_set_positions(&mut r, reference.len(), |pos| {
                     copied.push(reference[pos]);
                 })?;
-                let extras = read_bounded_gap_list(&mut r, universe, codec)?;
+                let extras = read_bounded_gap_list(&mut r, universe)?;
                 let mut merged = Vec::new();
                 merge_sorted_u32(&copied, &extras, &mut merged)?;
                 merged
             } else {
-                read_bounded_gap_list(&mut r, universe, codec)?
+                read_bounded_gap_list(&mut r, universe)?
             };
             lists.push(list);
         }
@@ -2121,30 +1711,27 @@ mod tests {
     fn scan_offsets_match_the_materialising_decoder() {
         let universe = 600u64;
         let lists = synth_lists(0x0FF5E7, 48, universe);
-        for cell in GRID {
-            let codec = ListCodec::parse_cell(cell).unwrap();
-            for mode in [RefMode::None, RefMode::Windowed(8), RefMode::Exact] {
-                let enc = encode_lists(&lists, universe, mode, codec);
-                let index =
-                    ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe), codec)
-                        .unwrap();
-                assert_eq!(index.end_bit(), enc.bit_len, "{cell} {mode:?}");
-                assert_eq!(
-                    index.decode_all(&enc.bytes, enc.bit_len).unwrap(),
-                    lists,
-                    "{cell} {mode:?}"
-                );
-                // Exact mode may point references forward and then carries
-                // its offsets in the stream; the model reads the other kind.
-                let mut header = BitReader::with_bit_len(&enc.bytes, enc.bit_len);
-                codes::read_gamma(&mut header).unwrap();
-                let has_dir = header.read_bit().unwrap();
-                if !has_dir {
-                    let (offsets, decoded) =
-                        materialising_offsets(&enc.bytes, enc.bit_len, universe, codec).unwrap();
-                    assert_eq!(index.offsets, offsets, "{cell} {mode:?}");
-                    assert_eq!(decoded, lists);
-                }
+        for mode in [RefMode::None, RefMode::Windowed(8), RefMode::Exact] {
+            let enc = encode_lists_t(&lists, universe, mode, 1);
+            let index =
+                ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(universe))
+                    .unwrap();
+            assert_eq!(index.end_bit(), enc.bit_len, "{mode:?}");
+            assert_eq!(
+                index.decode_all(&enc.bytes, enc.bit_len).unwrap(),
+                lists,
+                "{mode:?}"
+            );
+            // Exact mode may point references forward and then carries
+            // its offsets in the stream; the model reads the other kind.
+            let mut header = BitReader::with_bit_len(&enc.bytes, enc.bit_len);
+            codes::read_gamma(&mut header).unwrap();
+            let has_dir = header.read_bit().unwrap();
+            if !has_dir {
+                let (offsets, decoded) =
+                    materialising_offsets(&enc.bytes, enc.bit_len, universe).unwrap();
+                assert_eq!(index.offsets, offsets, "{mode:?}");
+                assert_eq!(decoded, lists);
             }
         }
     }
@@ -2152,13 +1739,8 @@ mod tests {
     /// What a scan of damaged bytes may do: refuse them, or hand back a
     /// directory no larger than the stream could hold and from which every
     /// list decodes or fails cleanly.
-    fn scan_then_decode_everything(
-        data: &[u8],
-        bit_len: u64,
-        universe: Universe,
-        codec: ListCodec,
-    ) {
-        let Ok(index) = ListsIndex::parse(data, bit_len, universe, codec) else {
+    fn scan_then_decode_everything(data: &[u8], bit_len: u64, universe: Universe) {
+        let Ok(index) = ListsIndex::parse_at(data, bit_len, 0, universe) else {
             return;
         };
         assert!(
@@ -2182,16 +1764,13 @@ mod tests {
     fn scan_of_bit_flipped_streams_is_corrupt_or_decodable() {
         let universe = 200u64;
         let lists = synth_lists(0xF11B, 10, universe);
-        for cell in ["g", "z3+iv+cb", "g+iv", "z2+st"] {
-            let codec = ListCodec::parse_cell(cell).unwrap();
-            for mode in [RefMode::None, RefMode::Windowed(4), RefMode::Exact] {
-                let enc = encode_lists(&lists, universe, mode, codec);
-                for flip in 0..enc.bit_len {
-                    let mut bytes = enc.bytes.clone();
-                    bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
-                    for u in [Universe::Explicit(universe), Universe::SameAsCount] {
-                        scan_then_decode_everything(&bytes, enc.bit_len, u, codec);
-                    }
+        for mode in [RefMode::None, RefMode::Windowed(4), RefMode::Exact] {
+            let enc = encode_lists_t(&lists, universe, mode, 1);
+            for flip in 0..enc.bit_len {
+                let mut bytes = enc.bytes.clone();
+                bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
+                for u in [Universe::Explicit(universe), Universe::SameAsCount] {
+                    scan_then_decode_everything(&bytes, enc.bit_len, u);
                 }
             }
         }
@@ -2203,19 +1782,17 @@ mod tests {
         #[test]
         fn scan_of_byte_soup_is_corrupt_or_decodable(
             soup in proptest::collection::vec(proptest::any::<u8>(), 0..160),
-            cell in 0usize..13,
             cut in 0u64..8,
             universe in 0u64..3000,
             same_as_count in proptest::any::<bool>(),
         ) {
-            let codec = ListCodec::parse_cell(GRID[cell]).unwrap();
             let bit_len = (soup.len() as u64 * 8).saturating_sub(cut);
             let universe = if same_as_count {
                 Universe::SameAsCount
             } else {
                 Universe::Explicit(universe)
             };
-            scan_then_decode_everything(&soup, bit_len, universe, codec);
+            scan_then_decode_everything(&soup, bit_len, universe);
         }
     }
 
@@ -2224,26 +1801,16 @@ mod tests {
         // [1, 5, 9] in a universe of 10: the last gap is γ(3) = 00100, and
         // flipping its final bit makes it γ(4), i.e. an entry of 10.
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
-        let clean = ListsIndex::parse(
-            &enc.bytes,
-            enc.bit_len,
-            Universe::Explicit(10),
-            ListCodec::GAMMA,
-        )
-        .unwrap();
+        let enc = encode_lists_t(&lists, 10, RefMode::None, 1);
+        let clean =
+            ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(10)).unwrap();
         let (mut scan_caught, mut decode_caught) = (false, false);
         let outside =
             |e: &SNodeError| matches!(e, SNodeError::Corrupt("list entry outside its universe"));
         for flip in 0..enc.bit_len {
             let mut bytes = enc.bytes.clone();
             bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
-            let scanned = ListsIndex::parse(
-                &bytes,
-                enc.bit_len,
-                Universe::Explicit(10),
-                ListCodec::GAMMA,
-            );
+            let scanned = ListsIndex::parse_at(&bytes, enc.bit_len, 0, Universe::Explicit(10));
             scan_caught |= scanned.as_ref().is_err_and(outside);
             // The clean directory over the flipped bytes: the decoder on
             // its own, as on a stream that carries its offsets.
@@ -2253,18 +1820,5 @@ mod tests {
             }
         }
         assert!(scan_caught && decode_caught);
-    }
-
-    #[test]
-    fn split_intervals_extracts_maximal_runs() {
-        let (iv, res) = split_intervals(&[1, 2, 3, 4, 6, 10, 11, 12, 13, 14, 20]);
-        assert_eq!(iv, vec![(1, 4), (10, 5)]);
-        assert_eq!(res, vec![6, 20]);
-        let (iv, res) = split_intervals(&[5, 7, 9]);
-        assert!(iv.is_empty());
-        assert_eq!(res, vec![5, 7, 9]);
-        let (iv, res) = split_intervals(&[]);
-        assert!(iv.is_empty());
-        assert!(res.is_empty());
     }
 }

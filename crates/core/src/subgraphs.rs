@@ -52,24 +52,19 @@ pub enum SuperedgeKind {
 
 /// Encodes an intranode graph: `lists[p]` is the sorted local adjacency of
 /// local page `p` (entries `< lists.len()`).
-pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode, codec: ListCodec) -> EncodedLists {
-    encode_intranode_t(lists, mode, codec, 1)
+pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode) -> EncodedLists {
+    encode_intranode_t(lists, mode, 1)
 }
 
 /// [`encode_intranode`] with up to `threads` workers. Byte-identical for
 /// every thread count.
-pub fn encode_intranode_t(
-    lists: &[Vec<u32>],
-    mode: RefMode,
-    codec: ListCodec,
-    threads: u32,
-) -> EncodedLists {
-    encode_lists_t(lists, lists.len() as u64, mode, codec, threads)
+pub fn encode_intranode_t(lists: &[Vec<u32>], mode: RefMode, threads: u32) -> EncodedLists {
+    encode_lists_t(lists, lists.len() as u64, mode, threads)
 }
 
 /// Decodes a full intranode graph.
-pub fn decode_intranode(bytes: &[u8], bit_len: u64, codec: ListCodec) -> Result<Vec<Vec<u32>>> {
-    ListsReader::parse(bytes, bit_len, Universe::SameAsCount, codec)?.decode_all()
+pub fn decode_intranode(bytes: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
+    ListsReader::parse(bytes, bit_len, Universe::SameAsCount)?.decode_all()
 }
 
 // --- Superedge graphs -----------------------------------------------------
@@ -163,7 +158,7 @@ pub fn encode_superedge_t(
             complement(links.map_or(&[], |(_, list)| list), nj as u32)
         })
         .collect();
-    let neg_plan = plan_lists(&neg_lists, nj, mode, codec, threads);
+    let neg_plan = plan_lists(&neg_lists, nj, mode, threads);
     if policy == SuperedgePolicy::EncodedSize {
         let pos = plan_positive(links, mode, codec, threads);
         if 1 + neg_plan.total_bits >= pos.bits {
@@ -352,7 +347,7 @@ impl<'a> Pricer<'a> {
             mode,
             codec,
             threads,
-            preamble_bits: 1 + bounded_gap_list_len(links.sources, links.ni, codec),
+            preamble_bits: 1 + bounded_gap_list_len(links.sources, links.ni),
             distinct: std::cell::OnceCell::new(),
         }
     }
@@ -362,11 +357,7 @@ impl<'a> Pricer<'a> {
     }
 
     fn plain_cost(&self, stored: u32) -> u64 {
-        plain_cost(
-            &self.links.lists[stored as usize],
-            self.links.nj,
-            self.codec,
-        )
+        plain_cost(&self.links.lists[stored as usize], self.links.nj)
     }
 
     /// A lower bound on [`Pricer::price`]'s `bits` for `layout`, or `None`
@@ -407,11 +398,11 @@ impl<'a> Pricer<'a> {
         let (body, body_bits) = match layout {
             Layout::SingleTargets => {
                 let (dict, index) = single_target_dict(lists);
-                let bits = bounded_gap_list_len(&dict, nj, codec) + index_bits(&index, dict.len());
+                let bits = bounded_gap_list_len(&dict, nj) + index_bits(&index, dict.len());
                 (PlannedBody::SingleTargets { dict, index }, bits)
             }
             Layout::Lists => {
-                let plan = plan_lists(lists, nj, mode, codec, threads);
+                let plan = plan_lists(lists, nj, mode, threads);
                 let bits = plan.total_bits;
                 (PlannedBody::Lists(plan), bits)
             }
@@ -420,7 +411,7 @@ impl<'a> Pricer<'a> {
                 let first = first.iter();
                 let dict: Vec<Vec<u32>> = first.map(|&i| lists[i as usize].clone()).collect();
                 let index = index.clone();
-                let plan = plan_lists(&dict, nj, mode, codec, threads);
+                let plan = plan_lists(&dict, nj, mode, threads);
                 let bits = plan.total_bits + index_bits(&index, dict.len());
                 (PlannedBody::ListDictionary { dict, plan, index }, bits)
             }
@@ -471,7 +462,7 @@ fn write_superedge_positive(
     w.write_bit(false); // kind = positive
     let marker = pos.layout().marker(codec.layouts).unwrap_or_default();
     marker.iter().for_each(|&bit| w.write_bit(bit));
-    write_bounded_gap_list(&mut w, links.sources, links.ni, codec);
+    write_bounded_gap_list(&mut w, links.sources, links.ni);
     let write_index = |w: &mut BitWriter, index: &[u32], entries: usize| {
         for &i in index {
             codes::write_minimal_binary(w, u64::from(i), entries as u64);
@@ -479,7 +470,7 @@ fn write_superedge_positive(
     };
     match &pos.body {
         PlannedBody::SingleTargets { dict, index } => {
-            write_bounded_gap_list(&mut w, dict, links.nj, codec);
+            write_bounded_gap_list(&mut w, dict, links.nj);
             write_index(&mut w, index, dict.len());
         }
         PlannedBody::Lists(plan) => {
@@ -586,6 +577,9 @@ pub struct SuperedgeIndex {
     /// Positive only: sorted source ids with non-empty lists.
     pub(crate) sources: Vec<u32>,
     pub(crate) body: SuperedgeBody,
+    /// The layouts the directory offers: what a positive graph's marker,
+    /// which parsing does not keep, was read under.
+    layouts: SuperedgeLayouts,
 }
 
 /// How the stored lists of a superedge graph are materialised.
@@ -616,7 +610,6 @@ pub(crate) struct ListStream {
     start: u64,
     /// `|Nj|`, the universe of the stored lists.
     nj: u64,
-    codec: ListCodec,
     directory: OnceLock<ListsIndex>,
 }
 
@@ -628,7 +621,7 @@ impl ListStream {
             return Ok(built);
         }
         let universe = Universe::Explicit(self.nj);
-        let built = ListsIndex::parse_at(bytes, bit_len, self.start, universe, self.codec)?;
+        let built = ListsIndex::parse_at(bytes, bit_len, self.start, universe)?;
         Ok(self.directory.get_or_init(|| built))
     }
 }
@@ -651,7 +644,6 @@ pub(crate) struct DictionaryBody {
     stored: u32,
     /// `|Nj|`, the universe of the entries.
     nj: u64,
-    codec: ListCodec,
     decoded: OnceLock<Dictionary>,
 }
 
@@ -683,13 +675,7 @@ impl DictionaryBody {
     /// already in memory: checked here, the count bounds every allocation
     /// of [`DictionaryBody::decode`] and makes
     /// [`SuperedgeIndex::heap_bytes`] exact before anything is decoded.
-    fn open(
-        r: &mut BitReader<'_>,
-        layout: Layout,
-        stored: usize,
-        nj: u64,
-        codec: ListCodec,
-    ) -> Result<Self> {
+    fn open(r: &mut BitReader<'_>, layout: Layout, stored: usize, nj: u64) -> Result<Self> {
         let start = r.position();
         let entries = codes::read_gamma(r)?;
         if entries > stored as u64 || (entries == 0 && stored > 0) {
@@ -704,7 +690,6 @@ impl DictionaryBody {
             entries: entries as u32,
             stored: stored as u32,
             nj,
-            codec,
             decoded: OnceLock::new(),
         })
     }
@@ -724,11 +709,11 @@ impl DictionaryBody {
         r.seek(self.start)?;
         let entries = if self.layout == Layout::ListDictionary {
             let universe = Universe::Explicit(self.nj);
-            let lists = ListsIndex::parse_at(bytes, bit_len, self.start, universe, self.codec)?;
+            let lists = ListsIndex::parse_at(bytes, bit_len, self.start, universe)?;
             r.seek(lists.end_bit())?;
             DictionaryEntries::Lists(lists)
         } else {
-            DictionaryEntries::Targets(read_bounded_gap_list(&mut r, self.nj, self.codec)?)
+            DictionaryEntries::Targets(read_bounded_gap_list(&mut r, self.nj)?)
         };
         let index_start = r.position();
         let mut index = Vec::with_capacity(self.stored as usize);
@@ -778,10 +763,10 @@ impl SuperedgeIndex {
     /// directory's `meta.bin` header.
     pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, codec: ListCodec) -> Result<Self> {
         let mut r = BitReader::with_bit_len(bytes, bit_len);
+        let layouts = codec.layouts;
         let stream = |start| ListStream {
             start,
             nj,
-            codec,
             directory: OnceLock::new(),
         };
         if r.read_bit()? {
@@ -792,14 +777,15 @@ impl SuperedgeIndex {
                 ni,
                 sources: Vec::new(),
                 body: SuperedgeBody::Lists(lists),
+                layouts,
             });
         }
-        let layout = Layout::read(&mut r, codec.layouts)?;
-        let sources = read_bounded_gap_list(&mut r, ni, codec)?;
+        let layout = Layout::read(&mut r, layouts)?;
+        let sources = read_bounded_gap_list(&mut r, ni)?;
         let body = match layout {
             Layout::Lists => SuperedgeBody::Lists(stream(r.position())),
             Layout::SingleTargets | Layout::ListDictionary => {
-                let body = DictionaryBody::open(&mut r, layout, sources.len(), nj, codec)?;
+                let body = DictionaryBody::open(&mut r, layout, sources.len(), nj)?;
                 SuperedgeBody::Dictionary(body)
             }
         };
@@ -808,6 +794,7 @@ impl SuperedgeIndex {
             ni,
             sources,
             body,
+            layouts,
         })
     }
 
@@ -976,15 +963,15 @@ impl SuperedgeIndex {
     /// to find the section boundaries).
     pub fn bit_breakdown(&self, bytes: &[u8], bit_len: u64) -> Result<SuperedgeBits> {
         let layout = self.layout();
-        let (body_start, layouts) = match &self.body {
-            SuperedgeBody::Lists(lists) => (lists.start, lists.codec.layouts),
-            SuperedgeBody::Dictionary(body) => (body.start, body.codec.layouts),
+        let body_start = match &self.body {
+            SuperedgeBody::Lists(lists) => lists.start,
+            SuperedgeBody::Dictionary(body) => body.start,
         };
         // The marker's length is the one thing about a graph's bytes that
         // parsing does not keep; its code is a prefix code, so the layout
         // gives it back. A negative graph has none, and no `sources`.
         let marker = match self.kind {
-            SuperedgeKind::Positive => layout.marker(layouts).map_or(0, <[bool]>::len),
+            SuperedgeKind::Positive => layout.marker(self.layouts).map_or(0, <[bool]>::len),
             SuperedgeKind::Negative => 0,
         };
         let header = 1 + marker as u64;
@@ -1113,11 +1100,8 @@ mod tests {
     fn intranode_round_trip() {
         let lists = vec![vec![1u32, 2], vec![0, 2], vec![], vec![0, 1, 2]];
         for mode in modes() {
-            let enc = encode_intranode(&lists, mode, ListCodec::GAMMA);
-            assert_eq!(
-                decode_intranode(&enc.bytes, enc.bit_len, ListCodec::GAMMA).unwrap(),
-                lists
-            );
+            let enc = encode_intranode(&lists, mode);
+            assert_eq!(decode_intranode(&enc.bytes, enc.bit_len).unwrap(), lists);
         }
     }
 
@@ -1376,7 +1360,6 @@ mod tests {
     fn st_codec() -> ListCodec {
         ListCodec {
             layouts: SuperedgeLayouts::Priced,
-            ..ListCodec::GAMMA
         }
     }
 
@@ -1384,7 +1367,6 @@ mod tests {
     fn v2_st_codec() -> ListCodec {
         ListCodec {
             layouts: SuperedgeLayouts::SingleTarget,
-            ..ListCodec::GAMMA
         }
     }
 
@@ -1855,7 +1837,7 @@ mod tests {
                 let mut w = BitWriter::new();
                 w.write_bit(false);
                 marker.iter().for_each(|&bit| w.write_bit(bit));
-                write_bounded_gap_list(&mut w, &[1, 4], 9, st);
+                write_bounded_gap_list(&mut w, &[1, 4], 9);
                 codes::write_gamma(&mut w, entries);
                 w.write_bits(0, 64);
                 let (bytes, bit_len) = w.finish();

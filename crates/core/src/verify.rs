@@ -80,8 +80,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         // Intranode graph.
         let loc = meta.intranode_loc[s as usize];
         let bytes = files.read(&loc)?;
-        let (index, lists) =
-            ListsIndex::load(&bytes, loc.bit_len, Universe::SameAsCount, meta.codec.intra)?;
+        let (index, lists) = ListsIndex::load(&bytes, loc.bit_len, Universe::SameAsCount)?;
         if u64::from(index.num_lists()) != ni {
             return Err(SNodeError::Corrupt(
                 "intranode list count differs from supernode size",

@@ -17,16 +17,15 @@ use std::sync::OnceLock;
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
-/// One γ directory and one with every codec feature on, so both the seed
-/// list streams and the ζ/interval/copy-block/single-target decode paths
-/// face flipped bits.
-const CELLS: [&str; 2] = ["g", "z3+iv+cb+st"];
+/// The paper's plain format and the default, so both the list streams and
+/// the dictionary layouts' decode paths face flipped bits.
+const CODECS: [&str; 2] = ["g", "g+st"];
 
-fn built_dir(cell: &str) -> std::path::PathBuf {
+fn built_dir(codec: &str) -> std::path::PathBuf {
     let mut dir = std::env::temp_dir();
     dir.push(format!(
         "wg_bitflip_{}_{}",
-        cell.replace('+', "_"),
+        codec.replace('+', "_"),
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
@@ -40,7 +39,7 @@ fn built_dir(cell: &str) -> std::path::PathBuf {
         graph: &corpus.graph,
     };
     let config = SNodeConfig {
-        codec: CodecConfig::parse(cell).unwrap(),
+        codec: CodecConfig::parse(codec).unwrap(),
         ..SNodeConfig::default()
     };
     build_snode(input, &config, &dir).unwrap();
@@ -50,7 +49,7 @@ fn built_dir(cell: &str) -> std::path::PathBuf {
 
 fn dirs() -> &'static [std::path::PathBuf; 2] {
     static DIRS: OnceLock<[std::path::PathBuf; 2]> = OnceLock::new();
-    DIRS.get_or_init(|| [built_dir(CELLS[0]), built_dir(CELLS[1])])
+    DIRS.get_or_init(|| [built_dir(CODECS[0]), built_dir(CODECS[1])])
 }
 
 proptest! {
@@ -58,11 +57,11 @@ proptest! {
 
     #[test]
     fn single_bit_flips_never_panic_navigation(
-        cell in 0usize..2,
+        codec in 0usize..2,
         in_meta in any::<bool>(),
         pos in any::<u64>(),
     ) {
-        let dir = &dirs()[cell];
+        let dir = &dirs()[codec];
         let name = if in_meta { "meta.bin" } else { "index_000.bin" };
         let path = dir.join(name);
         let orig = std::fs::read(&path).unwrap();

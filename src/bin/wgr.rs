@@ -62,8 +62,8 @@ fn main() {
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
-                 \x20      [--codec CELL[/CELL]]              list codec per class (default g+st; g is\n\
-                 \x20                                          the paper's plain format; z3+iv+cb, ...)\n\
+                 \x20      [--codec g|g+st]                   format (default g+st; g is the paper's\n\
+                 \x20                                          plain one, no superedge dictionaries)\n\
                  \x20      [--stream --pages N [--seed N]]    generate the corpus on the fly (bounded memory)\n\
                  query  DIR [--scheme NAME|all] [--budget B] run the observed Q1-6 workload\n\
                  \x20      [--reps DIR] [--reuse]             over the corpus at DIR;\n\
@@ -89,10 +89,6 @@ fn main() {
                  \x20                                          concurrent-service benchmark instead:\n\
                  \x20                                          N clients → BENCH_serve.json with\n\
                  \x20                                          per-stage latency + shard heatmap\n\
-                 \x20      [--ablate [--cells g,z3,...]]      codec-ablation grid instead: bits/edge\n\
-                 \x20                                          + decode ns/edge per CodecConfig cell\n\
-                 \x20                                          → BENCH_compress.json; exit 1 on any\n\
-                 \x20                                          fingerprint drift from the γ baseline\n\
                  \x20      [--scale [--sizes N,N] [--probes N]] scale benchmark instead:\n\
                  \x20                                          streamed corpus → build →\n\
                  \x20                                          resident query probe per size, each in\n\
@@ -129,6 +125,20 @@ fn req(args: &[String], flag: &str) -> String {
         eprintln!("missing required option {flag}");
         std::process::exit(2);
     })
+}
+
+/// `value` as the `T` that `flag` takes; one that does not parse is a
+/// usage error like a missing option, not a panic.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.trim().parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {flag}: {value}");
+        std::process::exit(2);
+    })
+}
+
+/// Pulls `--flag value` out of an argument slice as a number.
+fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    opt(args, flag).map(|s| parsed(flag, &s))
 }
 
 /// First positional (non-flag) argument, skipping the value slot of every
@@ -221,8 +231,8 @@ impl ObsFlags {
 }
 
 fn cmd_gen(args: &[String]) -> i32 {
-    let pages: u32 = req(args, "--pages").parse().expect("--pages number");
-    let seed: u64 = opt(args, "--seed").map_or(42, |s| s.parse().expect("--seed number"));
+    let pages: u32 = parsed("--pages", &req(args, "--pages"));
+    let seed: u64 = num(args, "--seed").unwrap_or(42);
     let out = PathBuf::from(req(args, "--out"));
     std::fs::create_dir_all(&out).expect("create output dir");
 
@@ -244,11 +254,9 @@ fn cmd_build(args: &[String]) -> i32 {
     let out = PathBuf::from(req(args, "--out"));
     // 0 = auto: WGR_THREADS env var, else available parallelism. The
     // representation is byte-identical for every thread count.
-    let threads: u32 = opt(args, "--threads").map_or(0, |s| s.parse().expect("--threads number"));
-    // --codec exposes the per-list-class codec grid from the ablation
-    // harness on ordinary builds: `g` (the paper's plain format),
-    // `z3+iv+cb`, or an `<intra>/<superedge>` pair. Without it a build
-    // writes `CodecConfig::default()`, which is `g+st`.
+    let threads: u32 = num(args, "--threads").unwrap_or(0);
+    // --codec names the format: `g`, the paper's plain one, or `g+st`,
+    // which is `CodecConfig::default()` and what a build writes without it.
     let codec = match opt(args, "--codec").as_deref() {
         None => CodecConfig::default(),
         Some(s) => match CodecConfig::parse(s) {
@@ -263,8 +271,8 @@ fn cmd_build(args: &[String]) -> i32 {
     // (bounded memory: no URL strings or CSR graph are materialised),
     // then builds from the on-disk files like any external corpus.
     if args.iter().any(|a| a == "--stream") {
-        let pages: u32 = req(args, "--pages").parse().expect("--pages number");
-        let seed: u64 = opt(args, "--seed").map_or(42, |s| s.parse().expect("--seed number"));
+        let pages: u32 = parsed("--pages", &req(args, "--pages"));
+        let seed: u64 = num(args, "--seed").unwrap_or(42);
         let st = webgraph_repr::corpus::stream::stream_corpus(
             &corpus_dir,
             &webgraph_repr::corpus::CorpusConfig::scaled(pages, seed),
@@ -283,7 +291,13 @@ fn cmd_build(args: &[String]) -> i32 {
         eprintln!("--shards is ignored: there is one builder");
     }
     let rss = obs::RssGauge::auto();
-    let corpus = read_corpus(&corpus_dir).expect("read corpus");
+    let corpus = match read_corpus(&corpus_dir) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("cannot read corpus {}: {e}", corpus_dir.display());
+            return 2;
+        }
+    };
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
     let input = RepoInput {
@@ -331,8 +345,7 @@ fn cmd_query(args: &[String]) -> i32 {
     };
     obs::set_metrics_enabled(true);
     let flags = ObsFlags::parse(args);
-    let budget: usize =
-        opt(args, "--budget").map_or(1 << 20, |s| s.parse().expect("--budget bytes"));
+    let budget: usize = num(args, "--budget").unwrap_or(1 << 20);
     let schemes: Vec<Scheme> = match opt(args, "--scheme").as_deref() {
         None => vec![Scheme::SNode],
         Some("all") => Scheme::ALL.to_vec(),
@@ -585,7 +598,7 @@ fn cmd_stats(args: &[String]) -> i32 {
 
 fn cmd_links(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
-    let page: u32 = req(args, "--page").parse().expect("--page number");
+    let page: u32 = parsed("--page", &req(args, "--page"));
     let snode = SNode::open(&repo, 1 << 20).expect("open repo");
     if page >= snode.num_pages() {
         eprintln!("page {page} out of range (repo has {})", snode.num_pages());
@@ -737,9 +750,10 @@ fn cmd_check(args: &[String]) -> i32 {
 /// file and reports shared-state-readiness diagnostics, including the
 /// SN200 mutability-escape worklist that drives the wg-serve refactor.
 /// With `--baseline`, findings whose stable key appears in the baseline
-/// JSON are tolerated and only *new* findings count. Exit 0 when clean or
-/// fully baselined, 1 when countable findings exist and `--deny warn` was
-/// given, 2 on fatal errors (unreadable workspace or baseline).
+/// JSON are tolerated and what counts is *new* findings and *stale* keys,
+/// those no finding matches any more. Exit 0 when clean or baselined
+/// exactly, 1 when countable findings exist and `--deny warn` was given,
+/// 2 on fatal errors (unreadable workspace or baseline).
 fn cmd_lint(args: &[String]) -> i32 {
     let root = opt(args, "--root")
         .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
@@ -770,10 +784,11 @@ fn cmd_lint(args: &[String]) -> i32 {
         }
     };
     let empty = std::collections::BTreeSet::new();
-    let fresh =
-        webgraph_repr::analyze::lint::new_findings(&report, baseline.as_ref().unwrap_or(&empty));
+    let tolerated = baseline.as_ref().unwrap_or(&empty);
+    let fresh = webgraph_repr::analyze::lint::new_findings(&report, tolerated);
+    let stale = webgraph_repr::analyze::lint::stale_keys(&report, tolerated);
     let countable = if baseline.is_some() {
-        fresh.len()
+        fresh.len() + stale.len()
     } else {
         report.num_findings()
     };
@@ -791,6 +806,12 @@ fn cmd_lint(args: &[String]) -> i32 {
                 let _ = writeln!(out, "baseline: {} NEW finding(s):", fresh.len());
                 for f in &fresh {
                     let _ = writeln!(out, "  NEW {f}");
+                }
+            }
+            if !stale.is_empty() {
+                let _ = writeln!(out, "baseline: {} STALE key(s) to delete:", stale.len());
+                for key in &stale {
+                    let _ = writeln!(out, "  STALE {key}");
                 }
             }
         }
@@ -867,10 +888,30 @@ fn cmd_fsck(args: &[String]) -> i32 {
 }
 
 /// Re-encodes the representation from `corpus_dir` into a scratch
-/// directory (the build is deterministic, so a clean rebuild is
-/// byte-identical to the original) and replaces every file of `dir` that
-/// differs. Returns the replaced file names.
+/// directory, in the format the header of `dir` records (the build is
+/// deterministic and the codec is its one option that shapes the output,
+/// so a clean rebuild is byte-identical to the original), and replaces
+/// every file of `dir` that differs. Returns the replaced file names.
 fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec<String>, String> {
+    let named = [CodecConfig::GAMMA, CodecConfig::default()];
+    let codec = match webgraph_repr::snode::disk::SNodeMeta::read_codec(dir) {
+        Ok(codec) if named.contains(&codec) => codec,
+        Ok(codec) => {
+            eprintln!(
+                "no build writes codec word {:#06x} any more: rebuilding as the default",
+                codec.to_header()
+            );
+            CodecConfig::default()
+        }
+        Err(e) => {
+            eprintln!("cannot tell the format from meta.bin ({e}): rebuilding as the default");
+            CodecConfig::default()
+        }
+    };
+    let config = SNodeConfig {
+        codec,
+        ..SNodeConfig::default()
+    };
     let corpus = read_corpus(corpus_dir)
         .map_err(|e| format!("cannot read corpus at {}: {e}", corpus_dir.display()))?;
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
@@ -882,7 +923,7 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
     };
     let tmp = std::env::temp_dir().join(format!("wgr_repair_{}", std::process::id()));
     std::fs::remove_dir_all(&tmp).ok();
-    let built = build_snode(input, &SNodeConfig::default(), &tmp)
+    let built = build_snode(input, &config, &tmp)
         .map(|_| ())
         .map_err(|e| format!("re-encode failed: {e}"));
     let result = built.and_then(|()| {
@@ -919,11 +960,11 @@ fn cmd_corrupt(args: &[String]) -> i32 {
         return 2;
     };
     let dir = PathBuf::from(dir);
-    let seed: u64 = opt(args, "--seed").map_or(1, |s| s.parse().expect("--seed number"));
+    let seed: u64 = num(args, "--seed").unwrap_or(1);
     let spec = FaultSpec {
-        flips: opt(args, "--flips").map_or(1, |s| s.parse().expect("--flips number")),
-        truncations: opt(args, "--truncate").map_or(0, |s| s.parse().expect("--truncate number")),
-        torn_writes: opt(args, "--torn").map_or(0, |s| s.parse().expect("--torn number")),
+        flips: num(args, "--flips").unwrap_or(1),
+        truncations: num(args, "--truncate").unwrap_or(0),
+        torn_writes: num(args, "--torn").unwrap_or(0),
         transient_reads: 0, // in-process only; meaningless across processes
     };
     let json = args.iter().any(|a| a == "--json");
@@ -971,15 +1012,14 @@ fn cmd_corrupt(args: &[String]) -> i32 {
 /// in memory and repos are built under a scratch directory.
 fn cmd_bench(args: &[String]) -> i32 {
     let quick = args.iter().any(|a| a == "--quick");
-    let pages: u32 = opt(args, "--pages").map_or(if quick { 2_000 } else { 20_000 }, |s| {
-        s.parse().expect("--pages number")
-    });
-    let seed: u64 = opt(args, "--seed").map_or(42, |s| s.parse().expect("--seed number"));
-    // `--ablate`: the codec-ablation grid instead of the builder —
-    // bits/edge and decode ns/edge per CodecConfig cell, with every
-    // cell's decoded rows fingerprinted against the γ baseline.
+    let pages: u32 = num(args, "--pages").unwrap_or(if quick { 2_000 } else { 20_000 });
+    let seed: u64 = num(args, "--seed").unwrap_or(42);
+    // Ignoring it would run the build benchmark over `BENCH_build.json`.
     if args.iter().any(|a| a == "--ablate") {
-        return bench_ablate(args, pages, seed, quick);
+        eprintln!(
+            "usage: wgr bench [--scale | --serve] [options] (no --ablate: there is one list codec)"
+        );
+        return 2;
     }
     // `--scale`: the scale benchmark instead — streamed
     // corpora, builds, and resident query probes, one fresh
@@ -991,9 +1031,7 @@ fn cmd_bench(args: &[String]) -> i32 {
     // `--serve`: benchmark the concurrent query service instead of the
     // builder — many clients against one shared representation.
     if args.iter().any(|a| a == "--serve") {
-        let clients: usize = opt(args, "--clients").map_or(if quick { 16 } else { 100 }, |s| {
-            s.parse().expect("--clients number")
-        });
+        let clients: usize = num(args, "--clients").unwrap_or(if quick { 16 } else { 100 });
         let sout =
             PathBuf::from(opt(args, "--serve-out").unwrap_or_else(|| "BENCH_serve.json".into()));
         let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
@@ -1002,13 +1040,9 @@ fn cmd_bench(args: &[String]) -> i32 {
         std::fs::remove_dir_all(&scratch).ok();
         return code;
     }
-    let iters: usize = opt(args, "--iters").map_or(if quick { 1 } else { 3 }, |s| {
-        s.parse().expect("--iters number")
-    });
+    let iters: usize = num(args, "--iters").unwrap_or(if quick { 1 } else { 3 });
     let mut thread_counts: Vec<u32> = opt(args, "--threads").map_or(vec![1, 2, 4], |s| {
-        s.split(',')
-            .map(|t| t.trim().parse().expect("--threads comma list"))
-            .collect()
+        s.split(',').map(|t| parsed("--threads", t)).collect()
     });
     if !thread_counts.contains(&1) {
         thread_counts.insert(0, 1); // serial baseline anchors the speedups
@@ -1140,52 +1174,6 @@ fn cmd_bench(args: &[String]) -> i32 {
 /// Runs the six-query workload for every scheme twice and writes the
 /// `BENCH_query.json` companion. Returns 0 when both passes agreed on
 /// every deterministic counter and fingerprint.
-/// `wgr bench --ablate` — builds one representation per codec cell and
-/// writes the `BENCH_compress.json` baseline: bits/edge and decode
-/// ns/edge per cell, plus the decoded-row fingerprint of each. Sizes and
-/// fingerprints are deterministic (same corpus, same codec → same bytes);
-/// only the ns/edge column is machine-dependent. Exits non-zero when any
-/// cell's decoded rows differ from the γ baseline's.
-fn bench_ablate(args: &[String], pages: u32, seed: u64, quick: bool) -> i32 {
-    use webgraph_repr::bench::ablate;
-    let cells: Vec<String> = opt(args, "--cells").map_or_else(
-        || {
-            ablate::DEFAULT_CELLS
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        },
-        |s| s.split(',').map(|c| c.trim().to_string()).collect(),
-    );
-    let sweeps = if quick { 1 } else { 3 };
-    let out = PathBuf::from(opt(args, "--out").unwrap_or_else(|| "BENCH_compress.json".into()));
-    let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-    let scratch = std::env::temp_dir().join(format!("wgr_ablate_{}", std::process::id()));
-    let cell_refs: Vec<&str> = cells.iter().map(String::as_str).collect();
-    let report = ablate::run_ablation(&corpus, &scratch, &cell_refs, sweeps);
-    std::fs::remove_dir_all(&scratch).ok();
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("FAILED: {e}");
-            return 1;
-        }
-    };
-    std::fs::write(&out, report.to_json(seed)).expect("write ablation json");
-    println!("wrote {}", out.display());
-    if let Some(best) = report.best() {
-        println!(
-            "best cell: {} at {:.4} bits/edge ({:.1} ns/edge decode)",
-            best.cell, best.bits_per_edge, best.decode_ns_per_edge
-        );
-    }
-    if !report.all_match {
-        eprintln!("FAILED: some cell's decoded rows differ from the gamma baseline");
-        return 1;
-    }
-    0
-}
-
 fn bench_query(
     corpus: &Corpus,
     scratch: &std::path::Path,
@@ -1286,15 +1274,9 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
                 SCALE_SIZES_FULL.to_vec()
             }
         },
-        |s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("--sizes comma list"))
-                .collect()
-        },
+        |s| s.split(',').map(|t| parsed("--sizes", t)).collect(),
     );
-    let probes: u32 = opt(args, "--probes").map_or(if quick { 2_000 } else { 10_000 }, |s| {
-        s.parse().expect("--probes number")
-    });
+    let probes: u32 = num(args, "--probes").unwrap_or(if quick { 2_000 } else { 10_000 });
     let out = PathBuf::from(opt(args, "--out").unwrap_or_else(|| "BENCH_scale.json".into()));
     let scratch = std::env::temp_dir().join(format!("wgr_scale_{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
@@ -1453,8 +1435,8 @@ fn cmd_scale_step(args: &[String]) -> i32 {
 /// marks: sampled once right after streaming (witnessing the writer's
 /// bounded memory) and once after the build (the whole step).
 fn scale_step_build(args: &[String]) -> i32 {
-    let pages: u32 = req(args, "--pages").parse().expect("--pages number");
-    let seed: u64 = opt(args, "--seed").map_or(42, |s| s.parse().expect("--seed number"));
+    let pages: u32 = parsed("--pages", &req(args, "--pages"));
+    let seed: u64 = num(args, "--seed").unwrap_or(42);
     let dir = PathBuf::from(req(args, "--dir"));
     let corpus_dir = dir.join("corpus");
     let repo = dir.join("repo");
@@ -1507,9 +1489,8 @@ fn scale_step_build(args: &[String]) -> i32 {
 /// agree on, the resident index bytes, and this process's peak RSS.
 fn scale_step_query(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
-    let probes: u32 = opt(args, "--probes").map_or(10_000, |s| s.parse().expect("--probes number"));
-    let budget: usize =
-        opt(args, "--budget").map_or(1 << 20, |s| s.parse().expect("--budget bytes"));
+    let probes: u32 = num(args, "--probes").unwrap_or(10_000);
+    let budget: usize = num(args, "--budget").unwrap_or(1 << 20);
     let resident = args.iter().any(|a| a == "--resident");
     let snode = if resident {
         SNode::open_resident(&repo, budget)
@@ -1639,10 +1620,8 @@ fn bench_serve(
     let (ctx, reference) = build_serve_context(corpus, &set, Scheme::SNode).expect("serve context");
     let num_pages = ctx.num_pages;
 
-    let workers: usize = opt(args, "--workers").map_or_else(
-        || std::thread::available_parallelism().map_or(4, |n| n.get().max(2)),
-        |s| s.parse().expect("--workers number"),
-    );
+    let workers: usize = num(args, "--workers")
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get().max(2)));
     let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
     let cfg = ServeConfig {
         workers,
@@ -1650,8 +1629,7 @@ fn bench_serve(
         // benchmark the backpressure path, not the read path.
         queue_cap: clients.max(256),
         port: 0,
-        slowlog_us: opt(args, "--slowlog-us")
-            .map_or(0, |s| s.parse().expect("--slowlog-us microseconds")),
+        slowlog_us: num(args, "--slowlog-us").unwrap_or(0),
         telemetry: telemetry_on,
     };
     let server = Server::start(Arc::clone(&ctx), &cfg).expect("start server");
@@ -1888,9 +1866,8 @@ fn cmd_serve(args: &[String]) -> i32 {
     // register at construction); `--trace` arms the ring the serve spans
     // and cache-load events feed.
     let flags = ObsFlags::parse(args);
-    let budget: usize =
-        opt(args, "--budget").map_or(1 << 20, |s| s.parse().expect("--budget bytes"));
-    let port: u16 = opt(args, "--port").map_or(0, |s| s.parse().expect("--port number"));
+    let budget: usize = num(args, "--budget").unwrap_or(1 << 20);
+    let port: u16 = num(args, "--port").unwrap_or(0);
     let scheme = match opt(args, "--scheme").as_deref() {
         None => Scheme::SNode,
         Some(name) => match Scheme::ALL.iter().copied().find(|s| s.name() == name) {
@@ -1960,14 +1937,11 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     let cfg = ServeConfig {
-        workers: opt(args, "--workers").map_or_else(
-            || std::thread::available_parallelism().map_or(4, |n| n.get().max(2)),
-            |s| s.parse().expect("--workers number"),
-        ),
-        queue_cap: opt(args, "--queue").map_or(256, |s| s.parse().expect("--queue number")),
+        workers: num(args, "--workers")
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get().max(2))),
+        queue_cap: num(args, "--queue").unwrap_or(256),
         port,
-        slowlog_us: opt(args, "--slowlog-us")
-            .map_or(0, |s| s.parse().expect("--slowlog-us microseconds")),
+        slowlog_us: num(args, "--slowlog-us").unwrap_or(0),
         telemetry: !args.iter().any(|a| a == "--no-telemetry"),
     };
     let server = match Server::start(Arc::clone(&ctx), &cfg) {
@@ -1988,8 +1962,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         cfg.queue_cap
     );
 
-    if let Some(n) = opt(args, "--smoke") {
-        let n: usize = n.parse().expect("--smoke number");
+    if let Some(n) = num::<usize>(args, "--smoke") {
         let code = serve_smoke(server.port(), n, &reference, ctx.num_pages);
         let stats = server.shutdown();
         eprintln!(
@@ -2251,15 +2224,14 @@ fn cmd_top(args: &[String]) -> i32 {
     // instance over the Stats wire op and renders its telemetry snapshot
     // (`--watch SECS` refreshes until interrupted; `--json` prints the
     // raw snapshot). Without `--port`, classic PageRank top-k below.
-    if let Some(port) = opt(args, "--port") {
-        let port: u16 = port.parse().expect("--port number");
-        let watch: Option<u64> = opt(args, "--watch").map(|s| s.parse().expect("--watch seconds"));
+    if let Some(port) = num::<u16>(args, "--port") {
+        let watch: Option<u64> = num(args, "--watch");
         let json = args.iter().any(|a| a == "--json");
         return top_live(port, watch, json);
     }
     let repo = PathBuf::from(req(args, "--repo"));
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
-    let k: usize = opt(args, "-k").map_or(10, |s| s.parse().expect("-k number"));
+    let k: usize = num(args, "-k").unwrap_or(10);
     let corpus = read_corpus(&corpus_dir).expect("read corpus");
     let renum = Renumbering::read(&repo).expect("pagemap");
     let pr = pagerank(&corpus.graph, &PageRankConfig::default());

@@ -53,7 +53,7 @@ fn craft_corrupt(dir: &Path) {
     let mut intranode_loc = Vec::new();
     let mut superedge_loc: Vec<Vec<GraphLocator>> = Vec::new();
 
-    let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None, ListCodec::GAMMA);
+    let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra0.bytes, intra0.bit_len).unwrap());
     let se02 = encode_superedge(
         &[vec![], vec![], vec![]],
@@ -64,11 +64,11 @@ fn craft_corrupt(dir: &Path) {
     );
     superedge_loc.push(vec![w.append(&se02.bytes, se02.bit_len).unwrap()]);
 
-    let intra1 = encode_intranode(&[], RefMode::None, ListCodec::GAMMA);
+    let intra1 = encode_intranode(&[], RefMode::None);
     intranode_loc.push(w.append(&intra1.bytes, intra1.bit_len).unwrap());
     superedge_loc.push(vec![]);
 
-    let intra2 = encode_intranode(&[vec![1], vec![]], RefMode::None, ListCodec::GAMMA);
+    let intra2 = encode_intranode(&[vec![1], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra2.bytes, intra2.bit_len).unwrap());
     let neg_lists = vec![vec![1u32, 2], vec![0, 1, 2]];
     let mut bw = BitWriter::new();

@@ -401,15 +401,12 @@ fn build_codec_flag_round_trips() {
         .unwrap();
     assert!(out.status.success(), "gen failed: {out:?}");
 
-    // The cell string round-trips through CodecConfig::parse → Display:
-    // the build banner echoes the normalised `<intra>/<superedge>` form,
-    // and the directory it writes decodes cleanly (verify re-reads the
-    // codec from the meta.bin header).
-    for (flag, echoed) in [
-        ("g+st", "codec g+st/g+st"),
-        ("z3+iv+cb/g", "codec z3+iv+cb/g"),
-    ] {
-        let repo = root.join(format!("repo_{}", flag.replace('/', "_")));
+    // The name round-trips through CodecConfig::parse → Display: the
+    // build banner echoes the `<intra>/<superedge>` form, and the
+    // directory it writes decodes cleanly (verify re-reads the codec from
+    // the meta.bin header).
+    for (flag, echoed) in [("g+st", "codec g+st/g+st"), ("g", "codec g/g")] {
+        let repo = root.join(format!("repo_{flag}"));
         let out = wgr()
             .args(["build", "--corpus"])
             .arg(&corpus)
@@ -436,19 +433,15 @@ fn build_codec_flag_round_trips() {
     // a build without the flag. `--codec g`, the paper's plain format, is
     // not — and is bigger.
     let repo_default = root.join("repo_default");
-    let repo_g = root.join("repo_g");
-    for (repo, extra) in [(&repo_default, None), (&repo_g, Some("g"))] {
-        let mut cmd = wgr();
-        cmd.args(["build", "--corpus"])
-            .arg(&corpus)
-            .arg("--out")
-            .arg(repo);
-        if let Some(c) = extra {
-            cmd.args(["--codec", c]);
-        }
-        assert!(cmd.output().unwrap().status.success());
-    }
-    let repo_gst = root.join("repo_g+st");
+    let built = wgr()
+        .args(["build", "--corpus"])
+        .arg(&corpus)
+        .arg("--out")
+        .arg(&repo_default)
+        .output()
+        .unwrap();
+    assert!(built.status.success(), "{built:?}");
+    let (repo_g, repo_gst) = (root.join("repo_g"), root.join("repo_g+st"));
     for entry in std::fs::read_dir(&repo_default).unwrap() {
         let name = entry.unwrap().file_name();
         assert_eq!(
@@ -464,16 +457,23 @@ fn build_codec_flag_round_trips() {
         "the default must be smaller than --codec g"
     );
 
-    // Unparseable cells are a usage error, not a panic.
-    let out = wgr()
-        .args(["build", "--corpus"])
-        .arg(&corpus)
-        .arg("--out")
-        .arg(root.join("repo_bad"))
-        .args(["--codec", "z99+zz"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "bad codec must exit 2: {out:?}");
+    // A retired cell, the pair form and nonsense are usage errors, not
+    // panics, and write nothing.
+    for bad in ["z3+iv+cb/g", "g/g+st", "z99+zz"] {
+        let out = wgr()
+            .args(["build", "--corpus"])
+            .arg(&corpus)
+            .arg("--out")
+            .arg(root.join("repo_bad"))
+            .args(["--codec", bad])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--codec {bad}: {out:?}");
+        assert!(
+            !root.join("repo_bad").exists(),
+            "--codec {bad} wrote output"
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -543,6 +543,40 @@ fn build_stream_and_shards_flags_round_trip() {
     let plain = files(&repo_plain);
     assert!(plain.iter().any(|(n, _)| n == "sums.bin"));
     assert!(plain == files(&repo_sharded), "--shards changed the output");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Bad input on the command line is a usage error — exit 2 and one line
+/// on stderr — not a panic with a backtrace.
+#[test]
+fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
+    let root = temp_dir("badflags");
+    let cases: [(&[&str], &str); 6] = [
+        (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
+        (
+            &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
+            "--seed: -1",
+        ),
+        (
+            &["build", "--corpus", "/nonexistent", "--out", "r"],
+            "/nonexistent",
+        ),
+        (&["bench", "--quick", "--threads", "1,x"], "--threads: x"),
+        (&["bench", "--ablate"], "usage"),
+        (
+            &["build", "--corpus", "c", "--out", "r", "--codec", "z3"],
+            "--codec z3",
+        ),
+    ];
+    for (args, names) in cases {
+        let out = wgr().args(args).current_dir(&root).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+    }
+    assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0, "wrote output");
     std::fs::remove_dir_all(&root).ok();
 }
 

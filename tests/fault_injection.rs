@@ -314,43 +314,68 @@ fn cli_corrupt_fsck_repair_round_trip() {
         }
         cmd.output().unwrap()
     };
+    let files = || -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(&repo)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    };
     assert!(
         run(&["gen", "--pages", "1500", "--seed", "9", "--out", "CORPUS"])
             .status
             .success()
     );
-    assert!(run(&["build", "--corpus", "CORPUS", "--out", "REPO"])
-        .status
-        .success());
+    // A repair puts back the bytes that were there, in the format the
+    // directory was built in: the default, or the one `--codec` named.
+    for codec in [&[][..], &["--codec", "g"]] {
+        let build = [&["build", "--corpus", "CORPUS", "--out", "REPO"], codec].concat();
+        assert!(run(&build).status.success(), "{build:?}");
+        let built = files();
 
-    let out = run(&["fsck", "REPO", "--json"]);
-    assert_eq!(out.status.code(), Some(0), "clean fsck: {out:?}");
-    let body = String::from_utf8_lossy(&out.stdout);
-    assert!(body.contains("\"errors\":0"), "clean verdict: {body}");
+        let out = run(&["fsck", "REPO", "--json"]);
+        assert_eq!(out.status.code(), Some(0), "clean fsck: {out:?}");
+        let body = String::from_utf8_lossy(&out.stdout);
+        assert!(body.contains("\"errors\":0"), "clean verdict: {body}");
 
-    let out = run(&[
-        "corrupt",
-        "REPO",
-        "--seed",
-        "4",
-        "--flips",
-        "3",
-        "--truncate",
-        "1",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "corrupt: {out:?}");
+        for faults in [
+            &["--seed", "7", "--flips", "1"][..],
+            &["--seed", "4", "--flips", "3", "--truncate", "1"],
+        ] {
+            let out = run(&[&["corrupt", "REPO"], faults].concat());
+            assert_eq!(out.status.code(), Some(0), "corrupt: {out:?}");
+            let damaged = files();
+            let hit: Vec<String> = (built.iter())
+                .filter(|&(name, bytes)| damaged.get(name) != Some(bytes))
+                .map(|(name, _)| format!("repaired {name}"))
+                .collect();
+            assert!(!hit.is_empty(), "{faults:?} changed nothing");
 
-    let out = run(&["fsck", "REPO", "--json"]);
-    assert_eq!(out.status.code(), Some(1), "damaged fsck: {out:?}");
-    let body = String::from_utf8_lossy(&out.stdout);
-    assert!(body.contains("SN10"), "SN1xx verdicts expected: {body}");
+            let out = run(&["fsck", "REPO", "--json"]);
+            assert_eq!(out.status.code(), Some(1), "damaged fsck: {out:?}");
+            let body = String::from_utf8_lossy(&out.stdout);
+            assert!(body.contains("SN10"), "SN1xx verdicts expected: {body}");
 
-    let out = run(&["fsck", "REPO", "--repair", "--from", "CORPUS"]);
-    assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("repaired"));
+            let out = run(&["fsck", "REPO", "--repair", "--from", "CORPUS"]);
+            assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                stderr.lines().collect::<Vec<_>>(),
+                hit,
+                "{codec:?} {faults:?}"
+            );
+            assert!(
+                files() == built,
+                "{codec:?} {faults:?}: not the bytes that were built"
+            );
 
-    let out = run(&["fsck", "REPO"]);
-    assert_eq!(out.status.code(), Some(0), "post-repair fsck: {out:?}");
+            let out = run(&["fsck", "REPO"]);
+            assert_eq!(out.status.code(), Some(0), "post-repair fsck: {out:?}");
+        }
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 

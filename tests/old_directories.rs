@@ -1,7 +1,9 @@
-//! Directories written by earlier format versions keep working: the two
-//! under `tests/fixtures/` (see its README) were built by the commit
-//! before `meta.bin` version 3 and are held here to opening, checking and
-//! answering exactly as a rebuild of the same corpus does.
+//! Directories written by earlier versions keep working: the three under
+//! `tests/fixtures/` (see its README) — two built by the commit before
+//! `meta.bin` version 3, one by the last commit that had the codec grid —
+//! are held here to opening, checking and answering exactly as a rebuild
+//! of the same corpus does, and this version's two formats to the bytes
+//! those commits wrote.
 
 // Test code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -60,17 +62,39 @@ fn v2_directories_open_check_and_answer_like_a_rebuild() {
     let rebuilt = answers(&SNode::open(&rebuilt_dir, 1 << 20).unwrap(), &rebuilt_dir);
     assert_eq!(rebuilt, truth, "this version's own build");
 
-    for (name, layouts, header) in [
-        ("v2_g", SuperedgeLayouts::Standard, 0x0101),
-        ("v2_g_st", SuperedgeLayouts::SingleTarget, 0x4141),
+    // Both formats this version writes are the bytes earlier versions
+    // wrote: the default all of `v3_g_st/`, and `g` all of `v2_g/` but the
+    // version word (and so the checksums over it).
+    let read = |dir: &Path, file: &str| std::fs::read(dir.join(file)).unwrap();
+    for file in ["index_000.bin", "meta.bin", "pagemap.bin", "sums.bin"] {
+        let written = read(&fixture("v3_g_st"), file);
+        assert!(read(&rebuilt_dir, file) == written, "default build: {file}");
+    }
+    let gamma = SNodeConfig {
+        codec: CodecConfig::GAMMA,
+        ..SNodeConfig::default()
+    };
+    build_snode(input, &gamma, &rebuilt_dir).unwrap();
+    for file in ["index_000.bin", "pagemap.bin"] {
+        let written = read(&fixture("v2_g"), file);
+        assert!(
+            read(&rebuilt_dir, file) == written,
+            "--codec g build: {file}"
+        );
+    }
+    let mut v2_meta = read(&fixture("v2_g"), "meta.bin");
+    assert_eq!(v2_meta[4..8], 2u32.to_le_bytes());
+    v2_meta[4..8].copy_from_slice(&3u32.to_le_bytes());
+    assert!(read(&rebuilt_dir, "meta.bin") == v2_meta, "--codec g build");
+
+    for (name, version, layouts, header) in [
+        ("v2_g", 2u32, SuperedgeLayouts::Standard, 0x0101),
+        ("v2_g_st", 2, SuperedgeLayouts::SingleTarget, 0x4141),
+        ("v3_g_st", 3, SuperedgeLayouts::Priced, 0xC1C1),
     ] {
         let dir = fixture(name);
         let meta_bytes = std::fs::read(dir.join("meta.bin")).unwrap();
-        assert_eq!(
-            meta_bytes[4..8],
-            2u32.to_le_bytes(),
-            "{name}: a v2 meta.bin"
-        );
+        assert_eq!(meta_bytes[4..8], version.to_le_bytes(), "{name}");
         let meta = SNodeMeta::read(&dir).unwrap();
         assert_eq!(meta.codec.superedge.layouts, layouts, "{name}");
         assert_eq!(meta.codec.to_header(), header, "{name}");
@@ -100,7 +124,7 @@ fn v2_directories_open_check_and_answer_like_a_rebuild() {
         let bits: u64 = ledger.rows.iter().map(|row| row.bits).sum();
         assert_eq!(
             bits, ledger.total_bits,
-            "{name}: --bits accounts for a v2 directory"
+            "{name}: --bits accounts for the directory"
         );
         assert_eq!(ledger.edges, corpus.graph.num_edges());
     }
@@ -109,8 +133,9 @@ fn v2_directories_open_check_and_answer_like_a_rebuild() {
 
 /// What this version writes is version 3 with the `g+st` codec word, and a
 /// codec word with a bit no version defines — in either class's byte or in
-/// the reserved half — is `Corrupt`, never a directory that opens and
-/// reads its graphs under some other layout.
+/// the reserved half — or one that names a cell of the retired ablation
+/// grid is `Corrupt`, never a directory that opens and reads its graphs
+/// under some other layout or code.
 #[test]
 fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
     let corpus = Corpus::generate(CorpusConfig::scaled(300, 9));
@@ -144,14 +169,32 @@ fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
         0x8000_C1C1, //
         0x81C1,      // list dictionary without the single-target one
         0xC181,      //
-        0xC9C1,      // ζ_9
-        0xC1C0,      // ζ_0
     ] {
         let got = with_word(3, bad);
         assert!(
             matches!(got, Err(SNodeError::Corrupt(_))),
             "{bad:#x}: {got:?}"
         );
+    }
+    // The grid v2 and v3 had beside `g` and `g+st`: the message says what
+    // wrote the directory and what to do about it.
+    for retired in [
+        0x0102, // ζ₂
+        0x0111, // +iv
+        0x0121, // +cb
+        0x0133, // z3+iv+cb/g
+        0xC2C2, // z2+st
+        0xC9C1, // never a cell: ζ₉
+        0xC1C0, // nor ζ₀
+    ] {
+        for version in [2, 3] {
+            let got = with_word(version, retired);
+            assert!(
+                matches!(got, Err(SNodeError::Corrupt(why))
+                    if why.contains("retired") && why.contains("rebuild")),
+                "v{version} {retired:#x}: {got:?}"
+            );
+        }
     }
     // Version 2 never had the list-dictionary bit; version 3 still reads
     // v2's own `+st`.
