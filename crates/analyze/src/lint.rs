@@ -85,6 +85,12 @@ const MUT_VALUE_OWNERS: &[&str] = &[
     "IndexFileWriter",
     // One wg-serve client owns one socket; connections are never shared.
     "Client",
+    // One decode's view of a cached graph's memo: made on the decoder's
+    // stack, it holds the memo's mutex from its first use to its drop.
+    "LockedOnUse",
+    // The state of one hash of one `GraphKey`, made and dropped by the
+    // map lookup that asked for it.
+    "KeyHasher",
 ];
 
 /// `&mut self` owners that live *inside* a shared-state lock: `Pager` is a
@@ -115,7 +121,16 @@ const ZERO_ALLOC_NAMES: &[&str] = &[
     "out_neighbors_batch",
     // The body of both: what it needs per group lives in `BatchScratch`.
     "batch_run",
+    // The list decoders — `CachedGraph`'s, `ListsIndex`'s, a superedge
+    // graph's — and what they decode with: everything is built in the
+    // caller's `DecodeScratch` and output buffer.
     "decode_list_into",
+    "targets_of_into",
+    "stored_list_into",
+    "apply_reference",
+    "read_bounded_gap_list_into",
+    "merge_sorted_u32",
+    "complement_into",
     // The offsets-only scan behind `ListsIndex::parse`: per payload it
     // counts and checks, and must never build a list.
     "scan_payload",

@@ -75,38 +75,9 @@ fn write_rle(w: &mut BitWriter, bits: &[bool]) {
     codes::write_gamma(w, run - 1);
 }
 
-/// Reads a bit vector of exactly `len` bits written by [`write_bitvec`].
-pub fn read_bitvec(r: &mut BitReader<'_>, len: usize) -> Result<Vec<bool>> {
-    let mut out = Vec::with_capacity(len);
-    let rle = r.read_bit()?;
-    if !rle {
-        for _ in 0..len {
-            out.push(r.read_bit()?);
-        }
-        return Ok(out);
-    }
-    let mut value = r.read_bit()?;
-    if len == 0 {
-        return Ok(out);
-    }
-    while out.len() < len {
-        let run = codes::read_gamma(r)? + 1;
-        if out.len() + run as usize > len {
-            return Err(BitError::Corrupt {
-                what: "RLE run overruns declared bit-vector length",
-            });
-        }
-        for _ in 0..run {
-            out.push(value);
-        }
-        value = !value;
-    }
-    Ok(out)
-}
-
-/// Like [`read_bitvec`] but invokes `on_set(i)` for each set bit instead of
-/// materialising the vector — the hot path when applying a reference
-/// encoding copy-mask.
+/// Reads a bit vector of exactly `len` bits written by [`write_bitvec`],
+/// invoking `on_set(i)` for each set bit instead of materialising the
+/// vector — the hot path when applying a reference encoding copy-mask.
 pub fn read_bitvec_set_positions(
     r: &mut BitReader<'_>,
     len: usize,
@@ -151,12 +122,6 @@ mod tests {
         let (bytes, blen) = w.finish();
         assert_eq!(blen, encoded_len(bits), "encoded_len must match encoding");
         let mut r = BitReader::with_bit_len(&bytes, blen);
-        let decoded = read_bitvec(&mut r, bits.len()).unwrap();
-        assert_eq!(decoded, bits);
-        assert_eq!(r.remaining(), 0);
-
-        // Set-position streaming agrees with materialised form.
-        let mut r = BitReader::with_bit_len(&bytes, blen);
         let mut set = Vec::new();
         read_bitvec_set_positions(&mut r, bits.len(), |i| set.push(i)).unwrap();
         let expect: Vec<usize> = bits
@@ -166,6 +131,7 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(set, expect);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -228,6 +194,6 @@ mod tests {
         codes::write_gamma(&mut w, 9); // run of 10
         let (bytes, blen) = w.finish();
         let mut r = BitReader::with_bit_len(&bytes, blen);
-        assert!(read_bitvec(&mut r, 5).is_err());
+        assert!(read_bitvec_set_positions(&mut r, 5, |_| {}).is_err());
     }
 }

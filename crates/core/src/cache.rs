@@ -11,11 +11,13 @@
 //! is derived from those graphs and lives in the same space, under the
 //! same budget.
 
-use crate::refenc::{DecodeMemo, ListsIndex};
+use crate::refenc::{DecodeMemo, DecodeScratch, ListsIndex};
 use crate::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 use wg_obs::{
     stage_add, stage_sample, telemetry_enabled, LockMetrics, Stage, Stopwatch, SAMPLE_SCALE,
@@ -56,6 +58,54 @@ fn lock_memo(memo: &Mutex<ListMemo>) -> MutexGuard<'_, ListMemo> {
     g
 }
 
+/// A cached graph's memo as the decoder sees it: locked by the first `get`
+/// or `put`, until the decode that made it ends. A plain list, a
+/// single-target hit and a miss on `sources` — nine decodes in ten on a
+/// crawl — ask the memo nothing and so never take its mutex.
+struct LockedOnUse<'a> {
+    memo: &'a Mutex<ListMemo>,
+    guard: OnceCell<MutexGuard<'a, ListMemo>>,
+}
+
+impl<'a> LockedOnUse<'a> {
+    fn new(memo: &'a Mutex<ListMemo>) -> Self {
+        let guard = OnceCell::new();
+        Self { memo, guard }
+    }
+
+    fn locked(&self) -> &MutexGuard<'a, ListMemo> {
+        self.guard.get_or_init(|| lock_memo(self.memo))
+    }
+}
+
+impl DecodeMemo for LockedOnUse<'_> {
+    fn get(&self, i: u32) -> Option<&[u32]> {
+        self.locked().get(i)
+    }
+
+    fn put(&mut self, i: u32, v: &[u32]) {
+        self.locked();
+        if let Some(memo) = self.guard.get_mut() {
+            memo.put(i, v);
+        }
+    }
+}
+
+/// Runs one list decode under the sampled [`Stage::ListDecode`] stopwatch:
+/// per-list decode is the hottest query path, far too hot for an
+/// unconditional clock pair.
+fn sampled_decode(decode: impl FnOnce() -> Result<()>) -> Result<()> {
+    let sw = stage_sample();
+    let decoded = decode();
+    if let Some(sw) = sw {
+        stage_add(
+            Stage::ListDecode,
+            sw.elapsed_ns().saturating_mul(SAMPLE_SCALE),
+        );
+    }
+    decoded
+}
+
 /// Bounded memo of decoded lists, attached to an encoded cached graph.
 ///
 /// The memo is the fast-navigation layer of §4.3's byte budget story: the
@@ -63,9 +113,11 @@ fn lock_memo(memo: &Mutex<ListMemo>) -> MutexGuard<'_, ListMemo> {
 /// lists decode *through*, which is exactly the hot minority — are kept in
 /// decoded form so a chain walk that reaches one is an O(1) lookup instead
 /// of a further O(chain) decode. Only those ancestors are ever offered
-/// (see [`ListsIndex::decode_list_with_memo`]); leaf lists nothing
-/// references are decoded straight into the caller's buffer, keeping the
-/// per-decode overhead of the memo near zero. Its capacity is **reserved
+/// (see [`ListsIndex::decode_list_into`]), each copied out of the
+/// decoder's buffers to the end of one pool; a list nothing references is
+/// decoded into the caller's buffers and never comes here, and a plain
+/// list asked for directly is decoded without the memo — or its mutex —
+/// being touched even if it is in it. Its capacity is **reserved
 /// statically**: the parent graph's accounted [`CachedGraph::bytes`]
 /// includes the full memo cap at construction, so the memo's worst case is
 /// charged against the cache budget up front and freed wholesale when the
@@ -74,19 +126,37 @@ fn lock_memo(memo: &Mutex<ListMemo>) -> MutexGuard<'_, ListMemo> {
 /// Overflow policy: an insertion that would exceed the cap clears the
 /// whole memo first (a full restart, not per-entry eviction). This keeps
 /// run-to-run behaviour deterministic — it never depends on `HashMap`
-/// iteration order — which the bench drift check requires.
+/// iteration order — which the bench drift check requires. A memo that
+/// never overflows stops growing once every ancestor of its graph is in
+/// it; one that does takes its reserved share whole at the first restart
+/// and keeps it. Either way a warm probe through it allocates nothing.
 #[derive(Debug, Default)]
 pub struct ListMemo {
-    map: HashMap<u32, Vec<u32>>,
-    used: usize,
+    /// The lists retained, once there has been one: most graphs have no
+    /// reference chain, and this way a memo costs them three words.
+    retained: Option<Box<Retained>>,
     cap: usize,
     hits: Option<wg_obs::Counter>,
 }
 
+#[derive(Debug, Default)]
+struct Retained {
+    /// Where each list lies in `pool`: start and length.
+    map: HashMap<u32, (u32, u32)>,
+    /// The lists, end to end in order of arrival.
+    pool: Vec<u32>,
+    /// What they are charged against the cap.
+    used: usize,
+}
+
 impl ListMemo {
-    /// Approximate retained cost of one entry.
+    /// What an entry is charged against the cap besides its four bytes
+    /// per target: its share of the table.
+    const ENTRY_BYTES: usize = 28;
+
+    /// What one entry is charged against the cap.
     fn entry_bytes(v: &[u32]) -> usize {
-        v.len() * 4 + std::mem::size_of::<Vec<u32>>() + 4
+        v.len() * 4 + Self::ENTRY_BYTES
     }
 
     /// A memo bounded by `cap` bytes of decoded lists. Registers the
@@ -95,8 +165,7 @@ impl ListMemo {
         let hits =
             wg_obs::metrics_enabled().then(|| wg_obs::global().counter("core.nav.list_memo_hits"));
         Self {
-            map: HashMap::new(),
-            used: 0,
+            retained: None,
             cap,
             hits,
         }
@@ -104,7 +173,7 @@ impl ListMemo {
 
     /// Bytes of decoded lists currently retained.
     pub fn used(&self) -> usize {
-        self.used
+        self.retained.as_ref().map_or(0, |retained| retained.used)
     }
 
     /// The static byte reservation this memo was built with.
@@ -114,19 +183,13 @@ impl ListMemo {
 }
 
 impl DecodeMemo for ListMemo {
-    fn get(&self, i: u32) -> Option<&Vec<u32>> {
-        // Graphs with no reference chains never populate the memo; one
-        // branch here keeps their decode path free of hashing entirely.
-        if self.map.is_empty() {
-            return None;
+    fn get(&self, i: u32) -> Option<&[u32]> {
+        let retained = self.retained.as_deref()?;
+        let &(start, len) = retained.map.get(&i)?;
+        if let Some(h) = &self.hits {
+            h.inc();
         }
-        let v = self.map.get(&i);
-        if v.is_some() {
-            if let Some(h) = &self.hits {
-                h.inc();
-            }
-        }
-        v
+        (retained.pool).get(start as usize..start as usize + len as usize)
     }
 
     fn put(&mut self, i: u32, v: &[u32]) {
@@ -134,14 +197,29 @@ impl DecodeMemo for ListMemo {
         if cost > self.cap {
             return; // one oversized list can never fit
         }
-        if self.used + cost > self.cap {
-            self.map.clear();
-            self.used = 0;
+        let retained = self.retained.get_or_insert_with(Box::default);
+        if retained.used + cost > self.cap {
+            retained.map.clear();
+            retained.pool.clear();
+            retained.used = 0;
+            // A memo that has overflowed will again: it takes all its cap
+            // admits now and never grows after (both calls find that done
+            // the next time).
+            let _ = retained.pool.try_reserve_exact(self.cap / 4);
+            let _ = retained.map.try_reserve(self.cap / Self::ENTRY_BYTES);
         }
-        if let Some(old) = self.map.insert(i, v.to_vec()) {
-            self.used -= Self::entry_bytes(&old);
+        // Under the cap the pool stays far below 2³² entries.
+        let (start, len) = (retained.pool.len(), v.len());
+        let (Ok(start), Ok(len)) = (u32::try_from(start), u32::try_from(len)) else {
+            return;
+        };
+        // The decoder offers a list only after `get` missed it; a second
+        // offer finds the first, equal by the trait's contract, in place.
+        if let std::collections::hash_map::Entry::Vacant(slot) = retained.map.entry(i) {
+            slot.insert((start, len));
+            retained.pool.extend_from_slice(v);
+            retained.used += cost;
         }
-        self.used += cost;
     }
 }
 
@@ -309,7 +387,7 @@ pub enum CachedGraph {
         nj: u64,
         /// Decoded-list memo (shared reference-chain prefixes), keyed in
         /// lists-index space — see
-        /// [`SuperedgeIndex::targets_of_with_memo`]. Its cap is part of
+        /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of
         /// `bytes`.
         memo: Mutex<ListMemo>,
         /// Resident footprint.
@@ -422,16 +500,23 @@ impl CachedGraph {
     /// The positive target list of local id `local` (empty when absent).
     pub fn decode_list_for(&self, local: u32) -> crate::Result<Vec<u32>> {
         let mut out = Vec::new();
-        self.decode_list_into(local, &mut out)?;
+        self.decode_list_into(local, &mut DecodeScratch::default(), &mut out)?;
         Ok(out)
     }
 
     /// Decodes the target list of `local` into `out` (cleared first).
     ///
-    /// This is the fast navigation path: encoded graphs consult (and feed)
-    /// their decoded-list memo, and the caller's buffer is reused across
-    /// calls, so a BFS level costs no per-page list allocation on hits.
-    pub fn decode_list_into(&self, local: u32, out: &mut Vec<u32>) -> crate::Result<()> {
+    /// This is the fast navigation path: `out` and `scratch` are the
+    /// caller's and reused across calls, so a BFS level costs no per-page
+    /// list allocation; an encoded graph decodes through its decoded-list
+    /// memo, whose mutex is taken only by a decode that reaches a
+    /// reference-encoded list — the only kind a memo can shorten.
+    pub fn decode_list_into(
+        &self,
+        local: u32,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> crate::Result<()> {
         out.clear();
         match self {
             CachedGraph::Dense { lists, .. } => {
@@ -452,26 +537,10 @@ impl CachedGraph {
                 index,
                 memo,
                 ..
-            } => {
-                let mut memo = lock_memo(memo);
-                if let Some(v) = memo.get(local) {
-                    // Memo hit: a copy, no decode — not worth a clock pair
-                    // to attribute (the overhead would dwarf the work).
-                    out.extend_from_slice(v);
-                } else {
-                    // Sampled: per-list decode is the hottest query path.
-                    let sw = stage_sample();
-                    let list = index.decode_list_with_memo(data, *bit_len, local, &mut *memo)?;
-                    out.extend_from_slice(&list);
-                    if let Some(sw) = sw {
-                        stage_add(
-                            Stage::ListDecode,
-                            sw.elapsed_ns().saturating_mul(SAMPLE_SCALE),
-                        );
-                    }
-                }
-                Ok(())
-            }
+            } => sampled_decode(|| {
+                let mut memo = LockedOnUse::new(memo);
+                index.decode_list_into(data, *bit_len, local, &mut memo, scratch, out)
+            }),
             CachedGraph::EncodedSuper {
                 data,
                 bit_len,
@@ -479,25 +548,11 @@ impl CachedGraph {
                 nj,
                 memo,
                 ..
-            } => {
-                let mut memo = lock_memo(memo);
-                let sw = stage_sample();
-                let list = index.targets_of_with_memo(
-                    data,
-                    *bit_len,
-                    u64::from(local),
-                    *nj,
-                    &mut *memo,
-                )?;
-                out.extend_from_slice(&list);
-                if let Some(sw) = sw {
-                    stage_add(
-                        Stage::ListDecode,
-                        sw.elapsed_ns().saturating_mul(SAMPLE_SCALE),
-                    );
-                }
-                Ok(())
-            }
+            } => sampled_decode(|| {
+                let mut memo = LockedOnUse::new(memo);
+                let s = u64::from(local);
+                index.targets_of_into(data, *bit_len, s, *nj, &mut memo, scratch, out)
+            }),
             CachedGraph::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
         }
     }
@@ -579,60 +634,75 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// (and therefore the hit/miss/eviction counters the bench gate compares)
 /// is identical across processes and runs. Each shard owns an equal slice
 /// of the byte budget and runs the same unique-tick LRU the unsharded
-/// cache used; the tick is a single process-wide atomic, so recency
-/// ordering stays total and single-threaded runs remain deterministic.
+/// cache used. The tick is the shard's own, bumped under the lock every
+/// touch already holds: eviction only ever compares ticks within one
+/// shard, so a tick per shard orders its victims exactly as one
+/// process-wide counter would. A hit is one lock, one lookup in the
+/// shard's map and one bump of the `core.cache.hits` counter.
 #[derive(Debug)]
 pub struct GraphCache {
     budget: usize,
     shards: Vec<Mutex<Shard>>,
-    /// Parallel to `shards`: per-shard traffic and lock-contention
-    /// counters feeding the serve heatmap (hit/miss always on; lock
-    /// timing telemetry-gated).
-    shard_tel: Vec<ShardTel>,
-    tick: std::sync::atomic::AtomicU64,
+    /// Parallel to `shards`: each shard mutex's contention profile for the
+    /// serve heatmap, registered as `core.cache.shard{i}.lock` under
+    /// `--metrics` (timing is telemetry-gated).
+    shard_locks: Vec<LockMetrics>,
     metrics: wg_obs::CacheMetrics,
     /// Once set, every load/unload is appended here (the paper's log).
     /// Unset, recording an event costs one load and no lock.
     log: OnceLock<Mutex<Vec<CacheEvent>>>,
 }
 
-/// Per-shard instrumentation: hit/miss split plus the shard mutex's
-/// contention profile. Registered as `core.cache.shard{i}.*` under
-/// `--metrics`.
-#[derive(Debug)]
-struct ShardTel {
-    hits: wg_obs::Counter,
-    misses: wg_obs::Counter,
-    lock: LockMetrics,
+/// Folds a [`GraphKey`]'s discriminant and ids — all a shard's map ever
+/// hashes — with a rotate, xor and multiply per word. Fixed, not seeded
+/// per process like `std`'s default: the keys are supernode ids out of a
+/// checksummed `meta.bin`, dense small integers, not input an adversary
+/// picks to collide, and SipHash was a third of a hit.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
-impl ShardTel {
-    fn auto(i: usize) -> Self {
-        if wg_obs::metrics_enabled() {
-            let reg = wg_obs::global();
-            ShardTel {
-                hits: reg.counter(&format!("core.cache.shard{i}.hits")),
-                misses: reg.counter(&format!("core.cache.shard{i}.misses")),
-                lock: LockMetrics::registered(reg, &format!("core.cache.shard{i}.lock")),
-            }
-        } else {
-            ShardTel {
-                hits: wg_obs::Counter::new(),
-                misses: wg_obs::Counter::new(),
-                lock: LockMetrics::unregistered(),
-            }
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
         }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.fold(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<GraphKey, Entry>,
+    map: HashMap<GraphKey, Entry, BuildHasherDefault<KeyHasher>>,
     /// Eviction order as of the last scan of `map`: `(last_used, key)`,
     /// oldest last. See [`Shard::evict_lru`].
     victims: Vec<(u64, GraphKey)>,
     used: usize,
     budget: usize,
+    /// The stamp of the shard's latest touch; see [`Shard::touch`].
+    tick: u64,
+    /// Lookups this shard answered, and those it could not: the shard
+    /// heatmap's split of `core.cache.hits` / `misses`.
+    hits: u64,
+    misses: u64,
 }
 
 #[derive(Debug)]
@@ -642,6 +712,12 @@ struct Entry {
 }
 
 impl Shard {
+    /// A fresh stamp, above every one this shard has handed out.
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
     /// Evicts the exact least recently used graph; `None` when empty.
     ///
     /// A hit stamps its entry with a fresh tick and does nothing else, so
@@ -726,8 +802,9 @@ impl GraphCache {
                     })
                 })
                 .collect(),
-            shard_tel: (0..n).map(ShardTel::auto).collect(),
-            tick: std::sync::atomic::AtomicU64::new(0),
+            shard_locks: (0..n)
+                .map(|i| LockMetrics::auto(&format!("core.cache.shard{i}.lock")))
+                .collect(),
             metrics: wg_obs::CacheMetrics::auto("core.cache"),
             log: OnceLock::new(),
         }
@@ -745,7 +822,7 @@ impl GraphCache {
         if !telemetry_enabled() {
             return self.shards[i].lock();
         }
-        let lm = &self.shard_tel[i].lock;
+        let lm = &self.shard_locks[i];
         lm.acquisitions.inc();
         if let Some(g) = self.shards[i].try_lock() {
             return g;
@@ -757,13 +834,6 @@ impl GraphCache {
         lm.wait_ns.add(ns);
         stage_add(Stage::ShardLock, ns);
         g
-    }
-
-    fn next_tick(&self) -> u64 {
-        // Relaxed is enough: ticks only order evictions, and any total
-        // order over concurrent insertions is acceptable — determinism is
-        // only promised for single-threaded runs.
-        self.tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
     }
 
     /// Enables event logging (disabled by default; the log grows unbounded
@@ -821,7 +891,6 @@ impl GraphCache {
 
     /// Looks up a graph, bumping its recency.
     pub fn get(&self, key: GraphKey) -> Option<Arc<CachedGraph>> {
-        let tick = self.next_tick();
         let i = self.shard_index(&key);
         let mut shard = self.lock_shard(i);
         // Sampled: this runs per list access, far too hot for an
@@ -830,22 +899,24 @@ impl GraphCache {
         // time ≈ hold time), and the sampled value is scaled to estimate
         // the full population.
         let sw = stage_sample();
+        let tick = shard.touch();
         let got = match shard.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
+                let graph = Arc::clone(&e.graph);
+                shard.hits += 1;
                 self.metrics.hits.inc();
-                self.shard_tel[i].hits.inc();
-                Some(Arc::clone(&e.graph))
+                Some(graph)
             }
             None => {
+                shard.misses += 1;
                 self.metrics.misses.inc();
-                self.shard_tel[i].misses.inc();
                 None
             }
         };
         if let Some(sw) = sw {
             let ns = sw.elapsed_ns().saturating_mul(SAMPLE_SCALE);
-            self.shard_tel[i].lock.hold_ns.add(ns);
+            self.shard_locks[i].hold_ns.add(ns);
             stage_add(Stage::CacheLookup, ns);
         }
         got
@@ -856,7 +927,6 @@ impl GraphCache {
     /// still admitted (the query could not proceed otherwise) after
     /// evicting everything else in the shard.
     pub fn insert(&self, key: GraphKey, graph: CachedGraph) -> Arc<CachedGraph> {
-        let tick = self.next_tick();
         let bytes = graph.bytes();
         self.metrics.bytes_loaded.add(bytes as u64);
         self.log_event(CacheEvent::Load(key));
@@ -880,6 +950,7 @@ impl GraphCache {
         }
         let mut shard = self.lock_shard(i);
         let sw = telemetry_enabled().then(Stopwatch::start);
+        let tick = shard.touch();
         // Evict until it fits (or nothing is left to evict).
         while shard.used + bytes > shard.budget {
             let Some(victim) = shard.evict_lru() else {
@@ -902,7 +973,7 @@ impl GraphCache {
         shard.used += bytes;
         if let Some(sw) = sw {
             let ns = sw.elapsed_ns();
-            self.shard_tel[i].lock.hold_ns.add(ns);
+            self.shard_locks[i].hold_ns.add(ns);
             stage_add(Stage::CacheLookup, ns);
         }
         arc
@@ -922,25 +993,23 @@ impl GraphCache {
 
     /// The shard heatmap: per-shard hit/miss traffic, resident entries
     /// and bytes, and each shard mutex's contention profile. Lock timing
-    /// is only collected while telemetry is enabled; hit/miss counters
-    /// are always on.
+    /// is only collected while telemetry is enabled; the hit/miss tallies
+    /// are always on, count since the cache was made, and are read here
+    /// under each shard's lock in turn.
     pub fn shard_telemetry(&self) -> Vec<wg_obs::ShardStat> {
         self.shards
             .iter()
+            .zip(&self.shard_locks)
             .enumerate()
-            .map(|(i, s)| {
-                let (entries, bytes) = {
-                    let shard = s.lock();
-                    (shard.map.len() as u64, shard.used as u64)
-                };
-                let tel = &self.shard_tel[i];
+            .map(|(i, (s, lock))| {
+                let shard = s.lock();
                 wg_obs::ShardStat {
                     shard: i,
-                    hits: tel.hits.get(),
-                    misses: tel.misses.get(),
-                    entries,
-                    bytes,
-                    lock: tel.lock.stats(),
+                    hits: shard.hits,
+                    misses: shard.misses,
+                    entries: shard.map.len() as u64,
+                    bytes: shard.used as u64,
+                    lock: lock.stats(),
                 }
             })
             .collect()
@@ -1022,42 +1091,57 @@ mod tests {
         assert!(c.get(GraphKey::Intra(1)).is_none(), "1 was LRU");
     }
 
-    /// Reference model: the policy in its plainest form — a unique tick
-    /// stamped on every touch, the victim found by scanning for the least
-    /// one at every eviction (how this cache first implemented it).
-    #[derive(Default)]
+    /// Reference model: the policy in its plainest form — one tick for the
+    /// whole cache, stamped on every touch (how this cache kept it before
+    /// each shard had its own), keys routed by [`shard_hash`], the victim
+    /// found by scanning its shard for the least tick at every eviction.
     struct MinScanLru {
-        entries: Vec<(GraphKey, usize, u64)>,
-        used: usize,
-        budget: usize,
+        /// Per shard, its `(key, bytes, last touch)`.
+        shards: Vec<Vec<(GraphKey, usize, u64)>>,
+        shard_budget: usize,
         tick: u64,
     }
 
     impl MinScanLru {
+        fn new(budget: usize, shards: usize) -> Self {
+            Self {
+                shards: vec![Vec::new(); shards],
+                shard_budget: budget / shards,
+                tick: 0,
+            }
+        }
+
+        fn shard_of(&mut self, key: GraphKey) -> &mut Vec<(GraphKey, usize, u64)> {
+            let i = shard_hash(&key) % self.shards.len() as u64;
+            &mut self.shards[i as usize]
+        }
+
         fn get(&mut self, key: GraphKey) -> bool {
             self.tick += 1;
-            let hit = self.entries.iter_mut().find(|e| e.0 == key);
-            hit.map(|e| e.2 = self.tick).is_some()
+            let tick = self.tick;
+            let hit = self.shard_of(key).iter_mut().find(|e| e.0 == key);
+            hit.map(|e| e.2 = tick).is_some()
         }
 
         /// Returns the victims, in eviction order.
         fn insert(&mut self, key: GraphKey, bytes: usize) -> Vec<GraphKey> {
             self.tick += 1;
+            let (tick, budget) = (self.tick, self.shard_budget);
+            let entries = self.shard_of(key);
             let mut victims = Vec::new();
-            while self.used + bytes > self.budget {
-                let Some(lru) = (0..self.entries.len()).min_by_key(|&i| self.entries[i].2) else {
+            while entries.iter().map(|e| e.1).sum::<usize>() + bytes > budget {
+                let Some(lru) = (0..entries.len()).min_by_key(|&i| entries[i].2) else {
                     break;
                 };
-                let (victim, freed, _) = self.entries.remove(lru);
-                self.used -= freed;
-                victims.push(victim);
+                victims.push(entries.remove(lru).0);
             }
-            if let Some(at) = self.entries.iter().position(|e| e.0 == key) {
-                self.used -= self.entries.remove(at).1;
-            }
-            self.entries.push((key, bytes, self.tick));
-            self.used += bytes;
+            entries.retain(|e| e.0 != key);
+            entries.push((key, bytes, tick));
             victims
+        }
+
+        fn used(&self) -> usize {
+            self.shards.iter().flatten().map(|e| e.1).sum()
         }
     }
 
@@ -1065,36 +1149,40 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Hits, misses, the victim sequence and the bytes in use all
-        /// repeat the min-scan model's, touch for touch.
+        /// repeat the min-scan model's, touch for touch — in one shard,
+        /// and in four, where a tick per shard has to evict the keys one
+        /// tick for the whole cache would, in the same order.
         #[test]
         fn eviction_order_is_what_a_scan_per_eviction_would_give(
             ops in proptest::collection::vec(
-                (proptest::any::<bool>(), 0u32..14, 1usize..8), 1..120),
+                (proptest::any::<bool>(), 0u32..24, 1usize..8), 1..160),
         ) {
-            let cache = GraphCache::with_shards(10_000, 1);
-            cache.enable_log();
-            let mut model = MinScanLru { budget: 10_000, ..MinScanLru::default() };
-            for (is_get, k, size) in ops {
-                // Two key kinds, so that equal ids never alias.
-                let key = if k % 2 == 0 { GraphKey::Intra(k) } else { GraphKey::Super(k, k + 1) };
-                if is_get {
-                    proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
-                    continue;
+            for shards in [1usize, 4] {
+                let cache = GraphCache::with_shards(10_000 * shards, shards);
+                cache.enable_log();
+                let mut model = MinScanLru::new(10_000 * shards, shards);
+                for &(is_get, k, size) in &ops {
+                    // Two key kinds, so that equal ids never alias.
+                    let key = if k % 2 == 0 { GraphKey::Intra(k) } else { GraphKey::Super(k, k + 1) };
+                    if is_get {
+                        proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
+                        continue;
+                    }
+                    let graph = graph_of(size * 900);
+                    let want = model.insert(key, graph.bytes());
+                    cache.insert(key, graph);
+                    let got: Vec<GraphKey> = cache
+                        .take_log()
+                        .into_iter()
+                        .filter_map(|ev| match ev {
+                            CacheEvent::Unload(victim) => Some(victim),
+                            CacheEvent::Load(_) => None,
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(got, want, "{} shards", shards);
+                    proptest::prop_assert_eq!(cache.used(), model.used());
+                    proptest::prop_assert_eq!(cache.len(), model.shards.iter().flatten().count());
                 }
-                let graph = graph_of(size * 900);
-                let want = model.insert(key, graph.bytes());
-                cache.insert(key, graph);
-                let got: Vec<GraphKey> = cache
-                    .take_log()
-                    .into_iter()
-                    .filter_map(|ev| match ev {
-                        CacheEvent::Unload(victim) => Some(victim),
-                        CacheEvent::Load(_) => None,
-                    })
-                    .collect();
-                proptest::prop_assert_eq!(got, want);
-                proptest::prop_assert_eq!(cache.used(), model.used);
-                proptest::prop_assert_eq!(cache.len(), model.entries.len());
             }
         }
     }

@@ -49,6 +49,14 @@ fn chain_len_histogram() -> &'static wg_obs::Histogram {
     H.get_or_init(|| wg_obs::global().histogram("core.refenc.chain_len"))
 }
 
+/// Records one random-access decode that walked `steps` reference-encoded
+/// lists (none for a plain list).
+fn record_chain_len(steps: u64) {
+    if wg_obs::metrics_enabled() {
+        chain_len_histogram().record(steps);
+    }
+}
+
 /// Reference-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefMode {
@@ -419,34 +427,38 @@ impl ListsIndex {
 
     /// Decodes list `i`, following its reference chain.
     pub fn decode_list(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
-        self.decode_list_with_memo(data, bit_len, i, &mut NoMemo)
+        let mut out = Vec::new();
+        let mut scratch = DecodeScratch::default();
+        self.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut out)?;
+        Ok(out)
     }
 
-    /// Decodes every list (reference chains shared via memoisation).
+    /// Decodes every list. A list whose parent has been decoded already —
+    /// every reference of a windowed stream points backward — takes the
+    /// parent's list where it lies; a forward reference (an Exact-mode
+    /// directory) walks its chain like a random access.
     pub fn decode_all(&self, data: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
-        let mut memo = VecMemo(vec![None; self.num_lists as usize]);
-        let mut out = Vec::with_capacity(self.num_lists as usize);
+        let mut scratch = DecodeScratch::default();
+        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.num_lists as usize);
         for i in 0..self.num_lists {
-            let list = self.decode_list_with_memo(data, bit_len, i, &mut memo)?;
-            // The chain decode memoises only ancestors; a full sweep wants
-            // every list retained, since any list may be a later reference.
-            memo.put(i, &list);
+            let mut list = Vec::new();
+            let mut r = self.reader_at(data, bit_len, i)?;
+            match self.read_parent(&mut r)?.map(|p| out.get(p as usize)) {
+                None => read_bounded_gap_list_into(&mut r, self.universe, &mut list)?,
+                Some(Some(reference)) => {
+                    let DecodeScratch { copied, extras, .. } = &mut scratch;
+                    self.apply_reference(&mut r, reference, copied, extras, &mut list)?;
+                }
+                Some(None) => {
+                    self.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut list)?;
+                }
+            }
             out.push(list);
         }
         Ok(out)
     }
 
-    /// Reads the header of payload `i`: `Some(parent)` or `None` for plain.
-    fn payload_parent(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Option<u32>> {
-        let mut r = self.reader_at(data, bit_len, i)?;
-        if r.read_bit()? {
-            let p = codes::read_minimal_binary(&mut r, u64::from(self.num_lists))?;
-            Ok(Some(p as u32))
-        } else {
-            Ok(None)
-        }
-    }
-
+    /// A reader over payload `i`.
     fn reader_at<'d>(&self, data: &'d [u8], bit_len: u64, i: u32) -> Result<BitReader<'d>> {
         if i >= self.num_lists {
             return Err(SNodeError::Corrupt("list index out of range"));
@@ -456,103 +468,115 @@ impl ListsIndex {
         Ok(r)
     }
 
-    /// Decodes list `i` through a caller-supplied [`DecodeMemo`].
+    /// Reads the header of the payload `r` stands at: `Some(parent)`, or
+    /// `None` for a plain list. `r` is left on the copy-mask or the gap
+    /// list that follows.
+    fn read_parent(&self, r: &mut BitReader<'_>) -> Result<Option<u32>> {
+        if !r.read_bit()? {
+            return Ok(None);
+        }
+        // Below `num_lists` by construction of the code, so a `u32`.
+        let parent = codes::read_minimal_binary(r, u64::from(self.num_lists))?;
+        Ok(Some(parent as u32))
+    }
+
+    /// Reads the header of payload `i`: `Some(parent)` or `None` for plain.
+    fn payload_parent(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Option<u32>> {
+        self.read_parent(&mut self.reader_at(data, bit_len, i)?)
+    }
+
+    /// Decodes list `i` into `out` (cleared first): *the* list decoder,
+    /// which every other entry point wraps. Once `scratch` and `out` have
+    /// grown to the lists they meet, a decode allocates nothing.
     ///
-    /// The memo is consulted for `i` itself and for every ancestor on its
-    /// reference chain; each *ancestor* decoded along the way is offered
-    /// back via [`DecodeMemo::put`] — the leaf itself is not. Ancestors are
-    /// shared by construction (reference selection points many lists at the
-    /// same nearby list), so a persistent memo (the query cache's
-    /// decoded-list memo) turns repeated chain walks into O(1) prefix
-    /// lookups; offering the leaf too would charge an allocation to every
-    /// random access for a list nothing else decodes through. Callers that
-    /// want leaves retained (a full sweep, a hot-page cache) call
-    /// [`DecodeMemo::put`] on the result themselves.
-    pub fn decode_list_with_memo(
+    /// A plain list is γ-decoded straight into `out` and the memo is never
+    /// asked: a memo can only shorten a reference chain. For a
+    /// reference-encoded list the memo is consulted for `i` itself and for
+    /// every ancestor on its chain; each *ancestor* decoded along the way
+    /// is offered back via [`DecodeMemo::put`] — the leaf itself is not.
+    /// Ancestors are shared by construction (reference selection points
+    /// many lists at the same nearby list), so a persistent memo (the
+    /// query cache's decoded-list memo) turns repeated chain walks into
+    /// O(1) prefix lookups; offering the leaf too would charge a copy to
+    /// every random access for a list nothing else decodes through.
+    ///
+    /// The chain is resolved iteratively: headers are read once on the way
+    /// up, to a plain list or a memoised one, and on the way down each
+    /// list is merged from the one above it, alternating between `out`
+    /// and `scratch` so that the leaf lands in `out`. An ancestor at a
+    /// given distance from the leaf is always built in the same buffer,
+    /// wherever the memo cuts the chain.
+    pub fn decode_list_into(
         &self,
         data: &[u8],
         bit_len: u64,
         i: u32,
         memo: &mut dyn DecodeMemo,
-    ) -> Result<Vec<u32>> {
-        if let Some(v) = memo.get(i) {
-            return Ok(v.clone());
-        }
-        // Walk the reference chain up to a plain list (or memo hit).
-        let mut chain = vec![i];
-        let mut cur = i;
-        let mut top: Vec<u32> = loop {
-            match self.payload_parent(data, bit_len, cur)? {
-                Some(p) => {
-                    if let Some(v) = memo.get(p) {
-                        break v.clone();
-                    }
-                    if chain.len() as u32 > self.num_lists {
-                        return Err(SNodeError::Corrupt("reference cycle detected"));
-                    }
-                    chain.push(p);
-                    cur = p;
-                }
-                None => {
-                    // cur is plain; decode it directly and pop it.
-                    let list = self.decode_plain(data, bit_len, cur)?;
-                    chain.pop();
-                    if cur != i {
-                        memo.put(cur, &list);
-                    }
-                    break list;
-                }
-            }
-        };
-        if wg_obs::metrics_enabled() {
-            chain_len_histogram().record(chain.len() as u64);
-        }
-        // Decode down the chain, reusing one scratch buffer for the
-        // copied-entries half of every step's merge.
-        let mut copied: Vec<u32> = Vec::new();
-        for &idx in chain.iter().rev() {
-            top = self.decode_ref(data, bit_len, idx, &top, &mut copied)?;
-            if idx != i {
-                memo.put(idx, &top);
-            }
-        }
-        Ok(top)
-    }
-
-    /// Decodes payload `i`, known to be plain.
-    fn decode_plain(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        out.clear();
         let mut r = self.reader_at(data, bit_len, i)?;
-        let is_ref = r.read_bit()?;
-        debug_assert!(!is_ref);
-        read_bounded_gap_list(&mut r, self.universe)
+        let Some(mut parent) = self.read_parent(&mut r)? else {
+            record_chain_len(0);
+            return read_bounded_gap_list_into(&mut r, self.universe, out);
+        };
+        if let Some(v) = memo.get(i) {
+            refill(out, v);
+            return Ok(());
+        }
+        // Walk up, noting each list and where its copy-mask starts.
+        scratch.chain.clear();
+        scratch.chain.push((i, r.position()));
+        // The buffer the list above the chain goes to, and the one the
+        // first merge fills from it.
+        let (mut from, mut into) = (&mut scratch.merged, out);
+        loop {
+            if let Some(v) = memo.get(parent) {
+                refill(from, v);
+                break;
+            }
+            r = self.reader_at(data, bit_len, parent)?;
+            let Some(next) = self.read_parent(&mut r)? else {
+                read_bounded_gap_list_into(&mut r, self.universe, from)?;
+                memo.put(parent, from);
+                break;
+            };
+            if scratch.chain.len() as u64 >= u64::from(self.num_lists) {
+                return Err(SNodeError::Corrupt("reference cycle detected"));
+            }
+            scratch.chain.push((parent, r.position()));
+            std::mem::swap(&mut from, &mut into);
+            parent = next;
+        }
+        record_chain_len(scratch.chain.len() as u64);
+        while let Some((idx, mask_at)) = scratch.chain.pop() {
+            r.seek(mask_at)?;
+            self.apply_reference(&mut r, from, &mut scratch.copied, &mut scratch.extras, into)?;
+            if idx != i {
+                memo.put(idx, into);
+            }
+            std::mem::swap(&mut from, &mut into);
+        }
+        Ok(())
     }
 
-    /// Decodes payload `i`, known to be reference-encoded against
-    /// `reference` (its parent's decoded list). `copied` is caller-owned
-    /// scratch, reused across the steps of a reference chain.
-    fn decode_ref(
+    /// Decodes the reference-encoded payload whose copy-mask `r` stands
+    /// at into `out`: the entries of `reference` (its parent's decoded
+    /// list) the mask keeps, merged with the extras that follow it.
+    fn apply_reference(
         &self,
-        data: &[u8],
-        bit_len: u64,
-        i: u32,
+        r: &mut BitReader<'_>,
         reference: &[u32],
         copied: &mut Vec<u32>,
-    ) -> Result<Vec<u32>> {
-        let mut r = self.reader_at(data, bit_len, i)?;
-        let is_ref = r.read_bit()?;
-        if !is_ref {
-            return self.decode_plain(data, bit_len, i);
-        }
-        let _parent = codes::read_minimal_binary(&mut r, u64::from(self.num_lists))?;
+        extras: &mut Vec<u32>,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
         copied.clear();
-        copied.reserve(reference.len());
-        rle::read_bitvec_set_positions(&mut r, reference.len(), |pos| {
-            copied.push(reference[pos]);
-        })?;
-        let extras = read_bounded_gap_list(&mut r, self.universe)?;
-        let mut merged = Vec::new();
-        merge_sorted_u32(copied, &extras, &mut merged)?;
-        Ok(merged)
+        copied.reserve_exact(reference.len());
+        rle::read_bitvec_set_positions(r, reference.len(), |pos| copied.push(reference[pos]))?;
+        read_bounded_gap_list_into(r, self.universe, extras)?;
+        merge_sorted_u32(copied, extras, self.universe, out)
     }
 }
 
@@ -562,21 +586,25 @@ fn bit_offset_u32(pos: u64) -> Result<u32> {
     u32::try_from(pos).map_err(|_| SNodeError::Corrupt("payload offset overflows directory bound"))
 }
 
-/// Merges two sorted `u32` slices into `out` (cleared first). Taking
-/// slices and an output buffer keeps the hot decode path — one merge per
-/// reference-chain step — from consuming and reallocating vectors: callers
-/// reuse their scratch buffers across steps.
+/// Merges two sorted `u32` slices of entries below `universe` into `out`
+/// (cleared first), which grows to what a list of that universe can hold
+/// and no further.
 ///
 /// A well-formed stream never places the same value in both the copied
 /// and the extra list, so a collision is reported as corruption rather
-/// than silently producing a duplicate entry.
-fn merge_sorted_u32(a: &[u32], b: &[u32], out: &mut Vec<u32>) -> Result<()> {
+/// than silently producing a duplicate entry — and two lists that
+/// together outnumber their universe must collide somewhere.
+fn merge_sorted_u32(a: &[u32], b: &[u32], universe: u64, out: &mut Vec<u32>) -> Result<()> {
+    let overlap = || SNodeError::Corrupt("copied and extra lists overlap");
     out.clear();
-    out.reserve(a.len() + b.len());
+    if (a.len() + b.len()) as u64 > universe.max(1) {
+        return Err(overlap());
+    }
+    out.reserve_exact(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         if a[i] == b[j] {
-            return Err(SNodeError::Corrupt("copied and extra lists overlap"));
+            return Err(overlap());
         }
         if a[i] < b[j] {
             out.push(a[i]);
@@ -589,6 +617,52 @@ fn merge_sorted_u32(a: &[u32], b: &[u32], out: &mut Vec<u32>) -> Result<()> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     Ok(())
+}
+
+/// Overwrites `out` with `list`, growing it to that length at most.
+fn refill(out: &mut Vec<u32>, list: &[u32]) {
+    out.clear();
+    out.reserve_exact(list.len());
+    out.extend_from_slice(list);
+}
+
+/// The buffers [`ListsIndex::decode_list_into`] works in besides its
+/// output: owned by the caller and reused from decode to decode, so that a
+/// decode allocates nothing once they have grown. None of them outgrows
+/// the largest universe (the chain: the longest list stream) it has
+/// decoded under, whatever the bytes claimed.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    /// The reference-encoded lists of the chain being resolved, leaf
+    /// first, each with the bit its copy-mask starts at.
+    pub(crate) chain: Vec<(u32, u64)>,
+    /// The entries a copy-mask keeps of the list above.
+    pub(crate) copied: Vec<u32>,
+    /// The extras of one reference-encoded list.
+    pub(crate) extras: Vec<u32>,
+    /// Every other list of a chain, the leaf's parent first (the rest are
+    /// built in the caller's output buffer).
+    pub(crate) merged: Vec<u32>,
+    /// The stored list of a negative superedge graph, which the answer is
+    /// the complement of.
+    pub(crate) stored: Vec<u32>,
+}
+
+#[cfg(test)]
+impl DecodeScratch {
+    /// Whatever the bytes it decoded claimed, no buffer — `out`, the
+    /// caller's, included — has grown past what a list over `universe` can
+    /// hold (a `Vec` takes four entries at its first push), nor the chain
+    /// past a stream of `lists` lists (pushed one by one, so doubling).
+    pub(crate) fn assert_bounded(&self, out: &Vec<u32>, universe: u64, lists: u64) {
+        let entries = [out, &self.copied, &self.extras, &self.merged, &self.stored];
+        for (which, buffer) in entries.into_iter().enumerate() {
+            let (cap, most) = (buffer.capacity() as u64, universe.max(4));
+            assert!(cap <= most, "buffer {which}: {cap} entries over {most}");
+        }
+        let (cap, most) = (self.chain.capacity() as u64, (2 * lists).max(4));
+        assert!(cap <= most, "chain: {cap} entries for {lists} lists");
+    }
 }
 
 /// Borrowing convenience wrapper: a [`ListsIndex`] bound to its bytes.
@@ -638,7 +712,7 @@ impl<'a> ListsReader<'a> {
 /// was `put` for an index, or nothing — decode correctness rests on it.
 pub trait DecodeMemo {
     /// The memoised decoded form of list `i`, if retained.
-    fn get(&self, i: u32) -> Option<&Vec<u32>>;
+    fn get(&self, i: u32) -> Option<&[u32]>;
     /// Offers the decoded form of list `i` for retention.
     fn put(&mut self, i: u32, v: &[u32]);
 }
@@ -646,21 +720,10 @@ pub trait DecodeMemo {
 /// No memoisation (single-list random access).
 pub struct NoMemo;
 impl DecodeMemo for NoMemo {
-    fn get(&self, _i: u32) -> Option<&Vec<u32>> {
+    fn get(&self, _i: u32) -> Option<&[u32]> {
         None
     }
     fn put(&mut self, _i: u32, _v: &[u32]) {}
-}
-
-/// Full memo table (decode_all).
-struct VecMemo(Vec<Option<Vec<u32>>>);
-impl DecodeMemo for VecMemo {
-    fn get(&self, i: u32) -> Option<&Vec<u32>> {
-        self.0[i as usize].as_ref()
-    }
-    fn put(&mut self, i: u32, v: &[u32]) {
-        self.0[i as usize] = Some(v.to_vec());
-    }
 }
 
 // --- Cost model ----------------------------------------------------------
@@ -811,11 +874,35 @@ fn read_ascending_entries(
     Ok(())
 }
 
-/// Reads a list written by [`write_bounded_gap_list`].
+/// Reads the γ-coded length of a gap list over `universe`. A strictly
+/// ascending list inside `0..universe` has no more entries than that:
+/// a larger count is refused here, before anything is sized by it.
+fn read_list_count(r: &mut BitReader<'_>, universe: u64) -> Result<u64> {
+    let count = codes::read_gamma(r)?;
+    if count > universe.max(1) {
+        return Err(SNodeError::Corrupt("list count exceeds its universe"));
+    }
+    Ok(count)
+}
+
+/// Reads a list written by [`write_bounded_gap_list`] into `out` (cleared
+/// first), which grows to the list's length at most.
+pub(crate) fn read_bounded_gap_list_into(
+    r: &mut BitReader<'_>,
+    universe: u64,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    out.clear();
+    let count = read_list_count(r, universe)?;
+    out.reserve_exact(count as usize);
+    read_ascending_entries(r, count, universe, |x| out.push(x))
+}
+
+/// [`read_bounded_gap_list_into`] into a fresh vector, for what is read
+/// once and kept (a graph's `sources`, a dictionary's targets).
 pub(crate) fn read_bounded_gap_list(r: &mut BitReader<'_>, universe: u64) -> Result<Vec<u32>> {
-    let len = codes::read_gamma(r)?;
-    let mut out: Vec<u32> = Vec::with_capacity(len.min(1 << 20) as usize);
-    read_ascending_entries(r, len, universe, |x| out.push(x))?;
+    let mut out = Vec::new();
+    read_bounded_gap_list_into(r, universe, &mut out)?;
     Ok(out)
 }
 
@@ -829,7 +916,7 @@ fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64
     if let Some(m) = reference_len {
         rle::read_bitvec_set_positions(r, m as usize, |_| copied += 1)?;
     }
-    let extras = codes::read_gamma(r)?;
+    let extras = read_list_count(r, universe)?;
     read_ascending_entries(r, extras, universe, |_| {})?;
     u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))
 }
@@ -1696,7 +1783,7 @@ mod tests {
                 })?;
                 let extras = read_bounded_gap_list(&mut r, universe)?;
                 let mut merged = Vec::new();
-                merge_sorted_u32(&copied, &extras, &mut merged)?;
+                merge_sorted_u32(&copied, &extras, universe, &mut merged)?;
                 merged
             } else {
                 read_bounded_gap_list(&mut r, universe)?
@@ -1749,8 +1836,12 @@ mod tests {
         );
         assert_eq!(index.offsets.len(), index.num_lists() as usize + 1);
         assert!(index.offsets.iter().all(|&o| u64::from(o) <= bit_len));
+        // One set of buffers for the whole directory, as a handle keeps.
+        let (mut scratch, mut list) = (DecodeScratch::default(), Vec::new());
         for i in 0..index.num_lists() {
-            if let Ok(list) = index.decode_list(data, bit_len, i) {
+            let decoded =
+                index.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut list);
+            if decoded.is_ok() {
                 assert!(
                     list.windows(2).all(|p| p[0] < p[1]),
                     "list {i} out of order"
@@ -1758,6 +1849,7 @@ mod tests {
                 assert!(list.iter().all(|&x| u64::from(x) < index.universe().max(1)));
             }
         }
+        scratch.assert_bounded(&list, index.universe(), u64::from(index.num_lists()));
     }
 
     #[test]
@@ -1793,6 +1885,41 @@ mod tests {
                 Universe::Explicit(universe)
             };
             scan_then_decode_everything(&soup, bit_len, universe);
+        }
+    }
+
+    /// A count no list over its universe can have is refused before a
+    /// buffer is sized by it: the caller's keeps the capacity it had.
+    #[test]
+    fn forged_list_count_is_corrupt_before_anything_is_reserved() {
+        let forged =
+            |e: &SNodeError| matches!(e, SNodeError::Corrupt("list count exceeds its universe"));
+        for (count, refused) in [(1u64 << 30, true), (11, true), (10, false)] {
+            let mut w = BitWriter::new();
+            codes::write_gamma(&mut w, count);
+            w.write_bits(0, 64);
+            let (bytes, bit_len) = w.finish();
+            let mut out: Vec<u32> = Vec::with_capacity(3);
+            let mut r = BitReader::with_bit_len(&bytes, bit_len);
+            let got = read_bounded_gap_list_into(&mut r, 10, &mut out);
+            assert_eq!(got.as_ref().is_err_and(forged), refused, "{count}: {got:?}");
+            assert!(got.is_err(), "64 zero bits are no ten ascending entries");
+            if refused {
+                assert_eq!(out.capacity(), 3, "{count}");
+            }
+
+            // The same count as the extras of a one-list stream: the scan
+            // behind `parse` refuses it too.
+            let mut w = BitWriter::new();
+            codes::write_gamma(&mut w, 1); // one list
+            w.write_bit(false); // no directory
+            w.write_bit(false); // plain
+            codes::write_gamma(&mut w, count);
+            w.write_bits(0, 64);
+            let (bytes, bit_len) = w.finish();
+            let got = ListsIndex::parse_at(&bytes, bit_len, 0, Universe::Explicit(10));
+            assert_eq!(got.as_ref().is_err_and(forged), refused, "{count}: {got:?}");
+            assert!(got.is_err());
         }
     }
 

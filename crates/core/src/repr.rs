@@ -15,7 +15,7 @@
 use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey};
 use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
-use crate::refenc::{ListsIndex, Universe};
+use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
 use crate::subgraphs::SuperedgeIndex;
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
@@ -175,10 +175,11 @@ type ParsedSuperedge = (Blob, SuperedgeIndex);
 struct BatchScratch {
     /// Input positions sorted by page id (groups pages per supernode).
     order: Vec<u32>,
-    /// Per input position, the assembled adjacency list.
+    /// Per input position of a batch, the assembled adjacency list.
     results: Vec<Vec<PageId>>,
-    /// One decoded local list at a time.
+    /// One decoded local list at a time, and what decoding it takes.
     tmp: Vec<u32>,
+    decode: DecodeScratch,
     /// The out-superedge slots the current group's pages draw on.
     slots: Vec<u32>,
     /// The current group's graphs, in ascending order of `start`.
@@ -399,13 +400,13 @@ impl SNode {
         Ok(out)
     }
 
-    /// Zero-alloc variant of [`SNode::out_neighbors`]: clears `out` and
-    /// fills it with the sorted adjacency list of `p`, reusing the
-    /// handle's internal decode buffers.
+    /// [`SNode::out_neighbors`] into the caller's buffer: clears `out` and
+    /// fills it with the sorted adjacency list of `p`. Every list is
+    /// decoded in buffers the handle keeps and offset straight into `out`:
+    /// once those and `out` have grown to the lists they meet, a probe
+    /// whose graphs are cached allocates nothing.
     pub fn out_neighbors_into(&self, p: PageId, out: &mut Vec<PageId>) -> Result<()> {
-        out.clear();
-        let pages = [p];
-        self.batch_inner(&pages, &mut |_, list| out.extend_from_slice(list), false)
+        self.with_scratch(|scratch| self.batch_run(&[p], std::slice::from_mut(out), false, scratch))
     }
 
     /// Batched navigation: answers `out_neighbors` for every page in
@@ -420,17 +421,26 @@ impl SNode {
         pages: &[PageId],
         visit: &mut dyn FnMut(PageId, &[PageId]),
     ) -> Result<()> {
-        self.batch_inner(pages, visit, true)
+        self.with_scratch(|scratch| {
+            let mut results = std::mem::take(&mut scratch.results);
+            if results.len() < pages.len() {
+                results.resize_with(pages.len(), Vec::new);
+            }
+            let run = self.batch_run(pages, &mut results[..pages.len()], true, scratch);
+            if run.is_ok() {
+                for (&p, list) in pages.iter().zip(&results) {
+                    visit(p, list);
+                }
+            }
+            scratch.results = results;
+            run
+        })
     }
 
-    fn batch_inner(
-        &self,
-        pages: &[PageId],
-        visit: &mut dyn FnMut(PageId, &[PageId]),
-        count_batched: bool,
-    ) -> Result<()> {
+    /// Runs `f` with a scratch from the pool and returns the scratch to it.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut BatchScratch) -> T) -> T {
         let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let r = self.batch_run(pages, visit, count_batched, &mut scratch);
+        let r = f(&mut scratch);
         // A pooled scratch must not keep graphs alive past their eviction.
         scratch.parts.clear();
         scratch.parsed.clear();
@@ -438,10 +448,12 @@ impl SNode {
         r
     }
 
+    /// Fills `results[i]` (cleared first) with the adjacency list of
+    /// `pages[i]`.
     fn batch_run(
         &self,
         pages: &[PageId],
-        visit: &mut dyn FnMut(PageId, &[PageId]),
+        results: &mut [Vec<PageId>],
         count_batched: bool,
         scratch: &mut BatchScratch,
     ) -> Result<()> {
@@ -449,10 +461,7 @@ impl SNode {
         scratch.order.clear();
         scratch.order.extend(0..n as u32);
         scratch.order.sort_unstable_by_key(|&i| pages[i as usize]);
-        if scratch.results.len() < n {
-            scratch.results.resize_with(n, Vec::new);
-        }
-        for r in &mut scratch.results[..n] {
+        for r in results.iter_mut() {
             r.clear();
         }
 
@@ -537,10 +546,10 @@ impl SNode {
                         self.note_skip();
                         continue;
                     };
-                    match graph.decode_list_into(local, &mut scratch.tmp) {
+                    match graph.decode_list_into(local, &mut scratch.decode, &mut scratch.tmp) {
                         Ok(()) => {
                             let start = part.start;
-                            scratch.results[oi].extend(scratch.tmp.iter().map(|&t| start + t));
+                            results[oi].extend(scratch.tmp.iter().map(|&t| start + t));
                         }
                         Err(e) => {
                             let damaged = if part.slot == INTRA_SLOT {
@@ -560,9 +569,6 @@ impl SNode {
                 }
             }
             g = end;
-        }
-        for (oi, &p) in pages.iter().enumerate() {
-            visit(p, &scratch.results[oi]);
         }
         Ok(())
     }
@@ -890,29 +896,51 @@ impl SNodeInMemory {
         let s = self.meta.supernode_of(p);
         let s_start = self.meta.page_range(s).start;
         let local = p - s_start;
+        let row = &self.meta.supergraph.adj[s as usize];
 
-        let mut parts: Vec<(u32, Vec<u32>)> = Vec::new();
-        {
-            let (bytes, bits, index) = &self.intra[s as usize];
-            let list = index.decode_list(bytes, *bits, local)?;
-            if !list.is_empty() {
-                parts.push((s_start, list));
-            }
-        }
+        let mut out = Vec::new();
+        let mut list = Vec::new();
+        let mut scratch = DecodeScratch::default();
+        // Page ids run supernode by supernode and a builder's row of the
+        // supernode graph ascends, so the page's own supernode takes its
+        // turn among the targets: the intranode list goes in ahead of the
+        // first superedge into a later supernode.
+        let mut intra = Some(&self.intra[s as usize]);
+        let mut intranode = |out: &mut Vec<PageId>, list: &mut Vec<u32>, scratch: &mut _| {
+            let Some((bytes, bits, index)) = intra.take() else {
+                return Ok(());
+            };
+            index.decode_list_into(bytes, *bits, local, &mut NoMemo, scratch, list)?;
+            out.extend(list.iter().map(|&t| s_start + t));
+            Result::Ok(())
+        };
         let fanout = &self.fanout[s as usize];
         for &k in fanout.always().iter().chain(fanout.slots_of(local)) {
-            let j = self.meta.supergraph.adj[s as usize][k as usize];
+            let j = row[k as usize];
+            if j > s {
+                intranode(&mut out, &mut list, &mut scratch)?;
+            }
             let (bytes, bits, index) = &self.supers[s as usize][k as usize];
             let nj = u64::from(self.meta.supernode_size(j));
-            let list = index.targets_of(bytes, *bits, u64::from(local), nj)?;
-            if !list.is_empty() {
-                parts.push((self.meta.page_range(j).start, list));
-            }
+            let source = u64::from(local);
+            index.targets_of_into(
+                bytes,
+                *bits,
+                source,
+                nj,
+                &mut NoMemo,
+                &mut scratch,
+                &mut list,
+            )?;
+            let start = self.meta.page_range(j).start;
+            out.extend(list.iter().map(|&t| start + t));
         }
-        parts.sort_by_key(|&(start, _)| start);
-        let mut out = Vec::with_capacity(parts.iter().map(|(_, l)| l.len()).sum());
-        for (start, list) in parts {
-            out.extend(list.into_iter().map(|t| start + t));
+        intranode(&mut out, &mut list, &mut scratch)?;
+        // The parts cover disjoint page ranges and each is sorted: taken
+        // in any other order (a negative graph's slot comes first, a
+        // foreign row need not ascend) they are one sort from the answer.
+        if !out.is_sorted() {
+            out.sort_unstable();
         }
         Ok(out)
     }

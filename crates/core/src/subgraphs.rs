@@ -20,8 +20,8 @@
 use crate::codec::{ListCodec, SuperedgeLayouts};
 use crate::refenc::{
     bounded_gap_list_len, encode_lists_planned, encode_lists_t, plain_cost, plan_lists,
-    read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, EncodedLists, ListsIndex,
-    ListsPlan, ListsReader, RefMode, Universe,
+    read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, DecodeMemo, DecodeScratch,
+    EncodedLists, ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode, Universe,
 };
 use crate::{Result, SNodeError};
 use std::sync::OnceLock;
@@ -800,11 +800,18 @@ impl SuperedgeIndex {
 
     /// The positive target list of local source `s` (`nj` = |Nj|).
     pub fn targets_of(&self, bytes: &[u8], bit_len: u64, s: u64, nj: u64) -> Result<Vec<u32>> {
-        self.targets_of_with_memo(bytes, bit_len, s, nj, &mut crate::refenc::NoMemo)
+        let mut out = Vec::new();
+        let mut scratch = DecodeScratch::default();
+        self.targets_of_into(bytes, bit_len, s, nj, &mut NoMemo, &mut scratch, &mut out)?;
+        Ok(out)
     }
 
-    /// [`SuperedgeIndex::targets_of`] decoding through a caller-supplied
-    /// [`crate::refenc::DecodeMemo`].
+    /// Decodes the positive target list of local source `s` into `out`
+    /// (cleared first), through the caller's memo and buffers — see
+    /// [`ListsIndex::decode_list_into`], which this ends in unless the
+    /// answer takes no list decode at all: a page that is none of the
+    /// graph's `sources` has no targets, and a source of a single-target
+    /// dictionary has the one its index names.
     ///
     /// The memo is keyed in **lists-index space** — for a positive
     /// list stream the key of source `s` is its position among the
@@ -814,40 +821,56 @@ impl SuperedgeIndex {
     /// are decoded once and found again whatever source asks next. Negative
     /// representations complement outside the memo: only the stored
     /// (negative) lists are memoised, not the expanded complements.
-    pub fn targets_of_with_memo(
+    #[allow(clippy::too_many_arguments)] // the decoder's, plus a graph's `s` and `nj`
+    pub fn targets_of_into(
         &self,
         bytes: &[u8],
         bit_len: u64,
         s: u64,
         nj: u64,
-        memo: &mut dyn crate::refenc::DecodeMemo,
-    ) -> Result<Vec<u32>> {
+        memo: &mut dyn DecodeMemo,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        out.clear();
         if s >= self.ni {
             return Err(SNodeError::Corrupt("superedge source out of range"));
         }
         if self.kind == SuperedgeKind::Negative {
-            let neg = self.decode_stored(bytes, bit_len, s as u32, memo)?;
-            return Ok(complement(&neg, nj as u32));
+            // The stored list goes to a buffer of its own, lent out for
+            // the decode: `out` is for its complement.
+            let mut stored = std::mem::take(&mut scratch.stored);
+            let decoded =
+                self.stored_list_into(bytes, bit_len, s as u32, memo, scratch, &mut stored);
+            if decoded.is_ok() {
+                complement_into(&stored, nj as u32, out);
+            }
+            scratch.stored = stored;
+            return decoded;
         }
         match self.sources.binary_search(&(s as u32)) {
-            Ok(i) => self.decode_stored(bytes, bit_len, i as u32, memo),
-            Err(_) => Ok(Vec::new()),
+            Ok(i) => self.stored_list_into(bytes, bit_len, i as u32, memo, scratch, out),
+            Err(_) => Ok(()),
         }
     }
 
-    /// Decodes stored list `i` (in stored order, not source-id space).
-    fn decode_stored(
+    /// Decodes stored list `i` (in stored order, not source-id space) into
+    /// `out` (cleared first).
+    fn stored_list_into(
         &self,
         bytes: &[u8],
         bit_len: u64,
         i: u32,
-        memo: &mut dyn crate::refenc::DecodeMemo,
-    ) -> Result<Vec<u32>> {
+        memo: &mut dyn DecodeMemo,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        out.clear();
         let dictionary = match &self.body {
             SuperedgeBody::Lists(lists) => {
                 return lists
                     .directory(bytes, bit_len)?
-                    .decode_list_with_memo(bytes, bit_len, i, memo)
+                    .decode_list_into(bytes, bit_len, i, memo, scratch, out)
             }
             SuperedgeBody::Dictionary(body) => body.decoded(bytes, bit_len)?,
         };
@@ -856,11 +879,14 @@ impl SuperedgeIndex {
         match &dictionary.entries {
             // Decoding validated every index against the entries, so a
             // miss here means the dictionary was mutated afterwards.
-            DictionaryEntries::Targets(targets) => (targets.get(entry as usize))
-                .map(|&t| vec![t])
-                .ok_or(SNodeError::Corrupt("single-target dictionary slot missing")),
+            DictionaryEntries::Targets(targets) => {
+                let target = (targets.get(entry as usize))
+                    .ok_or(SNodeError::Corrupt("single-target dictionary slot missing"))?;
+                out.push(*target);
+                Ok(())
+            }
             DictionaryEntries::Lists(lists) => {
-                lists.decode_list_with_memo(bytes, bit_len, entry, memo)
+                lists.decode_list_into(bytes, bit_len, entry, memo, scratch, out)
             }
         }
     }
@@ -948,7 +974,10 @@ impl SuperedgeIndex {
 
     /// Decodes stored list `i` (in stored order, not source-id space).
     pub fn stored_list(&self, bytes: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
-        self.decode_stored(bytes, bit_len, i, &mut crate::refenc::NoMemo)
+        let mut out = Vec::new();
+        let mut scratch = DecodeScratch::default();
+        self.stored_list_into(bytes, bit_len, i, &mut NoMemo, &mut scratch, &mut out)?;
+        Ok(out)
     }
 
     /// First bit past the encoded payload.
@@ -1057,7 +1086,16 @@ impl<'a> SuperedgeView<'a> {
 
 /// Sorted complement of `list` within `0..n`.
 fn complement(list: &[u32], n: u32) -> Vec<u32> {
-    let mut out = Vec::with_capacity((n as usize).saturating_sub(list.len()));
+    let mut out = Vec::new();
+    complement_into(list, n, &mut out);
+    out
+}
+
+/// Overwrites `out` with the sorted complement of `list` within `0..n`,
+/// growing it to that length at most.
+fn complement_into(list: &[u32], n: u32, out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve_exact((n as usize).saturating_sub(list.len()));
     let mut li = 0usize;
     for x in 0..n {
         if li < list.len() && list[li] == x {
@@ -1066,7 +1104,6 @@ fn complement(list: &[u32], n: u32) -> Vec<u32> {
             out.push(x);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1787,12 +1824,18 @@ mod tests {
         }
     }
 
-    /// Every single-bit flip and every truncation of a graph in a
-    /// dictionary layout: `Corrupt`, or a graph whose every answer is an
-    /// error or a sorted list inside `|Nj|`.
+    /// Every single-bit flip and every truncation of a graph in each
+    /// layout and of a negative one: `Corrupt`, or a graph whose every
+    /// answer is an error or a sorted list inside `|Nj|`.
     #[test]
-    fn damaged_dictionaries_are_corrupt_or_answer_inside_their_universe() {
-        for (shape, layout) in [(0, Layout::ListDictionary), (1, Layout::SingleTargets)] {
+    fn damaged_graphs_are_corrupt_or_answer_inside_their_universe() {
+        let shapes = [
+            (0, Layout::ListDictionary),
+            (1, Layout::SingleTargets),
+            (2, Layout::Lists),
+            (3, Layout::Lists),
+        ];
+        for (shape, layout) in shapes {
             let owned = shaped_links(shape, 5, 18);
             let (links, st) = (owned.links(), st_codec());
             let policy = SuperedgePolicy::EncodedSize;
@@ -1801,12 +1844,25 @@ mod tests {
                 SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, st)
             };
             assert_eq!(parse(&enc.bytes, enc.bit_len).unwrap().layout(), layout);
-            let check = |bytes: &[u8], bit_len: u64, what: &str| {
+            // One set of buffers for all the damage, as a handle keeps:
+            // whatever a count claimed, none outgrows `|Nj|`.
+            let (mut scratch, mut list) = (DecodeScratch::default(), Vec::new());
+            let mut check = |bytes: &[u8], bit_len: u64, what: &str| {
                 let Ok(index) = parse(bytes, bit_len) else {
                     return;
                 };
                 for s in 0..links.ni {
-                    if let Ok(list) = index.targets_of(bytes, bit_len, s, links.nj) {
+                    let (scratch, list) = (&mut scratch, &mut list);
+                    let decoded = index.targets_of_into(
+                        bytes,
+                        bit_len,
+                        s,
+                        links.nj,
+                        &mut NoMemo,
+                        scratch,
+                        list,
+                    );
+                    if decoded.is_ok() {
                         assert!(list.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
                         assert!(
                             list.iter().all(|&t| u64::from(t) < links.nj),
@@ -1814,6 +1870,7 @@ mod tests {
                         );
                     }
                 }
+                scratch.assert_bounded(&list, links.nj, links.ni);
             };
             for cut in 0..enc.bit_len {
                 check(&enc.bytes, cut, &format!("{layout:?} cut at {cut}"));

@@ -1,0 +1,53 @@
+//! `GraphCache` counts its traffic in three places — the `stats()` view,
+//! the per-shard tallies behind `shard_telemetry()`, and under `--metrics`
+//! the registry's `core.cache.*` counters `obsrun` reads — and they have to
+//! agree. A file of its own: the registry is the process's, and no other
+//! cache may be counting into it.
+
+use wg_snode::cache::{CachedGraph, GraphCache, GraphKey};
+
+#[test]
+fn stats_shard_tallies_and_registry_counters_agree() {
+    // Up before the cache is made: that is when it picks its counters.
+    wg_obs::set_metrics_enabled(true);
+    let cache = GraphCache::new(24_000);
+    let mut state = 0x5EED_u64;
+    for _ in 0..4_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (op, id) = ((state >> 60) as u32, (state >> 33) as u32 % 40);
+        let key = match id % 3 {
+            0 => GraphKey::Intra(id),
+            1 => GraphKey::Super(id, id + 1),
+            _ => GraphKey::Fanout(id),
+        };
+        if op < 11 {
+            cache.get(key);
+        } else {
+            cache.insert(
+                key,
+                CachedGraph::new(vec![vec![id; 200]; 1 + id as usize % 3]),
+            );
+        }
+    }
+    let stats = cache.stats();
+    assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
+
+    let shards = cache.shard_telemetry();
+    assert!(shards.iter().filter(|s| s.hits > 0).count() > 1);
+    assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
+    assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
+
+    let registry = wg_obs::global();
+    assert_eq!(registry.counter("core.cache.hits").get(), stats.hits);
+    assert_eq!(registry.counter("core.cache.misses").get(), stats.misses);
+    assert_eq!(
+        registry.counter("core.cache.evictions").get(),
+        stats.evictions
+    );
+    assert_eq!(
+        registry.counter("core.cache.bytes_loaded").get(),
+        stats.bytes_loaded
+    );
+}
