@@ -91,6 +91,9 @@ const MUT_VALUE_OWNERS: &[&str] = &[
     // The state of one hash of one `GraphKey`, made and dropped by the
     // map lookup that asked for it.
     "KeyHasher",
+    // The run-length size of one copy-mask, made and finished by the one
+    // pricing of one reference candidate.
+    "MaskRuns",
 ];
 
 /// `&mut self` owners that live *inside* a shared-state lock: `Pager` is a
@@ -134,10 +137,11 @@ const ZERO_ALLOC_NAMES: &[&str] = &[
     // The offsets-only scan behind `ListsIndex::parse`: per payload it
     // counts and checks, and must never build a list.
     "scan_payload",
-    // The windowed-selection cost probe, up to 32 per list: it fills the
-    // caller's scratch (`clear`/`resize`/`push` on a `&mut Vec` is reuse)
-    // and must never make a buffer of its own.
-    "ref_cost_into",
+    // The windowed-selection cost probe, up to 32 per list: one merge of
+    // the two lists that builds nothing. `Exact` mode's, one per pair of
+    // lists, fills the caller's scratch (`clear`/`resize`/`push` on a
+    // `&mut Vec` is reuse) and must never make a buffer of its own.
+    "ref_cost_within",
     "diff_into",
     "diff_cost",
 ];

@@ -204,6 +204,14 @@ fn build_windowed(
     let t = Stopwatch::start();
     let (partition, refine_stats) = refine(input.urls, input.domains, input.graph, &refine_config);
     let refine_secs = secs(record_span("core.build.refine", "build", &t));
+    if wg_obs::metrics_enabled() {
+        let reg = wg_obs::global();
+        let count = |name: &str, n: u64| reg.counter(&format!("core.build.refine.{name}")).add(n);
+        count("iterations", refine_stats.iterations);
+        count("url_splits", refine_stats.url_splits);
+        count("clustered_splits", refine_stats.clustered_splits);
+        count("clustered_aborts", refine_stats.clustered_aborts);
+    }
 
     // 2. Page numbering (§3.3): supernodes numbered 1..n in element order;
     //    pages ordered by (supernode, lexicographic URL).
@@ -415,10 +423,12 @@ struct EncodedSupernode {
 }
 
 /// Remaps and encodes one supernode at a time, from read-only views of the
-/// corpus and its numbering that every worker shares. A worker holds one
-/// supernode's lists, in space proportional to that supernode's links, so
-/// the build's peak is the corpus plus that per worker plus one window's
-/// encoded blobs.
+/// build's input and its numbering that every worker shares. A worker holds
+/// one supernode's lists, in space proportional to that supernode's links,
+/// so the build's peak is what the caller holds of the input — for `wgr
+/// build` the URL text, the page domains and the CSR graph, not a `Corpus`
+/// — plus the partition and the numbering, that per worker, and one
+/// window's encoded blobs.
 struct SupernodeEncoder<'a> {
     graph: &'a Graph,
     partition: &'a Partition,

@@ -62,17 +62,74 @@ pub struct KMeansParams {
     pub threads: u32,
 }
 
-/// Runs bounded Lloyd k-means over sparse binary vectors.
+/// Sparse binary vectors as rows of one buffer: row `i` lists the set
+/// dimensions of vector `i`, ascending and without repeats. Nothing is
+/// allocated per vector.
+#[derive(Debug, Clone, Default)]
+pub struct SparseRows {
+    /// Every row's dimensions, one row after the other.
+    entries: Vec<u32>,
+    /// `ends[i]` is where row `i` ends in `entries`, and the next starts.
+    ends: Vec<usize>,
+}
+
+impl SparseRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Set dimensions over all rows.
+    pub fn set_bits(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
+    /// The set dimensions of row `i`, ascending.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.entries[start..self.ends[i]]
+    }
+
+    /// Appends the row whose set dimensions are `dims`, given in any order
+    /// and with any repeats.
+    pub fn push_row(&mut self, dims: impl IntoIterator<Item = u32>) {
+        let start = self.entries.len();
+        self.entries.extend(dims);
+        self.entries[start..].sort_unstable();
+        let mut kept = start;
+        for at in start..self.entries.len() {
+            if kept == start || self.entries[at] != self.entries[kept - 1] {
+                self.entries[kept] = self.entries[at];
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+        self.ends.push(kept);
+    }
+}
+
+/// Runs bounded Lloyd k-means over the sparse binary vectors `rows`, of
+/// dimensionality `dims`.
 ///
-/// `vectors[i]` lists the set dimensions of vector `i` (sorted or not);
-/// `dims` is the dimensionality.
+/// Centroids are kept dimension-major — `cent[dim · k + c]` is centroid
+/// `c` along `dim` — so a vector's dot products with all `k` centroids
+/// are the sum of one contiguous row of `k` per set dimension. Each
+/// centroid's terms are still added in the order of the vector's
+/// dimensions: every distance is the `f32` a centroid-by-centroid loop
+/// computes, and so is every assignment.
 pub fn kmeans_binary(
-    vectors: &[Vec<u32>],
+    rows: &SparseRows,
     dims: u32,
     params: KMeansParams,
     rng: &mut SmallRng,
 ) -> KMeansOutcome {
-    let n = vectors.len();
+    let n = rows.len();
     if n == 0 {
         return KMeansOutcome::Converged {
             assignment: Vec::new(),
@@ -93,6 +150,19 @@ pub fn kmeans_binary(
     let k = (params.k as usize).max(1);
     let d = dims as usize;
 
+    // Cost model per Lloyd iteration: one dot product per (vector, centroid)
+    // pair plus the centroid-norm refresh.
+    let ops_per_iter = (rows.set_bits() + n as u64) * k as u64 + (k * d) as u64;
+    // A run with no iteration its bounds allow is an abort whatever the
+    // seeds: it draws them, because the generator's position afterwards
+    // is part of every later decision of the refinement, and builds nothing.
+    if params.max_iterations == 0 || ops_per_iter > params.max_ops {
+        for c in 0..k {
+            rng.gen_range(c..n);
+        }
+        return KMeansOutcome::Aborted;
+    }
+
     // Forgy initialisation: k distinct random *points* seed the centroids,
     // exactly as classic Lloyd k-means does. When many pages share the
     // same adjacency vector the seeds coincide and their clusters collapse
@@ -100,33 +170,34 @@ pub fn kmeans_binary(
     // clusters than k. That collapse is load-bearing: it is how clustered
     // split produces a handful of meaningful groups (or just one,
     // aborting the split) instead of shattering an element into k shards.
-    let mut centroids = vec![vec![0f32; d]; k];
+    let mut cent = vec![0f32; d * k];
     let mut picks: Vec<usize> = (0..n).collect();
     for c in 0..k {
         let j = rng.gen_range(c..n);
         picks.swap(c, j);
-        for &dim in &vectors[picks[c]] {
-            centroids[c][dim as usize] = 1.0;
+        for &dim in rows.row(picks[c]) {
+            cent[dim as usize * k + c] = 1.0;
         }
     }
 
     let mut assignment = vec![0u32; n];
+    let mut norms = vec![0f32; k];
+    let mut counts = vec![0u32; k];
+    let mut scale = vec![0f32; k];
     let mut converged = false;
-    let total_set_bits: u64 = vectors.iter().map(|v| v.len() as u64).sum();
-    // Cost model per Lloyd iteration: one dot product per (vector, centroid)
-    // pair plus the centroid-norm refresh.
-    let ops_per_iter = (total_set_bits + n as u64) * k as u64 + (k * d) as u64;
     let mut ops_used = 0u64;
     for _iter in 0..params.max_iterations {
         ops_used = ops_used.saturating_add(ops_per_iter);
         if ops_used > params.max_ops {
             return KMeansOutcome::Aborted;
         }
-        // Precompute ‖c‖² per centroid.
-        let norms: Vec<f32> = centroids
-            .iter()
-            .map(|c| c.iter().map(|x| x * x).sum())
-            .collect();
+        // ‖c‖² per centroid.
+        norms.fill(0.0);
+        for along in cent.chunks_exact(k) {
+            for (norm, x) in norms.iter_mut().zip(along) {
+                *norm += x * x;
+            }
+        }
         // Assign. Each vector's nearest centroid is an independent
         // computation (the per-vector dot products run serially inside one
         // task), so chunking over vectors changes nothing about the result.
@@ -134,13 +205,20 @@ pub fn kmeans_binary(
         let chunk_results = crate::par::par_chunks(params.threads, n, 256, |range| {
             let mut local = Vec::with_capacity(range.len());
             let mut local_changed = 0usize;
+            let mut dots = vec![0f32; k];
             for i in range {
-                let vec = &vectors[i];
+                let row = rows.row(i);
+                dots.fill(0.0);
+                for &dim in row {
+                    let along = &cent[dim as usize * k..][..k];
+                    for (dot, x) in dots.iter_mut().zip(along) {
+                        *dot += x;
+                    }
+                }
                 let mut best = 0u32;
                 let mut best_dist = f32::INFINITY;
-                for (ci, c) in centroids.iter().enumerate() {
-                    let dot: f32 = vec.iter().map(|&dim| c[dim as usize]).sum();
-                    let dist = norms[ci] - 2.0 * dot + vec.len() as f32;
+                for (ci, (norm, dot)) in norms.iter().zip(&dots).enumerate() {
+                    let dist = norm - 2.0 * dot + row.len() as f32;
                     if dist < best_dist {
                         best_dist = dist;
                         best = ci as u32;
@@ -163,22 +241,23 @@ pub fn kmeans_binary(
             converged = true;
             break;
         }
-        // Update centroids to cluster means.
-        let mut counts = vec![0u32; k];
-        for c in &mut centroids {
-            c.iter_mut().for_each(|x| *x = 0.0);
-        }
-        for (i, vec) in vectors.iter().enumerate() {
-            let c = assignment[i] as usize;
-            counts[c] += 1;
-            for &dim in vec {
-                centroids[c][dim as usize] += 1.0;
+        // Update centroids to cluster means: member counts along every
+        // dimension, times one over the cluster's size (an empty
+        // cluster's are all zero and stay so).
+        cent.fill(0.0);
+        counts.fill(0);
+        for (i, &c) in assignment.iter().enumerate() {
+            counts[c as usize] += 1;
+            for &dim in rows.row(i) {
+                cent[dim as usize * k + c as usize] += 1.0;
             }
         }
-        for (c, &count) in centroids.iter_mut().zip(&counts) {
-            if count > 0 {
-                let inv = 1.0 / count as f32;
-                c.iter_mut().for_each(|x| *x *= inv);
+        for (inv, &count) in scale.iter_mut().zip(&counts) {
+            *inv = if count > 0 { 1.0 / count as f32 } else { 1.0 };
+        }
+        for along in cent.chunks_exact_mut(k) {
+            for (x, inv) in along.iter_mut().zip(&scale) {
+                *x *= inv;
             }
         }
     }
@@ -205,6 +284,133 @@ mod tests {
         SmallRng::seed_from_u64(1234)
     }
 
+    fn rows_of(vectors: &[Vec<u32>]) -> SparseRows {
+        let mut rows = SparseRows::default();
+        for v in vectors {
+            rows.push_row(v.iter().copied());
+        }
+        rows
+    }
+
+    /// Reference model for [`kmeans_binary`]: the loop it replaced, over one
+    /// `Vec` per vector and one per centroid, each distance a walk along a
+    /// centroid of its own — and whatever a run's bounds, seeded and built
+    /// in full before its first iteration is priced.
+    fn kmeans_row_major(
+        vectors: &[Vec<u32>],
+        dims: u32,
+        params: KMeansParams,
+        rng: &mut SmallRng,
+    ) -> KMeansOutcome {
+        let n = vectors.len();
+        if n == 0 {
+            return KMeansOutcome::Converged {
+                assignment: Vec::new(),
+                non_empty: 0,
+            };
+        }
+        if params.k as usize > n {
+            return KMeansOutcome::Aborted;
+        }
+        let k = (params.k as usize).max(1);
+        let d = dims as usize;
+
+        let mut centroids = vec![vec![0f32; d]; k];
+        let mut picks: Vec<usize> = (0..n).collect();
+        for c in 0..k {
+            let j = rng.gen_range(c..n);
+            picks.swap(c, j);
+            for &dim in &vectors[picks[c]] {
+                centroids[c][dim as usize] = 1.0;
+            }
+        }
+
+        let mut assignment = vec![0u32; n];
+        let mut converged = false;
+        let total_set_bits: u64 = vectors.iter().map(|v| v.len() as u64).sum();
+        // Cost model per Lloyd iteration: one dot product per (vector, centroid)
+        // pair plus the centroid-norm refresh.
+        let ops_per_iter = (total_set_bits + n as u64) * k as u64 + (k * d) as u64;
+        let mut ops_used = 0u64;
+        for _iter in 0..params.max_iterations {
+            ops_used = ops_used.saturating_add(ops_per_iter);
+            if ops_used > params.max_ops {
+                return KMeansOutcome::Aborted;
+            }
+            // Precompute ‖c‖² per centroid.
+            let norms: Vec<f32> = centroids
+                .iter()
+                .map(|c| c.iter().map(|x| x * x).sum())
+                .collect();
+            // Assign. Each vector's nearest centroid is an independent
+            // computation (the per-vector dot products run serially inside one
+            // task), so chunking over vectors changes nothing about the result.
+            let mut changed = 0usize;
+            let chunk_results = crate::par::par_chunks(params.threads, n, 256, |range| {
+                let mut local = Vec::with_capacity(range.len());
+                let mut local_changed = 0usize;
+                for i in range {
+                    let vec = &vectors[i];
+                    let mut best = 0u32;
+                    let mut best_dist = f32::INFINITY;
+                    for (ci, c) in centroids.iter().enumerate() {
+                        let dot: f32 = vec.iter().map(|&dim| c[dim as usize]).sum();
+                        let dist = norms[ci] - 2.0 * dot + vec.len() as f32;
+                        if dist < best_dist {
+                            best_dist = dist;
+                            best = ci as u32;
+                        }
+                    }
+                    if assignment[i] != best {
+                        local_changed += 1;
+                    }
+                    local.push(best);
+                }
+                (local, local_changed)
+            });
+            let mut write = 0usize;
+            for (local, local_changed) in chunk_results {
+                changed += local_changed;
+                assignment[write..write + local.len()].copy_from_slice(&local);
+                write += local.len();
+            }
+            if changed == 0 {
+                converged = true;
+                break;
+            }
+            // Update centroids to cluster means.
+            let mut counts = vec![0u32; k];
+            for c in &mut centroids {
+                c.iter_mut().for_each(|x| *x = 0.0);
+            }
+            for (i, vec) in vectors.iter().enumerate() {
+                let c = assignment[i] as usize;
+                counts[c] += 1;
+                for &dim in vec {
+                    centroids[c][dim as usize] += 1.0;
+                }
+            }
+            for (c, &count) in centroids.iter_mut().zip(&counts) {
+                if count > 0 {
+                    let inv = 1.0 / count as f32;
+                    c.iter_mut().for_each(|x| *x *= inv);
+                }
+            }
+        }
+
+        if !converged {
+            return KMeansOutcome::Aborted;
+        }
+        let mut seen = vec![false; k];
+        for &a in &assignment {
+            seen[a as usize] = true;
+        }
+        KMeansOutcome::Converged {
+            assignment,
+            non_empty: seen.iter().filter(|&&s| s).count() as u32,
+        }
+    }
+
     #[test]
     fn two_obvious_clusters_separate() {
         // Vectors over 8 dims: half set {0,1,2}, half set {5,6,7}. Forgy
@@ -221,7 +427,7 @@ mod tests {
         }
         let separated = (0..8u64).any(|seed| {
             let out = kmeans_binary(
-                &vectors,
+                &rows_of(&vectors),
                 8,
                 KMeansParams {
                     k: 2,
@@ -250,7 +456,7 @@ mod tests {
     fn identical_vectors_form_one_cluster() {
         let vectors = vec![vec![1u32, 3]; 12];
         let out = kmeans_binary(
-            &vectors,
+            &rows_of(&vectors),
             5,
             KMeansParams {
                 k: 3,
@@ -275,7 +481,7 @@ mod tests {
         // partition — see module docs).
         let vectors = vec![vec![0u32], vec![1], vec![2]];
         let out = kmeans_binary(
-            &vectors,
+            &rows_of(&vectors),
             3,
             KMeansParams {
                 k: 10,
@@ -291,7 +497,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let out = kmeans_binary(
-            &[],
+            &SparseRows::default(),
             4,
             KMeansParams {
                 k: 2,
@@ -314,7 +520,7 @@ mod tests {
     fn zero_iteration_bound_aborts() {
         let vectors = vec![vec![0u32], vec![1]];
         let out = kmeans_binary(
-            &vectors,
+            &rows_of(&vectors),
             2,
             KMeansParams {
                 k: 2,
@@ -332,7 +538,7 @@ mod tests {
         // Pages that link to no other supernode have empty adj vectors.
         let vectors = vec![vec![], vec![0u32, 1], vec![], vec![0, 1]];
         let out = kmeans_binary(
-            &vectors,
+            &rows_of(&vectors),
             2,
             KMeansParams {
                 k: 2,
@@ -354,7 +560,7 @@ mod tests {
     fn ops_budget_aborts_expensive_runs() {
         let vectors: Vec<Vec<u32>> = (0..200u32).map(|i| vec![i % 50]).collect();
         let out = kmeans_binary(
-            &vectors,
+            &rows_of(&vectors),
             50,
             KMeansParams {
                 k: 50,
@@ -376,8 +582,92 @@ mod tests {
             max_ops: u64::MAX,
             threads: 1,
         };
-        let a = kmeans_binary(&vectors, 7, p, &mut SmallRng::seed_from_u64(9));
-        let b = kmeans_binary(&vectors, 7, p, &mut SmallRng::seed_from_u64(9));
+        let a = kmeans_binary(&rows_of(&vectors), 7, p, &mut SmallRng::seed_from_u64(9));
+        let b = kmeans_binary(&rows_of(&vectors), 7, p, &mut SmallRng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rows_are_sorted_and_free_of_repeats() {
+        assert!(SparseRows::default().is_empty());
+        let rows = rows_of(&[vec![5, 1, 5, 3, 1], vec![], vec![2, 2]]);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.set_bits(), 4);
+        assert_eq!(rows.row(0), [1, 3, 5]);
+        assert!(rows.row(1).is_empty());
+        assert_eq!(rows.row(2), [2]);
+    }
+
+    /// Random sparse inputs × `k` below, at and above the vector count ×
+    /// bounds that abort at the first iteration, at the third and never:
+    /// the outcome is the reference loop's, and so is the next draw from
+    /// the generator afterwards.
+    #[test]
+    fn outcomes_and_generator_match_the_row_major_reference() {
+        let mut shape = SmallRng::seed_from_u64(0xC1A5);
+        let (mut converged, mut aborted_late) = (0, 0);
+        for case in 0..300u64 {
+            let n = shape.gen_range(1usize..60);
+            let dims = shape.gen_range(1u32..24);
+            let groups = shape.gen_range(1u32..5);
+            let vectors: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    // Clustered, with noise: a group's dimensions plus a few.
+                    let g = shape.gen_range(0..groups);
+                    let mut v: Vec<u32> = (0..dims).filter(|d| d % groups == g).collect();
+                    v.retain(|_| shape.gen_range(0u32..10) < 8);
+                    for _ in 0..shape.gen_range(0u32..3) {
+                        v.push(shape.gen_range(0..dims));
+                    }
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                })
+                .collect();
+            let rows = rows_of(&vectors);
+            let bits: u64 = vectors.iter().map(|v| v.len() as u64).sum();
+            for k in [
+                1,
+                2,
+                (n as u32 / 2).max(1),
+                n as u32,
+                n as u32 + 1,
+                n as u32 + 3,
+            ] {
+                let per_iter = (bits + n as u64) * u64::from(k) + u64::from(k * dims);
+                for max_ops in [0, per_iter - 1, per_iter, 3 * per_iter - 1, u64::MAX] {
+                    for max_iterations in [0, 2, 30] {
+                        for threads in [1, 3] {
+                            let params = KMeansParams {
+                                k,
+                                max_iterations,
+                                max_ops,
+                                threads,
+                            };
+                            let seed = case * 31 + u64::from(k);
+                            let mut model_rng = SmallRng::seed_from_u64(seed);
+                            let want = kmeans_row_major(&vectors, dims, params, &mut model_rng);
+                            let mut rng = SmallRng::seed_from_u64(seed);
+                            let got = kmeans_binary(&rows, dims, params, &mut rng);
+                            assert_eq!(got, want, "case {case}: {params:?}");
+                            assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "case {case}");
+                            match got {
+                                KMeansOutcome::Converged { .. } => converged += 1,
+                                KMeansOutcome::Aborted
+                                    if max_ops >= per_iter && k as usize <= n =>
+                                {
+                                    aborted_late += usize::from(max_iterations > 0);
+                                }
+                                KMeansOutcome::Aborted => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            converged > 1000 && aborted_late > 100,
+            "{converged} {aborted_late}"
+        );
     }
 }

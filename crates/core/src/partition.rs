@@ -23,7 +23,7 @@
 //! of it that clustered split needs on demand from `elem_of`. The results
 //! are identical; only the bookkeeping differs.
 
-use crate::kmeans::{kmeans_binary, KMeansOutcome, KMeansParams};
+use crate::kmeans::{kmeans_binary, KMeansOutcome, KMeansParams, SparseRows};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -480,25 +480,28 @@ fn try_clustered_split(
     }
 
     // Supernode-adjacency bit vectors: dimensions are the *other* elements
-    // this element points to (the supernode's out-neighbours, Figure 6).
-    let mut dim_of: HashMap<u32, u32> = HashMap::new();
-    let mut vectors: Vec<Vec<u32>> = Vec::with_capacity(m);
+    // this element points to (the supernode's out-neighbours, Figure 6),
+    // numbered in the order the pages' links first reach them: a slot per
+    // partition element holds its dimension once it has one.
+    const NO_DIM: u32 = u32::MAX;
+    let mut dim_of = vec![NO_DIM; partition.len()];
+    let mut dims = 0u32;
+    let mut vectors = SparseRows::default();
     for &p in &element.pages {
-        let mut dims: Vec<u32> = graph
+        let others = graph
             .neighbors(p)
             .iter()
             .map(|&t| partition.elem_of[t as usize])
-            .filter(|&e| e != idx)
-            .map(|e| {
-                let next = dim_of.len() as u32;
-                *dim_of.entry(e).or_insert(next)
-            })
-            .collect();
-        dims.sort_unstable();
-        dims.dedup();
-        vectors.push(dims);
+            .filter(|&e| e != idx);
+        vectors.push_row(others.map(|e| {
+            let dim = &mut dim_of[e as usize];
+            if *dim == NO_DIM {
+                *dim = dims;
+                dims += 1;
+            }
+            *dim
+        }));
     }
-    let dims = dim_of.len() as u32;
     if dims == 0 {
         return false; // nothing to discriminate on
     }

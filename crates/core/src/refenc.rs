@@ -749,47 +749,130 @@ pub(crate) fn stream_bits_floor(plain: impl ExactSizeIterator<Item = u64>) -> u6
     codes::gamma_len(n) + 1 + plain.map(|p| p.min(reference)).sum::<u64>()
 }
 
-/// Copy-mask and extras of one reference probe. Owned by the caller of
-/// [`ref_cost_into`] and reused from probe to probe, so costing a window
-/// of candidates allocates nothing once the buffers have grown.
+/// Bits of the parent field of a reference payload, as selection prices
+/// it: the ⌈log₂ n⌉ of the longest minimal-binary codeword.
+fn parent_field_bits(n_lists: u64) -> u64 {
+    if n_lists <= 1 {
+        0
+    } else {
+        u64::from(64 - (n_lists - 1).leading_zeros())
+    }
+}
+
+/// The size of a copy-mask's run-length form ([`rle::rle_len`]), fed a run
+/// at a time.
+struct MaskRuns {
+    /// The first-value bit and every run that has ended.
+    bits: u64,
+    /// The run that has not: its value and length (0 before the first).
+    value: bool,
+    len: u64,
+}
+
+impl MaskRuns {
+    fn new() -> Self {
+        Self {
+            bits: 1,
+            value: false,
+            len: 0,
+        }
+    }
+
+    /// `count` more mask bits of `value`.
+    #[inline]
+    fn run_of(&mut self, value: bool, count: u64) {
+        if count == 0 {
+            return;
+        }
+        if self.len > 0 && value != self.value {
+            self.bits += codes::gamma_len(self.len - 1);
+            self.len = 0;
+        }
+        self.value = value;
+        self.len += count;
+    }
+
+    /// The form's size once the mask has ended.
+    fn finish(self) -> u64 {
+        match self.len {
+            0 => self.bits,
+            len => self.bits + codes::gamma_len(len - 1),
+        }
+    }
+}
+
+/// Cost in bits of encoding `target` referencing `reference`, if that is
+/// `bound` or less and the two share an entry; `None` otherwise.
+///
+/// A candidate that shares nothing can never be selected: its extras are
+/// the whole of `target`, so it costs [`plain_cost`] plus the parent field
+/// and the mask, and selection demands a cost strictly below plain.
+///
+/// One pass over the two lists that writes neither mask nor extras: the
+/// mask's runs and the extras' gaps are priced as the merge finds them,
+/// and since neither sum ever falls, the pass ends at the first entry
+/// that takes them past `bound`. This is the one function windowed
+/// selection prices a candidate with, on the serial path and the parallel.
+fn ref_cost_within(
+    reference: &[u32],
+    target: &[u32],
+    n_lists: u64,
+    universe: u64,
+    bound: u64,
+) -> Option<u64> {
+    // Mode bit, parent field, the mask's form bit.
+    let fixed = 1 + parent_field_bits(n_lists) + 1;
+    let literal = reference.len() as u64;
+    let mut runs = MaskRuns::new();
+    let (mut extras, mut extra_bits) = (0u64, 0u64);
+    let mut prev_extra: Option<u32> = None;
+    let mut shared = false;
+    let mut ri = 0usize;
+    for &t in target {
+        let skipped_from = ri;
+        while ri < reference.len() && reference[ri] < t {
+            ri += 1;
+        }
+        runs.run_of(false, (ri - skipped_from) as u64);
+        if ri < reference.len() && reference[ri] == t {
+            runs.run_of(true, 1);
+            ri += 1;
+            shared = true;
+        } else {
+            extra_bits += match prev_extra {
+                None => codes::minimal_binary_len(u64::from(t), universe.max(1)),
+                Some(p) => codes::gamma_len(u64::from(t - p - 1)),
+            };
+            prev_extra = Some(t);
+            extras += 1;
+        }
+        if fixed + runs.bits.min(literal) + codes::gamma_len(extras) + extra_bits > bound {
+            return None;
+        }
+    }
+    runs.run_of(false, (reference.len() - ri) as u64);
+    let cost = fixed + runs.finish().min(literal) + codes::gamma_len(extras) + extra_bits;
+    (shared && cost <= bound).then_some(cost)
+}
+
+/// Copy-mask and extras of one list against another.
 #[derive(Default)]
 struct DiffScratch {
     mask: Vec<bool>,
     extras: Vec<u32>,
 }
 
-/// Cost in bits of encoding `target` referencing `reference`, or `None`
-/// when the two share no entry.
-///
-/// Such a candidate can never be selected: its extras
-/// are the whole of `target`, so it costs [`plain_cost`] plus the parent
-/// field and the mask, and selection demands a cost strictly below plain.
-fn ref_cost_into(
-    reference: &[u32],
-    target: &[u32],
-    n_lists: u64,
-    universe: u64,
-    scratch: &mut DiffScratch,
-) -> Option<u64> {
-    let shared = diff_into(reference, target, scratch);
-    (shared > 0).then(|| diff_cost(scratch, n_lists, universe))
-}
-
-/// Cost in bits of the reference payload whose mask and extras `diff` holds.
+/// Cost in bits of the reference payload whose mask and extras `diff`
+/// holds: what [`ref_cost_within`] counts, from the materialised diff.
 fn diff_cost(diff: &DiffScratch, n_lists: u64, universe: u64) -> u64 {
-    // Parent field: upper bound of ⌈log₂ n⌉ bits (minimal binary).
-    let parent_bits = if n_lists <= 1 {
-        0
-    } else {
-        u64::from(64 - (n_lists - 1).leading_zeros())
-    };
-    1 + parent_bits + rle::encoded_len(&diff.mask) + bounded_gap_list_len(&diff.extras, universe)
+    1 + parent_field_bits(n_lists)
+        + rle::encoded_len(&diff.mask)
+        + bounded_gap_list_len(&diff.extras, universe)
 }
 
 /// Splits `target` into a copy bit vector over `reference` and the extras,
-/// both written over `out`'s previous contents. Returns how many entries
-/// the two lists share.
-fn diff_into(reference: &[u32], target: &[u32], out: &mut DiffScratch) -> usize {
+/// both written over `out`'s previous contents.
+fn diff_into(reference: &[u32], target: &[u32], out: &mut DiffScratch) {
     out.mask.clear();
     out.mask.resize(reference.len(), false);
     out.extras.clear();
@@ -805,7 +888,6 @@ fn diff_into(reference: &[u32], target: &[u32], out: &mut DiffScratch) -> usize 
             out.extras.push(t);
         }
     }
-    target.len() - out.extras.len()
 }
 
 /// [`diff_into`] into fresh buffers, for the one parent a list ends up
@@ -945,20 +1027,27 @@ fn choose_references(
         RefMode::None => vec![None; n],
         RefMode::Windowed(w) => {
             let w = w.max(1) as usize;
+            let summaries: Vec<ListSummary> = lists.iter().map(|l| ListSummary::of(l)).collect();
             let mut parents = vec![None; n];
             let mut depth = vec![0u32; n];
-            let mut scratch = DiffScratch::default();
             for y in 0..n {
                 if lists[y].is_empty() {
                     continue; // plain empty list is 2 bits; nothing beats it
                 }
-                let mut best = plain_cost(&lists[y], universe);
-                for x in y.saturating_sub(w)..y {
-                    if lists[x].is_empty() || depth[x] >= MAX_REF_CHAIN {
+                // Nearest candidate first: near lists are the most alike,
+                // so the bound the farther ones are priced under falls
+                // early. A reference must cost less than plain, and of two
+                // that cost the same the lower index wins — a later probe
+                // that ties the best replaces it — so the parent is the
+                // one an ascending walk keeping each strictly cheaper
+                // candidate ends on.
+                let mut best = plain_cost(&lists[y], universe) - 1;
+                for x in (y.saturating_sub(w)..y).rev() {
+                    if depth[x] >= MAX_REF_CHAIN || !summaries[x].may_share(&summaries[y]) {
                         continue;
                     }
-                    let c = ref_cost_into(&lists[x], &lists[y], n as u64, universe, &mut scratch);
-                    if let Some(c) = c.filter(|&c| c < best) {
+                    let c = ref_cost_within(&lists[x], &lists[y], n as u64, universe, best);
+                    if let Some(c) = c {
                         best = c;
                         parents[y] = Some(x as u32);
                     }
@@ -1025,15 +1114,45 @@ fn choose_references(
     }
 }
 
+/// What selection reads off a list before pricing it against another:
+/// two lists share an entry only if their ranges overlap and some residue
+/// mod 64 occurs in both. (An empty list has no residue and shares
+/// nothing.)
+#[derive(Clone, Copy)]
+struct ListSummary {
+    first: u32,
+    last: u32,
+    /// Bit `r` is set iff some entry is `r` mod 64.
+    residues: u64,
+}
+
+impl ListSummary {
+    fn of(list: &[u32]) -> Self {
+        Self {
+            first: list.first().copied().unwrap_or(0),
+            last: list.last().copied().unwrap_or(0),
+            residues: list.iter().fold(0, |set, &x| set | 1 << (x % 64)),
+        }
+    }
+
+    /// `false` only if the two lists share no entry.
+    #[inline]
+    fn may_share(&self, other: &Self) -> bool {
+        self.residues & other.residues != 0 && self.first <= other.last && other.first <= self.last
+    }
+}
+
 /// Windowed selection with parallel candidate-cost evaluation.
 ///
 /// All `(candidate, target)` costs are computed up front in parallel —
-/// [`ref_cost_into`] is a pure function of the two lists, independent of the
-/// chain-depth bookkeeping — then a serial pass applies the depth gate and
-/// picks each target's cheapest candidate with the same iteration order
-/// and tie-breaks as the serial loop, so the selection is identical. The
-/// only extra work is costing candidates the serial loop would have
-/// skipped on the depth gate, a small minority under [`MAX_REF_CHAIN`].
+/// [`ref_cost_within`] under the bound every reference has to meet, one
+/// bit below plain, is a pure function of the two lists, independent of
+/// the chain-depth bookkeeping — then a serial pass applies the depth gate
+/// and picks each target's cheapest candidate, the lowest index among
+/// equals, so the selection is the serial loop's. The extra work is
+/// costing candidates the serial loop skips on the depth gate, a small
+/// minority under [`MAX_REF_CHAIN`], and pricing each under plain where
+/// the serial loop has the best so far.
 fn choose_references_windowed_par(
     lists: &[Vec<u32>],
     universe: u64,
@@ -1041,24 +1160,25 @@ fn choose_references_windowed_par(
     threads: u32,
 ) -> Vec<Option<u32>> {
     let n = lists.len();
-    // (plain cost, candidate costs for x in window order) per target.
-    let costs: Vec<(u64, Vec<u64>)> = crate::par::par_chunks(threads, n, 16, |range| {
-        let mut scratch = DiffScratch::default();
+    let summaries: Vec<ListSummary> = lists.iter().map(|l| ListSummary::of(l)).collect();
+    // Candidate costs for x in window order, per target; `u64::MAX` for a
+    // candidate that cannot be chosen whatever its depth.
+    let costs: Vec<Vec<u64>> = crate::par::par_chunks(threads, n, 16, |range| {
         range
             .map(|y| {
                 if lists[y].is_empty() {
-                    return (0, Vec::new());
+                    return Vec::new();
                 }
-                let plain = plain_cost(&lists[y], universe);
-                // `u64::MAX` (an empty or disjoint candidate) never beats
-                // `plain`.
-                let cand: Vec<u64> = (y.saturating_sub(w)..y)
+                let bound = plain_cost(&lists[y], universe) - 1;
+                (y.saturating_sub(w)..y)
                     .map(|x| {
-                        let (r, t) = (&lists[x], &lists[y]);
-                        ref_cost_into(r, t, n as u64, universe, &mut scratch).unwrap_or(u64::MAX)
+                        if !summaries[x].may_share(&summaries[y]) {
+                            return u64::MAX;
+                        }
+                        ref_cost_within(&lists[x], &lists[y], n as u64, universe, bound)
+                            .unwrap_or(u64::MAX)
                     })
-                    .collect();
-                (plain, cand)
+                    .collect()
             })
             .collect::<Vec<_>>()
     })
@@ -1069,17 +1189,10 @@ fn choose_references_windowed_par(
     let mut parents: Vec<Option<u32>> = vec![None; n];
     let mut depth = vec![0u32; n];
     for y in 0..n {
-        if lists[y].is_empty() {
-            continue;
-        }
-        let (plain, cand) = &costs[y];
-        let mut best = *plain;
-        for (ci, x) in (y.saturating_sub(w)..y).enumerate() {
-            if lists[x].is_empty() || depth[x] >= MAX_REF_CHAIN {
-                continue;
-            }
-            if cand[ci] < best {
-                best = cand[ci];
+        let mut best = u64::MAX;
+        for (x, &cost) in (y.saturating_sub(w)..y).zip(&costs[y]) {
+            if depth[x] < MAX_REF_CHAIN && cost < best {
+                best = cost;
                 parents[y] = Some(x as u32);
             }
         }
@@ -1643,8 +1756,9 @@ mod tests {
         }
     }
 
-    /// Reference model for [`ref_cost_into`]: every candidate priced, from
-    /// a mask and extras built fresh by membership tests, not by a merge.
+    /// Reference model for [`ref_cost_within`]: every candidate priced in
+    /// full, from a mask and extras built fresh by membership tests, not by
+    /// a merge.
     fn ref_cost_model(reference: &[u32], target: &[u32], n_lists: u64, universe: u64) -> u64 {
         let mask: Vec<bool> = reference
             .iter()
@@ -1705,29 +1819,86 @@ mod tests {
         }
     }
 
+    /// Lists drawn with repeats from a small pool, so that a window holds
+    /// several candidates of one cost, a few of them with an entry changed.
+    fn tied_lists(seed: u64, num: usize, universe: u64) -> Vec<Vec<u32>> {
+        let pool = synth_lists(seed, 7, universe);
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+            s >> 33
+        };
+        (0..num)
+            .map(|_| {
+                let mut l = pool[(next() % 7) as usize].clone();
+                if next() % 4 == 0 {
+                    l.push((next() % universe) as u32);
+                    l.sort_unstable();
+                    l.dedup();
+                }
+                l
+            })
+            .collect()
+    }
+
+    /// Every list its predecessor plus one entry: the nearest candidate is
+    /// the cheapest, until its chain is [`MAX_REF_CHAIN`] long.
+    fn chained_lists(num: usize) -> Vec<Vec<u32>> {
+        (0..num)
+            .map(|i| (0..=(i % 40) as u32).map(|j| j * 5).collect())
+            .collect()
+    }
+
     #[test]
     fn selection_matches_the_reference_model() {
         let modes = [
             RefMode::None,
             RefMode::Windowed(1),
+            RefMode::Windowed(8),
             RefMode::Windowed(32),
+            RefMode::Windowed(256),
             RefMode::Exact,
         ];
-        for (seed, universe) in [(3u64, 40u64), (11, 400)] {
-            // 120 lists × a window of 32 is past `PAR_COST_PROBES_MIN`.
-            let lists = synth_lists(seed, 120, universe);
+        // 300 lists × a window of 8 is past `PAR_COST_PROBES_MIN`.
+        let cases = [
+            (synth_lists(3, 300, 40), 40u64),
+            (synth_lists(11, 300, 400), 400),
+            (tied_lists(5, 300, 90), 90),
+            (tied_lists(6, 300, 4000), 4000),
+            (chained_lists(300), 200),
+        ];
+        for (case, (lists, universe)) in cases.iter().enumerate() {
             for mode in modes {
-                let want = choose_references_model(&lists, universe, mode);
+                let want = choose_references_model(lists, *universe, mode);
                 for threads in [1u32, 4] {
-                    let got = choose_references(&lists, universe, mode, threads);
-                    assert_eq!(got, want, "{mode:?} threads={threads}");
+                    let got = choose_references(lists, *universe, mode, threads);
+                    assert_eq!(got, want, "case {case} {mode:?} threads={threads}");
                 }
             }
         }
+        // The cases are what they are for: candidates tie, and chains
+        // reach the cap and stop there.
+        let parents = choose_references(&cases[4].0, 200, RefMode::Windowed(8), 1);
+        let mut depth = vec![0u32; parents.len()];
+        for (y, p) in parents.iter().enumerate() {
+            depth[y] = p.map_or(0, |p| depth[p as usize] + 1);
+        }
+        assert_eq!(depth.iter().max(), Some(&MAX_REF_CHAIN));
+        assert!(depth.iter().filter(|&&d| d == MAX_REF_CHAIN).count() > 20);
+        let tied = &cases[2].0;
+        let ties = (8..tied.len())
+            .filter(|&y| (y - 8..y).filter(|&x| tied[x] == tied[y]).count() >= 2)
+            .count();
+        assert!(ties > 50, "{ties} lists with two copies in their window");
+
+        // A window of 1 only takes the parallel path past 2048 lists.
+        let long = chained_lists(2100);
+        let want = choose_references_model(&long, 200, RefMode::Windowed(1));
+        assert_eq!(choose_references(&long, 200, RefMode::Windowed(1), 4), want);
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         #[test]
         fn probe_cost_matches_the_reference_model(
@@ -1735,23 +1906,37 @@ mod tests {
             target in proptest::collection::btree_set(0u32..90, 0..24),
             dense in proptest::any::<bool>(),
             n_lists in 1u64..600,
+            which_bound in 0u8..6,
+            random_bound in 0u64..200,
         ) {
             let universe = if dense { 90 } else { 5000 };
             let reference: Vec<u32> = reference.into_iter().collect();
             let target: Vec<u32> = target.into_iter().collect();
             let intersect = target.iter().any(|t| reference.binary_search(t).is_ok());
-            // A scratch another probe has used: whatever that left in it
-            // must not leak into this one.
-            let mut scratch = DiffScratch::default();
-            diff_into(&target, &reference, &mut scratch);
             let model = ref_cost_model(&reference, &target, n_lists, universe);
-            let got = ref_cost_into(&reference, &target, n_lists, universe, &mut scratch);
-            if intersect {
-                proptest::prop_assert_eq!(got, Some(model));
-            } else {
-                proptest::prop_assert_eq!(got, None);
-                proptest::prop_assert!(model >= plain_cost(&target, universe));
+            let plain = plain_cost(&target, universe);
+            let bound = match which_bound {
+                0 => 0,
+                1 => plain - 1,
+                2 => u64::MAX,
+                3 => model,
+                4 => model - 1,
+                _ => random_bound,
+            };
+            let got = ref_cost_within(&reference, &target, n_lists, universe, bound);
+            let want = (intersect && model <= bound).then_some(model);
+            proptest::prop_assert_eq!(got, want, "bound {}", bound);
+            if !intersect {
+                proptest::prop_assert!(model >= plain);
             }
+            // The summaries never rule out a pair that shares an entry.
+            let may_share = ListSummary::of(&reference).may_share(&ListSummary::of(&target));
+            proptest::prop_assert!(may_share || !intersect);
+            // And the diff `Exact` mode prices is the same payload.
+            let mut diff = DiffScratch::default();
+            diff_into(&target, &reference, &mut diff);
+            diff_into(&reference, &target, &mut diff);
+            proptest::prop_assert_eq!(diff_cost(&diff, n_lists, universe), model);
         }
     }
 

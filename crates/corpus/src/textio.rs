@@ -12,9 +12,9 @@
 //! `--`, then per page a space-separated phrase-id list, possibly empty).
 
 use crate::{Corpus, CorpusConfig, DomainId, HostInfo, PageMeta, PhraseId};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Seek, Write};
 use std::path::Path;
-use wg_graph::{GraphBuilder, PageId};
+use wg_graph::{Graph, GraphBuilder, PageId};
 
 /// Errors from reading the text format.
 #[derive(Debug)]
@@ -73,46 +73,55 @@ pub fn write_corpus(dir: &Path, corpus: &Corpus) -> Result<(), TextIoError> {
     Ok(())
 }
 
+/// What a build reads of a corpus directory — URLs, page domains, links —
+/// as three flat arrays, with nothing allocated per page: no phrases, no
+/// host table, no domain names, which [`read_corpus`] has for the callers
+/// that query a [`Corpus`].
+#[derive(Debug)]
+pub struct BuildInput {
+    /// `urls.txt` as it was read: one URL per line, in page order.
+    url_text: String,
+    /// Domain id per page.
+    pub domains: Vec<DomainId>,
+    /// The Web graph.
+    pub graph: Graph,
+}
+
+impl BuildInput {
+    /// Number of pages.
+    pub fn num_pages(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// The URL of every page, borrowed from the one buffer that holds them.
+    pub fn urls(&self) -> Vec<&str> {
+        let mut urls = Vec::with_capacity(self.num_pages());
+        urls.extend(self.url_text.lines());
+        urls
+    }
+}
+
+/// Reads what a build takes from the corpus at `dir`: every check of
+/// [`read_corpus`], made by the same readers, in the same order and with
+/// the same messages.
+pub fn read_build_input(dir: &Path) -> Result<BuildInput, TextIoError> {
+    let url_text = std::fs::read_to_string(dir.join("urls.txt"))?;
+    let n = url_text.lines().count();
+    let (_names, domains) = read_domains(dir, n)?;
+    let graph = read_edges(dir, n)?.build();
+    Ok(BuildInput {
+        url_text,
+        domains,
+        graph,
+    })
+}
+
 /// Reads a corpus from `dir`. `phrases.txt` is optional; hosts are derived
 /// from URL host names.
 pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
-    let urls: Vec<String> = BufReader::new(std::fs::File::open(dir.join("urls.txt"))?)
-        .lines()
-        .collect::<std::io::Result<_>>()?;
-    let n = urls.len();
-
-    // Domains.
-    let dom_lines: Vec<String> = BufReader::new(std::fs::File::open(dir.join("domains.txt"))?)
-        .lines()
-        .collect::<std::io::Result<_>>()?;
-    let sep = dom_lines
-        .iter()
-        .position(|l| l == "--")
-        .ok_or_else(|| TextIoError::Malformed("domains.txt missing -- separator".into()))?;
-    let domains: Vec<String> = dom_lines[..sep]
-        .iter()
-        .filter(|l| !l.starts_with('#'))
-        .cloned()
-        .collect();
-    let page_domain: Vec<DomainId> = dom_lines[sep + 1..]
-        .iter()
-        .map(|l| {
-            l.parse()
-                .map_err(|_| TextIoError::Malformed(format!("bad domain id {l:?}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if page_domain.len() != n {
-        return Err(TextIoError::Malformed(format!(
-            "{} pages but {} page-domain lines",
-            n,
-            page_domain.len()
-        )));
-    }
-    if let Some(&bad) = page_domain.iter().find(|&&d| d as usize >= domains.len()) {
-        return Err(TextIoError::Malformed(format!(
-            "page-domain id {bad} out of range"
-        )));
-    }
+    let url_text = std::fs::read_to_string(dir.join("urls.txt"))?;
+    let n = url_text.lines().count();
+    let (domains, page_domain) = read_domains(dir, n)?;
 
     // Hosts derived from URLs.
     fn host_name(url: &str) -> &str {
@@ -122,7 +131,8 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
     let mut host_ids: std::collections::HashMap<String, u32> = Default::default();
     let mut hosts: Vec<HostInfo> = Vec::new();
     let mut pages: Vec<PageMeta> = Vec::with_capacity(n);
-    for (url, &domain) in urls.into_iter().zip(&page_domain) {
+    for (url, &domain) in url_text.lines().zip(&page_domain) {
+        let url = url.to_string();
         let name = host_name(&url);
         let host = match host_ids.get(name) {
             Some(&id) => id,
@@ -139,6 +149,7 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
         };
         pages.push(PageMeta { url, host, domain });
     }
+    drop(url_text);
     for (pid, page) in pages.iter().enumerate() {
         hosts[page.host as usize].pages_by_url.push(pid as PageId);
     }
@@ -147,31 +158,7 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
             .sort_by(|&a, &b| pages[a as usize].url.cmp(&pages[b as usize].url));
     }
 
-    // Edges, streamed through one reused line buffer. A line is two ids
-    // and two separators and most ids have as many digits as `n`, which
-    // sizes the edge array from the file's length.
-    let edges_file = std::fs::File::open(dir.join("edges.txt"))?;
-    let line_len = 2 * n.to_string().len() as u64 + 2;
-    let hint = edges_file.metadata()?.len() / line_len;
-    let mut builder = GraphBuilder::with_edge_capacity(n as u32, hint as usize);
-    let mut reader = BufReader::new(edges_file);
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
-            break;
-        }
-        let Some((u, v)) = parse_edge_line(&line)? else {
-            continue;
-        };
-        if u as usize >= n || v as usize >= n {
-            return Err(TextIoError::Malformed(format!(
-                "edge ({u}, {v}) out of range"
-            )));
-        }
-        builder.add_edge(u, v);
-    }
-    let graph = builder.build();
+    let graph = read_edges(dir, n)?.build();
 
     // Phrases (optional).
     let (phrases, page_phrases) = match std::fs::File::open(dir.join("phrases.txt")) {
@@ -214,6 +201,92 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
         phrases,
         page_phrases,
     })
+}
+
+/// `domains.txt`: the domain names (lines that start with `#` skipped)
+/// and, after the `--` line, the domain id of each of the `n` pages.
+fn read_domains(dir: &Path, n: usize) -> Result<(Vec<String>, Vec<DomainId>), TextIoError> {
+    let text = std::fs::read_to_string(dir.join("domains.txt"))?;
+    let mut lines = text.lines();
+    let mut names: Vec<String> = Vec::new();
+    let mut separated = false;
+    for l in lines.by_ref() {
+        if l == "--" {
+            separated = true;
+            break;
+        }
+        if !l.starts_with('#') {
+            names.push(l.to_string());
+        }
+    }
+    if !separated {
+        return Err(TextIoError::Malformed(
+            "domains.txt missing -- separator".into(),
+        ));
+    }
+    let mut page_domain: Vec<DomainId> = Vec::with_capacity(n);
+    for l in lines {
+        let id = l
+            .parse()
+            .map_err(|_| TextIoError::Malformed(format!("bad domain id {l:?}")))?;
+        page_domain.push(id);
+    }
+    if page_domain.len() != n {
+        return Err(TextIoError::Malformed(format!(
+            "{} pages but {} page-domain lines",
+            n,
+            page_domain.len()
+        )));
+    }
+    if let Some(&bad) = page_domain.iter().find(|&&d| d as usize >= names.len()) {
+        return Err(TextIoError::Malformed(format!(
+            "page-domain id {bad} out of range"
+        )));
+    }
+    Ok((names, page_domain))
+}
+
+/// `edges.txt` over `n` pages, as a builder that has every edge, streamed
+/// through one reused line buffer. The builder's reservation is the
+/// file's line count — the edge count, plus the blank lines and the
+/// repeats — so it is never an under-estimate and the target array is
+/// allocated once.
+fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
+    let file = std::fs::File::open(dir.join("edges.txt"))?;
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    // Newlines, and a last line that has none.
+    let (mut lines, mut last) = (0usize, b'\n');
+    loop {
+        let buf = match reader.fill_buf() {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            filled => filled?,
+        };
+        let Some(&end) = buf.last() else { break };
+        lines += buf.iter().filter(|&&b| b == b'\n').count();
+        last = end;
+        let len = buf.len();
+        reader.consume(len);
+    }
+    lines += usize::from(last != b'\n');
+    let mut builder = GraphBuilder::with_edge_capacity(n as u32, lines);
+    reader.rewind()?;
+    let mut line: Vec<u8> = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        let Some((u, v)) = parse_edge_line(&line)? else {
+            continue;
+        };
+        if u as usize >= n || v as usize >= n {
+            return Err(TextIoError::Malformed(format!(
+                "edge ({u}, {v}) out of range"
+            )));
+        }
+        builder.add_edge(u, v);
+    }
+    Ok(builder)
 }
 
 /// The two page ids of one `edges.txt` line, or `None` for a blank line.
@@ -414,6 +487,186 @@ mod tests {
         std::fs::write(dir.join("edges.txt"), "0 1\n1 2\n").unwrap();
         let err = read_corpus(&dir).unwrap_err().to_string();
         assert_eq!(err, "malformed corpus: edge (1, 2) out of range");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a build reads is what [`read_corpus`] reads, less what a build
+    /// does not use.
+    fn assert_same_input(dir: &Path) -> BuildInput {
+        let corpus = read_corpus(dir).unwrap();
+        let input = read_build_input(dir).unwrap();
+        assert_eq!(input.num_pages(), corpus.pages.len());
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        assert_eq!(input.urls(), urls);
+        let domains: Vec<DomainId> = corpus.pages.iter().map(|p| p.domain).collect();
+        assert_eq!(input.domains, domains);
+        assert_eq!(input.graph, corpus.graph);
+        input
+    }
+
+    #[test]
+    fn build_input_is_the_corpus_a_build_uses() {
+        let dir = temp("buildinput");
+        for (pages, seed) in [(0u32, 1u64), (1, 2), (700, 3), (2500, 4)] {
+            let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
+            write_corpus(&dir, &corpus).unwrap();
+            let input = assert_same_input(&dir);
+            assert_eq!(input.graph, corpus.graph);
+        }
+
+        // The same files with CRLF line ends.
+        for name in ["urls.txt", "domains.txt", "edges.txt", "phrases.txt"] {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            std::fs::write(dir.join(name), text.replace('\n', "\r\n")).unwrap();
+        }
+        let crlf = assert_same_input(&dir);
+        assert!(crlf.urls().iter().all(|u| !u.ends_with('\r')));
+
+        // A hand-written corpus: `#` lines among the domain names, no
+        // newline after the last URL, and edges out of order, repeated,
+        // `+`-signed, between blank lines, with trailing tokens.
+        std::fs::write(
+            dir.join("urls.txt"),
+            "http://a.x.com/é\r\nhttp://b.y.org/\n\nlast",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("domains.txt"),
+            "# names\nx.com\n#y.org\ny.org\n--\n0\n+1\n1\n1\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("edges.txt"),
+            "\n3 0\n+1 +2 x\r\n \n0 1\n\n3 0\n0 1\n1\u{a0}3",
+        )
+        .unwrap();
+        std::fs::remove_file(dir.join("phrases.txt")).unwrap();
+        let input = assert_same_input(&dir);
+        assert_eq!(
+            input.urls(),
+            ["http://a.x.com/é", "http://b.y.org/", "", "last"]
+        );
+        assert_eq!(input.domains, [0, 1, 1, 1]);
+        assert!(input.graph.edges().eq([(0, 1), (1, 2), (1, 3), (3, 0)]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every malformed file the tests of this module write, and what both
+    /// readers say of it — the words are [`read_corpus`]' of old.
+    #[test]
+    fn both_readers_reject_malformed_files_in_the_same_words() {
+        let dir = temp("badwords");
+        std::fs::create_dir_all(&dir).unwrap();
+        let good: [(&str, &[u8]); 3] = [
+            ("urls.txt", b"http://a.x.com/p0\nhttp://a.x.com/p1\n"),
+            ("domains.txt", b"x.com\n--\n0\n0\n"),
+            ("edges.txt", b"0 1\n"),
+        ];
+        let utf8 = "corpus I/O error: stream did not contain valid UTF-8";
+        let bad: [(&str, &[u8], &str); 13] = [
+            ("urls.txt", b"http://a.x.com/p0\nhttp://\xff\n", utf8),
+            (
+                "domains.txt",
+                b"x.com\n0\n0\n",
+                "malformed corpus: domains.txt missing -- separator",
+            ),
+            (
+                "domains.txt",
+                b"x.com\n--\n0\nzero\n",
+                "malformed corpus: bad domain id \"zero\"",
+            ),
+            (
+                "domains.txt",
+                b"x.com\n--\n0\n\n0\n",
+                "malformed corpus: bad domain id \"\"",
+            ),
+            (
+                "domains.txt",
+                b"x.com\n--\n0\n",
+                "malformed corpus: 2 pages but 1 page-domain lines",
+            ),
+            (
+                "domains.txt",
+                b"x.com\n--\n0\n0\n0\n",
+                "malformed corpus: 2 pages but 3 page-domain lines",
+            ),
+            (
+                "domains.txt",
+                b"x.com\n--\n0\n5\n",
+                "malformed corpus: page-domain id 5 out of range",
+            ),
+            (
+                "domains.txt",
+                b"#x.com\n--\n0\n0\n",
+                "malformed corpus: page-domain id 0 out of range",
+            ),
+            ("domains.txt", b"x.com\n--\n0\n0\n\xc3\n", utf8),
+            (
+                "edges.txt",
+                b"0 7\n",
+                "malformed corpus: edge (0, 7) out of range",
+            ),
+            (
+                "edges.txt",
+                b"0 1\n1\n",
+                "malformed corpus: short edge line \"1\"",
+            ),
+            (
+                "edges.txt",
+                b"0 1\n1 x\n",
+                "malformed corpus: bad edge line \"1 x\"",
+            ),
+            ("edges.txt", b"0 1 \xff\n", utf8),
+        ];
+        for (name, bytes, want) in bad {
+            for (name, bytes) in good {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            read_corpus(&dir).unwrap();
+            std::fs::write(dir.join(name), bytes).unwrap();
+            let corpus = read_corpus(&dir).unwrap_err().to_string();
+            let input = read_build_input(&dir).unwrap_err().to_string();
+            assert_eq!((corpus.as_str(), input.as_str()), (want, want), "{name}");
+        }
+        // A file that is not there.
+        std::fs::remove_file(dir.join("edges.txt")).unwrap();
+        let corpus = read_corpus(&dir).unwrap_err().to_string();
+        assert_eq!(read_build_input(&dir).unwrap_err().to_string(), corpus);
+        assert!(corpus.starts_with("corpus I/O error: "), "{corpus}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The edge array is allocated once, at a size that is not an
+    /// under-estimate: the file's line count. (A file's length over its
+    /// longest possible line, which this reader once reserved, is a floor:
+    /// 3.35 M slots for the 3.63 M edges of a 300 k-page corpus, so the
+    /// array doubled.)
+    #[test]
+    fn edge_array_never_outgrows_its_reservation() {
+        let dir = temp("reserve");
+        let corpus = Corpus::generate(CorpusConfig::scaled(6000, 8));
+        write_corpus(&dir, &corpus).unwrap();
+        let (n, edges) = (corpus.pages.len(), corpus.graph.num_edges() as usize);
+
+        let text = std::fs::read_to_string(dir.join("edges.txt")).unwrap();
+        let lines = text.lines().count();
+        assert_eq!(lines, edges, "a generated file: one line per edge");
+        let builder = read_edges(&dir, n).unwrap();
+        assert_eq!(builder.edge_capacity(), lines, "reserved once, never grown");
+        let graph = builder.build();
+        assert_eq!(graph, corpus.graph);
+        let slots = |bytes: usize| bytes / std::mem::size_of::<PageId>();
+        assert!(slots(graph.heap_bytes() - 8 * (n + 1)) <= edges + 1);
+
+        // Blank lines and repeats only add to the reservation; `build`
+        // gives the slack back.
+        let padded: String = text.lines().map(|l| format!("{l}\n\n{l}\n")).collect();
+        std::fs::write(dir.join("edges.txt"), padded.trim_end()).unwrap();
+        let builder = read_edges(&dir, n).unwrap();
+        assert_eq!(builder.edge_capacity(), 3 * edges);
+        let graph = builder.build();
+        assert_eq!(graph, corpus.graph);
+        assert!(slots(graph.heap_bytes() - 8 * (n + 1)) <= edges + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

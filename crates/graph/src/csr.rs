@@ -117,43 +117,61 @@ impl Graph {
         }
     }
 
-    /// Approximate heap footprint in bytes (offsets + targets arrays).
+    /// Heap the two arrays hold, in bytes: their capacities, not their
+    /// lengths.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.targets.len() * std::mem::size_of::<PageId>()
+        self.offsets.capacity() * std::mem::size_of::<u64>()
+            + self.targets.capacity() * std::mem::size_of::<PageId>()
     }
 }
 
 /// Incremental builder for [`Graph`].
 ///
-/// Edges may be added in any order; duplicates are tolerated and removed at
-/// [`GraphBuilder::build`] time.
+/// Edges may be added in any order and duplicates are tolerated. Edges that
+/// arrive in `(source, target)` order — every writer of this workspace
+/// emits them so — are appended straight to the CSR arrays; one that
+/// arrives below its predecessor is kept aside, and only a build that has
+/// such edges sorts anything.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     num_nodes: u32,
-    edges: Vec<(PageId, PageId)>,
+    /// `offsets[u + 1]` counts the edges of `u` in `targets` until
+    /// [`GraphBuilder::build`] sums the counts.
+    offsets: Vec<u64>,
+    /// Targets of the edges that arrived in order, in that order.
+    targets: Vec<PageId>,
+    /// The greatest edge so far, which is the last one in `targets`.
+    last: Option<(PageId, PageId)>,
+    /// Edges that arrived below `last`.
+    stragglers: Vec<(PageId, PageId)>,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with exactly `num_nodes` vertices.
     pub fn new(num_nodes: u32) -> Self {
-        Self {
-            num_nodes,
-            edges: Vec::new(),
-        }
+        Self::with_edge_capacity(num_nodes, 0)
     }
 
-    /// Creates a builder that expects roughly `hint` edges.
-    pub fn with_edge_capacity(num_nodes: u32, hint: usize) -> Self {
+    /// Creates a builder with room for `edges` edges arriving in order.
+    pub fn with_edge_capacity(num_nodes: u32, edges: usize) -> Self {
         Self {
             num_nodes,
-            edges: Vec::with_capacity(hint),
+            offsets: vec![0; num_nodes as usize + 1],
+            targets: Vec::with_capacity(edges),
+            last: None,
+            stragglers: Vec::new(),
         }
     }
 
     /// Number of vertices the final graph will have.
     pub fn num_nodes(&self) -> u32 {
         self.num_nodes
+    }
+
+    /// Edges arriving in order that the builder has room for: what
+    /// [`GraphBuilder::with_edge_capacity`] reserved, unless more came.
+    pub fn edge_capacity(&self) -> usize {
+        self.targets.capacity()
     }
 
     /// Adds the directed edge `u → v`.
@@ -167,25 +185,46 @@ impl GraphBuilder {
             "edge ({u}, {v}) outside vertex range 0..{}",
             self.num_nodes
         );
-        self.edges.push((u, v));
+        match self.last {
+            Some(last) if (u, v) == last => {}
+            Some(last) if (u, v) < last => self.stragglers.push((u, v)),
+            _ => {
+                self.offsets[u as usize + 1] += 1;
+                self.targets.push(v);
+                self.last = Some((u, v));
+            }
+        }
     }
 
-    /// Finalises into CSR form: counting sort by source, per-list sort,
-    /// dedup.
+    /// Finalises into CSR form. Edges that all arrived in order are the
+    /// target array already; otherwise every edge goes through one sort
+    /// and dedup of `(source, target)` pairs.
     pub fn build(mut self) -> Graph {
         let n = self.num_nodes as usize;
-        // Sort by (source, target); unstable sort of pairs is fine.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, _) in &self.edges {
-            offsets[u as usize + 1] += 1;
+        if !self.stragglers.is_empty() {
+            let mut edges = std::mem::take(&mut self.stragglers);
+            edges.reserve(self.targets.len());
+            let mut ordered = self.targets.iter();
+            for u in 0..n {
+                let degree = self.offsets[u + 1] as usize;
+                edges.extend(ordered.by_ref().take(degree).map(|&v| (u as PageId, v)));
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            self.offsets.fill(0);
+            for &(u, _) in &edges {
+                self.offsets[u as usize + 1] += 1;
+            }
+            self.targets = edges.into_iter().map(|(_, v)| v).collect();
         }
         for v in 0..n {
-            offsets[v + 1] += offsets[v];
+            self.offsets[v + 1] += self.offsets[v];
         }
-        let targets = self.edges.into_iter().map(|(_, v)| v).collect();
-        Graph { offsets, targets }
+        self.targets.shrink_to_fit();
+        Graph {
+            offsets: self.offsets,
+            targets: self.targets,
+        }
     }
 }
 
@@ -281,6 +320,63 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 2);
+    }
+
+    /// Edge streams in order, reversed, shuffled and with repeats, all of
+    /// one edge set: the graph is the set's, whichever path built it.
+    #[test]
+    fn every_arrival_order_builds_the_same_graph() {
+        let n = 60u32;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32
+        };
+        let set: std::collections::BTreeSet<(u32, u32)> =
+            (0..400).map(|_| (next() % n, next() % n)).collect();
+        let sorted: Vec<(u32, u32)> = set.iter().copied().collect();
+        let mut shuffled = sorted.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, next() as usize % (i + 1));
+        }
+        let doubled: Vec<(u32, u32)> = sorted.iter().flat_map(|&e| [e, e]).collect();
+        let late_repeats: Vec<(u32, u32)> = sorted.iter().chain(&sorted[..50]).copied().collect();
+        let one_straggler: Vec<(u32, u32)> =
+            sorted[1..].iter().chain(&sorted[..1]).copied().collect();
+        let streams = [
+            sorted.clone(),
+            sorted.iter().rev().copied().collect(),
+            shuffled.clone(),
+            doubled,
+            late_repeats,
+            one_straggler,
+            shuffled.iter().chain(&shuffled).copied().collect(),
+        ];
+        for (which, stream) in streams.iter().enumerate() {
+            let g = Graph::from_edges(n, stream.iter().copied());
+            assert_eq!(g.num_nodes(), n);
+            assert!(g.edges().eq(sorted.iter().copied()), "stream {which}");
+            assert_eq!(g.offsets.len(), n as usize + 1);
+            assert_eq!(g.offsets[n as usize], sorted.len() as u64);
+        }
+    }
+
+    /// Edges that arrive in order land in the reserved array and nowhere
+    /// else: it never grows, nothing is kept aside, and `build` hands the
+    /// slack of dropped repeats back.
+    #[test]
+    fn ordered_edges_never_outgrow_their_reservation() {
+        let edges = [(0u32, 1u32), (0, 1), (0, 2), (2, 0), (2, 0), (2, 3), (3, 3)];
+        let mut b = GraphBuilder::with_edge_capacity(4, edges.len());
+        for (u, v) in edges {
+            b.add_edge(u, v);
+        }
+        assert_eq!(b.edge_capacity(), edges.len());
+        assert!(b.stragglers.is_empty() && b.stragglers.capacity() == 0);
+        let g = b.build();
+        assert_eq!(g.num_edges(), 5);
+        assert!(g.targets.capacity() <= 5 + 1);
+        assert!(g.heap_bytes() <= 5 * 8 + 6 * 4);
     }
 
     #[test]

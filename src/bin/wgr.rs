@@ -24,7 +24,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
-use webgraph_repr::corpus::textio::{read_corpus, write_corpus};
+use webgraph_repr::corpus::textio::{read_build_input, read_corpus, write_corpus, BuildInput};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::{FaultPlan, FaultSpec};
 use webgraph_repr::graph::pagerank::{pagerank, top_ranked, PageRankConfig};
@@ -34,7 +34,9 @@ use webgraph_repr::query::queries::{QueryEnv, Workload};
 use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
-use webgraph_repr::snode::{build_snode, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig};
+use webgraph_repr::snode::{
+    build_snode, BuildStats, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -267,9 +269,10 @@ fn cmd_build(args: &[String]) -> i32 {
             }
         },
     };
-    // --stream generates the corpus straight into --corpus DIR first
-    // (bounded memory: no URL strings or CSR graph are materialised),
-    // then builds from the on-disk files like any external corpus.
+    // --stream generates the corpus straight into --corpus DIR first —
+    // the writer holds no URL string and no CSR graph, only what the
+    // copying model needs (`corpus::stream`) — and the build then reads
+    // the files back like any external corpus, as `BuildInput` holds them.
     if args.iter().any(|a| a == "--stream") {
         let pages: u32 = parsed("--pages", &req(args, "--pages"));
         let seed: u64 = num(args, "--seed").unwrap_or(42);
@@ -291,27 +294,28 @@ fn cmd_build(args: &[String]) -> i32 {
         eprintln!("--shards is ignored: there is one builder");
     }
     let rss = obs::RssGauge::auto();
-    let corpus = match read_corpus(&corpus_dir) {
-        Ok(c) => c,
+    let t_read = obs::Stopwatch::start();
+    let input = match read_build_input(&corpus_dir) {
+        Ok(input) => input,
         Err(e) => {
             eprintln!("cannot read corpus {}: {e}", corpus_dir.display());
             return 2;
         }
     };
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
+    let read_ns = obs::record_span("core.build.read", "build", &t_read);
+    println!(
+        "read {} pages, {} links in {:?}",
+        input.num_pages(),
+        input.graph.num_edges(),
+        std::time::Duration::from_nanos(read_ns)
+    );
     let config = SNodeConfig {
         threads,
         codec,
         ..SNodeConfig::default()
     };
     let t0 = obs::Stopwatch::start();
-    let (stats, _renum) = build_snode(input, &config, &out).expect("build");
+    let (stats, _renum) = build_from(&input, &config, &out).expect("build");
     rss.refresh();
     println!(
         "built in {:?} ({} threads, codec {}): {} supernodes, {} superedges, \
@@ -324,8 +328,31 @@ fn cmd_build(args: &[String]) -> i32 {
         stats.bits_per_edge(),
         out.display()
     );
+    println!(
+        "refine: {} iterations, {} URL splits, {} clustered splits, {} aborts",
+        stats.refine.iterations,
+        stats.refine.url_splits,
+        stats.refine.clustered_splits,
+        stats.refine.clustered_aborts
+    );
     flags.print_metrics();
     flags.write_trace()
+}
+
+/// Builds the representation of `input` under `out`: where the flat
+/// arrays a corpus is read into become the slices the builder borrows.
+fn build_from(
+    input: &BuildInput,
+    config: &SNodeConfig,
+    out: &std::path::Path,
+) -> webgraph_repr::snode::Result<(BuildStats, Renumbering)> {
+    let urls = input.urls();
+    let repo = RepoInput {
+        urls: &urls,
+        domains: &input.domains,
+        graph: &input.graph,
+    };
+    build_snode(repo, config, out)
 }
 
 /// `wgr query DIR` — builds the four-scheme query set from the corpus at
@@ -912,18 +939,11 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
         codec,
         ..SNodeConfig::default()
     };
-    let corpus = read_corpus(corpus_dir)
+    let input = read_build_input(corpus_dir)
         .map_err(|e| format!("cannot read corpus at {}: {e}", corpus_dir.display()))?;
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
     let tmp = std::env::temp_dir().join(format!("wgr_repair_{}", std::process::id()));
     std::fs::remove_dir_all(&tmp).ok();
-    let built = build_snode(input, &config, &tmp)
+    let built = build_from(&input, &config, &tmp)
         .map(|_| ())
         .map_err(|e| format!("re-encode failed: {e}"));
     let result = built.and_then(|()| {
@@ -1451,18 +1471,11 @@ fn scale_step_build(args: &[String]) -> i32 {
     let stream_peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
 
     let sw = obs::Stopwatch::start();
-    let corpus = read_corpus(&corpus_dir).expect("read streamed corpus");
+    let input = read_build_input(&corpus_dir).expect("read streamed corpus");
     let read_secs = sw.elapsed().as_secs_f64();
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
     let config = SNodeConfig::default();
     let sw = obs::Stopwatch::start();
-    let (stats, _renum) = build_snode(input, &config, &repo).expect("scale build");
+    let (stats, _renum) = build_from(&input, &config, &repo).expect("scale build");
     let build_secs = sw.elapsed().as_secs_f64();
     let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
     let fp = fingerprint_dir(&repo);
@@ -1472,8 +1485,8 @@ fn scale_step_build(args: &[String]) -> i32 {
          \"build_secs\":{build_secs:.3},\"supernodes\":{},\"superedges\":{},\
          \"bits_per_edge\":{:.4},\"fingerprint\":\"{fp:016x}\",\
          \"stream_peak_rss_bytes\":{stream_peak},\"peak_rss_bytes\":{peak}}}",
-        corpus.num_pages(),
-        corpus.graph.num_edges(),
+        input.num_pages(),
+        input.graph.num_edges(),
         stats.num_supernodes,
         stats.num_superedges,
         stats.bits_per_edge(),

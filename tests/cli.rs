@@ -295,14 +295,28 @@ fn build_metrics_and_trace_and_stats_json() {
         .unwrap();
     assert!(out.status.success(), "build failed: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Build-stage spans land in the registry as histograms.
+    // Build-stage spans land in the registry as histograms — reading the
+    // input included, which `total` does not cover — and what refinement
+    // did as counters.
     for key in [
+        "core.build.read_ns",
         "core.build.refine_ns",
         "core.build.encode_ns",
         "core.build.total_ns",
+        "core.build.refine.iterations",
+        "core.build.refine.url_splits",
+        "core.build.refine.clustered_splits",
+        "core.build.refine.clustered_aborts",
     ] {
         assert!(stdout.contains(key), "missing {key} in: {stdout}");
     }
+    // The same two things in words, either side of the `built in` line.
+    let lines: Vec<&str> = stdout.lines().collect();
+    let built = lines.iter().position(|l| l.starts_with("built in "));
+    let built = built.expect("a `built in` line");
+    assert!(lines[built - 1].starts_with("read 800 pages, "), "{stdout}");
+    assert!(lines[built + 1].starts_with("refine: "), "{stdout}");
+    assert!(lines[built + 1].ends_with(" aborts"), "{stdout}");
     // And as trace events in a Chrome trace-event file.
     let tjson = std::fs::read_to_string(&trace).unwrap();
     assert!(tjson.contains("\"traceEvents\""), "trace: {tjson}");
