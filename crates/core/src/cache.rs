@@ -12,7 +12,7 @@
 //! same budget.
 
 use crate::refenc::{DecodeMemo, DecodeScratch, ListsIndex};
-use crate::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
+use crate::subgraphs::{Layout, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::OnceCell;
@@ -234,6 +234,19 @@ pub enum GraphKey {
     Fanout(u32),
 }
 
+/// The kinds of [`GraphKey`] by name, in the order load traffic is split
+/// by them.
+const KEY_KINDS: [&str; 3] = ["intra", "super", "fanout"];
+
+/// Where `key`'s kind stands in [`KEY_KINDS`].
+fn key_kind(key: &GraphKey) -> usize {
+    match key {
+        GraphKey::Intra(_) => 0,
+        GraphKey::Super(..) => 1,
+        GraphKey::Fanout(_) => 2,
+    }
+}
+
 /// Which out-superedge graphs of one supernode hold a list for each of its
 /// pages — the paper's "set of one or more superedge graphs" a page's
 /// adjacency list is partitioned across (§3). Derived from the `sources`
@@ -245,44 +258,84 @@ pub enum GraphKey {
 #[derive(Debug)]
 pub struct Fanout {
     /// CSR row starts: page `local` draws on
-    /// `slots[offsets[local]..offsets[local + 1]]`.
+    /// `rows[offsets[local]..offsets[local + 1]]`.
     offsets: Vec<u32>,
     /// Per page, the ascending slots of the positive graphs that list it
     /// among their sources.
-    slots: Vec<u32>,
+    rows: Rows,
     /// Ascending slots every page consults: negative graphs, which store
     /// a list for every page, and graphs that could not be read, so that
     /// each access keeps counting the part it went without.
     always: Vec<u32>,
 }
 
+/// The rows of a [`Fanout`], end to end. A slot indexes one supernode's
+/// row of the supernode graph — hundreds of entries at most on a crawl —
+/// and the rows are most of what a fanout weighs, so they are kept at two
+/// bytes a slot wherever every slot fits.
+#[derive(Debug)]
+enum Rows {
+    Narrow(Vec<u16>),
+    /// A supernode with more than 65 536 out-superedges.
+    Wide(Vec<u32>),
+}
+
+/// One page's row of a [`Fanout`]: ascending slots.
+#[derive(Debug, Clone, Copy)]
+pub enum Slots<'a> {
+    /// Of a supernode whose every slot fits 16 bits.
+    Narrow(&'a [u16]),
+    /// Of one with more out-superedges than that.
+    Wide(&'a [u32]),
+}
+
+impl<'a> Slots<'a> {
+    /// The slots, ascending.
+    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        let (narrow, wide) = match self {
+            Slots::Narrow(row) => (row, &[][..]),
+            Slots::Wide(row) => (&[][..], row),
+        };
+        narrow
+            .iter()
+            .map(|&k| u32::from(k))
+            .chain(wide.iter().copied())
+    }
+
+    /// Whether the row names `slot`.
+    pub fn contains(self, slot: u32) -> bool {
+        match self {
+            Slots::Narrow(row) => {
+                u16::try_from(slot).is_ok_and(|slot| row.binary_search(&slot).is_ok())
+            }
+            Slots::Wide(row) => row.binary_search(&slot).is_ok(),
+        }
+    }
+}
+
 impl Fanout {
     /// Builds the fanout of a supernode of `ni` pages from its
-    /// out-superedge graphs in slot order; `None` stands for a graph that
-    /// could not be read. Two counting passes over the `sources`,
-    /// O(Σ|sources| + `ni`): the biggest supernodes have thousands of
-    /// pages and hundreds of superedges, and are where a probe's tail
-    /// latency comes from.
+    /// out-superedge graphs in slot order: the ascending `sources` of a
+    /// positive graph, `None` for one every page consults — a negative
+    /// graph, or one that could not be read. Two counting passes over the
+    /// `sources`, O(Σ|sources| + `ni`): the biggest supernodes have
+    /// thousands of pages and hundreds of superedges, and are where a
+    /// probe's tail latency comes from.
     pub fn build<'a>(
         ni: u32,
-        graphs: impl Iterator<Item = Option<&'a SuperedgeIndex>> + Clone,
+        graphs: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> Result<Self> {
-        // Lazily: an `SNodeError` built and dropped per source, as
-        // `ok_or` would, tripled the time of the two loops below.
-        let range = || SNodeError::Corrupt("superedge source outside its supernode");
-        let positive = |g: Option<&'a SuperedgeIndex>| {
-            g.filter(|g| g.kind == SuperedgeKind::Positive)
-                .map(SuperedgeIndex::sources)
-        };
         let mut offsets = vec![0u32; ni as usize + 1];
         let mut always = Vec::new();
-        for (k, g) in (0u32..).zip(graphs.clone()) {
-            let Some(sources) = positive(g) else {
+        let mut slots = 0u32;
+        for (k, sources) in (0u32..).zip(graphs.clone()) {
+            slots = k + 1;
+            let Some(sources) = sources else {
                 always.push(k);
                 continue;
             };
             for &src in sources {
-                *offsets.get_mut(src as usize + 1).ok_or_else(range)? += 1;
+                *offsets.get_mut(src as usize + 1).ok_or_else(out_of_range)? += 1;
             }
         }
         let mut total = 0u32;
@@ -292,31 +345,30 @@ impl Fanout {
                 .ok_or(SNodeError::Corrupt("fanout overflows u32"))?;
             *o = total;
         }
-        let mut slots = vec![0u32; total as usize];
-        let mut next = offsets.clone();
-        for (k, g) in (0u32..).zip(graphs) {
-            // Slots ascend with the outer loop, so every row comes out
-            // sorted without a sort.
-            for &src in positive(g).unwrap_or_default() {
-                let at = next.get_mut(src as usize).ok_or_else(range)?;
-                *slots.get_mut(*at as usize).ok_or_else(range)? = k;
-                *at += 1;
-            }
-        }
+        let rows = if slots <= u32::from(u16::MAX) + 1 {
+            // Every slot is below 2¹⁶: the cast keeps it whole.
+            Rows::Narrow(fill_rows(&offsets, graphs, |k| k as u16)?)
+        } else {
+            Rows::Wide(fill_rows(&offsets, graphs, |k| k)?)
+        };
         Ok(Self {
             offsets,
-            slots,
+            rows,
             always,
         })
     }
 
     /// The ascending slots of the positive graphs holding a list for page
     /// `local` (empty for a page outside the supernode).
-    pub fn slots_of(&self, local: u32) -> &[u32] {
+    pub fn slots_of(&self, local: u32) -> Slots<'_> {
         let row = |i: usize| self.offsets.get(i).map(|&o| o as usize);
-        match (row(local as usize), row(local as usize + 1)) {
-            (Some(lo), Some(hi)) => self.slots.get(lo..hi).unwrap_or_default(),
-            _ => &[],
+        let (lo, hi) = match (row(local as usize), row(local as usize + 1)) {
+            (Some(lo), Some(hi)) => (lo, hi),
+            _ => (0, 0),
+        };
+        match &self.rows {
+            Rows::Narrow(rows) => Slots::Narrow(rows.get(lo..hi).unwrap_or_default()),
+            Rows::Wide(rows) => Slots::Wide(rows.get(lo..hi).unwrap_or_default()),
         }
     }
 
@@ -326,8 +378,39 @@ impl Fanout {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.offsets.len() + self.slots.len() + self.always.len()) * 4
+        let rows = match &self.rows {
+            Rows::Narrow(rows) => rows.len() * 2,
+            Rows::Wide(rows) => rows.len() * 4,
+        };
+        (self.offsets.len() + self.always.len()) * 4 + rows
     }
+}
+
+/// Built where it is returned: an `SNodeError` built and dropped per
+/// source, as `ok_or` would, tripled the time of the counting loops.
+fn out_of_range() -> SNodeError {
+    SNodeError::Corrupt("superedge source outside its supernode")
+}
+
+/// The second counting pass of [`Fanout::build`]: every slot written
+/// straight to its place in its page's row, as `narrow` stores it.
+fn fill_rows<'a, T: Copy + Default>(
+    offsets: &[u32],
+    graphs: impl Iterator<Item = Option<&'a [u32]>>,
+    narrow: impl Fn(u32) -> T,
+) -> Result<Vec<T>> {
+    let mut rows = vec![T::default(); offsets.last().map_or(0, |&total| total as usize)];
+    let mut next = offsets.to_vec();
+    for (k, sources) in (0u32..).zip(graphs) {
+        // Slots ascend with the outer loop, so every row comes out
+        // sorted without a sort.
+        for &src in sources.unwrap_or_default() {
+            let at = next.get_mut(src as usize).ok_or_else(out_of_range)?;
+            *rows.get_mut(*at as usize).ok_or_else(out_of_range)? = narrow(k);
+            *at += 1;
+        }
+    }
+    Ok(rows)
 }
 
 /// A decoded graph: positive adjacency lists in local ids.
@@ -398,12 +481,16 @@ pub enum CachedGraph {
     Fanout(Fanout),
 }
 
+const _: () = assert!(std::mem::size_of::<CachedGraph>() <= CachedGraph::FIXED_BYTES);
+
 impl CachedGraph {
-    /// What every constructor charges for the `CachedGraph` value itself:
-    /// its size when the cache accounting was calibrated. A constant, so
-    /// that a field added to a variant does not move every eviction
-    /// counter the committed baselines compare.
-    const FIXED_BYTES: usize = 232;
+    /// What every constructor charges for the `CachedGraph` value itself,
+    /// the [`SuperedgeIndex`] that sits inline in one variant included
+    /// (so [`SuperedgeIndex::heap_bytes`] counts none of it). A constant
+    /// no smaller than the value, checked below: a field added to a
+    /// variant shows up there, in review, not as eviction counters that
+    /// moved or a cache that holds more than it charges.
+    const FIXED_BYTES: usize = 88 + SuperedgeIndex::FIXED_BYTES;
 
     /// Wraps dense decoded lists, computing the footprint.
     pub fn new(lists: Vec<Vec<u32>>) -> Self {
@@ -430,12 +517,12 @@ impl CachedGraph {
         }
     }
 
-    /// The decoded-list memo cap for an encoded graph: equal to the
-    /// graph's own encoded footprint. Policy: a graph's hot decoded lists
-    /// may occupy at most as much budget again as the encoded graph they
-    /// derive from, so admitting a graph charges exactly twice its
-    /// encoded-resident size and the §4.3 accounting stays a single
-    /// constructor-time number.
+    /// The decoded-list memo cap for a graph of `encoded` bytes: as many
+    /// again. Policy: a graph's hot decoded lists may occupy at most as
+    /// much budget as the encoded graph they derive from — the bytes read,
+    /// not the directory parsed from them, which for an intranode graph is
+    /// the larger of the two and holds no list a memo could stand in for —
+    /// and the §4.3 accounting stays a single constructor-time number.
     fn memo_cap(encoded: usize) -> usize {
         encoded
     }
@@ -450,9 +537,8 @@ impl CachedGraph {
         index: ListsIndex,
     ) -> Self {
         let data = data.into();
-        let encoded = data.len() + index.heap_bytes();
-        let cap = Self::memo_cap(encoded);
-        let bytes = encoded + cap + Self::FIXED_BYTES;
+        let cap = Self::memo_cap(data.len());
+        let bytes = data.len() + index.heap_bytes() + cap + Self::FIXED_BYTES;
         CachedGraph::EncodedIntra {
             data,
             bit_len,
@@ -471,14 +557,13 @@ impl CachedGraph {
         nj: u64,
     ) -> Self {
         let data = data.into();
-        let encoded = data.len() + index.heap_bytes();
         // A single-target dictionary answers from two arrays: there is no
         // decoded list to keep, so no memo to reserve budget for.
         let cap = match index.layout() {
             Layout::SingleTargets => 0,
-            Layout::Lists | Layout::ListDictionary => Self::memo_cap(encoded),
+            Layout::Lists | Layout::ListDictionary => Self::memo_cap(data.len()),
         };
-        let bytes = encoded + cap + Self::FIXED_BYTES;
+        let bytes = data.len() + index.heap_bytes() + cap + Self::FIXED_BYTES;
         CachedGraph::EncodedSuper {
             data,
             bit_len,
@@ -613,13 +698,24 @@ pub struct GraphCacheStats {
     pub evictions: u64,
     /// Total bytes decoded over the lifetime (load traffic).
     pub bytes_loaded: u64,
+    /// The part of `bytes_loaded` charged for intranode graphs.
+    pub bytes_loaded_intra: u64,
+    /// The part charged for superedge graphs.
+    pub bytes_loaded_super: u64,
+    /// The part charged for fanouts.
+    pub bytes_loaded_fanout: u64,
 }
 
-/// Default shard count for shared-read caches. Power of two, sized for
-/// the thread-per-core wg-serve front-end: enough shards that concurrent
-/// readers rarely collide on one lock, few enough that the per-shard
-/// byte budget (`total / shards`) stays useful at the §4.3 allowances.
+/// The most shards [`GraphCache::new`] cuts a budget into. Power of two,
+/// sized for the thread-per-core wg-serve front-end: enough shards that
+/// concurrent readers rarely collide on one lock.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
+
+/// The least budget [`GraphCache::new`] gives a shard. The largest
+/// supernodes' fanout and intranode entries are 50–200 KB each: in a
+/// smaller shard one of them evicts everything else and is itself gone
+/// before the next probe into its supernode (measured in DESIGN.md §5f).
+const MIN_SHARD_BUDGET: usize = 1 << 20;
 
 /// Sharded LRU cache of decoded graphs under a byte budget.
 ///
@@ -648,6 +744,9 @@ pub struct GraphCache {
     /// `--metrics` (timing is telemetry-gated).
     shard_locks: Vec<LockMetrics>,
     metrics: wg_obs::CacheMetrics,
+    /// `metrics.bytes_loaded` by kind of key, in [`KEY_KINDS`] order:
+    /// `core.cache.bytes_loaded.{intra,super,fanout}` under `--metrics`.
+    loaded_by_kind: [wg_obs::Counter; 3],
     /// Once set, every load/unload is appended here (the paper's log).
     /// Unset, recording an event costs one load and no lock.
     log: OnceLock<Mutex<Vec<CacheEvent>>>,
@@ -779,10 +878,13 @@ fn shard_hash(key: &GraphKey) -> u64 {
 }
 
 impl GraphCache {
-    /// Creates a cache bounded by `budget_bytes` of decoded graph data,
-    /// split over [`DEFAULT_CACHE_SHARDS`] shards.
+    /// Creates a cache bounded by `budget_bytes` of decoded graph data, in
+    /// as many shards as leave each at least 1 MiB, from one — a budget
+    /// that holds a few hundred graphs is one LRU — to
+    /// [`DEFAULT_CACHE_SHARDS`].
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_shards(budget_bytes, DEFAULT_CACHE_SHARDS)
+        let shards = (budget_bytes / MIN_SHARD_BUDGET).clamp(1, DEFAULT_CACHE_SHARDS);
+        Self::with_shards(budget_bytes, shards)
     }
 
     /// Creates a cache with an explicit shard count (1 = the classic
@@ -806,6 +908,10 @@ impl GraphCache {
                 .map(|i| LockMetrics::auto(&format!("core.cache.shard{i}.lock")))
                 .collect(),
             metrics: wg_obs::CacheMetrics::auto("core.cache"),
+            loaded_by_kind: KEY_KINDS.map(|kind| match wg_obs::metrics_enabled() {
+                true => wg_obs::global().counter(&format!("core.cache.bytes_loaded.{kind}")),
+                false => wg_obs::Counter::default(),
+            }),
             log: OnceLock::new(),
         }
     }
@@ -876,17 +982,22 @@ impl GraphCache {
 
     /// Statistics so far (a view over the obs counters).
     pub fn stats(&self) -> GraphCacheStats {
+        let [intra, superedge, fanout] = &self.loaded_by_kind;
         GraphCacheStats {
             hits: self.metrics.hits.get(),
             misses: self.metrics.misses.get(),
             evictions: self.metrics.evictions.get(),
             bytes_loaded: self.metrics.bytes_loaded.get(),
+            bytes_loaded_intra: intra.get(),
+            bytes_loaded_super: superedge.get(),
+            bytes_loaded_fanout: fanout.get(),
         }
     }
 
     /// Resets statistics (not contents).
     pub fn reset_stats(&self) {
         self.metrics.reset();
+        self.loaded_by_kind.iter().for_each(wg_obs::Counter::reset);
     }
 
     /// Looks up a graph, bumping its recency.
@@ -928,7 +1039,9 @@ impl GraphCache {
     /// evicting everything else in the shard.
     pub fn insert(&self, key: GraphKey, graph: CachedGraph) -> Arc<CachedGraph> {
         let bytes = graph.bytes();
+        let kind = key_kind(&key);
         self.metrics.bytes_loaded.add(bytes as u64);
+        self.loaded_by_kind[kind].add(bytes as u64);
         self.log_event(CacheEvent::Load(key));
         let i = self.shard_index(&key);
         if wg_obs::trace_enabled() {
@@ -936,16 +1049,11 @@ impl GraphCache {
             // shard id arg is what makes FNV routing skew visible on the
             // trace timeline.
             let sw = Stopwatch::start();
-            let kind = match key {
-                GraphKey::Intra(_) => "intra",
-                GraphKey::Super(..) => "super",
-                GraphKey::Fanout(_) => "fanout",
-            };
             wg_obs::record_span_args(
                 "core.cache.load",
                 "core",
                 &sw,
-                &[("shard", itoa(i)), ("kind", kind)],
+                &[("shard", itoa(i)), ("kind", KEY_KINDS[kind])],
             );
         }
         let mut shard = self.lock_shard(i);
@@ -1244,20 +1352,22 @@ mod tests {
 
     /// An encoded intranode graph whose lists are similar enough that the
     /// windowed selector builds reference chains (so decodes populate the
-    /// memo).
+    /// memo), and short beside the graph's encoded bytes (so the memo, a
+    /// reservation of that many bytes, holds several).
     fn chained_encoded_intra() -> CachedGraph {
-        // Intranode universes equal the list count, so targets stay < 30.
-        let base: Vec<u32> = (0..30).collect();
-        let lists: Vec<Vec<u32>> = (0..30u32)
+        // Intranode universes equal the list count: targets stay < 240.
+        // A dozen shared targets less one, plus one of the list's own.
+        let lists: Vec<Vec<u32>> = (0..240u32)
             .map(|i| {
-                let mut l = base.clone();
-                l.retain(|&x| x % 23 != i % 23);
+                let mut l: Vec<u32> = (0..12).filter(|x| x % 7 != i % 7).map(|x| x * 20).collect();
+                l.push(i / 20 * 20 + 1 + i % 19);
+                l.sort_unstable();
                 l
             })
             .collect();
         let enc = crate::refenc::encode_lists(
             &lists,
-            30,
+            240,
             crate::refenc::RefMode::Windowed(8),
             crate::codec::ListCodec::GAMMA,
         );
@@ -1280,14 +1390,55 @@ mod tests {
         else {
             panic!("expected EncodedIntra");
         };
-        let encoded = data.len() + index.heap_bytes();
-        assert_eq!(g.memo_cap_bytes(), encoded, "cap = encoded footprint");
+        assert!(index.heap_bytes() > 0);
+        assert_eq!(
+            g.memo_cap_bytes(),
+            data.len(),
+            "cap = the encoded bytes, the directory apart"
+        );
         assert_eq!(
             *bytes,
-            encoded + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
+            data.len() + index.heap_bytes() + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
             "accounted bytes include the full memo cap up front"
         );
         assert_eq!(g.memo_used(), 0, "memo starts empty");
+    }
+
+    /// A superedge graph reserves its encoded bytes too — not those plus
+    /// `sources` and offsets, which made a 250-byte graph reserve 2.4 KB —
+    /// and a single-target dictionary, which keeps no list, nothing.
+    #[test]
+    fn memo_cap_of_a_superedge_graph_is_its_encoded_bytes() {
+        let codec = crate::codec::ListCodec::GAMMA;
+        let encode = |pos: &[Vec<u32>], codec| {
+            let mode = crate::refenc::RefMode::Windowed(4);
+            let policy = crate::subgraphs::SuperedgePolicy::EncodedSize;
+            crate::subgraphs::encode_superedge(pos, 8, mode, policy, codec)
+        };
+        let lists: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3, 3 + s % 5]).collect();
+        let enc = encode(&lists, codec);
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
+        let (encoded, directory) = (enc.bytes.len(), index.heap_bytes());
+        assert!(
+            directory > encoded,
+            "forty sources and offsets: 4 bytes each"
+        );
+        let g = CachedGraph::new_encoded_super(enc.bytes, enc.bit_len, index, 8);
+        assert_eq!(g.memo_cap_bytes(), encoded);
+        assert_eq!(
+            g.bytes(),
+            2 * encoded + directory + CachedGraph::FIXED_BYTES
+        );
+
+        let singles: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3]).collect();
+        let codec = crate::codec::ListCodec {
+            layouts: crate::codec::SuperedgeLayouts::Priced,
+        };
+        let enc = encode(&singles, codec);
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
+        assert_eq!(index.layout(), Layout::SingleTargets);
+        let g = CachedGraph::new_encoded_super(enc.bytes, enc.bit_len, index, 8);
+        assert_eq!(g.memo_cap_bytes(), 0);
     }
 
     #[test]
@@ -1322,8 +1473,42 @@ mod tests {
     }
 
     #[test]
-    fn shard_telemetry_reports_per_shard_traffic() {
+    fn shard_count_follows_the_budget() {
+        for (mib, shards) in [(0usize, 1usize), (1, 1), (2, 2), (3, 3), (8, 8), (256, 8)] {
+            let c = GraphCache::new(mib << 20);
+            assert_eq!(c.num_shards(), shards, "{mib} MiB");
+            assert_eq!(c.shard_telemetry().len(), shards, "{mib} MiB");
+        }
+        assert_eq!(GraphCache::new((2 << 20) - 1).num_shards(), 1);
+    }
+
+    #[test]
+    fn bytes_loaded_splits_by_key_kind() {
         let c = GraphCache::new(1 << 20);
+        let sizes = [
+            (GraphKey::Intra(0), 1_000),
+            (GraphKey::Super(0, 1), 2_000),
+            (GraphKey::Fanout(0), 3_000),
+            (GraphKey::Super(0, 2), 4_000),
+        ];
+        let mut charged = [0u64; 4];
+        for (i, (key, size)) in sizes.into_iter().enumerate() {
+            let graph = graph_of(size);
+            charged[i] = graph.bytes() as u64;
+            c.insert(key, graph);
+        }
+        let s = c.stats();
+        assert_eq!(s.bytes_loaded_intra, charged[0]);
+        assert_eq!(s.bytes_loaded_super, charged[1] + charged[3]);
+        assert_eq!(s.bytes_loaded_fanout, charged[2]);
+        assert_eq!(s.bytes_loaded, charged.iter().sum::<u64>());
+        c.reset_stats();
+        assert_eq!(c.stats(), GraphCacheStats::default());
+    }
+
+    #[test]
+    fn shard_telemetry_reports_per_shard_traffic() {
+        let c = GraphCache::new(8 << 20);
         c.insert(GraphKey::Intra(0), CachedGraph::new(vec![vec![1]]));
         assert!(c.get(GraphKey::Intra(0)).is_some());
         assert!(c.get(GraphKey::Intra(1)).is_none());
@@ -1388,16 +1573,28 @@ mod tests {
             superedge_index(6, &[(4, vec![2])]),
             superedge_index(6, &[(0, vec![1]), (4, vec![5]), (5, vec![6])]),
         ];
-        assert_eq!(graphs[1].kind, SuperedgeKind::Negative);
+        assert!(graphs[1].positive_sources().is_none(), "negative");
         // Slot 2 could not be read.
-        let slots = [Some(&graphs[0]), Some(&graphs[1]), None, Some(&graphs[3])];
+        let slots = [
+            graphs[0].positive_sources(),
+            graphs[1].positive_sources(),
+            None,
+            graphs[3].positive_sources(),
+        ];
         let fanout = Fanout::build(6, slots.into_iter()).expect("build");
         assert_eq!(fanout.always(), [1, 2]);
-        let rows: Vec<&[u32]> = (0..7).map(|local| fanout.slots_of(local)).collect();
+        let rows: Vec<Vec<u32>> = (0..7)
+            .map(|local| fanout.slots_of(local).iter().collect())
+            .collect();
         let expect: [&[u32]; 7] = [&[3], &[0], &[], &[], &[0, 3], &[3], &[]];
         assert_eq!(rows, expect, "page 6 is outside the supernode");
+        assert!(fanout.slots_of(4).contains(3) && !fanout.slots_of(4).contains(1));
         let cached = CachedGraph::Fanout(fanout);
-        assert_eq!(cached.bytes(), (7 + 5 + 2) * 4 + CachedGraph::FIXED_BYTES);
+        assert_eq!(
+            cached.bytes(),
+            (7 + 2) * 4 + 5 * 2 + CachedGraph::FIXED_BYTES,
+            "offsets and `always` at four bytes, rows at two"
+        );
         assert!(
             cached.decode_list_for(0).is_err(),
             "a fanout stores no lists"
@@ -1405,8 +1602,111 @@ mod tests {
 
         // A graph parsed for a larger supernode than the one it is filed
         // under is refused, not indexed out of range.
-        let err = Fanout::build(4, [Some(&graphs[0])].into_iter());
+        let err = Fanout::build(4, [graphs[0].positive_sources()].into_iter());
         assert!(matches!(err, Err(SNodeError::Corrupt(_))));
+    }
+
+    /// The fanout in the form it replaced, kept as the model: the same two
+    /// counting passes into `u32` rows. `(offsets, rows, always)`.
+    type ModelFanout = (Vec<u32>, Vec<u32>, Vec<u32>);
+
+    fn model_fanout(ni: u32, graphs: &[Option<Vec<u32>>]) -> Option<ModelFanout> {
+        let mut offsets = vec![0u32; ni as usize + 1];
+        let mut always = Vec::new();
+        for (k, sources) in (0u32..).zip(graphs) {
+            let Some(sources) = sources else {
+                always.push(k);
+                continue;
+            };
+            for &src in sources {
+                *offsets.get_mut(src as usize + 1)? += 1;
+            }
+        }
+        let mut total = 0u32;
+        for o in &mut offsets {
+            total += *o;
+            *o = total;
+        }
+        let mut rows = vec![0u32; total as usize];
+        let mut next = offsets.clone();
+        for (k, sources) in (0u32..).zip(graphs) {
+            for &src in sources.iter().flatten() {
+                rows[next[src as usize] as usize] = k;
+                next[src as usize] += 1;
+            }
+        }
+        Some((offsets, rows, always))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Rows and `always` are what the `u32` build gives for any mix of
+        /// positive, negative and unreadable slots — in 16-bit rows, and
+        /// in the 32-bit ones a supernode with more than 65 536
+        /// out-superedges falls back to — and a source outside the
+        /// supernode is `Corrupt`, neither a panic nor a write out of
+        /// bounds.
+        #[test]
+        fn fanout_answers_as_the_u32_rows_it_replaced(
+            ni in 0u32..40,
+            slots in proptest::collection::vec(
+                (0u32..5, proptest::collection::btree_set(0u32..40, 0..12)),
+                0..24,
+            ),
+            many_slots in proptest::any::<bool>(),
+            stray in (0u32..5, 0usize..24, 0u32..3),
+        ) {
+            // Sources inside the supernode, then at most one stray beyond it.
+            let mut graphs: Vec<Option<Vec<u32>>> = slots
+                .into_iter()
+                .map(|(kind, sources)| {
+                    // One slot in five is negative or unreadable.
+                    (kind > 0).then(|| sources.into_iter().filter(|&src| src < ni).collect())
+                })
+                .collect();
+            if many_slots {
+                // Empty positive graphs ahead of the rest push every slot
+                // that matters past what sixteen bits hold.
+                graphs.splice(0..0, vec![Some(Vec::new()); 1 << 16]);
+            }
+            let mut strayed = false;
+            if let (0, k, beyond) = stray {
+                let at = graphs.len().saturating_sub(1 + k % graphs.len().max(1));
+                if let Some(Some(sources)) = graphs.get_mut(at) {
+                    sources.push(ni + beyond);
+                    strayed = true;
+                }
+            }
+            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref));
+            let model = model_fanout(ni, &graphs);
+            proptest::prop_assert_eq!(model.is_none(), strayed);
+            let Some((offsets, rows, always)) = model else {
+                proptest::prop_assert!(matches!(built, Err(SNodeError::Corrupt(_))));
+                return Ok(());
+            };
+            let built = built.expect("every source inside the supernode");
+            proptest::prop_assert_eq!(
+                matches!(built.rows, Rows::Wide(_)),
+                graphs.len() > 1 << 16,
+                "{} slots", graphs.len()
+            );
+            proptest::prop_assert_eq!(built.always(), &always[..]);
+            for local in 0..ni + 2 {
+                let want = match offsets.get(local as usize..local as usize + 2) {
+                    Some(&[lo, hi]) => &rows[lo as usize..hi as usize],
+                    _ => &[],
+                };
+                let got: Vec<u32> = built.slots_of(local).iter().collect();
+                proptest::prop_assert_eq!(&got[..], want, "page {}", local);
+                for k in (0..graphs.len() as u32 + 1).rev().take(30) {
+                    proptest::prop_assert_eq!(
+                        built.slots_of(local).contains(k),
+                        want.contains(&k)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

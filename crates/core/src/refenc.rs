@@ -980,6 +980,19 @@ pub(crate) fn read_bounded_gap_list_into(
     read_ascending_entries(r, count, universe, |x| out.push(x))
 }
 
+/// Reads a list written by [`write_bounded_gap_list`] onto the end of
+/// `out`, with every check of [`read_bounded_gap_list_into`]. What it
+/// appended before an error stays for the caller to cut off.
+pub(crate) fn append_bounded_gap_list(
+    r: &mut BitReader<'_>,
+    universe: u64,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    let count = read_list_count(r, universe)?;
+    out.reserve(count as usize);
+    read_ascending_entries(r, count, universe, |x| out.push(x))
+}
+
 /// [`read_bounded_gap_list_into`] into a fresh vector, for what is read
 /// once and kept (a graph's `sources`, a dictionary's targets).
 pub(crate) fn read_bounded_gap_list(r: &mut BitReader<'_>, universe: u64) -> Result<Vec<u32>> {

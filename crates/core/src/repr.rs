@@ -16,7 +16,7 @@ use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats,
 use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
-use crate::subgraphs::SuperedgeIndex;
+use crate::subgraphs::{scan_sources, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
@@ -166,8 +166,9 @@ struct Part {
 /// supernode graph never has this many entries.
 const INTRA_SLOT: u32 = u32::MAX;
 
-/// An out-superedge graph as read for a fanout build.
-type ParsedSuperedge = (Blob, SuperedgeIndex);
+/// An out-superedge graph as a fanout build read it: the checksummed
+/// blob, scanned as far as its `sources` and not parsed.
+type ParsedSuperedge = Blob;
 
 /// Reusable buffers of the batched navigation path, kept on the handle so
 /// steady-state BFS levels allocate nothing new.
@@ -188,6 +189,11 @@ struct BatchScratch {
     /// group's supernode as the build read it, by slot (`None`:
     /// quarantined, or already moved into the cache). Empty otherwise.
     parsed: Vec<Option<ParsedSuperedge>>,
+    /// What a fanout build works from: the `sources` of the supernode's
+    /// positive out-superedge graphs end to end, and per slot where its
+    /// graph's lie (`None`: a graph every page consults).
+    sources: Vec<u32>,
+    ranges: Vec<Option<std::ops::Range<usize>>>,
 }
 
 /// Disk-backed S-Node representation with a memory-budgeted graph cache.
@@ -478,7 +484,7 @@ impl SNode {
             // the scalar path), and only of the graphs the fanout names
             // for the group's pages.
             let intra = self.intranode(s)?;
-            let fanout = self.fanout(s, &mut scratch.parsed)?;
+            let fanout = self.fanout(s, scratch)?;
             let fanout = fanout.as_fanout().ok_or(SNodeError::Corrupt(
                 "graph cache holds a graph under a fanout key",
             ))?;
@@ -486,7 +492,7 @@ impl SNode {
             scratch.slots.extend_from_slice(fanout.always());
             for gi in g..end {
                 let local = pages[scratch.order[gi] as usize] - range.start;
-                scratch.slots.extend_from_slice(fanout.slots_of(local));
+                scratch.slots.extend(fanout.slots_of(local).iter());
             }
             scratch.slots.sort_unstable();
             scratch.slots.dedup();
@@ -539,7 +545,7 @@ impl SNode {
                 let own = fanout.slots_of(local);
                 for pi in 0..scratch.parts.len() {
                     let part = &scratch.parts[pi];
-                    if !part.always && own.binary_search(&part.slot).is_err() {
+                    if !part.always && !own.contains(part.slot) {
                         continue;
                     }
                     let Some(graph) = &part.graph else {
@@ -677,23 +683,12 @@ impl SNode {
             return Ok(Some(g));
         }
         let loc = self.meta.intranode_loc[s as usize];
-        // Miss path: blob read + directory parse is decode work for stage
-        // attribution (the cache's own admission time is CacheLookup).
-        let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
-        let parsed = self
-            .load_blob(&loc, self.blob_base[s as usize])
-            .and_then(|bytes| {
-                let index = ListsIndex::parse(
-                    &bytes,
-                    loc.bit_len,
-                    Universe::SameAsCount,
-                    self.meta.codec.intra,
-                )?;
-                Ok((bytes, index))
-            });
-        if let Some(sw) = sw {
-            wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
-        }
+        let parsed = timed_decode(|| {
+            let bytes = self.load_blob(&loc, self.blob_base[s as usize])?;
+            let (universe, codec) = (Universe::SameAsCount, self.meta.codec.intra);
+            let index = ListsIndex::parse(&bytes, loc.bit_len, universe, codec)?;
+            Ok((bytes, index))
+        });
         match parsed {
             Ok((bytes, index)) => Ok(Some(self.cache.insert(
                 key,
@@ -706,36 +701,61 @@ impl SNode {
         }
     }
 
-    /// The fanout of supernode `s`. A miss builds it from what a cold probe
-    /// reads of every out-superedge graph anyway — the checksummed blob,
-    /// parsed as far as `sources` — and leaves those graphs in `parsed`
-    /// for the caller to admit the ones its pages need.
-    fn fanout(
-        &self,
-        s: u32,
-        parsed: &mut Vec<Option<ParsedSuperedge>>,
-    ) -> Result<Arc<CachedGraph>> {
-        let key = GraphKey::Fanout(s);
-        if let Some(f) = self.cache.get(key) {
-            return Ok(f);
+    /// The fanout of supernode `s`, from the cache or built by this probe.
+    fn fanout(&self, s: u32, scratch: &mut BatchScratch) -> Result<Arc<CachedGraph>> {
+        match self.cache.get(GraphKey::Fanout(s)) {
+            Some(fanout) => Ok(fanout),
+            None => self.build_fanout(s, scratch),
         }
+    }
+
+    /// A fanout miss: builds the fanout of `s` from what a cold probe reads
+    /// of every out-superedge graph anyway — the checksummed blob, scanned
+    /// as far as `sources` — admits it, and leaves the blobs in
+    /// `scratch.parsed` for the caller to parse and admit the ones its
+    /// pages need. Out of line, like [`SNode::load_superedge`]: with the
+    /// two miss paths inlined into `batch_run` every *warm* probe read 12 %
+    /// slower (ten ledger pairs, none won).
+    #[inline(never)]
+    fn build_fanout(&self, s: u32, scratch: &mut BatchScratch) -> Result<Arc<CachedGraph>> {
+        let BatchScratch {
+            parsed,
+            sources,
+            ranges,
+            ..
+        } = scratch;
         parsed.clear();
-        for (k, &j) in (0u32..).zip(&self.meta.supergraph.adj[s as usize]) {
-            parsed.push(if self.superedge_quarantined(s, j) {
-                None
-            } else {
-                self.read_superedge(s, k, j)?
-            });
+        sources.clear();
+        ranges.clear();
+        let ni = self.meta.supernode_size(s);
+        let locs = &self.meta.superedge_loc[s as usize];
+        for ((k, &j), loc) in (0u64..)
+            .zip(&self.meta.supergraph.adj[s as usize])
+            .zip(locs)
+        {
+            let scanned = match self.superedge_quarantined(s, j) {
+                true => None,
+                false => {
+                    let scanned = timed_decode(|| {
+                        let blob = self.load_blob(loc, self.blob_base[s as usize] + 1 + k)?;
+                        let codec = self.meta.codec.superedge;
+                        let range =
+                            scan_sources(&blob, loc.bit_len, u64::from(ni), codec, sources)?;
+                        Ok((blob, range))
+                    });
+                    self.or_quarantine(s, j, scanned)?
+                }
+            };
+            let (blob, range) = scanned.unzip();
+            parsed.push(blob);
+            ranges.push(range.flatten());
         }
-        let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
-        let built = Fanout::build(
-            self.meta.supernode_size(s),
-            parsed.iter().map(|p| p.as_ref().map(|(_, index)| index)),
-        );
-        if let Some(sw) = sw {
-            wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
-        }
-        Ok(self.cache.insert(key, CachedGraph::Fanout(built?)))
+        let built = timed_decode(|| {
+            Fanout::build(ni, (ranges.iter()).map(|range| sources.get(range.clone()?)))
+        });
+        Ok(self
+            .cache
+            .insert(GraphKey::Fanout(s), CachedGraph::Fanout(built?)))
     }
 
     fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
@@ -744,24 +764,11 @@ impl SNode {
             .is_some_and(|d| d.read().quarantined_super.contains(&(s, j)))
     }
 
-    /// Reads, checksums and parses superedge graph `edge_idx` of `s`;
-    /// `Ok(None)` means it failed and was quarantined (degraded mode only).
-    fn read_superedge(&self, s: u32, edge_idx: u32, j: u32) -> Result<Option<ParsedSuperedge>> {
-        let loc = self.meta.superedge_loc[s as usize][edge_idx as usize];
-        let blob_idx = self.blob_base[s as usize] + 1 + u64::from(edge_idx);
-        let ni = u64::from(self.meta.supernode_size(s));
-        let nj = u64::from(self.meta.supernode_size(j));
-        let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
-        let parsed = self.load_blob(&loc, blob_idx).and_then(|bytes| {
-            let index =
-                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, self.meta.codec.superedge)?;
-            Ok((bytes, index))
-        });
-        if let Some(sw) = sw {
-            wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
-        }
-        match parsed {
-            Ok(parsed) => Ok(Some(parsed)),
+    /// What `loaded` gave of superedge graph `s → j`, or `Ok(None)` once
+    /// the graph is quarantined for failing (degraded mode only).
+    fn or_quarantine<T>(&self, s: u32, j: u32, loaded: Result<T>) -> Result<Option<T>> {
+        match loaded {
+            Ok(loaded) => Ok(Some(loaded)),
             Err(e) => {
                 self.quarantine(Quarantine::Super(s, j), e)?;
                 Ok(None)
@@ -769,36 +776,66 @@ impl SNode {
         }
     }
 
-    /// Superedge graph `edge_idx` of `s`, from the cache, else from
-    /// `parsed` (this probe's fanout build already read it), else from
-    /// disk. `Ok(None)` means the graph is quarantined (degraded mode
+    /// Superedge graph `edge_idx` of `s`, from the cache or loaded by this
+    /// probe. `Ok(None)` means the graph is quarantined (degraded mode
     /// only).
     fn superedge(
         &self,
         s: u32,
         edge_idx: u32,
         j: u32,
-        mut parsed: Option<ParsedSuperedge>,
+        blob: Option<ParsedSuperedge>,
     ) -> Result<Option<Arc<CachedGraph>>> {
         if self.superedge_quarantined(s, j) {
             return Ok(None);
         }
-        let key = GraphKey::Super(s, j);
-        if let Some(g) = self.cache.get(key) {
-            return Ok(Some(g));
+        match self.cache.get(GraphKey::Super(s, j)) {
+            Some(graph) => Ok(Some(graph)),
+            None => self.load_superedge(s, edge_idx, j, blob),
         }
-        if parsed.is_none() {
-            parsed = self.read_superedge(s, edge_idx, j)?;
-        }
-        let bit_len = self.meta.superedge_loc[s as usize][edge_idx as usize].bit_len;
+    }
+
+    /// A superedge miss: parses the graph from `blob` (this probe's fanout
+    /// build already read it), else from disk, and admits it.
+    #[inline(never)]
+    fn load_superedge(
+        &self,
+        s: u32,
+        edge_idx: u32,
+        j: u32,
+        blob: Option<ParsedSuperedge>,
+    ) -> Result<Option<Arc<CachedGraph>>> {
+        let loc = self.meta.superedge_loc[s as usize][edge_idx as usize];
+        let ni = u64::from(self.meta.supernode_size(s));
         let nj = u64::from(self.meta.supernode_size(j));
-        Ok(parsed.map(|(bytes, index)| {
-            self.cache.insert(
-                key,
-                CachedGraph::new_encoded_super(bytes, bit_len, index, nj),
-            )
+        let loaded = timed_decode(|| {
+            let blob = match blob {
+                Some(blob) => blob,
+                None => {
+                    self.load_blob(&loc, self.blob_base[s as usize] + 1 + u64::from(edge_idx))?
+                }
+            };
+            let codec = self.meta.codec.superedge;
+            let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, codec)?;
+            Ok((blob, index))
+        });
+        Ok(self.or_quarantine(s, j, loaded)?.map(|(blob, index)| {
+            let graph = CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj);
+            self.cache.insert(GraphKey::Super(s, j), graph)
         }))
     }
+}
+
+/// Runs `work` — a graph read, checksummed, scanned or parsed on a miss —
+/// as decode work for stage attribution (the cache's own admission time
+/// is `CacheLookup`).
+fn timed_decode<T>(work: impl FnOnce() -> T) -> T {
+    let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
+    let done = work();
+    if let Some(sw) = sw {
+        wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
+    }
+    done
 }
 
 /// Fully memory-resident *encoded* S-Node representation (Table 2 setup).
@@ -867,7 +904,7 @@ impl SNodeInMemory {
             }
             fanout.push(Fanout::build(
                 meta.supernode_size(s),
-                row.iter().map(|(_, _, index)| Some(index)),
+                (row.iter()).map(|(_, _, index)| index.positive_sources()),
             )?);
             supers.push(row);
         }
@@ -915,7 +952,7 @@ impl SNodeInMemory {
             Result::Ok(())
         };
         let fanout = &self.fanout[s as usize];
-        for &k in fanout.always().iter().chain(fanout.slots_of(local)) {
+        for k in (fanout.always().iter().copied()).chain(fanout.slots_of(local).iter()) {
             let j = row[k as usize];
             if j > s {
                 intranode(&mut out, &mut list, &mut scratch)?;
@@ -1021,6 +1058,22 @@ mod tests {
         };
         let (_stats, renum) = build_snode(input, &SNodeConfig::default(), &dir).unwrap();
         (dir, graph, renum, domains)
+    }
+
+    /// A generated crawl of 3 000 pages: dozens of supernodes, most with
+    /// several out-superedges, dictionary layouts among their graphs.
+    fn build_crawl(name: &str) -> (std::path::PathBuf, Graph, crate::disk::Renumbering) {
+        let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(3000, 5));
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        let dir = temp_dir(name);
+        let input = RepoInput {
+            urls: &urls,
+            domains: &domains,
+            graph: &corpus.graph,
+        };
+        let (_stats, renum) = build_snode(input, &SNodeConfig::default(), &dir).unwrap();
+        (dir, corpus.graph, renum)
     }
 
     fn expected_neighbors(
@@ -1233,6 +1286,169 @@ mod tests {
             );
         }
         assert_eq!(snode.integrity_stats(), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cold probe into a supernode with `d` out-superedges is `1 + d`
+    /// blob reads and as many checksums — the fanout build reads every
+    /// out-superedge graph, and the graphs the probe then admits are
+    /// parsed from the blobs it holds, not read again — and a warm one is
+    /// none.
+    #[test]
+    fn a_cold_probe_reads_and_checksums_each_blob_of_its_supernode_once() {
+        let (dir, graph, _renum) = build_crawl("readonce");
+        for resident in [false, true] {
+            let snode = match resident {
+                true => SNode::open_resident(&dir, 1 << 20).unwrap(),
+                false => SNode::open(&dir, 1 << 20).unwrap(),
+            };
+            let mut most = 0;
+            for p in 0..graph.num_nodes() {
+                let s = snode.supernode_of(p);
+                let d = snode.meta().supergraph.adj[s as usize].len() as u64;
+                most = most.max(d);
+                snode.clear_cache();
+                let before = (snode.disk_reads(), snode.integrity_stats().0);
+                snode.out_neighbors(p).unwrap();
+                let cold = (snode.disk_reads(), snode.integrity_stats().0);
+                assert_eq!(cold.0 - before.0, 1 + d, "page {p}: reads");
+                assert_eq!(cold.1 - before.1, 1 + d, "page {p}: checksums");
+                snode.out_neighbors(p).unwrap();
+                assert_eq!((snode.disk_reads(), snode.integrity_stats().0), cold);
+            }
+            assert!(most >= 2, "some supernode has several out-superedges");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every positive out-superedge graph of the directory: its
+    /// supernode, its slot, where its blob lies and its parsed header.
+    fn positive_superedges(dir: &Path) -> Vec<(u32, usize, GraphLocator, SuperedgeIndex)> {
+        let meta = SNodeMeta::read(dir).unwrap();
+        let files = IndexFileReader::open(dir).unwrap();
+        let mut found = Vec::new();
+        for s in 0..meta.num_supernodes() {
+            let ni = u64::from(meta.supernode_size(s));
+            for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
+                let loc = meta.superedge_loc[s as usize][k];
+                let nj = u64::from(meta.supernode_size(j));
+                let bytes = files.read(&loc).unwrap();
+                let index =
+                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
+                        .unwrap();
+                if index.positive_sources().is_some() {
+                    found.push((s, k, loc, index));
+                }
+            }
+        }
+        found
+    }
+
+    /// Clears the bits of the blob at `loc` from bit `from` to its end.
+    fn zero_blob_tail(dir: &Path, loc: &GraphLocator, from: u64) {
+        let path = crate::disk::index_file_path(dir, loc.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let blob = &mut bytes[loc.offset as usize..(loc.offset + loc.byte_len) as usize];
+        for bit in from..loc.byte_len * 8 {
+            blob[(bit / 8) as usize] &= !(0x80 >> (bit % 8));
+        }
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// No manifest, so the blob reads "clean"; its header — a positive
+    /// graph's `sources` — runs off its end. Through the fanout build's
+    /// scan that is what a failed parse was: strict fails every probe into
+    /// the supernode; degraded quarantines the graph, names its slot among
+    /// those every page consults, and counts one skip per access.
+    #[test]
+    fn degraded_open_quarantines_a_superedge_graph_whose_header_does_not_scan() {
+        let (dir, graph, renum) = build_crawl("noscan");
+        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let (s, k, loc, _) = (positive_superedges(&dir).into_iter())
+            .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
+            .expect("a supernode with two out-superedges");
+        zero_blob_tail(&dir, &loc, 0);
+        let range = meta.page_range(s);
+        let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
+
+        let strict = SNode::open(&dir, 1 << 20).unwrap();
+        for p in range.clone() {
+            assert!(strict.out_neighbors(p).is_err(), "strict page {p}");
+        }
+
+        let degraded = SNode::open_degraded(&dir, 1 << 20).unwrap();
+        let mut accesses = 0u64;
+        for round in 0..2 {
+            for p in range.clone() {
+                let mut want = expected_neighbors(&graph, &renum, p);
+                want.retain(|t| !lost.contains(t));
+                assert_eq!(
+                    degraded.out_neighbors(p).unwrap(),
+                    want,
+                    "round {round} page {p}"
+                );
+                accesses += 1;
+                let report = degraded.degraded();
+                assert_eq!(report.quarantined_supernodes, 1);
+                assert_eq!(report.skipped_edges, accesses, "one skip per access");
+            }
+        }
+        let fanout = degraded.cache.get(GraphKey::Fanout(s)).expect("cached");
+        let always = fanout.as_fanout().expect("a fanout").always();
+        assert!(always.contains(&(k as u32)), "{always:?} names slot {k}");
+        for p in (0..graph.num_nodes()).filter(|p| !range.contains(p)) {
+            assert_eq!(
+                degraded.out_neighbors(p).unwrap(),
+                expected_neighbors(&graph, &renum, p)
+            );
+        }
+        assert_eq!(degraded.degraded().skipped_edges, accesses);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fanout miss reads a graph as far as its `sources`: what lies
+    /// behind them is parsed by the first probe that draws on the graph.
+    /// So with no manifest to catch it at the read, a dictionary whose
+    /// entry count was forged (here: runs off the blob) fails that probe,
+    /// and not — as when the miss parsed every out-superedge graph — a
+    /// probe of a page the graph holds nothing for.
+    #[test]
+    fn forged_dictionary_count_without_a_manifest_fails_the_first_probe_that_draws_on_the_graph_and_none_that_does_not(
+    ) {
+        let (dir, graph, renum) = build_crawl("forgedcount");
+        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let files = IndexFileReader::open(&dir).unwrap();
+        let (s, loc, index) = (positive_superedges(&dir).into_iter())
+            .find_map(|(s, _, loc, index)| {
+                let dictionary = index.layout() != crate::subgraphs::Layout::Lists;
+                let partial = (index.sources().len() as u32) < meta.supernode_size(s);
+                (dictionary && partial && !index.sources().is_empty()).then_some((s, loc, index))
+            })
+            .expect("a dictionary graph that lists some pages of its supernode only");
+        let bits = index
+            .bit_breakdown(&files.read(&loc).unwrap(), loc.bit_len)
+            .unwrap();
+        zero_blob_tail(&dir, &loc, bits.header + bits.sources);
+
+        let range = meta.page_range(s);
+        let listed = range.start + index.sources()[0];
+        let unlisted = (range.clone())
+            .find(|p| !index.sources().contains(&(p - range.start)))
+            .unwrap();
+        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        assert!(!snode.verifies_checksums());
+        assert_eq!(
+            snode.out_neighbors(unlisted).unwrap(),
+            expected_neighbors(&graph, &renum, unlisted)
+        );
+        let got = snode.out_neighbors(listed);
+        assert!(got.is_err(), "{got:?}");
+        assert_eq!(
+            snode.out_neighbors(unlisted).unwrap(),
+            expected_neighbors(&graph, &renum, unlisted)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

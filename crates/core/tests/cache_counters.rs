@@ -10,7 +10,8 @@ use wg_snode::cache::{CachedGraph, GraphCache, GraphKey};
 fn stats_shard_tallies_and_registry_counters_agree() {
     // Up before the cache is made: that is when it picks its counters.
     wg_obs::set_metrics_enabled(true);
-    let cache = GraphCache::new(24_000);
+    // Eight shards, as a budget of 8 MiB or more gets.
+    let cache = GraphCache::with_shards(24_000, 8);
     let mut state = 0x5EED_u64;
     for _ in 0..4_000 {
         state = state
@@ -50,4 +51,16 @@ fn stats_shard_tallies_and_registry_counters_agree() {
         registry.counter("core.cache.bytes_loaded").get(),
         stats.bytes_loaded
     );
+    let by_kind = [
+        ("intra", stats.bytes_loaded_intra),
+        ("super", stats.bytes_loaded_super),
+        ("fanout", stats.bytes_loaded_fanout),
+    ];
+    for (kind, bytes) in by_kind {
+        let name = format!("core.cache.bytes_loaded.{kind}");
+        assert!(bytes > 0, "{name}");
+        assert_eq!(registry.counter(&name).get(), bytes, "{name}");
+    }
+    let split: u64 = by_kind.iter().map(|&(_, bytes)| bytes).sum();
+    assert_eq!(split, stats.bytes_loaded, "the three kinds are the total");
 }

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_graph::Graph;
-use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey, DEFAULT_CACHE_SHARDS};
+use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey};
 use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
 use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
@@ -101,7 +101,11 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
         let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
         for s in 0..meta.num_supernodes() {
             let graphs = superedges_of(&meta, &files, s);
-            let fanout = Fanout::build(meta.supernode_size(s), graphs.iter().map(Some)).unwrap();
+            let fanout = Fanout::build(
+                meta.supernode_size(s),
+                graphs.iter().map(SuperedgeIndex::positive_sources),
+            )
+            .unwrap();
             negatives += fanout.always().len();
             for p in meta.page_range(s) {
                 let local = p - meta.page_range(s).start;
@@ -112,7 +116,8 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
                     })
                     .map(|(k, _)| k)
                     .collect();
-                let mut got: Vec<u32> = [fanout.always(), fanout.slots_of(local)].concat();
+                let mut got: Vec<u32> = fanout.always().to_vec();
+                got.extend(fanout.slots_of(local).iter());
                 got.sort_unstable();
                 assert_eq!(got, model, "{codec}: page {p}");
                 named += model.len();
@@ -294,8 +299,9 @@ fn fanout_bigger_than_its_shard_is_still_admitted() {
         .max_by_key(|&s| meta.supernode_size(s))
         .unwrap();
     let graphs = superedges_of(&meta, &files, s);
-    let fanout = Fanout::build(meta.supernode_size(s), graphs.iter().map(Some)).unwrap();
-    assert!(CachedGraph::Fanout(fanout).bytes() > budget / DEFAULT_CACHE_SHARDS);
+    let sources = graphs.iter().map(SuperedgeIndex::positive_sources);
+    let fanout = Fanout::build(meta.supernode_size(s), sources).unwrap();
+    assert!(CachedGraph::Fanout(fanout).bytes() > budget);
 
     let snode = SNode::open(&dir, budget).unwrap();
     snode.enable_cache_log();

@@ -40,7 +40,8 @@ fn setup(pages: u32, seed: u64, name: &str) -> Fx {
         &domains,
         &corpus.graph,
         &SNodeConfig::default(),
-        1 << 20,
+        // The least budget whose cache is cut into all eight shards.
+        8 << 20,
     )
     .unwrap();
     let text = TextIndex::build(&corpus, &set.renumbering);

@@ -256,10 +256,19 @@ fn query_metrics_json_is_deterministic_across_runs() {
     }
     // Registry snapshot rides along in the same document.
     assert!(a.contains("\"registry\""), "missing registry in: {a}");
-    assert!(
-        a.contains("core.cache.hits"),
-        "missing core.cache.hits: {a}"
-    );
+    // Cache traffic, and what the budget was spent on by kind of entry.
+    for counter in [
+        "core.cache.hits",
+        "core.cache.bytes_loaded",
+        "core.cache.bytes_loaded.intra",
+        "core.cache.bytes_loaded.super",
+        "core.cache.bytes_loaded.fanout",
+    ] {
+        assert!(
+            a.contains(&format!("\"{counter}\"")),
+            "missing {counter}: {a}"
+        );
+    }
 
     // Two consecutive runs: identical counters once timing lines go.
     assert_eq!(
