@@ -94,6 +94,10 @@ const MUT_VALUE_OWNERS: &[&str] = &[
     // The run-length size of one copy-mask, made and finished by the one
     // pricing of one reference candidate.
     "MaskRuns",
+    // One list collection under construction: filled by the build that
+    // made it (a supernode's links, a complement, a dictionary, k-means
+    // vectors) and only read, through `FlatLists`, after that.
+    "ListBuf",
 ];
 
 /// `&mut self` owners that live *inside* a shared-state lock: `Pager` is a

@@ -1,17 +1,30 @@
 //! MSB-first bit streams over in-memory byte buffers.
 //!
-//! The writer appends bits into a `Vec<u8>`; the reader consumes bits from a
-//! `&[u8]`. Bits within a byte are ordered most-significant first so that the
-//! byte sequence reads like the bit sequence written, which keeps on-disk
-//! dumps inspectable with `xxd`.
+//! The writer collects bits a 64-bit word at a time and hands back a
+//! `Vec<u8>` (see [`BitWriter`] for its invariants); the reader consumes
+//! bits from a `&[u8]`. Bits within a byte are ordered most-significant
+//! first so that the byte sequence reads like the bit sequence written,
+//! which keeps on-disk dumps inspectable with `xxd`.
 
 use crate::{BitError, Result};
 
-/// Append-only bit sink backed by a `Vec<u8>`.
+/// Append-only bit sink.
 ///
 /// Bits are packed MSB-first. [`BitWriter::finish`] pads the final partial
-/// byte with zero bits and returns the underlying buffer together with the
-/// exact bit length, so readers never confuse padding with payload.
+/// byte with zero bits and returns the bytes together with the exact bit
+/// length, so readers never confuse padding with payload.
+///
+/// Writes accumulate in one 64-bit word and reach the byte buffer a word
+/// at a time. The invariants every method keeps:
+///
+/// * `buf` holds whole words only (`buf.len() % 8 == 0`), each already in
+///   stream order;
+/// * `acc` holds the `used` bits written since the last word went out,
+///   aligned to its most significant end, and zeros below them;
+/// * `used < 64`: a full word is flushed by the write that fills it.
+///
+/// So the stream is `buf` followed by the top `used` bits of `acc`, and a
+/// write is a shift and an OR unless it completes a word.
 ///
 /// # Examples
 /// ```
@@ -28,9 +41,8 @@ use crate::{BitError, Result};
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits of the final byte already used (0..8). When 0 the last byte of
-    /// `buf` is complete (or `buf` is empty).
-    partial_bits: u32,
+    acc: u64,
+    used: u32,
 }
 
 impl BitWriter {
@@ -42,38 +54,27 @@ impl BitWriter {
     /// Creates a writer with capacity for roughly `bits` bits.
     pub fn with_capacity_bits(bits: usize) -> Self {
         Self {
-            buf: Vec::with_capacity(bits / 8 + 1),
-            partial_bits: 0,
+            buf: Vec::with_capacity(bits / 8 + 8),
+            ..Self::default()
         }
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> u64 {
-        if self.partial_bits == 0 {
-            self.buf.len() as u64 * 8
-        } else {
-            (self.buf.len() as u64 - 1) * 8 + u64::from(self.partial_bits)
-        }
+        self.buf.len() as u64 * 8 + u64::from(self.used)
     }
 
     /// Appends a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        if self.partial_bits == 0 {
-            self.buf.push(0);
-        }
-        if bit {
-            if let Some(last) = self.buf.last_mut() {
-                *last |= 1 << (7 - self.partial_bits);
-            }
-        }
-        self.partial_bits = (self.partial_bits + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `n` bits of `value`, most significant of those first.
     ///
     /// # Panics
-    /// Panics if `n > 64`, or if `value` has bits set above position `n`.
+    /// Panics if `n > 64`, or (debug builds) if `value` has bits set above
+    /// position `n`.
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
         assert!(n <= 64, "cannot write more than 64 bits at once");
@@ -81,22 +82,22 @@ impl BitWriter {
             n == 64 || value < (1u64 << n),
             "value {value} does not fit in {n} bits"
         );
-        // Write in chunks that fit the current partial byte.
-        let mut remaining = n;
-        while remaining > 0 {
-            if self.partial_bits == 0 {
-                self.buf.push(0);
-            }
-            let space = 8 - self.partial_bits;
-            let take = space.min(remaining);
-            let shift = remaining - take;
-            let chunk = ((value >> shift) & ((1u64 << take) - 1)) as u8;
-            if let Some(last) = self.buf.last_mut() {
-                *last |= chunk << (space - take);
-            }
-            self.partial_bits = (self.partial_bits + take) % 8;
-            remaining -= take;
+        if n == 0 {
+            return;
         }
+        let free = 64 - self.used; // 1..=64
+        if n < free {
+            self.acc |= value << (free - n);
+            self.used += n;
+            return;
+        }
+        // The write fills the word: its first `free` bits complete it and
+        // the other `over` (0..=63) start the next.
+        let over = n - free;
+        self.buf
+            .extend_from_slice(&(self.acc | value >> over).to_be_bytes());
+        self.acc = if over == 0 { 0 } else { value << (64 - over) };
+        self.used = over;
     }
 
     /// Appends `n` zero bits.
@@ -106,32 +107,35 @@ impl BitWriter {
             self.write_bits(0, 64);
             n -= 64;
         }
-        if n > 0 {
-            self.write_bits(0, n as u32);
-        }
+        self.write_bits(0, n as u32);
     }
 
-    /// Appends every bit produced by another finished writer.
+    /// Appends the first `bit_len` bits of `bytes` — what another writer
+    /// finished with — a word at a time, whatever this writer's alignment.
+    ///
+    /// # Panics
+    /// Panics if `bytes` holds fewer than `bit_len` bits.
     pub fn append(&mut self, bytes: &[u8], bit_len: u64) {
-        let full = (bit_len / 8) as usize;
-        for &b in &bytes[..full] {
-            self.write_bits(u64::from(b), 8);
+        let (words, tail) =
+            bytes[..bit_len.div_ceil(8) as usize].split_at((bit_len / 64 * 8) as usize);
+        for word in words.as_chunks::<8>().0 {
+            self.write_bits(u64::from_be_bytes(*word), 64);
         }
-        let rem = (bit_len % 8) as u32;
-        if rem > 0 {
-            self.write_bits(u64::from(bytes[full] >> (8 - rem)), rem);
+        let tail_bits = (bit_len % 64) as u32;
+        if tail_bits > 0 {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_bits(u64::from_be_bytes(last) >> (64 - tail_bits), tail_bits);
         }
     }
 
     /// Pads the final byte with zeros and returns `(bytes, exact_bit_len)`.
-    pub fn finish(self) -> (Vec<u8>, u64) {
+    pub fn finish(mut self) -> (Vec<u8>, u64) {
         let bits = self.bit_len();
+        let pending = self.used.div_ceil(8) as usize;
+        self.buf
+            .extend_from_slice(&self.acc.to_be_bytes()[..pending]);
         (self.buf, bits)
-    }
-
-    /// Borrowing view of the bytes written so far (final byte zero-padded).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 

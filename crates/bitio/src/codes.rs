@@ -45,8 +45,13 @@ pub fn write_gamma(w: &mut BitWriter, x: u64) {
     let v = x.wrapping_add(1);
     assert!(v != 0, "gamma code domain is 0..=u64::MAX-1");
     let b = 63 - v.leading_zeros(); // floor(log2 v)
-    w.write_zeros(u64::from(b));
-    w.write_bits(v, b + 1);
+    if b < 32 {
+        // The zeros are `v`'s own leading zeros in a field of `2b + 1`.
+        w.write_bits(v, 2 * b + 1);
+    } else {
+        w.write_zeros(u64::from(b));
+        w.write_bits(v, b + 1);
+    }
 }
 
 /// Reads an Elias-γ-coded value.

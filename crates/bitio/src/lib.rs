@@ -7,6 +7,10 @@
 //! Huffman codes keyed by in-degree. This crate provides those primitives:
 //!
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit streams over byte buffers.
+//!   The writer accumulates in a 64-bit word and flushes whole words (its
+//!   invariants are on the type); the reader decodes from 64-bit windows.
+//!   Each is held to a bit-at-a-time model by a proptest
+//!   (`tests/prop_codecs.rs`, `tests/reader_model.rs`).
 //! * [`codes`] — unary, Elias γ/δ, and minimal-binary codes.
 //! * [`huffman`] — canonical Huffman codes with table-driven decoding.
 //! * [`rle`] — run-length coding of bit vectors.

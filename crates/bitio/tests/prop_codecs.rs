@@ -1,11 +1,91 @@
 //! Property-based tests: every codec in `wg-bitio` must round-trip arbitrary
-//! inputs exactly, and interleaved heterogeneous streams must decode in
-//! order.
+//! inputs exactly, interleaved heterogeneous streams must decode in
+//! order, and the word-buffered [`BitWriter`] must produce the stream a
+//! bit-at-a-time writer does.
 
 use proptest::prelude::*;
 use wg_bitio::{codes, rle, BitReader, BitWriter, HuffmanCode};
 
+/// The writer's contract, one bit per step.
+#[derive(Default, Clone)]
+struct WriterModel {
+    bits: Vec<bool>,
+}
+
+impl WriterModel {
+    fn write_bits(&mut self, value: u64, n: u32) {
+        self.bits.extend((0..n).rev().map(|i| value >> i & 1 == 1));
+    }
+
+    /// The first `bit_len` bits of `bytes`.
+    fn append(&mut self, bytes: &[u8], bit_len: u64) {
+        let bit = |at: u64| bytes[(at / 8) as usize] >> (7 - at % 8) & 1 == 1;
+        self.bits.extend((0..bit_len).map(bit));
+    }
+
+    /// What `finish` returns: MSB-first bytes, the last one zero-padded.
+    fn finish(&self) -> (Vec<u8>, u64) {
+        let mut bytes = vec![0u8; self.bits.len().div_ceil(8)];
+        for (at, _) in self.bits.iter().enumerate().filter(|(_, &bit)| bit) {
+            bytes[at / 8] |= 0x80 >> (at % 8);
+        }
+        (bytes, self.bits.len() as u64)
+    }
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every operation of the writer, interleaved, against the model: the
+    /// same `bit_len` after each, and the same stream whenever it is
+    /// finished — which a clone does without ending the writer, so the
+    /// pending word is checked at every alignment it can have.
+    #[test]
+    fn writer_matches_bit_at_a_time_model(
+        ops in prop::collection::vec((0u8..5, any::<u64>(), 0u32..=64), 1..80),
+    ) {
+        let mut writer = BitWriter::new();
+        let mut model = WriterModel::default();
+        for (op, value, n) in ops {
+            // Up to 256 bits: a few whole words and a tail of any length.
+            let len = (value >> 7) % 257;
+            match op {
+                0 => {
+                    writer.write_bit(value & 1 == 1);
+                    model.write_bits(value & 1, 1);
+                }
+                1 => {
+                    let value = if n == 64 { value } else { value & ((1 << n) - 1) };
+                    writer.write_bits(value, n);
+                    model.write_bits(value, n);
+                }
+                2 => {
+                    writer.write_zeros(len);
+                    (0..len).for_each(|_| model.write_bits(0, 1));
+                }
+                3 => {
+                    // Another writer's output, `len` bits of it, onto this
+                    // one wherever it stands.
+                    let mut other = BitWriter::new();
+                    (0..4).for_each(|i| other.write_bits(value.rotate_left(i * 16), 64));
+                    let (bytes, bit_len) = other.finish();
+                    prop_assert_eq!(bit_len, 256);
+                    writer.append(&bytes, len);
+                    model.append(&bytes, len);
+                }
+                _ => {
+                    let small = value % 1000;
+                    codes::write_gamma(&mut writer, small);
+                    let width = 64 - (small + 1).leading_zeros();
+                    model.write_bits(0, width - 1);
+                    model.write_bits(small + 1, width);
+                }
+            }
+            prop_assert_eq!(writer.bit_len(), model.bits.len() as u64);
+            prop_assert_eq!(writer.clone().finish(), model.finish());
+        }
+    }
+
     #[test]
     fn gamma_round_trips(v in 0u64..=u64::MAX - 1) {
         let mut w = BitWriter::new();

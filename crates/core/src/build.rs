@@ -3,11 +3,12 @@
 
 use crate::codec::CodecConfig;
 use crate::disk::{GraphLocator, IndexFileWriter, Renumbering, SNodeMeta};
+use crate::flat::{FlatLists, ListBuf};
 use crate::partition::{refine, Partition, RefineConfig, RefineStats};
-use crate::refenc::{EncodedLists, RefMode};
+use crate::refenc::{plan_lists, write_lists, EncodedLists, RefMode};
 use crate::subgraphs::{
-    encode_intranode_t, encode_superedge_t, EncodedSuperedge, SuperedgeKind, SuperedgeLinks,
-    SuperedgePolicy,
+    plan_superedge, write_superedge, EncodedSuperedge, SuperedgeKind, SuperedgeLinks,
+    SuperedgePlan, SuperedgePolicy,
 };
 use crate::supergraph::SupernodeGraph;
 use crate::Result;
@@ -353,9 +354,9 @@ fn secs(ns: u64) -> f64 {
 fn number_pages(partition: &Partition, urls: &[&str]) -> Renumbering {
     let mut old_of_new = Vec::with_capacity(urls.len());
     for e in &partition.elements {
-        let mut pages = e.pages.clone();
-        pages.sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
-        old_of_new.extend_from_slice(&pages);
+        let start = old_of_new.len();
+        old_of_new.extend_from_slice(&e.pages);
+        old_of_new[start..].sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
     }
     Renumbering::from_old_of_new(old_of_new)
 }
@@ -424,11 +425,11 @@ struct EncodedSupernode {
 
 /// Remaps and encodes one supernode at a time, from read-only views of the
 /// build's input and its numbering that every worker shares. A worker holds
-/// one supernode's lists, in space proportional to that supernode's links,
-/// so the build's peak is what the caller holds of the input — for `wgr
-/// build` the URL text, the page domains and the CSR graph, not a `Corpus`
-/// — plus the partition and the numbering, that per worker, and one
-/// window's encoded blobs.
+/// one supernode's links, in space proportional to their number and to no
+/// other graph's, so the build's peak is what the caller holds of the input
+/// — for `wgr build` the URL text, the page domains and the CSR graph, not
+/// a `Corpus` — plus the partition and the numbering, that per worker, and
+/// one window's encoded blobs.
 struct SupernodeEncoder<'a> {
     graph: &'a Graph,
     partition: &'a Partition,
@@ -437,10 +438,50 @@ struct SupernodeEncoder<'a> {
     config: &'a SNodeConfig,
 }
 
+/// The links of one supernode in local ids, as the flat collections the
+/// encoders read: nothing here is allocated per page or per superedge.
+struct SupernodeLinks {
+    /// The intranode graph: a list per page.
+    intra: ListBuf,
+    /// The supernodes its cross links lead to, ascending: one superedge
+    /// each, `targets[k]`'s being superedge `k`.
+    targets: Vec<u32>,
+    /// Superedge `k`'s source pages are `sources[run_start[k]..
+    /// run_start[k + 1]]`, ascending.
+    run_start: Vec<u32>,
+    sources: Vec<u32>,
+    /// Parallel to `sources`: where that page's target list ends among
+    /// its superedge's values.
+    ends: Vec<u32>,
+    /// Superedge `k`'s values are `values[value_start[k]..
+    /// value_start[k + 1]]`: its pages' target lists, one after the other.
+    value_start: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl SupernodeLinks {
+    /// Superedge `k` between supernodes of `ni` and `nj` pages.
+    fn superedge(&self, k: usize, ni: u64, nj: u64) -> SuperedgeLinks<'_> {
+        let runs = self.run_start[k] as usize..self.run_start[k + 1] as usize;
+        let values = self.value_start[k] as usize..self.value_start[k + 1] as usize;
+        SuperedgeLinks {
+            sources: &self.sources[runs.clone()],
+            lists: FlatLists::new(&self.values[values], &self.ends[runs]),
+            ni,
+            nj,
+        }
+    }
+}
+
 impl SupernodeEncoder<'_> {
-    /// Walks the pages of supernode `s` once, re-expressing every link in
-    /// local ids, and encodes the intranode graph and one superedge graph
-    /// per target supernode with up to `threads` workers each.
+    fn size(&self, j: u32) -> u32 {
+        self.range_start[j as usize + 1] - self.range_start[j as usize]
+    }
+
+    /// Encodes the intranode graph of supernode `s` and one superedge
+    /// graph per target supernode, with up to `threads` workers each, in
+    /// three passes: every link once into local ids, every graph's
+    /// representation chosen, every stream written.
     fn encode(&self, s: u32, threads: u32) -> EncodedSupernode {
         let SNodeConfig {
             ref_mode,
@@ -448,61 +489,158 @@ impl SupernodeEncoder<'_> {
             codec,
             ..
         } = *self.config;
-        let size = |j: u32| self.range_start[j as usize + 1] - self.range_start[j as usize];
-        let start = self.range_start[s as usize];
-        let mut intra: Vec<Vec<u32>> = vec![Vec::new(); size(s) as usize];
-        // Cross links as (target supernode, local source, local target):
-        // sorted, they fall into one run per superedge, in supernode-graph
-        // order, and within it one run per source page.
-        let mut cross: Vec<(u32, u32, u32)> = Vec::new();
-        for (local_src, list) in intra.iter_mut().enumerate() {
-            let old_src = self.renumbering.old_of_new[start as usize + local_src];
-            for &old_tgt in self.graph.neighbors(old_src) {
+        let ni = u64::from(self.size(s));
+
+        let t = Stopwatch::start();
+        let links = self.walk(s);
+        record_span("core.build.encode.walk", "build", &t);
+
+        let t = Stopwatch::start();
+        let intra_plan = plan_lists(links.intra.view(), ni, ref_mode, threads);
+        let superedge = |k: usize| links.superedge(k, ni, u64::from(self.size(links.targets[k])));
+        let plans: Vec<SuperedgePlan> = (0..links.targets.len())
+            .map(|k| {
+                plan_superedge(
+                    superedge(k),
+                    ref_mode,
+                    superedge_policy,
+                    codec.superedge,
+                    threads,
+                )
+            })
+            .collect();
+        record_span("core.build.encode.select", "build", &t);
+
+        let t = Stopwatch::start();
+        let intra = write_lists(links.intra.view(), ni, &intra_plan);
+        let edges = plans
+            .iter()
+            .enumerate()
+            .map(|(k, plan)| write_superedge(superedge(k), plan, codec.superedge))
+            .collect();
+        record_span("core.build.encode.write", "build", &t);
+        EncodedSupernode {
+            targets: links.targets,
+            intra,
+            edges,
+        }
+    }
+
+    /// Walks the pages of supernode `s` once, re-expressing every link in
+    /// local ids, and cuts the cross links into superedges by counting.
+    ///
+    /// Pages are walked in ascending local id, so a stable distribution of
+    /// the cross links over their target supernodes leaves each superedge
+    /// with its source pages ascending and every page's targets together:
+    /// only those short runs are sorted, never the links as a whole.
+    fn walk(&self, s: u32) -> SupernodeLinks {
+        const NO_SLOT: u32 = u32::MAX;
+        let first_page = self.range_start[s as usize] as usize;
+        let pages = &self.renumbering.old_of_new[first_page..][..self.size(s) as usize];
+
+        // Pass 1: every link once. An intranode link goes to its page's
+        // list; of a cross link the target supernode and local target are
+        // kept in walk order, and where each page's stop.
+        let mut intra = ListBuf::default();
+        let (mut cross_super, mut cross_target) = (Vec::new(), Vec::new());
+        let mut cross_ends = Vec::with_capacity(pages.len());
+        let mut slot_of = vec![NO_SLOT; self.partition.len()];
+        let mut targets = Vec::new();
+        for &old_src in pages {
+            let local = self.graph.neighbors(old_src).iter().filter_map(|&old_tgt| {
                 let j = self.partition.elem_of[old_tgt as usize];
                 let local_tgt =
                     self.renumbering.new_of_old[old_tgt as usize] - self.range_start[j as usize];
                 if j == s {
-                    list.push(local_tgt);
-                } else {
-                    cross.push((j, local_src as u32, local_tgt));
+                    return Some(local_tgt);
+                }
+                if slot_of[j as usize] == NO_SLOT {
+                    slot_of[j as usize] = 0; // seen; ranked in pass 2
+                    targets.push(j);
+                }
+                cross_super.push(j);
+                cross_target.push(local_tgt);
+                None
+            });
+            // Lists must be sorted for the codecs.
+            intra.push_set(local);
+            cross_ends.push(cross_super.len());
+        }
+
+        // Pass 2: a superedge per distinct target supernode, in
+        // supernode-graph order; count each one's links and its runs (a
+        // page's links into one supernode), and note every link's superedge.
+        assert!(
+            cross_target.len() <= u32::MAX as usize,
+            "a supernode holds < 2^32 cross links"
+        );
+        targets.sort_unstable();
+        for (slot, &j) in targets.iter().enumerate() {
+            slot_of[j as usize] = slot as u32;
+        }
+        let mut value_start = vec![0u32; targets.len() + 1];
+        let mut run_start = vec![0u32; targets.len() + 1];
+        let mut last_source = vec![NO_SLOT; targets.len()];
+        let page_links = |page: usize| match page {
+            0 => 0..cross_ends[0],
+            _ => cross_ends[page - 1]..cross_ends[page],
+        };
+        for page in 0..pages.len() {
+            for j in &mut cross_super[page_links(page)] {
+                let slot = slot_of[*j as usize] as usize;
+                *j = slot as u32;
+                value_start[slot + 1] += 1;
+                if last_source[slot] != page as u32 {
+                    last_source[slot] = page as u32;
+                    run_start[slot + 1] += 1;
                 }
             }
-            // Lists must be sorted for the codecs.
-            list.sort_unstable();
-            list.dedup();
         }
-        let enc_intra = encode_intranode_t(&intra, ref_mode, threads);
-        drop(intra);
+        for slot in 0..targets.len() {
+            value_start[slot + 1] += value_start[slot];
+            run_start[slot + 1] += run_start[slot];
+        }
 
-        cross.sort_unstable();
-        cross.dedup();
-        let mut targets = Vec::new();
-        let mut edges = Vec::new();
-        for superedge in cross.chunk_by(|a, b| a.0 == b.0) {
-            let j = superedge[0].0;
-            let (sources, lists): (Vec<u32>, Vec<Vec<u32>>) = superedge
-                .chunk_by(|a, b| a.1 == b.1)
-                .map(|links| (links[0].1, links.iter().map(|l| l.2).collect()))
-                .unzip();
-            let links = SuperedgeLinks {
-                sources: &sources,
-                lists: &lists,
-                ni: u64::from(size(s)),
-                nj: u64::from(size(j)),
-            };
-            targets.push(j);
-            edges.push(encode_superedge_t(
-                links,
-                ref_mode,
-                superedge_policy,
-                codec.superedge,
-                threads,
-            ));
+        // Pass 3: every link to its superedge, in walk order.
+        let mut value_at = value_start.clone();
+        let mut run_at = run_start.clone();
+        last_source.fill(NO_SLOT);
+        let mut values = vec![0u32; cross_target.len()];
+        let mut sources = vec![0u32; run_start[targets.len()] as usize];
+        let mut ends = vec![0u32; sources.len()];
+        for page in 0..pages.len() {
+            for link in page_links(page) {
+                let slot = cross_super[link] as usize;
+                if last_source[slot] != page as u32 {
+                    last_source[slot] = page as u32;
+                    sources[run_at[slot] as usize] = page as u32;
+                    run_at[slot] += 1;
+                }
+                values[value_at[slot] as usize] = cross_target[link];
+                value_at[slot] += 1;
+                ends[run_at[slot] as usize - 1] = value_at[slot] - value_start[slot];
+            }
         }
-        EncodedSupernode {
+
+        // A page's targets in one supernode arrived in the order of their
+        // old ids. Distinct they are already: the graph's adjacency lists
+        // hold no repeats and the renumbering is a bijection.
+        for slot in 0..targets.len() {
+            let superedge = &mut values[value_start[slot] as usize..value_start[slot + 1] as usize];
+            let mut from = 0;
+            for &to in &ends[run_start[slot] as usize..run_start[slot + 1] as usize] {
+                superedge[from..to as usize].sort_unstable();
+                from = to as usize;
+            }
+        }
+        SupernodeLinks {
+            intra,
             targets,
-            intra: enc_intra,
-            edges,
+            run_start,
+            sources,
+            ends,
+            value_start,
+            values,
         }
     }
 }

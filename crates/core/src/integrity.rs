@@ -40,6 +40,38 @@ pub const SUMS_MAGIC: u32 = 0x534E_4353;
 /// v1 builds in every fingerprinted file.
 pub const DIRECTORY_VERSION: u32 = 2;
 
+/// FNV-1a over (file name, file bytes) of every file in `dir`, in sorted
+/// name order — enough to witness byte-identical builds. The `sums.bin`
+/// integrity manifest is excluded: fingerprints witness the paper's
+/// payload bytes, and checksum overhead is reported separately
+/// (`BuildStats::checksum_bytes`). What `wgr bench` records in
+/// `BENCH_build.json` and `BENCH_scale.json`, and what
+/// `tests/golden_build.rs` holds a build to.
+pub fn fingerprint_dir(dir: &Path) -> std::io::Result<u64> {
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.file_name().is_some_and(|n| n != SUMS_FILE) {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1_0000_0000_01b3);
+        }
+    };
+    for path in paths {
+        if let Some(name) = path.file_name() {
+            eat(name.as_encoded_bytes());
+        }
+        eat(&wg_fault::read_file(&path)?);
+    }
+    Ok(h)
+}
+
 /// Human names of the four `meta.bin` sections, index-aligned with
 /// [`IntegrityManifest::meta_sections`].
 pub const META_SECTION_NAMES: [&str; 4] = ["header", "supergraph", "size-table", "domain-index"];

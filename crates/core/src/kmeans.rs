@@ -15,6 +15,7 @@
 //! are computed as `‖c‖² − 2·Σ_{d∈p} c_d + |p|`, so each page costs
 //! `O(|p|)` per centroid rather than `O(D)`.
 
+use crate::flat::FlatLists;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -62,60 +63,9 @@ pub struct KMeansParams {
     pub threads: u32,
 }
 
-/// Sparse binary vectors as rows of one buffer: row `i` lists the set
-/// dimensions of vector `i`, ascending and without repeats. Nothing is
-/// allocated per vector.
-#[derive(Debug, Clone, Default)]
-pub struct SparseRows {
-    /// Every row's dimensions, one row after the other.
-    entries: Vec<u32>,
-    /// `ends[i]` is where row `i` ends in `entries`, and the next starts.
-    ends: Vec<usize>,
-}
-
-impl SparseRows {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether there is no row.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Set dimensions over all rows.
-    pub fn set_bits(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    /// The set dimensions of row `i`, ascending.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.entries[start..self.ends[i]]
-    }
-
-    /// Appends the row whose set dimensions are `dims`, given in any order
-    /// and with any repeats.
-    pub fn push_row(&mut self, dims: impl IntoIterator<Item = u32>) {
-        let start = self.entries.len();
-        self.entries.extend(dims);
-        self.entries[start..].sort_unstable();
-        let mut kept = start;
-        for at in start..self.entries.len() {
-            if kept == start || self.entries[at] != self.entries[kept - 1] {
-                self.entries[kept] = self.entries[at];
-                kept += 1;
-            }
-        }
-        self.entries.truncate(kept);
-        self.ends.push(kept);
-    }
-}
-
-/// Runs bounded Lloyd k-means over the sparse binary vectors `rows`, of
-/// dimensionality `dims`.
+/// Runs bounded Lloyd k-means over the sparse binary vectors `rows` — row
+/// `i` lists the set dimensions of vector `i`, ascending and without
+/// repeats — of dimensionality `dims`.
 ///
 /// Centroids are kept dimension-major — `cent[dim · k + c]` is centroid
 /// `c` along `dim` — so a vector's dot products with all `k` centroids
@@ -124,7 +74,7 @@ impl SparseRows {
 /// dimensions: every distance is the `f32` a centroid-by-centroid loop
 /// computes, and so is every assignment.
 pub fn kmeans_binary(
-    rows: &SparseRows,
+    rows: FlatLists<'_>,
     dims: u32,
     params: KMeansParams,
     rng: &mut SmallRng,
@@ -152,7 +102,7 @@ pub fn kmeans_binary(
 
     // Cost model per Lloyd iteration: one dot product per (vector, centroid)
     // pair plus the centroid-norm refresh.
-    let ops_per_iter = (rows.set_bits() + n as u64) * k as u64 + (k * d) as u64;
+    let ops_per_iter = (rows.total() as u64 + n as u64) * k as u64 + (k * d) as u64;
     // A run with no iteration its bounds allow is an abort whatever the
     // seeds: it draws them, because the generator's position afterwards
     // is part of every later decision of the refinement, and builds nothing.
@@ -175,7 +125,7 @@ pub fn kmeans_binary(
     for c in 0..k {
         let j = rng.gen_range(c..n);
         picks.swap(c, j);
-        for &dim in rows.row(picks[c]) {
+        for &dim in rows.get(picks[c]) {
             cent[dim as usize * k + c] = 1.0;
         }
     }
@@ -207,7 +157,7 @@ pub fn kmeans_binary(
             let mut local_changed = 0usize;
             let mut dots = vec![0f32; k];
             for i in range {
-                let row = rows.row(i);
+                let row = rows.get(i);
                 dots.fill(0.0);
                 for &dim in row {
                     let along = &cent[dim as usize * k..][..k];
@@ -248,7 +198,7 @@ pub fn kmeans_binary(
         counts.fill(0);
         for (i, &c) in assignment.iter().enumerate() {
             counts[c as usize] += 1;
-            for &dim in rows.row(i) {
+            for &dim in rows.get(i) {
                 cent[dim as usize * k + c as usize] += 1.0;
             }
         }
@@ -278,16 +228,17 @@ pub fn kmeans_binary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::ListBuf;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(1234)
     }
 
-    fn rows_of(vectors: &[Vec<u32>]) -> SparseRows {
-        let mut rows = SparseRows::default();
+    fn rows_of(vectors: &[Vec<u32>]) -> ListBuf {
+        let mut rows = ListBuf::default();
         for v in vectors {
-            rows.push_row(v.iter().copied());
+            rows.push_set(v.iter().copied());
         }
         rows
     }
@@ -427,7 +378,7 @@ mod tests {
         }
         let separated = (0..8u64).any(|seed| {
             let out = kmeans_binary(
-                &rows_of(&vectors),
+                rows_of(&vectors).view(),
                 8,
                 KMeansParams {
                     k: 2,
@@ -456,7 +407,7 @@ mod tests {
     fn identical_vectors_form_one_cluster() {
         let vectors = vec![vec![1u32, 3]; 12];
         let out = kmeans_binary(
-            &rows_of(&vectors),
+            rows_of(&vectors).view(),
             5,
             KMeansParams {
                 k: 3,
@@ -481,7 +432,7 @@ mod tests {
         // partition — see module docs).
         let vectors = vec![vec![0u32], vec![1], vec![2]];
         let out = kmeans_binary(
-            &rows_of(&vectors),
+            rows_of(&vectors).view(),
             3,
             KMeansParams {
                 k: 10,
@@ -497,7 +448,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let out = kmeans_binary(
-            &SparseRows::default(),
+            FlatLists::default(),
             4,
             KMeansParams {
                 k: 2,
@@ -520,7 +471,7 @@ mod tests {
     fn zero_iteration_bound_aborts() {
         let vectors = vec![vec![0u32], vec![1]];
         let out = kmeans_binary(
-            &rows_of(&vectors),
+            rows_of(&vectors).view(),
             2,
             KMeansParams {
                 k: 2,
@@ -538,7 +489,7 @@ mod tests {
         // Pages that link to no other supernode have empty adj vectors.
         let vectors = vec![vec![], vec![0u32, 1], vec![], vec![0, 1]];
         let out = kmeans_binary(
-            &rows_of(&vectors),
+            rows_of(&vectors).view(),
             2,
             KMeansParams {
                 k: 2,
@@ -560,7 +511,7 @@ mod tests {
     fn ops_budget_aborts_expensive_runs() {
         let vectors: Vec<Vec<u32>> = (0..200u32).map(|i| vec![i % 50]).collect();
         let out = kmeans_binary(
-            &rows_of(&vectors),
+            rows_of(&vectors).view(),
             50,
             KMeansParams {
                 k: 50,
@@ -582,20 +533,19 @@ mod tests {
             max_ops: u64::MAX,
             threads: 1,
         };
-        let a = kmeans_binary(&rows_of(&vectors), 7, p, &mut SmallRng::seed_from_u64(9));
-        let b = kmeans_binary(&rows_of(&vectors), 7, p, &mut SmallRng::seed_from_u64(9));
+        let a = kmeans_binary(
+            rows_of(&vectors).view(),
+            7,
+            p,
+            &mut SmallRng::seed_from_u64(9),
+        );
+        let b = kmeans_binary(
+            rows_of(&vectors).view(),
+            7,
+            p,
+            &mut SmallRng::seed_from_u64(9),
+        );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rows_are_sorted_and_free_of_repeats() {
-        assert!(SparseRows::default().is_empty());
-        let rows = rows_of(&[vec![5, 1, 5, 3, 1], vec![], vec![2, 2]]);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows.set_bits(), 4);
-        assert_eq!(rows.row(0), [1, 3, 5]);
-        assert!(rows.row(1).is_empty());
-        assert_eq!(rows.row(2), [2]);
     }
 
     /// Random sparse inputs × `k` below, at and above the vector count ×
@@ -648,7 +598,7 @@ mod tests {
                             let mut model_rng = SmallRng::seed_from_u64(seed);
                             let want = kmeans_row_major(&vectors, dims, params, &mut model_rng);
                             let mut rng = SmallRng::seed_from_u64(seed);
-                            let got = kmeans_binary(&rows, dims, params, &mut rng);
+                            let got = kmeans_binary(rows.view(), dims, params, &mut rng);
                             assert_eq!(got, want, "case {case}: {params:?}");
                             assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "case {case}");
                             match got {

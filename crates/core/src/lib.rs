@@ -24,6 +24,7 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
+//! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders, and k-means its vectors |
 //! | [`refenc`] | §3.1 | affinity graph, Chu–Liu/Edmonds arborescence, windowed reference selection, list codec |
 //! | [`codec`] | — | the format choice a directory records: which layouts its positive superedge graphs may take (`g`, `g+st`) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
@@ -45,6 +46,7 @@ pub mod build;
 pub mod cache;
 pub mod codec;
 pub mod disk;
+pub mod flat;
 pub mod integrity;
 pub mod kmeans;
 pub mod par;

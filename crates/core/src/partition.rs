@@ -23,11 +23,12 @@
 //! of it that clustered split needs on demand from `elem_of`. The results
 //! are identical; only the bookkeeping differs.
 
-use crate::kmeans::{kmeans_binary, KMeansOutcome, KMeansParams, SparseRows};
+use crate::flat::ListBuf;
+use crate::kmeans::{kmeans_binary, KMeansOutcome, KMeansParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use wg_graph::{Graph, PageId};
+use wg_obs::{record_span, Stopwatch};
 
 /// Deepest URL-prefix level used by URL split (hostname = 0, then three
 /// directory levels), per the paper's manual-inspection finding.
@@ -74,26 +75,31 @@ pub struct Partition {
 impl Partition {
     /// The initial partition `P0`: one element per domain.
     pub fn initial(domains: &[u32]) -> Self {
-        let mut by_domain: HashMap<u32, Vec<PageId>> = HashMap::new();
-        for (p, &d) in domains.iter().enumerate() {
-            by_domain.entry(d).or_default().push(p as PageId);
+        // Domain ids are dense, so one counting pass sizes every element
+        // and a second fills them, pages ascending; a domain without pages
+        // gets no element.
+        let num_domains = domains.iter().max().map_or(0, |&d| d as usize + 1);
+        let mut sizes = vec![0usize; num_domains];
+        for &d in domains {
+            sizes[d as usize] += 1;
         }
-        let mut keys: Vec<u32> = by_domain.keys().copied().collect();
-        keys.sort_unstable();
-        let mut elements = Vec::with_capacity(keys.len());
-        let mut elem_of = vec![0u32; domains.len()];
-        for d in keys {
-            let pages = by_domain.remove(&d).expect("key exists");
-            let idx = elements.len() as u32;
-            for &p in &pages {
-                elem_of[p as usize] = idx;
-            }
+        let mut elem_of_domain = vec![0u32; num_domains];
+        let mut elements = Vec::new();
+        for (d, &size) in sizes.iter().enumerate().filter(|(_, &size)| size > 0) {
+            elem_of_domain[d] = elements.len() as u32;
             elements.push(Element {
-                pages,
-                domain: d,
+                pages: Vec::with_capacity(size),
+                domain: d as u32,
                 state: SplitState::Url { depth: 0 },
                 sterile: false,
             });
+        }
+        let elem_of: Vec<u32> = domains
+            .iter()
+            .map(|&d| elem_of_domain[d as usize])
+            .collect();
+        for (p, &e) in elem_of.iter().enumerate() {
+            elements[e as usize].pages.push(p as PageId);
         }
         Self { elements, elem_of }
     }
@@ -274,115 +280,120 @@ pub fn refine(
     assert_eq!(urls.len(), domains.len());
     assert_eq!(urls.len(), graph.num_nodes() as usize);
     let mut partition = Partition::initial(domains);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut stats = RefineStats::default();
-
     if partition.is_empty() {
-        return (partition, stats);
+        return (partition, RefineStats::default());
     }
 
+    let t = Stopwatch::start();
+    let ranks = rank_prefixes(&partition, urls);
+    record_span("core.build.refine.rank_prefixes", "build", &t);
+    let mut run = Refinement {
+        ranks,
+        graph,
+        config,
+        rng: SmallRng::seed_from_u64(config.seed),
+        stats: RefineStats::default(),
+        dims: DimScratch::default(),
+    };
     match config.pick {
-        PickPolicy::LargestFirst => {
-            refine_largest_first(&mut partition, urls, graph, config, &mut rng, &mut stats);
-        }
-        PickPolicy::Random => {
-            refine_random(&mut partition, urls, graph, config, &mut rng, &mut stats);
-        }
+        PickPolicy::LargestFirst => run.largest_first(&mut partition),
+        PickPolicy::Random => run.random(&mut partition),
     }
+    let stats = run.stats;
 
     debug_assert!(partition.validate(graph.num_nodes()));
     (partition, stats)
 }
 
-/// One refinement attempt on element `idx`; returns whether it split.
-fn refine_one(
-    partition: &mut Partition,
-    idx: u32,
-    urls: &[&str],
-    graph: &Graph,
-    config: &RefineConfig,
-    rng: &mut SmallRng,
-    stats: &mut RefineStats,
-) -> bool {
-    // URL split while the element has prefix budget left.
-    if let SplitState::Url { depth } = partition.elements[idx as usize].state {
-        match try_url_split(partition, idx, depth, urls, config) {
-            UrlSplitOutcome::Split => {
-                stats.url_splits += 1;
-                return true;
-            }
-            UrlSplitOutcome::Exhausted => {
-                // Fall through to clustered split below.
-            }
-        }
-    }
-    if try_clustered_split(partition, idx, graph, config, rng) {
-        stats.clustered_splits += 1;
-        true
-    } else {
-        stats.clustered_aborts += 1;
-        false
-    }
+/// What one refinement run reads and keeps from pick to pick.
+struct Refinement<'a> {
+    ranks: Vec<PrefixRanks>,
+    graph: &'a Graph,
+    config: &'a RefineConfig,
+    rng: SmallRng,
+    stats: RefineStats,
+    dims: DimScratch,
 }
 
-/// Deterministic policy: a lazy max-heap of (size, element); every element
-/// gets exactly one shot per size (children re-enter after splits; failed
-/// elements turn sterile and never re-enter). Runs to true exhaustion.
-fn refine_largest_first(
-    partition: &mut Partition,
-    urls: &[&str],
-    graph: &Graph,
-    config: &RefineConfig,
-    rng: &mut SmallRng,
-    stats: &mut RefineStats,
-) {
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<(usize, u32)> = (0..partition.len() as u32)
-        .map(|i| (partition.elements[i as usize].pages.len(), i))
-        .collect();
-    while let Some((size, idx)) = heap.pop() {
-        if stats.iterations >= config.max_iterations {
-            break;
-        }
-        let e = &partition.elements[idx as usize];
-        if e.sterile || e.pages.len() != size {
-            continue; // stale heap entry
-        }
-        stats.iterations += 1;
-        let before = partition.len() as u32;
-        if refine_one(partition, idx, urls, graph, config, rng, stats) {
-            // Re-enter the shrunken element and its new siblings.
-            heap.push((partition.elements[idx as usize].pages.len(), idx));
-            for i in before..partition.len() as u32 {
-                heap.push((partition.elements[i as usize].pages.len(), i));
+impl Refinement<'_> {
+    /// One refinement attempt on element `idx`; returns whether it split.
+    fn refine_one(&mut self, partition: &mut Partition, idx: u32) -> bool {
+        // URL split while the element has prefix budget left.
+        if let SplitState::Url { depth } = partition.elements[idx as usize].state {
+            let t = Stopwatch::start();
+            let outcome = try_url_split(partition, idx, depth, &self.ranks, self.config);
+            record_span("core.build.refine.url_split", "build", &t);
+            match outcome {
+                UrlSplitOutcome::Split => {
+                    self.stats.url_splits += 1;
+                    return true;
+                }
+                UrlSplitOutcome::Exhausted => {
+                    // Fall through to clustered split below.
+                }
             }
         }
-        // On failure the element is sterile (clustered split marks it) or
-        // exhausted-and-sterile; either way it does not re-enter.
-    }
-}
-
-/// The paper's random policy with its consecutive-abort stopping criterion.
-fn refine_random(
-    partition: &mut Partition,
-    urls: &[&str],
-    graph: &Graph,
-    config: &RefineConfig,
-    rng: &mut SmallRng,
-    stats: &mut RefineStats,
-) {
-    let mut consecutive_aborts = 0u64;
-    while stats.iterations < config.max_iterations {
-        let abort_max = ((partition.len() as f64 * config.abort_fraction).ceil() as u64).max(2);
-        if consecutive_aborts >= abort_max {
-            break;
-        }
-        stats.iterations += 1;
-        let idx = rng.gen_range(0..partition.len()) as u32;
-        if refine_one(partition, idx, urls, graph, config, rng, stats) {
-            consecutive_aborts = 0;
+        let t = Stopwatch::start();
+        let (graph, config) = (self.graph, self.config);
+        let split =
+            try_clustered_split(partition, idx, graph, config, &mut self.rng, &mut self.dims);
+        record_span("core.build.refine.clustered", "build", &t);
+        if split {
+            self.stats.clustered_splits += 1;
         } else {
-            consecutive_aborts += 1;
+            self.stats.clustered_aborts += 1;
+        }
+        split
+    }
+
+    /// Deterministic policy: a lazy max-heap of (size, element); every
+    /// element gets exactly one shot per size (children re-enter after
+    /// splits; failed elements turn sterile and never re-enter). Runs to
+    /// true exhaustion.
+    fn largest_first(&mut self, partition: &mut Partition) {
+        use std::collections::BinaryHeap;
+        let mut heap: BinaryHeap<(usize, u32)> = (0..partition.len() as u32)
+            .map(|i| (partition.elements[i as usize].pages.len(), i))
+            .collect();
+        while let Some((size, idx)) = heap.pop() {
+            if self.stats.iterations >= self.config.max_iterations {
+                break;
+            }
+            let e = &partition.elements[idx as usize];
+            if e.sterile || e.pages.len() != size {
+                continue; // stale heap entry
+            }
+            self.stats.iterations += 1;
+            let before = partition.len() as u32;
+            if self.refine_one(partition, idx) {
+                // Re-enter the shrunken element and its new siblings.
+                heap.push((partition.elements[idx as usize].pages.len(), idx));
+                for i in before..partition.len() as u32 {
+                    heap.push((partition.elements[i as usize].pages.len(), i));
+                }
+            }
+            // On failure the element is sterile (clustered split marks it)
+            // or exhausted-and-sterile; either way it does not re-enter.
+        }
+    }
+
+    /// The paper's random policy with its consecutive-abort stopping
+    /// criterion.
+    fn random(&mut self, partition: &mut Partition) {
+        let mut consecutive_aborts = 0u64;
+        while self.stats.iterations < self.config.max_iterations {
+            let abort_max =
+                ((partition.len() as f64 * self.config.abort_fraction).ceil() as u64).max(2);
+            if consecutive_aborts >= abort_max {
+                break;
+            }
+            self.stats.iterations += 1;
+            let idx = self.rng.gen_range(0..partition.len()) as u32;
+            if self.refine_one(partition, idx) {
+                consecutive_aborts = 0;
+            } else {
+                consecutive_aborts += 1;
+            }
         }
     }
 }
@@ -395,13 +406,88 @@ enum UrlSplitOutcome {
     Exhausted,
 }
 
+/// A page's URL prefix at every depth URL split groups by, each as its
+/// rank among the prefixes of that depth in the page's domain.
+type PrefixRanks = [u32; URL_LEVELS];
+
+/// Depths URL split groups by: the hostname and [`MAX_URL_DEPTH`]
+/// directory levels.
+const URL_LEVELS: usize = MAX_URL_DEPTH as usize + 1;
+
+/// Ranks every page's URL prefixes, a domain (an element of the initial
+/// `partition`) at a time, by sorting the domain's pages on the hostname
+/// prefix, then each stretch of pages that agree so far on the segment the
+/// next level adds. Prefixes of one depth that continue the same prefix one
+/// level up are neighbours in that order and stand as their text does, a
+/// prefix that adds nothing (the filename follows) first, so ranks stand
+/// in for the text wherever URL split groups and orders the pages of an
+/// element — and the text, which no two visits to a domain find cached,
+/// is read this once.
+fn rank_prefixes(partition: &Partition, urls: &[&str]) -> Vec<PrefixRanks> {
+    /// A page while its domain is ranked: what the level being ranked adds
+    /// to its prefix, and the rest of its URL.
+    struct Ranked<'a> {
+        segment: &'a str,
+        rest: &'a str,
+        page: PageId,
+        ranks: PrefixRanks,
+    }
+    let mut ranks = vec![PrefixRanks::default(); urls.len()];
+    let mut domain: Vec<Ranked<'_>> = Vec::new();
+    // Where each stretch of `domain` that agrees on every level ranked so
+    // far ends, and the same with the level being ranked.
+    let (mut stretches, mut parted): (Vec<usize>, Vec<usize>) = Default::default();
+    for element in &partition.elements {
+        domain.clear();
+        domain.extend(element.pages.iter().map(|&page| {
+            let url = urls[page as usize];
+            let (segment, rest) = url.split_at(host_end(url));
+            Ranked {
+                segment,
+                rest,
+                page,
+                ranks: PrefixRanks::default(),
+            }
+        }));
+        stretches.clear();
+        stretches.push(domain.len());
+        for depth in 0..URL_LEVELS {
+            parted.clear();
+            let (mut start, mut rank) = (0, 0u32);
+            for &end in &stretches {
+                let stretch = &mut domain[start..end];
+                stretch.sort_unstable_by_key(|ranked| ranked.segment);
+                for at in 0..stretch.len() {
+                    if at > 0 && stretch[at - 1].segment != stretch[at].segment {
+                        rank += 1;
+                        parted.push(start + at);
+                    }
+                    stretch[at].ranks[depth] = rank;
+                }
+                rank += 1;
+                parted.push(end);
+                start = end;
+            }
+            std::mem::swap(&mut stretches, &mut parted);
+            for ranked in &mut domain {
+                let (segment, rest) = ranked.rest.split_at(one_deeper(ranked.rest, 0));
+                (ranked.segment, ranked.rest) = (segment, rest);
+            }
+        }
+        for ranked in &domain {
+            ranks[ranked.page as usize] = ranked.ranks;
+        }
+    }
+    ranks
+}
+
 /// Attempts URL split at `depth`, deepening past non-discriminating levels
 /// (single-group results) until a split happens or the budget runs out.
 fn try_url_split(
     partition: &mut Partition,
     idx: u32,
     start_depth: u32,
-    urls: &[&str],
+    ranks: &[PrefixRanks],
     config: &RefineConfig,
 ) -> UrlSplitOutcome {
     let element = &partition.elements[idx as usize];
@@ -410,23 +496,28 @@ fn try_url_split(
         return UrlSplitOutcome::Exhausted;
     }
     let mut depth = start_depth;
+    let mut keyed: Vec<(u32, PageId)> = Vec::new();
     loop {
-        let mut groups: HashMap<&str, Vec<PageId>> = HashMap::new();
-        for &p in &partition.elements[idx as usize].pages {
-            groups
-                .entry(url_prefix(urls[p as usize], depth))
-                .or_default()
-                .push(p);
-        }
-        if groups.len() >= 2 {
+        let pages = &partition.elements[idx as usize].pages;
+        keyed.clear();
+        keyed.extend(
+            pages
+                .iter()
+                .map(|&p| (ranks[p as usize][depth as usize], p)),
+        );
+        // Groups in prefix order (every page of the element has the same
+        // prefix one level up — that is how the element came to be — so
+        // its groups' ranks order as their prefixes do), each one's pages
+        // ascending: what hashing the prefixes and sorting the keys
+        // arrived at.
+        keyed.sort_unstable();
+        if keyed[0].0 != keyed[keyed.len() - 1].0 {
             // Granularity gate (Requirement 1): prefix groups below the
             // minimum size would spend more on per-graph overhead than
             // reference encoding saves, so they pool into one residual
             // element (still same-domain, same-host-prefix pages) while
             // every sufficiently large group becomes its own element.
             let gate = config.min_url_split_mean.max(1) as usize;
-            let mut keyed: Vec<(&str, Vec<PageId>)> = groups.into_iter().collect();
-            keyed.sort_by(|a, b| a.0.cmp(b.0));
             let next_state = if depth + 1 > MAX_URL_DEPTH {
                 SplitState::Clustered
             } else {
@@ -434,11 +525,12 @@ fn try_url_split(
             };
             let mut children: Vec<(Vec<PageId>, SplitState)> = Vec::new();
             let mut residual: Vec<PageId> = Vec::new();
-            for (_, g) in keyed {
-                if g.len() >= gate {
-                    children.push((g, next_state));
+            for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+                let group = group.iter().map(|&(_, p)| p);
+                if group.len() >= gate {
+                    children.push((group.collect(), next_state));
                 } else {
-                    residual.extend(g);
+                    residual.extend(group);
                 }
             }
             if !residual.is_empty() {
@@ -465,6 +557,21 @@ fn try_url_split(
     }
 }
 
+/// The dimension, in the clustered split under way, of every partition
+/// element that has one: a slot per element, kept from split to split and
+/// grown with the partition, so that a split pays for the elements its
+/// pages link to and not for all there are.
+#[derive(Default)]
+struct DimScratch {
+    dim_of: Vec<u32>,
+    /// The elements that have a dimension, in dimension order.
+    touched: Vec<u32>,
+}
+
+impl DimScratch {
+    const NO_DIM: u32 = u32::MAX;
+}
+
 /// Attempts clustered split; returns whether the element was split.
 fn try_clustered_split(
     partition: &mut Partition,
@@ -472,6 +579,7 @@ fn try_clustered_split(
     graph: &Graph,
     config: &RefineConfig,
     rng: &mut SmallRng,
+    scratch: &mut DimScratch,
 ) -> bool {
     let element = &partition.elements[idx as usize];
     let m = element.pages.len();
@@ -483,24 +591,27 @@ fn try_clustered_split(
     // this element points to (the supernode's out-neighbours, Figure 6),
     // numbered in the order the pages' links first reach them: a slot per
     // partition element holds its dimension once it has one.
-    const NO_DIM: u32 = u32::MAX;
-    let mut dim_of = vec![NO_DIM; partition.len()];
-    let mut dims = 0u32;
-    let mut vectors = SparseRows::default();
+    let DimScratch { dim_of, touched } = scratch;
+    dim_of.resize(partition.len(), DimScratch::NO_DIM);
+    let mut vectors = ListBuf::default();
     for &p in &element.pages {
         let others = graph
             .neighbors(p)
             .iter()
             .map(|&t| partition.elem_of[t as usize])
             .filter(|&e| e != idx);
-        vectors.push_row(others.map(|e| {
+        vectors.push_set(others.map(|e| {
             let dim = &mut dim_of[e as usize];
-            if *dim == NO_DIM {
-                *dim = dims;
-                dims += 1;
+            if *dim == DimScratch::NO_DIM {
+                *dim = touched.len() as u32;
+                touched.push(e);
             }
             *dim
         }));
+    }
+    let dims = touched.len() as u32;
+    for e in touched.drain(..) {
+        dim_of[e as usize] = DimScratch::NO_DIM;
     }
     if dims == 0 {
         return false; // nothing to discriminate on
@@ -510,7 +621,7 @@ fn try_clustered_split(
     let mut k = dims;
     for _attempt in 0..config.kmeans_attempts.max(1) {
         let outcome = kmeans_binary(
-            &vectors,
+            vectors.view(),
             dims,
             KMeansParams {
                 k,
@@ -562,46 +673,40 @@ fn try_clustered_split(
     false
 }
 
-/// The URL prefix at `depth`: the hostname for depth 0, plus the first
-/// `depth` directory segments otherwise. The trailing filename never
-/// participates.
-#[allow(clippy::needless_range_loop)] // byte positions drive slicing logic
+/// The URL prefix at `depth`: the hostname (with its `scheme://`, if the
+/// URL has one) for depth 0, plus the first `depth` directory segments
+/// otherwise. The trailing filename never participates. A prefix of `url`
+/// for any string: URL text comes from outside the program.
 pub fn url_prefix(url: &str, depth: u32) -> &str {
-    let rest = url.strip_prefix("http://").unwrap_or(url);
-    let base = "http://".len().min(url.len());
-    // End of hostname.
-    let host_end = rest.find('/').map_or(url.len(), |i| base + i);
-    if depth == 0 {
-        return &url[..host_end];
+    let mut end = host_end(url);
+    for _ in 0..depth {
+        end = one_deeper(url, end);
     }
-    // Walk `depth` directory segments past the hostname. The final path
-    // segment is the filename and is excluded, so only segments followed by
-    // a further '/' count.
-    let path = &url[host_end..];
-    let mut end = host_end;
-    let mut seen = 0u32;
-    let bytes = path.as_bytes();
-    let mut seg_start = 1usize; // skip leading '/'
-    if bytes.is_empty() {
-        return &url[..host_end];
-    }
-    for i in 1..bytes.len() {
-        if bytes[i] == b'/' {
-            // Segment [seg_start, i) is a directory.
-            seen += 1;
-            end = host_end + i;
-            seg_start = i + 1;
-            if seen == depth {
-                break;
-            }
-        }
-    }
-    let _ = seg_start;
-    if seen == 0 {
-        &url[..host_end]
-    } else {
-        &url[..end]
-    }
+    &url[..end]
+}
+
+/// Where the hostname of `url` ends: at the first `/` after its
+/// `scheme://` (letters, digits, `+`, `-` and `.`, then `://`), or after
+/// the start of a URL that has none.
+fn host_end(url: &str) -> usize {
+    let is_scheme = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
+    let scheme = url.bytes().take_while(|b| is_scheme(b)).count();
+    let host_start = match &url.as_bytes()[scheme..] {
+        [b':', b'/', b'/', ..] if scheme > 0 => scheme + 3,
+        _ => 0,
+    };
+    url[host_start..]
+        .find('/')
+        .map_or(url.len(), |i| host_start + i)
+}
+
+/// Where the prefix one directory below `url[..end]` — the hostname or a
+/// deeper prefix, so followed by a `/` or by nothing — ends: after the
+/// next path segment if a further `/` follows it, and at `end` itself if
+/// it is the filename, which never participates.
+fn one_deeper(url: &str, end: usize) -> usize {
+    let segment = url.get(end + 1..).and_then(|rest| rest.find('/'));
+    segment.map_or(end, |i| end + 1 + i)
 }
 
 #[cfg(test)]
@@ -634,6 +739,85 @@ mod tests {
         assert_eq!(url_prefix(root, 2), "http://www.alpha.edu");
     }
 
+    /// Anything may stand in `urls.txt`: whatever the scheme, or none, the
+    /// hostname ends at the first slash after it, and no prefix is cut
+    /// anywhere but at a slash or the end.
+    #[test]
+    fn url_prefix_is_a_prefix_of_any_string() {
+        let cases = [
+            (
+                "https://example.org/a/b.html",
+                ["https://example.org", "https://example.org/a"],
+            ),
+            ("example.com/a/b.html", ["example.com", "example.com/a"]),
+            ("ftp://a/b", ["ftp://a", "ftp://a"]),
+            ("a/b", ["a", "a"]),
+            (
+                "http://www.alpha.edu/a/x/p0.html",
+                ["http://www.alpha.edu", "http://www.alpha.edu/a"],
+            ),
+            (
+                "http://bücher.example/straße/ü.html",
+                ["http://bücher.example", "http://bücher.example/straße"],
+            ),
+            // No scheme: what precedes `://` is not one, or nothing does.
+            ("://x/y/z", [":", ":/"]),
+            ("a b://c/d/e", ["a b:", "a b:/"]),
+            ("host:8080/d/p", ["host:8080", "host:8080/d"]),
+            ("", ["", ""]),
+            ("/", ["", ""]),
+            ("//", ["", "/"]),
+            ("ü", ["ü", "ü"]),
+        ];
+        for (url, [host, one_directory]) in cases {
+            assert_eq!(url_prefix(url, 0), host, "{url:?}");
+            assert_eq!(url_prefix(url, 1), one_directory, "{url:?}");
+            for depth in 0..6 {
+                assert!(
+                    url.starts_with(url_prefix(url, depth)),
+                    "{url:?} at {depth}"
+                );
+            }
+        }
+    }
+
+    /// Ranks order the prefixes of an element's pages as their text does,
+    /// level by level, whatever bytes the segments are made of.
+    #[test]
+    fn prefix_ranks_group_and_order_as_prefix_text_does() {
+        let urls = [
+            "http://h.x.com/a/p.html",
+            "http://h.x.com/a-b/p.html",
+            "http://h.x.com/a/b/p.html",
+            "http://h.x.com/p.html",
+            "http://h.x.com/a.b/c/d/e.html",
+            "https://h.x.com/a/p.html",
+            "h.x.com/a/p.html",
+            "http://h.x.com/a/b/q.html",
+            "http://h.x.com./a/p.html",
+            "http://h.x.com/a/b/c/r.html",
+        ];
+        let partition = Partition::initial(&[0; 10]);
+        let ranks = rank_prefixes(&partition, &urls);
+        for depth in 0..=MAX_URL_DEPTH {
+            let prefix = |url| url_prefix(url, depth);
+            for (url, of_url) in urls.iter().zip(&ranks) {
+                for (other, of_other) in urls.iter().zip(&ranks) {
+                    // Only pages that agree one level up are ever compared.
+                    if depth > 0 && url_prefix(url, depth - 1) != url_prefix(other, depth - 1) {
+                        continue;
+                    }
+                    let by_rank = of_url[depth as usize].cmp(&of_other[depth as usize]);
+                    assert_eq!(
+                        by_rank,
+                        prefix(url).cmp(prefix(other)),
+                        "{url} {other} {depth}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn initial_partition_groups_by_domain() {
         let (_, domains) = urls_and_domains();
@@ -655,8 +839,9 @@ mod tests {
             min_url_split_mean: 1,
             ..Default::default()
         };
+        let ranks = rank_prefixes(&p, &urls);
         // Element 0 (alpha.edu): host split → www vs cs.
-        match try_url_split(&mut p, 0, 0, &urls, &cfg) {
+        match try_url_split(&mut p, 0, 0, &ranks, &cfg) {
             UrlSplitOutcome::Split => {}
             _ => panic!("host-level split must succeed"),
         }
@@ -669,7 +854,7 @@ mod tests {
             _ => panic!("www element should still be URL-splittable"),
         };
         assert_eq!(depth, 1);
-        match try_url_split(&mut p, www_idx, depth, &urls, &cfg) {
+        match try_url_split(&mut p, www_idx, depth, &ranks, &cfg) {
             UrlSplitOutcome::Split => {}
             _ => panic!("directory-level split must succeed"),
         }
@@ -689,7 +874,8 @@ mod tests {
         let domains = vec![0, 0];
         let mut p = Partition::initial(&domains);
         let cfg = RefineConfig::default();
-        match try_url_split(&mut p, 0, 0, &urls, &cfg) {
+        let ranks = rank_prefixes(&p, &urls);
+        match try_url_split(&mut p, 0, 0, &ranks, &cfg) {
             UrlSplitOutcome::Exhausted => {}
             _ => panic!("identical prefixes cannot split"),
         }
@@ -724,7 +910,14 @@ mod tests {
         let split = (0..16u64).any(|seed| {
             let mut q = p.clone();
             let mut rng = SmallRng::seed_from_u64(seed);
-            try_clustered_split(&mut q, 0, &graph, &cfg, &mut rng) && {
+            try_clustered_split(
+                &mut q,
+                0,
+                &graph,
+                &cfg,
+                &mut rng,
+                &mut DimScratch::default(),
+            ) && {
                 p = q;
                 true
             }
@@ -748,7 +941,15 @@ mod tests {
         let mut p = Partition::initial(&domains);
         let cfg = RefineConfig::default();
         let mut rng = SmallRng::seed_from_u64(4);
-        assert!(!try_clustered_split(&mut p, 0, &graph, &cfg, &mut rng));
+        let mut scratch = DimScratch::default();
+        assert!(!try_clustered_split(
+            &mut p,
+            0,
+            &graph,
+            &cfg,
+            &mut rng,
+            &mut scratch
+        ));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! the payloads, and decoding list `i` walks its reference chain.
 
 use crate::codec::ListCodec;
+use crate::flat::{FlatLists, ListBuf};
 use crate::{Result, SNodeError};
 use wg_bitio::{codes, rle, BitReader, BitWriter};
 
@@ -101,9 +102,10 @@ impl EncodedLists {
 }
 
 /// Encodes `lists` (each strictly ascending, entries `< universe`) with the
-/// given reference mode, single-threaded. Every list is coded the one way
-/// the paper does: the codec argument is read by nothing, and
-/// [`ListCodec`] says which caller it stays for.
+/// given reference mode, single-threaded: [`encode_lists_t`] for a caller
+/// that holds one `Vec` per list. Every list is coded the one way the
+/// paper does: the codec argument is read by nothing, and [`ListCodec`]
+/// says which caller it stays for.
 ///
 /// # Panics
 /// Panics if a list entry is `>= universe` or a list is not strictly
@@ -114,31 +116,38 @@ pub fn encode_lists(
     mode: RefMode,
     _codec: ListCodec,
 ) -> EncodedLists {
-    encode_lists_t(lists, universe, mode, 1)
+    encode_lists_t(ListBuf::from_nested(lists).view(), universe, mode, 1)
 }
 
-/// [`encode_lists`] with up to `threads` workers for reference selection
-/// and payload encoding. The output is byte-identical for every thread
-/// count: parallelism only redistributes pure per-list computations whose
-/// results are concatenated in list order.
+/// Encodes `lists` with up to `threads` workers for reference selection.
+/// The output is byte-identical for every thread count: parallelism only
+/// redistributes pure per-list computations whose results are
+/// concatenated in list order.
 pub fn encode_lists_t(
-    lists: &[Vec<u32>],
+    lists: FlatLists<'_>,
     universe: u64,
     mode: RefMode,
     threads: u32,
 ) -> EncodedLists {
-    let plan = plan_lists(lists, universe, mode, threads);
-    encode_lists_planned(lists, universe, &plan, threads)
+    write_lists(lists, universe, &plan_lists(lists, universe, mode, threads))
+}
+
+/// The stream `plan` describes for `lists`, as a graph of its own.
+pub(crate) fn write_lists(lists: FlatLists<'_>, universe: u64, plan: &ListsPlan) -> EncodedLists {
+    let mut w = BitWriter::with_capacity_bits(plan.total_bits as usize);
+    write_lists_planned(&mut w, lists, universe, plan);
+    let (bytes, bit_len) = w.finish();
+    EncodedLists { bytes, bit_len }
 }
 
 /// A reference-selection plan: every list's chosen parent plus the exact
 /// bit sizes the resulting encoding will have.
 ///
 /// Planning pays for reference selection (the expensive part) but writes
-/// no bit stream; [`encode_lists_planned`] materialises the stream from a
-/// plan. Splitting the two lets the superedge polarity decision size both
-/// orientations and encode only the winner, instead of fully encoding the
-/// loser just to measure it.
+/// no bit stream; [`write_lists_planned`] writes the stream a plan
+/// describes. Splitting the two lets the superedge polarity and layout
+/// decisions size every candidate and encode only the winner, and lets a
+/// stream that needs a directory write it ahead of the payloads it sizes.
 #[derive(Debug, Clone)]
 pub(crate) struct ListsPlan {
     /// Chosen reference parent per list (`None` = plain).
@@ -154,41 +163,34 @@ pub(crate) struct ListsPlan {
 /// Selects references and computes the exact encoded size, without
 /// producing the bit stream.
 pub(crate) fn plan_lists(
-    lists: &[Vec<u32>],
+    lists: FlatLists<'_>,
     universe: u64,
     mode: RefMode,
     threads: u32,
 ) -> ListsPlan {
-    for list in lists {
+    for list in lists.iter() {
         debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(list.iter().all(|&x| u64::from(x) < universe.max(1)));
     }
-    let parents = choose_references(lists, universe, mode, threads);
-    let n = lists.len();
-    // Exact per-payload sizes: every component codec exposes an exact
-    // length function, so the size of a payload is known without writing
-    // it. Pure per-list computation → parallel chunks, results in order.
-    let payload_bits: Vec<u64> = crate::par::par_chunks(threads, n, 64, |range| {
-        range
-            .map(|i| match parents[i] {
-                None => 1 + bounded_gap_list_len(&lists[i], universe),
-                Some(p) => {
-                    let (bits, extras) = diff_against(&lists[p as usize], &lists[i]);
-                    1 + codes::minimal_binary_len(u64::from(p), n as u64)
-                        + rle::encoded_len(&bits)
-                        + bounded_gap_list_len(&extras, universe)
-                }
-            })
-            .collect::<Vec<u64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let n = lists.len() as u64;
+    let Selection {
+        parents,
+        priced: mut payload_bits,
+    } = choose_references(lists, universe, mode, threads);
+    // A payload is what selection priced it at, except that selection
+    // charges every parent field the longest codeword and the stream
+    // spends the one the parent chosen takes.
+    let longest = parent_field_bits(n);
+    for (bits, parent) in payload_bits.iter_mut().zip(&parents) {
+        if let Some(p) = parent {
+            *bits = *bits - longest + codes::minimal_binary_len(u64::from(*p), n);
+        }
+    }
     let has_dir = parents
         .iter()
         .enumerate()
         .any(|(i, p)| p.is_some_and(|p| p as usize > i));
-    let mut total_bits = codes::gamma_len(n as u64) + 1;
+    let mut total_bits = codes::gamma_len(n) + 1;
     if has_dir {
         total_bits += payload_bits
             .iter()
@@ -204,81 +206,62 @@ pub(crate) fn plan_lists(
     }
 }
 
-/// Materialises the bit stream a plan describes. The stream is identical
-/// to what the one-shot encoder would produce for the plan's mode.
-pub(crate) fn encode_lists_planned(
-    lists: &[Vec<u32>],
+/// Writes the stream `plan` describes for `lists` onto `w`, wherever it
+/// stands: the one place a list stream is serialised, whether it is a
+/// graph of its own or a section of a superedge graph.
+pub(crate) fn write_lists_planned(
+    w: &mut BitWriter,
+    lists: FlatLists<'_>,
     universe: u64,
     plan: &ListsPlan,
-    threads: u32,
-) -> EncodedLists {
+) {
     let n = lists.len();
     debug_assert_eq!(plan.parents.len(), n);
-
-    // Encode payloads first so their lengths can go in the directory. The
-    // universe size is NOT stored: every caller knows it (an intranode
+    let stream_start = w.bit_len();
+    // The universe size is NOT stored: every caller knows it (an intranode
     // graph's universe is its own list count; a superedge graph's is |Nj|,
     // which the resident supernode metadata records), and at a few dozen
     // bits per graph it would be the single largest fixed overhead on the
     // many small superedge graphs a Web-scale partition produces.
-    let payloads: Vec<(Vec<u8>, u64)> = crate::par::par_chunks(threads, n, 64, |range| {
-        range
-            .map(|i| {
-                let list = &lists[i];
-                let mut w = BitWriter::new();
-                match plan.parents[i] {
-                    None => {
-                        w.write_bit(false);
-                        write_bounded_gap_list(&mut w, list, universe);
-                    }
-                    Some(p) => {
-                        w.write_bit(true);
-                        codes::write_minimal_binary(&mut w, u64::from(p), n as u64);
-                        let reference = &lists[p as usize];
-                        let (bits, extras) = diff_against(reference, list);
-                        rle::write_bitvec(&mut w, &bits);
-                        write_bounded_gap_list(&mut w, &extras, universe);
-                    }
-                }
-                w.finish()
-            })
-            .collect::<Vec<(Vec<u8>, u64)>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    debug_assert!(payloads
-        .iter()
-        .zip(&plan.payload_bits)
-        .all(|((_, got), &want)| *got == want));
-
-    let mut w = BitWriter::new();
-    codes::write_gamma(&mut w, n as u64);
+    codes::write_gamma(w, n as u64);
     // Payloads are self-delimiting when every reference points backward
     // (the default), so no per-list directory is stored: a loader rebuilds
     // offsets with one sequential scan (see [`ListsIndex::parse_at`]), the
     // way the paper's scheme can afford fast in-memory access without
     // paying index bits on disk. Only Exact-mode encodings with forward
-    // references carry an explicit directory (flagged by one bit).
+    // references carry an explicit directory (flagged by one bit), and the
+    // plan has every length it lists.
     w.write_bit(plan.has_dir);
     if plan.has_dir {
-        for &(_, bits) in &payloads {
-            codes::write_gamma(&mut w, bits);
+        for &bits in &plan.payload_bits {
+            codes::write_gamma(w, bits);
         }
     }
-    for (bytes, bits) in &payloads {
-        w.append(bytes, *bits);
+    let mut diff = DiffScratch::default();
+    for (i, list) in lists.iter().enumerate() {
+        let payload_start = w.bit_len();
+        match plan.parents[i] {
+            None => {
+                w.write_bit(false);
+                write_bounded_gap_list(w, list, universe);
+            }
+            Some(p) => {
+                w.write_bit(true);
+                codes::write_minimal_binary(w, u64::from(p), n as u64);
+                diff_into(lists.get(p as usize), list, &mut diff);
+                rle::write_bitvec(w, &diff.mask);
+                write_bounded_gap_list(w, &diff.extras, universe);
+            }
+        }
+        debug_assert_eq!(w.bit_len() - payload_start, plan.payload_bits[i]);
     }
-    let (bytes, bit_len) = w.finish();
-    debug_assert_eq!(bit_len, plan.total_bits, "plan mis-sized the encoding");
-    EncodedLists { bytes, bit_len }
+    debug_assert_eq!(w.bit_len() - stream_start, plan.total_bits);
 }
 
-/// Exact encoded size in bits without producing the encoding (for the
-/// positive-vs-negative superedge decision). Pays for reference selection
-/// only; no bit stream is written.
+/// Exact encoded size in bits without producing the encoding. Pays for
+/// reference selection only; no bit stream is written.
 pub fn encoded_size_bits(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> u64 {
-    plan_lists(lists, universe, mode, 1).total_bits
+    plan_lists(ListBuf::from_nested(lists).view(), universe, mode, 1).total_bits
 }
 
 /// Owned directory of an [`EncodedLists`] stream: everything needed for
@@ -890,14 +873,6 @@ fn diff_into(reference: &[u32], target: &[u32], out: &mut DiffScratch) {
     }
 }
 
-/// [`diff_into`] into fresh buffers, for the one parent a list ends up
-/// encoded against.
-fn diff_against(reference: &[u32], target: &[u32]) -> (Vec<bool>, Vec<u32>) {
-    let mut out = DiffScratch::default();
-    diff_into(reference, target, &mut out);
-    (out.mask, out.extras)
-}
-
 /// Size in bits of [`write_bounded_gap_list`]'s output.
 pub(crate) fn bounded_gap_list_len(list: &[u32], universe: u64) -> u64 {
     let mut total = codes::gamma_len(list.len() as u64);
@@ -1023,28 +998,42 @@ fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64
 /// probes a windowed selection performs.
 const PAR_COST_PROBES_MIN: usize = 2048;
 
+/// What reference selection decides for a list collection.
+struct Selection {
+    /// The reference chosen per list (`None` = plain).
+    parents: Vec<Option<u32>>,
+    /// What selection priced each list's payload at: its [`plain_cost`],
+    /// or the cost of the reference chosen with the parent field at its
+    /// longest ([`parent_field_bits`]) — the price the choice was made on,
+    /// kept so that nothing has to be diffed again to size the stream.
+    priced: Vec<u64>,
+}
+
 /// Chooses a parent (reference list) for each list, or `None` for plain.
 fn choose_references(
-    lists: &[Vec<u32>],
+    lists: FlatLists<'_>,
     universe: u64,
     mode: RefMode,
     threads: u32,
-) -> Vec<Option<u32>> {
+) -> Selection {
     let n = lists.len();
+    let mut priced: Vec<u64> = lists.iter().map(|l| plain_cost(l, universe)).collect();
+    let mut parents = vec![None; n];
     match mode {
         RefMode::Windowed(w)
             if threads > 1 && n.saturating_mul(w.max(1) as usize) >= PAR_COST_PROBES_MIN =>
         {
-            choose_references_windowed_par(lists, universe, w.max(1) as usize, threads)
+            let w = w.max(1) as usize;
+            choose_windowed_par(lists, universe, w, threads, &mut parents, &mut priced);
         }
-        RefMode::None => vec![None; n],
+        RefMode::None => {}
         RefMode::Windowed(w) => {
             let w = w.max(1) as usize;
-            let summaries: Vec<ListSummary> = lists.iter().map(|l| ListSummary::of(l)).collect();
-            let mut parents = vec![None; n];
+            let summaries: Vec<ListSummary> = lists.iter().map(ListSummary::of).collect();
             let mut depth = vec![0u32; n];
             for y in 0..n {
-                if lists[y].is_empty() {
+                let target = lists.get(y);
+                if target.is_empty() {
                     continue; // plain empty list is 2 bits; nothing beats it
                 }
                 // Nearest candidate first: near lists are the most alike,
@@ -1054,12 +1043,12 @@ fn choose_references(
                 // that ties the best replaces it — so the parent is the
                 // one an ascending walk keeping each strictly cheaper
                 // candidate ends on.
-                let mut best = plain_cost(&lists[y], universe) - 1;
+                let mut best = priced[y] - 1;
                 for x in (y.saturating_sub(w)..y).rev() {
                     if depth[x] >= MAX_REF_CHAIN || !summaries[x].may_share(&summaries[y]) {
                         continue;
                     }
-                    let c = ref_cost_within(&lists[x], &lists[y], n as u64, universe, best);
+                    let c = ref_cost_within(lists.get(x), target, n as u64, universe, best);
                     if let Some(c) = c {
                         best = c;
                         parents[y] = Some(x as u32);
@@ -1067,9 +1056,9 @@ fn choose_references(
                 }
                 if let Some(p) = parents[y] {
                     depth[y] = depth[p as usize] + 1;
+                    priced[y] = best;
                 }
             }
-            parents
         }
         RefMode::Exact => {
             // The affinity graph is quadratic in the list count and Edmonds
@@ -1091,18 +1080,18 @@ fn choose_references(
                 let mut batch: Vec<(u32, u32, u64)> = Vec::new();
                 let mut scratch = DiffScratch::default();
                 for y in range {
-                    batch.push((root as u32, y as u32, plain_cost(&lists[y], universe)));
-                    if lists[y].is_empty() {
+                    batch.push((root as u32, y as u32, priced[y]));
+                    if lists.get(y).is_empty() {
                         continue;
                     }
                     for x in 0..n {
-                        if x == y || lists[x].is_empty() {
+                        if x == y || lists.get(x).is_empty() {
                             continue;
                         }
                         // Every pair stays in the edge list, disjoint ones
                         // included: the arborescence breaks ties by edge
                         // order.
-                        diff_into(&lists[x], &lists[y], &mut scratch);
+                        diff_into(lists.get(x), lists.get(y), &mut scratch);
                         let c = diff_cost(&scratch, n as u64, universe);
                         batch.push((x as u32, y as u32, c));
                     }
@@ -1113,18 +1102,18 @@ fn choose_references(
             .flatten()
             .collect();
             let parent = min_arborescence(n + 1, root as u32, &edges);
-            (0..n)
-                .map(|y| {
-                    let p = parent[y];
-                    if p == root as u32 {
-                        None
-                    } else {
-                        Some(p)
-                    }
-                })
-                .collect()
+            let mut scratch = DiffScratch::default();
+            for y in 0..n {
+                let x = parent[y];
+                if x != root as u32 {
+                    parents[y] = Some(x);
+                    diff_into(lists.get(x as usize), lists.get(y), &mut scratch);
+                    priced[y] = diff_cost(&scratch, n as u64, universe);
+                }
+            }
         }
     }
+    Selection { parents, priced }
 }
 
 /// What selection reads off a list before pricing it against another:
@@ -1155,7 +1144,8 @@ impl ListSummary {
     }
 }
 
-/// Windowed selection with parallel candidate-cost evaluation.
+/// Windowed selection with parallel candidate-cost evaluation, into
+/// `parents` (all `None`) and `priced` (every list's plain cost).
 ///
 /// All `(candidate, target)` costs are computed up front in parallel —
 /// [`ref_cost_within`] under the bound every reference has to meet, one
@@ -1166,29 +1156,32 @@ impl ListSummary {
 /// costing candidates the serial loop skips on the depth gate, a small
 /// minority under [`MAX_REF_CHAIN`], and pricing each under plain where
 /// the serial loop has the best so far.
-fn choose_references_windowed_par(
-    lists: &[Vec<u32>],
+fn choose_windowed_par(
+    lists: FlatLists<'_>,
     universe: u64,
     w: usize,
     threads: u32,
-) -> Vec<Option<u32>> {
+    parents: &mut [Option<u32>],
+    priced: &mut [u64],
+) {
     let n = lists.len();
-    let summaries: Vec<ListSummary> = lists.iter().map(|l| ListSummary::of(l)).collect();
+    let summaries: Vec<ListSummary> = lists.iter().map(ListSummary::of).collect();
+    let plain: &[u64] = priced;
     // Candidate costs for x in window order, per target; `u64::MAX` for a
     // candidate that cannot be chosen whatever its depth.
     let costs: Vec<Vec<u64>> = crate::par::par_chunks(threads, n, 16, |range| {
         range
             .map(|y| {
-                if lists[y].is_empty() {
+                if lists.get(y).is_empty() {
                     return Vec::new();
                 }
-                let bound = plain_cost(&lists[y], universe) - 1;
+                let bound = plain[y] - 1;
                 (y.saturating_sub(w)..y)
                     .map(|x| {
                         if !summaries[x].may_share(&summaries[y]) {
                             return u64::MAX;
                         }
-                        ref_cost_within(&lists[x], &lists[y], n as u64, universe, bound)
+                        ref_cost_within(lists.get(x), lists.get(y), n as u64, universe, bound)
                             .unwrap_or(u64::MAX)
                     })
                     .collect()
@@ -1199,7 +1192,6 @@ fn choose_references_windowed_par(
     .flatten()
     .collect();
 
-    let mut parents: Vec<Option<u32>> = vec![None; n];
     let mut depth = vec![0u32; n];
     for y in 0..n {
         let mut best = u64::MAX;
@@ -1211,9 +1203,9 @@ fn choose_references_windowed_par(
         }
         if let Some(p) = parents[y] {
             depth[y] = depth[p as usize] + 1;
+            priced[y] = best;
         }
     }
-    parents
 }
 
 /// Chu–Liu/Edmonds minimum-weight spanning arborescence.
@@ -1419,7 +1411,7 @@ mod tests {
     use super::*;
 
     fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
-        let enc = encode_lists_t(lists, universe, mode, 1);
+        let enc = encode_lists(lists, universe, mode, ListCodec::GAMMA);
         let reader =
             ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe)).unwrap();
         assert_eq!(reader.num_lists(), lists.len() as u32);
@@ -1553,7 +1545,7 @@ mod tests {
         let base: Vec<u32> = (10..40).collect();
         let lists = vec![base.clone(); 30];
         let enc = round_trip(&lists, 64, RefMode::Windowed(4));
-        let plain = encode_lists_t(&lists, 64, RefMode::None, 1);
+        let plain = encode_lists(&lists, 64, RefMode::None, ListCodec::GAMMA);
         // Each referenced copy costs ~18 bits (mode + parent + RLE'd all-ones
         // mask + empty extras) vs ~55 plain, but the per-list directory entry
         // is shared overhead — net ≈ 2x, not the asymptotic |list| ratio.
@@ -1582,7 +1574,7 @@ mod tests {
     #[test]
     fn single_list_truncation_is_detected() {
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists_t(&lists, 10, RefMode::None, 1);
+        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
         for cut in 1..enc.bit_len {
             match ListsReader::parse(&enc.bytes, cut, Universe::Explicit(10)) {
                 Err(_) => {}
@@ -1726,7 +1718,7 @@ mod tests {
         for mode in modes() {
             assert_eq!(
                 encoded_size_bits(&lists, 10, mode),
-                encode_lists_t(&lists, 10, mode, 1).bit_len,
+                encode_lists(&lists, 10, mode, ListCodec::GAMMA).bit_len,
                 "{mode:?}"
             );
         }
@@ -1745,7 +1737,7 @@ mod tests {
     fn stream_truncation_and_bit_flips_never_panic() {
         let universe = 300u64;
         let lists = synth_lists(0x5EED, 12, universe);
-        let enc = encode_lists_t(&lists, universe, RefMode::Windowed(4), 1);
+        let enc = encode_lists(&lists, universe, RefMode::Windowed(4), ListCodec::GAMMA);
         // Truncation at every bit boundary.
         for cut in 0..enc.bit_len {
             if let Ok(r) = ListsReader::parse(&enc.bytes, cut, Universe::Explicit(universe)) {
@@ -1792,10 +1784,10 @@ mod tests {
         lists: &[Vec<u32>],
         universe: u64,
         mode: RefMode,
-    ) -> Vec<Option<u32>> {
+    ) -> (Vec<Option<u32>>, Vec<u64>) {
         let n = lists.len();
         let cost = |x: usize, y: usize| ref_cost_model(&lists[x], &lists[y], n as u64, universe);
-        match mode {
+        let parents: Vec<Option<u32>> = match mode {
             RefMode::None => vec![None; n],
             RefMode::Windowed(w) => {
                 let mut parents = vec![None; n];
@@ -1829,7 +1821,15 @@ mod tests {
                     .map(|y| Some(parent[y]).filter(|&p| p != n as u32))
                     .collect()
             }
-        }
+        };
+        // What the choice was priced at: plain, or against the parent.
+        let priced = (0..n)
+            .map(|y| match parents[y] {
+                None => plain_cost(&lists[y], universe),
+                Some(p) => cost(p as usize, y),
+            })
+            .collect();
+        (parents, priced)
     }
 
     /// Lists drawn with repeats from a small pool, so that a window holds
@@ -1883,15 +1883,18 @@ mod tests {
         for (case, (lists, universe)) in cases.iter().enumerate() {
             for mode in modes {
                 let want = choose_references_model(lists, *universe, mode);
+                let flat = ListBuf::from_nested(lists);
                 for threads in [1u32, 4] {
-                    let got = choose_references(lists, *universe, mode, threads);
+                    let got = choose_references(flat.view(), *universe, mode, threads);
+                    let got = (got.parents, got.priced);
                     assert_eq!(got, want, "case {case} {mode:?} threads={threads}");
                 }
             }
         }
         // The cases are what they are for: candidates tie, and chains
         // reach the cap and stop there.
-        let parents = choose_references(&cases[4].0, 200, RefMode::Windowed(8), 1);
+        let chained = ListBuf::from_nested(&cases[4].0);
+        let parents = choose_references(chained.view(), 200, RefMode::Windowed(8), 1).parents;
         let mut depth = vec![0u32; parents.len()];
         for (y, p) in parents.iter().enumerate() {
             depth[y] = p.map_or(0, |p| depth[p as usize] + 1);
@@ -1907,7 +1910,13 @@ mod tests {
         // A window of 1 only takes the parallel path past 2048 lists.
         let long = chained_lists(2100);
         let want = choose_references_model(&long, 200, RefMode::Windowed(1));
-        assert_eq!(choose_references(&long, 200, RefMode::Windowed(1), 4), want);
+        let got = choose_references(
+            ListBuf::from_nested(&long).view(),
+            200,
+            RefMode::Windowed(1),
+            4,
+        );
+        assert_eq!((got.parents, got.priced), want);
     }
 
     proptest::proptest! {
@@ -1997,7 +2006,7 @@ mod tests {
         let universe = 600u64;
         let lists = synth_lists(0x0FF5E7, 48, universe);
         for mode in [RefMode::None, RefMode::Windowed(8), RefMode::Exact] {
-            let enc = encode_lists_t(&lists, universe, mode, 1);
+            let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
             let index =
                 ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(universe))
                     .unwrap();
@@ -2055,7 +2064,7 @@ mod tests {
         let universe = 200u64;
         let lists = synth_lists(0xF11B, 10, universe);
         for mode in [RefMode::None, RefMode::Windowed(4), RefMode::Exact] {
-            let enc = encode_lists_t(&lists, universe, mode, 1);
+            let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
             for flip in 0..enc.bit_len {
                 let mut bytes = enc.bytes.clone();
                 bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
@@ -2126,7 +2135,7 @@ mod tests {
         // [1, 5, 9] in a universe of 10: the last gap is γ(3) = 00100, and
         // flipping its final bit makes it γ(4), i.e. an entry of 10.
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists_t(&lists, 10, RefMode::None, 1);
+        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
         let clean =
             ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(10)).unwrap();
         let (mut scan_caught, mut decode_caught) = (false, false);

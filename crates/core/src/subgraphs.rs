@@ -18,9 +18,10 @@
 //!   of the distinct lists, plus one index per source.
 
 use crate::codec::{ListCodec, SuperedgeLayouts};
+use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
-    append_bounded_gap_list, bounded_gap_list_len, encode_lists_planned, encode_lists_t,
-    plain_cost, plan_lists, read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list,
+    append_bounded_gap_list, bounded_gap_list_len, encode_lists_t, plain_cost, plan_lists,
+    read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, write_lists_planned,
     DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode,
     Universe,
 };
@@ -52,14 +53,16 @@ pub enum SuperedgeKind {
 // --- Intranode graphs ---------------------------------------------------
 
 /// Encodes an intranode graph: `lists[p]` is the sorted local adjacency of
-/// local page `p` (entries `< lists.len()`).
+/// local page `p` (entries `< lists.len()`). [`encode_intranode_t`] for a
+/// caller that holds one `Vec` per page.
 pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode) -> EncodedLists {
-    encode_intranode_t(lists, mode, 1)
+    encode_intranode_t(ListBuf::from_nested(lists).view(), mode, 1)
 }
 
-/// [`encode_intranode`] with up to `threads` workers. Byte-identical for
-/// every thread count.
-pub fn encode_intranode_t(lists: &[Vec<u32>], mode: RefMode, threads: u32) -> EncodedLists {
+/// Encodes the intranode graph whose page `p` has the sorted local
+/// adjacency `lists.get(p)`, with up to `threads` workers. Byte-identical
+/// for every thread count.
+pub fn encode_intranode_t(lists: FlatLists<'_>, mode: RefMode, threads: u32) -> EncodedLists {
     encode_lists_t(lists, lists.len() as u64, mode, threads)
 }
 
@@ -94,9 +97,9 @@ impl EncodedSuperedge {
 pub struct SuperedgeLinks<'a> {
     /// The local pages of `Ni` that link into `Nj`, ascending.
     pub sources: &'a [u32],
-    /// `lists[k]` is the sorted, non-empty list of local `Nj` targets of
+    /// List `k` is the sorted, non-empty list of local `Nj` targets of
     /// page `sources[k]`.
-    pub lists: &'a [Vec<u32>],
+    pub lists: FlatLists<'a>,
     /// `|Ni|`.
     pub ni: u64,
     /// `|Nj|`.
@@ -105,8 +108,8 @@ pub struct SuperedgeLinks<'a> {
 
 /// Encodes the superedge graph for `i → j` from dense input, single-threaded:
 /// `pos_lists[s]` is the sorted list of local `Nj` targets of the `s`-th
-/// page of `Ni` (possibly empty); `nj = |Nj|`. A convenience over
-/// [`encode_superedge_t`] for callers that hold one list per page.
+/// page of `Ni` (possibly empty); `nj = |Nj|`. [`encode_superedge_t`] for
+/// callers that hold one `Vec` per page.
 pub fn encode_superedge(
     pos_lists: &[Vec<u32>],
     nj: u64,
@@ -117,7 +120,7 @@ pub fn encode_superedge(
     let (sources, lists) = positive_sources(pos_lists);
     let links = SuperedgeLinks {
         sources: &sources,
-        lists: &lists,
+        lists: lists.view(),
         ni: pos_lists.len() as u64,
         nj,
     };
@@ -126,11 +129,6 @@ pub fn encode_superedge(
 
 /// Encodes the superedge graph `links` with up to `threads` workers.
 /// Byte-identical for every thread count.
-///
-/// The polarity decision works on [`ListsPlan`]s — exact sizes computed
-/// without writing a bit stream — so only the winning orientation is ever
-/// encoded. (The plan's `total_bits` equals the encoded size exactly, so
-/// the winner is the same one full encoding of both sides would pick.)
 pub fn encode_superedge_t(
     links: SuperedgeLinks<'_>,
     mode: RefMode,
@@ -138,36 +136,63 @@ pub fn encode_superedge_t(
     codec: ListCodec,
     threads: u32,
 ) -> EncodedSuperedge {
+    let plan = plan_superedge(links, mode, policy, codec, threads);
+    write_superedge(links, &plan, codec)
+}
+
+/// The representation chosen for one superedge graph, with what writing
+/// it needs.
+pub(crate) enum SuperedgePlan {
+    Positive(PositivePlan),
+    /// The complement of every page of `Ni` within `Nj`, and its plan.
+    Negative {
+        lists: ListBuf,
+        plan: ListsPlan,
+    },
+}
+
+/// Chooses how `links` will be stored.
+///
+/// The polarity decision works on [`ListsPlan`]s — exact sizes computed
+/// without writing a bit stream — so only the winning orientation is ever
+/// encoded. (The plan's `total_bits` equals the encoded size exactly, so
+/// the winner is the same one full encoding of both sides would pick.)
+pub(crate) fn plan_superedge(
+    links: SuperedgeLinks<'_>,
+    mode: RefMode,
+    policy: SuperedgePolicy,
+    codec: ListCodec,
+    threads: u32,
+) -> SuperedgePlan {
     let SuperedgeLinks { ni, nj, .. } = links;
     debug_assert_eq!(links.sources.len(), links.lists.len());
     debug_assert!(links.sources.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(links.sources.last().is_none_or(|&s| u64::from(s) < ni));
-    let pos_edges: u64 = links.lists.iter().map(|l| l.len() as u64).sum();
+    let pos_edges = links.lists.total() as u64;
     let neg_edges = ni * nj - pos_edges;
 
     // Only consider the complement when it has fewer edges — otherwise
     // materialising it could cost Θ(|Ni|·|Nj|) for nothing.
     if neg_edges >= pos_edges {
-        let pos = plan_positive(links, mode, codec, threads);
-        return write_superedge_positive(links, &pos, codec, threads);
+        return SuperedgePlan::Positive(plan_positive(links, mode, codec, threads));
     }
     // The negative representation stores a list for every page of `Ni`.
-    let mut stored = links.sources.iter().zip(links.lists).peekable();
-    let neg_lists: Vec<Vec<u32>> = (0..ni as u32)
-        .map(|s| {
-            let links = stored.next_if(|(&src, _)| src == s);
-            complement(links.map_or(&[], |(_, list)| list), nj as u32)
-        })
-        .collect();
-    let neg_plan = plan_lists(&neg_lists, nj, mode, threads);
+    let mut stored = links.sources.iter().zip(links.lists.iter()).peekable();
+    let (mut lists, mut absent) = (ListBuf::default(), Vec::new());
+    for s in 0..ni as u32 {
+        let present = stored.next_if(|(&src, _)| src == s);
+        complement_into(present.map_or(&[], |(_, l)| l), nj as u32, &mut absent);
+        lists.push(absent.iter().copied());
+    }
+    let plan = plan_lists(lists.view(), nj, mode, threads);
     if policy == SuperedgePolicy::EncodedSize {
         let pos = plan_positive(links, mode, codec, threads);
-        if 1 + neg_plan.total_bits >= pos.bits {
-            return write_superedge_positive(links, &pos, codec, threads);
+        if 1 + plan.total_bits >= pos.bits {
+            return SuperedgePlan::Positive(pos);
         }
     }
     // `SuperedgePolicy::EdgeCount`: neg_edges < pos_edges here.
-    write_superedge_negative(&neg_lists, nj, &neg_plan, threads)
+    SuperedgePlan::Negative { lists, plan }
 }
 
 /// How a positive superedge graph stores its target lists. Declared in
@@ -221,7 +246,7 @@ impl Layout {
 
 /// A planned positive encoding: the layout chosen, what writing it needs,
 /// and its exact size.
-struct PositivePlan {
+pub(crate) struct PositivePlan {
     body: PlannedBody,
     /// Exact encoded size in bits, kind and marker bits included.
     bits: u64,
@@ -234,7 +259,7 @@ enum PlannedBody {
     },
     Lists(ListsPlan),
     ListDictionary {
-        dict: Vec<Vec<u32>>,
+        dict: ListBuf,
         plan: ListsPlan,
         index: Vec<u32>,
     },
@@ -264,13 +289,13 @@ struct Distinct {
 }
 
 impl Distinct {
-    fn of(lists: &[Vec<u32>]) -> Self {
+    fn of(lists: FlatLists<'_>) -> Self {
         let mut first = Vec::new();
         let mut seen = std::collections::HashMap::with_capacity(lists.len());
         let index = (0u32..)
-            .zip(lists)
+            .zip(lists.iter())
             .map(|(i, list)| {
-                *seen.entry(list.as_slice()).or_insert_with(|| {
+                *seen.entry(list).or_insert_with(|| {
                     first.push(i);
                     first.len() as u32 - 1
                 })
@@ -358,7 +383,7 @@ impl<'a> Pricer<'a> {
     }
 
     fn plain_cost(&self, stored: u32) -> u64 {
-        plain_cost(&self.links.lists[stored as usize], self.links.nj)
+        plain_cost(self.links.lists.get(stored as usize), self.links.nj)
     }
 
     /// A lower bound on [`Pricer::price`]'s `bits` for `layout`, or `None`
@@ -409,11 +434,13 @@ impl<'a> Pricer<'a> {
             }
             Layout::ListDictionary => {
                 let Distinct { first, index } = self.distinct();
-                let first = first.iter();
-                let dict: Vec<Vec<u32>> = first.map(|&i| lists[i as usize].clone()).collect();
+                let mut dict = ListBuf::default();
+                for &i in first {
+                    dict.push(lists.get(i as usize).iter().copied());
+                }
                 let index = index.clone();
-                let plan = plan_lists(&dict, nj, mode, threads);
-                let bits = plan.total_bits + index_bits(&index, dict.len());
+                let plan = plan_lists(dict.view(), nj, mode, threads);
+                let bits = plan.total_bits + index_bits(&index, first.len());
                 (PlannedBody::ListDictionary { dict, plan, index }, bits)
             }
         };
@@ -429,7 +456,7 @@ impl<'a> Pricer<'a> {
 /// site-template links where every page of one site points at one or two
 /// hub pages of another — and the per-source γ(len)+reference-flag
 /// overhead of the list stream dwarfs their information content.
-fn single_target_dict(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+fn single_target_dict(lists: FlatLists<'_>) -> (Vec<u32>, Vec<u32>) {
     let mut dict: Vec<u32> = lists.iter().map(|l| l[0]).collect();
     dict.sort_unstable();
     dict.dedup();
@@ -442,22 +469,48 @@ fn single_target_dict(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
 
 /// Splits a dense per-source list array into (non-empty source ids, their
 /// lists) — the positive representation's layout.
-fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    pos_lists
-        .iter()
-        .enumerate()
+fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, ListBuf) {
+    let mut lists = ListBuf::default();
+    let sources = (0u32..)
+        .zip(pos_lists)
         .filter(|(_, l)| !l.is_empty())
-        .map(|(s, l)| (s as u32, l.clone()))
-        .unzip()
+        .map(|(s, l)| {
+            lists.push(l.iter().copied());
+            s
+        })
+        .collect();
+    (sources, lists)
+}
+
+/// Writes the graph `plan` chose for `links`, every section straight onto
+/// one stream whose size the plan knows.
+pub(crate) fn write_superedge(
+    links: SuperedgeLinks<'_>,
+    plan: &SuperedgePlan,
+    codec: ListCodec,
+) -> EncodedSuperedge {
+    match plan {
+        SuperedgePlan::Positive(pos) => write_superedge_positive(links, pos, codec),
+        SuperedgePlan::Negative { lists, plan } => {
+            let mut w = BitWriter::with_capacity_bits(1 + plan.total_bits as usize);
+            w.write_bit(true); // kind = negative
+            write_lists_planned(&mut w, lists.view(), links.nj, plan);
+            let (bytes, bit_len) = w.finish();
+            EncodedSuperedge {
+                kind: SuperedgeKind::Negative,
+                bytes,
+                bit_len,
+            }
+        }
+    }
 }
 
 fn write_superedge_positive(
     links: SuperedgeLinks<'_>,
     pos: &PositivePlan,
     codec: ListCodec,
-    threads: u32,
 ) -> EncodedSuperedge {
-    let mut w = BitWriter::new();
+    let mut w = BitWriter::with_capacity_bits(pos.bits as usize);
     // |Ni| is NOT stored: the resident supernode metadata knows every
     // supernode's size, and the decoder receives it as a parameter.
     w.write_bit(false); // kind = positive
@@ -474,38 +527,16 @@ fn write_superedge_positive(
             write_bounded_gap_list(&mut w, dict, links.nj);
             write_index(&mut w, index, dict.len());
         }
-        PlannedBody::Lists(plan) => {
-            let enc = encode_lists_planned(links.lists, links.nj, plan, threads);
-            w.append(&enc.bytes, enc.bit_len);
-        }
+        PlannedBody::Lists(plan) => write_lists_planned(&mut w, links.lists, links.nj, plan),
         PlannedBody::ListDictionary { dict, plan, index } => {
-            let enc = encode_lists_planned(dict, links.nj, plan, threads);
-            w.append(&enc.bytes, enc.bit_len);
-            write_index(&mut w, index, dict.len());
+            write_lists_planned(&mut w, dict.view(), links.nj, plan);
+            write_index(&mut w, index, dict.view().len());
         }
     }
     let (bytes, bit_len) = w.finish();
     debug_assert_eq!(bit_len, pos.bits, "positive plan mispriced its layout");
     EncodedSuperedge {
         kind: SuperedgeKind::Positive,
-        bytes,
-        bit_len,
-    }
-}
-
-fn write_superedge_negative(
-    neg_lists: &[Vec<u32>],
-    nj: u64,
-    plan: &ListsPlan,
-    threads: u32,
-) -> EncodedSuperedge {
-    let mut w = BitWriter::new();
-    w.write_bit(true); // kind = negative
-    let enc = encode_lists_planned(neg_lists, nj, plan, threads);
-    w.append(&enc.bytes, enc.bit_len);
-    let (bytes, bit_len) = w.finish();
-    EncodedSuperedge {
-        kind: SuperedgeKind::Negative,
         bytes,
         bit_len,
     }
@@ -1121,13 +1152,6 @@ impl<'a> SuperedgeView<'a> {
     }
 }
 
-/// Sorted complement of `list` within `0..n`.
-fn complement(list: &[u32], n: u32) -> Vec<u32> {
-    let mut out = Vec::new();
-    complement_into(list, n, &mut out);
-    out
-}
-
 /// Overwrites `out` with the sorted complement of `list` within `0..n`,
 /// growing it to that length at most.
 fn complement_into(list: &[u32], n: u32, out: &mut Vec<u32>) {
@@ -1162,12 +1186,12 @@ mod tests {
         let (sources, lists) = positive_sources(pos_lists);
         let links = SuperedgeLinks {
             sources: &sources,
-            lists: &lists,
+            lists: lists.view(),
             ni: pos_lists.len() as u64,
             nj,
         };
         let pos = plan_positive(links, mode, codec, 1);
-        write_superedge_positive(links, &pos, codec, 1)
+        write_superedge_positive(links, &pos, codec)
     }
 
     #[test]
@@ -1318,20 +1342,20 @@ mod tests {
         ];
         for (name, pos, nj, codec, kind) in cases {
             let ni = pos.len() as u64;
-            // The sparse form as the builder derives it: sorted link triples
-            // cut into one run per source.
-            let triples: Vec<(u32, u32)> = pos
-                .iter()
-                .enumerate()
-                .flat_map(|(s, l)| l.iter().map(move |&t| (s as u32, t)))
+            // The sparse form as the builder derives it: one list per
+            // linking source, pushed as its links arrive — in any order.
+            let mut lists = ListBuf::default();
+            let sources: Vec<u32> = (0u32..)
+                .zip(&pos)
+                .filter(|(_, l)| !l.is_empty())
+                .map(|(s, l)| {
+                    lists.push_set(l.iter().rev().copied());
+                    s
+                })
                 .collect();
-            let (sources, lists): (Vec<u32>, Vec<Vec<u32>>) = triples
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| (run[0].0, run.iter().map(|l| l.1).collect()))
-                .unzip();
             let links = SuperedgeLinks {
                 sources: &sources,
-                lists: &lists,
+                lists: lists.view(),
                 ni,
                 nj,
             };
@@ -1418,6 +1442,12 @@ mod tests {
             decode_superedge(&enc.bytes, enc.bit_len, 0, 5, ListCodec::GAMMA).unwrap(),
             Vec::<Vec<u32>>::new()
         );
+    }
+
+    fn complement(list: &[u32], n: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        complement_into(list, n, &mut out);
+        out
     }
 
     #[test]
@@ -1534,7 +1564,7 @@ mod tests {
     #[derive(Debug)]
     struct Links {
         sources: Vec<u32>,
-        lists: Vec<Vec<u32>>,
+        lists: ListBuf,
         ni: u64,
         nj: u64,
     }
@@ -1543,7 +1573,7 @@ mod tests {
         fn links(&self) -> SuperedgeLinks<'_> {
             SuperedgeLinks {
                 sources: &self.sources,
-                lists: &self.lists,
+                lists: self.lists.view(),
                 ni: self.ni,
                 nj: self.nj,
             }
@@ -1552,11 +1582,16 @@ mod tests {
         /// One list per page of `Ni`, empty where the page is no source.
         fn dense(&self) -> Vec<Vec<u32>> {
             let mut dense = vec![Vec::new(); self.ni as usize];
-            for (&s, list) in self.sources.iter().zip(&self.lists) {
-                dense[s as usize] = list.clone();
+            for (&s, list) in self.sources.iter().zip(self.lists.view().iter()) {
+                dense[s as usize] = list.to_vec();
             }
             dense
         }
+    }
+
+    /// The `n` lists `list` draws, one after the other.
+    fn flat(n: usize, list: impl FnMut(usize) -> Vec<u32>) -> ListBuf {
+        ListBuf::from_nested(&(0..n).map(list).collect::<Vec<_>>())
     }
 
     /// `len` distinct values below `nj`, ascending, drawn from `rng`.
@@ -1596,9 +1631,7 @@ mod tests {
                     .collect();
                 Links {
                     sources: every_other(n),
-                    lists: (0..n)
-                        .map(|_| templates[(rng() % distinct) as usize].clone())
-                        .collect(),
+                    lists: flat(n, |_| templates[(rng() % distinct) as usize].clone()),
                     ni: 2 * n as u64 + 1,
                     nj,
                 }
@@ -1607,21 +1640,17 @@ mod tests {
                 let hubs = draw_list(&mut rng, 4, 32);
                 Links {
                     sources: every_other(n),
-                    lists: (0..n)
-                        .map(|_| vec![hubs[(rng() % hubs.len() as u64) as usize]])
-                        .collect(),
+                    lists: flat(n, |_| vec![hubs[(rng() % hubs.len() as u64) as usize]]),
                     ni: 2 * n as u64 + 1,
                     nj: 32,
                 }
             }
             2 => Links {
                 sources: every_other(n),
-                lists: (0..n)
-                    .map(|_| {
-                        let len = 2 + rng() % 4;
-                        draw_list(&mut rng, len, 256)
-                    })
-                    .collect(),
+                lists: flat(n, |_| {
+                    let len = 2 + rng() % 4;
+                    draw_list(&mut rng, len, 256)
+                }),
                 ni: 2 * n as u64 + 1,
                 nj: 256,
             },
@@ -1629,12 +1658,10 @@ mod tests {
                 let nj = 12u32;
                 Links {
                     sources: (0..n as u32).collect(),
-                    lists: (0..n)
-                        .map(|_| {
-                            let hole = (rng() % (u64::from(nj) + 1)) as u32;
-                            (0..nj).filter(|&t| t != hole).collect()
-                        })
-                        .collect(),
+                    lists: flat(n, |_| {
+                        let hole = (rng() % (u64::from(nj) + 1)) as u32;
+                        (0..nj).filter(|&t| t != hole).collect()
+                    }),
                     ni: n as u64,
                     nj: u64::from(nj),
                 }
@@ -1728,6 +1755,62 @@ mod tests {
             }
         }
 
+        /// One encoder behind both doors. A collection handed over as one
+        /// `Vec` per list, and the same one pushed entry by entry — in any
+        /// order, with repeats — into the flat form the builder fills, are
+        /// the same bytes at every entry point, in every reference mode,
+        /// and decode to the lists that went in: templates (whole lists
+        /// repeated), hubs (single targets), independent lists and dense
+        /// graphs that go negative, with the empty lists of the pages that
+        /// link nowhere among them.
+        #[test]
+        fn nested_and_flat_inputs_encode_to_the_same_bytes(
+            shape in 0usize..4,
+            seed in any::<u64>(),
+            n in 1usize..40,
+        ) {
+            let owned = shaped_links(shape, seed, n);
+            let (links, dense) = (owned.links(), owned.dense());
+            // Pushed as links arrive: backwards, every other one twice.
+            let pushed = |lists: &[Vec<u32>]| {
+                let mut flat = ListBuf::default();
+                for list in lists {
+                    flat.push_set(list.iter().rev().chain(list.iter().step_by(2)).copied());
+                }
+                flat
+            };
+            // Local targets of an intranode graph index its own pages.
+            let intra: Vec<Vec<u32>> = dense
+                .iter()
+                .map(|l| l.iter().copied().filter(|&t| u64::from(t) < links.ni).collect())
+                .collect();
+            for mode in all_modes() {
+                let nested = crate::refenc::encode_lists(&dense, links.nj, mode, ListCodec::GAMMA);
+                for threads in [1, 4] {
+                    let flat = encode_lists_t(pushed(&dense).view(), links.nj, mode, threads);
+                    prop_assert_eq!(&flat, &nested, "{:?} x{}", mode, threads);
+                }
+                let universe = Universe::Explicit(links.nj);
+                let back = ListsReader::parse(&nested.bytes, nested.bit_len, universe).unwrap();
+                prop_assert_eq!(&back.decode_all().unwrap(), &dense);
+
+                let nested = encode_intranode(&intra, mode);
+                prop_assert_eq!(&encode_intranode_t(pushed(&intra).view(), mode, 1), &nested);
+                prop_assert_eq!(&decode_intranode(&nested.bytes, nested.bit_len).unwrap(), &intra);
+
+                for codec in [st_codec(), ListCodec::GAMMA] {
+                    for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
+                        let nested = encode_superedge(&dense, links.nj, mode, policy, codec);
+                        let flat = encode_superedge_t(links, mode, policy, codec, 1);
+                        prop_assert_eq!(&flat, &nested, "{:?} {:?} {:?}", mode, policy, codec);
+                        let (bytes, bits) = (&nested.bytes, nested.bit_len);
+                        let back = decode_superedge(bytes, bits, links.ni, links.nj, codec);
+                        prop_assert_eq!(&back.unwrap(), &dense);
+                    }
+                }
+            }
+        }
+
         /// The layout written is the argmin of the exact sizes of all of
         /// them — each fully encoded here, which also holds every plan to
         /// the bits it promised — whatever the planner skipped on the
@@ -1745,7 +1828,7 @@ mod tests {
                     let pricer = Pricer::new(links, mode, codec, 1);
                     let all = price_every_layout(&pricer);
                     for plan in &all {
-                        let enc = write_superedge_positive(links, plan, codec, 1);
+                        let enc = write_superedge_positive(links, plan, codec);
                         prop_assert_eq!(enc.bit_len, plan.bits, "{:?} mispriced", plan.layout());
                         if let Some(floor) = pricer.floor(plan.layout()) {
                             prop_assert!(
@@ -1758,8 +1841,8 @@ mod tests {
                     let chosen = plan_positive(links, mode, codec, 1);
                     prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?} {:?}", codec, mode);
                     prop_assert_eq!(
-                        write_superedge_positive(links, &chosen, codec, 1),
-                        write_superedge_positive(links, smallest, codec, 1)
+                        write_superedge_positive(links, &chosen, codec),
+                        write_superedge_positive(links, smallest, codec)
                     );
                 }
             }

@@ -34,6 +34,7 @@ use webgraph_repr::query::queries::{QueryEnv, Workload};
 use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
+use webgraph_repr::snode::integrity::fingerprint_dir;
 use webgraph_repr::snode::{
     build_snode, BuildStats, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig,
 };
@@ -1095,7 +1096,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         for iter in 0..iters.max(1) {
             let dir = scratch.join(format!("t{threads}_i{iter}"));
             let (stats, _renum) = build_snode(input, &config, &dir).expect("bench build");
-            fp = fingerprint_dir(&dir);
+            fp = fingerprint_dir(&dir).expect("fingerprint bench dir");
             std::fs::remove_dir_all(&dir).ok();
             bits_per_edge = stats.bits_per_edge();
             if best
@@ -1478,7 +1479,7 @@ fn scale_step_build(args: &[String]) -> i32 {
     let (stats, _renum) = build_from(&input, &config, &repo).expect("scale build");
     let build_secs = sw.elapsed().as_secs_f64();
     let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
-    let fp = fingerprint_dir(&repo);
+    let fp = fingerprint_dir(&repo).expect("fingerprint scale dir");
     println!(
         "{{\"step\":\"build\",\"pages\":{},\"edges\":{},\
          \"stream_secs\":{stream_secs:.3},\"read_secs\":{read_secs:.3},\
@@ -2064,32 +2065,6 @@ fn serve_smoke(port: u16, clients: usize, reference: &[u64; 6], num_pages: u32) 
         println!("smoke ok: {clients} concurrent clients, byte-identical answers");
         0
     }
-}
-
-/// FNV-1a over (file name, file bytes) of every file in `dir`, in sorted
-/// name order — enough to witness byte-identical builds. The `sums.bin`
-/// integrity manifest is excluded: fingerprints witness the paper's
-/// payload bytes, and checksum overhead is reported separately
-/// (`BuildStats::checksum_bytes`).
-fn fingerprint_dir(dir: &std::path::Path) -> u64 {
-    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read bench dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.file_name().is_none_or(|n| n != "sums.bin"))
-        .collect();
-    names.sort();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
-    for p in names {
-        eat(p.file_name().expect("file name").as_encoded_bytes());
-        eat(&webgraph_repr::fault::read_file(&p).expect("read bench file"));
-    }
-    h
 }
 
 /// Extracts `"key":<digits>` from a snapshot line (0 when absent — a

@@ -571,6 +571,55 @@ fn build_stream_and_shards_flags_round_trip() {
 
 /// Bad input on the command line is a usage error — exit 2 and one line
 /// on stderr — not a panic with a backtrace.
+/// `urls.txt` is whatever a crawler wrote: URL split meets other schemes,
+/// no scheme at all, a one-segment path and a non-ASCII host on its first
+/// pass over their domain, and the build neither panics (it exited 101 on
+/// `ftp://a/b`) nor cuts a prefix inside a hostname.
+#[test]
+fn build_accepts_urls_of_any_shape() {
+    let root = temp_dir("odd_urls");
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let urls = [
+        "https://example.org/a/b.html",
+        "example.com/a/b.html",
+        "ftp://a/b",
+        "a/b",
+        "http://bücher.example/straße/ü.html",
+        "https://example.org/a/c.html",
+        "http://www.alpha.edu/a/x/p0.html",
+        "",
+    ];
+    std::fs::write(corpus.join("urls.txt"), urls.join("\n") + "\n").unwrap();
+    let domains = "everything\n--\n".to_string() + &"0\n".repeat(urls.len());
+    std::fs::write(corpus.join("domains.txt"), domains).unwrap();
+    std::fs::write(
+        corpus.join("edges.txt"),
+        "0 5\n1 0\n2 3\n3 4\n4 6\n5 0\n6 2\n",
+    )
+    .unwrap();
+
+    let repo = root.join("repo");
+    let out = wgr()
+        .args(["build", "--corpus"])
+        .arg(&corpus)
+        .arg("--out")
+        .arg(&repo)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "build failed: {out:?}");
+    let out = wgr()
+        .args(["verify", "--repo"])
+        .arg(&repo)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "verify failed: {out:?}");
+    let out = wgr().args(["stats", "--repo"]).arg(&repo).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("pages        : 8"), "stats output: {text}");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
     let root = temp_dir("badflags");
