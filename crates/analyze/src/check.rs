@@ -3,10 +3,9 @@
 //! Pass 1 audits the resident metadata (PageID tiling, domain index, the
 //! stored supernode-graph stream). Pass 2 audits the physical index files
 //! against the locator tables. Pass 3 decodes every intranode and
-//! superedge graph and checks the per-graph invariants. Unlike
-//! `wg_snode::verify`, nothing here stops at the first finding: the only
-//! fatal condition is `meta.bin` itself being unreadable, because every
-//! other check is rooted in it.
+//! superedge graph and checks the per-graph invariants. Nothing here stops
+//! at the first finding: the only fatal condition is `meta.bin` itself
+//! being unreadable, because every other check is rooted in it.
 
 use crate::{Code, Diagnostic, Location, Report};
 use std::path::Path;
@@ -348,91 +347,43 @@ impl ListAudit {
     }
 }
 
-/// SN020/SN021 + the parent half of SN012: walks the reference forest of
-/// one encoded list collection, detecting cycles and measuring depth.
+/// SN020/SN021 + the parent half of SN012, in one ascending pass: a list
+/// stream's references point backward, so its parents are a forest exactly
+/// when every one precedes its list, and a list's depth is its parent's
+/// plus one. (`ListsIndex::parse_at` refuses a reference that does not
+/// point backward, so for the parents of a parsed index SN020 is a second
+/// line behind SN013.)
 fn audit_ref_chains(parents: &[Option<u32>], loc: Location, diags: &mut Vec<Diagnostic>) {
     let n = parents.len();
-    let mut depth: Vec<Option<u32>> = vec![None; n];
-    let mut on_path = vec![false; n];
+    let mut depth = vec![0u32; n];
     let mut cycle_reported = false;
-    let mut deepest = 0u32;
-    enum End {
-        Plain,
-        Memo(u32),
-        Cycle(usize),
-        BadParent(usize, u32),
-    }
-    for i in 0..n {
-        if depth[i].is_some() {
-            continue;
-        }
-        let mut path = Vec::new();
-        let mut cur = i;
-        let end = loop {
-            if let Some(d) = depth[cur] {
-                break End::Memo(d);
-            }
-            if on_path[cur] {
-                break End::Cycle(cur);
-            }
-            on_path[cur] = true;
-            path.push(cur);
-            match parents[cur] {
-                None => break End::Plain,
-                Some(p) if (p as usize) >= n => break End::BadParent(cur, p),
-                Some(p) => cur = p as usize,
-            }
-        };
-        for &v in &path {
-            on_path[v] = false;
-        }
-        match end {
-            End::Plain => {
-                let mut d = 0u32;
-                for &v in path.iter().rev() {
-                    depth[v] = Some(d);
-                    deepest = deepest.max(d);
-                    d = d.saturating_add(1);
-                }
-            }
-            End::Memo(base) => {
-                let mut d = base.saturating_add(1);
-                for &v in path.iter().rev() {
-                    depth[v] = Some(d);
-                    deepest = deepest.max(d);
-                    d = d.saturating_add(1);
-                }
-            }
-            End::Cycle(at) => {
-                if !cycle_reported {
-                    diags.push(Diagnostic::new(
-                        Code::RefChainCycle,
-                        loc,
-                        format!("reference chain from list {i} revisits list {at}"),
-                    ));
-                    cycle_reported = true;
-                }
-                for &v in &path {
-                    depth[v] = Some(0);
-                }
-            }
-            End::BadParent(v, p) => {
+    for (i, parent) in parents.iter().enumerate() {
+        let Some(p) = *parent else { continue };
+        if p as usize >= n {
+            diags.push(Diagnostic::new(
+                Code::EntryOutOfRange,
+                loc,
+                format!("list {i} references parent {p} but only {n} lists exist"),
+            ));
+        } else if p as usize >= i {
+            if !cycle_reported {
                 diags.push(Diagnostic::new(
-                    Code::EntryOutOfRange,
+                    Code::RefChainCycle,
                     loc,
-                    format!("list {v} references parent {p} but only {n} lists exist"),
+                    format!("list {i} references list {p}, which does not precede it"),
                 ));
-                for &v in &path {
-                    depth[v] = Some(0);
-                }
+                cycle_reported = true;
             }
+        } else {
+            depth[i] = depth[p as usize].saturating_add(1);
         }
     }
+    let deepest = depth.iter().copied().max().unwrap_or(0);
     if deepest > MAX_REF_CHAIN {
         diags.push(Diagnostic::new(
             Code::RefChainTooDeep,
             loc,
-            format!("deepest reference chain is {deepest} (windowed-mode cap {MAX_REF_CHAIN})"),
+            format!("deepest reference chain is {deepest} (selection's cap is {MAX_REF_CHAIN})"),
         ));
     }
 }
@@ -766,7 +717,8 @@ mod tests {
     #[test]
     fn ref_chain_cycle_detected_once() {
         let mut diags = Vec::new();
-        // 0 -> 1 -> 2 -> 0 plus a tail 3 -> 0 into the cycle.
+        // 0 -> 1 -> 2 -> 0 plus a tail 3 -> 0 into the cycle: a cycle has
+        // a reference that does not point backward, here two.
         let parents = vec![Some(1u32), Some(2), Some(0), Some(0)];
         audit_ref_chains(&parents, Location::Intranode(0), &mut diags);
         assert_eq!(codes(&diags), vec![Code::RefChainCycle]);

@@ -5,9 +5,9 @@
 //! index must tile `0..num_pages`, a superedge graph exists iff at least one
 //! cross link does, reference chains must be acyclic and shallow, negative
 //! encodings must actually be smaller, and every bitstream must end where
-//! its directory says it does. `wg_snode::verify` checks a subset of these
-//! fail-fast and stops at the first problem; this crate walks the whole
-//! representation, **collects every finding**, and reports each one as a
+//! its directory says it does. This crate walks the whole
+//! representation, **collects every finding** rather than stopping at the
+//! first, and reports each one as a
 //! [`Diagnostic`] with a stable code — machine-readable via
 //! [`Report::to_json`], human-readable via [`std::fmt::Display`].
 //!
@@ -71,9 +71,11 @@ pub enum Code {
     DecodeError,
     /// SN014: a decoded adjacency list is not strictly ascending.
     ListNotMonotone,
-    /// SN020: a reference chain in an encoded list collection is cyclic.
+    /// SN020: a list of an encoded collection references one that does
+    /// not precede it — what every cyclic chain holds. A list stream that
+    /// parses only refers backward, so this is a second line behind SN013.
     RefChainCycle,
-    /// SN021: a reference chain exceeds the windowed-mode depth cap
+    /// SN021: a reference chain exceeds the depth cap selection keeps to
     /// ([`wg_snode::refenc::MAX_REF_CHAIN`]).
     RefChainTooDeep,
     /// SN030: a negative superedge encoding stores at least as many edges

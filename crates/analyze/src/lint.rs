@@ -141,13 +141,12 @@ const ZERO_ALLOC_NAMES: &[&str] = &[
     // The offsets-only scan behind `ListsIndex::parse`: per payload it
     // counts and checks, and must never build a list.
     "scan_payload",
-    // The windowed-selection cost probe, up to 32 per list: one merge of
-    // the two lists that builds nothing. `Exact` mode's, one per pair of
-    // lists, fills the caller's scratch (`clear`/`resize`/`push` on a
-    // `&mut Vec` is reuse) and must never make a buffer of its own.
+    // Reference selection's cost probe, up to 32 per list: one merge of
+    // the two lists that builds nothing. The writer's diff against the
+    // parent chosen fills the caller's scratch (`clear`/`resize`/`push` on
+    // a `&mut Vec` is reuse) and must never make a buffer of its own.
     "ref_cost_within",
     "diff_into",
-    "diff_cost",
 ];
 
 /// In the bitio crate, every `read_*` decoder is a declared zero-alloc

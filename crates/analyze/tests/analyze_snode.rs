@@ -41,11 +41,12 @@ fn built_representation_is_clean() {
     assert!(report.is_clean(), "expected a clean report, got:\n{report}");
     assert_eq!(report.summary.num_pages, 1_200);
     assert!(report.summary.num_supernodes > 0);
-    assert!(report.summary.intranode_edges + report.summary.superedge_edges > 0);
-    // Totals must agree with the fail-fast verifier.
-    let v = wg_snode::verify(&dir).unwrap();
-    assert_eq!(report.summary.intranode_edges, v.intranode_edges);
-    assert_eq!(report.summary.superedge_edges, v.superedge_edges);
+    // Every link of the input is in exactly one graph of the directory.
+    assert!(report.summary.intranode_edges > 0 && report.summary.superedge_edges > 0);
+    assert_eq!(
+        report.summary.intranode_edges + report.summary.superedge_edges,
+        corpus.graph.num_edges()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -254,10 +254,8 @@ fn build_windowed(
     for first in (0..n_super).step_by(window) {
         let t = Stopwatch::start();
         let len = window.min(n_super - first);
-        let (outer_threads, inner_threads) = split_threads(len, threads);
-        let encoded: Vec<EncodedSupernode> = crate::par::par_map(outer_threads, len, |m| {
-            encoder.encode((first + m) as u32, inner_threads)
-        });
+        let encoded: Vec<EncodedSupernode> =
+            crate::par::par_map(threads, len, |m| encoder.encode((first + m) as u32));
         encode_secs += secs(record_span("core.build.encode", "build", &t));
 
         let t = Stopwatch::start();
@@ -373,20 +371,6 @@ fn compute_ranges(partition: &Partition) -> Vec<u32> {
     starts
 }
 
-/// Splits `threads` between the supernode loop and the per-graph encoders:
-/// `(outer, inner)`. With fewer supernodes than the pool can use,
-/// parallelism is pushed down into the encoders instead (never both:
-/// nested pools would oversubscribe). The encoders are
-/// representation-invariant across thread counts, so the split only
-/// affects wall clock.
-fn split_threads(n_super: usize, threads: u32) -> (u32, u32) {
-    if n_super >= threads as usize * 2 {
-        (threads, 1)
-    } else {
-        (1, threads)
-    }
-}
-
 /// Creates `dir` if needed and removes from it everything a build writes:
 /// `meta.bin`, `pagemap.bin`, `sums.bin`, every `index_NNN.bin`, and the
 /// `shards.bin` and `spill/` that builders before this one left. An
@@ -479,10 +463,11 @@ impl SupernodeEncoder<'_> {
     }
 
     /// Encodes the intranode graph of supernode `s` and one superedge
-    /// graph per target supernode, with up to `threads` workers each, in
-    /// three passes: every link once into local ids, every graph's
-    /// representation chosen, every stream written.
-    fn encode(&self, s: u32, threads: u32) -> EncodedSupernode {
+    /// graph per target supernode, serially — the build's threads each
+    /// take a supernode of the window — in three passes: every link once
+    /// into local ids, every graph's representation chosen, every stream
+    /// written.
+    fn encode(&self, s: u32) -> EncodedSupernode {
         let SNodeConfig {
             ref_mode,
             superedge_policy,
@@ -496,18 +481,10 @@ impl SupernodeEncoder<'_> {
         record_span("core.build.encode.walk", "build", &t);
 
         let t = Stopwatch::start();
-        let intra_plan = plan_lists(links.intra.view(), ni, ref_mode, threads);
+        let intra_plan = plan_lists(links.intra.view(), ni, ref_mode);
         let superedge = |k: usize| links.superedge(k, ni, u64::from(self.size(links.targets[k])));
         let plans: Vec<SuperedgePlan> = (0..links.targets.len())
-            .map(|k| {
-                plan_superedge(
-                    superedge(k),
-                    ref_mode,
-                    superedge_policy,
-                    codec.superedge,
-                    threads,
-                )
-            })
+            .map(|k| plan_superedge(superedge(k), ref_mode, superedge_policy, codec.superedge))
             .collect();
         record_span("core.build.encode.select", "build", &t);
 
@@ -751,11 +728,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn representation_reconstructs_graph_exactly() {
-        let (dir, _stats, renum, graph, _urls, _domains) = build_small("exact");
-        let meta = SNodeMeta::read(&dir).unwrap();
-        let files = IndexFileReader::open(&dir).unwrap();
+    /// Opens the directory at `dir`, decodes every graph in it and holds
+    /// the links that come back, page for page, to `graph`'s.
+    fn assert_directory_holds(dir: &Path, graph: &Graph) {
+        let meta = SNodeMeta::read(dir).unwrap();
+        let renum = Renumbering::read(dir).unwrap();
+        let files = IndexFileReader::open(dir).unwrap();
+        assert_eq!(meta.num_pages, graph.num_nodes());
 
         // Decode everything back and compare edge sets in new-id space.
         let mut rebuilt: Vec<Vec<u32>> = vec![Vec::new(); graph.num_nodes() as usize];
@@ -802,6 +781,12 @@ mod tests {
                 "adjacency mismatch for old page {old}"
             );
         }
+    }
+
+    #[test]
+    fn representation_reconstructs_graph_exactly() {
+        let (dir, _stats, _renum, graph, _urls, _domains) = build_small("exact");
+        assert_directory_holds(&dir, &graph);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -899,7 +884,7 @@ mod tests {
                 dir_files(&dir) == files_ref,
                 "a file differs at window={window} threads={threads}"
             );
-            crate::verify::verify(&dir).unwrap();
+            assert_directory_holds(&dir, input.graph);
             std::fs::remove_dir_all(&dir).ok();
         }
         (dir_ref, stats_ref)
@@ -1006,7 +991,7 @@ mod tests {
         build_snode(input, &many_files, &used).unwrap();
         assert!(!used.join("spill").exists());
         assert!(dir_files(&used) == dir_files(&fresh), "stale files remain");
-        crate::verify::verify(&used).unwrap();
+        assert_directory_holds(&used, &graph);
 
         // Many index files, then the default cap's single one.
         assert!(used.join("index_001.bin").exists());
@@ -1018,7 +1003,7 @@ mod tests {
         assert_eq!(index_files, 1);
         let resident = IndexFileReader::open_resident(&used).unwrap();
         assert_eq!(resident.resident_bytes(), stats.index_bytes);
-        crate::verify::verify(&used).unwrap();
+        assert_directory_holds(&used, &graph);
         std::fs::remove_dir_all(&used).ok();
         std::fs::remove_dir_all(&fresh).ok();
     }

@@ -25,7 +25,7 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders, and k-means its vectors |
-//! | [`refenc`] | §3.1 | affinity graph, Chu–Liu/Edmonds arborescence, windowed reference selection, list codec |
+//! | [`refenc`] | §3.1 | reference selection over the backward affinity graph (a window of preceding lists), list codec |
 //! | [`codec`] | — | the format choice a directory records: which layouts its positive superedge graphs may take (`g`, `g+st`) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
 //! | [`kmeans`] | §3.2 | k-means over supernode-adjacency bit vectors |
@@ -55,7 +55,6 @@ pub mod refenc;
 pub mod repr;
 pub mod subgraphs;
 pub mod supergraph;
-pub mod verify;
 
 pub use build::{
     build_snode, build_snode_sharded, BuildStats, RepoInput, SNodeConfig, StageTimings,
@@ -64,7 +63,6 @@ pub use codec::{CodecConfig, ListCodec};
 pub use disk::{Blob, Renumbering};
 pub use integrity::{IntegrityCounters, IntegrityManifest, DIRECTORY_VERSION, SUMS_FILE};
 pub use repr::{DegradedReport, SNode, SNodeInMemory};
-pub use verify::{verify, VerifyReport};
 
 /// Errors produced while building, writing, or reading an S-Node
 /// representation.

@@ -3,43 +3,37 @@
 //! A collection of sorted adjacency lists over a shared universe is encoded
 //! so that a list may be represented *relative to a reference list*: a bit
 //! vector marking which reference entries are shared, plus a gap-coded list
-//! of extras. Which list references which is decided through the
-//! Adler–Mitzenmacher **affinity graph**: node `y` has an incoming edge from
-//! every candidate reference `x` weighted by the cost in bits of encoding
-//! `y` given `x`, plus an edge from a virtual root weighted by the cost of
-//! encoding `y` standalone. A minimum-weight spanning arborescence rooted at
-//! the virtual root is then exactly the optimal reference assignment.
+//! of extras. Which list references which is the Adler–Mitzenmacher
+//! **affinity graph** question: node `y` has an incoming edge from every
+//! candidate reference `x` weighted by the cost in bits of encoding `y`
+//! given `x`, plus an edge from a virtual root weighted by the cost of
+//! encoding `y` standalone, and the optimal assignment is a minimum-weight
+//! spanning arborescence rooted at the virtual root.
 //!
-//! Two reference-selection modes are provided:
-//!
-//! * [`RefMode::Exact`] — the full affinity graph and a Chu–Liu/Edmonds
-//!   minimum arborescence. Faithful to the paper's formulation; `O(n²·deg)`
-//!   affinity construction plus `O(V·E)` Edmonds, so it is reserved for
-//!   small graphs (which is also what the paper does — it applies the
-//!   scheme "to the much smaller intranode and superedge graphs").
-//! * [`RefMode::Windowed`]`(w)` — candidate references are restricted to the
-//!   `w` preceding lists. All reference edges then point backward, the
-//!   affinity graph restricted this way is a DAG, and the optimal
-//!   arborescence is simply each node's cheapest incoming edge. This is the
-//!   scalable default; ablation A1 quantifies the loss vs `Exact`.
+//! Candidates here are the `w` lists *preceding* `y` ([`RefMode::Windowed`]).
+//! Every reference edge then points backward, the affinity graph is a DAG,
+//! and its minimum arborescence is each node's cheapest incoming edge — one
+//! serial loop ([`choose_references`]), no cycle contraction. A selection
+//! over all ordered pairs (Chu–Liu/Edmonds) was built, measured and deleted:
+//! forward references need a per-list directory on disk, which cost more
+//! than the references saved (EXPERIMENTS.md, A1).
 //!
 //! The serialised format is self-contained and supports *random access* to
 //! individual lists (needed for the paper's Table 2 access-time
-//! experiment): a γ-coded directory of per-list payload lengths precedes
-//! the payloads, and decoding list `i` walks its reference chain.
+//! experiment): payloads are self-delimiting, a loader finds every list's
+//! offset with one scan, and decoding list `i` walks its reference chain.
 
 use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::{Result, SNodeError};
 use wg_bitio::{codes, rle, BitReader, BitWriter};
 
-/// Depth cap on reference chains in [`RefMode::Windowed`] encoding.
+/// Depth cap on the reference chains selection builds.
 ///
 /// An uncapped chain makes a single random-access decode O(chain) lists,
 /// which is what Table 2 measures; the Link DB bounds its chains the same
-/// way. [`RefMode::Exact`] (Chu–Liu/Edmonds) carries no cap, so
-/// representations built with it may legitimately exceed this depth — the
-/// analyzer reports deeper chains as a warning, not corruption.
+/// way. The decoder follows a chain of any depth, so the analyzer reports
+/// a deeper one as a warning, not corruption.
 pub const MAX_REF_CHAIN: u32 = 4;
 
 /// Shared handle to the `core.refenc.chain_len` histogram (the number of
@@ -63,10 +57,9 @@ fn record_chain_len(steps: u64) {
 pub enum RefMode {
     /// No reference encoding: every list is a plain gap list.
     None,
-    /// Candidate references are the `w` preceding lists (w ≥ 1).
+    /// Candidate references are the `w` preceding lists (w ≥ 1);
+    /// `u32::MAX` is every preceding list.
     Windowed(u32),
-    /// Full affinity graph + Chu–Liu/Edmonds arborescence.
-    Exact,
 }
 
 impl Default for RefMode {
@@ -94,18 +87,12 @@ pub struct EncodedLists {
     pub bit_len: u64,
 }
 
-impl EncodedLists {
-    /// Size in bytes (rounded up).
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-}
-
 /// Encodes `lists` (each strictly ascending, entries `< universe`) with the
-/// given reference mode, single-threaded: [`encode_lists_t`] for a caller
-/// that holds one `Vec` per list. Every list is coded the one way the
-/// paper does: the codec argument is read by nothing, and [`ListCodec`]
-/// says which caller it stays for.
+/// given reference mode, for a caller that holds one `Vec` per list; the
+/// build plans and writes its flat collections with [`plan_lists`] and
+/// [`write_lists`], which is all this does. Every list is coded the one
+/// way the paper does: the codec argument is read by nothing, and
+/// [`ListCodec`] says which caller it stays for.
 ///
 /// # Panics
 /// Panics if a list entry is `>= universe` or a list is not strictly
@@ -116,20 +103,9 @@ pub fn encode_lists(
     mode: RefMode,
     _codec: ListCodec,
 ) -> EncodedLists {
-    encode_lists_t(ListBuf::from_nested(lists).view(), universe, mode, 1)
-}
-
-/// Encodes `lists` with up to `threads` workers for reference selection.
-/// The output is byte-identical for every thread count: parallelism only
-/// redistributes pure per-list computations whose results are
-/// concatenated in list order.
-pub fn encode_lists_t(
-    lists: FlatLists<'_>,
-    universe: u64,
-    mode: RefMode,
-    threads: u32,
-) -> EncodedLists {
-    write_lists(lists, universe, &plan_lists(lists, universe, mode, threads))
+    let flat = ListBuf::from_nested(lists);
+    let plan = plan_lists(flat.view(), universe, mode);
+    write_lists(flat.view(), universe, &plan)
 }
 
 /// The stream `plan` describes for `lists`, as a graph of its own.
@@ -146,28 +122,21 @@ pub(crate) fn write_lists(lists: FlatLists<'_>, universe: u64, plan: &ListsPlan)
 /// Planning pays for reference selection (the expensive part) but writes
 /// no bit stream; [`write_lists_planned`] writes the stream a plan
 /// describes. Splitting the two lets the superedge polarity and layout
-/// decisions size every candidate and encode only the winner, and lets a
-/// stream that needs a directory write it ahead of the payloads it sizes.
+/// decisions size every candidate and encode only the winner.
 #[derive(Debug, Clone)]
 pub(crate) struct ListsPlan {
-    /// Chosen reference parent per list (`None` = plain).
+    /// Chosen reference parent per list (`None` = plain), always an
+    /// earlier list.
     parents: Vec<Option<u32>>,
     /// Exact payload size in bits per list (mode bit included).
     payload_bits: Vec<u64>,
-    /// Whether the stream needs an explicit directory (forward refs).
-    has_dir: bool,
     /// Exact size in bits of the full encoded stream.
     pub(crate) total_bits: u64,
 }
 
 /// Selects references and computes the exact encoded size, without
 /// producing the bit stream.
-pub(crate) fn plan_lists(
-    lists: FlatLists<'_>,
-    universe: u64,
-    mode: RefMode,
-    threads: u32,
-) -> ListsPlan {
+pub(crate) fn plan_lists(lists: FlatLists<'_>, universe: u64, mode: RefMode) -> ListsPlan {
     for list in lists.iter() {
         debug_assert!(list.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(list.iter().all(|&x| u64::from(x) < universe.max(1)));
@@ -176,7 +145,7 @@ pub(crate) fn plan_lists(
     let Selection {
         parents,
         priced: mut payload_bits,
-    } = choose_references(lists, universe, mode, threads);
+    } = choose_references(lists, universe, mode);
     // A payload is what selection priced it at, except that selection
     // charges every parent field the longest codeword and the stream
     // spends the one the parent chosen takes.
@@ -186,22 +155,10 @@ pub(crate) fn plan_lists(
             *bits = *bits - longest + codes::minimal_binary_len(u64::from(*p), n);
         }
     }
-    let has_dir = parents
-        .iter()
-        .enumerate()
-        .any(|(i, p)| p.is_some_and(|p| p as usize > i));
-    let mut total_bits = codes::gamma_len(n) + 1;
-    if has_dir {
-        total_bits += payload_bits
-            .iter()
-            .map(|&b| codes::gamma_len(b))
-            .sum::<u64>();
-    }
-    total_bits += payload_bits.iter().sum::<u64>();
+    let total_bits = codes::gamma_len(n) + 1 + payload_bits.iter().sum::<u64>();
     ListsPlan {
         parents,
         payload_bits,
-        has_dir,
         total_bits,
     }
 }
@@ -224,19 +181,12 @@ pub(crate) fn write_lists_planned(
     // bits per graph it would be the single largest fixed overhead on the
     // many small superedge graphs a Web-scale partition produces.
     codes::write_gamma(w, n as u64);
-    // Payloads are self-delimiting when every reference points backward
-    // (the default), so no per-list directory is stored: a loader rebuilds
-    // offsets with one sequential scan (see [`ListsIndex::parse_at`]), the
-    // way the paper's scheme can afford fast in-memory access without
-    // paying index bits on disk. Only Exact-mode encodings with forward
-    // references carry an explicit directory (flagged by one bit), and the
-    // plan has every length it lists.
-    w.write_bit(plan.has_dir);
-    if plan.has_dir {
-        for &bits in &plan.payload_bits {
-            codes::write_gamma(w, bits);
-        }
-    }
+    // Every reference points backward, so payloads are self-delimiting and
+    // no per-list directory is stored: a loader rebuilds offsets with one
+    // sequential scan (see [`ListsIndex::parse_at`]), the way the paper's
+    // scheme can afford fast in-memory access without paying index bits on
+    // disk. The bit that once announced a directory stays, always 0.
+    w.write_bit(false);
     let mut diff = DiffScratch::default();
     for (i, list) in lists.iter().enumerate() {
         let payload_start = w.bit_len();
@@ -246,6 +196,7 @@ pub(crate) fn write_lists_planned(
                 write_bounded_gap_list(w, list, universe);
             }
             Some(p) => {
+                debug_assert!((p as usize) < i, "a reference points backward");
                 w.write_bit(true);
                 codes::write_minimal_binary(w, u64::from(p), n as u64);
                 diff_into(lists.get(p as usize), list, &mut diff);
@@ -256,12 +207,6 @@ pub(crate) fn write_lists_planned(
         debug_assert_eq!(w.bit_len() - payload_start, plan.payload_bits[i]);
     }
     debug_assert_eq!(w.bit_len() - stream_start, plan.total_bits);
-}
-
-/// Exact encoded size in bits without producing the encoding. Pays for
-/// reference selection only; no bit stream is written.
-pub fn encoded_size_bits(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> u64 {
-    plan_lists(ListBuf::from_nested(lists).view(), universe, mode, 1).total_bits
 }
 
 /// Owned directory of an [`EncodedLists`] stream: everything needed for
@@ -298,12 +243,12 @@ impl ListsIndex {
     /// offset `start` inside `data` (used when the stream is embedded in a
     /// larger structure, e.g. a superedge graph header).
     ///
-    /// Unless references point forward the format stores no directory, so
-    /// the offsets come from one scan over every payload's structure —
-    /// counts, masks, gap codes — that materialises no list: a mask is as
-    /// long as the parent's list, so one length per list is all it keeps.
-    /// What needs the values themselves (a copied entry colliding with an
-    /// extra) is checked when a list is decoded.
+    /// The format stores no directory, so the offsets come from one scan
+    /// over every payload's structure — counts, masks, gap codes — that
+    /// materialises no list: a mask is as long as the parent's list, so
+    /// one length per list is all it keeps. What needs the values
+    /// themselves (a copied entry colliding with an extra) is checked when
+    /// a list is decoded.
     pub fn parse_at(data: &[u8], bit_len: u64, start: u64, universe: Universe) -> Result<Self> {
         let mut r = BitReader::with_bit_len(data, bit_len);
         r.seek(start)?;
@@ -318,50 +263,34 @@ impl ListsIndex {
         if bit_len > u64::from(u32::MAX) {
             return Err(SNodeError::Corrupt("encoded graph exceeds 512 MiB"));
         }
-        let has_dir = r.read_bit()?;
+        // The bit after the count once announced a directory of payload
+        // lengths, which only forward references needed; no build writes
+        // either any more, and a stream that claims one is not read.
+        if r.read_bit()? {
+            return Err(SNodeError::Corrupt(
+                "list stream carries the directory of a retired reference mode: rebuild the directory",
+            ));
+        }
         // `n` is untrusted until the scan below confirms it; clamp the
         // eager reservations so a corrupt γ cannot turn into a giant
         // allocation (the vectors still grow on demand).
         let cap = (n as usize).min(1 << 20);
         let mut offsets: Vec<u32> = Vec::with_capacity(cap + 1);
-        if has_dir {
-            // Explicit directory (Exact-mode encodings with forward refs)
-            // of untrusted γ lengths: sum them with checked arithmetic so
-            // a corrupt entry can neither wrap the position nor truncate
-            // into the u32 table. Relative to the directory's end for now.
-            let mut rel = 0u64;
-            for _ in 0..n {
-                offsets.push(bit_offset_u32(rel)?);
-                rel = rel
-                    .checked_add(codes::read_gamma(&mut r)?)
-                    .ok_or(SNodeError::Corrupt("directory length sum overflows"))?;
-            }
-            offsets.push(bit_offset_u32(rel)?);
-            let base = r.position();
-            if base + rel > bit_len {
-                return Err(SNodeError::Corrupt("directory overruns stream"));
-            }
-            // `base + rel <= bit_len <= u32::MAX`, checked above.
-            offsets.iter_mut().for_each(|o| *o += base as u32);
-        } else {
-            let mut lens: Vec<u32> = Vec::with_capacity(cap);
-            for i in 0..n {
-                offsets.push(bit_offset_u32(r.position())?);
-                let reference_len = if r.read_bit()? {
-                    let parent = codes::read_minimal_binary(&mut r, n)?;
-                    if parent >= i {
-                        return Err(SNodeError::Corrupt(
-                            "forward reference in directory-less stream",
-                        ));
-                    }
-                    Some(lens[parent as usize])
-                } else {
-                    None
-                };
-                lens.push(scan_payload(&mut r, reference_len, universe)?);
-            }
+        let mut lens: Vec<u32> = Vec::with_capacity(cap);
+        for i in 0..n {
             offsets.push(bit_offset_u32(r.position())?);
+            let reference_len = if r.read_bit()? {
+                let parent = codes::read_minimal_binary(&mut r, n)?;
+                if parent >= i {
+                    return Err(SNodeError::Corrupt("forward reference in list stream"));
+                }
+                Some(lens[parent as usize])
+            } else {
+                None
+            };
+            lens.push(scan_payload(&mut r, reference_len, universe)?);
         }
+        offsets.push(bit_offset_u32(r.position())?);
         Ok(Self {
             num_lists: n as u32,
             universe,
@@ -416,24 +345,23 @@ impl ListsIndex {
         Ok(out)
     }
 
-    /// Decodes every list. A list whose parent has been decoded already —
-    /// every reference of a windowed stream points backward — takes the
-    /// parent's list where it lies; a forward reference (an Exact-mode
-    /// directory) walks its chain like a random access.
+    /// Decodes every list, in order: a reference points backward
+    /// ([`ListsIndex::parse_at`] admits no other), so a list's parent lies
+    /// decoded where it is wanted. Bytes other than the ones this index
+    /// was parsed from may name a later list; that is corruption.
     pub fn decode_all(&self, data: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
         let mut scratch = DecodeScratch::default();
         let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.num_lists as usize);
         for i in 0..self.num_lists {
             let mut list = Vec::new();
             let mut r = self.reader_at(data, bit_len, i)?;
-            match self.read_parent(&mut r)?.map(|p| out.get(p as usize)) {
+            match self.read_parent(&mut r)? {
                 None => read_bounded_gap_list_into(&mut r, self.universe, &mut list)?,
-                Some(Some(reference)) => {
+                Some(p) => {
+                    let reference = (out.get(p as usize))
+                        .ok_or(SNodeError::Corrupt("reference to a list not yet decoded"))?;
                     let DecodeScratch { copied, extras, .. } = &mut scratch;
                     self.apply_reference(&mut r, reference, copied, extras, &mut list)?;
-                }
-                Some(None) => {
-                    self.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut list)?;
                 }
             }
             out.push(list);
@@ -794,8 +722,8 @@ impl MaskRuns {
 /// One pass over the two lists that writes neither mask nor extras: the
 /// mask's runs and the extras' gaps are priced as the merge finds them,
 /// and since neither sum ever falls, the pass ends at the first entry
-/// that takes them past `bound`. This is the one function windowed
-/// selection prices a candidate with, on the serial path and the parallel.
+/// that takes them past `bound`. This is the one function selection
+/// prices a candidate with.
 fn ref_cost_within(
     reference: &[u32],
     target: &[u32],
@@ -838,19 +766,12 @@ fn ref_cost_within(
     (shared && cost <= bound).then_some(cost)
 }
 
-/// Copy-mask and extras of one list against another.
+/// Copy-mask and extras of one list against another, as the writer
+/// materialises them for the parent selection chose.
 #[derive(Default)]
 struct DiffScratch {
     mask: Vec<bool>,
     extras: Vec<u32>,
-}
-
-/// Cost in bits of the reference payload whose mask and extras `diff`
-/// holds: what [`ref_cost_within`] counts, from the materialised diff.
-fn diff_cost(diff: &DiffScratch, n_lists: u64, universe: u64) -> u64 {
-    1 + parent_field_bits(n_lists)
-        + rle::encoded_len(&diff.mask)
-        + bounded_gap_list_len(&diff.extras, universe)
 }
 
 /// Splits `target` into a copy bit vector over `reference` and the extras,
@@ -993,11 +914,6 @@ fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64
 
 // --- Reference selection --------------------------------------------------
 
-/// Work threshold below which parallel candidate-cost evaluation is not
-/// worth the scheduling overhead: the number of (candidate, target) cost
-/// probes a windowed selection performs.
-const PAR_COST_PROBES_MIN: usize = 2048;
-
 /// What reference selection decides for a list collection.
 struct Selection {
     /// The reference chosen per list (`None` = plain).
@@ -1009,23 +925,15 @@ struct Selection {
     priced: Vec<u64>,
 }
 
-/// Chooses a parent (reference list) for each list, or `None` for plain.
-fn choose_references(
-    lists: FlatLists<'_>,
-    universe: u64,
-    mode: RefMode,
-    threads: u32,
-) -> Selection {
+/// Chooses a parent (reference list) for each list, or `None` for plain:
+/// the cheapest of the `w` lists before it whose chain has room, if that
+/// beats plain. Restricted to backward edges the affinity graph is
+/// acyclic, so this per-list minimum *is* its minimum arborescence.
+fn choose_references(lists: FlatLists<'_>, universe: u64, mode: RefMode) -> Selection {
     let n = lists.len();
     let mut priced: Vec<u64> = lists.iter().map(|l| plain_cost(l, universe)).collect();
     let mut parents = vec![None; n];
     match mode {
-        RefMode::Windowed(w)
-            if threads > 1 && n.saturating_mul(w.max(1) as usize) >= PAR_COST_PROBES_MIN =>
-        {
-            let w = w.max(1) as usize;
-            choose_windowed_par(lists, universe, w, threads, &mut parents, &mut priced);
-        }
         RefMode::None => {}
         RefMode::Windowed(w) => {
             let w = w.max(1) as usize;
@@ -1057,58 +965,6 @@ fn choose_references(
                 if let Some(p) = parents[y] {
                     depth[y] = depth[p as usize] + 1;
                     priced[y] = best;
-                }
-            }
-        }
-        RefMode::Exact => {
-            // The affinity graph is quadratic in the list count and Edmonds
-            // is O(V·E) on top; beyond this size the exact formulation is
-            // exactly the intractability Adler & Mitzenmacher prove, so we
-            // fall back to a wide window (the paper likewise only ever
-            // applies the scheme to "much smaller" graphs).
-            const EXACT_MAX_LISTS: usize = 512;
-            if n > EXACT_MAX_LISTS {
-                return choose_references(lists, universe, RefMode::Windowed(256), threads);
-            }
-            // Affinity graph: node n is the virtual root. Building it is
-            // the quadratic part (one cost probe per ordered list pair);
-            // each target's incoming-edge batch is independent, and
-            // concatenating the batches in target order reproduces the
-            // serial edge order exactly, so Edmonds sees the same input.
-            let root = n;
-            let edges: Vec<(u32, u32, u64)> = crate::par::par_chunks(threads, n, 8, |range| {
-                let mut batch: Vec<(u32, u32, u64)> = Vec::new();
-                let mut scratch = DiffScratch::default();
-                for y in range {
-                    batch.push((root as u32, y as u32, priced[y]));
-                    if lists.get(y).is_empty() {
-                        continue;
-                    }
-                    for x in 0..n {
-                        if x == y || lists.get(x).is_empty() {
-                            continue;
-                        }
-                        // Every pair stays in the edge list, disjoint ones
-                        // included: the arborescence breaks ties by edge
-                        // order.
-                        diff_into(lists.get(x), lists.get(y), &mut scratch);
-                        let c = diff_cost(&scratch, n as u64, universe);
-                        batch.push((x as u32, y as u32, c));
-                    }
-                }
-                batch
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-            let parent = min_arborescence(n + 1, root as u32, &edges);
-            let mut scratch = DiffScratch::default();
-            for y in 0..n {
-                let x = parent[y];
-                if x != root as u32 {
-                    parents[y] = Some(x);
-                    diff_into(lists.get(x as usize), lists.get(y), &mut scratch);
-                    priced[y] = diff_cost(&scratch, n as u64, universe);
                 }
             }
         }
@@ -1144,270 +1000,8 @@ impl ListSummary {
     }
 }
 
-/// Windowed selection with parallel candidate-cost evaluation, into
-/// `parents` (all `None`) and `priced` (every list's plain cost).
-///
-/// All `(candidate, target)` costs are computed up front in parallel —
-/// [`ref_cost_within`] under the bound every reference has to meet, one
-/// bit below plain, is a pure function of the two lists, independent of
-/// the chain-depth bookkeeping — then a serial pass applies the depth gate
-/// and picks each target's cheapest candidate, the lowest index among
-/// equals, so the selection is the serial loop's. The extra work is
-/// costing candidates the serial loop skips on the depth gate, a small
-/// minority under [`MAX_REF_CHAIN`], and pricing each under plain where
-/// the serial loop has the best so far.
-fn choose_windowed_par(
-    lists: FlatLists<'_>,
-    universe: u64,
-    w: usize,
-    threads: u32,
-    parents: &mut [Option<u32>],
-    priced: &mut [u64],
-) {
-    let n = lists.len();
-    let summaries: Vec<ListSummary> = lists.iter().map(ListSummary::of).collect();
-    let plain: &[u64] = priced;
-    // Candidate costs for x in window order, per target; `u64::MAX` for a
-    // candidate that cannot be chosen whatever its depth.
-    let costs: Vec<Vec<u64>> = crate::par::par_chunks(threads, n, 16, |range| {
-        range
-            .map(|y| {
-                if lists.get(y).is_empty() {
-                    return Vec::new();
-                }
-                let bound = plain[y] - 1;
-                (y.saturating_sub(w)..y)
-                    .map(|x| {
-                        if !summaries[x].may_share(&summaries[y]) {
-                            return u64::MAX;
-                        }
-                        ref_cost_within(lists.get(x), lists.get(y), n as u64, universe, bound)
-                            .unwrap_or(u64::MAX)
-                    })
-                    .collect()
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    let mut depth = vec![0u32; n];
-    for y in 0..n {
-        let mut best = u64::MAX;
-        for (x, &cost) in (y.saturating_sub(w)..y).zip(&costs[y]) {
-            if depth[x] < MAX_REF_CHAIN && cost < best {
-                best = cost;
-                parents[y] = Some(x as u32);
-            }
-        }
-        if let Some(p) = parents[y] {
-            depth[y] = depth[p as usize] + 1;
-            priced[y] = best;
-        }
-    }
-}
-
-/// Chu–Liu/Edmonds minimum-weight spanning arborescence.
-///
-/// Returns `parent[v]` for every `v != root` (`parent[root]` is arbitrary).
-///
-/// # Panics
-/// Panics if some node is unreachable from `root` (cannot happen for
-/// affinity graphs, which always include root edges).
-#[allow(clippy::needless_range_loop)] // node ids index several parallel arrays
-pub fn min_arborescence(n: usize, root: u32, edges: &[(u32, u32, u64)]) -> Vec<u32> {
-    // Recursive contraction, implemented iteratively over "levels".
-    // Each level stores: the edge list (with original-edge indices), and
-    // for expansion, the cycle membership chosen at that level.
-    struct Level {
-        /// (from, to, weight, original edge index)
-        edges: Vec<(u32, u32, u64, usize)>,
-        /// Chosen min in-edge per node (index into `edges`), usize::MAX = none.
-        in_edge: Vec<usize>,
-        n: usize,
-        root: u32,
-    }
-
-    let base_edges: Vec<(u32, u32, u64, usize)> = edges
-        .iter()
-        .enumerate()
-        .filter(|(_, &(u, v, _))| u != v && v != root)
-        .map(|(i, &(u, v, w))| (u, v, w, i))
-        .collect();
-
-    let mut levels: Vec<Level> = Vec::new();
-    let mut cur_edges = base_edges;
-    let mut cur_n = n;
-    let mut cur_root = root;
-
-    let chosen_original: Vec<usize> = loop {
-        // Min incoming edge per node.
-        const NONE: usize = usize::MAX;
-        let mut in_edge = vec![NONE; cur_n];
-        for (idx, &(u, v, w, _)) in cur_edges.iter().enumerate() {
-            if u == v || v == cur_root {
-                continue;
-            }
-            if in_edge[v as usize] == NONE || w < cur_edges[in_edge[v as usize]].2 {
-                in_edge[v as usize] = idx;
-            }
-        }
-        for v in 0..cur_n {
-            assert!(
-                v as u32 == cur_root || in_edge[v] != NONE,
-                "node {v} unreachable from root"
-            );
-        }
-
-        // Cycle detection over the chosen in-edges.
-        let mut color = vec![0u8; cur_n]; // 0 unvisited, 1 in progress, 2 done
-        let mut cycle_id = vec![u32::MAX; cur_n];
-        let mut num_cycles = 0u32;
-        for start in 0..cur_n {
-            if color[start] != 0 || start as u32 == cur_root {
-                continue;
-            }
-            // Walk parents until a visited node or the root.
-            let mut path = Vec::new();
-            let mut v = start;
-            while color[v] == 0 && v as u32 != cur_root {
-                color[v] = 1;
-                path.push(v);
-                v = cur_edges[in_edge[v]].0 as usize;
-            }
-            if color[v] == 1 {
-                // Found a new cycle: v .. back to v along path (color 1 is
-                // only ever assigned to nodes pushed onto this path).
-                if let Some(pos) = path.iter().position(|&x| x == v) {
-                    for &c in &path[pos..] {
-                        cycle_id[c] = num_cycles;
-                    }
-                    num_cycles += 1;
-                }
-            }
-            for &p in &path {
-                color[p] = 2;
-            }
-        }
-
-        if num_cycles == 0 {
-            // Acyclic: record the solution at this level and unwind.
-            levels.push(Level {
-                edges: cur_edges,
-                in_edge,
-                n: cur_n,
-                root: cur_root,
-            });
-            // Unwinding happens below.
-            break unwind(&mut levels);
-        }
-
-        // Contract: nodes in cycles collapse; others renumber densely.
-        let mut contract_map = vec![u32::MAX; cur_n];
-        let mut next_id = 0u32;
-        // Cycles first (stable ids 0..num_cycles? no—map each node).
-        let mut cycle_node = vec![u32::MAX; num_cycles as usize];
-        for v in 0..cur_n {
-            if cycle_id[v] != u32::MAX {
-                let c = cycle_id[v] as usize;
-                if cycle_node[c] == u32::MAX {
-                    cycle_node[c] = next_id;
-                    next_id += 1;
-                }
-                contract_map[v] = cycle_node[c];
-            } else {
-                contract_map[v] = next_id;
-                next_id += 1;
-            }
-        }
-        let new_root = contract_map[cur_root as usize];
-        let new_n = next_id as usize;
-
-        // Build the contracted edge list with adjusted weights.
-        let mut new_edges = Vec::with_capacity(cur_edges.len());
-        for &(u, v, w, orig) in &cur_edges {
-            let nu = contract_map[u as usize];
-            let nv = contract_map[v as usize];
-            if nu == nv {
-                continue; // internal to a cycle
-            }
-            let adj = if cycle_id[v as usize] != u32::MAX {
-                // Entering a cycle: subtract the weight of v's chosen edge.
-                w - cur_edges[in_edge[v as usize]].2
-            } else {
-                w
-            };
-            new_edges.push((nu, nv, adj, orig));
-        }
-
-        levels.push(Level {
-            edges: cur_edges,
-            in_edge,
-            n: cur_n,
-            root: cur_root,
-        });
-        let _ = contract_map;
-        cur_edges = new_edges;
-        cur_n = new_n;
-        cur_root = new_root;
-    };
-
-    /// Expands contractions back to original-graph parent choices.
-    fn unwind(levels: &mut Vec<Level>) -> Vec<usize> {
-        // At the deepest (acyclic) level the solution is its in_edge set,
-        // expressed as original edge indices.
-        let Some(last) = levels.pop() else {
-            // Contraction always records at least one level before unwinding.
-            return Vec::new();
-        };
-        let mut chosen: Vec<usize> = last
-            .in_edge
-            .iter()
-            .enumerate()
-            .filter(|&(v, &e)| v as u32 != last.root && e != usize::MAX)
-            .map(|(_, &e)| last.edges[e].3)
-            .collect();
-
-        while let Some(level) = levels.pop() {
-            // Which original edges were chosen so far? For each contracted
-            // cycle, exactly one chosen edge enters it; that edge decides
-            // which cycle-internal in-edge to drop.
-            let chosen_set: std::collections::HashSet<usize> = chosen.iter().copied().collect();
-            // For each node v at this level, did an external chosen edge
-            // enter v? Map original edge -> target node at this level.
-            let mut entered = vec![false; level.n];
-            for &(_, v, _, orig) in &level.edges {
-                if chosen_set.contains(&orig) {
-                    entered[v as usize] = true;
-                }
-            }
-            // Keep each node's own min in-edge unless an external chosen
-            // edge already enters it.
-            for v in 0..level.n {
-                if v as u32 == level.root || entered[v] {
-                    continue;
-                }
-                let e = level.in_edge[v];
-                if e != usize::MAX {
-                    chosen.push(level.edges[e].3);
-                }
-            }
-        }
-        chosen
-    }
-
-    // Convert chosen original edges into parent pointers.
-    let mut parent = vec![root; n];
-    for &idx in &chosen_original {
-        let (u, v, _) = edges[idx];
-        parent[v as usize] = u;
-    }
-    parent
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
@@ -1466,7 +1060,7 @@ mod tests {
             RefMode::None,
             RefMode::Windowed(1),
             RefMode::Windowed(8),
-            RefMode::Exact,
+            RefMode::Windowed(u32::MAX),
         ]
     }
 
@@ -1504,23 +1098,15 @@ mod tests {
             .collect();
         let plain = round_trip(&lists, 512, RefMode::None);
         let windowed = round_trip(&lists, 512, RefMode::Windowed(8));
-        let exact = round_trip(&lists, 512, RefMode::Exact);
-        assert!(
-            windowed.bit_len < plain.bit_len * 6 / 10,
-            "windowed ({}) should be well under plain ({})",
-            windowed.bit_len,
-            plain.bit_len
-        );
-        // Exact mode minimises payload bits but may introduce forward
-        // references, which force an explicit directory the windowed
-        // layout avoids; allow it that structural overhead.
-        let dir_overhead = 12 * lists.len() as u64;
-        assert!(
-            exact.bit_len <= windowed.bit_len + dir_overhead,
-            "exact ({}) must not lose to windowed ({}) by more than its directory",
-            exact.bit_len,
-            windowed.bit_len
-        );
+        let all = round_trip(&lists, 512, RefMode::Windowed(u32::MAX));
+        for (name, enc) in [("window 8", &windowed), ("window all", &all)] {
+            assert!(
+                enc.bit_len < plain.bit_len * 6 / 10,
+                "{name} ({}) should be well under plain ({})",
+                enc.bit_len,
+                plain.bit_len
+            );
+        }
     }
 
     #[test]
@@ -1558,8 +1144,8 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_chains_through_best_reference() {
-        // l0 plain; l1 = l0 + noise; l2 = l1 + noise: chain expected.
+    fn window_all_chains_through_the_best_backward_reference() {
+        // l1 = l0 + an entry; l2 = l1 + an entry, stored out of that order.
         let l0: Vec<u32> = (0..30).map(|i| i * 3).collect();
         let mut l1 = l0.clone();
         l1.push(91);
@@ -1567,8 +1153,16 @@ mod tests {
         let mut l2 = l1.clone();
         l2.push(92);
         l2.sort_unstable();
-        let lists = vec![l2.clone(), l0.clone(), l1.clone()]; // order scrambled
-        round_trip(&lists, 100, RefMode::Exact);
+        let lists = vec![l2.clone(), l0.clone(), l1.clone()];
+        let enc = round_trip(&lists, 100, RefMode::Windowed(u32::MAX));
+        let index =
+            ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(100)).unwrap();
+        // Only backward: l0 is coded against l2, and so is l1 — an entry
+        // dropped is a mask run, an entry added (against l0) an extra.
+        assert_eq!(
+            index.reference_parents(&enc.bytes, enc.bit_len).unwrap(),
+            [None, Some(0), Some(0)]
+        );
     }
 
     #[test]
@@ -1586,141 +1180,6 @@ mod tests {
                     let _ = r.decode_list(0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn arborescence_simple_star() {
-        // root=3; direct edges cheap.
-        let edges = [
-            (3u32, 0u32, 5u64),
-            (3, 1, 5),
-            (3, 2, 5),
-            (0, 1, 1),
-            (1, 2, 1),
-        ];
-        let parent = min_arborescence(4, 3, &edges);
-        assert_eq!(parent[0], 3);
-        assert_eq!(parent[1], 0);
-        assert_eq!(parent[2], 1);
-    }
-
-    #[test]
-    fn arborescence_breaks_cycles() {
-        // 0 <-> 1 cheap cycle; root must break in through the cheaper side.
-        let edges = [(2u32, 0u32, 10u64), (2, 1, 4), (0, 1, 1), (1, 0, 1)];
-        let parent = min_arborescence(3, 2, &edges);
-        // Optimal: root->1 (4) + 1->0 (1) = 5.
-        assert_eq!(parent[1], 2);
-        assert_eq!(parent[0], 1);
-    }
-
-    #[test]
-    fn arborescence_nested_cycles() {
-        // A 3-cycle with expensive root entries; Edmonds must contract.
-        let edges = [
-            (3u32, 0u32, 100u64),
-            (3, 1, 8),
-            (3, 2, 100),
-            (0, 1, 1),
-            (1, 2, 1),
-            (2, 0, 1),
-            (0, 2, 5),
-        ];
-        let parent = min_arborescence(4, 3, &edges);
-        // Expected: 3->1 (8), 1->2 (1), 2->0 (1): total 10.
-        assert_eq!(parent[1], 3);
-        assert_eq!(parent[2], 1);
-        assert_eq!(parent[0], 2);
-    }
-
-    #[test]
-    fn arborescence_matches_brute_force_on_small_graphs() {
-        // Exhaustive check on random 5-node graphs.
-        let mut seed = 0xC0FFEEu64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 33
-        };
-        for _trial in 0..30 {
-            let n = 5usize;
-            let root = 0u32;
-            let mut edges = Vec::new();
-            for u in 0..n as u32 {
-                for v in 1..n as u32 {
-                    if u != v {
-                        edges.push((u, v, next() % 50 + 1));
-                    }
-                }
-            }
-            let parent = min_arborescence(n, root, &edges);
-            let got: u64 = (1..n)
-                .map(|v| {
-                    edges
-                        .iter()
-                        .filter(|&&(u, t, _)| u == parent[v] && t == v as u32)
-                        .map(|&(_, _, w)| w)
-                        .min()
-                        .expect("parent edge exists")
-                })
-                .sum();
-            // Brute force: all parent-function combinations that are trees.
-            let mut best = u64::MAX;
-            let choices: Vec<Vec<(u32, u64)>> = (1..n)
-                .map(|v| {
-                    edges
-                        .iter()
-                        .filter(|&&(_, t, _)| t == v as u32)
-                        .map(|&(u, _, w)| (u, w))
-                        .collect()
-                })
-                .collect();
-            fn rec(
-                v: usize,
-                n: usize,
-                parent: &mut Vec<u32>,
-                choices: &[Vec<(u32, u64)>],
-                acc: u64,
-                best: &mut u64,
-            ) {
-                if v == n {
-                    // Check tree-ness: every node reaches root 0.
-                    for start in 1..n {
-                        let mut cur = start as u32;
-                        let mut steps = 0;
-                        while cur != 0 {
-                            cur = parent[cur as usize];
-                            steps += 1;
-                            if steps > n {
-                                return; // cycle
-                            }
-                        }
-                    }
-                    *best = (*best).min(acc);
-                    return;
-                }
-                for &(u, w) in &choices[v - 1] {
-                    parent[v] = u;
-                    rec(v + 1, n, parent, choices, acc + w, best);
-                }
-            }
-            let mut p = vec![0u32; n];
-            rec(1, n, &mut p, &choices, 0, &mut best);
-            assert_eq!(got, best, "edmonds found {got}, brute force {best}");
-        }
-    }
-
-    #[test]
-    fn encoded_size_bits_matches_encode() {
-        let lists = vec![vec![1u32, 2, 3], vec![1, 2, 4], vec![7]];
-        for mode in modes() {
-            assert_eq!(
-                encoded_size_bits(&lists, 10, mode),
-                encode_lists(&lists, 10, mode, ListCodec::GAMMA).bit_len,
-                "{mode:?}"
-            );
         }
     }
 
@@ -1778,8 +1237,9 @@ mod tests {
         1 + parent_bits + rle::encoded_len(&mask) + bounded_gap_list_len(&extras, universe)
     }
 
-    /// Reference model for [`choose_references`]: the serial selection
-    /// loops, driven by [`ref_cost_model`].
+    /// Reference model for [`choose_references`]: an ascending walk over
+    /// the window that prices every candidate in full with
+    /// [`ref_cost_model`].
     fn choose_references_model(
         lists: &[Vec<u32>],
         universe: u64,
@@ -1805,21 +1265,6 @@ mod tests {
                     }
                 }
                 parents
-            }
-            RefMode::Exact => {
-                let mut edges = Vec::new();
-                for y in 0..n {
-                    edges.push((n as u32, y as u32, plain_cost(&lists[y], universe)));
-                    for x in (0..n).filter(|&x| x != y) {
-                        if !lists[x].is_empty() && !lists[y].is_empty() {
-                            edges.push((x as u32, y as u32, cost(x, y)));
-                        }
-                    }
-                }
-                let parent = min_arborescence(n + 1, n as u32, &edges);
-                (0..n)
-                    .map(|y| Some(parent[y]).filter(|&p| p != n as u32))
-                    .collect()
             }
         };
         // What the choice was priced at: plain, or against the parent.
@@ -1870,9 +1315,8 @@ mod tests {
             RefMode::Windowed(8),
             RefMode::Windowed(32),
             RefMode::Windowed(256),
-            RefMode::Exact,
+            RefMode::Windowed(u32::MAX),
         ];
-        // 300 lists × a window of 8 is past `PAR_COST_PROBES_MIN`.
         let cases = [
             (synth_lists(3, 300, 40), 40u64),
             (synth_lists(11, 300, 400), 400),
@@ -1884,17 +1328,14 @@ mod tests {
             for mode in modes {
                 let want = choose_references_model(lists, *universe, mode);
                 let flat = ListBuf::from_nested(lists);
-                for threads in [1u32, 4] {
-                    let got = choose_references(flat.view(), *universe, mode, threads);
-                    let got = (got.parents, got.priced);
-                    assert_eq!(got, want, "case {case} {mode:?} threads={threads}");
-                }
+                let got = choose_references(flat.view(), *universe, mode);
+                assert_eq!((got.parents, got.priced), want, "case {case} {mode:?}");
             }
         }
         // The cases are what they are for: candidates tie, and chains
         // reach the cap and stop there.
         let chained = ListBuf::from_nested(&cases[4].0);
-        let parents = choose_references(chained.view(), 200, RefMode::Windowed(8), 1).parents;
+        let parents = choose_references(chained.view(), 200, RefMode::Windowed(8)).parents;
         let mut depth = vec![0u32; parents.len()];
         for (y, p) in parents.iter().enumerate() {
             depth[y] = p.map_or(0, |p| depth[p as usize] + 1);
@@ -1906,17 +1347,6 @@ mod tests {
             .filter(|&y| (y - 8..y).filter(|&x| tied[x] == tied[y]).count() >= 2)
             .count();
         assert!(ties > 50, "{ties} lists with two copies in their window");
-
-        // A window of 1 only takes the parallel path past 2048 lists.
-        let long = chained_lists(2100);
-        let want = choose_references_model(&long, 200, RefMode::Windowed(1));
-        let got = choose_references(
-            ListBuf::from_nested(&long).view(),
-            200,
-            RefMode::Windowed(1),
-            4,
-        );
-        assert_eq!((got.parents, got.priced), want);
     }
 
     proptest::proptest! {
@@ -1954,18 +1384,23 @@ mod tests {
             // The summaries never rule out a pair that shares an entry.
             let may_share = ListSummary::of(&reference).may_share(&ListSummary::of(&target));
             proptest::prop_assert!(may_share || !intersect);
-            // And the diff `Exact` mode prices is the same payload.
+            // And the diff the writer materialises, over whatever its
+            // scratch held, is the payload that was priced.
             let mut diff = DiffScratch::default();
             diff_into(&target, &reference, &mut diff);
             diff_into(&reference, &target, &mut diff);
-            proptest::prop_assert_eq!(diff_cost(&diff, n_lists, universe), model);
+            let written = 1
+                + parent_field_bits(n_lists)
+                + rle::encoded_len(&diff.mask)
+                + bounded_gap_list_len(&diff.extras, universe);
+            proptest::prop_assert_eq!(written, model);
         }
     }
 
     /// Reference model for [`ListsIndex::parse`]: the loader this crate
     /// used before the offsets-only scan. It decodes every list of a
-    /// directory-less stream in order — reference lists merged and kept —
-    /// and notes where each payload started.
+    /// stream in order — reference lists merged and kept — and notes
+    /// where each payload started.
     fn materialising_offsets(
         data: &[u8],
         bit_len: u64,
@@ -1973,7 +1408,7 @@ mod tests {
     ) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
         let mut r = BitReader::with_bit_len(data, bit_len);
         let n = codes::read_gamma(&mut r)?;
-        assert!(!r.read_bit()?, "the model covers directory-less streams");
+        assert!(!r.read_bit()?, "no build sets the retired directory bit");
         let mut offsets = Vec::new();
         let mut lists: Vec<Vec<u32>> = Vec::new();
         for i in 0..n {
@@ -2005,7 +1440,11 @@ mod tests {
     fn scan_offsets_match_the_materialising_decoder() {
         let universe = 600u64;
         let lists = synth_lists(0x0FF5E7, 48, universe);
-        for mode in [RefMode::None, RefMode::Windowed(8), RefMode::Exact] {
+        for mode in [
+            RefMode::None,
+            RefMode::Windowed(8),
+            RefMode::Windowed(u32::MAX),
+        ] {
             let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
             let index =
                 ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(universe))
@@ -2016,17 +1455,83 @@ mod tests {
                 lists,
                 "{mode:?}"
             );
-            // Exact mode may point references forward and then carries
-            // its offsets in the stream; the model reads the other kind.
-            let mut header = BitReader::with_bit_len(&enc.bytes, enc.bit_len);
-            codes::read_gamma(&mut header).unwrap();
-            let has_dir = header.read_bit().unwrap();
-            if !has_dir {
-                let (offsets, decoded) =
-                    materialising_offsets(&enc.bytes, enc.bit_len, universe).unwrap();
-                assert_eq!(index.offsets, offsets, "{mode:?}");
-                assert_eq!(decoded, lists);
-            }
+            let (offsets, decoded) =
+                materialising_offsets(&enc.bytes, enc.bit_len, universe).unwrap();
+            assert_eq!(index.offsets, offsets, "{mode:?}");
+            assert_eq!(decoded, lists);
+        }
+    }
+
+    /// What the writer of the deleted all-pairs selection produced for
+    /// `lists` with the given parents, forward ones among them: the
+    /// directory bit set, a γ length per payload, then the payloads.
+    pub(crate) fn retired_directory_stream(
+        w: &mut BitWriter,
+        lists: &[Vec<u32>],
+        parents: &[Option<u32>],
+        universe: u64,
+    ) {
+        let n = lists.len() as u64;
+        let payloads: Vec<(Vec<u8>, u64)> = (lists.iter().zip(parents))
+            .map(|(list, parent)| {
+                let mut p = BitWriter::new();
+                p.write_bit(parent.is_some());
+                let mut diff = DiffScratch::default();
+                let extras = match parent {
+                    None => list,
+                    Some(x) => {
+                        codes::write_minimal_binary(&mut p, u64::from(*x), n);
+                        diff_into(&lists[*x as usize], list, &mut diff);
+                        rle::write_bitvec(&mut p, &diff.mask);
+                        &diff.extras
+                    }
+                };
+                write_bounded_gap_list(&mut p, extras, universe);
+                p.finish()
+            })
+            .collect();
+        codes::write_gamma(w, n);
+        w.write_bit(true);
+        for (_, bits) in &payloads {
+            codes::write_gamma(w, *bits);
+        }
+        for (bytes, bits) in &payloads {
+            w.append(bytes, *bits);
+        }
+    }
+
+    pub(crate) fn is_retired_form(e: &SNodeError) -> bool {
+        matches!(e, SNodeError::Corrupt(m) if m.contains("retired reference mode: rebuild"))
+    }
+
+    /// The directory bit is still read, and refused: in a well-formed
+    /// stream of the retired form, and after a count — of one list, of 2³¹
+    /// — with nothing behind it, where a reader that sized or scanned
+    /// anything first would report the stream's end instead.
+    #[test]
+    fn a_stream_with_the_directory_bit_set_is_a_retired_form() {
+        let lists = vec![vec![1u32, 4, 7], vec![1, 4, 7, 9], vec![2]];
+        let mut w = BitWriter::new();
+        retired_directory_stream(&mut w, &lists, &[Some(1), None, None], 10);
+        let (bytes, bit_len) = w.finish();
+        for universe in [Universe::Explicit(10), Universe::SameAsCount] {
+            let got = ListsIndex::parse_at(&bytes, bit_len, 0, universe);
+            assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
+            let got = ListsIndex::load(&bytes, bit_len, universe);
+            assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
+        }
+        // The same lists as today's writer stores them are read.
+        let enc = encode_lists(&lists, 10, RefMode::Windowed(2), ListCodec::GAMMA);
+        let (_, back) = ListsIndex::load(&enc.bytes, enc.bit_len, Universe::Explicit(10)).unwrap();
+        assert_eq!(back, lists);
+
+        for count in [1u64, 1 << 31] {
+            let mut w = BitWriter::new();
+            codes::write_gamma(&mut w, count);
+            w.write_bit(true);
+            let (bytes, bit_len) = w.finish();
+            let got = ListsIndex::parse_at(&bytes, bit_len, 0, Universe::SameAsCount);
+            assert!(got.as_ref().is_err_and(is_retired_form), "{count}: {got:?}");
         }
     }
 
@@ -2063,7 +1568,11 @@ mod tests {
     fn scan_of_bit_flipped_streams_is_corrupt_or_decodable() {
         let universe = 200u64;
         let lists = synth_lists(0xF11B, 10, universe);
-        for mode in [RefMode::None, RefMode::Windowed(4), RefMode::Exact] {
+        for mode in [
+            RefMode::None,
+            RefMode::Windowed(4),
+            RefMode::Windowed(u32::MAX),
+        ] {
             let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
             for flip in 0..enc.bit_len {
                 let mut bytes = enc.bytes.clone();
@@ -2119,7 +1628,7 @@ mod tests {
             // behind `parse` refuses it too.
             let mut w = BitWriter::new();
             codes::write_gamma(&mut w, 1); // one list
-            w.write_bit(false); // no directory
+            w.write_bit(false); // the retired directory bit
             w.write_bit(false); // plain
             codes::write_gamma(&mut w, count);
             w.write_bits(0, 64);
@@ -2147,7 +1656,7 @@ mod tests {
             let scanned = ListsIndex::parse_at(&bytes, enc.bit_len, 0, Universe::Explicit(10));
             scan_caught |= scanned.as_ref().is_err_and(outside);
             // The clean directory over the flipped bytes: the decoder on
-            // its own, as on a stream that carries its offsets.
+            // its own, without the scan's checks before it.
             match clean.decode_list(&bytes, enc.bit_len, 0) {
                 Ok(list) => assert!(list.iter().all(|&x| x < 10), "flip {flip}: {list:?}"),
                 Err(e) => decode_caught |= outside(&e),

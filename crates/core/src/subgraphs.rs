@@ -20,7 +20,7 @@
 use crate::codec::{ListCodec, SuperedgeLayouts};
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
-    append_bounded_gap_list, bounded_gap_list_len, encode_lists_t, plain_cost, plan_lists,
+    append_bounded_gap_list, bounded_gap_list_len, encode_lists, plain_cost, plan_lists,
     read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, write_lists_planned,
     DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode,
     Universe,
@@ -53,17 +53,10 @@ pub enum SuperedgeKind {
 // --- Intranode graphs ---------------------------------------------------
 
 /// Encodes an intranode graph: `lists[p]` is the sorted local adjacency of
-/// local page `p` (entries `< lists.len()`). [`encode_intranode_t`] for a
-/// caller that holds one `Vec` per page.
+/// local page `p` (entries `< lists.len()`), so a list stream whose
+/// universe is its own list count.
 pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode) -> EncodedLists {
-    encode_intranode_t(ListBuf::from_nested(lists).view(), mode, 1)
-}
-
-/// Encodes the intranode graph whose page `p` has the sorted local
-/// adjacency `lists.get(p)`, with up to `threads` workers. Byte-identical
-/// for every thread count.
-pub fn encode_intranode_t(lists: FlatLists<'_>, mode: RefMode, threads: u32) -> EncodedLists {
-    encode_lists_t(lists, lists.len() as u64, mode, threads)
+    encode_lists(lists, lists.len() as u64, mode, ListCodec::GAMMA)
 }
 
 /// Decodes a full intranode graph.
@@ -84,13 +77,6 @@ pub struct EncodedSuperedge {
     pub bit_len: u64,
 }
 
-impl EncodedSuperedge {
-    /// Size in bits.
-    pub fn bit_len(&self) -> u64 {
-        self.bit_len
-    }
-}
-
 /// The links of one superedge `i → j` in sparse positive form: what the
 /// builder produces and the positive representation stores.
 #[derive(Debug, Clone, Copy)]
@@ -106,10 +92,12 @@ pub struct SuperedgeLinks<'a> {
     pub nj: u64,
 }
 
-/// Encodes the superedge graph for `i → j` from dense input, single-threaded:
+/// Encodes the superedge graph for `i → j` from dense input:
 /// `pos_lists[s]` is the sorted list of local `Nj` targets of the `s`-th
-/// page of `Ni` (possibly empty); `nj = |Nj|`. [`encode_superedge_t`] for
-/// callers that hold one `Vec` per page.
+/// page of `Ni` (possibly empty); `nj = |Nj|`. For callers that hold one
+/// `Vec` per page; the build plans and writes its sparse
+/// [`SuperedgeLinks`] with [`plan_superedge`] and [`write_superedge`],
+/// which is all this does.
 pub fn encode_superedge(
     pos_lists: &[Vec<u32>],
     nj: u64,
@@ -124,20 +112,7 @@ pub fn encode_superedge(
         ni: pos_lists.len() as u64,
         nj,
     };
-    encode_superedge_t(links, mode, policy, codec, 1)
-}
-
-/// Encodes the superedge graph `links` with up to `threads` workers.
-/// Byte-identical for every thread count.
-pub fn encode_superedge_t(
-    links: SuperedgeLinks<'_>,
-    mode: RefMode,
-    policy: SuperedgePolicy,
-    codec: ListCodec,
-    threads: u32,
-) -> EncodedSuperedge {
-    let plan = plan_superedge(links, mode, policy, codec, threads);
-    write_superedge(links, &plan, codec)
+    write_superedge(links, &plan_superedge(links, mode, policy, codec), codec)
 }
 
 /// The representation chosen for one superedge graph, with what writing
@@ -162,7 +137,6 @@ pub(crate) fn plan_superedge(
     mode: RefMode,
     policy: SuperedgePolicy,
     codec: ListCodec,
-    threads: u32,
 ) -> SuperedgePlan {
     let SuperedgeLinks { ni, nj, .. } = links;
     debug_assert_eq!(links.sources.len(), links.lists.len());
@@ -174,7 +148,7 @@ pub(crate) fn plan_superedge(
     // Only consider the complement when it has fewer edges — otherwise
     // materialising it could cost Θ(|Ni|·|Nj|) for nothing.
     if neg_edges >= pos_edges {
-        return SuperedgePlan::Positive(plan_positive(links, mode, codec, threads));
+        return SuperedgePlan::Positive(plan_positive(links, mode, codec));
     }
     // The negative representation stores a list for every page of `Ni`.
     let mut stored = links.sources.iter().zip(links.lists.iter()).peekable();
@@ -184,9 +158,9 @@ pub(crate) fn plan_superedge(
         complement_into(present.map_or(&[], |(_, l)| l), nj as u32, &mut absent);
         lists.push(absent.iter().copied());
     }
-    let plan = plan_lists(lists.view(), nj, mode, threads);
+    let plan = plan_lists(lists.view(), nj, mode);
     if policy == SuperedgePolicy::EncodedSize {
-        let pos = plan_positive(links, mode, codec, threads);
+        let pos = plan_positive(links, mode, codec);
         if 1 + plan.total_bits >= pos.bits {
             return SuperedgePlan::Positive(pos);
         }
@@ -322,13 +296,8 @@ fn index_bits(index: &[u32], entries: usize) -> u64 {
 /// stored lists, the expensive candidate, runs only for a graph the
 /// dictionaries might lose. The winner is the one pricing every layout
 /// exactly would pick.
-fn plan_positive(
-    links: SuperedgeLinks<'_>,
-    mode: RefMode,
-    codec: ListCodec,
-    threads: u32,
-) -> PositivePlan {
-    let pricer = Pricer::new(links, mode, codec, threads);
+fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode, codec: ListCodec) -> PositivePlan {
+    let pricer = Pricer::new(links, mode, codec);
     if codec.layouts == SuperedgeLayouts::Standard {
         return pricer.price(Layout::Lists);
     }
@@ -358,7 +327,6 @@ struct Pricer<'a> {
     links: SuperedgeLinks<'a>,
     mode: RefMode,
     codec: ListCodec,
-    threads: u32,
     /// Kind bit and `sources`: what every layout starts with, the marker
     /// aside.
     preamble_bits: u64,
@@ -367,12 +335,11 @@ struct Pricer<'a> {
 }
 
 impl<'a> Pricer<'a> {
-    fn new(links: SuperedgeLinks<'a>, mode: RefMode, codec: ListCodec, threads: u32) -> Self {
+    fn new(links: SuperedgeLinks<'a>, mode: RefMode, codec: ListCodec) -> Self {
         Self {
             links,
             mode,
             codec,
-            threads,
             preamble_bits: 1 + bounded_gap_list_len(links.sources, links.ni),
             distinct: std::cell::OnceCell::new(),
         }
@@ -419,7 +386,7 @@ impl<'a> Pricer<'a> {
     /// [`Pricer::floor`] returned a floor for.
     fn price(&self, layout: Layout) -> PositivePlan {
         let SuperedgeLinks { lists, nj, .. } = self.links;
-        let (mode, codec, threads) = (self.mode, self.codec, self.threads);
+        let (mode, codec) = (self.mode, self.codec);
         let marker = layout.marker(codec.layouts).map_or(0, <[bool]>::len) as u64;
         let (body, body_bits) = match layout {
             Layout::SingleTargets => {
@@ -428,7 +395,7 @@ impl<'a> Pricer<'a> {
                 (PlannedBody::SingleTargets { dict, index }, bits)
             }
             Layout::Lists => {
-                let plan = plan_lists(lists, nj, mode, threads);
+                let plan = plan_lists(lists, nj, mode);
                 let bits = plan.total_bits;
                 (PlannedBody::Lists(plan), bits)
             }
@@ -439,7 +406,7 @@ impl<'a> Pricer<'a> {
                     dict.push(lists.get(i as usize).iter().copied());
                 }
                 let index = index.clone();
-                let plan = plan_lists(dict.view(), nj, mode, threads);
+                let plan = plan_lists(dict.view(), nj, mode);
                 let bits = plan.total_bits + index_bits(&index, first.len());
                 (PlannedBody::ListDictionary { dict, plan, index }, bits)
             }
@@ -558,43 +525,6 @@ pub fn decode_superedge(
         out.push(view.targets_of(s, nj)?);
     }
     Ok(out)
-}
-
-/// Decodes a superedge graph into **sparse** positive form: the sorted
-/// source ids that have at least one target, with one target list per such
-/// source. The dense form ([`decode_superedge`]) allocates a vector per
-/// page of `Ni` even though most pages have no cross-links into `Nj`; the
-/// sparse form is what the query-time cache keeps.
-pub fn decode_superedge_sparse(
-    bytes: &[u8],
-    bit_len: u64,
-    ni: u64,
-    nj: u64,
-    codec: ListCodec,
-) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
-    let view = SuperedgeView::parse(bytes, bit_len, ni, nj, codec)?;
-    match view.index.kind {
-        SuperedgeKind::Positive => {
-            let sources: Vec<u32> = view.index.sources.clone();
-            let mut lists = Vec::with_capacity(sources.len());
-            for (idx, _) in sources.iter().enumerate() {
-                lists.push(view.index.stored_list(bytes, bit_len, idx as u32)?);
-            }
-            Ok((sources, lists))
-        }
-        SuperedgeKind::Negative => {
-            let mut sources = Vec::new();
-            let mut lists = Vec::new();
-            for s in 0..ni {
-                let list = view.targets_of(s, nj)?;
-                if !list.is_empty() {
-                    sources.push(s as u32);
-                    lists.push(list);
-                }
-            }
-            Ok((sources, lists))
-        }
-    }
 }
 
 /// Owned directory of an encoded superedge graph (no byte references) —
@@ -1130,11 +1060,6 @@ impl<'a> SuperedgeView<'a> {
         })
     }
 
-    /// Representation stored.
-    pub fn kind(&self) -> SuperedgeKind {
-        self.index.kind
-    }
-
     /// Number of source pages `|Ni|`.
     pub fn ni(&self) -> u64 {
         self.index.ni
@@ -1173,7 +1098,27 @@ mod tests {
     use proptest::prelude::*;
 
     fn modes() -> [RefMode; 3] {
-        [RefMode::None, RefMode::Windowed(8), RefMode::Exact]
+        [
+            RefMode::None,
+            RefMode::Windowed(8),
+            RefMode::Windowed(u32::MAX),
+        ]
+    }
+
+    /// The builder's path for a flat collection: plan, then write.
+    fn encode_flat(lists: &ListBuf, universe: u64, mode: RefMode) -> EncodedLists {
+        let plan = plan_lists(lists.view(), universe, mode);
+        crate::refenc::write_lists(lists.view(), universe, &plan)
+    }
+
+    /// And for its sparse superedge links.
+    fn encode_links(
+        links: SuperedgeLinks<'_>,
+        mode: RefMode,
+        policy: SuperedgePolicy,
+        codec: ListCodec,
+    ) -> EncodedSuperedge {
+        write_superedge(links, &plan_superedge(links, mode, policy, codec), codec)
     }
 
     /// The positive representation, whether or not it would win.
@@ -1190,7 +1135,7 @@ mod tests {
             ni: pos_lists.len() as u64,
             nj,
         };
-        let pos = plan_positive(links, mode, codec, 1);
+        let pos = plan_positive(links, mode, codec);
         write_superedge_positive(links, &pos, codec)
     }
 
@@ -1362,10 +1307,8 @@ mod tests {
             for mode in modes() {
                 for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
                     let dense = encode_superedge(&pos, nj, mode, policy, codec);
-                    for threads in [1u32, 4] {
-                        let sparse = encode_superedge_t(links, mode, policy, codec, threads);
-                        assert_eq!(sparse, dense, "{name} {mode:?} {policy:?} x{threads}");
-                    }
+                    let sparse = encode_links(links, mode, policy, codec);
+                    assert_eq!(sparse, dense, "{name} {mode:?} {policy:?}");
                     assert_eq!(dense.kind, kind, "{name} {mode:?} {policy:?}");
                     let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj, codec);
                     assert_eq!(back.unwrap(), pos, "{name} {mode:?} {policy:?}");
@@ -1519,9 +1462,7 @@ mod tests {
             enc.bit_len
         );
         assert_eq!(view.count_positive_edges(20).unwrap(), 40);
-        let (srcs, lists) = decode_superedge_sparse(&enc.bytes, enc.bit_len, 40, 20, st).unwrap();
-        assert_eq!(srcs, (0..40u32).collect::<Vec<_>>());
-        assert!(lists.iter().all(|l| l.len() == 1));
+        assert_eq!(view.index().sources(), (0..40u32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1556,7 +1497,7 @@ mod tests {
             RefMode::None,
             RefMode::Windowed(1),
             RefMode::Windowed(32),
-            RefMode::Exact,
+            RefMode::Windowed(u32::MAX),
         ]
     }
 
@@ -1696,7 +1637,7 @@ mod tests {
             for mode in all_modes() {
                 let owned = shaped_links(shape, 7, 30);
                 let (links, st) = (owned.links(), st_codec());
-                let enc = encode_superedge_t(links, mode, SuperedgePolicy::EncodedSize, st, 1);
+                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize, st);
                 let index =
                     SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
                 assert_eq!(
@@ -1706,7 +1647,7 @@ mod tests {
                 );
                 // `g` knows one layout and no marker.
                 let plain = ListCodec::GAMMA;
-                let enc = encode_superedge_t(links, mode, SuperedgePolicy::EncodedSize, plain, 1);
+                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize, plain);
                 let index =
                     SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, plain)
                         .unwrap();
@@ -1720,8 +1661,7 @@ mod tests {
 
         /// encode → `parse` → `targets_of`, for every source and every
         /// page that is none, in every layout and the negative form, every
-        /// reference mode, `g`, `g+st` and v2's `+st`; and not a byte
-        /// depends on the thread count.
+        /// reference mode, `g`, `g+st` and v2's `+st`.
         #[test]
         fn every_representation_round_trips(
             shape in 0usize..4,
@@ -1734,9 +1674,7 @@ mod tests {
             for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
                 for mode in all_modes() {
                     let policy = SuperedgePolicy::EncodedSize;
-                    let enc = encode_superedge_t(links, mode, policy, codec, 1);
-                    let par = encode_superedge_t(links, mode, policy, codec, 4);
-                    prop_assert_eq!(&enc, &par, "{:?} {:?}: threads changed bytes", codec, mode);
+                    let enc = encode_links(links, mode, policy, codec);
                     let view =
                         SuperedgeView::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
                             .unwrap();
@@ -1786,22 +1724,19 @@ mod tests {
                 .collect();
             for mode in all_modes() {
                 let nested = crate::refenc::encode_lists(&dense, links.nj, mode, ListCodec::GAMMA);
-                for threads in [1, 4] {
-                    let flat = encode_lists_t(pushed(&dense).view(), links.nj, mode, threads);
-                    prop_assert_eq!(&flat, &nested, "{:?} x{}", mode, threads);
-                }
+                prop_assert_eq!(&encode_flat(&pushed(&dense), links.nj, mode), &nested);
                 let universe = Universe::Explicit(links.nj);
                 let back = ListsReader::parse(&nested.bytes, nested.bit_len, universe).unwrap();
                 prop_assert_eq!(&back.decode_all().unwrap(), &dense);
 
                 let nested = encode_intranode(&intra, mode);
-                prop_assert_eq!(&encode_intranode_t(pushed(&intra).view(), mode, 1), &nested);
+                prop_assert_eq!(&encode_flat(&pushed(&intra), links.ni, mode), &nested);
                 prop_assert_eq!(&decode_intranode(&nested.bytes, nested.bit_len).unwrap(), &intra);
 
                 for codec in [st_codec(), ListCodec::GAMMA] {
                     for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
                         let nested = encode_superedge(&dense, links.nj, mode, policy, codec);
-                        let flat = encode_superedge_t(links, mode, policy, codec, 1);
+                        let flat = encode_links(links, mode, policy, codec);
                         prop_assert_eq!(&flat, &nested, "{:?} {:?} {:?}", mode, policy, codec);
                         let (bytes, bits) = (&nested.bytes, nested.bit_len);
                         let back = decode_superedge(bytes, bits, links.ni, links.nj, codec);
@@ -1825,7 +1760,7 @@ mod tests {
             let links = owned.links();
             for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
                 for mode in all_modes() {
-                    let pricer = Pricer::new(links, mode, codec, 1);
+                    let pricer = Pricer::new(links, mode, codec);
                     let all = price_every_layout(&pricer);
                     for plan in &all {
                         let enc = write_superedge_positive(links, plan, codec);
@@ -1838,7 +1773,7 @@ mod tests {
                         }
                     }
                     let smallest = all.iter().min_by_key(|plan| plan.rank()).unwrap();
-                    let chosen = plan_positive(links, mode, codec, 1);
+                    let chosen = plan_positive(links, mode, codec);
                     prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?} {:?}", codec, mode);
                     prop_assert_eq!(
                         write_superedge_positive(links, &chosen, codec),
@@ -1857,15 +1792,15 @@ mod tests {
     fn v2_graphs_decode_under_the_one_bit_marker_they_were_written_with() {
         let policy = SuperedgePolicy::EncodedSize;
         let hubs = shaped_links(1, 3, 20);
-        let v2 = encode_superedge_t(hubs.links(), RefMode::default(), policy, v2_st_codec(), 1);
-        let v3 = encode_superedge_t(hubs.links(), RefMode::default(), policy, st_codec(), 1);
+        let v2 = encode_links(hubs.links(), RefMode::default(), policy, v2_st_codec());
+        let v3 = encode_links(hubs.links(), RefMode::default(), policy, st_codec());
         assert_eq!(v2, v3);
         assert_eq!(v2.bytes[0] >> 6, 0b01, "positive, then the marker `1`");
 
         let distinct = shaped_links(2, 3, 20);
         let links = distinct.links();
-        let v2 = encode_superedge_t(links, RefMode::default(), policy, v2_st_codec(), 1);
-        let v3 = encode_superedge_t(links, RefMode::default(), policy, st_codec(), 1);
+        let v2 = encode_links(links, RefMode::default(), policy, v2_st_codec());
+        let v3 = encode_links(links, RefMode::default(), policy, st_codec());
         assert_eq!(v2.bit_len + 1, v3.bit_len);
         let back = decode_superedge(&v2.bytes, v2.bit_len, links.ni, links.nj, v2_st_codec());
         assert_eq!(back.unwrap(), distinct.dense());
@@ -1889,7 +1824,7 @@ mod tests {
             let (links, st) = (owned.links(), st_codec());
             let dense = owned.dense();
             let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_superedge_t(links, RefMode::default(), policy, st, 1);
+            let enc = encode_links(links, RefMode::default(), policy, st);
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
             assert_eq!(index.layout(), layout);
@@ -1959,7 +1894,7 @@ mod tests {
             let owned = shaped_links(shape, 5, 18);
             let (links, st) = (owned.links(), st_codec());
             let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_superedge_t(links, RefMode::default(), policy, st, 1);
+            let enc = encode_links(links, RefMode::default(), policy, st);
             let parse = |bytes: &[u8], bit_len| {
                 SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, st)
             };
@@ -2037,7 +1972,7 @@ mod tests {
                 let owned = shaped_links(shape, 13, 21);
                 let links = owned.links();
                 let policy = SuperedgePolicy::EncodedSize;
-                let enc = encode_superedge_t(links, RefMode::default(), policy, codec, 1);
+                let enc = encode_links(links, RefMode::default(), policy, codec);
                 let index =
                     SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
                         .unwrap();
@@ -2146,6 +2081,58 @@ mod tests {
             index.lists().is_none(),
             "a failed scan leaves nothing behind"
         );
+    }
+
+    /// A list stream in the retired directory form is refused wherever a
+    /// graph holds one: an intranode graph and a negative superedge graph
+    /// when parsed, a positive one — its list stream or its list
+    /// dictionary — at the first access that reaches a stored list.
+    #[test]
+    fn retired_directory_streams_are_corrupt_in_every_graph_kind() {
+        use crate::refenc::tests::{is_retired_form, retired_directory_stream};
+        let lists = vec![vec![0u32, 2], vec![0, 1, 2], vec![1]];
+        let parents = [Some(1), None, None];
+
+        let mut w = BitWriter::new();
+        retired_directory_stream(&mut w, &lists, &parents, 3);
+        let (bytes, bit_len) = w.finish();
+        let got = decode_intranode(&bytes, bit_len);
+        assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
+
+        let mut w = BitWriter::new();
+        w.write_bit(true); // negative
+        retired_directory_stream(&mut w, &lists, &parents, 3);
+        let (bytes, bit_len) = w.finish();
+        let got = SuperedgeIndex::parse(&bytes, bit_len, 3, 3, st_codec());
+        assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
+
+        for layout in [Layout::Lists, Layout::ListDictionary] {
+            let mut w = BitWriter::new();
+            w.write_bit(false); // positive
+            let marker = layout.marker(SuperedgeLayouts::Priced).unwrap();
+            marker.iter().for_each(|&bit| w.write_bit(bit));
+            write_bounded_gap_list(&mut w, &[0, 1, 2], 4);
+            retired_directory_stream(&mut w, &lists, &parents, 3);
+            if layout == Layout::ListDictionary {
+                (0..3).for_each(|i| codes::write_minimal_binary(&mut w, i, 3));
+            }
+            let (bytes, bit_len) = w.finish();
+            let index = SuperedgeIndex::parse(&bytes, bit_len, 4, 3, st_codec()).unwrap();
+            assert_eq!(index.layout(), layout);
+            assert!(index.targets_of(&bytes, bit_len, 3, 3).unwrap().is_empty());
+            for s in 0..3 {
+                let got = index.targets_of(&bytes, bit_len, s, 3);
+                assert!(
+                    got.as_ref().is_err_and(is_retired_form),
+                    "{layout:?}: {got:?}"
+                );
+            }
+            let got = decode_superedge(&bytes, bit_len, 4, 3, st_codec());
+            assert!(
+                got.as_ref().is_err_and(is_retired_form),
+                "{layout:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

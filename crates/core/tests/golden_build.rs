@@ -1,7 +1,9 @@
 //! The build pinned to constants: the directory `build_snode` writes for
 //! one generated corpus, as the fingerprint `wgr bench` records in
 //! `BENCH_build.json` (FNV-1a over the name and bytes of every file but
-//! `sums.bin`), in both formats and at two thread counts. A change to
+//! `sums.bin`), in both formats and at four thread counts — below the
+//! encode window of 64 supernodes, above half of it, and above all of it:
+//! the window is shared out by supernode whatever the count. A change to
 //! refinement, numbering, reference selection or encoding that is meant to
 //! be invisible must leave both numbers alone — one changed byte in one
 //! file moves them; one that is meant to move the format updates them,
@@ -32,7 +34,7 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
     for (name, want) in golden {
         let codec = CodecConfig::parse(name).unwrap();
         assert_eq!(codec == CodecConfig::default(), name == "g+st");
-        for threads in [1, 4] {
+        for threads in [1, 4, 48, 80] {
             let dir = std::env::temp_dir().join(format!(
                 "wg_golden_build_{}_{name}_{threads}",
                 std::process::id()

@@ -39,7 +39,7 @@ fn modes() -> [RefMode; 4] {
         RefMode::None,
         RefMode::Windowed(1),
         RefMode::Windowed(32),
-        RefMode::Exact,
+        RefMode::Windowed(u32::MAX),
     ]
 }
 

@@ -49,7 +49,6 @@ fn main() {
         Some("links") => cmd_links(&args[2..]),
         Some("domain") => cmd_domain(&args[2..]),
         Some("top") => cmd_top(&args[2..]),
-        Some("verify") => cmd_verify(&args[2..]),
         Some("check") => cmd_check(&args[2..]),
         Some("fsck") => cmd_fsck(&args[2..]),
         Some("corrupt") => cmd_corrupt(&args[2..]),
@@ -61,7 +60,7 @@ fn main() {
         Some("scale-step") => cmd_scale_step(&args[2..]),
         _ => {
             eprintln!(
-                "usage: wgr <gen|build|query|stats|links|domain|top|verify|check|fsck|corrupt|bench|lint> [options]\n\
+                "usage: wgr <gen|build|query|stats|links|domain|top|check|fsck|corrupt|bench|lint> [options]\n\
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
@@ -77,7 +76,6 @@ fn main() {
                  links  --repo DIR --page N                 print a page's adjacency list\n\
                  domain --repo DIR --corpus DIR --name D    list a domain's pages\n\
                  top    --repo DIR --corpus DIR [-k N]      top pages by PageRank\n\
-                 verify --repo DIR                          integrity check (ok/failed)\n\
                  check  DIR [--json] [--deny warn]          full static analysis;\n\
                  \x20                                          exit 0 clean, 1 denied warnings, 2 corrupt\n\
                  fsck   DIR [--json] [--repair --from DIR]  checksum every section against sums.bin;\n\
@@ -671,49 +669,6 @@ fn cmd_domain(args: &[String]) -> i32 {
         println!("  … and {} more", pages.len() - 20);
     }
     0
-}
-
-/// Thin wrapper over the `wg-analyze` analyzer keeping the historical
-/// pass/fail interface: errors fail, warnings are reported but tolerated.
-fn cmd_verify(args: &[String]) -> i32 {
-    let repo = PathBuf::from(req(args, "--repo"));
-    match webgraph_repr::analyze::check(&repo) {
-        Ok(report) => {
-            for d in report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity == webgraph_repr::analyze::Severity::Warning)
-            {
-                eprintln!("{d}");
-            }
-            if report.num_errors() > 0 {
-                for d in report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == webgraph_repr::analyze::Severity::Error)
-                {
-                    eprintln!("{d}");
-                }
-                eprintln!("FAILED: {} error(s)", report.num_errors());
-                return 1;
-            }
-            let s = &report.summary;
-            println!(
-                "OK: {} pages, {} supernodes, {} superedges, {} edges ({} intra + {} cross)",
-                s.num_pages,
-                s.num_supernodes,
-                s.num_superedges,
-                s.intranode_edges + s.superedge_edges,
-                s.intranode_edges,
-                s.superedge_edges
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("FAILED: {e}");
-            1
-        }
-    }
 }
 
 /// `wgr check DIR [--json] [--deny warn]` — the full multi-pass analyzer.

@@ -171,30 +171,40 @@ fn check_exit_codes_follow_contract() {
     std::fs::remove_dir_all(&repo).ok();
 }
 
+/// Damage inside a graph is an error with exit 2, never a panic: an
+/// intranode graph whose list stream sets the bit that once announced a
+/// per-list directory (a reference mode no version writes any more), and
+/// an index file cut in half.
 #[test]
-fn verify_wrapper_keeps_pass_fail_contract() {
-    let repo = temp_dir("verify");
+fn check_fails_a_retired_list_stream_and_a_truncated_index() {
+    let repo = temp_dir("damage");
     build_clean(&repo);
-    let out = wgr()
-        .args(["verify", "--repo"])
-        .arg(&repo)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with("OK:"));
-
-    // An injected error (truncate the last index file) must flip it to
-    // FAILED with exit 1.
     let idx = repo.join("index_000.bin");
-    let bytes = std::fs::read(&idx).unwrap();
-    std::fs::write(&idx, &bytes[..bytes.len() / 2]).unwrap();
-    let out = wgr()
-        .args(["verify", "--repo"])
-        .arg(&repo)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("FAILED"));
+    let clean = std::fs::read(&idx).unwrap();
+
+    // The bit follows the γ-coded list count, which for an intranode graph
+    // is the supernode's size.
+    let meta = SNodeMeta::read(&repo).unwrap();
+    let loc = meta.intranode_loc[0];
+    assert_eq!(loc.file, 0);
+    let bit = webgraph_repr::bitio::codes::gamma_len(u64::from(meta.supernode_size(0)));
+    let mut bytes = clean.clone();
+    bytes[(loc.offset + bit / 8) as usize] |= 0x80 >> (bit % 8);
+    assert_ne!(bytes, clean, "no build sets the bit");
+    std::fs::write(&idx, &bytes).unwrap();
+    let out = wgr().arg("check").arg(&repo).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("retired reference mode: rebuild the directory"),
+        "{text}"
+    );
+
+    std::fs::write(&idx, &clean[..clean.len() / 2]).unwrap();
+    let out = wgr().arg("check").arg(&repo).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("lies outside the index files"), "{text}");
     std::fs::remove_dir_all(&repo).ok();
 }
 

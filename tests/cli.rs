@@ -68,13 +68,9 @@ fn gen_build_inspect_round_trip() {
         .unwrap();
     assert!(!out.status.success());
 
-    let out = wgr()
-        .args(["verify", "--repo"])
-        .arg(&repo)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "verify failed: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with("OK:"));
+    let out = wgr().arg("check").arg(&repo).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "check failed: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("0 error(s), 0 warning(s);"));
 
     let out = wgr()
         .args(["top", "--repo"])
@@ -426,7 +422,7 @@ fn build_codec_flag_round_trips() {
 
     // The name round-trips through CodecConfig::parse → Display: the
     // build banner echoes the `<intra>/<superedge>` form, and the
-    // directory it writes decodes cleanly (verify re-reads the codec from
+    // directory it writes decodes cleanly (check re-reads the codec from
     // the meta.bin header).
     for (flag, echoed) in [("g+st", "codec g+st/g+st"), ("g", "codec g/g")] {
         let repo = root.join(format!("repo_{flag}"));
@@ -444,12 +440,8 @@ fn build_codec_flag_round_trips() {
             "missing {echoed:?} in: {}",
             String::from_utf8_lossy(&out.stdout)
         );
-        let out = wgr()
-            .args(["verify", "--repo"])
-            .arg(&repo)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "verify {flag} failed: {out:?}");
+        let out = wgr().arg("check").arg(&repo).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "check {flag} failed: {out:?}");
     }
 
     // `--codec g+st` is the default spelled explicitly: byte-identical to
@@ -535,13 +527,8 @@ fn build_stream_and_shards_flags_round_trip() {
     );
     assert!(!repo_sharded.join("shards.bin").exists());
 
-    let out = wgr()
-        .arg("verify")
-        .arg("--repo")
-        .arg(&repo_sharded)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "repo failed verify: {out:?}");
+    let out = wgr().arg("check").arg(&repo_sharded).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "repo failed check: {out:?}");
 
     // A build without the flag from the same streamed corpus produces the
     // same directory, `sums.bin` included.
@@ -608,12 +595,8 @@ fn build_accepts_urls_of_any_shape() {
         .output()
         .unwrap();
     assert!(out.status.success(), "build failed: {out:?}");
-    let out = wgr()
-        .args(["verify", "--repo"])
-        .arg(&repo)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "verify failed: {out:?}");
+    let out = wgr().arg("check").arg(&repo).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "check failed: {out:?}");
     let out = wgr().args(["stats", "--repo"]).arg(&repo).output().unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("pages        : 8"), "stats output: {text}");
