@@ -172,13 +172,6 @@ pub fn ns_per_edge(total: Duration, edges: u64) -> f64 {
     total.as_nanos() as f64 / edges as f64
 }
 
-/// Sanity helper shared by tests: a tiny corpus and its graph.
-pub fn tiny_corpus(seed: u64) -> (Corpus, Graph) {
-    let c = Corpus::generate(CorpusConfig::scaled(400, seed));
-    let g = c.graph.clone();
-    (c, g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

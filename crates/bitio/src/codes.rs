@@ -9,12 +9,6 @@
 
 use crate::{BitError, BitReader, BitWriter, Result};
 
-/// Number of bits used by the unary code for `x` (that is, `x + 1`).
-#[inline]
-pub fn unary_len(x: u64) -> u64 {
-    x + 1
-}
-
 /// Writes `x` in unary: `x` zero bits followed by a one bit.
 #[inline]
 pub fn write_unary(w: &mut BitWriter, x: u64) {

@@ -413,26 +413,13 @@ fn fill_rows<'a, T: Copy + Default>(
     Ok(rows)
 }
 
-/// A decoded graph: positive adjacency lists in local ids.
-///
-/// Intranode graphs are dense (one list per page of the supernode);
-/// superedge graphs are kept **sparse** — only the sources with cross-links
-/// are materialised, since on a Web-scale partition the overwhelming
-/// majority of a supernode's pages have no links into any one neighbour.
+/// What the cache holds under a [`GraphKey`]: positive adjacency lists in
+/// local ids, decoded or — everything the read path loads — still encoded.
 #[derive(Debug)]
 pub enum CachedGraph {
     /// One list per local id.
     Dense {
         /// `lists[local]` = sorted local targets.
-        lists: Vec<Vec<u32>>,
-        /// Approximate decoded footprint (drives eviction).
-        bytes: usize,
-    },
-    /// Lists only for the sources that have any.
-    Sparse {
-        /// Sorted local source ids with non-empty lists.
-        sources: Vec<u32>,
-        /// Parallel target lists.
         lists: Vec<Vec<u32>>,
         /// Approximate decoded footprint (drives eviction).
         bytes: usize,
@@ -500,21 +487,6 @@ impl CachedGraph {
             .sum::<usize>()
             + Self::FIXED_BYTES;
         CachedGraph::Dense { lists, bytes }
-    }
-
-    /// Wraps sparse decoded lists, computing the footprint.
-    pub fn new_sparse(sources: Vec<u32>, lists: Vec<Vec<u32>>) -> Self {
-        debug_assert_eq!(sources.len(), lists.len());
-        let bytes: usize = lists
-            .iter()
-            .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>() + 4)
-            .sum::<usize>()
-            + Self::FIXED_BYTES;
-        CachedGraph::Sparse {
-            sources,
-            lists,
-            bytes,
-        }
     }
 
     /// The decoded-list memo cap for a graph of `encoded` bytes: as many
@@ -610,12 +582,6 @@ impl CachedGraph {
                 }
                 Ok(())
             }
-            CachedGraph::Sparse { sources, lists, .. } => {
-                if let Ok(i) = sources.binary_search(&local) {
-                    out.extend_from_slice(&lists[i]);
-                }
-                Ok(())
-            }
             CachedGraph::EncodedIntra {
                 data,
                 bit_len,
@@ -667,7 +633,6 @@ impl CachedGraph {
     pub fn bytes(&self) -> usize {
         match self {
             CachedGraph::Dense { bytes, .. }
-            | CachedGraph::Sparse { bytes, .. }
             | CachedGraph::EncodedIntra { bytes, .. }
             | CachedGraph::EncodedSuper { bytes, .. } => *bytes,
             CachedGraph::Fanout(fanout) => fanout.heap_bytes() + Self::FIXED_BYTES,

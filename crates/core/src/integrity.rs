@@ -2,10 +2,11 @@
 //! over an S-Node directory.
 //!
 //! Design constraint: adding checksums must not change a single byte of
-//! the existing files. The committed benchmark baselines fingerprint the
-//! directory (`BENCH_build.json`), and byte-identical builds across
-//! thread counts are a load-bearing property of the encoder — so the
-//! checksums live in a **sidecar manifest** rather than inline trailers,
+//! the existing files. The committed baselines fingerprint the
+//! directory (`tests/golden_build.rs`, `BENCH_scale.json`), and
+//! byte-identical builds across thread counts are a load-bearing
+//! property of the encoder — so the checksums live in a **sidecar
+//! manifest** rather than inline trailers,
 //! and the directory format version bump (v1 → [`DIRECTORY_VERSION`]) is
 //! carried by the manifest itself. (`meta.bin` has since gained its own
 //! v2 header word recording the list codec; default-γ builds differ from
@@ -44,9 +45,8 @@ pub const DIRECTORY_VERSION: u32 = 2;
 /// name order — enough to witness byte-identical builds. The `sums.bin`
 /// integrity manifest is excluded: fingerprints witness the paper's
 /// payload bytes, and checksum overhead is reported separately
-/// (`BuildStats::checksum_bytes`). What `wgr bench` records in
-/// `BENCH_build.json` and `BENCH_scale.json`, and what
-/// `tests/golden_build.rs` holds a build to.
+/// (`BuildStats::checksum_bytes`). What `wgr bench --scale` records in
+/// `BENCH_scale.json`, and what `tests/golden_build.rs` holds a build to.
 pub fn fingerprint_dir(dir: &Path) -> std::io::Result<u64> {
     let mut paths = Vec::new();
     for entry in std::fs::read_dir(dir)? {

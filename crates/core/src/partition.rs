@@ -34,6 +34,18 @@ use wg_obs::{record_span, Stopwatch};
 /// directory levels), per the paper's manual-inspection finding.
 pub const MAX_URL_DEPTH: u32 = 3;
 
+/// `abort_max` as a fraction of the current element count (paper: 6 %).
+const ABORT_FRACTION: f64 = 0.06;
+
+/// Iteration bound per k-means run (the paper's execution-time bound).
+const KMEANS_MAX_ITERATIONS: u32 = 30;
+
+/// k-means attempts (`k`, `k+2`, …) before clustered split aborts.
+const KMEANS_ATTEMPTS: u32 = 3;
+
+/// Elements smaller than this are never split further.
+const MIN_ELEMENT_SIZE: u32 = 2;
+
 /// How an element may be split next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitState {
@@ -192,20 +204,12 @@ pub struct RefineConfig {
     pub seed: u64,
     /// Element-choice policy.
     pub pick: PickPolicy,
-    /// `abort_max` as a fraction of the current element count (paper: 6 %).
-    pub abort_fraction: f64,
-    /// Iteration bound per k-means run (the paper's execution-time bound).
-    pub kmeans_max_iterations: u32,
     /// Operation budget per k-means run — the deterministic stand-in for
     /// the paper's wall-clock bound on clustered split. Large elements
     /// with large supernode out-degrees blow this budget and abort, which
     /// is the mechanism that keeps the final partition's elements at
     /// realistic sizes instead of shattering to singletons.
     pub kmeans_ops_budget: u64,
-    /// k-means attempts (`k`, `k+2`, …) before clustered split aborts.
-    pub kmeans_attempts: u32,
-    /// Elements smaller than this are never split further.
-    pub min_element_size: u32,
     /// A URL split is applied only if the mean size of the groups it
     /// produces is at least this; otherwise the element keeps its current
     /// granularity and moves on to clustered split. Same Requirement-1
@@ -241,11 +245,7 @@ impl Default for RefineConfig {
         Self {
             seed: 0x5EED,
             pick: PickPolicy::LargestFirst,
-            abort_fraction: 0.06,
-            kmeans_max_iterations: 30,
             kmeans_ops_budget: 400_000,
-            kmeans_attempts: 3,
-            min_element_size: 2,
             min_url_split_mean: 128,
             min_mean_cluster_size: 16,
             max_iterations: 10_000_000,
@@ -382,8 +382,7 @@ impl Refinement<'_> {
     fn random(&mut self, partition: &mut Partition) {
         let mut consecutive_aborts = 0u64;
         while self.stats.iterations < self.config.max_iterations {
-            let abort_max =
-                ((partition.len() as f64 * self.config.abort_fraction).ceil() as u64).max(2);
+            let abort_max = ((partition.len() as f64 * ABORT_FRACTION).ceil() as u64).max(2);
             if consecutive_aborts >= abort_max {
                 break;
             }
@@ -491,7 +490,7 @@ fn try_url_split(
     config: &RefineConfig,
 ) -> UrlSplitOutcome {
     let element = &partition.elements[idx as usize];
-    if (element.pages.len() as u32) < config.min_element_size.max(2) {
+    if (element.pages.len() as u32) < MIN_ELEMENT_SIZE {
         partition.elements[idx as usize].state = SplitState::Clustered;
         return UrlSplitOutcome::Exhausted;
     }
@@ -583,7 +582,7 @@ fn try_clustered_split(
 ) -> bool {
     let element = &partition.elements[idx as usize];
     let m = element.pages.len();
-    if element.sterile || (m as u32) < config.min_element_size.max(2) {
+    if element.sterile || (m as u32) < MIN_ELEMENT_SIZE {
         return false;
     }
 
@@ -619,14 +618,14 @@ fn try_clustered_split(
 
     // k starts at the supernode out-degree; k += 2 per aborted attempt.
     let mut k = dims;
-    for _attempt in 0..config.kmeans_attempts.max(1) {
+    for _attempt in 0..KMEANS_ATTEMPTS {
         let outcome = kmeans_binary(
             vectors.view(),
             dims,
             KMeansParams {
                 k,
-                max_iterations: config.kmeans_max_iterations,
-                max_ops: config.kmeans_ops_budget / u64::from(config.kmeans_attempts.max(1)),
+                max_iterations: KMEANS_MAX_ITERATIONS,
+                max_ops: config.kmeans_ops_budget / u64::from(KMEANS_ATTEMPTS),
                 threads: config.threads,
             },
             rng,

@@ -1,13 +1,13 @@
 //! The build pinned to constants: the directory `build_snode` writes for
-//! one generated corpus, as the fingerprint `wgr bench` records in
-//! `BENCH_build.json` (FNV-1a over the name and bytes of every file but
-//! `sums.bin`), in both formats and at four thread counts — below the
+//! one generated corpus, as its `fingerprint_dir` (FNV-1a over the name
+//! and bytes of every file but `sums.bin`), in both formats and at four
+//! thread counts, which must all write the same bytes — below the
 //! encode window of 64 supernodes, above half of it, and above all of it:
 //! the window is shared out by supernode whatever the count. A change to
 //! refinement, numbering, reference selection or encoding that is meant to
 //! be invisible must leave both numbers alone — one changed byte in one
-//! file moves them; one that is meant to move the format updates them,
-//! `BENCH_build.json` with them, and says so.
+//! file moves them; one that is meant to move the format updates them
+//! and says so.
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -26,7 +26,6 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
         domains: &domains,
         graph: &corpus.graph,
     };
-    // `g+st` is `BENCH_build.json`'s `output_fingerprint`.
     let golden = [
         ("g+st", 0x2c52_dd63_7393_fe69_u64),
         ("g", 0x3512_40ea_59b3_3bfb),

@@ -239,14 +239,6 @@ impl FaultPlan {
             .collect();
         crate::io::install_transients(transients);
     }
-
-    /// Number of physical (on-disk) faults in the plan.
-    pub fn physical_faults(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| !matches!(f, Fault::TransientRead { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -86,11 +86,6 @@ impl Registry {
         }
     }
 
-    /// Sets the gauge `name` to `v` (creating it if absent).
-    pub fn set_gauge(&self, name: &str, v: i64) {
-        self.gauge(name).set(v);
-    }
-
     /// A point-in-time copy of every registered metric, in name order.
     pub fn snapshot(&self) -> Snapshot {
         let m = self.lock();

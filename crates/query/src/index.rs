@@ -42,14 +42,6 @@ impl TextIndex {
         self.postings.get(ph as usize).map_or(&[], |v| v.as_slice())
     }
 
-    /// Resolves a phrase string to its id.
-    pub fn phrase_id(&self, text: &str) -> Option<u32> {
-        self.phrases
-            .iter()
-            .position(|p| p == text)
-            .map(|i| i as u32)
-    }
-
     /// The phrase vocabulary.
     pub fn phrases(&self) -> &[String] {
         &self.phrases

@@ -1,0 +1,102 @@
+//! The six queries pinned to constants: over the corpus `golden_build.rs`
+//! pins the build of (20 000 pages, seed 42, a 1 MiB cache), every scheme
+//! answers Q1–6 with the same rows — the six fingerprints below, which are
+//! also the `fingerprints` of the committed `BENCH_serve.json` — twice in a
+//! row with the same cost counters, and S-Node does it inside the decode
+//! and lookup counts it was last committed with. A change that moves a
+//! fingerprint changed an answer; one that raises a ceiling made a probe
+//! do more work, and says why where it edits the table.
+
+// Test/bench code: unwrap on setup failure is the desired behaviour.
+#![allow(clippy::unwrap_used)]
+
+use wg_corpus::{Corpus, CorpusConfig};
+use wg_query::obsrun::run_observed;
+use wg_query::queries::{QueryEnv, Workload};
+use wg_query::reps::{Scheme, SchemeSet};
+use wg_query::{DomainTable, PageRankIndex, TextIndex};
+use wg_snode::SNodeConfig;
+
+/// `fingerprint_rows` of Q1–6, identical across `Scheme::ALL`.
+const ROW_FINGERPRINTS: [u64; 6] = [
+    15_945_576_765_193_180_813,
+    2_165_486_489_747_596_172,
+    11_525_307_627_967_136_155,
+    12_914_757_971_950_109_329,
+    2_746_696_819_854_928_331,
+    10_646_603_754_172_872_598,
+];
+
+/// What S-Node may spend on each query, cold: `intra_lists_decoded`,
+/// `super_lists_decoded`, graph-cache lookups (`cache_hits +
+/// cache_misses`) and `list_memo_hits`. More intranode or superedge list
+/// decodes means the frontier-batched fast path regressed. More lookups
+/// means a probe is asking for graphs its fanout does not name: one lookup
+/// per out-superedge made 12 103 over the six queries where the fanout
+/// makes these 5 810. More memo hits means plain lists are being looked up
+/// in the decoded-list memo again instead of decoded: a memo can only
+/// shorten a reference chain, and looking takes its mutex.
+const SNODE_CEILINGS: [[u64; 4]; 6] = [
+    [3, 197, 203, 982],
+    [3, 235, 241, 1458],
+    [33, 348, 414, 33],
+    [19, 258, 296, 56],
+    [248, 3947, 4443, 632],
+    [4, 205, 213, 980],
+];
+
+#[test]
+fn six_queries_answer_and_cost_what_they_were_committed_to() {
+    // Counters register when a representation opens: up before any does.
+    wg_obs::set_metrics_enabled(true);
+    let corpus = Corpus::generate(CorpusConfig::scaled(20_000, 42));
+    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+    let root = std::env::temp_dir().join(format!("wg_golden_queries_{}", std::process::id()));
+    let set = SchemeSet::build(
+        &root,
+        &urls,
+        &domains,
+        &corpus.graph,
+        &SNodeConfig::default(),
+        1 << 20,
+    )
+    .unwrap();
+    let text = TextIndex::build(&corpus, &set.renumbering);
+    let pagerank = PageRankIndex::build(&corpus.graph, &set.renumbering);
+    let domain_table = DomainTable::build(&corpus, &set.renumbering);
+    let env = QueryEnv {
+        text: &text,
+        pagerank: &pagerank,
+        domains: &domain_table,
+    };
+    let workload = Workload::discover(&text, &domain_table);
+
+    for scheme in Scheme::ALL {
+        let first = run_observed(env, &set, scheme, &workload).unwrap();
+        let second = run_observed(env, &set, scheme, &workload).unwrap();
+        assert_eq!(first.queries.len(), 6);
+        for (k, (a, b)) in first.queries.iter().zip(&second.queries).enumerate() {
+            let (name, q) = (scheme.name(), a.query);
+            assert_eq!(
+                a.deterministic_fields(),
+                b.deterministic_fields(),
+                "{name} {q}: two passes disagree"
+            );
+            assert_eq!(a.fingerprint, ROW_FINGERPRINTS[k], "{name} {q} rows moved");
+            if scheme == Scheme::SNode {
+                let spent = [
+                    a.intra_lists_decoded,
+                    a.super_lists_decoded,
+                    a.cache_hits + a.cache_misses,
+                    a.list_memo_hits,
+                ];
+                let what = ["intra lists", "super lists", "lookups", "memo hits"];
+                for ((got, allowed), what) in spent.iter().zip(SNODE_CEILINGS[k]).zip(what) {
+                    assert!(got <= &allowed, "{name} {q}: {got} {what} > {allowed}");
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -29,8 +29,8 @@
 //!
 //! Query payload: `[u64 le fingerprint][u32 le nrows][nrows × (u64 le key,
 //! u64 le score_bits)]` — the fingerprint is [`fingerprint_rows`] over the
-//! rows, the same FNV-1a the committed `BENCH_query.json` pins, so a
-//! client can both verify the frame and cross-check the benchmark file.
+//! rows, the same FNV-1a `crates/query/tests/golden_queries.rs` pins, so
+//! a client can both verify the frame and cross-check those constants.
 //! Ping payload: empty. `out_neighbors` payload: `[u32 le n][n × u32 le]`.
 //! Stats payload: a UTF-8 JSON document (line-oriented: one line per op,
 //! stage, and cache shard — see `telemetry::ServeTelemetry::snapshot_json`).

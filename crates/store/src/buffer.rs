@@ -115,11 +115,6 @@ impl BufferPool {
         g
     }
 
-    /// Point-in-time contention profile of the pool mutex.
-    pub fn lock_stats(&self) -> wg_obs::LockStats {
-        self.lock_metrics.stats()
-    }
-
     /// Number of frames in the pool.
     pub fn capacity(&self) -> usize {
         self.lock_inner().frames.len()

@@ -185,18 +185,6 @@ impl UncompressedFileStore {
         self.lengths.iter().sum()
     }
 
-    /// Bytes of the permanently-resident indexes (offset + length + domain
-    /// tables).
-    pub fn resident_index_bytes(&self) -> usize {
-        self.offsets.len() * 8
-            + self.lengths.len() * 8
-            + self
-                .domain_pages
-                .iter()
-                .map(|v| v.len() * 4 + 24)
-                .sum::<usize>()
-    }
-
     /// One positioned read through the canonical shim: portable on
     /// non-unix (seek + full-buffer read, `Interrupted` handled), short
     /// reads are errors, transient errors retried with bounded backoff.

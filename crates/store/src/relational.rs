@@ -172,15 +172,6 @@ impl RelationalGraphStore {
             evictions: a.evictions + b.evictions + c.evictions,
         }
     }
-
-    /// Total bytes of the on-disk files.
-    pub fn disk_bytes(&self) -> u64 {
-        use crate::PAGE_SIZE;
-        let pages = u64::from(self.rows.pool().num_disk_pages())
-            + u64::from(self.pageid_index.pool().num_disk_pages())
-            + u64::from(self.domain_index.pool().num_disk_pages());
-        pages * PAGE_SIZE as u64
-    }
 }
 
 /// Composite key `(domain, page)` for the domain index.

@@ -83,18 +83,17 @@ fn main() {
                  \x20                                          --repair re-encodes from the corpus\n\
                  corrupt DIR --seed N [--flips N] [--truncate N] [--torn N] [--json]\n\
                  \x20                                          inject deterministic faults (testing)\n\
-                 bench  [--pages N] [--seed N] [--threads 1,2,4] [--iters N] [--quick]\n\
-                 \x20      [--out FILE] [--query-out FILE]    build benchmark → BENCH_build.json\n\
-                 \x20                                          + query benchmark → BENCH_query.json\n\
-                 \x20      [--serve [--clients N] [--serve-out FILE] [--no-telemetry]]\n\
-                 \x20                                          concurrent-service benchmark instead:\n\
+                 bench  --scale | --serve [--seed N] [--quick]\n\
+                 \x20                                          what benchmark/ has no row for yet\n\
+                 \x20      --serve [--pages N] [--clients N] [--workers N] [--serve-out FILE]\n\
+                 \x20                                          concurrent-service benchmark:\n\
                  \x20                                          N clients → BENCH_serve.json with\n\
                  \x20                                          per-stage latency + shard heatmap\n\
-                 \x20      [--scale [--sizes N,N] [--probes N]] scale benchmark instead:\n\
-                 \x20                                          streamed corpus → build →\n\
-                 \x20                                          resident query probe per size, each in\n\
-                 \x20                                          a fresh process for clean peak-RSS\n\
-                 \x20                                          accounting → BENCH_scale.json\n\
+                 \x20      --scale [--sizes N,N] [--probes N] [--out FILE]\n\
+                 \x20                                          scale benchmark: streamed corpus →\n\
+                 \x20                                          build → resident query probe per size,\n\
+                 \x20                                          each in a fresh process for clean\n\
+                 \x20                                          peak-RSS accounting → BENCH_scale.json\n\
                  serve  DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
                  \x20      [--reps DIR] [--reuse] [--smoke N] serve Q1-6 + out_neighbors over TCP;\n\
                  \x20      [--slowlog-us N] [--no-telemetry]  --smoke runs an N-client burst and\n\
@@ -980,33 +979,21 @@ fn cmd_corrupt(args: &[String]) -> i32 {
     }
 }
 
-/// `wgr bench` — builds a synthetic corpus at several thread counts and
-/// records wall time, the per-stage breakdown, and bits/edge to a JSON
-/// baseline file (default `BENCH_build.json`). Every run's output is
-/// fingerprinted and compared against the serial run, so the benchmark
-/// doubles as a determinism check. Fully offline: the corpus is generated
-/// in memory and repos are built under a scratch directory.
+/// `wgr bench --scale | --serve` — the two measurements the ledger
+/// (`benchmark/`) has no row for yet: the scale ladder behind
+/// `BENCH_scale.json` and the concurrent-service run behind
+/// `BENCH_serve.json`. Build and query timings are the ledger's.
 fn cmd_bench(args: &[String]) -> i32 {
     let quick = args.iter().any(|a| a == "--quick");
-    let pages: u32 = num(args, "--pages").unwrap_or(if quick { 2_000 } else { 20_000 });
     let seed: u64 = num(args, "--seed").unwrap_or(42);
-    // Ignoring it would run the build benchmark over `BENCH_build.json`.
-    if args.iter().any(|a| a == "--ablate") {
-        eprintln!(
-            "usage: wgr bench [--scale | --serve] [options] (no --ablate: there is one list codec)"
-        );
-        return 2;
-    }
-    // `--scale`: the scale benchmark instead — streamed
-    // corpora, builds, and resident query probes, one fresh
-    // process per measurement so `VmHWM` attributes peak RSS to exactly
-    // that step.
+    // One fresh process per measurement, so `VmHWM` attributes peak RSS
+    // to exactly that step.
     if args.iter().any(|a| a == "--scale") {
         return bench_scale(args, seed, quick);
     }
-    // `--serve`: benchmark the concurrent query service instead of the
-    // builder — many clients against one shared representation.
+    // Many clients against one shared representation.
     if args.iter().any(|a| a == "--serve") {
+        let pages: u32 = num(args, "--pages").unwrap_or(if quick { 2_000 } else { 20_000 });
         let clients: usize = num(args, "--clients").unwrap_or(if quick { 16 } else { 100 });
         let sout =
             PathBuf::from(opt(args, "--serve-out").unwrap_or_else(|| "BENCH_serve.json".into()));
@@ -1016,202 +1003,8 @@ fn cmd_bench(args: &[String]) -> i32 {
         std::fs::remove_dir_all(&scratch).ok();
         return code;
     }
-    let iters: usize = num(args, "--iters").unwrap_or(if quick { 1 } else { 3 });
-    let mut thread_counts: Vec<u32> = opt(args, "--threads").map_or(vec![1, 2, 4], |s| {
-        s.split(',').map(|t| parsed("--threads", t)).collect()
-    });
-    if !thread_counts.contains(&1) {
-        thread_counts.insert(0, 1); // serial baseline anchors the speedups
-    }
-    let out = PathBuf::from(opt(args, "--out").unwrap_or_else(|| "BENCH_build.json".into()));
-
-    let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
-    let scratch = std::env::temp_dir().join(format!("wgr_bench_{}", std::process::id()));
-
-    // One run per thread count: best-of-`iters` wall time (per stage, the
-    // breakdown of the best total), plus an output fingerprint.
-    let mut runs = Vec::new();
-    let mut serial_fp: Option<u64> = None;
-    let mut bits_per_edge = 0.0f64;
-    let mut identical = true;
-    for &threads in &thread_counts {
-        let config = SNodeConfig {
-            threads,
-            ..SNodeConfig::default()
-        };
-        let mut best: Option<webgraph_repr::snode::BuildStats> = None;
-        let mut fp = 0u64;
-        for iter in 0..iters.max(1) {
-            let dir = scratch.join(format!("t{threads}_i{iter}"));
-            let (stats, _renum) = build_snode(input, &config, &dir).expect("bench build");
-            fp = fingerprint_dir(&dir).expect("fingerprint bench dir");
-            std::fs::remove_dir_all(&dir).ok();
-            bits_per_edge = stats.bits_per_edge();
-            if best
-                .as_ref()
-                .is_none_or(|b| stats.timings.total_secs < b.timings.total_secs)
-            {
-                best = Some(stats);
-            }
-        }
-        let stats = best.expect("at least one iteration");
-        match serial_fp {
-            None => serial_fp = Some(fp),
-            Some(s) => identical &= s == fp,
-        }
-        eprintln!(
-            "threads {threads}: total {:.3}s (refine {:.3}s, remap {:.3}s, encode {:.3}s, write {:.3}s)",
-            stats.timings.total_secs,
-            stats.timings.refine_secs,
-            stats.timings.remap_secs,
-            stats.timings.encode_secs,
-            stats.timings.write_secs,
-        );
-        runs.push((threads, stats.timings, fp));
-    }
-    std::fs::remove_dir_all(&scratch).ok();
-
-    let serial_encode = runs
-        .iter()
-        .find(|(t, ..)| *t == 1)
-        .map_or(0.0, |(_, tm, _)| tm.encode_secs);
-    let serial_total = runs
-        .iter()
-        .find(|(t, ..)| *t == 1)
-        .map_or(0.0, |(_, tm, _)| tm.total_secs);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"wgr build\",\n");
-    json.push_str(&format!("  \"pages\": {pages},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"edges\": {},\n", corpus.graph.num_edges()));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!("  \"bits_per_edge\": {bits_per_edge:.4},\n"));
-    json.push_str(&format!("  \"identical_output\": {identical},\n"));
-    json.push_str(&format!(
-        "  \"peak_rss_bytes\": {},\n",
-        obs::sample_self().map_or(0, |s| s.peak_rss_bytes)
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (k, (threads, tm, fp)) in runs.iter().enumerate() {
-        let sep = if k + 1 == runs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"threads\": {threads}, \"total_secs\": {:.6}, \"refine_secs\": {:.6}, \
-             \"remap_secs\": {:.6}, \"encode_secs\": {:.6}, \"write_secs\": {:.6}, \
-             \"encode_speedup_vs_serial\": {:.3}, \"total_speedup_vs_serial\": {:.3}, \
-             \"output_fingerprint\": \"{fp:016x}\"}}{sep}\n",
-            tm.total_secs,
-            tm.refine_secs,
-            tm.remap_secs,
-            tm.encode_secs,
-            tm.write_secs,
-            if tm.encode_secs > 0.0 {
-                serial_encode / tm.encode_secs
-            } else {
-                1.0
-            },
-            if tm.total_secs > 0.0 {
-                serial_total / tm.total_secs
-            } else {
-                1.0
-            },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out, &json).expect("write bench json");
-    println!("wrote {}", out.display());
-
-    // Query companion: the six-query workload on every scheme, twice —
-    // wall times vary run to run, the cost counters and result
-    // fingerprints must not. Metrics stay off during the build benchmark
-    // above so its timings are unperturbed; they are enabled only now.
-    let qout = PathBuf::from(opt(args, "--query-out").unwrap_or_else(|| "BENCH_query.json".into()));
-    let qcode = bench_query(&corpus, &scratch, pages, seed, &qout);
-    std::fs::remove_dir_all(&scratch).ok();
-
-    if !identical {
-        eprintln!("FAILED: outputs differ across thread counts");
-        return 1;
-    }
-    qcode
-}
-
-/// Runs the six-query workload for every scheme twice and writes the
-/// `BENCH_query.json` companion. Returns 0 when both passes agreed on
-/// every deterministic counter and fingerprint.
-fn bench_query(
-    corpus: &Corpus,
-    scratch: &std::path::Path,
-    pages: u32,
-    seed: u64,
-    out: &std::path::Path,
-) -> i32 {
-    obs::set_metrics_enabled(true);
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let root = scratch.join("queryset");
-    let set = SchemeSet::build(
-        &root,
-        &urls,
-        &domains,
-        &corpus.graph,
-        &SNodeConfig::default(),
-        1 << 20,
-    )
-    .expect("build scheme set");
-    let text = TextIndex::build(corpus, &set.renumbering);
-    let pagerank = PageRankIndex::build(&corpus.graph, &set.renumbering);
-    let domain_table = DomainTable::build(corpus, &set.renumbering);
-    let env = QueryEnv {
-        text: &text,
-        pagerank: &pagerank,
-        domains: &domain_table,
-    };
-    let workload = Workload::discover(&text, &domain_table);
-
-    let mut deterministic = true;
-    let mut schemes_json = Vec::new();
-    for scheme in Scheme::ALL {
-        let r1 = run_observed(env, &set, scheme, &workload).expect("bench query");
-        let r2 = run_observed(env, &set, scheme, &workload).expect("bench query rerun");
-        for (a, b) in r1.queries.iter().zip(r2.queries.iter()) {
-            deterministic &= a.deterministic_fields() == b.deterministic_fields();
-        }
-        eprintln!(
-            "query bench {}: {:.3} ms total, {} pages fetched",
-            r1.scheme,
-            r1.queries.iter().map(|q| q.wall_ns).sum::<u64>() as f64 / 1e6,
-            r1.queries.iter().map(|q| q.pages_fetched).sum::<u64>()
-        );
-        schemes_json.push(indent(r1.to_json().trim_end(), 4));
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"wgr query\",\n");
-    json.push_str(&format!("  \"pages\": {pages},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    json.push_str("  \"schemes\": [\n");
-    json.push_str(&schemes_json.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write(out, &json).expect("write query bench json");
-    println!("wrote {}", out.display());
-    if !deterministic {
-        eprintln!("FAILED: query counters or fingerprints differ between passes");
-        return 1;
-    }
-    0
+    eprintln!("usage: wgr bench --scale | --serve [options] (build and query timings: benchmark/)");
+    2
 }
 
 /// Corpus sizes for `wgr bench --scale`: quick mode is the CI smoke
@@ -1562,8 +1355,9 @@ fn build_serve_context(
 /// concurrent query service on the standard bench corpus. Every client
 /// runs the Q1–6 workload cycle plus raw navigation over one *shared*
 /// decoded representation; per-query fingerprints are written as decimal
-/// u64s so CI can cross-check them against the committed
-/// `BENCH_query.json` (same corpus, same FNV-1a).
+/// u64s so CI can compare them with the committed `BENCH_serve.json`
+/// (the constants of `crates/query/tests/golden_queries.rs`: same corpus,
+/// same FNV-1a).
 fn bench_serve(
     corpus: &Corpus,
     scratch: &std::path::Path,
@@ -1591,7 +1385,6 @@ fn bench_serve(
 
     let workers: usize = num(args, "--workers")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get().max(2)));
-    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
     let cfg = ServeConfig {
         workers,
         // Every client may be parked in the queue at once; refusals would
@@ -1599,7 +1392,7 @@ fn bench_serve(
         queue_cap: clients.max(256),
         port: 0,
         slowlog_us: num(args, "--slowlog-us").unwrap_or(0),
-        telemetry: telemetry_on,
+        telemetry: true,
     };
     let server = Server::start(Arc::clone(&ctx), &cfg).expect("start server");
     let tel = server.telemetry();
@@ -1703,7 +1496,7 @@ fn bench_serve(
     // Per-stage latency attribution (server-side), one object per stage:
     // the distribution of that stage across all requests that ran it.
     json.push_str(&format!(
-        "  \"telemetry\": {{\"enabled\": {telemetry_on}, \"stage_overruns\": {}}},\n",
+        "  \"telemetry\": {{\"enabled\": true, \"stage_overruns\": {}}},\n",
         tel.stage_overruns()
     ));
     json.push_str("  \"stage_latency_us\": {\n");
@@ -1746,7 +1539,7 @@ fn bench_serve(
         // sum must stay within tolerance of the end-to-end time (10%
         // plus 200 µs of timer noise per request).
         let tolerance = total_ns / 10 + tel.op_count(i) * 200_000;
-        if telemetry_on && stage_sum_ns > total_ns + tolerance {
+        if stage_sum_ns > total_ns + tolerance {
             attribution_violations += 1;
             eprintln!(
                 "stage-sum violation for {name}: stages {stage_sum_ns} ns > \
@@ -1801,7 +1594,7 @@ fn bench_serve(
         );
         return 1;
     }
-    if telemetry_on && (attribution_violations > 0 || tel.stage_overruns() > 0) {
+    if attribution_violations > 0 || tel.stage_overruns() > 0 {
         eprintln!(
             "FAILED: stage attribution broken — {attribution_violations} op-level violation(s), \
              {} per-request overrun(s)",

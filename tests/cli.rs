@@ -155,52 +155,6 @@ fn build_threads_flag_and_env_produce_identical_repos() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-#[test]
-fn bench_quick_writes_baseline_json() {
-    let root = temp_dir("bench");
-    let out_file = root.join("BENCH_build.json");
-    let query_file = root.join("BENCH_query.json");
-    let out = wgr()
-        .args([
-            "bench",
-            "--quick",
-            "--pages",
-            "400",
-            "--threads",
-            "1,2",
-            "--out",
-        ])
-        .arg(&out_file)
-        .arg("--query-out")
-        .arg(&query_file)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "bench failed: {out:?}");
-    let json = std::fs::read_to_string(&out_file).unwrap();
-    assert!(json.contains("\"bench\": \"wgr build\""), "json: {json}");
-    assert!(json.contains("\"identical_output\": true"), "json: {json}");
-    assert!(json.contains("\"encode_secs\""), "json: {json}");
-    assert!(json.contains("\"bits_per_edge\""), "json: {json}");
-
-    // The query companion: every scheme's workload, with the two-pass
-    // determinism verdict.
-    let qjson = std::fs::read_to_string(&query_file).unwrap();
-    assert!(qjson.contains("\"bench\": \"wgr query\""), "json: {qjson}");
-    assert!(qjson.contains("\"deterministic\": true"), "json: {qjson}");
-    for scheme in ["uncompressed-files", "relational-db", "link3", "s-node"] {
-        assert!(qjson.contains(scheme), "missing {scheme}: {qjson}");
-    }
-    for key in [
-        "pages_fetched",
-        "intra_lists_decoded",
-        "fingerprint",
-        "wall_ns",
-    ] {
-        assert!(qjson.contains(key), "missing {key}: {qjson}");
-    }
-    std::fs::remove_dir_all(&root).ok();
-}
-
 /// Strips every line carrying a time-valued field (`*_ns` histograms and
 /// span durations) — what's left must be identical between runs.
 fn strip_time_lines(s: &str) -> String {
@@ -606,7 +560,7 @@ fn build_accepts_urls_of_any_shape() {
 #[test]
 fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
     let root = temp_dir("badflags");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -616,8 +570,11 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
             &["build", "--corpus", "/nonexistent", "--out", "r"],
             "/nonexistent",
         ),
-        (&["bench", "--quick", "--threads", "1,x"], "--threads: x"),
-        (&["bench", "--ablate"], "usage"),
+        (&["bench", "--scale", "--sizes", "1,x"], "--sizes: x"),
+        // The build and query modes are gone: a bench names its mode.
+        (&["bench"], "usage: wgr bench --scale | --serve"),
+        (&["bench", "--quick"], "usage: wgr bench --scale | --serve"),
+        (&["bench", "--ablate"], "usage: wgr bench --scale | --serve"),
         (
             &["build", "--corpus", "c", "--out", "r", "--codec", "z3"],
             "--codec z3",
