@@ -1,5 +1,7 @@
-//! `wg-analyze` — a multi-pass static analyzer for on-disk S-Node
-//! representations.
+//! `wg-analyze` — analysis of on-disk S-Node representations: [`check()`]
+//! decodes everything and audits the format's logical invariants (SN0xx,
+//! `wgr check`); [`fsck()`] verifies every checksummed section against the
+//! integrity manifest without decoding (SN1xx, `wgr fsck`).
 //!
 //! The paper's S-Node format (§2, §4) is a tower of invariants: the PageID
 //! index must tile `0..num_pages`, a superedge graph exists iff at least one
@@ -15,15 +17,14 @@
 //! the invariant each code enforces, and the paper section it comes from.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::expect_used, clippy::panic)]
 
 mod check;
 mod fsck;
-pub mod lint;
-pub mod model;
 
 pub use check::{check, Summary};
 pub use fsck::{fsck, FsckReport};
-pub use lint::{lint_workspace, LintCode, LintFinding, LintReport};
 
 /// How bad a finding is.
 ///

@@ -194,6 +194,7 @@ pub struct Link3DiskStore {
     offsets: Vec<u64>,
     bit_len: u64,
     num_pages: u32,
+    #[allow(clippy::disallowed_types)] // A relaxed I/O counter.
     reads: std::sync::atomic::AtomicU64,
 }
 
@@ -202,6 +203,7 @@ impl Link3DiskStore {
     ///
     /// `_budget_bytes` is accepted for interface parity with the other
     /// schemes; the resident offset table is this scheme's memory use.
+    #[allow(clippy::disallowed_types)] // Starts the I/O counter.
     pub fn create(path: &Path, graph: &Graph, _budget_bytes: usize) -> Result<Self> {
         let mem = Link3Graph::build(graph);
         let (bytes, bit_len, offsets) = mem.stream();

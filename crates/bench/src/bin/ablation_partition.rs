@@ -7,6 +7,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin ablation_partition
 //! [--scale pages-per-million]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use wg_bench::{corpus_for, repo_columns, row, BenchArgs};
 use wg_snode::partition::RefineConfig;
 use wg_snode::subgraphs::SuperedgePolicy;

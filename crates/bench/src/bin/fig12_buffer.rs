@@ -6,6 +6,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin fig12_buffer
 //! [--scale pages-per-million] [--trials N]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::time::Duration;
 use wg_bench::{corpus_for, mean_ms, repo_columns, row, BenchArgs};
 use wg_query::queries::{query1, query5, query6, QueryEnv, Workload};

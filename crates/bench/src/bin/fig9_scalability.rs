@@ -5,6 +5,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin fig9_scalability
 //! [--scale pages-per-million] [--seed N] [--dir PATH]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use wg_bench::{corpus_for, crawl_prefix, row, timed, BenchArgs, PAPER_SIZES_M};
 use wg_snode::{build_snode, RepoInput, SNodeConfig};
 

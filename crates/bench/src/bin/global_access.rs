@@ -12,6 +12,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin global_access
 //! [--scale pages-per-million]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use wg_bench::{corpus_for, repo_columns, timed, BenchArgs};
 use wg_graph::bowtie::bowtie_with_transpose;
 use wg_graph::diameter::estimate_diameter;

@@ -8,6 +8,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin table1_compression
 //! [--scale pages-per-million]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use wg_baselines::{HuffmanGraph, Link3Graph};
 use wg_bench::{corpus_for, crawl_prefix, max_pages_in_memory, row, BenchArgs};
 use wg_graph::Graph;

@@ -6,6 +6,8 @@
 //! Usage: `cargo run -p wg-bench --release --bin table2_access
 //! [--scale pages-per-million] [--trials N]`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use wg_baselines::{HuffmanGraph, Link3Graph};
 use wg_bench::{corpus_for, ns_per_edge, repo_columns, row, BenchArgs};
 use wg_graph::Graph;

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use std::time::Duration;
 use wg_corpus::{Corpus, CorpusConfig};

@@ -20,6 +20,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::expect_used, clippy::panic)]
 
 pub mod bitstream;
 pub mod codes;

@@ -557,12 +557,14 @@ pub struct IndexFileReader {
     /// Positioned reads performed (physical I/O instrumentation).
     /// Atomic (not `Cell`) so the reader stays `Sync` for shared-handle
     /// concurrent navigation.
+    #[allow(clippy::disallowed_types)] // A relaxed I/O counter.
     reads: std::sync::atomic::AtomicU64,
     counters: Option<DiskCounters>,
 }
 
 impl IndexFileReader {
     /// Opens every `index_NNN.bin` under `dir`.
+    #[allow(clippy::disallowed_types)] // Starts the I/O counter.
     pub fn open(dir: &Path) -> Result<Self> {
         let mut files = Vec::new();
         loop {

@@ -40,9 +40,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::expect_used, clippy::panic)]
 
 pub mod bits;
 pub mod build;
+// The sharded cache, its memos and event log.
+#[allow(clippy::disallowed_types)]
 pub mod cache;
 pub mod codec;
 pub mod disk;
@@ -52,7 +56,11 @@ pub mod kmeans;
 pub mod par;
 pub mod partition;
 pub mod refenc;
+// The shared `SNode` handle's scratch pools and degradation state.
+#[allow(clippy::disallowed_types)]
 pub mod repr;
+// A superedge graph's once-built list-stream directory and dictionary.
+#[allow(clippy::disallowed_types)]
 pub mod subgraphs;
 pub mod supergraph;
 

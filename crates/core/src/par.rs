@@ -16,8 +16,7 @@
 //! cursor rather than pre-chunked ranges, so heavily skewed per-item costs
 //! (one giant supernode among thousands of small ones) still balance.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Resolves an effective worker count from a configured value.
 ///
@@ -47,6 +46,7 @@ pub fn resolve_threads(configured: u32) -> u32 {
 ///
 /// # Panics
 /// Propagates a panic from `f` (the scope re-raises it on join).
+#[allow(clippy::disallowed_types)] // The build's work cursor and result slot.
 pub fn par_map<R, F>(threads: u32, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -56,8 +56,9 @@ where
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let collected: parking_lot::Mutex<Vec<(usize, R)>> =
+        parking_lot::Mutex::new(Vec::with_capacity(n));
     // Pool instrumentation is resolved once per job, not per item; the
     // disabled path pays a single bool load here and nothing in the loop.
     let obs = wg_obs::metrics_enabled().then(|| {

@@ -152,6 +152,7 @@ impl Partition {
         debug_assert!(groups.iter().all(|(g, _)| !g.is_empty()));
         let domain = self.elements[idx as usize].domain;
         let mut iter = groups.into_iter();
+        #[allow(clippy::expect_used)] // Build side: the caller splits into two or more.
         let (first, first_state) = iter.next().expect("at least two groups");
         for &p in &first {
             self.elem_of[p as usize] = idx;

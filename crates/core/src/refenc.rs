@@ -39,6 +39,7 @@ pub const MAX_REF_CHAIN: u32 = 4;
 /// Shared handle to the `core.refenc.chain_len` histogram (the number of
 /// reference-encoded steps a random-access decode had to walk — the cost
 /// driver Table 2 measures). Resolved once; only touched under `--metrics`.
+#[allow(clippy::disallowed_types)] // Resolved once per process, read-only after.
 fn chain_len_histogram() -> &'static wg_obs::Histogram {
     static H: std::sync::OnceLock<wg_obs::Histogram> = std::sync::OnceLock::new();
     H.get_or_init(|| wg_obs::global().histogram("core.refenc.chain_len"))

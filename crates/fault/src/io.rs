@@ -174,6 +174,7 @@ fn read_exact_at_raw(mut f: &File, buf: &mut [u8], offset: u64) -> std::io::Resu
 
 /// Reads a whole file through the shim (open + slurp, with injection and
 /// retry applied to the read).
+#[allow(clippy::disallowed_methods)] // The shim itself.
 pub fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     with_retry(|| {
         inject()?;

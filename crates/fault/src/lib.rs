@@ -13,13 +13,17 @@
 //! * [`io`] — the canonical positioned-read helpers every storage crate
 //!   routes through. Reads pass a single choke point, which is what makes
 //!   transient-fault injection and bounded-backoff retry possible without
-//!   touching call sites, and what the conventions lint enforces (no raw
-//!   `read_exact`/`read_exact_at`/`read_to_end` outside this crate).
+//!   touching call sites, and what clippy's `disallowed_methods` enforces
+//!   (SN212: no raw `fs::read`/`read_exact`/`read_to_end` outside it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::expect_used, clippy::panic)]
 
 pub mod crc32c;
+// The shim's process-wide transient plan and its counters.
+#[allow(clippy::disallowed_types)]
 pub mod io;
 pub mod plan;
 

@@ -172,6 +172,9 @@ impl FaultPlan {
     /// not applied here — see [`FaultPlan::install_transients`]. A fault
     /// naming a file that has shrunk since generation is skipped, never an
     /// error (plans must be reusable across repair cycles).
+    // Damages files on purpose: reading them back through the shim would
+    // count against, and be faulted by, the plan under test.
+    #[allow(clippy::disallowed_methods)]
     pub fn apply_to_dir(&self, dir: &Path) -> std::io::Result<Vec<AppliedFault>> {
         let mut applied = Vec::new();
         for fault in &self.faults {

@@ -11,9 +11,9 @@
 //!   names to metrics, with deterministic [`Snapshot`] rendering as text
 //!   and JSON (stable key order, so tests and CI can diff output).
 //! * [`span`] — [`Stopwatch`] (the only sanctioned wrapper around
-//!   `std::time::Instant`; the conventions lint bans raw `Instant` use
-//!   everywhere else) and [`record_span`], which feeds a histogram and the
-//!   trace buffer at once.
+//!   `std::time::Instant`; clippy's `disallowed_methods` bans raw
+//!   `Instant::now` everywhere else) and [`record_span`], which feeds a
+//!   histogram and the trace buffer at once.
 //! * [`trace`] — an optional bounded ring buffer of Chrome trace events,
 //!   serialisable to a `chrome://tracing`-loadable JSON file.
 //!
@@ -38,6 +38,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The sanctioned home of locks and atomics: `disallowed_types` stays allowed.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod metrics;
 pub mod procstat;

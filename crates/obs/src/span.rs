@@ -2,9 +2,9 @@
 //! [`record_span`] which feeds a histogram and the trace ring at once.
 //!
 //! `Stopwatch` is the one sanctioned wrapper around `std::time::Instant`
-//! in this workspace — the conventions lint (`crates/analyze`) rejects raw
-//! `Instant` use outside `crates/obs` and test code, so every duration
-//! anyone measures can flow into the registry and trace buffer.
+//! in this workspace — clippy's `disallowed_methods` (SN211, `clippy.toml`)
+//! rejects `Instant::now` anywhere else outside test code, so every
+//! duration anyone measures can flow into the registry and trace buffer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -42,6 +42,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[allow(clippy::disallowed_methods)] // The one sanctioned clock read.
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),

@@ -23,10 +23,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod index;
 pub mod obsrun;
 pub mod queries;
+// The translate-scratch pool each shared representation hands out.
+#[allow(clippy::disallowed_types)]
 pub mod reps;
 
 pub use index::{DomainTable, PageRankIndex, TextIndex};

@@ -40,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The server's queues and shared context: `disallowed_types` stays allowed.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod client;
 pub mod proto;

@@ -111,6 +111,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
 
 /// Reads one frame body. Returns `Ok(None)` on clean EOF at a frame
 /// boundary (the peer closed the connection between requests).
+#[allow(clippy::disallowed_methods)] // A socket, not storage: no fault shim.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match r.read(&mut len_buf[..1])? {

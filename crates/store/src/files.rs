@@ -10,7 +10,7 @@ use crate::{Result, StoreError};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use wg_graph::{Graph, PageId};
 
 /// Uncompressed adjacency lists in a flat file, with an in-memory offset
@@ -25,7 +25,8 @@ pub struct UncompressedFileStore {
     /// Pages per domain (the in-memory domain index).
     domain_pages: Vec<Vec<PageId>>,
     /// Number of positioned reads performed.
-    read_count: AtomicU64,
+    #[allow(clippy::disallowed_types)] // A relaxed I/O counter.
+    read_count: std::sync::atomic::AtomicU64,
     /// Global counters (`store.files.*`), present only when metrics were
     /// enabled at build time.
     counters: Option<FilesCounters>,
@@ -67,6 +68,7 @@ impl UncompressedFileStore {
     /// written in `layout` order (a permutation of the page ids — e.g.
     /// crawl order, which is how a repository's adjacency files actually
     /// arrive on disk; the resident offset index still maps ids directly).
+    #[allow(clippy::disallowed_types)] // Starts the I/O counter.
     pub fn build_with_layout(
         path: &Path,
         graph: &Graph,
@@ -115,7 +117,7 @@ impl UncompressedFileStore {
             offsets,
             lengths,
             domain_pages,
-            read_count: AtomicU64::new(0),
+            read_count: std::sync::atomic::AtomicU64::new(0),
             counters: FilesCounters::auto(),
             stream: crate::diskmodel::new_stream(),
         })

@@ -23,9 +23,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![warn(clippy::expect_used, clippy::panic)]
 
 pub mod btree;
+// The buffer pool's mutex.
+#[allow(clippy::disallowed_types)]
 pub mod buffer;
+// Process-wide disk-model settings and read counters, set before a run.
+#[allow(clippy::disallowed_types)]
 pub mod diskmodel;
 pub mod files;
 pub mod heap;

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example comic_popularity`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::query::queries::{query2, Comic, Q2Params, QueryEnv};
 use webgraph_repr::query::reps::{Scheme, SchemeSet};

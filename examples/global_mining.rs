@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --example global_mining`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::graph::diameter::estimate_diameter;
 use webgraph_repr::graph::pagerank::{pagerank, top_ranked, PageRankConfig};

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::snode::{build_snode, RepoInput, SNode, SNodeConfig};
 

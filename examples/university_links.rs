@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example university_links`
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::query::queries::{query1, Q1Params, QueryEnv};
 use webgraph_repr::query::reps::{Scheme, SchemeSet};

@@ -21,8 +21,10 @@
 //! produce inputs too: any repository expressible as those three files can
 //! be built into an S-Node representation.
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use webgraph_repr::corpus::textio::{read_build_input, read_corpus, write_corpus, BuildInput};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
@@ -54,13 +56,12 @@ fn main() {
         Some("corrupt") => cmd_corrupt(&args[2..]),
         Some("bench") => cmd_bench(&args[2..]),
         Some("serve") => cmd_serve(&args[2..]),
-        Some("lint") => cmd_lint(&args[2..]),
         // Hidden: one scale-bench measurement in a fresh process, so
         // VmHWM reflects exactly that step (see `bench_scale`).
         Some("scale-step") => cmd_scale_step(&args[2..]),
         _ => {
             eprintln!(
-                "usage: wgr <gen|build|query|stats|links|domain|top|check|fsck|corrupt|bench|lint> [options]\n\
+                "usage: wgr <gen|build|query|stats|links|domain|top|check|fsck|corrupt|bench|serve> [options]\n\
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
@@ -100,9 +101,6 @@ fn main() {
                  \x20                                          exits 0 clean / 3 degraded / 2 errors;\n\
                  \x20                                          --slowlog-us logs slow requests as JSON\n\
                  top    --port P [--watch SECS] [--json]    live service telemetry (Stats wire op)\n\
-                 lint   [--root DIR] [--json] [--deny warn] [--baseline FILE]\n\
-                 \x20                                          SN2xx source lints over the workspace;\n\
-                 \x20                                          exit 0 clean/baselined, 1 denied, 2 fatal\n\
                  \n\
                  build and query also accept --metrics[=json] and --trace FILE"
             );
@@ -125,6 +123,37 @@ fn req(args: &[String], flag: &str) -> String {
         eprintln!("missing required option {flag}");
         std::process::exit(2);
     })
+}
+
+/// `result`'s value, or exit 2 with one line saying what failed: a path
+/// the user named that cannot be read or written is a usage error like a
+/// missing option, not a panic.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: impl std::fmt::Display) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn read_corpus_at(dir: &Path) -> Corpus {
+    or_exit(
+        read_corpus(dir),
+        format!("cannot read corpus at {}", dir.display()),
+    )
+}
+
+fn open_snode(dir: &Path) -> SNode {
+    or_exit(
+        SNode::open(dir, 1 << 20),
+        format!("cannot open S-Node directory {}", dir.display()),
+    )
+}
+
+fn read_pagemap(dir: &Path) -> Renumbering {
+    or_exit(
+        Renumbering::read(dir),
+        format!("cannot read pagemap in {}", dir.display()),
+    )
 }
 
 /// `value` as the `T` that `flag` takes; one that does not parse is a
@@ -234,10 +263,11 @@ fn cmd_gen(args: &[String]) -> i32 {
     let pages: u32 = parsed("--pages", &req(args, "--pages"));
     let seed: u64 = num(args, "--seed").unwrap_or(42);
     let out = PathBuf::from(req(args, "--out"));
-    std::fs::create_dir_all(&out).expect("create output dir");
+    let cannot_write = format!("cannot write corpus {}", out.display());
+    or_exit(std::fs::create_dir_all(&out), &cannot_write);
 
     let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-    write_corpus(&out, &corpus).expect("write corpus");
+    or_exit(write_corpus(&out, &corpus), &cannot_write);
     println!(
         "wrote {} pages, {} links, {} domains to {}",
         corpus.num_pages(),
@@ -274,11 +304,13 @@ fn cmd_build(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--stream") {
         let pages: u32 = parsed("--pages", &req(args, "--pages"));
         let seed: u64 = num(args, "--seed").unwrap_or(42);
-        let st = webgraph_repr::corpus::stream::stream_corpus(
-            &corpus_dir,
-            &webgraph_repr::corpus::CorpusConfig::scaled(pages, seed),
-        )
-        .expect("stream corpus");
+        let st = or_exit(
+            webgraph_repr::corpus::stream::stream_corpus(
+                &corpus_dir,
+                &webgraph_repr::corpus::CorpusConfig::scaled(pages, seed),
+            ),
+            format!("cannot write corpus {}", corpus_dir.display()),
+        );
         println!(
             "streamed {} pages, {} links, {} domains to {}",
             st.num_pages,
@@ -293,13 +325,10 @@ fn cmd_build(args: &[String]) -> i32 {
     }
     let rss = obs::RssGauge::auto();
     let t_read = obs::Stopwatch::start();
-    let input = match read_build_input(&corpus_dir) {
-        Ok(input) => input,
-        Err(e) => {
-            eprintln!("cannot read corpus {}: {e}", corpus_dir.display());
-            return 2;
-        }
-    };
+    let input = or_exit(
+        read_build_input(&corpus_dir),
+        format!("cannot read corpus {}", corpus_dir.display()),
+    );
     let read_ns = obs::record_span("core.build.read", "build", &t_read);
     println!(
         "read {} pages, {} links in {:?}",
@@ -313,7 +342,10 @@ fn cmd_build(args: &[String]) -> i32 {
         ..SNodeConfig::default()
     };
     let t0 = obs::Stopwatch::start();
-    let (stats, _renum) = build_from(&input, &config, &out).expect("build");
+    let (stats, _renum) = or_exit(
+        build_from(&input, &config, &out),
+        format!("cannot build {}", out.display()),
+    );
     rss.refresh();
     println!(
         "built in {:?} ({} threads, codec {}): {} supernodes, {} superedges, \
@@ -353,6 +385,50 @@ fn build_from(
     build_snode(repo, config, out)
 }
 
+/// The four-scheme set over `corpus` under `--reps DIR`, or under a scratch
+/// directory named for `scratch_name` (the `bool`: the caller removes it).
+/// `--reuse` opens what is on disk instead of building it — a rebuild
+/// would silently heal any damage, which defeats fault-injection testing.
+fn scheme_set(
+    args: &[String],
+    corpus: &Corpus,
+    budget: usize,
+    scratch_name: &str,
+) -> (SchemeSet, PathBuf, bool) {
+    let (root, scratch) = match opt(args, "--reps") {
+        Some(d) => (PathBuf::from(d), false),
+        None => (
+            std::env::temp_dir().join(format!("{scratch_name}_{}", std::process::id())),
+            true,
+        ),
+    };
+    let set = if args.iter().any(|a| a == "--reuse") {
+        if scratch {
+            eprintln!("--reuse requires --reps DIR (a previously built representation root)");
+            std::process::exit(2);
+        }
+        or_exit(
+            SchemeSet::open_existing(&root, &corpus.graph, budget),
+            format!("cannot open representations at {}", root.display()),
+        )
+    } else {
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        or_exit(
+            SchemeSet::build(
+                &root,
+                &urls,
+                &domains,
+                &corpus.graph,
+                &SNodeConfig::default(),
+                budget,
+            ),
+            format!("cannot build representations under {}", root.display()),
+        )
+    };
+    (set, root, scratch)
+}
+
 /// `wgr query DIR` — builds the four-scheme query set from the corpus at
 /// `DIR`, runs the observed Q1–6 workload, and reports per-query costs
 /// (wall time, supernodes visited, lists decoded, cache hits/misses, pages
@@ -386,54 +462,8 @@ fn cmd_query(args: &[String]) -> i32 {
         },
     };
 
-    let corpus = match read_corpus(&PathBuf::from(&corpus_dir)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot read corpus at {corpus_dir}: {e}");
-            return 2;
-        }
-    };
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let reuse = args.iter().any(|a| a == "--reuse");
-    let (root, scratch) = match opt(args, "--reps") {
-        Some(d) => (PathBuf::from(d), false),
-        None => (
-            std::env::temp_dir().join(format!("wgr_query_{}", std::process::id())),
-            true,
-        ),
-    };
-    // --reuse opens the representations already on disk instead of
-    // rebuilding them — a rebuild would silently heal any damage, which
-    // defeats fault-injection testing.
-    let set = if reuse {
-        if scratch {
-            eprintln!("--reuse requires --reps DIR (a previously built representation root)");
-            return 2;
-        }
-        match SchemeSet::open_existing(&root, &corpus.graph, budget) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open representations at {}: {e}", root.display());
-                return 2;
-            }
-        }
-    } else {
-        match SchemeSet::build(
-            &root,
-            &urls,
-            &domains,
-            &corpus.graph,
-            &SNodeConfig::default(),
-            budget,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build representations under {}: {e}", root.display());
-                return 2;
-            }
-        }
-    };
+    let corpus = read_corpus_at(Path::new(&corpus_dir));
+    let (set, root, scratch) = scheme_set(args, &corpus, budget, "wgr_query");
     let text = TextIndex::build(&corpus, &set.renumbering);
     let pagerank = PageRankIndex::build(&corpus.graph, &set.renumbering);
     let domain_table = DomainTable::build(&corpus, &set.renumbering);
@@ -571,13 +601,7 @@ fn cmd_stats(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--bits") {
         return print_bit_ledger(&repo, json);
     }
-    let snode = match SNode::open(&repo, 1 << 20) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open S-Node directory {}: {e}", repo.display());
-            return 2;
-        }
-    };
+    let snode = open_snode(&repo);
     let meta = snode.meta();
     let mut sizes: Vec<u32> = (0..snode.num_supernodes())
         .map(|s| meta.supernode_size(s))
@@ -624,12 +648,15 @@ fn cmd_stats(args: &[String]) -> i32 {
 fn cmd_links(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
     let page: u32 = parsed("--page", &req(args, "--page"));
-    let snode = SNode::open(&repo, 1 << 20).expect("open repo");
+    let snode = open_snode(&repo);
     if page >= snode.num_pages() {
         eprintln!("page {page} out of range (repo has {})", snode.num_pages());
         return 1;
     }
-    let links = snode.out_neighbors(page).expect("navigate");
+    let links = or_exit(
+        snode.out_neighbors(page),
+        format!("cannot read page {page}"),
+    );
     println!(
         "page {page} (supernode {}) links to {} pages:",
         snode.supernode_of(page),
@@ -645,13 +672,13 @@ fn cmd_domain(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
     let name = req(args, "--name");
-    let corpus = read_corpus(&corpus_dir).expect("read corpus");
+    let corpus = read_corpus_at(&corpus_dir);
     let Some(d) = corpus.domain_by_name(&name) else {
         eprintln!("unknown domain {name}");
         return 1;
     };
-    let snode = SNode::open(&repo, 1 << 20).expect("open repo");
-    let renum = Renumbering::read(&repo).expect("pagemap");
+    let snode = open_snode(&repo);
+    let renum = read_pagemap(&repo);
     let pages = snode.pages_in_domain(d);
     println!(
         "{name}: {} pages in supernodes {:?}",
@@ -724,85 +751,6 @@ fn cmd_check(args: &[String]) -> i32 {
             }
             2
         }
-    }
-}
-
-/// `wgr lint [--root DIR] [--json] [--deny warn] [--baseline FILE]` — the
-/// SN2xx source-model analyzer (`wg-lint`): models every workspace `.rs`
-/// file and reports shared-state-readiness diagnostics, including the
-/// SN200 mutability-escape worklist that drives the wg-serve refactor.
-/// With `--baseline`, findings whose stable key appears in the baseline
-/// JSON are tolerated and what counts is *new* findings and *stale* keys,
-/// those no finding matches any more. Exit 0 when clean or baselined
-/// exactly, 1 when countable findings exist and `--deny warn` was given,
-/// 2 on fatal errors (unreadable workspace or baseline).
-fn cmd_lint(args: &[String]) -> i32 {
-    let root = opt(args, "--root")
-        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
-    let json = args.iter().any(|a| a == "--json");
-    let deny_warn = opt(args, "--deny").is_some_and(|v| v == "warn" || v == "warnings");
-    let baseline = match opt(args, "--baseline") {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(text) => Some(webgraph_repr::analyze::lint::baseline_keys(&text)),
-            Err(e) => {
-                eprintln!("fatal: cannot read baseline {path}: {e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
-    let report = match webgraph_repr::analyze::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"fatal\":\"{}\"}}",
-                    e.replace('\\', "\\\\").replace('"', "\\\"")
-                );
-            } else {
-                eprintln!("fatal: {e}");
-            }
-            return 2;
-        }
-    };
-    let empty = std::collections::BTreeSet::new();
-    let tolerated = baseline.as_ref().unwrap_or(&empty);
-    let fresh = webgraph_repr::analyze::lint::new_findings(&report, tolerated);
-    let stale = webgraph_repr::analyze::lint::stale_keys(&report, tolerated);
-    let countable = if baseline.is_some() {
-        fresh.len() + stale.len()
-    } else {
-        report.num_findings()
-    };
-    // Reports are long and routinely piped into `head`; a closed pipe must
-    // not abort the exit code.
-    let mut out = std::io::stdout().lock();
-    if json {
-        let _ = writeln!(out, "{}", report.to_json());
-    } else {
-        let _ = writeln!(out, "{report}");
-        if baseline.is_some() {
-            if fresh.is_empty() {
-                let _ = writeln!(out, "baseline: all findings tolerated, none new");
-            } else {
-                let _ = writeln!(out, "baseline: {} NEW finding(s):", fresh.len());
-                for f in &fresh {
-                    let _ = writeln!(out, "  NEW {f}");
-                }
-            }
-            if !stale.is_empty() {
-                let _ = writeln!(out, "baseline: {} STALE key(s) to delete:", stale.len());
-                for key in &stale {
-                    let _ = writeln!(out, "  STALE {key}");
-                }
-            }
-        }
-    }
-    let _ = out.flush();
-    if deny_warn && countable > 0 {
-        1
-    } else {
-        0
     }
 }
 
@@ -1161,7 +1109,10 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
     json.push_str("  \"sizes\": [\n");
     json.push_str(&size_objs.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    std::fs::write(&out, &json).expect("write scale bench json");
+    or_exit(
+        std::fs::write(&out, &json),
+        format!("cannot write {}", out.display()),
+    );
     println!("wrote {}", out.display());
     i32::from(!(ok && stream_bounded && query_memory_flat))
 }
@@ -1578,7 +1529,10 @@ fn bench_serve(
         json.push_str(&format!("    \"q{}\": {fp}{sep}\n", i + 1));
     }
     json.push_str("  }\n}\n");
-    std::fs::write(out, &json).expect("write serve bench json");
+    or_exit(
+        std::fs::write(out, &json),
+        format!("cannot write {}", out.display()),
+    );
     println!("wrote {}", out.display());
     eprintln!(
         "serve bench: {clients} clients × {} req = {total} in {wall_secs:.3}s \
@@ -1643,51 +1597,8 @@ fn cmd_serve(args: &[String]) -> i32 {
             }
         },
     };
-    let corpus = match read_corpus(&PathBuf::from(&corpus_dir)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot read corpus at {corpus_dir}: {e}");
-            return 2;
-        }
-    };
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let reuse = args.iter().any(|a| a == "--reuse");
-    let (root, scratch) = match opt(args, "--reps") {
-        Some(d) => (PathBuf::from(d), false),
-        None => (
-            std::env::temp_dir().join(format!("wgr_serve_{}", std::process::id())),
-            true,
-        ),
-    };
-    let set = if reuse {
-        if scratch {
-            eprintln!("--reuse requires --reps DIR (a previously built representation root)");
-            return 2;
-        }
-        match SchemeSet::open_existing(&root, &corpus.graph, budget) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open representations at {}: {e}", root.display());
-                return 2;
-            }
-        }
-    } else {
-        match SchemeSet::build(
-            &root,
-            &urls,
-            &domains,
-            &corpus.graph,
-            &SNodeConfig::default(),
-            budget,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot build representations under {}: {e}", root.display());
-                return 2;
-            }
-        }
-    };
+    let corpus = read_corpus_at(Path::new(&corpus_dir));
+    let (set, root, scratch) = scheme_set(args, &corpus, budget, "wgr_serve");
     let (ctx, reference) = match build_serve_context(&corpus, &set, scheme) {
         Ok(v) => v,
         Err(e) => {
@@ -1968,8 +1879,8 @@ fn cmd_top(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
     let k: usize = num(args, "-k").unwrap_or(10);
-    let corpus = read_corpus(&corpus_dir).expect("read corpus");
-    let renum = Renumbering::read(&repo).expect("pagemap");
+    let corpus = read_corpus_at(&corpus_dir);
+    let renum = read_pagemap(&repo);
     let pr = pagerank(&corpus.graph, &PageRankConfig::default());
     println!("top {k} pages by PageRank:");
     for &old in top_ranked(&pr.ranks, k).iter() {

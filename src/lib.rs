@@ -8,6 +8,7 @@
 //! paper-vs-measured results.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use wg_analyze as analyze;
 pub use wg_baselines as baselines;

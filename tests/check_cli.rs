@@ -207,27 +207,3 @@ fn check_fails_a_retired_list_stream_and_a_truncated_index() {
     assert!(text.contains("lies outside the index files"), "{text}");
     std::fs::remove_dir_all(&repo).ok();
 }
-
-/// `wgr lint` follows the same contract: a workspace with one deliberate
-/// violation per SN210–SN214 rule is exit 1 under `--deny warn` and names
-/// each code; an unreadable root is exit 2.
-#[test]
-fn lint_exit_codes_follow_contract() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/analyze/tests/fixtures/badws");
-    let out = wgr()
-        .args(["lint", "--deny", "warn", "--root"])
-        .arg(&fixture)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    for code in ["SN210", "SN211", "SN212", "SN213", "SN214"] {
-        assert!(text.contains(code), "missing {code} in:\n{text}");
-    }
-
-    let out = wgr()
-        .args(["lint", "--root", "/nonexistent/workspace/path"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-}

@@ -560,7 +560,16 @@ fn build_accepts_urls_of_any_shape() {
 #[test]
 fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
     let root = temp_dir("badflags");
-    let cases: [(&[&str], &str); 8] = [
+    // A corpus that reads, for the build whose --out cannot be written.
+    let corpus = temp_dir("badflags_corpus");
+    let out = wgr()
+        .args(["gen", "--pages", "50", "--out"])
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let corpus = corpus.to_str().unwrap();
+    let cases: [(&[&str], &str); 13] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -579,6 +588,35 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
             &["build", "--corpus", "c", "--out", "r", "--codec", "z3"],
             "--codec z3",
         ),
+        // Paths that cannot be read or written: one line, not a panic.
+        (
+            &["gen", "--pages", "10", "--out", "/proc/nope"],
+            "/proc/nope",
+        ),
+        (
+            &["build", "--corpus", corpus, "--out", "/proc/nope/x"],
+            "/proc/nope/x",
+        ),
+        (
+            &["links", "--repo", "/nonexistent", "--page", "1"],
+            "/nonexistent",
+        ),
+        (
+            &[
+                "domain",
+                "--repo",
+                "/nonexistent",
+                "--corpus",
+                "/nonexistent",
+                "--name",
+                "x",
+            ],
+            "/nonexistent",
+        ),
+        (
+            &["top", "--repo", "/nonexistent", "--corpus", "/nonexistent"],
+            "/nonexistent",
+        ),
     ];
     for (args, names) in cases {
         let out = wgr().args(args).current_dir(&root).output().unwrap();
@@ -590,11 +628,15 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
     }
     assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0, "wrote output");
     std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(corpus).ok();
 }
 
 #[test]
 fn usage_on_bad_subcommand() {
-    let out = wgr().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // `lint` is gone: clippy and `cargo test` check the source now.
+    for sub in ["frobnicate", "lint"] {
+        let out = wgr().arg(sub).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    }
 }

@@ -1,8 +1,9 @@
-//! The zero-allocation contract of the warm read path, executed: once one
-//! pass has filled the graph cache, grown the handle's decode buffers and
-//! fed the list memos, `out_neighbors_into` and a repeated
-//! `out_neighbors_batch` answer without a single heap allocation — counted
-//! by the allocator itself, where SN202 only reads function bodies.
+//! The zero-allocation contract (SN202), executed and counted by the
+//! allocator itself: once one pass has filled the graph cache, grown the
+//! handle's decode buffers and fed the list memos, `out_neighbors_into` and
+//! a repeated `out_neighbors_batch` answer without a single heap
+//! allocation; and encoding or parsing a list stream allocates per call,
+//! never per list.
 
 // Test code: unwrap on setup failure is the desired behaviour. The counting
 // allocator is the one piece of `unsafe` this workspace has: `GlobalAlloc`
@@ -13,7 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
-use webgraph_repr::snode::{build_snode, Renumbering, RepoInput, SNode, SNodeConfig};
+use webgraph_repr::snode::refenc::{encode_lists, ListsIndex, RefMode, Universe};
+use webgraph_repr::snode::{build_snode, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig};
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -65,7 +67,6 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// One test, so that nothing else in this process shares the handles.
 #[test]
 fn a_warm_probe_allocates_nothing() {
     let corpus = Corpus::generate(CorpusConfig::scaled(5_000, 42));
@@ -127,4 +128,56 @@ fn a_warm_probe_allocates_nothing() {
         assert_eq!(snode.cache_stats().evictions, 0, "{how}: nothing was cold");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `n` lists over `0..n` in groups of eight that share twelve entries, so
+/// reference selection finds a parent for most of them.
+fn similar_lists(n: u32) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|i| {
+            let group = i / 8;
+            let mut list: Vec<u32> = (0..12).map(|k| (group * 37 + k * 13) % n).collect();
+            list.push(i.wrapping_mul(7919) % n);
+            list.sort_unstable();
+            list.dedup();
+            list
+        })
+        .collect()
+}
+
+/// Reference selection prices up to 32 candidates per list
+/// (`ref_cost_within`) and diffs each list against the parent chosen into
+/// the writer's scratch (`diff_into`); a cold `ListsIndex::parse` scans
+/// every payload (`scan_payload`). What they allocate is their output and
+/// scratch, so the count is the same at 1 024 lists as at 16 384: one `Vec`
+/// per list or per candidate anywhere on those paths breaks the equality.
+#[test]
+fn encoding_and_parsing_a_list_stream_allocate_per_call_not_per_list() {
+    let counts = |n: u32| {
+        let lists = similar_lists(n);
+        let mut counts = Vec::new();
+        let mut bits = Vec::new();
+        for mode in [RefMode::None, RefMode::Windowed(32)] {
+            let before = allocations();
+            let enc = encode_lists(&lists, u64::from(n), mode, ListCodec::GAMMA);
+            counts.push(allocations() - before);
+            let before = allocations();
+            let parsed = ListsIndex::parse(
+                &enc.bytes,
+                enc.bit_len,
+                Universe::SameAsCount,
+                ListCodec::GAMMA,
+            );
+            counts.push(allocations() - before);
+            assert_eq!(parsed.unwrap().num_lists(), n);
+            bits.push(enc.bit_len);
+        }
+        assert!(bits[1] < bits[0], "{n} lists: no list took a reference");
+        counts
+    };
+    assert_eq!(
+        counts(1_024),
+        counts(16_384),
+        "[None, parse, Windowed(32), parse]"
+    );
 }
