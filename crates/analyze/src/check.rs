@@ -558,9 +558,8 @@ fn check_superedge(
         }
     };
     // The analyzer reads every stored list, so it asks for the list count
-    // and the end of the payload — and with them the list-stream directory
-    // or the dictionary, which parsing leaves unread — straight after the
-    // parse.
+    // and the end of the payload straight after the parse, which built the
+    // list-stream directory or the dictionary they come from.
     let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).and_then(
         |index| {
             let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;

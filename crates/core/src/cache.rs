@@ -255,61 +255,65 @@ fn key_kind(key: &GraphKey) -> usize {
 ///
 /// A *slot* is a position in the supernode's row of the supernode graph
 /// (`supergraph.adj[s]`), which is also the order of its superedge blobs.
+///
+/// One arena holds it all: CSR row starts (page `local` draws on rows
+/// `starts[local]..starts[local + 1]`), then `always`, then the rows end
+/// to end. A slot indexes one supernode's row of the supernode graph —
+/// hundreds of entries at most on a crawl — and the rows are most of what
+/// a fanout weighs, so they are packed two slots to a word, the first in
+/// the low half, wherever every slot fits 16 bits.
 #[derive(Debug)]
 pub struct Fanout {
-    /// CSR row starts: page `local` draws on
-    /// `rows[offsets[local]..offsets[local + 1]]`.
-    offsets: Vec<u32>,
-    /// Per page, the ascending slots of the positive graphs that list it
-    /// among their sources.
-    rows: Rows,
-    /// Ascending slots every page consults: negative graphs, which store
-    /// a list for every page, and graphs that could not be read, so that
-    /// each access keeps counting the part it went without.
-    always: Vec<u32>,
-}
-
-/// The rows of a [`Fanout`], end to end. A slot indexes one supernode's
-/// row of the supernode graph — hundreds of entries at most on a crawl —
-/// and the rows are most of what a fanout weighs, so they are kept at two
-/// bytes a slot wherever every slot fits.
-#[derive(Debug)]
-enum Rows {
-    Narrow(Vec<u16>),
-    /// A supernode with more than 65 536 out-superedges.
-    Wide(Vec<u32>),
+    arena: Box<[u32]>,
+    /// `|Ni|`: the arena opens with `ni + 1` row starts.
+    ni: u32,
+    /// How many slots follow the row starts that every page consults:
+    /// negative graphs, which store a list for every page, and graphs that
+    /// could not be read, so that each access keeps counting the part it
+    /// went without.
+    always: u32,
+    /// Whether the rows are 16-bit; they are 32-bit only for a supernode
+    /// with more than 65 536 out-superedges.
+    narrow: bool,
 }
 
 /// One page's row of a [`Fanout`]: ascending slots.
 #[derive(Debug, Clone, Copy)]
-pub enum Slots<'a> {
-    /// Of a supernode whose every slot fits 16 bits.
-    Narrow(&'a [u16]),
-    /// Of one with more out-superedges than that.
-    Wide(&'a [u32]),
+pub struct Slots<'a> {
+    /// Every row of the fanout, as it packs them.
+    rows: &'a [u32],
+    narrow: bool,
+    /// This row's entries of `rows`.
+    lo: usize,
+    hi: usize,
 }
 
 impl<'a> Slots<'a> {
+    /// Entry `i` of the rows.
+    fn get(self, i: usize) -> u32 {
+        match self.narrow {
+            true => (self.rows.get(i / 2)).map_or(0, |&w| w >> (16 * (i % 2)) & 0xFFFF),
+            false => self.rows.get(i).copied().unwrap_or_default(),
+        }
+    }
+
     /// The slots, ascending.
     pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
-        let (narrow, wide) = match self {
-            Slots::Narrow(row) => (row, &[][..]),
-            Slots::Wide(row) => (&[][..], row),
-        };
-        narrow
-            .iter()
-            .map(|&k| u32::from(k))
-            .chain(wide.iter().copied())
+        (self.lo..self.hi).map(move |i| self.get(i))
     }
 
     /// Whether the row names `slot`.
     pub fn contains(self, slot: u32) -> bool {
-        match self {
-            Slots::Narrow(row) => {
-                u16::try_from(slot).is_ok_and(|slot| row.binary_search(&slot).is_ok())
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.get(mid).cmp(&slot) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Greater => hi = mid,
             }
-            Slots::Wide(row) => row.binary_search(&slot).is_ok(),
         }
+        false
     }
 }
 
@@ -317,72 +321,110 @@ impl Fanout {
     /// Builds the fanout of a supernode of `ni` pages from its
     /// out-superedge graphs in slot order: the ascending `sources` of a
     /// positive graph, `None` for one every page consults — a negative
-    /// graph, or one that could not be read. Two counting passes over the
+    /// graph, or one that could not be read. One pass for the sizes, which
+    /// allocates the arena at its size, then two counting passes over the
     /// `sources`, O(Σ|sources| + `ni`): the biggest supernodes have
     /// thousands of pages and hundreds of superedges, and are where a
     /// probe's tail latency comes from.
     pub fn build<'a>(
         ni: u32,
-        graphs: impl Iterator<Item = Option<&'a [u32]>> + Clone,
+        graphs: impl DoubleEndedIterator<Item = Option<&'a [u32]>> + Clone,
     ) -> Result<Self> {
-        let mut offsets = vec![0u32; ni as usize + 1];
-        let mut always = Vec::new();
-        let mut slots = 0u32;
+        let (mut slots, mut always, mut rows) = (0u32, 0usize, 0usize);
+        for sources in graphs.clone() {
+            slots += 1;
+            match sources {
+                Some(sources) => rows += sources.len(),
+                None => always += 1,
+            }
+        }
+        let total = u32::try_from(rows).map_err(|_| SNodeError::Corrupt("fanout overflows u32"))?;
+        let narrow = slots <= u32::from(u16::MAX) + 1;
+        let words = if narrow { rows.div_ceil(2) } else { rows };
+        let mut arena = vec![0u32; ni as usize + 1 + always + words];
+        let (starts, rest) = arena.split_at_mut(ni as usize + 1);
+        let (always_slots, packed) = rest.split_at_mut(always);
+        let (counts, sentinel) = starts.split_at_mut(ni as usize);
+        // Count each page's slots where its row will start...
+        let mut next_always = always_slots.iter_mut();
         for (k, sources) in (0u32..).zip(graphs.clone()) {
-            slots = k + 1;
             let Some(sources) = sources else {
-                always.push(k);
+                if let Some(at) = next_always.next() {
+                    *at = k;
+                }
                 continue;
             };
             for &src in sources {
-                *offsets.get_mut(src as usize + 1).ok_or_else(out_of_range)? += 1;
+                *counts.get_mut(src as usize).ok_or_else(out_of_range)? += 1;
             }
         }
-        let mut total = 0u32;
-        for o in &mut offsets {
-            total = total
-                .checked_add(*o)
-                .ok_or(SNodeError::Corrupt("fanout overflows u32"))?;
-            *o = total;
+        // ...turn each count into the end of its row...
+        let mut end = 0u32;
+        for count in counts.iter_mut() {
+            end += *count;
+            *count = end;
         }
-        let rows = if slots <= u32::from(u16::MAX) + 1 {
-            // Every slot is below 2¹⁶: the cast keeps it whole.
-            Rows::Narrow(fill_rows(&offsets, graphs, |k| k as u16)?)
-        } else {
-            Rows::Wide(fill_rows(&offsets, graphs, |k| k)?)
-        };
+        sentinel.fill(total);
+        // ...and fill every row from its end, last slot first: the rows
+        // come out ascending without a sort, and each end has moved back
+        // to where its row starts. A narrow slot is below 2¹⁶, and every
+        // word starts at zero.
+        let (width, per_word) = if narrow { (16, 2) } else { (0, 1) };
+        for (k, sources) in (0..slots).rev().zip(graphs.rev()) {
+            for &src in sources.unwrap_or_default() {
+                let at = counts.get_mut(src as usize).ok_or_else(out_of_range)?;
+                // Never below zero: this pass meets each page as often as
+                // the counting pass did (and a wrap would miss `packed`).
+                *at = at.wrapping_sub(1);
+                let at = *at as usize;
+                let word = packed.get_mut(at / per_word).ok_or_else(out_of_range)?;
+                *word |= k << (width * (at % per_word));
+            }
+        }
         Ok(Self {
-            offsets,
-            rows,
-            always,
+            arena: arena.into_boxed_slice(),
+            ni,
+            always: always as u32,
+            narrow,
         })
+    }
+
+    /// The row starts, and the rest of the arena.
+    fn split(&self) -> (&[u32], &[u32]) {
+        (self.arena)
+            .split_at_checked(self.ni as usize + 1)
+            .unwrap_or_default()
     }
 
     /// The ascending slots of the positive graphs holding a list for page
     /// `local` (empty for a page outside the supernode).
     pub fn slots_of(&self, local: u32) -> Slots<'_> {
-        let row = |i: usize| self.offsets.get(i).map(|&o| o as usize);
+        let (starts, rest) = self.split();
+        let row = |i: usize| starts.get(i).map(|&o| o as usize);
         let (lo, hi) = match (row(local as usize), row(local as usize + 1)) {
             (Some(lo), Some(hi)) => (lo, hi),
             _ => (0, 0),
         };
-        match &self.rows {
-            Rows::Narrow(rows) => Slots::Narrow(rows.get(lo..hi).unwrap_or_default()),
-            Rows::Wide(rows) => Slots::Wide(rows.get(lo..hi).unwrap_or_default()),
+        Slots {
+            rows: rest.get(self.always as usize..).unwrap_or_default(),
+            narrow: self.narrow,
+            lo,
+            hi,
         }
     }
 
     /// The ascending slots every page of the supernode consults.
     pub fn always(&self) -> &[u32] {
-        &self.always
+        let rest = self.split().1;
+        rest.get(..self.always as usize).unwrap_or_default()
     }
 
+    /// What the fanout is charged: four bytes a row start and an `always`
+    /// slot, two or four a row entry.
     fn heap_bytes(&self) -> usize {
-        let rows = match &self.rows {
-            Rows::Narrow(rows) => rows.len() * 2,
-            Rows::Wide(rows) => rows.len() * 4,
-        };
-        (self.offsets.len() + self.always.len()) * 4 + rows
+        let rows = self.split().0.last().map_or(0, |&total| total as usize);
+        let width = if self.narrow { 2 } else { 4 };
+        (self.ni as usize + 1 + self.always as usize) * 4 + rows * width
     }
 }
 
@@ -392,101 +434,110 @@ fn out_of_range() -> SNodeError {
     SNodeError::Corrupt("superedge source outside its supernode")
 }
 
-/// The second counting pass of [`Fanout::build`]: every slot written
-/// straight to its place in its page's row, as `narrow` stores it.
-fn fill_rows<'a, T: Copy + Default>(
-    offsets: &[u32],
-    graphs: impl Iterator<Item = Option<&'a [u32]>>,
-    narrow: impl Fn(u32) -> T,
-) -> Result<Vec<T>> {
-    let mut rows = vec![T::default(); offsets.last().map_or(0, |&total| total as usize)];
-    let mut next = offsets.to_vec();
-    for (k, sources) in (0u32..).zip(graphs) {
-        // Slots ascend with the outer loop, so every row comes out
-        // sorted without a sort.
-        for &src in sources.unwrap_or_default() {
-            let at = next.get_mut(src as usize).ok_or_else(out_of_range)?;
-            *rows.get_mut(*at as usize).ok_or_else(out_of_range)? = narrow(k);
-            *at += 1;
-        }
-    }
-    Ok(rows)
+/// What the cache holds under a [`GraphKey`]: a compact header and at
+/// most one arena behind it — an encoded graph's directory (an intranode
+/// graph's list offsets; a superedge graph's `sources`, dictionary and
+/// offsets), a [`Fanout`]'s rows, or decoded lists — beside the encoded
+/// bytes themselves.
+///
+/// The header opens the value, so that in the `Arc` the cache hands out
+/// it shares the allocation's first cache line with the reference counts
+/// (checked below): what a decode reads first — what the graph is, where
+/// its arena lies and how it is cut — arrives with the line the `Arc`
+/// clone already brought in. A warm superedge decode then touches that
+/// line, the arena and, unless a single-target dictionary answers it, the
+/// bytes.
+#[derive(Debug)]
+#[repr(C)]
+pub struct CachedGraph {
+    shape: Shape,
+    /// Exact bit length of `data`.
+    bit_len: u64,
+    /// The encoded graph (owned copy or zero-copy resident borrow); empty
+    /// for a fanout and for decoded lists.
+    data: crate::disk::Blob,
+    /// Decoded-list memo (shared reference-chain prefixes) of an encoded
+    /// graph, keyed as its decoder keys lists — see
+    /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of `bytes`.
+    memo: Mutex<ListMemo>,
+    /// Resident footprint, which drives eviction: encoded bytes, directory
+    /// and memo cap for an encoded graph.
+    bytes: usize,
 }
 
-/// What the cache holds under a [`GraphKey`]: positive adjacency lists in
-/// local ids, decoded or — everything the read path loads — still encoded.
+/// What a [`CachedGraph`] is, with its arena.
 #[derive(Debug)]
-pub enum CachedGraph {
-    /// One list per local id.
-    Dense {
-        /// `lists[local]` = sorted local targets.
-        lists: Vec<Vec<u32>>,
-        /// Approximate decoded footprint (drives eviction).
-        bytes: usize,
-    },
-    /// An intranode graph kept *encoded*, with its parsed directory;
-    /// individual lists decode on demand. This is the query-time resident
-    /// form: it keeps a supernode's working set close to its on-disk size
-    /// instead of its decoded size, which is what lets the §4.3 memory
-    /// caps hold "all the intranode and superedge graphs relevant to a
-    /// query" at once.
-    EncodedIntra {
-        /// The encoded graph (owned copy or zero-copy resident borrow).
-        data: crate::disk::Blob,
-        /// Exact bit length.
-        bit_len: u64,
-        /// Parsed directory (offsets rebuilt at load).
-        index: ListsIndex,
-        /// Decoded-list memo (shared reference-chain prefixes), keyed by
-        /// local page id. Its cap is part of `bytes`.
-        memo: Mutex<ListMemo>,
-        /// Resident footprint (encoded bytes + directory + memo cap).
-        bytes: usize,
-    },
-    /// A superedge graph kept encoded, with its parsed directory.
-    EncodedSuper {
-        /// The encoded graph (owned copy or zero-copy resident borrow).
-        data: crate::disk::Blob,
-        /// Exact bit length.
-        bit_len: u64,
-        /// Parsed header; the list-stream directory of a positive graph
-        /// is built by the first lookup that finds its page among the
-        /// sources (its footprint is part of `bytes` from the start).
-        index: SuperedgeIndex,
-        /// `|Nj|`, needed to complement negative representations.
-        nj: u64,
-        /// Decoded-list memo (shared reference-chain prefixes), keyed in
-        /// lists-index space — see
-        /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of
-        /// `bytes`.
-        memo: Mutex<ListMemo>,
-        /// Resident footprint.
-        bytes: usize,
-    },
-    /// Not a graph: a supernode's [`Fanout`], cached, charged (its three
-    /// vectors) and evicted beside the graphs it points into.
+enum Shape {
+    /// Positive adjacency lists in local ids, decoded: `lists + 1` row
+    /// starts into the arena, then the lists end to end.
+    Dense { lists: u32, arena: Box<[u32]> },
+    /// An intranode graph kept *encoded*, with its directory; individual
+    /// lists decode on demand. This is the query-time resident form: it
+    /// keeps a supernode's working set close to its on-disk size instead
+    /// of its decoded size, which is what lets the §4.3 memory caps hold
+    /// "all the intranode and superedge graphs relevant to a query" at
+    /// once.
+    Intra(ListsIndex),
+    /// A superedge graph kept encoded, with its directory.
+    Super(SuperedgeIndex),
+    /// Not a graph: a supernode's [`Fanout`], cached, charged and evicted
+    /// beside the graphs it points into.
     Fanout(Fanout),
 }
 
 const _: () = assert!(std::mem::size_of::<CachedGraph>() <= CachedGraph::FIXED_BYTES);
+/// The header — shape with its arena pointer, and the bit length — in the
+/// 48 bytes an `Arc`'s two counts leave of a 64-byte line.
+const _: () = assert!(std::mem::offset_of!(CachedGraph, data) <= 48);
 
 impl CachedGraph {
-    /// What every constructor charges for the `CachedGraph` value itself,
-    /// the [`SuperedgeIndex`] that sits inline in one variant included
-    /// (so [`SuperedgeIndex::heap_bytes`] counts none of it). A constant
-    /// no smaller than the value, checked below: a field added to a
-    /// variant shows up there, in review, not as eviction counters that
-    /// moved or a cache that holds more than it charges.
-    const FIXED_BYTES: usize = 88 + SuperedgeIndex::FIXED_BYTES;
+    /// What every constructor charges for the `CachedGraph` value itself
+    /// (so no `heap_bytes` counts any of it). A constant no smaller than
+    /// the value, checked above: a field added shows up there, in review,
+    /// not as eviction counters that moved or a cache that holds more than
+    /// it charges. It is what the value measured while a superedge graph's
+    /// directory sat inline in it; charging the smaller value the arena
+    /// left is a change of its own, since every eviction moves with it.
+    const FIXED_BYTES: usize = 248;
 
-    /// Wraps dense decoded lists, computing the footprint.
+    /// One header over `shape`, whose arena is charged `heap` bytes.
+    fn with(
+        shape: Shape,
+        heap: usize,
+        data: crate::disk::Blob,
+        bit_len: u64,
+        memo: ListMemo,
+    ) -> Self {
+        let bytes = Self::FIXED_BYTES + heap + data.len() + memo.cap();
+        Self {
+            shape,
+            bit_len,
+            data,
+            memo: Mutex::new(memo),
+            bytes,
+        }
+    }
+
+    /// Wraps dense decoded lists, charged as one `Vec` per list.
     pub fn new(lists: Vec<Vec<u32>>) -> Self {
-        let bytes: usize = lists
+        let decoded: usize = lists
             .iter()
             .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>())
-            .sum::<usize>()
-            + Self::FIXED_BYTES;
-        CachedGraph::Dense { lists, bytes }
+            .sum();
+        let starts = lists.len() + 1;
+        let mut arena = Vec::with_capacity(starts + lists.iter().map(Vec::len).sum::<usize>());
+        let mut end = starts;
+        arena.push(end as u32);
+        for list in &lists {
+            end += list.len();
+            arena.push(end as u32);
+        }
+        lists.iter().for_each(|list| arena.extend_from_slice(list));
+        let shape = Shape::Dense {
+            lists: lists.len() as u32,
+            arena: arena.into_boxed_slice(),
+        };
+        Self::with(shape, decoded, Vec::new().into(), 0, ListMemo::default())
     }
 
     /// The decoded-list memo cap for a graph of `encoded` bytes: as many
@@ -508,50 +559,48 @@ impl CachedGraph {
         bit_len: u64,
         index: ListsIndex,
     ) -> Self {
-        let data = data.into();
-        let cap = Self::memo_cap(data.len());
-        let bytes = data.len() + index.heap_bytes() + cap + Self::FIXED_BYTES;
-        CachedGraph::EncodedIntra {
-            data,
-            bit_len,
-            index,
-            memo: Mutex::new(ListMemo::with_cap(cap)),
-            bytes,
-        }
+        let (data, heap) = (data.into(), index.heap_bytes());
+        let memo = ListMemo::with_cap(Self::memo_cap(data.len()));
+        Self::with(Shape::Intra(index), heap, data, bit_len, memo)
     }
 
     /// Wraps an encoded superedge graph with its parsed directory (same
     /// owned-or-resident contract as [`CachedGraph::new_encoded_intra`]).
+    /// `nj` is the `|Nj|` the index was parsed with, which it keeps.
     pub fn new_encoded_super(
         data: impl Into<crate::disk::Blob>,
         bit_len: u64,
         index: SuperedgeIndex,
         nj: u64,
     ) -> Self {
-        let data = data.into();
+        debug_assert_eq!(index.nj(), nj, "parsed for another |Nj|");
+        let (data, heap) = (data.into(), index.heap_bytes());
         // A single-target dictionary answers from two arrays: there is no
         // decoded list to keep, so no memo to reserve budget for.
         let cap = match index.layout() {
             Layout::SingleTargets => 0,
             Layout::Lists | Layout::ListDictionary => Self::memo_cap(data.len()),
         };
-        let bytes = data.len() + index.heap_bytes() + cap + Self::FIXED_BYTES;
-        CachedGraph::EncodedSuper {
+        Self::with(
+            Shape::Super(index),
+            heap,
             data,
             bit_len,
-            index,
-            nj,
-            memo: Mutex::new(ListMemo::with_cap(cap)),
-            bytes,
-        }
+            ListMemo::with_cap(cap),
+        )
     }
 
     /// The fanout, when this entry is one.
     pub fn as_fanout(&self) -> Option<&Fanout> {
-        match self {
-            CachedGraph::Fanout(fanout) => Some(fanout),
+        match &self.shape {
+            Shape::Fanout(fanout) => Some(fanout),
             _ => None,
         }
+    }
+
+    /// Bytes of the encoded graph (0 for a fanout and decoded lists).
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.data.len()
     }
 
     /// The positive target list of local id `local` (empty when absent).
@@ -574,69 +623,69 @@ impl CachedGraph {
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> crate::Result<()> {
+        sampled_decode(|| {
+            let mut memo = LockedOnUse::new(&self.memo);
+            self.decode_list_with(local, &mut memo, scratch, out)
+        })
+    }
+
+    /// [`CachedGraph::decode_list_into`] through `memo` instead of the
+    /// graph's own.
+    pub(crate) fn decode_list_with(
+        &self,
+        local: u32,
+        memo: &mut dyn DecodeMemo,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> crate::Result<()> {
         out.clear();
-        match self {
-            CachedGraph::Dense { lists, .. } => {
-                if let Some(l) = lists.get(local as usize) {
-                    out.extend_from_slice(l);
+        let (data, bit_len) = (&self.data, self.bit_len);
+        match &self.shape {
+            Shape::Dense { lists, arena } => {
+                let start = |i: u32| arena.get(i as usize).map(|&at| at as usize);
+                if let (true, Some(lo), Some(hi)) = (local < *lists, start(local), start(local + 1))
+                {
+                    out.extend_from_slice(arena.get(lo..hi).unwrap_or_default());
                 }
                 Ok(())
             }
-            CachedGraph::EncodedIntra {
-                data,
-                bit_len,
-                index,
-                memo,
-                ..
-            } => sampled_decode(|| {
-                let mut memo = LockedOnUse::new(memo);
-                index.decode_list_into(data, *bit_len, local, &mut memo, scratch, out)
-            }),
-            CachedGraph::EncodedSuper {
-                data,
-                bit_len,
-                index,
-                nj,
-                memo,
-                ..
-            } => sampled_decode(|| {
-                let mut memo = LockedOnUse::new(memo);
+            Shape::Intra(index) => index.decode_list_into(data, bit_len, local, memo, scratch, out),
+            Shape::Super(index) => {
                 let s = u64::from(local);
-                index.targets_of_into(data, *bit_len, s, *nj, &mut memo, scratch, out)
-            }),
-            CachedGraph::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
+                index.targets_of_into(data, bit_len, s, index.nj(), memo, scratch, out)
+            }
+            Shape::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
         }
     }
 
     /// Bytes of decoded lists currently retained by this graph's memo
-    /// (0 for decoded variants, which have no memo).
+    /// (0 for decoded lists and fanouts, which have none).
     pub fn memo_used(&self) -> usize {
-        match self {
-            CachedGraph::EncodedIntra { memo, .. } | CachedGraph::EncodedSuper { memo, .. } => {
-                memo.lock().used()
-            }
-            _ => 0,
-        }
+        self.memo.lock().used()
     }
 
-    /// The memo's static byte reservation (0 for decoded variants).
+    /// The memo's static byte reservation (0 without a memo).
     pub fn memo_cap_bytes(&self) -> usize {
-        match self {
-            CachedGraph::EncodedIntra { memo, .. } | CachedGraph::EncodedSuper { memo, .. } => {
-                memo.lock().cap()
-            }
-            _ => 0,
-        }
+        self.memo.lock().cap()
     }
 
     /// Approximate resident footprint in bytes.
     pub fn bytes(&self) -> usize {
-        match self {
-            CachedGraph::Dense { bytes, .. }
-            | CachedGraph::EncodedIntra { bytes, .. }
-            | CachedGraph::EncodedSuper { bytes, .. } => *bytes,
-            CachedGraph::Fanout(fanout) => fanout.heap_bytes() + Self::FIXED_BYTES,
-        }
+        self.bytes
+    }
+}
+
+impl From<Fanout> for CachedGraph {
+    /// A fanout as a cache entry, charged its arena and the fixed part.
+    fn from(fanout: Fanout) -> Self {
+        let heap = fanout.heap_bytes();
+        Self::with(
+            Shape::Fanout(fanout),
+            heap,
+            Vec::new().into(),
+            0,
+            ListMemo::default(),
+        )
     }
 }
 
@@ -1349,21 +1398,18 @@ mod tests {
     #[test]
     fn memo_cap_is_charged_at_construction() {
         let g = chained_encoded_intra();
-        let CachedGraph::EncodedIntra {
-            data, index, bytes, ..
-        } = &g
-        else {
-            panic!("expected EncodedIntra");
+        let Shape::Intra(index) = &g.shape else {
+            panic!("expected an intranode graph");
         };
         assert!(index.heap_bytes() > 0);
         assert_eq!(
             g.memo_cap_bytes(),
-            data.len(),
+            g.encoded_len(),
             "cap = the encoded bytes, the directory apart"
         );
         assert_eq!(
-            *bytes,
-            data.len() + index.heap_bytes() + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
+            g.bytes(),
+            g.encoded_len() + index.heap_bytes() + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
             "accounted bytes include the full memo cap up front"
         );
         assert_eq!(g.memo_used(), 0, "memo starts empty");
@@ -1413,10 +1459,10 @@ mod tests {
         let used_after_insert = c.used();
         // Deep-end-first decodes walk every reference chain and retain
         // ancestors in the memo.
-        let n = match &*g {
-            CachedGraph::EncodedIntra { index, .. } => index.num_lists(),
-            _ => unreachable!(),
+        let Shape::Intra(index) = &g.shape else {
+            unreachable!()
         };
+        let n = index.num_lists();
         for i in (0..n).rev() {
             g.decode_list_for(i).expect("decode");
         }
@@ -1554,7 +1600,7 @@ mod tests {
         let expect: [&[u32]; 7] = [&[3], &[0], &[], &[], &[0, 3], &[3], &[]];
         assert_eq!(rows, expect, "page 6 is outside the supernode");
         assert!(fanout.slots_of(4).contains(3) && !fanout.slots_of(4).contains(1));
-        let cached = CachedGraph::Fanout(fanout);
+        let cached = CachedGraph::from(fanout);
         assert_eq!(
             cached.bytes(),
             (7 + 2) * 4 + 5 * 2 + CachedGraph::FIXED_BYTES,
@@ -1652,7 +1698,7 @@ mod tests {
             };
             let built = built.expect("every source inside the supernode");
             proptest::prop_assert_eq!(
-                matches!(built.rows, Rows::Wide(_)),
+                !built.narrow,
                 graphs.len() > 1 << 16,
                 "{} slots", graphs.len()
             );

@@ -50,7 +50,7 @@ pub enum SuperedgeLayouts {
 /// [`crate::refenc::ListsIndex::parse`] and
 /// [`crate::subgraphs::SuperedgeIndex::parse`]: this type, its per-class
 /// pair in [`CodecConfig`] and the codec argument of those three keep
-/// their shapes until ROADMAP item 3 unfreezes it.
+/// their shapes until ROADMAP item 1(a) unfreezes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListCodec {
     /// Superedge graphs that repeat list material (site-template links

@@ -59,8 +59,6 @@ pub mod refenc;
 // The shared `SNode` handle's scratch pools and degradation state.
 #[allow(clippy::disallowed_types)]
 pub mod repr;
-// A superedge graph's once-built list-stream directory and dictionary.
-#[allow(clippy::disallowed_types)]
 pub mod subgraphs;
 pub mod supergraph;
 

@@ -210,24 +210,35 @@ pub(crate) fn write_lists_planned(
     debug_assert_eq!(w.bit_len() - stream_start, plan.total_bits);
 }
 
-/// Owned directory of an [`EncodedLists`] stream: everything needed for
-/// random access except the bytes themselves.
+/// Directory of an [`EncodedLists`] stream: everything needed for random
+/// access except the bytes themselves.
 ///
 /// Splitting the directory from the data lets callers that keep many
 /// encoded graphs resident (the Table 2 in-memory access path) parse each
 /// directory once and decode lists straight out of the shared byte buffers.
+/// The offsets are its one allocation (`O` = `Box<[u32]>`, what
+/// [`ListsIndex::parse`] returns), or a borrow of the section of a
+/// superedge graph's arena that holds them (`O` = `&[u32]`); either way
+/// the decoder below is the same code.
 #[derive(Debug, Clone)]
-pub struct ListsIndex {
-    num_lists: u32,
+pub struct ListsIndex<O = Box<[u32]>> {
     universe: u64,
-    /// Absolute bit offset of each payload (one extra end sentinel).
-    /// `u32` bounds a single encoded graph at 512 MiB — orders of magnitude
-    /// above any graph a sane partition produces, and half the resident
-    /// directory footprint, which is what the query-time memory cap buys.
-    offsets: Vec<u32>,
+    /// Absolute bit offset of each payload (one extra end sentinel), so
+    /// never empty. `u32` bounds a single encoded graph at 512 MiB —
+    /// orders of magnitude above any graph a sane partition produces, and
+    /// half the resident directory footprint, which is what the
+    /// query-time memory cap buys.
+    offsets: O,
 }
 
+const _: () = assert!(std::mem::size_of::<ListsIndex>() <= ListsIndex::FIXED_BYTES);
+
 impl ListsIndex {
+    /// What [`ListsIndex::heap_bytes`] charges for the value itself, the
+    /// offsets aside: a constant no smaller than the value (checked
+    /// above), and what it was charged when the offsets were a `Vec`.
+    const FIXED_BYTES: usize = 40;
+
     /// Parses the header + directory of an encoded stream.
     ///
     /// `universe` declares the entry universe: [`Universe::SameAsCount`]
@@ -243,59 +254,12 @@ impl ListsIndex {
     /// Like [`ListsIndex::parse`], but the encoded stream starts at bit
     /// offset `start` inside `data` (used when the stream is embedded in a
     /// larger structure, e.g. a superedge graph header).
-    ///
-    /// The format stores no directory, so the offsets come from one scan
-    /// over every payload's structure — counts, masks, gap codes — that
-    /// materialises no list: a mask is as long as the parent's list, so
-    /// one length per list is all it keeps. What needs the values
-    /// themselves (a copied entry colliding with an extra) is checked when
-    /// a list is decoded.
     pub fn parse_at(data: &[u8], bit_len: u64, start: u64, universe: Universe) -> Result<Self> {
-        let mut r = BitReader::with_bit_len(data, bit_len);
-        r.seek(start)?;
-        let n = codes::read_gamma(&mut r)?;
-        if n > u64::from(u32::MAX) {
-            return Err(SNodeError::Corrupt("list count overflows u32"));
-        }
-        let universe = match universe {
-            Universe::Explicit(u) => u,
-            Universe::SameAsCount => n,
-        };
-        if bit_len > u64::from(u32::MAX) {
-            return Err(SNodeError::Corrupt("encoded graph exceeds 512 MiB"));
-        }
-        // The bit after the count once announced a directory of payload
-        // lengths, which only forward references needed; no build writes
-        // either any more, and a stream that claims one is not read.
-        if r.read_bit()? {
-            return Err(SNodeError::Corrupt(
-                "list stream carries the directory of a retired reference mode: rebuild the directory",
-            ));
-        }
-        // `n` is untrusted until the scan below confirms it; clamp the
-        // eager reservations so a corrupt γ cannot turn into a giant
-        // allocation (the vectors still grow on demand).
-        let cap = (n as usize).min(1 << 20);
-        let mut offsets: Vec<u32> = Vec::with_capacity(cap + 1);
-        let mut lens: Vec<u32> = Vec::with_capacity(cap);
-        for i in 0..n {
-            offsets.push(bit_offset_u32(r.position())?);
-            let reference_len = if r.read_bit()? {
-                let parent = codes::read_minimal_binary(&mut r, n)?;
-                if parent >= i {
-                    return Err(SNodeError::Corrupt("forward reference in list stream"));
-                }
-                Some(lens[parent as usize])
-            } else {
-                None
-            };
-            lens.push(scan_payload(&mut r, reference_len, universe)?);
-        }
-        offsets.push(bit_offset_u32(r.position())?);
+        let mut offsets = Vec::new();
+        let universe = scan_lists(data, bit_len, start, universe, &mut offsets)?;
         Ok(Self {
-            num_lists: n as u32,
             universe,
-            offsets,
+            offsets: offsets.into_boxed_slice(),
         })
     }
 
@@ -307,9 +271,25 @@ impl ListsIndex {
         Ok((index, lists))
     }
 
+    /// Approximate heap footprint of the directory itself.
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.len() * 4 + Self::FIXED_BYTES
+    }
+}
+
+impl<'a> ListsIndex<&'a [u32]> {
+    /// The directory whose offsets are `offsets` (never empty: one per
+    /// list and the end sentinel), over `universe`.
+    pub(crate) fn view(universe: u64, offsets: &'a [u32]) -> Self {
+        Self { universe, offsets }
+    }
+}
+
+impl<O: AsRef<[u32]>> ListsIndex<O> {
     /// Number of lists.
     pub fn num_lists(&self) -> u32 {
-        self.num_lists
+        // One offset per list and the sentinel, at most 2³² of them.
+        self.offsets.as_ref().len().saturating_sub(1) as u32
     }
 
     /// Universe size the entries live in.
@@ -317,23 +297,18 @@ impl ListsIndex {
         self.universe
     }
 
-    /// Approximate heap footprint of the directory itself.
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * 4 + std::mem::size_of::<Self>()
-    }
-
     /// Bit position one past the final payload, in the same absolute
     /// coordinates as the stream this directory was parsed from. Anything
     /// between this and the declared bit length is trailing garbage.
     pub fn end_bit(&self) -> u64 {
-        self.offsets.last().map_or(0, |&o| u64::from(o))
+        self.offsets.as_ref().last().map_or(0, |&o| u64::from(o))
     }
 
     /// The reference parent of every list (`None` = plain), read from the
     /// payload headers without decoding any list. This is the raw on-disk
     /// reference forest; audits use it to check acyclicity and depth.
     pub fn reference_parents(&self, data: &[u8], bit_len: u64) -> Result<Vec<Option<u32>>> {
-        (0..self.num_lists)
+        (0..self.num_lists())
             .map(|i| self.payload_parent(data, bit_len, i))
             .collect()
     }
@@ -352,8 +327,8 @@ impl ListsIndex {
     /// was parsed from may name a later list; that is corruption.
     pub fn decode_all(&self, data: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
         let mut scratch = DecodeScratch::default();
-        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.num_lists as usize);
-        for i in 0..self.num_lists {
+        let mut out: Vec<Vec<u32>> = Vec::with_capacity(self.num_lists() as usize);
+        for i in 0..self.num_lists() {
             let mut list = Vec::new();
             let mut r = self.reader_at(data, bit_len, i)?;
             match self.read_parent(&mut r)? {
@@ -372,11 +347,11 @@ impl ListsIndex {
 
     /// A reader over payload `i`.
     fn reader_at<'d>(&self, data: &'d [u8], bit_len: u64, i: u32) -> Result<BitReader<'d>> {
-        if i >= self.num_lists {
+        if i >= self.num_lists() {
             return Err(SNodeError::Corrupt("list index out of range"));
         }
         let mut r = BitReader::with_bit_len(data, bit_len);
-        r.seek(u64::from(self.offsets[i as usize]))?;
+        r.seek(u64::from(self.offsets.as_ref()[i as usize]))?;
         Ok(r)
     }
 
@@ -388,7 +363,7 @@ impl ListsIndex {
             return Ok(None);
         }
         // Below `num_lists` by construction of the code, so a `u32`.
-        let parent = codes::read_minimal_binary(r, u64::from(self.num_lists))?;
+        let parent = codes::read_minimal_binary(r, u64::from(self.num_lists()))?;
         Ok(Some(parent as u32))
     }
 
@@ -454,7 +429,7 @@ impl ListsIndex {
                 memo.put(parent, from);
                 break;
             };
-            if scratch.chain.len() as u64 >= u64::from(self.num_lists) {
+            if scratch.chain.len() as u64 >= u64::from(self.num_lists()) {
                 return Err(SNodeError::Corrupt("reference cycle detected"));
             }
             scratch.chain.push((parent, r.position()));
@@ -490,6 +465,81 @@ impl ListsIndex {
         read_bounded_gap_list_into(r, self.universe, extras)?;
         merge_sorted_u32(copied, extras, self.universe, out)
     }
+}
+
+/// Reads the head of the list stream at `start` — its γ list count and
+/// the bit that once announced a directory — and returns the count and
+/// where the payloads start, once the count is known to fit the bits that
+/// follow: every payload takes two at least (its mode bit and a γ count),
+/// so a count the stream cannot hold is refused before anything is sized
+/// by it.
+pub(crate) fn stream_list_count(data: &[u8], bit_len: u64, start: u64) -> Result<(u64, u64)> {
+    let mut r = BitReader::with_bit_len(data, bit_len);
+    r.seek(start)?;
+    let n = codes::read_gamma(&mut r)?;
+    if n > u64::from(u32::MAX) {
+        return Err(SNodeError::Corrupt("list count overflows u32"));
+    }
+    if bit_len > u64::from(u32::MAX) {
+        return Err(SNodeError::Corrupt("encoded graph exceeds 512 MiB"));
+    }
+    // The bit after the count once announced a directory of payload
+    // lengths, which only forward references needed; no build writes
+    // either any more, and a stream that claims one is not read.
+    if r.read_bit()? {
+        return Err(SNodeError::Corrupt(
+            "list stream carries the directory of a retired reference mode: rebuild the directory",
+        ));
+    }
+    if n > (bit_len - r.position()) / 2 {
+        return Err(SNodeError::Corrupt(
+            "list count exceeds what its stream holds",
+        ));
+    }
+    Ok((n, r.position()))
+}
+
+/// Appends the offsets of the list stream at `start` to `offsets` — one
+/// per payload, then the end sentinel — and returns the stream's universe.
+///
+/// The format stores no directory, so the offsets come from one scan over
+/// every payload's structure — counts, masks, gap codes — that
+/// materialises no list: a mask is as long as the parent's list, so one
+/// length per list is all it keeps. What needs the values themselves (a
+/// copied entry colliding with an extra) is checked when a list is
+/// decoded. A caller that reserved room for them first sees `offsets`
+/// grow by exactly that; on an error it holds part of them.
+pub(crate) fn scan_lists(
+    data: &[u8],
+    bit_len: u64,
+    start: u64,
+    universe: Universe,
+    offsets: &mut Vec<u32>,
+) -> Result<u64> {
+    let (n, payloads) = stream_list_count(data, bit_len, start)?;
+    let universe = match universe {
+        Universe::Explicit(u) => u,
+        Universe::SameAsCount => n,
+    };
+    let mut r = BitReader::with_bit_len(data, bit_len);
+    r.seek(payloads)?;
+    offsets.reserve_exact(n as usize + 1);
+    let mut lens: Vec<u32> = Vec::with_capacity(n as usize);
+    for i in 0..n {
+        offsets.push(bit_offset_u32(r.position())?);
+        let reference_len = if r.read_bit()? {
+            let parent = codes::read_minimal_binary(&mut r, n)?;
+            if parent >= i {
+                return Err(SNodeError::Corrupt("forward reference in list stream"));
+            }
+            Some(lens[parent as usize])
+        } else {
+            None
+        };
+        lens.push(scan_payload(&mut r, reference_len, universe)?);
+    }
+    offsets.push(bit_offset_u32(r.position())?);
+    Ok(universe)
 }
 
 /// Converts an untrusted bit position into a directory offset, rejecting
@@ -854,12 +904,16 @@ fn read_ascending_entries(
 }
 
 /// Reads the γ-coded length of a gap list over `universe`. A strictly
-/// ascending list inside `0..universe` has no more entries than that:
-/// a larger count is refused here, before anything is sized by it.
+/// ascending list inside `0..universe` has no more entries than that, and
+/// every entry past the first takes a bit at least: a larger count is
+/// refused here, before anything is sized by it.
 fn read_list_count(r: &mut BitReader<'_>, universe: u64) -> Result<u64> {
     let count = codes::read_gamma(r)?;
     if count > universe.max(1) {
         return Err(SNodeError::Corrupt("list count exceeds its universe"));
+    }
+    if count > r.remaining() + 1 {
+        return Err(SNodeError::Corrupt("list count exceeds what its bits hold"));
     }
     Ok(count)
 }
@@ -888,14 +942,6 @@ pub(crate) fn append_bounded_gap_list(
     let count = read_list_count(r, universe)?;
     out.reserve(count as usize);
     read_ascending_entries(r, count, universe, |x| out.push(x))
-}
-
-/// [`read_bounded_gap_list_into`] into a fresh vector, for what is read
-/// once and kept (a graph's `sources`, a dictionary's targets).
-pub(crate) fn read_bounded_gap_list(r: &mut BitReader<'_>, universe: u64) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    read_bounded_gap_list_into(r, universe, &mut out)?;
-    Ok(out)
 }
 
 /// Walks the rest of one payload — after its mode bit and parent field —
@@ -1414,7 +1460,8 @@ pub(crate) mod tests {
         let mut lists: Vec<Vec<u32>> = Vec::new();
         for i in 0..n {
             offsets.push(bit_offset_u32(r.position())?);
-            let list = if r.read_bit()? {
+            let mut list = Vec::new();
+            if r.read_bit()? {
                 let parent = codes::read_minimal_binary(&mut r, n)? as usize;
                 if parent >= i as usize {
                     return Err(SNodeError::Corrupt("model: forward reference"));
@@ -1424,13 +1471,12 @@ pub(crate) mod tests {
                 rle::read_bitvec_set_positions(&mut r, reference.len(), |pos| {
                     copied.push(reference[pos]);
                 })?;
-                let extras = read_bounded_gap_list(&mut r, universe)?;
-                let mut merged = Vec::new();
-                merge_sorted_u32(&copied, &extras, universe, &mut merged)?;
-                merged
+                let mut extras = Vec::new();
+                read_bounded_gap_list_into(&mut r, universe, &mut extras)?;
+                merge_sorted_u32(&copied, &extras, universe, &mut list)?;
             } else {
-                read_bounded_gap_list(&mut r, universe)?
-            };
+                read_bounded_gap_list_into(&mut r, universe, &mut list)?;
+            }
             lists.push(list);
         }
         offsets.push(bit_offset_u32(r.position())?);
@@ -1458,7 +1504,7 @@ pub(crate) mod tests {
             );
             let (offsets, decoded) =
                 materialising_offsets(&enc.bytes, enc.bit_len, universe).unwrap();
-            assert_eq!(index.offsets, offsets, "{mode:?}");
+            assert_eq!(&index.offsets[..], offsets, "{mode:?}");
             assert_eq!(decoded, lists);
         }
     }

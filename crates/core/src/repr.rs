@@ -755,7 +755,7 @@ impl SNode {
         });
         Ok(self
             .cache
-            .insert(GraphKey::Fanout(s), CachedGraph::Fanout(built?)))
+            .insert(GraphKey::Fanout(s), CachedGraph::from(built?)))
     }
 
     fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
@@ -838,14 +838,16 @@ fn timed_decode<T>(work: impl FnOnce() -> T) -> T {
     done
 }
 
-/// Fully memory-resident *encoded* S-Node representation (Table 2 setup).
+/// Fully memory-resident *encoded* S-Node representation (Table 2 setup):
+/// every graph held as the cache holds one, parsed whole at `load`, so no
+/// access pays for a first touch.
 #[derive(Debug)]
 pub struct SNodeInMemory {
     meta: SNodeMeta,
-    /// Per supernode: encoded intranode bytes + pre-parsed directory.
-    intra: Vec<(Vec<u8>, u64, ListsIndex)>,
+    /// Per supernode, its intranode graph.
+    intra: Vec<CachedGraph>,
     /// Per supernode, per superedge (order of `supergraph.adj[s]`).
-    supers: Vec<Vec<(Vec<u8>, u64, SuperedgeIndex)>>,
+    supers: Vec<Vec<CachedGraph>>,
     /// Per supernode: which of `supers[s]` hold a list for each page.
     fanout: Vec<Fanout>,
 }
@@ -889,7 +891,7 @@ impl SNodeInMemory {
             blob_idx += 1;
             let index =
                 ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, meta.codec.intra)?;
-            intra.push((bytes, loc.bit_len, index));
+            intra.push(CachedGraph::new_encoded_intra(bytes, loc.bit_len, index));
             let mut row = Vec::with_capacity(meta.supergraph.adj[s as usize].len());
             let ni = u64::from(meta.supernode_size(s));
             for (k, loc) in meta.superedge_loc[s as usize].iter().enumerate() {
@@ -900,13 +902,19 @@ impl SNodeInMemory {
                 blob_idx += 1;
                 let index =
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
-                row.push((bytes, loc.bit_len, index));
+                row.push((bytes, loc.bit_len, index, nj));
             }
             fanout.push(Fanout::build(
                 meta.supernode_size(s),
-                (row.iter()).map(|(_, _, index)| index.positive_sources()),
+                (row.iter()).map(|(_, _, index, _)| index.positive_sources()),
             )?);
-            supers.push(row);
+            supers.push(
+                (row.into_iter())
+                    .map(|(bytes, bits, index, nj)| {
+                        CachedGraph::new_encoded_super(bytes, bits, index, nj)
+                    })
+                    .collect(),
+            );
         }
         Ok(Self {
             meta,
@@ -944,10 +952,10 @@ impl SNodeInMemory {
         // first superedge into a later supernode.
         let mut intra = Some(&self.intra[s as usize]);
         let mut intranode = |out: &mut Vec<PageId>, list: &mut Vec<u32>, scratch: &mut _| {
-            let Some((bytes, bits, index)) = intra.take() else {
+            let Some(graph) = intra.take() else {
                 return Ok(());
             };
-            index.decode_list_into(bytes, *bits, local, &mut NoMemo, scratch, list)?;
+            graph.decode_list_with(local, &mut NoMemo, scratch, list)?;
             out.extend(list.iter().map(|&t| s_start + t));
             Result::Ok(())
         };
@@ -957,18 +965,8 @@ impl SNodeInMemory {
             if j > s {
                 intranode(&mut out, &mut list, &mut scratch)?;
             }
-            let (bytes, bits, index) = &self.supers[s as usize][k as usize];
-            let nj = u64::from(self.meta.supernode_size(j));
-            let source = u64::from(local);
-            index.targets_of_into(
-                bytes,
-                *bits,
-                source,
-                nj,
-                &mut NoMemo,
-                &mut scratch,
-                &mut list,
-            )?;
+            let graph = &self.supers[s as usize][k as usize];
+            graph.decode_list_with(local, &mut NoMemo, &mut scratch, &mut list)?;
             let start = self.meta.page_range(j).start;
             out.extend(list.iter().map(|&t| start + t));
         }
@@ -997,13 +995,10 @@ impl SNodeInMemory {
 
     /// Bytes of encoded graph data held resident (excluding directories).
     pub fn encoded_bytes(&self) -> u64 {
-        let i: u64 = self.intra.iter().map(|(b, _, _)| b.len() as u64).sum();
-        let s: u64 = self
-            .supers
-            .iter()
-            .flat_map(|row| row.iter().map(|(b, _, _)| b.len() as u64))
-            .sum();
-        i + s
+        (self.intra.iter())
+            .chain(self.supers.iter().flatten())
+            .map(|graph| graph.encoded_len() as u64)
+            .sum()
     }
 }
 

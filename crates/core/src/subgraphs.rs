@@ -21,12 +21,11 @@ use crate::codec::{ListCodec, SuperedgeLayouts};
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
     append_bounded_gap_list, bounded_gap_list_len, encode_lists, plain_cost, plan_lists,
-    read_bounded_gap_list, stream_bits_floor, write_bounded_gap_list, write_lists_planned,
+    scan_lists, stream_bits_floor, stream_list_count, write_bounded_gap_list, write_lists_planned,
     DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode,
     Universe,
 };
 use crate::{Result, SNodeError};
-use std::sync::OnceLock;
 use wg_bitio::{codes, BitReader, BitWriter};
 
 /// How to choose between positive and negative superedge graphs.
@@ -527,170 +526,32 @@ pub fn decode_superedge(
     Ok(out)
 }
 
-/// Owned directory of an encoded superedge graph (no byte references) —
-/// pair it with the bytes to decode, as with
+/// Directory of an encoded superedge graph, complete from parse on (no
+/// byte references) — pair it with the bytes to decode, as with
 /// [`crate::refenc::ListsIndex`].
+///
+/// A compact header and one arena, which holds everything a decode reads
+/// besides the bytes, in the order it reads it: a positive graph's
+/// `sources`, then for a dictionary one index per source followed by the
+/// distinct targets or the offsets of the distinct lists, and otherwise
+/// the offsets of the list stream — one list per source, or per page of
+/// `Ni` for a negative graph. (The bytes hold a dictionary's entries ahead
+/// of its indexes.)
 #[derive(Debug)]
 pub struct SuperedgeIndex {
+    arena: Box<[u32]>,
+    /// How many words of `arena` are `sources`.
+    sources: u32,
+    /// `|Ni|` and `|Nj|`.
+    ni: u32,
+    nj: u32,
     /// Representation stored.
     pub kind: SuperedgeKind,
-    /// Number of source pages `|Ni|`.
-    pub ni: u64,
-    /// Positive only: sorted source ids with non-empty lists.
-    pub(crate) sources: Vec<u32>,
-    pub(crate) body: SuperedgeBody,
+    /// [`Layout::Lists`] for a negative graph.
+    layout: Layout,
     /// The layouts the directory offers: what a positive graph's marker,
     /// which parsing does not keep, was read under.
     layouts: SuperedgeLayouts,
-}
-
-/// How the stored lists of a superedge graph are materialised.
-///
-/// A dictionary body only ever pairs with [`SuperedgeKind::Positive`]:
-/// [`SuperedgeIndex::parse`] reads the layout marker exclusively on the
-/// positive path, so the invariant is structural, not checked.
-#[derive(Debug)]
-pub(crate) enum SuperedgeBody {
-    /// [`Layout::Lists`].
-    Lists(ListStream),
-    /// [`Layout::SingleTargets`] or [`Layout::ListDictionary`].
-    Dictionary(DictionaryBody),
-}
-
-/// Where a superedge graph's list stream starts, and its directory once
-/// some access has needed it.
-///
-/// A page's adjacency list draws on every superedge graph of its supernode,
-/// but a positive graph holds lists only for the few pages among its
-/// `sources`: most lookups end at that binary search, so scanning the
-/// stream for list offsets at parse time would be paid by all of them for
-/// nothing. The directory is built by the first access that reaches a
-/// stored list and kept for the ones after it.
-#[derive(Debug)]
-pub(crate) struct ListStream {
-    /// Bit offset of the stream inside the graph's bytes.
-    start: u64,
-    /// `|Nj|`, the universe of the stored lists.
-    nj: u64,
-    directory: OnceLock<ListsIndex>,
-}
-
-impl ListStream {
-    /// The stream's directory, scanning the stream on first use. Readers
-    /// that race for the first use each scan; one result is kept.
-    fn directory(&self, bytes: &[u8], bit_len: u64) -> Result<&ListsIndex> {
-        if let Some(built) = self.directory.get() {
-            return Ok(built);
-        }
-        let universe = Universe::Explicit(self.nj);
-        let built = ListsIndex::parse_at(bytes, bit_len, self.start, universe)?;
-        Ok(self.directory.get_or_init(|| built))
-    }
-}
-
-/// Where a positive graph's dictionary starts, and the dictionary once
-/// some access has needed it — lazy for [`ListStream`]'s reason: a probe
-/// parses every out-superedge graph of its supernode to build the
-/// [`crate::cache::Fanout`] and then asks the handful that hold its page.
-#[derive(Debug)]
-pub(crate) struct DictionaryBody {
-    /// Bit offset of the dictionary inside the graph's bytes.
-    start: u64,
-    /// [`Layout::SingleTargets`] or [`Layout::ListDictionary`].
-    layout: Layout,
-    /// How many entries the dictionary declares: the γ code it opens
-    /// with, whichever kind it is. Between one and `stored` (none for a
-    /// graph without sources), checked when it was read.
-    entries: u32,
-    /// How many indexes follow the entries: one per source.
-    stored: u32,
-    /// `|Nj|`, the universe of the entries.
-    nj: u64,
-    decoded: OnceLock<Dictionary>,
-}
-
-/// A decoded dictionary body.
-#[derive(Debug)]
-struct Dictionary {
-    entries: DictionaryEntries,
-    /// Per source, in `sources` order, its entry.
-    index: Vec<u32>,
-    /// First bit past the entries, where the indexes start.
-    index_start: u64,
-    /// First bit past the indexes.
-    end_bit: u64,
-}
-
-#[derive(Debug)]
-enum DictionaryEntries {
-    /// The distinct targets.
-    Targets(Vec<u32>),
-    /// Directory of the stream of distinct lists.
-    Lists(ListsIndex),
-}
-
-impl DictionaryBody {
-    /// Reads as much of the dictionary that starts where `r` stands as
-    /// tells what it will occupy once decoded — its entry count — for a
-    /// graph of `stored` sources. A builder writes one entry per distinct
-    /// list, so never more than there are sources, and `sources` is
-    /// already in memory: checked here, the count bounds every allocation
-    /// of [`DictionaryBody::decode`] and makes
-    /// [`SuperedgeIndex::heap_bytes`] exact before anything is decoded.
-    fn open(r: &mut BitReader<'_>, layout: Layout, stored: usize, nj: u64) -> Result<Self> {
-        let start = r.position();
-        let entries = codes::read_gamma(r)?;
-        if entries > stored as u64 || (entries == 0 && stored > 0) {
-            return Err(SNodeError::Corrupt(
-                "dictionary size disagrees with sources",
-            ));
-        }
-        Ok(Self {
-            start,
-            layout,
-            // `sources` are distinct `u32`s below `|Ni|`, itself a `u32`.
-            entries: entries as u32,
-            stored: stored as u32,
-            nj,
-            decoded: OnceLock::new(),
-        })
-    }
-
-    /// The dictionary, decoding it on first use. Readers that race for
-    /// the first use each decode; one result is kept.
-    fn decoded(&self, bytes: &[u8], bit_len: u64) -> Result<&Dictionary> {
-        if let Some(decoded) = self.decoded.get() {
-            return Ok(decoded);
-        }
-        let decoded = self.decode(bytes, bit_len)?;
-        Ok(self.decoded.get_or_init(|| decoded))
-    }
-
-    fn decode(&self, bytes: &[u8], bit_len: u64) -> Result<Dictionary> {
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        r.seek(self.start)?;
-        let entries = if self.layout == Layout::ListDictionary {
-            let universe = Universe::Explicit(self.nj);
-            let lists = ListsIndex::parse_at(bytes, bit_len, self.start, universe)?;
-            r.seek(lists.end_bit())?;
-            DictionaryEntries::Lists(lists)
-        } else {
-            DictionaryEntries::Targets(read_bounded_gap_list(&mut r, self.nj)?)
-        };
-        let index_start = r.position();
-        let mut index = Vec::with_capacity(self.stored as usize);
-        for _ in 0..self.stored {
-            // Below `entries` by construction of the code, so a `u32`.
-            let entry = codes::read_minimal_binary(&mut r, u64::from(self.entries))?;
-            index.push(entry as u32);
-        }
-        Ok(Dictionary {
-            entries,
-            index,
-            index_start,
-            end_bit: r.position(),
-        })
-    }
 }
 
 /// Where the bits of one encoded superedge graph go, by section; the
@@ -738,54 +599,116 @@ pub(crate) fn scan_sources(
     read.map(|()| Some(start..pool.len()))
 }
 
-const _: () = assert!(std::mem::size_of::<SuperedgeIndex>() <= SuperedgeIndex::FIXED_BYTES);
-
 impl SuperedgeIndex {
-    /// Parses the header of an encoded superedge graph: its kind, and for a
-    /// positive graph its layout, its `sources` and, of a dictionary, the
-    /// entry count — and stops there. What follows (the list stream's
-    /// directory, or the dictionary's entries and indexes) is left unread
-    /// until an access needs one of the stored lists — see [`ListStream`];
-    /// a negative graph stores a list for every source page, so its
-    /// directory is built here. `ni` = |Ni| and
-    /// `nj` = |Nj| come from the supernode metadata; the codec, and with
-    /// it the set of layouts a marker may name, comes from the
-    /// directory's `meta.bin` header.
+    /// Parses an encoded superedge graph whole: its kind, for a positive
+    /// graph its layout and `sources`, and the directory of its body — the
+    /// offsets of a list stream, or a dictionary's entries and indexes.
+    /// `ni` = |Ni| and `nj` = |Nj| come from the supernode metadata; the
+    /// codec, and with it the set of layouts a marker may name, comes from
+    /// the directory's `meta.bin` header.
+    ///
+    /// Every count the arena is sized by is checked against what the bytes
+    /// hold first: `sources` are read into it once their count fits the
+    /// bits that follow, and it then grows once, to its size, after the
+    /// body's count is read — a list stream must store one list per source
+    /// (per page of `Ni` if negative) and no more than its bits can, a
+    /// dictionary between one entry and one per source (none without
+    /// sources). So no allocation outgrows the graph's bits, whatever they
+    /// claim.
     pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, codec: ListCodec) -> Result<Self> {
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        let layouts = codec.layouts;
-        let stream = |start| ListStream {
-            start,
-            nj,
-            directory: OnceLock::new(),
+        let pages = |n: u64| {
+            u32::try_from(n).map_err(|_| SNodeError::Corrupt("supernode size overflows u32"))
         };
-        if r.read_bit()? {
-            let lists = stream(r.position());
-            lists.directory(bytes, bit_len)?;
-            return Ok(Self {
-                kind: SuperedgeKind::Negative,
-                ni,
-                sources: Vec::new(),
-                body: SuperedgeBody::Lists(lists),
-                layouts,
-            });
+        let (ni32, nj32) = (pages(ni)?, pages(nj)?);
+        let mut r = BitReader::with_bit_len(bytes, bit_len);
+        let (kind, layout) = match r.read_bit()? {
+            true => (SuperedgeKind::Negative, Layout::Lists),
+            false => (
+                SuperedgeKind::Positive,
+                Layout::read(&mut r, codec.layouts)?,
+            ),
+        };
+        let mut arena = Vec::new();
+        if kind == SuperedgeKind::Positive {
+            append_bounded_gap_list(&mut r, ni, &mut arena)?;
         }
-        let layout = Layout::read(&mut r, layouts)?;
-        let sources = read_bounded_gap_list(&mut r, ni)?;
-        let body = match layout {
-            Layout::Lists => SuperedgeBody::Lists(stream(r.position())),
+        // `sources` are distinct `u32`s below `|Ni|`, itself a `u32`.
+        let (sources, body_at) = (arena.len() as u64, r.position());
+        let (words, entries) = match layout {
+            Layout::Lists => {
+                let (lists, _) = stream_list_count(bytes, bit_len, body_at)?;
+                let stored = match kind {
+                    SuperedgeKind::Negative => ni,
+                    SuperedgeKind::Positive => sources,
+                };
+                if lists != stored {
+                    return Err(SNodeError::Corrupt(
+                        "list stream count disagrees with sources",
+                    ));
+                }
+                (sources + lists + 1, 0)
+            }
             Layout::SingleTargets | Layout::ListDictionary => {
-                let body = DictionaryBody::open(&mut r, layout, sources.len(), nj)?;
-                SuperedgeBody::Dictionary(body)
+                // A builder writes one entry per distinct list, so never
+                // more than there are sources.
+                let entries = codes::read_gamma(&mut r)?;
+                if entries > sources || (entries == 0 && sources > 0) {
+                    return Err(SNodeError::Corrupt(
+                        "dictionary size disagrees with sources",
+                    ));
+                }
+                let sentinel = u64::from(layout == Layout::ListDictionary);
+                (2 * sources + entries + sentinel, entries)
             }
         };
+        arena.reserve_exact((words - sources) as usize);
+        let universe = Universe::Explicit(nj);
+        if layout == Layout::Lists {
+            scan_lists(bytes, bit_len, body_at, universe, &mut arena)?;
+        } else {
+            // The indexes go ahead of the entries they follow in the bytes.
+            let stored = arena.len();
+            arena.resize(2 * stored, 0);
+            let index_at = match layout {
+                Layout::ListDictionary => {
+                    scan_lists(bytes, bit_len, body_at, universe, &mut arena)?;
+                    arena.last().map_or(body_at, |&end| u64::from(end))
+                }
+                _ => {
+                    r.seek(body_at)?;
+                    append_bounded_gap_list(&mut r, nj, &mut arena)?;
+                    r.position()
+                }
+            };
+            r.seek(index_at)?;
+            for slot in arena.get_mut(stored..2 * stored).unwrap_or_default() {
+                // Below `entries` by construction of the code, so a `u32`.
+                *slot = codes::read_minimal_binary(&mut r, entries)? as u32;
+            }
+        }
+        debug_assert_eq!(arena.len() as u64, words, "arena sized by its counts");
         Ok(Self {
-            kind: SuperedgeKind::Positive,
-            ni,
-            sources,
-            body,
-            layouts,
+            arena: arena.into_boxed_slice(),
+            sources: sources as u32,
+            ni: ni32,
+            nj: nj32,
+            kind,
+            layout,
+            layouts: codec.layouts,
         })
+    }
+
+    /// `sources`, and the rest of the arena.
+    fn split(&self) -> (&[u32], &[u32]) {
+        (self.arena)
+            .split_at_checked(self.sources as usize)
+            .unwrap_or_default()
+    }
+
+    /// A dictionary's per-source indexes, and its entries.
+    fn dictionary(&self) -> (&[u32], &[u32]) {
+        let (sources, body) = self.split();
+        body.split_at_checked(sources.len()).unwrap_or_default()
     }
 
     /// The positive target list of local source `s` (`nj` = |Nj|).
@@ -823,7 +746,7 @@ impl SuperedgeIndex {
         out: &mut Vec<u32>,
     ) -> Result<()> {
         out.clear();
-        if s >= self.ni {
+        if s >= u64::from(self.ni) {
             return Err(SNodeError::Corrupt("superedge source out of range"));
         }
         if self.kind == SuperedgeKind::Negative {
@@ -838,9 +761,9 @@ impl SuperedgeIndex {
             scratch.stored = stored;
             return decoded;
         }
-        match self.sources.binary_search(&(s as u32)) {
-            Ok(i) => self.stored_list_into(bytes, bit_len, i as u32, memo, scratch, out),
-            Err(_) => Ok(()),
+        match source_rank(self.sources(), s as u32, self.ni) {
+            Some(i) => self.stored_list_into(bytes, bit_len, i as u32, memo, scratch, out),
+            None => Ok(()),
         }
     }
 
@@ -856,110 +779,81 @@ impl SuperedgeIndex {
         out: &mut Vec<u32>,
     ) -> Result<()> {
         out.clear();
-        let dictionary = match &self.body {
-            SuperedgeBody::Lists(lists) => {
-                return lists
-                    .directory(bytes, bit_len)?
-                    .decode_list_into(bytes, bit_len, i, memo, scratch, out)
+        let (offsets, list) = match self.layout {
+            Layout::Lists => (self.split().1, i),
+            Layout::SingleTargets | Layout::ListDictionary => {
+                let (index, entries) = self.dictionary();
+                let entry = *(index.get(i as usize))
+                    .ok_or(SNodeError::Corrupt("stored list index out of range"))?;
+                if self.layout == Layout::ListDictionary {
+                    (entries, entry)
+                } else {
+                    // Parsing validated every index against the entries, so
+                    // a miss here means the arena was mutated afterwards.
+                    let target = (entries.get(entry as usize))
+                        .ok_or(SNodeError::Corrupt("single-target dictionary slot missing"))?;
+                    out.push(*target);
+                    return Ok(());
+                }
             }
-            SuperedgeBody::Dictionary(body) => body.decoded(bytes, bit_len)?,
         };
-        let entry = *(dictionary.index.get(i as usize))
-            .ok_or(SNodeError::Corrupt("stored list index out of range"))?;
-        match &dictionary.entries {
-            // Decoding validated every index against the entries, so a
-            // miss here means the dictionary was mutated afterwards.
-            DictionaryEntries::Targets(targets) => {
-                let target = (targets.get(entry as usize))
-                    .ok_or(SNodeError::Corrupt("single-target dictionary slot missing"))?;
-                out.push(*target);
-                Ok(())
-            }
-            DictionaryEntries::Lists(lists) => {
-                lists.decode_list_into(bytes, bit_len, entry, memo, scratch, out)
-            }
-        }
+        ListsIndex::view(u64::from(self.nj), offsets)
+            .decode_list_into(bytes, bit_len, list, memo, scratch, out)
     }
 
     /// Total number of positive edges represented.
     pub fn count_positive_edges(&self, bytes: &[u8], bit_len: u64, nj: u64) -> Result<u64> {
         let mut total = 0u64;
-        match self.kind {
-            SuperedgeKind::Positive => {
-                for i in 0..self.num_stored_lists(bytes, bit_len)? {
-                    total += self.stored_list(bytes, bit_len, i)?.len() as u64;
-                }
-            }
-            SuperedgeKind::Negative => {
-                for s in 0..self.ni {
-                    total += nj - self.stored_list(bytes, bit_len, s as u32)?.len() as u64;
-                }
-            }
+        for i in 0..self.num_stored_lists(bytes, bit_len)? {
+            let stored = self.stored_list(bytes, bit_len, i)?.len() as u64;
+            total += match self.kind {
+                SuperedgeKind::Positive => stored,
+                SuperedgeKind::Negative => nj - stored,
+            };
         }
         Ok(total)
     }
 
-    /// Heap footprint of the directory with everything a first hit will
-    /// build, whether or not one has happened yet, from what parsing read:
-    /// a list stream stores one list per source (positive) or per page of
-    /// `Ni` (negative), a dictionary one index per source and as many
-    /// entries as it declares. So the cache charges the finished size at
-    /// admission and never re-accounts, and what it charges does not
-    /// depend on which probe arrived first.
+    /// Heap footprint of the directory: its arena, which parsing allocated
+    /// at its final size — one offset per stored list plus one, or one
+    /// index per source and one entry (or offset) per dictionary entry,
+    /// beside `sources` — so the cache charges what a graph occupies at
+    /// admission and never re-accounts.
     pub fn heap_bytes(&self) -> usize {
-        // A `ListsIndex` it builds sits inline, in the value's own size.
-        let offsets = |lists: usize| (lists + 1) * 4;
-        let body = match &self.body {
-            SuperedgeBody::Lists(_) => offsets(match self.kind {
-                SuperedgeKind::Positive => self.sources.len(),
-                SuperedgeKind::Negative => self.ni as usize,
-            }),
-            SuperedgeBody::Dictionary(body) => {
-                let entries = body.entries as usize;
-                let entries = match body.layout {
-                    Layout::ListDictionary => offsets(entries),
-                    _ => entries * 4,
-                };
-                body.stored as usize * 4 + entries
-            }
-        };
-        self.sources.len() * 4 + body
+        self.arena.len() * 4
     }
-
-    /// What whoever holds a `SuperedgeIndex` inline charges for the value
-    /// itself — [`SuperedgeIndex::heap_bytes`] is the rest. A constant no
-    /// smaller than the value (checked above), so that a field added here
-    /// shows up in review instead of as silent under-charging.
-    pub(crate) const FIXED_BYTES: usize = 160;
 
     /// Directory over the reference-encoded lists the graph stores — one
     /// per non-empty source ([`Layout::Lists`], positive), per source page
     /// (negative) or per distinct list ([`Layout::ListDictionary`]).
-    /// `None` while no access has needed it yet, and for
-    /// [`Layout::SingleTargets`], which stores no list stream.
-    pub fn lists(&self) -> Option<&ListsIndex> {
-        match &self.body {
-            SuperedgeBody::Lists(lists) => lists.directory.get(),
-            SuperedgeBody::Dictionary(body) => match &body.decoded.get()?.entries {
-                DictionaryEntries::Targets(_) => None,
-                DictionaryEntries::Lists(lists) => Some(lists),
-            },
-        }
+    /// `None` for [`Layout::SingleTargets`], which stores no list stream.
+    pub fn lists(&self) -> Option<ListsIndex<&[u32]>> {
+        let offsets = match self.layout {
+            Layout::Lists => self.split().1,
+            Layout::ListDictionary => self.dictionary().1,
+            Layout::SingleTargets => return None,
+        };
+        Some(ListsIndex::view(u64::from(self.nj), offsets))
     }
 
     /// Layout of the stored lists ([`Layout::Lists`] for a negative graph).
     pub fn layout(&self) -> Layout {
-        match &self.body {
-            SuperedgeBody::Lists(_) => Layout::Lists,
-            SuperedgeBody::Dictionary(body) => body.layout,
-        }
+        self.layout
     }
 
-    /// Number of stored lists (in stored order, not source-id space).
-    pub fn num_stored_lists(&self, bytes: &[u8], bit_len: u64) -> Result<u32> {
-        Ok(match &self.body {
-            SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.num_lists(),
-            SuperedgeBody::Dictionary(_) => self.sources.len() as u32,
+    /// `|Nj|`, the universe of the targets, as parsed.
+    pub(crate) fn nj(&self) -> u64 {
+        u64::from(self.nj)
+    }
+
+    /// Number of stored lists (in stored order, not source-id space): one
+    /// per source, or per page of `Ni` for a negative graph. It takes the
+    /// bytes as every accessor of a graph does, and reads none: the count
+    /// is the arena's.
+    pub fn num_stored_lists(&self, _bytes: &[u8], _bit_len: u64) -> Result<u32> {
+        Ok(match self.kind {
+            SuperedgeKind::Positive => self.sources,
+            SuperedgeKind::Negative => self.ni,
         })
     }
 
@@ -973,42 +867,49 @@ impl SuperedgeIndex {
 
     /// First bit past the encoded payload.
     pub fn end_bit(&self, bytes: &[u8], bit_len: u64) -> Result<u64> {
-        Ok(match &self.body {
-            SuperedgeBody::Lists(lists) => lists.directory(bytes, bit_len)?.end_bit(),
-            SuperedgeBody::Dictionary(body) => body.decoded(bytes, bit_len)?.end_bit,
-        })
+        let bits = self.bit_breakdown(bytes, bit_len)?;
+        Ok(bits.header + bits.sources + bits.dictionary + bits.index + bits.stream)
     }
 
-    /// The graph's bits by section (building whatever directory it takes
-    /// to find the section boundaries).
-    pub fn bit_breakdown(&self, bytes: &[u8], bit_len: u64) -> Result<SuperedgeBits> {
-        let layout = self.layout();
-        let body_start = match &self.body {
-            SuperedgeBody::Lists(lists) => lists.start,
-            SuperedgeBody::Dictionary(body) => body.start,
-        };
+    /// The graph's bits by section, from the arena alone (the bytes are
+    /// taken as by [`SuperedgeIndex::num_stored_lists`]): every section is
+    /// the size of what parsing kept of it, or ends where a list stream's
+    /// last offset says.
+    pub fn bit_breakdown(&self, _bytes: &[u8], _bit_len: u64) -> Result<SuperedgeBits> {
+        let (sources, body) = self.split();
         // The marker's length is the one thing about a graph's bytes that
         // parsing does not keep; its code is a prefix code, so the layout
         // gives it back. A negative graph has none, and no `sources`.
-        let marker = match self.kind {
-            SuperedgeKind::Positive => layout.marker(self.layouts).map_or(0, <[bool]>::len),
-            SuperedgeKind::Negative => 0,
+        let (header, sources) = match self.kind {
+            SuperedgeKind::Positive => (
+                1 + self.layout.marker(self.layouts).map_or(0, <[bool]>::len) as u64,
+                bounded_gap_list_len(sources, u64::from(self.ni)),
+            ),
+            SuperedgeKind::Negative => (1, 0),
         };
-        let header = 1 + marker as u64;
+        let body_start = header + sources;
+        let stream = |offsets: &[u32]| {
+            let end = offsets.last().map_or(body_start, |&o| u64::from(o));
+            end.saturating_sub(body_start)
+        };
         let mut bits = SuperedgeBits {
-            layout,
+            layout: self.layout,
             header,
-            sources: body_start - header,
+            sources,
             dictionary: 0,
             index: 0,
             stream: 0,
         };
-        match &self.body {
-            SuperedgeBody::Lists(_) => bits.stream = self.end_bit(bytes, bit_len)? - body_start,
-            SuperedgeBody::Dictionary(body) => {
-                let decoded = body.decoded(bytes, bit_len)?;
-                bits.dictionary = decoded.index_start - body_start;
-                bits.index = decoded.end_bit - decoded.index_start;
+        let (index, entries) = self.dictionary();
+        match self.layout {
+            Layout::Lists => bits.stream = stream(body),
+            Layout::SingleTargets => {
+                bits.dictionary = bounded_gap_list_len(entries, u64::from(self.nj));
+                bits.index = index_bits(index, entries.len());
+            }
+            Layout::ListDictionary => {
+                bits.dictionary = stream(entries);
+                bits.index = index_bits(index, entries.len().saturating_sub(1));
             }
         }
         Ok(bits)
@@ -1017,15 +918,46 @@ impl SuperedgeIndex {
     /// Positive encodings only: the sorted source ids with non-empty
     /// target lists (empty for negative encodings).
     pub fn sources(&self) -> &[u32] {
-        &self.sources
+        self.split().0
     }
 
     /// What [`crate::cache::Fanout::build`] takes of a graph: the
     /// [`SuperedgeIndex::sources`] of a positive one, `None` for a
     /// negative one, which every page consults.
     pub fn positive_sources(&self) -> Option<&[u32]> {
-        (self.kind == SuperedgeKind::Positive).then_some(&self.sources[..])
+        (self.kind == SuperedgeKind::Positive).then(|| self.sources())
     }
+}
+
+/// Where page `s` stands among `sources` (ascending, below `ni`), if it is
+/// one. The first read is where an even spread over `0..ni` would put it,
+/// and the search gallops out from there: a graph whose sources are spread
+/// evenly answers from the one cache line it reads first, where halving
+/// reads a line per level.
+fn source_rank(sources: &[u32], s: u32, ni: u32) -> Option<usize> {
+    let n = sources.len();
+    let guess = (u64::from(s) * n as u64 / u64::from(ni.max(1))) as usize;
+    let at = guess.min(n.checked_sub(1)?);
+    let (lo, hi) = match sources[at].cmp(&s) {
+        std::cmp::Ordering::Equal => return Some(at),
+        std::cmp::Ordering::Less => {
+            let (mut lo, mut step) = (at + 1, 1);
+            while lo + step <= n && sources[lo + step - 1] < s {
+                lo += step;
+                step *= 2;
+            }
+            (lo, (lo + step).min(n))
+        }
+        std::cmp::Ordering::Greater => {
+            let (mut hi, mut step) = (at, 1);
+            while hi >= step && sources[hi - step] > s {
+                hi -= step;
+                step *= 2;
+            }
+            (hi.saturating_sub(step), hi)
+        }
+    };
+    Some(lo + sources.get(lo..hi)?.binary_search(&s).ok()?)
 }
 
 /// A parsed superedge graph bound to its bytes, supporting per-source
@@ -1062,7 +994,7 @@ impl<'a> SuperedgeView<'a> {
 
     /// Number of source pages `|Ni|`.
     pub fn ni(&self) -> u64 {
-        self.index.ni
+        u64::from(self.index.ni)
     }
 
     /// The positive target list of local source `s` (`nj` = |Nj|).
@@ -1808,17 +1740,11 @@ mod tests {
         assert!(misread.is_err() || misread.unwrap() != distinct.dense());
     }
 
-    /// The decoded dictionary of a graph in a dictionary layout, if any
-    /// access has built it.
-    fn decoded_dictionary(index: &SuperedgeIndex) -> Option<&Dictionary> {
-        match &index.body {
-            SuperedgeBody::Dictionary(body) => body.decoded.get(),
-            SuperedgeBody::Lists(_) => panic!("not a dictionary layout"),
-        }
-    }
-
+    /// Parsing decodes a dictionary whole into the arena it is charged as —
+    /// `sources`, one index per source, then the distinct targets or the
+    /// offsets of the distinct lists — and every page answers from it.
     #[test]
-    fn dictionary_is_decoded_by_the_first_hit_only_and_shared() {
+    fn dictionary_is_decoded_at_parse_into_the_arena_it_is_charged_as() {
         for (shape, layout) in [(0, Layout::ListDictionary), (1, Layout::SingleTargets)] {
             let owned = shaped_links(shape, 11, 24);
             let (links, st) = (owned.links(), st_codec());
@@ -1828,54 +1754,28 @@ mod tests {
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
             assert_eq!(index.layout(), layout);
-            let charged = index.heap_bytes();
-            assert!(
-                decoded_dictionary(&index).is_none(),
-                "parse stops at `sources`"
-            );
-            for s in (0..links.ni).filter(|&s| dense[s as usize].is_empty()) {
-                let got = index.targets_of(&enc.bytes, enc.bit_len, s, links.nj);
-                assert!(got.unwrap().is_empty());
+            let (per_source, entries) = index.dictionary();
+            let distinct: std::collections::BTreeSet<&[u32]> = owned.lists.view().iter().collect();
+            match layout {
+                Layout::SingleTargets => {
+                    let targets: std::collections::BTreeSet<u32> =
+                        distinct.iter().map(|l| l[0]).collect();
+                    assert!(entries.iter().copied().eq(targets));
+                }
+                _ => assert_eq!(
+                    entries.len(),
+                    distinct.len() + 1,
+                    "offsets and the sentinel"
+                ),
             }
-            assert!(
-                decoded_dictionary(&index).is_none() && index.lists().is_none(),
-                "a miss on `sources` decodes nothing"
-            );
-
-            // Eight readers released together onto stored lists: every one
-            // answers correctly and all end up sharing one dictionary.
-            let barrier = std::sync::Barrier::new(8);
-            let seen: Vec<usize> = std::thread::scope(|scope| {
-                let readers: Vec<_> = (0..8usize)
-                    .map(|t| {
-                        let (index, enc, dense, barrier) = (&index, &enc, &dense, &barrier);
-                        let s = u64::from(owned.sources[t % owned.sources.len()]);
-                        scope.spawn(move || {
-                            barrier.wait();
-                            let got = index.targets_of(&enc.bytes, enc.bit_len, s, links.nj);
-                            assert_eq!(got.unwrap(), dense[s as usize]);
-                            decoded_dictionary(index).expect("decoded by the hit")
-                                as *const Dictionary as usize
-                        })
-                    })
-                    .collect();
-                readers
-                    .into_iter()
-                    .map(|r| r.join().expect("reader panicked"))
-                    .collect()
-            });
-            assert!(seen.iter().all(|&d| d == seen[0]), "one dictionary, kept");
-
-            // What the cache was charged at admission stands once the
-            // dictionary is there, and is what it occupies.
-            assert_eq!(charged, index.heap_bytes());
-            let dictionary = decoded_dictionary(&index).unwrap();
-            let entries = match &dictionary.entries {
-                DictionaryEntries::Targets(targets) => targets.len() * 4,
-                DictionaryEntries::Lists(lists) => (lists.num_lists() as usize + 1) * 4,
-            };
-            let built = (index.sources.len() + dictionary.index.len()) * 4 + entries;
-            assert_eq!(built, charged, "{layout:?}");
+            assert_eq!(index.sources(), owned.sources);
+            assert_eq!(per_source.len(), owned.sources.len());
+            let arena = (2 * owned.sources.len() + entries.len()) * 4;
+            assert_eq!(index.heap_bytes(), arena, "{layout:?}");
+            for (s, want) in dense.iter().enumerate() {
+                let got = index.targets_of(&enc.bytes, enc.bit_len, s as u64, links.nj);
+                assert_eq!(&got.unwrap(), want, "{layout:?} source {s}");
+            }
         }
     }
 
@@ -1940,10 +1840,17 @@ mod tests {
 
     /// An entry count no builder writes — more entries than sources, or
     /// none for a graph that has sources — is refused when the graph is
-    /// parsed, before anything is sized by it.
+    /// parsed, before anything is sized by it; one that agrees is read on
+    /// into the body (here 64 zero bits, no dictionary at all).
     #[test]
     fn dictionary_entry_count_is_checked_against_sources_before_allocation() {
         let st = st_codec();
+        let miscounted = |e: &SNodeError| {
+            matches!(
+                e,
+                SNodeError::Corrupt("dictionary size disagrees with sources")
+            )
+        };
         for marker in [&[true][..], &[false, true][..]] {
             for (entries, refused) in [(1u64 << 40, true), (3, true), (0, true), (2, false)] {
                 let mut w = BitWriter::new();
@@ -1953,12 +1860,10 @@ mod tests {
                 codes::write_gamma(&mut w, entries);
                 w.write_bits(0, 64);
                 let (bytes, bit_len) = w.finish();
-                let got = SuperedgeIndex::parse(&bytes, bit_len, 9, 1 << 50, st);
-                match got {
-                    Err(SNodeError::Corrupt(_)) if refused => {}
-                    Ok(index) if !refused => assert_eq!(index.sources(), &[1, 4]),
-                    other => panic!("{marker:?} with {entries} entries: {other:?}"),
-                }
+                let got = SuperedgeIndex::parse(&bytes, bit_len, 9, 9, st);
+                let what = format!("{marker:?} with {entries} entries: {got:?}");
+                assert_eq!(got.as_ref().is_err_and(miscounted), refused, "{what}");
+                assert!(got.is_err(), "{what}");
             }
         }
     }
@@ -1999,8 +1904,35 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `source_rank` answers as a binary search does for every page of
+        /// the supernode, however evenly the sources spread: uniform,
+        /// bunched at the start, or in one run.
+        #[test]
+        fn source_rank_finds_what_a_binary_search_finds(
+            drawn in proptest::collection::btree_set(0u32..600, 0..150),
+            spread in 0usize..3,
+            beyond in 0u32..40,
+        ) {
+            let sources: Vec<u32> = match spread {
+                0 => drawn.into_iter().collect(),
+                1 => drawn.into_iter().map(|x| x * x / 600).collect::<std::collections::BTreeSet<_>>().into_iter().collect(),
+                _ => (300..300 + drawn.len() as u32).collect(),
+            };
+            let ni = sources.last().map_or(0, |&last| last + 1) + beyond;
+            for s in 0..ni {
+                prop_assert_eq!(source_rank(&sources, s, ni), sources.binary_search(&s).ok(), "page {}", s);
+            }
+        }
+    }
+
+    /// A positive graph's list-stream directory is in its arena from
+    /// parse on, charged as what it occupies: `sources`, then one offset per
+    /// source and the end.
     #[test]
-    fn positive_directory_is_built_by_the_first_hit_only() {
+    fn positive_directory_is_built_at_parse() {
         let mut pos = vec![Vec::new(); 40];
         pos[3] = vec![0u32, 7, 14];
         pos[11] = vec![7];
@@ -2015,53 +1947,20 @@ mod tests {
         assert_eq!(enc.kind, SuperedgeKind::Positive);
         let index =
             SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 15, ListCodec::GAMMA).unwrap();
-        let charged = index.heap_bytes();
-        assert!(index.lists().is_none(), "parse reads `sources` only");
-        for s in (0..40).filter(|s| pos[*s as usize].is_empty()) {
-            assert!(index
-                .targets_of(&enc.bytes, enc.bit_len, s, 15)
-                .unwrap()
-                .is_empty());
-        }
-        assert!(
-            index.lists().is_none(),
-            "a miss on `sources` builds nothing"
-        );
-
-        // Eight readers released together onto stored lists: every one
-        // decodes correctly and all end up sharing one directory.
-        let barrier = std::sync::Barrier::new(8);
-        let seen: Vec<usize> = std::thread::scope(|scope| {
-            let readers: Vec<_> = (0..8u64)
-                .map(|t| {
-                    let (index, enc, pos, barrier) = (&index, &enc, &pos, &barrier);
-                    scope.spawn(move || {
-                        let s = [3u64, 11, 19][(t % 3) as usize];
-                        barrier.wait();
-                        let got = index.targets_of(&enc.bytes, enc.bit_len, s, 15).unwrap();
-                        assert_eq!(got, pos[s as usize]);
-                        index.lists().expect("built by the hit") as *const ListsIndex as usize
-                    })
-                })
-                .collect();
-            readers
-                .into_iter()
-                .map(|r| r.join().expect("reader panicked"))
-                .collect()
-        });
-        assert!(seen.iter().all(|&d| d == seen[0]), "one directory, kept");
-        let built = index.lists().expect("kept after the readers are gone");
+        let built = index.lists().expect("built by the parse");
         assert_eq!(built.num_lists(), 3);
-        assert_eq!(
-            charged,
-            index.heap_bytes(),
-            "the footprint charged before the build already covers it"
-        );
-        assert_eq!(charged, 3 * 4 + (built.num_lists() as usize + 1) * 4);
+        assert_eq!(built.end_bit(), enc.bit_len);
+        assert_eq!(index.heap_bytes(), 3 * 4 + (3 + 1) * 4);
+        for (s, want) in pos.iter().enumerate() {
+            let got = index.targets_of(&enc.bytes, enc.bit_len, s as u64, 15);
+            assert_eq!(&got.unwrap(), want);
+        }
     }
 
+    /// A list stream cut inside its last list: a fanout build still reads
+    /// `sources`, and the graph is refused at parse.
     #[test]
-    fn damaged_list_stream_surfaces_at_the_first_hit() {
+    fn damaged_list_stream_is_corrupt_at_parse() {
         let mut pos = vec![Vec::new(); 12];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
@@ -2072,21 +1971,19 @@ mod tests {
             SuperedgePolicy::EncodedSize,
             ListCodec::GAMMA,
         );
-        // Cut the stream inside its last list: `sources` still parses.
         let cut = enc.bit_len - 3;
-        let index = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec::GAMMA).unwrap();
-        assert!(index.targets_of(&enc.bytes, cut, 0, 50).unwrap().is_empty());
-        assert!(index.targets_of(&enc.bytes, cut, 2, 50).is_err());
-        assert!(
-            index.lists().is_none(),
-            "a failed scan leaves nothing behind"
-        );
+        let mut pool = Vec::new();
+        let scanned = scan_sources(&enc.bytes, cut, 12, ListCodec::GAMMA, &mut pool);
+        assert_eq!(scanned.unwrap(), Some(0..2));
+        assert_eq!(pool, [2, 7]);
+        let got = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec::GAMMA);
+        assert!(got.is_err(), "{got:?}");
     }
 
     /// A list stream in the retired directory form is refused wherever a
-    /// graph holds one: an intranode graph and a negative superedge graph
-    /// when parsed, a positive one — its list stream or its list
-    /// dictionary — at the first access that reaches a stored list.
+    /// graph holds one, when the graph is parsed: an intranode graph, a
+    /// negative superedge graph, and a positive one's list stream or list
+    /// dictionary.
     #[test]
     fn retired_directory_streams_are_corrupt_in_every_graph_kind() {
         use crate::refenc::tests::{is_retired_form, retired_directory_stream};
@@ -2117,16 +2014,11 @@ mod tests {
                 (0..3).for_each(|i| codes::write_minimal_binary(&mut w, i, 3));
             }
             let (bytes, bit_len) = w.finish();
-            let index = SuperedgeIndex::parse(&bytes, bit_len, 4, 3, st_codec()).unwrap();
-            assert_eq!(index.layout(), layout);
-            assert!(index.targets_of(&bytes, bit_len, 3, 3).unwrap().is_empty());
-            for s in 0..3 {
-                let got = index.targets_of(&bytes, bit_len, s, 3);
-                assert!(
-                    got.as_ref().is_err_and(is_retired_form),
-                    "{layout:?}: {got:?}"
-                );
-            }
+            let got = SuperedgeIndex::parse(&bytes, bit_len, 4, 3, st_codec());
+            assert!(
+                got.as_ref().is_err_and(is_retired_form),
+                "{layout:?}: {got:?}"
+            );
             let got = decode_superedge(&bytes, bit_len, 4, 3, st_codec());
             assert!(
                 got.as_ref().is_err_and(is_retired_form),

@@ -301,7 +301,7 @@ fn fanout_bigger_than_its_shard_is_still_admitted() {
     let graphs = superedges_of(&meta, &files, s);
     let sources = graphs.iter().map(SuperedgeIndex::positive_sources);
     let fanout = Fanout::build(meta.supernode_size(s), sources).unwrap();
-    assert!(CachedGraph::Fanout(fanout).bytes() > budget);
+    assert!(CachedGraph::from(fanout).bytes() > budget);
 
     let snode = SNode::open(&dir, budget).unwrap();
     snode.enable_cache_log();

@@ -7,14 +7,15 @@
 //! refinement, numbering, reference selection or encoding that is meant to
 //! be invisible must leave both numbers alone — one changed byte in one
 //! file moves them; one that is meant to move the format updates them
-//! and says so.
+//! and says so. The 100 k-page directory the ledger's `nav-100k` reads is
+//! pinned the same way, with the answers of 10 000 probes into it.
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
 
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_snode::integrity::fingerprint_dir;
-use wg_snode::{build_snode, CodecConfig, RepoInput, SNodeConfig};
+use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig};
 
 #[test]
 fn build_of_a_generated_corpus_is_the_committed_directory() {
@@ -61,4 +62,58 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// Every probe's page and answer hashed as `wgr scale-step query` hashes
+/// its 10 000 (FNV-1a's basis, its own multiplier): pages in Knuth's
+/// multiplicative scatter over the id space.
+fn probe_fingerprint(snode: &SNode) -> u64 {
+    let (n, mut h, mut out) = (snode.num_pages(), 0xcbf2_9ce4_8422_2325_u64, Vec::new());
+    for i in 0..10_000u64 {
+        let p = (i * 2_654_435_761 % u64::from(n)) as u32;
+        snode.out_neighbors_into(p, &mut out).unwrap();
+        for t in std::iter::once(p).chain(out.iter().copied()) {
+            for b in t.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// The corpus streamed as `wgr scale-step build` streams it and read back
+/// as `wgr build` reads it, built with the default config: the directory
+/// the ledger's `nav-100k` workload reads, and the answers of the scale
+/// step's probes into it — through positioned reads and resident at
+/// 1 MiB, and resident at 256 MiB on a second pass, every graph cached.
+#[test]
+fn the_100k_directory_and_its_answers_are_the_committed_ones() {
+    let root = std::env::temp_dir().join(format!("wg_golden_100k_{}", std::process::id()));
+    let (corpus, dir) = (root.join("corpus"), root.join("repo"));
+    wg_corpus::stream::stream_corpus(&corpus, &CorpusConfig::scaled(100_000, 42)).unwrap();
+    let input = wg_corpus::textio::read_build_input(&corpus).unwrap();
+    let urls = input.urls();
+    let repo = RepoInput {
+        urls: &urls,
+        domains: &input.domains,
+        graph: &input.graph,
+    };
+    build_snode(repo, &SNodeConfig::default(), &dir).unwrap();
+    assert_eq!(fingerprint_dir(&dir).unwrap(), 0x114a_dca4_dae3_8b1c);
+
+    let answers = 0xda91_2306_e8d1_4cb6;
+    let positioned = SNode::open(&dir, 1 << 20).unwrap();
+    assert_eq!(probe_fingerprint(&positioned), answers, "positioned, 1 MiB");
+    let resident = SNode::open_resident(&dir, 1 << 20).unwrap();
+    assert_eq!(probe_fingerprint(&resident), answers, "resident, 1 MiB");
+    let warm = SNode::open_resident(&dir, 256 << 20).unwrap();
+    probe_fingerprint(&warm);
+    let cold = warm.cache_stats().misses;
+    assert_eq!(probe_fingerprint(&warm), answers, "resident, 256 MiB, warm");
+    assert_eq!(
+        warm.cache_stats().misses,
+        cold,
+        "the second pass found every graph"
+    );
+    std::fs::remove_dir_all(&root).ok();
 }

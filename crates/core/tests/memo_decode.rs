@@ -6,16 +6,22 @@
 //! arbitrary list collections under every reference mode. The memo and the
 //! caller-owned buffers are a performance layer; these tests pin that they
 //! can never change an answer, and that damaged bytes give `Corrupt` or a
-//! sorted list inside the universe through the same path.
+//! sorted list inside the universe through the same path. A graph held as
+//! the cache holds it — one header and one arena, an intranode graph or a
+//! superedge graph in any layout — answers as the directory it was parsed
+//! into, with its memo and without.
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use wg_snode::cache::ListMemo;
-use wg_snode::codec::ListCodec;
+use wg_snode::cache::{CachedGraph, ListMemo};
+use wg_snode::codec::{CodecConfig, ListCodec};
 use wg_snode::refenc::{
     encode_lists, DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, NoMemo, RefMode, Universe,
+};
+use wg_snode::subgraphs::{
+    encode_superedge, Layout, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
 
 const UNIVERSE: u64 = 64;
@@ -92,8 +98,113 @@ fn request_orders(n: u32, seed: u64) -> [Vec<u32>; 3] {
     [(0..n).collect(), (0..n).rev().collect(), shuffled]
 }
 
+/// A superedge graph over `2n` pages of `Ni` in the shape one
+/// representation is made for, as one list per page, with `|Nj|` and that
+/// representation: 0 — one of three templates down every other page (a
+/// list dictionary); 1 — one of four hubs per source (a single-target
+/// dictionary); 2 — independent lists (a list stream); 3 — every target
+/// but two, on every page (negative); 4 — no link at all (a list stream
+/// of no lists).
+fn shaped_superedge(shape: usize, seed: u64, n: usize) -> (Vec<Vec<u32>>, u64, Option<Layout>) {
+    let mut state = seed | 1;
+    let mut draw = move |bound: u32| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % u64::from(bound)) as u32
+    };
+    let templates = [vec![2, 7, 30, 41], vec![3, 7, 33, 60], vec![0, 9, 62]];
+    let dense = (0..2 * n)
+        .map(|page| match shape {
+            3 => {
+                let holes = [draw(40), draw(40)];
+                (0..40).filter(|t| !holes.contains(t)).collect()
+            }
+            _ if page % 2 == 1 => Vec::new(),
+            0 => templates[draw(3) as usize].clone(),
+            1 => vec![[1, 5, 9, 13][draw(4) as usize]],
+            2 => {
+                let mut list: Vec<u32> = (0..2 + draw(4)).map(|_| draw(256)).collect();
+                list.sort_unstable();
+                list.dedup();
+                list
+            }
+            _ => Vec::new(),
+        })
+        .collect();
+    let (nj, layout) = match shape {
+        0 => (64, Some(Layout::ListDictionary)),
+        1 => (16, Some(Layout::SingleTargets)),
+        2 => (256, Some(Layout::Lists)),
+        3 => (40, None),
+        _ => (8, Some(Layout::Lists)),
+    };
+    (dense, nj, layout)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every list of a graph held as the cache holds it — with the memo its
+    /// admission reserves, and through the same directory without one — is
+    /// the list that went in, and what `decode_all` (an intranode graph) or
+    /// `targets_of` (a superedge graph) gives on the same blob: intranode
+    /// graphs and superedge graphs in every layout and the negative form,
+    /// `sources` empty among them, in every reference mode and request
+    /// order, into buffers in use.
+    #[test]
+    fn arena_backed_graphs_answer_as_their_directories(
+        shape in 0usize..5,
+        seed in any::<u64>(),
+        n in 1usize..40,
+    ) {
+        let codec = CodecConfig::default().superedge;
+        let (mut scratch, mut out) = used_buffers();
+        let (dense, nj, layout) = shaped_superedge(shape, seed, n);
+        let ni = dense.len() as u64;
+        // The same pages' links inside `Ni`, as an intranode graph.
+        let intra: Vec<Vec<u32>> = (dense.iter())
+            .map(|l| l.iter().copied().filter(|&t| u64::from(t) < ni).collect())
+            .collect();
+        for mode in modes() {
+            let enc = encode_lists(&intra, ni, mode, ListCodec::GAMMA);
+            let parse = || {
+                ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec::GAMMA)
+                    .unwrap()
+            };
+            let (index, all) = (parse(), parse().decode_all(&enc.bytes, enc.bit_len).unwrap());
+            prop_assert_eq!(&all, &intra);
+            let graph = CachedGraph::new_encoded_intra(enc.bytes.clone(), enc.bit_len, parse());
+            for i in request_orders(ni as u32, seed).into_iter().flatten() {
+                graph.decode_list_into(i, &mut scratch, &mut out).unwrap();
+                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} memo", mode, i);
+                index
+                    .decode_list_into(&enc.bytes, enc.bit_len, i, &mut NoMemo, &mut scratch, &mut out)
+                    .unwrap();
+                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} no memo", mode, i);
+            }
+
+            let enc = encode_superedge(&dense, nj, mode, SuperedgePolicy::EncodedSize, codec);
+            let parse = || SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).unwrap();
+            let index = parse();
+            prop_assert_eq!(index.kind == SuperedgeKind::Negative, layout.is_none());
+            if n >= 8 {
+                prop_assert_eq!(index.layout(), layout.unwrap_or(Layout::Lists), "{:?}", mode);
+            }
+            let graph = CachedGraph::new_encoded_super(enc.bytes.clone(), enc.bit_len, parse(), nj);
+            for s in request_orders(ni as u32, seed).into_iter().flatten() {
+                let want = index.targets_of(&enc.bytes, enc.bit_len, u64::from(s), nj).unwrap();
+                prop_assert_eq!(&want, &dense[s as usize], "{:?} source {}", mode, s);
+                graph.decode_list_into(s, &mut scratch, &mut out).unwrap();
+                prop_assert_eq!(&out, &want, "{:?} source {} memo", mode, s);
+                let (bytes, bits, s) = (&enc.bytes, enc.bit_len, u64::from(s));
+                index
+                    .targets_of_into(bytes, bits, s, nj, &mut NoMemo, &mut scratch, &mut out)
+                    .unwrap();
+                prop_assert_eq!(&out, &want, "{:?} source {} no memo", mode, s);
+            }
+        }
+    }
 
     /// Every mode, every request order, several caps (including one so
     /// small every insertion clears the memo), one set of buffers for all

@@ -471,10 +471,10 @@ fn degraded_query_exits_3_with_consistent_counts() {
 
 /// Flips, in as many positive superedge graphs of `snode_dir` as have one,
 /// a bit past `sources` — in the list stream, or in the dictionary — that
-/// leaves `sources` readable but makes the first stored list fail to
-/// decode: damage a directory without `sums.bin` can only find when a
-/// lookup reaches a stored list. Returns how many graphs were damaged, and
-/// how many of those store a dictionary.
+/// leaves `sources` as they were but makes the graph fail to parse, or its
+/// first stored list fail to decode: damage a directory without `sums.bin`
+/// can only find when a probe draws on the graph. Returns how many graphs
+/// were damaged, and how many of those store a dictionary.
 fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
     use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
     use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
@@ -489,23 +489,29 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             let loc = meta.superedge_loc[s as usize][k];
             let nj = u64::from(meta.supernode_size(j));
             let clean = files.read(&loc).unwrap();
-            let (sources, layout) = match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec)
-            {
-                Ok(i) if i.kind == SuperedgeKind::Positive => (i.sources().to_vec(), i.layout()),
-                _ => continue,
-            };
-            let Some(&first) = sources.first() else {
+            let (first, layout, body) =
+                match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec) {
+                    Ok(i) if i.kind == SuperedgeKind::Positive => {
+                        let bits = i.bit_breakdown(&clean, loc.bit_len).unwrap();
+                        (
+                            i.sources().first().copied(),
+                            i.layout(),
+                            bits.header + bits.sources,
+                        )
+                    }
+                    _ => continue,
+                };
+            let Some(first) = first else {
                 continue;
             };
-            // Search from the end of the graph: the stored lists lie there.
-            let found = (0..loc.bit_len).rev().find(|&bit| {
+            // Search from the end of the graph, where the stored lists lie,
+            // back to where `sources` end.
+            let found = (body..loc.bit_len).rev().find(|&bit| {
                 let mut bytes = clean.clone();
                 bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
-                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).is_ok_and(|i| {
-                    i.sources() == sources.as_slice()
-                        && i.layout() == layout
-                        && i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
-                            .is_err()
+                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).map_or(true, |i| {
+                    i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
+                        .is_err()
                 })
             });
             if let Some(bit) = found {
@@ -526,11 +532,11 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
 
 /// Without `sums.bin` nothing checks a blob before it is parsed, and a
 /// positive superedge graph's list stream is not scanned, nor its
-/// dictionary decoded, until a lookup finds its page among the sources.
-/// Under the default codec most graphs store a dictionary, so most of the
-/// damage lands in one. Damage there must still take the
-/// graceful path when it is met: quarantine at decode time, answers that
-/// only ever omit edges, and `wgr query` exiting 3.
+/// dictionary decoded, until a probe whose page is among its sources draws
+/// on it. Under the default codec most graphs store a dictionary, so most
+/// of the damage lands in one. Damage there must still take the graceful
+/// path when it is met: quarantine at decode time, answers that only ever
+/// omit edges, and `wgr query` exiting 3.
 #[test]
 fn manifestless_list_stream_damage_degrades_at_decode_time() {
     let root = temp_dir("lazydegrade");
