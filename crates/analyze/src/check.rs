@@ -409,7 +409,7 @@ fn check_graphs(
         }
         return;
     }
-    let reader = match IndexFileReader::open(dir) {
+    let reader = match IndexFileReader::open_resident(dir) {
         Ok(r) => r,
         Err(e) => {
             diags.push(Diagnostic::new(
@@ -461,7 +461,7 @@ fn check_intranode(
         ));
         return;
     }
-    let bytes = match reader.read(&loc) {
+    let bytes = match reader.read_blob(&loc) {
         Ok(b) => b,
         Err(e) => {
             diags.push(Diagnostic::new(
@@ -546,7 +546,7 @@ fn check_superedge(
         ));
         return;
     }
-    let bytes = match reader.read(loc) {
+    let bytes = match reader.read_blob(loc) {
         Ok(b) => b,
         Err(e) => {
             diags.push(Diagnostic::new(

@@ -314,7 +314,7 @@ fn check_blobs(
     diags: &mut Vec<Diagnostic>,
     checked: &mut u64,
 ) {
-    let reader = match IndexFileReader::open(dir) {
+    let reader = match IndexFileReader::open_resident(dir) {
         Ok(r) => r,
         Err(e) => {
             diags.push(Diagnostic::new(
@@ -332,7 +332,7 @@ fn check_blobs(
         };
         *checked += 1;
         counters.check();
-        match reader.read(loc) {
+        match reader.read_blob(loc) {
             Ok(bytes) if wg_fault::crc32c(&bytes) == want => {}
             Ok(_) => {
                 counters.failure();

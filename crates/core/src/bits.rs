@@ -86,7 +86,7 @@ impl BitLedger {
     pub fn of(dir: &Path) -> Result<Self> {
         let meta_buf = crate::disk::read_whole_file(&dir.join("meta.bin"))?;
         let meta = SNodeMeta::parse(&meta_buf)?;
-        let files = IndexFileReader::open(dir)?;
+        let files = IndexFileReader::open_resident(dir)?;
         let padding = |loc: &GraphLocator, used: u64| loc.byte_len * 8 - used;
 
         let (mut intranode_bits, mut intranode_edges) = (0u64, 0u64);
@@ -95,7 +95,7 @@ impl BitLedger {
         let (mut padding_bits, mut referenced_bytes) = (0u64, 0u64);
         for s in 0..meta.num_supernodes() {
             let loc = meta.intranode_loc[s as usize];
-            let bytes = files.read(&loc)?;
+            let bytes = files.read_blob(&loc)?;
             let universe = Universe::SameAsCount;
             let (index, lists) = ListsIndex::load(&bytes, loc.bit_len, universe)?;
             intranode_bits += index.end_bit();
@@ -107,7 +107,7 @@ impl BitLedger {
             let row = meta.supergraph.adj[s as usize].iter();
             for (&j, loc) in row.zip(&meta.superedge_loc[s as usize]) {
                 let nj = u64::from(meta.supernode_size(j));
-                let bytes = files.read(loc)?;
+                let bytes = files.read_blob(loc)?;
                 let index =
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
                 let bits = index.bit_breakdown(&bytes, loc.bit_len)?;

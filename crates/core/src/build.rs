@@ -733,14 +733,14 @@ mod tests {
     fn assert_directory_holds(dir: &Path, graph: &Graph) {
         let meta = SNodeMeta::read(dir).unwrap();
         let renum = Renumbering::read(dir).unwrap();
-        let files = IndexFileReader::open(dir).unwrap();
+        let files = IndexFileReader::open_resident(dir).unwrap();
         assert_eq!(meta.num_pages, graph.num_nodes());
 
         // Decode everything back and compare edge sets in new-id space.
         let mut rebuilt: Vec<Vec<u32>> = vec![Vec::new(); graph.num_nodes() as usize];
         for s in 0..meta.num_supernodes() {
             let start = meta.page_range(s).start;
-            let bytes = files.read(&meta.intranode_loc[s as usize]).unwrap();
+            let bytes = files.read_blob(&meta.intranode_loc[s as usize]).unwrap();
             let lists = decode_intranode(&bytes, meta.intranode_loc[s as usize].bit_len).unwrap();
             for (local, list) in lists.iter().enumerate() {
                 for &t in list {
@@ -749,7 +749,7 @@ mod tests {
             }
             for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
                 let loc = &meta.superedge_loc[s as usize][k];
-                let bytes = files.read(loc).unwrap();
+                let bytes = files.read_blob(loc).unwrap();
                 let ni = u64::from(meta.supernode_size(s));
                 let nj = u64::from(meta.supernode_size(j));
                 let lists =

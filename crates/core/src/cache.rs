@@ -11,6 +11,7 @@
 //! is derived from those graphs and lives in the same space, under the
 //! same budget.
 
+use crate::disk::Blob;
 use crate::refenc::{DecodeMemo, DecodeScratch, ListsIndex};
 use crate::subgraphs::{Layout, SuperedgeIndex};
 use crate::{Result, SNodeError};
@@ -437,8 +438,7 @@ fn out_of_range() -> SNodeError {
 /// What the cache holds under a [`GraphKey`]: a compact header and at
 /// most one arena behind it — an encoded graph's directory (an intranode
 /// graph's list offsets; a superedge graph's `sources`, dictionary and
-/// offsets), a [`Fanout`]'s rows, or decoded lists — beside the encoded
-/// bytes themselves.
+/// offsets) or a [`Fanout`]'s rows — beside the encoded bytes themselves.
 ///
 /// The header opens the value, so that in the `Arc` the cache hands out
 /// it shares the allocation's first cache line with the reference counts
@@ -453,9 +453,9 @@ pub struct CachedGraph {
     shape: Shape,
     /// Exact bit length of `data`.
     bit_len: u64,
-    /// The encoded graph (owned copy or zero-copy resident borrow); empty
-    /// for a fanout and for decoded lists.
-    data: crate::disk::Blob,
+    /// The encoded graph, borrowed from its index file's resident image;
+    /// empty, and allocation-free, for a fanout.
+    data: Blob,
     /// Decoded-list memo (shared reference-chain prefixes) of an encoded
     /// graph, keyed as its decoder keys lists — see
     /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of `bytes`.
@@ -468,9 +468,6 @@ pub struct CachedGraph {
 /// What a [`CachedGraph`] is, with its arena.
 #[derive(Debug)]
 enum Shape {
-    /// Positive adjacency lists in local ids, decoded: `lists + 1` row
-    /// starts into the arena, then the lists end to end.
-    Dense { lists: u32, arena: Box<[u32]> },
     /// An intranode graph kept *encoded*, with its directory; individual
     /// lists decode on demand. This is the query-time resident form: it
     /// keeps a supernode's working set close to its on-disk size instead
@@ -501,13 +498,7 @@ impl CachedGraph {
     const FIXED_BYTES: usize = 248;
 
     /// One header over `shape`, whose arena is charged `heap` bytes.
-    fn with(
-        shape: Shape,
-        heap: usize,
-        data: crate::disk::Blob,
-        bit_len: u64,
-        memo: ListMemo,
-    ) -> Self {
+    fn with(shape: Shape, heap: usize, data: Blob, bit_len: u64, memo: ListMemo) -> Self {
         let bytes = Self::FIXED_BYTES + heap + data.len() + memo.cap();
         Self {
             shape,
@@ -516,28 +507,6 @@ impl CachedGraph {
             memo: Mutex::new(memo),
             bytes,
         }
-    }
-
-    /// Wraps dense decoded lists, charged as one `Vec` per list.
-    pub fn new(lists: Vec<Vec<u32>>) -> Self {
-        let decoded: usize = lists
-            .iter()
-            .map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>())
-            .sum();
-        let starts = lists.len() + 1;
-        let mut arena = Vec::with_capacity(starts + lists.iter().map(Vec::len).sum::<usize>());
-        let mut end = starts;
-        arena.push(end as u32);
-        for list in &lists {
-            end += list.len();
-            arena.push(end as u32);
-        }
-        lists.iter().for_each(|list| arena.extend_from_slice(list));
-        let shape = Shape::Dense {
-            lists: lists.len() as u32,
-            arena: arena.into_boxed_slice(),
-        };
-        Self::with(shape, decoded, Vec::new().into(), 0, ListMemo::default())
     }
 
     /// The decoded-list memo cap for a graph of `encoded` bytes: as many
@@ -551,30 +520,20 @@ impl CachedGraph {
     }
 
     /// Wraps an encoded intranode graph with its parsed directory. The
-    /// bytes may be an owned copy or a resident borrow; either way the
-    /// cache charges their full length — a resident borrow pins its
-    /// share of the region, so the budget accounting stays honest.
-    pub fn new_encoded_intra(
-        data: impl Into<crate::disk::Blob>,
-        bit_len: u64,
-        index: ListsIndex,
-    ) -> Self {
-        let (data, heap) = (data.into(), index.heap_bytes());
+    /// cache charges the blob's full length: the borrow pins its share of
+    /// the resident image, so the budget accounting stays honest.
+    pub fn new_encoded_intra(data: Blob, bit_len: u64, index: ListsIndex) -> Self {
+        let heap = index.heap_bytes();
         let memo = ListMemo::with_cap(Self::memo_cap(data.len()));
         Self::with(Shape::Intra(index), heap, data, bit_len, memo)
     }
 
-    /// Wraps an encoded superedge graph with its parsed directory (same
-    /// owned-or-resident contract as [`CachedGraph::new_encoded_intra`]).
-    /// `nj` is the `|Nj|` the index was parsed with, which it keeps.
-    pub fn new_encoded_super(
-        data: impl Into<crate::disk::Blob>,
-        bit_len: u64,
-        index: SuperedgeIndex,
-        nj: u64,
-    ) -> Self {
+    /// Wraps an encoded superedge graph with its parsed directory (charged
+    /// as [`CachedGraph::new_encoded_intra`] charges). `nj` is the `|Nj|`
+    /// the index was parsed with, which it keeps.
+    pub fn new_encoded_super(data: Blob, bit_len: u64, index: SuperedgeIndex, nj: u64) -> Self {
         debug_assert_eq!(index.nj(), nj, "parsed for another |Nj|");
-        let (data, heap) = (data.into(), index.heap_bytes());
+        let heap = index.heap_bytes();
         // A single-target dictionary answers from two arrays: there is no
         // decoded list to keep, so no memo to reserve budget for.
         let cap = match index.layout() {
@@ -598,7 +557,7 @@ impl CachedGraph {
         }
     }
 
-    /// Bytes of the encoded graph (0 for a fanout and decoded lists).
+    /// Bytes of the encoded graph (0 for a fanout).
     pub(crate) fn encoded_len(&self) -> usize {
         self.data.len()
     }
@@ -641,14 +600,6 @@ impl CachedGraph {
         out.clear();
         let (data, bit_len) = (&self.data, self.bit_len);
         match &self.shape {
-            Shape::Dense { lists, arena } => {
-                let start = |i: u32| arena.get(i as usize).map(|&at| at as usize);
-                if let (true, Some(lo), Some(hi)) = (local < *lists, start(local), start(local + 1))
-                {
-                    out.extend_from_slice(arena.get(lo..hi).unwrap_or_default());
-                }
-                Ok(())
-            }
             Shape::Intra(index) => index.decode_list_into(data, bit_len, local, memo, scratch, out),
             Shape::Super(index) => {
                 let s = u64::from(local);
@@ -659,7 +610,7 @@ impl CachedGraph {
     }
 
     /// Bytes of decoded lists currently retained by this graph's memo
-    /// (0 for decoded lists and fanouts, which have none).
+    /// (0 for a fanout, which has none).
     pub fn memo_used(&self) -> usize {
         self.memo.lock().used()
     }
@@ -682,7 +633,7 @@ impl From<Fanout> for CachedGraph {
         Self::with(
             Shape::Fanout(fanout),
             heap,
-            Vec::new().into(),
+            Blob::default(),
             0,
             ListMemo::default(),
         )
@@ -1163,24 +1114,38 @@ impl GraphCache {
 mod tests {
     use super::*;
 
+    /// `bytes` as the read path hands a graph over: a slice of a resident
+    /// image.
+    fn blob(bytes: Vec<u8>) -> Blob {
+        let len = bytes.len();
+        wg_store::Region::from_vec(bytes)
+            .slice(0, len)
+            .expect("the whole region")
+    }
+
+    /// `lists` as an encoded intranode graph, admitted as a probe admits one.
+    fn encoded_intra(lists: &[Vec<u32>], mode: crate::refenc::RefMode) -> CachedGraph {
+        let codec = crate::codec::ListCodec::GAMMA;
+        let enc = crate::refenc::encode_lists(lists, lists.len() as u64, mode, codec);
+        let universe = crate::refenc::Universe::SameAsCount;
+        let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec).expect("parse");
+        CachedGraph::new_encoded_intra(blob(enc.bytes), enc.bit_len, index)
+    }
+
+    /// An encoded graph of empty lists charged within 3 % of `bytes_target`
+    /// (and no less than an empty graph, 48 bytes above `FIXED_BYTES`): each
+    /// list costs its four-byte offset and two bits of encoding, charged
+    /// twice — as bytes and as memo cap.
     fn graph_of(bytes_target: usize) -> CachedGraph {
-        // Build lists whose accounted size is near bytes_target.
-        let per_list = 64usize;
-        let lists = bytes_target / per_list;
-        CachedGraph::new(vec![
-            vec![
-                1u32;
-                (per_list - std::mem::size_of::<Vec<u32>>()) / 4
-            ];
-            lists
-        ])
+        let lists = bytes_target.saturating_sub(CachedGraph::FIXED_BYTES + 48) * 2 / 9;
+        encoded_intra(&vec![Vec::new(); lists], crate::refenc::RefMode::None)
     }
 
     #[test]
     fn hit_after_insert() {
         let c = GraphCache::new(1 << 20);
         assert!(c.get(GraphKey::Intra(3)).is_none());
-        c.insert(GraphKey::Intra(3), CachedGraph::new(vec![vec![1, 2]]));
+        c.insert(GraphKey::Intra(3), graph_of(500));
         assert!(c.get(GraphKey::Intra(3)).is_some());
         let s = c.stats();
         assert_eq!(s.misses, 1);
@@ -1355,7 +1320,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..64u32 {
                         let key = GraphKey::Intra(t * 64 + i);
-                        c.insert(key, CachedGraph::new(vec![vec![i]]));
+                        c.insert(key, graph_of(500));
                         assert!(c.get(key).is_some());
                     }
                 });
@@ -1379,20 +1344,7 @@ mod tests {
                 l
             })
             .collect();
-        let enc = crate::refenc::encode_lists(
-            &lists,
-            240,
-            crate::refenc::RefMode::Windowed(8),
-            crate::codec::ListCodec::GAMMA,
-        );
-        let index = ListsIndex::parse(
-            &enc.bytes,
-            enc.bit_len,
-            crate::refenc::Universe::SameAsCount,
-            crate::codec::ListCodec::GAMMA,
-        )
-        .expect("parse");
-        CachedGraph::new_encoded_intra(enc.bytes, enc.bit_len, index)
+        encoded_intra(&lists, crate::refenc::RefMode::Windowed(8))
     }
 
     #[test]
@@ -1434,7 +1386,7 @@ mod tests {
             directory > encoded,
             "forty sources and offsets: 4 bytes each"
         );
-        let g = CachedGraph::new_encoded_super(enc.bytes, enc.bit_len, index, 8);
+        let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
         assert_eq!(g.memo_cap_bytes(), encoded);
         assert_eq!(
             g.bytes(),
@@ -1448,7 +1400,7 @@ mod tests {
         let enc = encode(&singles, codec);
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
         assert_eq!(index.layout(), Layout::SingleTargets);
-        let g = CachedGraph::new_encoded_super(enc.bytes, enc.bit_len, index, 8);
+        let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
         assert_eq!(g.memo_cap_bytes(), 0);
     }
 
@@ -1520,7 +1472,7 @@ mod tests {
     #[test]
     fn shard_telemetry_reports_per_shard_traffic() {
         let c = GraphCache::new(8 << 20);
-        c.insert(GraphKey::Intra(0), CachedGraph::new(vec![vec![1]]));
+        c.insert(GraphKey::Intra(0), graph_of(500));
         assert!(c.get(GraphKey::Intra(0)).is_some());
         assert!(c.get(GraphKey::Intra(1)).is_none());
         let tel = c.shard_telemetry();
@@ -1539,7 +1491,7 @@ mod tests {
     fn shard_lock_telemetry_counts_acquisitions_when_enabled() {
         wg_obs::set_telemetry_enabled(true);
         let c = GraphCache::new(1 << 20);
-        c.insert(GraphKey::Intra(3), CachedGraph::new(vec![vec![1]]));
+        c.insert(GraphKey::Intra(3), graph_of(500));
         assert!(c.get(GraphKey::Intra(3)).is_some());
         let tel = c.shard_telemetry();
         let acq: u64 = tel.iter().map(|s| s.lock.acquisitions).sum();

@@ -264,7 +264,13 @@ impl SNodeMeta {
             let k = c.u32()? as usize;
             let mut list = Vec::with_capacity(k.min(1 << 20));
             for _ in 0..k {
-                list.push(c.u32()?);
+                let s = c.u32()?;
+                if s as usize >= n {
+                    return Err(SNodeError::Corrupt(
+                        "domain index names a supernode beyond the graph",
+                    ));
+                }
+                list.push(s);
             }
             domain_supernodes.push(list);
         }
@@ -478,7 +484,7 @@ impl IndexFileWriter {
 
 /// Registry counters for index-file I/O, created only when metrics were
 /// enabled at open time (`core.disk.*`). `pages_fetched` counts 8 KiB
-/// pages spanned by each positioned read — the paper's disk-cost unit.
+/// pages spanned by each graph read — the paper's disk-cost unit.
 #[derive(Debug)]
 struct DiskCounters {
     graph_reads: wg_obs::Counter,
@@ -509,52 +515,22 @@ fn pages_spanned(offset: u64, len: u64) -> u64 {
     (offset + len - 1) / page - offset / page + 1
 }
 
-/// Bytes of one encoded graph, either copied out of an index file or
-/// borrowed from a resident [`wg_store::Region`]. Derefs to `[u8]`, so
-/// every decode path is agnostic to which read mode produced it.
-#[derive(Debug)]
-pub enum Blob {
-    /// A private copy (the default positioned-read path).
-    Owned(Vec<u8>),
-    /// A borrow of the shared resident image of an index file
-    /// ([`IndexFileReader::open_resident`]); holding the blob keeps the
-    /// image alive, copying nothing.
-    Resident(wg_store::RegionSlice),
-}
+/// Bytes of one encoded graph: a borrow of the resident image of its index
+/// file ([`IndexFileReader::read_blob`]). Holding the blob keeps the image
+/// alive, copying nothing; it derefs to `[u8]`.
+pub type Blob = wg_store::RegionSlice;
 
-impl std::ops::Deref for Blob {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            Blob::Owned(v) => v,
-            Blob::Resident(s) => s,
-        }
-    }
-}
-
-impl AsRef<[u8]> for Blob {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl From<Vec<u8>> for Blob {
-    fn from(v: Vec<u8>) -> Self {
-        Blob::Owned(v)
-    }
-}
-
-/// Read-side of the index files.
+/// Read-side of the index files: each file read whole, through the retrying
+/// shim, into a shared immutable [`wg_store::Region`] when the reader opens.
+/// What a handle reads is what the directory held then — a later write to
+/// the files never reaches it.
 #[derive(Debug)]
 pub struct IndexFileReader {
-    files: Vec<File>,
     /// Stream ids (one per index file) for simulated-disk seek accounting.
     streams: Vec<u64>,
-    /// Resident images of the index files (zero-copy mode); empty in the
-    /// default positioned-read mode.
+    /// The resident images of the index files.
     resident: Vec<wg_store::Region>,
-    /// Positioned reads performed (physical I/O instrumentation).
+    /// Graph reads performed (physical I/O instrumentation).
     /// Atomic (not `Cell`) so the reader stays `Sync` for shared-handle
     /// concurrent navigation.
     #[allow(clippy::disallowed_types)] // A relaxed I/O counter.
@@ -563,64 +539,48 @@ pub struct IndexFileReader {
 }
 
 impl IndexFileReader {
-    /// Opens every `index_NNN.bin` under `dir`.
+    /// Reads every `index_NNN.bin` under `dir`, in order until the first
+    /// number that is missing. A fault injected into the shim surfaces here,
+    /// retried, and never at a later [`IndexFileReader::read_blob`].
     #[allow(clippy::disallowed_types)] // Starts the I/O counter.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let mut files = Vec::new();
+    pub fn open_resident(dir: &Path) -> Result<Self> {
+        let mut resident = Vec::new();
         loop {
-            let path = index_file_path(dir, files.len() as u32);
-            match File::open(&path) {
-                Ok(f) => files.push(f),
+            let path = index_file_path(dir, resident.len() as u32);
+            match wg_fault::read_file(&path) {
+                Ok(bytes) => resident.push(wg_store::Region::from_vec(bytes)),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e.into()),
+                Err(e) => return Err(SNodeError::file_io(path, e)),
             }
         }
-        if files.is_empty() {
+        if resident.is_empty() {
             return Err(SNodeError::Corrupt("no index files found"));
         }
-        let streams = files
-            .iter()
-            .map(|_| wg_store::diskmodel::new_stream())
-            .collect();
         Ok(Self {
-            files,
-            streams,
-            resident: Vec::new(),
+            streams: (resident.iter())
+                .map(|_| wg_store::diskmodel::new_stream())
+                .collect(),
+            resident,
             reads: std::sync::atomic::AtomicU64::new(0),
             counters: DiskCounters::auto(),
         })
     }
 
-    /// Opens with every index file loaded into a shared immutable
-    /// [`wg_store::Region`]: [`IndexFileReader::read_blob`] then hands out
-    /// borrowing slices instead of copies. All instrumentation — the read
-    /// counter, `core.disk.*` metrics, and simulated-disk charges — is
-    /// identical to positioned-read mode, so query fingerprints and
-    /// counter gates see the same numbers. The one behavioural difference
-    /// is that fault injection's *per-read* failure sites disappear (the
-    /// whole file is read once, through the retrying shim, at open),
-    /// which is why resident mode is opt-in rather than the default.
-    pub fn open_resident(dir: &Path) -> Result<Self> {
-        let mut r = Self::open(dir)?;
-        r.resident = (0..r.files.len() as u32)
-            .map(|no| read_whole_file(&index_file_path(dir, no)).map(wg_store::Region::from_vec))
-            .collect::<Result<_>>()?;
-        Ok(r)
-    }
-
-    /// True when the index files are resident (zero-copy reads).
-    pub fn is_resident(&self) -> bool {
-        !self.resident.is_empty()
-    }
-
-    /// Bytes held resident by zero-copy mode (0 in positioned-read mode).
+    /// Bytes of the index files held resident.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.iter().map(|r| r.len() as u64).sum()
     }
 
-    /// Charges one graph read to every instrumentation layer. Both read
-    /// paths go through here so their observable counts are identical.
-    fn charge(&self, loc: &GraphLocator) {
+    /// Reads one graph: a borrowed slice of its file's resident image,
+    /// charged to every instrumentation layer — the read counter,
+    /// `core.disk.*` and the simulated disk, which prices a read by its
+    /// locator (Figure 11's cost unit).
+    pub fn read_blob(&self, loc: &GraphLocator) -> Result<Blob> {
+        let region = (self.resident.get(loc.file as usize))
+            .ok_or(SNodeError::Corrupt("locator names a missing file"))?;
+        let slice = region
+            .slice(loc.offset as usize, loc.byte_len as usize)
+            .ok_or(SNodeError::Corrupt("locator beyond resident index file"))?;
         wg_store::diskmodel::charge_read(
             self.streams[loc.file as usize],
             loc.offset,
@@ -633,30 +593,7 @@ impl IndexFileReader {
             c.bytes_read.add(loc.byte_len);
             c.pages_fetched.add(pages_spanned(loc.offset, loc.byte_len));
         }
-    }
-
-    /// Reads the bytes of one graph.
-    pub fn read(&self, loc: &GraphLocator) -> Result<Vec<u8>> {
-        let Some(f) = self.files.get(loc.file as usize) else {
-            return Err(SNodeError::Corrupt("locator names a missing file"));
-        };
-        let mut buf = vec![0u8; loc.byte_len as usize];
-        wg_fault::read_exact_at(f, &mut buf, loc.offset)?;
-        self.charge(loc);
-        Ok(buf)
-    }
-
-    /// Reads one graph as a [`Blob`]: a borrowed slice of the resident
-    /// image when in zero-copy mode, a private copy otherwise.
-    pub fn read_blob(&self, loc: &GraphLocator) -> Result<Blob> {
-        let Some(region) = self.resident.get(loc.file as usize) else {
-            return self.read(loc).map(Blob::Owned);
-        };
-        let slice = region
-            .slice(loc.offset as usize, loc.byte_len as usize)
-            .ok_or(SNodeError::Corrupt("locator beyond resident index file"))?;
-        self.charge(loc);
-        Ok(Blob::Resident(slice))
+        Ok(slice)
     }
 
     /// Physical graph reads performed.
@@ -813,11 +750,12 @@ mod tests {
         assert_eq!(total, 330);
         assert_eq!(files, 4);
 
-        let r = IndexFileReader::open(&dir).unwrap();
-        assert_eq!(r.read(&a).unwrap(), vec![1u8; 60]);
-        assert_eq!(r.read(&b).unwrap(), vec![2u8; 60]);
-        assert_eq!(r.read(&c).unwrap(), vec![3u8; 200]);
-        assert_eq!(r.read(&d).unwrap(), vec![4u8; 10]);
+        let r = IndexFileReader::open_resident(&dir).unwrap();
+        assert_eq!(r.resident_bytes(), 330);
+        assert_eq!(&*r.read_blob(&a).unwrap(), [1u8; 60]);
+        assert_eq!(&*r.read_blob(&b).unwrap(), [2u8; 60]);
+        assert_eq!(&*r.read_blob(&c).unwrap(), [3u8; 200]);
+        assert_eq!(&*r.read_blob(&d).unwrap(), [4u8; 10]);
         assert_eq!(r.read_count(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -863,49 +801,41 @@ mod tests {
     }
 
     #[test]
-    fn resident_reads_borrow_and_charge_identically() {
+    fn reads_borrow_the_image_taken_at_open() {
         let dir = temp_dir("resident");
         let mut w = IndexFileWriter::create(&dir, 100).unwrap();
         let a = w.append(&[1u8; 60], 480).unwrap();
         let b = w.append(&[2u8; 60], 480).unwrap();
         w.finish().unwrap();
+        let r = IndexFileReader::open_resident(&dir).unwrap();
 
-        let plain = IndexFileReader::open(&dir).unwrap();
-        let res = IndexFileReader::open_resident(&dir).unwrap();
-        assert!(!plain.is_resident());
-        assert!(res.is_resident());
-        assert_eq!(res.resident_bytes(), 120);
+        // What the directory holds after the open never reaches the handle.
+        std::fs::write(index_file_path(&dir, 1), [9u8; 60]).unwrap();
+        assert_eq!(&*r.read_blob(&b).unwrap(), [2u8; 60]);
 
-        for loc in [&a, &b] {
-            let copied = plain.read_blob(loc).unwrap();
-            let borrowed = res.read_blob(loc).unwrap();
-            assert!(matches!(copied, Blob::Owned(_)));
-            assert!(matches!(borrowed, Blob::Resident(_)));
-            assert_eq!(&*copied, &*borrowed);
-        }
-        // Identical instrumentation on both paths.
-        assert_eq!(plain.read_count(), res.read_count());
-
-        // Two resident reads of the same graph share backing memory.
-        let x = res.read_blob(&a).unwrap();
-        let y = res.read_blob(&a).unwrap();
+        // Two reads of the same graph share backing memory, and each counts.
+        let x = r.read_blob(&a).unwrap();
+        let y = r.read_blob(&a).unwrap();
         assert!(std::ptr::eq(x.as_ptr(), y.as_ptr()), "no copy per read");
+        assert_eq!(r.read_count(), 3);
 
-        // A locator beyond the file is a structured error, not a panic.
+        // A locator beyond a file, or naming none, is a structured error.
         let bogus = GraphLocator {
             file: 0,
             offset: 50,
             byte_len: 100,
             bit_len: 800,
         };
-        assert!(res.read_blob(&bogus).is_err());
+        assert!(r.read_blob(&bogus).is_err());
+        assert!(r.read_blob(&GraphLocator { file: 2, ..a }).is_err());
+        assert_eq!(r.read_count(), 3, "a failed read is not charged");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_index_files_error() {
         let dir = temp_dir("missing");
-        assert!(IndexFileReader::open(&dir).is_err());
+        assert!(IndexFileReader::open_resident(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

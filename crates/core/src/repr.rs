@@ -4,9 +4,11 @@
 //!
 //! * [`SNode`] — the disk-backed representation used by the §4.3 query
 //!   experiments: the supernode graph, PageID index and domain index stay
-//!   resident; intranode and superedge graphs are read from the index
-//!   files, decoded, and held in a byte-budgeted [`GraphCache`], beside a
-//!   per-supernode [`Fanout`] that tells a probe which of them to ask.
+//!   resident; intranode and superedge graphs are read by locator from the
+//!   index files (held resident, as the paper holds the supernode graph,
+//!   and charged to the simulated disk per read), checksummed, parsed, and
+//!   held in a byte-budgeted [`GraphCache`], beside a per-supernode
+//!   [`Fanout`] that tells a probe which of them to ask.
 //! * [`SNodeInMemory`] — the Table 2 setup: all *encoded* graphs resident
 //!   in memory with pre-parsed directories, each adjacency-list access
 //!   paying the S-Node decode cost (reference-chain walk) but no I/O and
@@ -196,73 +198,30 @@ struct BatchScratch {
     ranges: Vec<Option<std::ops::Range<usize>>>,
 }
 
-/// Disk-backed S-Node representation with a memory-budgeted graph cache.
-///
-/// The handle is `Sync`: everything decoded at open (`meta`, `blob_base`,
-/// the manifest) is immutable, and all query-time mutation lives in the
-/// sharded [`GraphCache`], the per-graph list memos, the scratch-buffer
-/// pool, and the lock-guarded quarantine state — so any number of threads
-/// can navigate one shared handle through `&self` (DESIGN.md §5f).
+/// A directory as every reader opens it: `meta.bin` checked against
+/// `sums.bin` and parsed, the blobs numbered in the builder's linear order,
+/// and the index files resident. The one opener of [`SNode`] and
+/// [`SNodeInMemory`], and their one per-blob check.
 #[derive(Debug)]
-pub struct SNode {
+struct OpenDir {
     meta: SNodeMeta,
     files: IndexFileReader,
-    cache: GraphCache,
-    nav: Option<NavCounters>,
-    /// Pool of reusable batch buffers: a navigation call pops one (or
-    /// starts fresh), runs, and returns it, so the steady state of N
-    /// concurrent readers holds N warm scratches and allocates nothing.
-    scratch: Mutex<Vec<BatchScratch>>,
-    /// Per-blob CRCs and file sums from `sums.bin`; `None` for v1
-    /// directories (readable, unverified).
+    /// Per-blob CRCs and file sums from `sums.bin`; `None` for a directory
+    /// without one (readable, unverified).
     manifest: Option<IntegrityManifest>,
     /// `blob_base[s]` = linear blob index of supernode `s`'s intranode
     /// graph; superedge `k` of `s` is blob `blob_base[s] + 1 + k`.
     blob_base: Vec<u64>,
     integrity: IntegrityCounters,
-    degrade: Option<RwLock<DegradeState>>,
-    retries_at_open: u64,
 }
 
-impl SNode {
-    /// Opens the representation under `dir` with a decoded-graph budget of
-    /// `cache_budget_bytes` (the experiment's memory cap, §4.3).
-    ///
-    /// Strict mode: any checksum or decode failure surfaces as an error.
-    pub fn open(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
-        Self::open_mode(dir, cache_budget_bytes, false, false)
-    }
-
-    /// Opens with graceful degradation: a damaged intranode or superedge
-    /// graph is quarantined instead of failing the query, answers omit its
-    /// contribution, and [`SNode::degraded`] reports what was skipped.
-    /// The resident metadata (`meta.bin`) must still verify — it is the
-    /// index everything else hangs off, so there is nothing to degrade to.
-    pub fn open_degraded(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
-        Self::open_mode(dir, cache_budget_bytes, true, false)
-    }
-
-    /// Opens with the index files resident: graph loads borrow slices of
-    /// one shared immutable image per file instead of copying bytes out
-    /// (the `mmap` analogue under the workspace's `forbid(unsafe_code)` —
-    /// see [`wg_store::Region`]). Navigation answers, disk-read counters,
-    /// and cache behaviour are identical to [`SNode::open`]; the trade is
-    /// the upfront residency cost (the encoded index files, reported by
-    /// [`SNode::resident_bytes`]) for allocation-free steady-state reads.
-    /// Strict integrity mode: resident service wants loud corruption.
-    pub fn open_resident(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
-        Self::open_mode(dir, cache_budget_bytes, false, true)
-    }
-
-    fn open_mode(
-        dir: &Path,
-        cache_budget_bytes: usize,
-        degrade: bool,
-        resident: bool,
-    ) -> Result<Self> {
+impl OpenDir {
+    /// Strict: a manifest that does not read, or does not number the
+    /// directory's blobs, is an error. With `degrade`, either counts a
+    /// failure and the directory opens unverified. `meta.bin` must verify
+    /// either way: it is the index everything else hangs off.
+    fn open(dir: &Path, degrade: bool) -> Result<Self> {
         let integrity = IntegrityCounters::new();
-        // A corrupt manifest in degraded mode downgrades to "unverified"
-        // (counted as a failure); strict mode refuses to guess.
         let manifest = match IntegrityManifest::read(dir) {
             Ok(m) => m,
             Err(_) if degrade => {
@@ -300,27 +259,93 @@ impl SNode {
             }
             other => other,
         };
-        let files = if resident {
-            IndexFileReader::open_resident(dir)?
-        } else {
-            IndexFileReader::open(dir)?
-        };
         Ok(Self {
+            files: IndexFileReader::open_resident(dir)?,
             meta,
-            files,
-            cache: GraphCache::new(cache_budget_bytes),
-            nav: NavCounters::auto(),
-            scratch: Mutex::new(Vec::new()),
             manifest,
             blob_base,
             integrity,
+        })
+    }
+
+    /// Reads one blob and verifies it against the manifest when present.
+    fn load_blob(&self, loc: &GraphLocator, blob_idx: u64) -> Result<Blob> {
+        let bytes = self.files.read_blob(loc)?;
+        if let Some(m) = &self.manifest {
+            self.integrity.check();
+            let expected = m
+                .blob_crc
+                .get(blob_idx as usize)
+                .copied()
+                .ok_or(SNodeError::Corrupt("blob index beyond manifest table"))?;
+            if wg_fault::crc32c(&bytes) != expected {
+                self.integrity.failure();
+                return Err(SNodeError::Corrupt("graph blob checksum mismatch"));
+            }
+        }
+        Ok(bytes)
+    }
+}
+
+/// Disk-backed S-Node representation with a memory-budgeted graph cache.
+///
+/// The handle is `Sync`: everything read at open (the metadata, the
+/// resident index files, the manifest) is immutable, and all query-time
+/// mutation lives in the sharded [`GraphCache`], the per-graph list memos,
+/// the scratch-buffer pool, and the lock-guarded quarantine state — so any
+/// number of threads can navigate one shared handle through `&self`
+/// (DESIGN.md §5f).
+#[derive(Debug)]
+pub struct SNode {
+    dir: OpenDir,
+    cache: GraphCache,
+    nav: Option<NavCounters>,
+    /// Pool of reusable batch buffers: a navigation call pops one (or
+    /// starts fresh), runs, and returns it, so the steady state of N
+    /// concurrent readers holds N warm scratches and allocates nothing.
+    scratch: Mutex<Vec<BatchScratch>>,
+    degrade: Option<RwLock<DegradeState>>,
+    /// The shim's retry count before the open's first read.
+    retries_at_open: u64,
+}
+
+impl SNode {
+    /// Opens the representation under `dir` with a decoded-graph budget of
+    /// `cache_budget_bytes` (the experiment's memory cap, §4.3). The index
+    /// files are read whole at open and held resident: graph loads borrow
+    /// slices of one shared immutable image per file (the `mmap` analogue
+    /// under the workspace's `forbid(unsafe_code)` — see
+    /// [`wg_store::Region`]), at the cost of [`SNode::resident_bytes`].
+    ///
+    /// Strict mode: any checksum or decode failure surfaces as an error.
+    pub fn open_resident(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
+        Self::open_mode(dir, cache_budget_bytes, false)
+    }
+
+    /// Opens with graceful degradation: a damaged intranode or superedge
+    /// graph is quarantined instead of failing the query, answers omit its
+    /// contribution, and [`SNode::degraded`] reports what was skipped.
+    /// The resident metadata (`meta.bin`) must still verify — it is the
+    /// index everything else hangs off, so there is nothing to degrade to.
+    pub fn open_degraded(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
+        Self::open_mode(dir, cache_budget_bytes, true)
+    }
+
+    fn open_mode(dir: &Path, cache_budget_bytes: usize, degrade: bool) -> Result<Self> {
+        let retries_at_open = wg_fault::retries_performed();
+        Ok(Self {
+            dir: OpenDir::open(dir, degrade)?,
+            cache: GraphCache::new(cache_budget_bytes),
+            nav: NavCounters::auto(),
+            scratch: Mutex::new(Vec::new()),
             degrade: degrade.then(|| RwLock::new(DegradeState::new())),
-            retries_at_open: wg_fault::retries_performed(),
+            retries_at_open,
         })
     }
 
     /// Degradation summary: quarantined supernodes, skipped adjacency
-    /// parts, and transient-read retries since open. All zeros (except
+    /// parts, and transient-read retries since the open began (the open
+    /// is where the handle reads through the shim). All zeros (except
     /// possibly retries) for a clean directory or a strict open.
     pub fn degraded(&self) -> DegradedReport {
         let retries = wg_fault::retries_performed().saturating_sub(self.retries_at_open);
@@ -342,43 +367,44 @@ impl SNode {
 
     /// Integrity verifications performed and failed by this handle.
     pub fn integrity_stats(&self) -> (u64, u64) {
-        (self.integrity.checks(), self.integrity.failures())
+        (self.dir.integrity.checks(), self.dir.integrity.failures())
     }
 
     /// Whether blob reads are verified against an integrity manifest.
     pub fn verifies_checksums(&self) -> bool {
-        self.manifest.is_some()
+        self.dir.manifest.is_some()
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> u32 {
-        self.meta.num_pages
+        self.dir.meta.num_pages
     }
 
     /// Number of supernodes.
     pub fn num_supernodes(&self) -> u32 {
-        self.meta.num_supernodes()
+        self.dir.meta.num_supernodes()
     }
 
     /// Resident metadata (supernode graph, PageID + domain indexes).
     pub fn meta(&self) -> &SNodeMeta {
-        &self.meta
+        &self.dir.meta
     }
 
     /// Supernode owning page `p`.
     pub fn supernode_of(&self, p: PageId) -> u32 {
-        self.meta.supernode_of(p)
+        self.dir.meta.supernode_of(p)
     }
 
     /// Page-id range of supernode `s`.
     pub fn page_range(&self, s: u32) -> std::ops::Range<u32> {
-        self.meta.page_range(s)
+        self.dir.meta.page_range(s)
     }
 
     /// Supernodes holding pages of `domain` (from the resident domain
     /// index).
     pub fn supernodes_of_domain(&self, domain: u32) -> &[u32] {
-        self.meta
+        self.dir
+            .meta
             .domain_supernodes
             .get(domain as usize)
             .map_or(&[], |v| v.as_slice())
@@ -467,14 +493,17 @@ impl SNode {
         scratch.order.clear();
         scratch.order.extend(0..n as u32);
         scratch.order.sort_unstable_by_key(|&i| pages[i as usize]);
+        if let Some(&last) = scratch.order.last() {
+            check_page(&self.dir.meta, pages[last as usize])?;
+        }
         for r in results.iter_mut() {
             r.clear();
         }
 
         let mut g = 0usize;
         while g < n {
-            let s = self.meta.supernode_of(pages[scratch.order[g] as usize]);
-            let range = self.meta.page_range(s);
+            let s = self.dir.meta.supernode_of(pages[scratch.order[g] as usize]);
+            let range = self.dir.meta.page_range(s);
             let mut end = g + 1;
             while end < n && range.contains(&pages[scratch.order[end] as usize]) {
                 end += 1;
@@ -505,7 +534,7 @@ impl SNode {
                 always: true,
                 graph: intra,
             });
-            let targets = &self.meta.supergraph.adj[s as usize];
+            let targets = &self.dir.meta.supergraph.adj[s as usize];
             for &k in &scratch.slots {
                 let j = *targets.get(k as usize).ok_or(SNodeError::Corrupt(
                     "fanout slot beyond the supernode's row",
@@ -513,7 +542,7 @@ impl SNode {
                 let parsed = scratch.parsed.get_mut(k as usize).and_then(Option::take);
                 let graph = self.superedge(s, k, j, parsed)?;
                 scratch.parts.push(Part {
-                    start: self.meta.page_range(j).start,
+                    start: self.dir.meta.page_range(j).start,
                     slot: k,
                     j,
                     always: graph.is_none() || fanout.always().binary_search(&k).is_ok(),
@@ -586,7 +615,7 @@ impl SNode {
 
     /// Physical graph reads from the index files.
     pub fn disk_reads(&self) -> u64 {
-        self.files.read_count()
+        self.dir.files.read_count()
     }
 
     /// Clears the decoded-graph cache (cold start) and resets statistics.
@@ -611,34 +640,11 @@ impl SNode {
         self.cache.take_log()
     }
 
-    /// True when the index files are resident (zero-copy graph loads).
-    pub fn is_resident(&self) -> bool {
-        self.files.is_resident()
-    }
-
-    /// Bytes pinned by the resident index-file images (0 when opened in
-    /// the default positioned-read mode). Scale benchmarks subtract this
-    /// from process RSS to check that *query* memory stays flat.
+    /// Bytes pinned by the resident index-file images. Scale benchmarks
+    /// subtract this from process RSS to check that *query* memory stays
+    /// flat.
     pub fn resident_bytes(&self) -> u64 {
-        self.files.resident_bytes()
-    }
-
-    /// Reads one blob and verifies it against the manifest when present.
-    fn load_blob(&self, loc: &GraphLocator, blob_idx: u64) -> Result<crate::disk::Blob> {
-        let bytes = self.files.read_blob(loc)?;
-        if let Some(m) = &self.manifest {
-            self.integrity.check();
-            let expected = m
-                .blob_crc
-                .get(blob_idx as usize)
-                .copied()
-                .ok_or(SNodeError::Corrupt("blob index beyond manifest table"))?;
-            if wg_fault::crc32c(&bytes) != expected {
-                self.integrity.failure();
-                return Err(SNodeError::Corrupt("graph blob checksum mismatch"));
-            }
-        }
-        Ok(bytes)
+        self.dir.files.resident_bytes()
     }
 
     /// In degraded mode records the quarantine and succeeds; in strict
@@ -682,10 +688,10 @@ impl SNode {
         if let Some(g) = self.cache.get(key) {
             return Ok(Some(g));
         }
-        let loc = self.meta.intranode_loc[s as usize];
+        let loc = self.dir.meta.intranode_loc[s as usize];
         let parsed = timed_decode(|| {
-            let bytes = self.load_blob(&loc, self.blob_base[s as usize])?;
-            let (universe, codec) = (Universe::SameAsCount, self.meta.codec.intra);
+            let bytes = self.dir.load_blob(&loc, self.dir.blob_base[s as usize])?;
+            let (universe, codec) = (Universe::SameAsCount, self.dir.meta.codec.intra);
             let index = ListsIndex::parse(&bytes, loc.bit_len, universe, codec)?;
             Ok((bytes, index))
         });
@@ -727,18 +733,20 @@ impl SNode {
         parsed.clear();
         sources.clear();
         ranges.clear();
-        let ni = self.meta.supernode_size(s);
-        let locs = &self.meta.superedge_loc[s as usize];
+        let ni = self.dir.meta.supernode_size(s);
+        let locs = &self.dir.meta.superedge_loc[s as usize];
         for ((k, &j), loc) in (0u64..)
-            .zip(&self.meta.supergraph.adj[s as usize])
+            .zip(&self.dir.meta.supergraph.adj[s as usize])
             .zip(locs)
         {
             let scanned = match self.superedge_quarantined(s, j) {
                 true => None,
                 false => {
                     let scanned = timed_decode(|| {
-                        let blob = self.load_blob(loc, self.blob_base[s as usize] + 1 + k)?;
-                        let codec = self.meta.codec.superedge;
+                        let blob = self
+                            .dir
+                            .load_blob(loc, self.dir.blob_base[s as usize] + 1 + k)?;
+                        let codec = self.dir.meta.codec.superedge;
                         let range =
                             scan_sources(&blob, loc.bit_len, u64::from(ni), codec, sources)?;
                         Ok((blob, range))
@@ -805,17 +813,18 @@ impl SNode {
         j: u32,
         blob: Option<ParsedSuperedge>,
     ) -> Result<Option<Arc<CachedGraph>>> {
-        let loc = self.meta.superedge_loc[s as usize][edge_idx as usize];
-        let ni = u64::from(self.meta.supernode_size(s));
-        let nj = u64::from(self.meta.supernode_size(j));
+        let loc = self.dir.meta.superedge_loc[s as usize][edge_idx as usize];
+        let ni = u64::from(self.dir.meta.supernode_size(s));
+        let nj = u64::from(self.dir.meta.supernode_size(j));
         let loaded = timed_decode(|| {
             let blob = match blob {
                 Some(blob) => blob,
-                None => {
-                    self.load_blob(&loc, self.blob_base[s as usize] + 1 + u64::from(edge_idx))?
-                }
+                None => self.dir.load_blob(
+                    &loc,
+                    self.dir.blob_base[s as usize] + 1 + u64::from(edge_idx),
+                )?,
             };
-            let codec = self.meta.codec.superedge;
+            let codec = self.dir.meta.codec.superedge;
             let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, codec)?;
             Ok((blob, index))
         });
@@ -823,6 +832,15 @@ impl SNode {
             let graph = CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj);
             self.cache.insert(GraphKey::Super(s, j), graph)
         }))
+    }
+}
+
+/// Refuses a page id beyond the representation before anything is looked
+/// up for it: `supernode_of` would name a supernode that does not exist.
+fn check_page(meta: &SNodeMeta, p: PageId) -> Result<()> {
+    match p < meta.num_pages {
+        true => Ok(()),
+        false => Err(SNodeError::Corrupt("page id beyond the representation")),
     }
 }
 
@@ -853,53 +871,31 @@ pub struct SNodeInMemory {
 }
 
 impl SNodeInMemory {
-    /// Loads every encoded graph under `dir` into memory, verifying each
-    /// blob against the integrity manifest when one is present (strict —
-    /// the Table 2 setup has no quarantine path).
+    /// Loads every encoded graph under `dir` into memory through the same
+    /// strict opener and per-blob check as [`SNode::open_resident`] (the
+    /// Table 2 setup has no quarantine path).
     pub fn load(dir: &Path) -> Result<Self> {
-        let meta = SNodeMeta::read(dir)?;
-        let files = IndexFileReader::open(dir)?;
-        let manifest = IntegrityManifest::read(dir)?;
-        let integrity = IntegrityCounters::new();
-        let check = |bytes: &[u8], blob_idx: usize| -> Result<()> {
-            let Some(m) = &manifest else {
-                return Ok(());
-            };
-            integrity.check();
-            let expected = m
-                .blob_crc
-                .get(blob_idx)
-                .copied()
-                .ok_or(SNodeError::Corrupt(
-                    "resident manifest blob table truncated",
-                ))?;
-            if wg_fault::crc32c(bytes) != expected {
-                integrity.failure();
-                return Err(SNodeError::Corrupt("resident blob checksum mismatch"));
-            }
-            Ok(())
-        };
+        let opened = OpenDir::open(dir, false)?;
+        let meta = &opened.meta;
         let n = meta.num_supernodes();
-        let mut blob_idx = 0usize;
         let mut intra = Vec::with_capacity(n as usize);
         let mut supers = Vec::with_capacity(n as usize);
         let mut fanout = Vec::with_capacity(n as usize);
         for s in 0..n {
             let loc = meta.intranode_loc[s as usize];
-            let bytes = files.read(&loc)?;
-            check(&bytes, blob_idx)?;
-            blob_idx += 1;
+            let base = opened.blob_base[s as usize];
+            let bytes = opened.load_blob(&loc, base)?;
             let index =
                 ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, meta.codec.intra)?;
             intra.push(CachedGraph::new_encoded_intra(bytes, loc.bit_len, index));
             let mut row = Vec::with_capacity(meta.supergraph.adj[s as usize].len());
             let ni = u64::from(meta.supernode_size(s));
-            for (k, loc) in meta.superedge_loc[s as usize].iter().enumerate() {
-                let j = meta.supergraph.adj[s as usize][k];
+            for ((k, loc), &j) in (1..)
+                .zip(&meta.superedge_loc[s as usize])
+                .zip(&meta.supergraph.adj[s as usize])
+            {
                 let nj = u64::from(meta.supernode_size(j));
-                let bytes = files.read(loc)?;
-                check(&bytes, blob_idx)?;
-                blob_idx += 1;
+                let bytes = opened.load_blob(loc, base + k)?;
                 let index =
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
                 row.push((bytes, loc.bit_len, index, nj));
@@ -917,7 +913,7 @@ impl SNodeInMemory {
             );
         }
         Ok(Self {
-            meta,
+            meta: opened.meta,
             intra,
             supers,
             fanout,
@@ -938,6 +934,7 @@ impl SNodeInMemory {
     /// encoded graphs (one list per contributing graph — this is the
     /// random-access path whose cost Table 2 reports).
     pub fn out_neighbors(&self, p: PageId) -> Result<Vec<PageId>> {
+        check_page(&self.meta, p)?;
         let s = self.meta.supernode_of(p);
         let s_start = self.meta.page_range(s).start;
         let local = p - s_start;
@@ -1089,7 +1086,8 @@ mod tests {
     #[test]
     fn disk_backed_adjacency_matches_source() {
         let (dir, graph, renum, _) = build_repo("disk", 120);
-        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
+        assert!(snode.resident_bytes() > 0);
         for new_id in 0..graph.num_nodes() {
             assert_eq!(
                 snode.out_neighbors(new_id).unwrap(),
@@ -1097,6 +1095,11 @@ mod tests {
                 "page {new_id}"
             );
         }
+        // `meta.bin` and every blob read were checksummed, and held.
+        let (checks, failures) = snode.integrity_stats();
+        assert!(snode.disk_reads() > 0);
+        assert_eq!(checks, 1 + snode.disk_reads());
+        assert_eq!(failures, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1119,7 +1122,7 @@ mod tests {
     fn tiny_cache_still_answers_correctly() {
         let (dir, graph, renum, _) = build_repo("tinycache", 90);
         // A cache of ~1KB forces constant load/unload churn.
-        let snode = SNode::open(&dir, 1024).unwrap();
+        let snode = SNode::open_resident(&dir, 1024).unwrap();
         for new_id in (0..graph.num_nodes()).rev() {
             assert_eq!(
                 snode.out_neighbors(new_id).unwrap(),
@@ -1133,7 +1136,7 @@ mod tests {
     #[test]
     fn cache_hits_on_locality() {
         let (dir, graph, _renum, _) = build_repo("local", 100);
-        let snode = SNode::open(&dir, 8 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 8 << 20).unwrap();
         // Two passes over the same supernode's pages: second pass all hits.
         let r = snode.page_range(0);
         for p in r.clone() {
@@ -1154,46 +1157,9 @@ mod tests {
     }
 
     #[test]
-    fn resident_open_answers_and_counts_identically() {
-        let (dir, graph, renum, _) = build_repo("resident", 120);
-        let plain = SNode::open(&dir, 1 << 20).unwrap();
-        let resident = SNode::open_resident(&dir, 1 << 20).unwrap();
-        assert!(!plain.is_resident());
-        assert!(resident.is_resident());
-        assert!(resident.resident_bytes() > 0);
-        assert_eq!(plain.resident_bytes(), 0);
-        for new_id in 0..graph.num_nodes() {
-            assert_eq!(
-                resident.out_neighbors(new_id).unwrap(),
-                expected_neighbors(&graph, &renum, new_id),
-                "page {new_id}"
-            );
-            plain.out_neighbors(new_id).unwrap();
-        }
-        // Same physical-read and cache accounting on both paths.
-        assert_eq!(plain.disk_reads(), resident.disk_reads());
-        assert_eq!(plain.cache_stats(), resident.cache_stats());
-        // Checksums still verify on the zero-copy path.
-        let (checks, failures) = resident.integrity_stats();
-        assert!(checks > 0);
-        assert_eq!(failures, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resident_open_surfaces_corruption() {
-        let (dir, graph, _renum, _) = build_repo("residentcrc", 80);
-        flip_first_index_byte(&dir);
-        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
-        let err = (0..graph.num_nodes()).find_map(|p| snode.out_neighbors(p).err());
-        assert!(err.is_some(), "resident mode is strict about corruption");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn domain_index_resolves_pages() {
         let (dir, _graph, renum, domains) = build_repo("domains", 80);
-        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
         for d in 0..2u32 {
             let got = snode.pages_in_domain(d);
             let mut expect: Vec<u32> = (0..80u32)
@@ -1235,7 +1201,7 @@ mod tests {
     fn strict_open_surfaces_a_single_bit_flip() {
         let (dir, graph, _renum, _) = build_repo("strictcrc", 80);
         flip_first_index_byte(&dir);
-        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
         let err = (0..graph.num_nodes()).find_map(|p| snode.out_neighbors(p).err());
         assert!(err.is_some(), "strict mode must surface the flip");
         std::fs::remove_dir_all(&dir).ok();
@@ -1268,11 +1234,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `meta.bin`'s last word is the domain index's last entry.
+    fn last_domain_entry(dir: &Path) -> (std::path::PathBuf, Vec<u8>, usize) {
+        let path = dir.join("meta.bin");
+        let bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 4;
+        (path, bytes, at)
+    }
+
+    /// A `meta.bin` that still parses, naming another supernode in its
+    /// domain index, no longer matches `sums.bin`: both handles refuse it
+    /// through the one opener.
+    #[test]
+    fn both_handles_refuse_a_meta_bin_that_does_not_match_its_checksum() {
+        let (dir, _graph, _renum, _) = build_repo("memmeta", 60);
+        let (path, mut bytes, at) = last_domain_entry(&dir);
+        let n = SNodeMeta::parse(&bytes).unwrap().num_supernodes();
+        let entry = u32::from_le_bytes(bytes[at..].try_into().unwrap());
+        bytes[at..].copy_from_slice(&((entry + 1) % n).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(SNodeMeta::parse(&bytes).is_ok(), "the damage parses");
+        assert!(SNodeInMemory::load(&dir).is_err());
+        assert!(SNode::open_resident(&dir, 1 << 20).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With no manifest to catch it, a domain index entry beyond the
+    /// supernode graph is refused when `meta.bin` parses, not met as an
+    /// index past `range_start` by `pages_in_domain`.
+    #[test]
+    fn a_domain_index_entry_beyond_the_graph_is_corrupt() {
+        let (dir, _graph, _renum, _) = build_repo("domainflip", 60);
+        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
+        let (path, mut bytes, at) = last_domain_entry(&dir);
+        let n = SNodeMeta::parse(&bytes).unwrap().num_supernodes();
+        bytes[at..].copy_from_slice(&n.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SNodeMeta::parse(&bytes),
+            Err(SNodeError::Corrupt(_))
+        ));
+        assert!(SNode::open_resident(&dir, 1 << 20).is_err());
+        assert!(SNode::open_degraded(&dir, 1 << 20).is_err());
+        assert!(SNodeInMemory::load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A page id the representation does not have is an error from every
+    /// navigation entry point, and costs no quarantine.
+    #[test]
+    fn a_page_beyond_the_representation_is_an_error() {
+        let (dir, graph, _renum, _) = build_repo("beyond", 60);
+        let n = graph.num_nodes();
+        let snode = SNode::open_degraded(&dir, 1 << 20).unwrap();
+        for p in [n, n + 1, u32::MAX] {
+            assert!(snode.out_neighbors(p).is_err(), "{p}");
+            let batch = snode.out_neighbors_batch(&[0, p, 1], &mut |_, _| {});
+            assert!(batch.is_err(), "batch with {p}");
+        }
+        assert!(snode.degraded().is_clean());
+        assert_eq!(snode.disk_reads(), 0, "nothing was looked up");
+        assert!(snode.out_neighbors(n - 1).is_ok());
+        let mem = SNodeInMemory::load(&dir).unwrap();
+        assert!(mem.out_neighbors(n).is_err());
+        assert!(mem.out_neighbors(n - 1).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn manifestless_directory_stays_readable() {
         let (dir, graph, renum, _) = build_repo("v1compat", 60);
         std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
-        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
         assert!(!snode.verifies_checksums());
         for p in 0..graph.num_nodes() {
             assert_eq!(
@@ -1292,27 +1325,22 @@ mod tests {
     #[test]
     fn a_cold_probe_reads_and_checksums_each_blob_of_its_supernode_once() {
         let (dir, graph, _renum) = build_crawl("readonce");
-        for resident in [false, true] {
-            let snode = match resident {
-                true => SNode::open_resident(&dir, 1 << 20).unwrap(),
-                false => SNode::open(&dir, 1 << 20).unwrap(),
-            };
-            let mut most = 0;
-            for p in 0..graph.num_nodes() {
-                let s = snode.supernode_of(p);
-                let d = snode.meta().supergraph.adj[s as usize].len() as u64;
-                most = most.max(d);
-                snode.clear_cache();
-                let before = (snode.disk_reads(), snode.integrity_stats().0);
-                snode.out_neighbors(p).unwrap();
-                let cold = (snode.disk_reads(), snode.integrity_stats().0);
-                assert_eq!(cold.0 - before.0, 1 + d, "page {p}: reads");
-                assert_eq!(cold.1 - before.1, 1 + d, "page {p}: checksums");
-                snode.out_neighbors(p).unwrap();
-                assert_eq!((snode.disk_reads(), snode.integrity_stats().0), cold);
-            }
-            assert!(most >= 2, "some supernode has several out-superedges");
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
+        let mut most = 0;
+        for p in 0..graph.num_nodes() {
+            let s = snode.supernode_of(p);
+            let d = snode.meta().supergraph.adj[s as usize].len() as u64;
+            most = most.max(d);
+            snode.clear_cache();
+            let before = (snode.disk_reads(), snode.integrity_stats().0);
+            snode.out_neighbors(p).unwrap();
+            let cold = (snode.disk_reads(), snode.integrity_stats().0);
+            assert_eq!(cold.0 - before.0, 1 + d, "page {p}: reads");
+            assert_eq!(cold.1 - before.1, 1 + d, "page {p}: checksums");
+            snode.out_neighbors(p).unwrap();
+            assert_eq!((snode.disk_reads(), snode.integrity_stats().0), cold);
         }
+        assert!(most >= 2, "some supernode has several out-superedges");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1320,14 +1348,14 @@ mod tests {
     /// supernode, its slot, where its blob lies and its parsed header.
     fn positive_superedges(dir: &Path) -> Vec<(u32, usize, GraphLocator, SuperedgeIndex)> {
         let meta = SNodeMeta::read(dir).unwrap();
-        let files = IndexFileReader::open(dir).unwrap();
+        let files = IndexFileReader::open_resident(dir).unwrap();
         let mut found = Vec::new();
         for s in 0..meta.num_supernodes() {
             let ni = u64::from(meta.supernode_size(s));
             for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
                 let loc = meta.superedge_loc[s as usize][k];
                 let nj = u64::from(meta.supernode_size(j));
-                let bytes = files.read(&loc).unwrap();
+                let bytes = files.read_blob(&loc).unwrap();
                 let index =
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
                         .unwrap();
@@ -1367,7 +1395,7 @@ mod tests {
         let range = meta.page_range(s);
         let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
 
-        let strict = SNode::open(&dir, 1 << 20).unwrap();
+        let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
         for p in range.clone() {
             assert!(strict.out_neighbors(p).is_err(), "strict page {p}");
         }
@@ -1414,7 +1442,7 @@ mod tests {
         let (dir, graph, renum) = build_crawl("forgedcount");
         std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
         let meta = SNodeMeta::read(&dir).unwrap();
-        let files = IndexFileReader::open(&dir).unwrap();
+        let files = IndexFileReader::open_resident(&dir).unwrap();
         let (s, loc, index) = (positive_superedges(&dir).into_iter())
             .find_map(|(s, _, loc, index)| {
                 let dictionary = index.layout() != crate::subgraphs::Layout::Lists;
@@ -1423,7 +1451,7 @@ mod tests {
             })
             .expect("a dictionary graph that lists some pages of its supernode only");
         let bits = index
-            .bit_breakdown(&files.read(&loc).unwrap(), loc.bit_len)
+            .bit_breakdown(&files.read_blob(&loc).unwrap(), loc.bit_len)
             .unwrap();
         zero_blob_tail(&dir, &loc, bits.header + bits.sources);
 
@@ -1432,7 +1460,7 @@ mod tests {
         let unlisted = (range.clone())
             .find(|p| !index.sources().contains(&(p - range.start)))
             .unwrap();
-        let snode = SNode::open(&dir, 1 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
         assert!(!snode.verifies_checksums());
         assert_eq!(
             snode.out_neighbors(unlisted).unwrap(),
@@ -1453,10 +1481,10 @@ mod tests {
     #[test]
     fn cache_log_shows_loaded_graph_counts() {
         let (dir, graph, _renum, _) = build_repo("log", 100);
-        let snode = SNode::open(&dir, 8 << 20).unwrap();
+        let snode = SNode::open_resident(&dir, 8 << 20).unwrap();
         snode.enable_cache_log();
         let meta = snode.meta();
-        let files = IndexFileReader::open(&dir).unwrap();
+        let files = IndexFileReader::open_resident(&dir).unwrap();
         let mut spared = 0usize;
         for p in 0..graph.num_nodes() {
             let s = snode.supernode_of(p);
@@ -1466,7 +1494,7 @@ mod tests {
             for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
                 let loc = meta.superedge_loc[s as usize][k];
                 let nj = u64::from(meta.supernode_size(j));
-                let bytes = files.read(&loc).unwrap();
+                let bytes = files.read_blob(&loc).unwrap();
                 let index =
                     SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
                         .unwrap();

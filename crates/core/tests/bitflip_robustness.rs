@@ -69,7 +69,7 @@ proptest! {
         let mut bytes = orig.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
-        if let Ok(snode) = SNode::open(dir, 1 << 20) {
+        if let Ok(snode) = SNode::open_resident(dir, 1 << 20) {
             for p in 0..snode.num_pages().min(400) {
                 let _ = snode.out_neighbors(p);
             }

@@ -5,6 +5,19 @@
 //! cache may be counting into it.
 
 use wg_snode::cache::{CachedGraph, GraphCache, GraphKey};
+use wg_snode::refenc::{encode_lists, ListsIndex, RefMode, Universe};
+use wg_snode::ListCodec;
+
+/// An encoded intranode graph of `lists` empty lists, over a blob sliced
+/// from a resident image as the read path slices one.
+fn encoded(lists: usize) -> CachedGraph {
+    let (codec, universe) = (ListCodec::GAMMA, Universe::SameAsCount);
+    let enc = encode_lists(&vec![Vec::new(); lists], lists as u64, RefMode::None, codec);
+    let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec);
+    let len = enc.bytes.len();
+    let blob = wg_store::Region::from_vec(enc.bytes).slice(0, len);
+    CachedGraph::new_encoded_intra(blob.expect("whole"), enc.bit_len, index.expect("parse"))
+}
 
 #[test]
 fn stats_shard_tallies_and_registry_counters_agree() {
@@ -26,10 +39,7 @@ fn stats_shard_tallies_and_registry_counters_agree() {
         if op < 11 {
             cache.get(key);
         } else {
-            cache.insert(
-                key,
-                CachedGraph::new(vec![vec![id; 200]; 1 + id as usize % 3]),
-            );
+            cache.insert(key, encoded(200 * (1 + id as usize % 3)));
         }
     }
     let stats = cache.stats();

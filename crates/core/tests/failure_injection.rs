@@ -29,7 +29,7 @@ fn truncated_meta_fails_to_open() {
     for cut in [0, 1, 7, bytes.len() / 3, bytes.len() - 1] {
         std::fs::write(&meta, &bytes[..cut]).unwrap();
         assert!(
-            SNode::open(&dir, 1 << 20).is_err(),
+            SNode::open_resident(&dir, 1 << 20).is_err(),
             "open must fail with meta truncated to {cut} bytes"
         );
     }
@@ -47,7 +47,7 @@ fn bit_flipped_meta_never_panics() {
         let mut bytes = original.clone();
         bytes[pos] ^= 0xA5;
         std::fs::write(&meta, &bytes).unwrap();
-        match SNode::open(&dir, 1 << 20) {
+        match SNode::open_resident(&dir, 1 << 20) {
             Err(_) => {}
             Ok(snode) => {
                 for p in (0..num_pages.min(snode.num_pages())).step_by(97) {
@@ -63,7 +63,7 @@ fn bit_flipped_meta_never_panics() {
 fn missing_index_files_fail_to_open() {
     let (dir, _) = build_repo("missing_idx");
     std::fs::remove_file(dir.join("index_000.bin")).unwrap();
-    assert!(SNode::open(&dir, 1 << 20).is_err());
+    assert!(SNode::open_resident(&dir, 1 << 20).is_err());
     assert!(SNodeInMemory::load(&dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -76,7 +76,7 @@ fn truncated_index_file_errors_on_access() {
     std::fs::write(&idx, &bytes[..bytes.len() / 2]).unwrap();
     // Open may succeed (meta is intact); navigation into the truncated
     // region must error, not panic.
-    match SNode::open(&dir, 1 << 20) {
+    match SNode::open_resident(&dir, 1 << 20) {
         Err(_) => {}
         Ok(snode) => {
             let mut saw_error = false;
@@ -106,7 +106,7 @@ fn corrupted_index_payload_is_detected_or_decodes_to_something() {
         let mut bytes = original.clone();
         bytes[pos] ^= 0xFF;
         std::fs::write(&idx, &bytes).unwrap();
-        let Ok(snode) = SNode::open(&dir, 1 << 20) else {
+        let Ok(snode) = SNode::open_resident(&dir, 1 << 20) else {
             continue;
         };
         for p in (0..num_pages).step_by(41) {

@@ -84,8 +84,8 @@ fn probe_fingerprint(snode: &SNode) -> u64 {
 /// The corpus streamed as `wgr scale-step build` streams it and read back
 /// as `wgr build` reads it, built with the default config: the directory
 /// the ledger's `nav-100k` workload reads, and the answers of the scale
-/// step's probes into it — through positioned reads and resident at
-/// 1 MiB, and resident at 256 MiB on a second pass, every graph cached.
+/// step's probes into it — at 1 MiB, and at 256 MiB on a second pass,
+/// every graph cached.
 #[test]
 fn the_100k_directory_and_its_answers_are_the_committed_ones() {
     let root = std::env::temp_dir().join(format!("wg_golden_100k_{}", std::process::id()));
@@ -102,14 +102,12 @@ fn the_100k_directory_and_its_answers_are_the_committed_ones() {
     assert_eq!(fingerprint_dir(&dir).unwrap(), 0x114a_dca4_dae3_8b1c);
 
     let answers = 0xda91_2306_e8d1_4cb6;
-    let positioned = SNode::open(&dir, 1 << 20).unwrap();
-    assert_eq!(probe_fingerprint(&positioned), answers, "positioned, 1 MiB");
-    let resident = SNode::open_resident(&dir, 1 << 20).unwrap();
-    assert_eq!(probe_fingerprint(&resident), answers, "resident, 1 MiB");
+    let small = SNode::open_resident(&dir, 1 << 20).unwrap();
+    assert_eq!(probe_fingerprint(&small), answers, "1 MiB");
     let warm = SNode::open_resident(&dir, 256 << 20).unwrap();
     probe_fingerprint(&warm);
     let cold = warm.cache_stats().misses;
-    assert_eq!(probe_fingerprint(&warm), answers, "resident, 256 MiB, warm");
+    assert_eq!(probe_fingerprint(&warm), answers, "256 MiB, warm");
     assert_eq!(
         warm.cache_stats().misses,
         cold,

@@ -23,8 +23,15 @@ use wg_snode::refenc::{
 use wg_snode::subgraphs::{
     encode_superedge, Layout, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
+use wg_snode::Blob;
 
 const UNIVERSE: u64 = 64;
+
+/// `bytes` as the read path hands a graph over: a slice of a resident image.
+fn blob(bytes: &[u8]) -> Blob {
+    let region = wg_store::Region::from_vec(bytes.to_vec());
+    region.slice(0, bytes.len()).unwrap()
+}
 
 /// Strategy: up to 40 sorted deduped lists over a small universe, biased
 /// towards overlap so reference encoding actually builds chains.
@@ -174,7 +181,7 @@ proptest! {
             };
             let (index, all) = (parse(), parse().decode_all(&enc.bytes, enc.bit_len).unwrap());
             prop_assert_eq!(&all, &intra);
-            let graph = CachedGraph::new_encoded_intra(enc.bytes.clone(), enc.bit_len, parse());
+            let graph = CachedGraph::new_encoded_intra(blob(&enc.bytes), enc.bit_len, parse());
             for i in request_orders(ni as u32, seed).into_iter().flatten() {
                 graph.decode_list_into(i, &mut scratch, &mut out).unwrap();
                 prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} memo", mode, i);
@@ -191,7 +198,7 @@ proptest! {
             if n >= 8 {
                 prop_assert_eq!(index.layout(), layout.unwrap_or(Layout::Lists), "{:?}", mode);
             }
-            let graph = CachedGraph::new_encoded_super(enc.bytes.clone(), enc.bit_len, parse(), nj);
+            let graph = CachedGraph::new_encoded_super(blob(&enc.bytes), enc.bit_len, parse(), nj);
             for s in request_orders(ni as u32, seed).into_iter().flatten() {
                 let want = index.targets_of(&enc.bytes, enc.bit_len, u64::from(s), nj).unwrap();
                 prop_assert_eq!(&want, &dense[s as usize], "{:?} source {}", mode, s);

@@ -30,7 +30,7 @@ fn check_exact(name: &str, urls: &[&str], domains: &[u32], graph: &Graph, config
     let (stats, renum) = build_snode(input, config, &dir).unwrap();
     assert_eq!(stats.num_edges, graph.num_edges());
 
-    let disk = SNode::open(&dir, 4 << 20).unwrap();
+    let disk = SNode::open_resident(&dir, 4 << 20).unwrap();
     let mem = SNodeInMemory::load(&dir).unwrap();
     for old in 0..graph.num_nodes() {
         let new = renum.new_of_old[old as usize];
@@ -189,7 +189,7 @@ proptest! {
         let url_refs: Vec<&str> = urls.iter().map(String::as_str).collect();
         let input = RepoInput { urls: &url_refs, domains: &domains, graph: &graph };
         let (_stats, renum) = build_snode(input, &config, &dir).unwrap();
-        let snode = SNode::open(&dir, 64 << 10).unwrap();
+        let snode = SNode::open_resident(&dir, 64 << 10).unwrap();
         for old in 0..n {
             let new = renum.new_of_old[old as usize];
             let mut expect: Vec<u32> = graph

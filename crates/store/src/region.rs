@@ -68,8 +68,9 @@ impl Region {
 }
 
 /// A sub-range of a [`Region`] that keeps the backing buffer alive.
-/// Derefs to `[u8]`, so it drops into any API that borrows bytes.
-#[derive(Debug, Clone)]
+/// Derefs to `[u8]`, so it drops into any API that borrows bytes. The
+/// default is empty and allocates nothing (an empty `Arc<[u8]>` is static).
+#[derive(Debug, Clone, Default)]
 pub struct RegionSlice {
     bytes: Arc<[u8]>,
     offset: usize,
@@ -143,5 +144,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(r.slice(0, 0).unwrap().is_empty());
+        assert!(RegionSlice::default().is_empty());
     }
 }

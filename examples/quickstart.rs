@@ -40,7 +40,7 @@ fn main() {
     );
 
     // 3. Open it with a 1 MiB decoded-graph budget and look around.
-    let snode = SNode::open(&dir, 1 << 20).expect("open");
+    let snode = SNode::open_resident(&dir, 1 << 20).expect("open");
 
     // Pick the first page of the first .edu domain and walk its links.
     let edu = corpus.domains_with_tld("edu")[0];

@@ -92,7 +92,7 @@ fn main() {
                  \x20                                          per-stage latency + shard heatmap\n\
                  \x20      --scale [--sizes N,N] [--probes N] [--out FILE]\n\
                  \x20                                          scale benchmark: streamed corpus →\n\
-                 \x20                                          build → resident query probe per size,\n\
+                 \x20                                          build → one query probe per size,\n\
                  \x20                                          each in a fresh process for clean\n\
                  \x20                                          peak-RSS accounting → BENCH_scale.json\n\
                  serve  DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
@@ -144,7 +144,7 @@ fn read_corpus_at(dir: &Path) -> Corpus {
 
 fn open_snode(dir: &Path) -> SNode {
     or_exit(
-        SNode::open(dir, 1 << 20),
+        SNode::open_resident(dir, 1 << 20),
         format!("cannot open S-Node directory {}", dir.display()),
     )
 }
@@ -191,7 +191,6 @@ fn positional(args: &[String]) -> Option<String> {
                         | "--no-telemetry"
                         | "--stream"
                         | "--scale"
-                        | "--resident"
                 );
             i += if boolean { 1 } else { 2 };
         } else {
@@ -974,10 +973,8 @@ const SCALE_STREAM_RSS_BOUND: u64 = 512 << 20;
 ///
 /// 1. **Scale ladder** (subprocesses): per corpus size, a fresh process
 ///    streams the corpus, builds it, and reports its RSS
-///    high-water marks; then two more processes probe navigation
-///    latency over the result — once through the zero-copy resident
-///    read path, once through positioned reads — and must agree on an
-///    answer fingerprint.
+///    high-water marks; then one more probes navigation latency over
+///    the result, its answers hashed into a fingerprint.
 /// 2. **Memory gates**: streamed generation stays under a fixed bound,
 ///    and resident-query overhead (peak RSS minus the resident index
 ///    bytes) stays flat up the ladder modulo the per-page metadata the
@@ -1044,28 +1041,15 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
             "--probes",
             &probes.to_string(),
         ];
-        let resident_args: Vec<&str> = probe_args.iter().copied().chain(["--resident"]).collect();
-        let (Some(qr), Some(qp)) = (
-            run_scale_step(&exe, &resident_args),
-            run_scale_step(&exe, &probe_args),
-        ) else {
+        let Some(qr) = run_scale_step(&exe, &probe_args) else {
             ok = false;
             std::fs::remove_dir_all(&dir).ok();
             continue;
         };
-        let answers_match = !snap_str(&qr, "probe_fingerprint").is_empty()
-            && snap_str(&qr, "probe_fingerprint") == snap_str(&qp, "probe_fingerprint");
-        if !answers_match {
-            eprintln!("FAILED: resident and positioned probes disagree at {pages} pages");
-        }
-        ok &= answers_match;
         eprintln!(
-            "scale {pages}: probe p50 {} ns / p99 {} ns resident \
-             (vs {} / {} positioned), resident index {} MiB",
+            "scale {pages}: probe p50 {} ns / p99 {} ns, resident index {} MiB",
             snap_u64(&qr, "p50_ns"),
             snap_u64(&qr, "p99_ns"),
-            snap_u64(&qp, "p50_ns"),
-            snap_u64(&qp, "p99_ns"),
             snap_u64(&qr, "resident_bytes") >> 20,
         );
         overheads.push((
@@ -1073,8 +1057,7 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
             snap_u64(&qr, "peak_rss_bytes").saturating_sub(snap_u64(&qr, "resident_bytes")),
         ));
         size_objs.push(format!(
-            "    {{\"pages\": {pages},\n     \"build\": {b},\n     \"query_resident\": {qr},\n\
-             \x20    \"query_positioned\": {qp},\n     \"answers_match\": {answers_match}}}"
+            "    {{\"pages\": {pages},\n     \"build\": {b},\n     \"query_resident\": {qr}}}"
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1194,23 +1177,15 @@ fn scale_step_build(args: &[String]) -> i32 {
     0
 }
 
-/// `wgr scale-step query --repo DIR [--probes N] [--resident]
-/// [--budget B]` — opens the representation (zero-copy resident mode
-/// with `--resident`, the positioned-read path otherwise), runs N
-/// deterministic `out_neighbors` probes, and prints one JSON line with
-/// the latency distribution, an answer fingerprint both modes must
-/// agree on, the resident index bytes, and this process's peak RSS.
+/// `wgr scale-step query --repo DIR [--probes N] [--budget B]` — opens
+/// the representation, runs N deterministic `out_neighbors` probes, and
+/// prints one JSON line with the latency distribution, a fingerprint of
+/// the answers, the resident index bytes, and this process's peak RSS.
 fn scale_step_query(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
     let probes: u32 = num(args, "--probes").unwrap_or(10_000);
     let budget: usize = num(args, "--budget").unwrap_or(1 << 20);
-    let resident = args.iter().any(|a| a == "--resident");
-    let snode = if resident {
-        SNode::open_resident(&repo, budget)
-    } else {
-        SNode::open(&repo, budget)
-    }
-    .expect("open repo");
+    let snode = SNode::open_resident(&repo, budget).expect("open repo");
     let n = snode.num_pages();
     if n == 0 || probes == 0 {
         eprintln!("nothing to probe");
@@ -1221,8 +1196,8 @@ fn scale_step_query(args: &[String]) -> i32 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut buf: Vec<u32> = Vec::new();
     for i in 0..probes {
-        // Knuth multiplicative scatter: deterministic, spread across the
-        // id space, identical for both open modes.
+        // Knuth multiplicative scatter: deterministic, and spread across
+        // the id space.
         let p = ((u64::from(i) * 2_654_435_761) % u64::from(n)) as u32;
         let sw = obs::Stopwatch::start();
         snode.out_neighbors_into(p, &mut buf).expect("navigate");
@@ -1240,7 +1215,7 @@ fn scale_step_query(args: &[String]) -> i32 {
     let mean = lat.iter().sum::<u64>() / lat.len() as u64;
     let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
     println!(
-        "{{\"step\":\"query\",\"pages\":{n},\"probes\":{probes},\"resident\":{resident},\
+        "{{\"step\":\"query\",\"pages\":{n},\"probes\":{probes},\
          \"p50_ns\":{},\"p99_ns\":{},\"mean_ns\":{mean},\"edges_touched\":{edges},\
          \"probe_fingerprint\":\"{h:016x}\",\"resident_bytes\":{},\"peak_rss_bytes\":{peak}}}",
         pct(0.50),

@@ -10,9 +10,10 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
-use webgraph_repr::fault::{FaultPlan, FaultSpec};
+use webgraph_repr::fault::io::{clear_transients, install_transients};
+use webgraph_repr::fault::{FaultPlan, FaultSpec, TransientKind};
 use webgraph_repr::snode::{
     build_snode, IntegrityManifest, RepoInput, SNode, SNodeConfig, SNodeInMemory,
 };
@@ -36,6 +37,13 @@ fn copy_dir(from: &Path, to: &Path) {
         let e = e.unwrap();
         std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
     }
+}
+
+/// Held by every test that installs transient faults: the shim's plan and
+/// its read counter are the process's.
+fn transients() -> std::sync::MutexGuard<'static, ()> {
+    static SHIM: Mutex<()> = Mutex::new(());
+    SHIM.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One pristine representation shared by every proptest case (built once;
@@ -86,6 +94,7 @@ proptest! {
         };
         let plan = FaultPlan::generate(&dir, seed, &spec).unwrap();
         plan.apply_to_dir(&dir).unwrap();
+        let _shim = transients();
         plan.install_transients();
 
         // fsck: a plan that changed bytes must be detected; a directory
@@ -103,7 +112,7 @@ proptest! {
 
         // Strict open: error or clean walk — never a panic, and never a
         // clean verdict over damaged checksummed bytes.
-        if let Ok(snode) = SNode::open(&dir, 1 << 20) {
+        if let Ok(snode) = SNode::open_resident(&dir, 1 << 20) {
             for p in (0..*num_pages).step_by(13) {
                 let _ = snode.out_neighbors(p);
             }
@@ -127,6 +136,58 @@ proptest! {
     }
 }
 
+/// The open is where a handle reads through the shim, so a transient
+/// error it absorbs there is one `degraded().retries` reports.
+#[test]
+fn retries_at_open_are_reported() {
+    let (pristine_dir, _) = pristine();
+    let _shim = transients();
+    install_transients(vec![(0, TransientKind::Eio)]);
+    let snode = SNode::open_degraded(pristine_dir, 1 << 20);
+    clear_transients();
+    let report = snode.unwrap().degraded();
+    assert!(report.retries >= 1, "{report:?}");
+    assert!(report.is_clean());
+}
+
+/// A handle reads what the directory held when it opened: a byte flipped
+/// on disk afterwards changes no answer and quarantines nothing. A fresh
+/// open of the flipped directory finds it.
+#[test]
+fn a_flip_after_open_changes_no_answer() {
+    let (pristine_dir, num_pages) = pristine();
+    let dir = temp_dir("flip_after_open");
+    copy_dir(pristine_dir, &dir);
+    let truth = SNode::open_resident(&dir, 1 << 20).unwrap();
+    let expected: Vec<Vec<u32>> = (0..*num_pages)
+        .map(|p| truth.out_neighbors(p).unwrap())
+        .collect();
+    drop(truth);
+
+    let snode = SNode::open_degraded(&dir, 1 << 20).unwrap();
+    let index = dir.join("index_000.bin");
+    let mut bytes = std::fs::read(&index).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x10;
+    std::fs::write(&index, bytes).unwrap();
+    for p in 0..*num_pages {
+        assert_eq!(
+            snode.out_neighbors(p).unwrap(),
+            expected[p as usize],
+            "page {p}"
+        );
+    }
+    assert!(snode.degraded().is_clean(), "{:?}", snode.degraded());
+    assert_eq!(snode.integrity_stats().1, 0);
+
+    let fresh = SNode::open_degraded(&dir, 1 << 20).unwrap();
+    for p in 0..*num_pages {
+        fresh.out_neighbors(p).unwrap();
+    }
+    assert_eq!(fresh.degraded().quarantined_supernodes, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Damaging exactly one graph blob quarantines its supernode, leaves
 /// every other answer identical to the pristine truth, and the degraded
 /// report counts exactly the skipped adjacency parts.
@@ -136,7 +197,7 @@ fn degraded_answers_are_accurate() {
     let dir = temp_dir("accuracy");
     copy_dir(pristine_dir, &dir);
 
-    let truth = SNode::open(&dir, 1 << 20).unwrap();
+    let truth = SNode::open_resident(&dir, 1 << 20).unwrap();
     let expected: Vec<Vec<u32>> = (0..*num_pages)
         .map(|p| truth.out_neighbors(p).unwrap())
         .collect();
@@ -247,7 +308,7 @@ fn dead_rebuild_leaves_a_directory_that_does_not_open() {
     };
     let dir = temp_dir("dead_rebuild");
     build_snode(input, &SNodeConfig::default(), &dir).expect("build A");
-    SNode::open(&dir, 1 << 20).expect("A opens");
+    SNode::open_resident(&dir, 1 << 20).expect("A opens");
 
     // A directory where `pagemap.bin` goes: the second build writes its
     // index files, then fails.
@@ -260,7 +321,7 @@ fn dead_rebuild_leaves_a_directory_that_does_not_open() {
     assert!(build_snode(input, &small_files, &dir).is_err());
     assert!(dir.join("index_001.bin").exists(), "B's index files");
 
-    assert!(SNode::open(&dir, 1 << 20).is_err());
+    assert!(SNode::open_resident(&dir, 1 << 20).is_err());
     assert!(SNode::open_degraded(&dir, 1 << 20).is_err());
     let out = wgr().arg("stats").arg(&dir).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "stats on a dead build: {out:?}");
@@ -287,7 +348,7 @@ fn directory_with_a_covered_shards_bin_stays_valid() {
     assert!(manifest.file_sum("shards.bin").is_some());
     manifest.write(&dir).unwrap();
 
-    let snode = SNode::open(&dir, 1 << 20).expect("opens");
+    let snode = SNode::open_resident(&dir, 1 << 20).expect("opens");
     assert_eq!(snode.num_pages(), *num_pages);
     for cmd in ["check", "fsck"] {
         let out = wgr().arg(cmd).arg(&dir).output().unwrap();
@@ -479,7 +540,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
     use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
     use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
     let meta = SNodeMeta::read(snode_dir).unwrap();
-    let files = IndexFileReader::open(snode_dir).unwrap();
+    let files = IndexFileReader::open_resident(snode_dir).unwrap();
     let codec = meta.codec.superedge;
     let mut flips: Vec<(u32, u64)> = Vec::new();
     let mut dictionaries = 0;
@@ -488,7 +549,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
         for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
             let loc = meta.superedge_loc[s as usize][k];
             let nj = u64::from(meta.supernode_size(j));
-            let clean = files.read(&loc).unwrap();
+            let clean = files.read_blob(&loc).unwrap();
             let (first, layout, body) =
                 match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec) {
                     Ok(i) if i.kind == SuperedgeKind::Positive => {
@@ -507,7 +568,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             // Search from the end of the graph, where the stored lists lie,
             // back to where `sources` end.
             let found = (body..loc.bit_len).rev().find(|&bit| {
-                let mut bytes = clean.clone();
+                let mut bytes = clean.to_vec();
                 bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
                 SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).map_or(true, |i| {
                     i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
@@ -559,7 +620,7 @@ fn manifestless_list_stream_damage_degrades_at_decode_time() {
     assert_eq!(query(false).status.code(), Some(0), "clean query");
 
     let snode_dir = reps.join("snode");
-    let truth = SNode::open(&snode_dir, 1 << 20).unwrap();
+    let truth = SNode::open_resident(&snode_dir, 1 << 20).unwrap();
     let expected: Vec<Vec<u32>> = (0..truth.num_pages())
         .map(|p| truth.out_neighbors(p).unwrap())
         .collect();

@@ -23,8 +23,9 @@ use webgraph_repr::snode::subgraphs::{
     encode_superedge, Layout as Stored, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
 use webgraph_repr::snode::{
-    build_snode, CodecConfig, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig,
+    build_snode, Blob, CodecConfig, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig,
 };
+use webgraph_repr::store::Region;
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -122,38 +123,32 @@ fn a_warm_probe_allocates_nothing() {
         .collect();
     let batch: Vec<u32> = (0..64).map(|i| i * (n / 64) + i % 7).collect();
 
-    let budget = 256 << 20;
-    let handles = [
-        ("open_resident", SNode::open_resident(&dir, budget).unwrap()),
-        ("open", SNode::open(&dir, budget).unwrap()),
-    ];
-    for (how, snode) in &handles {
-        let mut out = Vec::new();
-        let mut wrong = 0usize;
-        // The filling pass: every graph cached, every buffer grown.
-        for p in 0..n {
-            snode.out_neighbors_into(p, &mut out).unwrap();
-        }
-        let before = allocations();
-        for p in 0..n {
-            snode.out_neighbors_into(p, &mut out).unwrap();
-            wrong += usize::from(out != truth[p as usize]);
-        }
-        let scalar = allocations() - before;
-        assert_eq!(wrong, 0, "{how}: answers differ from the corpus graph");
-        assert_eq!(scalar, 0, "{how}: allocations over {n} warm probes");
-
-        let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != truth[p as usize]);
-        snode.out_neighbors_batch(&batch, &mut check).unwrap();
-        let before = allocations();
-        for _ in 0..3 {
-            snode.out_neighbors_batch(&batch, &mut check).unwrap();
-        }
-        let batched = allocations() - before;
-        assert_eq!(wrong, 0, "{how}: batched answers differ from the corpus");
-        assert_eq!(batched, 0, "{how}: allocations over three warm batches");
-        assert_eq!(snode.cache_stats().evictions, 0, "{how}: nothing was cold");
+    let snode = SNode::open_resident(&dir, 256 << 20).unwrap();
+    let mut out = Vec::new();
+    let mut wrong = 0usize;
+    // The filling pass: every graph cached, every buffer grown.
+    for p in 0..n {
+        snode.out_neighbors_into(p, &mut out).unwrap();
     }
+    let before = allocations();
+    for p in 0..n {
+        snode.out_neighbors_into(p, &mut out).unwrap();
+        wrong += usize::from(out != truth[p as usize]);
+    }
+    let scalar = allocations() - before;
+    assert_eq!(wrong, 0, "answers differ from the corpus graph");
+    assert_eq!(scalar, 0, "allocations over {n} warm probes");
+
+    let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != truth[p as usize]);
+    snode.out_neighbors_batch(&batch, &mut check).unwrap();
+    let before = allocations();
+    for _ in 0..3 {
+        snode.out_neighbors_batch(&batch, &mut check).unwrap();
+    }
+    let batched = allocations() - before;
+    assert_eq!(wrong, 0, "batched answers differ from the corpus");
+    assert_eq!(batched, 0, "allocations over three warm batches");
+    assert_eq!(snode.cache_stats().evictions, 0, "nothing was cold");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -237,7 +232,8 @@ fn superedge_of(shape: Stored, negative: bool, sources: u32) -> (Vec<Vec<u32>>, 
 
 /// What one cold admission allocates — the parse, the cache's header and
 /// the `Arc` around it, and the first decode, into buffers grown on another
-/// copy of the graph — per kind of entry, at 1 k, 4 k and 16 k lists and
+/// copy of the graph — per kind of entry, over a blob sliced (outside the
+/// count, as the handle's open reads it) from a resident image, at 1 k, 4 k and 16 k lists and
 /// with `sources` of 1 (four for a list dictionary, which one list never
 /// takes) and 10 000 entries. The arena and the scan's list lengths are
 /// allocated once each, at their size: a directory or body grown as it is
@@ -255,11 +251,16 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
     let (mut scratch, mut out) = (DecodeScratch::default(), Vec::new());
     // The bytes, as the cache's read hands them over, and the admission of
     // a graph over them; list `local` decoded once first.
-    let mut admit = |bytes: &[u8], admit: &dyn Fn(Vec<u8>) -> CachedGraph, local: u32| {
-        let warm = admit(bytes.to_vec());
+    let image = |bytes: &[u8]| {
+        Region::from_vec(bytes.to_vec())
+            .slice(0, bytes.len())
+            .unwrap()
+    };
+    let mut admit = |bytes: &[u8], admit: &dyn Fn(Blob) -> CachedGraph, local: u32| {
+        let warm = admit(image(bytes));
         warm.decode_list_into(local, &mut scratch, &mut out)
             .unwrap();
-        let read = bytes.to_vec();
+        let read = image(bytes);
         let (n, decoded) = counted(|| {
             let graph = Arc::new(admit(read));
             graph.decode_list_into(local, &mut scratch, &mut out)
@@ -275,7 +276,7 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             RefMode::Windowed(32),
             ListCodec::GAMMA,
         );
-        let intra = |bytes: Vec<u8>| {
+        let intra = |bytes: Blob| {
             let universe = Universe::SameAsCount;
             let index = ListsIndex::parse(&bytes, enc.bit_len, universe, ListCodec::GAMMA);
             CachedGraph::new_encoded_intra(bytes, enc.bit_len, index.unwrap())
@@ -316,7 +317,7 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).unwrap();
             assert_eq!(index.layout(), layout, "{name} of {sources} sources");
             assert_eq!(index.kind == SuperedgeKind::Negative, negative, "{name}");
-            let graph = |bytes: Vec<u8>| {
+            let graph = |bytes: Blob| {
                 let index = SuperedgeIndex::parse(&bytes, enc.bit_len, ni, nj, codec);
                 CachedGraph::new_encoded_super(bytes, enc.bit_len, index.unwrap(), nj)
             };
