@@ -75,41 +75,87 @@ fn write_rle(w: &mut BitWriter, bits: &[bool]) {
     codes::write_gamma(w, run - 1);
 }
 
+/// Reads a bit vector of exactly `len` bits written by [`write_bitvec`] a
+/// word at a time, without materialising it: `on_word(at, word)` receives
+/// up to 64 of its bits in stream order — bit `63 - k` of `word` is bit
+/// `at + k` of the vector, and bits past the vector's end are zero. A
+/// literal vector arrives in one [`BitReader::read_bits`] per 64 bits, a
+/// run of ones as words of ones, and a run of zeros not at all, so a
+/// caller that wants the set bits counts them with `count_ones` and walks
+/// them with `leading_zeros`.
+///
+/// A literal vector cut short by the end of the stream calls `on_word`
+/// for the bits there are, then fails where a bit-by-bit read would have:
+/// at the stream's end, with the cursor there.
+fn read_bitvec_words(
+    r: &mut BitReader<'_>,
+    len: usize,
+    mut on_word: impl FnMut(usize, u64),
+) -> Result<()> {
+    if !r.read_bit()? {
+        let there = len.min(usize::try_from(r.remaining()).unwrap_or(usize::MAX));
+        let mut at = 0;
+        while at < there {
+            let n = (there - at).min(64);
+            let word = r.read_bits(n as u32)? << (64 - n);
+            if word != 0 {
+                on_word(at, word);
+            }
+            at += n;
+        }
+        if there < len {
+            return Err(BitError::UnexpectedEof {
+                position: r.position(),
+            });
+        }
+        return Ok(());
+    }
+    let mut value = r.read_bit()?;
+    let mut at = 0usize;
+    while at < len {
+        let run = codes::read_gamma(r)? + 1;
+        if run > (len - at) as u64 {
+            return Err(BitError::Corrupt {
+                what: "RLE run overruns declared bit-vector length",
+            });
+        }
+        let end = at + run as usize;
+        if value {
+            for from in (at..end).step_by(64) {
+                on_word(from, u64::MAX << (64 - (end - from).min(64)));
+            }
+        }
+        at = end;
+        value = !value;
+    }
+    Ok(())
+}
+
 /// Reads a bit vector of exactly `len` bits written by [`write_bitvec`],
-/// invoking `on_set(i)` for each set bit instead of materialising the
-/// vector — the hot path when applying a reference encoding copy-mask.
+/// invoking `on_set(i)` for each set bit in ascending order instead of
+/// materialising the vector — the hot path when applying a reference
+/// encoding copy-mask. The word walker above, one set bit at a time.
 pub fn read_bitvec_set_positions(
     r: &mut BitReader<'_>,
     len: usize,
     mut on_set: impl FnMut(usize),
 ) -> Result<()> {
-    let rle = r.read_bit()?;
-    if !rle {
-        for i in 0..len {
-            if r.read_bit()? {
-                on_set(i);
-            }
+    read_bitvec_words(r, len, |at, mut word| {
+        while word != 0 {
+            let k = word.leading_zeros();
+            on_set(at + k as usize);
+            word ^= 1 << (63 - k);
         }
-        return Ok(());
-    }
-    let mut value = r.read_bit()?;
-    let mut i = 0usize;
-    while i < len {
-        let run = codes::read_gamma(r)? + 1;
-        if i + run as usize > len {
-            return Err(BitError::Corrupt {
-                what: "RLE run overruns declared bit-vector length",
-            });
-        }
-        if value {
-            for j in i..i + run as usize {
-                on_set(j);
-            }
-        }
-        i += run as usize;
-        value = !value;
-    }
-    Ok(())
+    })
+}
+
+/// Reads a bit vector of exactly `len` bits written by [`write_bitvec`]
+/// and returns how many of its bits are set, a word at a time, with the
+/// checks of [`read_bitvec_set_positions`].
+pub fn count_bitvec_ones(r: &mut BitReader<'_>, len: usize) -> Result<u64> {
+    let mut ones = 0u64;
+    read_bitvec_words(r, len, |_, word| ones += u64::from(word.count_ones()))?;
+    Ok(ones)
 }
 
 #[cfg(test)]
@@ -131,6 +177,12 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(set, expect);
+        assert_eq!(r.remaining(), 0);
+        let mut r = BitReader::with_bit_len(&bytes, blen);
+        assert_eq!(
+            count_bitvec_ones(&mut r, bits.len()).unwrap(),
+            expect.len() as u64
+        );
         assert_eq!(r.remaining(), 0);
     }
 
@@ -195,5 +247,21 @@ mod tests {
         let (bytes, blen) = w.finish();
         let mut r = BitReader::with_bit_len(&bytes, blen);
         assert!(read_bitvec_set_positions(&mut r, 5, |_| {}).is_err());
+    }
+
+    #[test]
+    fn truncated_literal_fails_at_the_stream_end() {
+        let mut w = BitWriter::new();
+        w.write_bit(false); // literal marker
+        for i in 0..70 {
+            w.write_bit(i % 3 == 0);
+        }
+        let (bytes, blen) = w.finish();
+        let mut r = BitReader::with_bit_len(&bytes, blen);
+        let mut set = Vec::new();
+        let got = read_bitvec_set_positions(&mut r, 100, |i| set.push(i));
+        assert_eq!(got, Err(BitError::UnexpectedEof { position: blen }));
+        assert_eq!(r.position(), blen);
+        assert_eq!(set, (0..70).step_by(3).collect::<Vec<_>>());
     }
 }

@@ -460,8 +460,9 @@ pub struct CachedGraph {
     /// graph, keyed as its decoder keys lists — see
     /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of `bytes`.
     memo: Mutex<ListMemo>,
-    /// Resident footprint, which drives eviction: encoded bytes, directory
-    /// and memo cap for an encoded graph.
+    /// What the entry owns, which drives eviction: the value itself, its
+    /// arena and its memo cap. Not `data`: the resident image it borrows
+    /// from is counted once, as the handle's `resident_bytes`.
     bytes: usize,
 }
 
@@ -482,24 +483,16 @@ enum Shape {
     Fanout(Fanout),
 }
 
-const _: () = assert!(std::mem::size_of::<CachedGraph>() <= CachedGraph::FIXED_BYTES);
 /// The header — shape with its arena pointer, and the bit length — in the
 /// 48 bytes an `Arc`'s two counts leave of a 64-byte line.
 const _: () = assert!(std::mem::offset_of!(CachedGraph, data) <= 48);
 
 impl CachedGraph {
-    /// What every constructor charges for the `CachedGraph` value itself
-    /// (so no `heap_bytes` counts any of it). A constant no smaller than
-    /// the value, checked above: a field added shows up there, in review,
-    /// not as eviction counters that moved or a cache that holds more than
-    /// it charges. It is what the value measured while a superedge graph's
-    /// directory sat inline in it; charging the smaller value the arena
-    /// left is a change of its own, since every eviction moves with it.
-    const FIXED_BYTES: usize = 248;
-
-    /// One header over `shape`, whose arena is charged `heap` bytes.
+    /// One header over `shape`, whose arena is charged `heap` bytes: the
+    /// value itself (so no `heap_bytes` counts any of it), the arena and
+    /// the memo cap.
     fn with(shape: Shape, heap: usize, data: Blob, bit_len: u64, memo: ListMemo) -> Self {
-        let bytes = Self::FIXED_BYTES + heap + data.len() + memo.cap();
+        let bytes = std::mem::size_of::<Self>() + heap + memo.cap();
         Self {
             shape,
             bit_len,
@@ -520,8 +513,9 @@ impl CachedGraph {
     }
 
     /// Wraps an encoded intranode graph with its parsed directory. The
-    /// cache charges the blob's full length: the borrow pins its share of
-    /// the resident image, so the budget accounting stays honest.
+    /// blob is borrowed from the resident image, which is held and counted
+    /// whether or not the graph is cached, so the cache charges what the
+    /// entry adds to it: the directory and a memo cap sized by the blob.
     pub fn new_encoded_intra(data: Blob, bit_len: u64, index: ListsIndex) -> Self {
         let heap = index.heap_bytes();
         let memo = ListMemo::with_cap(Self::memo_cap(data.len()));
@@ -1133,11 +1127,12 @@ mod tests {
     }
 
     /// An encoded graph of empty lists charged within 3 % of `bytes_target`
-    /// (and no less than an empty graph, 48 bytes above `FIXED_BYTES`): each
-    /// list costs its four-byte offset and two bits of encoding, charged
-    /// twice — as bytes and as memo cap.
+    /// (and no less than an empty graph, a few bytes above the value's
+    /// size): each list costs its four-byte offset and two bits of
+    /// encoding, charged once, as memo cap.
     fn graph_of(bytes_target: usize) -> CachedGraph {
-        let lists = bytes_target.saturating_sub(CachedGraph::FIXED_BYTES + 48) * 2 / 9;
+        let empty = std::mem::size_of::<CachedGraph>() + 8;
+        let lists = bytes_target.saturating_sub(empty) * 4 / 17;
         encoded_intra(&vec![Vec::new(); lists], crate::refenc::RefMode::None)
     }
 
@@ -1361,7 +1356,7 @@ mod tests {
         );
         assert_eq!(
             g.bytes(),
-            g.encoded_len() + index.heap_bytes() + g.memo_cap_bytes() + CachedGraph::FIXED_BYTES,
+            std::mem::size_of::<CachedGraph>() + index.heap_bytes() + g.memo_cap_bytes(),
             "accounted bytes include the full memo cap up front"
         );
         assert_eq!(g.memo_used(), 0, "memo starts empty");
@@ -1390,7 +1385,7 @@ mod tests {
         assert_eq!(g.memo_cap_bytes(), encoded);
         assert_eq!(
             g.bytes(),
-            2 * encoded + directory + CachedGraph::FIXED_BYTES
+            encoded + directory + std::mem::size_of::<CachedGraph>()
         );
 
         let singles: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3]).collect();
@@ -1400,8 +1395,15 @@ mod tests {
         let enc = encode(&singles, codec);
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
         assert_eq!(index.layout(), Layout::SingleTargets);
+        let directory = index.heap_bytes();
         let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
         assert_eq!(g.memo_cap_bytes(), 0);
+        assert!(g.encoded_len() > 0);
+        assert_eq!(
+            g.bytes(),
+            directory + std::mem::size_of::<CachedGraph>(),
+            "the blob borrowed from the resident image is not charged again"
+        );
     }
 
     #[test]
@@ -1555,7 +1557,7 @@ mod tests {
         let cached = CachedGraph::from(fanout);
         assert_eq!(
             cached.bytes(),
-            (7 + 2) * 4 + 5 * 2 + CachedGraph::FIXED_BYTES,
+            (7 + 2) * 4 + 5 * 2 + std::mem::size_of::<CachedGraph>(),
             "offsets and `always` at four bytes, rows at two"
         );
         assert!(

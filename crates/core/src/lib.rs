@@ -56,7 +56,8 @@ pub mod kmeans;
 pub mod par;
 pub mod partition;
 pub mod refenc;
-// The shared `SNode` handle's scratch pools and degradation state.
+// The shared `SNode` handle's scratch pools, degradation state and
+// verified-blob bitset.
 #[allow(clippy::disallowed_types)]
 pub mod repr;
 pub mod subgraphs;

@@ -231,14 +231,7 @@ pub struct ListsIndex<O = Box<[u32]>> {
     offsets: O,
 }
 
-const _: () = assert!(std::mem::size_of::<ListsIndex>() <= ListsIndex::FIXED_BYTES);
-
 impl ListsIndex {
-    /// What [`ListsIndex::heap_bytes`] charges for the value itself, the
-    /// offsets aside: a constant no smaller than the value (checked
-    /// above), and what it was charged when the offsets were a `Vec`.
-    const FIXED_BYTES: usize = 40;
-
     /// Parses the header + directory of an encoded stream.
     ///
     /// `universe` declares the entry universe: [`Universe::SameAsCount`]
@@ -271,9 +264,10 @@ impl ListsIndex {
         Ok((index, lists))
     }
 
-    /// Approximate heap footprint of the directory itself.
+    /// Heap footprint of the directory: its offsets. The value itself is
+    /// charged by whatever holds it (a cache entry counts its own size).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * 4 + Self::FIXED_BYTES
+        self.offsets.len() * 4
     }
 }
 
@@ -950,10 +944,10 @@ pub(crate) fn append_bounded_gap_list(
 /// set bits of its copy-mask over the parent's `reference_len` entries, if
 /// it has a parent, plus its extras.
 fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64) -> Result<u32> {
-    let mut copied = 0u64;
-    if let Some(m) = reference_len {
-        rle::read_bitvec_set_positions(r, m as usize, |_| copied += 1)?;
-    }
+    let copied = match reference_len {
+        Some(m) => rle::count_bitvec_ones(r, m as usize)?,
+        None => 0,
+    };
     let extras = read_list_count(r, universe)?;
     read_ascending_entries(r, extras, universe, |_| {})?;
     u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))

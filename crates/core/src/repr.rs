@@ -23,6 +23,7 @@ use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wg_graph::PageId;
 
@@ -201,7 +202,9 @@ struct BatchScratch {
 /// A directory as every reader opens it: `meta.bin` checked against
 /// `sums.bin` and parsed, the blobs numbered in the builder's linear order,
 /// and the index files resident. The one opener of [`SNode`] and
-/// [`SNodeInMemory`], and their one per-blob check.
+/// [`SNodeInMemory`], and their one per-blob check: a blob is checksummed
+/// the first time it is read whole in this open, since the resident image
+/// it is sliced from cannot change after that.
 #[derive(Debug)]
 struct OpenDir {
     meta: SNodeMeta,
@@ -212,6 +215,9 @@ struct OpenDir {
     /// `blob_base[s]` = linear blob index of supernode `s`'s intranode
     /// graph; superedge `k` of `s` is blob `blob_base[s] + 1 + k`.
     blob_base: Vec<u64>,
+    /// One bit per blob, set once the blob has matched its CRC in this
+    /// open; a blob that fails stays clear and is checked again.
+    verified: Box<[AtomicU64]>,
     integrity: IntegrityCounters,
 }
 
@@ -264,14 +270,19 @@ impl OpenDir {
             meta,
             manifest,
             blob_base,
+            verified: (0..acc.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             integrity,
         })
     }
 
-    /// Reads one blob and verifies it against the manifest when present.
+    /// Reads one blob and, the first time it is read in this open,
+    /// verifies it against the manifest when present.
     fn load_blob(&self, loc: &GraphLocator, blob_idx: u64) -> Result<Blob> {
         let bytes = self.files.read_blob(loc)?;
         if let Some(m) = &self.manifest {
+            if self.is_verified(blob_idx) {
+                return Ok(bytes);
+            }
             self.integrity.check();
             let expected = m
                 .blob_crc
@@ -282,8 +293,21 @@ impl OpenDir {
                 self.integrity.failure();
                 return Err(SNodeError::Corrupt("graph blob checksum mismatch"));
             }
+            self.mark_verified(blob_idx);
         }
         Ok(bytes)
+    }
+
+    /// Whether blob `blob_idx` has matched its CRC in this open.
+    fn is_verified(&self, blob_idx: u64) -> bool {
+        let word = self.verified.get((blob_idx / 64) as usize);
+        word.is_some_and(|w| w.load(Ordering::Relaxed) & 1 << (blob_idx % 64) != 0)
+    }
+
+    fn mark_verified(&self, blob_idx: u64) {
+        if let Some(w) = self.verified.get((blob_idx / 64) as usize) {
+            w.fetch_or(1 << (blob_idx % 64), Ordering::Relaxed);
+        }
     }
 }
 
@@ -365,7 +389,9 @@ impl SNode {
         }
     }
 
-    /// Integrity verifications performed and failed by this handle.
+    /// Integrity verifications performed and failed by this handle:
+    /// `meta.bin` at open, then each blob at its first read — a blob read
+    /// again after an eviction is not checked again, one that failed is.
     pub fn integrity_stats(&self) -> (u64, u64) {
         (self.dir.integrity.checks(), self.dir.integrity.failures())
     }
@@ -1095,10 +1121,10 @@ mod tests {
                 "page {new_id}"
             );
         }
-        // `meta.bin` and every blob read were checksummed, and held.
+        // `meta.bin` and every blob were checksummed once, and held.
         let (checks, failures) = snode.integrity_stats();
         assert!(snode.disk_reads() > 0);
-        assert_eq!(checks, 1 + snode.disk_reads());
+        assert_eq!(checks, 1 + blob_count(&snode));
         assert_eq!(failures, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1317,11 +1343,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Blobs in the directory `snode` opened.
+    fn blob_count(snode: &SNode) -> u64 {
+        snode.dir.blob_base.last().copied().unwrap_or(0)
+    }
+
+    /// Blobs that have matched their CRC in this open.
+    fn verified_count(snode: &SNode) -> u64 {
+        (0..blob_count(snode))
+            .filter(|&b| snode.dir.is_verified(b))
+            .count() as u64
+    }
+
     /// A cold probe into a supernode with `d` out-superedges is `1 + d`
-    /// blob reads and as many checksums — the fanout build reads every
-    /// out-superedge graph, and the graphs the probe then admits are
-    /// parsed from the blobs it holds, not read again — and a warm one is
-    /// none.
+    /// blob reads — the fanout build reads every out-superedge graph, and
+    /// the graphs the probe then admits are parsed from the blobs it
+    /// holds, not read again — and checksums those of them this open has
+    /// not checked yet; a warm one is none of either.
     #[test]
     fn a_cold_probe_reads_and_checksums_each_blob_of_its_supernode_once() {
         let (dir, graph, _renum) = build_crawl("readonce");
@@ -1331,16 +1369,97 @@ mod tests {
             let s = snode.supernode_of(p);
             let d = snode.meta().supergraph.adj[s as usize].len() as u64;
             most = most.max(d);
+            let base = snode.dir.blob_base[s as usize];
+            let blobs = base..base + 1 + d;
+            let unchecked = blobs.clone().filter(|&b| !snode.dir.is_verified(b)).count();
             snode.clear_cache();
             let before = (snode.disk_reads(), snode.integrity_stats().0);
             snode.out_neighbors(p).unwrap();
             let cold = (snode.disk_reads(), snode.integrity_stats().0);
             assert_eq!(cold.0 - before.0, 1 + d, "page {p}: reads");
-            assert_eq!(cold.1 - before.1, 1 + d, "page {p}: checksums");
+            assert_eq!(cold.1 - before.1, unchecked as u64, "page {p}: checksums");
+            assert!(blobs.clone().all(|b| snode.dir.is_verified(b)), "page {p}");
             snode.out_neighbors(p).unwrap();
             assert_eq!((snode.disk_reads(), snode.integrity_stats().0), cold);
         }
         assert!(most >= 2, "some supernode has several out-superedges");
+        assert_eq!(verified_count(&snode), blob_count(&snode));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Under a budget that evicts and re-reads, each blob is checksummed
+    /// at its first read in an open and at no later one; a second open
+    /// checks them all again.
+    #[test]
+    fn a_blob_is_checksummed_once_per_open_however_often_it_is_read() {
+        let (dir, graph, renum) = build_crawl("crconce");
+        for open in 0..2 {
+            let snode = SNode::open_resident(&dir, 4 << 10).unwrap();
+            for round in 0..2 {
+                for p in 0..graph.num_nodes() {
+                    assert_eq!(
+                        snode.out_neighbors(p).unwrap(),
+                        expected_neighbors(&graph, &renum, p),
+                        "open {open} round {round} page {p}"
+                    );
+                }
+            }
+            assert!(snode.cache_stats().evictions > 0, "the budget must evict");
+            assert!(snode.disk_reads() > 2 * blob_count(&snode), "blobs re-read");
+            assert_eq!(verified_count(&snode), blob_count(&snode));
+            assert_eq!(
+                snode.integrity_stats(),
+                (1 + blob_count(&snode), 0),
+                "open {open}: `meta.bin`, then each blob once"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A blob that fails its CRC is never marked checked: each read of it
+    /// checks and fails again. Strict mode reads it on every probe into
+    /// its supernode; degraded mode quarantines it at the first, and
+    /// reads it no more.
+    #[test]
+    fn a_corrupt_blob_is_checked_and_fails_on_every_touch() {
+        let (dir, graph, renum) = build_crawl("crcfail");
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let (s, k, loc, _) = (positive_superedges(&dir).into_iter())
+            .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
+            .expect("a supernode with two out-superedges");
+        let path = crate::disk::index_file_path(&dir, loc.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[loc.offset as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let range = meta.page_range(s);
+        let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
+
+        let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
+        let blob = strict.dir.blob_base[s as usize] + 1 + k as u64;
+        for (touch, p) in (1..).zip(range.clone()) {
+            assert!(strict.out_neighbors(p).is_err(), "strict page {p}");
+            assert_eq!(strict.integrity_stats().1, touch, "page {p}");
+            assert!(!strict.dir.is_verified(blob));
+        }
+        let (checks, failures) = strict.integrity_stats();
+        assert_eq!(checks, 1 + verified_count(&strict) + failures);
+
+        let degraded = SNode::open_degraded(&dir, 1 << 20).unwrap();
+        for round in 0..2 {
+            for p in range.clone() {
+                let mut want = expected_neighbors(&graph, &renum, p);
+                want.retain(|t| !lost.contains(t));
+                assert_eq!(
+                    degraded.out_neighbors(p).unwrap(),
+                    want,
+                    "round {round} page {p}"
+                );
+            }
+        }
+        assert!(!degraded.dir.is_verified(blob));
+        let (checks, failures) = degraded.integrity_stats();
+        assert_eq!(failures, 1, "quarantined at the first touch");
+        assert_eq!(checks, 1 + verified_count(&degraded) + failures);
         std::fs::remove_dir_all(&dir).ok();
     }
 

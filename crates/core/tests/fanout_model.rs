@@ -149,6 +149,10 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
 fn answers_hold_under_every_budget() {
     for (name, codec) in [("budget_g", "g"), ("budget_gst", "g+st")] {
         let (dir, truth) = build_block_corpus(name, codec);
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let blobs: u64 = (meta.supergraph.adj.iter())
+            .map(|adj| 1 + adj.len() as u64)
+            .sum();
         for budget in [1usize << 10, 1 << 20, 256 << 20] {
             let snode = SNode::open_resident(&dir, budget).unwrap();
             for (p, want) in (0u32..).zip(&truth) {
@@ -158,9 +162,11 @@ fn answers_hold_under_every_budget() {
                     "{codec} {budget} {p}"
                 );
             }
-            // `meta.bin` and every blob read were checksummed once, and held.
+            // `meta.bin` and every blob were checksummed, once however
+            // often a small budget had it read, and held.
             let (checks, failures) = snode.integrity_stats();
-            assert_eq!(checks, 1 + snode.disk_reads(), "{codec} {budget}");
+            assert!(snode.disk_reads() >= blobs, "{codec} {budget}");
+            assert_eq!(checks, 1 + blobs, "{codec} {budget}");
             assert_eq!(failures, 0, "{codec} {budget}");
         }
         // The batched path draws each group's graphs from the union of
