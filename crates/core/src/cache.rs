@@ -20,44 +20,7 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
-use wg_obs::{
-    stage_add, stage_sample, telemetry_enabled, LockMetrics, Stage, Stopwatch, SAMPLE_SCALE,
-};
-
-/// Shared wait/hold accounting for every decoded-list memo mutex: the
-/// memos are per-graph and churn with the cache, so one process-wide
-/// group (registered as `core.nav.memo_lock` under `--metrics`) keeps
-/// their contention observable without per-graph registry traffic.
-fn memo_lock_metrics() -> &'static LockMetrics {
-    static MEMO_LOCK: OnceLock<LockMetrics> = OnceLock::new();
-    MEMO_LOCK.get_or_init(|| LockMetrics::auto("core.nav.memo_lock"))
-}
-
-/// Point-in-time contention profile of the shared memo-mutex group.
-pub fn memo_lock_stats() -> wg_obs::LockStats {
-    memo_lock_metrics().stats()
-}
-
-/// Telemetry-aware memo acquisition: free when telemetry is off (one
-/// relaxed load); when on, counts the acquisition, detects contention via
-/// `try_lock`, and attributes blocked time to [`Stage::ShardLock`].
-fn lock_memo(memo: &Mutex<ListMemo>) -> MutexGuard<'_, ListMemo> {
-    if !telemetry_enabled() {
-        return memo.lock();
-    }
-    let lm = memo_lock_metrics();
-    lm.acquisitions.inc();
-    if let Some(g) = memo.try_lock() {
-        return g;
-    }
-    lm.contended.inc();
-    let sw = Stopwatch::start();
-    let g = memo.lock();
-    let ns = sw.elapsed_ns();
-    lm.wait_ns.add(ns);
-    stage_add(Stage::ShardLock, ns);
-    g
-}
+use wg_obs::Stopwatch;
 
 /// A cached graph's memo as the decoder sees it: locked by the first `get`
 /// or `put`, until the decode that made it ends. A plain list, a
@@ -75,7 +38,7 @@ impl<'a> LockedOnUse<'a> {
     }
 
     fn locked(&self) -> &MutexGuard<'a, ListMemo> {
-        self.guard.get_or_init(|| lock_memo(self.memo))
+        self.guard.get_or_init(|| self.memo.lock())
     }
 }
 
@@ -90,21 +53,6 @@ impl DecodeMemo for LockedOnUse<'_> {
             memo.put(i, v);
         }
     }
-}
-
-/// Runs one list decode under the sampled [`Stage::ListDecode`] stopwatch:
-/// per-list decode is the hottest query path, far too hot for an
-/// unconditional clock pair.
-fn sampled_decode(decode: impl FnOnce() -> Result<()>) -> Result<()> {
-    let sw = stage_sample();
-    let decoded = decode();
-    if let Some(sw) = sw {
-        stage_add(
-            Stage::ListDecode,
-            sw.elapsed_ns().saturating_mul(SAMPLE_SCALE),
-        );
-    }
-    decoded
 }
 
 /// Bounded memo of decoded lists, attached to an encoded cached graph.
@@ -576,10 +524,8 @@ impl CachedGraph {
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> crate::Result<()> {
-        sampled_decode(|| {
-            let mut memo = LockedOnUse::new(&self.memo);
-            self.decode_list_with(local, &mut memo, scratch, out)
-        })
+        let mut memo = LockedOnUse::new(&self.memo);
+        self.decode_list_with(local, &mut memo, scratch, out)
     }
 
     /// [`CachedGraph::decode_list_into`] through `memo` instead of the
@@ -698,10 +644,6 @@ const MIN_SHARD_BUDGET: usize = 1 << 20;
 pub struct GraphCache {
     budget: usize,
     shards: Vec<Mutex<Shard>>,
-    /// Parallel to `shards`: each shard mutex's contention profile for the
-    /// serve heatmap, registered as `core.cache.shard{i}.lock` under
-    /// `--metrics` (timing is telemetry-gated).
-    shard_locks: Vec<LockMetrics>,
     metrics: wg_obs::CacheMetrics,
     /// `metrics.bytes_loaded` by kind of key, in [`KEY_KINDS`] order:
     /// `core.cache.bytes_loaded.{intra,super,fanout}` under `--metrics`.
@@ -757,10 +699,6 @@ struct Shard {
     budget: usize,
     /// The stamp of the shard's latest touch; see [`Shard::touch`].
     tick: u64,
-    /// Lookups this shard answered, and those it could not: the shard
-    /// heatmap's split of `core.cache.hits` / `misses`.
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug)]
@@ -863,9 +801,6 @@ impl GraphCache {
                     })
                 })
                 .collect(),
-            shard_locks: (0..n)
-                .map(|i| LockMetrics::auto(&format!("core.cache.shard{i}.lock")))
-                .collect(),
             metrics: wg_obs::CacheMetrics::auto("core.cache"),
             loaded_by_kind: KEY_KINDS.map(|kind| match wg_obs::metrics_enabled() {
                 true => wg_obs::global().counter(&format!("core.cache.bytes_loaded.{kind}")),
@@ -877,28 +812,6 @@ impl GraphCache {
 
     fn shard_index(&self, key: &GraphKey) -> usize {
         (shard_hash(key) % self.shards.len() as u64) as usize
-    }
-
-    /// Acquires shard `i`'s mutex. Telemetry off: a plain `lock()` after
-    /// one relaxed load. Telemetry on: counts the acquisition, detects
-    /// contention via `try_lock`, records blocked time on the shard's
-    /// [`LockMetrics`], and attributes it to [`Stage::ShardLock`].
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        if !telemetry_enabled() {
-            return self.shards[i].lock();
-        }
-        let lm = &self.shard_locks[i];
-        lm.acquisitions.inc();
-        if let Some(g) = self.shards[i].try_lock() {
-            return g;
-        }
-        lm.contended.inc();
-        let sw = Stopwatch::start();
-        let g = self.shards[i].lock();
-        let ns = sw.elapsed_ns();
-        lm.wait_ns.add(ns);
-        stage_add(Stage::ShardLock, ns);
-        g
     }
 
     /// Enables event logging (disabled by default; the log grows unbounded
@@ -961,35 +874,19 @@ impl GraphCache {
 
     /// Looks up a graph, bumping its recency.
     pub fn get(&self, key: GraphKey) -> Option<Arc<CachedGraph>> {
-        let i = self.shard_index(&key);
-        let mut shard = self.lock_shard(i);
-        // Sampled: this runs per list access, far too hot for an
-        // unconditional clock pair. One stopwatch serves both hold-time
-        // and stage attribution (the guard drops right after, so lookup
-        // time ≈ hold time), and the sampled value is scaled to estimate
-        // the full population.
-        let sw = stage_sample();
+        let mut shard = self.shards[self.shard_index(&key)].lock();
         let tick = shard.touch();
-        let got = match shard.map.get_mut(&key) {
+        match shard.map.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
-                let graph = Arc::clone(&e.graph);
-                shard.hits += 1;
                 self.metrics.hits.inc();
-                Some(graph)
+                Some(Arc::clone(&e.graph))
             }
             None => {
-                shard.misses += 1;
                 self.metrics.misses.inc();
                 None
             }
-        };
-        if let Some(sw) = sw {
-            let ns = sw.elapsed_ns().saturating_mul(SAMPLE_SCALE);
-            self.shard_locks[i].hold_ns.add(ns);
-            stage_add(Stage::CacheLookup, ns);
         }
-        got
     }
 
     /// Inserts a freshly decoded graph, evicting LRU entries from its
@@ -1015,8 +912,7 @@ impl GraphCache {
                 &[("shard", itoa(i)), ("kind", KEY_KINDS[kind])],
             );
         }
-        let mut shard = self.lock_shard(i);
-        let sw = telemetry_enabled().then(Stopwatch::start);
+        let mut shard = self.shards[i].lock();
         let tick = shard.touch();
         // Evict until it fits (or nothing is left to evict).
         while shard.used + bytes > shard.budget {
@@ -1038,48 +934,18 @@ impl GraphCache {
             shard.used -= p.graph.bytes();
         }
         shard.used += bytes;
-        if let Some(sw) = sw {
-            let ns = sw.elapsed_ns();
-            self.shard_locks[i].hold_ns.add(ns);
-            stage_add(Stage::CacheLookup, ns);
-        }
         arc
     }
 
     /// Drops `key`'s entry, if cached (an unload in the event log, not
     /// an eviction in the statistics).
     pub fn remove(&self, key: GraphKey) {
-        let i = self.shard_index(&key);
-        let mut shard = self.lock_shard(i);
+        let mut shard = self.shards[self.shard_index(&key)].lock();
         if let Some(e) = shard.map.remove(&key) {
             shard.used -= e.graph.bytes();
             drop(shard);
             self.log_event(CacheEvent::Unload(key));
         }
-    }
-
-    /// The shard heatmap: per-shard hit/miss traffic, resident entries
-    /// and bytes, and each shard mutex's contention profile. Lock timing
-    /// is only collected while telemetry is enabled; the hit/miss tallies
-    /// are always on, count since the cache was made, and are read here
-    /// under each shard's lock in turn.
-    pub fn shard_telemetry(&self) -> Vec<wg_obs::ShardStat> {
-        self.shards
-            .iter()
-            .zip(&self.shard_locks)
-            .enumerate()
-            .map(|(i, (s, lock))| {
-                let shard = s.lock();
-                wg_obs::ShardStat {
-                    shard: i,
-                    hits: shard.hits,
-                    misses: shard.misses,
-                    entries: shard.map.len() as u64,
-                    bytes: shard.used as u64,
-                    lock: lock.stats(),
-                }
-            })
-            .collect()
     }
 
     /// Drops every cached graph (cold start between experiment runs).
@@ -1442,7 +1308,6 @@ mod tests {
         for (mib, shards) in [(0usize, 1usize), (1, 1), (2, 2), (3, 3), (8, 8), (256, 8)] {
             let c = GraphCache::new(mib << 20);
             assert_eq!(c.num_shards(), shards, "{mib} MiB");
-            assert_eq!(c.shard_telemetry().len(), shards, "{mib} MiB");
         }
         assert_eq!(GraphCache::new((2 << 20) - 1).num_shards(), 1);
     }
@@ -1469,43 +1334,6 @@ mod tests {
         assert_eq!(s.bytes_loaded, charged.iter().sum::<u64>());
         c.reset_stats();
         assert_eq!(c.stats(), GraphCacheStats::default());
-    }
-
-    #[test]
-    fn shard_telemetry_reports_per_shard_traffic() {
-        let c = GraphCache::new(8 << 20);
-        c.insert(GraphKey::Intra(0), graph_of(500));
-        assert!(c.get(GraphKey::Intra(0)).is_some());
-        assert!(c.get(GraphKey::Intra(1)).is_none());
-        let tel = c.shard_telemetry();
-        assert_eq!(tel.len(), DEFAULT_CACHE_SHARDS);
-        // Intra(0) routes to shard 4 (the pinned FNV-1a value above).
-        assert_eq!(tel[4].hits, 1);
-        assert_eq!(tel[4].entries, 1);
-        assert!(tel[4].bytes > 0);
-        let split_hits: u64 = tel.iter().map(|s| s.hits).sum();
-        let split_misses: u64 = tel.iter().map(|s| s.misses).sum();
-        assert_eq!(split_hits, c.stats().hits, "per-shard split sums to total");
-        assert_eq!(split_misses, c.stats().misses);
-    }
-
-    #[test]
-    fn shard_lock_telemetry_counts_acquisitions_when_enabled() {
-        wg_obs::set_telemetry_enabled(true);
-        let c = GraphCache::new(1 << 20);
-        c.insert(GraphKey::Intra(3), graph_of(500));
-        assert!(c.get(GraphKey::Intra(3)).is_some());
-        let tel = c.shard_telemetry();
-        let acq: u64 = tel.iter().map(|s| s.lock.acquisitions).sum();
-        assert_eq!(acq, 2, "insert + get each acquire the shard lock once");
-        wg_obs::set_telemetry_enabled(false);
-        assert!(c.get(GraphKey::Intra(3)).is_some());
-        let acq_after: u64 = c
-            .shard_telemetry()
-            .iter()
-            .map(|s| s.lock.acquisitions)
-            .sum();
-        assert_eq!(acq_after, 2, "telemetry off: lock sites cost one load");
     }
 
     /// A superedge graph `Ni → Nj` over `ni` source pages, `nj` = 8.

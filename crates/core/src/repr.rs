@@ -650,12 +650,6 @@ impl SNode {
         self.cache.reset_stats();
     }
 
-    /// The graph cache's per-shard heatmap (see
-    /// [`GraphCache::shard_telemetry`]).
-    pub fn shard_telemetry(&self) -> Vec<wg_obs::ShardStat> {
-        self.cache.shard_telemetry()
-    }
-
     /// Enables cache event logging.
     pub fn enable_cache_log(&self) {
         self.cache.enable_log();
@@ -715,8 +709,8 @@ impl SNode {
             return Ok(Some(g));
         }
         let loc = self.dir.meta.intranode_loc[s as usize];
-        let parsed = timed_decode(|| {
-            let bytes = self.dir.load_blob(&loc, self.dir.blob_base[s as usize])?;
+        let bytes = self.dir.load_blob(&loc, self.dir.blob_base[s as usize]);
+        let parsed = bytes.and_then(|bytes| {
             let (universe, codec) = (Universe::SameAsCount, self.dir.meta.codec.intra);
             let index = ListsIndex::parse(&bytes, loc.bit_len, universe, codec)?;
             Ok((bytes, index))
@@ -768,10 +762,10 @@ impl SNode {
             let scanned = match self.superedge_quarantined(s, j) {
                 true => None,
                 false => {
-                    let scanned = timed_decode(|| {
-                        let blob = self
-                            .dir
-                            .load_blob(loc, self.dir.blob_base[s as usize] + 1 + k)?;
+                    let blob = self
+                        .dir
+                        .load_blob(loc, self.dir.blob_base[s as usize] + 1 + k);
+                    let scanned = blob.and_then(|blob| {
                         let codec = self.dir.meta.codec.superedge;
                         let range =
                             scan_sources(&blob, loc.bit_len, u64::from(ni), codec, sources)?;
@@ -784,9 +778,7 @@ impl SNode {
             parsed.push(blob);
             ranges.push(range.flatten());
         }
-        let built = timed_decode(|| {
-            Fanout::build(ni, (ranges.iter()).map(|range| sources.get(range.clone()?)))
-        });
+        let built = Fanout::build(ni, (ranges.iter()).map(|range| sources.get(range.clone()?)));
         Ok(self
             .cache
             .insert(GraphKey::Fanout(s), CachedGraph::from(built?)))
@@ -842,14 +834,14 @@ impl SNode {
         let loc = self.dir.meta.superedge_loc[s as usize][edge_idx as usize];
         let ni = u64::from(self.dir.meta.supernode_size(s));
         let nj = u64::from(self.dir.meta.supernode_size(j));
-        let loaded = timed_decode(|| {
-            let blob = match blob {
-                Some(blob) => blob,
-                None => self.dir.load_blob(
-                    &loc,
-                    self.dir.blob_base[s as usize] + 1 + u64::from(edge_idx),
-                )?,
-            };
+        let blob = match blob {
+            Some(blob) => Ok(blob),
+            None => self.dir.load_blob(
+                &loc,
+                self.dir.blob_base[s as usize] + 1 + u64::from(edge_idx),
+            ),
+        };
+        let loaded = blob.and_then(|blob| {
             let codec = self.dir.meta.codec.superedge;
             let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, codec)?;
             Ok((blob, index))
@@ -868,18 +860,6 @@ fn check_page(meta: &SNodeMeta, p: PageId) -> Result<()> {
         true => Ok(()),
         false => Err(SNodeError::Corrupt("page id beyond the representation")),
     }
-}
-
-/// Runs `work` — a graph read, checksummed, scanned or parsed on a miss —
-/// as decode work for stage attribution (the cache's own admission time
-/// is `CacheLookup`).
-fn timed_decode<T>(work: impl FnOnce() -> T) -> T {
-    let sw = wg_obs::telemetry_enabled().then(wg_obs::Stopwatch::start);
-    let done = work();
-    if let Some(sw) = sw {
-        wg_obs::stage_add(wg_obs::Stage::ListDecode, sw.elapsed_ns());
-    }
-    done
 }
 
 /// Fully memory-resident *encoded* S-Node representation (Table 2 setup):

@@ -31,10 +31,9 @@
 //!   worker busy time) are gated on [`metrics_enabled`] /
 //!   [`trace_enabled`] so the default build pays one relaxed bool load,
 //!   nothing more.
-//! * **Service telemetry** ([`telemetry`]: per-request stage attribution,
-//!   lock wait/hold timing, [`rolling`] window histograms) is gated on
-//!   its own [`telemetry_enabled`] flag, raised by the serve front-end;
-//!   batch runs again pay one relaxed bool load per site.
+//!
+//! Those two flags — metrics and trace — are the only process-global
+//! switches; nothing here times individual requests or locks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,21 +43,13 @@
 pub mod metrics;
 pub mod procstat;
 pub mod registry;
-pub mod rolling;
 pub mod span;
-pub mod telemetry;
 pub mod trace;
 
 pub use metrics::{CacheMetrics, Counter, Gauge, Histogram, HIST_BUCKETS};
 pub use procstat::{sample_self, MemSample, RssGauge};
 pub use registry::{global, Registry, SnapValue, Snapshot};
-pub use rolling::{HistData, RollingHistogram, RollingSnapshot};
 pub use span::{metrics_enabled, record_span, record_span_args, set_metrics_enabled, Stopwatch};
-pub use telemetry::{
-    set_telemetry_enabled, stage_add, stage_sample, stage_scope_begin, stage_scope_end,
-    telemetry_enabled, HoldTimer, LockMetrics, LockStats, ShardStat, Stage, NUM_STAGES,
-    SAMPLE_PERIOD, SAMPLE_SCALE,
-};
 pub use trace::{
     enable_trace, take_trace, trace_enabled, trace_to_json, write_trace_file, TraceEvent,
 };

@@ -155,7 +155,7 @@ impl Histogram {
     }
 
     /// Count in bucket `b` (0 when out of range).
-    pub fn bucket_count(&self, b: usize) -> u64 {
+    fn bucket_count(&self, b: usize) -> u64 {
         self.0
             .buckets
             .get(b)

@@ -115,13 +115,6 @@ pub trait GraphRep: Send + Sync {
     fn degraded(&self) -> Option<wg_snode::DegradedReport> {
         None
     }
-
-    /// Per-shard traffic/contention heatmap of the scheme's graph cache
-    /// (`wg-serve`'s shard imbalance view); `None` for schemes without a
-    /// sharded cache.
-    fn shard_telemetry(&self) -> Option<Vec<wg_obs::ShardStat>> {
-        None
-    }
 }
 
 /// Boxes an arbitrary representation error.

@@ -75,9 +75,6 @@ impl GraphRep for SNodeRep {
     fn degraded(&self) -> Option<wg_snode::DegradedReport> {
         Some(self.0.degraded())
     }
-    fn shard_telemetry(&self) -> Option<Vec<wg_obs::ShardStat>> {
-        Some(self.0.shard_telemetry())
-    }
 }
 
 /// Relational-store adapter.
@@ -427,9 +424,6 @@ impl GraphRep for TranslatedSNodeRep {
     }
     fn degraded(&self) -> Option<wg_snode::DegradedReport> {
         Some(self.inner.degraded())
-    }
-    fn shard_telemetry(&self) -> Option<Vec<wg_obs::ShardStat>> {
-        Some(self.inner.shard_telemetry())
     }
 }
 

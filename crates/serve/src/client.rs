@@ -93,21 +93,6 @@ impl Client {
         }
     }
 
-    /// Fetches the live telemetry snapshot as a JSON string.
-    pub fn stats(&mut self) -> io::Result<String> {
-        let (status, payload) = self.round_trip(&[proto::OP_STATS])?;
-        match status {
-            Status::Ok => {
-                String::from_utf8(payload).map_err(|_| proto_err("stats payload is not UTF-8"))
-            }
-            Status::Error => Err(io::Error::other(format!(
-                "server error: {}",
-                String::from_utf8_lossy(&payload)
-            ))),
-            _ => Err(proto_err("unexpected stats status")),
-        }
-    }
-
     /// Reads a bare status frame — what an admission-refused connection
     /// receives instead of an answer.
     pub fn read_refusal(&mut self) -> io::Result<Option<Status>> {

@@ -30,13 +30,10 @@
 //! status [`proto::Status::Degraded`] (the wire analogue of exit code 3);
 //! hard failures return [`proto::Status::Error`] (exit code 2).
 //!
-//! Observability (DESIGN.md §5g): with [`ServeConfig::telemetry`] on, every
-//! request's latency is attributed to five disjoint stages (queue wait,
-//! shard-lock wait, cache lookup, list decode, response write), live
-//! percentiles roll over fixed request-count windows, the cache shard
-//! mutexes export a contention heatmap, and the `Stats` wire op
-//! ([`proto::OP_STATS`]) returns the whole snapshot as JSON — rendered
-//! live by `wgr top`. See [`telemetry`].
+//! Observability is the workspace's two gates and nothing of its own: each
+//! request is a `serve.<op>` span (`--metrics` histograms, `--trace`
+//! events), and [`ServerStats`] counts requests, errors, degraded answers
+//! and refusals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,9 +43,7 @@
 pub mod client;
 pub mod proto;
 pub mod server;
-pub mod telemetry;
 
 pub use client::{Client, QueryReply};
 pub use proto::Status;
 pub use server::{ServeConfig, ServeContext, Server, ServerStats};
-pub use telemetry::{ServeTelemetry, SlowEntry, NUM_OPS, OP_NAMES};

@@ -13,7 +13,7 @@
 //! | 0      | —                | ping (health check)                      |
 //! | 1–6    | —                | run Query N of the server's workload     |
 //! | 7      | `u32 le page`    | raw `out_neighbors(page)` (forward graph)|
-//! | 8      | —                | live telemetry snapshot (JSON payload)   |
+//! | 8      | —                | retired: answers error (status 2)        |
 //!
 //! Response body: `[u8 status][payload]`
 //!
@@ -32,8 +32,8 @@
 //! rows, the same FNV-1a `crates/query/tests/golden_queries.rs` pins, so
 //! a client can both verify the frame and cross-check those constants.
 //! Ping payload: empty. `out_neighbors` payload: `[u32 le n][n × u32 le]`.
-//! Stats payload: a UTF-8 JSON document (line-oriented: one line per op,
-//! stage, and cache shard — see `telemetry::ServeTelemetry::snapshot_json`).
+//! Opcode 8 once returned a telemetry snapshot; it is retired, and any
+//! opcode not in the table gets `Error` with the connection left open.
 
 use std::io::{Read, Write};
 
@@ -41,11 +41,6 @@ use std::io::{Read, Write};
 pub const OP_PING: u8 = 0;
 /// Raw forward-graph `out_neighbors` opcode.
 pub const OP_OUT_NEIGHBORS: u8 = 7;
-/// Live telemetry snapshot opcode. The response payload is the JSON
-/// document [`crate::telemetry::ServeTelemetry::snapshot_json`] renders
-/// (always available; mostly-zero when the server runs with telemetry
-/// off).
-pub const OP_STATS: u8 = 8;
 /// Largest accepted *request* body (requests are tiny; anything larger is
 /// a protocol violation, not a big query).
 pub const MAX_REQUEST: u32 = 4096;

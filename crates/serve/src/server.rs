@@ -1,17 +1,13 @@
 //! The server: shared context, bounded admission queue, worker pool.
 
 use crate::proto::{self, Status};
-use crate::telemetry::{ServeTelemetry, NUM_OPS};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use wg_obs::{
-    record_span_args, stage_add, stage_scope_begin, stage_scope_end, telemetry_enabled, Stage,
-    Stopwatch,
-};
+use wg_obs::{record_span_args, Stopwatch};
 use wg_query::queries::{
     query1, query2, query3, query4, query5, query6, QueryEnv, QueryOutput, Workload,
 };
@@ -96,15 +92,6 @@ pub struct ServeConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral; read it back from
     /// [`Server::port`]).
     pub port: u16,
-    /// Slow-query threshold in microseconds; requests at or above it are
-    /// logged to stderr as JSON and retained in the slowlog ring. 0
-    /// disables the slowlog.
-    pub slowlog_us: u64,
-    /// Service telemetry (per-stage attribution, rolling latency windows,
-    /// lock contention timing). `Server::start` raises or lowers the
-    /// **process-wide** [`wg_obs::telemetry_enabled`] flag to match, so
-    /// servers sharing a process should agree on this setting.
-    pub telemetry: bool,
 }
 
 impl Default for ServeConfig {
@@ -116,8 +103,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get().max(2)),
             queue_cap: 256,
             port: 0,
-            slowlog_us: 0,
-            telemetry: true,
         }
     }
 }
@@ -137,11 +122,9 @@ pub struct ServerStats {
     pub overloaded: AtomicU64,
 }
 
-/// Bounded blocking MPMC queue of accepted connections. Each entry
-/// carries the stopwatch started at admission, so the claiming worker can
-/// attribute the queue wait to the connection's first request.
+/// Bounded blocking MPMC queue of accepted connections.
 struct Admission {
-    inner: Mutex<VecDeque<(TcpStream, Stopwatch)>>,
+    inner: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
     cap: usize,
     closed: AtomicBool,
@@ -167,22 +150,21 @@ impl Admission {
         if q.len() >= self.cap {
             return Err(s);
         }
-        q.push_back((s, Stopwatch::start()));
+        q.push_back(s);
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocking dequeue; `None` once closed and drained. Returns the
-    /// stream and its admission-queue wait in nanoseconds.
-    fn pop(&self) -> Option<(TcpStream, u64)> {
+    /// Blocking dequeue; `None` once closed and drained.
+    fn pop(&self) -> Option<TcpStream> {
         let mut q = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
         loop {
-            if let Some((s, sw)) = q.pop_front() {
-                return Some((s, sw.elapsed_ns()));
+            if let Some(s) = q.pop_front() {
+                return Some(s);
             }
             if self.closed.load(Ordering::Acquire) {
                 return None;
@@ -208,17 +190,15 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     queue: Arc<Admission>,
     stats: Arc<ServerStats>,
-    telemetry: Arc<ServeTelemetry>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Everything a worker thread needs per request: the immutable context,
-/// the cumulative stats, and the telemetry sink.
+/// Everything a worker thread needs per request: the immutable context
+/// and the cumulative stats.
 struct Shared {
     ctx: Arc<ServeContext>,
     stats: Arc<ServerStats>,
-    tel: Arc<ServeTelemetry>,
 }
 
 impl Server {
@@ -229,8 +209,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(Admission::new(cfg.queue_cap));
         let stats = Arc::new(ServerStats::default());
-        let telemetry = Arc::new(ServeTelemetry::new(cfg.slowlog_us));
-        wg_obs::set_telemetry_enabled(cfg.telemetry);
 
         let mut workers = Vec::with_capacity(cfg.workers.max(1));
         for _ in 0..cfg.workers.max(1) {
@@ -238,11 +216,10 @@ impl Server {
             let shared = Shared {
                 ctx: Arc::clone(&ctx),
                 stats: Arc::clone(&stats),
-                tel: Arc::clone(&telemetry),
             };
             workers.push(std::thread::spawn(move || {
-                while let Some((stream, queue_wait_ns)) = queue.pop() {
-                    serve_connection(&shared, stream, queue_wait_ns);
+                while let Some(stream) = queue.pop() {
+                    serve_connection(&shared, stream);
                 }
             }));
         }
@@ -274,7 +251,6 @@ impl Server {
             shutdown,
             queue,
             stats,
-            telemetry,
             acceptor: Some(acceptor),
             workers,
         })
@@ -288,12 +264,6 @@ impl Server {
     /// Shared statistics handle.
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Shared telemetry handle (`wgr bench --serve` reads per-stage and
-    /// per-op aggregates from it directly, without wire round-trips).
-    pub fn telemetry(&self) -> Arc<ServeTelemetry> {
-        Arc::clone(&self.telemetry)
     }
 
     /// Stops accepting, drains the queue, and joins every thread.
@@ -314,25 +284,15 @@ impl Server {
 
 /// Serves every request of one connection, then returns the worker to the
 /// admission queue.
-///
-/// `queue_wait_ns` — the time the connection spent in the admission queue
-/// — is attributed to the **first** request's [`Stage::QueueWait`] and
-/// added to its end-to-end total, so stage sums stay ≤ total by
-/// construction (each stage is a disjoint slice of the total).
-fn serve_connection(shared: &Shared, mut stream: TcpStream, queue_wait_ns: u64) {
+fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     drop(stream.set_nodelay(true));
-    let mut pending_queue_wait = queue_wait_ns;
     loop {
         let body = match proto::read_frame(&mut stream, proto::MAX_REQUEST) {
             Ok(Some(b)) => b,
             Ok(None) | Err(_) => return, // clean close or broken peer
         };
-        let tel_on = telemetry_enabled();
-        if tel_on {
-            stage_scope_begin();
-        }
         let sw = Stopwatch::start();
-        let (status, payload, label, op_idx, fingerprint) = dispatch(shared, &body);
+        let (status, payload, span) = dispatch(shared.ctx.as_ref(), &body);
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         match status {
             Status::Degraded => {
@@ -346,83 +306,51 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, queue_wait_ns: u64) 
         let mut frame = Vec::with_capacity(1 + payload.len());
         frame.push(status.as_u8());
         frame.extend_from_slice(&payload);
-        let write_sw = tel_on.then(Stopwatch::start);
         let write_ok = proto::write_frame(&mut stream, &frame).is_ok();
-        if let Some(wsw) = write_sw {
-            stage_add(Stage::RespWrite, wsw.elapsed_ns());
-        }
-        if tel_on {
-            let mut stages = stage_scope_end();
-            let mut total_ns = sw.elapsed_ns();
-            if pending_queue_wait > 0 {
-                stages[Stage::QueueWait.index()] = pending_queue_wait;
-                total_ns = total_ns.saturating_add(pending_queue_wait);
-            }
-            shared
-                .tel
-                .record_request(op_idx, status.as_u8(), fingerprint, total_ns, &stages);
-        }
-        pending_queue_wait = 0;
-        record_span_args(&format!("serve.{label}"), "serve", &sw, &[("op", label)]);
+        let op = span.strip_prefix("serve.").unwrap_or(span);
+        record_span_args(span, "serve", &sw, &[("op", op)]);
         if !write_ok {
             return;
         }
     }
 }
 
-/// Executes one request body; returns `(status, payload, span label,
-/// telemetry op index, row fingerprint)`. The op index addresses the
-/// per-op telemetry buckets ([`crate::telemetry::OP_NAMES`]); stats and
-/// unknown opcodes report `NUM_OPS`, which the telemetry sink ignores.
-fn dispatch(shared: &Shared, body: &[u8]) -> (Status, Vec<u8>, &'static str, usize, u64) {
-    const Q_LABELS: [&str; 6] = ["q1", "q2", "q3", "q4", "q5", "q6"];
-    let ctx = shared.ctx.as_ref();
+/// Executes one request body; returns `(status, payload, span name)`.
+fn dispatch(ctx: &ServeContext, body: &[u8]) -> (Status, Vec<u8>, &'static str) {
+    const Q_SPANS: [&str; 6] = [
+        "serve.q1", "serve.q2", "serve.q3", "serve.q4", "serve.q5", "serve.q6",
+    ];
     let Some(&op) = body.first() else {
-        return (Status::Error, b"empty request".to_vec(), "bad", NUM_OPS, 0);
+        return (Status::Error, b"empty request".to_vec(), "serve.bad");
     };
     match op {
-        proto::OP_PING => (Status::Ok, Vec::new(), "ping", 0, 0),
+        proto::OP_PING => (Status::Ok, Vec::new(), "serve.ping"),
         n @ 1..=6 => {
-            let label = Q_LABELS[usize::from(n) - 1];
-            let op_idx = usize::from(n);
+            let span = Q_SPANS[usize::from(n) - 1];
             match ctx.run_query(n) {
                 Ok(out) => {
                     let fp = obsrun::fingerprint_rows(&out.rows);
-                    (
-                        ctx.answer_status(),
-                        proto::encode_rows(fp, &out.rows),
-                        label,
-                        op_idx,
-                        fp,
-                    )
+                    let rows = proto::encode_rows(fp, &out.rows);
+                    (ctx.answer_status(), rows, span)
                 }
-                Err(e) => (Status::Error, e.to_string().into_bytes(), label, op_idx, 0),
+                Err(e) => (Status::Error, e.to_string().into_bytes(), span),
             }
         }
         proto::OP_OUT_NEIGHBORS => {
             let Some(raw) = body.get(1..5).and_then(|b| <[u8; 4]>::try_from(b).ok()) else {
-                return (
-                    Status::Error,
-                    b"out_neighbors payload must be a u32 page id".to_vec(),
-                    "nav",
-                    7,
-                    0,
-                );
+                let msg = b"out_neighbors payload must be a u32 page id";
+                return (Status::Error, msg.to_vec(), "serve.nav");
             };
             let p = u32::from_le_bytes(raw);
             if p >= ctx.num_pages {
-                return (Status::Error, b"page id out of range".to_vec(), "nav", 7, 0);
+                return (Status::Error, b"page id out of range".to_vec(), "serve.nav");
             }
             match ctx.fwd.out_neighbors(p) {
-                Ok(list) => (ctx.answer_status(), proto::encode_pages(&list), "nav", 7, 0),
-                Err(e) => (Status::Error, e.to_string().into_bytes(), "nav", 7, 0),
+                Ok(list) => (ctx.answer_status(), proto::encode_pages(&list), "serve.nav"),
+                Err(e) => (Status::Error, e.to_string().into_bytes(), "serve.nav"),
             }
         }
-        proto::OP_STATS => {
-            let json = shared.tel.snapshot_json(&shared.stats, ctx);
-            (Status::Ok, json.into_bytes(), "stats", NUM_OPS, 0)
-        }
-        _ => (Status::Error, b"unknown opcode".to_vec(), "bad", NUM_OPS, 0),
+        _ => (Status::Error, b"unknown opcode".to_vec(), "serve.bad"),
     }
 }
 

@@ -40,7 +40,8 @@ fn setup(pages: u32, seed: u64, name: &str) -> Fx {
         &domains,
         &corpus.graph,
         &SNodeConfig::default(),
-        // The least budget whose cache is cut into all eight shards.
+        // The least budget whose cache is cut into all eight shards, so
+        // concurrent clients meet on every shard lock.
         8 << 20,
     )
     .unwrap();
@@ -160,141 +161,6 @@ fn admission_queue_refuses_when_full() {
     );
 }
 
-/// Extracts the first `"key":<digits>` value after `at` in `json`.
-fn field_u64(json: &str, key: &str, at: usize) -> u64 {
-    let pat = format!("\"{key}\":");
-    let i = json[at..].find(&pat).unwrap() + at + pat.len();
-    json[i..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-/// Per-op cumulative counts, shard traffic sum, and telemetry request
-/// count from one Stats snapshot.
-fn digest(json: &str) -> (u64, [u64; 8], u64) {
-    let requests = field_u64(json, "requests", json.find("\"telemetry\":").unwrap());
-    let mut ops = [0u64; 8];
-    for (i, name) in ["ping", "q1", "q2", "q3", "q4", "q5", "q6", "nav"]
-        .iter()
-        .enumerate()
-    {
-        let at = json.find(&format!("\"op\":\"{name}\"")).unwrap();
-        ops[i] = field_u64(json, "count", at);
-    }
-    let shard_traffic = json
-        .lines()
-        .filter(|l| l.contains("\"graph\":"))
-        .map(|l| field_u64(l, "hits", 0) + field_u64(l, "misses", 0))
-        .sum();
-    (requests, ops, shard_traffic)
-}
-
-#[test]
-fn stats_op_snapshot_is_monotonic_and_complete() {
-    let f = setup(800, 7, "stats");
-    // Telemetry is on by default; slowlog everything so the ring fills.
-    let cfg = ServeConfig {
-        workers: 4,
-        slowlog_us: 1,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&f.ctx), &cfg).unwrap();
-    let port = server.port();
-
-    let mut cl = Client::connect(port).unwrap();
-    assert_eq!(cl.ping().unwrap(), Status::Ok);
-    for n in 1..=6u8 {
-        assert_eq!(
-            cl.query(n).unwrap().fingerprint,
-            f.reference[usize::from(n) - 1]
-        );
-    }
-    for p in (0..f.graph.num_nodes()).step_by(97) {
-        cl.out_neighbors(p).unwrap();
-    }
-    let snap1 = cl.stats().unwrap();
-
-    // Completeness: every op, every stage, and the full shard heatmap of
-    // both graphs must be present in one snapshot.
-    for op in ["ping", "q1", "q2", "q3", "q4", "q5", "q6", "nav"] {
-        assert!(
-            snap1.contains(&format!("\"op\":\"{op}\"")),
-            "missing op {op}"
-        );
-    }
-    for stage in [
-        "queue_wait",
-        "shard_lock",
-        "cache_lookup",
-        "list_decode",
-        "resp_write",
-    ] {
-        assert!(
-            snap1.contains(&format!("\"stage\":\"{stage}\"")),
-            "missing stage {stage}"
-        );
-        assert!(
-            snap1.contains(&format!("\"{stage}\":")),
-            "missing per-op stage key {stage}"
-        );
-    }
-    for graph in ["fwd", "back"] {
-        for shard in 0..8 {
-            assert!(
-                snap1
-                    .lines()
-                    .any(|l| l.contains(&format!("\"graph\":\"{graph}\""))
-                        && l.contains(&format!("\"shard\":{shard},"))),
-                "missing {graph} shard {shard}"
-            );
-        }
-    }
-
-    // The queries exercised the sharded cache under telemetry: the stage
-    // distributions and the heatmap must have actually observed traffic.
-    let lookup_at = snap1.find("\"stage\":\"cache_lookup\"").unwrap();
-    assert!(
-        field_u64(&snap1, "count", lookup_at) > 0,
-        "no cache lookups attributed"
-    );
-    let (req1, ops1, shards1) = digest(&snap1);
-    assert!(req1 > 0);
-    assert!(shards1 > 0, "shard heatmap saw no traffic");
-    assert!(
-        ops1.iter().all(|&c| c > 0),
-        "every op was exercised: {ops1:?}"
-    );
-
-    // More traffic, then a second snapshot: every cumulative quantity
-    // must be monotonic (rolling windows may expire, counts may not).
-    for n in 1..=6u8 {
-        cl.query(n).unwrap();
-    }
-    cl.ping().unwrap();
-    cl.out_neighbors(0).unwrap();
-    let snap2 = cl.stats().unwrap();
-    let (req2, ops2, shards2) = digest(&snap2);
-    assert!(req2 >= req1 + 8, "telemetry request count must grow");
-    for i in 0..8 {
-        assert!(ops2[i] >= ops1[i], "op {i} count decreased");
-    }
-    assert!(ops2[1] == ops1[1] + 1, "q1 count must grow by exactly 1");
-    assert!(shards2 >= shards1, "shard traffic decreased");
-
-    // The slowlog threshold of 1 µs catches real queries.
-    let slow_at = snap2.find("\"slowlog_len\":").unwrap();
-    assert!(
-        field_u64(&snap2, "slowlog_len", slow_at) > 0,
-        "slowlog stayed empty"
-    );
-
-    drop(cl);
-    server.shutdown();
-}
-
 #[test]
 fn malformed_requests_get_error_status_not_a_crash() {
     let f = setup(400, 5, "badreq");
@@ -307,24 +173,28 @@ fn malformed_requests_get_error_status_not_a_crash() {
     let port = server.port();
 
     let mut cl = Client::connect(port).unwrap();
-    // Unknown opcode → Error (client surfaces it as Err).
     let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
-    wg_serve::proto::write_frame(&mut stream, &[99]).unwrap();
-    let resp = wg_serve::proto::read_frame(&mut stream, 1 << 20)
-        .unwrap()
-        .unwrap();
-    assert_eq!(Status::from_u8(resp[0]), Some(Status::Error));
+    let mut ask = |body: &[u8]| {
+        wg_serve::proto::write_frame(&mut stream, body).unwrap();
+        let resp = wg_serve::proto::read_frame(&mut stream, 1 << 20)
+            .unwrap()
+            .unwrap();
+        Status::from_u8(resp[0])
+    };
+    // An unknown opcode, and 8 (the retired telemetry snapshot) → Error;
+    // the same connection keeps serving after each.
+    for op in [99u8, 8] {
+        assert_eq!(ask(&[op]), Some(Status::Error), "opcode {op}");
+        assert_eq!(
+            ask(&[wg_serve::proto::OP_PING]),
+            Some(Status::Ok),
+            "after {op}"
+        );
+    }
     // Out-of-range page → Error, connection stays usable for the peer.
-    wg_serve::proto::write_frame(&mut stream, &{
-        let mut b = vec![wg_serve::proto::OP_OUT_NEIGHBORS];
-        b.extend_from_slice(&u32::MAX.to_le_bytes());
-        b
-    })
-    .unwrap();
-    let resp = wg_serve::proto::read_frame(&mut stream, 1 << 20)
-        .unwrap()
-        .unwrap();
-    assert_eq!(Status::from_u8(resp[0]), Some(Status::Error));
+    let mut out_of_range = vec![wg_serve::proto::OP_OUT_NEIGHBORS];
+    out_of_range.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(ask(&out_of_range), Some(Status::Error));
     drop(stream);
 
     // The server is still healthy afterwards.

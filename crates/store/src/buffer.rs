@@ -19,9 +19,8 @@
 
 use crate::pager::{PageNo, Pager};
 use crate::{Result, PAGE_SIZE};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use wg_obs::{stage_add, telemetry_enabled, LockMetrics, Stage, Stopwatch};
 
 /// Cache hit/miss statistics: a point-in-time view over the pool's
 /// [`wg_obs::CacheMetrics`] counters.
@@ -40,9 +39,6 @@ pub struct CacheStats {
 pub struct BufferPool {
     inner: Mutex<PoolInner>,
     metrics: wg_obs::CacheMetrics,
-    /// Contention profile of the single pool mutex (`store.buffer.lock`
-    /// under `--metrics`; wait/hold timing is telemetry-gated).
-    lock_metrics: LockMetrics,
 }
 
 /// The mutable state: everything the clock algorithm touches.
@@ -91,33 +87,12 @@ impl BufferPool {
                 hand: 0,
             }),
             metrics: wg_obs::CacheMetrics::auto("store.buffer"),
-            lock_metrics: LockMetrics::auto("store.buffer.lock"),
         }
-    }
-
-    /// Acquires the pool mutex; when telemetry is on, the hot read path's
-    /// wait time is counted against [`Stage::ShardLock`] (the pool lock is
-    /// the storage layer's analogue of a cache shard mutex).
-    fn lock_inner(&self) -> MutexGuard<'_, PoolInner> {
-        if !telemetry_enabled() {
-            return self.inner.lock();
-        }
-        self.lock_metrics.acquisitions.inc();
-        if let Some(g) = self.inner.try_lock() {
-            return g;
-        }
-        self.lock_metrics.contended.inc();
-        let sw = Stopwatch::start();
-        let g = self.inner.lock();
-        let ns = sw.elapsed_ns();
-        self.lock_metrics.wait_ns.add(ns);
-        stage_add(Stage::ShardLock, ns);
-        g
     }
 
     /// Number of frames in the pool.
     pub fn capacity(&self) -> usize {
-        self.lock_inner().frames.len()
+        self.inner.lock().frames.len()
     }
 
     /// Cache statistics so far (a view over the obs counters).
@@ -136,20 +111,19 @@ impl BufferPool {
 
     /// Number of pages in the underlying file.
     pub fn num_disk_pages(&self) -> PageNo {
-        self.lock_inner().pager.num_pages()
+        self.inner.lock().pager.num_pages()
     }
 
     /// Allocates a fresh page (bypasses the cache; the new page is all
     /// zeros on disk and becomes cached on first touch).
     pub fn allocate(&self) -> Result<PageNo> {
-        self.lock_inner().pager.allocate()
+        self.inner.lock().pager.allocate()
     }
 
     /// Reads page `no` through the cache and passes it to `f`. The closure
     /// runs under the pool lock — it must not call back into the pool.
     pub fn with_page<R>(&self, no: PageNo, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        let mut inner = self.lock_inner();
-        let _held = self.lock_metrics.held();
+        let mut inner = self.inner.lock();
         let idx = inner.fetch(no, &self.metrics)?;
         inner.frames[idx].referenced = true;
         Ok(f(&inner.frames[idx].data))
@@ -162,8 +136,7 @@ impl BufferPool {
         no: PageNo,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
-        let mut inner = self.lock_inner();
-        let _held = self.lock_metrics.held();
+        let mut inner = self.inner.lock();
         let idx = inner.fetch(no, &self.metrics)?;
         inner.frames[idx].referenced = true;
         inner.frames[idx].dirty = true;
@@ -172,7 +145,7 @@ impl BufferPool {
 
     /// Writes all dirty frames back and syncs the file.
     pub fn flush(&self) -> Result<()> {
-        let mut inner = self.lock_inner();
+        let mut inner = self.inner.lock();
         for idx in 0..inner.frames.len() {
             if inner.frames[idx].occupied && inner.frames[idx].dirty {
                 let no = inner.frames[idx].page_no;
@@ -189,7 +162,7 @@ impl BufferPool {
     /// experiments to cold-start a query run.
     pub fn clear(&self) -> Result<()> {
         self.flush()?;
-        let mut inner = self.lock_inner();
+        let mut inner = self.inner.lock();
         for f in &mut inner.frames {
             f.occupied = false;
             f.referenced = false;

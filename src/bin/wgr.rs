@@ -89,7 +89,7 @@ fn main() {
                  \x20      --serve [--pages N] [--clients N] [--workers N] [--serve-out FILE]\n\
                  \x20                                          concurrent-service benchmark:\n\
                  \x20                                          N clients → BENCH_serve.json with\n\
-                 \x20                                          per-stage latency + shard heatmap\n\
+                 \x20                                          latency and Q1-6 fingerprints\n\
                  \x20      --scale [--sizes N,N] [--probes N] [--out FILE]\n\
                  \x20                                          scale benchmark: streamed corpus →\n\
                  \x20                                          build → one query probe per size,\n\
@@ -97,10 +97,8 @@ fn main() {
                  \x20                                          peak-RSS accounting → BENCH_scale.json\n\
                  serve  DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
                  \x20      [--reps DIR] [--reuse] [--smoke N] serve Q1-6 + out_neighbors over TCP;\n\
-                 \x20      [--slowlog-us N] [--no-telemetry]  --smoke runs an N-client burst and\n\
-                 \x20                                          exits 0 clean / 3 degraded / 2 errors;\n\
-                 \x20                                          --slowlog-us logs slow requests as JSON\n\
-                 top    --port P [--watch SECS] [--json]    live service telemetry (Stats wire op)\n\
+                 \x20                                          --smoke runs an N-client burst and\n\
+                 \x20                                          exits 0 clean / 3 degraded / 2 errors\n\
                  \n\
                  build and query also accept --metrics[=json] and --trace FILE"
             );
@@ -188,6 +186,7 @@ fn positional(args: &[String]) -> Option<String> {
                         | "--reuse"
                         | "--repair"
                         | "--serve"
+                        // Accepted by `serve` and ignored: nothing is left to turn off.
                         | "--no-telemetry"
                         | "--stream"
                         | "--scale"
@@ -1020,16 +1019,16 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
             ok = false;
             continue;
         };
-        let stream_peak = snap_u64(&b, "stream_peak_rss_bytes");
+        let stream_peak = step_u64(&b, "stream_peak_rss_bytes");
         stream_bounded &= stream_peak > 0 && stream_peak <= SCALE_STREAM_RSS_BOUND;
         eprintln!(
             "scale {pages}: stream {:.1}s (peak {} MiB), build {:.1}s (peak {} MiB), \
              {:.3} bits/edge",
-            snap_f64(&b, "stream_secs"),
+            step_f64(&b, "stream_secs"),
             stream_peak >> 20,
-            snap_f64(&b, "build_secs"),
-            snap_u64(&b, "peak_rss_bytes") >> 20,
-            snap_f64(&b, "bits_per_edge"),
+            step_f64(&b, "build_secs"),
+            step_u64(&b, "peak_rss_bytes") >> 20,
+            step_f64(&b, "bits_per_edge"),
         );
         let repo = dir.join("repo");
         let repo_s = repo.to_string_lossy().into_owned();
@@ -1048,13 +1047,13 @@ fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
         };
         eprintln!(
             "scale {pages}: probe p50 {} ns / p99 {} ns, resident index {} MiB",
-            snap_u64(&qr, "p50_ns"),
-            snap_u64(&qr, "p99_ns"),
-            snap_u64(&qr, "resident_bytes") >> 20,
+            step_u64(&qr, "p50_ns"),
+            step_u64(&qr, "p99_ns"),
+            step_u64(&qr, "resident_bytes") >> 20,
         );
         overheads.push((
             pages,
-            snap_u64(&qr, "peak_rss_bytes").saturating_sub(snap_u64(&qr, "resident_bytes")),
+            step_u64(&qr, "peak_rss_bytes").saturating_sub(step_u64(&qr, "resident_bytes")),
         ));
         size_objs.push(format!(
             "    {{\"pages\": {pages},\n     \"build\": {b},\n     \"query_resident\": {qr}}}"
@@ -1225,8 +1224,8 @@ fn scale_step_query(args: &[String]) -> i32 {
     0
 }
 
-/// Extracts `"key":<number>` (integer or decimal) from a snapshot line.
-fn snap_f64(line: &str, key: &str) -> f64 {
+/// Extracts `"key":<number>` (integer or decimal) from a scale-step line.
+fn step_f64(line: &str, key: &str) -> f64 {
     let pat = format!("\"{key}\":");
     line.find(&pat)
         .map(|i| {
@@ -1237,6 +1236,11 @@ fn snap_f64(line: &str, key: &str) -> f64 {
         })
         .and_then(|d| d.parse().ok())
         .unwrap_or(0.0)
+}
+
+/// [`step_f64`] for a count or byte figure (0 when absent).
+fn step_u64(line: &str, key: &str) -> u64 {
+    step_f64(line, key) as u64
 }
 
 /// Builds the serve context (representations + auxiliary indexes) for a
@@ -1317,11 +1321,8 @@ fn bench_serve(
         // benchmark the backpressure path, not the read path.
         queue_cap: clients.max(256),
         port: 0,
-        slowlog_us: num(args, "--slowlog-us").unwrap_or(0),
-        telemetry: true,
     };
     let server = Server::start(Arc::clone(&ctx), &cfg).expect("start server");
-    let tel = server.telemetry();
     let port = server.port();
 
     let mut latencies: Vec<u64> = Vec::with_capacity(clients * (ROUNDS * 6 + NAVS));
@@ -1419,85 +1420,6 @@ fn bench_serve(
         pct(0.99),
         pct(1.0)
     ));
-    // Per-stage latency attribution (server-side), one object per stage:
-    // the distribution of that stage across all requests that ran it.
-    json.push_str(&format!(
-        "  \"telemetry\": {{\"enabled\": true, \"stage_overruns\": {}}},\n",
-        tel.stage_overruns()
-    ));
-    json.push_str("  \"stage_latency_us\": {\n");
-    for (i, st) in obs::Stage::ALL.iter().enumerate() {
-        let d = tel.stage_data(*st);
-        let sep = if i + 1 < obs::NUM_STAGES { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"mean\": {}}}{sep}\n",
-            st.name(),
-            d.count,
-            d.percentile(0.50) / 1_000,
-            d.percentile(0.99) / 1_000,
-            d.mean() / 1_000,
-        ));
-    }
-    json.push_str("  },\n");
-    // Per-op attribution matrix: where each op's cumulative time went.
-    json.push_str("  \"op_attribution_us\": {\n");
-    let mut attribution_violations = 0u64;
-    for (i, name) in webgraph_repr::serve::OP_NAMES.iter().enumerate() {
-        let total_ns = tel.op_total_ns(i);
-        let mut stage_sum_ns = 0u64;
-        json.push_str(&format!(
-            "    \"{name}\": {{\"count\": {}, \"total\": {}",
-            tel.op_count(i),
-            total_ns / 1_000
-        ));
-        for st in obs::Stage::ALL.iter() {
-            let ns = tel.op_stage_ns(i, *st);
-            stage_sum_ns += ns;
-            json.push_str(&format!(", \"{}\": {}", st.name(), ns / 1_000));
-        }
-        let sep = if i + 1 < webgraph_repr::serve::NUM_OPS {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!("}}{sep}\n"));
-        // Cross-check: stages are disjoint slices of the total, so their
-        // sum must stay within tolerance of the end-to-end time (10%
-        // plus 200 µs of timer noise per request).
-        let tolerance = total_ns / 10 + tel.op_count(i) * 200_000;
-        if stage_sum_ns > total_ns + tolerance {
-            attribution_violations += 1;
-            eprintln!(
-                "stage-sum violation for {name}: stages {stage_sum_ns} ns > \
-                 total {total_ns} ns + tolerance {tolerance} ns"
-            );
-        }
-    }
-    json.push_str("  },\n");
-    // Shard heatmap: per-shard hit/miss split and lock contention of both
-    // graph caches (FNV-1a routing skew is visible here).
-    json.push_str("  \"shard_heatmap\": {\n");
-    for (gi, (gname, rep)) in [("fwd", &ctx.fwd), ("back", &ctx.back)].iter().enumerate() {
-        let shards = rep.shard_telemetry().unwrap_or_default();
-        json.push_str(&format!("    \"{gname}\": [\n"));
-        for (si, sh) in shards.iter().enumerate() {
-            let sep = if si + 1 < shards.len() { "," } else { "" };
-            json.push_str(&format!(
-                "      {{\"shard\": {}, \"hits\": {}, \"misses\": {}, \"entries\": {}, \
-                 \"acquisitions\": {}, \"contended\": {}, \"wait_us\": {}, \"hold_us\": {}}}{sep}\n",
-                sh.shard,
-                sh.hits,
-                sh.misses,
-                sh.entries,
-                sh.lock.acquisitions,
-                sh.lock.contended,
-                sh.lock.wait_ns / 1_000,
-                sh.lock.hold_ns / 1_000,
-            ));
-        }
-        json.push_str(&format!("    ]{}\n", if gi == 0 { "," } else { "" }));
-    }
-    json.push_str("  },\n");
     json.push_str("  \"fingerprints\": {\n");
     for (i, fp) in reference.iter().enumerate() {
         let sep = if i + 1 < reference.len() { "," } else { "" };
@@ -1523,14 +1445,6 @@ fn bench_serve(
         );
         return 1;
     }
-    if attribution_violations > 0 || tel.stage_overruns() > 0 {
-        eprintln!(
-            "FAILED: stage attribution broken — {attribution_violations} op-level violation(s), \
-             {} per-request overrun(s)",
-            tel.stage_overruns()
-        );
-        return 1;
-    }
     if degraded > 0 {
         return 3;
     }
@@ -1549,7 +1463,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         eprintln!(
             "usage: wgr serve DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
              \x20                [--budget BYTES] [--reps DIR] [--reuse] [--smoke N]\n\
-             \x20                [--slowlog-us N] [--no-telemetry] [--metrics[=json]] [--trace FILE]"
+             \x20                [--metrics[=json]] [--trace FILE]"
         );
         return 2;
     };
@@ -1589,8 +1503,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get().max(2))),
         queue_cap: num(args, "--queue").unwrap_or(256),
         port,
-        slowlog_us: num(args, "--slowlog-us").unwrap_or(0),
-        telemetry: !args.iter().any(|a| a == "--no-telemetry"),
     };
     let server = match Server::start(Arc::clone(&ctx), &cfg) {
         Ok(s) => s,
@@ -1701,156 +1613,7 @@ fn serve_smoke(port: u16, clients: usize, reference: &[u64; 6], num_pages: u32) 
     }
 }
 
-/// Extracts `"key":<digits>` from a snapshot line (0 when absent — a
-/// server running with telemetry off reports zeros, not errors).
-fn snap_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    line.find(&pat)
-        .map(|i| {
-            line[i + pat.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-        })
-        .and_then(|d| d.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Extracts `"key":"value"` from a snapshot line.
-fn snap_str<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    line.find(&pat)
-        .and_then(|i| {
-            let rest = &line[i + pat.len()..];
-            rest.find('"').map(|j| &rest[..j])
-        })
-        .unwrap_or("")
-}
-
-/// `wgr top --port P`: fetches the live telemetry snapshot over the Stats
-/// wire op and renders it; loops under `--watch`.
-fn top_live(port: u16, watch: Option<u64>, json: bool) -> i32 {
-    loop {
-        let snap = match Client::connect(port).and_then(|mut cl| cl.stats()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot fetch stats from 127.0.0.1:{port}: {e}");
-                return 2;
-            }
-        };
-        if json {
-            println!("{snap}");
-        } else {
-            render_top(&snap, port);
-        }
-        match watch {
-            Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs.max(1))),
-            None => return 0,
-        }
-    }
-}
-
-/// Renders one Stats snapshot as terminal tables by scanning the
-/// line-oriented JSON (one line per op, stage, and shard).
-fn render_top(snap: &str, port: u16) {
-    for line in snap.lines() {
-        if line.starts_with("\"server\":") {
-            println!(
-                "wg-serve 127.0.0.1:{port} — {} requests over {} connections \
-                 ({} degraded, {} errors, {} refused)",
-                snap_u64(line, "requests"),
-                snap_u64(line, "connections"),
-                snap_u64(line, "degraded"),
-                snap_u64(line, "errors"),
-                snap_u64(line, "overloaded"),
-            );
-        } else if line.starts_with("\"telemetry\":") {
-            println!(
-                "telemetry: {} recorded, {} stage overrun(s), slowlog {} \
-                 (live window: last {}×{} requests)\n",
-                snap_u64(line, "requests"),
-                snap_u64(line, "stage_overruns"),
-                snap_u64(line, "slowlog_len"),
-                snap_u64(line, "windows"),
-                snap_u64(line, "window_every"),
-            );
-            println!(
-                "{:<6} {:>8} {:>7} {:>9} {:>9} {:>9}   {:>9} {:>9} {:>9} {:>9} {:>9}",
-                "op",
-                "count",
-                "live",
-                "p50us",
-                "p90us",
-                "p99us",
-                "queue",
-                "lock",
-                "lookup",
-                "decode",
-                "write"
-            );
-        } else if line.contains("\"op\":\"") {
-            println!(
-                "{:<6} {:>8} {:>7} {:>9} {:>9} {:>9}   {:>9} {:>9} {:>9} {:>9} {:>9}",
-                snap_str(line, "op"),
-                snap_u64(line, "count"),
-                snap_u64(line, "live_count"),
-                snap_u64(line, "p50_us"),
-                snap_u64(line, "p90_us"),
-                snap_u64(line, "p99_us"),
-                snap_u64(line, "queue_wait"),
-                snap_u64(line, "shard_lock"),
-                snap_u64(line, "cache_lookup"),
-                snap_u64(line, "list_decode"),
-                snap_u64(line, "resp_write"),
-            );
-        } else if line.contains("\"stage\":\"") {
-            if line.contains("queue_wait") {
-                println!("\nstage latency (all ops, cumulative):");
-            }
-            println!(
-                "  {:<12} n={:<8} p50 {:>7} µs   p99 {:>7} µs   mean {:>7} µs",
-                snap_str(line, "stage"),
-                snap_u64(line, "count"),
-                snap_u64(line, "p50_us"),
-                snap_u64(line, "p99_us"),
-                snap_u64(line, "mean_us"),
-            );
-        } else if line.contains("\"graph\":\"") {
-            if line.contains("\"shard\":0,") && line.contains("\"graph\":\"fwd\"") {
-                println!("\nshard heatmap (hits/misses · lock acq/contended/wait µs):");
-            }
-            println!(
-                "  {:<4} shard {}  {:>8}/{:<8} · {:>8}/{:<6}/{:>8}",
-                snap_str(line, "graph"),
-                snap_u64(line, "shard"),
-                snap_u64(line, "hits"),
-                snap_u64(line, "misses"),
-                snap_u64(line, "acquisitions"),
-                snap_u64(line, "contended"),
-                snap_u64(line, "wait_us"),
-            );
-        } else if line.starts_with("\"locks\":") {
-            println!(
-                "\nmemo lock: {} acq, {} contended, wait {} µs, hold {} µs",
-                snap_u64(line, "acquisitions"),
-                snap_u64(line, "contended"),
-                snap_u64(line, "wait_us"),
-                snap_u64(line, "hold_us"),
-            );
-        }
-    }
-}
-
 fn cmd_top(args: &[String]) -> i32 {
-    // Live service mode: `wgr top --port P` polls a running wg-serve
-    // instance over the Stats wire op and renders its telemetry snapshot
-    // (`--watch SECS` refreshes until interrupted; `--json` prints the
-    // raw snapshot). Without `--port`, classic PageRank top-k below.
-    if let Some(port) = num::<u16>(args, "--port") {
-        let watch: Option<u64> = num(args, "--watch");
-        let json = args.iter().any(|a| a == "--json");
-        return top_live(port, watch, json);
-    }
     let repo = PathBuf::from(req(args, "--repo"));
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
     let k: usize = num(args, "-k").unwrap_or(10);

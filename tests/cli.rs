@@ -219,6 +219,17 @@ fn query_metrics_json_is_deterministic_across_runs() {
             "missing {counter}: {a}"
         );
     }
+    // No lock wait/hold counters: a batch run has nothing that would time
+    // a lock, so such names could only ever read 0.
+    let registry = &a[a.find("\"registry\"").unwrap()..];
+    let lock_keys: Vec<&str> = registry
+        .split('"')
+        .filter(|k| k.contains(".lock."))
+        .collect();
+    assert!(
+        lock_keys.is_empty(),
+        "lock counters registered: {lock_keys:?}"
+    );
 
     // Two consecutive runs: identical counters once timing lines go.
     assert_eq!(
