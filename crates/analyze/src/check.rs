@@ -9,6 +9,7 @@
 
 use crate::{Code, Diagnostic, Location, Report};
 use std::path::Path;
+use wg_snode::codec::ListCodec;
 use wg_snode::disk::{index_file_path, GraphLocator, IndexFileReader, SNodeMeta};
 use wg_snode::refenc::{ListsIndex, Universe, MAX_REF_CHAIN};
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
@@ -434,7 +435,7 @@ fn check_graphs(
                 0
             };
             let loc = meta.superedge_loc[s as usize][k];
-            check_superedge(meta, files, &reader, s, j, ni, nj, &loc, diags, summary);
+            check_superedge(files, &reader, s, j, ni, nj, &loc, diags, summary);
         }
     }
 }
@@ -522,7 +523,6 @@ fn check_intranode(
 
 #[allow(clippy::too_many_arguments)]
 fn check_superedge(
-    meta: &SNodeMeta,
     files: &IndexFiles,
     reader: &IndexFileReader,
     s: u32,
@@ -560,13 +560,11 @@ fn check_superedge(
     // The analyzer reads every stored list, so it asks for the list count
     // and the end of the payload straight after the parse, which built the
     // list-stream directory or the dictionary they come from.
-    let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).and_then(
-        |index| {
-            let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;
-            let end_bit = index.end_bit(&bytes, loc.bit_len)?;
-            Ok((index, num_stored, end_bit))
-        },
-    );
+    let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).and_then(|index| {
+        let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;
+        let end_bit = index.end_bit(&bytes, loc.bit_len)?;
+        Ok((index, num_stored, end_bit))
+    });
     let (index, num_stored, end_bit) = match parsed {
         Ok(p) => p,
         Err(e) => {

@@ -274,9 +274,9 @@ pub fn fsck(dir: &Path) -> FsckReport {
 
     // Pass 3: graph blobs. The locator tables live in meta.bin, so blob
     // verdicts are only trustworthy when it verified. The parse also
-    // validates the v2 header's codec-id word — checksums prove the bytes
-    // are the ones the builder wrote, not that a (buggy or newer) builder
-    // wrote a codec this tool can decode.
+    // checks the header's version and codec word — checksums prove the
+    // bytes are the ones a builder wrote, not that it wrote the one format
+    // this tool reads.
     if meta_file_ok {
         if let Some(bytes) = &meta_bytes {
             checked += 1;
@@ -290,7 +290,7 @@ pub fn fsck(dir: &Path) -> FsckReport {
                     diags.push(Diagnostic::new(
                         Code::DecodeError,
                         Location::Meta,
-                        format!("meta.bin verified but did not parse (header or codec id): {e}"),
+                        format!("meta.bin verified but did not parse (header or format): {e}"),
                     ));
                 }
             }
@@ -504,13 +504,13 @@ mod tests {
     fn invalid_codec_id_in_verified_header_is_reported() {
         let dir = temp_dir("codec");
         build_fixture(&dir);
-        // meta.bin v2 header layout: magic u32, version u32, codec u32.
+        // meta.bin header layout: magic u32, version u32, codec u32.
         let path = dir.join("meta.bin");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         // Re-manifest so every checksum matches: the damage is purely
-        // logical now and only the codec-id validation can catch it.
+        // logical now and only the format check can catch it.
         let m = wg_snode::IntegrityManifest::read(&dir).unwrap().unwrap();
         wg_snode::IntegrityManifest::compute(&dir, m.blob_crc.clone())
             .unwrap()
@@ -521,7 +521,7 @@ mod tests {
         assert!(
             r.diagnostics
                 .iter()
-                .any(|d| d.code == Code::DecodeError && d.message.contains("codec")),
+                .any(|d| d.code == Code::DecodeError && d.message.contains("rebuild")),
             "{r}"
         );
         std::fs::remove_dir_all(&dir).ok();

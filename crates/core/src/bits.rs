@@ -6,6 +6,7 @@
 //! supposed to shrink — has a name and a number. The rows tile the files:
 //! they sum to the numerator exactly.
 
+use crate::codec::ListCodec;
 use crate::disk::{index_file_path, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::meta_section_bounds;
 use crate::refenc::{ListsIndex, Universe};
@@ -108,8 +109,7 @@ impl BitLedger {
             for (&j, loc) in row.zip(&meta.superedge_loc[s as usize]) {
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(loc)?;
-                let index =
-                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
+                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
                 let bits = index.bit_breakdown(&bytes, loc.bit_len)?;
                 let edges = index.count_positive_edges(&bytes, loc.bit_len, nj)?;
                 let class = match (index.kind, bits.layout) {
@@ -283,11 +283,10 @@ impl std::fmt::Display for BitLedger {
 mod tests {
     use super::*;
     use crate::build::{build_snode, RepoInput, SNodeConfig};
-    use crate::codec::CodecConfig;
 
-    /// The rows add up to `(meta.bin + index_*.bin) × 8`, to the bit, under
-    /// the default codec and the paper's, over several index files; and
-    /// what they add up to is what the build reported.
+    /// The rows add up to `(meta.bin + index_*.bin) × 8`, to the bit, over
+    /// several index files; and what they add up to is what the build
+    /// reported.
     #[test]
     fn rows_sum_to_the_files() {
         let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(2500, 3));
@@ -298,51 +297,46 @@ mod tests {
             domains: &domains,
             graph: &corpus.graph,
         };
-        for codec in [CodecConfig::default(), CodecConfig::GAMMA] {
-            let mut dir = std::env::temp_dir();
-            dir.push(format!("wg_snode_bits_{}_{codec}", std::process::id()).replace('/', "_"));
-            let config = SNodeConfig {
-                codec,
-                max_file_bytes: 4096,
-                ..SNodeConfig::default()
-            };
-            let (stats, _) = build_snode(input, &config, &dir).unwrap();
-            let ledger = BitLedger::of(&dir).unwrap();
-            let on_disk: u64 = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|entry| entry.unwrap())
-                .filter(|entry| {
-                    let name = entry.file_name().into_string().unwrap();
-                    name == "meta.bin" || name.starts_with("index_")
-                })
-                .map(|entry| entry.metadata().unwrap().len())
-                .sum();
-            assert_eq!(ledger.total_bits, on_disk * 8);
-            assert_eq!(ledger.total_bits, stats.total_bits());
-            assert_eq!(ledger.edges, stats.num_edges);
-            let sum: u64 = ledger.rows.iter().map(|row| row.bits).sum();
-            assert_eq!(sum, ledger.total_bits, "{codec}: {:#?}", ledger.rows);
+        let dir = std::env::temp_dir().join(format!("wg_snode_bits_{}", std::process::id()));
+        let config = SNodeConfig {
+            max_file_bytes: 4096,
+            ..SNodeConfig::default()
+        };
+        let (stats, _) = build_snode(input, &config, &dir).unwrap();
+        let ledger = BitLedger::of(&dir).unwrap();
+        let on_disk: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| {
+                let name = entry.file_name().into_string().unwrap();
+                name == "meta.bin" || name.starts_with("index_")
+            })
+            .map(|entry| entry.metadata().unwrap().len())
+            .sum();
+        assert_eq!(ledger.total_bits, on_disk * 8);
+        assert_eq!(ledger.total_bits, stats.total_bits());
+        assert_eq!(ledger.edges, stats.num_edges);
+        let sum: u64 = ledger.rows.iter().map(|row| row.bits).sum();
+        assert_eq!(sum, ledger.total_bits, "{:#?}", ledger.rows);
 
-            let bits_of = |class: &str| -> u64 {
-                let rows = ledger.rows.iter().filter(|row| row.class == class);
-                rows.map(|row| row.bits).sum()
-            };
-            assert_eq!(bits_of(INTRANODE), stats.intranode_bits);
-            let superedge = [
-                POSITIVE_LISTS,
-                POSITIVE_TARGETS,
-                POSITIVE_DICTIONARY,
-                NEGATIVE,
-            ];
-            let superedge_bits: u64 = superedge.iter().map(|class| bits_of(class)).sum();
-            assert_eq!(superedge_bits, stats.superedge_bits);
-            let dictionaries = bits_of(POSITIVE_TARGETS) + bits_of(POSITIVE_DICTIONARY);
-            assert_eq!(dictionaries > 0, codec == CodecConfig::default());
-            assert_eq!(
-                bits_of("index files"),
-                (stats.index_bytes * 8) - stats.intranode_bits - stats.superedge_bits
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let bits_of = |class: &str| -> u64 {
+            let rows = ledger.rows.iter().filter(|row| row.class == class);
+            rows.map(|row| row.bits).sum()
+        };
+        assert_eq!(bits_of(INTRANODE), stats.intranode_bits);
+        let superedge = [
+            POSITIVE_LISTS,
+            POSITIVE_TARGETS,
+            POSITIVE_DICTIONARY,
+            NEGATIVE,
+        ];
+        let superedge_bits: u64 = superedge.iter().map(|class| bits_of(class)).sum();
+        assert_eq!(superedge_bits, stats.superedge_bits);
+        assert!(bits_of(POSITIVE_TARGETS) + bits_of(POSITIVE_DICTIONARY) > 0);
+        assert_eq!(
+            bits_of("index files"),
+            (stats.index_bytes * 8) - stats.intranode_bits - stats.superedge_bits
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,6 @@
 //! End-to-end S-Node construction (§3): refine the partition, renumber
 //! pages, encode every graph, and lay the representation out on disk.
 
-use crate::codec::CodecConfig;
 use crate::disk::{GraphLocator, IndexFileWriter, Renumbering, SNodeMeta};
 use crate::flat::{FlatLists, ListBuf};
 use crate::partition::{refine, Partition, RefineConfig, RefineStats};
@@ -38,10 +37,6 @@ pub struct SNodeConfig {
     pub ref_mode: RefMode,
     /// Positive/negative superedge selection policy.
     pub superedge_policy: SuperedgePolicy,
-    /// The format: [`CodecConfig::default`] (`g+st`) unless said otherwise,
-    /// which `wgr build --codec g` does. Recorded in the `meta.bin` header
-    /// so readers decode the way the directory was built.
-    pub codec: CodecConfig,
     /// Index-file size cap (paper: 500 MB).
     pub max_file_bytes: u64,
     /// Worker threads for the encode pipeline and k-means loops.
@@ -59,7 +54,6 @@ impl Default for SNodeConfig {
             refine: RefineConfig::default(),
             ref_mode: RefMode::default(),
             superedge_policy: SuperedgePolicy::default(),
-            codec: CodecConfig::default(),
             max_file_bytes: 500 << 20,
             threads: 0,
         }
@@ -302,7 +296,7 @@ fn build_windowed(
         intranode_loc,
         superedge_loc,
         domain_supernodes,
-        codec: config.codec,
+        codec: Default::default(),
         max_file_bytes: config.max_file_bytes,
     };
     // `meta.bin` is what a reader opens a directory by, so it goes in after
@@ -471,7 +465,6 @@ impl SupernodeEncoder<'_> {
         let SNodeConfig {
             ref_mode,
             superedge_policy,
-            codec,
             ..
         } = *self.config;
         let ni = u64::from(self.size(s));
@@ -484,7 +477,7 @@ impl SupernodeEncoder<'_> {
         let intra_plan = plan_lists(links.intra.view(), ni, ref_mode);
         let superedge = |k: usize| links.superedge(k, ni, u64::from(self.size(links.targets[k])));
         let plans: Vec<SuperedgePlan> = (0..links.targets.len())
-            .map(|k| plan_superedge(superedge(k), ref_mode, superedge_policy, codec.superedge))
+            .map(|k| plan_superedge(superedge(k), ref_mode, superedge_policy))
             .collect();
         record_span("core.build.encode.select", "build", &t);
 
@@ -493,7 +486,7 @@ impl SupernodeEncoder<'_> {
         let edges = plans
             .iter()
             .enumerate()
-            .map(|(k, plan)| write_superedge(superedge(k), plan, codec.superedge))
+            .map(|(k, plan)| write_superedge(superedge(k), plan))
             .collect();
         record_span("core.build.encode.write", "build", &t);
         EncodedSupernode {
@@ -752,8 +745,7 @@ mod tests {
                 let bytes = files.read_blob(loc).unwrap();
                 let ni = u64::from(meta.supernode_size(s));
                 let nj = u64::from(meta.supernode_size(j));
-                let lists =
-                    decode_superedge(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).unwrap();
+                let lists = decode_superedge(&bytes, loc.bit_len, ni, nj).unwrap();
                 let jstart = meta.page_range(j).start;
                 for (local, list) in lists.iter().enumerate() {
                     for &t in list {

@@ -985,7 +985,7 @@ mod tests {
 
     /// `lists` as an encoded intranode graph, admitted as a probe admits one.
     fn encoded_intra(lists: &[Vec<u32>], mode: crate::refenc::RefMode) -> CachedGraph {
-        let codec = crate::codec::ListCodec::GAMMA;
+        let codec = crate::codec::ListCodec;
         let enc = crate::refenc::encode_lists(lists, lists.len() as u64, mode, codec);
         let universe = crate::refenc::Universe::SameAsCount;
         let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec).expect("parse");
@@ -1233,14 +1233,14 @@ mod tests {
     /// and a single-target dictionary, which keeps no list, nothing.
     #[test]
     fn memo_cap_of_a_superedge_graph_is_its_encoded_bytes() {
-        let codec = crate::codec::ListCodec::GAMMA;
-        let encode = |pos: &[Vec<u32>], codec| {
+        let codec = crate::codec::ListCodec;
+        let encode = |pos: &[Vec<u32>]| {
             let mode = crate::refenc::RefMode::Windowed(4);
             let policy = crate::subgraphs::SuperedgePolicy::EncodedSize;
-            crate::subgraphs::encode_superedge(pos, 8, mode, policy, codec)
+            crate::subgraphs::encode_superedge(pos, 8, mode, policy)
         };
         let lists: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3, 3 + s % 5]).collect();
-        let enc = encode(&lists, codec);
+        let enc = encode(&lists);
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
         let (encoded, directory) = (enc.bytes.len(), index.heap_bytes());
         assert!(
@@ -1255,10 +1255,7 @@ mod tests {
         );
 
         let singles: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3]).collect();
-        let codec = crate::codec::ListCodec {
-            layouts: crate::codec::SuperedgeLayouts::Priced,
-        };
-        let enc = encode(&singles, codec);
+        let enc = encode(&singles);
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
         assert_eq!(index.layout(), Layout::SingleTargets);
         let directory = index.heap_bytes();
@@ -1270,6 +1267,10 @@ mod tests {
             directory + std::mem::size_of::<CachedGraph>(),
             "the blob borrowed from the resident image is not charged again"
         );
+        // The header every entry is charged: a field that comes or goes in
+        // a graph's directory must not move it, and with it every eviction.
+        assert_eq!(std::mem::size_of::<SuperedgeIndex>(), 32);
+        assert_eq!(std::mem::size_of::<CachedGraph>(), 120);
     }
 
     #[test]
@@ -1342,14 +1343,13 @@ mod tests {
         for (src, targets) in links {
             pos[*src] = targets.clone();
         }
-        let codec = crate::codec::ListCodec::GAMMA;
         let enc = crate::subgraphs::encode_superedge(
             &pos,
             8,
             crate::refenc::RefMode::Windowed(4),
             crate::subgraphs::SuperedgePolicy::EncodedSize,
-            codec,
         );
+        let codec = crate::codec::ListCodec;
         SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni as u64, 8, codec).expect("parse")
     }
 

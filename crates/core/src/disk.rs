@@ -18,7 +18,7 @@
 //!   S-Node page ids (old-of-new), kept separate because it is shared
 //!   repository metadata, not part of the graph representation proper.
 
-use crate::codec::{CodecConfig, SuperedgeLayouts};
+use crate::codec::CodecConfig;
 use crate::supergraph::SupernodeGraph;
 use crate::{Result, SNodeError};
 use std::fs::File;
@@ -26,36 +26,29 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const META_MAGIC: u32 = 0x534E_4F44; // "SNOD"
-/// Format version written by this build. Version 2 added the codec word
-/// (one `u32` after the version) recording the per-list-class codec
-/// choice; version 3 added the list dictionary to the layouts a positive
-/// superedge graph chooses between (and with it a second marker bit, see
-/// [`crate::codec::SuperedgeLayouts`]). Directories of every earlier version stay
-/// readable: version 1, which has no codec word, as `g`, the only format
-/// there was; version 2 with the codec word it carries.
+/// The one format: version 3, whose header carries a codec word after the
+/// version, and in it the one word this version writes and reads, `g+st`:
+/// in each list class's byte, `0x01` (the γ gap code) and bits 6 and 7 (the
+/// two dictionary layouts a positive superedge graph may take beside its
+/// list stream). Versions 1 and 2, and a version-3 word without the
+/// dictionaries (`0x0101`, the paper's plain format), are refused.
 const META_VERSION: u32 = 3;
+const CODEC_WORD: u32 = 0xC1C1;
 const PAGEMAP_MAGIC: u32 = 0x534E_504D; // "SNPM"
 
-/// Reads the magic, the version and the optional codec word; shared by
-/// every reader of `meta.bin` so all accept the same set of versions.
-fn read_header(c: &mut Cursor<'_>) -> Result<CodecConfig> {
+/// Reads the magic, the version and the codec word; shared by every reader
+/// of `meta.bin` so all accept the one format.
+fn read_header(c: &mut Cursor<'_>) -> Result<()> {
     if c.u32()? != META_MAGIC {
         return Err(SNodeError::Corrupt("bad meta magic"));
     }
-    let version = c.u32()?;
-    let codec = match version {
-        1 => return Ok(CodecConfig::GAMMA),
-        2 | 3 => CodecConfig::from_header(c.u32()?)?,
-        _ => return Err(SNodeError::Corrupt("unsupported meta version")),
-    };
-    // The v3 layouts under a v2 version word: that bit was reserved.
-    let priced = |l: crate::codec::ListCodec| l.layouts == SuperedgeLayouts::Priced;
-    if version == 2 && (priced(codec.intra) || priced(codec.superedge)) {
+    if c.u32()? != META_VERSION || c.u32()? != CODEC_WORD {
         return Err(SNodeError::Corrupt(
-            "version-2 header names the version-3 superedge layouts",
+            "meta.bin is of an older or retired format than version 3 `g+st`: \
+             rebuild the directory",
         ));
     }
-    Ok(codec)
+    Ok(())
 }
 
 /// Location of one encoded graph inside the index files.
@@ -92,9 +85,7 @@ pub struct SNodeMeta {
     /// Domain index: `domain_supernodes[d]` = supernodes holding pages of
     /// domain `d` (ascending).
     pub domain_supernodes: Vec<Vec<u32>>,
-    /// The per-list-class codec the directory's graphs were encoded with.
-    /// Recorded in the header so every decode path uses the codec the
-    /// builder chose; version-1 directories decode as the γ baseline.
+    /// Carries nothing: see [`crate::codec`] for why it is still here.
     pub codec: CodecConfig,
     /// Index-file size cap the representation was written with. Locators
     /// are not stored explicitly: the linear ordering plus the per-graph
@@ -133,7 +124,7 @@ impl SNodeMeta {
         let mut out = Vec::new();
         put_u32(&mut out, META_MAGIC);
         put_u32(&mut out, META_VERSION);
-        put_u32(&mut out, self.codec.to_header());
+        put_u32(&mut out, CODEC_WORD);
         put_u32(&mut out, self.num_pages);
         let n = self.num_supernodes();
         put_u32(&mut out, n);
@@ -183,7 +174,7 @@ impl SNodeMeta {
     pub fn read_supergraph_section(dir: &Path) -> Result<(Vec<u8>, u64)> {
         let buf = read_whole_file(&dir.join("meta.bin"))?;
         let mut c = Cursor::new(&buf);
-        let _codec = read_header(&mut c)?;
+        read_header(&mut c)?;
         let _num_pages = c.u32()?;
         let n = c.u32()? as usize;
         for _ in 0..=n {
@@ -193,13 +184,6 @@ impl SNodeMeta {
         let sg_len = c.u64()? as usize;
         let sg_bytes = c.bytes(sg_len)?;
         Ok((sg_bytes.to_vec(), sg_bits))
-    }
-
-    /// Reads only the codec the header of `dir/meta.bin` records: what a
-    /// repair has to know of a directory whose `meta.bin` may be damaged
-    /// further in.
-    pub fn read_codec(dir: &Path) -> Result<CodecConfig> {
-        read_header(&mut Cursor::new(&read_whole_file(&dir.join("meta.bin"))?))
     }
 
     /// Deserialises from `dir/meta.bin`.
@@ -212,7 +196,7 @@ impl SNodeMeta {
     /// checksum the raw bytes parse the same buffer they verified).
     pub fn parse(buf: &[u8]) -> Result<Self> {
         let mut c = Cursor::new(buf);
-        let codec = read_header(&mut c)?;
+        read_header(&mut c)?;
         let num_pages = c.u32()?;
         let n = c.u32()? as usize;
         // Counts are untrusted until the reads below confirm them; clamp the
@@ -282,7 +266,7 @@ impl SNodeMeta {
             intranode_loc,
             superedge_loc,
             domain_supernodes,
-            codec,
+            codec: CodecConfig::default(),
             max_file_bytes,
         })
     }
@@ -683,7 +667,7 @@ mod tests {
             superedge_loc: vec![vec![loc(0, 10)], vec![loc(1, 0), loc(1, 10)], vec![]],
             domain_supernodes: vec![vec![0, 2], vec![1]],
             max_file_bytes: 30,
-            codec: CodecConfig::GAMMA,
+            codec: CodecConfig::default(),
         }
     }
 

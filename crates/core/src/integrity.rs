@@ -8,10 +8,10 @@
 //! property of the encoder — so the checksums live in a **sidecar
 //! manifest** rather than inline trailers,
 //! and the directory format version bump (v1 → [`DIRECTORY_VERSION`]) is
-//! carried by the manifest itself. (`meta.bin` has since gained its own
-//! v2 header word recording the list codec; default-γ builds differ from
-//! v1 only in that one word.) Directories without a manifest (v1, or
-//! hand-assembled) stay readable, unverified.
+//! carried by the manifest itself. (`meta.bin` has its own version, 3, the
+//! one readers accept: directories an earlier version wrote are refused
+//! whether or not they carry a manifest.) A directory without a manifest
+//! (hand-assembled, or stripped of it) stays readable, unverified.
 //!
 //! The manifest covers every byte of the directory:
 //!
@@ -117,9 +117,8 @@ pub struct IntegrityManifest {
 pub fn meta_section_bounds(buf: &[u8]) -> Result<[(u64, u64); 4]> {
     let mut c = Cur { buf, pos: 0 };
     c.u32()?; // magic
-    if c.u32()? >= 2 {
-        c.u32()?; // codec word (meta v2+)
-    }
+    c.u32()?; // version
+    c.u32()?; // codec word
     c.u32()?; // num_pages
     let n = c.u32()? as u64;
     let header_end = c
@@ -239,9 +238,10 @@ impl IntegrityManifest {
         Ok(out.len() as u64)
     }
 
-    /// Reads `dir/sums.bin`. `Ok(None)` when absent (a v1 directory —
-    /// readable, unverified); an error when present but damaged, so
-    /// manifest corruption is never mistaken for clean data.
+    /// Reads `dir/sums.bin`. `Ok(None)` when absent (a directory assembled
+    /// by hand or stripped of it — readable, unverified); an error when
+    /// present but damaged, so manifest corruption is never mistaken for
+    /// clean data.
     pub fn read(dir: &Path) -> Result<Option<Self>> {
         let path = dir.join(SUMS_FILE);
         let buf = match wg_fault::read_file(&path) {

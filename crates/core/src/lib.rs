@@ -26,7 +26,7 @@
 //! |---|---|---|
 //! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders, and k-means its vectors |
 //! | [`refenc`] | §3.1 | reference selection over the backward affinity graph (a window of preceding lists), list codec |
-//! | [`codec`] | — | the format choice a directory records: which layouts its positive superedge graphs may take (`g`, `g+st`) |
+//! | [`codec`] | — | what is left of a per-directory codec choice: two empty types a frozen caller still names, until ROADMAP item 1(a) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
 //! | [`kmeans`] | §3.2 | k-means over supernode-adjacency bit vectors |
 //! | [`partition`] | §3.2 | URL split, clustered split, iterative refinement loop |

@@ -1046,7 +1046,7 @@ pub(crate) mod tests {
     use super::*;
 
     fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
-        let enc = encode_lists(lists, universe, mode, ListCodec::GAMMA);
+        let enc = encode_lists(lists, universe, mode, ListCodec);
         let reader =
             ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe)).unwrap();
         assert_eq!(reader.num_lists(), lists.len() as u32);
@@ -1172,7 +1172,7 @@ pub(crate) mod tests {
         let base: Vec<u32> = (10..40).collect();
         let lists = vec![base.clone(); 30];
         let enc = round_trip(&lists, 64, RefMode::Windowed(4));
-        let plain = encode_lists(&lists, 64, RefMode::None, ListCodec::GAMMA);
+        let plain = encode_lists(&lists, 64, RefMode::None, ListCodec);
         // Each referenced copy costs ~18 bits (mode + parent + RLE'd all-ones
         // mask + empty extras) vs ~55 plain, but the per-list directory entry
         // is shared overhead — net ≈ 2x, not the asymptotic |list| ratio.
@@ -1209,7 +1209,7 @@ pub(crate) mod tests {
     #[test]
     fn single_list_truncation_is_detected() {
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
+        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec);
         for cut in 1..enc.bit_len {
             match ListsReader::parse(&enc.bytes, cut, Universe::Explicit(10)) {
                 Err(_) => {}
@@ -1237,7 +1237,7 @@ pub(crate) mod tests {
     fn stream_truncation_and_bit_flips_never_panic() {
         let universe = 300u64;
         let lists = synth_lists(0x5EED, 12, universe);
-        let enc = encode_lists(&lists, universe, RefMode::Windowed(4), ListCodec::GAMMA);
+        let enc = encode_lists(&lists, universe, RefMode::Windowed(4), ListCodec);
         // Truncation at every bit boundary.
         for cut in 0..enc.bit_len {
             if let Ok(r) = ListsReader::parse(&enc.bytes, cut, Universe::Explicit(universe)) {
@@ -1486,7 +1486,7 @@ pub(crate) mod tests {
             RefMode::Windowed(8),
             RefMode::Windowed(u32::MAX),
         ] {
-            let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
+            let enc = encode_lists(&lists, universe, mode, ListCodec);
             let index =
                 ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(universe))
                     .unwrap();
@@ -1562,7 +1562,7 @@ pub(crate) mod tests {
             assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
         }
         // The same lists as today's writer stores them are read.
-        let enc = encode_lists(&lists, 10, RefMode::Windowed(2), ListCodec::GAMMA);
+        let enc = encode_lists(&lists, 10, RefMode::Windowed(2), ListCodec);
         let (_, back) = ListsIndex::load(&enc.bytes, enc.bit_len, Universe::Explicit(10)).unwrap();
         assert_eq!(back, lists);
 
@@ -1614,7 +1614,7 @@ pub(crate) mod tests {
             RefMode::Windowed(4),
             RefMode::Windowed(u32::MAX),
         ] {
-            let enc = encode_lists(&lists, universe, mode, ListCodec::GAMMA);
+            let enc = encode_lists(&lists, universe, mode, ListCodec);
             for flip in 0..enc.bit_len {
                 let mut bytes = enc.bytes.clone();
                 bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
@@ -1685,7 +1685,7 @@ pub(crate) mod tests {
         // [1, 5, 9] in a universe of 10: the last gap is γ(3) = 00100, and
         // flipping its final bit makes it γ(4), i.e. an entry of 10.
         let lists = vec![vec![1u32, 5, 9]];
-        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec::GAMMA);
+        let enc = encode_lists(&lists, 10, RefMode::None, ListCodec);
         let clean =
             ListsIndex::parse_at(&enc.bytes, enc.bit_len, 0, Universe::Explicit(10)).unwrap();
         let (mut scan_caught, mut decode_caught) = (false, false);

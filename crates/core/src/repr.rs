@@ -15,6 +15,7 @@
 //!   no cache management.
 
 use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey};
+use crate::codec::ListCodec;
 use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
@@ -711,8 +712,7 @@ impl SNode {
         let loc = self.dir.meta.intranode_loc[s as usize];
         let bytes = self.dir.load_blob(&loc, self.dir.blob_base[s as usize]);
         let parsed = bytes.and_then(|bytes| {
-            let (universe, codec) = (Universe::SameAsCount, self.dir.meta.codec.intra);
-            let index = ListsIndex::parse(&bytes, loc.bit_len, universe, codec)?;
+            let index = ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, ListCodec)?;
             Ok((bytes, index))
         });
         match parsed {
@@ -766,9 +766,7 @@ impl SNode {
                         .dir
                         .load_blob(loc, self.dir.blob_base[s as usize] + 1 + k);
                     let scanned = blob.and_then(|blob| {
-                        let codec = self.dir.meta.codec.superedge;
-                        let range =
-                            scan_sources(&blob, loc.bit_len, u64::from(ni), codec, sources)?;
+                        let range = scan_sources(&blob, loc.bit_len, u64::from(ni), sources)?;
                         Ok((blob, range))
                     });
                     self.or_quarantine(s, j, scanned)?
@@ -842,8 +840,7 @@ impl SNode {
             ),
         };
         let loaded = blob.and_then(|blob| {
-            let codec = self.dir.meta.codec.superedge;
-            let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, codec)?;
+            let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, ListCodec)?;
             Ok((blob, index))
         });
         Ok(self.or_quarantine(s, j, loaded)?.map(|(blob, index)| {
@@ -891,8 +888,7 @@ impl SNodeInMemory {
             let loc = meta.intranode_loc[s as usize];
             let base = opened.blob_base[s as usize];
             let bytes = opened.load_blob(&loc, base)?;
-            let index =
-                ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, meta.codec.intra)?;
+            let index = ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, ListCodec)?;
             intra.push(CachedGraph::new_encoded_intra(bytes, loc.bit_len, index));
             let mut row = Vec::with_capacity(meta.supergraph.adj[s as usize].len());
             let ni = u64::from(meta.supernode_size(s));
@@ -902,8 +898,7 @@ impl SNodeInMemory {
             {
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = opened.load_blob(loc, base + k)?;
-                let index =
-                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)?;
+                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
                 row.push((bytes, loc.bit_len, index, nj));
             }
             fanout.push(Fanout::build(
@@ -1455,9 +1450,7 @@ mod tests {
                 let loc = meta.superedge_loc[s as usize][k];
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(&loc).unwrap();
-                let index =
-                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
-                        .unwrap();
+                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
                 if index.positive_sources().is_some() {
                     found.push((s, k, loc, index));
                 }
@@ -1594,9 +1587,7 @@ mod tests {
                 let loc = meta.superedge_loc[s as usize][k];
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(&loc).unwrap();
-                let index =
-                    SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge)
-                        .unwrap();
+                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
                 if index.kind == crate::subgraphs::SuperedgeKind::Negative
                     || index.sources().contains(&local)
                 {

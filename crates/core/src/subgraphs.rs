@@ -17,7 +17,7 @@
 //!   lists repeated down a site — a dictionary of the distinct targets or
 //!   of the distinct lists, plus one index per source.
 
-use crate::codec::{ListCodec, SuperedgeLayouts};
+use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
     append_bounded_gap_list, bounded_gap_list_len, encode_lists, plain_cost, plan_lists,
@@ -55,7 +55,7 @@ pub enum SuperedgeKind {
 /// local page `p` (entries `< lists.len()`), so a list stream whose
 /// universe is its own list count.
 pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode) -> EncodedLists {
-    encode_lists(lists, lists.len() as u64, mode, ListCodec::GAMMA)
+    encode_lists(lists, lists.len() as u64, mode, ListCodec)
 }
 
 /// Decodes a full intranode graph.
@@ -102,7 +102,6 @@ pub fn encode_superedge(
     nj: u64,
     mode: RefMode,
     policy: SuperedgePolicy,
-    codec: ListCodec,
 ) -> EncodedSuperedge {
     let (sources, lists) = positive_sources(pos_lists);
     let links = SuperedgeLinks {
@@ -111,7 +110,7 @@ pub fn encode_superedge(
         ni: pos_lists.len() as u64,
         nj,
     };
-    write_superedge(links, &plan_superedge(links, mode, policy, codec), codec)
+    write_superedge(links, &plan_superedge(links, mode, policy))
 }
 
 /// The representation chosen for one superedge graph, with what writing
@@ -135,7 +134,6 @@ pub(crate) fn plan_superedge(
     links: SuperedgeLinks<'_>,
     mode: RefMode,
     policy: SuperedgePolicy,
-    codec: ListCodec,
 ) -> SuperedgePlan {
     let SuperedgeLinks { ni, nj, .. } = links;
     debug_assert_eq!(links.sources.len(), links.lists.len());
@@ -147,7 +145,7 @@ pub(crate) fn plan_superedge(
     // Only consider the complement when it has fewer edges — otherwise
     // materialising it could cost Θ(|Ni|·|Nj|) for nothing.
     if neg_edges >= pos_edges {
-        return SuperedgePlan::Positive(plan_positive(links, mode, codec));
+        return SuperedgePlan::Positive(plan_positive(links, mode));
     }
     // The negative representation stores a list for every page of `Ni`.
     let mut stored = links.sources.iter().zip(links.lists.iter()).peekable();
@@ -159,7 +157,7 @@ pub(crate) fn plan_superedge(
     }
     let plan = plan_lists(lists.view(), nj, mode);
     if policy == SuperedgePolicy::EncodedSize {
-        let pos = plan_positive(links, mode, codec);
+        let pos = plan_positive(links, mode);
         if 1 + plan.total_bits >= pos.bits {
             return SuperedgePlan::Positive(pos);
         }
@@ -188,31 +186,22 @@ pub enum Layout {
 
 impl Layout {
     /// The marker that names this layout after the kind bit of a positive
-    /// graph, or `None` where `layouts` does not offer it. A prefix code:
-    /// [`Layout::read`] is its decoder.
-    fn marker(self, layouts: SuperedgeLayouts) -> Option<&'static [bool]> {
-        match (layouts, self) {
-            (SuperedgeLayouts::Standard, Layout::Lists) => Some(&[]),
-            (SuperedgeLayouts::SingleTarget, Layout::Lists) => Some(&[false]),
-            (SuperedgeLayouts::SingleTarget | SuperedgeLayouts::Priced, Layout::SingleTargets) => {
-                Some(&[true])
-            }
-            (SuperedgeLayouts::Priced, Layout::Lists) => Some(&[false, false]),
-            (SuperedgeLayouts::Priced, Layout::ListDictionary) => Some(&[false, true]),
-            _ => None,
+    /// graph. A prefix code: [`Layout::read`] is its decoder.
+    fn marker(self) -> &'static [bool] {
+        match self {
+            Layout::SingleTargets => &[true],
+            Layout::Lists => &[false, false],
+            Layout::ListDictionary => &[false, true],
         }
     }
 
-    fn read(r: &mut BitReader<'_>, layouts: SuperedgeLayouts) -> Result<Layout> {
-        if layouts == SuperedgeLayouts::Standard {
-            return Ok(Layout::Lists);
-        }
+    fn read(r: &mut BitReader<'_>) -> Result<Layout> {
         if r.read_bit()? {
             return Ok(Layout::SingleTargets);
         }
-        Ok(match layouts {
-            SuperedgeLayouts::Priced if r.read_bit()? => Layout::ListDictionary,
-            _ => Layout::Lists,
+        Ok(match r.read_bit()? {
+            true => Layout::ListDictionary,
+            false => Layout::Lists,
         })
     }
 }
@@ -287,19 +276,15 @@ fn index_bits(index: &[u32], entries: usize) -> u64 {
         .sum()
 }
 
-/// Prices the layouts `codec.layouts` offers for a positive graph and
-/// keeps the smallest, cheapest first: each layout gets a floor that costs
-/// one pass over the lists, the layouts are priced exactly in order of
-/// their floors, and pricing stops at the first floor the best exact price
-/// so far already beats — so windowed reference selection over all the
-/// stored lists, the expensive candidate, runs only for a graph the
-/// dictionaries might lose. The winner is the one pricing every layout
-/// exactly would pick.
-fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode, codec: ListCodec) -> PositivePlan {
-    let pricer = Pricer::new(links, mode, codec);
-    if codec.layouts == SuperedgeLayouts::Standard {
-        return pricer.price(Layout::Lists);
-    }
+/// Prices the three layouts of a positive graph and keeps the smallest,
+/// cheapest first: each layout gets a floor that costs one pass over the
+/// lists, the layouts are priced exactly in order of their floors, and
+/// pricing stops at the first floor the best exact price so far already
+/// beats — so windowed reference selection over all the stored lists, the
+/// expensive candidate, runs only for a graph the dictionaries might lose.
+/// The winner is the one pricing every layout exactly would pick.
+fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode) -> PositivePlan {
+    let pricer = Pricer::new(links, mode);
     let mut floors: Vec<(u64, Layout)> =
         [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
             .into_iter()
@@ -325,7 +310,6 @@ fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode, codec: ListCodec) -> 
 struct Pricer<'a> {
     links: SuperedgeLinks<'a>,
     mode: RefMode,
-    codec: ListCodec,
     /// Kind bit and `sources`: what every layout starts with, the marker
     /// aside.
     preamble_bits: u64,
@@ -334,11 +318,10 @@ struct Pricer<'a> {
 }
 
 impl<'a> Pricer<'a> {
-    fn new(links: SuperedgeLinks<'a>, mode: RefMode, codec: ListCodec) -> Self {
+    fn new(links: SuperedgeLinks<'a>, mode: RefMode) -> Self {
         Self {
             links,
             mode,
-            codec,
             preamble_bits: 1 + bounded_gap_list_len(links.sources, links.ni),
             distinct: std::cell::OnceCell::new(),
         }
@@ -353,10 +336,10 @@ impl<'a> Pricer<'a> {
     }
 
     /// A lower bound on [`Pricer::price`]'s `bits` for `layout`, or `None`
-    /// where the layout is not on offer or cannot be the choice.
+    /// where the layout cannot be the choice.
     fn floor(&self, layout: Layout) -> Option<u64> {
         let lists = self.links.lists;
-        let marker = layout.marker(self.codec.layouts)?.len() as u64;
+        let marker = layout.marker().len() as u64;
         let body = match layout {
             Layout::SingleTargets => {
                 if lists.is_empty() || lists.iter().any(|l| l.len() != 1) {
@@ -385,8 +368,7 @@ impl<'a> Pricer<'a> {
     /// [`Pricer::floor`] returned a floor for.
     fn price(&self, layout: Layout) -> PositivePlan {
         let SuperedgeLinks { lists, nj, .. } = self.links;
-        let (mode, codec) = (self.mode, self.codec);
-        let marker = layout.marker(codec.layouts).map_or(0, <[bool]>::len) as u64;
+        let marker = layout.marker().len() as u64;
         let (body, body_bits) = match layout {
             Layout::SingleTargets => {
                 let (dict, index) = single_target_dict(lists);
@@ -394,7 +376,7 @@ impl<'a> Pricer<'a> {
                 (PlannedBody::SingleTargets { dict, index }, bits)
             }
             Layout::Lists => {
-                let plan = plan_lists(lists, nj, mode);
+                let plan = plan_lists(lists, nj, self.mode);
                 let bits = plan.total_bits;
                 (PlannedBody::Lists(plan), bits)
             }
@@ -405,7 +387,7 @@ impl<'a> Pricer<'a> {
                     dict.push(lists.get(i as usize).iter().copied());
                 }
                 let index = index.clone();
-                let plan = plan_lists(dict.view(), nj, mode);
+                let plan = plan_lists(dict.view(), nj, self.mode);
                 let bits = plan.total_bits + index_bits(&index, first.len());
                 (PlannedBody::ListDictionary { dict, plan, index }, bits)
             }
@@ -450,13 +432,9 @@ fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, ListBuf) {
 
 /// Writes the graph `plan` chose for `links`, every section straight onto
 /// one stream whose size the plan knows.
-pub(crate) fn write_superedge(
-    links: SuperedgeLinks<'_>,
-    plan: &SuperedgePlan,
-    codec: ListCodec,
-) -> EncodedSuperedge {
+pub(crate) fn write_superedge(links: SuperedgeLinks<'_>, plan: &SuperedgePlan) -> EncodedSuperedge {
     match plan {
-        SuperedgePlan::Positive(pos) => write_superedge_positive(links, pos, codec),
+        SuperedgePlan::Positive(pos) => write_superedge_positive(links, pos),
         SuperedgePlan::Negative { lists, plan } => {
             let mut w = BitWriter::with_capacity_bits(1 + plan.total_bits as usize);
             w.write_bit(true); // kind = negative
@@ -471,17 +449,12 @@ pub(crate) fn write_superedge(
     }
 }
 
-fn write_superedge_positive(
-    links: SuperedgeLinks<'_>,
-    pos: &PositivePlan,
-    codec: ListCodec,
-) -> EncodedSuperedge {
+fn write_superedge_positive(links: SuperedgeLinks<'_>, pos: &PositivePlan) -> EncodedSuperedge {
     let mut w = BitWriter::with_capacity_bits(pos.bits as usize);
     // |Ni| is NOT stored: the resident supernode metadata knows every
     // supernode's size, and the decoder receives it as a parameter.
     w.write_bit(false); // kind = positive
-    let marker = pos.layout().marker(codec.layouts).unwrap_or_default();
-    marker.iter().for_each(|&bit| w.write_bit(bit));
+    (pos.layout().marker().iter()).for_each(|&bit| w.write_bit(bit));
     write_bounded_gap_list(&mut w, links.sources, links.ni);
     let write_index = |w: &mut BitWriter, index: &[u32], entries: usize| {
         for &i in index {
@@ -511,14 +484,8 @@ fn write_superedge_positive(
 /// Decodes a superedge graph back to **positive** lists, one per page of
 /// `Ni` (empty where no links exist). `ni`/`nj` must match the encoding
 /// call (the resident metadata records both).
-pub fn decode_superedge(
-    bytes: &[u8],
-    bit_len: u64,
-    ni: u64,
-    nj: u64,
-    codec: ListCodec,
-) -> Result<Vec<Vec<u32>>> {
-    let view = SuperedgeView::parse(bytes, bit_len, ni, nj, codec)?;
+pub fn decode_superedge(bytes: &[u8], bit_len: u64, ni: u64, nj: u64) -> Result<Vec<Vec<u32>>> {
+    let view = SuperedgeView::parse(bytes, bit_len, ni, nj)?;
     let mut out = Vec::with_capacity(ni as usize);
     for s in 0..ni {
         out.push(view.targets_of(s, nj)?);
@@ -549,9 +516,6 @@ pub struct SuperedgeIndex {
     pub kind: SuperedgeKind,
     /// [`Layout::Lists`] for a negative graph.
     layout: Layout,
-    /// The layouts the directory offers: what a positive graph's marker,
-    /// which parsing does not keep, was read under.
-    layouts: SuperedgeLayouts,
 }
 
 /// Where the bits of one encoded superedge graph go, by section; the
@@ -583,14 +547,13 @@ pub(crate) fn scan_sources(
     bytes: &[u8],
     bit_len: u64,
     ni: u64,
-    codec: ListCodec,
     pool: &mut Vec<u32>,
 ) -> Result<Option<std::ops::Range<usize>>> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     if r.read_bit()? {
         return Ok(None);
     }
-    Layout::read(&mut r, codec.layouts)?;
+    Layout::read(&mut r)?;
     let start = pool.len();
     let read = append_bounded_gap_list(&mut r, ni, pool);
     if read.is_err() {
@@ -604,8 +567,8 @@ impl SuperedgeIndex {
     /// graph its layout and `sources`, and the directory of its body — the
     /// offsets of a list stream, or a dictionary's entries and indexes.
     /// `ni` = |Ni| and `nj` = |Nj| come from the supernode metadata; the
-    /// codec, and with it the set of layouts a marker may name, comes from
-    /// the directory's `meta.bin` header.
+    /// codec argument is read by nothing, and [`ListCodec`] says which
+    /// caller it stays for.
     ///
     /// Every count the arena is sized by is checked against what the bytes
     /// hold first: `sources` are read into it once their count fits the
@@ -615,7 +578,7 @@ impl SuperedgeIndex {
     /// dictionary between one entry and one per source (none without
     /// sources). So no allocation outgrows the graph's bits, whatever they
     /// claim.
-    pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, codec: ListCodec) -> Result<Self> {
+    pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, _codec: ListCodec) -> Result<Self> {
         let pages = |n: u64| {
             u32::try_from(n).map_err(|_| SNodeError::Corrupt("supernode size overflows u32"))
         };
@@ -623,10 +586,7 @@ impl SuperedgeIndex {
         let mut r = BitReader::with_bit_len(bytes, bit_len);
         let (kind, layout) = match r.read_bit()? {
             true => (SuperedgeKind::Negative, Layout::Lists),
-            false => (
-                SuperedgeKind::Positive,
-                Layout::read(&mut r, codec.layouts)?,
-            ),
+            false => (SuperedgeKind::Positive, Layout::read(&mut r)?),
         };
         let mut arena = Vec::new();
         if kind == SuperedgeKind::Positive {
@@ -694,7 +654,6 @@ impl SuperedgeIndex {
             nj: nj32,
             kind,
             layout,
-            layouts: codec.layouts,
         })
     }
 
@@ -882,7 +841,7 @@ impl SuperedgeIndex {
         // gives it back. A negative graph has none, and no `sources`.
         let (header, sources) = match self.kind {
             SuperedgeKind::Positive => (
-                1 + self.layout.marker(self.layouts).map_or(0, <[bool]>::len) as u64,
+                1 + self.layout.marker().len() as u64,
                 bounded_gap_list_len(sources, u64::from(self.ni)),
             ),
             SuperedgeKind::Negative => (1, 0),
@@ -978,17 +937,11 @@ impl SuperedgeView<'_> {
 
 impl<'a> SuperedgeView<'a> {
     /// Parses the header and directory of an encoded superedge graph.
-    pub fn parse(
-        bytes: &'a [u8],
-        bit_len: u64,
-        ni: u64,
-        nj: u64,
-        codec: ListCodec,
-    ) -> Result<Self> {
+    pub fn parse(bytes: &'a [u8], bit_len: u64, ni: u64, nj: u64) -> Result<Self> {
         Ok(Self {
             bytes,
             bit_len,
-            index: SuperedgeIndex::parse(bytes, bit_len, ni, nj, codec)?,
+            index: SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec)?,
         })
     }
 
@@ -1048,9 +1001,8 @@ mod tests {
         links: SuperedgeLinks<'_>,
         mode: RefMode,
         policy: SuperedgePolicy,
-        codec: ListCodec,
     ) -> EncodedSuperedge {
-        write_superedge(links, &plan_superedge(links, mode, policy, codec), codec)
+        write_superedge(links, &plan_superedge(links, mode, policy))
     }
 
     /// The positive representation, whether or not it would win.
@@ -1058,7 +1010,6 @@ mod tests {
         pos_lists: &[Vec<u32>],
         nj: u64,
         mode: RefMode,
-        codec: ListCodec,
     ) -> EncodedSuperedge {
         let (sources, lists) = positive_sources(pos_lists);
         let links = SuperedgeLinks {
@@ -1067,8 +1018,8 @@ mod tests {
             ni: pos_lists.len() as u64,
             nj,
         };
-        let pos = plan_positive(links, mode, codec);
-        write_superedge_positive(links, &pos, codec)
+        let pos = plan_positive(links, mode);
+        write_superedge_positive(links, &pos)
     }
 
     #[test]
@@ -1087,16 +1038,10 @@ mod tests {
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
         for mode in modes() {
-            let enc = encode_superedge(
-                &pos,
-                50,
-                mode,
-                SuperedgePolicy::EncodedSize,
-                ListCodec::GAMMA,
-            );
+            let enc = encode_superedge(&pos, 50, mode, SuperedgePolicy::EncodedSize);
             assert_eq!(enc.kind, SuperedgeKind::Positive);
             assert_eq!(
-                decode_superedge(&enc.bytes, enc.bit_len, 10, 50, ListCodec::GAMMA).unwrap(),
+                decode_superedge(&enc.bytes, enc.bit_len, 10, 50).unwrap(),
                 pos
             );
         }
@@ -1114,11 +1059,10 @@ mod tests {
             u64::from(nj),
             RefMode::Windowed(4),
             SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
         );
         assert_eq!(enc.kind, SuperedgeKind::Negative);
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 8, u64::from(nj), ListCodec::GAMMA).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 8, u64::from(nj)).unwrap(),
             pos
         );
     }
@@ -1134,14 +1078,12 @@ mod tests {
             u64::from(nj),
             RefMode::Windowed(4),
             SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
         );
         assert_eq!(enc.kind, SuperedgeKind::Negative);
-        let sparse =
-            encode_superedge_positive(&pos, u64::from(nj), RefMode::Windowed(4), ListCodec::GAMMA);
+        let sparse = encode_superedge_positive(&pos, u64::from(nj), RefMode::Windowed(4));
         assert!(enc.bit_len < sparse.bit_len / 2);
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 5, u64::from(nj), ListCodec::GAMMA).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 5, u64::from(nj)).unwrap(),
             pos
         );
     }
@@ -1156,18 +1098,17 @@ mod tests {
             u64::from(nj),
             RefMode::None,
             SuperedgePolicy::EdgeCount,
-            ListCodec::GAMMA,
         );
         assert_eq!(enc.kind, SuperedgeKind::Negative);
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 4, u64::from(nj), ListCodec::GAMMA).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 4, u64::from(nj)).unwrap(),
             pos
         );
     }
 
     /// The builder's sparse input and the dense convenience are one
     /// encoder: same bits whichever way the links arrive, for a negative
-    /// winner, a lone source among empty ones, and a `+st` dictionary.
+    /// winner, a lone source among empty ones, and a dictionary.
     #[test]
     fn sparse_input_encodes_bit_for_bit_like_dense() {
         let lone = {
@@ -1175,8 +1116,8 @@ mod tests {
             pos[217] = vec![4u32, 5, 30];
             pos
         };
-        // (name, dense lists, |Nj|, codec, the kind that must win)
-        type Case = (&'static str, Vec<Vec<u32>>, u64, ListCodec, SuperedgeKind);
+        // (name, dense lists, |Nj|, the kind that must win)
+        type Case = (&'static str, Vec<Vec<u32>>, u64, SuperedgeKind);
         let cases: [Case; 4] = [
             (
                 "negative winner with unlinked sources",
@@ -1187,16 +1128,9 @@ mod tests {
                     })
                     .collect(),
                 20,
-                ListCodec::GAMMA,
                 SuperedgeKind::Negative,
             ),
-            (
-                "all empty but one",
-                lone,
-                31,
-                ListCodec::GAMMA,
-                SuperedgeKind::Positive,
-            ),
+            ("all empty but one", lone, 31, SuperedgeKind::Positive),
             (
                 "single-target dictionary",
                 (0..40u32)
@@ -1206,18 +1140,16 @@ mod tests {
                     })
                     .collect(),
                 20,
-                st_codec(),
                 SuperedgeKind::Positive,
             ),
             (
                 "no links at all",
                 vec![Vec::new(); 6],
                 7,
-                st_codec(),
                 SuperedgeKind::Positive,
             ),
         ];
-        for (name, pos, nj, codec, kind) in cases {
+        for (name, pos, nj, kind) in cases {
             let ni = pos.len() as u64;
             // The sparse form as the builder derives it: one list per
             // linking source, pushed as its links arrive — in any order.
@@ -1238,14 +1170,15 @@ mod tests {
             };
             for mode in modes() {
                 for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
-                    let dense = encode_superedge(&pos, nj, mode, policy, codec);
-                    let sparse = encode_links(links, mode, policy, codec);
+                    let dense = encode_superedge(&pos, nj, mode, policy);
+                    let sparse = encode_links(links, mode, policy);
                     assert_eq!(sparse, dense, "{name} {mode:?} {policy:?}");
                     assert_eq!(dense.kind, kind, "{name} {mode:?} {policy:?}");
-                    let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj, codec);
+                    let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj);
                     assert_eq!(back.unwrap(), pos, "{name} {mode:?} {policy:?}");
                     let index =
-                        SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, codec).unwrap();
+                        SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, ListCodec)
+                            .unwrap();
                     assert_eq!(
                         index.layout() == Layout::SingleTargets,
                         name == "single-target dictionary",
@@ -1262,14 +1195,8 @@ mod tests {
         pos[3] = vec![0u32, 7, 14];
         pos[11] = vec![7];
         pos[19] = vec![0, 1, 2];
-        let enc = encode_superedge(
-            &pos,
-            15,
-            RefMode::Windowed(4),
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 20, 15, ListCodec::GAMMA).unwrap();
+        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4), SuperedgePolicy::EncodedSize);
+        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 20, 15).unwrap();
         assert_eq!(view.ni(), 20);
         for (s, expect) in pos.iter().enumerate() {
             assert_eq!(&view.targets_of(s as u64, 15).unwrap(), expect);
@@ -1289,12 +1216,9 @@ mod tests {
             u64::from(nj),
             RefMode::Windowed(4),
             SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
         );
         assert_eq!(enc.kind, SuperedgeKind::Negative);
-        let view =
-            SuperedgeView::parse(&enc.bytes, enc.bit_len, 6, u64::from(nj), ListCodec::GAMMA)
-                .unwrap();
+        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 6, u64::from(nj)).unwrap();
         for (s, expect) in pos.iter().enumerate() {
             assert_eq!(&view.targets_of(s as u64, u64::from(nj)).unwrap(), expect);
         }
@@ -1306,15 +1230,9 @@ mod tests {
 
     #[test]
     fn empty_superedge_inputs() {
-        let enc = encode_superedge(
-            &[],
-            5,
-            RefMode::None,
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
+        let enc = encode_superedge(&[], 5, RefMode::None, SuperedgePolicy::EncodedSize);
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 0, 5, ListCodec::GAMMA).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 0, 5).unwrap(),
             Vec::<Vec<u32>>::new()
         );
     }
@@ -1335,53 +1253,33 @@ mod tests {
         assert_eq!(complement(&[0, 1, 2], 3), Vec::<u32>::new());
     }
 
-    /// `g+st`: every layout on offer.
-    fn st_codec() -> ListCodec {
-        ListCodec {
-            layouts: SuperedgeLayouts::Priced,
-        }
-    }
-
-    /// What `g+st` meant in format v2.
-    fn v2_st_codec() -> ListCodec {
-        ListCodec {
-            layouts: SuperedgeLayouts::SingleTarget,
-        }
-    }
-
     #[test]
     fn single_target_dictionary_round_trip_and_wins() {
         // Site-template shape: 40 sources, each linking to one of 3 hubs.
         let pos: Vec<Vec<u32>> = (0..40u32)
             .map(|s| vec![[2u32, 9, 14][(s % 3) as usize]])
             .collect();
-        let st = st_codec();
-        let enc = encode_superedge(
-            &pos,
-            20,
-            RefMode::Windowed(8),
-            SuperedgePolicy::EncodedSize,
-            st,
-        );
+        let enc = encode_superedge(&pos, 20, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
         assert_eq!(enc.kind, SuperedgeKind::Positive);
-        let plain = encode_superedge(
-            &pos,
-            20,
-            RefMode::Windowed(8),
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
+        let (sources, lists) = positive_sources(&pos);
+        let links = SuperedgeLinks {
+            sources: &sources,
+            lists: lists.view(),
+            ni: 40,
+            nj: 20,
+        };
+        let stream = Pricer::new(links, RefMode::Windowed(8)).price(Layout::Lists);
         assert!(
-            enc.bit_len < plain.bit_len,
-            "dictionary {} must beat standard {}",
+            enc.bit_len < stream.bits,
+            "dictionary {} must beat the list stream {}",
             enc.bit_len,
-            plain.bit_len
+            stream.bits
         );
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 40, 20, st).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 40, 20).unwrap(),
             pos
         );
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 40, 20, st).unwrap();
+        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 40, 20).unwrap();
         assert!(view.index().lists().is_none(), "must store no list stream");
         assert_eq!(
             view.index()
@@ -1402,20 +1300,13 @@ mod tests {
         let mut pos = vec![Vec::new(); 10];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
-        let st = st_codec();
-        let enc = encode_superedge(
-            &pos,
-            50,
-            RefMode::Windowed(8),
-            SuperedgePolicy::EncodedSize,
-            st,
-        );
+        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
         assert_eq!(enc.kind, SuperedgeKind::Positive);
         assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 10, 50, st).unwrap(),
+            decode_superedge(&enc.bytes, enc.bit_len, 10, 50).unwrap(),
             pos
         );
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 10, 50, st).unwrap();
+        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 10, 50).unwrap();
         assert_eq!(view.targets_of(2, 50).unwrap(), pos[2]);
         assert!(
             view.index().lists().is_some(),
@@ -1542,13 +1433,12 @@ mod tests {
         }
     }
 
-    /// Every layout `layouts` offers for these links, priced whether or
-    /// not it could win: the model the cheapest-first planner answers to.
+    /// Every layout these links can take, priced whether or not it could
+    /// win: the model the cheapest-first planner answers to.
     fn price_every_layout(pricer: &Pricer<'_>) -> Vec<PositivePlan> {
         let lists = pricer.links.lists;
         [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
             .into_iter()
-            .filter(|layout| layout.marker(pricer.codec.layouts).is_some())
             .filter(|&layout| {
                 layout != Layout::SingleTargets
                     || (!lists.is_empty() && lists.iter().all(|l| l.len() == 1))
@@ -1568,22 +1458,16 @@ mod tests {
         for (shape, (kind, layout)) in expected.into_iter().enumerate() {
             for mode in all_modes() {
                 let owned = shaped_links(shape, 7, 30);
-                let (links, st) = (owned.links(), st_codec());
-                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize, st);
+                let links = owned.links();
+                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize);
+                let (bytes, bit_len) = (&enc.bytes, enc.bit_len);
                 let index =
-                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
+                    SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, ListCodec).unwrap();
                 assert_eq!(
                     (index.kind, index.layout()),
                     (kind, layout),
                     "{shape} {mode:?}"
                 );
-                // `g` knows one layout and no marker.
-                let plain = ListCodec::GAMMA;
-                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize, plain);
-                let index =
-                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, plain)
-                        .unwrap();
-                assert_eq!((index.kind, index.layout()), (kind, Layout::Lists));
             }
         }
     }
@@ -1592,8 +1476,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// encode → `parse` → `targets_of`, for every source and every
-        /// page that is none, in every layout and the negative form, every
-        /// reference mode, `g`, `g+st` and v2's `+st`.
+        /// page that is none, in every layout and the negative form, and
+        /// every reference mode.
         #[test]
         fn every_representation_round_trips(
             shape in 0usize..4,
@@ -1603,25 +1487,21 @@ mod tests {
             let owned = shaped_links(shape, seed, n);
             let links = owned.links();
             let dense = owned.dense();
-            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
-                for mode in all_modes() {
-                    let policy = SuperedgePolicy::EncodedSize;
-                    let enc = encode_links(links, mode, policy, codec);
-                    let view =
-                        SuperedgeView::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
-                            .unwrap();
-                    for (s, want) in dense.iter().enumerate() {
-                        let got = view.targets_of(s as u64, links.nj).unwrap();
-                        prop_assert_eq!(&got, want, "{:?} {:?} source {}", codec, mode, s);
-                    }
-                    prop_assert!(view.targets_of(links.ni, links.nj).is_err());
-                    let edges: u64 = dense.iter().map(|l| l.len() as u64).sum();
-                    prop_assert_eq!(view.count_positive_edges(links.nj).unwrap(), edges);
-                    prop_assert_eq!(
-                        view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
-                        enc.bit_len
-                    );
+            for mode in all_modes() {
+                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize);
+                let view =
+                    SuperedgeView::parse(&enc.bytes, enc.bit_len, links.ni, links.nj).unwrap();
+                for (s, want) in dense.iter().enumerate() {
+                    let got = view.targets_of(s as u64, links.nj).unwrap();
+                    prop_assert_eq!(&got, want, "{:?} source {}", mode, s);
                 }
+                prop_assert!(view.targets_of(links.ni, links.nj).is_err());
+                let edges: u64 = dense.iter().map(|l| l.len() as u64).sum();
+                prop_assert_eq!(view.count_positive_edges(links.nj).unwrap(), edges);
+                prop_assert_eq!(
+                    view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
+                    enc.bit_len
+                );
             }
         }
 
@@ -1655,7 +1535,7 @@ mod tests {
                 .map(|l| l.iter().copied().filter(|&t| u64::from(t) < links.ni).collect())
                 .collect();
             for mode in all_modes() {
-                let nested = crate::refenc::encode_lists(&dense, links.nj, mode, ListCodec::GAMMA);
+                let nested = crate::refenc::encode_lists(&dense, links.nj, mode, ListCodec);
                 prop_assert_eq!(&encode_flat(&pushed(&dense), links.nj, mode), &nested);
                 let universe = Universe::Explicit(links.nj);
                 let back = ListsReader::parse(&nested.bytes, nested.bit_len, universe).unwrap();
@@ -1665,15 +1545,13 @@ mod tests {
                 prop_assert_eq!(&encode_flat(&pushed(&intra), links.ni, mode), &nested);
                 prop_assert_eq!(&decode_intranode(&nested.bytes, nested.bit_len).unwrap(), &intra);
 
-                for codec in [st_codec(), ListCodec::GAMMA] {
-                    for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
-                        let nested = encode_superedge(&dense, links.nj, mode, policy, codec);
-                        let flat = encode_links(links, mode, policy, codec);
-                        prop_assert_eq!(&flat, &nested, "{:?} {:?} {:?}", mode, policy, codec);
-                        let (bytes, bits) = (&nested.bytes, nested.bit_len);
-                        let back = decode_superedge(bytes, bits, links.ni, links.nj, codec);
-                        prop_assert_eq!(&back.unwrap(), &dense);
-                    }
+                for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
+                    let nested = encode_superedge(&dense, links.nj, mode, policy);
+                    let flat = encode_links(links, mode, policy);
+                    prop_assert_eq!(&flat, &nested, "{:?} {:?}", mode, policy);
+                    let (bytes, bits) = (&nested.bytes, nested.bit_len);
+                    let back = decode_superedge(bytes, bits, links.ni, links.nj);
+                    prop_assert_eq!(&back.unwrap(), &dense);
                 }
             }
         }
@@ -1690,54 +1568,28 @@ mod tests {
         ) {
             let owned = shaped_links(shape, seed, n);
             let links = owned.links();
-            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
-                for mode in all_modes() {
-                    let pricer = Pricer::new(links, mode, codec);
-                    let all = price_every_layout(&pricer);
-                    for plan in &all {
-                        let enc = write_superedge_positive(links, plan, codec);
-                        prop_assert_eq!(enc.bit_len, plan.bits, "{:?} mispriced", plan.layout());
-                        if let Some(floor) = pricer.floor(plan.layout()) {
-                            prop_assert!(
-                                floor <= plan.bits,
-                                "{:?}: floor {} above price {}", plan.layout(), floor, plan.bits
-                            );
-                        }
+            for mode in all_modes() {
+                let pricer = Pricer::new(links, mode);
+                let all = price_every_layout(&pricer);
+                for plan in &all {
+                    let enc = write_superedge_positive(links, plan);
+                    prop_assert_eq!(enc.bit_len, plan.bits, "{:?} mispriced", plan.layout());
+                    if let Some(floor) = pricer.floor(plan.layout()) {
+                        prop_assert!(
+                            floor <= plan.bits,
+                            "{:?}: floor {} above price {}", plan.layout(), floor, plan.bits
+                        );
                     }
-                    let smallest = all.iter().min_by_key(|plan| plan.rank()).unwrap();
-                    let chosen = plan_positive(links, mode, codec);
-                    prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?} {:?}", codec, mode);
-                    prop_assert_eq!(
-                        write_superedge_positive(links, &chosen, codec),
-                        write_superedge_positive(links, smallest, codec)
-                    );
                 }
+                let smallest = all.iter().min_by_key(|plan| plan.rank()).unwrap();
+                let chosen = plan_positive(links, mode);
+                prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?}", mode);
+                prop_assert_eq!(
+                    write_superedge_positive(links, &chosen),
+                    write_superedge_positive(links, smallest)
+                );
             }
         }
-    }
-
-    /// A graph whose every source has one target is the same bytes under
-    /// v2's `+st` and v3's — the marker `1` means the same in both — and a
-    /// list stream is one marker bit longer under v3, which is why the
-    /// directory's codec has to say which of the two wrote it.
-    #[test]
-    fn v2_graphs_decode_under_the_one_bit_marker_they_were_written_with() {
-        let policy = SuperedgePolicy::EncodedSize;
-        let hubs = shaped_links(1, 3, 20);
-        let v2 = encode_links(hubs.links(), RefMode::default(), policy, v2_st_codec());
-        let v3 = encode_links(hubs.links(), RefMode::default(), policy, st_codec());
-        assert_eq!(v2, v3);
-        assert_eq!(v2.bytes[0] >> 6, 0b01, "positive, then the marker `1`");
-
-        let distinct = shaped_links(2, 3, 20);
-        let links = distinct.links();
-        let v2 = encode_links(links, RefMode::default(), policy, v2_st_codec());
-        let v3 = encode_links(links, RefMode::default(), policy, st_codec());
-        assert_eq!(v2.bit_len + 1, v3.bit_len);
-        let back = decode_superedge(&v2.bytes, v2.bit_len, links.ni, links.nj, v2_st_codec());
-        assert_eq!(back.unwrap(), distinct.dense());
-        let misread = decode_superedge(&v2.bytes, v2.bit_len, links.ni, links.nj, st_codec());
-        assert!(misread.is_err() || misread.unwrap() != distinct.dense());
     }
 
     /// Parsing decodes a dictionary whole into the arena it is charged as —
@@ -1747,12 +1599,13 @@ mod tests {
     fn dictionary_is_decoded_at_parse_into_the_arena_it_is_charged_as() {
         for (shape, layout) in [(0, Layout::ListDictionary), (1, Layout::SingleTargets)] {
             let owned = shaped_links(shape, 11, 24);
-            let (links, st) = (owned.links(), st_codec());
+            let links = owned.links();
             let dense = owned.dense();
             let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_links(links, RefMode::default(), policy, st);
+            let enc = encode_links(links, RefMode::default(), policy);
             let index =
-                SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, st).unwrap();
+                SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
+                    .unwrap();
             assert_eq!(index.layout(), layout);
             let (per_source, entries) = index.dictionary();
             let distinct: std::collections::BTreeSet<&[u32]> = owned.lists.view().iter().collect();
@@ -1792,11 +1645,11 @@ mod tests {
         ];
         for (shape, layout) in shapes {
             let owned = shaped_links(shape, 5, 18);
-            let (links, st) = (owned.links(), st_codec());
+            let links = owned.links();
             let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_links(links, RefMode::default(), policy, st);
+            let enc = encode_links(links, RefMode::default(), policy);
             let parse = |bytes: &[u8], bit_len| {
-                SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, st)
+                SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, ListCodec)
             };
             assert_eq!(parse(&enc.bytes, enc.bit_len).unwrap().layout(), layout);
             // One set of buffers for all the damage, as a handle keeps:
@@ -1844,7 +1697,6 @@ mod tests {
     /// into the body (here 64 zero bits, no dictionary at all).
     #[test]
     fn dictionary_entry_count_is_checked_against_sources_before_allocation() {
-        let st = st_codec();
         let miscounted = |e: &SNodeError| {
             matches!(
                 e,
@@ -1860,7 +1712,7 @@ mod tests {
                 codes::write_gamma(&mut w, entries);
                 w.write_bits(0, 64);
                 let (bytes, bit_len) = w.finish();
-                let got = SuperedgeIndex::parse(&bytes, bit_len, 9, 9, st);
+                let got = SuperedgeIndex::parse(&bytes, bit_len, 9, 9, ListCodec);
                 let what = format!("{marker:?} with {entries} entries: {got:?}");
                 assert_eq!(got.as_ref().is_err_and(miscounted), refused, "{what}");
                 assert!(got.is_err(), "{what}");
@@ -1873,34 +1725,28 @@ mod tests {
     #[test]
     fn bit_breakdown_accounts_for_every_bit() {
         for shape in 0..4 {
-            for codec in [st_codec(), v2_st_codec(), ListCodec::GAMMA] {
-                let owned = shaped_links(shape, 13, 21);
-                let links = owned.links();
-                let policy = SuperedgePolicy::EncodedSize;
-                let enc = encode_links(links, RefMode::default(), policy, codec);
-                let index =
-                    SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, codec)
-                        .unwrap();
-                let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
-                assert_eq!(bits.layout, index.layout());
-                assert_eq!(
-                    bits.header + bits.sources + bits.dictionary + bits.index + bits.stream,
-                    enc.bit_len,
-                    "{shape} {codec:?}: {bits:?}"
-                );
-                let dictionary = bits.layout != Layout::Lists;
-                assert_eq!(
-                    bits.dictionary > 0,
-                    dictionary,
-                    "{shape} {codec:?}: {bits:?}"
-                );
-                assert_eq!(bits.stream > 0, !dictionary, "{shape} {codec:?}: {bits:?}");
-                let marker = match index.kind {
-                    SuperedgeKind::Negative => 0,
-                    SuperedgeKind::Positive => bits.layout.marker(codec.layouts).unwrap().len(),
-                };
-                assert_eq!(bits.header, 1 + marker as u64);
-            }
+            let owned = shaped_links(shape, 13, 21);
+            let links = owned.links();
+            let policy = SuperedgePolicy::EncodedSize;
+            let enc = encode_links(links, RefMode::default(), policy);
+            let index =
+                SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
+                    .unwrap();
+            let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
+            assert_eq!(bits.layout, index.layout());
+            assert_eq!(
+                bits.header + bits.sources + bits.dictionary + bits.index + bits.stream,
+                enc.bit_len,
+                "{shape}: {bits:?}"
+            );
+            let dictionary = bits.layout != Layout::Lists;
+            assert_eq!(bits.dictionary > 0, dictionary, "{shape}: {bits:?}");
+            assert_eq!(bits.stream > 0, !dictionary, "{shape}: {bits:?}");
+            let marker = match index.kind {
+                SuperedgeKind::Negative => 0,
+                SuperedgeKind::Positive => bits.layout.marker().len(),
+            };
+            assert_eq!(bits.header, 1 + marker as u64);
         }
     }
 
@@ -1937,16 +1783,9 @@ mod tests {
         pos[3] = vec![0u32, 7, 14];
         pos[11] = vec![7];
         pos[19] = vec![0, 1, 2];
-        let enc = encode_superedge(
-            &pos,
-            15,
-            RefMode::Windowed(4),
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
+        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4), SuperedgePolicy::EncodedSize);
         assert_eq!(enc.kind, SuperedgeKind::Positive);
-        let index =
-            SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 15, ListCodec::GAMMA).unwrap();
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 15, ListCodec).unwrap();
         let built = index.lists().expect("built by the parse");
         assert_eq!(built.num_lists(), 3);
         assert_eq!(built.end_bit(), enc.bit_len);
@@ -1964,19 +1803,13 @@ mod tests {
         let mut pos = vec![Vec::new(); 12];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
-        let enc = encode_superedge(
-            &pos,
-            50,
-            RefMode::Windowed(8),
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
+        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
         let cut = enc.bit_len - 3;
         let mut pool = Vec::new();
-        let scanned = scan_sources(&enc.bytes, cut, 12, ListCodec::GAMMA, &mut pool);
+        let scanned = scan_sources(&enc.bytes, cut, 12, &mut pool);
         assert_eq!(scanned.unwrap(), Some(0..2));
         assert_eq!(pool, [2, 7]);
-        let got = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec::GAMMA);
+        let got = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec);
         assert!(got.is_err(), "{got:?}");
     }
 
@@ -2000,26 +1833,25 @@ mod tests {
         w.write_bit(true); // negative
         retired_directory_stream(&mut w, &lists, &parents, 3);
         let (bytes, bit_len) = w.finish();
-        let got = SuperedgeIndex::parse(&bytes, bit_len, 3, 3, st_codec());
+        let got = SuperedgeIndex::parse(&bytes, bit_len, 3, 3, ListCodec);
         assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
 
         for layout in [Layout::Lists, Layout::ListDictionary] {
             let mut w = BitWriter::new();
             w.write_bit(false); // positive
-            let marker = layout.marker(SuperedgeLayouts::Priced).unwrap();
-            marker.iter().for_each(|&bit| w.write_bit(bit));
+            layout.marker().iter().for_each(|&bit| w.write_bit(bit));
             write_bounded_gap_list(&mut w, &[0, 1, 2], 4);
             retired_directory_stream(&mut w, &lists, &parents, 3);
             if layout == Layout::ListDictionary {
                 (0..3).for_each(|i| codes::write_minimal_binary(&mut w, i, 3));
             }
             let (bytes, bit_len) = w.finish();
-            let got = SuperedgeIndex::parse(&bytes, bit_len, 4, 3, st_codec());
+            let got = SuperedgeIndex::parse(&bytes, bit_len, 4, 3, ListCodec);
             assert!(
                 got.as_ref().is_err_and(is_retired_form),
                 "{layout:?}: {got:?}"
             );
-            let got = decode_superedge(&bytes, bit_len, 4, 3, st_codec());
+            let got = decode_superedge(&bytes, bit_len, 4, 3);
             assert!(
                 got.as_ref().is_err_and(is_retired_form),
                 "{layout:?}: {got:?}"
@@ -2030,7 +1862,7 @@ mod tests {
     #[test]
     fn singles_codec_decodes_identically_across_shapes() {
         // Sparse single-target, mixed, dense (negative), and empty inputs
-        // all decode to the same lists under γ and γ+st.
+        // all decode to the lists that went in.
         let nj = 16u32;
         let cases: Vec<Vec<Vec<u32>>> = vec![
             (0..25u32).map(|s| vec![s % nj]).collect(),
@@ -2041,13 +1873,11 @@ mod tests {
             Vec::new(),
         ];
         for pos in &cases {
-            let st = st_codec();
             for mode in modes() {
-                let a =
-                    encode_superedge(pos, u64::from(nj), mode, SuperedgePolicy::EncodedSize, st);
+                let a = encode_superedge(pos, u64::from(nj), mode, SuperedgePolicy::EncodedSize);
                 let ni = pos.len() as u64;
                 assert_eq!(
-                    decode_superedge(&a.bytes, a.bit_len, ni, u64::from(nj), st).unwrap(),
+                    decode_superedge(&a.bytes, a.bit_len, ni, u64::from(nj)).unwrap(),
                     *pos
                 );
             }
@@ -2057,22 +1887,15 @@ mod tests {
     #[test]
     fn singles_stream_truncation_and_bit_flips_never_panic() {
         let pos: Vec<Vec<u32>> = (0..30u32).map(|s| vec![(s * 7) % 11]).collect();
-        let st = st_codec();
-        let enc = encode_superedge(
-            &pos,
-            11,
-            RefMode::Windowed(8),
-            SuperedgePolicy::EncodedSize,
-            st,
-        );
+        let enc = encode_superedge(&pos, 11, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
         for cut in 0..enc.bit_len {
             // Must not panic; may error or (for generous cuts) succeed.
-            let _ = decode_superedge(&enc.bytes, cut, 30, 11, st);
+            let _ = decode_superedge(&enc.bytes, cut, 30, 11);
         }
         for flip in 0..enc.bit_len {
             let mut bytes = enc.bytes.clone();
             bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
-            if let Ok(lists) = decode_superedge(&bytes, enc.bit_len, 30, 11, st) {
+            if let Ok(lists) = decode_superedge(&bytes, enc.bit_len, 30, 11) {
                 for list in lists {
                     assert!(list.windows(2).all(|w| w[0] < w[1]), "flip {flip}");
                 }
@@ -2083,16 +1906,10 @@ mod tests {
     #[test]
     fn truncated_superedge_errors() {
         let pos = vec![vec![0u32, 1], vec![1]];
-        let enc = encode_superedge(
-            &pos,
-            3,
-            RefMode::None,
-            SuperedgePolicy::EncodedSize,
-            ListCodec::GAMMA,
-        );
+        let enc = encode_superedge(&pos, 3, RefMode::None, SuperedgePolicy::EncodedSize);
         for cut in 1..enc.bit_len {
             // Must not panic; may error or (for generous cuts) succeed.
-            let _ = decode_superedge(&enc.bytes, cut, 2, 3, ListCodec::GAMMA);
+            let _ = decode_superedge(&enc.bytes, cut, 2, 3);
         }
     }
 }

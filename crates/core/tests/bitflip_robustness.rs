@@ -15,19 +15,12 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use wg_corpus::{Corpus, CorpusConfig};
-use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
-/// The paper's plain format and the default, so both the list streams and
-/// the dictionary layouts' decode paths face flipped bits.
-const CODECS: [&str; 2] = ["g", "g+st"];
-
-fn built_dir(codec: &str) -> std::path::PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!(
-        "wg_bitflip_{}_{}",
-        codec.replace('+', "_"),
-        std::process::id()
-    ));
+/// A directory whose graphs take every layout, so the list streams and the
+/// dictionaries' decode paths all face flipped bits.
+fn built_dir() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("wg_bitflip_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let corpus = Corpus::generate(CorpusConfig::scaled(300, 11));
@@ -38,18 +31,14 @@ fn built_dir(codec: &str) -> std::path::PathBuf {
         domains: &domains,
         graph: &corpus.graph,
     };
-    let config = SNodeConfig {
-        codec: CodecConfig::parse(codec).unwrap(),
-        ..SNodeConfig::default()
-    };
-    build_snode(input, &config, &dir).unwrap();
+    build_snode(input, &SNodeConfig::default(), &dir).unwrap();
     std::fs::remove_file(dir.join("sums.bin")).unwrap();
     dir
 }
 
-fn dirs() -> &'static [std::path::PathBuf; 2] {
-    static DIRS: OnceLock<[std::path::PathBuf; 2]> = OnceLock::new();
-    DIRS.get_or_init(|| [built_dir(CODECS[0]), built_dir(CODECS[1])])
+fn dir() -> &'static std::path::Path {
+    static DIR: OnceLock<std::path::PathBuf> = OnceLock::new();
+    DIR.get_or_init(built_dir)
 }
 
 proptest! {
@@ -57,11 +46,10 @@ proptest! {
 
     #[test]
     fn single_bit_flips_never_panic_navigation(
-        codec in 0usize..2,
         in_meta in any::<bool>(),
         pos in any::<u64>(),
     ) {
-        let dir = &dirs()[codec];
+        let dir = dir();
         let name = if in_meta { "meta.bin" } else { "index_000.bin" };
         let path = dir.join(name);
         let orig = std::fs::read(&path).unwrap();

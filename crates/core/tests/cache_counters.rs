@@ -10,7 +10,7 @@ use wg_snode::ListCodec;
 /// An encoded intranode graph of `lists` empty lists, over a blob sliced
 /// from a resident image as the read path slices one.
 fn encoded(lists: usize) -> CachedGraph {
-    let (codec, universe) = (ListCodec::GAMMA, Universe::SameAsCount);
+    let (codec, universe) = (ListCodec, Universe::SameAsCount);
     let enc = encode_lists(&vec![Vec::new(); lists], lists as u64, RefMode::None, codec);
     let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec);
     let len = enc.bytes.len();

@@ -10,17 +10,18 @@ use std::path::{Path, PathBuf};
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_graph::Graph;
 use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey};
+use wg_snode::codec::ListCodec;
 use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
-use wg_snode::{build_snode, CodecConfig, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
 /// A generated 3k-page corpus plus fifteen in sixteen of the links from
 /// every page of one domain to every page of another, the missing ones
 /// scattered — superedge graphs stored negative (a small complement, and
-/// no two lists alike for a dictionary to share) — built under `codec`.
+/// no two lists alike for a dictionary to share).
 /// Returns the directory and, per page in the representation's numbering,
 /// its sorted adjacency list.
-fn build_block_corpus(name: &str, codec: &str) -> (PathBuf, Vec<Vec<u32>>) {
+fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>) {
     let corpus = Corpus::generate(CorpusConfig::scaled(3000, 5));
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
@@ -50,11 +51,7 @@ fn build_block_corpus(name: &str, codec: &str) -> (PathBuf, Vec<Vec<u32>>) {
         domains: &domains,
         graph: &graph,
     };
-    let config = SNodeConfig {
-        codec: CodecConfig::parse(codec).unwrap(),
-        ..SNodeConfig::default()
-    };
-    let (stats, renum) = build_snode(input, &config, &dir).unwrap();
+    let (stats, renum) = build_snode(input, &SNodeConfig::default(), &dir).unwrap();
     assert!(stats.negative_superedges >= 2, "the dense block");
     let truth = (renum.old_of_new.iter())
         .map(|&old| {
@@ -76,7 +73,7 @@ fn superedges_of(meta: &SNodeMeta, files: &IndexFileReader, s: u32) -> Vec<Super
         .map(|(&j, loc)| {
             let nj = u64::from(meta.supernode_size(j));
             let bytes = files.read_blob(loc).unwrap();
-            SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, meta.codec.superedge).unwrap()
+            SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap()
         })
         .collect()
 }
@@ -92,114 +89,96 @@ fn loads(snode: &SNode) -> Vec<GraphKey> {
 
 #[test]
 fn fanout_names_exactly_the_graphs_that_list_a_page() {
-    for (name, codec) in [("model_g", "g"), ("model_gst", "g+st")] {
-        let (dir, truth) = build_block_corpus(name, codec);
-        let meta = SNodeMeta::read(&dir).unwrap();
-        let files = IndexFileReader::open_resident(&dir).unwrap();
-        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
-        snode.enable_cache_log();
-        let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
-        for s in 0..meta.num_supernodes() {
-            let graphs = superedges_of(&meta, &files, s);
-            let fanout = Fanout::build(
-                meta.supernode_size(s),
-                graphs.iter().map(SuperedgeIndex::positive_sources),
-            )
-            .unwrap();
-            negatives += fanout.always().len();
-            for p in meta.page_range(s) {
-                let local = p - meta.page_range(s).start;
-                let model: Vec<u32> = (0u32..)
-                    .zip(&graphs)
-                    .filter(|(_, g)| {
-                        g.kind == SuperedgeKind::Negative || g.sources().contains(&local)
-                    })
-                    .map(|(k, _)| k)
-                    .collect();
-                let mut got: Vec<u32> = fanout.always().to_vec();
-                got.extend(fanout.slots_of(local).iter());
-                got.sort_unstable();
-                assert_eq!(got, model, "{codec}: page {p}");
-                named += model.len();
-                out_superedges += graphs.len();
+    let (dir, truth) = build_block_corpus("model");
+    let meta = SNodeMeta::read(&dir).unwrap();
+    let files = IndexFileReader::open_resident(&dir).unwrap();
+    let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
+    snode.enable_cache_log();
+    let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
+    for s in 0..meta.num_supernodes() {
+        let graphs = superedges_of(&meta, &files, s);
+        let fanout = Fanout::build(
+            meta.supernode_size(s),
+            graphs.iter().map(SuperedgeIndex::positive_sources),
+        )
+        .unwrap();
+        negatives += fanout.always().len();
+        for p in meta.page_range(s) {
+            let local = p - meta.page_range(s).start;
+            let model: Vec<u32> = (0u32..)
+                .zip(&graphs)
+                .filter(|(_, g)| g.kind == SuperedgeKind::Negative || g.sources().contains(&local))
+                .map(|(k, _)| k)
+                .collect();
+            let mut got: Vec<u32> = fanout.always().to_vec();
+            got.extend(fanout.slots_of(local).iter());
+            got.sort_unstable();
+            assert_eq!(got, model, "page {p}");
+            named += model.len();
+            out_superedges += graphs.len();
 
-                // And a cold probe through the handle loads just those.
-                snode.clear_cache();
-                snode.take_cache_log();
-                assert_eq!(snode.out_neighbors(p).unwrap(), truth[p as usize]);
-                let mut expected = vec![GraphKey::Intra(s), GraphKey::Fanout(s)];
-                let row = &meta.supergraph.adj[s as usize];
-                expected.extend(model.iter().map(|&k| GraphKey::Super(s, row[k as usize])));
-                assert_eq!(loads(&snode), expected, "{codec}: page {p}");
-            }
+            // And a cold probe through the handle loads just those.
+            snode.clear_cache();
+            snode.take_cache_log();
+            assert_eq!(snode.out_neighbors(p).unwrap(), truth[p as usize]);
+            let mut expected = vec![GraphKey::Intra(s), GraphKey::Fanout(s)];
+            let row = &meta.supergraph.adj[s as usize];
+            expected.extend(model.iter().map(|&k| GraphKey::Super(s, row[k as usize])));
+            assert_eq!(loads(&snode), expected, "page {p}");
         }
-        assert!(
-            negatives >= 1,
-            "{codec}: a negative graph is consulted by every page"
-        );
-        assert!(
-            named * 4 < out_superedges,
-            "{codec}: {named} graphs named of {out_superedges} out-superedges"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
+    assert!(
+        negatives >= 1,
+        "a negative graph is consulted by every page"
+    );
+    assert!(
+        named * 4 < out_superedges,
+        "{named} graphs named of {out_superedges} out-superedges"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn answers_hold_under_every_budget() {
-    for (name, codec) in [("budget_g", "g"), ("budget_gst", "g+st")] {
-        let (dir, truth) = build_block_corpus(name, codec);
-        let meta = SNodeMeta::read(&dir).unwrap();
-        let blobs: u64 = (meta.supergraph.adj.iter())
-            .map(|adj| 1 + adj.len() as u64)
-            .sum();
-        for budget in [1usize << 10, 1 << 20, 256 << 20] {
-            let snode = SNode::open_resident(&dir, budget).unwrap();
-            for (p, want) in (0u32..).zip(&truth) {
-                assert_eq!(
-                    &snode.out_neighbors(p).unwrap(),
-                    want,
-                    "{codec} {budget} {p}"
-                );
-            }
-            // `meta.bin` and every blob were checksummed, once however
-            // often a small budget had it read, and held.
-            let (checks, failures) = snode.integrity_stats();
-            assert!(snode.disk_reads() >= blobs, "{codec} {budget}");
-            assert_eq!(checks, 1 + blobs, "{codec} {budget}");
-            assert_eq!(failures, 0, "{codec} {budget}");
-        }
-        // The batched path draws each group's graphs from the union of
-        // its pages' rows.
-        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
-        let pages: Vec<u32> = (0..truth.len() as u32).rev().step_by(3).collect();
-        let mut seen = 0usize;
-        snode
-            .out_neighbors_batch(&pages, &mut |p, list| {
-                assert_eq!(list, truth[p as usize], "{codec}: batched page {p}");
-                seen += 1;
-            })
-            .unwrap();
-        assert_eq!(seen, pages.len());
-
-        let mem = SNodeInMemory::load(&dir).unwrap();
+    let (dir, truth) = build_block_corpus("budget");
+    let meta = SNodeMeta::read(&dir).unwrap();
+    let blobs: u64 = (meta.supergraph.adj.iter())
+        .map(|adj| 1 + adj.len() as u64)
+        .sum();
+    for budget in [1usize << 10, 1 << 20, 256 << 20] {
+        let snode = SNode::open_resident(&dir, budget).unwrap();
         for (p, want) in (0u32..).zip(&truth) {
-            assert_eq!(
-                &mem.out_neighbors(p).unwrap(),
-                want,
-                "{codec}: in-memory page {p}"
-            );
+            assert_eq!(&snode.out_neighbors(p).unwrap(), want, "{budget} {p}");
         }
-        let graph = mem.to_graph().unwrap();
-        for (p, want) in (0u32..).zip(&truth) {
-            assert_eq!(
-                graph.neighbors(p),
-                want.as_slice(),
-                "{codec}: to_graph page {p}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        // `meta.bin` and every blob were checksummed, once however
+        // often a small budget had it read, and held.
+        let (checks, failures) = snode.integrity_stats();
+        assert!(snode.disk_reads() >= blobs, "{budget}");
+        assert_eq!(checks, 1 + blobs, "{budget}");
+        assert_eq!(failures, 0, "{budget}");
     }
+    // The batched path draws each group's graphs from the union of
+    // its pages' rows.
+    let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
+    let pages: Vec<u32> = (0..truth.len() as u32).rev().step_by(3).collect();
+    let mut seen = 0usize;
+    snode
+        .out_neighbors_batch(&pages, &mut |p, list| {
+            assert_eq!(list, truth[p as usize], "batched page {p}");
+            seen += 1;
+        })
+        .unwrap();
+    assert_eq!(seen, pages.len());
+
+    let mem = SNodeInMemory::load(&dir).unwrap();
+    for (p, want) in (0u32..).zip(&truth) {
+        assert_eq!(&mem.out_neighbors(p).unwrap(), want, "in-memory page {p}");
+    }
+    let graph = mem.to_graph().unwrap();
+    for (p, want) in (0u32..).zip(&truth) {
+        assert_eq!(graph.neighbors(p), want.as_slice(), "to_graph page {p}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A supernode with at least two out-superedges, one of its positive
@@ -227,7 +206,7 @@ fn flip_byte(dir: &Path, file: u32, offset: u64) {
 
 #[test]
 fn one_flipped_superedge_byte_costs_exactly_that_part() {
-    let (dir, truth) = build_block_corpus("flip", "g+st");
+    let (dir, truth) = build_block_corpus("flip");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open_resident(&dir).unwrap();
     let (s, k, source) = pick_positive_superedge(&meta, &files);
@@ -285,7 +264,7 @@ fn one_flipped_superedge_byte_costs_exactly_that_part() {
 
 #[test]
 fn fanout_bigger_than_its_shard_is_still_admitted() {
-    let (dir, truth) = build_block_corpus("giant", "g+st");
+    let (dir, truth) = build_block_corpus("giant");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open_resident(&dir).unwrap();
     let budget = 1usize << 10;

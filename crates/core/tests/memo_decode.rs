@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use wg_snode::cache::{CachedGraph, ListMemo};
-use wg_snode::codec::{CodecConfig, ListCodec};
+use wg_snode::codec::ListCodec;
 use wg_snode::refenc::{
     encode_lists, DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, NoMemo, RefMode, Universe,
 };
@@ -57,9 +57,9 @@ fn modes() -> [RefMode; 4] {
 }
 
 fn encode(lists: &[Vec<u32>], mode: RefMode) -> (EncodedLists, ListsIndex) {
-    let enc = encode_lists(lists, UNIVERSE, mode, ListCodec::GAMMA);
+    let enc = encode_lists(lists, UNIVERSE, mode, ListCodec);
     let universe = Universe::Explicit(UNIVERSE);
-    let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, ListCodec::GAMMA).unwrap();
+    let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, ListCodec).unwrap();
     (enc, index)
 }
 
@@ -165,7 +165,6 @@ proptest! {
         seed in any::<u64>(),
         n in 1usize..40,
     ) {
-        let codec = CodecConfig::default().superedge;
         let (mut scratch, mut out) = used_buffers();
         let (dense, nj, layout) = shaped_superedge(shape, seed, n);
         let ni = dense.len() as u64;
@@ -174,9 +173,9 @@ proptest! {
             .map(|l| l.iter().copied().filter(|&t| u64::from(t) < ni).collect())
             .collect();
         for mode in modes() {
-            let enc = encode_lists(&intra, ni, mode, ListCodec::GAMMA);
+            let enc = encode_lists(&intra, ni, mode, ListCodec);
             let parse = || {
-                ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec::GAMMA)
+                ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec)
                     .unwrap()
             };
             let (index, all) = (parse(), parse().decode_all(&enc.bytes, enc.bit_len).unwrap());
@@ -191,8 +190,8 @@ proptest! {
                 prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} no memo", mode, i);
             }
 
-            let enc = encode_superedge(&dense, nj, mode, SuperedgePolicy::EncodedSize, codec);
-            let parse = || SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).unwrap();
+            let enc = encode_superedge(&dense, nj, mode, SuperedgePolicy::EncodedSize);
+            let parse = || SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, ListCodec).unwrap();
             let index = parse();
             prop_assert_eq!(index.kind == SuperedgeKind::Negative, layout.is_none());
             if n >= 8 {

@@ -37,9 +37,7 @@ use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
 use webgraph_repr::snode::integrity::fingerprint_dir;
-use webgraph_repr::snode::{
-    build_snode, BuildStats, CodecConfig, Renumbering, RepoInput, SNode, SNodeConfig,
-};
+use webgraph_repr::snode::{build_snode, BuildStats, Renumbering, RepoInput, SNode, SNodeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,8 +63,6 @@ fn main() {
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
-                 \x20      [--codec g|g+st]                   format (default g+st; g is the paper's\n\
-                 \x20                                          plain one, no superedge dictionaries)\n\
                  \x20      [--stream --pages N [--seed N]]    generate the corpus on the fly (bounded memory)\n\
                  query  DIR [--scheme NAME|all] [--budget B] run the observed Q1-6 workload\n\
                  \x20      [--reps DIR] [--reuse]             over the corpus at DIR;\n\
@@ -276,25 +272,41 @@ fn cmd_gen(args: &[String]) -> i32 {
     0
 }
 
+/// The flags `build` takes, each with whether a value follows it.
+const BUILD_FLAGS: [(&str, bool); 11] = [
+    ("--corpus", true),
+    ("--out", true),
+    ("--threads", true),
+    ("--stream", false),
+    ("--pages", true),
+    ("--seed", true),
+    // Accepted for `benchmark/`, which is frozen and still passes it.
+    ("--shards", true),
+    ("--metrics", false),
+    ("--metrics=text", false),
+    ("--metrics=json", false),
+    ("--trace", true),
+];
+
 fn cmd_build(args: &[String]) -> i32 {
+    // A flag `build` does not take is refused before anything is read or
+    // written: one it ignored would build something other than was asked.
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(&(_, takes_value)) = BUILD_FLAGS.iter().find(|(flag, _)| flag == arg) else {
+            eprintln!("wgr build does not take {arg}");
+            return 2;
+        };
+        if takes_value {
+            rest.next();
+        }
+    }
     let flags = ObsFlags::parse(args);
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
     let out = PathBuf::from(req(args, "--out"));
     // 0 = auto: WGR_THREADS env var, else available parallelism. The
     // representation is byte-identical for every thread count.
     let threads: u32 = num(args, "--threads").unwrap_or(0);
-    // --codec names the format: `g`, the paper's plain one, or `g+st`,
-    // which is `CodecConfig::default()` and what a build writes without it.
-    let codec = match opt(args, "--codec").as_deref() {
-        None => CodecConfig::default(),
-        Some(s) => match CodecConfig::parse(s) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("invalid --codec {s}: {e}");
-                return 2;
-            }
-        },
-    };
     // --stream generates the corpus straight into --corpus DIR first —
     // the writer holds no URL string and no CSR graph, only what the
     // copying model needs (`corpus::stream`) — and the build then reads
@@ -317,7 +329,6 @@ fn cmd_build(args: &[String]) -> i32 {
             corpus_dir.display()
         );
     }
-    // Accepted for `benchmark/`, which is frozen and still passes it.
     if opt(args, "--shards").is_some() {
         eprintln!("--shards is ignored: there is one builder");
     }
@@ -336,7 +347,6 @@ fn cmd_build(args: &[String]) -> i32 {
     );
     let config = SNodeConfig {
         threads,
-        codec,
         ..SNodeConfig::default()
     };
     let t0 = obs::Stopwatch::start();
@@ -346,11 +356,10 @@ fn cmd_build(args: &[String]) -> i32 {
     );
     rss.refresh();
     println!(
-        "built in {:?} ({} threads, codec {}): {} supernodes, {} superedges, \
+        "built in {:?} ({} threads): {} supernodes, {} superedges, \
          {:.2} bits/edge → {}",
         t0.elapsed(),
         stats.timings.threads,
-        codec,
         stats.num_supernodes,
         stats.num_superedges,
         stats.bits_per_edge(),
@@ -816,30 +825,11 @@ fn cmd_fsck(args: &[String]) -> i32 {
 }
 
 /// Re-encodes the representation from `corpus_dir` into a scratch
-/// directory, in the format the header of `dir` records (the build is
-/// deterministic and the codec is its one option that shapes the output,
-/// so a clean rebuild is byte-identical to the original), and replaces
-/// every file of `dir` that differs. Returns the replaced file names.
+/// directory (the build is deterministic and has one format, so a clean
+/// rebuild is byte-identical to the original), and replaces every file of
+/// `dir` that differs. Returns the replaced file names.
 fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec<String>, String> {
-    let named = [CodecConfig::GAMMA, CodecConfig::default()];
-    let codec = match webgraph_repr::snode::disk::SNodeMeta::read_codec(dir) {
-        Ok(codec) if named.contains(&codec) => codec,
-        Ok(codec) => {
-            eprintln!(
-                "no build writes codec word {:#06x} any more: rebuilding as the default",
-                codec.to_header()
-            );
-            CodecConfig::default()
-        }
-        Err(e) => {
-            eprintln!("cannot tell the format from meta.bin ({e}): rebuilding as the default");
-            CodecConfig::default()
-        }
-    };
-    let config = SNodeConfig {
-        codec,
-        ..SNodeConfig::default()
-    };
+    let config = SNodeConfig::default();
     let input = read_build_input(corpus_dir)
         .map_err(|e| format!("cannot read corpus at {}: {e}", corpus_dir.display()))?;
     let tmp = std::env::temp_dir().join(format!("wgr_repair_{}", std::process::id()));

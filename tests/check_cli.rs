@@ -60,7 +60,6 @@ fn craft_corrupt(dir: &Path) {
         2,
         RefMode::None,
         SuperedgePolicy::EncodedSize,
-        ListCodec::GAMMA,
     );
     superedge_loc.push(vec![w.append(&se02.bytes, se02.bit_len).unwrap()]);
 
@@ -73,7 +72,7 @@ fn craft_corrupt(dir: &Path) {
     let neg_lists = vec![vec![1u32, 2], vec![0, 1, 2]];
     let mut bw = BitWriter::new();
     bw.write_bit(true);
-    let enc = encode_lists(&neg_lists, 3, RefMode::None, ListCodec::GAMMA);
+    let enc = encode_lists(&neg_lists, 3, RefMode::None, ListCodec);
     bw.append(&enc.bytes, enc.bit_len);
     let (bytes, bits) = bw.finish();
     superedge_loc.push(vec![w.append(&bytes, bits).unwrap()]);
@@ -88,7 +87,7 @@ fn craft_corrupt(dir: &Path) {
         superedge_loc,
         domain_supernodes: vec![vec![0, 1, 2]],
         max_file_bytes: cap,
-        codec: CodecConfig::GAMMA,
+        codec: CodecConfig::default(),
     };
     meta.write(dir).unwrap();
 

@@ -110,7 +110,7 @@ fn build_threads_flag_and_env_produce_identical_repos() {
         .output()
         .unwrap();
     assert!(out.status.success(), "serial build failed: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(1 threads,"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(1 threads)"));
 
     let repo_par = root.join("repo_par");
     let out = wgr()
@@ -122,7 +122,7 @@ fn build_threads_flag_and_env_produce_identical_repos() {
         .output()
         .unwrap();
     assert!(out.status.success(), "parallel build failed: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(4 threads,"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(4 threads)"));
 
     let repo_env = root.join("repo_env");
     let out = wgr()
@@ -134,7 +134,7 @@ fn build_threads_flag_and_env_produce_identical_repos() {
         .output()
         .unwrap();
     assert!(out.status.success(), "env build failed: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(2 threads,"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(2 threads)"));
 
     for other in [&repo_par, &repo_env] {
         let mut names: Vec<String> = std::fs::read_dir(&repo_serial)
@@ -375,89 +375,6 @@ fn build_metrics_and_trace_and_stats_json() {
 }
 
 #[test]
-fn build_codec_flag_round_trips() {
-    let root = temp_dir("codecflag");
-    let corpus = root.join("corpus");
-    let out = wgr()
-        .args(["gen", "--pages", "600", "--seed", "3", "--out"])
-        .arg(&corpus)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "gen failed: {out:?}");
-
-    // The name round-trips through CodecConfig::parse → Display: the
-    // build banner echoes the `<intra>/<superedge>` form, and the
-    // directory it writes decodes cleanly (check re-reads the codec from
-    // the meta.bin header).
-    for (flag, echoed) in [("g+st", "codec g+st/g+st"), ("g", "codec g/g")] {
-        let repo = root.join(format!("repo_{flag}"));
-        let out = wgr()
-            .args(["build", "--corpus"])
-            .arg(&corpus)
-            .arg("--out")
-            .arg(&repo)
-            .args(["--codec", flag])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "build --codec {flag} failed: {out:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains(echoed),
-            "missing {echoed:?} in: {}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-        let out = wgr().arg("check").arg(&repo).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "check {flag} failed: {out:?}");
-    }
-
-    // `--codec g+st` is the default spelled explicitly: byte-identical to
-    // a build without the flag. `--codec g`, the paper's plain format, is
-    // not — and is bigger.
-    let repo_default = root.join("repo_default");
-    let built = wgr()
-        .args(["build", "--corpus"])
-        .arg(&corpus)
-        .arg("--out")
-        .arg(&repo_default)
-        .output()
-        .unwrap();
-    assert!(built.status.success(), "{built:?}");
-    let (repo_g, repo_gst) = (root.join("repo_g"), root.join("repo_g+st"));
-    for entry in std::fs::read_dir(&repo_default).unwrap() {
-        let name = entry.unwrap().file_name();
-        assert_eq!(
-            std::fs::read(repo_default.join(&name)).unwrap(),
-            std::fs::read(repo_gst.join(&name)).unwrap(),
-            "file {name:?} differs between default and --codec g+st builds"
-        );
-    }
-    let index_len =
-        |repo: &std::path::Path| std::fs::metadata(repo.join("index_000.bin")).unwrap().len();
-    assert!(
-        index_len(&repo_default) < index_len(&repo_g),
-        "the default must be smaller than --codec g"
-    );
-
-    // A retired cell, the pair form and nonsense are usage errors, not
-    // panics, and write nothing.
-    for bad in ["z3+iv+cb/g", "g/g+st", "z99+zz"] {
-        let out = wgr()
-            .args(["build", "--corpus"])
-            .arg(&corpus)
-            .arg("--out")
-            .arg(root.join("repo_bad"))
-            .args(["--codec", bad])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "--codec {bad}: {out:?}");
-        assert!(
-            !root.join("repo_bad").exists(),
-            "--codec {bad} wrote output"
-        );
-    }
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
 fn build_stream_and_shards_flags_round_trip() {
     let root = temp_dir("stream_shards");
     let corpus = root.join("corpus");
@@ -580,7 +497,7 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let corpus = corpus.to_str().unwrap();
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -595,9 +512,19 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         (&["bench"], "usage: wgr bench --scale | --serve"),
         (&["bench", "--quick"], "usage: wgr bench --scale | --serve"),
         (&["bench", "--ablate"], "usage: wgr bench --scale | --serve"),
+        // `build` refuses a flag it does not take, and writes nothing: the
+        // format flag is gone, and there is one format.
         (
-            &["build", "--corpus", "c", "--out", "r", "--codec", "z3"],
-            "--codec z3",
+            &["build", "--corpus", corpus, "--out", "r", "--codec", "z3"],
+            "--codec",
+        ),
+        (
+            &["build", "--corpus", corpus, "--out", "r", "--codec", "g"],
+            "--codec",
+        ),
+        (
+            &["build", "--corpus", corpus, "--out", "r", "--frobnicate"],
+            "--frobnicate",
         ),
         // Paths that cannot be read or written: one line, not a panic.
         (

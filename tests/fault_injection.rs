@@ -390,52 +390,45 @@ fn cli_corrupt_fsck_repair_round_trip() {
             .status
             .success()
     );
-    // A repair puts back the bytes that were there, in the format the
-    // directory was built in: the default, or the one `--codec` named.
-    for codec in [&[][..], &["--codec", "g"]] {
-        let build = [&["build", "--corpus", "CORPUS", "--out", "REPO"], codec].concat();
-        assert!(run(&build).status.success(), "{build:?}");
-        let built = files();
+    // A repair puts back the bytes that were there.
+    let build = ["build", "--corpus", "CORPUS", "--out", "REPO"];
+    assert!(run(&build).status.success(), "{build:?}");
+    let built = files();
+
+    let out = run(&["fsck", "REPO", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "clean fsck: {out:?}");
+    let body = String::from_utf8_lossy(&out.stdout);
+    assert!(body.contains("\"errors\":0"), "clean verdict: {body}");
+
+    for faults in [
+        &["--seed", "7", "--flips", "1"][..],
+        &["--seed", "4", "--flips", "3", "--truncate", "1"],
+    ] {
+        let out = run(&[&["corrupt", "REPO"], faults].concat());
+        assert_eq!(out.status.code(), Some(0), "corrupt: {out:?}");
+        let damaged = files();
+        let hit: Vec<String> = (built.iter())
+            .filter(|&(name, bytes)| damaged.get(name) != Some(bytes))
+            .map(|(name, _)| format!("repaired {name}"))
+            .collect();
+        assert!(!hit.is_empty(), "{faults:?} changed nothing");
 
         let out = run(&["fsck", "REPO", "--json"]);
-        assert_eq!(out.status.code(), Some(0), "clean fsck: {out:?}");
+        assert_eq!(out.status.code(), Some(1), "damaged fsck: {out:?}");
         let body = String::from_utf8_lossy(&out.stdout);
-        assert!(body.contains("\"errors\":0"), "clean verdict: {body}");
+        assert!(body.contains("SN10"), "SN1xx verdicts expected: {body}");
 
-        for faults in [
-            &["--seed", "7", "--flips", "1"][..],
-            &["--seed", "4", "--flips", "3", "--truncate", "1"],
-        ] {
-            let out = run(&[&["corrupt", "REPO"], faults].concat());
-            assert_eq!(out.status.code(), Some(0), "corrupt: {out:?}");
-            let damaged = files();
-            let hit: Vec<String> = (built.iter())
-                .filter(|&(name, bytes)| damaged.get(name) != Some(bytes))
-                .map(|(name, _)| format!("repaired {name}"))
-                .collect();
-            assert!(!hit.is_empty(), "{faults:?} changed nothing");
+        let out = run(&["fsck", "REPO", "--repair", "--from", "CORPUS"]);
+        assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().collect::<Vec<_>>(), hit, "{faults:?}");
+        assert!(
+            files() == built,
+            "{faults:?}: not the bytes that were built"
+        );
 
-            let out = run(&["fsck", "REPO", "--json"]);
-            assert_eq!(out.status.code(), Some(1), "damaged fsck: {out:?}");
-            let body = String::from_utf8_lossy(&out.stdout);
-            assert!(body.contains("SN10"), "SN1xx verdicts expected: {body}");
-
-            let out = run(&["fsck", "REPO", "--repair", "--from", "CORPUS"]);
-            assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                stderr.lines().collect::<Vec<_>>(),
-                hit,
-                "{codec:?} {faults:?}"
-            );
-            assert!(
-                files() == built,
-                "{codec:?} {faults:?}: not the bytes that were built"
-            );
-
-            let out = run(&["fsck", "REPO"]);
-            assert_eq!(out.status.code(), Some(0), "post-repair fsck: {out:?}");
-        }
+        let out = run(&["fsck", "REPO"]);
+        assert_eq!(out.status.code(), Some(0), "post-repair fsck: {out:?}");
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -537,11 +530,11 @@ fn degraded_query_exits_3_with_consistent_counts() {
 /// can only find when a probe draws on the graph. Returns how many graphs
 /// were damaged, and how many of those store a dictionary.
 fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
+    use webgraph_repr::snode::codec::ListCodec;
     use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
     use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
     let meta = SNodeMeta::read(snode_dir).unwrap();
     let files = IndexFileReader::open_resident(snode_dir).unwrap();
-    let codec = meta.codec.superedge;
     let mut flips: Vec<(u32, u64)> = Vec::new();
     let mut dictionaries = 0;
     for s in 0..meta.num_supernodes() {
@@ -551,7 +544,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             let nj = u64::from(meta.supernode_size(j));
             let clean = files.read_blob(&loc).unwrap();
             let (first, layout, body) =
-                match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, codec) {
+                match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, ListCodec) {
                     Ok(i) if i.kind == SuperedgeKind::Positive => {
                         let bits = i.bit_breakdown(&clean, loc.bit_len).unwrap();
                         (
@@ -570,7 +563,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             let found = (body..loc.bit_len).rev().find(|&bit| {
                 let mut bytes = clean.to_vec();
                 bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
-                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, codec).map_or(true, |i| {
+                SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).map_or(true, |i| {
                     i.targets_of(&bytes, loc.bit_len, u64::from(first), nj)
                         .is_err()
                 })

@@ -23,7 +23,7 @@ use webgraph_repr::snode::subgraphs::{
     encode_superedge, Layout as Stored, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
 use webgraph_repr::snode::{
-    build_snode, Blob, CodecConfig, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig,
+    build_snode, Blob, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig,
 };
 use webgraph_repr::store::Region;
 
@@ -181,15 +181,11 @@ fn encoding_and_parsing_a_list_stream_allocate_per_call_not_per_list() {
         let mut bits = Vec::new();
         for mode in [RefMode::None, RefMode::Windowed(32)] {
             let before = allocations();
-            let enc = encode_lists(&lists, u64::from(n), mode, ListCodec::GAMMA);
+            let enc = encode_lists(&lists, u64::from(n), mode, ListCodec);
             counts.push(allocations() - before);
             let before = allocations();
-            let parsed = ListsIndex::parse(
-                &enc.bytes,
-                enc.bit_len,
-                Universe::SameAsCount,
-                ListCodec::GAMMA,
-            );
+            let parsed =
+                ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec);
             counts.push(allocations() - before);
             assert_eq!(parsed.unwrap().num_lists(), n);
             bits.push(enc.bit_len);
@@ -270,15 +266,10 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
     };
     for n in [1_000u32, 4_000, 16_000] {
         let lists = similar_lists(n);
-        let enc = encode_lists(
-            &lists,
-            u64::from(n),
-            RefMode::Windowed(32),
-            ListCodec::GAMMA,
-        );
+        let enc = encode_lists(&lists, u64::from(n), RefMode::Windowed(32), ListCodec);
         let intra = |bytes: Blob| {
             let universe = Universe::SameAsCount;
-            let index = ListsIndex::parse(&bytes, enc.bit_len, universe, ListCodec::GAMMA);
+            let index = ListsIndex::parse(&bytes, enc.bit_len, universe, ListCodec);
             CachedGraph::new_encoded_intra(bytes, enc.bit_len, index.unwrap())
         };
         assert_eq!(
@@ -287,7 +278,6 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             "intranode graph of {n} lists"
         );
     }
-    let codec = CodecConfig::default().superedge;
     let sizes: &[u32] = &[1, 1_000, 4_000, 10_000, 16_000];
     // (what, stored as, negative, allocations, sources)
     let shapes: [(&str, Stored, bool, u64, &[u32]); 4] = [
@@ -313,12 +303,12 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             let (dense, nj) = superedge_of(layout, negative, sources);
             let ni = dense.len() as u64;
             let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_superedge(&dense, nj, RefMode::None, policy, codec);
-            let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).unwrap();
+            let enc = encode_superedge(&dense, nj, RefMode::None, policy);
+            let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, ListCodec).unwrap();
             assert_eq!(index.layout(), layout, "{name} of {sources} sources");
             assert_eq!(index.kind == SuperedgeKind::Negative, negative, "{name}");
             let graph = |bytes: Blob| {
-                let index = SuperedgeIndex::parse(&bytes, enc.bit_len, ni, nj, codec);
+                let index = SuperedgeIndex::parse(&bytes, enc.bit_len, ni, nj, ListCodec);
                 CachedGraph::new_encoded_super(bytes, enc.bit_len, index.unwrap(), nj)
             };
             assert_eq!(
@@ -359,7 +349,6 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
 /// `forged_dictionary_count_without_a_manifest_fails_the_first_probe_that_draws_on_the_graph_and_none_that_does_not`.)
 #[test]
 fn forged_counts_are_refused_before_the_arena_is_sized() {
-    let codec = CodecConfig::default().superedge;
     let graph = |head: &dyn Fn(&mut BitWriter)| {
         let mut w = BitWriter::new();
         head(&mut w);
@@ -407,7 +396,7 @@ fn forged_counts_are_refused_before_the_arena_is_sized() {
     ];
     let bound = |bit_len: u64| 12 * bit_len as usize + 16;
     for (forged, (bytes, bit_len), ni) in cases {
-        let (most, parsed) = largest(|| SuperedgeIndex::parse(&bytes, bit_len, ni, 16, codec));
+        let (most, parsed) = largest(|| SuperedgeIndex::parse(&bytes, bit_len, ni, 16, ListCodec));
         assert!(parsed.is_err(), "{forged}: {parsed:?}");
         assert!(most <= bound(bit_len), "{forged}: asked for {most} bytes");
     }
@@ -417,7 +406,7 @@ fn forged_counts_are_refused_before_the_arena_is_sized() {
         w.write_bit(false);
     });
     let universe = Universe::SameAsCount;
-    let (most, parsed) = largest(|| ListsIndex::parse(&bytes, bit_len, universe, ListCodec::GAMMA));
+    let (most, parsed) = largest(|| ListsIndex::parse(&bytes, bit_len, universe, ListCodec));
     assert!(parsed.is_err(), "intranode lists: {parsed:?}");
     assert!(
         most <= bound(bit_len),
