@@ -303,9 +303,9 @@ struct ListAudit {
 }
 
 impl ListAudit {
-    fn scan(&mut self, list_id: u32, list: &[u32], universe: u64) {
+    fn scan(&mut self, list_id: u32, list: impl IntoIterator<Item = u32>, universe: u64) {
         let mut prev: Option<u32> = None;
-        for &x in list {
+        for x in list {
             if u64::from(x) >= universe {
                 self.out_of_range += 1;
                 if self.first_out_of_range.is_none() {
@@ -497,7 +497,7 @@ fn check_intranode(
     let mut audit = ListAudit::default();
     for (i, list) in lists.iter().enumerate() {
         summary.intranode_edges += list.len() as u64;
-        audit.scan(i as u32, list, index.universe());
+        audit.scan(i as u32, list.iter().copied(), index.universe());
     }
     audit.emit(index.universe(), here, diags);
     match index.reference_parents(&bytes, loc.bit_len) {
@@ -594,7 +594,7 @@ fn check_superedge(
     let stored_edges: u64 = stored.iter().map(|l| l.len() as u64).sum();
     let mut audit = ListAudit::default();
     for (i, list) in stored.iter().enumerate() {
-        audit.scan(i as u32, list, nj.max(1));
+        audit.scan(i as u32, list.iter().copied(), nj.max(1));
     }
     audit.emit(nj.max(1), here, diags);
 
@@ -612,7 +612,7 @@ fn check_superedge(
                 ));
             }
             let mut src_audit = ListAudit::default();
-            src_audit.scan(u32::MAX, index.sources(), ni.max(1));
+            src_audit.scan(u32::MAX, index.sources().iter(), ni.max(1));
             if src_audit.first_out_of_range.is_some() {
                 diags.push(Diagnostic::new(
                     Code::EntryOutOfRange,
@@ -745,8 +745,8 @@ mod tests {
     #[test]
     fn list_audit_aggregates() {
         let mut audit = ListAudit::default();
-        audit.scan(0, &[1, 5, 3, 99], 10);
-        audit.scan(1, &[2, 2], 10);
+        audit.scan(0, [1, 5, 3, 99], 10);
+        audit.scan(1, [2, 2], 10);
         let mut diags = Vec::new();
         audit.emit(10, Location::Intranode(0), &mut diags);
         assert_eq!(

@@ -13,9 +13,11 @@
 
 use crate::disk::Blob;
 use crate::refenc::{DecodeMemo, DecodeScratch, ListsIndex};
+use crate::section::{self, Section, Width};
 use crate::subgraphs::{Layout, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -205,15 +207,15 @@ fn key_kind(key: &GraphKey) -> usize {
 /// A *slot* is a position in the supernode's row of the supernode graph
 /// (`supergraph.adj[s]`), which is also the order of its superedge blobs.
 ///
-/// One arena holds it all: CSR row starts (page `local` draws on rows
-/// `starts[local]..starts[local + 1]`), then `always`, then the rows end
-/// to end. A slot indexes one supernode's row of the supernode graph —
-/// hundreds of entries at most on a crawl — and the rows are most of what
-/// a fanout weighs, so they are packed two slots to a word, the first in
-/// the low half, wherever every slot fits 16 bits.
+/// One arena holds it all, a [`Section`] each: CSR row starts (page
+/// `local` draws on rows `starts[local]..starts[local + 1]`) at the width
+/// the row-entry total needs, then `always` and the rows end to end at the
+/// width a slot needs. A slot indexes one supernode's row of the supernode
+/// graph — hundreds of entries at most on a crawl — so the rows, most of
+/// what a fanout weighs, take a byte each.
 #[derive(Debug)]
 pub struct Fanout {
-    arena: Box<[u32]>,
+    arena: Box<[u8]>,
     /// `|Ni|`: the arena opens with `ni + 1` row starts.
     ni: u32,
     /// How many slots follow the row starts that every page consults:
@@ -221,49 +223,10 @@ pub struct Fanout {
     /// could not be read, so that each access keeps counting the part it
     /// went without.
     always: u32,
-    /// Whether the rows are 16-bit; they are 32-bit only for a supernode
-    /// with more than 65 536 out-superedges.
-    narrow: bool,
-}
-
-/// One page's row of a [`Fanout`]: ascending slots.
-#[derive(Debug, Clone, Copy)]
-pub struct Slots<'a> {
-    /// Every row of the fanout, as it packs them.
-    rows: &'a [u32],
-    narrow: bool,
-    /// This row's entries of `rows`.
-    lo: usize,
-    hi: usize,
-}
-
-impl<'a> Slots<'a> {
-    /// Entry `i` of the rows.
-    fn get(self, i: usize) -> u32 {
-        match self.narrow {
-            true => (self.rows.get(i / 2)).map_or(0, |&w| w >> (16 * (i % 2)) & 0xFFFF),
-            false => self.rows.get(i).copied().unwrap_or_default(),
-        }
-    }
-
-    /// The slots, ascending.
-    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
-        (self.lo..self.hi).map(move |i| self.get(i))
-    }
-
-    /// Whether the row names `slot`.
-    pub fn contains(self, slot: u32) -> bool {
-        let (mut lo, mut hi) = (self.lo, self.hi);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.get(mid).cmp(&slot) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        false
-    }
+    /// The width of the row starts, by the row-entry total, and of a slot,
+    /// by the supernode's out-degree.
+    starts: Width,
+    slots: Width,
 }
 
 impl Fanout {
@@ -275,106 +238,130 @@ impl Fanout {
     /// `sources`, O(Σ|sources| + `ni`): the biggest supernodes have
     /// thousands of pages and hundreds of superedges, and are where a
     /// probe's tail latency comes from.
-    pub fn build<'a>(
+    pub fn build<S>(
         ni: u32,
-        graphs: impl DoubleEndedIterator<Item = Option<&'a [u32]>> + Clone,
-    ) -> Result<Self> {
+        graphs: impl DoubleEndedIterator<Item = Option<S>> + Clone,
+    ) -> Result<Self>
+    where
+        S: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<u32>>,
+    {
         let (mut slots, mut always, mut rows) = (0u32, 0usize, 0usize);
         for sources in graphs.clone() {
             slots += 1;
             match sources {
-                Some(sources) => rows += sources.len(),
+                Some(sources) => rows += sources.into_iter().len(),
                 None => always += 1,
             }
         }
         let total = u32::try_from(rows).map_err(|_| SNodeError::Corrupt("fanout overflows u32"))?;
-        let narrow = slots <= u32::from(u16::MAX) + 1;
-        let words = if narrow { rows.div_ceil(2) } else { rows };
-        let mut arena = vec![0u32; ni as usize + 1 + always + words];
-        let (starts, rest) = arena.split_at_mut(ni as usize + 1);
-        let (always_slots, packed) = rest.split_at_mut(always);
-        let (counts, sentinel) = starts.split_at_mut(ni as usize);
-        // Count each page's slots where its row will start...
-        let mut next_always = always_slots.iter_mut();
-        for (k, sources) in (0u32..).zip(graphs.clone()) {
-            let Some(sources) = sources else {
-                if let Some(at) = next_always.next() {
-                    *at = k;
-                }
-                continue;
-            };
-            for &src in sources {
-                *counts.get_mut(src as usize).ok_or_else(out_of_range)? += 1;
-            }
+        let width = Width::below(u64::from(total) + 1);
+        let slot = Width::below(u64::from(slots));
+        let starts = width.after(0, ni as usize + 1);
+        let all = slot.after(starts.end, always + rows);
+        let mut arena = vec![0u8; all.end];
+        let (head, slots_at) = arena.split_at_mut(all.start);
+        let counts = head.get_mut(starts).unwrap_or_default();
+        let (always_at, rows_at) = slots_at.split_at_mut(always * slot.bytes());
+        let every_page = (0u32..)
+            .zip(graphs.clone())
+            .filter(|(_, sources)| sources.is_none());
+        for (i, (k, _)) in every_page.enumerate() {
+            section::put(always_at, slot, i, k);
         }
-        // ...turn each count into the end of its row...
-        let mut end = 0u32;
-        for count in counts.iter_mut() {
-            end += *count;
-            *count = end;
-        }
-        sentinel.fill(total);
-        // ...and fill every row from its end, last slot first: the rows
-        // come out ascending without a sort, and each end has moved back
-        // to where its row starts. A narrow slot is below 2¹⁶, and every
-        // word starts at zero.
-        let (width, per_word) = if narrow { (16, 2) } else { (0, 1) };
-        for (k, sources) in (0..slots).rev().zip(graphs.rev()) {
-            for &src in sources.unwrap_or_default() {
-                let at = counts.get_mut(src as usize).ok_or_else(out_of_range)?;
-                // Never below zero: this pass meets each page as often as
-                // the counting pass did (and a wrap would miss `packed`).
-                *at = at.wrapping_sub(1);
-                let at = *at as usize;
-                let word = packed.get_mut(at / per_word).ok_or_else(out_of_range)?;
-                *word |= k << (width * (at % per_word));
-            }
-        }
+        // The row starts' width is named once, not matched per source.
+        let rows = (counts, rows_at, slot);
+        match width {
+            Width::Zero => fill_rows::<0, S>(ni, slots, graphs, rows),
+            Width::One => fill_rows::<1, S>(ni, slots, graphs, rows),
+            Width::Two => fill_rows::<2, S>(ni, slots, graphs, rows),
+            Width::Four => fill_rows::<4, S>(ni, slots, graphs, rows),
+        }?;
         Ok(Self {
             arena: arena.into_boxed_slice(),
             ni,
             always: always as u32,
-            narrow,
+            starts: width,
+            slots: slot,
         })
     }
 
-    /// The row starts, and the rest of the arena.
-    fn split(&self) -> (&[u32], &[u32]) {
-        (self.arena)
-            .split_at_checked(self.ni as usize + 1)
-            .unwrap_or_default()
+    /// The row starts, and every slot: `always`, then the rows.
+    fn sections(&self) -> (Section<&[u8]>, Section<&[u8]>) {
+        let n = self.ni + 1;
+        let at = self.starts.after(0, n as usize);
+        let starts = Section::cut(&self.arena, at.clone(), n, self.starts);
+        let slots = self.always + starts.last().unwrap_or_default();
+        let all = self.slots.after(at.end, slots as usize);
+        (starts, Section::cut(&self.arena, all, slots, self.slots))
     }
 
     /// The ascending slots of the positive graphs holding a list for page
     /// `local` (empty for a page outside the supernode).
-    pub fn slots_of(&self, local: u32) -> Slots<'_> {
-        let (starts, rest) = self.split();
-        let row = |i: usize| starts.get(i).map(|&o| o as usize);
-        let (lo, hi) = match (row(local as usize), row(local as usize + 1)) {
-            (Some(lo), Some(hi)) => (lo, hi),
-            _ => (0, 0),
-        };
-        Slots {
-            rows: rest.get(self.always as usize..).unwrap_or_default(),
-            narrow: self.narrow,
-            lo,
-            hi,
+    pub fn slots_of(&self, local: u32) -> Section<&[u8]> {
+        let (starts, slots) = self.sections();
+        let (local, always) = (local as usize, self.always as usize);
+        match (starts.get(local), starts.get(local + 1)) {
+            (Some(lo), Some(hi)) => slots.slice(always + lo as usize..always + hi as usize),
+            _ => Section::default(),
         }
     }
 
     /// The ascending slots every page of the supernode consults.
-    pub fn always(&self) -> &[u32] {
-        let rest = self.split().1;
-        rest.get(..self.always as usize).unwrap_or_default()
+    pub fn always(&self) -> Section<&[u8]> {
+        self.sections().1.slice(0..self.always as usize)
     }
 
-    /// What the fanout is charged: four bytes a row start and an `always`
-    /// slot, two or four a row entry.
+    /// What the fanout is charged: its arena.
     fn heap_bytes(&self) -> usize {
-        let rows = self.split().0.last().map_or(0, |&total| total as usize);
-        let width = if self.narrow { 2 } else { 4 };
-        (self.ni as usize + 1 + self.always as usize) * 4 + rows * width
+        self.arena.len()
     }
+}
+
+/// [`Fanout::build`]'s two counting passes, over row starts of `W` bytes
+/// each, then rows of `slot`'s width.
+fn fill_rows<const W: usize, S>(
+    ni: u32,
+    slots: u32,
+    graphs: impl DoubleEndedIterator<Item = Option<S>> + Clone,
+    (counts, rows, slot): (&mut [u8], &mut [u8], Width),
+) -> Result<()>
+where
+    S: IntoIterator<Item: Borrow<u32>>,
+{
+    // Count each page's slots where its row will start...
+    for sources in graphs.clone().flatten() {
+        for src in sources {
+            let src = *src.borrow();
+            if src >= ni {
+                return Err(out_of_range());
+            }
+            let count = section::load_at::<W>(counts, src as usize).unwrap_or_default();
+            section::put_at::<W>(counts, src as usize, count + 1);
+        }
+    }
+    // ...turn each count into the end of its row (the sentinel's is the
+    // total)...
+    let mut end = 0u32;
+    for local in 0..=ni as usize {
+        end += section::load_at::<W>(counts, local).unwrap_or_default();
+        section::put_at::<W>(counts, local, end);
+    }
+    // ...and fill every row from its end, last slot first: the rows come
+    // out ascending without a sort, and each end has moved back to where
+    // its row starts.
+    for (k, sources) in (0..slots).rev().zip(graphs.rev()) {
+        for src in sources.into_iter().flatten() {
+            let src = *src.borrow() as usize;
+            // Never below zero: this pass meets each page as often as the
+            // counting pass did (and a wrap would miss the rows).
+            let at = section::load_at::<W>(counts, src).map_or(u32::MAX, |at| at.wrapping_sub(1));
+            section::put_at::<W>(counts, src, at);
+            if !section::put(rows, slot, at as usize, k) {
+                return Err(out_of_range());
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Built where it is returned: an `SNodeError` built and dropped per
@@ -994,11 +981,12 @@ mod tests {
 
     /// An encoded graph of empty lists charged within 3 % of `bytes_target`
     /// (and no less than an empty graph, a few bytes above the value's
-    /// size): each list costs its four-byte offset and two bits of
+    /// size): each list costs its offset — two bytes, for the graphs of a
+    /// few hundred to 32 768 lists these tests size — and two bits of
     /// encoding, charged once, as memo cap.
     fn graph_of(bytes_target: usize) -> CachedGraph {
         let empty = std::mem::size_of::<CachedGraph>() + 8;
-        let lists = bytes_target.saturating_sub(empty) * 4 / 17;
+        let lists = bytes_target.saturating_sub(empty) * 4 / 9;
         encoded_intra(&vec![Vec::new(); lists], crate::refenc::RefMode::None)
     }
 
@@ -1245,7 +1233,7 @@ mod tests {
         let (encoded, directory) = (enc.bytes.len(), index.heap_bytes());
         assert!(
             directory > encoded,
-            "forty sources and offsets: 4 bytes each"
+            "forty sources and offsets: a byte each, and the encoding a bit or two"
         );
         let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
         assert_eq!(g.memo_cap_bytes(), encoded);
@@ -1369,13 +1357,13 @@ mod tests {
         assert!(graphs[1].positive_sources().is_none(), "negative");
         // Slot 2 could not be read.
         let slots = [
-            graphs[0].positive_sources(),
-            graphs[1].positive_sources(),
+            graphs[0].positive_sources().map(Section::iter),
+            graphs[1].positive_sources().map(Section::iter),
             None,
-            graphs[3].positive_sources(),
+            graphs[3].positive_sources().map(Section::iter),
         ];
         let fanout = Fanout::build(6, slots.into_iter()).expect("build");
-        assert_eq!(fanout.always(), [1, 2]);
+        assert_eq!(fanout.always().iter().collect::<Vec<_>>(), [1, 2]);
         let rows: Vec<Vec<u32>> = (0..7)
             .map(|local| fanout.slots_of(local).iter().collect())
             .collect();
@@ -1385,8 +1373,8 @@ mod tests {
         let cached = CachedGraph::from(fanout);
         assert_eq!(
             cached.bytes(),
-            (7 + 2) * 4 + 5 * 2 + std::mem::size_of::<CachedGraph>(),
-            "offsets and `always` at four bytes, rows at two"
+            7 + (2 + 5) + std::mem::size_of::<CachedGraph>(),
+            "seven row starts up to 5, then `always` and five rows of four slots: a byte each"
         );
         assert!(
             cached.decode_list_for(0).is_err(),
@@ -1395,7 +1383,10 @@ mod tests {
 
         // A graph parsed for a larger supernode than the one it is filed
         // under is refused, not indexed out of range.
-        let err = Fanout::build(4, [graphs[0].positive_sources()].into_iter());
+        let err = Fanout::build(
+            4,
+            [graphs[0].positive_sources().map(Section::iter)].into_iter(),
+        );
         assert!(matches!(err, Err(SNodeError::Corrupt(_))));
     }
 
@@ -1435,11 +1426,11 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Rows and `always` are what the `u32` build gives for any mix of
-        /// positive, negative and unreadable slots — in 16-bit rows, and
-        /// in the 32-bit ones a supernode with more than 65 536
-        /// out-superedges falls back to — and a source outside the
-        /// supernode is `Corrupt`, neither a panic nor a write out of
-        /// bounds.
+        /// positive, negative and unreadable slots — at the width the
+        /// out-degree needs, four bytes past 65 536 out-superedges, and
+        /// row starts at the width their total needs — and a source
+        /// outside the supernode is `Corrupt`, neither a panic nor a write
+        /// out of bounds.
         #[test]
         fn fanout_answers_as_the_u32_rows_it_replaced(
             ni in 0u32..40,
@@ -1479,12 +1470,17 @@ mod tests {
                 return Ok(());
             };
             let built = built.expect("every source inside the supernode");
+            let total = u64::from(offsets[ni as usize]);
+            proptest::prop_assert_eq!(built.starts, Width::below(total + 1));
             proptest::prop_assert_eq!(
-                !built.narrow,
+                built.slots == Width::Four,
                 graphs.len() > 1 << 16,
                 "{} slots", graphs.len()
             );
-            proptest::prop_assert_eq!(built.always(), &always[..]);
+            let starts = (ni as usize + 1) * built.starts.bytes();
+            let slots = (always.len() + total as usize) * built.slots.bytes();
+            proptest::prop_assert!(built.heap_bytes() <= starts + 3 + slots);
+            proptest::prop_assert_eq!(built.always().iter().collect::<Vec<_>>(), always);
             for local in 0..ni + 2 {
                 let want = match offsets.get(local as usize..local as usize + 2) {
                     Some(&[lo, hi]) => &rows[lo as usize..hi as usize],
@@ -1500,6 +1496,158 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fanout's sections at the edges of their widths answer as the
+    /// `u32` model: one out-superedge (slots of no bytes), 256 and 257 of
+    /// them (one byte, then two), and row-entry totals either side of 2⁸
+    /// and 2¹⁶ (row starts of one, two and four bytes).
+    #[test]
+    fn fanout_sections_at_their_width_edges_answer_as_the_u32_model() {
+        let mut seen = std::collections::BTreeSet::new();
+        // (out-superedges, pages, sources per positive graph)
+        let cases = [
+            (1u32, 300u32, 255u32),
+            (1, 300, 256),
+            (2, 40, 20),
+            (256, 4, 1),
+            (257, 4, 1),
+            (3, 30_000, 21_845),
+            (3, 30_000, 21_846),
+        ];
+        for (slots, ni, per_graph) in cases {
+            // The second of two graphs is negative.
+            let graphs: Vec<Option<Vec<u32>>> = (0..slots)
+                .map(|k| {
+                    let mut sources: Vec<u32> = (k..k + per_graph).map(|p| p % ni).collect();
+                    sources.sort_unstable();
+                    (slots != 2 || k != 1).then_some(sources)
+                })
+                .collect();
+            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref)).expect("build");
+            let (offsets, rows, always) = model_fanout(ni, &graphs).expect("inside");
+            let total = u64::from(offsets[ni as usize]);
+            assert_eq!(built.starts, Width::below(total + 1), "{total} rows");
+            assert_eq!(built.slots, Width::below(u64::from(slots)));
+            seen.insert(built.starts);
+            seen.insert(built.slots);
+            assert!(built.always().iter().eq(always.iter().copied()));
+            for local in 0..=ni {
+                let want = match offsets.get(local as usize..local as usize + 2) {
+                    Some(&[lo, hi]) => &rows[lo as usize..hi as usize],
+                    _ => &[],
+                };
+                assert!(
+                    built.slots_of(local).iter().eq(want.iter().copied()),
+                    "page {local}"
+                );
+            }
+        }
+        let widths: Vec<Width> = seen.into_iter().collect();
+        assert_eq!(widths, [Width::Zero, Width::One, Width::Two, Width::Four]);
+    }
+
+    /// Every kind of entry is charged its header, its arena — each section
+    /// at its width, from a multiple of it, and nothing past the last —
+    /// and its memo cap.
+    #[test]
+    fn every_entry_is_charged_its_header_arena_and_memo_cap() {
+        let header = std::mem::size_of::<CachedGraph>();
+        let offsets = crate::refenc::offset_width;
+        let codec = crate::codec::ListCodec;
+
+        let lists: Vec<Vec<u32>> = (0..300u32).map(|i| vec![i % 7, 200 + i % 50]).collect();
+        let mode = crate::refenc::RefMode::Windowed(8);
+        let enc = crate::refenc::encode_lists(&lists, 300, mode, codec);
+        let universe = crate::refenc::Universe::SameAsCount;
+        let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec).expect("parse");
+        let (arena, memo) = (301 * offsets(enc.bit_len).bytes(), enc.bytes.len());
+        let g = CachedGraph::new_encoded_intra(blob(enc.bytes), enc.bit_len, index);
+        assert_eq!(g.bytes(), header + arena + memo, "intranode graph");
+
+        // Every other page of `ni` a source, as `list` has it.
+        let every_other = |ni: u32, list: &dyn Fn(u32) -> Vec<u32>| -> Vec<Vec<u32>> {
+            (0..ni)
+                .map(|p| if p % 2 == 0 { list(p / 2) } else { Vec::new() })
+                .collect()
+        };
+        let templates = [[2, 7, 30, 41], [3, 7, 33, 60], [0, 9, 30, 62]];
+        let missing = |p: u32| [p % 200, (p % 200 + 1 + p / 200) % 200];
+        let shapes = [
+            (
+                every_other(40, &|i| vec![i, i + 20_000, i + 40_000]),
+                60_000,
+                Layout::Lists,
+            ),
+            (
+                every_other(400, &|i| vec![[1, 5, 9, 13][i as usize % 4]]),
+                16,
+                Layout::SingleTargets,
+            ),
+            (
+                every_other(40, &|i| templates[i as usize % 3].to_vec()),
+                64,
+                Layout::ListDictionary,
+            ),
+            (
+                (0..30)
+                    .map(|p| (0..200).filter(|t| !missing(p).contains(t)).collect())
+                    .collect(),
+                200,
+                Layout::Lists,
+            ),
+        ];
+        for (dense, nj, layout) in shapes {
+            let ni = dense.len() as u64;
+            let mode = crate::refenc::RefMode::None;
+            let policy = crate::subgraphs::SuperedgePolicy::EncodedSize;
+            let enc = crate::subgraphs::encode_superedge(&dense, nj, mode, policy);
+            let index =
+                SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).expect("parse");
+            assert_eq!(index.layout(), layout);
+            let positive = index.positive_sources().is_some();
+            let sources = dense.iter().filter(|l| positive && !l.is_empty()).count();
+            let distinct = dense
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+                - 1;
+            let stored = if positive { sources } else { ni as usize };
+            let sources_at = Width::below(ni).after(0, sources);
+            let arena = match layout {
+                Layout::Lists => offsets(enc.bit_len).after(sources_at.end, stored + 1).end,
+                Layout::SingleTargets | Layout::ListDictionary => {
+                    let indexes = Width::below(distinct as u64).after(sources_at.end, sources);
+                    match layout {
+                        Layout::SingleTargets => Width::below(nj).after(indexes.end, distinct).end,
+                        _ => offsets(enc.bit_len).after(indexes.end, distinct + 1).end,
+                    }
+                }
+            };
+            let memo = match layout {
+                Layout::SingleTargets => 0,
+                _ => enc.bytes.len(),
+            };
+            assert_eq!(index.heap_bytes(), arena, "{layout:?}, positive {positive}");
+            let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, nj);
+            assert_eq!(
+                g.bytes(),
+                header + arena + memo,
+                "{layout:?}, positive {positive}"
+            );
+        }
+
+        // A fanout of 40 pages over three positive graphs and a negative one.
+        let graphs = [
+            Some(vec![1, 2, 3]),
+            None,
+            Some(vec![0, 39]),
+            Some((0..40).collect()),
+        ];
+        let fanout = Fanout::build(40, graphs.iter().map(Option::as_deref)).expect("build");
+        let starts = Width::One.after(0, 41);
+        let arena = Width::One.after(starts.end, 1 + 45).end;
+        assert_eq!(CachedGraph::from(fanout).bytes(), header + arena, "fanout");
     }
 
     #[test]

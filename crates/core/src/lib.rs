@@ -25,6 +25,7 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders, and k-means its vectors |
+//! | [`section`] | §4.3 | runs of values at the narrowest byte width their bound allows: the one section type every cache arena is cut into |
 //! | [`refenc`] | §3.1 | reference selection over the backward affinity graph (a window of preceding lists), list codec |
 //! | [`codec`] | — | what is left of a per-directory codec choice: two empty types a frozen caller still names, until ROADMAP item 1(a) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
@@ -60,6 +61,7 @@ pub mod refenc;
 // verified-blob bitset.
 #[allow(clippy::disallowed_types)]
 pub mod repr;
+pub mod section;
 pub mod subgraphs;
 pub mod supergraph;
 

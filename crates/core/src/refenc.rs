@@ -25,6 +25,7 @@
 
 use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
+use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
 use wg_bitio::{codes, rle, BitReader, BitWriter};
 
@@ -216,19 +217,18 @@ pub(crate) fn write_lists_planned(
 /// Splitting the directory from the data lets callers that keep many
 /// encoded graphs resident (the Table 2 in-memory access path) parse each
 /// directory once and decode lists straight out of the shared byte buffers.
-/// The offsets are its one allocation (`O` = `Box<[u32]>`, what
+/// The offsets are its one allocation (`O` = `Box<[u8]>`, what
 /// [`ListsIndex::parse`] returns), or a borrow of the section of a
-/// superedge graph's arena that holds them (`O` = `&[u32]`); either way
+/// superedge graph's arena that holds them (`O` = `&[u8]`); either way
 /// the decoder below is the same code.
 #[derive(Debug, Clone)]
-pub struct ListsIndex<O = Box<[u32]>> {
+pub struct ListsIndex<O = Box<[u8]>> {
     universe: u64,
     /// Absolute bit offset of each payload (one extra end sentinel), so
-    /// never empty. `u32` bounds a single encoded graph at 512 MiB —
-    /// orders of magnitude above any graph a sane partition produces, and
-    /// half the resident directory footprint, which is what the
-    /// query-time memory cap buys.
-    offsets: O,
+    /// never empty, at the width the graph's bit length needs
+    /// ([`offset_width`]), which is what the query-time memory cap buys.
+    /// Four bytes bound a single encoded graph at 512 MiB.
+    offsets: Section<O>,
 }
 
 impl ListsIndex {
@@ -248,11 +248,11 @@ impl ListsIndex {
     /// offset `start` inside `data` (used when the stream is embedded in a
     /// larger structure, e.g. a superedge graph header).
     pub fn parse_at(data: &[u8], bit_len: u64, start: u64, universe: Universe) -> Result<Self> {
-        let mut offsets = Vec::new();
-        let universe = scan_lists(data, bit_len, start, universe, &mut offsets)?;
+        let (mut arena, width) = (Vec::new(), offset_width(bit_len));
+        let (universe, lists, _) = scan_lists(data, bit_len, start, universe, &mut arena, width)?;
         Ok(Self {
             universe,
-            offsets: offsets.into_boxed_slice(),
+            offsets: Section::owned(arena, lists + 1, width),
         })
     }
 
@@ -267,23 +267,23 @@ impl ListsIndex {
     /// Heap footprint of the directory: its offsets. The value itself is
     /// charged by whatever holds it (a cache entry counts its own size).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * 4
+        self.offsets.heap_bytes()
     }
 }
 
-impl<'a> ListsIndex<&'a [u32]> {
+impl<'a> ListsIndex<&'a [u8]> {
     /// The directory whose offsets are `offsets` (never empty: one per
     /// list and the end sentinel), over `universe`.
-    pub(crate) fn view(universe: u64, offsets: &'a [u32]) -> Self {
+    pub(crate) fn view(universe: u64, offsets: Section<&'a [u8]>) -> Self {
         Self { universe, offsets }
     }
 }
 
-impl<O: AsRef<[u32]>> ListsIndex<O> {
+impl<O: AsRef<[u8]>> ListsIndex<O> {
     /// Number of lists.
     pub fn num_lists(&self) -> u32 {
         // One offset per list and the sentinel, at most 2³² of them.
-        self.offsets.as_ref().len().saturating_sub(1) as u32
+        self.offsets.len().saturating_sub(1) as u32
     }
 
     /// Universe size the entries live in.
@@ -295,7 +295,7 @@ impl<O: AsRef<[u32]>> ListsIndex<O> {
     /// coordinates as the stream this directory was parsed from. Anything
     /// between this and the declared bit length is trailing garbage.
     pub fn end_bit(&self) -> u64 {
-        self.offsets.as_ref().last().map_or(0, |&o| u64::from(o))
+        self.offsets.last().map_or(0, u64::from)
     }
 
     /// The reference parent of every list (`None` = plain), read from the
@@ -341,11 +341,12 @@ impl<O: AsRef<[u32]>> ListsIndex<O> {
 
     /// A reader over payload `i`.
     fn reader_at<'d>(&self, data: &'d [u8], bit_len: u64, i: u32) -> Result<BitReader<'d>> {
-        if i >= self.num_lists() {
-            return Err(SNodeError::Corrupt("list index out of range"));
-        }
+        // The end sentinel is no list's.
+        let at = (self.offsets.get(i as usize))
+            .filter(|_| i < self.num_lists())
+            .ok_or(SNodeError::Corrupt("list index out of range"))?;
         let mut r = BitReader::with_bit_len(data, bit_len);
-        r.seek(u64::from(self.offsets.as_ref()[i as usize]))?;
+        r.seek(u64::from(at))?;
         Ok(r)
     }
 
@@ -493,23 +494,32 @@ pub(crate) fn stream_list_count(data: &[u8], bit_len: u64, start: u64) -> Result
     Ok((n, r.position()))
 }
 
-/// Appends the offsets of the list stream at `start` to `offsets` — one
-/// per payload, then the end sentinel — and returns the stream's universe.
+/// The width of a list stream's offsets: bit positions in a graph of
+/// `bit_len` bits, the end included.
+pub(crate) fn offset_width(bit_len: u64) -> Width {
+    Width::below(bit_len + 1)
+}
+
+/// Appends the offsets of the list stream at `start` to `arena`, as a
+/// section at `width` ([`offset_width`] of `bit_len`) — one per payload,
+/// then the end sentinel — and returns the stream's universe, its number
+/// of lists and the bit one past its last list.
 ///
 /// The format stores no directory, so the offsets come from one scan over
 /// every payload's structure — counts, masks, gap codes — that
 /// materialises no list: a mask is as long as the parent's list, so one
 /// length per list is all it keeps. What needs the values themselves (a
 /// copied entry colliding with an extra) is checked when a list is
-/// decoded. A caller that reserved room for them first sees `offsets`
+/// decoded. A caller that reserved room for them first sees `arena`
 /// grow by exactly that; on an error it holds part of them.
 pub(crate) fn scan_lists(
     data: &[u8],
     bit_len: u64,
     start: u64,
     universe: Universe,
-    offsets: &mut Vec<u32>,
-) -> Result<u64> {
+    arena: &mut Vec<u8>,
+    width: Width,
+) -> Result<(u64, u32, u64)> {
     let (n, payloads) = stream_list_count(data, bit_len, start)?;
     let universe = match universe {
         Universe::Explicit(u) => u,
@@ -517,10 +527,10 @@ pub(crate) fn scan_lists(
     };
     let mut r = BitReader::with_bit_len(data, bit_len);
     r.seek(payloads)?;
-    offsets.reserve_exact(n as usize + 1);
+    section::reserve(arena, width, n as usize + 1);
     let mut lens: Vec<u32> = Vec::with_capacity(n as usize);
     for i in 0..n {
-        offsets.push(bit_offset_u32(r.position())?);
+        section::push(arena, width, bit_offset_u32(r.position())?);
         let reference_len = if r.read_bit()? {
             let parent = codes::read_minimal_binary(&mut r, n)?;
             if parent >= i {
@@ -532,8 +542,9 @@ pub(crate) fn scan_lists(
         };
         lens.push(scan_payload(&mut r, reference_len, universe)?);
     }
-    offsets.push(bit_offset_u32(r.position())?);
-    Ok(universe)
+    section::push(arena, width, bit_offset_u32(r.position())?);
+    // `stream_list_count` bounds the count by a `u32`.
+    Ok((universe, n as u32, r.position()))
 }
 
 /// Converts an untrusted bit position into a directory offset, rejecting
@@ -936,6 +947,21 @@ pub(crate) fn append_bounded_gap_list(
     let count = read_list_count(r, universe)?;
     out.reserve(count as usize);
     read_ascending_entries(r, count, universe, |x| out.push(x))
+}
+
+/// [`append_bounded_gap_list`] onto `arena` as a section at `width` (which
+/// holds `universe`); returns its length.
+pub(crate) fn append_gap_section(
+    r: &mut BitReader<'_>,
+    universe: u64,
+    arena: &mut Vec<u8>,
+    width: Width,
+) -> Result<u32> {
+    let count = read_list_count(r, universe)?;
+    section::reserve(arena, width, count as usize);
+    read_ascending_entries(r, count, universe, |x| section::push(arena, width, x))?;
+    // Distinct entries below a `u32` universe.
+    Ok(count as u32)
 }
 
 /// Walks the rest of one payload — after its mode bit and parent field —
@@ -1498,9 +1524,45 @@ pub(crate) mod tests {
             );
             let (offsets, decoded) =
                 materialising_offsets(&enc.bytes, enc.bit_len, universe).unwrap();
-            assert_eq!(&index.offsets[..], offsets, "{mode:?}");
+            assert_eq!(
+                index.offsets.view().iter().collect::<Vec<_>>(),
+                offsets,
+                "{mode:?}"
+            );
             assert_eq!(decoded, lists);
         }
+    }
+
+    /// Offsets are stored at the width the graph's bit length needs, and
+    /// on both sides of 2⁸ and 2¹⁶ bits — four bytes an offset past the
+    /// second — they are the `u32` model's and decode the lists that went
+    /// in.
+    #[test]
+    fn offsets_at_every_width_are_the_u32_models() {
+        let mut widths = std::collections::BTreeSet::new();
+        let mut check = |lists: &[Vec<u32>], mode: RefMode| {
+            let n = lists.len() as u64;
+            let enc = encode_lists(lists, n, mode, ListCodec);
+            let index =
+                ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec);
+            let index = index.unwrap();
+            let width = index.offsets.width();
+            assert_eq!(width, offset_width(enc.bit_len), "{} bits", enc.bit_len);
+            widths.insert(width);
+            let (offsets, decoded) = materialising_offsets(&enc.bytes, enc.bit_len, n).unwrap();
+            assert!(index.offsets.view().iter().eq(offsets.iter().copied()));
+            assert_eq!(index.heap_bytes(), offsets.len() * width.bytes());
+            assert_eq!(decoded, lists);
+            assert_eq!(index.decode_all(&enc.bytes, enc.bit_len).unwrap(), lists);
+        };
+        // An empty list takes two bits: 115–126 of them straddle 256 bits
+        // of intranode graph, 32 747–32 758 straddle 65 536.
+        for n in (115..127).chain(32_747..32_759) {
+            check(&vec![Vec::new(); n], RefMode::None);
+        }
+        check(&synth_lists(7, 3_000, 3_000), RefMode::Windowed(8));
+        let widths: Vec<Width> = widths.into_iter().collect();
+        assert_eq!(widths, [Width::One, Width::Two, Width::Four]);
     }
 
     /// What the writer of the deleted all-pairs selection produced for
@@ -1588,7 +1650,7 @@ pub(crate) mod tests {
             "every list costs the stream at least a bit"
         );
         assert_eq!(index.offsets.len(), index.num_lists() as usize + 1);
-        assert!(index.offsets.iter().all(|&o| u64::from(o) <= bit_len));
+        assert!(index.offsets.view().iter().all(|o| u64::from(o) <= bit_len));
         // One set of buffers for the whole directory, as a handle keeps.
         let (mut scratch, mut list) = (DecodeScratch::default(), Vec::new());
         for i in 0..index.num_lists() {

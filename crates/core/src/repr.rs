@@ -19,6 +19,7 @@ use crate::codec::ListCodec;
 use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
+use crate::section::Section;
 use crate::subgraphs::{scan_sources, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
@@ -545,7 +546,7 @@ impl SNode {
                 "graph cache holds a graph under a fanout key",
             ))?;
             scratch.slots.clear();
-            scratch.slots.extend_from_slice(fanout.always());
+            scratch.slots.extend(fanout.always().iter());
             for gi in g..end {
                 let local = pages[scratch.order[gi] as usize] - range.start;
                 scratch.slots.extend(fanout.slots_of(local).iter());
@@ -572,7 +573,7 @@ impl SNode {
                     start: self.dir.meta.page_range(j).start,
                     slot: k,
                     j,
-                    always: graph.is_none() || fanout.always().binary_search(&k).is_ok(),
+                    always: graph.is_none() || fanout.always().contains(k),
                     graph,
                 });
             }
@@ -903,7 +904,7 @@ impl SNodeInMemory {
             }
             fanout.push(Fanout::build(
                 meta.supernode_size(s),
-                (row.iter()).map(|(_, _, index, _)| index.positive_sources()),
+                (row.iter()).map(|(_, _, index, _)| index.positive_sources().map(Section::iter)),
             )?);
             supers.push(
                 (row.into_iter())
@@ -958,7 +959,7 @@ impl SNodeInMemory {
             Result::Ok(())
         };
         let fanout = &self.fanout[s as usize];
-        for k in (fanout.always().iter().copied()).chain(fanout.slots_of(local).iter()) {
+        for k in (fanout.always().iter()).chain(fanout.slots_of(local).iter()) {
             let j = row[k as usize];
             if j > s {
                 intranode(&mut out, &mut list, &mut scratch)?;
@@ -1511,7 +1512,7 @@ mod tests {
         }
         let fanout = degraded.cache.get(GraphKey::Fanout(s)).expect("cached");
         let always = fanout.as_fanout().expect("a fanout").always();
-        assert!(always.contains(&(k as u32)), "{always:?} names slot {k}");
+        assert!(always.contains(k as u32), "{always:?} names slot {k}");
         for p in (0..graph.num_nodes()).filter(|p| !range.contains(p)) {
             assert_eq!(
                 degraded.out_neighbors(p).unwrap(),
@@ -1548,9 +1549,9 @@ mod tests {
         zero_blob_tail(&dir, &loc, bits.header + bits.sources);
 
         let range = meta.page_range(s);
-        let listed = range.start + index.sources()[0];
+        let listed = range.start + index.sources().get(0).unwrap();
         let unlisted = (range.clone())
-            .find(|p| !index.sources().contains(&(p - range.start)))
+            .find(|p| !index.sources().contains(p - range.start))
             .unwrap();
         let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
         assert!(!snode.verifies_checksums());
@@ -1589,7 +1590,7 @@ mod tests {
                 let bytes = files.read_blob(&loc).unwrap();
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
                 if index.kind == crate::subgraphs::SuperedgeKind::Negative
-                    || index.sources().contains(&local)
+                    || index.sources().contains(local)
                 {
                     expected.push(GraphKey::Super(s, j));
                 } else {

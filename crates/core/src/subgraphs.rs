@@ -20,11 +20,12 @@
 use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
-    append_bounded_gap_list, bounded_gap_list_len, encode_lists, plain_cost, plan_lists,
-    scan_lists, stream_bits_floor, stream_list_count, write_bounded_gap_list, write_lists_planned,
-    DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode,
-    Universe,
+    append_bounded_gap_list, append_gap_section, bounded_gap_list_len, encode_lists, offset_width,
+    plain_cost, plan_lists, scan_lists, stream_bits_floor, stream_list_count,
+    write_bounded_gap_list, write_lists_planned, DecodeMemo, DecodeScratch, EncodedLists,
+    ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode, Universe,
 };
+use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
 use wg_bitio::{codes, BitReader, BitWriter};
 
@@ -504,10 +505,14 @@ pub fn decode_superedge(bytes: &[u8], bit_len: u64, ni: u64, nj: u64) -> Result<
 /// the offsets of the list stream — one list per source, or per page of
 /// `Ni` for a negative graph. (The bytes hold a dictionary's entries ahead
 /// of its indexes.)
+/// Each is a [`Section`] at the width its bound needs: `sources` by |Ni|,
+/// indexes by the entry count, targets by |Nj|, offsets by the bit length.
+/// Of those only |Ni| is kept: the other two widths are, in bytes the
+/// header's words leave, and the last section is the rest of the arena.
 #[derive(Debug)]
 pub struct SuperedgeIndex {
-    arena: Box<[u32]>,
-    /// How many words of `arena` are `sources`.
+    arena: Box<[u8]>,
+    /// How many values `sources` holds.
     sources: u32,
     /// `|Ni|` and `|Nj|`.
     ni: u32,
@@ -516,6 +521,10 @@ pub struct SuperedgeIndex {
     pub kind: SuperedgeKind,
     /// [`Layout::Lists`] for a negative graph.
     layout: Layout,
+    /// The width of a dictionary's indexes ([`Width::Zero`] otherwise).
+    index: Width,
+    /// The width of the last section: single targets, or offsets.
+    body: Width,
 }
 
 /// Where the bits of one encoded superedge graph go, by section; the
@@ -589,85 +598,112 @@ impl SuperedgeIndex {
             false => (SuperedgeKind::Positive, Layout::read(&mut r)?),
         };
         let mut arena = Vec::new();
-        if kind == SuperedgeKind::Positive {
-            append_bounded_gap_list(&mut r, ni, &mut arena)?;
-        }
-        // `sources` are distinct `u32`s below `|Ni|`, itself a `u32`.
-        let (sources, body_at) = (arena.len() as u64, r.position());
-        let (words, entries) = match layout {
+        let sources = match kind {
+            SuperedgeKind::Negative => 0,
+            SuperedgeKind::Positive => {
+                append_gap_section(&mut r, ni, &mut arena, Width::below(ni))?
+            }
+        };
+        let body_at = r.position();
+        // How many values the body holds, and a dictionary's entry count.
+        let (len, entries) = match layout {
             Layout::Lists => {
                 let (lists, _) = stream_list_count(bytes, bit_len, body_at)?;
                 let stored = match kind {
                     SuperedgeKind::Negative => ni,
-                    SuperedgeKind::Positive => sources,
+                    SuperedgeKind::Positive => u64::from(sources),
                 };
                 if lists != stored {
                     return Err(SNodeError::Corrupt(
                         "list stream count disagrees with sources",
                     ));
                 }
-                (sources + lists + 1, 0)
+                (lists + 1, 0)
             }
             Layout::SingleTargets | Layout::ListDictionary => {
                 // A builder writes one entry per distinct list, so never
                 // more than there are sources.
                 let entries = codes::read_gamma(&mut r)?;
-                if entries > sources || (entries == 0 && sources > 0) {
+                if entries > u64::from(sources) || (entries == 0 && sources > 0) {
                     return Err(SNodeError::Corrupt(
                         "dictionary size disagrees with sources",
                     ));
                 }
                 let sentinel = u64::from(layout == Layout::ListDictionary);
-                (2 * sources + entries + sentinel, entries)
+                (entries + sentinel, entries)
             }
         };
-        arena.reserve_exact((words - sources) as usize);
+        let (index, body) = match layout {
+            Layout::SingleTargets => (Width::below(entries), Width::below(nj)),
+            _ => (Width::below(entries), offset_width(bit_len)),
+        };
+        // A dictionary keeps one index per source.
+        let indexed = sources as usize * usize::from(layout != Layout::Lists);
+        let indexes = index.after(arena.len(), indexed);
+        let size = body.after(indexes.end, len as usize).end;
+        arena.reserve_exact(size - arena.len());
         let universe = Universe::Explicit(nj);
         if layout == Layout::Lists {
-            scan_lists(bytes, bit_len, body_at, universe, &mut arena)?;
+            scan_lists(bytes, bit_len, body_at, universe, &mut arena, body)?;
         } else {
             // The indexes go ahead of the entries they follow in the bytes.
-            let stored = arena.len();
-            arena.resize(2 * stored, 0);
+            arena.resize(indexes.end, 0);
             let index_at = match layout {
                 Layout::ListDictionary => {
-                    scan_lists(bytes, bit_len, body_at, universe, &mut arena)?;
-                    arena.last().map_or(body_at, |&end| u64::from(end))
+                    scan_lists(bytes, bit_len, body_at, universe, &mut arena, body)?.2
                 }
                 _ => {
                     r.seek(body_at)?;
-                    append_bounded_gap_list(&mut r, nj, &mut arena)?;
+                    append_gap_section(&mut r, nj, &mut arena, body)?;
                     r.position()
                 }
             };
             r.seek(index_at)?;
-            for slot in arena.get_mut(stored..2 * stored).unwrap_or_default() {
+            let slots = arena.get_mut(indexes).unwrap_or_default();
+            for i in 0..indexed {
                 // Below `entries` by construction of the code, so a `u32`.
-                *slot = codes::read_minimal_binary(&mut r, entries)? as u32;
+                let entry = codes::read_minimal_binary(&mut r, entries)? as u32;
+                section::put(slots, index, i, entry);
             }
         }
-        debug_assert_eq!(arena.len() as u64, words, "arena sized by its counts");
+        debug_assert_eq!(arena.len(), size, "arena sized by its counts");
         Ok(Self {
             arena: arena.into_boxed_slice(),
-            sources: sources as u32,
+            sources,
             ni: ni32,
             nj: nj32,
             kind,
             layout,
+            index,
+            body,
         })
     }
 
-    /// `sources`, and the rest of the arena.
-    fn split(&self) -> (&[u32], &[u32]) {
-        (self.arena)
-            .split_at_checked(self.sources as usize)
-            .unwrap_or_default()
-    }
-
-    /// A dictionary's per-source indexes, and its entries.
-    fn dictionary(&self) -> (&[u32], &[u32]) {
-        let (sources, body) = self.split();
-        body.split_at_checked(sources.len()).unwrap_or_default()
+    /// `sources`, a dictionary's indexes (empty otherwise), and the last
+    /// section: a dictionary's entries or a list stream's offsets. That
+    /// one is as long as the rest of the arena holds; at width 0, which
+    /// only the targets of a single-target dictionary into a one-page
+    /// supernode take, it is one entry (none without sources).
+    fn sections(&self) -> [Section<&[u8]>; 3] {
+        let sources = self.sources();
+        // A dictionary keeps one index per source.
+        let indexed = self.sources * u32::from(self.layout != Layout::Lists);
+        let end = sources.len() * Width::below(u64::from(self.ni)).bytes();
+        let indexes = (self.index).after(end, indexed as usize);
+        let body = self.body.after(indexes.end, 0).start;
+        let rest = self.arena.len().saturating_sub(body);
+        let len = match self.body {
+            Width::Zero => self.sources.min(1),
+            // A shift, not a division: 1, 2 and 4 bytes are 0, 1 and 2.
+            width => (rest >> (width.bytes() / 2)) as u32,
+        };
+        let body = body..body + len as usize * self.body.bytes();
+        let indexes = Section::cut(&self.arena, indexes, indexed, self.index);
+        [
+            sources,
+            indexes,
+            Section::cut(&self.arena, body, len, self.body),
+        ]
     }
 
     /// The positive target list of local source `s` (`nj` = |Nj|).
@@ -738,20 +774,20 @@ impl SuperedgeIndex {
         out: &mut Vec<u32>,
     ) -> Result<()> {
         out.clear();
+        let [_, index, body] = self.sections();
         let (offsets, list) = match self.layout {
-            Layout::Lists => (self.split().1, i),
+            Layout::Lists => (body, i),
             Layout::SingleTargets | Layout::ListDictionary => {
-                let (index, entries) = self.dictionary();
-                let entry = *(index.get(i as usize))
+                let entry = (index.get(i as usize))
                     .ok_or(SNodeError::Corrupt("stored list index out of range"))?;
                 if self.layout == Layout::ListDictionary {
-                    (entries, entry)
+                    (body, entry)
                 } else {
                     // Parsing validated every index against the entries, so
                     // a miss here means the arena was mutated afterwards.
-                    let target = (entries.get(entry as usize))
+                    let target = (body.get(entry as usize))
                         .ok_or(SNodeError::Corrupt("single-target dictionary slot missing"))?;
-                    out.push(*target);
+                    out.push(target);
                     return Ok(());
                 }
             }
@@ -776,20 +812,19 @@ impl SuperedgeIndex {
     /// Heap footprint of the directory: its arena, which parsing allocated
     /// at its final size — one offset per stored list plus one, or one
     /// index per source and one entry (or offset) per dictionary entry,
-    /// beside `sources` — so the cache charges what a graph occupies at
-    /// admission and never re-accounts.
+    /// beside `sources`, each at its width — so the cache charges what a
+    /// graph occupies at admission and never re-accounts.
     pub fn heap_bytes(&self) -> usize {
-        self.arena.len() * 4
+        self.arena.len()
     }
 
     /// Directory over the reference-encoded lists the graph stores — one
     /// per non-empty source ([`Layout::Lists`], positive), per source page
     /// (negative) or per distinct list ([`Layout::ListDictionary`]).
     /// `None` for [`Layout::SingleTargets`], which stores no list stream.
-    pub fn lists(&self) -> Option<ListsIndex<&[u32]>> {
+    pub fn lists(&self) -> Option<ListsIndex<&[u8]>> {
         let offsets = match self.layout {
-            Layout::Lists => self.split().1,
-            Layout::ListDictionary => self.dictionary().1,
+            Layout::Lists | Layout::ListDictionary => self.sections()[2],
             Layout::SingleTargets => return None,
         };
         Some(ListsIndex::view(u64::from(self.nj), offsets))
@@ -835,20 +870,21 @@ impl SuperedgeIndex {
     /// the size of what parsing kept of it, or ends where a list stream's
     /// last offset says.
     pub fn bit_breakdown(&self, _bytes: &[u8], _bit_len: u64) -> Result<SuperedgeBits> {
-        let (sources, body) = self.split();
+        let [sources, index, body] = self.sections();
+        let values = |section: Section<&[u8]>| section.iter().collect::<Vec<u32>>();
         // The marker's length is the one thing about a graph's bytes that
         // parsing does not keep; its code is a prefix code, so the layout
         // gives it back. A negative graph has none, and no `sources`.
         let (header, sources) = match self.kind {
             SuperedgeKind::Positive => (
                 1 + self.layout.marker().len() as u64,
-                bounded_gap_list_len(sources, u64::from(self.ni)),
+                bounded_gap_list_len(&values(sources), u64::from(self.ni)),
             ),
             SuperedgeKind::Negative => (1, 0),
         };
         let body_start = header + sources;
-        let stream = |offsets: &[u32]| {
-            let end = offsets.last().map_or(body_start, |&o| u64::from(o));
+        let stream = |offsets: Section<&[u8]>| {
+            let end = offsets.last().map_or(body_start, u64::from);
             end.saturating_sub(body_start)
         };
         let mut bits = SuperedgeBits {
@@ -859,16 +895,15 @@ impl SuperedgeIndex {
             index: 0,
             stream: 0,
         };
-        let (index, entries) = self.dictionary();
         match self.layout {
             Layout::Lists => bits.stream = stream(body),
             Layout::SingleTargets => {
-                bits.dictionary = bounded_gap_list_len(entries, u64::from(self.nj));
-                bits.index = index_bits(index, entries.len());
+                bits.dictionary = bounded_gap_list_len(&values(body), u64::from(self.nj));
+                bits.index = index_bits(&values(index), body.len());
             }
             Layout::ListDictionary => {
-                bits.dictionary = stream(entries);
-                bits.index = index_bits(index, entries.len().saturating_sub(1));
+                bits.dictionary = stream(body);
+                bits.index = index_bits(&values(index), body.len().saturating_sub(1));
             }
         }
         Ok(bits)
@@ -876,14 +911,16 @@ impl SuperedgeIndex {
 
     /// Positive encodings only: the sorted source ids with non-empty
     /// target lists (empty for negative encodings).
-    pub fn sources(&self) -> &[u32] {
-        self.split().0
+    pub fn sources(&self) -> Section<&[u8]> {
+        let width = Width::below(u64::from(self.ni));
+        let at = width.after(0, self.sources as usize);
+        Section::cut(&self.arena, at, self.sources, width)
     }
 
     /// What [`crate::cache::Fanout::build`] takes of a graph: the
     /// [`SuperedgeIndex::sources`] of a positive one, `None` for a
     /// negative one, which every page consults.
-    pub fn positive_sources(&self) -> Option<&[u32]> {
+    pub fn positive_sources(&self) -> Option<Section<&[u8]>> {
         (self.kind == SuperedgeKind::Positive).then(|| self.sources())
     }
 }
@@ -893,15 +930,17 @@ impl SuperedgeIndex {
 /// and the search gallops out from there: a graph whose sources are spread
 /// evenly answers from the one cache line it reads first, where halving
 /// reads a line per level.
-fn source_rank(sources: &[u32], s: u32, ni: u32) -> Option<usize> {
+fn source_rank(sources: Section<&[u8]>, s: u32, ni: u32) -> Option<usize> {
     let n = sources.len();
     let guess = (u64::from(s) * n as u64 / u64::from(ni.max(1))) as usize;
     let at = guess.min(n.checked_sub(1)?);
-    let (lo, hi) = match sources[at].cmp(&s) {
+    // Every position read is below `n`.
+    let source = |i: usize| sources.get(i).unwrap_or_default();
+    let (lo, hi) = match source(at).cmp(&s) {
         std::cmp::Ordering::Equal => return Some(at),
         std::cmp::Ordering::Less => {
             let (mut lo, mut step) = (at + 1, 1);
-            while lo + step <= n && sources[lo + step - 1] < s {
+            while lo + step <= n && source(lo + step - 1) < s {
                 lo += step;
                 step *= 2;
             }
@@ -909,14 +948,14 @@ fn source_rank(sources: &[u32], s: u32, ni: u32) -> Option<usize> {
         }
         std::cmp::Ordering::Greater => {
             let (mut hi, mut step) = (at, 1);
-            while hi >= step && sources[hi - step] > s {
+            while hi >= step && source(hi - step) > s {
                 hi -= step;
                 step *= 2;
             }
             (hi.saturating_sub(step), hi)
         }
     };
-    Some(lo + sources.get(lo..hi)?.binary_search(&s).ok()?)
+    Some(lo + sources.slice(lo..hi).position(s)?)
 }
 
 /// A parsed superedge graph bound to its bytes, supporting per-source
@@ -1292,7 +1331,7 @@ mod tests {
             enc.bit_len
         );
         assert_eq!(view.count_positive_edges(20).unwrap(), 40);
-        assert_eq!(view.index().sources(), (0..40u32).collect::<Vec<_>>());
+        assert!(view.index().sources().iter().eq(0..40u32));
     }
 
     #[test]
@@ -1607,13 +1646,13 @@ mod tests {
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
                     .unwrap();
             assert_eq!(index.layout(), layout);
-            let (per_source, entries) = index.dictionary();
+            let [_, per_source, entries] = index.sections();
             let distinct: std::collections::BTreeSet<&[u32]> = owned.lists.view().iter().collect();
             match layout {
                 Layout::SingleTargets => {
                     let targets: std::collections::BTreeSet<u32> =
                         distinct.iter().map(|l| l[0]).collect();
-                    assert!(entries.iter().copied().eq(targets));
+                    assert!(entries.iter().eq(targets));
                 }
                 _ => assert_eq!(
                     entries.len(),
@@ -1621,9 +1660,20 @@ mod tests {
                     "offsets and the sentinel"
                 ),
             }
-            assert_eq!(index.sources(), owned.sources);
+            assert!(index.sources().iter().eq(owned.sources.iter().copied()));
             assert_eq!(per_source.len(), owned.sources.len());
-            let arena = (2 * owned.sources.len() + entries.len()) * 4;
+            // Each section at the width its bound needs, from a multiple
+            // of it on: sources by |Ni|, indexes by the entry count, then
+            // targets by |Nj| or offsets by the bit length.
+            let sources = Width::below(links.ni).after(0, owned.sources.len());
+            let indexes =
+                Width::below(distinct.len() as u64).after(sources.end, owned.sources.len());
+            let last = match layout {
+                Layout::SingleTargets => Width::below(links.nj),
+                _ => offset_width(enc.bit_len),
+            };
+            assert_eq!(entries.width(), last, "{layout:?}");
+            let arena = last.after(indexes.end, entries.len()).end;
             assert_eq!(index.heap_bytes(), arena, "{layout:?}");
             for (s, want) in dense.iter().enumerate() {
                 let got = index.targets_of(&enc.bytes, enc.bit_len, s as u64, links.nj);
@@ -1768,8 +1818,9 @@ mod tests {
                 _ => (300..300 + drawn.len() as u32).collect(),
             };
             let ni = sources.last().map_or(0, |&last| last + 1) + beyond;
+            let section = section::section_of(&sources, u64::from(ni));
             for s in 0..ni {
-                prop_assert_eq!(source_rank(&sources, s, ni), sources.binary_search(&s).ok(), "page {}", s);
+                prop_assert_eq!(source_rank(section.view(), s, ni), sources.binary_search(&s).ok(), "page {}", s);
             }
         }
     }
@@ -1789,11 +1840,108 @@ mod tests {
         let built = index.lists().expect("built by the parse");
         assert_eq!(built.num_lists(), 3);
         assert_eq!(built.end_bit(), enc.bit_len);
-        assert_eq!(index.heap_bytes(), 3 * 4 + (3 + 1) * 4);
+        assert!(enc.bit_len < 256);
+        assert_eq!(index.heap_bytes(), 3 + (3 + 1), "a byte each");
         for (s, want) in pos.iter().enumerate() {
             let got = index.targets_of(&enc.bytes, enc.bit_len, s as u64, 15);
             assert_eq!(&got.unwrap(), want);
         }
+    }
+
+    /// Every section of a superedge graph's arena at the edges of its
+    /// width answers as the lists that went in: `sources` by |Ni| and
+    /// single targets by |Nj|, each of 1, 2, 255, 256, 65 535, 65 536 and
+    /// 70 000 (four bytes a source past 65 536); indexes by the entry
+    /// count, none for a one-entry dictionary; offsets by the bit length,
+    /// four bytes for a graph past 65 536 bits.
+    #[test]
+    fn sections_at_their_width_edges_answer_as_the_lists_that_went_in() {
+        let bounds = [1u32, 2, 255, 256, 65_535, 65_536, 70_000];
+        let ends = |n: u32| -> Vec<u32> {
+            let mut v = vec![0, n / 3, n / 2, n - 1];
+            v.dedup();
+            v
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for (&ni, &nj) in bounds.iter().zip(bounds.iter().rev()) {
+            let (sources, targets) = (ends(ni), ends(nj));
+            let t = |k: usize| targets[k % targets.len()];
+            // One target for all, a target each, a list each; and past
+            // 65 535 pages every page a source, its list one of `nj`.
+            let mut graphs: Vec<Vec<Vec<u32>>> = [
+                &(|_| vec![t(3)]) as &dyn Fn(usize) -> Vec<u32>,
+                &|k| vec![t(k)],
+                &|k| targets[k % targets.len()..].to_vec(),
+            ]
+            .iter()
+            .map(|list| {
+                let mut dense = vec![Vec::new(); ni as usize];
+                for (k, &s) in sources.iter().enumerate() {
+                    dense[s as usize] = list(k);
+                }
+                dense
+            })
+            .collect();
+            if ni > 65_534 {
+                let list = |s: u32| {
+                    let mut list = vec![s % nj, nj - 1];
+                    list.dedup();
+                    list
+                };
+                graphs.push((0..ni).map(list).collect());
+            }
+            for dense in graphs {
+                let policy = SuperedgePolicy::EncodedSize;
+                let enc = encode_superedge(&dense, u64::from(nj), RefMode::default(), policy);
+                let (ni64, nj64) = (u64::from(ni), u64::from(nj));
+                let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni64, nj64, ListCodec);
+                let index = index.unwrap();
+                assert_eq!(index.kind, SuperedgeKind::Positive);
+                let [sources, indexes, body] = index.sections();
+                assert_eq!(sources.width(), Width::below(ni64));
+                let entries = match index.layout() {
+                    Layout::Lists => 0,
+                    Layout::SingleTargets => body.len(),
+                    Layout::ListDictionary => body.len() - 1,
+                };
+                assert_eq!(indexes.width(), Width::below(entries as u64));
+                let body_width = match index.layout() {
+                    Layout::SingleTargets => Width::below(nj64),
+                    Layout::Lists | Layout::ListDictionary => offset_width(enc.bit_len),
+                };
+                assert_eq!(body.width(), body_width, "{ni} → {nj}");
+                let what = (
+                    index.layout(),
+                    sources.width(),
+                    indexes.width(),
+                    body.width(),
+                );
+                seen.insert(what);
+                // Every source, and the pages either side of it.
+                let pages = sources.iter().flat_map(|s| [s.saturating_sub(1), s, s + 1]);
+                for s in pages.filter(|&s| s < ni) {
+                    let got = index.targets_of(&enc.bytes, enc.bit_len, u64::from(s), nj64);
+                    assert_eq!(got.unwrap(), dense[s as usize], "{what:?}: page {s}");
+                }
+                assert_eq!(
+                    decode_superedge(&enc.bytes, enc.bit_len, ni64, nj64).unwrap(),
+                    dense
+                );
+            }
+        }
+        // (layout, sources, indexes, body) each of these was met.
+        use {Layout::SingleTargets as Singles, Width::*};
+        let has = |f: fn(Layout, Width, Width, Width) -> bool| {
+            seen.iter()
+                .any(|&(layout, sources, index, body)| f(layout, sources, index, body))
+        };
+        assert!(has(|_, sources, _, _| sources == Four), "{seen:?}");
+        assert!(has(|layout, _, index, body| layout == Singles
+            && index == Zero
+            && body == Zero));
+        assert!(has(|layout, _, index, _| layout == Singles && index == One));
+        assert!(has(|layout, _, _, body| layout == Singles && body == Four));
+        assert!(has(|layout, _, _, body| layout != Singles && body == Four));
     }
 
     /// A list stream cut inside its last list: a fanout build still reads

@@ -12,6 +12,7 @@ use wg_graph::Graph;
 use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey};
 use wg_snode::codec::ListCodec;
 use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
+use wg_snode::section::Section;
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
 use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
@@ -99,7 +100,7 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
         let graphs = superedges_of(&meta, &files, s);
         let fanout = Fanout::build(
             meta.supernode_size(s),
-            graphs.iter().map(SuperedgeIndex::positive_sources),
+            (graphs.iter()).map(|g| g.positive_sources().map(Section::iter)),
         )
         .unwrap();
         negatives += fanout.always().len();
@@ -107,10 +108,10 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
             let local = p - meta.page_range(s).start;
             let model: Vec<u32> = (0u32..)
                 .zip(&graphs)
-                .filter(|(_, g)| g.kind == SuperedgeKind::Negative || g.sources().contains(&local))
+                .filter(|(_, g)| g.kind == SuperedgeKind::Negative || g.sources().contains(local))
                 .map(|(k, _)| k)
                 .collect();
-            let mut got: Vec<u32> = fanout.always().to_vec();
+            let mut got: Vec<u32> = fanout.always().iter().collect();
             got.extend(fanout.slots_of(local).iter());
             got.sort_unstable();
             assert_eq!(got, model, "page {p}");
@@ -192,7 +193,7 @@ fn pick_positive_superedge(meta: &SNodeMeta, files: &IndexFileReader) -> (u32, u
             }
             let k = (graphs.iter())
                 .position(|g| g.kind == SuperedgeKind::Positive && !g.sources().is_empty())?;
-            Some((s, k, graphs[k].sources()[0]))
+            Some((s, k, graphs[k].sources().get(0)?))
         })
         .expect("a supernode with a positive out-superedge")
 }
@@ -272,7 +273,7 @@ fn fanout_bigger_than_its_shard_is_still_admitted() {
         .max_by_key(|&s| meta.supernode_size(s))
         .unwrap();
     let graphs = superedges_of(&meta, &files, s);
-    let sources = graphs.iter().map(SuperedgeIndex::positive_sources);
+    let sources = (graphs.iter()).map(|g| g.positive_sources().map(Section::iter));
     let fanout = Fanout::build(meta.supernode_size(s), sources).unwrap();
     assert!(CachedGraph::from(fanout).bytes() > budget);
 

@@ -547,11 +547,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
                 match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, ListCodec) {
                     Ok(i) if i.kind == SuperedgeKind::Positive => {
                         let bits = i.bit_breakdown(&clean, loc.bit_len).unwrap();
-                        (
-                            i.sources().first().copied(),
-                            i.layout(),
-                            bits.header + bits.sources,
-                        )
+                        (i.sources().get(0), i.layout(), bits.header + bits.sources)
                     }
                     _ => continue,
                 };
