@@ -1,19 +1,29 @@
-//! The multi-pass walk over an on-disk S-Node representation.
+//! The one walk over an on-disk S-Node directory (`wgr check`).
 //!
-//! Pass 1 audits the resident metadata (PageID tiling, domain index, the
-//! stored supernode-graph stream). Pass 2 audits the physical index files
-//! against the locator tables. Pass 3 decodes every intranode and
-//! superedge graph and checks the per-graph invariants. Nothing here stops
-//! at the first finding: the only fatal condition is `meta.bin` itself
-//! being unreadable, because every other check is rooted in it.
+//! The physical pass runs first. It reads `sums.bin`, then every file the
+//! manifest lists, whole, and holds each to its record: `meta.bin` by its
+//! four sections, an index file by the CRC of each graph blob in it.
+//! Damage is reported once, at the finest unit that caught it — SN104 for
+//! a blob, SN102 for a `meta.bin` section, and SN103 or SN105 for a whole
+//! file only when no finer record in it failed (`pagemap.bin`, bytes past
+//! the last blob, a file cut short or missing).
+//!
+//! The logical passes then decode only what verified: the resident
+//! metadata (PageID tiling, domain index, the stored supernode-graph
+//! stream), the index files' sizes against the locator tables, and every
+//! graph whose blob matched its CRC. Nothing stops at the first finding.
+//! A directory without a usable manifest, or whose `meta.bin` does not
+//! verify and parse, gets no logical pass: nothing in it can be trusted.
 
 use crate::{Code, Diagnostic, Location, Report};
 use std::path::Path;
 use wg_snode::codec::ListCodec;
-use wg_snode::disk::{index_file_path, GraphLocator, IndexFileReader, SNodeMeta};
+use wg_snode::disk::{GraphLocator, SNodeMeta};
+use wg_snode::integrity::{meta_section_bounds, META_SECTION_NAMES};
 use wg_snode::refenc::{ListsIndex, Universe, MAX_REF_CHAIN};
 use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
 use wg_snode::supergraph::SupernodeGraph;
+use wg_snode::IntegrityManifest;
 
 /// Aggregate facts about the representation, reported alongside the
 /// diagnostics.
@@ -63,36 +73,282 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Runs every pass over the representation in `dir` and returns all
-/// findings.
-///
-/// `Err` is reserved for a representation so damaged that nothing can be
-/// audited: `meta.bin` missing, truncated, or undecodable. Everything
-/// else — missing index files, corrupt graphs, broken invariants — comes
-/// back as diagnostics inside the `Ok` report.
-pub fn check(dir: &Path) -> wg_snode::Result<Report> {
-    let meta = SNodeMeta::read(dir)?;
+/// Runs every pass over the directory `dir` and returns all findings.
+/// Infallible: a directory too damaged to audit — no manifest, or a
+/// `meta.bin` that is missing or does not verify — is an error-severity
+/// diagnostic like any other.
+pub fn check(dir: &Path) -> Report {
     let mut diags = Vec::new();
-    let mut summary = Summary {
-        num_pages: meta.num_pages,
-        num_supernodes: meta.num_supernodes(),
-        num_superedges: meta.supergraph.num_superedges(),
-        ..Summary::default()
-    };
-
-    check_page_ranges(&meta, &mut diags);
-    check_domain_index(&meta, &mut diags);
-    check_supergraph_stream(dir, &mut diags);
-    let files = check_index_files(dir, &meta, &mut diags, &mut summary);
-    check_graphs(dir, &meta, &files, &mut diags, &mut summary);
-
-    Ok(Report {
+    let mut summary = Summary::default();
+    if let Some(v) = verify(dir, &mut diags) {
+        summary.num_pages = v.meta.num_pages;
+        summary.num_supernodes = v.meta.num_supernodes();
+        summary.num_superedges = v.meta.supergraph.num_superedges();
+        summary.num_index_files = v.files.len() as u32;
+        summary.index_bytes = v.files.iter().map(|f| f.len() as u64).sum();
+        check_page_ranges(&v.meta, &mut diags);
+        check_domain_index(&v.meta, &mut diags);
+        check_supergraph_stream(&v.meta, &v.meta_buf, &mut diags);
+        check_index_files(&v.meta, &v.files, &mut diags);
+        check_graphs(&v, &mut diags, &mut summary);
+    }
+    Report {
         diagnostics: diags,
         summary,
+    }
+}
+
+/// Every graph of the directory in the builder's linear order — supernode
+/// `s`'s intranode graph, then its superedge graphs in `adj[s]` order —
+/// which is the order of the manifest's blob CRCs.
+fn graphs(meta: &SNodeMeta) -> impl Iterator<Item = (Location, &GraphLocator)> {
+    (0..meta.num_supernodes()).flat_map(move |s| {
+        let supers = (meta.supergraph.adj[s as usize].iter())
+            .zip(&meta.superedge_loc[s as usize])
+            .map(move |(&j, loc)| (Location::Superedge(s, j), loc));
+        std::iter::once((Location::Intranode(s), &meta.intranode_loc[s as usize])).chain(supers)
     })
 }
 
-// --- Pass 1: resident metadata ---------------------------------------------
+/// The bytes of the graph at `loc`, or `None` when it lies outside the
+/// index files.
+fn blob<'a>(files: &'a [Vec<u8>], loc: &GraphLocator) -> Option<&'a [u8]> {
+    let end = loc.offset.checked_add(loc.byte_len)?;
+    files
+        .get(loc.file as usize)?
+        .get(loc.offset as usize..end as usize)
+}
+
+// --- The physical pass -------------------------------------------------------
+
+/// What the physical pass verified, for the logical passes to decode.
+struct Verified {
+    meta: SNodeMeta,
+    meta_buf: Vec<u8>,
+    /// The index files in number order, as read (empty where one is not).
+    files: Vec<Vec<u8>>,
+    /// Per graph, in linear order: whether its blob matched its CRC.
+    blob_ok: Vec<bool>,
+}
+
+/// Where a finding about the manifest-listed file `name` is anchored.
+fn file_location(name: &str) -> Location {
+    match name {
+        "meta.bin" => Location::Meta,
+        "pagemap.bin" => Location::Pagemap,
+        _ => (name.strip_prefix("index_"))
+            .and_then(|r| r.strip_suffix(".bin"))
+            .and_then(|n| n.parse().ok())
+            .map_or(Location::Manifest, Location::IndexFile),
+    }
+}
+
+/// Checks `sums.bin`, every file it lists, the `meta.bin` sections and the
+/// graph blobs, pushing a diagnostic per damaged unit. `Some` when
+/// `meta.bin` verified and parsed, so that the logical passes can run.
+fn verify(dir: &Path, diags: &mut Vec<Diagnostic>) -> Option<Verified> {
+    let manifest = match IntegrityManifest::read(dir) {
+        Ok(Some(m)) => m,
+        Ok(None) => {
+            diags.push(Diagnostic::new(
+                Code::MissingManifest,
+                Location::Manifest,
+                "no integrity manifest, so nothing can be verified: rebuild the directory",
+            ));
+            return None;
+        }
+        Err(e) => {
+            diags.push(Diagnostic::new(
+                Code::ManifestCorrupt,
+                Location::Manifest,
+                format!("integrity manifest unreadable: {e}"),
+            ));
+            return None;
+        }
+    };
+
+    // Whole files. The damage of a file with finer records (`meta.bin`,
+    // the index files) is held until those have had their say.
+    let mut meta_file = None;
+    let mut files: Vec<Vec<u8>> = Vec::new();
+    let mut held: Vec<Option<Diagnostic>> = Vec::new();
+    for sum in &manifest.files {
+        let at = file_location(&sum.name);
+        let bytes = match wg_fault::read_file(&dir.join(&sum.name)) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                diags.push(Diagnostic::new(
+                    Code::TruncatedFile,
+                    at,
+                    format!("unreadable ({}): {e}", sum.name),
+                ));
+                continue;
+            }
+        };
+        let damage = if bytes.len() as u64 != sum.len {
+            Some(Diagnostic::new(
+                Code::TruncatedFile,
+                at,
+                format!(
+                    "{} byte(s) on disk, manifest records {} ({})",
+                    bytes.len(),
+                    sum.len,
+                    sum.name
+                ),
+            ))
+        } else if wg_fault::crc32c(&bytes) != sum.crc {
+            Some(Diagnostic::new(
+                Code::FileChecksum,
+                at,
+                format!(
+                    "whole-file checksum mismatch ({} bytes, {})",
+                    sum.len, sum.name
+                ),
+            ))
+        } else {
+            None
+        };
+        match at {
+            Location::Meta => meta_file = Some((bytes, damage)),
+            Location::IndexFile(no) => {
+                let no = no as usize;
+                if files.len() <= no {
+                    files.resize_with(no + 1, Vec::new);
+                    held.resize_with(no + 1, || None);
+                }
+                files[no] = bytes;
+                held[no] = damage;
+            }
+            _ => diags.extend(damage),
+        }
+    }
+    let verified = verify_meta(&manifest, meta_file, diags).map(|(meta, meta_buf)| {
+        let blob_ok = verify_blobs(&manifest, &meta, &files, &mut held, diags);
+        Verified {
+            meta,
+            meta_buf,
+            files,
+            blob_ok,
+        }
+    });
+    diags.extend(held.into_iter().flatten());
+    verified
+}
+
+/// `meta.bin` verified section by section, then parsed. The parse also
+/// checks the header's version and codec word: checksums prove the bytes
+/// are the ones a builder wrote, not that it wrote the one format read.
+fn verify_meta(
+    manifest: &IntegrityManifest,
+    meta_file: Option<(Vec<u8>, Option<Diagnostic>)>,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<(SNodeMeta, Vec<u8>)> {
+    let Some((buf, damage)) = meta_file else {
+        // Unreadable (reported) or, in a manifest that lists no `meta.bin`,
+        // never read.
+        if manifest.file_sum("meta.bin").is_none() {
+            diags.push(Diagnostic::new(
+                Code::ManifestCorrupt,
+                Location::Manifest,
+                "integrity manifest lists no meta.bin",
+            ));
+        }
+        return None;
+    };
+    if let Some(damage) = damage {
+        let locations = [
+            Location::Meta,
+            Location::Supergraph,
+            Location::SizeTable,
+            Location::DomainIndex,
+        ];
+        let before = diags.len();
+        for ((sec, name), at) in manifest
+            .meta_sections
+            .iter()
+            .zip(META_SECTION_NAMES)
+            .zip(locations)
+        {
+            let end = sec.start.saturating_add(sec.len);
+            let bytes = buf.get(sec.start as usize..end as usize);
+            if bytes.is_some_and(|b| wg_fault::crc32c(b) != sec.crc) {
+                diags.push(Diagnostic::new(
+                    Code::MetaSectionChecksum,
+                    at,
+                    format!(
+                        "meta.bin {name} section ({} bytes at offset {}) checksum mismatch",
+                        sec.len, sec.start
+                    ),
+                ));
+            }
+        }
+        if diags.len() == before {
+            diags.push(damage);
+        }
+        return None;
+    }
+    match SNodeMeta::parse(&buf) {
+        Ok(meta) => Some((meta, buf)),
+        Err(e) => {
+            diags.push(Diagnostic::new(
+                Code::DecodeError,
+                Location::Meta,
+                format!("meta.bin verified but does not parse: {e}"),
+            ));
+            None
+        }
+    }
+}
+
+/// Each graph blob against its CRC (SN104). A failed blob clears the held
+/// damage of its file: the blob is the finer unit that caught it. A blob
+/// outside the index files is left to the logical pass.
+fn verify_blobs(
+    manifest: &IntegrityManifest,
+    meta: &SNodeMeta,
+    files: &[Vec<u8>],
+    held: &mut [Option<Diagnostic>],
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<bool> {
+    let num_graphs = graphs(meta).count();
+    if manifest.blob_crc.len() != num_graphs {
+        diags.push(Diagnostic::new(
+            Code::ManifestCorrupt,
+            Location::Manifest,
+            format!(
+                "manifest records {} blob checksum(s) but meta.bin names {num_graphs} graph(s)",
+                manifest.blob_crc.len()
+            ),
+        ));
+        return vec![false; num_graphs];
+    }
+    let mut blob_ok = Vec::with_capacity(num_graphs);
+    for ((at, loc), &crc) in graphs(meta).zip(&manifest.blob_crc) {
+        let Some(bytes) = blob(files, loc) else {
+            blob_ok.push(false);
+            continue;
+        };
+        let ok = wg_fault::crc32c(bytes) == crc;
+        if !ok {
+            diags.push(Diagnostic::new(
+                Code::BlobChecksum,
+                at,
+                format!(
+                    "encoded graph ({} bytes in index_{:03}.bin at offset {}) \
+                     checksum mismatch",
+                    loc.byte_len, loc.file, loc.offset
+                ),
+            ));
+            if let Some(file) = held.get_mut(loc.file as usize) {
+                *file = None;
+            }
+        }
+        blob_ok.push(ok);
+    }
+    blob_ok
+}
+
+// --- The logical passes: resident metadata ------------------------------------
 
 /// SN001: `SNodeMeta::read` requires the ranges to tile `0..num_pages`
 /// monotonically, but tolerates empty ranges; the builder never produces a
@@ -159,104 +415,60 @@ fn check_domain_index(meta: &SNodeMeta, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// SN040 + SN050 on the supernode-graph stream inside `meta.bin`: the
-/// stored Huffman length table must be the canonical one implied by the
-/// decoded in-degrees (the decoder re-derives code words from lengths, so
-/// a non-canonical table still decodes — it is just not what the builder
-/// writes), and the stream must end exactly at its declared bit length.
-fn check_supergraph_stream(dir: &Path, diags: &mut Vec<Diagnostic>) {
-    let (bytes, bits) = match SNodeMeta::read_supergraph_section(dir) {
-        Ok(v) => v,
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                Code::DecodeError,
-                Location::Supergraph,
-                format!("could not re-read supergraph stream: {e}"),
-            ));
-            return;
-        }
+/// SN040 + SN050 on the supernode-graph stream of the verified `meta.bin`:
+/// the stored Huffman length table must be the canonical one implied by
+/// the decoded in-degrees (the decoder re-derives code words from lengths,
+/// so a non-canonical table still decodes — it is just not what the
+/// builder writes), and the stream must end exactly at its declared bit
+/// length.
+fn check_supergraph_stream(meta: &SNodeMeta, buf: &[u8], diags: &mut Vec<Diagnostic>) {
+    // The section is the stream's bit and byte lengths (`u64` each), then
+    // the stream, which `SNodeMeta::parse` has already decoded once.
+    let Ok([_, (start, len), ..]) = meta_section_bounds(buf) else {
+        return;
     };
-    match SupernodeGraph::decode_full(&bytes, bits) {
-        Ok((graph, stored_lengths, end)) => {
-            let canonical = graph.canonical_code();
-            if stored_lengths != canonical.lengths() {
-                diags.push(Diagnostic::new(
-                    Code::HuffmanNonCanonical,
-                    Location::Supergraph,
-                    "stored Huffman length table differs from the canonical table \
-                     implied by the supernode in-degrees"
-                        .to_string(),
-                ));
-            }
-            if end < bits {
-                diags.push(Diagnostic::new(
-                    Code::TrailingBits,
-                    Location::Supergraph,
-                    format!("decode consumed {end} of {bits} declared bits"),
-                ));
-            }
-        }
-        Err(e) => {
-            // `SNodeMeta::read` decodes this same stream, so reaching here
-            // means the two reads raced with a concurrent writer.
-            diags.push(Diagnostic::new(
-                Code::DecodeError,
-                Location::Supergraph,
-                format!("supergraph stream failed to decode: {e}"),
-            ));
-        }
+    let stream = buf
+        .get(start as usize + 16..(start + len) as usize)
+        .unwrap_or_default();
+    let bits = meta.supergraph_bits;
+    let Ok((graph, stored_lengths, end)) = SupernodeGraph::decode_full(stream, bits) else {
+        return;
+    };
+    if stored_lengths != graph.canonical_code().lengths() {
+        diags.push(Diagnostic::new(
+            Code::HuffmanNonCanonical,
+            Location::Supergraph,
+            "stored Huffman length table differs from the canonical table \
+             implied by the supernode in-degrees",
+        ));
+    }
+    if end < bits {
+        diags.push(Diagnostic::new(
+            Code::TrailingBits,
+            Location::Supergraph,
+            format!("decode consumed {end} of {bits} declared bits"),
+        ));
     }
 }
 
-// --- Pass 2: index files ----------------------------------------------------
+// --- The logical passes: index files -------------------------------------------
 
-/// On-disk index-file sizes, in file-number order.
-struct IndexFiles {
-    sizes: Vec<u64>,
-}
-
-impl IndexFiles {
-    /// True when `loc` names an existing file and lies within it.
-    fn contains(&self, loc: &GraphLocator) -> bool {
-        self.sizes
-            .get(loc.file as usize)
-            .is_some_and(|&size| loc.offset.saturating_add(loc.byte_len) <= size)
-    }
-}
-
-/// SN060 + the bounds half of SN070/SN013: stats every `index_NNN.bin`,
-/// cross-checks sizes against the locator tables, and flags files that
-/// break the rotation discipline.
-fn check_index_files(
-    dir: &Path,
-    meta: &SNodeMeta,
-    diags: &mut Vec<Diagnostic>,
-    summary: &mut Summary,
-) -> IndexFiles {
-    let mut sizes = Vec::new();
-    while let Ok(m) = std::fs::metadata(index_file_path(dir, sizes.len() as u32)) {
-        sizes.push(m.len());
-    }
-    summary.num_index_files = sizes.len() as u32;
-    summary.index_bytes = sizes.iter().sum();
-    let files = IndexFiles { sizes };
-
+/// SN060: cross-checks the index files' sizes against the locator tables,
+/// and flags files that break the rotation discipline.
+fn check_index_files(meta: &SNodeMeta, files: &[Vec<u8>], diags: &mut Vec<Diagnostic>) {
     // Referenced extent and graph count per file.
-    let mut extent = vec![0u64; files.sizes.len()];
-    let mut graphs = vec![0u32; files.sizes.len()];
-    let all_locs = meta
-        .intranode_loc
-        .iter()
-        .chain(meta.superedge_loc.iter().flatten());
-    for loc in all_locs {
+    let mut extent = vec![0u64; files.len()];
+    let mut graphs_in = vec![0u32; files.len()];
+    for (_, loc) in graphs(meta) {
         if let Some(e) = extent.get_mut(loc.file as usize) {
             *e = (*e).max(loc.offset.saturating_add(loc.byte_len));
-            graphs[loc.file as usize] += 1;
+            graphs_in[loc.file as usize] += 1;
         }
     }
-    for (no, &size) in files.sizes.iter().enumerate() {
+    for (no, file) in files.iter().enumerate() {
+        let size = file.len() as u64;
         let loc = Location::IndexFile(no as u32);
-        if graphs[no] == 0 {
+        if graphs_in[no] == 0 {
             diags.push(Diagnostic::new(
                 Code::IndexFileOversize,
                 loc,
@@ -276,21 +488,20 @@ fn check_index_files(
         }
         // A single graph larger than the cap legitimately gets a file to
         // itself; two or more graphs must respect the rotation rule.
-        if size > meta.max_file_bytes && graphs[no] > 1 {
+        if size > meta.max_file_bytes && graphs_in[no] > 1 {
             diags.push(Diagnostic::new(
                 Code::IndexFileOversize,
                 loc,
                 format!(
                     "{size} bytes exceeds the {} byte cap with {} graphs inside",
-                    meta.max_file_bytes, graphs[no]
+                    meta.max_file_bytes, graphs_in[no]
                 ),
             ));
         }
     }
-    files
 }
 
-// --- Pass 3: every graph ----------------------------------------------------
+// --- The logical passes: every graph -------------------------------------------
 
 /// Accumulates per-list violations so one bad graph yields a bounded
 /// number of diagnostics instead of one per list.
@@ -389,91 +600,55 @@ fn audit_ref_chains(parents: &[Option<u32>], loc: Location, diags: &mut Vec<Diag
     }
 }
 
-/// Decodes every intranode and superedge graph and audits the per-graph
-/// invariants (SN010–SN050, plus the missing-graph half of SN070/SN013).
-fn check_graphs(
-    dir: &Path,
-    meta: &SNodeMeta,
-    files: &IndexFiles,
-    diags: &mut Vec<Diagnostic>,
-    summary: &mut Summary,
-) {
-    let total_graphs =
-        meta.intranode_loc.len() + meta.superedge_loc.iter().map(Vec::len).sum::<usize>();
-    if files.sizes.is_empty() {
-        if total_graphs > 0 {
-            diags.push(Diagnostic::new(
-                Code::DecodeError,
-                Location::Meta,
-                format!("no index files on disk; {total_graphs} graph(s) are unreadable"),
-            ));
-        }
-        return;
-    }
-    let reader = match IndexFileReader::open_resident(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                Code::DecodeError,
-                Location::Meta,
-                format!("could not open index files: {e}"),
-            ));
-            return;
-        }
-    };
-
-    let n = meta.num_supernodes();
-    for s in 0..n {
-        let ni = u64::from(meta.supernode_size(s));
-        check_intranode(meta, files, &reader, s, ni, diags, summary);
-        for (k, &j) in meta.supergraph.adj[s as usize].iter().enumerate() {
-            let nj = if (j as usize) < meta.range_start.len() - 1 {
-                u64::from(meta.supernode_size(j))
-            } else {
-                // Target out of range is caught at supergraph decode; be
-                // defensive anyway.
-                0
+/// Decodes every graph whose blob verified and audits the per-graph
+/// invariants (SN010–SN050); a locator outside the index files is SN013
+/// for an intranode graph and SN070 for a superedge graph.
+fn check_graphs(v: &Verified, diags: &mut Vec<Diagnostic>, summary: &mut Summary) {
+    for ((at, loc), &ok) in graphs(&v.meta).zip(&v.blob_ok) {
+        let Some(bytes) = blob(&v.files, loc) else {
+            let (code, edge) = match at {
+                Location::Superedge(s, j) => (
+                    Code::MissingSuperedgeGraph,
+                    format!("supernode graph has edge {s}->{j} but its "),
+                ),
+                _ => (Code::DecodeError, String::new()),
             };
-            let loc = meta.superedge_loc[s as usize][k];
-            check_superedge(files, &reader, s, j, ni, nj, &loc, diags, summary);
+            diags.push(Diagnostic::new(
+                code,
+                at,
+                format!(
+                    "{edge}locator (file {}, offset {}, {} bytes) lies outside the index files",
+                    loc.file, loc.offset, loc.byte_len
+                ),
+            ));
+            continue;
+        };
+        if !ok {
+            continue; // its damage is the physical pass's finding
+        }
+        match at {
+            Location::Intranode(s) => {
+                check_intranode(&v.meta, s, bytes, loc.bit_len, diags, summary);
+            }
+            Location::Superedge(s, j) => {
+                check_superedge(&v.meta, s, j, bytes, loc.bit_len, diags, summary);
+            }
+            _ => {}
         }
     }
 }
 
 fn check_intranode(
     meta: &SNodeMeta,
-    files: &IndexFiles,
-    reader: &IndexFileReader,
     s: u32,
-    ni: u64,
+    bytes: &[u8],
+    bit_len: u64,
     diags: &mut Vec<Diagnostic>,
     summary: &mut Summary,
 ) {
     let here = Location::Intranode(s);
-    let loc = meta.intranode_loc[s as usize];
-    if !files.contains(&loc) {
-        diags.push(Diagnostic::new(
-            Code::DecodeError,
-            here,
-            format!(
-                "locator (file {}, offset {}, {} bytes) lies outside the index files",
-                loc.file, loc.offset, loc.byte_len
-            ),
-        ));
-        return;
-    }
-    let bytes = match reader.read_blob(&loc) {
-        Ok(b) => b,
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                Code::DecodeError,
-                here,
-                format!("read failed: {e}"),
-            ));
-            return;
-        }
-    };
-    let (index, lists) = match ListsIndex::load(&bytes, loc.bit_len, Universe::SameAsCount) {
+    let ni = u64::from(meta.supernode_size(s));
+    let (index, lists) = match ListsIndex::load(bytes, bit_len, Universe::SameAsCount) {
         Ok(v) => v,
         Err(e) => {
             diags.push(Diagnostic::new(
@@ -500,7 +675,7 @@ fn check_intranode(
         audit.scan(i as u32, list.iter().copied(), index.universe());
     }
     audit.emit(index.universe(), here, diags);
-    match index.reference_parents(&bytes, loc.bit_len) {
+    match index.reference_parents(bytes, bit_len) {
         Ok(parents) => audit_ref_chains(&parents, here, diags),
         Err(e) => diags.push(Diagnostic::new(
             Code::DecodeError,
@@ -508,61 +683,36 @@ fn check_intranode(
             format!("reference directory unreadable: {e}"),
         )),
     }
-    if index.end_bit() < loc.bit_len {
+    if index.end_bit() < bit_len {
         diags.push(Diagnostic::new(
             Code::TrailingBits,
             here,
             format!(
                 "decode consumed {} of {} declared bits",
                 index.end_bit(),
-                loc.bit_len
+                bit_len
             ),
         ));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_superedge(
-    files: &IndexFiles,
-    reader: &IndexFileReader,
+    meta: &SNodeMeta,
     s: u32,
     j: u32,
-    ni: u64,
-    nj: u64,
-    loc: &GraphLocator,
+    bytes: &[u8],
+    bit_len: u64,
     diags: &mut Vec<Diagnostic>,
     summary: &mut Summary,
 ) {
     let here = Location::Superedge(s, j);
-    if !files.contains(loc) {
-        diags.push(Diagnostic::new(
-            Code::MissingSuperedgeGraph,
-            here,
-            format!(
-                "supernode graph has edge {s}->{j} but its locator \
-                 (file {}, offset {}, {} bytes) lies outside the index files",
-                loc.file, loc.offset, loc.byte_len
-            ),
-        ));
-        return;
-    }
-    let bytes = match reader.read_blob(loc) {
-        Ok(b) => b,
-        Err(e) => {
-            diags.push(Diagnostic::new(
-                Code::MissingSuperedgeGraph,
-                here,
-                format!("supernode graph has edge {s}->{j} but the graph is unreadable: {e}"),
-            ));
-            return;
-        }
-    };
+    let (ni, nj) = (meta.supernode_size(s).into(), meta.supernode_size(j).into());
     // The analyzer reads every stored list, so it asks for the list count
     // and the end of the payload straight after the parse, which built the
     // list-stream directory or the dictionary they come from.
-    let parsed = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).and_then(|index| {
-        let num_stored = index.num_stored_lists(&bytes, loc.bit_len)?;
-        let end_bit = index.end_bit(&bytes, loc.bit_len)?;
+    let parsed = SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec).and_then(|index| {
+        let num_stored = index.num_stored_lists(bytes, bit_len)?;
+        let end_bit = index.end_bit(bytes, bit_len)?;
         Ok((index, num_stored, end_bit))
     });
     let (index, num_stored, end_bit) = match parsed {
@@ -579,7 +729,7 @@ fn check_superedge(
     // Decode every stored list once; all per-list checks run off this.
     let mut stored = Vec::with_capacity(num_stored as usize);
     for i in 0..num_stored {
-        match index.stored_list(&bytes, loc.bit_len, i) {
+        match index.stored_list(bytes, bit_len, i) {
             Ok(l) => stored.push(l),
             Err(e) => {
                 diags.push(Diagnostic::new(
@@ -676,7 +826,7 @@ fn check_superedge(
     // dictionary stores none; decoding it, above, validated every index
     // against its entries.)
     if let Some(lists) = index.lists() {
-        match lists.reference_parents(&bytes, loc.bit_len) {
+        match lists.reference_parents(bytes, bit_len) {
             Ok(parents) => audit_ref_chains(&parents, here, diags),
             Err(e) => diags.push(Diagnostic::new(
                 Code::DecodeError,
@@ -685,11 +835,11 @@ fn check_superedge(
             )),
         }
     }
-    if end_bit < loc.bit_len {
+    if end_bit < bit_len {
         diags.push(Diagnostic::new(
             Code::TrailingBits,
             here,
-            format!("decode consumed {end_bit} of {} declared bits", loc.bit_len),
+            format!("decode consumed {end_bit} of {bit_len} declared bits"),
         ));
     }
 }

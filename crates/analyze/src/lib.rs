@@ -1,7 +1,7 @@
-//! `wg-analyze` — analysis of on-disk S-Node representations: [`check()`]
-//! decodes everything and audits the format's logical invariants (SN0xx,
-//! `wgr check`); [`fsck()`] verifies every checksummed section against the
-//! integrity manifest without decoding (SN1xx, `wgr fsck`).
+//! `wg-analyze` — the one checker of on-disk S-Node representations
+//! (`wgr check`). [`check()`] first holds every byte of a directory to its
+//! integrity manifest (SN1xx), then decodes what verified and audits the
+//! format's logical invariants (SN0xx).
 //!
 //! The paper's S-Node format (§2, §4) is a tower of invariants: the PageID
 //! index must tile `0..num_pages`, a superedge graph exists iff at least one
@@ -21,10 +21,8 @@
 #![warn(clippy::expect_used, clippy::panic)]
 
 mod check;
-mod fsck;
 
 pub use check::{check, Summary};
-pub use fsck::{fsck, FsckReport};
 
 /// How bad a finding is.
 ///
@@ -51,7 +49,7 @@ impl Severity {
 /// resident metadata, `SN01x` graph structure, `SN02x` reference chains,
 /// `SN03x`/`SN04x` encoding choices, `SN05x` bitstream hygiene, `SN06x`
 /// index files, `SN07x` cross-layer consistency, `SN1xx` physical
-/// integrity (checksums, truncation — the `wgr fsck` pass).
+/// integrity (checksums, truncation — the pass that runs first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// SN001: a supernode's page range is empty (gap in the PageID tiling).
@@ -94,8 +92,8 @@ pub enum Code {
     /// SN070: the supernode graph names a superedge whose encoded graph is
     /// missing from or out of bounds in the index files.
     MissingSuperedgeGraph,
-    /// SN100: the directory carries no `sums.bin` integrity manifest
-    /// (a pre-checksum v1 directory) — nothing can be verified.
+    /// SN100: the directory carries no `sums.bin` integrity manifest, so
+    /// nothing can be verified and every strict reader refuses it.
     MissingManifest,
     /// SN101: the integrity manifest itself is unreadable (bad magic,
     /// unsupported version, truncation, or failed self-checksum) or
@@ -174,6 +172,7 @@ impl Code {
             | Code::ListNotMonotone
             | Code::RefChainCycle
             | Code::MissingSuperedgeGraph
+            | Code::MissingManifest
             | Code::ManifestCorrupt
             | Code::MetaSectionChecksum
             | Code::FileChecksum
@@ -183,8 +182,7 @@ impl Code {
             | Code::NegativeNotSmaller
             | Code::HuffmanNonCanonical
             | Code::TrailingBits
-            | Code::IndexFileOversize
-            | Code::MissingManifest => Severity::Warning,
+            | Code::IndexFileOversize => Severity::Warning,
         }
     }
 }
@@ -293,7 +291,11 @@ impl Report {
 
     /// Machine-readable form, one stable JSON object (no external deps).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"summary\":");
+        let mut out = format!(
+            "{{\"errors\":{},\"warnings\":{},\"summary\":",
+            self.num_errors(),
+            self.num_warnings()
+        );
         self.summary.write_json(&mut out);
         out.push_str(",\"diagnostics\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -332,7 +334,7 @@ impl std::fmt::Display for Report {
     }
 }
 
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
+fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -1,8 +1,9 @@
 //! Robustness fuzz: `wg_analyze::check` must never panic, whatever bytes
-//! it finds on disk. Each case takes a pristine representation, flips one
-//! bit or truncates one file at an arbitrary position, and runs the full
-//! analyzer. Any outcome — clean, diagnostics, fatal error — is fine;
-//! only a panic (or abort via unclamped allocation) fails the test.
+//! it finds on disk, and must find every change. Each case takes a
+//! pristine representation, flips one bit or truncates one file at an
+//! arbitrary position, and runs the full analyzer: a mutation that
+//! changed a byte is at least one error, and one that changed none (a
+//! truncation to the full length) leaves the report clean.
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -50,7 +51,8 @@ fn fresh_copy() -> PathBuf {
 }
 
 /// Applies one mutation: bit flip (truncate = false) or truncation.
-fn mutate(dir: &Path, file_pick: usize, pos: u64, bit: u8, truncate: bool) {
+/// Returns whether it changed the file.
+fn mutate(dir: &Path, file_pick: usize, pos: u64, bit: u8, truncate: bool) -> bool {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .flatten()
@@ -58,7 +60,8 @@ fn mutate(dir: &Path, file_pick: usize, pos: u64, bit: u8, truncate: bool) {
         .collect();
     files.sort();
     let path = &files[file_pick % files.len()];
-    let mut bytes = std::fs::read(path).unwrap();
+    let orig = std::fs::read(path).unwrap();
+    let mut bytes = orig.clone();
     if truncate {
         let keep = (pos % (bytes.len() as u64 + 1)) as usize;
         bytes.truncate(keep);
@@ -66,7 +69,8 @@ fn mutate(dir: &Path, file_pick: usize, pos: u64, bit: u8, truncate: bool) {
         let i = (pos % bytes.len() as u64) as usize;
         bytes[i] ^= 1u8 << (bit % 8);
     }
-    std::fs::write(path, bytes).unwrap();
+    std::fs::write(path, &bytes).unwrap();
+    bytes != orig
 }
 
 proptest! {
@@ -80,12 +84,10 @@ proptest! {
         truncate in proptest::prelude::any::<bool>(),
     ) {
         let dir = fresh_copy();
-        mutate(&dir, file_pick, pos, bit, truncate);
-        // Any Result is acceptable; reaching this line at all is the test.
-        if let Ok(report) = wg_analyze::check(&dir) {
-            let _ = report.to_json();
-            let _ = report.to_string();
-        }
+        let changed = mutate(&dir, file_pick, pos, bit, truncate);
+        let report = wg_analyze::check(&dir);
+        let _ = report.to_json();
+        prop_assert_eq!(report.num_errors() >= 1, changed, "{}", report);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

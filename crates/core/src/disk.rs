@@ -167,25 +167,6 @@ impl SNodeMeta {
         Ok(out.len() as u64)
     }
 
-    /// Reads only the serialised supernode-graph section of `dir/meta.bin`:
-    /// the stored bytes and declared bit length. [`SNodeMeta::read`]
-    /// re-derives the graph and discards the raw stream; audits need the
-    /// stream itself to inspect the stored Huffman table and padding.
-    pub fn read_supergraph_section(dir: &Path) -> Result<(Vec<u8>, u64)> {
-        let buf = read_whole_file(&dir.join("meta.bin"))?;
-        let mut c = Cursor::new(&buf);
-        read_header(&mut c)?;
-        let _num_pages = c.u32()?;
-        let n = c.u32()? as usize;
-        for _ in 0..=n {
-            c.u32()?;
-        }
-        let sg_bits = c.u64()?;
-        let sg_len = c.u64()? as usize;
-        let sg_bytes = c.bytes(sg_len)?;
-        Ok((sg_bytes.to_vec(), sg_bits))
-    }
-
     /// Deserialises from `dir/meta.bin`.
     pub fn read(dir: &Path) -> Result<Self> {
         let buf = read_whole_file(&dir.join("meta.bin"))?;

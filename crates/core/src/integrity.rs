@@ -11,13 +11,15 @@
 //! carried by the manifest itself. (`meta.bin` has its own version, 3, the
 //! one readers accept: directories an earlier version wrote are refused
 //! whether or not they carry a manifest.) A directory without a manifest
-//! (hand-assembled, or stripped of it) stays readable, unverified.
+//! (hand-assembled, or stripped of it) is `Corrupt` to every strict
+//! reader, which says to rebuild it; only a degraded open reads it,
+//! unverified.
 //!
 //! The manifest covers every byte of the directory:
 //!
 //! * `meta.bin` is checksummed in four sections tiling the file —
 //!   header (magic through the PageID index), supergraph, size table,
-//!   domain index — so `wgr fsck` can localise damage within it;
+//!   domain index — so `wgr check` can localise damage within it;
 //! * every other file (`index_NNN.bin`, `pagemap.bin`) gets a whole-file
 //!   `(length, CRC)` record, which also witnesses truncation;
 //! * every intranode/superedge blob gets its own CRC in linear order, the
@@ -209,6 +211,21 @@ impl IntegrityManifest {
         })
     }
 
+    /// The CRC of every graph blob under `dir` as it sits on disk, in
+    /// linear order: what [`IntegrityManifest::compute`] takes to describe
+    /// a directory whose index files changed after the build.
+    pub fn blob_crcs(dir: &Path) -> Result<Vec<u32>> {
+        let meta = crate::disk::SNodeMeta::read(dir)?;
+        let files = crate::disk::IndexFileReader::open_resident(dir)?;
+        let mut crcs = Vec::new();
+        for (intra, supers) in meta.intranode_loc.iter().zip(&meta.superedge_loc) {
+            for loc in std::iter::once(intra).chain(supers) {
+                crcs.push(crc32c(&files.read_blob(loc)?));
+            }
+        }
+        Ok(crcs)
+    }
+
     /// Serialises to `dir/sums.bin`, returning the bytes written.
     pub fn write(&self, dir: &Path) -> Result<u64> {
         let mut out = Vec::new();
@@ -239,7 +256,7 @@ impl IntegrityManifest {
     }
 
     /// Reads `dir/sums.bin`. `Ok(None)` when absent (a directory assembled
-    /// by hand or stripped of it — readable, unverified); an error when
+    /// by hand or stripped of it, which strict readers refuse); an error when
     /// present but damaged, so manifest corruption is never mistaken for
     /// clean data.
     pub fn read(dir: &Path) -> Result<Option<Self>> {

@@ -211,8 +211,8 @@ struct BatchScratch {
 struct OpenDir {
     meta: SNodeMeta,
     files: IndexFileReader,
-    /// Per-blob CRCs and file sums from `sums.bin`; `None` for a directory
-    /// without one (readable, unverified).
+    /// Per-blob CRCs and file sums from `sums.bin`; `None` only in a
+    /// degraded open of a directory without a usable one (unverified).
     manifest: Option<IntegrityManifest>,
     /// `blob_base[s]` = linear blob index of supernode `s`'s intranode
     /// graph; superedge `k` of `s` is blob `blob_base[s] + 1 + k`.
@@ -224,13 +224,19 @@ struct OpenDir {
 }
 
 impl OpenDir {
-    /// Strict: a manifest that does not read, or does not number the
-    /// directory's blobs, is an error. With `degrade`, either counts a
-    /// failure and the directory opens unverified. `meta.bin` must verify
-    /// either way: it is the index everything else hangs off.
+    /// Strict: a manifest that is missing, does not read, or does not
+    /// number the directory's blobs is an error — every build writes one.
+    /// With `degrade`, the directory opens unverified instead (a manifest
+    /// that is there but unusable counts a failure). `meta.bin` must
+    /// verify either way: it is the index everything else hangs off.
     fn open(dir: &Path, degrade: bool) -> Result<Self> {
         let integrity = IntegrityCounters::new();
         let manifest = match IntegrityManifest::read(dir) {
+            Ok(None) if !degrade => {
+                return Err(SNodeError::Corrupt(
+                    "no integrity manifest (sums.bin): rebuild the directory",
+                ))
+            }
             Ok(m) => m,
             Err(_) if degrade => {
                 integrity.failure();
@@ -343,7 +349,8 @@ impl SNode {
     /// under the workspace's `forbid(unsafe_code)` — see
     /// [`wg_store::Region`]), at the cost of [`SNode::resident_bytes`].
     ///
-    /// Strict mode: any checksum or decode failure surfaces as an error.
+    /// Strict mode: a directory without `sums.bin` is `Corrupt` ("rebuild
+    /// the directory"), and any checksum or decode failure is an error.
     pub fn open_resident(dir: &Path, cache_budget_bytes: usize) -> Result<Self> {
         Self::open_mode(dir, cache_budget_bytes, false)
     }
@@ -1261,17 +1268,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// With no manifest to catch it, a domain index entry beyond the
-    /// supernode graph is refused when `meta.bin` parses, not met as an
-    /// index past `range_start` by `pages_in_domain`.
+    /// Re-manifested, so that no checksum catches it, a domain index
+    /// entry beyond the supernode graph is refused when `meta.bin` parses,
+    /// not met as an index past `range_start` by `pages_in_domain`.
     #[test]
     fn a_domain_index_entry_beyond_the_graph_is_corrupt() {
         let (dir, _graph, _renum, _) = build_repo("domainflip", 60);
-        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
         let (path, mut bytes, at) = last_domain_entry(&dir);
         let n = SNodeMeta::parse(&bytes).unwrap().num_supernodes();
         bytes[at..].copy_from_slice(&n.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
+        let blobs = IntegrityManifest::read(&dir).unwrap().unwrap().blob_crc;
+        IntegrityManifest::compute(&dir, blobs)
+            .unwrap()
+            .write(&dir)
+            .unwrap();
         assert!(matches!(
             SNodeMeta::parse(&bytes),
             Err(SNodeError::Corrupt(_))
@@ -1303,11 +1314,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every build writes `sums.bin`: a directory without one is refused
+    /// by a strict open, which says to rebuild it, and read, unverified,
+    /// by a degraded one.
     #[test]
-    fn manifestless_directory_stays_readable() {
+    fn manifestless_directory_is_refused_strict_and_opened_degraded() {
         let (dir, graph, renum, _) = build_repo("v1compat", 60);
         std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
-        let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
+        for refused in [
+            SNode::open_resident(&dir, 1 << 20).map(drop),
+            SNodeInMemory::load(&dir).map(drop),
+        ] {
+            assert!(
+                matches!(&refused, Err(SNodeError::Corrupt(why)) if why.contains("rebuild")),
+                "{refused:?}"
+            );
+        }
+        let snode = SNode::open_degraded(&dir, 1 << 20).unwrap();
         assert!(!snode.verifies_checksums());
         for p in 0..graph.num_nodes() {
             assert_eq!(
@@ -1316,6 +1339,7 @@ mod tests {
             );
         }
         assert_eq!(snode.integrity_stats(), (0, 0));
+        assert!(snode.degraded().is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1460,6 +1484,16 @@ mod tests {
         found
     }
 
+    /// Re-manifests `dir` as it sits on disk, so that damage made after
+    /// the build passes every checksum and reaches the decoders.
+    fn remanifest(dir: &Path) {
+        let blobs = IntegrityManifest::blob_crcs(dir).unwrap();
+        IntegrityManifest::compute(dir, blobs)
+            .unwrap()
+            .write(dir)
+            .unwrap();
+    }
+
     /// Clears the bits of the blob at `loc` from bit `from` to its end.
     fn zero_blob_tail(dir: &Path, loc: &GraphLocator, from: u64) {
         let path = crate::disk::index_file_path(dir, loc.file);
@@ -1471,7 +1505,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
     }
 
-    /// No manifest, so the blob reads "clean"; its header — a positive
+    /// Re-manifested, so the blob reads clean; its header — a positive
     /// graph's `sources` — runs off its end. Through the fanout build's
     /// scan that is what a failed parse was: strict fails every probe into
     /// the supernode; degraded quarantines the graph, names its slot among
@@ -1479,12 +1513,12 @@ mod tests {
     #[test]
     fn degraded_open_quarantines_a_superedge_graph_whose_header_does_not_scan() {
         let (dir, graph, renum) = build_crawl("noscan");
-        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
         let meta = SNodeMeta::read(&dir).unwrap();
         let (s, k, loc, _) = (positive_superedges(&dir).into_iter())
             .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
             .expect("a supernode with two out-superedges");
         zero_blob_tail(&dir, &loc, 0);
+        remanifest(&dir);
         let range = meta.page_range(s);
         let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
 
@@ -1525,15 +1559,14 @@ mod tests {
 
     /// A fanout miss reads a graph as far as its `sources`: what lies
     /// behind them is parsed by the first probe that draws on the graph.
-    /// So with no manifest to catch it at the read, a dictionary whose
-    /// entry count was forged (here: runs off the blob) fails that probe,
-    /// and not — as when the miss parsed every out-superedge graph — a
-    /// probe of a page the graph holds nothing for.
+    /// So with a checksum re-computed over it, a dictionary whose entry
+    /// count was forged (here: runs off the blob) fails that probe, and
+    /// not — as when the miss parsed every out-superedge graph — a probe
+    /// of a page the graph holds nothing for.
     #[test]
-    fn forged_dictionary_count_without_a_manifest_fails_the_first_probe_that_draws_on_the_graph_and_none_that_does_not(
+    fn forged_dictionary_count_behind_a_matching_checksum_fails_the_first_probe_that_draws_on_the_graph_and_none_that_does_not(
     ) {
         let (dir, graph, renum) = build_crawl("forgedcount");
-        std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
         let meta = SNodeMeta::read(&dir).unwrap();
         let files = IndexFileReader::open_resident(&dir).unwrap();
         let (s, loc, index) = (positive_superedges(&dir).into_iter())
@@ -1547,6 +1580,7 @@ mod tests {
             .bit_breakdown(&files.read_blob(&loc).unwrap(), loc.bit_len)
             .unwrap();
         zero_blob_tail(&dir, &loc, bits.header + bits.sources);
+        remanifest(&dir);
 
         let range = meta.page_range(s);
         let listed = range.start + index.sources().get(0).unwrap();
@@ -1554,7 +1588,6 @@ mod tests {
             .find(|p| !index.sources().contains(p - range.start))
             .unwrap();
         let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
-        assert!(!snode.verifies_checksums());
         assert_eq!(
             snode.out_neighbors(unlisted).unwrap(),
             expected_neighbors(&graph, &renum, unlisted)

@@ -1,9 +1,10 @@
 //! Build-level bit-flip robustness: navigation over a built directory
 //! whose bytes were corrupted must never panic. The integrity manifest is
-//! removed first so the decode paths see the damage raw, instead of the
-//! checksum layer rejecting the blob before a single bit is decoded —
-//! this is what exercises the checked conversions (`Corrupt` instead of
-//! truncating casts or out-of-bounds indexing) on the navigation paths.
+//! re-computed over each flip so the decode paths see the damage raw,
+//! instead of the checksum layer rejecting the blob before a single bit is
+//! decoded — this is what exercises the checked conversions (`Corrupt`
+//! instead of truncating casts or out-of-bounds indexing) on the
+//! navigation paths.
 //!
 //! Outcomes other than a panic are all acceptable: `open`/`load` may
 //! error, any query may error, and generous flips may even decode to a
@@ -15,7 +16,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use wg_corpus::{Corpus, CorpusConfig};
-use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use wg_snode::{build_snode, IntegrityManifest, RepoInput, SNode, SNodeConfig, SNodeInMemory};
 
 /// A directory whose graphs take every layout, so the list streams and the
 /// dictionaries' decode paths all face flipped bits.
@@ -32,7 +33,6 @@ fn built_dir() -> std::path::PathBuf {
         graph: &corpus.graph,
     };
     build_snode(input, &SNodeConfig::default(), &dir).unwrap();
-    std::fs::remove_file(dir.join("sums.bin")).unwrap();
     dir
 }
 
@@ -53,10 +53,19 @@ proptest! {
         let name = if in_meta { "meta.bin" } else { "index_000.bin" };
         let path = dir.join(name);
         let orig = std::fs::read(&path).unwrap();
+        let sums = std::fs::read(dir.join("sums.bin")).unwrap();
         let bit = (pos % (orig.len() as u64 * 8)) as usize;
         let mut bytes = orig.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
+        // The blobs as the flipped `meta.bin` places them, or, where it
+        // no longer parses, as the build wrote them; a flip that moves the
+        // section bounds out of the file stays caught by the old manifest.
+        let blobs = IntegrityManifest::blob_crcs(dir)
+            .unwrap_or_else(|_| IntegrityManifest::read(dir).unwrap().unwrap().blob_crc);
+        if let Ok(manifest) = IntegrityManifest::compute(dir, blobs) {
+            manifest.write(dir).unwrap();
+        }
         if let Ok(snode) = SNode::open_resident(dir, 1 << 20) {
             for p in 0..snode.num_pages().min(400) {
                 let _ = snode.out_neighbors(p);
@@ -68,5 +77,6 @@ proptest! {
             }
         }
         std::fs::write(&path, &orig).unwrap();
+        std::fs::write(dir.join("sums.bin"), sums).unwrap();
     }
 }

@@ -6,7 +6,8 @@
 //! supplies the three missing pieces:
 //!
 //! * [`crc32c`] — a dependency-free CRC-32C (Castagnoli), the checksum the
-//!   S-Node integrity manifest (`sums.bin`) and `wgr fsck` are built on;
+//!   S-Node integrity manifest (`sums.bin`) and `wgr check`'s physical
+//!   pass are built on;
 //! * [`plan`] — seeded, deterministic fault plans: bit flips, truncations,
 //!   and torn writes applied to the files of a built representation, plus
 //!   transient read errors injected at the I/O shim;

@@ -50,7 +50,6 @@ fn main() {
         Some("domain") => cmd_domain(&args[2..]),
         Some("top") => cmd_top(&args[2..]),
         Some("check") => cmd_check(&args[2..]),
-        Some("fsck") => cmd_fsck(&args[2..]),
         Some("corrupt") => cmd_corrupt(&args[2..]),
         Some("bench") => cmd_bench(&args[2..]),
         Some("serve") => cmd_serve(&args[2..]),
@@ -59,7 +58,7 @@ fn main() {
         Some("scale-step") => cmd_scale_step(&args[2..]),
         _ => {
             eprintln!(
-                "usage: wgr <gen|build|query|stats|links|domain|top|check|fsck|corrupt|bench|serve> [options]\n\
+                "usage: wgr <gen|build|query|stats|links|domain|top|check|corrupt|bench|serve> [options]\n\
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
@@ -73,10 +72,9 @@ fn main() {
                  links  --repo DIR --page N                 print a page's adjacency list\n\
                  domain --repo DIR --corpus DIR --name D    list a domain's pages\n\
                  top    --repo DIR --corpus DIR [-k N]      top pages by PageRank\n\
-                 check  DIR [--json] [--deny warn]          full static analysis;\n\
-                 \x20                                          exit 0 clean, 1 denied warnings, 2 corrupt\n\
-                 fsck   DIR [--json] [--repair --from DIR]  checksum every section against sums.bin;\n\
-                 \x20                                          exit 0 clean, 1 damage, 2 unusable;\n\
+                 check  DIR [--json] [--deny warn]          every byte against sums.bin, then every\n\
+                 \x20      [--repair --from DIR]              invariant of what verified; exit 0 clean,\n\
+                 \x20                                          1 denied warnings, 2 errors or unusable;\n\
                  \x20                                          --repair re-encodes from the corpus\n\
                  corrupt DIR --seed N [--flips N] [--truncate N] [--torn N] [--json]\n\
                  \x20                                          inject deterministic faults (testing)\n\
@@ -180,7 +178,6 @@ fn positional(args: &[String]) -> Option<String> {
                         | "--quick"
                         | "--metrics"
                         | "--reuse"
-                        | "--repair"
                         | "--serve"
                         // Accepted by `serve` and ignored: nothing is left to turn off.
                         | "--no-telemetry"
@@ -288,18 +285,40 @@ const BUILD_FLAGS: [(&str, bool); 11] = [
     ("--trace", true),
 ];
 
-fn cmd_build(args: &[String]) -> i32 {
-    // A flag `build` does not take is refused before anything is read or
-    // written: one it ignored would build something other than was asked.
+/// Holds `args` to the flags `cmd` takes (each with whether a value
+/// follows it) and returns its one positional argument, when `positional`
+/// says it takes one and it was given. Anything else is refused before
+/// anything is read or written, with one line and exit 2: an argument
+/// ignored would do something other than was asked.
+fn take_flags<'a>(
+    cmd: &str,
+    flags: &[(&str, bool)],
+    positional: bool,
+    args: &'a [String],
+) -> Result<Option<&'a String>, i32> {
+    let mut found = None;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        let Some(&(_, takes_value)) = BUILD_FLAGS.iter().find(|(flag, _)| flag == arg) else {
-            eprintln!("wgr build does not take {arg}");
-            return 2;
-        };
-        if takes_value {
-            rest.next();
+        match flags.iter().find(|(flag, _)| flag == arg) {
+            Some(&(flag, takes_value)) => {
+                if takes_value && rest.next().is_none() {
+                    eprintln!("{flag} takes a value");
+                    return Err(2);
+                }
+            }
+            None if positional && found.is_none() && !arg.starts_with('-') => found = Some(arg),
+            None => {
+                eprintln!("wgr {cmd} does not take {arg}");
+                return Err(2);
+            }
         }
+    }
+    Ok(found)
+}
+
+fn cmd_build(args: &[String]) -> i32 {
+    if let Err(code) = take_flags("build", &BUILD_FLAGS, false, args) {
+        return code;
     }
     let flags = ObsFlags::parse(args);
     let corpus_dir = PathBuf::from(req(args, "--corpus"));
@@ -704,111 +723,65 @@ fn cmd_domain(args: &[String]) -> i32 {
     0
 }
 
-/// `wgr check DIR [--json] [--deny warn]` — the full multi-pass analyzer.
-/// Exit 0 when clean (or only tolerated warnings), 1 when warnings exist
-/// and `--deny warn` was given, 2 when the representation has errors.
+/// The flags `check` takes, each with whether a value follows it.
+const CHECK_FLAGS: [(&str, bool); 4] = [
+    ("--json", false),
+    ("--deny", true),
+    ("--repair", false),
+    ("--from", true),
+];
+
+/// `wgr check DIR [--json] [--deny warn] [--repair --from CORPUS_DIR]` —
+/// the one checker: every byte against `sums.bin`, then every invariant of
+/// what verified. Exit 0 when clean (or only tolerated warnings), 1 when
+/// warnings exist and `--deny warn` was given, 2 for errors or an unusable
+/// directory. With `--repair`, a directory that fails is re-encoded from
+/// its corpus and checked again, and that check gives the exit code.
 fn cmd_check(args: &[String]) -> i32 {
-    let mut dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deny" | "--repo" => i += 2,
-            a if !a.starts_with('-') && dir.is_none() => {
-                dir = Some(PathBuf::from(a));
-                i += 1;
-            }
-            _ => i += 1,
+    let dir = match take_flags("check", &CHECK_FLAGS, true, args) {
+        Ok(Some(dir)) => PathBuf::from(dir),
+        Ok(None) => {
+            eprintln!("usage: wgr check DIR [--json] [--deny warn] [--repair --from CORPUS_DIR]");
+            return 2;
         }
-    }
-    let dir = dir.or_else(|| opt(args, "--repo").map(PathBuf::from));
-    let Some(dir) = dir else {
-        eprintln!("usage: wgr check DIR [--json] [--deny warn]");
-        return 2;
+        Err(code) => return code,
     };
-    let json = args.iter().any(|a| a == "--json");
-    let deny_warn = opt(args, "--deny").is_some_and(|v| v == "warn" || v == "warnings");
-    match webgraph_repr::analyze::check(&dir) {
-        Ok(report) => {
-            // A report can run to thousands of lines and is routinely piped
-            // into `head`/`less`; a closed pipe must not abort the exit code.
-            let rendered = if json {
-                report.to_json()
-            } else {
-                report.to_string()
-            };
-            let mut out = std::io::stdout().lock();
-            let _ = writeln!(out, "{rendered}");
-            let _ = out.flush();
-            if report.num_errors() > 0 {
-                2
-            } else if deny_warn && report.num_warnings() > 0 {
-                1
-            } else {
-                0
-            }
+    let deny_warn = match opt(args, "--deny") {
+        None => false,
+        Some(v) if v == "warn" => true,
+        Some(v) => {
+            eprintln!("--deny takes warn, not {v}");
+            return 2;
         }
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"fatal\":\"{}\"}}",
-                    e.to_string().replace('\\', "\\\\").replace('"', "\\\"")
-                );
-            } else {
-                eprintln!("fatal: {e}");
-            }
-            2
-        }
-    }
-}
-
-/// `wgr fsck DIR [--json] [--repair --from CORPUS_DIR]` — verifies every
-/// checksummed section of an S-Node directory against its `sums.bin`
-/// manifest (whole files, `meta.bin` sections, graph blobs) and reports a
-/// per-section verdict with stable SN1xx codes. With `--repair`, damaged
-/// files are re-encoded deterministically from the original corpus and the
-/// directory is re-verified. Exit 0 clean, 1 damage found (or remaining
-/// after repair), 2 usage error or failed repair.
-fn cmd_fsck(args: &[String]) -> i32 {
-    let mut dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--from" => i += 2,
-            a if !a.starts_with('-') && dir.is_none() => {
-                dir = Some(PathBuf::from(a));
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!("usage: wgr fsck DIR [--json] [--repair --from CORPUS_DIR]");
-        return 2;
     };
+    let from = opt(args, "--from");
+    if args.iter().any(|a| a == "--repair") != from.is_some() {
+        eprintln!("--repair and --from CORPUS_DIR (the original edge files) go together");
+        return 2;
+    }
     let json = args.iter().any(|a| a == "--json");
-    let repair = args.iter().any(|a| a == "--repair");
-
-    let report = webgraph_repr::analyze::fsck(&dir);
-    let render = |r: &webgraph_repr::analyze::FsckReport| {
-        if json {
-            println!("{}", r.to_json());
+    let verdict = |report: webgraph_repr::analyze::Report| {
+        // A report can run to thousands of lines and is routinely piped
+        // into `head`/`less`; a closed pipe must not abort the exit code.
+        let rendered = if json {
+            report.to_json()
         } else {
-            println!("{r}");
+            report.to_string()
+        };
+        let mut out = std::io::stdout().lock();
+        let _ = writeln!(out, "{rendered}");
+        let _ = out.flush();
+        if report.num_errors() > 0 {
+            2
+        } else {
+            i32::from(deny_warn && report.num_warnings() > 0)
         }
     };
-    render(&report);
-    if report.is_clean() {
-        return 0;
-    }
-    if !repair {
-        return 1;
-    }
-
-    let Some(from) = opt(args, "--from") else {
-        eprintln!("--repair requires --from CORPUS_DIR (the original edge files)");
-        return 2;
+    let code = verdict(webgraph_repr::analyze::check(&dir));
+    let Some(from) = from.filter(|_| code != 0) else {
+        return code;
     };
-    match repair_dir(&dir, &PathBuf::from(from)) {
+    match repair_dir(&dir, Path::new(&from)) {
         Ok(replaced) => {
             for name in &replaced {
                 eprintln!("repaired {name}");
@@ -819,9 +792,7 @@ fn cmd_fsck(args: &[String]) -> i32 {
             return 2;
         }
     }
-    let after = webgraph_repr::analyze::fsck(&dir);
-    render(&after);
-    i32::from(!after.is_clean())
+    verdict(webgraph_repr::analyze::check(&dir))
 }
 
 /// Re-encodes the representation from `corpus_dir` into a scratch
@@ -863,7 +834,7 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
 
 /// `wgr corrupt DIR --seed N [--flips N] [--truncate N] [--torn N]` —
 /// injects a deterministic, seeded fault plan into the representation at
-/// `DIR` (for testing `fsck` and degraded queries; `sums.bin` itself is
+/// `DIR` (for testing `check` and degraded queries; `sums.bin` itself is
 /// never targeted). Prints each applied fault.
 fn cmd_corrupt(args: &[String]) -> i32 {
     let Some(dir) = positional(args) else {

@@ -1,7 +1,7 @@
 //! End-to-end test of `wgr check`: a representation with several injected
 //! corruptions must report every one with its stable code through the
 //! `--json` interface, and the exit codes must follow the contract
-//! (0 clean, 1 denied warnings, 2 corrupt).
+//! (0 clean, 1 denied warnings, 2 errors or an unusable directory).
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -15,7 +15,7 @@ use webgraph_repr::snode::disk::{GraphLocator, IndexFileWriter, SNodeMeta};
 use webgraph_repr::snode::refenc::{encode_lists, RefMode};
 use webgraph_repr::snode::subgraphs::{encode_intranode, encode_superedge, SuperedgePolicy};
 use webgraph_repr::snode::supergraph::SupernodeGraph;
-use webgraph_repr::snode::{build_snode, RepoInput, SNodeConfig};
+use webgraph_repr::snode::{build_snode, IntegrityManifest, RepoInput, SNodeConfig};
 
 fn wgr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wgr"))
@@ -27,6 +27,16 @@ fn temp_dir(name: &str) -> PathBuf {
     std::fs::remove_dir_all(&p).ok();
     std::fs::create_dir_all(&p).unwrap();
     p
+}
+
+/// Re-manifests `dir` as it sits on disk: damage made since the build
+/// passes every checksum, and only the logical passes can find it.
+fn remanifest(dir: &Path) {
+    let blobs = IntegrityManifest::blob_crcs(dir).unwrap();
+    IntegrityManifest::compute(dir, blobs)
+        .unwrap()
+        .write(dir)
+        .unwrap();
 }
 
 fn build_clean(dir: &Path) {
@@ -43,7 +53,8 @@ fn build_clean(dir: &Path) {
 
 /// Injects four corruptions: an empty PageID range (SN001), a zero-link
 /// superedge (SN010), a negative encoding larger than its positive form
-/// (SN030), and trailing index-file garbage (SN060).
+/// (SN030), and trailing index-file garbage (SN060) — under a manifest
+/// that matches, as a build would write one.
 fn craft_corrupt(dir: &Path) {
     let supergraph = SupernodeGraph {
         adj: vec![vec![2], vec![], vec![0]],
@@ -97,6 +108,7 @@ fn craft_corrupt(dir: &Path) {
         .open(dir.join("index_000.bin"))
         .unwrap();
     f.write_all(&[0xAB, 0xCD, 0xEF]).unwrap();
+    remanifest(dir);
 }
 
 #[test]
@@ -144,8 +156,8 @@ fn check_exit_codes_follow_contract() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("\"diagnostics\":[]"));
 
-    // Warning only (trailing index-file bytes): tolerated by default,
-    // denied with --deny warn.
+    // Warning only (trailing index-file bytes the manifest covers):
+    // tolerated by default, denied with --deny warn.
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
         .append(true)
@@ -153,6 +165,7 @@ fn check_exit_codes_follow_contract() {
         .unwrap();
     f.write_all(&[0u8; 5]).unwrap();
     drop(f);
+    remanifest(&repo);
     let out = wgr().arg("check").arg(&repo).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "warnings tolerated: {out:?}");
     let out = wgr()
@@ -163,7 +176,7 @@ fn check_exit_codes_follow_contract() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "warnings denied: {out:?}");
 
-    // Corrupt metadata: fatal, exit 2.
+    // Corrupt metadata: exit 2.
     std::fs::write(repo.join("meta.bin"), b"junk").unwrap();
     let out = wgr().arg("check").arg(&repo).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
@@ -172,8 +185,9 @@ fn check_exit_codes_follow_contract() {
 
 /// Damage inside a graph is an error with exit 2, never a panic: an
 /// intranode graph whose list stream sets the bit that once announced a
-/// per-list directory (a reference mode no version writes any more), and
-/// an index file cut in half.
+/// per-list directory (a reference mode no version writes any more;
+/// re-manifested, so that the decoder meets it), and an index file cut in
+/// half.
 #[test]
 fn check_fails_a_retired_list_stream_and_a_truncated_index() {
     let repo = temp_dir("damage");
@@ -191,6 +205,7 @@ fn check_fails_a_retired_list_stream_and_a_truncated_index() {
     bytes[(loc.offset + bit / 8) as usize] |= 0x80 >> (bit % 8);
     assert_ne!(bytes, clean, "no build sets the bit");
     std::fs::write(&idx, &bytes).unwrap();
+    remanifest(&repo);
     let out = wgr().arg("check").arg(&repo).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
@@ -204,5 +219,30 @@ fn check_fails_a_retired_list_stream_and_a_truncated_index() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("lies outside the index files"), "{text}");
+    std::fs::remove_dir_all(&repo).ok();
+}
+
+/// `pagemap.bin` has no record finer than its whole-file checksum: one
+/// flipped byte in it is one SN103, and exit 2.
+#[test]
+fn check_fails_a_flipped_pagemap_byte() {
+    let repo = temp_dir("pagemap");
+    build_clean(&repo);
+    let path = repo.join("pagemap.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+    let out = wgr()
+        .arg("check")
+        .arg(&repo)
+        .arg("--json")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.starts_with("{\"errors\":1,\"warnings\":0,"), "{json}");
+    assert_eq!(json.matches("\"code\":").count(), 1, "{json}");
+    assert!(json.contains("\"code\":\"SN103\""), "{json}");
     std::fs::remove_dir_all(&repo).ok();
 }

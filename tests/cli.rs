@@ -497,7 +497,7 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let corpus = corpus.to_str().unwrap();
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 19] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -526,6 +526,12 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
             &["build", "--corpus", corpus, "--out", "r", "--frobnicate"],
             "--frobnicate",
         ),
+        // Nor does `check`, before it reads anything: it once printed a
+        // human report for the first, and exited 0.
+        (&["check", "r", "--jsn", "--repair"], "--jsn"),
+        (&["check", "--repo", "r"], "--repo"),
+        (&["check", "r", "--deny", "warnings"], "warnings"),
+        (&["check", "r", "--repair"], "--from"),
         // Paths that cannot be read or written: one line, not a panic.
         (
             &["gen", "--pages", "10", "--out", "/proc/nope"],
@@ -571,8 +577,9 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
 
 #[test]
 fn usage_on_bad_subcommand() {
-    // `lint` is gone: clippy and `cargo test` check the source now.
-    for sub in ["frobnicate", "lint"] {
+    // `lint` is gone: clippy and `cargo test` check the source now. So is
+    // `fsck`: `check` holds every byte to `sums.bin` first.
+    for sub in ["frobnicate", "lint", "fsck"] {
         let out = wgr().arg(sub).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));

@@ -1,5 +1,5 @@
 //! Fault injection end-to-end: seeded fault plans over a built S-Node
-//! directory must never panic a decode path, `wgr fsck` must detect every
+//! directory must never panic a decode path, `wgr check` must detect every
 //! injected fault that actually changed bytes, degraded queries must
 //! return accurate partial-answer reports, and the CLI must exit with
 //! clean diagnostics (2 on unusable input, 3 on degraded answers).
@@ -79,7 +79,7 @@ proptest! {
 
     /// A seeded fault plan — flips, truncations, torn writes, transient
     /// reads — never panics any decode path: strict opens error, degraded
-    /// opens answer partially, fsck always returns a verdict. And fsck
+    /// opens answer partially, check always returns a verdict. And check
     /// detects every plan that actually changed bytes.
     #[test]
     fn seeded_faults_never_panic_and_are_detected(seed in 0u64..10_000) {
@@ -97,14 +97,14 @@ proptest! {
         let _shim = transients();
         plan.install_transients();
 
-        // fsck: a plan that changed bytes must be detected; a directory
+        // check: a plan that changed bytes must be detected; a directory
         // it left untouched must stay clean.
-        let report = webgraph_repr::analyze::fsck(&dir);
+        let report = webgraph_repr::analyze::check(&dir);
         let damaged = differs(pristine_dir, &dir);
         prop_assert_eq!(
             report.num_errors() > 0,
             damaged,
-            "fsck found {} error(s), damage={}: {}",
+            "check found {} error(s), damage={}: {}",
             report.num_errors(),
             damaged,
             report
@@ -350,19 +350,17 @@ fn directory_with_a_covered_shards_bin_stays_valid() {
 
     let snode = SNode::open_resident(&dir, 1 << 20).expect("opens");
     assert_eq!(snode.num_pages(), *num_pages);
-    for cmd in ["check", "fsck"] {
-        let out = wgr().arg(cmd).arg(&dir).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "wgr {cmd}: {out:?}");
-    }
+    let out = wgr().arg("check").arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "wgr check: {out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `wgr corrupt` → `wgr fsck` (exit 1, SN1xx verdicts) → `wgr fsck
+/// `wgr corrupt` → `wgr check` (exit 2, SN1xx verdicts) → `wgr check
 /// --repair --from corpus` (exit 0) → clean re-check, all through real
 /// process invocations.
 #[test]
-fn cli_corrupt_fsck_repair_round_trip() {
-    let root = temp_dir("fsckcli");
+fn cli_corrupt_check_repair_round_trip() {
+    let root = temp_dir("checkcli");
     let corpus = root.join("corpus");
     let repo = root.join("repo");
     let run = |args: &[&str]| {
@@ -395,8 +393,8 @@ fn cli_corrupt_fsck_repair_round_trip() {
     assert!(run(&build).status.success(), "{build:?}");
     let built = files();
 
-    let out = run(&["fsck", "REPO", "--json"]);
-    assert_eq!(out.status.code(), Some(0), "clean fsck: {out:?}");
+    let out = run(&["check", "REPO", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "clean check: {out:?}");
     let body = String::from_utf8_lossy(&out.stdout);
     assert!(body.contains("\"errors\":0"), "clean verdict: {body}");
 
@@ -413,12 +411,12 @@ fn cli_corrupt_fsck_repair_round_trip() {
             .collect();
         assert!(!hit.is_empty(), "{faults:?} changed nothing");
 
-        let out = run(&["fsck", "REPO", "--json"]);
-        assert_eq!(out.status.code(), Some(1), "damaged fsck: {out:?}");
+        let out = run(&["check", "REPO", "--json"]);
+        assert_eq!(out.status.code(), Some(2), "damaged check: {out:?}");
         let body = String::from_utf8_lossy(&out.stdout);
         assert!(body.contains("SN10"), "SN1xx verdicts expected: {body}");
 
-        let out = run(&["fsck", "REPO", "--repair", "--from", "CORPUS"]);
+        let out = run(&["check", "REPO", "--repair", "--from", "CORPUS"]);
         assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr.lines().collect::<Vec<_>>(), hit, "{faults:?}");
@@ -427,8 +425,8 @@ fn cli_corrupt_fsck_repair_round_trip() {
             "{faults:?}: not the bytes that were built"
         );
 
-        let out = run(&["fsck", "REPO"]);
-        assert_eq!(out.status.code(), Some(0), "post-repair fsck: {out:?}");
+        let out = run(&["check", "REPO"]);
+        assert_eq!(out.status.code(), Some(0), "post-repair check: {out:?}");
     }
     std::fs::remove_dir_all(&root).ok();
 }
