@@ -1,6 +1,9 @@
 //! Regenerates **Table 1**: bits/edge for `WG` and `WGᵀ` under Plain
 //! Huffman, Link3, and S-Node, plus the "maximum repository representable
 //! in 8 GB of memory" extrapolation at the paper's mean out-degree of 14.
+//! S-Node's `WGᵀ` is built twice: refined on its own, as the paper builds
+//! it, and over `WG`'s partition, as `wgr query --reps` and `wgr serve`
+//! store it.
 //!
 //! Per the paper, each bits/edge figure is the average over the 25 M, 50 M
 //! and 100 M-page data sets (scaled here).
@@ -12,8 +15,8 @@
 
 use wg_baselines::{HuffmanGraph, Link3Graph};
 use wg_bench::{corpus_for, crawl_prefix, max_pages_in_memory, row, BenchArgs};
-use wg_graph::Graph;
-use wg_snode::{build_snode, RepoInput, SNodeConfig};
+use wg_query::reps::renumber_graph;
+use wg_snode::{build_snode, build_snode_transpose, RepoInput, SNodeConfig};
 
 const SIZES_M: [u32; 3] = [25, 50, 100];
 
@@ -27,7 +30,7 @@ fn main() {
     );
 
     // Accumulate bits/edge per scheme, per direction.
-    let mut acc = [[0.0f64; 2]; 3]; // [scheme][direction]
+    let mut acc = [[0.0f64; 2]; 4]; // [scheme][direction]
     let full = corpus_for(&args, *SIZES_M.last().expect("sizes"));
     for &m in &SIZES_M {
         let (urls, domains, graph) = crawl_prefix(&full, args.pages_for(m));
@@ -43,15 +46,11 @@ fn main() {
         };
         let (stats, renum) =
             build_snode(input, &SNodeConfig::default(), &dir).expect("snode build");
-        let renum_graph = Graph::from_edges(
-            graph.num_nodes(),
-            graph
-                .edges()
-                .map(|(u, v)| (renum.new_of_old[u as usize], renum.new_of_old[v as usize])),
-        );
+        let renum_graph = renumber_graph(&graph, &renum);
         let transpose = renum_graph.transpose();
 
-        // Transpose S-Node (built over the same renumbered repository).
+        // Transpose S-Node, refined on its own over the renumbered
+        // repository (the paper's WGᵀ row).
         let t_urls: Vec<&str> = (0..graph.num_nodes())
             .map(|new| urls[renum.old_of_new[new as usize] as usize])
             .collect();
@@ -66,6 +65,8 @@ fn main() {
         };
         let (stats_t, _) =
             build_snode(t_input, &SNodeConfig::default(), &dir_t).expect("snode_t build");
+        let stats_shared = build_snode_transpose(&dir, &transpose, &SNodeConfig::default(), &dir_t)
+            .expect("snode_t build over WG's partition");
 
         let huff = HuffmanGraph::build(&renum_graph);
         let huff_t = HuffmanGraph::build(&transpose);
@@ -78,6 +79,8 @@ fn main() {
         acc[1][1] += link3_t.bits_per_edge();
         acc[2][0] += stats.bits_per_edge();
         acc[2][1] += stats_t.bits_per_edge();
+        acc[3][0] += stats.bits_per_edge();
+        acc[3][1] += stats_shared.bits_per_edge();
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir_t).ok();
@@ -101,7 +104,12 @@ fn main() {
             &widths
         )
     );
-    let names = ["Plain Huffman", "Connectivity Server (Link3)", "S-Node"];
+    let names = [
+        "Plain Huffman",
+        "Connectivity Server (Link3)",
+        "S-Node",
+        "S-Node, WG's partition",
+    ];
     let paper = [[15.2, 15.4], [5.81, 5.92], [5.07, 5.63]];
     for (i, name) in names.iter().enumerate() {
         println!(
@@ -117,13 +125,16 @@ fn main() {
                 &widths
             )
         );
+        let Some(paper) = paper.get(i) else {
+            continue;
+        };
         println!(
             "{}",
             row(
                 &[
                     "  (paper)".into(),
-                    format!("{:.2}", paper[i][0]),
-                    format!("{:.2}", paper[i][1]),
+                    format!("{:.2}", paper[0]),
+                    format!("{:.2}", paper[1]),
                     String::new(),
                     String::new(),
                 ],

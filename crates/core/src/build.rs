@@ -1,5 +1,6 @@
 //! End-to-end S-Node construction (§3): refine the partition, renumber
-//! pages, encode every graph, and lay the representation out on disk.
+//! pages, encode every graph, and lay the representation out on disk. A
+//! transpose is laid out over its forward directory's partition instead.
 
 use crate::disk::{GraphLocator, IndexFileWriter, Renumbering, SNodeMeta};
 use crate::flat::{FlatLists, ListBuf};
@@ -174,6 +175,33 @@ pub fn build_snode_sharded(
     build_snode(input, config, dir)
 }
 
+/// Builds the S-Node representation of `transpose`, the transpose of the
+/// graph the directory at `forward_dir` holds, in that directory's page
+/// ids, under `dir`. WGᵀ is stored over WG's partition and numbering: its
+/// supernodes and page ranges are the forward directory's, so its supernode
+/// graph is the forward one reversed, its domain index is the forward one,
+/// and its `pagemap.bin` is the identity. Nothing is refined, so
+/// [`BuildStats::refine`] is zero.
+pub fn build_snode_transpose(
+    forward_dir: &Path,
+    transpose: &Graph,
+    config: &SNodeConfig,
+    dir: &Path,
+) -> Result<BuildStats> {
+    let t_build = Stopwatch::start();
+    let partition = {
+        // A strict open: `meta.bin` is held to `sums.bin` before it is read.
+        let forward = crate::SNode::open_resident(forward_dir, 0)?;
+        let meta = forward.meta();
+        assert_eq!(meta.num_pages, transpose.num_nodes());
+        Partition::from_ranges(&meta.range_start, &meta.domain_supernodes)
+    };
+    let identity = Renumbering::from_old_of_new((0..transpose.num_nodes()).collect());
+    let mut stats = encode_and_write(transpose, &partition, &identity, config, dir, ENCODE_WINDOW)?;
+    stats.timings.total_secs = secs(record_span("core.build.total", "build", &t_build));
+    Ok(stats)
+}
+
 /// [`build_snode`] with the window size as an argument, so tests can show
 /// that the output does not depend on it.
 fn build_windowed(
@@ -182,7 +210,6 @@ fn build_windowed(
     dir: &Path,
     window: usize,
 ) -> Result<(BuildStats, Renumbering)> {
-    remove_owned_files(dir)?;
     let n_pages = input.graph.num_nodes();
     assert_eq!(input.urls.len(), n_pages as usize);
     assert_eq!(input.domains.len(), n_pages as usize);
@@ -212,8 +239,32 @@ fn build_windowed(
     //    pages ordered by (supernode, lexicographic URL).
     let t = Stopwatch::start();
     let renumbering = number_pages(&partition, input.urls);
-    let range_start = compute_ranges(&partition);
     let remap_secs = secs(record_span("core.build.remap", "build", &t));
+
+    let mut stats = encode_and_write(input.graph, &partition, &renumbering, config, dir, window)?;
+    stats.refine = refine_stats;
+    stats.timings.refine_secs = refine_secs;
+    stats.timings.remap_secs = remap_secs;
+    stats.timings.total_secs = secs(record_span("core.build.total", "build", &t_build));
+    Ok((stats, renumbering))
+}
+
+/// Encodes every graph of `graph` over `partition`, its pages numbered by
+/// `renumbering`, and writes the directory: index files, `pagemap.bin`,
+/// `meta.bin` and `sums.bin`, in place of whatever a build left in `dir`
+/// before. The stats it returns carry no refinement and, of the timings,
+/// only the encode and write ones.
+fn encode_and_write(
+    graph: &Graph,
+    partition: &Partition,
+    renumbering: &Renumbering,
+    config: &SNodeConfig,
+    dir: &Path,
+    window: usize,
+) -> Result<BuildStats> {
+    remove_owned_files(dir)?;
+    let threads = crate::par::resolve_threads(config.threads);
+    let range_start = compute_ranges(partition);
 
     // 3. Remap and encode every graph (see `SupernodeEncoder`), one window
     //    of consecutive supernodes at a time, in parallel across the
@@ -225,9 +276,9 @@ fn build_windowed(
     //    graph outlives its window.
     let n_super = partition.len();
     let encoder = SupernodeEncoder {
-        graph: input.graph,
-        partition: &partition,
-        renumbering: &renumbering,
+        graph,
+        partition,
+        renumbering,
         range_start: &range_start,
         config,
     };
@@ -282,15 +333,21 @@ fn build_windowed(
     // 4. Meta: supernode graph + pointers + PageID index + domain index.
     let t = Stopwatch::start();
     let (index_bytes, _files) = writer.finish()?;
-    let num_domains = input.domains.iter().copied().max().map_or(0, |d| d + 1);
-    let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains as usize];
+    // Every page's domain is its supernode's: the index runs to the highest
+    // domain any page has.
+    let num_domains = partition
+        .elements
+        .iter()
+        .map(|e| e.domain as usize + 1)
+        .max();
+    let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains.unwrap_or(0)];
     for (s, e) in partition.elements.iter().enumerate() {
         domain_supernodes[e.domain as usize].push(s as u32);
     }
     let supergraph_bits = supergraph.encoded_bits();
     let meta = SNodeMeta {
-        num_pages: n_pages,
-        range_start: range_start.clone(),
+        num_pages: graph.num_nodes(),
+        range_start,
         supergraph_bits,
         supergraph,
         intranode_loc,
@@ -308,18 +365,16 @@ fn build_windowed(
     let checksum_bytes = crate::integrity::IntegrityManifest::compute(dir, blob_crc)?.write(dir)?;
     write_secs += secs(record_span("core.build.write", "build", &t));
 
-    // `StageTimings` is a *view* of the same stopwatches the spans above
-    // record — one measurement, two renderings, never parallel bookkeeping.
+    // `StageTimings` is a *view* of the same stopwatches the spans record —
+    // one measurement, two renderings, never parallel bookkeeping.
     let timings = StageTimings {
         threads,
-        refine_secs,
-        remap_secs,
         encode_secs,
         write_secs,
-        total_secs: secs(record_span("core.build.total", "build", &t_build)),
+        ..StageTimings::default()
     };
-    let stats = BuildStats {
-        refine: refine_stats,
+    Ok(BuildStats {
+        refine: RefineStats::default(),
         num_supernodes: meta.num_supernodes(),
         num_superedges: meta.supergraph.num_superedges(),
         supernode_graph_bytes_with_pointers: meta.supergraph.encoded_bytes_with_pointers(),
@@ -331,10 +386,9 @@ fn build_windowed(
         checksum_bytes,
         positive_superedges,
         negative_superedges,
-        num_edges: input.graph.num_edges(),
+        num_edges: graph.num_edges(),
         timings,
-    };
-    Ok((stats, renumbering))
+    })
 }
 
 /// Span nanoseconds as the seconds `StageTimings` reports.

@@ -324,6 +324,11 @@ impl Renumbering {
         }
     }
 
+    /// Whether every page keeps its id.
+    pub fn is_identity(&self) -> bool {
+        (self.old_of_new.iter().enumerate()).all(|(new, &old)| new == old as usize)
+    }
+
     /// Writes `dir/pagemap.bin`.
     pub fn write(&self, dir: &Path) -> Result<()> {
         let mut out = Vec::with_capacity(8 + self.old_of_new.len() * 4);

@@ -36,7 +36,7 @@
 //! | [`bits`] | Table 1 | every bit of a directory, by class of stored material (`wgr stats --bits`) |
 //! | [`disk`] | §3.3 | index files, linear ordering, PageID index, domain index |
 //! | [`cache`] | §4.3 | memory-budgeted decoded-graph cache with load/unload instrumentation |
-//! | [`build`] | §3 | end-to-end construction: refine → renumber → encode → write |
+//! | [`build`] | §3 | end-to-end construction: refine → renumber → encode → write; WGᵀ over WG's partition |
 //! | [`repr`] | §4 | the queryable [`repr::SNode`] handle (disk-backed) and [`repr::SNodeInMemory`] (Table 2 access path) |
 
 #![forbid(unsafe_code)]
@@ -66,7 +66,8 @@ pub mod subgraphs;
 pub mod supergraph;
 
 pub use build::{
-    build_snode, build_snode_sharded, BuildStats, RepoInput, SNodeConfig, StageTimings,
+    build_snode, build_snode_sharded, build_snode_transpose, BuildStats, RepoInput, SNodeConfig,
+    StageTimings,
 };
 pub use codec::{CodecConfig, ListCodec};
 pub use disk::{Blob, Renumbering};

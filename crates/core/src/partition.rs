@@ -116,6 +116,31 @@ impl Partition {
         Self { elements, elem_of }
     }
 
+    /// The partition whose element `s` is pages `range_start[s]..
+    /// range_start[s + 1]`, of the domain whose list in `domain_supernodes`
+    /// names `s`: what a built directory's PageID and domain indexes say of
+    /// the partition it was built over.
+    pub fn from_ranges(range_start: &[u32], domain_supernodes: &[Vec<u32>]) -> Self {
+        let mut elem_of = Vec::new();
+        let mut elements: Vec<Element> = (range_start.windows(2).enumerate())
+            .map(|(s, range)| {
+                elem_of.extend((range[0]..range[1]).map(|_| s as u32));
+                Element {
+                    pages: (range[0]..range[1]).collect(),
+                    domain: 0,
+                    state: SplitState::Clustered,
+                    sterile: true,
+                }
+            })
+            .collect();
+        for (d, supernodes) in domain_supernodes.iter().enumerate() {
+            for &s in supernodes {
+                elements[s as usize].domain = d as u32;
+            }
+        }
+        Self { elements, elem_of }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.elements.len()

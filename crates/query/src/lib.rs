@@ -28,8 +28,6 @@
 pub mod index;
 pub mod obsrun;
 pub mod queries;
-// The translate-scratch pool each shared representation hands out.
-#[allow(clippy::disallowed_types)]
 pub mod reps;
 
 pub use index::{DomainTable, PageRankIndex, TextIndex};

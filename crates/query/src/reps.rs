@@ -11,7 +11,9 @@ use crate::{rep_err, GraphRep, Result};
 use std::path::Path;
 use wg_baselines::Link3DiskStore;
 use wg_graph::{Graph, PageId};
-use wg_snode::{build_snode, Renumbering, RepoInput, SNode, SNodeConfig};
+use wg_snode::{
+    build_snode, build_snode_transpose, Renumbering, RepoInput, SNode, SNodeConfig, SNodeError,
+};
 use wg_store::files::UncompressedFileStore;
 use wg_store::relational::RelationalGraphStore;
 
@@ -167,23 +169,16 @@ impl SchemeSet {
             .collect();
         let transpose = renum_graph.transpose();
 
-        // 3. Transpose S-Node (for backlink navigation).
-        let transpose_urls: Vec<&str> = (0..graph.num_nodes())
-            .map(|new| urls[renumbering.old_of_new[new as usize] as usize])
-            .collect();
-        {
-            // The transpose S-Node must preserve the SAME page ids, so its
-            // refinement works over the already-renumbered repository and
-            // we then compose its internal renumbering away by building on
-            // identity ordering: simplest correct approach — build over the
-            // renumbered graph and keep its pagemap for id translation.
-            let tr_input = RepoInput {
-                urls: &transpose_urls,
-                domains: &renum_domains,
-                graph: &transpose,
-            };
-            build_snode(tr_input, snode_config, &root.join("snode_t")).map_err(rep_err)?;
-        }
+        // 3. Transpose S-Node (for backlink navigation), over the forward
+        //    directory's supernodes and page ids: answers need no
+        //    translation, and refinement runs once.
+        build_snode_transpose(
+            &root.join("snode"),
+            &transpose,
+            snode_config,
+            &root.join("snode_t"),
+        )
+        .map_err(rep_err)?;
 
         // 4. Baselines over the renumbered graph (forward + transpose).
         //    Rows/records are physically laid out in *crawl order* — the
@@ -192,40 +187,24 @@ impl SchemeSet {
         //    the renumbering work); silently gifting it to the baselines
         //    would hide exactly the locality difference §4.3 measures.
         let crawl_order: Vec<PageId> = renumbering.new_of_old.clone();
-        RelationalGraphStore::build_with_layout(
-            &root.join("rel"),
-            &renum_graph,
-            &renum_domains,
-            budget_bytes,
-            &crawl_order,
-        )
-        .map_err(rep_err)?;
-        RelationalGraphStore::build_with_layout(
-            &root.join("rel_t"),
-            &transpose,
-            &renum_domains,
-            budget_bytes,
-            &crawl_order,
-        )
-        .map_err(rep_err)?;
-        UncompressedFileStore::build_with_layout(
-            &root.join("files.bin"),
-            &renum_graph,
-            &renum_domains,
-            &crawl_order,
-        )
-        .map_err(rep_err)?;
-        UncompressedFileStore::build_with_layout(
-            &root.join("files_t.bin"),
-            &transpose,
-            &renum_domains,
-            &crawl_order,
-        )
-        .map_err(rep_err)?;
-        Link3DiskStore::create(&root.join("link3.bin"), &renum_graph, budget_bytes)
+        for (suffix, g) in [("", &renum_graph), ("_t", &transpose)] {
+            let (rel, files, link3) = (
+                root.join(format!("rel{suffix}")),
+                root.join(format!("files{suffix}.bin")),
+                root.join(format!("link3{suffix}.bin")),
+            );
+            RelationalGraphStore::build_with_layout(
+                &rel,
+                g,
+                &renum_domains,
+                budget_bytes,
+                &crawl_order,
+            )
             .map_err(rep_err)?;
-        Link3DiskStore::create(&root.join("link3_t.bin"), &transpose, budget_bytes)
-            .map_err(rep_err)?;
+            UncompressedFileStore::build_with_layout(&files, g, &renum_domains, &crawl_order)
+                .map_err(rep_err)?;
+            Link3DiskStore::create(&link3, g, budget_bytes).map_err(rep_err)?;
+        }
 
         Ok(Self {
             renumbering,
@@ -248,8 +227,21 @@ impl SchemeSet {
     /// stores still rebuild their flat files at open (inherent to their
     /// design — see [`SchemeSet::open_with_budget`]), so injected faults
     /// should target the `snode` directory.
+    ///
+    /// A root whose `snode_t` has its own page numbering (a non-identity
+    /// `pagemap.bin`: what builds before `snode_t` shared `snode`'s
+    /// partition wrote) is refused, since its backlinks would come out in
+    /// the wrong ids.
     pub fn open_existing(root: &Path, graph: &Graph, budget_bytes: usize) -> Result<Self> {
         let renumbering = Renumbering::read(&root.join("snode")).map_err(rep_err)?;
+        if !Renumbering::read(&root.join("snode_t"))
+            .map_err(rep_err)?
+            .is_identity()
+        {
+            return Err(rep_err(SNodeError::Corrupt(
+                "snode_t numbers its pages apart from snode: rebuild the representations",
+            )));
+        }
         let renum_graph = renumber_graph(graph, &renumbering);
         let transpose = renum_graph.transpose();
         Ok(Self {
@@ -279,28 +271,21 @@ impl SchemeSet {
         budget: usize,
         transpose: bool,
     ) -> Result<Box<dyn GraphRep>> {
-        let suffix = if transpose { "_t" } else { "" };
+        let (suffix, g) = if transpose {
+            ("_t", &self.transpose)
+        } else {
+            ("", &self.graph)
+        };
         Ok(match scheme {
             Scheme::SNode => {
                 // Degraded open: a damaged graph is quarantined and the
                 // query answers partially (with an explicit report)
                 // instead of aborting. On a clean directory the behaviour
                 // and counters are identical to a strict open.
-                let snode = if transpose {
-                    // The transpose S-Node has its own internal numbering;
-                    // wrap it with the id translation layer.
-                    let dir = self.root.join("snode_t");
-                    let inner = SNode::open_degraded(&dir, budget).map_err(rep_err)?;
-                    let renum = Renumbering::read(&dir).map_err(rep_err)?;
-                    return Ok(Box::new(TranslatedSNodeRep {
-                        inner,
-                        renum,
-                        scratch: parking_lot::Mutex::new(Vec::new()),
-                    }));
-                } else {
-                    SNode::open_degraded(&self.root.join("snode"), budget).map_err(rep_err)?
-                };
-                Box::new(SNodeRep(snode))
+                let dir = self.root.join(format!("snode{suffix}"));
+                Box::new(SNodeRep(
+                    SNode::open_degraded(&dir, budget).map_err(rep_err)?,
+                ))
             }
             Scheme::Relational => {
                 let dir = self.root.join(format!("rel{suffix}"));
@@ -312,11 +297,6 @@ impl SchemeSet {
                 // The file store has no open-from-disk constructor state
                 // beyond its offsets; rebuild the reader cheaply (same
                 // bytes, build cost excluded from navigation timing).
-                let g = if transpose {
-                    &self.transpose
-                } else {
-                    &self.graph
-                };
                 let domains: Vec<u32> = vec![0; g.num_nodes() as usize];
                 let path = self.root.join(format!("files{suffix}.bin"));
                 let crawl_order: Vec<PageId> = self.renumbering.new_of_old.clone();
@@ -326,104 +306,12 @@ impl SchemeSet {
                 ))
             }
             Scheme::Link3 => {
-                let g = if transpose {
-                    &self.transpose
-                } else {
-                    &self.graph
-                };
                 let path = self.root.join(format!("link3{suffix}.bin"));
                 Box::new(Link3Rep(
                     Link3DiskStore::create(&path, g, budget).map_err(rep_err)?,
                 ))
             }
         })
-    }
-}
-
-/// S-Node over the transpose graph, translating between the shared id
-/// space and the transpose build's internal numbering.
-struct TranslatedSNodeRep {
-    inner: SNode,
-    renum: Renumbering,
-    /// Pool of reused translation buffers for the zero-alloc paths; a
-    /// pool (not a single slot) so concurrent callers each borrow their
-    /// own scratch instead of serialising on one buffer.
-    scratch: parking_lot::Mutex<Vec<TranslateScratch>>,
-}
-
-#[derive(Default)]
-struct TranslateScratch {
-    internal_pages: Vec<PageId>,
-    translated: Vec<PageId>,
-}
-
-impl TranslatedSNodeRep {
-    /// Borrows a scratch buffer from the pool for the duration of `f`.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut TranslateScratch) -> R) -> R {
-        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let r = f(&mut scratch);
-        self.scratch.lock().push(scratch);
-        r
-    }
-}
-
-impl GraphRep for TranslatedSNodeRep {
-    fn scheme_name(&self) -> &'static str {
-        Scheme::SNode.name()
-    }
-    fn out_neighbors(&self, p: PageId) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        self.out_neighbors_into(p, &mut out)?;
-        Ok(out)
-    }
-    fn out_neighbors_into(&self, p: PageId, out: &mut Vec<PageId>) -> Result<()> {
-        let internal = self.renum.new_of_old[p as usize];
-        self.with_scratch(|scratch| {
-            self.inner
-                .out_neighbors_into(internal, &mut scratch.translated)
-                .map_err(rep_err)?;
-            out.clear();
-            out.extend(
-                scratch
-                    .translated
-                    .iter()
-                    .map(|&t| self.renum.old_of_new[t as usize]),
-            );
-            out.sort_unstable();
-            Ok(())
-        })
-    }
-    fn out_neighbors_batch(
-        &self,
-        pages: &[PageId],
-        visit: &mut dyn FnMut(PageId, &[PageId]),
-    ) -> Result<()> {
-        self.with_scratch(|scratch| {
-            scratch.internal_pages.clear();
-            scratch
-                .internal_pages
-                .extend(pages.iter().map(|&p| self.renum.new_of_old[p as usize]));
-            let renum = &self.renum;
-            let translated = &mut scratch.translated;
-            // The inner batch visits in input order, so `idx` walks `pages`.
-            let mut idx = 0usize;
-            self.inner
-                .out_neighbors_batch(&scratch.internal_pages, &mut |_, list| {
-                    translated.clear();
-                    translated.extend(list.iter().map(|&t| renum.old_of_new[t as usize]));
-                    translated.sort_unstable();
-                    visit(pages[idx], translated);
-                    idx += 1;
-                })
-                .map_err(rep_err)
-        })
-    }
-    fn reset(&self) -> Result<()> {
-        self.inner.clear_cache();
-        Ok(())
-    }
-    fn degraded(&self) -> Option<wg_snode::DegradedReport> {
-        Some(self.inner.degraded())
     }
 }
 
@@ -440,6 +328,7 @@ pub fn renumber_graph(graph: &Graph, renum: &Renumbering) -> Graph {
 mod tests {
     use super::*;
     use wg_corpus::{Corpus, CorpusConfig};
+    use wg_snode::disk::SNodeMeta;
 
     fn temp_root(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -453,15 +342,9 @@ mod tests {
         let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
         let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
         let root = temp_root("agree");
-        let set = SchemeSet::build(
-            &root,
-            &urls,
-            &domains,
-            &corpus.graph,
-            &SNodeConfig::default(),
-            1 << 20,
-        )
-        .unwrap();
+        let config = SNodeConfig::default();
+        let set =
+            SchemeSet::build(&root, &urls, &domains, &corpus.graph, &config, 1 << 20).unwrap();
 
         for scheme in Scheme::ALL {
             let rep = set.open(scheme).unwrap();
@@ -473,8 +356,10 @@ mod tests {
                     scheme.name()
                 );
             }
+            // S-Node's backlinks at every page: `snode_t` is a directory of its own.
+            let step = if scheme == Scheme::SNode { 1 } else { 31 };
             let rep_t = set.open_transpose(scheme).unwrap();
-            for p in (0..set.graph.num_nodes()).step_by(31) {
+            for p in (0..set.graph.num_nodes()).step_by(step) {
                 assert_eq!(
                     rep_t.out_neighbors(p).unwrap(),
                     set.transpose.neighbors(p),
@@ -483,6 +368,23 @@ mod tests {
                 );
             }
         }
+
+        // `snode_t` is laid out over `snode`'s partition: the same ranges
+        // and domain index, the supernode graph reversed, no renumbering.
+        let forward = SNodeMeta::read(&root.join("snode")).unwrap();
+        let backward = SNodeMeta::read(&root.join("snode_t")).unwrap();
+        assert!(forward.num_supernodes() > 1);
+        assert_eq!(backward.range_start, forward.range_start);
+        assert_eq!(backward.domain_supernodes, forward.domain_supernodes);
+        let mut reversed = vec![Vec::new(); forward.num_supernodes() as usize];
+        for (i, row) in forward.supergraph.adj.iter().enumerate() {
+            for &j in row {
+                reversed[j as usize].push(i as u32);
+            }
+        }
+        assert_eq!(backward.supergraph.adj, reversed);
+        let ids = Renumbering::read(&root.join("snode_t")).unwrap();
+        assert!(ids.is_identity());
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -38,12 +38,17 @@ const ROW_FINGERPRINTS: [u64; 6] = [
 /// shorten a reference chain, and looking takes its mutex. Q5's rose from
 /// 632 to 638 and Q6's from 980 to 983 when cache entries were cut to the
 /// width their values need: entries a third smaller leave more graphs
-/// cached with their memos.
+/// cached with their memos. Q3's rose from 33 to 40 and Q4's from 56 to
+/// 61 when WGᵀ came to be stored over WG's partition: a backlink probe then
+/// reads the lists, and follows the reference chains, of 258 supernodes'
+/// graphs where it read 402's, and finds more of those chains decoded while
+/// it decodes fewer lists: Q3's decodes fell from 381 to 312 and its
+/// lookups from 414 to 342, Q4's from 277 to 181 and from 296 to 189.
 const SNODE_CEILINGS: [[u64; 4]; 6] = [
     [3, 197, 203, 982],
     [3, 235, 241, 1458],
-    [33, 348, 414, 33],
-    [19, 258, 296, 56],
+    [30, 282, 342, 40],
+    [8, 173, 189, 61],
     [248, 3947, 4443, 638],
     [4, 205, 213, 983],
 ];

@@ -11,11 +11,13 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Mutex, OnceLock};
+use webgraph_repr::corpus::textio::write_corpus;
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::io::{clear_transients, install_transients};
 use webgraph_repr::fault::{FaultPlan, FaultSpec, TransientKind};
+use webgraph_repr::query::reps::renumber_graph;
 use webgraph_repr::snode::{
-    build_snode, IntegrityManifest, RepoInput, SNode, SNodeConfig, SNodeInMemory,
+    build_snode, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig, SNodeInMemory,
 };
 
 fn wgr() -> Command {
@@ -518,6 +520,44 @@ fn degraded_query_exits_3_with_consistent_counts() {
         assert_eq!(total, vals[6], "{key}: deltas must sum to the report");
         assert!(total > 0, "{key}: the flip must be observed");
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A reps root whose `snode_t` numbers pages apart from `snode`, as builds
+/// that refined WGᵀ on its own wrote it, would answer backlinks in the wrong
+/// ids: `--reuse` refuses it, exit 2, and asks for a rebuild.
+#[test]
+fn reuse_refuses_a_transpose_numbered_apart() {
+    let root = temp_dir("apart");
+    let (corpus_dir, reps) = (root.join("corpus"), root.join("reps"));
+    let corpus = Corpus::generate(CorpusConfig::scaled(2_000, 17));
+    write_corpus(&corpus_dir, &corpus).unwrap();
+    let query = || {
+        let mut cmd = wgr();
+        cmd.arg("query").arg(&corpus_dir).arg("--reps").arg(&reps);
+        cmd
+    };
+    assert!(query().output().unwrap().status.success());
+    assert!(query().arg("--reuse").output().unwrap().status.success());
+
+    let renum = Renumbering::read(&reps.join("snode")).unwrap();
+    let page = |new: &u32| &corpus.pages[renum.old_of_new[*new as usize] as usize];
+    let urls: Vec<&str> = (0..corpus.num_pages())
+        .map(|p| page(&p).url.as_str())
+        .collect();
+    let domains: Vec<u32> = (0..corpus.num_pages()).map(|p| page(&p).domain).collect();
+    let transpose = renumber_graph(&corpus.graph, &renum).transpose();
+    let input = RepoInput {
+        urls: &urls,
+        domains: &domains,
+        graph: &transpose,
+    };
+    let (_, own) = build_snode(input, &SNodeConfig::default(), &reps.join("snode_t")).unwrap();
+    assert!(!own.is_identity());
+    let out = query().arg("--reuse").output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("rebuild the representations") && !err.contains("panicked"));
     std::fs::remove_dir_all(&root).ok();
 }
 

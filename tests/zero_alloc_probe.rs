@@ -2,7 +2,7 @@
 //! allocator itself: once one pass has filled the graph cache, grown the
 //! handle's decode buffers and fed the list memos, `out_neighbors_into` and
 //! a repeated `out_neighbors_batch` answer without a single heap
-//! allocation; encoding or parsing a list stream allocates per call, never
+//! allocation, backlinks through `open_transpose` too; encoding or parsing a list stream allocates per call, never
 //! per list; a cache entry is admitted with a fixed number of allocations,
 //! its arena among them; and a count the bytes cannot back sizes nothing.
 
@@ -17,14 +17,13 @@ use std::cell::Cell;
 use std::sync::Arc;
 use webgraph_repr::bitio::{codes, BitWriter};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
+use webgraph_repr::query::reps::{Scheme, SchemeSet};
 use webgraph_repr::snode::cache::{CachedGraph, Fanout};
 use webgraph_repr::snode::refenc::{encode_lists, DecodeScratch, ListsIndex, RefMode, Universe};
 use webgraph_repr::snode::subgraphs::{
     encode_superedge, Layout as Stored, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
-use webgraph_repr::snode::{
-    build_snode, Blob, ListCodec, Renumbering, RepoInput, SNode, SNodeConfig,
-};
+use webgraph_repr::snode::{Blob, ListCodec, SNode, SNodeConfig};
 use webgraph_repr::store::Region;
 
 thread_local! {
@@ -100,30 +99,15 @@ fn a_warm_probe_allocates_nothing() {
     let corpus = Corpus::generate(CorpusConfig::scaled(5_000, 42));
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let input = RepoInput {
-        urls: &urls,
-        domains: &domains,
-        graph: &corpus.graph,
-    };
-    let dir = std::env::temp_dir().join(format!("wg_zero_alloc_{}", std::process::id()));
-    // The default format: `g+st`, every superedge layout in play.
-    build_snode(input, &SNodeConfig::default(), &dir).unwrap();
-    let renum = Renumbering::read(&dir).unwrap();
+    let root = std::env::temp_dir().join(format!("wg_zero_alloc_{}", std::process::id()));
+    // The default format: `g+st`, every superedge layout in play; the
+    // corpus graph and its transpose in the directories' page ids.
+    let config = SNodeConfig::default();
+    let set = SchemeSet::build(&root, &urls, &domains, &corpus.graph, &config, 1 << 20).unwrap();
     let n = corpus.num_pages();
-    // The corpus graph in the directory's page ids.
-    let truth: Vec<Vec<u32>> = (0..n)
-        .map(|new| {
-            let old = renum.old_of_new[new as usize];
-            let mut list: Vec<u32> = (corpus.graph.neighbors(old).iter())
-                .map(|&t| renum.new_of_old[t as usize])
-                .collect();
-            list.sort_unstable();
-            list
-        })
-        .collect();
     let batch: Vec<u32> = (0..64).map(|i| i * (n / 64) + i % 7).collect();
 
-    let snode = SNode::open_resident(&dir, 256 << 20).unwrap();
+    let snode = SNode::open_resident(&root.join("snode"), 256 << 20).unwrap();
     let mut out = Vec::new();
     let mut wrong = 0usize;
     // The filling pass: every graph cached, every buffer grown.
@@ -133,13 +117,13 @@ fn a_warm_probe_allocates_nothing() {
     let before = allocations();
     for p in 0..n {
         snode.out_neighbors_into(p, &mut out).unwrap();
-        wrong += usize::from(out != truth[p as usize]);
+        wrong += usize::from(out != set.graph.neighbors(p));
     }
     let scalar = allocations() - before;
     assert_eq!(wrong, 0, "answers differ from the corpus graph");
     assert_eq!(scalar, 0, "allocations over {n} warm probes");
 
-    let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != truth[p as usize]);
+    let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != set.graph.neighbors(p));
     snode.out_neighbors_batch(&batch, &mut check).unwrap();
     let before = allocations();
     for _ in 0..3 {
@@ -149,7 +133,24 @@ fn a_warm_probe_allocates_nothing() {
     assert_eq!(wrong, 0, "batched answers differ from the corpus");
     assert_eq!(batched, 0, "allocations over three warm batches");
     assert_eq!(snode.cache_stats().evictions, 0, "nothing was cold");
-    std::fs::remove_dir_all(&dir).ok();
+
+    // Backlinks take the same path: `snode_t` shares `snode`'s page ids, so
+    // the handle `open_transpose` gives is an `SNode` with nothing between.
+    let backlinks = set
+        .open_with_budget(Scheme::SNode, 256 << 20, true)
+        .unwrap();
+    for p in 0..n {
+        backlinks.out_neighbors_into(p, &mut out).unwrap();
+    }
+    let before = allocations();
+    for p in 0..n {
+        backlinks.out_neighbors_into(p, &mut out).unwrap();
+        wrong += usize::from(out != set.transpose.neighbors(p));
+    }
+    let backward = allocations() - before;
+    assert_eq!(wrong, 0, "backlinks differ from the transpose graph");
+    assert_eq!(backward, 0, "allocations over {n} warm backlink probes");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `n` lists over `0..n` in groups of eight that share twelve entries, so
