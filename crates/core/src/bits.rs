@@ -42,6 +42,7 @@ pub struct BitLedger {
 
 const INTRANODE: &str = "intranode lists";
 const POSITIVE_LISTS: &str = "superedge positive, list stream";
+const POSITIVE_ONE_TARGET: &str = "superedge positive, one-target dictionary";
 const POSITIVE_TARGETS: &str = "superedge positive, single-target dictionary";
 const POSITIVE_DICTIONARY: &str = "superedge positive, list dictionary";
 const NEGATIVE: &str = "superedge negative";
@@ -91,8 +92,8 @@ impl BitLedger {
         let padding = |loc: &GraphLocator, used: u64| loc.byte_len * 8 - used;
 
         let (mut intranode_bits, mut intranode_edges) = (0u64, 0u64);
-        let [mut streams, mut targets, mut dictionary, mut negative]: [SuperedgeClass; 4] =
-            Default::default();
+        let [mut streams, mut one_target, mut targets, mut dictionary, mut negative] =
+            <[SuperedgeClass; 5]>::default();
         let (mut padding_bits, mut referenced_bytes) = (0u64, 0u64);
         for s in 0..meta.num_supernodes() {
             let loc = meta.intranode_loc[s as usize];
@@ -115,6 +116,8 @@ impl BitLedger {
                 let class = match (index.kind, bits.layout) {
                     (SuperedgeKind::Negative, _) => &mut negative,
                     (_, Layout::Lists) => &mut streams,
+                    // A fanout answers these: template links.
+                    _ if index.one_target().is_some() => &mut one_target,
                     (_, Layout::SingleTargets) => &mut targets,
                     (_, Layout::ListDictionary) => &mut dictionary,
                 };
@@ -140,6 +143,8 @@ impl BitLedger {
         }];
         rows.extend(streams.rows(POSITIVE_LISTS, &["header", "sources", "list stream"]));
         let dictionary_parts = ["header", "sources", "dictionary", "index"];
+        // One entry takes no index bits.
+        rows.extend(one_target.rows(POSITIVE_ONE_TARGET, &dictionary_parts[..3]));
         rows.extend(targets.rows(POSITIVE_TARGETS, &dictionary_parts));
         rows.extend(dictionary.rows(POSITIVE_DICTIONARY, &dictionary_parts));
         rows.extend(negative.rows(NEGATIVE, &["header", "list stream"]));
@@ -186,6 +191,7 @@ impl BitLedger {
             rows,
             edges: intranode_edges
                 + streams.edges
+                + one_target.edges
                 + targets.edges
                 + dictionary.edges
                 + negative.edges,
@@ -326,6 +332,7 @@ mod tests {
         assert_eq!(bits_of(INTRANODE), stats.intranode_bits);
         let superedge = [
             POSITIVE_LISTS,
+            POSITIVE_ONE_TARGET,
             POSITIVE_TARGETS,
             POSITIVE_DICTIONARY,
             NEGATIVE,
@@ -333,6 +340,15 @@ mod tests {
         let superedge_bits: u64 = superedge.iter().map(|class| bits_of(class)).sum();
         assert_eq!(superedge_bits, stats.superedge_bits);
         assert!(bits_of(POSITIVE_TARGETS) + bits_of(POSITIVE_DICTIONARY) > 0);
+        // The graphs a fanout answers, counted as a handle's scan finds them.
+        let one_target = ledger
+            .rows
+            .iter()
+            .find(|row| row.class == POSITIVE_ONE_TARGET);
+        let snode = crate::repr::SNode::open_resident(&dir, 1 << 20).unwrap();
+        let scanned = snode.one_target_superedges().unwrap();
+        assert!(scanned > 0);
+        assert_eq!(one_target.map(|row| row.graphs), Some(scanned));
         assert_eq!(
             bits_of("index files"),
             (stats.index_bytes * 8) - stats.intranode_bits - stats.superedge_bits

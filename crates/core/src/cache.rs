@@ -210,9 +210,16 @@ fn key_kind(key: &GraphKey) -> usize {
 /// One arena holds it all, a [`Section`] each: CSR row starts (page
 /// `local` draws on rows `starts[local]..starts[local + 1]`) at the width
 /// the row-entry total needs, then `always` and the rows end to end at the
-/// width a slot needs. A slot indexes one supernode's row of the supernode
-/// graph — hundreds of entries at most on a crawl — so the rows, most of
-/// what a fanout weighs, take a byte each.
+/// width a slot needs, then one target value per slot. A slot indexes one
+/// supernode's row of the supernode graph — hundreds of entries at most on
+/// a crawl — so the rows, most of what a fanout weighs, take a byte each.
+///
+/// A slot's target value is 1 + `t` when its graph is a single-target
+/// dictionary of one entry — every page it lists links to page `t` of the
+/// target supernode, template links — and 0 otherwise. Three in four
+/// superedge graphs of a crawl are such graphs: a probe answers them from
+/// here, and never looks one up, parses it or decodes a list of it. The
+/// values take the width the largest needs, none when it is 0.
 #[derive(Debug)]
 pub struct Fanout {
     arena: Box<[u8]>,
@@ -223,45 +230,63 @@ pub struct Fanout {
     /// could not be read, so that each access keeps counting the part it
     /// went without.
     always: u32,
-    /// The width of the row starts, by the row-entry total, and of a slot,
-    /// by the supernode's out-degree.
+    /// The supernode's out-degree: how many target values end the arena.
+    degree: u32,
+    /// The width of the row starts, by the row-entry total, of a slot, by
+    /// the out-degree, and of a target value, by the largest.
     starts: Width,
     slots: Width,
+    targets: Width,
 }
 
 impl Fanout {
     /// Builds the fanout of a supernode of `ni` pages from its
     /// out-superedge graphs in slot order: the ascending `sources` of a
     /// positive graph, `None` for one every page consults — a negative
-    /// graph, or one that could not be read. One pass for the sizes, which
-    /// allocates the arena at its size, then two counting passes over the
-    /// `sources`, O(Σ|sources| + `ni`): the biggest supernodes have
-    /// thousands of pages and hundreds of superedges, and are where a
-    /// probe's tail latency comes from.
+    /// graph, or one that could not be read — and per slot the one target
+    /// of a positive graph that has one (slots past the end of `targets`
+    /// have none). One pass for the sizes, which allocates the arena at
+    /// its size, then two counting passes over the `sources`,
+    /// O(Σ|sources| + `ni`): the biggest supernodes have thousands of
+    /// pages and hundreds of superedges, and are where a probe's tail
+    /// latency comes from.
     pub fn build<S>(
         ni: u32,
         graphs: impl DoubleEndedIterator<Item = Option<S>> + Clone,
+        targets: &[Option<u32>],
     ) -> Result<Self>
     where
         S: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<u32>>,
     {
-        let (mut slots, mut always, mut rows) = (0u32, 0usize, 0usize);
-        for sources in graphs.clone() {
+        let (mut slots, mut always, mut rows, mut top) = (0u32, 0usize, 0usize, 0u32);
+        for (sources, value) in graphs.clone().zip(values_of(targets)) {
             slots += 1;
             match sources {
-                Some(sources) => rows += sources.into_iter().len(),
+                Some(sources) => {
+                    rows += sources.into_iter().len();
+                    top = top.max(value);
+                }
                 None => always += 1,
             }
         }
         let total = u32::try_from(rows).map_err(|_| SNodeError::Corrupt("fanout overflows u32"))?;
         let width = Width::below(u64::from(total) + 1);
         let slot = Width::below(u64::from(slots));
+        let target = Width::below(u64::from(top) + 1);
         let starts = width.after(0, ni as usize + 1);
         let all = slot.after(starts.end, always + rows);
-        let mut arena = vec![0u8; all.end];
-        let (head, slots_at) = arena.split_at_mut(all.start);
+        let values = target.after(all.end, slots as usize);
+        let mut arena = vec![0u8; values.end];
+        let (head, values_at) = arena.split_at_mut(values.start);
+        let (head, slots_at) = head.split_at_mut(all.start);
+        let slots_at = slots_at.get_mut(..all.len()).unwrap_or_default();
         let counts = head.get_mut(starts).unwrap_or_default();
         let (always_at, rows_at) = slots_at.split_at_mut(always * slot.bytes());
+        // A graph every page consults answers no page with one target.
+        let positive = graphs.clone().map(|sources| sources.is_some());
+        for (k, (value, positive)) in values_of(targets).zip(positive).enumerate() {
+            section::put(values_at, target, k, if positive { value } else { 0 });
+        }
         let every_page = (0u32..)
             .zip(graphs.clone())
             .filter(|(_, sources)| sources.is_none());
@@ -280,8 +305,10 @@ impl Fanout {
             arena: arena.into_boxed_slice(),
             ni,
             always: always as u32,
+            degree: slots,
             starts: width,
             slots: slot,
+            targets: target,
         })
     }
 
@@ -311,10 +338,27 @@ impl Fanout {
         self.sections().1.slice(0..self.always as usize)
     }
 
+    /// The one local target of slot `k`'s graph, when it is a
+    /// single-target dictionary of one entry: what every page the graph
+    /// lists links to. Read from the last section of the arena.
+    pub fn target(&self, k: u32) -> Option<u32> {
+        let end = self.arena.len();
+        let at = end.saturating_sub(self.degree as usize * self.targets.bytes());
+        let values = Section::cut(&self.arena, at..end, self.degree, self.targets);
+        values.get(k as usize)?.checked_sub(1)
+    }
+
     /// What the fanout is charged: its arena.
     fn heap_bytes(&self) -> usize {
         self.arena.len()
     }
+}
+
+/// Every slot's target value: 1 + its one target, 0 without one (and past
+/// the end of `targets`).
+fn values_of(targets: &[Option<u32>]) -> impl Iterator<Item = u32> + '_ {
+    let values = targets.iter().map(|t| t.map_or(0, |t| t.saturating_add(1)));
+    values.chain(std::iter::repeat(0))
 }
 
 /// [`Fanout::build`]'s two counting passes, over row starts of `W` bytes
@@ -1362,8 +1406,12 @@ mod tests {
             None,
             graphs[3].positive_sources().map(Section::iter),
         ];
-        let fanout = Fanout::build(6, slots.into_iter()).expect("build");
+        // Slot 2's graph has one target, but no page is sent to it.
+        let targets: Vec<Option<u32>> = graphs.iter().map(SuperedgeIndex::one_target).collect();
+        assert_eq!(targets, [None, None, Some(2), None]);
+        let fanout = Fanout::build(6, slots.into_iter(), &targets).expect("build");
         assert_eq!(fanout.always().iter().collect::<Vec<_>>(), [1, 2]);
+        assert!((0..5).all(|k| fanout.target(k).is_none()));
         let rows: Vec<Vec<u32>> = (0..7)
             .map(|local| fanout.slots_of(local).iter().collect())
             .collect();
@@ -1386,6 +1434,7 @@ mod tests {
         let err = Fanout::build(
             4,
             [graphs[0].positive_sources().map(Section::iter)].into_iter(),
+            &[],
         );
         assert!(matches!(err, Err(SNodeError::Corrupt(_))));
     }
@@ -1440,7 +1489,12 @@ mod tests {
             ),
             many_slots in proptest::any::<bool>(),
             stray in (0u32..5, 0usize..24, 0u32..3),
+            targets in proptest::collection::vec((0u32..3, 0u32..70_000), 0..30),
         ) {
+            // None, a byte's worth, or up to three bytes' worth.
+            let targets: Vec<Option<u32>> = (targets.into_iter())
+                .map(|(kind, v)| [None, Some(v % 255), Some(v)][kind as usize])
+                .collect();
             // Sources inside the supernode, then at most one stray beyond it.
             let mut graphs: Vec<Option<Vec<u32>>> = slots
                 .into_iter()
@@ -1462,7 +1516,7 @@ mod tests {
                     strayed = true;
                 }
             }
-            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref));
+            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref), &targets);
             let model = model_fanout(ni, &graphs);
             proptest::prop_assert_eq!(model.is_none(), strayed);
             let Some((offsets, rows, always)) = model else {
@@ -1477,9 +1531,19 @@ mod tests {
                 graphs.len() > 1 << 16,
                 "{} slots", graphs.len()
             );
+            // A slot every page consults has no target.
+            let want: Vec<Option<u32>> = (0..graphs.len())
+                .map(|k| graphs[k].as_ref().and(targets.get(k).copied().flatten()))
+                .collect();
+            let top = want.iter().flatten().map(|&t| t + 1).max().unwrap_or(0);
+            proptest::prop_assert_eq!(built.targets, Width::below(u64::from(top) + 1));
+            let got: Vec<Option<u32>> = (0..graphs.len() as u32).map(|k| built.target(k)).collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(built.target(graphs.len() as u32), None);
             let starts = (ni as usize + 1) * built.starts.bytes();
             let slots = (always.len() + total as usize) * built.slots.bytes();
-            proptest::prop_assert!(built.heap_bytes() <= starts + 3 + slots);
+            let values = graphs.len() * built.targets.bytes();
+            proptest::prop_assert!(built.heap_bytes() <= starts + 3 + slots + 3 + values);
             proptest::prop_assert_eq!(built.always().iter().collect::<Vec<_>>(), always);
             for local in 0..ni + 2 {
                 let want = match offsets.get(local as usize..local as usize + 2) {
@@ -1524,7 +1588,7 @@ mod tests {
                     (slots != 2 || k != 1).then_some(sources)
                 })
                 .collect();
-            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref)).expect("build");
+            let built = Fanout::build(ni, graphs.iter().map(Option::as_deref), &[]).expect("build");
             let (offsets, rows, always) = model_fanout(ni, &graphs).expect("inside");
             let total = u64::from(offsets[ni as usize]);
             assert_eq!(built.starts, Width::below(total + 1), "{total} rows");
@@ -1637,17 +1701,21 @@ mod tests {
             );
         }
 
-        // A fanout of 40 pages over three positive graphs and a negative one.
+        // A fanout of 40 pages over three positive graphs and a negative
+        // one; the third has one target, page 300 of its supernode.
         let graphs = [
             Some(vec![1, 2, 3]),
             None,
             Some(vec![0, 39]),
             Some((0..40).collect()),
         ];
-        let fanout = Fanout::build(40, graphs.iter().map(Option::as_deref)).expect("build");
+        let targets = [None, None, Some(300), None];
+        let fanout = Fanout::build(40, graphs.iter().map(Option::as_deref), &targets);
         let starts = Width::One.after(0, 41);
-        let arena = Width::One.after(starts.end, 1 + 45).end;
-        assert_eq!(CachedGraph::from(fanout).bytes(), header + arena, "fanout");
+        let slots = Width::One.after(starts.end, 1 + 45);
+        let arena = Width::Two.after(slots.end, 4).end;
+        let cached = CachedGraph::from(fanout.expect("build"));
+        assert_eq!(cached.bytes(), header + arena, "fanout");
     }
 
     #[test]

@@ -949,6 +949,18 @@ pub(crate) fn append_bounded_gap_list(
     read_ascending_entries(r, count, universe, |x| out.push(x))
 }
 
+/// The entry of a list written by [`write_bounded_gap_list`] if it holds
+/// exactly one, read with every check of [`read_bounded_gap_list_into`];
+/// `None`, its entries unread, for a list of any other length.
+pub(crate) fn read_sole_entry(r: &mut BitReader<'_>, universe: u64) -> Result<Option<u32>> {
+    if read_list_count(r, universe)? != 1 {
+        return Ok(None);
+    }
+    let mut entry = None;
+    read_ascending_entries(r, 1, universe, |x| entry = Some(x))?;
+    Ok(entry)
+}
+
 /// [`append_bounded_gap_list`] onto `arena` as a section at `width` (which
 /// holds `universe`); returns its length.
 pub(crate) fn append_gap_section(

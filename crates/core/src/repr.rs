@@ -20,7 +20,7 @@ use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
 use crate::section::Section;
-use crate::subgraphs::{scan_sources, SuperedgeIndex};
+use crate::subgraphs::{scan_sources, Scanned, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
@@ -163,8 +163,21 @@ struct Part {
     /// negative graph, a quarantined one — rather than only by the pages
     /// whose fanout row names `slot`.
     always: bool,
-    /// `None`: quarantined, each page that consults it counts a skip.
-    graph: Option<Arc<CachedGraph>>,
+    answer: Answer,
+}
+
+/// What a [`Part`] adds to the answer of a page that draws on it.
+#[derive(Debug)]
+enum Answer {
+    /// The page's list in this graph.
+    Graph(Arc<CachedGraph>),
+    /// The one local target of a single-target dictionary of one entry,
+    /// the same for every page it lists: the fanout's, with no graph
+    /// looked up.
+    Target(u32),
+    /// Nothing: the graph is quarantined, and each page that consults it
+    /// counts a skip.
+    Skipped,
 }
 
 /// [`Part::slot`] of the intranode graph; a supernode's row of the
@@ -196,9 +209,11 @@ struct BatchScratch {
     parsed: Vec<Option<ParsedSuperedge>>,
     /// What a fanout build works from: the `sources` of the supernode's
     /// positive out-superedge graphs end to end, and per slot where its
-    /// graph's lie (`None`: a graph every page consults).
+    /// graph's lie (`None`: a graph every page consults) and its one
+    /// target (see [`Fanout::target`]).
     sources: Vec<u32>,
     ranges: Vec<Option<std::ops::Range<usize>>>,
+    targets: Vec<Option<u32>>,
 }
 
 /// A directory as every reader opens it: `meta.bin` checked against
@@ -567,21 +582,30 @@ impl SNode {
                 slot: INTRA_SLOT,
                 j: s,
                 always: true,
-                graph: intra,
+                answer: intra.map_or(Answer::Skipped, Answer::Graph),
             });
-            let targets = &self.dir.meta.supergraph.adj[s as usize];
+            let row = &self.dir.meta.supergraph.adj[s as usize];
+            let mut looked_up = 0u64;
             for &k in &scratch.slots {
-                let j = *targets.get(k as usize).ok_or(SNodeError::Corrupt(
+                let j = *row.get(k as usize).ok_or(SNodeError::Corrupt(
                     "fanout slot beyond the supernode's row",
                 ))?;
-                let parsed = scratch.parsed.get_mut(k as usize).and_then(Option::take);
-                let graph = self.superedge(s, k, j, parsed)?;
+                // Template links are answered from the fanout.
+                let answer = match fanout.target(k) {
+                    Some(t) => Answer::Target(t),
+                    None => {
+                        looked_up += 1;
+                        let parsed = scratch.parsed.get_mut(k as usize).and_then(Option::take);
+                        self.superedge(s, k, j, parsed)?
+                            .map_or(Answer::Skipped, Answer::Graph)
+                    }
+                };
                 scratch.parts.push(Part {
                     start: self.dir.meta.page_range(j).start,
                     slot: k,
                     j,
-                    always: graph.is_none() || fanout.always().contains(k),
-                    graph,
+                    always: matches!(answer, Answer::Skipped) || fanout.always().contains(k),
+                    answer,
                 });
             }
             // What the build read and no page of the group needs is
@@ -592,14 +616,14 @@ impl SNode {
             // globally sorted adjacency list with no final sort.
             scratch.parts.sort_unstable_by_key(|part| part.start);
             if let Some(nav) = &self.nav {
-                let supers = scratch.slots.len() as u64;
                 nav.calls.add((end - g) as u64);
                 nav.supernodes_visited.inc();
                 nav.intra_lists_decoded.inc();
-                nav.super_lists_decoded.add(supers);
+                nav.super_lists_decoded.add(looked_up);
                 if count_batched {
-                    // The intranode graph, the fanout, the graphs it named.
-                    nav.batched_lookups.add(2 + supers);
+                    // The intranode graph, the fanout, the graphs it named
+                    // that it does not answer itself.
+                    nav.batched_lookups.add(2 + looked_up);
                 }
             }
 
@@ -612,9 +636,16 @@ impl SNode {
                     if !part.always && !own.contains(part.slot) {
                         continue;
                     }
-                    let Some(graph) = &part.graph else {
-                        self.note_skip();
-                        continue;
+                    let graph = match &part.answer {
+                        Answer::Graph(graph) => graph,
+                        Answer::Target(t) => {
+                            results[oi].push(part.start + t);
+                            continue;
+                        }
+                        Answer::Skipped => {
+                            self.note_skip();
+                            continue;
+                        }
                     };
                     match graph.decode_list_into(local, &mut scratch.decode, &mut scratch.tmp) {
                         Ok(()) => {
@@ -631,7 +662,7 @@ impl SNode {
                             // From here on every access to the supernode
                             // goes without this part, and counts it.
                             let part = &mut scratch.parts[pi];
-                            part.graph = None;
+                            part.answer = Answer::Skipped;
                             part.always = true;
                             self.note_skip();
                         }
@@ -674,6 +705,27 @@ impl SNode {
     /// flat.
     pub fn resident_bytes(&self) -> u64 {
         self.dir.files.resident_bytes()
+    }
+
+    /// How many superedge graphs a probe answers from its fanout, never
+    /// looking them up: single-target dictionaries of one entry, found by
+    /// the scan a fanout build makes of every blob (`wgr stats`).
+    pub fn one_target_superedges(&self) -> Result<u64> {
+        let (meta, mut pool, mut found) = (&self.dir.meta, Vec::new(), 0u64);
+        for s in 0..meta.num_supernodes() {
+            let ni = u64::from(meta.supernode_size(s));
+            let row = meta.supergraph.adj[s as usize].iter();
+            for ((k, &j), loc) in (1u64..).zip(row).zip(&meta.superedge_loc[s as usize]) {
+                let blob = self
+                    .dir
+                    .load_blob(loc, self.dir.blob_base[s as usize] + k)?;
+                let nj = u64::from(meta.supernode_size(j));
+                pool.clear();
+                let scanned = scan_sources(&blob, loc.bit_len, ni, nj, &mut pool)?;
+                found += u64::from(scanned.is_some_and(|scanned| scanned.target.is_some()));
+            }
+        }
+        Ok(found)
     }
 
     /// In degraded mode records the quarantine and succeeds; in strict
@@ -745,7 +797,8 @@ impl SNode {
 
     /// A fanout miss: builds the fanout of `s` from what a cold probe reads
     /// of every out-superedge graph anyway — the checksummed blob, scanned
-    /// as far as `sources` — admits it, and leaves the blobs in
+    /// as far as `sources`, and for a single-target dictionary its entry
+    /// if it has one only — admits it, and leaves the other blobs in
     /// `scratch.parsed` for the caller to parse and admit the ones its
     /// pages need. Out of line, like [`SNode::load_superedge`]: with the
     /// two miss paths inlined into `batch_run` every *warm* probe read 12 %
@@ -756,11 +809,13 @@ impl SNode {
             parsed,
             sources,
             ranges,
+            targets,
             ..
         } = scratch;
         parsed.clear();
         sources.clear();
         ranges.clear();
+        targets.clear();
         let ni = self.dir.meta.supernode_size(s);
         let locs = &self.dir.meta.superedge_loc[s as usize];
         for ((k, &j), loc) in (0u64..)
@@ -773,18 +828,26 @@ impl SNode {
                     let blob = self
                         .dir
                         .load_blob(loc, self.dir.blob_base[s as usize] + 1 + k);
+                    let nj = u64::from(self.dir.meta.supernode_size(j));
                     let scanned = blob.and_then(|blob| {
-                        let range = scan_sources(&blob, loc.bit_len, u64::from(ni), sources)?;
-                        Ok((blob, range))
+                        let scanned = scan_sources(&blob, loc.bit_len, u64::from(ni), nj, sources)?;
+                        Ok((blob, scanned))
                     });
                     self.or_quarantine(s, j, scanned)?
                 }
             };
-            let (blob, range) = scanned.unzip();
-            parsed.push(blob);
-            ranges.push(range.flatten());
+            let (blob, scanned) = scanned.unzip();
+            let (range, target) = match scanned.flatten() {
+                Some(Scanned { sources, target }) => (Some(sources), target),
+                None => (None, None),
+            };
+            // A graph the fanout answers is never parsed: its blob goes.
+            parsed.push(blob.filter(|_| target.is_none()));
+            ranges.push(range);
+            targets.push(target);
         }
-        let built = Fanout::build(ni, (ranges.iter()).map(|range| sources.get(range.clone()?)));
+        let graphs = (ranges.iter()).map(|range| sources.get(range.clone()?));
+        let built = Fanout::build(ni, graphs, targets);
         Ok(self
             .cache
             .insert(GraphKey::Fanout(s), CachedGraph::from(built?)))
@@ -909,9 +972,13 @@ impl SNodeInMemory {
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
                 row.push((bytes, loc.bit_len, index, nj));
             }
+            let targets: Vec<Option<u32>> = (row.iter())
+                .map(|(_, _, index, _)| index.one_target())
+                .collect();
             fanout.push(Fanout::build(
                 meta.supernode_size(s),
                 (row.iter()).map(|(_, _, index, _)| index.positive_sources().map(Section::iter)),
+                &targets,
             )?);
             supers.push(
                 (row.into_iter())
@@ -971,9 +1038,14 @@ impl SNodeInMemory {
             if j > s {
                 intranode(&mut out, &mut list, &mut scratch)?;
             }
+            let start = self.meta.page_range(j).start;
+            // Template links are answered from the fanout, as on disk.
+            if let Some(t) = fanout.target(k) {
+                out.push(start + t);
+                continue;
+            }
             let graph = &self.supers[s as usize][k as usize];
             graph.decode_list_with(local, &mut NoMemo, &mut scratch, &mut list)?;
-            let start = self.meta.page_range(j).start;
             out.extend(list.iter().map(|&t| start + t));
         }
         intranode(&mut out, &mut list, &mut scratch)?;
@@ -1603,16 +1675,18 @@ mod tests {
 
     /// A probe loads its supernode's intranode graph, its fanout, and
     /// exactly the superedge graphs that hold a list for its page — not
-    /// one entry per out-superedge of the supernode.
+    /// one entry per out-superedge of the supernode — less those the
+    /// fanout answers: a single-target dictionary of one entry is never
+    /// looked up.
     #[test]
     fn cache_log_shows_loaded_graph_counts() {
-        let (dir, graph, _renum, _) = build_repo("log", 100);
+        let (dir, graph, _renum) = build_crawl("log");
         let snode = SNode::open_resident(&dir, 8 << 20).unwrap();
         snode.enable_cache_log();
         let meta = snode.meta();
         let files = IndexFileReader::open_resident(&dir).unwrap();
-        let mut spared = 0usize;
-        for p in 0..graph.num_nodes() {
+        let (mut spared, mut answered) = (0usize, 0usize);
+        for p in (0..graph.num_nodes()).step_by(7) {
             let s = snode.supernode_of(p);
             let local = p - snode.page_range(s).start;
             let ni = u64::from(meta.supernode_size(s));
@@ -1625,7 +1699,10 @@ mod tests {
                 if index.kind == crate::subgraphs::SuperedgeKind::Negative
                     || index.sources().contains(local)
                 {
-                    expected.push(GraphKey::Super(s, j));
+                    match index.one_target() {
+                        Some(_) => answered += 1,
+                        None => expected.push(GraphKey::Super(s, j)),
+                    }
                 } else {
                     spared += 1;
                 }
@@ -1644,6 +1721,59 @@ mod tests {
             assert_eq!(loads, expected, "page {p}");
         }
         assert!(spared > 0, "some graph must hold nothing for some page");
+        assert!(answered > 0, "some page is answered without a graph loaded");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-target graph whose bits after `sources` are zeroed, behind a
+    /// re-computed checksum: the fanout build cannot read its entry, so
+    /// the slot stays an ordinary graph, and the damage surfaces where a
+    /// probe draws on it — a page the graph does not list answers exactly,
+    /// one it lists fails strict and, degraded, goes without that part and
+    /// counts one skip.
+    #[test]
+    fn a_one_target_graph_that_does_not_read_is_left_to_the_probe_that_draws_on_it() {
+        let (dir, graph, renum) = build_crawl("onetarget");
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let files = IndexFileReader::open_resident(&dir).unwrap();
+        let (s, k, loc, index) = (positive_superedges(&dir).into_iter())
+            .find(|(s, _, _, index)| {
+                let partial = (index.sources().len() as u32) < meta.supernode_size(*s);
+                index.one_target().is_some() && partial
+            })
+            .expect("a one-target graph that lists some pages of its supernode only");
+        let bits = index
+            .bit_breakdown(&files.read_blob(&loc).unwrap(), loc.bit_len)
+            .unwrap();
+        zero_blob_tail(&dir, &loc, bits.header + bits.sources);
+        remanifest(&dir);
+
+        let range = meta.page_range(s);
+        let listed = range.start + index.sources().get(0).unwrap();
+        let unlisted = (range.clone())
+            .find(|p| !index.sources().contains(p - range.start))
+            .unwrap();
+        let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
+        assert_eq!(
+            strict.out_neighbors(unlisted).unwrap(),
+            expected_neighbors(&graph, &renum, unlisted)
+        );
+        let fanout = strict.cache.get(GraphKey::Fanout(s)).expect("built");
+        let target = fanout.as_fanout().expect("a fanout").target(k as u32);
+        assert_eq!(target, None, "slot {k} answers from its graph");
+        let got = strict.out_neighbors(listed);
+        assert!(got.is_err(), "{got:?}");
+
+        let degraded = SNode::open_degraded(&dir, 1 << 20).unwrap();
+        let j = meta.supergraph.adj[s as usize][k];
+        let mut want = expected_neighbors(&graph, &renum, listed);
+        want.retain(|t| !meta.page_range(j).contains(t));
+        assert_eq!(degraded.out_neighbors(listed).unwrap(), want);
+        let report = degraded.degraded();
+        assert_eq!(
+            (report.quarantined_supernodes, report.skipped_edges),
+            (1, 1)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

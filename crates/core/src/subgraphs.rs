@@ -21,7 +21,7 @@ use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
     append_bounded_gap_list, append_gap_section, bounded_gap_list_len, encode_lists, offset_width,
-    plain_cost, plan_lists, scan_lists, stream_bits_floor, stream_list_count,
+    plain_cost, plan_lists, read_sole_entry, scan_lists, stream_bits_floor, stream_list_count,
     write_bounded_gap_list, write_lists_planned, DecodeMemo, DecodeScratch, EncodedLists,
     ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode, Universe,
 };
@@ -546,29 +546,60 @@ pub struct SuperedgeBits {
     pub stream: u64,
 }
 
+/// What [`scan_sources`] read of a positive superedge graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Scanned {
+    /// Where its `sources` lie in the pool.
+    pub sources: std::ops::Range<usize>,
+    /// The local target every source links to, when the graph is a
+    /// single-target dictionary of one entry: template links, whose whole
+    /// answer is this one number.
+    pub target: Option<u32>,
+}
+
 /// Reads of an encoded superedge graph what a [`crate::cache::Fanout`]
 /// wants of it and builds nothing: appends a positive graph's `sources` —
 /// ascending and below `ni`, checked as [`SuperedgeIndex::parse`] checks
-/// them — to `pool` and returns where they lie in it; `None` for a
-/// negative graph, which stores a list for every page. On an error
-/// `pool` is as it was.
+/// them — to `pool` and returns where they lie in it, with the one target
+/// of a single-target dictionary of one entry (see [`sole_target`]);
+/// `None` for a negative graph, which stores a list for every page. On an
+/// error `pool` is as it was.
 pub(crate) fn scan_sources(
     bytes: &[u8],
     bit_len: u64,
     ni: u64,
+    nj: u64,
     pool: &mut Vec<u32>,
-) -> Result<Option<std::ops::Range<usize>>> {
+) -> Result<Option<Scanned>> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     if r.read_bit()? {
         return Ok(None);
     }
-    Layout::read(&mut r)?;
+    let layout = Layout::read(&mut r)?;
     let start = pool.len();
-    let read = append_bounded_gap_list(&mut r, ni, pool);
-    if read.is_err() {
+    if let Err(e) = append_bounded_gap_list(&mut r, ni, pool) {
         pool.truncate(start);
+        return Err(e);
     }
-    read.map(|()| Some(start..pool.len()))
+    let sources = start..pool.len();
+    let target = match layout {
+        Layout::SingleTargets => sole_target(&mut r, sources.len(), nj),
+        Layout::Lists | Layout::ListDictionary => None,
+    };
+    Ok(Some(Scanned { sources, target }))
+}
+
+/// The entry of the single-target dictionary `r` is at, after `sources`
+/// sources, if it holds one only — read with the checks
+/// [`SuperedgeIndex::parse`] makes: no more entries than sources and at
+/// least one, a count its bits can hold, an entry below `nj`. A one-entry
+/// dictionary's per-source indexes take no bits, so nothing lies behind.
+/// `None` for any other count, and for a read that fails: the graph is
+/// then parsed like any other, and its damage found where a probe draws
+/// on it.
+fn sole_target(r: &mut BitReader<'_>, sources: usize, nj: u64) -> Option<u32> {
+    let entry = read_sole_entry(r, nj).ok()??;
+    (sources > 0).then_some(entry)
 }
 
 impl SuperedgeIndex {
@@ -922,6 +953,17 @@ impl SuperedgeIndex {
     /// negative one, which every page consults.
     pub fn positive_sources(&self) -> Option<Section<&[u8]>> {
         (self.kind == SuperedgeKind::Positive).then(|| self.sources())
+    }
+
+    /// The local target every source links to, for a single-target
+    /// dictionary of one entry: what [`scan_sources`] reads of the graph,
+    /// and what a [`crate::cache::Fanout`] answers its pages with.
+    pub fn one_target(&self) -> Option<u32> {
+        if self.layout != Layout::SingleTargets || self.sources == 0 {
+            return None;
+        }
+        let targets = self.sections()[2];
+        (targets.len() == 1).then(|| targets.get(0)).flatten()
     }
 }
 
@@ -1541,6 +1583,18 @@ mod tests {
                     view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
                     enc.bit_len
                 );
+                // The one target a fanout answers with is the scan's and
+                // the parse's alike, and is every listed page's answer.
+                let mut pool = Vec::new();
+                let scanned = scan_sources(&enc.bytes, enc.bit_len, links.ni, links.nj, &mut pool);
+                let target = scanned.unwrap().and_then(|scanned| scanned.target);
+                prop_assert_eq!(target, view.index().one_target());
+                let listed: Vec<&Vec<u32>> = dense.iter().filter(|l| !l.is_empty()).collect();
+                let one = listed.first().filter(|first| {
+                    first.len() == 1 && listed.iter().all(|l| l == *first)
+                });
+                let single = view.index().layout() == Layout::SingleTargets;
+                prop_assert_eq!(target, one.filter(|_| single).map(|l| l[0]));
             }
         }
 
@@ -1954,11 +2008,48 @@ mod tests {
         let enc = encode_superedge(&pos, 50, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
         let cut = enc.bit_len - 3;
         let mut pool = Vec::new();
-        let scanned = scan_sources(&enc.bytes, cut, 12, &mut pool);
-        assert_eq!(scanned.unwrap(), Some(0..2));
+        let scanned = scan_sources(&enc.bytes, cut, 12, 50, &mut pool);
+        assert_eq!(scanned.unwrap().map(|scanned| scanned.sources), Some(0..2));
         assert_eq!(pool, [2, 7]);
         let got = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec);
         assert!(got.is_err(), "{got:?}");
+    }
+
+    /// A fanout build reads a single-target dictionary's one entry as a
+    /// parse reads it, over any `|Nj|`; two entries, or bits that run out
+    /// behind `sources`, leave the graph to be parsed.
+    #[test]
+    fn one_target_is_read_behind_sources_or_left_to_the_parse() {
+        let mut pos = vec![Vec::new(); 12];
+        pos[2] = vec![7u32];
+        pos[9] = vec![7];
+        let enc = encode_superedge(&pos, 20, RefMode::None, SuperedgePolicy::EncodedSize);
+        let scan = |bytes: &[u8], bit_len: u64, nj: u64| {
+            let mut pool = Vec::new();
+            let scanned = scan_sources(bytes, bit_len, 12, nj, &mut pool).unwrap();
+            assert_eq!(pool, [2, 9]);
+            scanned.unwrap().target
+        };
+        assert_eq!(scan(&enc.bytes, enc.bit_len, 20), Some(7));
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 12, 20, ListCodec).unwrap();
+        assert_eq!(index.one_target(), Some(7));
+        // Over another |Nj| the entry's bits name another page, or none, as
+        // a parse reads them.
+        for nj in [1, 5, 8, 64] {
+            let parsed = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 12, nj, ListCodec);
+            let want = parsed.ok().and_then(|index| index.one_target());
+            assert_eq!(scan(&enc.bytes, enc.bit_len, nj), want, "|Nj| {nj}");
+        }
+        // Cut inside the entry: `sources` still read, no target.
+        let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
+        assert_eq!(scan(&enc.bytes, bits.header + bits.sources + 2, 20), None);
+
+        pos[9] = vec![8];
+        let enc = encode_superedge(&pos, 20, RefMode::None, SuperedgePolicy::EncodedSize);
+        assert_eq!(scan(&enc.bytes, enc.bit_len, 20), None, "two entries");
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 12, 20, ListCodec).unwrap();
+        assert_eq!(index.layout(), Layout::SingleTargets);
+        assert_eq!(index.one_target(), None);
     }
 
     /// A list stream in the retired directory form is refused wherever a

@@ -1,7 +1,9 @@
 //! The fanout against a reference model: for every page, the superedge
-//! graphs a probe consults are the ones that store a list for it, answers
-//! equal the source graph whatever the cache budget, and damage to one
-//! superedge blob costs exactly that blob's part.
+//! graphs a probe consults are the ones that store a list for it, those it
+//! looks up are the ones of them the fanout does not answer itself (a
+//! single-target dictionary of one entry), answers equal the source graph
+//! whatever the cache budget, and damage to one superedge blob costs
+//! exactly that blob's part.
 
 // Test code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -66,6 +68,11 @@ fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>) {
     (dir, truth)
 }
 
+/// Per graph, the one target a fanout answers its pages with, if any.
+fn targets_of(graphs: &[SuperedgeIndex]) -> Vec<Option<u32>> {
+    graphs.iter().map(SuperedgeIndex::one_target).collect()
+}
+
 /// Every out-superedge graph of supernode `s`, parsed from the files.
 fn superedges_of(meta: &SNodeMeta, files: &IndexFileReader, s: u32) -> Vec<SuperedgeIndex> {
     let ni = u64::from(meta.supernode_size(s));
@@ -96,13 +103,17 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
     let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
     snode.enable_cache_log();
     let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
+    let mut answered = 0usize;
     for s in 0..meta.num_supernodes() {
         let graphs = superedges_of(&meta, &files, s);
+        let targets = targets_of(&graphs);
         let fanout = Fanout::build(
             meta.supernode_size(s),
             (graphs.iter()).map(|g| g.positive_sources().map(Section::iter)),
+            &targets,
         )
         .unwrap();
+        assert!((0u32..).zip(&targets).all(|(k, &t)| fanout.target(k) == t));
         negatives += fanout.always().len();
         for p in meta.page_range(s) {
             let local = p - meta.page_range(s).start;
@@ -118,13 +129,21 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
             named += model.len();
             out_superedges += graphs.len();
 
-            // And a cold probe through the handle loads just those.
+            // And a cold probe through the handle loads just those the
+            // fanout does not answer.
             snode.clear_cache();
             snode.take_cache_log();
             assert_eq!(snode.out_neighbors(p).unwrap(), truth[p as usize]);
             let mut expected = vec![GraphKey::Intra(s), GraphKey::Fanout(s)];
             let row = &meta.supergraph.adj[s as usize];
-            expected.extend(model.iter().map(|&k| GraphKey::Super(s, row[k as usize])));
+            let (one, looked_up): (Vec<u32>, Vec<u32>) =
+                model.iter().partition(|&&k| targets[k as usize].is_some());
+            answered += one.len();
+            expected.extend(
+                looked_up
+                    .iter()
+                    .map(|&k| GraphKey::Super(s, row[k as usize])),
+            );
             assert_eq!(loads(&snode), expected, "page {p}");
         }
     }
@@ -135,6 +154,10 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
     assert!(
         named * 4 < out_superedges,
         "{named} graphs named of {out_superedges} out-superedges"
+    );
+    assert!(
+        answered > 0,
+        "some page is answered by a graph the fanout holds"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -274,7 +297,7 @@ fn fanout_bigger_than_its_shard_is_still_admitted() {
         .unwrap();
     let graphs = superedges_of(&meta, &files, s);
     let sources = (graphs.iter()).map(|g| g.positive_sources().map(Section::iter));
-    let fanout = Fanout::build(meta.supernode_size(s), sources).unwrap();
+    let fanout = Fanout::build(meta.supernode_size(s), sources, &targets_of(&graphs)).unwrap();
     assert!(CachedGraph::from(fanout).bytes() > budget);
 
     let snode = SNode::open_resident(&dir, budget).unwrap();

@@ -629,6 +629,10 @@ fn cmd_stats(args: &[String]) -> i32 {
     }
     let snode = open_snode(&repo);
     let meta = snode.meta();
+    let one_target = or_exit(
+        snode.one_target_superedges(),
+        format!("cannot read superedge graphs in {}", repo.display()),
+    );
     let mut sizes: Vec<u32> = (0..snode.num_supernodes())
         .map(|s| meta.supernode_size(s))
         .collect();
@@ -643,6 +647,7 @@ fn cmd_stats(args: &[String]) -> i32 {
         println!("  \"pages\": {},", snode.num_pages());
         println!("  \"supernodes\": {},", snode.num_supernodes());
         println!("  \"superedges\": {},", meta.supergraph.num_superedges());
+        println!("  \"one_target_superedges\": {one_target},");
         println!(
             "  \"supergraph_encoded_bytes\": {},",
             meta.supergraph_bits.div_ceil(8)
@@ -660,6 +665,7 @@ fn cmd_stats(args: &[String]) -> i32 {
         println!("pages        : {}", snode.num_pages());
         println!("supernodes   : {}", snode.num_supernodes());
         println!("superedges   : {}", meta.supergraph.num_superedges());
+        println!("  one-target : {one_target} (answered from the fanout)");
         println!(
             "supernode graph: {} bytes encoded (+pointers {})",
             meta.supergraph_bits.div_ceil(8),

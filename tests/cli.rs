@@ -306,6 +306,7 @@ fn build_metrics_and_trace_and_stats_json() {
         "\"pages\": 800",
         "\"supernodes\"",
         "\"superedges\"",
+        "\"one_target_superedges\"",
         "\"domains\"",
     ] {
         assert!(sjson.contains(key), "missing {key} in: {sjson}");
@@ -341,6 +342,7 @@ fn build_metrics_and_trace_and_stats_json() {
     for class in [
         "intranode lists",
         "superedge positive, list stream",
+        "superedge positive, one-target dictionary",
         "superedge positive, single-target dictionary",
         "superedge positive, list dictionary",
         "superedge negative",

@@ -319,7 +319,9 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             );
         }
     }
-    // A fanout: the page's rows, `always` and the row starts in one arena.
+    // A fanout: the page's rows, `always`, the row starts and one target
+    // value per slot in one arena — every fourth positive graph has one
+    // target, up to page 1 800 of its supernode.
     for (pages, negatives) in [(1_000u32, 1usize), (4_000, 10), (16_000, 100)] {
         let positive: Vec<Vec<u32>> = (0..40u32)
             .map(|k| (0..pages).filter(|p| (p + k) % 7 == 0).collect())
@@ -327,15 +329,20 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
         let graphs: Vec<Option<&[u32]>> = (positive.iter().map(|s| Some(&s[..])))
             .chain(std::iter::repeat_n(None, negatives))
             .collect();
+        let targets: Vec<Option<u32>> =
+            (0..40u32).map(|k| (k % 4 == 0).then_some(k * 50)).collect();
         let (n, fanout) = counted(|| {
-            let built = Fanout::build(pages, graphs.iter().copied()).unwrap();
+            let built = Fanout::build(pages, graphs.iter().copied(), &targets).unwrap();
             Arc::new(CachedGraph::from(built))
         });
         assert_eq!(
             n, 2,
             "fanout of {pages} pages, {negatives} graphs every page consults"
         );
-        assert_eq!(fanout.as_fanout().unwrap().always().len(), negatives);
+        let fanout = fanout.as_fanout().unwrap();
+        assert_eq!(fanout.always().len(), negatives);
+        let answered = (0..40).filter(|&k| fanout.target(k).is_some());
+        assert_eq!(answered.count(), 10, "one-target slots");
     }
 }
 
