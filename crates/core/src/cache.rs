@@ -17,7 +17,6 @@ use crate::section::{self, Section, Width};
 use crate::subgraphs::{Layout, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, MutexGuard};
-use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -250,20 +249,17 @@ impl Fanout {
     /// O(Σ|sources| + `ni`): the biggest supernodes have thousands of
     /// pages and hundreds of superedges, and are where a probe's tail
     /// latency comes from.
-    pub fn build<S>(
+    pub fn build<'a>(
         ni: u32,
-        graphs: impl DoubleEndedIterator<Item = Option<S>> + Clone,
+        graphs: impl DoubleEndedIterator<Item = Option<&'a [u32]>> + Clone,
         targets: &[Option<u32>],
-    ) -> Result<Self>
-    where
-        S: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<u32>>,
-    {
+    ) -> Result<Self> {
         let (mut slots, mut always, mut rows, mut top) = (0u32, 0usize, 0usize, 0u32);
         for (sources, value) in graphs.clone().zip(values_of(targets)) {
             slots += 1;
             match sources {
                 Some(sources) => {
-                    rows += sources.into_iter().len();
+                    rows += sources.len();
                     top = top.max(value);
                 }
                 None => always += 1,
@@ -296,10 +292,10 @@ impl Fanout {
         // The row starts' width is named once, not matched per source.
         let rows = (counts, rows_at, slot);
         match width {
-            Width::Zero => fill_rows::<0, S>(ni, slots, graphs, rows),
-            Width::One => fill_rows::<1, S>(ni, slots, graphs, rows),
-            Width::Two => fill_rows::<2, S>(ni, slots, graphs, rows),
-            Width::Four => fill_rows::<4, S>(ni, slots, graphs, rows),
+            Width::Zero => fill_rows::<0>(ni, slots, graphs, rows),
+            Width::One => fill_rows::<1>(ni, slots, graphs, rows),
+            Width::Two => fill_rows::<2>(ni, slots, graphs, rows),
+            Width::Four => fill_rows::<4>(ni, slots, graphs, rows),
         }?;
         Ok(Self {
             arena: arena.into_boxed_slice(),
@@ -363,19 +359,15 @@ fn values_of(targets: &[Option<u32>]) -> impl Iterator<Item = u32> + '_ {
 
 /// [`Fanout::build`]'s two counting passes, over row starts of `W` bytes
 /// each, then rows of `slot`'s width.
-fn fill_rows<const W: usize, S>(
+fn fill_rows<'a, const W: usize>(
     ni: u32,
     slots: u32,
-    graphs: impl DoubleEndedIterator<Item = Option<S>> + Clone,
+    graphs: impl DoubleEndedIterator<Item = Option<&'a [u32]>> + Clone,
     (counts, rows, slot): (&mut [u8], &mut [u8], Width),
-) -> Result<()>
-where
-    S: IntoIterator<Item: Borrow<u32>>,
-{
+) -> Result<()> {
     // Count each page's slots where its row will start...
     for sources in graphs.clone().flatten() {
-        for src in sources {
-            let src = *src.borrow();
+        for &src in sources {
             if src >= ni {
                 return Err(out_of_range());
             }
@@ -394,8 +386,8 @@ where
     // out ascending without a sort, and each end has moved back to where
     // its row starts.
     for (k, sources) in (0..slots).rev().zip(graphs.rev()) {
-        for src in sources.into_iter().flatten() {
-            let src = *src.borrow() as usize;
+        for &src in sources.unwrap_or_default() {
+            let src = src as usize;
             // Never below zero: this pass meets each page as often as the
             // counting pass did (and a wrap would miss the rows).
             let at = section::load_at::<W>(counts, src).map_or(u32::MAX, |at| at.wrapping_sub(1));
@@ -530,11 +522,6 @@ impl CachedGraph {
         }
     }
 
-    /// Bytes of the encoded graph (0 for a fanout).
-    pub(crate) fn encoded_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// The positive target list of local id `local` (empty when absent).
     pub fn decode_list_for(&self, local: u32) -> crate::Result<Vec<u32>> {
         let mut out = Vec::new();
@@ -555,21 +542,9 @@ impl CachedGraph {
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> crate::Result<()> {
-        let mut memo = LockedOnUse::new(&self.memo);
-        self.decode_list_with(local, &mut memo, scratch, out)
-    }
-
-    /// [`CachedGraph::decode_list_into`] through `memo` instead of the
-    /// graph's own.
-    pub(crate) fn decode_list_with(
-        &self,
-        local: u32,
-        memo: &mut dyn DecodeMemo,
-        scratch: &mut DecodeScratch,
-        out: &mut Vec<u32>,
-    ) -> crate::Result<()> {
         out.clear();
         let (data, bit_len) = (&self.data, self.bit_len);
+        let memo = &mut LockedOnUse::new(&self.memo);
         match &self.shape {
             Shape::Intra(index) => index.decode_list_into(data, bit_len, local, memo, scratch, out),
             Shape::Super(index) => {
@@ -1249,7 +1224,7 @@ mod tests {
         assert!(index.heap_bytes() > 0);
         assert_eq!(
             g.memo_cap_bytes(),
-            g.encoded_len(),
+            g.data.len(),
             "cap = the encoded bytes, the directory apart"
         );
         assert_eq!(
@@ -1293,7 +1268,7 @@ mod tests {
         let directory = index.heap_bytes();
         let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
         assert_eq!(g.memo_cap_bytes(), 0);
-        assert!(g.encoded_len() > 0);
+        assert!(!g.data.is_empty());
         assert_eq!(
             g.bytes(),
             directory + std::mem::size_of::<CachedGraph>(),
@@ -1400,16 +1375,13 @@ mod tests {
         ];
         assert!(graphs[1].positive_sources().is_none(), "negative");
         // Slot 2 could not be read.
-        let slots = [
-            graphs[0].positive_sources().map(Section::iter),
-            graphs[1].positive_sources().map(Section::iter),
-            None,
-            graphs[3].positive_sources().map(Section::iter),
-        ];
+        let sources =
+            |k: usize| -> Option<Vec<u32>> { Some(graphs[k].positive_sources()?.iter().collect()) };
+        let slots = [sources(0), sources(1), None, sources(3)];
         // Slot 2's graph has one target, but no page is sent to it.
         let targets: Vec<Option<u32>> = graphs.iter().map(SuperedgeIndex::one_target).collect();
         assert_eq!(targets, [None, None, Some(2), None]);
-        let fanout = Fanout::build(6, slots.into_iter(), &targets).expect("build");
+        let fanout = Fanout::build(6, slots.iter().map(Option::as_deref), &targets).expect("build");
         assert_eq!(fanout.always().iter().collect::<Vec<_>>(), [1, 2]);
         assert!((0..5).all(|k| fanout.target(k).is_none()));
         let rows: Vec<Vec<u32>> = (0..7)
@@ -1431,11 +1403,7 @@ mod tests {
 
         // A graph parsed for a larger supernode than the one it is filed
         // under is refused, not indexed out of range.
-        let err = Fanout::build(
-            4,
-            [graphs[0].positive_sources().map(Section::iter)].into_iter(),
-            &[],
-        );
+        let err = Fanout::build(4, [sources(0).as_deref()].into_iter(), &[]);
         assert!(matches!(err, Err(SNodeError::Corrupt(_))));
     }
 

@@ -37,7 +37,7 @@
 //! | [`disk`] | §3.3 | index files, linear ordering, PageID index, domain index |
 //! | [`cache`] | §4.3 | memory-budgeted decoded-graph cache with load/unload instrumentation |
 //! | [`build`] | §3 | end-to-end construction: refine → renumber → encode → write; WGᵀ over WG's partition |
-//! | [`repr`] | §4 | the queryable [`repr::SNode`] handle (disk-backed) and [`repr::SNodeInMemory`] (Table 2 access path) |
+//! | [`repr`] | §4 | the queryable [`repr::SNode`] handle, the one reader of a directory (queries, Table 2, global access) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +72,7 @@ pub use build::{
 pub use codec::{CodecConfig, ListCodec};
 pub use disk::{Blob, Renumbering};
 pub use integrity::{IntegrityCounters, IntegrityManifest, DIRECTORY_VERSION, SUMS_FILE};
-pub use repr::{DegradedReport, SNode, SNodeInMemory};
+pub use repr::{DegradedReport, SNode};
 
 /// Errors produced while building, writing, or reading an S-Node
 /// representation.

@@ -1,25 +1,20 @@
-//! Queryable S-Node handles.
+//! The queryable S-Node handle.
 //!
-//! Two access paths, matching the paper's two experimental setups:
-//!
-//! * [`SNode`] — the disk-backed representation used by the §4.3 query
-//!   experiments: the supernode graph, PageID index and domain index stay
-//!   resident; intranode and superedge graphs are read by locator from the
-//!   index files (held resident, as the paper holds the supernode graph,
-//!   and charged to the simulated disk per read), checksummed, parsed, and
-//!   held in a byte-budgeted [`GraphCache`], beside a per-supernode
-//!   [`Fanout`] that tells a probe which of them to ask.
-//! * [`SNodeInMemory`] — the Table 2 setup: all *encoded* graphs resident
-//!   in memory with pre-parsed directories, each adjacency-list access
-//!   paying the S-Node decode cost (reference-chain walk) but no I/O and
-//!   no cache management.
+//! [`SNode`] is the one reader of a directory: the supernode graph, PageID
+//! index and domain index stay resident; intranode and superedge graphs
+//! are read by locator from the index files (held resident, as the paper
+//! holds the supernode graph, and charged to the simulated disk per read),
+//! checksummed, parsed, and held in a byte-budgeted [`GraphCache`], beside
+//! a per-supernode [`Fanout`] that tells a probe which of them to ask.
+//! The §4.3 query experiments open it under their memory cap; Table 2 and
+//! the global-access path (§1.2) open it with a budget the whole directory
+//! fits, so after one pass no access pays a load.
 
 use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey};
 use crate::codec::ListCodec;
 use crate::disk::{Blob, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
-use crate::refenc::{DecodeScratch, ListsIndex, NoMemo, Universe};
-use crate::section::Section;
+use crate::refenc::{DecodeScratch, ListsIndex, Universe};
 use crate::subgraphs::{scan_sources, Scanned, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
@@ -216,12 +211,11 @@ struct BatchScratch {
     targets: Vec<Option<u32>>,
 }
 
-/// A directory as every reader opens it: `meta.bin` checked against
+/// A directory as [`SNode`] opens it: `meta.bin` checked against
 /// `sums.bin` and parsed, the blobs numbered in the builder's linear order,
-/// and the index files resident. The one opener of [`SNode`] and
-/// [`SNodeInMemory`], and their one per-blob check: a blob is checksummed
-/// the first time it is read whole in this open, since the resident image
-/// it is sliced from cannot change after that.
+/// and the index files resident. Its one per-blob check: a blob is
+/// checksummed the first time it is read whole in this open, since the
+/// resident image it is sliced from cannot change after that.
 #[derive(Debug)]
 struct OpenDir {
     meta: SNodeMeta,
@@ -517,6 +511,23 @@ impl SNode {
             scratch.results = results;
             run
         })
+    }
+
+    /// Decodes the entire representation back into a CSR graph — the
+    /// global-access path (§1.2): expand the compressed graph in memory and
+    /// run whole-graph algorithms (SCC, PageRank, HITS) as plain
+    /// main-memory computations. One batch per supernode, whose page
+    /// ranges run from page 0 up: under a budget the directory fits, each
+    /// graph is read once.
+    pub fn to_graph(&self) -> Result<wg_graph::Graph> {
+        let mut lists = Vec::with_capacity(self.num_pages() as usize);
+        let mut pages = Vec::new();
+        for s in 0..self.num_supernodes() {
+            pages.clear();
+            pages.extend(self.page_range(s));
+            self.out_neighbors_batch(&pages, &mut |_, list| lists.push(list.to_vec()))?;
+        }
+        Ok(wg_graph::Graph::from_adjacency(lists))
     }
 
     /// Runs `f` with a scratch from the pool and returns the scratch to it.
@@ -930,156 +941,6 @@ fn check_page(meta: &SNodeMeta, p: PageId) -> Result<()> {
     }
 }
 
-/// Fully memory-resident *encoded* S-Node representation (Table 2 setup):
-/// every graph held as the cache holds one, parsed whole at `load`, so no
-/// access pays for a first touch.
-#[derive(Debug)]
-pub struct SNodeInMemory {
-    meta: SNodeMeta,
-    /// Per supernode, its intranode graph.
-    intra: Vec<CachedGraph>,
-    /// Per supernode, per superedge (order of `supergraph.adj[s]`).
-    supers: Vec<Vec<CachedGraph>>,
-    /// Per supernode: which of `supers[s]` hold a list for each page.
-    fanout: Vec<Fanout>,
-}
-
-impl SNodeInMemory {
-    /// Loads every encoded graph under `dir` into memory through the same
-    /// strict opener and per-blob check as [`SNode::open_resident`] (the
-    /// Table 2 setup has no quarantine path).
-    pub fn load(dir: &Path) -> Result<Self> {
-        let opened = OpenDir::open(dir, false)?;
-        let meta = &opened.meta;
-        let n = meta.num_supernodes();
-        let mut intra = Vec::with_capacity(n as usize);
-        let mut supers = Vec::with_capacity(n as usize);
-        let mut fanout = Vec::with_capacity(n as usize);
-        for s in 0..n {
-            let loc = meta.intranode_loc[s as usize];
-            let base = opened.blob_base[s as usize];
-            let bytes = opened.load_blob(&loc, base)?;
-            let index = ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, ListCodec)?;
-            intra.push(CachedGraph::new_encoded_intra(bytes, loc.bit_len, index));
-            let mut row = Vec::with_capacity(meta.supergraph.adj[s as usize].len());
-            let ni = u64::from(meta.supernode_size(s));
-            for ((k, loc), &j) in (1..)
-                .zip(&meta.superedge_loc[s as usize])
-                .zip(&meta.supergraph.adj[s as usize])
-            {
-                let nj = u64::from(meta.supernode_size(j));
-                let bytes = opened.load_blob(loc, base + k)?;
-                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
-                row.push((bytes, loc.bit_len, index, nj));
-            }
-            let targets: Vec<Option<u32>> = (row.iter())
-                .map(|(_, _, index, _)| index.one_target())
-                .collect();
-            fanout.push(Fanout::build(
-                meta.supernode_size(s),
-                (row.iter()).map(|(_, _, index, _)| index.positive_sources().map(Section::iter)),
-                &targets,
-            )?);
-            supers.push(
-                (row.into_iter())
-                    .map(|(bytes, bits, index, nj)| {
-                        CachedGraph::new_encoded_super(bytes, bits, index, nj)
-                    })
-                    .collect(),
-            );
-        }
-        Ok(Self {
-            meta: opened.meta,
-            intra,
-            supers,
-            fanout,
-        })
-    }
-
-    /// Number of pages.
-    pub fn num_pages(&self) -> u32 {
-        self.meta.num_pages
-    }
-
-    /// Resident metadata.
-    pub fn meta(&self) -> &SNodeMeta {
-        &self.meta
-    }
-
-    /// Decodes the adjacency list of `p` straight from the in-memory
-    /// encoded graphs (one list per contributing graph — this is the
-    /// random-access path whose cost Table 2 reports).
-    pub fn out_neighbors(&self, p: PageId) -> Result<Vec<PageId>> {
-        check_page(&self.meta, p)?;
-        let s = self.meta.supernode_of(p);
-        let s_start = self.meta.page_range(s).start;
-        let local = p - s_start;
-        let row = &self.meta.supergraph.adj[s as usize];
-
-        let mut out = Vec::new();
-        let mut list = Vec::new();
-        let mut scratch = DecodeScratch::default();
-        // Page ids run supernode by supernode and a builder's row of the
-        // supernode graph ascends, so the page's own supernode takes its
-        // turn among the targets: the intranode list goes in ahead of the
-        // first superedge into a later supernode.
-        let mut intra = Some(&self.intra[s as usize]);
-        let mut intranode = |out: &mut Vec<PageId>, list: &mut Vec<u32>, scratch: &mut _| {
-            let Some(graph) = intra.take() else {
-                return Ok(());
-            };
-            graph.decode_list_with(local, &mut NoMemo, scratch, list)?;
-            out.extend(list.iter().map(|&t| s_start + t));
-            Result::Ok(())
-        };
-        let fanout = &self.fanout[s as usize];
-        for k in (fanout.always().iter()).chain(fanout.slots_of(local).iter()) {
-            let j = row[k as usize];
-            if j > s {
-                intranode(&mut out, &mut list, &mut scratch)?;
-            }
-            let start = self.meta.page_range(j).start;
-            // Template links are answered from the fanout, as on disk.
-            if let Some(t) = fanout.target(k) {
-                out.push(start + t);
-                continue;
-            }
-            let graph = &self.supers[s as usize][k as usize];
-            graph.decode_list_with(local, &mut NoMemo, &mut scratch, &mut list)?;
-            out.extend(list.iter().map(|&t| start + t));
-        }
-        intranode(&mut out, &mut list, &mut scratch)?;
-        // The parts cover disjoint page ranges and each is sorted: taken
-        // in any other order (a negative graph's slot comes first, a
-        // foreign row need not ascend) they are one sort from the answer.
-        if !out.is_sorted() {
-            out.sort_unstable();
-        }
-        Ok(out)
-    }
-
-    /// Decodes the entire representation back into a CSR graph — the
-    /// global-access path (§1.2): load the compressed graph into memory,
-    /// expand, and run whole-graph algorithms (SCC, PageRank, HITS) as
-    /// plain main-memory computations.
-    pub fn to_graph(&self) -> Result<wg_graph::Graph> {
-        let n = self.num_pages();
-        let mut lists = Vec::with_capacity(n as usize);
-        for p in 0..n {
-            lists.push(self.out_neighbors(p)?);
-        }
-        Ok(wg_graph::Graph::from_adjacency(lists))
-    }
-
-    /// Bytes of encoded graph data held resident (excluding directories).
-    pub fn encoded_bytes(&self) -> u64 {
-        (self.intra.iter())
-            .chain(self.supers.iter().flatten())
-            .map(|graph| graph.encoded_len() as u64)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1184,18 +1045,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Under a budget the directory fits, `to_graph` reads each graph
+    /// once and evicts nothing.
     #[test]
-    fn in_memory_adjacency_matches_source() {
+    fn to_graph_matches_source() {
         let (dir, graph, renum, _) = build_repo("mem", 120);
-        let snode = SNodeInMemory::load(&dir).unwrap();
+        let snode = SNode::open_resident(&dir, 1 << 30).unwrap();
+        let decoded = snode.to_graph().unwrap();
+        assert_eq!(decoded.num_nodes(), graph.num_nodes());
         for new_id in 0..graph.num_nodes() {
             assert_eq!(
-                snode.out_neighbors(new_id).unwrap(),
+                decoded.neighbors(new_id),
                 expected_neighbors(&graph, &renum, new_id),
                 "page {new_id}"
             );
         }
-        assert!(snode.encoded_bytes() > 0);
+        assert_eq!(snode.cache_stats().evictions, 0);
+        assert_eq!(snode.disk_reads(), blob_count(&snode));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1307,14 +1173,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn in_memory_load_verifies_blobs() {
-        let (dir, _graph, _renum, _) = build_repo("memcrc", 60);
-        flip_first_index_byte(&dir);
-        assert!(SNodeInMemory::load(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// `meta.bin`'s last word is the domain index's last entry.
     fn last_domain_entry(dir: &Path) -> (std::path::PathBuf, Vec<u8>, usize) {
         let path = dir.join("meta.bin");
@@ -1324,10 +1182,10 @@ mod tests {
     }
 
     /// A `meta.bin` that still parses, naming another supernode in its
-    /// domain index, no longer matches `sums.bin`: both handles refuse it
-    /// through the one opener.
+    /// domain index, no longer matches `sums.bin`: strict and degraded
+    /// opens both refuse it.
     #[test]
-    fn both_handles_refuse_a_meta_bin_that_does_not_match_its_checksum() {
+    fn both_opens_refuse_a_meta_bin_that_does_not_match_its_checksum() {
         let (dir, _graph, _renum, _) = build_repo("memmeta", 60);
         let (path, mut bytes, at) = last_domain_entry(&dir);
         let n = SNodeMeta::parse(&bytes).unwrap().num_supernodes();
@@ -1335,7 +1193,7 @@ mod tests {
         bytes[at..].copy_from_slice(&((entry + 1) % n).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(SNodeMeta::parse(&bytes).is_ok(), "the damage parses");
-        assert!(SNodeInMemory::load(&dir).is_err());
+        assert!(SNode::open_degraded(&dir, 1 << 20).is_err());
         assert!(SNode::open_resident(&dir, 1 << 20).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1361,7 +1219,6 @@ mod tests {
         ));
         assert!(SNode::open_resident(&dir, 1 << 20).is_err());
         assert!(SNode::open_degraded(&dir, 1 << 20).is_err());
-        assert!(SNodeInMemory::load(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1380,9 +1237,9 @@ mod tests {
         assert!(snode.degraded().is_clean());
         assert_eq!(snode.disk_reads(), 0, "nothing was looked up");
         assert!(snode.out_neighbors(n - 1).is_ok());
-        let mem = SNodeInMemory::load(&dir).unwrap();
-        assert!(mem.out_neighbors(n).is_err());
-        assert!(mem.out_neighbors(n - 1).is_ok());
+        let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
+        assert!(strict.out_neighbors(n).is_err());
+        assert!(strict.out_neighbors(n - 1).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1393,15 +1250,11 @@ mod tests {
     fn manifestless_directory_is_refused_strict_and_opened_degraded() {
         let (dir, graph, renum, _) = build_repo("v1compat", 60);
         std::fs::remove_file(dir.join(crate::integrity::SUMS_FILE)).unwrap();
-        for refused in [
-            SNode::open_resident(&dir, 1 << 20).map(drop),
-            SNodeInMemory::load(&dir).map(drop),
-        ] {
-            assert!(
-                matches!(&refused, Err(SNodeError::Corrupt(why)) if why.contains("rebuild")),
-                "{refused:?}"
-            );
-        }
+        let refused = SNode::open_resident(&dir, 1 << 20).map(drop);
+        assert!(
+            matches!(&refused, Err(SNodeError::Corrupt(why)) if why.contains("rebuild")),
+            "{refused:?}"
+        );
         let snode = SNode::open_degraded(&dir, 1 << 20).unwrap();
         assert!(!snode.verifies_checksums());
         for p in 0..graph.num_nodes() {

@@ -3,7 +3,7 @@
 //! return wrong adjacency data at the points corruption is detectable.
 
 use wg_corpus::{Corpus, CorpusConfig};
-use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 fn build_repo(name: &str) -> (std::path::PathBuf, u32) {
     let corpus = Corpus::generate(CorpusConfig::scaled(600, 77));
@@ -64,7 +64,9 @@ fn missing_index_files_fail_to_open() {
     let (dir, _) = build_repo("missing_idx");
     std::fs::remove_file(dir.join("index_000.bin")).unwrap();
     assert!(SNode::open_resident(&dir, 1 << 20).is_err());
-    assert!(SNodeInMemory::load(&dir).is_err());
+    assert!(SNode::open_resident(&dir, 1 << 30)
+        .and_then(|snode| snode.to_graph())
+        .is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -11,7 +11,7 @@ use wg_graph::Graph;
 use wg_snode::partition::{PickPolicy, RefineConfig};
 use wg_snode::refenc::RefMode;
 use wg_snode::subgraphs::SuperedgePolicy;
-use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig, SNodeInMemory};
+use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -31,7 +31,9 @@ fn check_exact(name: &str, urls: &[&str], domains: &[u32], graph: &Graph, config
     assert_eq!(stats.num_edges, graph.num_edges());
 
     let disk = SNode::open_resident(&dir, 4 << 20).unwrap();
-    let mem = SNodeInMemory::load(&dir).unwrap();
+    let decoded = SNode::open_resident(&dir, 1 << 30)
+        .and_then(|snode| snode.to_graph())
+        .unwrap();
     for old in 0..graph.num_nodes() {
         let new = renum.new_of_old[old as usize];
         let mut expect: Vec<u32> = graph
@@ -41,7 +43,7 @@ fn check_exact(name: &str, urls: &[&str], domains: &[u32], graph: &Graph, config
             .collect();
         expect.sort_unstable();
         assert_eq!(disk.out_neighbors(new).unwrap(), expect, "disk, old {old}");
-        assert_eq!(mem.out_neighbors(new).unwrap(), expect, "mem, old {old}");
+        assert_eq!(decoded.neighbors(new), expect, "to_graph, old {old}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

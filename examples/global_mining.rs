@@ -17,7 +17,7 @@ use webgraph_repr::graph::diameter::estimate_diameter;
 use webgraph_repr::graph::pagerank::{pagerank, top_ranked, PageRankConfig};
 use webgraph_repr::graph::scc::tarjan_scc;
 use webgraph_repr::obs::Stopwatch;
-use webgraph_repr::snode::{build_snode, RepoInput, SNodeConfig, SNodeInMemory};
+use webgraph_repr::snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 fn main() {
     let corpus = Corpus::generate(CorpusConfig::scaled(50_000, 3));
@@ -38,16 +38,16 @@ fn main() {
         stats.bits_per_edge()
     );
 
-    // Load the compressed representation fully into memory and decode it
-    // into CSR form for the global computations.
-    let mem = SNodeInMemory::load(&dir).expect("load");
+    // Open the compressed representation with a cache budget it fits and
+    // decode it into CSR form for the global computations.
+    let snode = SNode::open_resident(&dir, 1 << 30).expect("open");
     println!(
-        "resident encoded graphs: {} KB (vs {} KB uncompressed adjacency)",
-        mem.encoded_bytes() / 1024,
+        "resident index files: {} KB (vs {} KB uncompressed adjacency)",
+        snode.resident_bytes() / 1024,
         (corpus.graph.num_edges() * 4 + u64::from(corpus.num_pages()) * 4) / 1024
     );
     let t0 = Stopwatch::start();
-    let graph = mem.to_graph().expect("decode");
+    let graph = snode.to_graph().expect("decode");
     println!("full decode to CSR: {:?}", t0.elapsed());
 
     // SCC / bow-tie.

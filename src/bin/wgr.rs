@@ -37,7 +37,9 @@ use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
 use webgraph_repr::snode::integrity::fingerprint_dir;
-use webgraph_repr::snode::{build_snode, BuildStats, Renumbering, RepoInput, SNode, SNodeConfig};
+use webgraph_repr::snode::{
+    build_snode, BuildStats, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -805,6 +807,13 @@ fn cmd_check(args: &[String]) -> i32 {
 /// directory (the build is deterministic and has one format, so a clean
 /// rebuild is byte-identical to the original), and replaces every file of
 /// `dir` that differs. Returns the replaced file names.
+///
+/// Writes nothing, and says to rebuild the representations, when a file
+/// of `dir` other than `meta.bin` matches its own `sums.bin` entry yet
+/// differs from the rebuild's: the directory is not the forward build of
+/// this corpus (a reps root's `snode_t`, say), and replacing its files
+/// would turn it into one. `meta.bin` is left out because an intact one
+/// under an older version's header is what a repair is for.
 fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec<String>, String> {
     let config = SNodeConfig::default();
     let input = read_build_input(corpus_dir)
@@ -814,28 +823,47 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
     let built = build_from(&input, &config, &tmp)
         .map(|_| ())
         .map_err(|e| format!("re-encode failed: {e}"));
-    let result = built.and_then(|()| {
-        let mut replaced = Vec::new();
+    let rebuilt = built.and_then(|()| {
         let entries = std::fs::read_dir(&tmp).map_err(|e| format!("read scratch dir: {e}"))?;
+        let mut rebuilt = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| format!("read scratch dir: {e}"))?;
             let name = entry.file_name().to_string_lossy().into_owned();
             let good = webgraph_repr::fault::read_file(&entry.path())
                 .map_err(|e| format!("read rebuilt {name}: {e}"))?;
-            if webgraph_repr::fault::read_file(&dir.join(&name))
-                .ok()
-                .as_deref()
-                != Some(&good[..])
-            {
-                std::fs::write(dir.join(&name), &good).map_err(|e| format!("write {name}: {e}"))?;
-                replaced.push(name);
-            }
+            let own = webgraph_repr::fault::read_file(&dir.join(&name)).ok();
+            rebuilt.push((name, good, own));
         }
-        replaced.sort();
-        Ok(replaced)
+        rebuilt.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Ok(rebuilt)
     });
     std::fs::remove_dir_all(&tmp).ok();
-    result
+    let rebuilt = rebuilt?;
+
+    let manifest = IntegrityManifest::read(dir).ok().flatten();
+    let vouched = |name: &str, own: &[u8]| {
+        let check = manifest.as_ref().map(|m| m.check_file_bytes(name, own));
+        name != "meta.bin" && matches!(check, Some(Ok(true)))
+    };
+    let apart = (rebuilt.iter()).find(|(name, good, own)| match own {
+        Some(own) => own != good && vouched(name, own),
+        None => false,
+    });
+    if let Some((name, ..)) = apart {
+        return Err(format!(
+            "{} is not a build of {} ({name} is intact and differs): rebuild the representations",
+            dir.display(),
+            corpus_dir.display()
+        ));
+    }
+    let mut replaced = Vec::new();
+    for (name, good, own) in rebuilt {
+        if own.as_ref() != Some(&good) {
+            std::fs::write(dir.join(&name), &good).map_err(|e| format!("write {name}: {e}"))?;
+            replaced.push(name);
+        }
+    }
+    Ok(replaced)
 }
 
 /// `wgr corrupt DIR --seed N [--flips N] [--truncate N] [--torn N]` —

@@ -6,9 +6,7 @@
 use webgraph_repr::baselines::{HuffmanGraph, Link3Graph};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::graph::Graph;
-use webgraph_repr::snode::{
-    build_snode, build_snode_transpose, RepoInput, SNodeConfig, SNodeInMemory,
-};
+use webgraph_repr::snode::{build_snode, build_snode_transpose, RepoInput, SNode, SNodeConfig};
 
 fn build(pages: u32, seed: u64, name: &str) -> (Corpus, Graph, f64, std::path::PathBuf) {
     let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
@@ -63,11 +61,11 @@ fn huffman_bits_per_edge_lands_near_the_paper() {
 }
 
 #[test]
-fn in_memory_snode_is_edge_exact_for_wg_and_wgt() {
+fn snode_is_edge_exact_for_wg_and_wgt() {
     let (_corpus, graph, _bpe, dir) = build(3_000, 13, "exact_both");
-    let mem = SNodeInMemory::load(&dir).expect("load");
+    let snode = SNode::open_resident(&dir, 1 << 30).expect("open");
     for p in (0..graph.num_nodes()).step_by(29) {
-        assert_eq!(mem.out_neighbors(p).expect("decode"), graph.neighbors(p));
+        assert_eq!(snode.out_neighbors(p).expect("decode"), graph.neighbors(p));
     }
 
     // The transpose, laid out over the forward directory's partition and
@@ -82,10 +80,10 @@ fn in_memory_snode_is_edge_exact_for_wg_and_wgt() {
         Default::default(),
         "refinement runs once, for WG"
     );
-    let mem_t = SNodeInMemory::load(&dir_t).expect("load t");
+    let snode_t = SNode::open_resident(&dir_t, 1 << 30).expect("open t");
     for p in (0..transpose.num_nodes()).step_by(31) {
         assert_eq!(
-            mem_t.out_neighbors(p).expect("decode"),
+            snode_t.out_neighbors(p).expect("decode"),
             transpose.neighbors(p)
         );
     }

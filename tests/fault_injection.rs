@@ -17,7 +17,7 @@ use webgraph_repr::fault::io::{clear_transients, install_transients};
 use webgraph_repr::fault::{FaultPlan, FaultSpec, TransientKind};
 use webgraph_repr::query::reps::renumber_graph;
 use webgraph_repr::snode::{
-    build_snode, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig, SNodeInMemory,
+    build_snode, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig,
 };
 
 fn wgr() -> Command {
@@ -132,8 +132,9 @@ proptest! {
                 "clean directory produced quarantines: {d:?}"
             );
         }
-        // Resident load: strict by design.
-        let _ = SNodeInMemory::load(&dir);
+        // A whole-graph decode under a budget the directory fits: strict,
+        // and every supernode read.
+        let _ = SNode::open_resident(&dir, 1 << 30).and_then(|snode| snode.to_graph());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -558,6 +559,52 @@ fn reuse_refuses_a_transpose_numbered_apart() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("rebuild the representations") && !err.contains("panicked"));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// `check --repair --from CORPUS` restores the forward build of CORPUS
+/// only. A reps root's `snode_t` with one flipped bit fails its check, but
+/// the files that are intact are not the forward build's: the repair exits
+/// 2, says to rebuild the representations, and writes nothing.
+#[test]
+fn repair_refuses_a_directory_that_is_not_the_forward_build() {
+    let root = temp_dir("repair_apart");
+    let (corpus_dir, reps) = (root.join("corpus"), root.join("reps"));
+    let corpus = Corpus::generate(CorpusConfig::scaled(1_500, 9));
+    write_corpus(&corpus_dir, &corpus).unwrap();
+    let built = (wgr().arg("query").arg(&corpus_dir).arg("--reps").arg(&reps))
+        .args(["--scheme", "s-node"])
+        .output()
+        .unwrap();
+    assert!(built.status.success(), "{built:?}");
+    let snode_t = reps.join("snode_t");
+    let flipped = wgr()
+        .arg("corrupt")
+        .arg(&snode_t)
+        .args(["--seed", "5", "--flips", "1"])
+        .output()
+        .unwrap();
+    assert!(flipped.status.success(), "{flipped:?}");
+    let files = || -> std::collections::BTreeMap<_, _> {
+        (std::fs::read_dir(&snode_t).unwrap())
+            .map(|e| e.unwrap().path())
+            .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+            .collect()
+    };
+    let before = files();
+    let out = (wgr().arg("check").arg(&snode_t))
+        .args(["--repair", "--from"])
+        .arg(&corpus_dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(err.contains("rebuild the representations"), "{err}");
+    assert!(
+        files() == before,
+        "the repair wrote to {}",
+        snode_t.display()
+    );
     std::fs::remove_dir_all(&root).ok();
 }
 
