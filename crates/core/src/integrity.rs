@@ -3,7 +3,8 @@
 //!
 //! Design constraint: adding checksums must not change a single byte of
 //! the existing files. The committed baselines fingerprint the
-//! directory (`tests/golden_build.rs`, `BENCH_scale.json`), and
+//! directory (`tests/golden_build.rs`, at 20 k, 100 k, 300 k and 1 M
+//! pages), and
 //! byte-identical builds across thread counts are a load-bearing
 //! property of the encoder — so the checksums live in a **sidecar
 //! manifest** rather than inline trailers,
@@ -47,8 +48,8 @@ pub const DIRECTORY_VERSION: u32 = 2;
 /// name order — enough to witness byte-identical builds. The `sums.bin`
 /// integrity manifest is excluded: fingerprints witness the paper's
 /// payload bytes, and checksum overhead is reported separately
-/// (`BuildStats::checksum_bytes`). What `wgr bench --scale` records in
-/// `BENCH_scale.json`, and what `tests/golden_build.rs` holds a build to.
+/// (`BuildStats::checksum_bytes`). What `tests/golden_build.rs` holds a
+/// build to.
 pub fn fingerprint_dir(dir: &Path) -> std::io::Result<u64> {
     let mut paths = Vec::new();
     for entry in std::fs::read_dir(dir)? {

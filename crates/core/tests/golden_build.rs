@@ -6,8 +6,11 @@
 //! out by supernode whatever the count. A change to refinement, numbering,
 //! reference selection or encoding that is meant to be invisible must
 //! leave the number alone — one changed byte in one file moves it; one
-//! that is meant to move the format updates it and says so. The 100 k-page directory the ledger's `nav-100k` reads is
-//! pinned the same way, with the answers of 10 000 probes into it.
+//! that is meant to move the format updates it and says so. The streamed
+//! 100 k-page directory the ledger's `nav-100k` reads is pinned the same
+//! way, with the answers of 10 000 probes into it; so are the 300 k and
+//! 1 M rungs of the scale ladder, in tests that run only when asked
+//! (`-- --ignored`, in release).
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -53,9 +56,9 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
     }
 }
 
-/// Every probe's page and answer hashed as `wgr scale-step query` hashes
-/// its 10 000 (FNV-1a's basis, its own multiplier): pages in Knuth's
-/// multiplicative scatter over the id space.
+/// Every probe's page and answer hashed into one number (FNV-1a's basis,
+/// its own multiplier): 10 000 pages in Knuth's multiplicative scatter over
+/// the id space.
 fn probe_fingerprint(snode: &SNode) -> u64 {
     let (n, mut h, mut out) = (snode.num_pages(), 0xcbf2_9ce4_8422_2325_u64, Vec::new());
     for i in 0..10_000u64 {
@@ -70,16 +73,15 @@ fn probe_fingerprint(snode: &SNode) -> u64 {
     h
 }
 
-/// The corpus streamed as `wgr scale-step build` streams it and read back
-/// as `wgr build` reads it, built with the default config: the directory
-/// the ledger's `nav-100k` workload reads, and the answers of the scale
-/// step's probes into it — at 1 MiB, and at 256 MiB on a second pass,
-/// every graph cached.
-#[test]
-fn the_100k_directory_and_its_answers_are_the_committed_ones() {
-    let root = std::env::temp_dir().join(format!("wg_golden_100k_{}", std::process::id()));
+/// The corpus of `pages` pages streamed as `wgr build --stream` streams it
+/// and read back as `wgr build` reads it, built with the default config,
+/// is the directory `fingerprint`; and the answers of the probes into it
+/// are `answers` — at 1 MiB, and at 256 MiB on a second pass, every graph
+/// cached.
+fn streamed_build_is_pinned(pages: u32, fingerprint: u64, answers: u64) {
+    let root = std::env::temp_dir().join(format!("wg_golden_{pages}_{}", std::process::id()));
     let (corpus, dir) = (root.join("corpus"), root.join("repo"));
-    wg_corpus::stream::stream_corpus(&corpus, &CorpusConfig::scaled(100_000, 42)).unwrap();
+    wg_corpus::stream::stream_corpus(&corpus, &CorpusConfig::scaled(pages, 42)).unwrap();
     let input = wg_corpus::textio::read_build_input(&corpus).unwrap();
     let urls = input.urls();
     let repo = RepoInput {
@@ -88,19 +90,42 @@ fn the_100k_directory_and_its_answers_are_the_committed_ones() {
         graph: &input.graph,
     };
     build_snode(repo, &SNodeConfig::default(), &dir).unwrap();
-    assert_eq!(fingerprint_dir(&dir).unwrap(), 0x114a_dca4_dae3_8b1c);
+    assert_eq!(fingerprint_dir(&dir).unwrap(), fingerprint, "{pages} pages");
 
-    let answers = 0xda91_2306_e8d1_4cb6;
     let small = SNode::open_resident(&dir, 1 << 20).unwrap();
-    assert_eq!(probe_fingerprint(&small), answers, "1 MiB");
+    assert_eq!(probe_fingerprint(&small), answers, "{pages} pages, 1 MiB");
     let warm = SNode::open_resident(&dir, 256 << 20).unwrap();
     probe_fingerprint(&warm);
     let cold = warm.cache_stats().misses;
-    assert_eq!(probe_fingerprint(&warm), answers, "256 MiB, warm");
+    assert_eq!(
+        probe_fingerprint(&warm),
+        answers,
+        "{pages} pages, 256 MiB, warm"
+    );
     assert_eq!(
         warm.cache_stats().misses,
         cold,
-        "the second pass found every graph"
+        "{pages} pages: the second pass found every graph"
     );
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The directory the ledger's `nav-100k` workload reads.
+#[test]
+fn the_100k_directory_and_its_answers_are_the_committed_ones() {
+    streamed_build_is_pinned(100_000, 0x114a_dca4_dae3_8b1c, 0xda91_2306_e8d1_4cb6);
+}
+
+/// The ladder's upper rungs: `cargo test --release -p wg-snode --test
+/// golden_build -- --ignored` (about half a minute together).
+#[test]
+#[ignore = "release only: streams and builds 300 000 pages"]
+fn the_300k_directory_and_its_answers_are_the_committed_ones() {
+    streamed_build_is_pinned(300_000, 0x3675_de88_c837_a399, 0x71f9_eccd_2e0c_5d4f);
+}
+
+#[test]
+#[ignore = "release only: streams and builds 1 000 000 pages"]
+fn the_1m_directory_and_its_answers_are_the_committed_ones() {
+    streamed_build_is_pinned(1_000_000, 0xb36b_a2d4_44d8_e4d7, 0x1ab3_0852_9539_e410);
 }

@@ -1,8 +1,8 @@
 //! The six queries pinned to constants: over the corpus `golden_build.rs`
 //! pins the build of (20 000 pages, seed 42, a 1 MiB cache), every scheme
 //! answers Q1–6 with the same rows — the six fingerprints below, which are
-//! also the `fingerprints` of the committed `BENCH_serve.json` — twice in a
-//! row with the same cost counters, and S-Node does it inside the decode
+//! also the reference `wgr serve CORPUS --smoke 100` holds every concurrent
+//! answer to on that corpus — twice in a row with the same cost counters, and S-Node does it inside the decode
 //! and lookup counts it was last committed with. A change that moves a
 //! fingerprint changed an answer; one that raises a ceiling made a probe
 //! do more work, and says why where it edits the table.

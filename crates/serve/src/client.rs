@@ -1,5 +1,5 @@
-//! Blocking client for the wg-serve protocol, used by `wgr bench
-//! --serve`, the CI smoke step, and the tests.
+//! Blocking client for the wg-serve protocol, used by `wgr serve
+//! --smoke`, the CI smoke steps, and the tests.
 
 use crate::proto::{self, Status};
 use std::io;

@@ -22,8 +22,8 @@
 //!   acceptor replies `overloaded` and closes — bounded memory, explicit
 //!   backpressure, no silent queueing.
 //! * [`proto`] defines the length-prefixed binary frames; [`Client`] is
-//!   the matching blocking client used by `wgr bench --serve`, the CI
-//!   smoke step, and the tests.
+//!   the matching blocking client used by `wgr serve --smoke`, the CI
+//!   smoke steps, and the tests.
 //!
 //! Degradation follows the wg-fault exit contract: a query answered over a
 //! representation with quarantined supernodes still returns rows, but with

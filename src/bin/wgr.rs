@@ -36,7 +36,6 @@ use webgraph_repr::query::queries::{QueryEnv, Workload};
 use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
-use webgraph_repr::snode::integrity::fingerprint_dir;
 use webgraph_repr::snode::{
     build_snode, BuildStats, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig,
 };
@@ -53,14 +52,10 @@ fn main() {
         Some("top") => cmd_top(&args[2..]),
         Some("check") => cmd_check(&args[2..]),
         Some("corrupt") => cmd_corrupt(&args[2..]),
-        Some("bench") => cmd_bench(&args[2..]),
         Some("serve") => cmd_serve(&args[2..]),
-        // Hidden: one scale-bench measurement in a fresh process, so
-        // VmHWM reflects exactly that step (see `bench_scale`).
-        Some("scale-step") => cmd_scale_step(&args[2..]),
         _ => {
             eprintln!(
-                "usage: wgr <gen|build|query|stats|links|domain|top|check|corrupt|bench|serve> [options]\n\
+                "usage: wgr <gen|build|query|stats|links|domain|top|check|corrupt|serve> [options]\n\
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
@@ -80,17 +75,6 @@ fn main() {
                  \x20                                          --repair re-encodes from the corpus\n\
                  corrupt DIR --seed N [--flips N] [--truncate N] [--torn N] [--json]\n\
                  \x20                                          inject deterministic faults (testing)\n\
-                 bench  --scale | --serve [--seed N] [--quick]\n\
-                 \x20                                          what benchmark/ has no row for yet\n\
-                 \x20      --serve [--pages N] [--clients N] [--workers N] [--serve-out FILE]\n\
-                 \x20                                          concurrent-service benchmark:\n\
-                 \x20                                          N clients → BENCH_serve.json with\n\
-                 \x20                                          latency and Q1-6 fingerprints\n\
-                 \x20      --scale [--sizes N,N] [--probes N] [--out FILE]\n\
-                 \x20                                          scale benchmark: streamed corpus →\n\
-                 \x20                                          build → one query probe per size,\n\
-                 \x20                                          each in a fresh process for clean\n\
-                 \x20                                          peak-RSS accounting → BENCH_scale.json\n\
                  serve  DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
                  \x20      [--reps DIR] [--reuse] [--smoke N] serve Q1-6 + out_neighbors over TCP;\n\
                  \x20                                          --smoke runs an N-client burst and\n\
@@ -175,16 +159,7 @@ fn positional(args: &[String]) -> Option<String> {
             let boolean = a.contains('=')
                 || matches!(
                     a,
-                    "--json"
-                        | "--bits"
-                        | "--quick"
-                        | "--metrics"
-                        | "--reuse"
-                        | "--serve"
-                        // Accepted by `serve` and ignored: nothing is left to turn off.
-                        | "--no-telemetry"
-                        | "--stream"
-                        | "--scale"
+                    "--json" | "--bits" | "--metrics" | "--reuse" | "--stream"
                 );
             i += if boolean { 1 } else { 2 };
         } else {
@@ -920,328 +895,9 @@ fn cmd_corrupt(args: &[String]) -> i32 {
     }
 }
 
-/// `wgr bench --scale | --serve` — the two measurements the ledger
-/// (`benchmark/`) has no row for yet: the scale ladder behind
-/// `BENCH_scale.json` and the concurrent-service run behind
-/// `BENCH_serve.json`. Build and query timings are the ledger's.
-fn cmd_bench(args: &[String]) -> i32 {
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed: u64 = num(args, "--seed").unwrap_or(42);
-    // One fresh process per measurement, so `VmHWM` attributes peak RSS
-    // to exactly that step.
-    if args.iter().any(|a| a == "--scale") {
-        return bench_scale(args, seed, quick);
-    }
-    // Many clients against one shared representation.
-    if args.iter().any(|a| a == "--serve") {
-        let pages: u32 = num(args, "--pages").unwrap_or(if quick { 2_000 } else { 20_000 });
-        let clients: usize = num(args, "--clients").unwrap_or(if quick { 16 } else { 100 });
-        let sout =
-            PathBuf::from(opt(args, "--serve-out").unwrap_or_else(|| "BENCH_serve.json".into()));
-        let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-        let scratch = std::env::temp_dir().join(format!("wgr_bench_serve_{}", std::process::id()));
-        let code = bench_serve(&corpus, &scratch, pages, seed, clients, &sout, args);
-        std::fs::remove_dir_all(&scratch).ok();
-        return code;
-    }
-    eprintln!("usage: wgr bench --scale | --serve [options] (build and query timings: benchmark/)");
-    2
-}
-
-/// Corpus sizes for `wgr bench --scale`: quick mode is the CI smoke
-/// (one streamed 100 k-page build), the full run climbs to the
-/// million-page acceptance point.
-const SCALE_SIZES_FULL: [u32; 3] = [100_000, 300_000, 1_000_000];
-const SCALE_SIZES_QUICK: [u32; 1] = [100_000];
-
-/// Streamed generation must stay in bounded memory at every size: the
-/// writer's only `O(edges)` state is the adjacency arena + PA pool
-/// (≈ 8 bytes/edge), so half a gigabyte covers the million-page point
-/// with a wide margin while still catching an accidental
-/// materialisation of URL strings or the CSR graph (which costs
-/// gigabytes there).
-const SCALE_STREAM_RSS_BOUND: u64 = 512 << 20;
-
-/// `wgr bench --scale` — the scale benchmark behind
-/// `BENCH_scale.json`. Two parts:
-///
-/// 1. **Scale ladder** (subprocesses): per corpus size, a fresh process
-///    streams the corpus, builds it, and reports its RSS
-///    high-water marks; then one more probes navigation latency over
-///    the result, its answers hashed into a fingerprint.
-/// 2. **Memory gates**: streamed generation stays under a fixed bound,
-///    and resident-query overhead (peak RSS minus the resident index
-///    bytes) stays flat up the ladder modulo the per-page metadata the
-///    paper's model keeps in memory.
-fn bench_scale(args: &[String], seed: u64, quick: bool) -> i32 {
-    let sizes: Vec<u32> = opt(args, "--sizes").map_or_else(
-        || {
-            if quick {
-                SCALE_SIZES_QUICK.to_vec()
-            } else {
-                SCALE_SIZES_FULL.to_vec()
-            }
-        },
-        |s| s.split(',').map(|t| parsed("--sizes", t)).collect(),
-    );
-    let probes: u32 = num(args, "--probes").unwrap_or(if quick { 2_000 } else { 10_000 });
-    let out = PathBuf::from(opt(args, "--out").unwrap_or_else(|| "BENCH_scale.json".into()));
-    let scratch = std::env::temp_dir().join(format!("wgr_scale_{}", std::process::id()));
-    std::fs::remove_dir_all(&scratch).ok();
-
-    let exe = std::env::current_exe().expect("current exe");
-    let mut ok = true;
-    let mut stream_bounded = true;
-    let mut size_objs: Vec<String> = Vec::new();
-    let mut overheads: Vec<(u32, u64)> = Vec::new();
-    for &pages in &sizes {
-        let dir = scratch.join(format!("s{pages}"));
-        let dir_s = dir.to_string_lossy().into_owned();
-        let b = run_scale_step(
-            &exe,
-            &[
-                "scale-step",
-                "build",
-                "--pages",
-                &pages.to_string(),
-                "--seed",
-                &seed.to_string(),
-                "--dir",
-                &dir_s,
-            ],
-        );
-        let Some(b) = b else {
-            ok = false;
-            continue;
-        };
-        let stream_peak = step_u64(&b, "stream_peak_rss_bytes");
-        stream_bounded &= stream_peak > 0 && stream_peak <= SCALE_STREAM_RSS_BOUND;
-        eprintln!(
-            "scale {pages}: stream {:.1}s (peak {} MiB), build {:.1}s (peak {} MiB), \
-             {:.3} bits/edge",
-            step_f64(&b, "stream_secs"),
-            stream_peak >> 20,
-            step_f64(&b, "build_secs"),
-            step_u64(&b, "peak_rss_bytes") >> 20,
-            step_f64(&b, "bits_per_edge"),
-        );
-        let repo = dir.join("repo");
-        let repo_s = repo.to_string_lossy().into_owned();
-        let probe_args = [
-            "scale-step",
-            "query",
-            "--repo",
-            &repo_s,
-            "--probes",
-            &probes.to_string(),
-        ];
-        let Some(qr) = run_scale_step(&exe, &probe_args) else {
-            ok = false;
-            std::fs::remove_dir_all(&dir).ok();
-            continue;
-        };
-        eprintln!(
-            "scale {pages}: probe p50 {} ns / p99 {} ns, resident index {} MiB",
-            step_u64(&qr, "p50_ns"),
-            step_u64(&qr, "p99_ns"),
-            step_u64(&qr, "resident_bytes") >> 20,
-        );
-        overheads.push((
-            pages,
-            step_u64(&qr, "peak_rss_bytes").saturating_sub(step_u64(&qr, "resident_bytes")),
-        ));
-        size_objs.push(format!(
-            "    {{\"pages\": {pages},\n     \"build\": {b},\n     \"query_resident\": {qr}}}"
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    std::fs::remove_dir_all(&scratch).ok();
-
-    // Flat-memory gate: beyond the resident index, a bigger corpus may
-    // only cost the per-page metadata the paper's model keeps in memory
-    // (renumbering + page→supernode maps; 64 B/page is a generous
-    // ceiling) — the decoded-list cache is budget-capped and must not
-    // grow with corpus size.
-    let base_overhead = overheads.iter().map(|&(_, o)| o).min().unwrap_or(0);
-    let query_memory_flat = overheads
-        .iter()
-        .all(|&(p, o)| o <= base_overhead + 64 * u64::from(p) + (32 << 20));
-    if !stream_bounded {
-        eprintln!("FAILED: streamed generation exceeded the bounded-memory gate");
-    }
-    if !query_memory_flat {
-        eprintln!("FAILED: query overhead grows faster than the resident-index model allows");
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"wgr scale\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"probes\": {probes},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"stream_rss_bound_bytes\": {SCALE_STREAM_RSS_BOUND},\n"
-    ));
-    json.push_str(&format!("  \"stream_rss_bounded\": {stream_bounded},\n"));
-    json.push_str(&format!("  \"query_memory_flat\": {query_memory_flat},\n"));
-    json.push_str("  \"sizes\": [\n");
-    json.push_str(&size_objs.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    or_exit(
-        std::fs::write(&out, &json),
-        format!("cannot write {}", out.display()),
-    );
-    println!("wrote {}", out.display());
-    i32::from(!(ok && stream_bounded && query_memory_flat))
-}
-
-/// Runs one hidden `scale-step` subprocess and returns the JSON line it
-/// printed (the last `{`-led stdout line), or `None` on failure.
-fn run_scale_step(exe: &std::path::Path, args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new(exe).args(args).output().ok()?;
-    if !out.status.success() {
-        eprintln!(
-            "scale step {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        return None;
-    }
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .rev()
-        .find(|l| l.starts_with('{'))
-        .map(str::to_string)
-}
-
-/// Dispatcher for the hidden `wgr scale-step` subcommand (the
-/// per-measurement child of `wgr bench --scale`).
-fn cmd_scale_step(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("build") => scale_step_build(&args[1..]),
-        Some("query") => scale_step_query(&args[1..]),
-        _ => {
-            eprintln!("usage: wgr scale-step <build|query> (internal; use `wgr bench --scale`)");
-            2
-        }
-    }
-}
-
-/// `wgr scale-step build --pages N --seed N --dir DIR` —
-/// streams the corpus to `DIR/corpus`, builds the S-Node
-/// representation at `DIR/repo`, and prints one JSON line with the
-/// timings, output fingerprint, and this process's RSS high-water
-/// marks: sampled once right after streaming (witnessing the writer's
-/// bounded memory) and once after the build (the whole step).
-fn scale_step_build(args: &[String]) -> i32 {
-    let pages: u32 = parsed("--pages", &req(args, "--pages"));
-    let seed: u64 = num(args, "--seed").unwrap_or(42);
-    let dir = PathBuf::from(req(args, "--dir"));
-    let corpus_dir = dir.join("corpus");
-    let repo = dir.join("repo");
-
-    let sw = obs::Stopwatch::start();
-    webgraph_repr::corpus::stream::stream_corpus(
-        &corpus_dir,
-        &webgraph_repr::corpus::CorpusConfig::scaled(pages, seed),
-    )
-    .expect("stream corpus");
-    let stream_secs = sw.elapsed().as_secs_f64();
-    let stream_peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
-
-    let sw = obs::Stopwatch::start();
-    let input = read_build_input(&corpus_dir).expect("read streamed corpus");
-    let read_secs = sw.elapsed().as_secs_f64();
-    let config = SNodeConfig::default();
-    let sw = obs::Stopwatch::start();
-    let (stats, _renum) = build_from(&input, &config, &repo).expect("scale build");
-    let build_secs = sw.elapsed().as_secs_f64();
-    let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
-    let fp = fingerprint_dir(&repo).expect("fingerprint scale dir");
-    println!(
-        "{{\"step\":\"build\",\"pages\":{},\"edges\":{},\
-         \"stream_secs\":{stream_secs:.3},\"read_secs\":{read_secs:.3},\
-         \"build_secs\":{build_secs:.3},\"supernodes\":{},\"superedges\":{},\
-         \"bits_per_edge\":{:.4},\"fingerprint\":\"{fp:016x}\",\
-         \"stream_peak_rss_bytes\":{stream_peak},\"peak_rss_bytes\":{peak}}}",
-        input.num_pages(),
-        input.graph.num_edges(),
-        stats.num_supernodes,
-        stats.num_superedges,
-        stats.bits_per_edge(),
-    );
-    0
-}
-
-/// `wgr scale-step query --repo DIR [--probes N] [--budget B]` — opens
-/// the representation, runs N deterministic `out_neighbors` probes, and
-/// prints one JSON line with the latency distribution, a fingerprint of
-/// the answers, the resident index bytes, and this process's peak RSS.
-fn scale_step_query(args: &[String]) -> i32 {
-    let repo = PathBuf::from(req(args, "--repo"));
-    let probes: u32 = num(args, "--probes").unwrap_or(10_000);
-    let budget: usize = num(args, "--budget").unwrap_or(1 << 20);
-    let snode = SNode::open_resident(&repo, budget).expect("open repo");
-    let n = snode.num_pages();
-    if n == 0 || probes == 0 {
-        eprintln!("nothing to probe");
-        return 2;
-    }
-    let mut lat: Vec<u64> = Vec::with_capacity(probes as usize);
-    let mut edges = 0u64;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut buf: Vec<u32> = Vec::new();
-    for i in 0..probes {
-        // Knuth multiplicative scatter: deterministic, and spread across
-        // the id space.
-        let p = ((u64::from(i) * 2_654_435_761) % u64::from(n)) as u32;
-        let sw = obs::Stopwatch::start();
-        snode.out_neighbors_into(p, &mut buf).expect("navigate");
-        lat.push(sw.elapsed().as_nanos() as u64);
-        edges += buf.len() as u64;
-        for &t in std::iter::once(&p).chain(buf.iter()) {
-            for b in t.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        }
-    }
-    lat.sort_unstable();
-    let pct = |p: f64| lat[((lat.len() - 1) as f64 * p).round() as usize];
-    let mean = lat.iter().sum::<u64>() / lat.len() as u64;
-    let peak = obs::sample_self().map_or(0, |s| s.peak_rss_bytes);
-    println!(
-        "{{\"step\":\"query\",\"pages\":{n},\"probes\":{probes},\
-         \"p50_ns\":{},\"p99_ns\":{},\"mean_ns\":{mean},\"edges_touched\":{edges},\
-         \"probe_fingerprint\":\"{h:016x}\",\"resident_bytes\":{},\"peak_rss_bytes\":{peak}}}",
-        pct(0.50),
-        pct(0.99),
-        snode.resident_bytes(),
-    );
-    0
-}
-
-/// Extracts `"key":<number>` (integer or decimal) from a scale-step line.
-fn step_f64(line: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    line.find(&pat)
-        .map(|i| {
-            line[i + pat.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect::<String>()
-        })
-        .and_then(|d| d.parse().ok())
-        .unwrap_or(0.0)
-}
-
-/// [`step_f64`] for a count or byte figure (0 when absent).
-fn step_u64(line: &str, key: &str) -> u64 {
-    step_f64(line, key) as u64
-}
-
 /// Builds the serve context (representations + auxiliary indexes) for a
-/// corpus, the way `wgr serve` and `wgr bench --serve` share it. The
-/// returned fingerprints are the single-threaded Q1–6 reference every
-/// concurrent answer must reproduce.
+/// corpus. The returned fingerprints are the single-threaded Q1–6
+/// reference every concurrent answer must reproduce.
 fn build_serve_context(
     corpus: &Corpus,
     set: &SchemeSet,
@@ -1276,175 +932,25 @@ fn build_serve_context(
     Ok((ctx, reference))
 }
 
-/// `wgr bench --serve` — multi-client latency/throughput benchmark of the
-/// concurrent query service on the standard bench corpus. Every client
-/// runs the Q1–6 workload cycle plus raw navigation over one *shared*
-/// decoded representation; per-query fingerprints are written as decimal
-/// u64s so CI can compare them with the committed `BENCH_serve.json`
-/// (the constants of `crates/query/tests/golden_queries.rs`: same corpus,
-/// same FNV-1a).
-fn bench_serve(
-    corpus: &Corpus,
-    scratch: &std::path::Path,
-    pages: u32,
-    seed: u64,
-    clients: usize,
-    out: &std::path::Path,
-    args: &[String],
-) -> i32 {
-    const ROUNDS: usize = 2; // Q1–6 cycles per client
-    const NAVS: usize = 8; // raw out_neighbors calls per client
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let set = SchemeSet::build(
-        &scratch.join("serveset"),
-        &urls,
-        &domains,
-        &corpus.graph,
-        &SNodeConfig::default(),
-        1 << 20,
-    )
-    .expect("build scheme set");
-    let (ctx, reference) = build_serve_context(corpus, &set, Scheme::SNode).expect("serve context");
-    let num_pages = ctx.num_pages;
-
-    let workers: usize = num(args, "--workers")
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get().max(2)));
-    let cfg = ServeConfig {
-        workers,
-        // Every client may be parked in the queue at once; refusals would
-        // benchmark the backpressure path, not the read path.
-        queue_cap: clients.max(256),
-        port: 0,
-    };
-    let server = Server::start(Arc::clone(&ctx), &cfg).expect("start server");
-    let port = server.port();
-
-    let mut latencies: Vec<u64> = Vec::with_capacity(clients * (ROUNDS * 6 + NAVS));
-    let mut mismatches = 0u64;
-    let mut degraded = 0u64;
-    let mut errors = 0u64;
-    let wall = obs::Stopwatch::start();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let reference = &reference;
-                s.spawn(move || {
-                    let mut lats = Vec::with_capacity(ROUNDS * 6 + NAVS);
-                    let (mut mm, mut dg, mut er) = (0u64, 0u64, 0u64);
-                    let Ok(mut cl) = Client::connect(port) else {
-                        return (lats, mm, dg, 1u64);
-                    };
-                    for _ in 0..ROUNDS {
-                        for n in 1..=6u8 {
-                            let sw = obs::Stopwatch::start();
-                            match cl.query(n) {
-                                Ok(reply) => {
-                                    lats.push(sw.elapsed().as_nanos() as u64);
-                                    mm += u64::from(
-                                        reply.fingerprint != reference[usize::from(n) - 1],
-                                    );
-                                    dg += u64::from(reply.status == ServeStatus::Degraded);
-                                }
-                                Err(_) => er += 1,
-                            }
-                        }
-                    }
-                    for k in 0..NAVS {
-                        let p = ((c * 7919 + k * 104_729) % num_pages as usize) as u32;
-                        let sw = obs::Stopwatch::start();
-                        match cl.out_neighbors(p) {
-                            Ok(_) => lats.push(sw.elapsed().as_nanos() as u64),
-                            Err(_) => er += 1,
-                        }
-                    }
-                    (lats, mm, dg, er)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (l, mm, dg, er) = h.join().expect("client thread");
-            latencies.extend(l);
-            mismatches += mm;
-            degraded += dg;
-            errors += er;
-        }
-    });
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let stats = server.shutdown();
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx] as f64 / 1e6
-    };
-    let total = latencies.len() as u64;
-    let throughput = if wall_secs > 0.0 {
-        total as f64 / wall_secs
-    } else {
-        0.0
-    };
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"wgr serve\",\n");
-    json.push_str(&format!("  \"pages\": {pages},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str(&format!("  \"workers\": {workers},\n"));
-    json.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!("  \"requests\": {total},\n"));
-    json.push_str(&format!("  \"errors\": {errors},\n"));
-    json.push_str(&format!("  \"fingerprint_mismatches\": {mismatches},\n"));
-    json.push_str(&format!("  \"degraded_responses\": {degraded},\n"));
-    json.push_str(&format!(
-        "  \"overloaded\": {},\n",
-        stats.overloaded.load(std::sync::atomic::Ordering::Relaxed)
-    ));
-    json.push_str(&format!("  \"wall_secs\": {wall_secs:.6},\n"));
-    json.push_str(&format!("  \"throughput_rps\": {throughput:.1},\n"));
-    json.push_str(&format!(
-        "  \"latency_ms\": {{\"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}},\n",
-        pct(0.50),
-        pct(0.90),
-        pct(0.99),
-        pct(1.0)
-    ));
-    json.push_str("  \"fingerprints\": {\n");
-    for (i, fp) in reference.iter().enumerate() {
-        let sep = if i + 1 < reference.len() { "," } else { "" };
-        json.push_str(&format!("    \"q{}\": {fp}{sep}\n", i + 1));
-    }
-    json.push_str("  }\n}\n");
-    or_exit(
-        std::fs::write(out, &json),
-        format!("cannot write {}", out.display()),
-    );
-    println!("wrote {}", out.display());
-    eprintln!(
-        "serve bench: {clients} clients × {} req = {total} in {wall_secs:.3}s \
-         ({throughput:.0} req/s), p50 {:.3} ms, p99 {:.3} ms",
-        ROUNDS * 6 + NAVS,
-        pct(0.50),
-        pct(0.99),
-    );
-    if errors > 0 || mismatches > 0 {
-        eprintln!(
-            "FAILED: {errors} request error(s), {mismatches} fingerprint mismatch(es) \
-             under concurrency"
-        );
-        return 1;
-    }
-    if degraded > 0 {
-        return 3;
-    }
-    0
-}
+/// The flags `serve` takes, each with whether a value follows it.
+const SERVE_FLAGS: [(&str, bool); 14] = [
+    ("--corpus", true),
+    ("--port", true),
+    ("--workers", true),
+    ("--queue", true),
+    ("--scheme", true),
+    ("--budget", true),
+    ("--reps", true),
+    ("--reuse", false),
+    ("--smoke", true),
+    // Accepted for `benchmark/`, which still passes it, and ignored:
+    // nothing is left to turn off.
+    ("--no-telemetry", false),
+    ("--metrics", false),
+    ("--metrics=text", false),
+    ("--metrics=json", false),
+    ("--trace", true),
+];
 
 /// `wgr serve DIR` — builds (or, with `--reps`/`--reuse`, reopens) the
 /// query representations for the corpus at `DIR` and serves the observed
@@ -1454,7 +960,11 @@ fn bench_serve(
 /// server and exits by the wg-fault contract: 0 clean, 3 degraded answers,
 /// 2 errors.
 fn cmd_serve(args: &[String]) -> i32 {
-    let Some(corpus_dir) = positional(args).or_else(|| opt(args, "--corpus")) else {
+    let dir = match take_flags("serve", &SERVE_FLAGS, true, args) {
+        Ok(dir) => dir.cloned(),
+        Err(code) => return code,
+    };
+    let Some(corpus_dir) = dir.or_else(|| opt(args, "--corpus")) else {
         eprintln!(
             "usage: wgr serve DIR [--port P] [--workers N] [--queue N] [--scheme NAME]\n\
              \x20                [--budget BYTES] [--reps DIR] [--reuse] [--smoke N]\n\

@@ -499,7 +499,7 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let corpus = corpus.to_str().unwrap();
-    let cases: [(&[&str], &str); 19] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -509,11 +509,6 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
             &["build", "--corpus", "/nonexistent", "--out", "r"],
             "/nonexistent",
         ),
-        (&["bench", "--scale", "--sizes", "1,x"], "--sizes: x"),
-        // The build and query modes are gone: a bench names its mode.
-        (&["bench"], "usage: wgr bench --scale | --serve"),
-        (&["bench", "--quick"], "usage: wgr bench --scale | --serve"),
-        (&["bench", "--ablate"], "usage: wgr bench --scale | --serve"),
         // `build` refuses a flag it does not take, and writes nothing: the
         // format flag is gone, and there is one format.
         (
@@ -534,6 +529,8 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         (&["check", "--repo", "r"], "--repo"),
         (&["check", "r", "--deny", "warnings"], "warnings"),
         (&["check", "r", "--repair"], "--from"),
+        // Nor does `serve`: the client count is `--smoke N`'s.
+        (&["serve", corpus, "--clients", "100"], "--clients"),
         // Paths that cannot be read or written: one line, not a panic.
         (
             &["gen", "--pages", "10", "--out", "/proc/nope"],
@@ -580,10 +577,40 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
 #[test]
 fn usage_on_bad_subcommand() {
     // `lint` is gone: clippy and `cargo test` check the source now. So is
-    // `fsck`: `check` holds every byte to `sums.bin` first.
-    for sub in ["frobnicate", "lint", "fsck"] {
+    // `fsck`: `check` holds every byte to `sums.bin` first. So are the two
+    // benchmark subcommands: the benchmark is `benchmark/`, and the scale
+    // ladder's directories are pinned by `golden_build.rs`.
+    for sub in ["frobnicate", "lint", "fsck", "bench", "scale-step"] {
         let out = wgr().arg(sub).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
     }
+}
+
+#[test]
+fn serve_takes_the_ledgers_argv() {
+    // What `benchmark/` passes to `wgr serve`, plus `--smoke 1` so the
+    // server exits: a build under `--reps`, then a reopen with `--reuse`.
+    let root = temp_dir("serve_argv");
+    let (corpus, reps) = (root.join("c"), root.join("r"));
+    let out = wgr()
+        .args(["gen", "--pages", "300", "--out"])
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    for reuse in [&[][..], &["--reuse"][..]] {
+        let out = wgr()
+            .arg("serve")
+            .arg(&corpus)
+            .arg("--reps")
+            .arg(&reps)
+            .args(["--port", "0", "--workers", "2", "--budget", "1048576"])
+            .args(reuse)
+            .args(["--no-telemetry", "--smoke", "1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{reuse:?}: {out:?}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
