@@ -707,16 +707,8 @@ fn check_superedge(
 ) {
     let here = Location::Superedge(s, j);
     let (ni, nj) = (meta.supernode_size(s).into(), meta.supernode_size(j).into());
-    // The analyzer reads every stored list, so it asks for the list count
-    // and the end of the payload straight after the parse, which built the
-    // list-stream directory or the dictionary they come from.
-    let parsed = SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec).and_then(|index| {
-        let num_stored = index.num_stored_lists(bytes, bit_len)?;
-        let end_bit = index.end_bit(bytes, bit_len)?;
-        Ok((index, num_stored, end_bit))
-    });
-    let (index, num_stored, end_bit) = match parsed {
-        Ok(p) => p,
+    let index = match SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec) {
+        Ok(index) => index,
         Err(e) => {
             diags.push(Diagnostic::new(
                 Code::DecodeError,
@@ -727,6 +719,7 @@ fn check_superedge(
         }
     };
     // Decode every stored list once; all per-list checks run off this.
+    let num_stored = index.num_stored_lists();
     let mut stored = Vec::with_capacity(num_stored as usize);
     for i in 0..num_stored {
         match index.stored_list(bytes, bit_len, i) {
@@ -835,6 +828,7 @@ fn check_superedge(
             )),
         }
     }
+    let end_bit = index.end_bit();
     if end_bit < bit_len {
         diags.push(Diagnostic::new(
             Code::TrailingBits,

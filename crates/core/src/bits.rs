@@ -111,7 +111,7 @@ impl BitLedger {
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(loc)?;
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
-                let bits = index.bit_breakdown(&bytes, loc.bit_len)?;
+                let bits = index.bit_breakdown();
                 let edges = index.count_positive_edges(&bytes, loc.bit_len, nj)?;
                 let class = match (index.kind, bits.layout) {
                     (SuperedgeKind::Negative, _) => &mut negative,

@@ -12,166 +12,15 @@
 //! same budget.
 
 use crate::disk::Blob;
-use crate::refenc::{DecodeMemo, DecodeScratch, ListsIndex};
+use crate::refenc::{DecodeScratch, ListsIndex};
 use crate::section::{self, Section, Width};
-use crate::subgraphs::{Layout, SuperedgeIndex};
+use crate::subgraphs::SuperedgeIndex;
 use crate::{Result, SNodeError};
-use parking_lot::{Mutex, MutexGuard};
-use std::cell::OnceCell;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 use wg_obs::Stopwatch;
-
-/// A cached graph's memo as the decoder sees it: locked by the first `get`
-/// or `put`, until the decode that made it ends. A plain list, a
-/// single-target hit and a miss on `sources` — nine decodes in ten on a
-/// crawl — ask the memo nothing and so never take its mutex.
-struct LockedOnUse<'a> {
-    memo: &'a Mutex<ListMemo>,
-    guard: OnceCell<MutexGuard<'a, ListMemo>>,
-}
-
-impl<'a> LockedOnUse<'a> {
-    fn new(memo: &'a Mutex<ListMemo>) -> Self {
-        let guard = OnceCell::new();
-        Self { memo, guard }
-    }
-
-    fn locked(&self) -> &MutexGuard<'a, ListMemo> {
-        self.guard.get_or_init(|| self.memo.lock())
-    }
-}
-
-impl DecodeMemo for LockedOnUse<'_> {
-    fn get(&self, i: u32) -> Option<&[u32]> {
-        self.locked().get(i)
-    }
-
-    fn put(&mut self, i: u32, v: &[u32]) {
-        self.locked();
-        if let Some(memo) = self.guard.get_mut() {
-            memo.put(i, v);
-        }
-    }
-}
-
-/// Bounded memo of decoded lists, attached to an encoded cached graph.
-///
-/// The memo is the fast-navigation layer of §4.3's byte budget story: the
-/// shared reference-chain prefixes of an encoded graph — the lists other
-/// lists decode *through*, which is exactly the hot minority — are kept in
-/// decoded form so a chain walk that reaches one is an O(1) lookup instead
-/// of a further O(chain) decode. Only those ancestors are ever offered
-/// (see [`ListsIndex::decode_list_into`]), each copied out of the
-/// decoder's buffers to the end of one pool; a list nothing references is
-/// decoded into the caller's buffers and never comes here, and a plain
-/// list asked for directly is decoded without the memo — or its mutex —
-/// being touched even if it is in it. Its capacity is **reserved
-/// statically**: the parent graph's accounted [`CachedGraph::bytes`]
-/// includes the full memo cap at construction, so the memo's worst case is
-/// charged against the cache budget up front and freed wholesale when the
-/// parent graph is evicted — no dynamic re-accounting, no leak.
-///
-/// Overflow policy: an insertion that would exceed the cap clears the
-/// whole memo first (a full restart, not per-entry eviction). This keeps
-/// run-to-run behaviour deterministic — it never depends on `HashMap`
-/// iteration order — which the bench drift check requires. A memo that
-/// never overflows stops growing once every ancestor of its graph is in
-/// it; one that does takes its reserved share whole at the first restart
-/// and keeps it. Either way a warm probe through it allocates nothing.
-#[derive(Debug, Default)]
-pub struct ListMemo {
-    /// The lists retained, once there has been one: most graphs have no
-    /// reference chain, and this way a memo costs them three words.
-    retained: Option<Box<Retained>>,
-    cap: usize,
-    hits: Option<wg_obs::Counter>,
-}
-
-#[derive(Debug, Default)]
-struct Retained {
-    /// Where each list lies in `pool`: start and length.
-    map: HashMap<u32, (u32, u32)>,
-    /// The lists, end to end in order of arrival.
-    pool: Vec<u32>,
-    /// What they are charged against the cap.
-    used: usize,
-}
-
-impl ListMemo {
-    /// What an entry is charged against the cap besides its four bytes
-    /// per target: its share of the table.
-    const ENTRY_BYTES: usize = 28;
-
-    /// What one entry is charged against the cap.
-    fn entry_bytes(v: &[u32]) -> usize {
-        v.len() * 4 + Self::ENTRY_BYTES
-    }
-
-    /// A memo bounded by `cap` bytes of decoded lists. Registers the
-    /// `core.nav.list_memo_hits` counter when metrics are enabled.
-    pub fn with_cap(cap: usize) -> Self {
-        let hits =
-            wg_obs::metrics_enabled().then(|| wg_obs::global().counter("core.nav.list_memo_hits"));
-        Self {
-            retained: None,
-            cap,
-            hits,
-        }
-    }
-
-    /// Bytes of decoded lists currently retained.
-    pub fn used(&self) -> usize {
-        self.retained.as_ref().map_or(0, |retained| retained.used)
-    }
-
-    /// The static byte reservation this memo was built with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-}
-
-impl DecodeMemo for ListMemo {
-    fn get(&self, i: u32) -> Option<&[u32]> {
-        let retained = self.retained.as_deref()?;
-        let &(start, len) = retained.map.get(&i)?;
-        if let Some(h) = &self.hits {
-            h.inc();
-        }
-        (retained.pool).get(start as usize..start as usize + len as usize)
-    }
-
-    fn put(&mut self, i: u32, v: &[u32]) {
-        let cost = Self::entry_bytes(v);
-        if cost > self.cap {
-            return; // one oversized list can never fit
-        }
-        let retained = self.retained.get_or_insert_with(Box::default);
-        if retained.used + cost > self.cap {
-            retained.map.clear();
-            retained.pool.clear();
-            retained.used = 0;
-            // A memo that has overflowed will again: it takes all its cap
-            // admits now and never grows after (both calls find that done
-            // the next time).
-            let _ = retained.pool.try_reserve_exact(self.cap / 4);
-            let _ = retained.map.try_reserve(self.cap / Self::ENTRY_BYTES);
-        }
-        // Under the cap the pool stays far below 2³² entries.
-        let (start, len) = (retained.pool.len(), v.len());
-        let (Ok(start), Ok(len)) = (u32::try_from(start), u32::try_from(len)) else {
-            return;
-        };
-        // The decoder offers a list only after `get` missed it; a second
-        // offer finds the first, equal by the trait's contract, in place.
-        if let std::collections::hash_map::Entry::Vacant(slot) = retained.map.entry(i) {
-            slot.insert((start, len));
-            retained.pool.extend_from_slice(v);
-            retained.used += cost;
-        }
-    }
-}
 
 /// Identity of a cached graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -427,14 +276,6 @@ pub struct CachedGraph {
     /// The encoded graph, borrowed from its index file's resident image;
     /// empty, and allocation-free, for a fanout.
     data: Blob,
-    /// Decoded-list memo (shared reference-chain prefixes) of an encoded
-    /// graph, keyed as its decoder keys lists — see
-    /// [`SuperedgeIndex::targets_of_into`]. Its cap is part of `bytes`.
-    memo: Mutex<ListMemo>,
-    /// What the entry owns, which drives eviction: the value itself, its
-    /// arena and its memo cap. Not `data`: the resident image it borrows
-    /// from is counted once, as the handle's `resident_bytes`.
-    bytes: usize,
 }
 
 /// What a [`CachedGraph`] is, with its arena.
@@ -459,38 +300,16 @@ enum Shape {
 const _: () = assert!(std::mem::offset_of!(CachedGraph, data) <= 48);
 
 impl CachedGraph {
-    /// One header over `shape`, whose arena is charged `heap` bytes: the
-    /// value itself (so no `heap_bytes` counts any of it), the arena and
-    /// the memo cap.
-    fn with(shape: Shape, heap: usize, data: Blob, bit_len: u64, memo: ListMemo) -> Self {
-        let bytes = std::mem::size_of::<Self>() + heap + memo.cap();
-        Self {
-            shape,
-            bit_len,
-            data,
-            memo: Mutex::new(memo),
-            bytes,
-        }
-    }
-
-    /// The decoded-list memo cap for a graph of `encoded` bytes: as many
-    /// again. Policy: a graph's hot decoded lists may occupy at most as
-    /// much budget as the encoded graph they derive from — the bytes read,
-    /// not the directory parsed from them, which for an intranode graph is
-    /// the larger of the two and holds no list a memo could stand in for —
-    /// and the §4.3 accounting stays a single constructor-time number.
-    fn memo_cap(encoded: usize) -> usize {
-        encoded
-    }
-
     /// Wraps an encoded intranode graph with its parsed directory. The
     /// blob is borrowed from the resident image, which is held and counted
     /// whether or not the graph is cached, so the cache charges what the
-    /// entry adds to it: the directory and a memo cap sized by the blob.
+    /// entry adds to it (see [`CachedGraph::bytes`]).
     pub fn new_encoded_intra(data: Blob, bit_len: u64, index: ListsIndex) -> Self {
-        let heap = index.heap_bytes();
-        let memo = ListMemo::with_cap(Self::memo_cap(data.len()));
-        Self::with(Shape::Intra(index), heap, data, bit_len, memo)
+        Self {
+            shape: Shape::Intra(index),
+            bit_len,
+            data,
+        }
     }
 
     /// Wraps an encoded superedge graph with its parsed directory (charged
@@ -498,20 +317,11 @@ impl CachedGraph {
     /// the index was parsed with, which it keeps.
     pub fn new_encoded_super(data: Blob, bit_len: u64, index: SuperedgeIndex, nj: u64) -> Self {
         debug_assert_eq!(index.nj(), nj, "parsed for another |Nj|");
-        let heap = index.heap_bytes();
-        // A single-target dictionary answers from two arrays: there is no
-        // decoded list to keep, so no memo to reserve budget for.
-        let cap = match index.layout() {
-            Layout::SingleTargets => 0,
-            Layout::Lists | Layout::ListDictionary => Self::memo_cap(data.len()),
-        };
-        Self::with(
-            Shape::Super(index),
-            heap,
-            data,
+        Self {
+            shape: Shape::Super(index),
             bit_len,
-            ListMemo::with_cap(cap),
-        )
+            data,
+        }
     }
 
     /// The fanout, when this entry is one.
@@ -533,9 +343,8 @@ impl CachedGraph {
     ///
     /// This is the fast navigation path: `out` and `scratch` are the
     /// caller's and reused across calls, so a BFS level costs no per-page
-    /// list allocation; an encoded graph decodes through its decoded-list
-    /// memo, whose mutex is taken only by a decode that reaches a
-    /// reference-encoded list — the only kind a memo can shorten.
+    /// list allocation, and an entry is only ever read: a decode takes no
+    /// lock.
     pub fn decode_list_into(
         &self,
         local: u32,
@@ -544,45 +353,37 @@ impl CachedGraph {
     ) -> crate::Result<()> {
         out.clear();
         let (data, bit_len) = (&self.data, self.bit_len);
-        let memo = &mut LockedOnUse::new(&self.memo);
         match &self.shape {
-            Shape::Intra(index) => index.decode_list_into(data, bit_len, local, memo, scratch, out),
+            Shape::Intra(index) => index.decode_list_into(data, bit_len, local, scratch, out),
             Shape::Super(index) => {
                 let s = u64::from(local);
-                index.targets_of_into(data, bit_len, s, index.nj(), memo, scratch, out)
+                index.targets_of_into(data, bit_len, s, index.nj(), scratch, out)
             }
             Shape::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
         }
     }
 
-    /// Bytes of decoded lists currently retained by this graph's memo
-    /// (0 for a fanout, which has none).
-    pub fn memo_used(&self) -> usize {
-        self.memo.lock().used()
-    }
-
-    /// The memo's static byte reservation (0 without a memo).
-    pub fn memo_cap_bytes(&self) -> usize {
-        self.memo.lock().cap()
-    }
-
-    /// Approximate resident footprint in bytes.
+    /// What the entry owns, which drives eviction: the value itself and
+    /// its arena. Not `data`: the resident image it borrows from is
+    /// counted once, as the handle's `resident_bytes`.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        let arena = match &self.shape {
+            Shape::Intra(index) => index.heap_bytes(),
+            Shape::Super(index) => index.heap_bytes(),
+            Shape::Fanout(fanout) => fanout.heap_bytes(),
+        };
+        std::mem::size_of::<Self>() + arena
     }
 }
 
 impl From<Fanout> for CachedGraph {
     /// A fanout as a cache entry, charged its arena and the fixed part.
     fn from(fanout: Fanout) -> Self {
-        let heap = fanout.heap_bytes();
-        Self::with(
-            Shape::Fanout(fanout),
-            heap,
-            Blob::default(),
-            0,
-            ListMemo::default(),
-        )
+        Self {
+            shape: Shape::Fanout(fanout),
+            bit_len: 0,
+            data: Blob::default(),
+        }
     }
 }
 
@@ -979,6 +780,7 @@ impl GraphCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subgraphs::Layout;
 
     /// `bytes` as the read path hands a graph over: a slice of a resident
     /// image.
@@ -1001,11 +803,10 @@ mod tests {
     /// An encoded graph of empty lists charged within 3 % of `bytes_target`
     /// (and no less than an empty graph, a few bytes above the value's
     /// size): each list costs its offset — two bytes, for the graphs of a
-    /// few hundred to 32 768 lists these tests size — and two bits of
-    /// encoding, charged once, as memo cap.
+    /// few hundred to 32 768 lists these tests size.
     fn graph_of(bytes_target: usize) -> CachedGraph {
         let empty = std::mem::size_of::<CachedGraph>() + 8;
-        let lists = bytes_target.saturating_sub(empty) * 4 / 9;
+        let lists = bytes_target.saturating_sub(empty) / 2;
         encoded_intra(&vec![Vec::new(); lists], crate::refenc::RefMode::None)
     }
 
@@ -1195,120 +996,6 @@ mod tests {
             }
         });
         assert_eq!(c.len(), 256);
-    }
-
-    /// An encoded intranode graph whose lists are similar enough that the
-    /// windowed selector builds reference chains (so decodes populate the
-    /// memo), and short beside the graph's encoded bytes (so the memo, a
-    /// reservation of that many bytes, holds several).
-    fn chained_encoded_intra() -> CachedGraph {
-        // Intranode universes equal the list count: targets stay < 240.
-        // A dozen shared targets less one, plus one of the list's own.
-        let lists: Vec<Vec<u32>> = (0..240u32)
-            .map(|i| {
-                let mut l: Vec<u32> = (0..12).filter(|x| x % 7 != i % 7).map(|x| x * 20).collect();
-                l.push(i / 20 * 20 + 1 + i % 19);
-                l.sort_unstable();
-                l
-            })
-            .collect();
-        encoded_intra(&lists, crate::refenc::RefMode::Windowed(8))
-    }
-
-    #[test]
-    fn memo_cap_is_charged_at_construction() {
-        let g = chained_encoded_intra();
-        let Shape::Intra(index) = &g.shape else {
-            panic!("expected an intranode graph");
-        };
-        assert!(index.heap_bytes() > 0);
-        assert_eq!(
-            g.memo_cap_bytes(),
-            g.data.len(),
-            "cap = the encoded bytes, the directory apart"
-        );
-        assert_eq!(
-            g.bytes(),
-            std::mem::size_of::<CachedGraph>() + index.heap_bytes() + g.memo_cap_bytes(),
-            "accounted bytes include the full memo cap up front"
-        );
-        assert_eq!(g.memo_used(), 0, "memo starts empty");
-    }
-
-    /// A superedge graph reserves its encoded bytes too — not those plus
-    /// `sources` and offsets, which made a 250-byte graph reserve 2.4 KB —
-    /// and a single-target dictionary, which keeps no list, nothing.
-    #[test]
-    fn memo_cap_of_a_superedge_graph_is_its_encoded_bytes() {
-        let codec = crate::codec::ListCodec;
-        let encode = |pos: &[Vec<u32>]| {
-            let mode = crate::refenc::RefMode::Windowed(4);
-            let policy = crate::subgraphs::SuperedgePolicy::EncodedSize;
-            crate::subgraphs::encode_superedge(pos, 8, mode, policy)
-        };
-        let lists: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3, 3 + s % 5]).collect();
-        let enc = encode(&lists);
-        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
-        let (encoded, directory) = (enc.bytes.len(), index.heap_bytes());
-        assert!(
-            directory > encoded,
-            "forty sources and offsets: a byte each, and the encoding a bit or two"
-        );
-        let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
-        assert_eq!(g.memo_cap_bytes(), encoded);
-        assert_eq!(
-            g.bytes(),
-            encoded + directory + std::mem::size_of::<CachedGraph>()
-        );
-
-        let singles: Vec<Vec<u32>> = (0..40u32).map(|s| vec![s % 3]).collect();
-        let enc = encode(&singles);
-        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 8, codec).expect("parse");
-        assert_eq!(index.layout(), Layout::SingleTargets);
-        let directory = index.heap_bytes();
-        let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, 8);
-        assert_eq!(g.memo_cap_bytes(), 0);
-        assert!(!g.data.is_empty());
-        assert_eq!(
-            g.bytes(),
-            directory + std::mem::size_of::<CachedGraph>(),
-            "the blob borrowed from the resident image is not charged again"
-        );
-        // The header every entry is charged: a field that comes or goes in
-        // a graph's directory must not move it, and with it every eviction.
-        assert_eq!(std::mem::size_of::<SuperedgeIndex>(), 32);
-        assert_eq!(std::mem::size_of::<CachedGraph>(), 120);
-    }
-
-    #[test]
-    fn memo_growth_is_pre_budgeted_and_freed_by_clear() {
-        let c = GraphCache::new(1 << 20);
-        let g = c.insert(GraphKey::Intra(0), chained_encoded_intra());
-        let used_after_insert = c.used();
-        // Deep-end-first decodes walk every reference chain and retain
-        // ancestors in the memo.
-        let Shape::Intra(index) = &g.shape else {
-            unreachable!()
-        };
-        let n = index.num_lists();
-        for i in (0..n).rev() {
-            g.decode_list_for(i).expect("decode");
-        }
-        assert!(g.memo_used() > 0, "chained decodes must populate the memo");
-        assert!(g.memo_used() <= g.memo_cap_bytes(), "memo bounded by cap");
-        assert_eq!(
-            c.used(),
-            used_after_insert,
-            "memo growth is statically reserved, never re-accounted"
-        );
-        // Clearing the cache drops the graph and its memo wholesale.
-        c.clear();
-        assert_eq!(c.used(), 0, "no bytes leak across a cache clear");
-        drop(g);
-        // A fresh admission of the same graph charges the same bytes: the
-        // memo of the evicted instance left nothing behind.
-        c.insert(GraphKey::Intra(0), chained_encoded_intra());
-        assert_eq!(c.used(), used_after_insert);
     }
 
     #[test]
@@ -1579,12 +1266,16 @@ mod tests {
         assert_eq!(widths, [Width::Zero, Width::One, Width::Two, Width::Four]);
     }
 
-    /// Every kind of entry is charged its header, its arena — each section
-    /// at its width, from a multiple of it, and nothing past the last —
-    /// and its memo cap.
+    /// Every kind of entry is charged its header and its arena — each
+    /// section at its width, from a multiple of it, and nothing past the
+    /// last — and not the blob it borrows from the resident image.
     #[test]
-    fn every_entry_is_charged_its_header_arena_and_memo_cap() {
+    fn every_entry_is_charged_its_header_and_arena() {
+        // The header every entry is charged: a field that comes or goes in
+        // a graph's directory must not move it, and with it every eviction.
         let header = std::mem::size_of::<CachedGraph>();
+        assert_eq!(std::mem::size_of::<SuperedgeIndex>(), 32);
+        assert_eq!(header, 80);
         let offsets = crate::refenc::offset_width;
         let codec = crate::codec::ListCodec;
 
@@ -1593,9 +1284,9 @@ mod tests {
         let enc = crate::refenc::encode_lists(&lists, 300, mode, codec);
         let universe = crate::refenc::Universe::SameAsCount;
         let index = ListsIndex::parse(&enc.bytes, enc.bit_len, universe, codec).expect("parse");
-        let (arena, memo) = (301 * offsets(enc.bit_len).bytes(), enc.bytes.len());
+        let arena = 301 * offsets(enc.bit_len).bytes();
         let g = CachedGraph::new_encoded_intra(blob(enc.bytes), enc.bit_len, index);
-        assert_eq!(g.bytes(), header + arena + memo, "intranode graph");
+        assert_eq!(g.bytes(), header + arena, "intranode graph");
 
         // Every other page of `ni` a source, as `list` has it.
         let every_other = |ni: u32, list: &dyn Fn(u32) -> Vec<u32>| -> Vec<Vec<u32>> {
@@ -1656,17 +1347,10 @@ mod tests {
                     }
                 }
             };
-            let memo = match layout {
-                Layout::SingleTargets => 0,
-                _ => enc.bytes.len(),
-            };
             assert_eq!(index.heap_bytes(), arena, "{layout:?}, positive {positive}");
             let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, nj);
-            assert_eq!(
-                g.bytes(),
-                header + arena + memo,
-                "{layout:?}, positive {positive}"
-            );
+            assert!(!g.data.is_empty());
+            assert_eq!(g.bytes(), header + arena, "{layout:?}, positive {positive}");
         }
 
         // A fanout of 40 pages over three positive graphs and a negative

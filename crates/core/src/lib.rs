@@ -46,7 +46,7 @@
 
 pub mod bits;
 pub mod build;
-// The sharded cache, its memos and event log.
+// The sharded cache and its event log.
 #[allow(clippy::disallowed_types)]
 pub mod cache;
 pub mod codec;

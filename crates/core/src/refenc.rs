@@ -13,7 +13,7 @@
 //! Candidates here are the `w` lists *preceding* `y` ([`RefMode::Windowed`]).
 //! Every reference edge then points backward, the affinity graph is a DAG,
 //! and its minimum arborescence is each node's cheapest incoming edge — one
-//! serial loop ([`choose_references`]), no cycle contraction. A selection
+//! serial loop (`choose_references`), no cycle contraction. A selection
 //! over all ordered pairs (Chu–Liu/Edmonds) was built, measured and deleted:
 //! forward references need a per-list directory on disk, which cost more
 //! than the references saved (EXPERIMENTS.md, A1).
@@ -91,8 +91,8 @@ pub struct EncodedLists {
 
 /// Encodes `lists` (each strictly ascending, entries `< universe`) with the
 /// given reference mode, for a caller that holds one `Vec` per list; the
-/// build plans and writes its flat collections with [`plan_lists`] and
-/// [`write_lists`], which is all this does. Every list is coded the one
+/// build plans and writes its flat collections with `plan_lists` and
+/// `write_lists`, which is all this does. Every list is coded the one
 /// way the paper does: the codec argument is read by nothing, and
 /// [`ListCodec`] says which caller it stays for.
 ///
@@ -311,7 +311,7 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
     pub fn decode_list(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let mut scratch = DecodeScratch::default();
-        self.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut out)?;
+        self.decode_list_into(data, bit_len, i, &mut scratch, &mut out)?;
         Ok(out)
     }
 
@@ -371,29 +371,17 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
     /// which every other entry point wraps. Once `scratch` and `out` have
     /// grown to the lists they meet, a decode allocates nothing.
     ///
-    /// A plain list is γ-decoded straight into `out` and the memo is never
-    /// asked: a memo can only shorten a reference chain. For a
-    /// reference-encoded list the memo is consulted for `i` itself and for
-    /// every ancestor on its chain; each *ancestor* decoded along the way
-    /// is offered back via [`DecodeMemo::put`] — the leaf itself is not.
-    /// Ancestors are shared by construction (reference selection points
-    /// many lists at the same nearby list), so a persistent memo (the
-    /// query cache's decoded-list memo) turns repeated chain walks into
-    /// O(1) prefix lookups; offering the leaf too would charge a copy to
-    /// every random access for a list nothing else decodes through.
-    ///
-    /// The chain is resolved iteratively: headers are read once on the way
-    /// up, to a plain list or a memoised one, and on the way down each
-    /// list is merged from the one above it, alternating between `out`
-    /// and `scratch` so that the leaf lands in `out`. An ancestor at a
-    /// given distance from the leaf is always built in the same buffer,
-    /// wherever the memo cuts the chain.
+    /// A plain list is γ-decoded straight into `out`. A reference-encoded
+    /// one is resolved iteratively: headers are read once on the way up,
+    /// to the plain list that heads the chain (selection caps a chain at
+    /// [`MAX_REF_CHAIN`]), and on the way down each list is merged from the
+    /// one above it, alternating between `out` and `scratch` so that the
+    /// leaf lands in `out`. Nothing decoded is kept between calls.
     pub fn decode_list_into(
         &self,
         data: &[u8],
         bit_len: u64,
         i: u32,
-        memo: &mut dyn DecodeMemo,
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
@@ -403,41 +391,29 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
             record_chain_len(0);
             return read_bounded_gap_list_into(&mut r, self.universe, out);
         };
-        if let Some(v) = memo.get(i) {
-            refill(out, v);
-            return Ok(());
-        }
-        // Walk up, noting each list and where its copy-mask starts.
+        // Walk up, noting where each list's copy-mask starts.
         scratch.chain.clear();
-        scratch.chain.push((i, r.position()));
+        scratch.chain.push(r.position());
         // The buffer the list above the chain goes to, and the one the
         // first merge fills from it.
         let (mut from, mut into) = (&mut scratch.merged, out);
         loop {
-            if let Some(v) = memo.get(parent) {
-                refill(from, v);
-                break;
-            }
             r = self.reader_at(data, bit_len, parent)?;
             let Some(next) = self.read_parent(&mut r)? else {
                 read_bounded_gap_list_into(&mut r, self.universe, from)?;
-                memo.put(parent, from);
                 break;
             };
             if scratch.chain.len() as u64 >= u64::from(self.num_lists()) {
                 return Err(SNodeError::Corrupt("reference cycle detected"));
             }
-            scratch.chain.push((parent, r.position()));
+            scratch.chain.push(r.position());
             std::mem::swap(&mut from, &mut into);
             parent = next;
         }
         record_chain_len(scratch.chain.len() as u64);
-        while let Some((idx, mask_at)) = scratch.chain.pop() {
+        while let Some(mask_at) = scratch.chain.pop() {
             r.seek(mask_at)?;
             self.apply_reference(&mut r, from, &mut scratch.copied, &mut scratch.extras, into)?;
-            if idx != i {
-                memo.put(idx, into);
-            }
             std::mem::swap(&mut from, &mut into);
         }
         Ok(())
@@ -586,13 +562,6 @@ fn merge_sorted_u32(a: &[u32], b: &[u32], universe: u64, out: &mut Vec<u32>) -> 
     Ok(())
 }
 
-/// Overwrites `out` with `list`, growing it to that length at most.
-fn refill(out: &mut Vec<u32>, list: &[u32]) {
-    out.clear();
-    out.reserve_exact(list.len());
-    out.extend_from_slice(list);
-}
-
 /// The buffers [`ListsIndex::decode_list_into`] works in besides its
 /// output: owned by the caller and reused from decode to decode, so that a
 /// decode allocates nothing once they have grown. None of them outgrows
@@ -600,9 +569,9 @@ fn refill(out: &mut Vec<u32>, list: &[u32]) {
 /// decoded under, whatever the bytes claimed.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// The reference-encoded lists of the chain being resolved, leaf
-    /// first, each with the bit its copy-mask starts at.
-    pub(crate) chain: Vec<(u32, u64)>,
+    /// The bit each copy-mask of the chain being resolved starts at, the
+    /// leaf's first.
+    pub(crate) chain: Vec<u64>,
     /// The entries a copy-mask keeps of the list above.
     pub(crate) copied: Vec<u32>,
     /// The extras of one reference-encoded list.
@@ -630,67 +599,6 @@ impl DecodeScratch {
         let (cap, most) = (self.chain.capacity() as u64, (2 * lists).max(4));
         assert!(cap <= most, "chain: {cap} entries for {lists} lists");
     }
-}
-
-/// Borrowing convenience wrapper: a [`ListsIndex`] bound to its bytes.
-#[derive(Debug)]
-pub struct ListsReader<'a> {
-    data: &'a [u8],
-    bit_len: u64,
-    index: ListsIndex,
-}
-
-impl<'a> ListsReader<'a> {
-    /// Parses the header + directory of an encoded stream.
-    pub fn parse(data: &'a [u8], bit_len: u64, universe: Universe) -> Result<Self> {
-        Ok(Self {
-            data,
-            bit_len,
-            index: ListsIndex::parse_at(data, bit_len, 0, universe)?,
-        })
-    }
-
-    /// Number of lists.
-    pub fn num_lists(&self) -> u32 {
-        self.index.num_lists()
-    }
-
-    /// Universe size the entries live in.
-    pub fn universe(&self) -> u64 {
-        self.index.universe()
-    }
-
-    /// Decodes list `i`, following its reference chain.
-    pub fn decode_list(&self, i: u32) -> Result<Vec<u32>> {
-        self.index.decode_list(self.data, self.bit_len, i)
-    }
-
-    /// Decodes every list.
-    pub fn decode_all(&self) -> Result<Vec<Vec<u32>>> {
-        self.index.decode_all(self.data, self.bit_len)
-    }
-}
-
-/// Memoisation strategy for chain decoding.
-///
-/// `get` may hit on any list of the stream; `put` offers a freshly decoded
-/// list and the memo is free to drop it (a bounded memo under byte
-/// pressure, [`NoMemo`] always). Implementations must return exactly what
-/// was `put` for an index, or nothing — decode correctness rests on it.
-pub trait DecodeMemo {
-    /// The memoised decoded form of list `i`, if retained.
-    fn get(&self, i: u32) -> Option<&[u32]>;
-    /// Offers the decoded form of list `i` for retention.
-    fn put(&mut self, i: u32, v: &[u32]);
-}
-
-/// No memoisation (single-list random access).
-pub struct NoMemo;
-impl DecodeMemo for NoMemo {
-    fn get(&self, _i: u32) -> Option<&[u32]> {
-        None
-    }
-    fn put(&mut self, _i: u32, _v: &[u32]) {}
 }
 
 // --- Cost model ----------------------------------------------------------
@@ -1085,19 +993,19 @@ pub(crate) mod tests {
 
     fn round_trip(lists: &[Vec<u32>], universe: u64, mode: RefMode) -> EncodedLists {
         let enc = encode_lists(lists, universe, mode, ListCodec);
-        let reader =
-            ListsReader::parse(&enc.bytes, enc.bit_len, Universe::Explicit(universe)).unwrap();
-        assert_eq!(reader.num_lists(), lists.len() as u32);
-        assert_eq!(reader.universe(), universe);
+        let (data, bits) = (&enc.bytes[..], enc.bit_len);
+        let index = ListsIndex::parse_at(data, bits, 0, Universe::Explicit(universe)).unwrap();
+        assert_eq!(index.num_lists(), lists.len() as u32);
+        assert_eq!(index.universe(), universe);
         // decode_all
-        let all = reader.decode_all().unwrap();
+        let all = index.decode_all(data, bits).unwrap();
         assert_eq!(all.len(), lists.len());
         for (got, want) in all.iter().zip(lists) {
             assert_eq!(got, want);
         }
         // random access, reversed order
         for i in (0..lists.len() as u32).rev() {
-            assert_eq!(reader.decode_list(i).unwrap(), lists[i as usize]);
+            assert_eq!(index.decode_list(data, bits, i).unwrap(), lists[i as usize]);
         }
         enc
     }
@@ -1249,14 +1157,14 @@ pub(crate) mod tests {
         let lists = vec![vec![1u32, 5, 9]];
         let enc = encode_lists(&lists, 10, RefMode::None, ListCodec);
         for cut in 1..enc.bit_len {
-            match ListsReader::parse(&enc.bytes, cut, Universe::Explicit(10)) {
+            match ListsIndex::parse_at(&enc.bytes, cut, 0, Universe::Explicit(10)) {
                 Err(_) => {}
-                Ok(r) => {
+                Ok(index) => {
                     // Header may parse; decoding must fail or return the
                     // original (never panic, never wrong data silently — a
                     // cut inside the final gamma code of the payload can
                     // only produce an error because lengths are encoded).
-                    let _ = r.decode_list(0);
+                    let _ = index.decode_list(&enc.bytes, cut, 0);
                 }
             }
         }
@@ -1278,9 +1186,11 @@ pub(crate) mod tests {
         let enc = encode_lists(&lists, universe, RefMode::Windowed(4), ListCodec);
         // Truncation at every bit boundary.
         for cut in 0..enc.bit_len {
-            if let Ok(r) = ListsReader::parse(&enc.bytes, cut, Universe::Explicit(universe)) {
-                for i in 0..r.num_lists() {
-                    let _ = r.decode_list(i);
+            if let Ok(index) =
+                ListsIndex::parse_at(&enc.bytes, cut, 0, Universe::Explicit(universe))
+            {
+                for i in 0..index.num_lists() {
+                    let _ = index.decode_list(&enc.bytes, cut, i);
                 }
             }
         }
@@ -1289,9 +1199,10 @@ pub(crate) mod tests {
         for flip in 0..enc.bit_len.min(512) {
             let mut bytes = enc.bytes.clone();
             bytes[(flip / 8) as usize] ^= 0x80 >> (flip % 8);
-            if let Ok(r) = ListsReader::parse(&bytes, enc.bit_len, Universe::Explicit(universe)) {
-                for i in 0..r.num_lists() {
-                    if let Ok(l) = r.decode_list(i) {
+            let universe = Universe::Explicit(universe);
+            if let Ok(index) = ListsIndex::parse_at(&bytes, enc.bit_len, 0, universe) {
+                for i in 0..index.num_lists() {
+                    if let Ok(l) = index.decode_list(&bytes, enc.bit_len, i) {
                         assert!(l.windows(2).all(|p| p[0] < p[1]), "flip={flip} list={i}");
                     }
                 }
@@ -1666,8 +1577,7 @@ pub(crate) mod tests {
         // One set of buffers for the whole directory, as a handle keeps.
         let (mut scratch, mut list) = (DecodeScratch::default(), Vec::new());
         for i in 0..index.num_lists() {
-            let decoded =
-                index.decode_list_into(data, bit_len, i, &mut NoMemo, &mut scratch, &mut list);
+            let decoded = index.decode_list_into(data, bit_len, i, &mut scratch, &mut list);
             if decoded.is_ok() {
                 assert!(
                     list.windows(2).all(|p| p[0] < p[1]),

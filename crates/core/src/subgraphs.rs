@@ -22,8 +22,8 @@ use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
     append_bounded_gap_list, append_gap_section, bounded_gap_list_len, encode_lists, offset_width,
     plain_cost, plan_lists, read_sole_entry, scan_lists, stream_bits_floor, stream_list_count,
-    write_bounded_gap_list, write_lists_planned, DecodeMemo, DecodeScratch, EncodedLists,
-    ListsIndex, ListsPlan, ListsReader, NoMemo, RefMode, Universe,
+    write_bounded_gap_list, write_lists_planned, DecodeScratch, EncodedLists, ListsIndex,
+    ListsPlan, RefMode, Universe,
 };
 use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
@@ -61,7 +61,7 @@ pub fn encode_intranode(lists: &[Vec<u32>], mode: RefMode) -> EncodedLists {
 
 /// Decodes a full intranode graph.
 pub fn decode_intranode(bytes: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
-    ListsReader::parse(bytes, bit_len, Universe::SameAsCount)?.decode_all()
+    ListsIndex::parse_at(bytes, bit_len, 0, Universe::SameAsCount)?.decode_all(bytes, bit_len)
 }
 
 // --- Superedge graphs -----------------------------------------------------
@@ -96,7 +96,7 @@ pub struct SuperedgeLinks<'a> {
 /// `pos_lists[s]` is the sorted list of local `Nj` targets of the `s`-th
 /// page of `Ni` (possibly empty); `nj = |Nj|`. For callers that hold one
 /// `Vec` per page; the build plans and writes its sparse
-/// [`SuperedgeLinks`] with [`plan_superedge`] and [`write_superedge`],
+/// [`SuperedgeLinks`] with `plan_superedge` and `write_superedge`,
 /// which is all this does.
 pub fn encode_superedge(
     pos_lists: &[Vec<u32>],
@@ -486,12 +486,10 @@ fn write_superedge_positive(links: SuperedgeLinks<'_>, pos: &PositivePlan) -> En
 /// `Ni` (empty where no links exist). `ni`/`nj` must match the encoding
 /// call (the resident metadata records both).
 pub fn decode_superedge(bytes: &[u8], bit_len: u64, ni: u64, nj: u64) -> Result<Vec<Vec<u32>>> {
-    let view = SuperedgeView::parse(bytes, bit_len, ni, nj)?;
-    let mut out = Vec::with_capacity(ni as usize);
-    for s in 0..ni {
-        out.push(view.targets_of(s, nj)?);
-    }
-    Ok(out)
+    let index = SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec)?;
+    (0..ni)
+        .map(|s| index.targets_of(bytes, bit_len, s, nj))
+        .collect()
 }
 
 /// Directory of an encoded superedge graph, complete from parse on (no
@@ -741,33 +739,22 @@ impl SuperedgeIndex {
     pub fn targets_of(&self, bytes: &[u8], bit_len: u64, s: u64, nj: u64) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let mut scratch = DecodeScratch::default();
-        self.targets_of_into(bytes, bit_len, s, nj, &mut NoMemo, &mut scratch, &mut out)?;
+        self.targets_of_into(bytes, bit_len, s, nj, &mut scratch, &mut out)?;
         Ok(out)
     }
 
     /// Decodes the positive target list of local source `s` into `out`
-    /// (cleared first), through the caller's memo and buffers — see
+    /// (cleared first), through the caller's buffers — see
     /// [`ListsIndex::decode_list_into`], which this ends in unless the
     /// answer takes no list decode at all: a page that is none of the
     /// graph's `sources` has no targets, and a source of a single-target
     /// dictionary has the one its index names.
-    ///
-    /// The memo is keyed in **lists-index space** — for a positive
-    /// list stream the key of source `s` is its position among the
-    /// non-empty sources, for a list dictionary the position of its list
-    /// among the distinct ones, for a negative graph `s` itself — never in
-    /// source-id space, so reference-chain prefixes shared between sources
-    /// are decoded once and found again whatever source asks next. Negative
-    /// representations complement outside the memo: only the stored
-    /// (negative) lists are memoised, not the expanded complements.
-    #[allow(clippy::too_many_arguments)] // the decoder's, plus a graph's `s` and `nj`
     pub fn targets_of_into(
         &self,
         bytes: &[u8],
         bit_len: u64,
         s: u64,
         nj: u64,
-        memo: &mut dyn DecodeMemo,
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
@@ -779,8 +766,7 @@ impl SuperedgeIndex {
             // The stored list goes to a buffer of its own, lent out for
             // the decode: `out` is for its complement.
             let mut stored = std::mem::take(&mut scratch.stored);
-            let decoded =
-                self.stored_list_into(bytes, bit_len, s as u32, memo, scratch, &mut stored);
+            let decoded = self.stored_list_into(bytes, bit_len, s as u32, scratch, &mut stored);
             if decoded.is_ok() {
                 complement_into(&stored, nj as u32, out);
             }
@@ -788,7 +774,7 @@ impl SuperedgeIndex {
             return decoded;
         }
         match source_rank(self.sources(), s as u32, self.ni) {
-            Some(i) => self.stored_list_into(bytes, bit_len, i as u32, memo, scratch, out),
+            Some(i) => self.stored_list_into(bytes, bit_len, i as u32, scratch, out),
             None => Ok(()),
         }
     }
@@ -800,7 +786,6 @@ impl SuperedgeIndex {
         bytes: &[u8],
         bit_len: u64,
         i: u32,
-        memo: &mut dyn DecodeMemo,
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
@@ -824,13 +809,13 @@ impl SuperedgeIndex {
             }
         };
         ListsIndex::view(u64::from(self.nj), offsets)
-            .decode_list_into(bytes, bit_len, list, memo, scratch, out)
+            .decode_list_into(bytes, bit_len, list, scratch, out)
     }
 
     /// Total number of positive edges represented.
     pub fn count_positive_edges(&self, bytes: &[u8], bit_len: u64, nj: u64) -> Result<u64> {
         let mut total = 0u64;
-        for i in 0..self.num_stored_lists(bytes, bit_len)? {
+        for i in 0..self.num_stored_lists() {
             let stored = self.stored_list(bytes, bit_len, i)?.len() as u64;
             total += match self.kind {
                 SuperedgeKind::Positive => stored,
@@ -872,35 +857,32 @@ impl SuperedgeIndex {
     }
 
     /// Number of stored lists (in stored order, not source-id space): one
-    /// per source, or per page of `Ni` for a negative graph. It takes the
-    /// bytes as every accessor of a graph does, and reads none: the count
-    /// is the arena's.
-    pub fn num_stored_lists(&self, _bytes: &[u8], _bit_len: u64) -> Result<u32> {
-        Ok(match self.kind {
+    /// per source, or per page of `Ni` for a negative graph.
+    pub fn num_stored_lists(&self) -> u32 {
+        match self.kind {
             SuperedgeKind::Positive => self.sources,
             SuperedgeKind::Negative => self.ni,
-        })
+        }
     }
 
     /// Decodes stored list `i` (in stored order, not source-id space).
     pub fn stored_list(&self, bytes: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let mut scratch = DecodeScratch::default();
-        self.stored_list_into(bytes, bit_len, i, &mut NoMemo, &mut scratch, &mut out)?;
+        self.stored_list_into(bytes, bit_len, i, &mut scratch, &mut out)?;
         Ok(out)
     }
 
     /// First bit past the encoded payload.
-    pub fn end_bit(&self, bytes: &[u8], bit_len: u64) -> Result<u64> {
-        let bits = self.bit_breakdown(bytes, bit_len)?;
-        Ok(bits.header + bits.sources + bits.dictionary + bits.index + bits.stream)
+    pub fn end_bit(&self) -> u64 {
+        let bits = self.bit_breakdown();
+        bits.header + bits.sources + bits.dictionary + bits.index + bits.stream
     }
 
-    /// The graph's bits by section, from the arena alone (the bytes are
-    /// taken as by [`SuperedgeIndex::num_stored_lists`]): every section is
+    /// The graph's bits by section, from the arena alone: every section is
     /// the size of what parsing kept of it, or ends where a list stream's
     /// last offset says.
-    pub fn bit_breakdown(&self, _bytes: &[u8], _bit_len: u64) -> Result<SuperedgeBits> {
+    pub fn bit_breakdown(&self) -> SuperedgeBits {
         let [sources, index, body] = self.sections();
         let values = |section: Section<&[u8]>| section.iter().collect::<Vec<u32>>();
         // The marker's length is the one thing about a graph's bytes that
@@ -937,7 +919,7 @@ impl SuperedgeIndex {
                 bits.index = index_bits(&values(index), body.len().saturating_sub(1));
             }
         }
-        Ok(bits)
+        bits
     }
 
     /// Positive encodings only: the sorted source ids with non-empty
@@ -956,7 +938,7 @@ impl SuperedgeIndex {
     }
 
     /// The local target every source links to, for a single-target
-    /// dictionary of one entry: what [`scan_sources`] reads of the graph,
+    /// dictionary of one entry: what `scan_sources` reads of the graph,
     /// and what a [`crate::cache::Fanout`] answers its pages with.
     pub fn one_target(&self) -> Option<u32> {
         if self.layout != Layout::SingleTargets || self.sources == 0 {
@@ -998,49 +980,6 @@ fn source_rank(sources: Section<&[u8]>, s: u32, ni: u32) -> Option<usize> {
         }
     };
     Some(lo + sources.slice(lo..hi).position(s)?)
-}
-
-/// A parsed superedge graph bound to its bytes, supporting per-source
-/// random access.
-#[derive(Debug)]
-pub struct SuperedgeView<'a> {
-    bytes: &'a [u8],
-    bit_len: u64,
-    index: SuperedgeIndex,
-}
-
-impl SuperedgeView<'_> {
-    /// The parsed directory.
-    pub fn index(&self) -> &SuperedgeIndex {
-        &self.index
-    }
-}
-
-impl<'a> SuperedgeView<'a> {
-    /// Parses the header and directory of an encoded superedge graph.
-    pub fn parse(bytes: &'a [u8], bit_len: u64, ni: u64, nj: u64) -> Result<Self> {
-        Ok(Self {
-            bytes,
-            bit_len,
-            index: SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec)?,
-        })
-    }
-
-    /// Number of source pages `|Ni|`.
-    pub fn ni(&self) -> u64 {
-        u64::from(self.index.ni)
-    }
-
-    /// The positive target list of local source `s` (`nj` = |Nj|).
-    pub fn targets_of(&self, s: u64, nj: u64) -> Result<Vec<u32>> {
-        self.index.targets_of(self.bytes, self.bit_len, s, nj)
-    }
-
-    /// Total number of positive edges represented.
-    pub fn count_positive_edges(&self, nj: u64) -> Result<u64> {
-        self.index
-            .count_positive_edges(self.bytes, self.bit_len, nj)
-    }
 }
 
 /// Overwrites `out` with the sorted complement of `list` within `0..n`,
@@ -1277,13 +1216,16 @@ mod tests {
         pos[11] = vec![7];
         pos[19] = vec![0, 1, 2];
         let enc = encode_superedge(&pos, 15, RefMode::Windowed(4), SuperedgePolicy::EncodedSize);
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 20, 15).unwrap();
-        assert_eq!(view.ni(), 20);
+        let (bytes, bits) = (&enc.bytes[..], enc.bit_len);
+        let index = SuperedgeIndex::parse(bytes, bits, 20, 15, ListCodec).unwrap();
         for (s, expect) in pos.iter().enumerate() {
-            assert_eq!(&view.targets_of(s as u64, 15).unwrap(), expect);
+            assert_eq!(
+                &index.targets_of(bytes, bits, s as u64, 15).unwrap(),
+                expect
+            );
         }
-        assert!(view.targets_of(20, 15).is_err());
-        assert_eq!(view.count_positive_edges(15).unwrap(), 7);
+        assert!(index.targets_of(bytes, bits, 20, 15).is_err());
+        assert_eq!(index.count_positive_edges(bytes, bits, 15).unwrap(), 7);
     }
 
     #[test]
@@ -1299,12 +1241,16 @@ mod tests {
             SuperedgePolicy::EncodedSize,
         );
         assert_eq!(enc.kind, SuperedgeKind::Negative);
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 6, u64::from(nj)).unwrap();
+        let (bytes, bits, nj) = (&enc.bytes[..], enc.bit_len, u64::from(nj));
+        let index = SuperedgeIndex::parse(bytes, bits, 6, nj, ListCodec).unwrap();
         for (s, expect) in pos.iter().enumerate() {
-            assert_eq!(&view.targets_of(s as u64, u64::from(nj)).unwrap(), expect);
+            assert_eq!(
+                &index.targets_of(bytes, bits, s as u64, nj).unwrap(),
+                expect
+            );
         }
         assert_eq!(
-            view.count_positive_edges(u64::from(nj)).unwrap(),
+            index.count_positive_edges(bytes, bits, nj).unwrap(),
             pos.iter().map(|l| l.len() as u64).sum::<u64>()
         );
     }
@@ -1360,20 +1306,13 @@ mod tests {
             decode_superedge(&enc.bytes, enc.bit_len, 40, 20).unwrap(),
             pos
         );
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 40, 20).unwrap();
-        assert!(view.index().lists().is_none(), "must store no list stream");
-        assert_eq!(
-            view.index()
-                .num_stored_lists(&enc.bytes, enc.bit_len)
-                .unwrap(),
-            40
-        );
-        assert_eq!(
-            view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
-            enc.bit_len
-        );
-        assert_eq!(view.count_positive_edges(20).unwrap(), 40);
-        assert!(view.index().sources().iter().eq(0..40u32));
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 20, ListCodec).unwrap();
+        assert!(index.lists().is_none(), "must store no list stream");
+        assert_eq!(index.num_stored_lists(), 40);
+        assert_eq!(index.end_bit(), enc.bit_len);
+        let edges = index.count_positive_edges(&enc.bytes, enc.bit_len, 20);
+        assert_eq!(edges.unwrap(), 40);
+        assert!(index.sources().iter().eq(0..40u32));
     }
 
     #[test]
@@ -1387,10 +1326,13 @@ mod tests {
             decode_superedge(&enc.bytes, enc.bit_len, 10, 50).unwrap(),
             pos
         );
-        let view = SuperedgeView::parse(&enc.bytes, enc.bit_len, 10, 50).unwrap();
-        assert_eq!(view.targets_of(2, 50).unwrap(), pos[2]);
+        let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 10, 50, ListCodec).unwrap();
+        assert_eq!(
+            index.targets_of(&enc.bytes, enc.bit_len, 2, 50).unwrap(),
+            pos[2]
+        );
         assert!(
-            view.index().lists().is_some(),
+            index.lists().is_some(),
             "mixed lists must keep the standard stream"
         );
     }
@@ -1570,30 +1512,28 @@ mod tests {
             let dense = owned.dense();
             for mode in all_modes() {
                 let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize);
-                let view =
-                    SuperedgeView::parse(&enc.bytes, enc.bit_len, links.ni, links.nj).unwrap();
+                let (bytes, bits) = (&enc.bytes[..], enc.bit_len);
+                let index =
+                    SuperedgeIndex::parse(bytes, bits, links.ni, links.nj, ListCodec).unwrap();
                 for (s, want) in dense.iter().enumerate() {
-                    let got = view.targets_of(s as u64, links.nj).unwrap();
+                    let got = index.targets_of(bytes, bits, s as u64, links.nj).unwrap();
                     prop_assert_eq!(&got, want, "{:?} source {}", mode, s);
                 }
-                prop_assert!(view.targets_of(links.ni, links.nj).is_err());
+                prop_assert!(index.targets_of(bytes, bits, links.ni, links.nj).is_err());
                 let edges: u64 = dense.iter().map(|l| l.len() as u64).sum();
-                prop_assert_eq!(view.count_positive_edges(links.nj).unwrap(), edges);
-                prop_assert_eq!(
-                    view.index().end_bit(&enc.bytes, enc.bit_len).unwrap(),
-                    enc.bit_len
-                );
+                prop_assert_eq!(index.count_positive_edges(bytes, bits, links.nj).unwrap(), edges);
+                prop_assert_eq!(index.end_bit(), enc.bit_len);
                 // The one target a fanout answers with is the scan's and
                 // the parse's alike, and is every listed page's answer.
                 let mut pool = Vec::new();
                 let scanned = scan_sources(&enc.bytes, enc.bit_len, links.ni, links.nj, &mut pool);
                 let target = scanned.unwrap().and_then(|scanned| scanned.target);
-                prop_assert_eq!(target, view.index().one_target());
+                prop_assert_eq!(target, index.one_target());
                 let listed: Vec<&Vec<u32>> = dense.iter().filter(|l| !l.is_empty()).collect();
                 let one = listed.first().filter(|first| {
                     first.len() == 1 && listed.iter().all(|l| l == *first)
                 });
-                let single = view.index().layout() == Layout::SingleTargets;
+                let single = index.layout() == Layout::SingleTargets;
                 prop_assert_eq!(target, one.filter(|_| single).map(|l| l[0]));
             }
         }
@@ -1631,8 +1571,8 @@ mod tests {
                 let nested = crate::refenc::encode_lists(&dense, links.nj, mode, ListCodec);
                 prop_assert_eq!(&encode_flat(&pushed(&dense), links.nj, mode), &nested);
                 let universe = Universe::Explicit(links.nj);
-                let back = ListsReader::parse(&nested.bytes, nested.bit_len, universe).unwrap();
-                prop_assert_eq!(&back.decode_all().unwrap(), &dense);
+                let back = ListsIndex::parse_at(&nested.bytes, nested.bit_len, 0, universe).unwrap();
+                prop_assert_eq!(&back.decode_all(&nested.bytes, nested.bit_len).unwrap(), &dense);
 
                 let nested = encode_intranode(&intra, mode);
                 prop_assert_eq!(&encode_flat(&pushed(&intra), links.ni, mode), &nested);
@@ -1765,15 +1705,7 @@ mod tests {
                 };
                 for s in 0..links.ni {
                     let (scratch, list) = (&mut scratch, &mut list);
-                    let decoded = index.targets_of_into(
-                        bytes,
-                        bit_len,
-                        s,
-                        links.nj,
-                        &mut NoMemo,
-                        scratch,
-                        list,
-                    );
+                    let decoded = index.targets_of_into(bytes, bit_len, s, links.nj, scratch, list);
                     if decoded.is_ok() {
                         assert!(list.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
                         assert!(
@@ -1836,7 +1768,7 @@ mod tests {
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
                     .unwrap();
-            let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
+            let bits = index.bit_breakdown();
             assert_eq!(bits.layout, index.layout());
             assert_eq!(
                 bits.header + bits.sources + bits.dictionary + bits.index + bits.stream,
@@ -2041,7 +1973,7 @@ mod tests {
             assert_eq!(scan(&enc.bytes, enc.bit_len, nj), want, "|Nj| {nj}");
         }
         // Cut inside the entry: `sources` still read, no target.
-        let bits = index.bit_breakdown(&enc.bytes, enc.bit_len).unwrap();
+        let bits = index.bit_breakdown();
         assert_eq!(scan(&enc.bytes, bits.header + bits.sources + 2, 20), None);
 
         pos[9] = vec![8];

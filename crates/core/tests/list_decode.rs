@@ -1,25 +1,21 @@
 //! One decoder, every caller agrees: a list decoded by
-//! [`ListsIndex::decode_list_into`] — with no memo, through a persistent
-//! [`ListMemo`] of any cap however thrashed, in any request order, into
-//! buffers that hold whatever the last decode left — is the list that was
-//! encoded, and so is what `decode_all` and `decode_list` return, for
-//! arbitrary list collections under every reference mode. The memo and the
-//! caller-owned buffers are a performance layer; these tests pin that they
-//! can never change an answer, and that damaged bytes give `Corrupt` or a
-//! sorted list inside the universe through the same path. A graph held as
-//! the cache holds it — one header and one arena, an intranode graph or a
-//! superedge graph in any layout — answers as the directory it was parsed
-//! into, with its memo and without.
+//! [`ListsIndex::decode_list_into`] — in any request order, into buffers
+//! that hold whatever the last decode left — is the list that was encoded,
+//! and so is what `decode_all` and `decode_list` return, for arbitrary list
+//! collections under every reference mode. The caller-owned buffers are a
+//! performance layer; these tests pin that they can never change an
+//! answer, and that damaged bytes give `Corrupt` or a sorted list inside
+//! the universe through the same path. A graph held as the cache holds it
+//! — one header and one arena, an intranode graph or a superedge graph in
+//! any layout — answers as the directory it was parsed into.
 
 // Test/bench code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use wg_snode::cache::{CachedGraph, ListMemo};
+use wg_snode::cache::CachedGraph;
 use wg_snode::codec::ListCodec;
-use wg_snode::refenc::{
-    encode_lists, DecodeMemo, DecodeScratch, EncodedLists, ListsIndex, NoMemo, RefMode, Universe,
-};
+use wg_snode::refenc::{encode_lists, DecodeScratch, EncodedLists, ListsIndex, RefMode, Universe};
 use wg_snode::subgraphs::{
     encode_superedge, Layout, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
 };
@@ -74,14 +70,7 @@ fn used_buffers() -> (DecodeScratch, Vec<u32>) {
     let (mut scratch, mut out) = (DecodeScratch::default(), Vec::new());
     for i in (0..12).rev() {
         index
-            .decode_list_into(
-                &enc.bytes,
-                enc.bit_len,
-                i,
-                &mut NoMemo,
-                &mut scratch,
-                &mut out,
-            )
+            .decode_list_into(&enc.bytes, enc.bit_len, i, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out, other[i as usize]);
     }
@@ -91,7 +80,7 @@ fn used_buffers() -> (DecodeScratch, Vec<u32>) {
 }
 
 /// `0..n` ascending, descending, and shuffled by `seed` with repeats, so
-/// hot lists and shared prefixes get every chance to hit.
+/// every list is decoded after its ancestors, before them and in between.
 fn request_orders(n: u32, seed: u64) -> [Vec<u32>; 3] {
     let mut state = seed | 1;
     let shuffled = (0..2 * n)
@@ -152,9 +141,9 @@ fn shaped_superedge(shape: usize, seed: u64, n: usize) -> (Vec<Vec<u32>>, u64, O
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every list of a graph held as the cache holds it — with the memo its
-    /// admission reserves, and through the same directory without one — is
-    /// the list that went in, and what `decode_all` (an intranode graph) or
+    /// Every list of a graph held as the cache holds it, and through the
+    /// same directory on its own, is the list that went in, and what
+    /// `decode_all` (an intranode graph) or
     /// `targets_of` (a superedge graph) gives on the same blob: intranode
     /// graphs and superedge graphs in every layout and the negative form,
     /// `sources` empty among them, in every reference mode and request
@@ -183,11 +172,11 @@ proptest! {
             let graph = CachedGraph::new_encoded_intra(blob(&enc.bytes), enc.bit_len, parse());
             for i in request_orders(ni as u32, seed).into_iter().flatten() {
                 graph.decode_list_into(i, &mut scratch, &mut out).unwrap();
-                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} memo", mode, i);
+                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} cached", mode, i);
                 index
-                    .decode_list_into(&enc.bytes, enc.bit_len, i, &mut NoMemo, &mut scratch, &mut out)
+                    .decode_list_into(&enc.bytes, enc.bit_len, i, &mut scratch, &mut out)
                     .unwrap();
-                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {} no memo", mode, i);
+                prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {}", mode, i);
             }
 
             let enc = encode_superedge(&dense, nj, mode, SuperedgePolicy::EncodedSize);
@@ -202,19 +191,18 @@ proptest! {
                 let want = index.targets_of(&enc.bytes, enc.bit_len, u64::from(s), nj).unwrap();
                 prop_assert_eq!(&want, &dense[s as usize], "{:?} source {}", mode, s);
                 graph.decode_list_into(s, &mut scratch, &mut out).unwrap();
-                prop_assert_eq!(&out, &want, "{:?} source {} memo", mode, s);
+                prop_assert_eq!(&out, &want, "{:?} source {} cached", mode, s);
                 let (bytes, bits, s) = (&enc.bytes, enc.bit_len, u64::from(s));
                 index
-                    .targets_of_into(bytes, bits, s, nj, &mut NoMemo, &mut scratch, &mut out)
+                    .targets_of_into(bytes, bits, s, nj, &mut scratch, &mut out)
                     .unwrap();
-                prop_assert_eq!(&out, &want, "{:?} source {} no memo", mode, s);
+                prop_assert_eq!(&out, &want, "{:?} source {}", mode, s);
             }
         }
     }
 
-    /// Every mode, every request order, several caps (including one so
-    /// small every insertion clears the memo), one set of buffers for all
-    /// of it: memoised decode = memo-free decode = `decode_all` = input.
+    /// Every mode, every request order, one set of buffers for all of it:
+    /// random-access decode = `decode_list` = `decode_all` = input.
     #[test]
     fn every_caller_of_the_decoder_agrees(lists in list_collections(), seed in any::<u64>()) {
         let (mut scratch, mut out) = used_buffers();
@@ -222,21 +210,11 @@ proptest! {
             let (enc, index) = encode(&lists, mode);
             let all = index.decode_all(&enc.bytes, enc.bit_len).unwrap();
             prop_assert_eq!(&all, &lists, "{:?}: decode_all", mode);
-            for cap in [0usize, 64, usize::MAX] {
-                for order in request_orders(lists.len() as u32, seed) {
-                    let mut memo = ListMemo::with_cap(cap);
-                    for i in order {
-                        index
-                            .decode_list_into(&enc.bytes, enc.bit_len, i, &mut memo, &mut scratch, &mut out)
-                            .unwrap();
-                        prop_assert_eq!(&out, &lists[i as usize], "{:?} list {} cap {}", mode, i, cap);
-                        prop_assert!(memo.used() <= cap, "memo overran its cap");
-                        index
-                            .decode_list_into(&enc.bytes, enc.bit_len, i, &mut NoMemo, &mut scratch, &mut out)
-                            .unwrap();
-                        prop_assert_eq!(&out, &lists[i as usize], "{:?} list {} memo-free", mode, i);
-                    }
-                }
+            for i in request_orders(lists.len() as u32, seed).into_iter().flatten() {
+                index
+                    .decode_list_into(&enc.bytes, enc.bit_len, i, &mut scratch, &mut out)
+                    .unwrap();
+                prop_assert_eq!(&out, &lists[i as usize], "{:?} list {}", mode, i);
             }
             for (i, want) in lists.iter().enumerate() {
                 let got = index.decode_list(&enc.bytes, enc.bit_len, i as u32).unwrap();
@@ -261,10 +239,9 @@ proptest! {
             let mut flipped = enc.bytes.clone();
             flipped[(at / 8) as usize] ^= 0x80 >> (at % 8);
             for (bytes, bit_len) in [(&enc.bytes, at), (&flipped, enc.bit_len)] {
-                let mut memo = ListMemo::with_cap(1 << 16);
                 for i in (0..lists.len() as u32).rev() {
-                    let decoded = index
-                        .decode_list_into(bytes, bit_len, i, &mut memo, &mut scratch, &mut out);
+                    let decoded =
+                        index.decode_list_into(bytes, bit_len, i, &mut scratch, &mut out);
                     if decoded.is_ok() {
                         prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "{:?} list {}", mode, i);
                         prop_assert!(out.iter().all(|&x| u64::from(x) < UNIVERSE));
@@ -273,74 +250,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The chain decode offers only ancestors to the memo, never the leaf:
-/// decoding a plain (chain-free) list must leave a fresh memo untouched,
-/// so graphs without reference chains pay nothing for the memo layer.
-#[test]
-fn plain_decodes_leave_the_memo_empty() {
-    let lists: Vec<Vec<u32>> = (0..10u32)
-        .map(|i| (0..8).map(|j| (i * 97 + j * 13) % 64).collect())
-        .map(|mut l: Vec<u32>| {
-            l.sort_unstable();
-            l.dedup();
-            l
-        })
-        .collect();
-    let (enc, index) = encode(&lists, RefMode::None);
-    let mut memo = ListMemo::with_cap(1 << 16);
-    let (mut scratch, mut out) = used_buffers();
-    for i in 0..lists.len() as u32 {
-        index
-            .decode_list_into(
-                &enc.bytes,
-                enc.bit_len,
-                i,
-                &mut memo,
-                &mut scratch,
-                &mut out,
-            )
-            .unwrap();
-        assert_eq!(out, lists[i as usize]);
-    }
-    assert_eq!(memo.used(), 0, "plain lists must not be retained");
-    assert!(memo.get(0).is_none());
-}
-
-/// Reference chains do populate the memo, and a second pass over the same
-/// lists hits the retained ancestors.
-#[test]
-fn chain_ancestors_are_retained_and_hit() {
-    // Near-identical lists force the windowed selector to build chains.
-    let base: Vec<u32> = (0..40).collect();
-    let lists: Vec<Vec<u32>> = (0..20u32)
-        .map(|i| {
-            let mut l = base.clone();
-            l.retain(|&x| x % 19 != i % 19);
-            l
-        })
-        .collect();
-    let (enc, index) = encode(&lists, RefMode::Windowed(8));
-    let mut memo = ListMemo::with_cap(1 << 16);
-    let (mut scratch, mut out) = used_buffers();
-    // Decode back-to-front so every chain is walked from its deep end.
-    for i in (0..lists.len() as u32).rev() {
-        index
-            .decode_list_into(
-                &enc.bytes,
-                enc.bit_len,
-                i,
-                &mut memo,
-                &mut scratch,
-                &mut out,
-            )
-            .unwrap();
-        assert_eq!(out, lists[i as usize]);
-    }
-    assert!(memo.used() > 0, "chained decodes must retain ancestors");
-    assert!(
-        (0..lists.len() as u32).any(|i| memo.get(i).is_some()),
-        "some ancestor must be memoised"
-    );
 }

@@ -5,7 +5,7 @@
 //! paper's description of the S-Node format addresses that, so this crate
 //! supplies the three missing pieces:
 //!
-//! * [`crc32c`] — a dependency-free CRC-32C (Castagnoli), the checksum the
+//! * [`crc32c`](mod@crc32c) — a dependency-free CRC-32C (Castagnoli), the checksum the
 //!   S-Node integrity manifest (`sums.bin`) and `wgr check`'s physical
 //!   pass are built on;
 //! * [`plan`] — seeded, deterministic fault plans: bit flips, truncations,

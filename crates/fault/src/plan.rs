@@ -122,7 +122,7 @@ fn target_files(dir: &Path) -> std::io::Result<Vec<(String, u64)>> {
 
 impl FaultPlan {
     /// Generates a deterministic plan of `spec` faults over the files of
-    /// `dir` (excluding `sums.bin`; see [`target_files`]). Only non-empty
+    /// `dir` (excluding `sums.bin`; see `target_files`). Only non-empty
     /// files are targeted; if the directory has none, the physical parts of
     /// the plan come back empty.
     pub fn generate(dir: &Path, seed: u64, spec: &FaultSpec) -> std::io::Result<Self> {

@@ -1,7 +1,7 @@
 //! Broder-style bow-tie decomposition of a Web graph.
 //!
 //! The paper grounds its Web-graph observations in Broder et al.'s "Graph
-//! structure in the Web" (its reference [8]), whose headline result is the
+//! structure in the Web" (its reference \[8\]), whose headline result is the
 //! bow-tie: a giant strongly-connected CORE, the IN set that can reach it,
 //! the OUT set it reaches, and the remaining TENDRILS/DISCONNECTED pages.
 //! Computing this decomposition is a textbook global-access workload for a

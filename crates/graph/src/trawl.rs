@@ -2,7 +2,7 @@
 //!
 //! "Mining for communities" is the fourth global-access workload the paper
 //! names in §1.2, citing Kumar et al.'s *Trawling the Web for emerging
-//! cyber-communities* (its reference [15]). Trawling's signature of an
+//! cyber-communities* (its reference \[15\]). Trawling's signature of an
 //! emerging community is an `(s, t)`-core: `s` *fan* pages that all link to
 //! the same `t` *centre* pages. This module implements the iterative
 //! pruning + enumeration pipeline of that paper, sized for the cores the

@@ -36,8 +36,6 @@ pub struct QueryObservation {
     pub intra_lists_decoded: u64,
     /// Superedge lists decoded.
     pub super_lists_decoded: u64,
-    /// Decoded-list memo hits inside the graph cache (S-Node only).
-    pub list_memo_hits: u64,
     /// Graph lookups answered once for a whole frontier batch group
     /// instead of once per page (S-Node only).
     pub batched_lookups: u64,
@@ -113,7 +111,6 @@ fn observe(
         supernodes_visited: after.counter_delta(&before, "core.nav.supernodes_visited"),
         intra_lists_decoded: after.counter_delta(&before, "core.nav.intra_lists_decoded"),
         super_lists_decoded: after.counter_delta(&before, "core.nav.super_lists_decoded"),
-        list_memo_hits: after.counter_delta(&before, "core.nav.list_memo_hits"),
         batched_lookups: after.counter_delta(&before, "core.nav.batched_lookups"),
         cache_hits: delta_sum(&after, &before, &["core.cache.hits", "store.buffer.hits"]),
         cache_misses: delta_sum(
@@ -185,7 +182,6 @@ impl QueryObservation {
             ("fingerprint", self.fingerprint),
             ("integrity_failures", self.integrity_failures),
             ("intra_lists_decoded", self.intra_lists_decoded),
-            ("list_memo_hits", self.list_memo_hits),
             ("nav_calls", self.nav_calls),
             ("pages_fetched", self.pages_fetched),
             ("quarantined_supernodes", self.quarantined_supernodes),

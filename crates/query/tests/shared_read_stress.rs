@@ -1,8 +1,8 @@
 //! Shared-read-path stress: one opened representation, many threads.
 //!
 //! The wg-serve refactor promises that an opened [`GraphRep`] is a shared
-//! read handle — decoded state immutable, per-call mutability (list memos,
-//! page frames, scratch buffers) behind locks that never change answers.
+//! read handle — decoded state immutable, per-call mutability (cached
+//! graphs, page frames, scratch buffers) behind locks that never change answers.
 //! These tests pin the promise without loom: N threads hammer Q1–6 over
 //! the *same* handle (with a hostile evictor thrashing the caches the
 //! whole time) and every thread must reproduce the single-threaded
@@ -121,7 +121,7 @@ fn concurrent_queries_match_single_threaded_fingerprints() {
     let rounds = 2;
     let done = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        // Hostile evictor: keeps dropping memos and page frames mid-query
+        // Hostile evictor: keeps dropping cached graphs and page frames mid-query
         // until every worker has finished.
         s.spawn(|| {
             while done.load(Ordering::Relaxed) < threads {

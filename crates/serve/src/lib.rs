@@ -3,7 +3,7 @@
 //!
 //! The shared-read-path refactor (DESIGN.md §5f) makes every opened
 //! representation a `Sync` handle: decoded state is immutable, and all
-//! per-call mutability (list memos, page frames, scratch buffers,
+//! per-call mutability (cached graphs, page frames, scratch buffers,
 //! degradation bookkeeping) hides behind sharded or short critical-section
 //! locks. This crate is the payoff: **one** decoded S-Node representation
 //! (forward and transpose) serving Queries 1–6 and raw `out_neighbors`

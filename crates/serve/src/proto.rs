@@ -28,9 +28,10 @@
 //! (2 = unusable, 3 = degraded answers) so a client can forward them.
 //!
 //! Query payload: `[u64 le fingerprint][u32 le nrows][nrows × (u64 le key,
-//! u64 le score_bits)]` — the fingerprint is [`fingerprint_rows`] over the
-//! rows, the same FNV-1a `crates/query/tests/golden_queries.rs` pins, so
-//! a client can both verify the frame and cross-check those constants.
+//! u64 le score_bits)]` — the fingerprint is
+//! [`fingerprint_rows`](wg_query::obsrun::fingerprint_rows) over the rows,
+//! the same FNV-1a `crates/query/tests/golden_queries.rs` pins, so a
+//! client can both verify the frame and cross-check those constants.
 //! Ping payload: empty. `out_neighbors` payload: `[u32 le n][n × u32 le]`.
 //! Opcode 8 once returned a telemetry snapshot; it is retired, and any
 //! opcode not in the table gets `Error` with the connection left open.

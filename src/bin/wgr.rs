@@ -549,7 +549,7 @@ fn print_report_text(r: &WorkloadReport) {
     for q in &r.queries {
         println!(
             "  {}: {:>9.3} ms | rows {:>4} | nav {:>5} calls | visited {:>5} | \
-             lists {:>5}+{:<5} | memo {:>5} | batched {:>5} | cache {}/{} | pages {} | \
+             lists {:>5}+{:<5} | batched {:>5} | cache {}/{} | pages {} | \
              fp {:016x}",
             q.query,
             q.wall_ns as f64 / 1e6,
@@ -558,7 +558,6 @@ fn print_report_text(r: &WorkloadReport) {
             q.supernodes_visited,
             q.intra_lists_decoded,
             q.super_lists_decoded,
-            q.list_memo_hits,
             q.batched_lookups,
             q.cache_hits,
             q.cache_misses,

@@ -631,7 +631,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             let (first, layout, body) =
                 match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, ListCodec) {
                     Ok(i) if i.kind == SuperedgeKind::Positive => {
-                        let bits = i.bit_breakdown(&clean, loc.bit_len).unwrap();
+                        let bits = i.bit_breakdown();
                         (i.sources().get(0), i.layout(), bits.header + bits.sources)
                     }
                     _ => continue,

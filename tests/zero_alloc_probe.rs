@@ -1,10 +1,11 @@
 //! The zero-allocation contract (SN202), executed and counted by the
-//! allocator itself: once one pass has filled the graph cache, grown the
-//! handle's decode buffers and fed the list memos, `out_neighbors_into` and
-//! a repeated `out_neighbors_batch` answer without a single heap
-//! allocation, backlinks through `open_transpose` too; encoding or parsing a list stream allocates per call, never
-//! per list; a cache entry is admitted with a fixed number of allocations,
-//! its arena among them; and a count the bytes cannot back sizes nothing.
+//! allocator itself: once one pass has filled the graph cache and grown the
+//! handle's decode buffers, `out_neighbors_into` and a repeated
+//! `out_neighbors_batch` answer without a single heap allocation,
+//! backlinks through `open_transpose` too; encoding or parsing a list
+//! stream allocates per call, never per list; a cache entry is admitted
+//! with a fixed number of allocations, its arena among them; and a count
+//! the bytes cannot back sizes nothing.
 
 // Test code: unwrap on setup failure is the desired behaviour. The counting
 // allocator is the one piece of `unsafe` this workspace has: `GlobalAlloc`
