@@ -20,20 +20,21 @@
 //! trees → pages) and carry phrase sets so the query layer can evaluate
 //! text predicates ("pages in stanford.edu containing *Mobile networking*").
 //!
+//! There is one generator, [`stream`]: three phases over one seeded RNG
+//! that either write the text format straight to disk
+//! ([`stream::stream_corpus`], bounded memory at a million pages) or
+//! collect a [`Corpus`] ([`Corpus::generate`]). [`textio`] reads and
+//! writes the text format, so a corpus can also come from any other tool.
 //! Everything is deterministic given [`CorpusConfig::seed`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod links;
 pub mod names;
-pub mod stats;
 pub mod stream;
 pub mod textio;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use wg_graph::{Graph, PageId};
 
 /// Identifier of a generated domain (index into [`Corpus::domains`]).
@@ -129,8 +130,6 @@ pub struct PageMeta {
 /// assignments.
 #[derive(Debug, Clone)]
 pub struct Corpus {
-    /// Generation parameters (kept for provenance).
-    pub config: CorpusConfig,
     /// Domain names, e.g. `"stanford.edu"`. Indexed by [`DomainId`].
     pub domains: Vec<String>,
     /// Hosts. Indexed by [`HostId`].
@@ -146,28 +145,10 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Generates a corpus from `config`.
+    /// Generates a corpus from `config`: the generator's three phases
+    /// ([`stream`]) collected in memory.
     pub fn generate(config: CorpusConfig) -> Self {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-
-        // Phase 0: the URL universe — domains, hosts, page URLs.
-        let universe = names::generate_universe(&config, &mut rng);
-
-        // Phase 1: the link graph via the copying model.
-        let graph = links::generate_links(&config, &universe, &mut rng);
-
-        // Phase 2: phrase vocabulary and per-page phrase sets.
-        let (phrases, page_phrases) = generate_phrases(&config, &universe, &mut rng);
-
-        Corpus {
-            config,
-            domains: universe.domains,
-            hosts: universe.hosts,
-            pages: universe.pages,
-            graph,
-            phrases,
-            page_phrases,
-        }
+        stream::collect_corpus(&config)
     }
 
     /// Number of pages.
@@ -205,81 +186,6 @@ impl Corpus {
             .map(|(i, _)| i as DomainId)
             .collect()
     }
-}
-
-/// Phrase assignment: each phrase gets a Zipfian base popularity and a small
-/// set of "home" domains where it is an order of magnitude more likely —
-/// this produces the focused phrase-in-domain page sets the paper's queries
-/// select on.
-fn generate_phrases(
-    config: &CorpusConfig,
-    universe: &names::Universe,
-    rng: &mut SmallRng,
-) -> (Vec<String>, Vec<Vec<PhraseId>>) {
-    let nph = config.num_phrases as usize;
-    let phrases: Vec<String> = (0..nph).map(|i| names::phrase_text(i as u32)).collect();
-
-    // Home domains: 1–3 per phrase.
-    let ndom = universe.domains.len() as u32;
-    let mut home_domains: Vec<Vec<DomainId>> = Vec::with_capacity(nph);
-    for _ in 0..nph {
-        let k = rng.gen_range(1..=3usize);
-        let homes = (0..k).map(|_| rng.gen_range(0..ndom)).collect();
-        home_domains.push(homes);
-    }
-
-    // Zipf weights over the vocabulary.
-    let weights: Vec<f64> = (0..nph).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-    let total_weight: f64 = weights.iter().sum();
-
-    // Cumulative distribution for base sampling.
-    let mut cdf = Vec::with_capacity(nph);
-    let mut acc = 0.0;
-    for &w in &weights {
-        acc += w;
-        cdf.push(acc / total_weight);
-    }
-    let sample_phrase = |rng: &mut SmallRng| -> PhraseId {
-        let x: f64 = rng.gen();
-        cdf.partition_point(|&c| c < x).min(nph - 1) as PhraseId
-    };
-
-    let mut page_phrases = Vec::with_capacity(universe.pages.len());
-    for page in &universe.pages {
-        // Geometric phrase count around the mean.
-        let p_stop = 1.0 / (config.phrases_per_page_mean + 1.0);
-        let mut set = Vec::new();
-        loop {
-            if rng.gen::<f64>() < p_stop || set.len() >= 64 {
-                break;
-            }
-            // 40% of picks come from phrases whose home includes this page's
-            // domain (when any exist); the rest from the global Zipf.
-            let ph = if rng.gen::<f64>() < 0.4 {
-                // Rejection-sample a phrase at home in this domain: try a few
-                // times, fall back to a deterministic domain-homed phrase.
-                let mut found = None;
-                for _ in 0..8 {
-                    let cand = sample_phrase(rng);
-                    if home_domains[cand as usize].contains(&page.domain) {
-                        found = Some(cand);
-                        break;
-                    }
-                }
-                found.unwrap_or_else(|| {
-                    let base = (u64::from(page.domain) * 2654435761) % nph as u64;
-                    base as PhraseId
-                })
-            } else {
-                sample_phrase(rng)
-            };
-            set.push(ph);
-        }
-        set.sort_unstable();
-        set.dedup();
-        page_phrases.push(set);
-    }
-    (phrases, page_phrases)
 }
 
 #[cfg(test)]
@@ -364,7 +270,7 @@ mod tests {
         let c = small();
         for set in &c.page_phrases {
             assert!(set.windows(2).all(|w| w[0] < w[1]));
-            assert!(set.iter().all(|&p| p < c.config.num_phrases));
+            assert!(set.iter().all(|&p| (p as usize) < c.phrases.len()));
         }
     }
 

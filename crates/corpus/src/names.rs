@@ -1,29 +1,5 @@
-//! The URL universe: domain names, host names, directory trees, page URLs.
-//!
-//! Domain sizes are Zipfian (a few yahoo.com-scale giants, a long tail of
-//! tiny sites), matching the skew the paper leans on when it notes that
-//! "supernodes containing pages from popular domains … will have much higher
-//! in-degree" (§3.3, footnote 8). Directory trees grow by preferential
-//! attachment so that real-looking shared prefixes emerge, which is what
-//! URL split (§3.2) exploits.
-
-use crate::{CorpusConfig, DomainId, HostId, HostInfo, PageMeta};
-use rand::rngs::SmallRng;
-use rand::Rng;
-use wg_graph::PageId;
-
-/// Output of URL-universe generation, consumed by link generation.
-#[derive(Debug)]
-pub struct Universe {
-    /// Domain names.
-    pub domains: Vec<String>,
-    /// Hosts with their URL-sorted page lists.
-    pub hosts: Vec<HostInfo>,
-    /// Per-page metadata.
-    pub pages: Vec<PageMeta>,
-    /// For each page, its rank within its host's URL-sorted list.
-    pub url_rank_in_host: Vec<u32>,
-}
+//! The generator's word stock — domain, TLD, host and directory names —
+//! and the phrase vocabulary's text.
 
 /// Word stock for domain labels.
 pub(crate) const DOMAIN_WORDS: &[&str] = &[
@@ -167,308 +143,9 @@ pub fn phrase_text(i: u32) -> String {
     }
 }
 
-/// Generates the full URL universe.
-pub fn generate_universe(config: &CorpusConfig, rng: &mut SmallRng) -> Universe {
-    let n = config.num_pages;
-    let ndom = config.num_domains.max(1);
-
-    // --- Domains -----------------------------------------------------------
-    let mut domains = Vec::with_capacity(ndom as usize);
-    let mut used = std::collections::HashSet::new();
-    let tld_total: u32 = TLDS.iter().map(|&(_, w)| w).sum();
-    for i in 0..ndom {
-        // Guarantee the first few domains cover every TLD so predicates like
-        // ".edu" always have targets even in tiny corpora.
-        let tld = if (i as usize) < TLDS.len() {
-            TLDS[i as usize].0
-        } else {
-            let mut x = rng.gen_range(0..tld_total);
-            let mut pick = TLDS[0].0;
-            for &(t, w) in TLDS {
-                if x < w {
-                    pick = t;
-                    break;
-                }
-                x -= w;
-            }
-            pick
-        };
-        // Base word plus a disambiguating suffix when exhausted.
-        let base = DOMAIN_WORDS[rng.gen_range(0..DOMAIN_WORDS.len())];
-        let mut name = format!("{base}.{tld}");
-        let mut counter = 2;
-        while !used.insert(name.clone()) {
-            name = format!("{base}{counter}.{tld}");
-            counter += 1;
-        }
-        domains.push(name);
-    }
-
-    // Zipf page allocation across domains: weight 1/(rank+1).
-    let weights: Vec<f64> = (0..ndom).map(|i| 1.0 / (f64::from(i) + 1.0)).collect();
-    let wsum: f64 = weights.iter().sum();
-    // Multinomial-ish split with every domain getting at least one page when
-    // possible.
-    let mut domain_pages = vec![0u32; ndom as usize];
-    let mut assigned = 0u32;
-    for (i, &w) in weights.iter().enumerate() {
-        let share = ((w / wsum) * f64::from(n)) as u32;
-        let share = share.max(1).min(n - assigned);
-        domain_pages[i] = share;
-        assigned += share;
-        if assigned == n {
-            break;
-        }
-    }
-    // Distribute any remainder to the largest domains (first ranks).
-    let mut i = 0usize;
-    while assigned < n {
-        domain_pages[i % ndom as usize] += 1;
-        assigned += 1;
-        i += 1;
-    }
-
-    // --- Hosts --------------------------------------------------------------
-    let mut hosts: Vec<HostInfo> = Vec::new();
-    let mut host_of_domain: Vec<Vec<HostId>> = vec![Vec::new(); ndom as usize];
-    for (d, name) in domains.iter().enumerate() {
-        // Geometric host count with the configured mean, at least 1, capped
-        // by the pages available.
-        let p_stop = 1.0 / config.hosts_per_domain_mean;
-        let mut count = 1u32;
-        while rng.gen::<f64>() >= p_stop && count < 12 {
-            count += 1;
-        }
-        let count = count.min(domain_pages[d].max(1));
-        for h in 0..count {
-            let label = HOST_WORDS[h as usize % HOST_WORDS.len()];
-            host_of_domain[d].push(hosts.len() as HostId);
-            hosts.push(HostInfo {
-                name: format!("{label}.{name}"),
-                domain: d as DomainId,
-                pages_by_url: Vec::new(),
-            });
-        }
-    }
-
-    // --- Pages ---------------------------------------------------------------
-    // Each domain's pages are split across its hosts (first host, typically
-    // `www`, gets the biggest share), and each host grows a directory tree by
-    // preferential attachment.
-    struct HostState {
-        /// Existing directories as path strings (index 0 = root "").
-        dirs: Vec<String>,
-        /// Attachment weight per directory (children spawn near busy dirs).
-        dir_pages: Vec<u32>,
-        next_page_number: u32,
-    }
-    let mut host_state: Vec<HostState> = hosts
-        .iter()
-        .map(|_| HostState {
-            dirs: vec![String::new()],
-            dir_pages: vec![0],
-            next_page_number: 0,
-        })
-        .collect();
-
-    let mut pages: Vec<PageMeta> = Vec::with_capacity(n as usize);
-    // Interleave page creation across domains the way a crawl frontier does:
-    // round-robin weighted by remaining quota.
-    let mut remaining: Vec<u32> = domain_pages.clone();
-    let mut order: Vec<DomainId> = Vec::with_capacity(n as usize);
-    {
-        let mut live: Vec<DomainId> = (0..ndom).filter(|&d| remaining[d as usize] > 0).collect();
-        while !live.is_empty() {
-            let idx = rng.gen_range(0..live.len());
-            let d = live[idx];
-            order.push(d);
-            remaining[d as usize] -= 1;
-            if remaining[d as usize] == 0 {
-                live.swap_remove(idx);
-            }
-        }
-    }
-
-    for d in order {
-        let hs = &host_of_domain[d as usize];
-        // Zipf-ish host choice within the domain: first host favoured.
-        let hidx = if hs.len() == 1 {
-            0
-        } else {
-            let r: f64 = rng.gen();
-            ((r * r) * hs.len() as f64) as usize
-        };
-        let host_id = hs[hidx.min(hs.len() - 1)];
-        let st = &mut host_state[host_id as usize];
-
-        // Choose a directory. Content pages overwhelmingly live in
-        // subdirectories on real sites (the root holds index pages), so:
-        // grow a child immediately while the tree is trivial, otherwise
-        // mostly attach to an existing non-root directory by popularity,
-        // occasionally spawn a new child.
-        let spawn = st.dirs.len() == 1 || rng.gen::<f64>() < 0.03;
-        let dir_idx = if !spawn {
-            // Preferential attachment over existing dirs (+1 smoothing);
-            // the root's weight is clamped so it stops hoarding pages once
-            // real directories exist.
-            let w = |i: usize, c: u32| -> u32 {
-                if i == 0 && st.dirs.len() > 1 {
-                    1
-                } else {
-                    c + 1
-                }
-            };
-            let total: u32 = st.dir_pages.iter().enumerate().map(|(i, &c)| w(i, c)).sum();
-            let mut x = rng.gen_range(0..total);
-            let mut pick = 0usize;
-            for (i, &c) in st.dir_pages.iter().enumerate() {
-                if x < w(i, c) {
-                    pick = i;
-                    break;
-                }
-                x -= w(i, c);
-            }
-            pick
-        } else {
-            // Spawn a child of a random existing directory within depth cap.
-            let parent = rng.gen_range(0..st.dirs.len());
-            let depth = st.dirs[parent].matches('/').count() as u32
-                + u32::from(!st.dirs[parent].is_empty());
-            if depth >= config.max_path_depth {
-                parent
-            } else {
-                let word = DIR_WORDS[rng.gen_range(0..DIR_WORDS.len())];
-                let path = if st.dirs[parent].is_empty() {
-                    word.to_string()
-                } else {
-                    format!("{}/{}", st.dirs[parent], word)
-                };
-                // Reuse an identical path if it already exists.
-                if let Some(existing) = st.dirs.iter().position(|p| p == &path) {
-                    existing
-                } else {
-                    st.dirs.push(path);
-                    st.dir_pages.push(0);
-                    st.dirs.len() - 1
-                }
-            }
-        };
-        st.dir_pages[dir_idx] += 1;
-        let number = st.next_page_number;
-        st.next_page_number += 1;
-        let dir = &st.dirs[dir_idx];
-        let url = if dir.is_empty() {
-            format!(
-                "http://{}/page{:06}.html",
-                hosts[host_id as usize].name, number
-            )
-        } else {
-            format!(
-                "http://{}/{}/page{:06}.html",
-                hosts[host_id as usize].name, dir, number
-            )
-        };
-        pages.push(PageMeta {
-            url,
-            host: host_id,
-            domain: d,
-        });
-    }
-
-    // --- Host page lists in URL order + per-page rank -----------------------
-    let mut url_rank_in_host = vec![0u32; pages.len()];
-    for (pid, page) in pages.iter().enumerate() {
-        hosts[page.host as usize].pages_by_url.push(pid as PageId);
-    }
-    for host in &mut hosts {
-        host.pages_by_url
-            .sort_by(|&a, &b| pages[a as usize].url.cmp(&pages[b as usize].url));
-        for (rank, &p) in host.pages_by_url.iter().enumerate() {
-            url_rank_in_host[p as usize] = rank as u32;
-        }
-    }
-
-    Universe {
-        domains,
-        hosts,
-        pages,
-        url_rank_in_host,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn universe(n: u32, seed: u64) -> Universe {
-        let cfg = CorpusConfig::scaled(n, seed);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        generate_universe(&cfg, &mut rng)
-    }
-
-    #[test]
-    fn every_tld_is_represented() {
-        let u = universe(3_000, 1);
-        for &(tld, _) in TLDS {
-            let suffix = format!(".{tld}");
-            assert!(
-                u.domains.iter().any(|d| d.ends_with(&suffix)),
-                "missing TLD {tld}"
-            );
-        }
-    }
-
-    #[test]
-    fn domain_names_are_unique() {
-        let u = universe(3_000, 2);
-        let mut d = u.domains.clone();
-        d.sort();
-        let n = d.len();
-        d.dedup();
-        assert_eq!(n, d.len());
-    }
-
-    #[test]
-    fn domain_sizes_are_skewed() {
-        let u = universe(5_000, 3);
-        let mut counts = vec![0u32; u.domains.len()];
-        for p in &u.pages {
-            counts[p.domain as usize] += 1;
-        }
-        let max = *counts.iter().max().unwrap();
-        let min = *counts.iter().min().unwrap();
-        assert!(min >= 1, "every domain owns at least one page");
-        assert!(
-            max > 20 * min.max(1),
-            "Zipf allocation should be heavily skewed (max {max}, min {min})"
-        );
-    }
-
-    #[test]
-    fn url_rank_matches_sorted_position() {
-        let u = universe(2_000, 4);
-        for h in &u.hosts {
-            for (rank, &p) in h.pages_by_url.iter().enumerate() {
-                assert_eq!(u.url_rank_in_host[p as usize], rank as u32);
-            }
-        }
-    }
-
-    #[test]
-    fn directory_depth_is_bounded() {
-        let u = universe(4_000, 5);
-        for p in &u.pages {
-            let path = p
-                .url
-                .splitn(4, '/')
-                .nth(3)
-                .expect("url has a path component");
-            // path = "dir1/dir2/.../pageNNN.html"; directory depth = segments - 1
-            let depth = path.matches('/').count();
-            assert!(depth <= 4, "url {} exceeds depth cap", p.url);
-        }
-    }
 
     #[test]
     fn phrase_text_is_unique_per_id() {
@@ -477,22 +154,5 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), texts.len());
-    }
-
-    #[test]
-    fn shared_prefixes_exist_for_url_split() {
-        // URL split needs sibling pages sharing multi-level prefixes.
-        let u = universe(5_000, 6);
-        let mut by_prefix = std::collections::HashMap::new();
-        for p in &u.pages {
-            if let Some(slash) = p.url.rfind('/') {
-                *by_prefix.entry(&p.url[..slash]).or_insert(0u32) += 1;
-            }
-        }
-        let multi = by_prefix.values().filter(|&&c| c >= 5).count();
-        assert!(
-            multi > 10,
-            "expected many directories with >=5 pages, got {multi}"
-        );
     }
 }

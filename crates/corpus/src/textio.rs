@@ -11,8 +11,8 @@
 //! The phrase assignments are optional (`phrases.txt`: the vocabulary,
 //! `--`, then per page a space-separated phrase-id list, possibly empty).
 
-use crate::{Corpus, CorpusConfig, DomainId, HostInfo, PageMeta, PhraseId};
-use std::io::{BufRead, BufReader, BufWriter, Seek, Write};
+use crate::{Corpus, DomainId, HostInfo, PageMeta, PhraseId};
+use std::io::{BufRead, BufReader, Seek};
 use std::path::Path;
 use wg_graph::{Graph, GraphBuilder, PageId};
 
@@ -42,35 +42,10 @@ impl From<std::io::Error> for TextIoError {
     }
 }
 
-/// Writes `corpus` into `dir` in the text format (including phrases).
+/// Writes `corpus` into `dir` in the text format (including phrases),
+/// through the generator's text sink.
 pub fn write_corpus(dir: &Path, corpus: &Corpus) -> Result<(), TextIoError> {
-    std::fs::create_dir_all(dir)?;
-    let mut urls = BufWriter::new(std::fs::File::create(dir.join("urls.txt"))?);
-    for p in &corpus.pages {
-        writeln!(urls, "{}", p.url)?;
-    }
-    let mut doms = BufWriter::new(std::fs::File::create(dir.join("domains.txt"))?);
-    for d in &corpus.domains {
-        writeln!(doms, "{d}")?;
-    }
-    writeln!(doms, "--")?;
-    for p in &corpus.pages {
-        writeln!(doms, "{}", p.domain)?;
-    }
-    let mut edges = BufWriter::new(std::fs::File::create(dir.join("edges.txt"))?);
-    for (u, v) in corpus.graph.edges() {
-        writeln!(edges, "{u} {v}")?;
-    }
-    let mut phrases = BufWriter::new(std::fs::File::create(dir.join("phrases.txt"))?);
-    for ph in &corpus.phrases {
-        writeln!(phrases, "{ph}")?;
-    }
-    writeln!(phrases, "--")?;
-    for set in &corpus.page_phrases {
-        let line: Vec<String> = set.iter().map(|p| p.to_string()).collect();
-        writeln!(phrases, "{}", line.join(" "))?;
-    }
-    Ok(())
+    Ok(crate::stream::write_text(dir, corpus)?)
 }
 
 /// What a build reads of a corpus directory — URLs, page domains, links —
@@ -175,8 +150,14 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
                 let mut set: Vec<PhraseId> = l
                     .split_whitespace()
                     .map(|t| {
-                        t.parse()
-                            .map_err(|_| TextIoError::Malformed(format!("bad phrase id {t:?}")))
+                        let id: PhraseId = t
+                            .parse()
+                            .map_err(|_| TextIoError::Malformed(format!("bad phrase id {t:?}")))?;
+                        if id as usize >= phrases.len() {
+                            let msg = format!("phrase id {id} out of range");
+                            return Err(TextIoError::Malformed(msg));
+                        }
+                        Ok(id)
                     })
                     .collect::<Result<_, _>>()?;
                 set.sort_unstable();
@@ -193,7 +174,6 @@ pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
     };
 
     Ok(Corpus {
-        config: CorpusConfig::scaled(n.max(1) as u32, 0),
         domains,
         hosts,
         pages,
@@ -354,7 +334,7 @@ fn parse_edge_line_general(line: &[u8]) -> Result<Option<(u32, u32)>, TextIoErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Corpus;
+    use crate::CorpusConfig;
 
     fn temp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -421,6 +401,11 @@ mod tests {
         std::fs::write(dir.join("edges.txt"), "0 1\n").unwrap();
         std::fs::write(dir.join("domains.txt"), "x.com\n--\n0\n5\n").unwrap();
         assert!(matches!(read_corpus(&dir), Err(TextIoError::Malformed(_))));
+        // Phrase id out of range: the vocabulary has one phrase.
+        std::fs::write(dir.join("domains.txt"), "x.com\n--\n0\n0\n").unwrap();
+        std::fs::write(dir.join("phrases.txt"), "mobile networking\n--\n0\n7\n").unwrap();
+        let err = read_corpus(&dir).unwrap_err().to_string();
+        assert_eq!(err, "malformed corpus: phrase id 7 out of range");
         std::fs::remove_dir_all(&dir).ok();
     }
 

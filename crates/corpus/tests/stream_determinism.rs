@@ -1,7 +1,7 @@
-//! Satellite property test for the streaming corpus writer: for any
-//! (size, seed), generating in memory and writing via `write_corpus`
-//! produces the same bytes as streaming straight to disk — the two
-//! writers must consume the seeded RNG identically in every phase.
+//! Property test for the corpus generator's two sinks: for any (size,
+//! seed), the in-memory corpus written by `write_corpus` is the same bytes
+//! as the text sink's `stream_corpus` — what the memory sink collects is
+//! what the text sink writes.
 
 // Test code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]

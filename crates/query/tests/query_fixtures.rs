@@ -16,7 +16,7 @@
 //!
 //! T = the topic phrase. alpha.edu plays stanford; beta.edu plays berkeley.
 
-use wg_corpus::{Corpus, CorpusConfig, HostInfo, PageMeta};
+use wg_corpus::{Corpus, HostInfo, PageMeta};
 use wg_graph::Graph;
 use wg_query::queries::*;
 use wg_query::reps::{renumber_graph, Scheme, SchemeSet};
@@ -74,7 +74,6 @@ fn fixture_corpus() -> Corpus {
         vec![],
     ];
     Corpus {
-        config: CorpusConfig::scaled(8, 0),
         domains,
         hosts,
         pages,

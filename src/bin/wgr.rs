@@ -26,7 +26,8 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use webgraph_repr::corpus::textio::{read_build_input, read_corpus, write_corpus, BuildInput};
+use webgraph_repr::corpus::stream::stream_corpus;
+use webgraph_repr::corpus::textio::{read_build_input, read_corpus, BuildInput};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::{FaultPlan, FaultSpec};
 use webgraph_repr::graph::pagerank::{pagerank, top_ranked, PageRankConfig};
@@ -59,7 +60,6 @@ fn main() {
                  \n\
                  gen    --pages N [--seed N] --out DIR      generate a synthetic corpus\n\
                  build  --corpus DIR --out DIR [--threads N] build the S-Node representation\n\
-                 \x20      [--stream --pages N [--seed N]]    generate the corpus on the fly (bounded memory)\n\
                  query  DIR [--scheme NAME|all] [--budget B] run the observed Q1-6 workload\n\
                  \x20      [--reps DIR] [--reuse]             over the corpus at DIR;\n\
                  \x20                                          exit 3 when answers were degraded\n\
@@ -156,11 +156,8 @@ fn positional(args: &[String]) -> Option<String> {
     while i < args.len() {
         let a = args[i].as_str();
         if a.starts_with('-') {
-            let boolean = a.contains('=')
-                || matches!(
-                    a,
-                    "--json" | "--bits" | "--metrics" | "--reuse" | "--stream"
-                );
+            let boolean =
+                a.contains('=') || matches!(a, "--json" | "--bits" | "--metrics" | "--reuse");
             i += if boolean { 1 } else { 2 };
         } else {
             return Some(a.to_string());
@@ -231,29 +228,25 @@ fn cmd_gen(args: &[String]) -> i32 {
     let pages: u32 = parsed("--pages", &req(args, "--pages"));
     let seed: u64 = num(args, "--seed").unwrap_or(42);
     let out = PathBuf::from(req(args, "--out"));
-    let cannot_write = format!("cannot write corpus {}", out.display());
-    or_exit(std::fs::create_dir_all(&out), &cannot_write);
-
-    let corpus = Corpus::generate(CorpusConfig::scaled(pages, seed));
-    or_exit(write_corpus(&out, &corpus), &cannot_write);
+    let st = or_exit(
+        stream_corpus(&out, &CorpusConfig::scaled(pages, seed)),
+        format!("cannot write corpus {}", out.display()),
+    );
     println!(
         "wrote {} pages, {} links, {} domains to {}",
-        corpus.num_pages(),
-        corpus.graph.num_edges(),
-        corpus.domains.len(),
+        st.num_pages,
+        st.num_edges,
+        st.num_domains,
         out.display()
     );
     0
 }
 
 /// The flags `build` takes, each with whether a value follows it.
-const BUILD_FLAGS: [(&str, bool); 11] = [
+const BUILD_FLAGS: [(&str, bool); 8] = [
     ("--corpus", true),
     ("--out", true),
     ("--threads", true),
-    ("--stream", false),
-    ("--pages", true),
-    ("--seed", true),
     // Accepted for `benchmark/`, which is frozen and still passes it.
     ("--shards", true),
     ("--metrics", false),
@@ -303,28 +296,6 @@ fn cmd_build(args: &[String]) -> i32 {
     // 0 = auto: WGR_THREADS env var, else available parallelism. The
     // representation is byte-identical for every thread count.
     let threads: u32 = num(args, "--threads").unwrap_or(0);
-    // --stream generates the corpus straight into --corpus DIR first —
-    // the writer holds no URL string and no CSR graph, only what the
-    // copying model needs (`corpus::stream`) — and the build then reads
-    // the files back like any external corpus, as `BuildInput` holds them.
-    if args.iter().any(|a| a == "--stream") {
-        let pages: u32 = parsed("--pages", &req(args, "--pages"));
-        let seed: u64 = num(args, "--seed").unwrap_or(42);
-        let st = or_exit(
-            webgraph_repr::corpus::stream::stream_corpus(
-                &corpus_dir,
-                &webgraph_repr::corpus::CorpusConfig::scaled(pages, seed),
-            ),
-            format!("cannot write corpus {}", corpus_dir.display()),
-        );
-        println!(
-            "streamed {} pages, {} links, {} domains to {}",
-            st.num_pages,
-            st.num_edges,
-            st.num_domains,
-            corpus_dir.display()
-        );
-    }
     if opt(args, "--shards").is_some() {
         eprintln!("--shards is ignored: there is one builder");
     }

@@ -383,11 +383,21 @@ fn build_stream_and_shards_flags_round_trip() {
     let repo_sharded = root.join("repo_sharded");
     let repo_plain = root.join("repo_plain");
 
-    // --stream generates the corpus on disk before building; --shards is
-    // accepted and ignored (earlier versions took it; there is one
-    // builder now).
+    // `gen` streams the corpus to disk; `build --shards` is accepted and
+    // ignored (earlier versions took it; there is one builder now).
     let out = wgr()
-        .args(["build", "--stream", "--pages", "1500", "--seed", "9"])
+        .args(["gen", "--pages", "1500", "--seed", "9", "--out"])
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("wrote 1500 pages"),
+        "gen banner missing: {text}"
+    );
+    let out = wgr()
+        .arg("build")
         .arg("--corpus")
         .arg(&corpus)
         .arg("--out")
@@ -395,27 +405,18 @@ fn build_stream_and_shards_flags_round_trip() {
         .args(["--shards", "3"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "streamed build failed: {out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("streamed 1500 pages"),
-        "stream banner missing: {text}"
-    );
+    assert!(out.status.success(), "sharded build failed: {out:?}");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("--shards is ignored"),
         "the ignored flag is reported: {out:?}"
-    );
-    assert!(
-        corpus.join("urls.txt").exists(),
-        "streamed corpus not written"
     );
     assert!(!repo_sharded.join("shards.bin").exists());
 
     let out = wgr().arg("check").arg(&repo_sharded).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "repo failed check: {out:?}");
 
-    // A build without the flag from the same streamed corpus produces the
-    // same directory, `sums.bin` included.
+    // A build without the flag from the same corpus produces the same
+    // directory, `sums.bin` included.
     let out = wgr()
         .arg("build")
         .arg("--corpus")
@@ -499,7 +500,18 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let corpus = corpus.to_str().unwrap();
-    let cases: [(&[&str], &str); 16] = [
+    // A corpus with a phrase id past its one-phrase vocabulary: `wgr
+    // query` panicked on it in the text index (exit 101).
+    let bad = temp_dir("badflags_phrase");
+    for (name, text) in [
+        ("urls.txt", "http://www.a.edu/p0\nhttp://www.a.edu/p1\n"),
+        ("domains.txt", "a.edu\n--\n0\n0\n"),
+        ("edges.txt", "0 1\n"),
+        ("phrases.txt", "mobile networking\n--\n0\n7\n"),
+    ] {
+        std::fs::write(bad.join(name), text).unwrap();
+    }
+    let cases: [(&[&str], &str); 18] = [
         (&["gen", "--pages", "abc", "--out", "c"], "--pages: abc"),
         (
             &["gen", "--pages", "10", "--seed", "-1", "--out", "c"],
@@ -523,6 +535,13 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
             &["build", "--corpus", corpus, "--out", "r", "--frobnicate"],
             "--frobnicate",
         ),
+        // Nor generation: `gen` writes the corpus, `build` reads it.
+        (
+            &[
+                "build", "--stream", "--pages", "10", "--corpus", "c", "--out", "r",
+            ],
+            "--stream",
+        ),
         // Nor does `check`, before it reads anything: it once printed a
         // human report for the first, and exited 0.
         (&["check", "r", "--jsn", "--repair"], "--jsn"),
@@ -531,6 +550,11 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
         (&["check", "r", "--repair"], "--from"),
         // Nor does `serve`: the client count is `--smoke N`'s.
         (&["serve", corpus, "--clients", "100"], "--clients"),
+        // A malformed corpus: one line, not a panic.
+        (
+            &["query", bad.to_str().unwrap()],
+            "phrase id 7 out of range",
+        ),
         // Paths that cannot be read or written: one line, not a panic.
         (
             &["gen", "--pages", "10", "--out", "/proc/nope"],
@@ -572,6 +596,7 @@ fn bad_flag_values_and_missing_inputs_exit_2_with_one_line() {
     assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0, "wrote output");
     std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(corpus).ok();
+    std::fs::remove_dir_all(&bad).ok();
 }
 
 #[test]
