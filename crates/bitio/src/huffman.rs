@@ -134,30 +134,36 @@ impl HuffmanCode {
 
 /// Table-driven canonical Huffman decoder.
 ///
-/// Decoding walks the per-length `first_code` table: at most
-/// [`MAX_CODE_LEN`] iterations, but a one-shot lookup table over the first
-/// `FAST_BITS` (10) bits resolves the overwhelmingly common short codes in
-/// a single probe.
+/// A decode takes one peeked 64-bit window of the stream. A table over its
+/// first `FAST_BITS` (12) bits resolves every codeword that short in one
+/// probe; a longer one (or one within a codeword of the stream's end) is
+/// found by the canonical compare, one length at a time, on the same window
+/// — codes are at most [`MAX_CODE_LEN`] bits, and a window holds at least
+/// 57 stream bits unless the stream ends sooner.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
-    /// `first_code[l]` = canonical codeword value of the first code of
-    /// length `l`, left-aligned comparisons are done on the fly.
+    /// `first_code[l]` = canonical value of the first codeword of length `l`.
     first_code: Vec<u64>,
-    /// `first_index[l]` = index into `sorted_symbols` of that first code.
+    /// `first_index[l]` = index into `sorted_symbols` of that codeword.
     first_index: Vec<u32>,
+    /// `count[l]` = codewords of length `l`.
+    count: Vec<u32>,
     /// Symbols sorted by (length, symbol) — canonical order.
     sorted_symbols: Vec<Symbol>,
     /// Smallest code length present (0 if the code is empty).
     min_len: u32,
     /// Largest code length present.
     max_len: u32,
-    /// Fast path: `fast[prefix]` = (symbol, length) for codes of length
-    /// ≤ `FAST_BITS`; length 0 marks "take the slow path".
+    /// Width of `fast` in bits: `FAST_BITS`, or less for a code whose
+    /// longest codeword is shorter (at least 1).
+    fast_bits: u32,
+    /// `fast[prefix]` = (symbol, length) of the codeword of at most
+    /// `fast_bits` bits that `prefix` starts with; length 0 when none does.
     fast: Vec<(Symbol, u8)>,
 }
 
-/// Width of the fast decode table in bits.
-const FAST_BITS: u32 = 10;
+/// Width of the first-level decode table in bits.
+const FAST_BITS: u32 = 12;
 
 impl HuffmanDecoder {
     /// Builds a decoder from the per-symbol code lengths.
@@ -171,8 +177,8 @@ impl HuffmanDecoder {
         let min_len = (1..=max_len).find(|&l| count[l as usize] > 0).unwrap_or(0);
 
         // Canonical first codes per length.
-        let mut first_code = vec![0u64; (max_len + 2) as usize];
-        let mut first_index = vec![0u32; (max_len + 2) as usize];
+        let mut first_code = vec![0u64; (max_len + 1) as usize];
+        let mut first_index = vec![0u32; (max_len + 1) as usize];
         let mut code = 0u64;
         let mut index = 0u32;
         for l in 1..=max_len {
@@ -189,82 +195,74 @@ impl HuffmanDecoder {
             .collect();
         sorted.sort_by_key(|&s| (lengths[s as usize], s));
 
-        // Fast table over the first FAST_BITS bits.
         let fast_bits = FAST_BITS.min(max_len.max(1));
         let mut fast = vec![(0u32, 0u8); 1usize << fast_bits];
-        {
-            // Recompute codewords to fill the table.
-            let words = canonical_codewords(lengths);
-            for (sym, (&len, &word)) in lengths.iter().zip(&words).enumerate() {
-                if len == 0 || len > fast_bits {
-                    continue;
-                }
-                let shift = fast_bits - len;
-                let base = (word << shift) as usize;
-                for fill in 0..(1usize << shift) {
-                    fast[base + fill] = (sym as Symbol, len as u8);
-                }
+        let words = canonical_codewords(lengths);
+        for (sym, (&len, &word)) in lengths.iter().zip(&words).enumerate() {
+            if len == 0 || len > fast_bits {
+                continue;
             }
+            let shift = fast_bits - len;
+            let base = (word << shift) as usize;
+            fast[base..base + (1usize << shift)].fill((sym as Symbol, len as u8));
         }
 
         Self {
             first_code,
             first_index,
+            count,
             sorted_symbols: sorted,
             min_len,
             max_len,
+            fast_bits,
             fast,
         }
     }
 
-    /// Decodes one symbol.
+    /// Decodes one symbol. On an error the reader has not moved.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Symbol> {
+        let (window, in_view) = r.peek();
+        let (sym, len) = self.fast[(window >> (64 - self.fast_bits)) as usize];
+        if len != 0 && u32::from(len) <= in_view {
+            r.advance(u32::from(len));
+            return Ok(sym);
+        }
+        self.decode_long(r, window, in_view)
+    }
+
+    /// The canonical compare over `window`, of whose bits `in_view` are
+    /// stream bits: every length from the first the table could not
+    /// resolve, up to the longest.
+    #[inline(never)]
+    fn decode_long(&self, r: &mut BitReader<'_>, window: u64, in_view: u32) -> Result<Symbol> {
         if self.max_len == 0 {
             return Err(BitError::BadCodeTable {
                 what: "decoding with an empty code",
             });
         }
-        // Fast path: peek FAST_BITS when available.
-        let fast_bits = FAST_BITS.min(self.max_len.max(1));
-        if r.remaining() >= u64::from(fast_bits) {
-            let pos = r.position();
-            let prefix = r.read_bits(fast_bits)? as usize;
-            let (sym, len) = self.fast[prefix];
-            if len != 0 {
-                r.seek(pos + u64::from(len))?;
-                return Ok(sym);
-            }
-            r.seek(pos)?;
-        }
-        // Slow path: extend the code one bit at a time.
-        let mut code = 0u64;
-        let mut len = 0u32;
-        while len < self.min_len {
-            code = (code << 1) | u64::from(r.read_bit()?);
-            len += 1;
-        }
-        loop {
-            let fc = self.first_code[len as usize];
-            let cnt_next_index = if len < self.max_len {
-                self.first_index[(len + 1) as usize]
-            } else {
-                self.sorted_symbols.len() as u32
-            };
-            let fi = self.first_index[len as usize];
-            let n_at_len = cnt_next_index - fi;
-            if code >= fc && code - fc < u64::from(n_at_len) {
-                let idx = fi + (code - fc) as u32;
-                return Ok(self.sorted_symbols[idx as usize]);
-            }
-            if len == self.max_len {
-                return Err(BitError::Corrupt {
-                    what: "invalid Huffman codeword",
+        // With the whole table prefix in view, no codeword that short
+        // matched; otherwise the stream ends within it.
+        let first = match in_view >= self.fast_bits {
+            true => self.fast_bits + 1,
+            false => self.min_len,
+        };
+        for len in first.max(self.min_len)..=self.max_len {
+            if len > in_view {
+                return Err(BitError::UnexpectedEof {
+                    position: r.position() + u64::from(in_view),
                 });
             }
-            code = (code << 1) | u64::from(r.read_bit()?);
-            len += 1;
+            let l = len as usize;
+            let rank = (window >> (64 - len)).wrapping_sub(self.first_code[l]);
+            if rank < u64::from(self.count[l]) {
+                r.advance(len);
+                return Ok(self.sorted_symbols[self.first_index[l] as usize + rank as usize]);
+            }
         }
+        Err(BitError::Corrupt {
+            what: "invalid Huffman codeword",
+        })
     }
 }
 

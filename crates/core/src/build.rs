@@ -192,9 +192,10 @@ pub fn build_snode_transpose(
     let partition = {
         // A strict open: `meta.bin` is held to `sums.bin` before it is read.
         let forward = crate::SNode::open_resident(forward_dir, 0)?;
-        let meta = forward.meta();
-        assert_eq!(meta.num_pages, transpose.num_nodes());
-        Partition::from_ranges(&meta.range_start, &meta.domain_supernodes)
+        let index = forward.index();
+        assert_eq!(index.num_pages(), transpose.num_nodes());
+        let domains = (0..index.num_domains()).map(|d| index.supernodes_of_domain(d));
+        Partition::from_ranges(index.range_start(), domains)
     };
     let identity = Renumbering::from_old_of_new((0..transpose.num_nodes()).collect());
     let mut stats = encode_and_write(transpose, &partition, &identity, config, dir, ENCODE_WINDOW)?;

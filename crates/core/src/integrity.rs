@@ -309,11 +309,16 @@ impl IntegrityManifest {
             let crc = c.u32()?;
             files.push(FileSum { name, len, crc });
         }
-        let nb = c.u64()? as usize;
-        let mut blob_crc = Vec::with_capacity(nb.min(1 << 20));
-        for _ in 0..nb {
-            blob_crc.push(c.u32()?);
-        }
+        let nb = c.u64()?;
+        let crcs = nb
+            .checked_mul(4)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or(SNodeError::Corrupt(
+                "integrity manifest blob count overflows",
+            ))?;
+        let blob_crc = (c.bytes(crcs)?.chunks_exact(4))
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+            .collect();
         Ok(Some(Self {
             meta_sections,
             files,

@@ -118,9 +118,13 @@ impl Partition {
 
     /// The partition whose element `s` is pages `range_start[s]..
     /// range_start[s + 1]`, of the domain whose list in `domain_supernodes`
-    /// names `s`: what a built directory's PageID and domain indexes say of
-    /// the partition it was built over.
-    pub fn from_ranges(range_start: &[u32], domain_supernodes: &[Vec<u32>]) -> Self {
+    /// (one per domain, in domain order) names `s`: what a built
+    /// directory's PageID and domain indexes say of the partition it was
+    /// built over.
+    pub fn from_ranges<'a>(
+        range_start: &[u32],
+        domain_supernodes: impl IntoIterator<Item = &'a [u32]>,
+    ) -> Self {
         let mut elem_of = Vec::new();
         let mut elements: Vec<Element> = (range_start.windows(2).enumerate())
             .map(|(s, range)| {
@@ -133,7 +137,7 @@ impl Partition {
                 }
             })
             .collect();
-        for (d, supernodes) in domain_supernodes.iter().enumerate() {
+        for (d, supernodes) in domain_supernodes.into_iter().enumerate() {
             for &s in supernodes {
                 elements[s as usize].domain = d as u32;
             }

@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How many times a transient read error is attempted in total before it
 /// surfaces to the caller.
@@ -185,6 +185,36 @@ pub fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     })
 }
 
+/// Reads a whole file through the shim straight into one shared buffer
+/// of its length: one allocation and one pass over the bytes, where
+/// [`read_file`] and an `Arc::from` would take two of each. A file that
+/// changes length while it is read is read as it then is.
+#[allow(clippy::disallowed_methods)] // The shim itself.
+pub fn read_file_shared(path: &Path) -> std::io::Result<Arc<[u8]>> {
+    with_retry(|| {
+        inject()?;
+        let mut f = File::open(path)?;
+        let len = usize::try_from(f.metadata()?.len()).map_err(std::io::Error::other)?;
+        let mut shared: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let buf = Arc::get_mut(&mut shared)
+            .ok_or_else(|| std::io::Error::other("a freshly allocated buffer is shared"))?;
+        let mut filled = 0;
+        while filled < len {
+            match f.read(&mut buf[filled..]) {
+                Ok(0) => return Ok(Arc::from(&buf[..filled])),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut grown = Vec::new();
+        match f.read_to_end(&mut grown)? {
+            0 => Ok(shared),
+            _ => Ok(Arc::from([&*shared, &grown].concat())),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +245,7 @@ mod tests {
         read_exact_at(&f, &mut buf, 100).expect("positioned read");
         assert_eq!(&buf[..], &data[100..116]);
         assert_eq!(read_file(&path).expect("slurp"), data);
+        assert_eq!(&*read_file_shared(&path).expect("shared slurp"), &data[..]);
         std::fs::remove_file(&path).ok();
     }
 

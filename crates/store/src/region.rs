@@ -19,6 +19,7 @@
 //! cannot occur at all here.
 
 use std::ops::Deref;
+use std::path::Path;
 use std::sync::Arc;
 
 /// A reference-counted immutable byte buffer, shared by any number of
@@ -29,11 +30,20 @@ pub struct Region {
 }
 
 impl Region {
-    /// Takes ownership of `bytes` as a shared immutable region.
+    /// Takes `bytes` as a shared immutable region, copying them once into
+    /// the buffer it keeps ([`Region::read`] reads a file with no copy).
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         Self {
             bytes: Arc::from(bytes),
         }
+    }
+
+    /// Reads the file at `path` whole, through the retrying shim, into the
+    /// buffer the region keeps: the file's one resident copy.
+    pub fn read(path: &Path) -> std::io::Result<Self> {
+        Ok(Self {
+            bytes: wg_fault::read_file_shared(path)?,
+        })
     }
 
     /// Region length in bytes.

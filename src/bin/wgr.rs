@@ -575,13 +575,13 @@ fn cmd_stats(args: &[String]) -> i32 {
         return print_bit_ledger(&repo, json);
     }
     let snode = open_snode(&repo);
-    let meta = snode.meta();
+    let index = snode.index();
     let one_target = or_exit(
         snode.one_target_superedges(),
         format!("cannot read superedge graphs in {}", repo.display()),
     );
     let mut sizes: Vec<u32> = (0..snode.num_supernodes())
-        .map(|s| meta.supernode_size(s))
+        .map(|s| index.supernode_size(s))
         .collect();
     sizes.sort_unstable();
     let (min, median, max) = (
@@ -593,33 +593,33 @@ fn cmd_stats(args: &[String]) -> i32 {
         println!("{{");
         println!("  \"pages\": {},", snode.num_pages());
         println!("  \"supernodes\": {},", snode.num_supernodes());
-        println!("  \"superedges\": {},", meta.supergraph.num_superedges());
+        println!("  \"superedges\": {},", index.num_superedges());
         println!("  \"one_target_superedges\": {one_target},");
         println!(
             "  \"supergraph_encoded_bytes\": {},",
-            meta.supergraph_bits.div_ceil(8)
+            index.supergraph_bits().div_ceil(8)
         );
         println!(
             "  \"supergraph_bytes_with_pointers\": {},",
-            meta.supergraph.encoded_bytes_with_pointers()
+            index.supergraph_bytes_with_pointers()
         );
         println!("  \"element_size_min\": {min},");
         println!("  \"element_size_median\": {median},");
         println!("  \"element_size_max\": {max},");
-        println!("  \"domains\": {}", meta.domain_supernodes.len());
+        println!("  \"domains\": {}", index.num_domains());
         println!("}}");
     } else {
         println!("pages        : {}", snode.num_pages());
         println!("supernodes   : {}", snode.num_supernodes());
-        println!("superedges   : {}", meta.supergraph.num_superedges());
+        println!("superedges   : {}", index.num_superedges());
         println!("  one-target : {one_target} (answered from the fanout)");
         println!(
             "supernode graph: {} bytes encoded (+pointers {})",
-            meta.supergraph_bits.div_ceil(8),
-            meta.supergraph.encoded_bytes_with_pointers()
+            index.supergraph_bits().div_ceil(8),
+            index.supergraph_bytes_with_pointers()
         );
         println!("element sizes: min {min} / median {median} / max {max}");
-        println!("domains      : {}", meta.domain_supernodes.len());
+        println!("domains      : {}", index.num_domains());
     }
     0
 }
@@ -628,10 +628,6 @@ fn cmd_links(args: &[String]) -> i32 {
     let repo = PathBuf::from(req(args, "--repo"));
     let page: u32 = parsed("--page", &req(args, "--page"));
     let snode = open_snode(&repo);
-    if page >= snode.num_pages() {
-        eprintln!("page {page} out of range (repo has {})", snode.num_pages());
-        return 1;
-    }
     let links = or_exit(
         snode.out_neighbors(page),
         format!("cannot read page {page}"),

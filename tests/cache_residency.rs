@@ -23,9 +23,9 @@ const FULL_MISS_CEILING: u64 = 10_525;
 /// The encoded bytes a cold probe into supernode `s` reads: its intranode
 /// blob and every out-superedge blob.
 fn encoded_bytes(snode: &SNode, s: u32) -> u64 {
-    let meta = snode.meta();
-    let supers = meta.superedge_loc[s as usize].iter();
-    meta.intranode_loc[s as usize].byte_len + supers.map(|loc| loc.byte_len).sum::<u64>()
+    let index = snode.index();
+    let blobs = index.intra_blob(s)..=index.intra_blob(s) + index.targets(s).len() as u64;
+    blobs.map(|b| index.locator(b).byte_len).sum()
 }
 
 /// The 20 k-page directory of seed 42 in a directory named for `test`,

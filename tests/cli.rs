@@ -639,3 +639,32 @@ fn serve_takes_the_ledgers_argv() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn an_empty_corpus_builds_a_directory_that_opens_and_answers_nothing() {
+    let root = temp_dir("empty");
+    let (corpus, repo, reps) = (root.join("c"), root.join("r"), root.join("reps"));
+    let [c, r, reps] = [&corpus, &repo, &reps].map(|p| p.to_str().unwrap());
+    let run = |args: &[&str]| wgr().args(args).output().unwrap();
+    let out = run(&["gen", "--pages", "0", "--out", c]);
+    assert!(out.status.success(), "gen: {out:?}");
+    let out = run(&["build", "--corpus", c, "--out", r]);
+    assert!(out.status.success(), "build: {out:?}");
+
+    // Build and open agree: what the checker passes, every reader opens.
+    let out = run(&["check", r]);
+    assert_eq!(out.status.code(), Some(0), "check: {out:?}");
+    let out = run(&["stats", r, "--json"]);
+    assert_eq!(out.status.code(), Some(0), "stats: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"pages\": 0,"));
+    let out = run(&["query", c, "--reps", reps]);
+    assert_eq!(out.status.code(), Some(0), "query: {out:?}");
+
+    // There is no page 0 to answer for: one line, exit 2.
+    let out = run(&["links", "--repo", r, "--page", "0"]);
+    assert_eq!(out.status.code(), Some(2), "links: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("beyond the representation"), "{stderr}");
+    std::fs::remove_dir_all(&root).ok();
+}
