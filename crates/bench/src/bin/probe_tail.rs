@@ -13,8 +13,14 @@
 //!   fills it: p50, p99 and p99.9 over all probes, and bucketed by the size
 //!   of the probe's element (supernode), with each bucket's share of the
 //!   probes and of the time;
-//! * the bytes the cold pass loaded into the cache, by class
-//!   (`GraphCacheStats`).
+//! * the bytes the cold pass loaded into the cache, by class, and its
+//!   hits, misses, evictions and refusals (`GraphCacheStats`);
+//! * the `VmRSS` each handle adds to this process at its open and over
+//!   its pass (the warm one's fill pass), read from `/proc/self/status`.
+//!   The corpus and the build run on a thread of their own, and both
+//!   handles are opened before anything else, so that neither reuses heap
+//!   another part of the run freed; what glibc reuses anyway makes each
+//!   growth a floor on what the handle holds.
 //!
 //! Usage: `cargo run -p wg-bench --release --bin probe_tail [--scale
 //! pages-per-million] [--seed N]`. The committed `results/probe_tail.txt`
@@ -59,8 +65,11 @@ fn rung(args: &BenchArgs, pages: u32) {
     let root = args.work_dir.join(pages.to_string());
     let (corpus, dir) = (root.join("corpus"), root.join("repo"));
     let config = CorpusConfig::scaled(pages, args.seed);
-    wg_corpus::stream::stream_corpus(&corpus, &config).expect("stream corpus");
-    let (stats, built) = {
+    // On a thread of its own, so that what the corpus and the build free
+    // stays in that thread's malloc arena and the handles opened below on
+    // this one grow the resident set by what they hold.
+    let build = || {
+        wg_corpus::stream::stream_corpus(&corpus, &config).expect("stream corpus");
         let input = wg_corpus::textio::read_build_input(&corpus).expect("read corpus");
         let urls = input.urls();
         let repo = RepoInput {
@@ -71,6 +80,7 @@ fn rung(args: &BenchArgs, pages: u32) {
         let (built, t) = timed(|| build_snode(repo, &SNodeConfig::default(), &dir));
         (built.expect("build").0, t)
     };
+    let (stats, built) = std::thread::scope(|s| s.spawn(build).join().expect("build thread"));
     std::fs::remove_dir_all(&corpus).ok();
 
     let n = u64::from(pages.max(1));
@@ -82,6 +92,24 @@ fn rung(args: &BenchArgs, pages: u32) {
         "\n-- {pages} pages: {} supernodes, {} superedges, built in {built:.2?} --",
         stats.num_supernodes, stats.num_superedges
     );
+
+    // Both handles first, on heap nothing has freed into yet, so that the
+    // resident set grows by what each holds; then the passes.
+    let before = rss();
+    let cold = SNode::open_resident(&dir, cold_budget).expect("open cold");
+    let cold_opened = rss();
+    let warm = SNode::open_resident(&dir, WARM_BUDGET).expect("open warm");
+    let warm_opened = rss();
+    let sizes: Vec<u32> = (probes.iter())
+        .map(|&p| cold.page_range(cold.supernode_of(p)).len() as u32)
+        .collect();
+    let cold_lat = pass(&cold, &probes);
+    let cold_passed = rss();
+    pass(&warm, &probes);
+    let warm_passed = rss();
+    let warm_lat = pass(&warm, &probes);
+    let (c, resident) = (cold.cache_stats(), cold.resident_bytes());
+    drop((cold, warm));
 
     // Open, and open → first answer, on fresh handles.
     let (mut open_best, mut first_best) = (Duration::MAX, Duration::MAX);
@@ -103,26 +131,16 @@ fn rung(args: &BenchArgs, pages: u32) {
         ms(open_best),
         ms(first_best)
     );
-
-    let cold = SNode::open_resident(&dir, cold_budget).expect("open cold");
-    println!(
-        "resident index files {} KB",
-        cold.resident_bytes().div_ceil(1024)
-    );
-    let sizes: Vec<u32> = (probes.iter())
-        .map(|&p| cold.page_range(cold.supernode_of(p)).len() as u32)
-        .collect();
-    let lat = pass(&cold, &probes);
+    println!("resident index files {} KB", resident.div_ceil(1024));
     report(
         &format!("cold, {cold_budget} B budget, one pass"),
-        &lat,
+        &cold_lat,
         &sizes,
     );
-    let c = cold.cache_stats();
     let mb = |b: u64| b as f64 / 1e6;
     println!(
         "cold bytes loaded: {:.2} MB = intra {:.2} + super {:.2} + fanout {:.2} MB ({:.0} % fanout); \
-         {} hits, {} misses, {} evictions",
+         {} hits, {} misses, {} evictions, {} refused",
         mb(c.bytes_loaded),
         mb(c.bytes_loaded_intra),
         mb(c.bytes_loaded_super),
@@ -130,15 +148,19 @@ fn rung(args: &BenchArgs, pages: u32) {
         100.0 * c.bytes_loaded_fanout as f64 / c.bytes_loaded.max(1) as f64,
         c.hits,
         c.misses,
-        c.evictions
+        c.evictions,
+        c.refused
     );
-    drop(cold);
-
-    let warm = SNode::open_resident(&dir, WARM_BUDGET).expect("open warm");
-    pass(&warm, &probes);
-    let lat = pass(&warm, &probes);
-    report("warm, 256 MiB budget, second pass", &lat, &sizes);
-    drop(warm);
+    report("warm, 256 MiB budget, second pass", &warm_lat, &sizes);
+    let grew = |from: u64, to: u64| mb(to.saturating_sub(from));
+    println!(
+        "VmRSS the handles add: cold {:.2} MB at open, {:.2} MB over its pass; \
+         warm {:.2} MB at open, {:.2} MB over its fill pass",
+        grew(before, cold_opened),
+        grew(warm_opened, cold_passed),
+        grew(cold_opened, warm_opened),
+        grew(cold_passed, warm_passed)
+    );
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -197,6 +219,11 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
     };
     let rank = ((q * sorted.len() as f64).ceil() as usize).saturating_sub(1);
     sorted[rank.min(last)] as f64 / 1e3
+}
+
+/// This process's resident set, in bytes (0 where it cannot be read).
+fn rss() -> u64 {
+    wg_obs::procstat::sample_self().map_or(0, |m| m.rss_bytes)
 }
 
 fn ms(d: Duration) -> f64 {

@@ -1,6 +1,7 @@
-//! `GraphCache` counts its traffic in two places — the `stats()` view and,
-//! under `--metrics`, the registry's `core.cache.*` counters `obsrun` reads
-//! — and they have to agree. A file of its own: the registry is the
+//! `GraphCache` counts its traffic (hits, misses, evictions, refusals and
+//! bytes loaded) in two places — the `stats()` view and, under
+//! `--metrics`, the registry's `core.cache.*` counters `obsrun` reads —
+//! and they have to agree. A file of its own: the registry is the
 //! process's, and no other cache may be counting into it.
 
 use wg_snode::cache::{CachedGraph, GraphCache, GraphKey};
@@ -43,6 +44,7 @@ fn stats_and_registry_counters_agree() {
     }
     let stats = cache.stats();
     assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
+    assert!(stats.refused > 0);
 
     let registry = wg_obs::global();
     assert_eq!(registry.counter("core.cache.hits").get(), stats.hits);
@@ -55,6 +57,7 @@ fn stats_and_registry_counters_agree() {
         registry.counter("core.cache.bytes_loaded").get(),
         stats.bytes_loaded
     );
+    assert_eq!(registry.counter("core.cache.refused").get(), stats.refused);
     let by_kind = [
         ("intra", stats.bytes_loaded_intra),
         ("super", stats.bytes_loaded_super),
