@@ -133,7 +133,8 @@ fn a_warm_probe_allocates_nothing() {
     let batched = allocations() - before;
     assert_eq!(wrong, 0, "batched answers differ from the corpus");
     assert_eq!(batched, 0, "allocations over three warm batches");
-    assert_eq!(snode.cache_stats().evictions, 0, "nothing was cold");
+    let stats = snode.cache_stats();
+    assert_eq!((stats.evictions, stats.refused), (0, 0), "nothing was cold");
 
     // Backlinks take the same path: `snode_t` shares `snode`'s page ids, so
     // the handle `open_transpose` gives is an `SNode` with nothing between.
