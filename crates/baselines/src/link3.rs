@@ -161,7 +161,7 @@ impl Link3Graph {
                     .ok_or(BaselineError::Corrupt("reference outside window"))?;
                 let mut copied = Vec::with_capacity(reference.len());
                 let reference = reference.clone();
-                rle::read_bitvec_set_positions(&mut r, reference.len(), |i| {
+                rle::read_bitvec_set_positions(&mut r.window(), reference.len(), |i| {
                     copied.push(reference[i]);
                 })?;
                 let extras = read_source_relative(&mut r, p)?;
@@ -333,7 +333,7 @@ where
                 read_source_relative(r, page)
             } else {
                 let mut copied = Vec::with_capacity(reference.len());
-                rle::read_bitvec_set_positions(r, reference.len(), |i| {
+                rle::read_bitvec_set_positions(&mut r.window(), reference.len(), |i| {
                     copied.push(reference[i]);
                 })?;
                 let extras = read_source_relative(r, page)?;

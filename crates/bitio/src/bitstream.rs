@@ -6,7 +6,8 @@
 //! first so that the byte sequence reads like the bit sequence written,
 //! which keeps on-disk dumps inspectable with `xxd`.
 
-use crate::{BitError, Result};
+use crate::huffman::{self, HuffmanDecoder, Symbol};
+use crate::{codes, BitError, Result};
 
 /// Append-only bit sink.
 ///
@@ -208,10 +209,10 @@ impl<'a> BitReader<'a> {
 
     /// The 64 bits starting at byte `byte`, big-endian (stream order), with
     /// zeros where the buffer has ended. Shifting the result left by
-    /// `pos % 8` aligns bit `pos` with the window's most significant bit
+    /// `pos % 8` aligns bit `pos` with the word's most significant bit
     /// and leaves `64 - pos % 8` stream bits in view.
     #[inline]
-    fn window(&self, byte: usize) -> u64 {
+    fn load_word(&self, byte: usize) -> u64 {
         let rest = self.buf.get(byte..).unwrap_or(&[]);
         match rest.first_chunk::<8>() {
             Some(chunk) => u64::from_be_bytes(*chunk),
@@ -233,7 +234,7 @@ impl<'a> BitReader<'a> {
         let offset = (self.pos % 8) as u32;
         let in_view = u64::from(64 - offset).min(self.bit_len - self.pos);
         (
-            self.window((self.pos / 8) as usize) << offset,
+            self.load_word((self.pos / 8) as usize) << offset,
             in_view as u32,
         )
     }
@@ -261,7 +262,7 @@ impl<'a> BitReader<'a> {
         }
         let byte = (self.pos / 8) as usize;
         let offset = (self.pos % 8) as u32;
-        let mut out = (self.window(byte) << offset) >> (64 - n);
+        let mut out = (self.load_word(byte) << offset) >> (64 - n);
         let in_view = 64 - offset;
         if n > in_view {
             // Only an unaligned read of 58..=64 bits gets here: its last
@@ -294,6 +295,185 @@ impl<'a> BitReader<'a> {
             self.advance(in_view);
         }
         Err(BitError::UnexpectedEof { position: self.pos })
+    }
+
+    /// A [`Window`] over the bits ahead of the cursor, for decoding a run
+    /// of codes. The reader stands where the window's reads have brought
+    /// it, whenever the window is dropped.
+    #[inline]
+    pub fn window(&mut self) -> Window<'_, 'a> {
+        Window {
+            r: self,
+            bits: 0,
+            in_view: 0,
+        }
+    }
+}
+
+/// A [`BitReader`] cursor that decodes from a 64-bit window held in a
+/// register: the stream bits ahead of the cursor, loaded in one word and
+/// then shifted past each code read from it. A read that does not fit
+/// what is left of the window reloads it at the cursor (a code of up to
+/// 57 bits always fits a fresh one unless the stream ends sooner), so a
+/// run of short codes costs one load per ≤ 64 bits where the reader's own
+/// reads load once a code. A read that does not fit a fresh window
+/// either is the reader's own.
+///
+/// Every read returns what the same read on the reader returns — value,
+/// error and the position it leaves — and the reader's position moves
+/// with each read, so [`Window::position`] is always the reader's.
+/// `tests/reader_model.rs` holds both to a bit-at-a-time model.
+#[derive(Debug)]
+pub struct Window<'r, 'a> {
+    r: &'r mut BitReader<'a>,
+    /// The stream from the cursor on, aligned to the most significant
+    /// end; what lies below the top `in_view` bits is unspecified.
+    bits: u64,
+    /// How many of `bits` are stream bits (0: load before reading).
+    in_view: u32,
+}
+
+impl Window<'_, '_> {
+    /// Current position in bits from the start of the stream.
+    #[inline]
+    pub fn position(&self) -> u64 {
+        self.r.pos
+    }
+
+    /// Number of bits remaining in the stream.
+    #[inline]
+    pub fn remaining(&self) -> u64 {
+        self.r.remaining()
+    }
+
+    /// Loads the window at the cursor.
+    #[inline]
+    fn refill(&mut self) {
+        (self.bits, self.in_view) = self.r.peek();
+    }
+
+    /// Moves the cursor over the top `n` bits of the window, which must
+    /// be stream bits.
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.in_view);
+        // A shift by the word's width is no shift at all in a release
+        // build: 64 consumed bits leave nothing.
+        self.bits = self.bits.checked_shl(n).unwrap_or(0);
+        self.in_view -= n;
+        self.r.pos += u64::from(n);
+    }
+
+    /// The reader's own read, which leaves the window to be loaded again.
+    #[inline]
+    fn by_reader<T>(&mut self, read: impl FnOnce(&mut BitReader<'_>) -> Result<T>) -> Result<T> {
+        self.in_view = 0;
+        read(self.r)
+    }
+
+    /// Whether the window holds `n` stream bits, once loaded again at the
+    /// cursor if it held fewer.
+    #[inline]
+    fn holds(&mut self, n: u32) -> bool {
+        if n <= self.in_view {
+            return true;
+        }
+        self.refill();
+        n <= self.in_view
+    }
+
+    /// [`BitReader::read_bits`].
+    ///
+    /// # Panics
+    /// Panics if `n > 64`.
+    #[inline]
+    pub fn read_bits(&mut self, n: u32) -> Result<u64> {
+        if !self.holds(n) {
+            return self.by_reader(|r| r.read_bits(n));
+        }
+        let value = match n {
+            0 => 0,
+            n => self.bits >> (64 - n),
+        };
+        self.consume(n);
+        Ok(value)
+    }
+
+    /// [`BitReader::read_bit`].
+    #[inline]
+    pub fn read_bit(&mut self) -> Result<bool> {
+        Ok(self.read_bits(1)? == 1)
+    }
+
+    /// The γ code at the top of the window, if all of it is in view.
+    #[inline]
+    fn gamma_in_view(&mut self) -> Option<u64> {
+        let b = self.bits.leading_zeros();
+        if 2 * b >= self.in_view {
+            return None;
+        }
+        // `b` zeros and the `b + 1` bits of `v`: at most 63 bits, as at
+        // least one bit of the window's 64 is not consumed.
+        let v = self.bits >> (63 - 2 * b);
+        self.bits <<= 2 * b + 1;
+        self.in_view -= 2 * b + 1;
+        self.r.pos += u64::from(2 * b + 1);
+        Some(v - 1)
+    }
+
+    /// [`codes::read_gamma`].
+    #[inline]
+    pub fn read_gamma(&mut self) -> Result<u64> {
+        if let Some(v) = self.gamma_in_view() {
+            return Ok(v);
+        }
+        self.refill();
+        match self.gamma_in_view() {
+            Some(v) => Ok(v),
+            None => self.by_reader(codes::read_gamma),
+        }
+    }
+
+    /// [`codes::read_minimal_binary`].
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    #[inline]
+    pub fn read_minimal_binary(&mut self, n: u64) -> Result<u64> {
+        assert!(n > 0, "universe must be non-empty");
+        if n == 1 {
+            return Ok(0);
+        }
+        let b = 64 - (n - 1).leading_zeros();
+        let cutoff = codes::cutoff(n, b);
+        let hi = self.read_bits(b - 1)?;
+        if hi < cutoff {
+            return Ok(hi);
+        }
+        let x = (hi << 1) + self.read_bits(1)? - cutoff;
+        if x >= n {
+            return Err(BitError::Corrupt {
+                what: "minimal binary value out of range",
+            });
+        }
+        Ok(x)
+    }
+
+    /// Decodes one symbol of `code` from the window, as
+    /// [`HuffmanDecoder::decode`] does from the reader: a codeword that
+    /// runs past the window is decoded from a fresh one.
+    #[inline]
+    pub fn read_huffman(&mut self, code: &HuffmanDecoder) -> Result<Symbol> {
+        let found = match code.decode_window(self.bits, self.in_view) {
+            Err(BitError::UnexpectedEof { .. }) => {
+                self.refill();
+                code.decode_window(self.bits, self.in_view)
+            }
+            found => found,
+        };
+        let (sym, len) = found.map_err(|e| huffman::past(e, self.r.pos))?;
+        self.consume(len);
+        Ok(sym)
     }
 }
 

@@ -127,7 +127,7 @@ pub fn minimal_binary_len(x: u64, n: u64) -> u64 {
 /// two itself overflows `u64`, but the difference (`2^64 − n`) still
 /// fits because `n ≥ 1` — `wrapping_neg` computes exactly that.
 #[inline]
-fn cutoff(n: u64, b: u32) -> u64 {
+pub(crate) fn cutoff(n: u64, b: u32) -> u64 {
     if b == 64 {
         n.wrapping_neg()
     } else {
@@ -157,28 +157,14 @@ pub fn write_minimal_binary(w: &mut BitWriter, x: u64, n: u64) {
     }
 }
 
-/// Reads a minimal-binary-coded value from a universe of size `n`.
+/// Reads a minimal-binary-coded value from a universe of size `n`: one
+/// [`crate::Window::read_minimal_binary`].
+///
+/// # Panics
+/// Panics if `n == 0`.
 #[inline]
 pub fn read_minimal_binary(r: &mut BitReader<'_>, n: u64) -> Result<u64> {
-    assert!(n > 0, "universe must be non-empty");
-    if n == 1 {
-        return Ok(0);
-    }
-    let b = 64 - (n - 1).leading_zeros();
-    let cutoff = cutoff(n, b);
-    let hi = r.read_bits(b - 1)?;
-    if hi < cutoff {
-        Ok(hi)
-    } else {
-        let lo = r.read_bits(1)?;
-        let x = (hi << 1) + lo - cutoff;
-        if x >= n {
-            return Err(BitError::Corrupt {
-                what: "minimal binary value out of range",
-            });
-        }
-        Ok(x)
-    }
+    r.window().read_minimal_binary(n)
 }
 
 #[cfg(test)]

@@ -223,19 +223,32 @@ impl HuffmanDecoder {
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Symbol> {
         let (window, in_view) = r.peek();
-        let (sym, len) = self.fast[(window >> (64 - self.fast_bits)) as usize];
-        if len != 0 && u32::from(len) <= in_view {
-            r.advance(u32::from(len));
-            return Ok(sym);
-        }
-        self.decode_long(r, window, in_view)
+        let (sym, len) = self
+            .decode_window(window, in_view)
+            .map_err(|e| past(e, r.position()))?;
+        r.advance(len);
+        Ok(sym)
     }
 
-    /// The canonical compare over `window`, of whose bits `in_view` are
-    /// stream bits: every length from the first the table could not
-    /// resolve, up to the longest.
+    /// The symbol whose codeword `window` starts with, of whose bits
+    /// `in_view` are stream bits, and the codeword's length. The table
+    /// resolves a codeword of up to `fast_bits`, the canonical compare a
+    /// longer one. An `UnexpectedEof` position counts from the window's
+    /// top ([`past`] places it); any other error stands whatever follows
+    /// the window.
+    #[inline]
+    pub(crate) fn decode_window(&self, window: u64, in_view: u32) -> Result<(Symbol, u32)> {
+        let (sym, len) = self.fast[(window >> (64 - self.fast_bits)) as usize];
+        if len != 0 && u32::from(len) <= in_view {
+            return Ok((sym, u32::from(len)));
+        }
+        self.decode_long(window, in_view)
+    }
+
+    /// The canonical compare over `window`: every length from the first
+    /// the table could not resolve, up to the longest.
     #[inline(never)]
-    fn decode_long(&self, r: &mut BitReader<'_>, window: u64, in_view: u32) -> Result<Symbol> {
+    fn decode_long(&self, window: u64, in_view: u32) -> Result<(Symbol, u32)> {
         if self.max_len == 0 {
             return Err(BitError::BadCodeTable {
                 what: "decoding with an empty code",
@@ -250,19 +263,31 @@ impl HuffmanDecoder {
         for len in first.max(self.min_len)..=self.max_len {
             if len > in_view {
                 return Err(BitError::UnexpectedEof {
-                    position: r.position() + u64::from(in_view),
+                    position: u64::from(in_view),
                 });
             }
             let l = len as usize;
             let rank = (window >> (64 - len)).wrapping_sub(self.first_code[l]);
             if rank < u64::from(self.count[l]) {
-                r.advance(len);
-                return Ok(self.sorted_symbols[self.first_index[l] as usize + rank as usize]);
+                let sym = self.sorted_symbols[self.first_index[l] as usize + rank as usize];
+                return Ok((sym, len));
             }
         }
         Err(BitError::Corrupt {
             what: "invalid Huffman codeword",
         })
+    }
+}
+
+/// `e` from a decode at `at`: an `UnexpectedEof` that
+/// [`HuffmanDecoder::decode_window`] placed from the window's top is
+/// placed from the stream's start.
+pub(crate) fn past(e: BitError, at: u64) -> BitError {
+    match e {
+        BitError::UnexpectedEof { position } => BitError::UnexpectedEof {
+            position: at + position,
+        },
+        e => e,
     }
 }
 

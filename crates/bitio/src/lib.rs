@@ -8,7 +8,8 @@
 //!
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit streams over byte buffers.
 //!   The writer accumulates in a 64-bit word and flushes whole words (its
-//!   invariants are on the type); the reader decodes from 64-bit windows.
+//!   invariants are on the type); the reader decodes from 64-bit windows,
+//!   and a [`Window`] keeps one in a register across a run of codes.
 //!   Each is held to a bit-at-a-time model by a proptest
 //!   (`tests/prop_codecs.rs`, `tests/reader_model.rs`).
 //! * [`codes`] — unary, Elias γ/δ, and minimal-binary codes.
@@ -28,7 +29,7 @@ pub mod codes;
 pub mod huffman;
 pub mod rle;
 
-pub use bitstream::{BitReader, BitWriter};
+pub use bitstream::{BitReader, BitWriter, Window};
 pub use huffman::{HuffmanCode, HuffmanDecoder};
 
 /// Errors produced while decoding bit streams.

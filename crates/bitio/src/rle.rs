@@ -10,7 +10,7 @@
 //! * **RLE**: the first bit value, then γ-coded run lengths (each ≥ 1,
 //!   stored as `run − 1`) alternating values until `len` bits are covered.
 
-use crate::{codes, BitError, BitReader, BitWriter, Result};
+use crate::{codes, BitError, BitWriter, Result, Window};
 
 /// Returns the size in bits of the RLE form of `bits` (excluding the 1-bit
 /// format header).
@@ -79,25 +79,27 @@ fn write_rle(w: &mut BitWriter, bits: &[bool]) {
 /// word at a time, without materialising it: `on_word(at, word)` receives
 /// up to 64 of its bits in stream order — bit `63 - k` of `word` is bit
 /// `at + k` of the vector, and bits past the vector's end are zero. A
-/// literal vector arrives in one [`BitReader::read_bits`] per 64 bits, a
-/// run of ones as words of ones, and a run of zeros not at all, so a
-/// caller that wants the set bits counts them with `count_ones` and walks
-/// them with `leading_zeros`.
+/// literal vector arrives in one [`Window::read_bits`] per 56 bits, a run
+/// of ones as words of ones, and a run of zeros not at all, so a caller
+/// that wants the set bits counts them with `count_ones` and walks them
+/// with `leading_zeros`. An RLE vector's runs are γ codes read from the
+/// same window.
 ///
 /// A literal vector cut short by the end of the stream calls `on_word`
 /// for the bits there are, then fails where a bit-by-bit read would have:
 /// at the stream's end, with the cursor there.
 fn read_bitvec_words(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     len: usize,
     mut on_word: impl FnMut(usize, u64),
 ) -> Result<()> {
-    if !r.read_bit()? {
-        let there = len.min(usize::try_from(r.remaining()).unwrap_or(usize::MAX));
+    if !w.read_bit()? {
+        let there = len.min(usize::try_from(w.remaining()).unwrap_or(usize::MAX));
         let mut at = 0;
         while at < there {
-            let n = (there - at).min(64);
-            let word = r.read_bits(n as u32)? << (64 - n);
+            // What a fresh window always holds of what is left.
+            let n = (there - at).min(56);
+            let word = w.read_bits(n as u32)? << (64 - n);
             if word != 0 {
                 on_word(at, word);
             }
@@ -105,15 +107,15 @@ fn read_bitvec_words(
         }
         if there < len {
             return Err(BitError::UnexpectedEof {
-                position: r.position(),
+                position: w.position(),
             });
         }
         return Ok(());
     }
-    let mut value = r.read_bit()?;
+    let mut value = w.read_bit()?;
     let mut at = 0usize;
     while at < len {
-        let run = codes::read_gamma(r)? + 1;
+        let run = w.read_gamma()? + 1;
         if run > (len - at) as u64 {
             return Err(BitError::Corrupt {
                 what: "RLE run overruns declared bit-vector length",
@@ -136,11 +138,11 @@ fn read_bitvec_words(
 /// materialising the vector — the hot path when applying a reference
 /// encoding copy-mask. The word walker above, one set bit at a time.
 pub fn read_bitvec_set_positions(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     len: usize,
     mut on_set: impl FnMut(usize),
 ) -> Result<()> {
-    read_bitvec_words(r, len, |at, mut word| {
+    read_bitvec_words(w, len, |at, mut word| {
         while word != 0 {
             let k = word.leading_zeros();
             on_set(at + k as usize);
@@ -152,15 +154,16 @@ pub fn read_bitvec_set_positions(
 /// Reads a bit vector of exactly `len` bits written by [`write_bitvec`]
 /// and returns how many of its bits are set, a word at a time, with the
 /// checks of [`read_bitvec_set_positions`].
-pub fn count_bitvec_ones(r: &mut BitReader<'_>, len: usize) -> Result<u64> {
+pub fn count_bitvec_ones(w: &mut Window<'_, '_>, len: usize) -> Result<u64> {
     let mut ones = 0u64;
-    read_bitvec_words(r, len, |_, word| ones += u64::from(word.count_ones()))?;
+    read_bitvec_words(w, len, |_, word| ones += u64::from(word.count_ones()))?;
     Ok(ones)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitReader;
 
     fn round_trip(bits: &[bool]) {
         let mut w = BitWriter::new();
@@ -169,7 +172,7 @@ mod tests {
         assert_eq!(blen, encoded_len(bits), "encoded_len must match encoding");
         let mut r = BitReader::with_bit_len(&bytes, blen);
         let mut set = Vec::new();
-        read_bitvec_set_positions(&mut r, bits.len(), |i| set.push(i)).unwrap();
+        read_bitvec_set_positions(&mut r.window(), bits.len(), |i| set.push(i)).unwrap();
         let expect: Vec<usize> = bits
             .iter()
             .enumerate()
@@ -180,7 +183,7 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         let mut r = BitReader::with_bit_len(&bytes, blen);
         assert_eq!(
-            count_bitvec_ones(&mut r, bits.len()).unwrap(),
+            count_bitvec_ones(&mut r.window(), bits.len()).unwrap(),
             expect.len() as u64
         );
         assert_eq!(r.remaining(), 0);
@@ -246,7 +249,7 @@ mod tests {
         codes::write_gamma(&mut w, 9); // run of 10
         let (bytes, blen) = w.finish();
         let mut r = BitReader::with_bit_len(&bytes, blen);
-        assert!(read_bitvec_set_positions(&mut r, 5, |_| {}).is_err());
+        assert!(read_bitvec_set_positions(&mut r.window(), 5, |_| {}).is_err());
     }
 
     #[test]
@@ -259,7 +262,7 @@ mod tests {
         let (bytes, blen) = w.finish();
         let mut r = BitReader::with_bit_len(&bytes, blen);
         let mut set = Vec::new();
-        let got = read_bitvec_set_positions(&mut r, 100, |i| set.push(i));
+        let got = read_bitvec_set_positions(&mut r.window(), 100, |i| set.push(i));
         assert_eq!(got, Err(BitError::UnexpectedEof { position: blen }));
         assert_eq!(r.position(), blen);
         assert_eq!(set, (0..70).step_by(3).collect::<Vec<_>>());

@@ -76,14 +76,14 @@ fn agree(bytes: &[u8], bit_len: u64, len: usize) -> Result<(), TestCaseError> {
     let mut got = Vec::new();
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     prop_assert_eq!(
-        rle::read_bitvec_set_positions(&mut r, len, |i| got.push(i)),
+        rle::read_bitvec_set_positions(&mut r.window(), len, |i| got.push(i)),
         verdict.clone()
     );
     prop_assert_eq!(&got, &want, "set positions");
     prop_assert_eq!(r.position(), cursor, "cursor");
 
     let mut r = BitReader::with_bit_len(bytes, bit_len);
-    let count = rle::count_bitvec_ones(&mut r, len);
+    let count = rle::count_bitvec_ones(&mut r.window(), len);
     prop_assert_eq!(count.clone().map(|_| ()), verdict);
     if let Ok(ones) = count {
         prop_assert_eq!(ones, want.len() as u64, "popcount");

@@ -3,7 +3,8 @@
 //! with codewords up to [`MAX_CODE_LEN`] bits, so well past the decoder's
 //! first-level table), streams of codewords followed by garbage bits and
 //! cut at every bit, both must decode the same symbols, fail with the same
-//! error, and stand at the same position after every step.
+//! error, and stand at the same position after every step — read from the
+//! reader one symbol at a time and through one [`wg_bitio::Window`].
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -153,6 +154,18 @@ proptest! {
                 let want = model.decode(&bytes, cut, &mut pos);
                 prop_assert_eq!(decoder.decode(&mut reader), want.clone());
                 prop_assert_eq!(reader.position(), pos);
+                if want.is_err() {
+                    break;
+                }
+            }
+            // The same stream through one register window.
+            let mut reader = BitReader::with_bit_len(&bytes, cut);
+            let mut window = reader.window();
+            let mut pos = 0u64;
+            loop {
+                let want = model.decode(&bytes, cut, &mut pos);
+                prop_assert_eq!(window.read_huffman(&decoder), want.clone());
+                prop_assert_eq!(window.position(), pos);
                 if want.is_err() {
                     break;
                 }

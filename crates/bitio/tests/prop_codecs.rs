@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(blen, rle::encoded_len(&bits));
         let mut r = BitReader::with_bit_len(&bytes, blen);
         let mut decoded = vec![false; bits.len()];
-        rle::read_bitvec_set_positions(&mut r, bits.len(), |i| decoded[i] = true).unwrap();
+        rle::read_bitvec_set_positions(&mut r.window(), bits.len(), |i| decoded[i] = true).unwrap();
         prop_assert_eq!(decoded, bits);
         prop_assert_eq!(r.remaining(), 0);
     }
@@ -205,7 +205,7 @@ proptest! {
         let mut r = BitReader::new(&data);
         let _ = codes::read_delta(&mut r);
         let mut r = BitReader::new(&data);
-        let _ = rle::read_bitvec_set_positions(&mut r, 40, |i| assert!(i < 40));
+        let _ = rle::read_bitvec_set_positions(&mut r.window(), 40, |i| assert!(i < 40));
         let mut r = BitReader::new(&data);
         let _ = HuffmanCode::read_lengths(&mut r);
     }

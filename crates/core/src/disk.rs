@@ -262,7 +262,9 @@ impl ResidentIndex {
         if size_bits > size_bytes.len() as u64 * 8 {
             return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
         }
-        let mut sizes = wg_bitio::BitReader::with_bit_len(size_bytes, size_bits);
+        let mut table = wg_bitio::BitReader::with_bit_len(size_bytes, size_bits);
+        // One window for the whole table: a γ size and 3 pad bits a graph.
+        let mut sizes = table.window();
         // Replay the writer's rotation rule over the linear ordering.
         let mut layout = LocatorLayout::new(max_file_bytes);
         let blobs = n + rows.targets.len();
@@ -451,8 +453,8 @@ impl LocatorLayout {
 
     /// The next graph's index file, the byte offset it ends at there, and
     /// its bit padding.
-    fn next(&mut self, sizes: &mut wg_bitio::BitReader<'_>) -> Result<(u32, u64, u64)> {
-        let byte_len = wg_bitio::codes::read_gamma(sizes)?;
+    fn next(&mut self, sizes: &mut wg_bitio::Window<'_, '_>) -> Result<(u32, u64, u64)> {
+        let byte_len = sizes.read_gamma()?;
         let pad = sizes.read_bits(3)?;
         if pad >= 8 || (byte_len == 0 && pad != 0) {
             return Err(SNodeError::Corrupt("invalid graph size entry"));

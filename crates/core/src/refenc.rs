@@ -27,7 +27,7 @@ use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
-use wg_bitio::{codes, rle, BitReader, BitWriter};
+use wg_bitio::{codes, rle, BitReader, BitWriter, Window};
 
 /// Depth cap on the reference chains selection builds.
 ///
@@ -325,13 +325,14 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
         for i in 0..self.num_lists() {
             let mut list = Vec::new();
             let mut r = self.reader_at(data, bit_len, i)?;
-            match self.read_parent(&mut r)? {
-                None => read_bounded_gap_list_into(&mut r, self.universe, &mut list)?,
+            let mut w = r.window();
+            match self.read_parent(&mut w)? {
+                None => read_bounded_gap_list_into(&mut w, self.universe, &mut list)?,
                 Some(p) => {
                     let reference = (out.get(p as usize))
                         .ok_or(SNodeError::Corrupt("reference to a list not yet decoded"))?;
                     let DecodeScratch { copied, extras, .. } = &mut scratch;
-                    self.apply_reference(&mut r, reference, copied, extras, &mut list)?;
+                    self.apply_reference(&mut w, reference, copied, extras, &mut list)?;
                 }
             }
             out.push(list);
@@ -350,21 +351,21 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
         Ok(r)
     }
 
-    /// Reads the header of the payload `r` stands at: `Some(parent)`, or
-    /// `None` for a plain list. `r` is left on the copy-mask or the gap
+    /// Reads the header of the payload `w` stands at: `Some(parent)`, or
+    /// `None` for a plain list. `w` is left on the copy-mask or the gap
     /// list that follows.
-    fn read_parent(&self, r: &mut BitReader<'_>) -> Result<Option<u32>> {
-        if !r.read_bit()? {
+    fn read_parent(&self, w: &mut Window<'_, '_>) -> Result<Option<u32>> {
+        if !w.read_bit()? {
             return Ok(None);
         }
         // Below `num_lists` by construction of the code, so a `u32`.
-        let parent = codes::read_minimal_binary(r, u64::from(self.num_lists()))?;
+        let parent = w.read_minimal_binary(u64::from(self.num_lists()))?;
         Ok(Some(parent as u32))
     }
 
     /// Reads the header of payload `i`: `Some(parent)` or `None` for plain.
     fn payload_parent(&self, data: &[u8], bit_len: u64, i: u32) -> Result<Option<u32>> {
-        self.read_parent(&mut self.reader_at(data, bit_len, i)?)
+        self.read_parent(&mut self.reader_at(data, bit_len, i)?.window())
     }
 
     /// Decodes list `i` into `out` (cleared first): *the* list decoder,
@@ -387,44 +388,47 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
     ) -> Result<()> {
         out.clear();
         let mut r = self.reader_at(data, bit_len, i)?;
-        let Some(mut parent) = self.read_parent(&mut r)? else {
+        let mut w = r.window();
+        let Some(mut parent) = self.read_parent(&mut w)? else {
             record_chain_len(0);
-            return read_bounded_gap_list_into(&mut r, self.universe, out);
+            return read_bounded_gap_list_into(&mut w, self.universe, out);
         };
         // Walk up, noting where each list's copy-mask starts.
         scratch.chain.clear();
-        scratch.chain.push(r.position());
+        scratch.chain.push(w.position());
         // The buffer the list above the chain goes to, and the one the
         // first merge fills from it.
         let (mut from, mut into) = (&mut scratch.merged, out);
         loop {
             r = self.reader_at(data, bit_len, parent)?;
-            let Some(next) = self.read_parent(&mut r)? else {
-                read_bounded_gap_list_into(&mut r, self.universe, from)?;
+            let mut w = r.window();
+            let Some(next) = self.read_parent(&mut w)? else {
+                read_bounded_gap_list_into(&mut w, self.universe, from)?;
                 break;
             };
             if scratch.chain.len() as u64 >= u64::from(self.num_lists()) {
                 return Err(SNodeError::Corrupt("reference cycle detected"));
             }
-            scratch.chain.push(r.position());
+            scratch.chain.push(w.position());
             std::mem::swap(&mut from, &mut into);
             parent = next;
         }
         record_chain_len(scratch.chain.len() as u64);
         while let Some(mask_at) = scratch.chain.pop() {
             r.seek(mask_at)?;
-            self.apply_reference(&mut r, from, &mut scratch.copied, &mut scratch.extras, into)?;
+            let (copied, extras) = (&mut scratch.copied, &mut scratch.extras);
+            self.apply_reference(&mut r.window(), from, copied, extras, into)?;
             std::mem::swap(&mut from, &mut into);
         }
         Ok(())
     }
 
-    /// Decodes the reference-encoded payload whose copy-mask `r` stands
+    /// Decodes the reference-encoded payload whose copy-mask `w` stands
     /// at into `out`: the entries of `reference` (its parent's decoded
     /// list) the mask keeps, merged with the extras that follow it.
     fn apply_reference(
         &self,
-        r: &mut BitReader<'_>,
+        w: &mut Window<'_, '_>,
         reference: &[u32],
         copied: &mut Vec<u32>,
         extras: &mut Vec<u32>,
@@ -432,8 +436,8 @@ impl<O: AsRef<[u8]>> ListsIndex<O> {
     ) -> Result<()> {
         copied.clear();
         copied.reserve_exact(reference.len());
-        rle::read_bitvec_set_positions(r, reference.len(), |pos| copied.push(reference[pos]))?;
-        read_bounded_gap_list_into(r, self.universe, extras)?;
+        rle::read_bitvec_set_positions(w, reference.len(), |pos| copied.push(reference[pos]))?;
+        read_bounded_gap_list_into(w, self.universe, extras)?;
         merge_sorted_u32(copied, extras, self.universe, out)
     }
 }
@@ -484,7 +488,8 @@ pub(crate) fn offset_width(bit_len: u64) -> Width {
 /// The format stores no directory, so the offsets come from one scan over
 /// every payload's structure — counts, masks, gap codes — that
 /// materialises no list: a mask is as long as the parent's list, so one
-/// length per list is all it keeps. What needs the values themselves (a
+/// length per list is all it keeps. The whole scan reads through one
+/// [`Window`], headers and runs alike. What needs the values themselves (a
 /// copied entry colliding with an extra) is checked when a list is
 /// decoded. A caller that reserved room for them first sees `arena`
 /// grow by exactly that; on an error it holds part of them.
@@ -503,12 +508,13 @@ pub(crate) fn scan_lists(
     };
     let mut r = BitReader::with_bit_len(data, bit_len);
     r.seek(payloads)?;
+    let mut w = r.window();
     section::reserve(arena, width, n as usize + 1);
     let mut lens: Vec<u32> = Vec::with_capacity(n as usize);
     for i in 0..n {
-        section::push(arena, width, bit_offset_u32(r.position())?);
-        let reference_len = if r.read_bit()? {
-            let parent = codes::read_minimal_binary(&mut r, n)?;
+        section::push(arena, width, bit_offset_u32(w.position())?);
+        let reference_len = if w.read_bit()? {
+            let parent = w.read_minimal_binary(n)?;
             if parent >= i {
                 return Err(SNodeError::Corrupt("forward reference in list stream"));
             }
@@ -516,11 +522,11 @@ pub(crate) fn scan_lists(
         } else {
             None
         };
-        lens.push(scan_payload(&mut r, reference_len, universe)?);
+        lens.push(scan_payload(&mut w, reference_len, universe)?);
     }
-    section::push(arena, width, bit_offset_u32(r.position())?);
+    section::push(arena, width, bit_offset_u32(w.position())?);
     // `stream_list_count` bounds the count by a `u32`.
-    Ok((universe, n as u32, r.position()))
+    Ok((universe, n as u32, w.position()))
 }
 
 /// Converts an untrusted bit position into a directory offset, rejecting
@@ -790,28 +796,32 @@ pub(crate) fn write_bounded_gap_list(w: &mut BitWriter, list: &[u32], universe: 
     }
 }
 
-/// Reads `count` ascending entries (first minimal-binary, then gaps) and
-/// hands each to `sink`. Every entry must lie inside the universe.
+/// Reads `count` ascending entries (first minimal-binary, then gaps, all
+/// from one window) and hands each to `sink`. Every entry must lie inside
+/// the universe.
 fn read_ascending_entries(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     count: u64,
     universe: u64,
     mut sink: impl FnMut(u32),
 ) -> Result<()> {
-    let mut prev: Option<u64> = None;
-    for _ in 0..count {
-        let x = match prev {
-            None => codes::read_minimal_binary(r, universe.max(1))?,
-            Some(p) => codes::read_gamma(r)?
-                .checked_add(p + 1)
-                .ok_or(SNodeError::Corrupt("gap overflow"))?,
-        };
-        if x >= universe.max(1) {
+    if count == 0 {
+        return Ok(());
+    }
+    let bound = universe.max(1);
+    let mut entry = |x: u64| {
+        if x >= bound {
             return Err(SNodeError::Corrupt("list entry outside its universe"));
         }
         let x32 = u32::try_from(x).map_err(|_| SNodeError::Corrupt("list entry overflows u32"))?;
         sink(x32);
-        prev = Some(x);
+        Ok(x)
+    };
+    let mut prev = entry(w.read_minimal_binary(bound)?)?;
+    for _ in 1..count {
+        let gap = w.read_gamma()?;
+        let x = (gap.checked_add(prev + 1)).ok_or(SNodeError::Corrupt("gap overflow"))?;
+        prev = entry(x)?;
     }
     Ok(())
 }
@@ -820,12 +830,12 @@ fn read_ascending_entries(
 /// ascending list inside `0..universe` has no more entries than that, and
 /// every entry past the first takes a bit at least: a larger count is
 /// refused here, before anything is sized by it.
-fn read_list_count(r: &mut BitReader<'_>, universe: u64) -> Result<u64> {
-    let count = codes::read_gamma(r)?;
+fn read_list_count(w: &mut Window<'_, '_>, universe: u64) -> Result<u64> {
+    let count = w.read_gamma()?;
     if count > universe.max(1) {
         return Err(SNodeError::Corrupt("list count exceeds its universe"));
     }
-    if count > r.remaining() + 1 {
+    if count > w.remaining() + 1 {
         return Err(SNodeError::Corrupt("list count exceeds what its bits hold"));
     }
     Ok(count)
@@ -834,52 +844,52 @@ fn read_list_count(r: &mut BitReader<'_>, universe: u64) -> Result<u64> {
 /// Reads a list written by [`write_bounded_gap_list`] into `out` (cleared
 /// first), which grows to the list's length at most.
 pub(crate) fn read_bounded_gap_list_into(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     universe: u64,
     out: &mut Vec<u32>,
 ) -> Result<()> {
     out.clear();
-    let count = read_list_count(r, universe)?;
+    let count = read_list_count(w, universe)?;
     out.reserve_exact(count as usize);
-    read_ascending_entries(r, count, universe, |x| out.push(x))
+    read_ascending_entries(w, count, universe, |x| out.push(x))
 }
 
 /// Reads a list written by [`write_bounded_gap_list`] onto the end of
 /// `out`, with every check of [`read_bounded_gap_list_into`]. What it
 /// appended before an error stays for the caller to cut off.
 pub(crate) fn append_bounded_gap_list(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     universe: u64,
     out: &mut Vec<u32>,
 ) -> Result<()> {
-    let count = read_list_count(r, universe)?;
+    let count = read_list_count(w, universe)?;
     out.reserve(count as usize);
-    read_ascending_entries(r, count, universe, |x| out.push(x))
+    read_ascending_entries(w, count, universe, |x| out.push(x))
 }
 
 /// The entry of a list written by [`write_bounded_gap_list`] if it holds
 /// exactly one, read with every check of [`read_bounded_gap_list_into`];
 /// `None`, its entries unread, for a list of any other length.
-pub(crate) fn read_sole_entry(r: &mut BitReader<'_>, universe: u64) -> Result<Option<u32>> {
-    if read_list_count(r, universe)? != 1 {
+pub(crate) fn read_sole_entry(w: &mut Window<'_, '_>, universe: u64) -> Result<Option<u32>> {
+    if read_list_count(w, universe)? != 1 {
         return Ok(None);
     }
     let mut entry = None;
-    read_ascending_entries(r, 1, universe, |x| entry = Some(x))?;
+    read_ascending_entries(w, 1, universe, |x| entry = Some(x))?;
     Ok(entry)
 }
 
 /// [`append_bounded_gap_list`] onto `arena` as a section at `width` (which
 /// holds `universe`); returns its length.
 pub(crate) fn append_gap_section(
-    r: &mut BitReader<'_>,
+    w: &mut Window<'_, '_>,
     universe: u64,
     arena: &mut Vec<u8>,
     width: Width,
 ) -> Result<u32> {
-    let count = read_list_count(r, universe)?;
+    let count = read_list_count(w, universe)?;
     section::reserve(arena, width, count as usize);
-    read_ascending_entries(r, count, universe, |x| section::push(arena, width, x))?;
+    read_ascending_entries(w, count, universe, |x| section::push(arena, width, x))?;
     // Distinct entries below a `u32` universe.
     Ok(count as u32)
 }
@@ -889,13 +899,13 @@ pub(crate) fn append_gap_section(
 /// with, building nothing. Returns the length of the list it encodes: the
 /// set bits of its copy-mask over the parent's `reference_len` entries, if
 /// it has a parent, plus its extras.
-fn scan_payload(r: &mut BitReader<'_>, reference_len: Option<u32>, universe: u64) -> Result<u32> {
+fn scan_payload(w: &mut Window<'_, '_>, reference_len: Option<u32>, universe: u64) -> Result<u32> {
     let copied = match reference_len {
-        Some(m) => rle::count_bitvec_ones(r, m as usize)?,
+        Some(m) => rle::count_bitvec_ones(w, m as usize)?,
         None => 0,
     };
-    let extras = read_list_count(r, universe)?;
-    read_ascending_entries(r, extras, universe, |_| {})?;
+    let extras = read_list_count(w, universe)?;
+    read_ascending_entries(w, extras, universe, |_| {})?;
     u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))
 }
 
@@ -1411,14 +1421,14 @@ pub(crate) mod tests {
                 }
                 let reference = &lists[parent];
                 let mut copied = Vec::new();
-                rle::read_bitvec_set_positions(&mut r, reference.len(), |pos| {
+                rle::read_bitvec_set_positions(&mut r.window(), reference.len(), |pos| {
                     copied.push(reference[pos]);
                 })?;
                 let mut extras = Vec::new();
-                read_bounded_gap_list_into(&mut r, universe, &mut extras)?;
+                read_bounded_gap_list_into(&mut r.window(), universe, &mut extras)?;
                 merge_sorted_u32(&copied, &extras, universe, &mut list)?;
             } else {
-                read_bounded_gap_list_into(&mut r, universe, &mut list)?;
+                read_bounded_gap_list_into(&mut r.window(), universe, &mut list)?;
             }
             lists.push(list);
         }
@@ -1642,7 +1652,7 @@ pub(crate) mod tests {
             let (bytes, bit_len) = w.finish();
             let mut out: Vec<u32> = Vec::with_capacity(3);
             let mut r = BitReader::with_bit_len(&bytes, bit_len);
-            let got = read_bounded_gap_list_into(&mut r, 10, &mut out);
+            let got = read_bounded_gap_list_into(&mut r.window(), 10, &mut out);
             assert_eq!(got.as_ref().is_err_and(forged), refused, "{count}: {got:?}");
             assert!(got.is_err(), "64 zero bits are no ten ascending entries");
             if refused {

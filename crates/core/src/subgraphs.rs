@@ -27,7 +27,7 @@ use crate::refenc::{
 };
 use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
-use wg_bitio::{codes, BitReader, BitWriter};
+use wg_bitio::{codes, BitReader, BitWriter, Window};
 
 /// How to choose between positive and negative superedge graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,11 +196,11 @@ impl Layout {
         }
     }
 
-    fn read(r: &mut BitReader<'_>) -> Result<Layout> {
-        if r.read_bit()? {
+    fn read(w: &mut Window<'_, '_>) -> Result<Layout> {
+        if w.read_bit()? {
             return Ok(Layout::SingleTargets);
         }
-        Ok(match r.read_bit()? {
+        Ok(match w.read_bit()? {
             true => Layout::ListDictionary,
             false => Layout::Lists,
         })
@@ -570,18 +570,19 @@ pub(crate) fn scan_sources(
     pool: &mut Vec<u32>,
 ) -> Result<Option<Scanned>> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
-    if r.read_bit()? {
+    let mut w = r.window();
+    if w.read_bit()? {
         return Ok(None);
     }
-    let layout = Layout::read(&mut r)?;
+    let layout = Layout::read(&mut w)?;
     let start = pool.len();
-    if let Err(e) = append_bounded_gap_list(&mut r, ni, pool) {
+    if let Err(e) = append_bounded_gap_list(&mut w, ni, pool) {
         pool.truncate(start);
         return Err(e);
     }
     let sources = start..pool.len();
     let target = match layout {
-        Layout::SingleTargets => sole_target(&mut r, sources.len(), nj),
+        Layout::SingleTargets => sole_target(&mut w, sources.len(), nj),
         Layout::Lists | Layout::ListDictionary => None,
     };
     Ok(Some(Scanned { sources, target }))
@@ -595,8 +596,8 @@ pub(crate) fn scan_sources(
 /// `None` for any other count, and for a read that fails: the graph is
 /// then parsed like any other, and its damage found where a probe draws
 /// on it.
-fn sole_target(r: &mut BitReader<'_>, sources: usize, nj: u64) -> Option<u32> {
-    let entry = read_sole_entry(r, nj).ok()??;
+fn sole_target(w: &mut Window<'_, '_>, sources: usize, nj: u64) -> Option<u32> {
+    let entry = read_sole_entry(w, nj).ok()??;
     (sources > 0).then_some(entry)
 }
 
@@ -622,18 +623,19 @@ impl SuperedgeIndex {
         };
         let (ni32, nj32) = (pages(ni)?, pages(nj)?);
         let mut r = BitReader::with_bit_len(bytes, bit_len);
-        let (kind, layout) = match r.read_bit()? {
+        let mut w = r.window();
+        let (kind, layout) = match w.read_bit()? {
             true => (SuperedgeKind::Negative, Layout::Lists),
-            false => (SuperedgeKind::Positive, Layout::read(&mut r)?),
+            false => (SuperedgeKind::Positive, Layout::read(&mut w)?),
         };
         let mut arena = Vec::new();
         let sources = match kind {
             SuperedgeKind::Negative => 0,
             SuperedgeKind::Positive => {
-                append_gap_section(&mut r, ni, &mut arena, Width::below(ni))?
+                append_gap_section(&mut w, ni, &mut arena, Width::below(ni))?
             }
         };
-        let body_at = r.position();
+        let body_at = w.position();
         // How many values the body holds, and a dictionary's entry count.
         let (len, entries) = match layout {
             Layout::Lists => {
@@ -652,7 +654,7 @@ impl SuperedgeIndex {
             Layout::SingleTargets | Layout::ListDictionary => {
                 // A builder writes one entry per distinct list, so never
                 // more than there are sources.
-                let entries = codes::read_gamma(&mut r)?;
+                let entries = w.read_gamma()?;
                 if entries > u64::from(sources) || (entries == 0 && sources > 0) {
                     return Err(SNodeError::Corrupt(
                         "dictionary size disagrees with sources",
@@ -683,15 +685,17 @@ impl SuperedgeIndex {
                 }
                 _ => {
                     r.seek(body_at)?;
-                    append_gap_section(&mut r, nj, &mut arena, body)?;
-                    r.position()
+                    let mut w = r.window();
+                    append_gap_section(&mut w, nj, &mut arena, body)?;
+                    w.position()
                 }
             };
             r.seek(index_at)?;
+            let mut w = r.window();
             let slots = arena.get_mut(indexes).unwrap_or_default();
             for i in 0..indexed {
                 // Below `entries` by construction of the code, so a `u32`.
-                let entry = codes::read_minimal_binary(&mut r, entries)? as u32;
+                let entry = w.read_minimal_binary(entries)? as u32;
                 section::put(slots, index, i, entry);
             }
         }

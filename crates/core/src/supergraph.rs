@@ -161,10 +161,11 @@ pub(crate) fn decode_rows(bytes: &[u8], bit_len: u64) -> Result<Rows> {
     let shortest = code.lengths().iter().filter(|&&l| l > 0).min();
     let most = r.remaining() / u64::from(shortest.copied().unwrap_or(1));
     let mut targets = Vec::with_capacity(most.min(1 << 24) as usize);
+    let mut w = r.window();
     for _ in 0..n {
-        let deg = codes::read_gamma(&mut r)?;
+        let deg = w.read_gamma()?;
         for _ in 0..deg {
-            let t = dec.decode(&mut r)?;
+            let t = w.read_huffman(&dec)?;
             if u64::from(t) >= n {
                 return Err(SNodeError::Corrupt("superedge target out of range"));
             }
@@ -178,7 +179,7 @@ pub(crate) fn decode_rows(bytes: &[u8], bit_len: u64) -> Result<Rows> {
         row_start,
         targets,
         code,
-        end: r.position(),
+        end: w.position(),
     })
 }
 
