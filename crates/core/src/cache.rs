@@ -388,14 +388,44 @@ impl From<Fanout> for CachedGraph {
     }
 }
 
-/// One cache instrumentation event.
+/// What a cache entry of an intranode graph of `lists` lists and
+/// `bit_len` bits is charged ([`CachedGraph::bytes`]): the value and one
+/// offset per list and the end sentinel, at the width the bit length
+/// needs. Exact for every graph a build writes, whose list count is its
+/// supernode's size.
+pub(crate) fn intra_charge(lists: u32, bit_len: u64) -> usize {
+    let offsets = crate::refenc::offset_width(bit_len).bytes();
+    std::mem::size_of::<CachedGraph>() + (lists as usize + 1) * offsets
+}
+
+/// The least any cache entry is charged: the value without an arena. A
+/// floor on the charge of a fanout or a superedge graph before it is
+/// built.
+pub(crate) const LEAST_CHARGE: usize = std::mem::size_of::<CachedGraph>();
+
+/// One cache instrumentation event. A miss the cache declines
+/// ([`Lookup::Declined`]) logs neither: nothing is loaded into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
-    /// A graph was decoded for the cache.
+    /// A graph was built for the cache and offered to it.
     Load(GraphKey),
     /// A graph left the cache: evicted to make room, removed, replaced,
     /// cleared, or refused right after its load.
     Unload(GraphKey),
+}
+
+/// What [`GraphCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The graph, cached.
+    Hit(Arc<CachedGraph>),
+    /// Not cached: the caller builds the graph and offers it with
+    /// [`GraphCache::insert`].
+    Miss,
+    /// Not cached, and a graph charged the lookup's floor would be
+    /// refused: the caller builds what its probe needs of the graph, and
+    /// offers nothing. Counted as a miss and a refusal.
+    Declined,
 }
 
 /// Aggregate cache statistics: a point-in-time view over the cache's
@@ -410,11 +440,14 @@ pub struct GraphCacheStats {
     pub misses: u64,
     /// Graphs evicted.
     pub evictions: u64,
-    /// Graphs decoded but not admitted: read less often than what they
-    /// would have evicted, or larger than their shard.
+    /// Graphs not admitted: read less often than what they would have
+    /// evicted, or larger than their shard. Most are declined at their
+    /// lookup, before they are built ([`Lookup::Declined`]); the rest are
+    /// refused when offered.
     pub refused: u64,
-    /// Total bytes decoded over the lifetime (load traffic), refused
-    /// graphs included.
+    /// Total bytes charged to graphs built for the cache and offered to
+    /// it (load traffic), those refused when offered included. A declined
+    /// miss is not built for the cache, and not counted.
     pub bytes_loaded: u64,
     /// The part of `bytes_loaded` charged for intranode graphs.
     pub bytes_loaded_intra: u64,
@@ -724,20 +757,29 @@ impl Shard {
         (entry.reads_at(self.halvings)).max(self.sketch.estimate(shard_hash(key)))
     }
 
+    /// How many of the least recently used graphs a graph of `bytes`
+    /// whose key's [`shard_hash`] is `hash` would evict to enter — the
+    /// last entries of `victims` — or `None` when it would be refused:
+    /// when it is larger than the shard or one of them is estimated to be
+    /// read at least as often as it. A smaller `bytes` walks a prefix of
+    /// the same victims, so a graph refused at a floor on its charge is
+    /// refused at its charge.
+    fn room(&mut self, bytes: usize, hash: u64) -> Option<usize> {
+        if bytes > self.budget {
+            return None;
+        }
+        match (self.used + bytes).saturating_sub(self.budget) {
+            0 => Some(0),
+            need => self.walk(need, self.sketch.estimate(hash)),
+        }
+    }
+
     /// Makes room for a graph of `bytes` whose key's [`shard_hash`] is
     /// `hash`, evicting the least recently used graphs oldest first and
     /// handing each to `evicted`; or refuses it (`false`, nothing
-    /// evicted) when it is larger than the shard or one of them is
-    /// estimated to be read at least as often as it.
+    /// evicted; see [`Shard::room`]).
     fn admit(&mut self, bytes: usize, hash: u64, mut evicted: impl FnMut(GraphKey)) -> bool {
-        if bytes > self.budget {
-            return false;
-        }
-        let need = (self.used + bytes).saturating_sub(self.budget);
-        if need == 0 {
-            return true;
-        }
-        let Some(victims) = self.walk(need, self.sketch.estimate(hash)) else {
+        let Some(victims) = self.room(bytes, hash) else {
             return false;
         };
         for _ in 0..victims {
@@ -932,15 +974,41 @@ impl GraphCache {
         self.refused.reset();
     }
 
-    /// Looks up a graph, counting the lookup and bumping its recency.
+    /// Looks up a graph, counting the lookup and bumping its recency: the
+    /// lookup of [`Self::lookup`] with no floor, which never declines.
     pub fn get(&self, key: GraphKey) -> Option<Arc<CachedGraph>> {
-        let hash = shard_hash(&key);
-        let found = self.shards[self.shard_of(hash)].lock().look_up(&key, hash);
-        match found {
-            Some(_) => self.metrics.hits.inc(),
-            None => self.metrics.misses.inc(),
+        match self.lookup(key, || 0) {
+            Lookup::Hit(graph) => Some(graph),
+            Lookup::Miss | Lookup::Declined => None,
         }
-        found
+    }
+
+    /// Looks up a graph, counting the lookup and bumping its recency, and
+    /// on a miss decides before anything is built whether the graph would
+    /// be admitted. `floor`, called on a miss only, is a floor on what
+    /// the missing graph would be charged: the shard walks its least
+    /// recently used graphs for a graph of that charge, as
+    /// [`Self::insert`] walks them for the graph's own, and a graph it
+    /// would refuse is [`Lookup::Declined`] — one miss and one refusal,
+    /// no load. A floor never above the charge declines only what
+    /// `insert` would refuse now; with several threads the shard may
+    /// change before the graph is offered, and `insert` decides again.
+    pub fn lookup(&self, key: GraphKey, floor: impl FnOnce() -> usize) -> Lookup {
+        let hash = shard_hash(&key);
+        let mut shard = self.shards[self.shard_of(hash)].lock();
+        if let Some(graph) = shard.look_up(&key, hash) {
+            drop(shard);
+            self.metrics.hits.inc();
+            return Lookup::Hit(graph);
+        }
+        let declined = shard.room(floor(), hash).is_none();
+        drop(shard);
+        self.metrics.misses.inc();
+        if !declined {
+            return Lookup::Miss;
+        }
+        self.refused.inc();
+        Lookup::Declined
     }
 
     /// Offers a freshly decoded graph to its shard, which admits it,
@@ -1072,6 +1140,14 @@ mod tests {
         let empty = std::mem::size_of::<CachedGraph>() + 8;
         let lists = bytes_target.saturating_sub(empty) / 2;
         encoded_intra(&vec![Vec::new(); lists], crate::refenc::RefMode::None)
+    }
+
+    /// A second entry of the encoded intranode graph `graph`.
+    fn copy_of(graph: &CachedGraph) -> CachedGraph {
+        let Shape::Intra(index) = &graph.shape else {
+            unreachable!("an intranode graph")
+        };
+        CachedGraph::new_encoded_intra(graph.data.clone(), graph.bit_len, index.clone())
     }
 
     #[test]
@@ -1323,40 +1399,95 @@ mod tests {
         /// holds after every operation, graphs larger than a shard
         /// included, and a cleared cache given the same operations counts
         /// the same again.
+        ///
+        /// Beside plain lookups and inserts run probe reads: a lookup
+        /// with a floor at or below the charge of the graph the probe
+        /// would build — at it exactly, one time in five — then, unless
+        /// declined, the insert. A declined miss is one the model
+        /// refuses, and at the exact charge it is declined exactly when
+        /// the model refuses; it logs nothing and is charged nothing. A
+        /// second cache that never declines — a lookup, then an insert on
+        /// every miss — ends each run holding and counting what the
+        /// declining one does, bytes loaded apart.
         #[test]
         fn admission_and_eviction_are_what_the_model_gives(
             ops in proptest::collection::vec(
-                (0u32..3, 0u32..24, 1usize..13), 1..200),
+                ((0u32..4, 0u32..24), (1usize..13, 0usize..5)), 1..200),
         ) {
+            // Up to 10 800 bytes: some larger than a shard.
+            let made: Vec<CachedGraph> = (0..13).map(|size| graph_of(size * 900)).collect();
             for shards in [1usize, 4] {
                 let cache = GraphCache::with_shards(10_000 * shards, shards);
+                let building = GraphCache::with_shards(10_000 * shards, shards);
                 cache.enable_log();
+                building.enable_log();
                 let mut counted = Vec::new();
                 for round in 0..2 {
                     let mut model = ModelCache::new(10_000 * shards, shards);
-                    for &(op, k, size) in &ops {
+                    for &((op, k), (size, floor)) in &ops {
                         // Two key kinds, so that equal ids never alias.
                         let key = if k % 2 == 0 { GraphKey::Intra(k) } else { GraphKey::Super(k, k + 1) };
-                        if op > 0 {
-                            proptest::prop_assert_eq!(cache.get(key).is_some(), model.get(key));
-                        } else {
-                            // Up to 10 800 bytes: some larger than a shard.
-                            let graph = graph_of(size * 900);
-                            let want = model.insert(key, graph.bytes());
-                            cache.insert(key, graph);
-                            proptest::prop_assert_eq!(unloads(&cache), want, "{} shards", shards);
+                        let graph = || copy_of(&made[size]);
+                        let bytes = made[size].bytes();
+                        match op {
+                            0 => {
+                                let want = model.insert(key, bytes);
+                                cache.insert(key, graph());
+                                building.insert(key, graph());
+                                proptest::prop_assert_eq!(unloads(&cache), want.clone(), "{} shards", shards);
+                                proptest::prop_assert_eq!(unloads(&building), want);
+                            }
+                            1 => {
+                                let hit = model.get(key);
+                                proptest::prop_assert_eq!(cache.get(key).is_some(), hit);
+                                proptest::prop_assert_eq!(building.get(key).is_some(), hit);
+                            }
+                            _ => {
+                                let hit = model.get(key);
+                                let floor = bytes * floor / 4;
+                                let found = cache.lookup(key, || floor);
+                                proptest::prop_assert_eq!(building.get(key).is_some(), hit);
+                                if hit {
+                                    proptest::prop_assert!(matches!(found, Lookup::Hit(_)));
+                                    continue;
+                                }
+                                let want = model.insert(key, bytes);
+                                let refused = want == [key];
+                                building.insert(key, graph());
+                                proptest::prop_assert_eq!(unloads(&building), want.clone());
+                                match found {
+                                    Lookup::Hit(_) => proptest::prop_assert!(false, "a hit the model misses"),
+                                    Lookup::Miss => {
+                                        proptest::prop_assert!(floor < bytes || !refused, "not declined at the charge");
+                                        cache.insert(key, graph());
+                                        proptest::prop_assert_eq!(unloads(&cache), want);
+                                    }
+                                    Lookup::Declined => {
+                                        proptest::prop_assert!(refused, "declined, and the model admits");
+                                        proptest::prop_assert_eq!(unloads(&cache), Vec::<GraphKey>::new());
+                                    }
+                                }
+                            }
                         }
-                        proptest::prop_assert!(cache.used() <= cache.budget());
-                        proptest::prop_assert_eq!(cache.used(), model.used());
-                        proptest::prop_assert_eq!(cache.len(), model.len());
-                        let s = cache.stats();
-                        proptest::prop_assert_eq!((s.evictions, s.refused), (model.evictions, model.refused));
+                        for c in [&cache, &building] {
+                            proptest::prop_assert!(c.used() <= c.budget());
+                            proptest::prop_assert_eq!(c.used(), model.used());
+                            proptest::prop_assert_eq!(c.len(), model.len());
+                            let s = c.stats();
+                            proptest::prop_assert_eq!((s.evictions, s.refused), (model.evictions, model.refused));
+                        }
                     }
-                    counted.push(cache.stats());
+                    let (declining, built) = (cache.stats(), building.stats());
+                    proptest::prop_assert!(declining.bytes_loaded <= built.bytes_loaded);
+                    let decisions = |s: GraphCacheStats| (s.hits, s.misses, s.evictions, s.refused);
+                    proptest::prop_assert_eq!(decisions(declining), decisions(built));
+                    counted.push(declining);
                     if round == 0 {
-                        cache.clear();
-                        cache.reset_stats();
-                        cache.take_log();
+                        for c in [&cache, &building] {
+                            c.clear();
+                            c.reset_stats();
+                            c.take_log();
+                        }
                     }
                 }
                 proptest::prop_assert_eq!(counted[0], counted[1], "{} shards, after a clear", shards);
@@ -1756,6 +1887,19 @@ mod tests {
         let arena = 301 * offsets(enc.bit_len).bytes();
         let g = CachedGraph::new_encoded_intra(blob(enc.bytes), enc.bit_len, index);
         assert_eq!(g.bytes(), header + arena, "intranode graph");
+        // The floor a probe looks an intranode graph up with is exact.
+        assert_eq!(intra_charge(300, enc.bit_len), g.bytes());
+        for lists in [0, 1, 255, 256, 5_000] {
+            let g = graph_of(std::mem::size_of::<CachedGraph>() + 8 + 2 * lists);
+            let Shape::Intra(index) = &g.shape else {
+                unreachable!("an intranode graph")
+            };
+            assert_eq!(
+                intra_charge(index.num_lists(), g.bit_len),
+                g.bytes(),
+                "{lists}"
+            );
+        }
 
         // Every other page of `ni` a source, as `list` has it.
         let every_other = |ni: u32, list: &dyn Fn(u32) -> Vec<u32>| -> Vec<Vec<u32>> {
@@ -1837,6 +1981,11 @@ mod tests {
         let arena = Width::Two.after(slots.end, 4).end;
         let cached = CachedGraph::from(fanout.expect("build"));
         assert_eq!(cached.bytes(), header + arena, "fanout");
+
+        // Nothing is charged less than the floor a probe looks a fanout
+        // or a superedge graph up with.
+        let empty = Fanout::build(0, std::iter::empty(), &[]).expect("build");
+        assert_eq!(CachedGraph::from(empty).bytes(), LEAST_CHARGE);
     }
 
     #[test]

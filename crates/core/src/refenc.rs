@@ -227,7 +227,10 @@ pub struct ListsIndex<O = Box<[u8]>> {
     /// Absolute bit offset of each payload (one extra end sentinel), so
     /// never empty, at the width the graph's bit length needs
     /// ([`offset_width`]), which is what the query-time memory cap buys.
-    /// Four bytes bound a single encoded graph at 512 MiB.
+    /// Four bytes bound a single encoded graph at 512 MiB. A directory
+    /// scanned through a bound ([`ListsIndex::parse_through`]) counts as
+    /// many but holds the bytes of those through the bound and the one
+    /// after it only: the others read as absent.
     offsets: Section<O>,
 }
 
@@ -248,8 +251,27 @@ impl ListsIndex {
     /// offset `start` inside `data` (used when the stream is embedded in a
     /// larger structure, e.g. a superedge graph header).
     pub fn parse_at(data: &[u8], bit_len: u64, start: u64, universe: Universe) -> Result<Self> {
+        Self::scan(data, bit_len, start, universe, u32::MAX)
+    }
+
+    /// Like [`ListsIndex::parse`], but scans the payloads through list
+    /// `last` only: the directory of a probe that wants the lists up to
+    /// `last` and keeps nothing. It decodes every list through `last`
+    /// exactly as the whole directory does — a reference points backward —
+    /// and the lists past it are out of range; it holds the offsets
+    /// through the one after `last` only, and its [`ListsIndex::end_bit`]
+    /// is 0 unless `last` is the last list. A bound past the last list is
+    /// the whole directory.
+    pub fn parse_through(data: &[u8], bit_len: u64, universe: Universe, last: u32) -> Result<Self> {
+        Self::scan(data, bit_len, 0, universe, last)
+    }
+
+    /// The directory of the stream at `start`, scanned through list
+    /// `last` ([`scan_lists`]).
+    fn scan(data: &[u8], bit_len: u64, start: u64, universe: Universe, last: u32) -> Result<Self> {
         let (mut arena, width) = (Vec::new(), offset_width(bit_len));
-        let (universe, lists, _) = scan_lists(data, bit_len, start, universe, &mut arena, width)?;
+        let scanned = scan_lists(data, bit_len, start, universe, &mut arena, width, last)?;
+        let (universe, lists, _) = scanned;
         Ok(Self {
             universe,
             offsets: Section::owned(arena, lists + 1, width),
@@ -483,7 +505,9 @@ pub(crate) fn offset_width(bit_len: u64) -> Width {
 /// Appends the offsets of the list stream at `start` to `arena`, as a
 /// section at `width` ([`offset_width`] of `bit_len`) — one per payload,
 /// then the end sentinel — and returns the stream's universe, its number
-/// of lists and the bit one past its last list.
+/// of lists and the bit one past its last list. The payloads after list
+/// `last` are not scanned: then the offsets end with the one past `last`,
+/// which is also the bit returned (`u32::MAX` scans every payload).
 ///
 /// The format stores no directory, so the offsets come from one scan over
 /// every payload's structure — counts, masks, gap codes — that
@@ -500,6 +524,7 @@ pub(crate) fn scan_lists(
     universe: Universe,
     arena: &mut Vec<u8>,
     width: Width,
+    last: u32,
 ) -> Result<(u64, u32, u64)> {
     let (n, payloads) = stream_list_count(data, bit_len, start)?;
     let universe = match universe {
@@ -509,9 +534,10 @@ pub(crate) fn scan_lists(
     let mut r = BitReader::with_bit_len(data, bit_len);
     r.seek(payloads)?;
     let mut w = r.window();
-    section::reserve(arena, width, n as usize + 1);
-    let mut lens: Vec<u32> = Vec::with_capacity(n as usize);
-    for i in 0..n {
+    let scanned = n.min(u64::from(last) + 1);
+    section::reserve(arena, width, scanned as usize + 1);
+    let mut lens: Vec<u32> = Vec::with_capacity(scanned as usize);
+    for i in 0..scanned {
         section::push(arena, width, bit_offset_u32(w.position())?);
         let reference_len = if w.read_bit()? {
             let parent = w.read_minimal_binary(n)?;
@@ -796,14 +822,16 @@ pub(crate) fn write_bounded_gap_list(w: &mut BitWriter, list: &[u32], universe: 
     }
 }
 
-/// Reads `count` ascending entries (first minimal-binary, then gaps, all
-/// from one window) and hands each to `sink`. Every entry must lie inside
-/// the universe.
+/// Reads up to `count` ascending entries (first minimal-binary, then
+/// gaps, all from one window) and hands each to `sink`, which returns
+/// whether to read on: one that returns `false` leaves the window after
+/// the entry it was handed, and the rest of the list unread. Every entry
+/// read must lie inside the universe.
 fn read_ascending_entries(
     w: &mut Window<'_, '_>,
     count: u64,
     universe: u64,
-    mut sink: impl FnMut(u32),
+    mut sink: impl FnMut(u32) -> bool,
 ) -> Result<()> {
     if count == 0 {
         return Ok(());
@@ -814,14 +842,19 @@ fn read_ascending_entries(
             return Err(SNodeError::Corrupt("list entry outside its universe"));
         }
         let x32 = u32::try_from(x).map_err(|_| SNodeError::Corrupt("list entry overflows u32"))?;
-        sink(x32);
-        Ok(x)
+        Ok(sink(x32))
     };
-    let mut prev = entry(w.read_minimal_binary(bound)?)?;
+    let mut prev = w.read_minimal_binary(bound)?;
+    if !entry(prev)? {
+        return Ok(());
+    }
     for _ in 1..count {
         let gap = w.read_gamma()?;
         let x = (gap.checked_add(prev + 1)).ok_or(SNodeError::Corrupt("gap overflow"))?;
-        prev = entry(x)?;
+        if !entry(x)? {
+            return Ok(());
+        }
+        prev = x;
     }
     Ok(())
 }
@@ -851,7 +884,10 @@ pub(crate) fn read_bounded_gap_list_into(
     out.clear();
     let count = read_list_count(w, universe)?;
     out.reserve_exact(count as usize);
-    read_ascending_entries(w, count, universe, |x| out.push(x))
+    read_ascending_entries(w, count, universe, |x| {
+        out.push(x);
+        true
+    })
 }
 
 /// Reads a list written by [`write_bounded_gap_list`] onto the end of
@@ -864,7 +900,23 @@ pub(crate) fn append_bounded_gap_list(
 ) -> Result<()> {
     let count = read_list_count(w, universe)?;
     out.reserve(count as usize);
-    read_ascending_entries(w, count, universe, |x| out.push(x))
+    read_ascending_entries(w, count, universe, |x| {
+        out.push(x);
+        true
+    })
+}
+
+/// Reads a list written by [`write_bounded_gap_list`], with every check
+/// of [`read_bounded_gap_list_into`] on what it reads, handing each entry
+/// to `sink` until it returns `false`: the entries after that one are
+/// left unread.
+pub(crate) fn read_gap_list_while(
+    w: &mut Window<'_, '_>,
+    universe: u64,
+    sink: impl FnMut(u32) -> bool,
+) -> Result<()> {
+    let count = read_list_count(w, universe)?;
+    read_ascending_entries(w, count, universe, sink)
 }
 
 /// The entry of a list written by [`write_bounded_gap_list`] if it holds
@@ -875,7 +927,10 @@ pub(crate) fn read_sole_entry(w: &mut Window<'_, '_>, universe: u64) -> Result<O
         return Ok(None);
     }
     let mut entry = None;
-    read_ascending_entries(w, 1, universe, |x| entry = Some(x))?;
+    read_ascending_entries(w, 1, universe, |x| {
+        entry = Some(x);
+        true
+    })?;
     Ok(entry)
 }
 
@@ -889,7 +944,10 @@ pub(crate) fn append_gap_section(
 ) -> Result<u32> {
     let count = read_list_count(w, universe)?;
     section::reserve(arena, width, count as usize);
-    read_ascending_entries(w, count, universe, |x| section::push(arena, width, x))?;
+    read_ascending_entries(w, count, universe, |x| {
+        section::push(arena, width, x);
+        true
+    })?;
     // Distinct entries below a `u32` universe.
     Ok(count as u32)
 }
@@ -905,7 +963,7 @@ fn scan_payload(w: &mut Window<'_, '_>, reference_len: Option<u32>, universe: u6
         None => 0,
     };
     let extras = read_list_count(w, universe)?;
-    read_ascending_entries(w, extras, universe, |_| {})?;
+    read_ascending_entries(w, extras, universe, |_| true)?;
     u32::try_from(copied + extras).map_err(|_| SNodeError::Corrupt("list length overflows u32"))
 }
 
@@ -1641,6 +1699,91 @@ pub(crate) mod tests {
 
     /// A count no list over its universe can have is refused before a
     /// buffer is sized by it: the caller's keeps the capacity it had.
+    /// `num` lists over their own count, the first holding about two in
+    /// three of it and each other a few entries away from one of the three
+    /// before it: most are coded against a reference.
+    fn related_lists(seed: u64, num: usize) -> Vec<Vec<u32>> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(num);
+        for i in 0..num {
+            let mut list: std::collections::BTreeSet<u32> = match i {
+                0 => (0..num as u32).filter(|_| next() % 3 > 0).collect(),
+                _ => lists[i - 1 - next() % i.min(3)].iter().copied().collect(),
+            };
+            for _ in 0..next() % 4 {
+                let x = (next() % num) as u32;
+                if !list.remove(&x) {
+                    list.insert(x);
+                }
+            }
+            lists.push(list.into_iter().collect());
+        }
+        lists
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// A directory scanned through list `last` decodes every list up
+        /// to it, and the one after it, as the whole directory does — for
+        /// every bound, over lists most of which are coded against a
+        /// reference — and the ones past those are out of range. On a
+        /// stream cut short or with a bit flipped the bounded scan never
+        /// panics, fails only where the whole scan fails (it reads a
+        /// prefix of what that reads), and decodes what it decodes.
+        #[test]
+        fn a_scan_through_a_bound_decodes_what_the_whole_scan_does(
+            seed in proptest::any::<u64>(),
+            num in 1usize..40,
+            window in 1u32..6,
+            damage in proptest::any::<u64>(),
+        ) {
+            let lists = related_lists(seed, num);
+            let enc = encode_lists(&lists, num as u64, RefMode::Windowed(window), ListCodec);
+            let parents = ListsIndex::parse(&enc.bytes, enc.bit_len, Universe::SameAsCount, ListCodec)
+                .unwrap()
+                .reference_parents(&enc.bytes, enc.bit_len)
+                .unwrap();
+            proptest::prop_assert!(num < 10 || parents.iter().any(Option::is_some));
+            let mut flipped = enc.bytes.clone();
+            let at = (damage >> 8) % enc.bit_len;
+            flipped[(at / 8) as usize] ^= 0x80 >> (at % 8);
+            let cut = damage % (enc.bit_len + 1);
+            let streams = [(&enc.bytes, enc.bit_len), (&flipped, enc.bit_len), (&enc.bytes, cut)];
+            let (mut scratch, mut got, mut want) = (DecodeScratch::default(), Vec::new(), Vec::new());
+            for (round, &(bytes, bit_len)) in streams.iter().enumerate() {
+                let whole = ListsIndex::parse(bytes, bit_len, Universe::SameAsCount, ListCodec);
+                for last in 0..=num as u32 {
+                    let bounded = ListsIndex::parse_through(bytes, bit_len, Universe::SameAsCount, last);
+                    let (Ok(bounded), Ok(whole)) = (&bounded, &whole) else {
+                        proptest::prop_assert!(bounded.is_ok() || whole.is_err(), "round {}", round);
+                        continue;
+                    };
+                    proptest::prop_assert_eq!(bounded.num_lists(), whole.num_lists());
+                    for i in 0..whole.num_lists() {
+                        let mine = bounded.decode_list_into(bytes, bit_len, i, &mut scratch, &mut got);
+                        if i > last.saturating_add(1) {
+                            proptest::prop_assert!(mine.is_err(), "list {} past {}", i, last);
+                            continue;
+                        }
+                        let theirs = whole.decode_list_into(bytes, bit_len, i, &mut scratch, &mut want);
+                        proptest::prop_assert_eq!(mine.is_ok(), theirs.is_ok(), "list {}", i);
+                        proptest::prop_assert_eq!(&got, &want, "list {} through {}", i, last);
+                        if round == 0 {
+                            proptest::prop_assert_eq!(&got, &lists[i as usize]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn forged_list_count_is_corrupt_before_anything_is_reserved() {
         let forged =

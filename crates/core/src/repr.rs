@@ -10,12 +10,15 @@
 //! the global-access path (§1.2) open it with a budget the whole directory
 //! fits, so after one pass no access pays a load.
 
-use crate::cache::{CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey};
+use crate::cache::{
+    intra_charge, CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey, Lookup,
+    LEAST_CHARGE,
+};
 use crate::codec::ListCodec;
 use crate::disk::{Blob, GraphLocator, IndexFileReader, ResidentIndex};
 use crate::integrity::{IntegrityCounters, IntegrityManifest};
 use crate::refenc::{DecodeScratch, ListsIndex, Universe};
-use crate::subgraphs::{scan_sources, Scanned, SuperedgeIndex};
+use crate::subgraphs::{scan_sources, scan_sources_of, Scanned, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
@@ -209,6 +212,10 @@ struct BatchScratch {
     sources: Vec<u32>,
     ranges: Vec<Option<std::ops::Range<usize>>>,
     targets: Vec<Option<u32>>,
+    /// After a fanout miss the cache declined: the current group's
+    /// distinct local pages, ascending, whose ranks number the rows of
+    /// the fanout built for them.
+    group: Vec<u32>,
 }
 
 /// A directory as [`SNode`] opens it: `meta.bin` checked against
@@ -563,16 +570,23 @@ impl SNode {
             // One lookup per graph per group (this is where batching beats
             // the scalar path), and only of the graphs the fanout names
             // for the group's pages.
-            let intra = self.intranode(s)?;
-            let fanout = self.fanout(s, scratch)?;
+            let last = pages[scratch.order[end - 1] as usize] - range.start;
+            let intra = self.intranode(s, last)?;
+            let (fanout, whole) = self.fanout(s, (pages, g..end, range.start), scratch)?;
             let fanout = fanout.as_fanout().ok_or(SNodeError::Corrupt(
                 "graph cache holds a graph under a fanout key",
             ))?;
+            // A fanout built for the group only has a row per page of it.
+            let row_of = |group: &[u32], local: u32| match whole {
+                true => local,
+                false => group.partition_point(|&p| p < local) as u32,
+            };
             scratch.slots.clear();
             scratch.slots.extend(fanout.always().iter());
             for gi in g..end {
                 let local = pages[scratch.order[gi] as usize] - range.start;
-                scratch.slots.extend(fanout.slots_of(local).iter());
+                let own = fanout.slots_of(row_of(&scratch.group, local));
+                scratch.slots.extend(own.iter());
             }
             scratch.slots.sort_unstable();
             scratch.slots.dedup();
@@ -631,7 +645,7 @@ impl SNode {
             for gi in g..end {
                 let oi = scratch.order[gi] as usize;
                 let local = pages[oi] - range.start;
-                let own = fanout.slots_of(local);
+                let own = fanout.slots_of(row_of(&scratch.group, local));
                 for pi in 0..scratch.parts.len() {
                     let part = &scratch.parts[pi];
                     if !part.always && !own.contains(part.slot) {
@@ -756,30 +770,61 @@ impl SNode {
         }
     }
 
-    /// `Ok(None)` means the graph is quarantined (degraded mode only);
-    /// the caller counts the skipped part per access.
-    fn intranode(&self, s: u32) -> Result<Option<Arc<CachedGraph>>> {
+    /// `graph`, built for a miss, offered to the cache under `key` — or,
+    /// when the cache declined the miss, only handed to the probe that
+    /// built it.
+    fn offer(&self, key: GraphKey, graph: CachedGraph, declined: bool) -> Arc<CachedGraph> {
+        match declined {
+            true => Arc::new(graph),
+            false => self.cache.insert(key, graph),
+        }
+    }
+
+    /// The intranode graph of `s`, for a group of pages whose last local
+    /// id is `last`. `Ok(None)` means the graph is quarantined (degraded
+    /// mode only); the caller counts the skipped part per access.
+    fn intranode(&self, s: u32, last: u32) -> Result<Option<Arc<CachedGraph>>> {
         if let Some(d) = &self.degrade {
             if d.read().quarantined_intra.contains(&s) {
                 return Ok(None);
             }
         }
-        let key = GraphKey::Intra(s);
-        if let Some(g) = self.cache.get(key) {
-            return Ok(Some(g));
+        let index = &self.dir.index;
+        // Exact: the charge of the directory the miss would build.
+        let floor = || {
+            let bit_len = index.locator(index.intra_blob(s)).bit_len;
+            intra_charge(index.supernode_size(s), bit_len)
+        };
+        match self.cache.lookup(GraphKey::Intra(s), floor) {
+            Lookup::Hit(g) => Ok(Some(g)),
+            Lookup::Miss => self.load_intranode(s, None),
+            Lookup::Declined => self.load_intranode(s, Some(last)),
         }
+    }
+
+    /// An intranode miss: parses the graph's directory and admits it, or,
+    /// when the cache declined the miss, scans its payloads through list
+    /// `through` only — what the group's pages need — and offers nothing.
+    /// Out of line, like [`SNode::build_fanout`].
+    #[inline(never)]
+    fn load_intranode(&self, s: u32, through: Option<u32>) -> Result<Option<Arc<CachedGraph>>> {
         let blob = self.dir.index.intra_blob(s);
         let loc = self.dir.index.locator(blob);
-        let bytes = self.dir.load_blob(&loc, blob);
-        let parsed = bytes.and_then(|bytes| {
-            let index = ListsIndex::parse(&bytes, loc.bit_len, Universe::SameAsCount, ListCodec)?;
+        let parsed = self.dir.load_blob(&loc, blob).and_then(|bytes| {
+            let last = through.unwrap_or(u32::MAX);
+            let index =
+                ListsIndex::parse_through(&bytes, loc.bit_len, Universe::SameAsCount, last)?;
             Ok((bytes, index))
         });
         match parsed {
-            Ok((bytes, index)) => Ok(Some(self.cache.insert(
-                key,
-                CachedGraph::new_encoded_intra(bytes, loc.bit_len, index),
-            ))),
+            Ok((bytes, index)) => {
+                let graph = CachedGraph::new_encoded_intra(bytes, loc.bit_len, index);
+                Ok(Some(self.offer(
+                    GraphKey::Intra(s),
+                    graph,
+                    through.is_some(),
+                )))
+            }
             Err(e) => {
                 self.quarantine(Quarantine::Intra(s), e)?;
                 Ok(None)
@@ -787,11 +832,21 @@ impl SNode {
         }
     }
 
-    /// The fanout of supernode `s`, from the cache or built by this probe.
-    fn fanout(&self, s: u32, scratch: &mut BatchScratch) -> Result<Arc<CachedGraph>> {
-        match self.cache.get(GraphKey::Fanout(s)) {
-            Some(fanout) => Ok(fanout),
-            None => self.build_fanout(s, scratch),
+    /// The fanout of supernode `s`, from the cache or built by this probe
+    /// for `group` — the pages, the positions of the group's in their
+    /// ascending order, and the supernode's first page — and whether its
+    /// rows are the supernode's pages (`true`) or, built for a miss the
+    /// cache declined, the ranks of the group's distinct pages.
+    fn fanout(
+        &self,
+        s: u32,
+        group: (&[PageId], std::ops::Range<usize>, PageId),
+        scratch: &mut BatchScratch,
+    ) -> Result<(Arc<CachedGraph>, bool)> {
+        match self.cache.lookup(GraphKey::Fanout(s), || LEAST_CHARGE) {
+            Lookup::Hit(fanout) => Ok((fanout, true)),
+            Lookup::Miss => Ok((self.build_fanout(s, None, scratch)?, true)),
+            Lookup::Declined => Ok((self.build_fanout(s, Some(group), scratch)?, false)),
         }
     }
 
@@ -800,22 +855,42 @@ impl SNode {
     /// as far as `sources`, and for a single-target dictionary its entry
     /// if it has one only — admits it, and leaves the other blobs in
     /// `scratch.parsed` for the caller to parse and admit the ones its
-    /// pages need. Out of line, like [`SNode::load_superedge`]: with the
-    /// two miss paths inlined into `batch_run` every *warm* probe read 12 %
-    /// slower (ten ledger pairs, none won).
+    /// pages need. For a miss the cache declined, `group` names the pages
+    /// of the probe's group: each `sources` is read until it passes the
+    /// last of them, a dictionary's entry only if one of them is a source,
+    /// and the fanout has a row for each of them only and is not offered.
+    /// Out of line, like [`SNode::load_superedge`]: with the two miss
+    /// paths inlined into `batch_run` every *warm* probe read 12 % slower
+    /// (ten ledger pairs, none won).
     #[inline(never)]
-    fn build_fanout(&self, s: u32, scratch: &mut BatchScratch) -> Result<Arc<CachedGraph>> {
+    fn build_fanout(
+        &self,
+        s: u32,
+        group: Option<(&[PageId], std::ops::Range<usize>, PageId)>,
+        scratch: &mut BatchScratch,
+    ) -> Result<Arc<CachedGraph>> {
         let BatchScratch {
+            order,
             parsed,
             sources,
             ranges,
             targets,
+            group: locals,
             ..
         } = scratch;
         parsed.clear();
         sources.clear();
         ranges.clear();
         targets.clear();
+        locals.clear();
+        if let Some((pages, at, start)) = &group {
+            for &i in &order[at.clone()] {
+                let local = pages[i as usize] - start;
+                if locals.last() != Some(&local) {
+                    locals.push(local);
+                }
+            }
+        }
         let index = &self.dir.index;
         let ni = index.supernode_size(s);
         for (blob, &j) in (index.intra_blob(s) + 1..).zip(index.targets(s)) {
@@ -824,9 +899,12 @@ impl SNode {
                 false => {
                     let loc = index.locator(blob);
                     let blob = self.dir.load_blob(&loc, blob);
-                    let nj = u64::from(index.supernode_size(j));
+                    let (ni, nj) = (u64::from(ni), u64::from(index.supernode_size(j)));
                     let scanned = blob.and_then(|blob| {
-                        let scanned = scan_sources(&blob, loc.bit_len, u64::from(ni), nj, sources)?;
+                        let scanned = match group {
+                            None => scan_sources(&blob, loc.bit_len, ni, nj, sources),
+                            Some(_) => scan_sources_of(&blob, loc.bit_len, ni, nj, locals, sources),
+                        }?;
                         Ok((blob, scanned))
                     });
                     self.or_quarantine(s, j, scanned)?
@@ -843,10 +921,13 @@ impl SNode {
             targets.push(target);
         }
         let graphs = (ranges.iter()).map(|range| sources.get(range.clone()?));
-        let built = Fanout::build(ni, graphs, targets);
-        Ok(self
-            .cache
-            .insert(GraphKey::Fanout(s), CachedGraph::from(built?)))
+        let rows = match group {
+            None => ni,
+            // No more than the supernode's pages.
+            Some(_) => locals.len() as u32,
+        };
+        let built = CachedGraph::from(Fanout::build(rows, graphs, targets)?);
+        Ok(self.offer(GraphKey::Fanout(s), built, group.is_some()))
     }
 
     fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
@@ -880,14 +961,17 @@ impl SNode {
         if self.superedge_quarantined(s, j) {
             return Ok(None);
         }
-        match self.cache.get(GraphKey::Super(s, j)) {
-            Some(graph) => Ok(Some(graph)),
-            None => self.load_superedge(s, edge_idx, j, blob),
+        match self.cache.lookup(GraphKey::Super(s, j), || LEAST_CHARGE) {
+            Lookup::Hit(graph) => Ok(Some(graph)),
+            Lookup::Miss => self.load_superedge(s, edge_idx, j, blob, false),
+            Lookup::Declined => self.load_superedge(s, edge_idx, j, blob, true),
         }
     }
 
     /// A superedge miss: parses the graph from `blob` (this probe's fanout
-    /// build already read it), else from disk, and admits it.
+    /// build already read it), else from disk, and admits it — or, when
+    /// the cache `declined` the miss, offers nothing: a dictionary's
+    /// layout has to be read whole either way.
     #[inline(never)]
     fn load_superedge(
         &self,
@@ -895,6 +979,7 @@ impl SNode {
         edge_idx: u32,
         j: u32,
         blob: Option<ParsedSuperedge>,
+        declined: bool,
     ) -> Result<Option<Arc<CachedGraph>>> {
         let blob_idx = self.dir.index.intra_blob(s) + 1 + u64::from(edge_idx);
         let loc = self.dir.index.locator(blob_idx);
@@ -910,7 +995,7 @@ impl SNode {
         });
         Ok(self.or_quarantine(s, j, loaded)?.map(|(blob, index)| {
             let graph = CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj);
-            self.cache.insert(GraphKey::Super(s, j), graph)
+            self.offer(GraphKey::Super(s, j), graph, declined)
         }))
     }
 }

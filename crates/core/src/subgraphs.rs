@@ -21,9 +21,9 @@ use crate::codec::ListCodec;
 use crate::flat::{FlatLists, ListBuf};
 use crate::refenc::{
     append_bounded_gap_list, append_gap_section, bounded_gap_list_len, encode_lists, offset_width,
-    plain_cost, plan_lists, read_sole_entry, scan_lists, stream_bits_floor, stream_list_count,
-    write_bounded_gap_list, write_lists_planned, DecodeScratch, EncodedLists, ListsIndex,
-    ListsPlan, RefMode, Universe,
+    plain_cost, plan_lists, read_gap_list_while, read_sole_entry, scan_lists, stream_bits_floor,
+    stream_list_count, write_bounded_gap_list, write_lists_planned, DecodeScratch, EncodedLists,
+    ListsIndex, ListsPlan, RefMode, Universe,
 };
 use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
@@ -571,10 +571,9 @@ pub(crate) fn scan_sources(
 ) -> Result<Option<Scanned>> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     let mut w = r.window();
-    if w.read_bit()? {
+    let Some(layout) = positive_layout(&mut w)? else {
         return Ok(None);
-    }
-    let layout = Layout::read(&mut w)?;
+    };
     let start = pool.len();
     if let Err(e) = append_bounded_gap_list(&mut w, ni, pool) {
         pool.truncate(start);
@@ -586,6 +585,60 @@ pub(crate) fn scan_sources(
         Layout::Lists | Layout::ListDictionary => None,
     };
     Ok(Some(Scanned { sources, target }))
+}
+
+/// [`scan_sources`] for the pages `group` of the supernode only (local
+/// ids, ascending and distinct): appends for each of them that the graph
+/// lists its position in `group`, reading `sources` only until they pass
+/// the group's last page, and reads the one target of a single-target
+/// dictionary of one entry only if the graph lists a page of the group.
+/// What it reads is checked as [`scan_sources`] checks it. `None` for a
+/// negative graph; on an error `pool` is as it was.
+pub(crate) fn scan_sources_of(
+    bytes: &[u8],
+    bit_len: u64,
+    ni: u64,
+    nj: u64,
+    group: &[u32],
+    pool: &mut Vec<u32>,
+) -> Result<Option<Scanned>> {
+    let mut r = BitReader::with_bit_len(bytes, bit_len);
+    let mut w = r.window();
+    let Some(layout) = positive_layout(&mut w)? else {
+        return Ok(None);
+    };
+    // A one-target dictionary's entry lies past every source.
+    let single = layout == Layout::SingleTargets;
+    let (start, mut at) = (pool.len(), 0usize);
+    let read = read_gap_list_while(&mut w, ni, |source| {
+        while group.get(at).is_some_and(|&page| page < source) {
+            at += 1;
+        }
+        if group.get(at) == Some(&source) {
+            // Below `group.len()`, which a supernode's size bounds.
+            pool.push(at as u32);
+        }
+        at < group.len() || (single && pool.len() > start)
+    });
+    if let Err(e) = read {
+        pool.truncate(start);
+        return Err(e);
+    }
+    let sources = start..pool.len();
+    let target = match single && !sources.is_empty() {
+        true => sole_target(&mut w, sources.len(), nj),
+        false => None,
+    };
+    Ok(Some(Scanned { sources, target }))
+}
+
+/// Reads the kind bit of the superedge graph `w` opens and, for a
+/// positive graph, its layout; `None` for a negative graph.
+fn positive_layout(w: &mut Window<'_, '_>) -> Result<Option<Layout>> {
+    match w.read_bit()? {
+        true => Ok(None),
+        false => Layout::read(w).map(Some),
+    }
 }
 
 /// The entry of the single-target dictionary `r` is at, after `sources`
@@ -675,13 +728,22 @@ impl SuperedgeIndex {
         arena.reserve_exact(size - arena.len());
         let universe = Universe::Explicit(nj);
         if layout == Layout::Lists {
-            scan_lists(bytes, bit_len, body_at, universe, &mut arena, body)?;
+            scan_lists(
+                bytes,
+                bit_len,
+                body_at,
+                universe,
+                &mut arena,
+                body,
+                u32::MAX,
+            )?;
         } else {
             // The indexes go ahead of the entries they follow in the bytes.
             arena.resize(indexes.end, 0);
             let index_at = match layout {
                 Layout::ListDictionary => {
-                    scan_lists(bytes, bit_len, body_at, universe, &mut arena, body)?.2
+                    let all = u32::MAX;
+                    scan_lists(bytes, bit_len, body_at, universe, &mut arena, body, all)?.2
                 }
                 _ => {
                     r.seek(body_at)?;
@@ -1539,6 +1601,71 @@ mod tests {
                 });
                 let single = index.layout() == Layout::SingleTargets;
                 prop_assert_eq!(target, one.filter(|_| single).map(|l| l[0]));
+            }
+        }
+
+        /// What a declined fanout miss reads of a graph for a group of
+        /// pages: exactly the group's pages the whole scan lists, by
+        /// their positions in the group, and the one target of a
+        /// single-target dictionary of one entry if and only if one of
+        /// them is a source — in every shape, and for a template whose
+        /// every source links to one target (that dictionary); a
+        /// negative graph is `None` to both. Damaged bytes are refused
+        /// or read, never a panic, and whatever the group scan takes
+        /// from bytes the whole scan reads is the whole scan's.
+        #[test]
+        fn a_scan_for_a_group_reads_what_the_whole_scan_holds_of_it(
+            shape in 0usize..5,
+            seed in any::<u64>(),
+            n in 1usize..40,
+            group in proptest::collection::btree_set(0u32..90, 1..8),
+            flip in any::<u64>(),
+        ) {
+            let owned = match shape {
+                4 => Links {
+                    sources: (0..n as u32).map(|i| 2 * i + (seed % 2) as u32).collect(),
+                    lists: flat(n, |_| vec![(seed % 7) as u32]),
+                    ni: 2 * n as u64 + 1,
+                    nj: 7,
+                },
+                _ => shaped_links(shape, seed, n),
+            };
+            let links = owned.links();
+            let group: Vec<u32> = group.into_iter().filter(|&p| u64::from(p) < links.ni).collect();
+            let enc = encode_links(links, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
+            let (ni, nj) = (links.ni, links.nj);
+            let mut flipped = enc.bytes.clone();
+            let at = (flip % enc.bit_len.max(1)) as usize;
+            flipped[at / 8] ^= 0x80 >> (at % 8);
+            for bytes in [&enc.bytes, &flipped] {
+                let (mut whole, mut some) = (vec![7], vec![7]);
+                let all = scan_sources(bytes, enc.bit_len, ni, nj, &mut whole);
+                let of = scan_sources_of(bytes, enc.bit_len, ni, nj, &group, &mut some);
+                let Ok(of) = of else {
+                    prop_assert_eq!(&some, &[7], "an error leaves the pool as it was");
+                    prop_assert!(all.is_err(), "the whole scan reads past the group's");
+                    continue;
+                };
+                let Ok(all) = all else {
+                    continue;
+                };
+                let (all, of) = match (all, of) {
+                    (None, None) => continue,
+                    (Some(all), Some(of)) => (all, of),
+                    (all, of) => return Err(TestCaseError::fail(format!("{all:?} / {of:?}"))),
+                };
+                let listed: Vec<u32> = group
+                    .iter()
+                    .copied()
+                    .filter(|p| whole[all.sources.clone()].contains(p))
+                    .collect();
+                let got: Vec<u32> = some[of.sources.clone()].iter().map(|&k| group[k as usize]).collect();
+                prop_assert_eq!(&got, &listed);
+                let target = all.target.filter(|_| !listed.is_empty());
+                prop_assert_eq!(of.target, target);
+                if shape == 4 && bytes == &enc.bytes {
+                    prop_assert_eq!(all.target, Some((seed % 7) as u32), "a template");
+                }
             }
         }
 
