@@ -13,8 +13,10 @@
 //!   fills it: p50, p99 and p99.9 over all probes, and bucketed by the size
 //!   of the probe's element (supernode), with each bucket's share of the
 //!   probes and of the time;
-//! * the bytes the cold pass loaded into the cache, by class, and its
-//!   hits, misses, evictions and refusals (`GraphCacheStats`);
+//! * the bytes the cold pass loaded into the cache, by class — what the
+//!   graphs built for the cache and offered to it are charged; a miss the
+//!   cache declines builds only its page's part and loads nothing — and
+//!   its hits, misses, evictions and refusals (`GraphCacheStats`);
 //! * the `VmRSS` each handle adds to this process at its open and over
 //!   its pass (the warm one's fill pass), read from `/proc/self/status`.
 //!   The corpus and the build run on a thread of their own, and both

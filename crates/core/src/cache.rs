@@ -501,11 +501,15 @@ const MIN_SHARD_BUDGET: usize = 1 << 20;
 /// * **Admission.** A graph that fits beside what the shard holds is
 ///   admitted. One that does not is weighed against the least recently
 ///   used graphs it would evict, oldest first: if any of them is
-///   estimated to be read at least as often as it, it is refused (it still
-///   answers the probe that decoded it, through the `Arc` [`Self::insert`]
-///   returns, and is dropped after); otherwise they are evicted and it is
-///   admitted. A graph larger than its shard is refused, so
-///   [`Self::used`] never exceeds [`Self::budget`]. A probe lands on a
+///   estimated to be read at least as often as it, it is refused;
+///   otherwise they are evicted and it is admitted. A graph larger than
+///   its shard is refused, so [`Self::used`] never exceeds
+///   [`Self::budget`]. The rule is applied first at the lookup, to a
+///   floor on the missing graph's charge ([`Self::lookup`]): a miss it
+///   refuses is declined before anything is built, and the probe builds
+///   only what it needs of the graph. [`Self::insert`] applies it again
+///   to what was built; a graph refused there still answers the probe
+///   that built it, through the `Arc` it returns, and is dropped after. A probe lands on a
 ///   supernode in proportion to its size, and the graphs of a large one
 ///   cost the most to rebuild, so under pressure the cache keeps them and
 ///   one-shot graphs no longer flush them.
