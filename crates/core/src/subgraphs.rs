@@ -726,23 +726,15 @@ impl SuperedgeIndex {
         let indexes = index.after(arena.len(), indexed);
         let size = body.after(indexes.end, len as usize).end;
         arena.reserve_exact(size - arena.len());
-        let universe = Universe::Explicit(nj);
+        // A stream's every list, not those up to a bound.
+        let (universe, all) = (Universe::Explicit(nj), u32::MAX);
         if layout == Layout::Lists {
-            scan_lists(
-                bytes,
-                bit_len,
-                body_at,
-                universe,
-                &mut arena,
-                body,
-                u32::MAX,
-            )?;
+            scan_lists(bytes, bit_len, body_at, universe, &mut arena, body, all)?;
         } else {
             // The indexes go ahead of the entries they follow in the bytes.
             arena.resize(indexes.end, 0);
             let index_at = match layout {
                 Layout::ListDictionary => {
-                    let all = u32::MAX;
                     scan_lists(bytes, bit_len, body_at, universe, &mut arena, body, all)?.2
                 }
                 _ => {
