@@ -1,8 +1,8 @@
 //! **Ablation A2** (DESIGN.md): partitioning policy vs compression.
-//! Compares (a) the domain partition alone, (b) URL split only, (c) the
-//! full refinement with clustered split, and (d) the full refinement with
-//! the paper's edge-count superedge heuristic instead of encoded-size
-//! comparison; plus a granularity sweep over the URL-split gate.
+//! Compares (a) the domain partition alone, (b) the full refinement (URL
+//! split, the default build), and (c) the full refinement with the paper's
+//! edge-count superedge heuristic instead of encoded-size comparison; plus
+//! a granularity sweep over the URL-split gate.
 //!
 //! Usage: `cargo run -p wg-bench --release --bin ablation_partition
 //! [--scale pages-per-million]`
@@ -28,10 +28,6 @@ fn main() {
         max_iterations: 0, // P0 untouched
         ..Default::default()
     };
-    let url_only = RefineConfig {
-        kmeans_ops_budget: 0, // clustered split always aborts
-        ..Default::default()
-    };
     let coarse = RefineConfig {
         min_url_split_mean: 512,
         ..Default::default()
@@ -46,13 +42,6 @@ fn main() {
             "domain-only (P0)",
             SNodeConfig {
                 refine: domain_only,
-                ..Default::default()
-            },
-        ),
-        (
-            "url-split only",
-            SNodeConfig {
-                refine: url_only,
                 ..Default::default()
             },
         ),
@@ -98,7 +87,7 @@ fn main() {
     for (name, config) in variants {
         let dir = args
             .work_dir
-            .join(format!("abl_part_{}", name.replace(' ', "_")));
+            .join(format!("abl_part_{}", name.replace([' ', '/'], "_")));
         let input = RepoInput {
             urls: &urls,
             domains: &domains,

@@ -40,7 +40,7 @@ pub struct SNodeConfig {
     pub superedge_policy: SuperedgePolicy,
     /// Index-file size cap (paper: 500 MB).
     pub max_file_bytes: u64,
-    /// Worker threads for the encode pipeline and k-means loops.
+    /// Worker threads for the encode pipeline (refinement runs on one).
     ///
     /// `0` (the default) resolves at build time via
     /// [`crate::par::resolve_threads`]: the `WGR_THREADS` environment
@@ -71,7 +71,7 @@ impl Default for SNodeConfig {
 pub struct StageTimings {
     /// Worker threads the build resolved to (after `WGR_THREADS` / auto).
     pub threads: u32,
-    /// Partition refinement (§3.2), including k-means.
+    /// Partition refinement (§3.2).
     pub refine_secs: f64,
     /// Page renumbering.
     pub remap_secs: f64,
@@ -214,26 +214,17 @@ fn build_windowed(
     let n_pages = input.graph.num_nodes();
     assert_eq!(input.urls.len(), n_pages as usize);
     assert_eq!(input.domains.len(), n_pages as usize);
-    let threads = crate::par::resolve_threads(config.threads);
     let t_build = Stopwatch::start();
 
-    // 1. Iterative partition refinement (§3.2). The thread count flows
-    //    into the k-means distance loops; refinement decisions are
-    //    unaffected (see `RefineConfig::threads`).
-    let refine_config = RefineConfig {
-        threads,
-        ..config.refine
-    };
+    // 1. Iterative partition refinement (§3.2).
     let t = Stopwatch::start();
-    let (partition, refine_stats) = refine(input.urls, input.domains, input.graph, &refine_config);
+    let (partition, refine_stats) = refine(input.urls, input.domains, &config.refine);
     let refine_secs = secs(record_span("core.build.refine", "build", &t));
     if wg_obs::metrics_enabled() {
         let reg = wg_obs::global();
         let count = |name: &str, n: u64| reg.counter(&format!("core.build.refine.{name}")).add(n);
         count("iterations", refine_stats.iterations);
         count("url_splits", refine_stats.url_splits);
-        count("clustered_splits", refine_stats.clustered_splits);
-        count("clustered_aborts", refine_stats.clustered_aborts);
     }
 
     // 2. Page numbering (§3.3): supernodes numbered 1..n in element order;

@@ -2,8 +2,7 @@
 //!
 //! Every list collection the build handles — a supernode's intranode
 //! adjacency, one superedge's target lists, the complement a negative graph
-//! stores, the distinct lists of a dictionary, the bit vectors k-means
-//! clusters — is the same shape: many short ascending lists, built once,
+//! stores, the distinct lists of a dictionary — is the same shape: many short ascending lists, built once,
 //! read many times. [`ListBuf`] holds such a collection as two arrays,
 //! every list's entries one after the other and the offset each list ends
 //! at, so that nothing is allocated per list; [`FlatLists`] is the

@@ -16,21 +16,20 @@
 //!   vectors (§3.1, §3.3).
 //!
 //! The partition is produced by **iterative refinement** (§3.2): start from
-//! the domain partition, split elements by URL prefix (up to three
-//! directory levels), then by k-means clustering of supernode-adjacency bit
-//! vectors, stopping after a run of consecutive clustered-split aborts.
+//! the domain partition and split elements by URL prefix (up to three
+//! directory levels), largest first, until none splits. The paper's second
+//! step, clustered split by k-means, is not implemented (DESIGN.md §4b).
 //!
 //! Module map:
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders, and k-means its vectors |
+//! | [`flat`] | — | list collections as one flat array: what the build hands from the page walk to the encoders |
 //! | [`section`] | §4.3 | runs of values at the narrowest byte width their bound allows: the one section type every cache arena is cut into |
 //! | [`refenc`] | §3.1 | reference selection over the backward affinity graph (a window of preceding lists), list codec |
 //! | [`codec`] | — | what is left of a per-directory codec choice: two empty types a frozen caller still names, until ROADMAP item 1(a) |
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
-//! | [`kmeans`] | §3.2 | k-means over supernode-adjacency bit vectors |
-//! | [`partition`] | §3.2 | URL split, clustered split, iterative refinement loop |
+//! | [`partition`] | §3.2 | URL split and the iterative refinement loop |
 //! | [`supergraph`] | §3.3 | supernode graph + Huffman encoding + pointer accounting |
 //! | [`subgraphs`] | §2, §3.3 | intranode / positive / negative superedge graph codecs; a positive graph's three layouts |
 //! | [`bits`] | Table 1 | every bit of a directory, by class of stored material (`wgr stats --bits`) |
@@ -53,7 +52,6 @@ pub mod codec;
 pub mod disk;
 pub mod flat;
 pub mod integrity;
-pub mod kmeans;
 pub mod par;
 pub mod partition;
 pub mod refenc;

@@ -1,9 +1,8 @@
 //! Work-pool concurrency layer for the build pipeline.
 //!
-//! Construction cost is dominated by two embarrassingly-parallel stages —
-//! per-supernode reference encoding (§5 of the paper's pipeline) and the
-//! k-means distance loops behind clustered split (§3.2) — so this module
-//! provides the one primitive both need: map a function over an index
+//! Construction cost is dominated by one embarrassingly-parallel stage,
+//! per-supernode reference encoding (§5 of the paper's pipeline), so this
+//! module provides the one primitive it needs: map a function over an index
 //! space on a bounded pool of workers and return the results **in input
 //! order**. Every helper here is deterministic by construction: scheduling
 //! decides only *when* an item is computed, never *what* is computed or
@@ -75,8 +74,8 @@ where
             scope.spawn(|| {
                 let busy = wg_obs::Stopwatch::start();
                 // Claim one index at a time: items are coarse (a whole
-                // supernode, a whole chunk) so cursor contention is noise,
-                // and dynamic claiming is what absorbs size skew.
+                // supernode) so cursor contention is noise, and dynamic
+                // claiming is what absorbs size skew.
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -101,36 +100,6 @@ where
     debug_assert_eq!(collected.len(), n);
     collected.sort_unstable_by_key(|&(i, _)| i);
     collected.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Splits `0..n` into contiguous chunks of at least `min_chunk` items and
-/// maps `f` over the chunks in parallel, returning per-chunk results in
-/// chunk order.
-///
-/// This is the fine-grained counterpart to [`par_map`]: loops whose items
-/// are too cheap to claim individually (a k-means distance evaluation, one
-/// candidate-cost probe) amortise the scheduling over a chunk. Chunk
-/// boundaries depend only on `n`, `min_chunk`, and `threads` — never on
-/// scheduling — so reductions over the returned vector are deterministic.
-pub fn par_chunks<R, F>(threads: u32, n: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let min_chunk = min_chunk.max(1);
-    // Aim for a few chunks per worker so dynamic claiming can rebalance,
-    // but never chunks smaller than the caller's floor.
-    let target = (threads as usize).max(1) * 4;
-    let chunk = min_chunk.max(n.div_ceil(target));
-    let num_chunks = n.div_ceil(chunk);
-    par_map(threads, num_chunks, |c| {
-        let start = c * chunk;
-        let end = (start + chunk).min(n);
-        f(start..end)
-    })
 }
 
 #[cfg(test)]
@@ -164,17 +133,6 @@ mod tests {
         });
         assert_eq!(got[3], (0..200_000u64).sum::<u64>() + 3);
         assert_eq!(got[49], 49);
-    }
-
-    #[test]
-    fn par_chunks_covers_exactly_once() {
-        for threads in [1u32, 3, 7] {
-            for n in [0usize, 1, 10, 97, 1000] {
-                let chunks = par_chunks(threads, n, 8, |r| r.collect::<Vec<usize>>());
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "t={threads} n={n}");
-            }
-        }
     }
 
     #[test]

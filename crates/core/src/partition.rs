@@ -2,46 +2,24 @@
 //!
 //! The partition starts as the **domain partition** `P0` (all pages of
 //! `stanford.edu` together, keyed by the top two DNS levels), then is
-//! refined one element at a time:
+//! refined one element at a time by **URL split**: grouping an element's
+//! pages by a URL prefix one level deeper than the prefix that produced
+//! it, from hostname down to three directory levels. The largest element
+//! that can still split is refined first, until none can; an element whose
+//! prefixes are used up is final.
 //!
-//! * an element still inside its URL budget is split by **URL split** —
-//!   grouping by a URL prefix one level deeper than the prefix that
-//!   produced it, from hostname down to three directory levels;
-//! * past that depth, by **clustered split** — k-means over the pages'
-//!   supernode-adjacency bit vectors, starting with `k` equal to the
-//!   element's supernode out-degree, `k += 2` after every non-converged
-//!   (aborted) run, giving up after a fixed number of attempts.
-//!
-//! The element to refine is chosen uniformly at random (the paper found
-//! "largest first" and "random" indistinguishable and adopted random).
-//! Refinement stops after `abort_max` consecutive clustered-split aborts,
-//! with `abort_max` a fixed fraction (default 6 %) of the current number of
-//! elements — exactly the paper's stopping criterion.
-//!
-//! One implementation note: the paper maintains the supernode graph
-//! incrementally across iterations; we recompute the (element-local) slice
-//! of it that clustered split needs on demand from `elem_of`. The results
-//! are identical; only the bookkeeping differs.
+//! The paper refines further by clustered split, k-means over the pages'
+//! supernode-adjacency bit vectors, and picks elements at random. Neither
+//! is here: on generated corpora clustered split never fired under its
+//! default budget, and where a larger one made it fire it made compression
+//! worse (DESIGN.md §4b), so URL order alone decides the partition.
 
-use crate::flat::ListBuf;
-use crate::kmeans::{kmeans_binary, KMeansOutcome, KMeansParams};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use wg_graph::{Graph, PageId};
+use wg_graph::PageId;
 use wg_obs::{record_span, Stopwatch};
 
 /// Deepest URL-prefix level used by URL split (hostname = 0, then three
 /// directory levels), per the paper's manual-inspection finding.
 pub const MAX_URL_DEPTH: u32 = 3;
-
-/// `abort_max` as a fraction of the current element count (paper: 6 %).
-const ABORT_FRACTION: f64 = 0.06;
-
-/// Iteration bound per k-means run (the paper's execution-time bound).
-const KMEANS_MAX_ITERATIONS: u32 = 30;
-
-/// k-means attempts (`k`, `k+2`, …) before clustered split aborts.
-const KMEANS_ATTEMPTS: u32 = 3;
 
 /// Elements smaller than this are never split further.
 const MIN_ELEMENT_SIZE: u32 = 2;
@@ -54,8 +32,8 @@ pub enum SplitState {
         /// Prefix depth for the next URL split.
         depth: u32,
     },
-    /// URL prefixes are exhausted; only clustered split applies.
-    Clustered,
+    /// URL prefixes are used up: the element is final.
+    Exhausted,
 }
 
 /// One element of the partition.
@@ -67,12 +45,6 @@ pub struct Element {
     pub domain: u32,
     /// Split technique to apply next.
     pub state: SplitState,
-    /// Set once clustered split aborted on this element: future picks
-    /// abort immediately instead of re-running k-means. A pure
-    /// cost optimisation over the paper's loop (it re-ran k-means on every
-    /// pick); it can only make re-splittable-after-neighbour-changes
-    /// elements stay whole, never split anything the paper would not.
-    pub sterile: bool,
 }
 
 /// A partition of the repository's pages.
@@ -103,7 +75,6 @@ impl Partition {
                 pages: Vec::with_capacity(size),
                 domain: d as u32,
                 state: SplitState::Url { depth: 0 },
-                sterile: false,
             });
         }
         let elem_of: Vec<u32> = domains
@@ -132,8 +103,7 @@ impl Partition {
                 Element {
                     pages: (range[0]..range[1]).collect(),
                     domain: 0,
-                    state: SplitState::Clustered,
-                    sterile: true,
+                    state: SplitState::Exhausted,
                 }
             })
             .collect();
@@ -190,7 +160,6 @@ impl Partition {
             pages: first,
             domain,
             state: first_state,
-            sterile: false,
         };
         for (group, state) in iter {
             let new_idx = self.elements.len() as u32;
@@ -201,85 +170,34 @@ impl Partition {
                 pages: group,
                 domain,
                 state,
-                sterile: false,
             });
         }
     }
 }
 
-/// Which element the refinement loop picks each iteration.
-///
-/// The paper tried "always split the largest" and "pick at random" and
-/// measured them indistinguishable (§3.2), then used random. At the
-/// reduced scales this harness runs, random picking interacts badly with
-/// the consecutive-abort stopping criterion: with few hundred elements of
-/// which only a handful are splittable, a short unlucky streak (6 % of a
-/// small partition is a small number) stops refinement before the large
-/// splittable elements are ever touched. Largest-first is deterministic,
-/// runs to true exhaustion, and by the paper's own measurement produces
-/// the same partitions — so it is the default here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PickPolicy {
-    /// Deterministically refine the largest refinable element each round.
-    #[default]
-    LargestFirst,
-    /// The paper's final policy: uniform random element each round.
-    Random,
-}
-
 /// Configuration of the refinement loop.
 #[derive(Debug, Clone, Copy)]
 pub struct RefineConfig {
-    /// RNG seed (element choice, k-means init).
-    pub seed: u64,
-    /// Element-choice policy.
-    pub pick: PickPolicy,
-    /// Operation budget per k-means run — the deterministic stand-in for
-    /// the paper's wall-clock bound on clustered split. Large elements
-    /// with large supernode out-degrees blow this budget and abort, which
-    /// is the mechanism that keeps the final partition's elements at
-    /// realistic sizes instead of shattering to singletons.
-    pub kmeans_ops_budget: u64,
     /// A URL split is applied only if the mean size of the groups it
     /// produces is at least this; otherwise the element keeps its current
-    /// granularity and moves on to clustered split. Same Requirement-1
-    /// rationale as `min_mean_cluster_size`: the partition must "produce
-    /// intranode and superedge graphs that are highly compressible", and
-    /// groups of a handful of pages trade away all reference-encoding
-    /// opportunity for per-graph overhead. The default of 32 matches the
-    /// granularity the paper's partition ends at (Fig 9a: several hundred
-    /// pages per supernode on crawls whose hosts are ~1000× larger than
-    /// this harness's synthetic ones).
+    /// granularity and is final. Requirement 1 (§3): the partition must
+    /// "produce intranode and superedge graphs that are highly
+    /// compressible", and groups of a handful of pages trade away all
+    /// reference-encoding opportunity for per-graph overhead. The default
+    /// of 128 matches the granularity the paper's partition ends at (Fig 9a:
+    /// several hundred pages per supernode on crawls whose hosts are ~1000×
+    /// larger than this harness's synthetic ones).
     pub min_url_split_mean: u32,
-    /// A converged clustered split is accepted only if the mean size of
-    /// its non-empty clusters is at least this. Requirement 1 (§3) wants
-    /// partitions whose elements compress well under reference encoding;
-    /// a split whose clusters are near-singletons destroys every
-    /// reference-encoding candidate while multiplying per-graph overhead,
-    /// so it is treated as "no usable cluster structure" (the element is
-    /// cohesive) rather than applied.
-    pub min_mean_cluster_size: u32,
-    /// Hard cap on refinement iterations (safety valve; effectively
-    /// unreachable for sane inputs).
+    /// Cap on refinement iterations (0 leaves `P0` untouched; the default
+    /// is never reached).
     pub max_iterations: u64,
-    /// Worker threads for the k-means distance/assignment loops (1 =
-    /// serial; [`crate::build::build_snode`] overrides this with the
-    /// build-level thread count). Refinement *decisions* are unaffected:
-    /// the parallel loops are deterministic and the RNG is consumed only
-    /// on the serial path (element picks, Forgy initialisation).
-    pub threads: u32,
 }
 
 impl Default for RefineConfig {
     fn default() -> Self {
         Self {
-            seed: 0x5EED,
-            pick: PickPolicy::LargestFirst,
-            kmeans_ops_budget: 400_000,
             min_url_split_mean: 128,
-            min_mean_cluster_size: 16,
             max_iterations: 10_000_000,
-            threads: 1,
         }
     }
 }
@@ -287,28 +205,19 @@ impl Default for RefineConfig {
 /// Statistics of a refinement run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefineStats {
-    /// Iterations executed.
+    /// Iterations executed: elements picked, whether they split or were
+    /// found final.
     pub iterations: u64,
     /// Successful URL splits.
     pub url_splits: u64,
-    /// Successful clustered splits.
-    pub clustered_splits: u64,
-    /// Clustered-split aborts.
-    pub clustered_aborts: u64,
 }
 
 /// Runs iterative refinement to completion and returns the final partition.
 ///
-/// `urls[p]` must be the full URL of page `p`; `domains[p]` its domain id;
-/// `graph` the Web graph.
-pub fn refine(
-    urls: &[&str],
-    domains: &[u32],
-    graph: &Graph,
-    config: &RefineConfig,
-) -> (Partition, RefineStats) {
+/// `urls[p]` must be the full URL of page `p` and `domains[p]` its domain
+/// id: the partition is a function of these alone, not of the links.
+pub fn refine(urls: &[&str], domains: &[u32], config: &RefineConfig) -> (Partition, RefineStats) {
     assert_eq!(urls.len(), domains.len());
-    assert_eq!(urls.len(), graph.num_nodes() as usize);
     let mut partition = Partition::initial(domains);
     if partition.is_empty() {
         return (partition, RefineStats::default());
@@ -317,122 +226,50 @@ pub fn refine(
     let t = Stopwatch::start();
     let ranks = rank_prefixes(&partition, urls);
     record_span("core.build.refine.rank_prefixes", "build", &t);
-    let mut run = Refinement {
-        ranks,
-        graph,
-        config,
-        rng: SmallRng::seed_from_u64(config.seed),
-        stats: RefineStats::default(),
-        dims: DimScratch::default(),
-    };
-    match config.pick {
-        PickPolicy::LargestFirst => run.largest_first(&mut partition),
-        PickPolicy::Random => run.random(&mut partition),
-    }
-    let stats = run.stats;
+    let stats = largest_first(&mut partition, &ranks, config);
 
-    debug_assert!(partition.validate(graph.num_nodes()));
+    debug_assert!(partition.validate(urls.len() as u32));
     (partition, stats)
 }
 
-/// What one refinement run reads and keeps from pick to pick.
-struct Refinement<'a> {
-    ranks: Vec<PrefixRanks>,
-    graph: &'a Graph,
-    config: &'a RefineConfig,
-    rng: SmallRng,
-    stats: RefineStats,
-    dims: DimScratch,
-}
-
-impl Refinement<'_> {
-    /// One refinement attempt on element `idx`; returns whether it split.
-    fn refine_one(&mut self, partition: &mut Partition, idx: u32) -> bool {
-        // URL split while the element has prefix budget left.
-        if let SplitState::Url { depth } = partition.elements[idx as usize].state {
-            let t = Stopwatch::start();
-            let outcome = try_url_split(partition, idx, depth, &self.ranks, self.config);
-            record_span("core.build.refine.url_split", "build", &t);
-            match outcome {
-                UrlSplitOutcome::Split => {
-                    self.stats.url_splits += 1;
-                    return true;
-                }
-                UrlSplitOutcome::Exhausted => {
-                    // Fall through to clustered split below.
-                }
-            }
+/// The refinement loop: a lazy max-heap of (size, element), so every
+/// element gets exactly one pick per size (the split element and its new
+/// siblings re-enter; one that does not split is final and does not).
+fn largest_first(
+    partition: &mut Partition,
+    ranks: &[PrefixRanks],
+    config: &RefineConfig,
+) -> RefineStats {
+    use std::collections::BinaryHeap;
+    let mut stats = RefineStats::default();
+    let mut heap: BinaryHeap<(usize, u32)> = (0..partition.len() as u32)
+        .map(|i| (partition.elements[i as usize].pages.len(), i))
+        .collect();
+    while let Some((size, idx)) = heap.pop() {
+        if stats.iterations >= config.max_iterations {
+            break;
         }
+        let element = &partition.elements[idx as usize];
+        if element.pages.len() != size {
+            continue; // stale heap entry
+        }
+        stats.iterations += 1;
+        let SplitState::Url { depth } = element.state else {
+            continue;
+        };
         let t = Stopwatch::start();
-        let (graph, config) = (self.graph, self.config);
-        let split =
-            try_clustered_split(partition, idx, graph, config, &mut self.rng, &mut self.dims);
-        record_span("core.build.refine.clustered", "build", &t);
+        let before = partition.len() as u32;
+        let split = try_url_split(partition, idx, depth, ranks, config);
+        record_span("core.build.refine.url_split", "build", &t);
         if split {
-            self.stats.clustered_splits += 1;
-        } else {
-            self.stats.clustered_aborts += 1;
-        }
-        split
-    }
-
-    /// Deterministic policy: a lazy max-heap of (size, element); every
-    /// element gets exactly one shot per size (children re-enter after
-    /// splits; failed elements turn sterile and never re-enter). Runs to
-    /// true exhaustion.
-    fn largest_first(&mut self, partition: &mut Partition) {
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<(usize, u32)> = (0..partition.len() as u32)
-            .map(|i| (partition.elements[i as usize].pages.len(), i))
-            .collect();
-        while let Some((size, idx)) = heap.pop() {
-            if self.stats.iterations >= self.config.max_iterations {
-                break;
-            }
-            let e = &partition.elements[idx as usize];
-            if e.sterile || e.pages.len() != size {
-                continue; // stale heap entry
-            }
-            self.stats.iterations += 1;
-            let before = partition.len() as u32;
-            if self.refine_one(partition, idx) {
-                // Re-enter the shrunken element and its new siblings.
-                heap.push((partition.elements[idx as usize].pages.len(), idx));
-                for i in before..partition.len() as u32 {
-                    heap.push((partition.elements[i as usize].pages.len(), i));
-                }
-            }
-            // On failure the element is sterile (clustered split marks it)
-            // or exhausted-and-sterile; either way it does not re-enter.
-        }
-    }
-
-    /// The paper's random policy with its consecutive-abort stopping
-    /// criterion.
-    fn random(&mut self, partition: &mut Partition) {
-        let mut consecutive_aborts = 0u64;
-        while self.stats.iterations < self.config.max_iterations {
-            let abort_max = ((partition.len() as f64 * ABORT_FRACTION).ceil() as u64).max(2);
-            if consecutive_aborts >= abort_max {
-                break;
-            }
-            self.stats.iterations += 1;
-            let idx = self.rng.gen_range(0..partition.len()) as u32;
-            if self.refine_one(partition, idx) {
-                consecutive_aborts = 0;
-            } else {
-                consecutive_aborts += 1;
+            stats.url_splits += 1;
+            heap.push((partition.elements[idx as usize].pages.len(), idx));
+            for i in before..partition.len() as u32 {
+                heap.push((partition.elements[i as usize].pages.len(), i));
             }
         }
     }
-}
-
-enum UrlSplitOutcome {
-    /// The element was split into ≥ 2 groups.
-    Split,
-    /// No prefix up to [`MAX_URL_DEPTH`] discriminates; the element is now
-    /// marked [`SplitState::Clustered`].
-    Exhausted,
+    stats
 }
 
 /// A page's URL prefix at every depth URL split groups by, each as its
@@ -511,18 +348,20 @@ fn rank_prefixes(partition: &Partition, urls: &[&str]) -> Vec<PrefixRanks> {
 }
 
 /// Attempts URL split at `depth`, deepening past non-discriminating levels
-/// (single-group results) until a split happens or the budget runs out.
+/// (single-group results) until a split happens or the budget runs out;
+/// returns whether the element was split. One that was not is marked
+/// [`SplitState::Exhausted`].
 fn try_url_split(
     partition: &mut Partition,
     idx: u32,
     start_depth: u32,
     ranks: &[PrefixRanks],
     config: &RefineConfig,
-) -> UrlSplitOutcome {
+) -> bool {
     let element = &partition.elements[idx as usize];
     if (element.pages.len() as u32) < MIN_ELEMENT_SIZE {
-        partition.elements[idx as usize].state = SplitState::Clustered;
-        return UrlSplitOutcome::Exhausted;
+        partition.elements[idx as usize].state = SplitState::Exhausted;
+        return false;
     }
     let mut depth = start_depth;
     let mut keyed: Vec<(u32, PageId)> = Vec::new();
@@ -548,7 +387,7 @@ fn try_url_split(
             // every sufficiently large group becomes its own element.
             let gate = config.min_url_split_mean.max(1) as usize;
             let next_state = if depth + 1 > MAX_URL_DEPTH {
-                SplitState::Clustered
+                SplitState::Exhausted
             } else {
                 SplitState::Url { depth: depth + 1 }
             };
@@ -565,140 +404,23 @@ fn try_url_split(
             if !residual.is_empty() {
                 residual.sort_unstable();
                 // Mixed prefixes: URL split would regroup it identically,
-                // so only clustered split may refine it further.
-                children.push((residual, SplitState::Clustered));
+                // so it is final.
+                children.push((residual, SplitState::Exhausted));
             }
             if children.len() >= 2 {
                 partition.apply_split(idx, children);
-                return UrlSplitOutcome::Split;
+                return true;
             }
             // Everything pooled into one group: no usable URL structure at
             // this depth or below.
-            partition.elements[idx as usize].state = SplitState::Clustered;
-            return UrlSplitOutcome::Exhausted;
+            break;
         }
         if depth >= MAX_URL_DEPTH {
-            partition.elements[idx as usize].state = SplitState::Clustered;
-            return UrlSplitOutcome::Exhausted;
+            break;
         }
         depth += 1;
-        partition.elements[idx as usize].state = SplitState::Url { depth };
     }
-}
-
-/// The dimension, in the clustered split under way, of every partition
-/// element that has one: a slot per element, kept from split to split and
-/// grown with the partition, so that a split pays for the elements its
-/// pages link to and not for all there are.
-#[derive(Default)]
-struct DimScratch {
-    dim_of: Vec<u32>,
-    /// The elements that have a dimension, in dimension order.
-    touched: Vec<u32>,
-}
-
-impl DimScratch {
-    const NO_DIM: u32 = u32::MAX;
-}
-
-/// Attempts clustered split; returns whether the element was split.
-fn try_clustered_split(
-    partition: &mut Partition,
-    idx: u32,
-    graph: &Graph,
-    config: &RefineConfig,
-    rng: &mut SmallRng,
-    scratch: &mut DimScratch,
-) -> bool {
-    let element = &partition.elements[idx as usize];
-    let m = element.pages.len();
-    if element.sterile || (m as u32) < MIN_ELEMENT_SIZE {
-        return false;
-    }
-
-    // Supernode-adjacency bit vectors: dimensions are the *other* elements
-    // this element points to (the supernode's out-neighbours, Figure 6),
-    // numbered in the order the pages' links first reach them: a slot per
-    // partition element holds its dimension once it has one.
-    let DimScratch { dim_of, touched } = scratch;
-    dim_of.resize(partition.len(), DimScratch::NO_DIM);
-    let mut vectors = ListBuf::default();
-    for &p in &element.pages {
-        let others = graph
-            .neighbors(p)
-            .iter()
-            .map(|&t| partition.elem_of[t as usize])
-            .filter(|&e| e != idx);
-        vectors.push_set(others.map(|e| {
-            let dim = &mut dim_of[e as usize];
-            if *dim == DimScratch::NO_DIM {
-                *dim = touched.len() as u32;
-                touched.push(e);
-            }
-            *dim
-        }));
-    }
-    let dims = touched.len() as u32;
-    for e in touched.drain(..) {
-        dim_of[e as usize] = DimScratch::NO_DIM;
-    }
-    if dims == 0 {
-        return false; // nothing to discriminate on
-    }
-
-    // k starts at the supernode out-degree; k += 2 per aborted attempt.
-    let mut k = dims;
-    for _attempt in 0..KMEANS_ATTEMPTS {
-        let outcome = kmeans_binary(
-            vectors.view(),
-            dims,
-            KMeansParams {
-                k,
-                max_iterations: KMEANS_MAX_ITERATIONS,
-                max_ops: config.kmeans_ops_budget / u64::from(KMEANS_ATTEMPTS),
-                threads: config.threads,
-            },
-            rng,
-        );
-        match outcome {
-            KMeansOutcome::Converged {
-                assignment,
-                non_empty,
-            } if non_empty >= 2 => {
-                // A usable split must leave clusters big enough to keep
-                // reference encoding effective (Requirement 1): shattered
-                // output means the element has no real cluster structure.
-                if (m as u32) < non_empty * config.min_mean_cluster_size.max(1) {
-                    partition.elements[idx as usize].sterile = true;
-                    return false;
-                }
-                // Split into non-empty clusters.
-                let kk = (k as usize).clamp(1, m);
-                let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); kk];
-                let pages = partition.elements[idx as usize].pages.clone();
-                for (i, &p) in pages.iter().enumerate() {
-                    groups[assignment[i] as usize].push(p);
-                }
-                groups.retain(|g| !g.is_empty());
-                let children = groups
-                    .into_iter()
-                    .map(|g| (g, SplitState::Clustered))
-                    .collect();
-                partition.apply_split(idx, children);
-                return true;
-            }
-            KMeansOutcome::Converged { .. } => {
-                // Converged to a single cluster: the element is cohesive;
-                // a larger k will not help (same fixed point dominates).
-                partition.elements[idx as usize].sterile = true;
-                return false;
-            }
-            KMeansOutcome::Aborted => {
-                k += 2;
-            }
-        }
-    }
-    partition.elements[idx as usize].sterile = true;
+    partition.elements[idx as usize].state = SplitState::Exhausted;
     false
 }
 
@@ -870,10 +592,10 @@ mod tests {
         };
         let ranks = rank_prefixes(&p, &urls);
         // Element 0 (alpha.edu): host split → www vs cs.
-        match try_url_split(&mut p, 0, 0, &ranks, &cfg) {
-            UrlSplitOutcome::Split => {}
-            _ => panic!("host-level split must succeed"),
-        }
+        assert!(
+            try_url_split(&mut p, 0, 0, &ranks, &cfg),
+            "host-level split must succeed"
+        );
         assert!(p.validate(6));
         assert_eq!(p.len(), 3);
         // The www.alpha.edu element can split again at directory level.
@@ -883,10 +605,10 @@ mod tests {
             _ => panic!("www element should still be URL-splittable"),
         };
         assert_eq!(depth, 1);
-        match try_url_split(&mut p, www_idx, depth, &ranks, &cfg) {
-            UrlSplitOutcome::Split => {}
-            _ => panic!("directory-level split must succeed"),
-        }
+        assert!(
+            try_url_split(&mut p, www_idx, depth, &ranks, &cfg),
+            "directory-level split must succeed"
+        );
         assert!(p.validate(6));
         // /a pages together, /b page separate.
         assert_eq!(p.elem_of[0], p.elem_of[1]);
@@ -894,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn url_split_exhausts_to_clustered() {
+    fn url_split_exhausts_identical_prefixes() {
         // All pages share every prefix level → exhausted.
         let urls = vec![
             "http://h.x.com/a/b/c/p0.html",
@@ -904,104 +626,17 @@ mod tests {
         let mut p = Partition::initial(&domains);
         let cfg = RefineConfig::default();
         let ranks = rank_prefixes(&p, &urls);
-        match try_url_split(&mut p, 0, 0, &ranks, &cfg) {
-            UrlSplitOutcome::Exhausted => {}
-            _ => panic!("identical prefixes cannot split"),
-        }
-        assert_eq!(p.elements[0].state, SplitState::Clustered);
-    }
-
-    #[test]
-    fn clustered_split_separates_by_target_supernode() {
-        // Element 0 = {0..8}; element 1 = {8}; element 2 = {9}.
-        // Pages 0-3 point into element 1; pages 4-7 into element 2.
-        let domains = vec![0, 0, 0, 0, 0, 0, 0, 0, 1, 2];
-        let graph = Graph::from_edges(
-            10,
-            [
-                (0, 8),
-                (1, 8),
-                (2, 8),
-                (3, 8),
-                (4, 9),
-                (5, 9),
-                (6, 9),
-                (7, 9),
-            ],
+        assert!(
+            !try_url_split(&mut p, 0, 0, &ranks, &cfg),
+            "identical prefixes cannot split"
         );
-        let mut p = Partition::initial(&domains);
-        let cfg = RefineConfig {
-            min_mean_cluster_size: 2,
-            ..Default::default()
-        };
-        // Forgy init can collapse when both seeds land in one group; retry
-        // over seeds like the refinement loop's repeated picks would.
-        let split = (0..16u64).any(|seed| {
-            let mut q = p.clone();
-            let mut rng = SmallRng::seed_from_u64(seed);
-            try_clustered_split(
-                &mut q,
-                0,
-                &graph,
-                &cfg,
-                &mut rng,
-                &mut DimScratch::default(),
-            ) && {
-                p = q;
-                true
-            }
-        });
-        assert!(split, "no seed produced a clustered split");
-        assert!(p.validate(10));
-        assert_eq!(p.elem_of[0], p.elem_of[3]);
-        assert_eq!(p.elem_of[4], p.elem_of[7]);
-        assert_ne!(p.elem_of[0], p.elem_of[4]);
-    }
-
-    #[test]
-    fn clustered_split_aborts_without_external_links() {
-        let urls: Vec<String> = (0..3)
-            .map(|i| format!("http://h.x.com/p{i}.html"))
-            .collect();
-        let _ = urls;
-        let domains = vec![0, 0, 0];
-        // Only internal links.
-        let graph = Graph::from_edges(3, [(0, 1), (1, 2)]);
-        let mut p = Partition::initial(&domains);
-        let cfg = RefineConfig::default();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut scratch = DimScratch::default();
-        assert!(!try_clustered_split(
-            &mut p,
-            0,
-            &graph,
-            &cfg,
-            &mut rng,
-            &mut scratch
-        ));
+        assert_eq!(p.elements[0].state, SplitState::Exhausted);
     }
 
     #[test]
     fn refine_end_to_end_small() {
         let (urls, domains) = urls_and_domains();
-        let graph = Graph::from_edges(
-            6,
-            [
-                (0, 1),
-                (1, 0),
-                (2, 4),
-                (3, 5),
-                (0, 4),
-                (1, 4),
-                (4, 5),
-                (5, 0),
-            ],
-        );
-        let cfg = RefineConfig {
-            seed: 7,
-            ..Default::default()
-        };
-        let (p, stats) = refine(&urls, &domains, &graph, &cfg);
+        let (p, stats) = refine(&urls, &domains, &RefineConfig::default());
         assert!(p.validate(6));
         assert!(stats.iterations > 0);
         assert!(p.len() >= 2, "domains never merge");
@@ -1014,25 +649,16 @@ mod tests {
     #[test]
     fn refine_is_deterministic() {
         let (urls, domains) = urls_and_domains();
-        let graph = Graph::from_edges(6, [(0, 4), (1, 4), (2, 5), (3, 5), (4, 0)]);
-        let cfg = RefineConfig {
-            seed: 42,
-            ..Default::default()
-        };
-        let (p1, s1) = refine(&urls, &domains, &graph, &cfg);
-        let (p2, s2) = refine(&urls, &domains, &graph, &cfg);
+        let cfg = RefineConfig::default();
+        let (p1, s1) = refine(&urls, &domains, &cfg);
+        let (p2, s2) = refine(&urls, &domains, &cfg);
         assert_eq!(s1, s2);
         assert_eq!(p1.elem_of, p2.elem_of);
     }
 
     #[test]
     fn refine_handles_empty_input() {
-        let (p, stats) = refine(
-            &[],
-            &[],
-            &Graph::from_edges(0, []),
-            &RefineConfig::default(),
-        );
+        let (p, stats) = refine(&[], &[], &RefineConfig::default());
         assert!(p.is_empty());
         assert_eq!(stats.iterations, 0);
     }
@@ -1041,8 +667,7 @@ mod tests {
     fn singleton_elements_never_split() {
         let urls = vec!["http://a.x.com/p.html"];
         let domains = vec![0];
-        let graph = Graph::from_edges(1, []);
-        let (p, _) = refine(&urls, &domains, &graph, &RefineConfig::default());
+        let (p, _) = refine(&urls, &domains, &RefineConfig::default());
         assert_eq!(p.len(), 1);
         assert!(p.validate(1));
     }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_graph::Graph;
-use wg_snode::partition::{PickPolicy, RefineConfig};
+use wg_snode::partition::RefineConfig;
 use wg_snode::refenc::RefMode;
 use wg_snode::subgraphs::SuperedgePolicy;
 use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
@@ -89,24 +89,6 @@ fn corpus_graph_round_trips_without_reference_encoding() {
 }
 
 #[test]
-fn random_pick_policy_round_trips_exactly() {
-    // The paper's final element-choice policy (uniform random, with the
-    // consecutive-abort stopping criterion) must also produce an exact
-    // representation — only the partition differs, never the graph.
-    let corpus = Corpus::generate(CorpusConfig::scaled(900, 64));
-    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-    let config = SNodeConfig {
-        refine: RefineConfig {
-            pick: PickPolicy::Random,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    check_exact("randompick", &urls, &domains, &corpus.graph, &config);
-}
-
-#[test]
 fn transpose_graph_round_trips_exactly() {
     // The paper builds S-Node representations of WGᵀ too (backlinks).
     let corpus = Corpus::generate(CorpusConfig::scaled(1_000, 5));
@@ -163,7 +145,7 @@ proptest! {
     fn arbitrary_small_repositories_round_trip(
         n in 2u32..60,
         edges in prop::collection::vec((0u32..60, 0u32..60), 0..400),
-        seed in any::<u64>(),
+        min_url_split_mean in 1u32..=64,
     ) {
         let urls: Vec<String> = (0..n)
             .map(|i| {
@@ -183,11 +165,11 @@ proptest! {
             .collect();
         let graph = Graph::from_edges(n, edges);
         let config = SNodeConfig {
-            refine: RefineConfig { seed, ..Default::default() },
+            refine: RefineConfig { min_url_split_mean, ..Default::default() },
             max_file_bytes: 256,
             ..Default::default()
         };
-        let dir = temp_dir(&format!("prop_{seed}_{n}"));
+        let dir = temp_dir(&format!("prop_{min_url_split_mean}_{n}"));
         let url_refs: Vec<&str> = urls.iter().map(String::as_str).collect();
         let input = RepoInput { urls: &url_refs, domains: &domains, graph: &graph };
         let (_stats, renum) = build_snode(input, &config, &dir).unwrap();

@@ -573,8 +573,7 @@ fn stream_links<S: Sink>(
     // targets: a blogroll, a template footer, a department link list), and
     // each page adopts one. Pages sharing a profile have near-identical
     // external adjacency — exactly the "clusters of pages with very similar
-    // adjacency lists" S-Node's clustered split and reference encoding
-    // exploit.
+    // adjacency lists" S-Node's reference encoding exploits.
     let mut host_profiles: Vec<Vec<Vec<PageId>>> = vec![Vec::new(); u.hosts.len()];
     const PROFILES_PER_HOST: usize = 3;
     const PROFILE_MAX: usize = 6;

@@ -333,11 +333,8 @@ fn cmd_build(args: &[String]) -> i32 {
         out.display()
     );
     println!(
-        "refine: {} iterations, {} URL splits, {} clustered splits, {} aborts",
-        stats.refine.iterations,
-        stats.refine.url_splits,
-        stats.refine.clustered_splits,
-        stats.refine.clustered_aborts
+        "refine: {} iterations, {} URL splits",
+        stats.refine.iterations, stats.refine.url_splits
     );
     flags.print_metrics();
     flags.write_trace()

@@ -275,8 +275,6 @@ fn build_metrics_and_trace_and_stats_json() {
         "core.build.total_ns",
         "core.build.refine.iterations",
         "core.build.refine.url_splits",
-        "core.build.refine.clustered_splits",
-        "core.build.refine.clustered_aborts",
     ] {
         assert!(stdout.contains(key), "missing {key} in: {stdout}");
     }
@@ -286,7 +284,7 @@ fn build_metrics_and_trace_and_stats_json() {
     let built = built.expect("a `built in` line");
     assert!(lines[built - 1].starts_with("read 800 pages, "), "{stdout}");
     assert!(lines[built + 1].starts_with("refine: "), "{stdout}");
-    assert!(lines[built + 1].ends_with(" aborts"), "{stdout}");
+    assert!(lines[built + 1].ends_with(" URL splits"), "{stdout}");
     // And as trace events in a Chrome trace-event file.
     let tjson = std::fs::read_to_string(&trace).unwrap();
     assert!(tjson.contains("\"traceEvents\""), "trace: {tjson}");

@@ -16,6 +16,7 @@ use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::io::{clear_transients, install_transients};
 use webgraph_repr::fault::{FaultPlan, FaultSpec, TransientKind};
 use webgraph_repr::query::reps::renumber_graph;
+use webgraph_repr::snode::partition::RefineConfig;
 use webgraph_repr::snode::{
     build_snode, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig,
 };
@@ -553,7 +554,17 @@ fn reuse_refuses_a_transpose_numbered_apart() {
         domains: &domains,
         graph: &transpose,
     };
-    let (_, own) = build_snode(input, &SNodeConfig::default(), &reps.join("snode_t")).unwrap();
+    // Refinement reads URLs and domains only, so WGᵀ refined on its own
+    // with the forward build's settings is numbered as `snode` is; a finer
+    // URL-split gate gives it a partition, and a numbering, of its own.
+    let config = SNodeConfig {
+        refine: RefineConfig {
+            min_url_split_mean: 8,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (_, own) = build_snode(input, &config, &reps.join("snode_t")).unwrap();
     assert!(!own.is_identity());
     let out = query().arg("--reuse").output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
