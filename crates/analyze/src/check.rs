@@ -21,7 +21,7 @@ use wg_snode::codec::ListCodec;
 use wg_snode::disk::{GraphLocator, SNodeMeta};
 use wg_snode::integrity::{meta_section_bounds, META_SECTION_NAMES};
 use wg_snode::refenc::{ListsIndex, Universe, MAX_REF_CHAIN};
-use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
+use wg_snode::subgraphs::SuperedgeIndex;
 use wg_snode::supergraph::SupernodeGraph;
 use wg_snode::IntegrityManifest;
 
@@ -718,10 +718,11 @@ fn check_superedge(
             return;
         }
     };
-    // Decode every stored list once; all per-list checks run off this.
-    let num_stored = index.num_stored_lists();
-    let mut stored = Vec::with_capacity(num_stored as usize);
-    for i in 0..num_stored {
+    // Decode every stored list once — one per source, which the parse
+    // holds the list count to; all per-list checks run off this.
+    let sources = index.sources();
+    let mut stored = Vec::with_capacity(sources.len());
+    for i in 0..sources.len() as u32 {
         match index.stored_list(bytes, bit_len, i) {
             Ok(l) => stored.push(l),
             Err(e) => {
@@ -734,84 +735,36 @@ fn check_superedge(
             }
         }
     }
-    let stored_edges: u64 = stored.iter().map(|l| l.len() as u64).sum();
     let mut audit = ListAudit::default();
     for (i, list) in stored.iter().enumerate() {
         audit.scan(i as u32, list.iter().copied(), nj.max(1));
     }
     audit.emit(nj.max(1), here, diags);
 
-    match index.kind {
-        SuperedgeKind::Positive => {
-            if index.sources().len() != stored.len() {
-                diags.push(Diagnostic::new(
-                    Code::DecodeError,
-                    here,
-                    format!(
-                        "{} source ids but {} stored lists",
-                        index.sources().len(),
-                        stored.len()
-                    ),
-                ));
-            }
-            let mut src_audit = ListAudit::default();
-            src_audit.scan(u32::MAX, index.sources().iter(), ni.max(1));
-            if src_audit.first_out_of_range.is_some() {
-                diags.push(Diagnostic::new(
-                    Code::EntryOutOfRange,
-                    here,
-                    format!("{} source id(s) outside 0..{ni}", src_audit.out_of_range),
-                ));
-            }
-            if src_audit.first_not_monotone.is_some() {
-                diags.push(Diagnostic::new(
-                    Code::ListNotMonotone,
-                    here,
-                    "source id list is not strictly ascending".to_string(),
-                ));
-            }
-            summary.superedge_edges += stored_edges;
-            if stored_edges == 0 {
-                diags.push(Diagnostic::new(
-                    Code::EmptySuperedge,
-                    here,
-                    "superedge graph encodes zero links".to_string(),
-                ));
-            }
-        }
-        SuperedgeKind::Negative => {
-            if stored.len() as u64 != ni {
-                diags.push(Diagnostic::new(
-                    Code::DecodeError,
-                    here,
-                    format!(
-                        "negative encoding stores {} lists for {ni} source pages",
-                        stored.len()
-                    ),
-                ));
-            }
-            let pos_edges = (ni * nj).saturating_sub(stored_edges);
-            summary.superedge_edges += pos_edges;
-            if pos_edges == 0 {
-                diags.push(Diagnostic::new(
-                    Code::EmptySuperedge,
-                    here,
-                    "superedge graph encodes zero links".to_string(),
-                ));
-            }
-            // §2: the builder only goes negative when the complement is
-            // strictly smaller.
-            if stored_edges >= pos_edges {
-                diags.push(Diagnostic::new(
-                    Code::NegativeNotSmaller,
-                    here,
-                    format!(
-                        "negative encoding stores {stored_edges} edges but the positive \
-                         form would store {pos_edges}"
-                    ),
-                ));
-            }
-        }
+    let mut src_audit = ListAudit::default();
+    src_audit.scan(u32::MAX, sources.iter(), ni.max(1));
+    if src_audit.first_out_of_range.is_some() {
+        diags.push(Diagnostic::new(
+            Code::EntryOutOfRange,
+            here,
+            format!("{} source id(s) outside 0..{ni}", src_audit.out_of_range),
+        ));
+    }
+    if src_audit.first_not_monotone.is_some() {
+        diags.push(Diagnostic::new(
+            Code::ListNotMonotone,
+            here,
+            "source id list is not strictly ascending".to_string(),
+        ));
+    }
+    let edges: u64 = stored.iter().map(|l| l.len() as u64).sum();
+    summary.superedge_edges += edges;
+    if edges == 0 {
+        diags.push(Diagnostic::new(
+            Code::EmptySuperedge,
+            here,
+            "superedge graph encodes zero links".to_string(),
+        ));
     }
 
     // The reference forest of whatever list stream the graph stores: its

@@ -5,9 +5,8 @@
 //!
 //! The paper's S-Node format (§2, §4) is a tower of invariants: the PageID
 //! index must tile `0..num_pages`, a superedge graph exists iff at least one
-//! cross link does, reference chains must be acyclic and shallow, negative
-//! encodings must actually be smaller, and every bitstream must end where
-//! its directory says it does. This crate walks the whole
+//! cross link does, reference chains must be acyclic and shallow, and
+//! every bitstream must end where its directory says it does. This crate walks the whole
 //! representation, **collects every finding** rather than stopping at the
 //! first, and reports each one as a
 //! [`Diagnostic`] with a stable code — machine-readable via
@@ -77,9 +76,8 @@ pub enum Code {
     /// SN021: a reference chain exceeds the depth cap selection keeps to
     /// ([`wg_snode::refenc::MAX_REF_CHAIN`]).
     RefChainTooDeep,
-    /// SN030: a negative superedge encoding stores at least as many edges
-    /// as its positive complement would.
-    NegativeNotSmaller,
+    // SN030 is retired with the complement form of superedge graphs, which
+    // no reader takes (a graph in it is SN013); the number is not reused.
     /// SN040: the stored supernode-graph Huffman table differs from the
     /// canonical table implied by the decoded in-degrees.
     HuffmanNonCanonical,
@@ -122,7 +120,6 @@ impl Code {
             Code::ListNotMonotone => "SN014",
             Code::RefChainCycle => "SN020",
             Code::RefChainTooDeep => "SN021",
-            Code::NegativeNotSmaller => "SN030",
             Code::HuffmanNonCanonical => "SN040",
             Code::TrailingBits => "SN050",
             Code::IndexFileOversize => "SN060",
@@ -147,7 +144,6 @@ impl Code {
             Code::ListNotMonotone => "list-not-monotone",
             Code::RefChainCycle => "ref-chain-cycle",
             Code::RefChainTooDeep => "ref-chain-too-deep",
-            Code::NegativeNotSmaller => "negative-superedge-not-smaller",
             Code::HuffmanNonCanonical => "huffman-table-non-canonical",
             Code::TrailingBits => "trailing-bits",
             Code::IndexFileOversize => "index-file-oversize",
@@ -179,7 +175,6 @@ impl Code {
             | Code::BlobChecksum
             | Code::TruncatedFile => Severity::Error,
             Code::RefChainTooDeep
-            | Code::NegativeNotSmaller
             | Code::HuffmanNonCanonical
             | Code::TrailingBits
             | Code::IndexFileOversize => Severity::Warning,

@@ -14,7 +14,7 @@ use wg_snode::codec::{CodecConfig, ListCodec};
 use wg_snode::disk::{GraphLocator, IndexFileWriter, SNodeMeta};
 use wg_snode::integrity::meta_section_bounds;
 use wg_snode::refenc::{encode_lists, RefMode};
-use wg_snode::subgraphs::{encode_intranode, encode_superedge, SuperedgePolicy};
+use wg_snode::subgraphs::{encode_intranode, encode_superedge};
 use wg_snode::supergraph::SupernodeGraph;
 use wg_snode::{build_snode, IntegrityManifest, RepoInput, SNodeConfig};
 
@@ -56,8 +56,8 @@ fn built_representation_is_clean() {
 ///
 /// * SN001 — supernode 1 owns an empty PageID range;
 /// * SN010 — superedge 0→2 encodes zero links;
-/// * SN030 — superedge 2→0 is stored negative although the complement is
-///   larger than the positive form;
+/// * SN013 — superedge 2→0 is stored in the complement form earlier
+///   builds wrote (its kind bit set), which no reader takes;
 /// * SN060 — `index_000.bin` carries trailing unreferenced bytes.
 ///
 /// The manifest is computed last, as a build would write it: every byte
@@ -74,12 +74,7 @@ fn craft_corrupt(dir: &std::path::Path) {
     // Linear order: intra0, se(0→2), intra1, intra2, se(2→0).
     let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra0.bytes, intra0.bit_len).unwrap());
-    let se02 = encode_superedge(
-        &[vec![], vec![], vec![]],
-        2,
-        RefMode::None,
-        SuperedgePolicy::EncodedSize,
-    );
+    let se02 = encode_superedge(&[vec![], vec![], vec![]], 2, RefMode::None);
     superedge_loc.push(vec![w.append(&se02.bytes, se02.bit_len).unwrap()]);
 
     let intra1 = encode_intranode(&[], RefMode::None);
@@ -88,11 +83,11 @@ fn craft_corrupt(dir: &std::path::Path) {
 
     let intra2 = encode_intranode(&[vec![1], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra2.bytes, intra2.bit_len).unwrap());
-    // Negative encoding of se(2→0): positive form would store 1 edge
-    // (source 0 → target 0); the complement stores 5.
+    // se(2→0) as its complement, one list per page of the targets it
+    // does not link to: source 0 → target 0 is the one link.
     let neg_lists = vec![vec![1u32, 2], vec![0, 1, 2]];
     let mut bw = BitWriter::new();
-    bw.write_bit(true); // kind = negative
+    bw.write_bit(true); // the kind bit, which must read 0
     let enc = encode_lists(&neg_lists, 3, RefMode::None, ListCodec);
     bw.append(&enc.bytes, enc.bit_len);
     let (bytes, bits) = bw.finish();
@@ -214,21 +209,27 @@ fn injected_corruptions_all_reported() {
         codes.contains(&Code::EmptySuperedge),
         "missing SN010: {report}"
     );
+    // The complement form is one error, at its graph, that says why.
+    let negative: Vec<_> = (report.diagnostics.iter())
+        .filter(|d| d.location == Location::Superedge(2, 0))
+        .collect();
+    assert_eq!(negative.len(), 1, "{report}");
+    assert_eq!(negative[0].code, Code::DecodeError, "{report}");
     assert!(
-        codes.contains(&Code::NegativeNotSmaller),
-        "missing SN030: {report}"
+        (negative[0].message).contains("negative superedge graph: rebuild the directory"),
+        "{report}"
     );
     assert!(
         codes.contains(&Code::IndexFileOversize),
         "missing SN060: {report}"
     );
     assert_eq!(codes.len(), 4, "unexpected extra findings: {report}");
-    assert_eq!(report.num_errors(), 2);
-    assert_eq!(report.num_warnings(), 2);
+    assert_eq!(report.num_errors(), 3);
+    assert_eq!(report.num_warnings(), 1);
 
     // Stable codes surface verbatim in the JSON rendering.
     let json = report.to_json();
-    for code in ["SN001", "SN010", "SN030", "SN060"] {
+    for code in ["SN001", "SN010", "SN013", "SN060"] {
         assert!(json.contains(code), "{code} absent from JSON: {json}");
     }
     assert!(json.contains("\"severity\":\"error\""));

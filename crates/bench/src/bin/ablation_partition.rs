@@ -1,8 +1,7 @@
 //! **Ablation A2** (DESIGN.md): partitioning policy vs compression.
-//! Compares (a) the domain partition alone, (b) the full refinement (URL
-//! split, the default build), and (c) the full refinement with the paper's
-//! edge-count superedge heuristic instead of encoded-size comparison; plus
-//! a granularity sweep over the URL-split gate.
+//! Compares the domain partition alone with the full refinement (URL
+//! split, the default build), plus a granularity sweep over the URL-split
+//! gate.
 //!
 //! Usage: `cargo run -p wg-bench --release --bin ablation_partition
 //! [--scale pages-per-million]`
@@ -11,7 +10,6 @@
 
 use wg_bench::{corpus_for, repo_columns, row, BenchArgs};
 use wg_snode::partition::RefineConfig;
-use wg_snode::subgraphs::SuperedgePolicy;
 use wg_snode::{build_snode, RepoInput, SNodeConfig};
 
 fn main() {
@@ -47,13 +45,6 @@ fn main() {
         ),
         ("full refinement", SNodeConfig::default()),
         (
-            "full + edge-count pos/neg",
-            SNodeConfig {
-                superedge_policy: SuperedgePolicy::EdgeCount,
-                ..Default::default()
-            },
-        ),
-        (
             "gate=512 (coarser)",
             SNodeConfig {
                 refine: coarse,
@@ -69,7 +60,7 @@ fn main() {
         ),
     ];
 
-    let widths = [28usize, 12, 12, 12, 10, 10];
+    let widths = [28usize, 12, 12, 12];
     println!(
         "{}",
         row(
@@ -78,8 +69,6 @@ fn main() {
                 "supernodes".into(),
                 "superedges".into(),
                 "bits/edge".into(),
-                "pos".into(),
-                "neg".into(),
             ],
             &widths
         )
@@ -102,8 +91,6 @@ fn main() {
                     stats.num_supernodes.to_string(),
                     stats.num_superedges.to_string(),
                     format!("{:.2}", stats.bits_per_edge()),
-                    stats.positive_superedges.to_string(),
-                    stats.negative_superedges.to_string(),
                 ],
                 &widths
             )
@@ -112,6 +99,6 @@ fn main() {
     }
     println!(
         "\nexpected: refinement beyond P0 trades supernode-graph size against intranode\n\
-         compressibility; the encoded-size pos/neg policy never loses to edge count."
+         compressibility."
     );
 }

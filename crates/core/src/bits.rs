@@ -10,7 +10,7 @@ use crate::codec::ListCodec;
 use crate::disk::{index_file_path, GraphLocator, IndexFileReader, SNodeMeta};
 use crate::integrity::meta_section_bounds;
 use crate::refenc::{ListsIndex, Universe};
-use crate::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
+use crate::subgraphs::{Layout, SuperedgeIndex};
 use crate::Result;
 use std::path::Path;
 
@@ -41,11 +41,12 @@ pub struct BitLedger {
 }
 
 const INTRANODE: &str = "intranode lists";
+// Every superedge graph is stored positive; the class names keep the word
+// for the `--bits --json` readers that match on them.
 const POSITIVE_LISTS: &str = "superedge positive, list stream";
 const POSITIVE_ONE_TARGET: &str = "superedge positive, one-target dictionary";
 const POSITIVE_TARGETS: &str = "superedge positive, single-target dictionary";
 const POSITIVE_DICTIONARY: &str = "superedge positive, list dictionary";
-const NEGATIVE: &str = "superedge negative";
 
 /// One class of superedge graphs, summed.
 #[derive(Default)]
@@ -92,8 +93,8 @@ impl BitLedger {
         let padding = |loc: &GraphLocator, used: u64| loc.byte_len * 8 - used;
 
         let (mut intranode_bits, mut intranode_edges) = (0u64, 0u64);
-        let [mut streams, mut one_target, mut targets, mut dictionary, mut negative] =
-            <[SuperedgeClass; 5]>::default();
+        let [mut streams, mut one_target, mut targets, mut dictionary] =
+            <[SuperedgeClass; 4]>::default();
         let (mut padding_bits, mut referenced_bytes) = (0u64, 0u64);
         for s in 0..meta.num_supernodes() {
             let loc = meta.intranode_loc[s as usize];
@@ -112,14 +113,13 @@ impl BitLedger {
                 let bytes = files.read_blob(loc)?;
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec)?;
                 let bits = index.bit_breakdown();
-                let edges = index.count_positive_edges(&bytes, loc.bit_len, nj)?;
-                let class = match (index.kind, bits.layout) {
-                    (SuperedgeKind::Negative, _) => &mut negative,
-                    (_, Layout::Lists) => &mut streams,
+                let edges = index.count_edges(&bytes, loc.bit_len)?;
+                let class = match bits.layout {
+                    Layout::Lists => &mut streams,
                     // A fanout answers these: template links.
                     _ if index.one_target().is_some() => &mut one_target,
-                    (_, Layout::SingleTargets) => &mut targets,
-                    (_, Layout::ListDictionary) => &mut dictionary,
+                    Layout::SingleTargets => &mut targets,
+                    Layout::ListDictionary => &mut dictionary,
                 };
                 class.graphs += 1;
                 class.edges += edges;
@@ -147,7 +147,6 @@ impl BitLedger {
         rows.extend(one_target.rows(POSITIVE_ONE_TARGET, &dictionary_parts[..3]));
         rows.extend(targets.rows(POSITIVE_TARGETS, &dictionary_parts));
         rows.extend(dictionary.rows(POSITIVE_DICTIONARY, &dictionary_parts));
-        rows.extend(negative.rows(NEGATIVE, &["header", "list stream"]));
         let file_row = |class, part, bits| BitsRow {
             class,
             part,
@@ -193,8 +192,7 @@ impl BitLedger {
                 + streams.edges
                 + one_target.edges
                 + targets.edges
-                + dictionary.edges
-                + negative.edges,
+                + dictionary.edges,
             total_bits: (meta_buf.len() as u64 + index_bytes) * 8,
         })
     }
@@ -335,7 +333,6 @@ mod tests {
             POSITIVE_ONE_TARGET,
             POSITIVE_TARGETS,
             POSITIVE_DICTIONARY,
-            NEGATIVE,
         ];
         let superedge_bits: u64 = superedge.iter().map(|class| bits_of(class)).sum();
         assert_eq!(superedge_bits, stats.superedge_bits);

@@ -7,8 +7,7 @@ use crate::flat::{FlatLists, ListBuf};
 use crate::partition::{refine, Partition, RefineConfig, RefineStats};
 use crate::refenc::{plan_lists, write_lists, EncodedLists, RefMode};
 use crate::subgraphs::{
-    plan_superedge, write_superedge, EncodedSuperedge, SuperedgeKind, SuperedgeLinks,
-    SuperedgePlan, SuperedgePolicy,
+    plan_superedge, write_superedge, EncodedSuperedge, SuperedgeLinks, SuperedgePlan,
 };
 use crate::supergraph::SupernodeGraph;
 use crate::Result;
@@ -36,8 +35,6 @@ pub struct SNodeConfig {
     pub refine: RefineConfig,
     /// Reference-selection mode for intranode/superedge compression.
     pub ref_mode: RefMode,
-    /// Positive/negative superedge selection policy.
-    pub superedge_policy: SuperedgePolicy,
     /// Index-file size cap (paper: 500 MB).
     pub max_file_bytes: u64,
     /// Worker threads for the encode pipeline (refinement runs on one).
@@ -54,7 +51,6 @@ impl Default for SNodeConfig {
         Self {
             refine: RefineConfig::default(),
             ref_mode: RefMode::default(),
-            superedge_policy: SuperedgePolicy::default(),
             max_file_bytes: 500 << 20,
             threads: 0,
         }
@@ -113,10 +109,6 @@ pub struct BuildStats {
     /// not part of the representation the paper's Table 1 measures, and
     /// the committed benchmark baselines predate them.
     pub checksum_bytes: u64,
-    /// Superedges stored positive.
-    pub positive_superedges: u64,
-    /// Superedges stored negative.
-    pub negative_superedges: u64,
     /// Edges in the input graph.
     pub num_edges: u64,
     /// Per-stage wall-clock breakdown (not part of the representation;
@@ -282,8 +274,6 @@ fn encode_and_write(
     let mut superedge_loc: Vec<Vec<GraphLocator>> = Vec::with_capacity(n_super);
     let mut intranode_bits = 0u64;
     let mut superedge_bits = 0u64;
-    let mut positive_superedges = 0u64;
-    let mut negative_superedges = 0u64;
     // Per-blob CRCs for the integrity manifest, collected in the same
     // linear order the blobs hit the disk in.
     let mut blob_crc = Vec::new();
@@ -309,10 +299,6 @@ fn encode_and_write(
             let mut locs = Vec::with_capacity(edges.len());
             for enc in &edges {
                 superedge_bits += enc.bit_len;
-                match enc.kind {
-                    SuperedgeKind::Positive => positive_superedges += 1,
-                    SuperedgeKind::Negative => negative_superedges += 1,
-                }
                 blob_crc.push(wg_fault::crc32c(&enc.bytes));
                 locs.push(writer.append(&enc.bytes, enc.bit_len)?);
             }
@@ -376,8 +362,6 @@ fn encode_and_write(
         meta_bytes,
         index_bytes,
         checksum_bytes,
-        positive_superedges,
-        negative_superedges,
         num_edges: graph.num_edges(),
         timings,
     })
@@ -508,11 +492,7 @@ impl SupernodeEncoder<'_> {
     /// into local ids, every graph's representation chosen, every stream
     /// written.
     fn encode(&self, s: u32) -> EncodedSupernode {
-        let SNodeConfig {
-            ref_mode,
-            superedge_policy,
-            ..
-        } = *self.config;
+        let ref_mode = self.config.ref_mode;
         let ni = u64::from(self.size(s));
 
         let t = Stopwatch::start();
@@ -523,7 +503,7 @@ impl SupernodeEncoder<'_> {
         let intra_plan = plan_lists(links.intra.view(), ni, ref_mode);
         let superedge = |k: usize| links.superedge(k, ni, u64::from(self.size(links.targets[k])));
         let plans: Vec<SuperedgePlan> = (0..links.targets.len())
-            .map(|k| plan_superedge(superedge(k), ref_mode, superedge_policy))
+            .map(|k| plan_superedge(superedge(k), ref_mode))
             .collect();
         record_span("core.build.encode.select", "build", &t);
 
@@ -664,8 +644,9 @@ impl SupernodeEncoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ListCodec;
     use crate::disk::{IndexFileReader, SNodeMeta};
-    use crate::subgraphs::{decode_intranode, decode_superedge};
+    use crate::subgraphs::{decode_intranode, decode_superedge, Layout, SuperedgeIndex};
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -834,10 +815,6 @@ mod tests {
         assert_eq!(stats.num_edges, graph.num_edges());
         assert!(stats.total_bits() > 0);
         assert!(stats.bits_per_edge() > 0.0);
-        assert_eq!(
-            stats.positive_superedges + stats.negative_superedges,
-            stats.num_superedges
-        );
         // index files hold exactly the encoded graphs.
         assert!(stats.index_bytes > 0);
         assert!(stats.meta_bytes > 0);
@@ -916,8 +893,6 @@ mod tests {
             assert_eq!(stats.index_bytes, stats_ref.index_bytes);
             assert_eq!(stats.meta_bytes, stats_ref.meta_bytes);
             assert_eq!(stats.checksum_bytes, stats_ref.checksum_bytes);
-            assert_eq!(stats.positive_superedges, stats_ref.positive_superedges);
-            assert_eq!(stats.negative_superedges, stats_ref.negative_superedges);
             assert!(
                 dir_files(&dir) == files_ref,
                 "a file differs at window={window} threads={threads}"
@@ -945,10 +920,8 @@ mod tests {
 
         // A generated 3k-page corpus, plus fifteen in sixteen of the links
         // from every page of one domain to every page of another, the
-        // missing ones scattered: superedge graphs with a small complement
-        // and no two lists alike, so negative ones. (With every link
-        // present the lists are one list, and the list dictionary stores
-        // it once for less than the complement.)
+        // missing ones scattered: dense superedge graphs, each stored as its
+        // links.
         let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(3000, 5));
         let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
         let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
@@ -978,14 +951,39 @@ mod tests {
             domains: &domains,
             graph: &graph,
         };
-        let (dir, stats) = assert_window_invariant("window3k", input, &config);
-        assert!(stats.negative_superedges >= 2, "the dense block");
-        assert!(stats.positive_superedges > stats.negative_superedges);
+        let (dir, _) = assert_window_invariant("window3k", input, &config);
         assert!(dir.join("index_003.bin").exists(), "several rotations");
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let files = IndexFileReader::open_resident(&dir).unwrap();
+        let (mut block, mut streams) = (0, 0);
+        for &s in &meta.domain_supernodes[from_domain as usize] {
+            let ni = u64::from(meta.supernode_size(s));
+            let row = meta.supergraph.adj[s as usize].iter();
+            for (&j, loc) in row.zip(&meta.superedge_loc[s as usize]) {
+                if !meta.domain_supernodes[to_domain as usize].contains(&j) {
+                    continue;
+                }
+                let nj = u64::from(meta.supernode_size(j));
+                let bytes = files.read_blob(loc).unwrap();
+                let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
+                let edges = index.count_edges(&bytes, loc.bit_len).unwrap();
+                assert!(8 * edges > 7 * ni * nj, "{s} → {j}: {edges} of {ni} × {nj}");
+                // A list each where they differ; a list dictionary where
+                // |Nj| is small enough that whole lists repeat.
+                match index.layout() {
+                    Layout::Lists => streams += 1,
+                    layout => assert_eq!(layout, Layout::ListDictionary, "{s} → {j}"),
+                }
+                block += 1;
+            }
+        }
+        assert!(
+            streams >= 2,
+            "the dense block: {streams} streams of {block} graphs"
+        );
 
         // The supernode graph the per-supernode remap produced is the one
         // a pass over every edge collects as a set of supernode pairs.
-        let meta = SNodeMeta::read(&dir).unwrap();
         let renum = Renumbering::read(&dir).unwrap();
         let super_of = |old: u32| {
             let new = renum.new_of_old[old as usize];

@@ -75,9 +75,8 @@ pub struct Fanout {
     /// `|Ni|`: the arena opens with `ni + 1` row starts.
     ni: u32,
     /// How many slots follow the row starts that every page consults:
-    /// negative graphs, which store a list for every page, and graphs that
-    /// could not be read, so that each access keeps counting the part it
-    /// went without.
+    /// graphs a degraded open could not read, so that each access keeps
+    /// counting the part it went without.
     always: u32,
     /// The supernode's out-degree: how many target values end the arena.
     degree: u32,
@@ -91,14 +90,13 @@ pub struct Fanout {
 impl Fanout {
     /// Builds the fanout of a supernode of `ni` pages from its
     /// out-superedge graphs in slot order: the ascending `sources` of a
-    /// positive graph, `None` for one every page consults — a negative
-    /// graph, or one that could not be read — and per slot the one target
-    /// of a positive graph that has one (slots past the end of `targets`
-    /// have none). One pass for the sizes, which allocates the arena at
-    /// its size, then two counting passes over the `sources`,
-    /// O(Σ|sources| + `ni`): the biggest supernodes have thousands of
-    /// pages and hundreds of superedges, and are where a probe's tail
-    /// latency comes from.
+    /// graph, `None` for one every page consults — one that could not be
+    /// read — and per slot the one target of a graph that has one (slots
+    /// past the end of `targets` have none). One pass for the sizes, which
+    /// allocates the arena at its size, then two counting passes over the
+    /// `sources`, O(Σ|sources| + `ni`): the biggest supernodes have
+    /// thousands of pages and hundreds of superedges, and are where a
+    /// probe's tail latency comes from.
     pub fn build<'a>(
         ni: u32,
         graphs: impl DoubleEndedIterator<Item = Option<&'a [u32]>> + Clone,
@@ -129,9 +127,9 @@ impl Fanout {
         let counts = head.get_mut(starts).unwrap_or_default();
         let (always_at, rows_at) = slots_at.split_at_mut(always * slot.bytes());
         // A graph every page consults answers no page with one target.
-        let positive = graphs.clone().map(|sources| sources.is_some());
-        for (k, (value, positive)) in values_of(targets).zip(positive).enumerate() {
-            section::put(values_at, target, k, if positive { value } else { 0 });
+        let read = graphs.clone().map(|sources| sources.is_some());
+        for (k, (value, read)) in values_of(targets).zip(read).enumerate() {
+            section::put(values_at, target, k, if read { value } else { 0 });
         }
         let every_page = (0u32..)
             .zip(graphs.clone())
@@ -168,8 +166,8 @@ impl Fanout {
         (starts, Section::cut(&self.arena, all, slots, self.slots))
     }
 
-    /// The ascending slots of the positive graphs holding a list for page
-    /// `local` (empty for a page outside the supernode).
+    /// The ascending slots of the graphs holding a list for page `local`
+    /// (empty for a page outside the supernode).
     pub fn slots_of(&self, local: u32) -> Section<&[u8]> {
         let (starts, slots) = self.sections();
         let (local, always) = (local as usize, self.always as usize);
@@ -333,7 +331,7 @@ impl CachedGraph {
         }
     }
 
-    /// The positive target list of local id `local` (empty when absent).
+    /// The target list of local id `local` (empty when absent).
     pub fn decode_list_for(&self, local: u32) -> crate::Result<Vec<u32>> {
         let mut out = Vec::new();
         self.decode_list_into(local, &mut DecodeScratch::default(), &mut out)?;
@@ -358,7 +356,7 @@ impl CachedGraph {
             Shape::Intra(index) => index.decode_list_into(data, bit_len, local, scratch, out),
             Shape::Super(index) => {
                 let s = u64::from(local);
-                index.targets_of_into(data, bit_len, s, index.nj(), scratch, out)
+                index.targets_of_into(data, bit_len, s, scratch, out)
             }
             Shape::Fanout(_) => Err(SNodeError::Corrupt("a fanout stores no lists")),
         }
@@ -1640,12 +1638,7 @@ mod tests {
         for (src, targets) in links {
             pos[*src] = targets.clone();
         }
-        let enc = crate::subgraphs::encode_superedge(
-            &pos,
-            8,
-            crate::refenc::RefMode::Windowed(4),
-            crate::subgraphs::SuperedgePolicy::EncodedSize,
-        );
+        let enc = crate::subgraphs::encode_superedge(&pos, 8, crate::refenc::RefMode::Windowed(4));
         let codec = crate::codec::ListCodec;
         SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni as u64, 8, codec).expect("parse")
     }
@@ -1655,7 +1648,7 @@ mod tests {
         let everything: Vec<u32> = (0..8).collect();
         let graphs = [
             superedge_index(6, &[(1, vec![3]), (4, vec![0, 7])]),
-            // Every page links to every target: stored negative.
+            // Every page links to every target: one list, stored once.
             superedge_index(
                 6,
                 &(0..6).map(|s| (s, everything.clone())).collect::<Vec<_>>(),
@@ -1663,28 +1656,27 @@ mod tests {
             superedge_index(6, &[(4, vec![2])]),
             superedge_index(6, &[(0, vec![1]), (4, vec![5]), (5, vec![6])]),
         ];
-        assert!(graphs[1].positive_sources().is_none(), "negative");
+        assert_eq!(graphs[1].layout(), crate::subgraphs::Layout::ListDictionary);
+        let sources = |k: usize| -> Option<Vec<u32>> { Some(graphs[k].sources().iter().collect()) };
         // Slot 2 could not be read.
-        let sources =
-            |k: usize| -> Option<Vec<u32>> { Some(graphs[k].positive_sources()?.iter().collect()) };
         let slots = [sources(0), sources(1), None, sources(3)];
         // Slot 2's graph has one target, but no page is sent to it.
         let targets: Vec<Option<u32>> = graphs.iter().map(SuperedgeIndex::one_target).collect();
         assert_eq!(targets, [None, None, Some(2), None]);
         let fanout = Fanout::build(6, slots.iter().map(Option::as_deref), &targets).expect("build");
-        assert_eq!(fanout.always().iter().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(fanout.always().iter().collect::<Vec<_>>(), [2]);
         assert!((0..5).all(|k| fanout.target(k).is_none()));
         let rows: Vec<Vec<u32>> = (0..7)
             .map(|local| fanout.slots_of(local).iter().collect())
             .collect();
-        let expect: [&[u32]; 7] = [&[3], &[0], &[], &[], &[0, 3], &[3], &[]];
+        let expect: [&[u32]; 7] = [&[1, 3], &[0, 1], &[1], &[1], &[0, 1, 3], &[1, 3], &[]];
         assert_eq!(rows, expect, "page 6 is outside the supernode");
-        assert!(fanout.slots_of(4).contains(3) && !fanout.slots_of(4).contains(1));
+        assert!(fanout.slots_of(4).contains(3) && !fanout.slots_of(4).contains(2));
         let cached = CachedGraph::from(fanout);
         assert_eq!(
             cached.bytes(),
-            7 + (2 + 5) + std::mem::size_of::<CachedGraph>(),
-            "seven row starts up to 5, then `always` and five rows of four slots: a byte each"
+            7 + (1 + 11) + std::mem::size_of::<CachedGraph>(),
+            "seven row starts up to 11, then `always` and eleven rows of four slots: a byte each"
         );
         assert!(
             cached.decode_list_for(0).is_err(),
@@ -1733,7 +1725,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Rows and `always` are what the `u32` build gives for any mix of
-        /// positive, negative and unreadable slots — at the width the
+        /// read and unreadable slots — at the width the
         /// out-degree needs, four bytes past 65 536 out-superedges, and
         /// row starts at the width their total needs — and a source
         /// outside the supernode is `Corrupt`, neither a panic nor a write
@@ -1757,12 +1749,12 @@ mod tests {
             let mut graphs: Vec<Option<Vec<u32>>> = slots
                 .into_iter()
                 .map(|(kind, sources)| {
-                    // One slot in five is negative or unreadable.
+                    // One slot in five is unreadable.
                     (kind > 0).then(|| sources.into_iter().filter(|&src| src < ni).collect())
                 })
                 .collect();
             if many_slots {
-                // Empty positive graphs ahead of the rest push every slot
+                // Empty graphs ahead of the rest push every slot
                 // that matters past what sixteen bits hold.
                 graphs.splice(0..0, vec![Some(Vec::new()); 1 << 16]);
             }
@@ -1827,7 +1819,7 @@ mod tests {
     #[test]
     fn fanout_sections_at_their_width_edges_answer_as_the_u32_model() {
         let mut seen = std::collections::BTreeSet::new();
-        // (out-superedges, pages, sources per positive graph)
+        // (out-superedges, pages, sources per graph)
         let cases = [
             (1u32, 300u32, 255u32),
             (1, 300, 256),
@@ -1838,7 +1830,7 @@ mod tests {
             (3, 30_000, 21_846),
         ];
         for (slots, ni, per_graph) in cases {
-            // The second of two graphs is negative.
+            // The second of two graphs could not be read.
             let graphs: Vec<Option<Vec<u32>>> = (0..slots)
                 .map(|k| {
                     let mut sources: Vec<u32> = (k..k + per_graph).map(|p| p % ni).collect();
@@ -1939,22 +1931,19 @@ mod tests {
         for (dense, nj, layout) in shapes {
             let ni = dense.len() as u64;
             let mode = crate::refenc::RefMode::None;
-            let policy = crate::subgraphs::SuperedgePolicy::EncodedSize;
-            let enc = crate::subgraphs::encode_superedge(&dense, nj, mode, policy);
+            let enc = crate::subgraphs::encode_superedge(&dense, nj, mode);
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, codec).expect("parse");
             assert_eq!(index.layout(), layout);
-            let positive = index.positive_sources().is_some();
-            let sources = dense.iter().filter(|l| positive && !l.is_empty()).count();
+            let sources = dense.iter().filter(|l| !l.is_empty()).count();
             let distinct = dense
                 .iter()
                 .collect::<std::collections::BTreeSet<_>>()
                 .len()
                 - 1;
-            let stored = if positive { sources } else { ni as usize };
             let sources_at = Width::below(ni).after(0, sources);
             let arena = match layout {
-                Layout::Lists => offsets(enc.bit_len).after(sources_at.end, stored + 1).end,
+                Layout::Lists => offsets(enc.bit_len).after(sources_at.end, sources + 1).end,
                 Layout::SingleTargets | Layout::ListDictionary => {
                     let indexes = Width::below(distinct as u64).after(sources_at.end, sources);
                     match layout {
@@ -1963,14 +1952,14 @@ mod tests {
                     }
                 }
             };
-            assert_eq!(index.heap_bytes(), arena, "{layout:?}, positive {positive}");
+            assert_eq!(index.heap_bytes(), arena, "{layout:?}");
             let g = CachedGraph::new_encoded_super(blob(enc.bytes), enc.bit_len, index, nj);
             assert!(!g.data.is_empty());
-            assert_eq!(g.bytes(), header + arena, "{layout:?}, positive {positive}");
+            assert_eq!(g.bytes(), header + arena, "{layout:?}");
         }
 
-        // A fanout of 40 pages over three positive graphs and a negative
-        // one; the third has one target, page 300 of its supernode.
+        // A fanout of 40 pages over three graphs and one that could not be
+        // read; the third has one target, page 300 of its supernode.
         let graphs = [
             Some(vec![1, 2, 3]),
             None,

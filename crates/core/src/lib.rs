@@ -10,8 +10,8 @@
 //!   encoded by supernode in-degree and stays resident in memory, acting as
 //!   the index over
 //! * per-element **intranode graphs** (links inside `Ni`) and per-superedge
-//!   **positive or negative superedge graphs** (the bipartite links
-//!   `Ni → Nj`, stored complemented when the complement is smaller), each
+//!   **superedge graphs** (the bipartite links `Ni → Nj` that exist; the
+//!   paper's complemented form never paid here, PAPER.md), each
 //!   compressed with reference encoding + γ-coded gap lists + RLE bit
 //!   vectors (§3.1, §3.3).
 //!
@@ -31,7 +31,7 @@
 //! | [`par`] | — | deterministic work-pool layer the build pipeline parallelizes on |
 //! | [`partition`] | §3.2 | URL split and the iterative refinement loop |
 //! | [`supergraph`] | §3.3 | supernode graph + Huffman encoding + pointer accounting |
-//! | [`subgraphs`] | §2, §3.3 | intranode / positive / negative superedge graph codecs; a positive graph's three layouts |
+//! | [`subgraphs`] | §2, §3.3 | intranode and superedge graph codecs; a superedge graph's three layouts |
 //! | [`bits`] | Table 1 | every bit of a directory, by class of stored material (`wgr stats --bits`) |
 //! | [`disk`] | §3.3 | index files, linear ordering, PageID index, domain index |
 //! | [`cache`] | §4.3 | memory-budgeted decoded-graph cache with load/unload instrumentation |

@@ -611,9 +611,6 @@ pub struct DecodeScratch {
     /// Every other list of a chain, the leaf's parent first (the rest are
     /// built in the caller's output buffer).
     pub(crate) merged: Vec<u32>,
-    /// The stored list of a negative superedge graph, which the answer is
-    /// the complement of.
-    pub(crate) stored: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -623,7 +620,7 @@ impl DecodeScratch {
     /// hold (a `Vec` takes four entries at its first push), nor the chain
     /// past a stream of `lists` lists (pushed one by one, so doubling).
     pub(crate) fn assert_bounded(&self, out: &Vec<u32>, universe: u64, lists: u64) {
-        let entries = [out, &self.copied, &self.extras, &self.merged, &self.stored];
+        let entries = [out, &self.copied, &self.extras, &self.merged];
         for (which, buffer) in entries.into_iter().enumerate() {
             let (cap, most) = (buffer.capacity() as u64, universe.max(4));
             assert!(cap <= most, "buffer {which}: {cap} entries over {most}");

@@ -158,7 +158,7 @@ struct Part {
     /// Target supernode (the group's own for the intranode graph).
     j: u32,
     /// Consulted by every page of the group — the intranode graph, a
-    /// negative graph, a quarantined one — rather than only by the pages
+    /// quarantined superedge graph — rather than only by the pages
     /// whose fanout row names `slot`.
     always: bool,
     answer: Answer,
@@ -735,7 +735,7 @@ impl SNode {
                 let nj = u64::from(index.supernode_size(j));
                 pool.clear();
                 let scanned = scan_sources(&blob, loc.bit_len, ni, nj, &mut pool)?;
-                found += u64::from(scanned.is_some_and(|scanned| scanned.target.is_some()));
+                found += u64::from(scanned.target.is_some());
             }
         }
         Ok(found)
@@ -911,7 +911,7 @@ impl SNode {
                 }
             };
             let (blob, scanned) = scanned.unzip();
-            let (range, target) = match scanned.flatten() {
+            let (range, target) = match scanned {
                 Some(Scanned { sources, target }) => (Some(sources), target),
                 None => (None, None),
             };
@@ -1424,7 +1424,7 @@ mod tests {
     fn a_corrupt_blob_is_checked_and_fails_on_every_touch() {
         let (dir, graph, renum) = build_crawl("crcfail");
         let meta = SNodeMeta::read(&dir).unwrap();
-        let (s, k, loc, _) = (positive_superedges(&dir).into_iter())
+        let (s, k, loc, _) = (superedges(&dir).into_iter())
             .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
             .expect("a supernode with two out-superedges");
         let path = crate::disk::index_file_path(&dir, loc.file);
@@ -1463,9 +1463,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every positive out-superedge graph of the directory: its
-    /// supernode, its slot, where its blob lies and its parsed header.
-    fn positive_superedges(dir: &Path) -> Vec<(u32, usize, GraphLocator, SuperedgeIndex)> {
+    /// Every out-superedge graph of the directory: its supernode, its
+    /// slot, where its blob lies and its parsed header.
+    fn superedges(dir: &Path) -> Vec<(u32, usize, GraphLocator, SuperedgeIndex)> {
         let meta = SNodeMeta::read(dir).unwrap();
         let files = IndexFileReader::open_resident(dir).unwrap();
         let mut found = Vec::new();
@@ -1476,9 +1476,7 @@ mod tests {
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(&loc).unwrap();
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
-                if index.positive_sources().is_some() {
-                    found.push((s, k, loc, index));
-                }
+                found.push((s, k, loc, index));
             }
         }
         found
@@ -1505,8 +1503,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
     }
 
-    /// Re-manifested, so the blob reads clean; its header — a positive
-    /// graph's `sources` — runs off its end. Through the fanout build's
+    /// Re-manifested, so the blob reads clean; its header — the graph's
+    /// `sources` — runs off its end. Through the fanout build's
     /// scan that is what a failed parse was: strict fails every probe into
     /// the supernode; degraded quarantines the graph, names its slot among
     /// those every page consults, and counts one skip per access.
@@ -1514,7 +1512,7 @@ mod tests {
     fn degraded_open_quarantines_a_superedge_graph_whose_header_does_not_scan() {
         let (dir, graph, renum) = build_crawl("noscan");
         let meta = SNodeMeta::read(&dir).unwrap();
-        let (s, k, loc, _) = (positive_superedges(&dir).into_iter())
+        let (s, k, loc, _) = (superedges(&dir).into_iter())
             .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
             .expect("a supernode with two out-superedges");
         zero_blob_tail(&dir, &loc, 0);
@@ -1557,6 +1555,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A graph whose kind bit is set — the complement form earlier builds
+    /// wrote — behind a re-computed checksum: every strict probe into its
+    /// supernode is `Corrupt` and says to rebuild, and a degraded open
+    /// sends every page of the supernode to its slot and goes without it.
+    #[test]
+    fn a_set_kind_bit_fails_every_strict_probe_into_its_supernode() {
+        let (dir, graph, renum) = build_crawl("kindbit");
+        let meta = SNodeMeta::read(&dir).unwrap();
+        let (s, k, loc, _) = (superedges(&dir).into_iter())
+            .find(|(s, ..)| meta.supergraph.adj[*s as usize].len() >= 2)
+            .expect("a supernode with two out-superedges");
+        let path = crate::disk::index_file_path(&dir, loc.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[loc.offset as usize] |= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        remanifest(&dir);
+        let range = meta.page_range(s);
+        let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
+
+        let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
+        for p in range.clone() {
+            let got = strict.out_neighbors(p);
+            let rebuild = "negative superedge graph: rebuild the directory";
+            assert!(
+                matches!(got, Err(SNodeError::Corrupt(e)) if e == rebuild),
+                "page {p}"
+            );
+        }
+
+        let degraded = SNode::open_degraded(&dir, 1 << 20).unwrap();
+        for p in range.clone() {
+            let mut want = expected_neighbors(&graph, &renum, p);
+            want.retain(|t| !lost.contains(t));
+            assert_eq!(degraded.out_neighbors(p).unwrap(), want, "page {p}");
+        }
+        let fanout = degraded.cache.get(GraphKey::Fanout(s)).expect("cached");
+        let always = fanout.as_fanout().expect("a fanout").always();
+        assert!(always.contains(k as u32), "{always:?} names slot {k}");
+        let report = degraded.degraded();
+        assert_eq!(report.quarantined_supernodes, 1);
+        assert_eq!(
+            report.skipped_edges,
+            range.len() as u64,
+            "one skip per access"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A fanout miss reads a graph as far as its `sources`: what lies
     /// behind them is parsed by the first probe that draws on the graph.
     /// So with a checksum re-computed over it, a dictionary whose entry
@@ -1568,7 +1614,7 @@ mod tests {
     ) {
         let (dir, graph, renum) = build_crawl("forgedcount");
         let meta = SNodeMeta::read(&dir).unwrap();
-        let (s, loc, index) = (positive_superedges(&dir).into_iter())
+        let (s, loc, index) = (superedges(&dir).into_iter())
             .find_map(|(s, _, loc, index)| {
                 let dictionary = index.layout() != crate::subgraphs::Layout::Lists;
                 let partial = (index.sources().len() as u32) < meta.supernode_size(s);
@@ -1621,9 +1667,7 @@ mod tests {
                 let nj = u64::from(meta.supernode_size(j));
                 let bytes = files.read_blob(&loc).unwrap();
                 let index = SuperedgeIndex::parse(&bytes, loc.bit_len, ni, nj, ListCodec).unwrap();
-                if index.kind == crate::subgraphs::SuperedgeKind::Negative
-                    || index.sources().contains(local)
-                {
+                if index.sources().contains(local) {
                     match index.one_target() {
                         Some(_) => answered += 1,
                         None => expected.push(GraphKey::Super(s, j)),
@@ -1660,7 +1704,7 @@ mod tests {
     fn a_one_target_graph_that_does_not_read_is_left_to_the_probe_that_draws_on_it() {
         let (dir, graph, renum) = build_crawl("onetarget");
         let meta = SNodeMeta::read(&dir).unwrap();
-        let (s, k, loc, index) = (positive_superedges(&dir).into_iter())
+        let (s, k, loc, index) = (superedges(&dir).into_iter())
             .find(|(s, _, _, index)| {
                 let partial = (index.sources().len() as u32) < meta.supernode_size(*s);
                 index.one_target().is_some() && partial

@@ -3,15 +3,11 @@
 //! * An **intranode graph** holds the links among the pages of one
 //!   supernode, in local page indices (0..|Ni|), reference-encoded.
 //! * A **superedge graph** for superedge `i → j` holds the bipartite links
-//!   from `Ni` into `Nj`. It is stored either **positive** (the links that
-//!   exist: a gap-coded list of source pages that have any target, plus
-//!   their target lists) or **negative** (the complement: one target list
-//!   per *every* source of `Ni`, listing the `Nj` pages it does **not**
-//!   link to). The representation with the smaller encoding wins; the
-//!   paper's simpler edge-count heuristic is available behind
-//!   [`SuperedgePolicy::EdgeCount`] for the ablation.
-//! * A positive graph stores its target lists in one of three
-//!   **layouts** ([`Layout`]), again whichever encodes smallest: one
+//!   from `Ni` into `Nj` that exist: a gap-coded list of the source pages
+//!   that have any target, then their target lists. (The paper may store
+//!   the complement instead; here that never paid — see PAPER.md.)
+//! * A superedge graph stores its target lists in one of three
+//!   **layouts** ([`Layout`]), whichever encodes smallest: one
 //!   reference-encoded list per source (the paper's), or — because most
 //!   superedge graphs of a crawl are template links, the same one or two
 //!   lists repeated down a site — a dictionary of the distinct targets or
@@ -28,27 +24,6 @@ use crate::refenc::{
 use crate::section::{self, Section, Width};
 use crate::{Result, SNodeError};
 use wg_bitio::{codes, BitReader, BitWriter, Window};
-
-/// How to choose between positive and negative superedge graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SuperedgePolicy {
-    /// Compare actual encoded sizes (both candidates are encoded; the
-    /// smaller is kept). Default.
-    #[default]
-    EncodedSize,
-    /// The paper's stated heuristic: fewer edges wins (footnote 4 notes
-    /// this is approximate).
-    EdgeCount,
-}
-
-/// Flag stored with each encoded superedge graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuperedgeKind {
-    /// Links that exist.
-    Positive,
-    /// Links that do not exist (complement within `Ni × Nj`).
-    Negative,
-}
 
 // --- Intranode graphs ---------------------------------------------------
 
@@ -69,16 +44,14 @@ pub fn decode_intranode(bytes: &[u8], bit_len: u64) -> Result<Vec<Vec<u32>>> {
 /// An encoded superedge graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedSuperedge {
-    /// Positive or negative representation.
-    pub kind: SuperedgeKind,
-    /// The bit stream (self-contained: kind, |Ni|, payload).
+    /// The bit stream: kind bit (0), layout marker, payload.
     pub bytes: Vec<u8>,
     /// Exact bit length.
     pub bit_len: u64,
 }
 
-/// The links of one superedge `i → j` in sparse positive form: what the
-/// builder produces and the positive representation stores.
+/// The links of one superedge `i → j` in sparse form: what the builder
+/// produces and the graph stores.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperedgeLinks<'a> {
     /// The local pages of `Ni` that link into `Nj`, ascending.
@@ -98,86 +71,27 @@ pub struct SuperedgeLinks<'a> {
 /// `Vec` per page; the build plans and writes its sparse
 /// [`SuperedgeLinks`] with `plan_superedge` and `write_superedge`,
 /// which is all this does.
-pub fn encode_superedge(
-    pos_lists: &[Vec<u32>],
-    nj: u64,
-    mode: RefMode,
-    policy: SuperedgePolicy,
-) -> EncodedSuperedge {
-    let (sources, lists) = positive_sources(pos_lists);
+pub fn encode_superedge(pos_lists: &[Vec<u32>], nj: u64, mode: RefMode) -> EncodedSuperedge {
+    let (sources, lists) = sparse_sources(pos_lists);
     let links = SuperedgeLinks {
         sources: &sources,
         lists: lists.view(),
         ni: pos_lists.len() as u64,
         nj,
     };
-    write_superedge(links, &plan_superedge(links, mode, policy))
+    write_superedge(links, &plan_superedge(links, mode))
 }
 
-/// The representation chosen for one superedge graph, with what writing
-/// it needs.
-pub(crate) enum SuperedgePlan {
-    Positive(PositivePlan),
-    /// The complement of every page of `Ni` within `Nj`, and its plan.
-    Negative {
-        lists: ListBuf,
-        plan: ListsPlan,
-    },
-}
-
-/// Chooses how `links` will be stored.
-///
-/// The polarity decision works on [`ListsPlan`]s — exact sizes computed
-/// without writing a bit stream — so only the winning orientation is ever
-/// encoded. (The plan's `total_bits` equals the encoded size exactly, so
-/// the winner is the same one full encoding of both sides would pick.)
-pub(crate) fn plan_superedge(
-    links: SuperedgeLinks<'_>,
-    mode: RefMode,
-    policy: SuperedgePolicy,
-) -> SuperedgePlan {
-    let SuperedgeLinks { ni, nj, .. } = links;
-    debug_assert_eq!(links.sources.len(), links.lists.len());
-    debug_assert!(links.sources.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(links.sources.last().is_none_or(|&s| u64::from(s) < ni));
-    let pos_edges = links.lists.total() as u64;
-    let neg_edges = ni * nj - pos_edges;
-
-    // Only consider the complement when it has fewer edges — otherwise
-    // materialising it could cost Θ(|Ni|·|Nj|) for nothing.
-    if neg_edges >= pos_edges {
-        return SuperedgePlan::Positive(plan_positive(links, mode));
-    }
-    // The negative representation stores a list for every page of `Ni`.
-    let mut stored = links.sources.iter().zip(links.lists.iter()).peekable();
-    let (mut lists, mut absent) = (ListBuf::default(), Vec::new());
-    for s in 0..ni as u32 {
-        let present = stored.next_if(|(&src, _)| src == s);
-        complement_into(present.map_or(&[], |(_, l)| l), nj as u32, &mut absent);
-        lists.push(absent.iter().copied());
-    }
-    let plan = plan_lists(lists.view(), nj, mode);
-    if policy == SuperedgePolicy::EncodedSize {
-        let pos = plan_positive(links, mode);
-        if 1 + plan.total_bits >= pos.bits {
-            return SuperedgePlan::Positive(pos);
-        }
-    }
-    // `SuperedgePolicy::EdgeCount`: neg_edges < pos_edges here.
-    SuperedgePlan::Negative { lists, plan }
-}
-
-/// How a positive superedge graph stores its target lists. Declared in
-/// the order ties are broken in: of two layouts of equal size the graph
-/// takes the one that is cheaper to read.
+/// How a superedge graph stores its target lists. Declared in the order
+/// ties are broken in: of two layouts of equal size the graph takes the
+/// one that is cheaper to read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Layout {
     /// Every source links to exactly one target: the sorted distinct
     /// targets as one gap list, then one minimal-binary index into it per
     /// source. A decode is two array lookups.
     SingleTargets,
-    /// One reference-encoded list per source — the paper's format, and
-    /// the only layout of a negative graph.
+    /// One reference-encoded list per source — the paper's format.
     Lists,
     /// The distinct lists once, in order of first appearance, as an
     /// ordinary reference-encoded stream, then one minimal-binary index
@@ -186,8 +100,8 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// The marker that names this layout after the kind bit of a positive
-    /// graph. A prefix code: [`Layout::read`] is its decoder.
+    /// The marker that names this layout after a graph's kind bit. A
+    /// prefix code: [`Layout::read`] is its decoder.
     fn marker(self) -> &'static [bool] {
         match self {
             Layout::SingleTargets => &[true],
@@ -207,9 +121,9 @@ impl Layout {
     }
 }
 
-/// A planned positive encoding: the layout chosen, what writing it needs,
+/// A planned superedge graph: the layout chosen, what writing it needs,
 /// and its exact size.
-pub(crate) struct PositivePlan {
+pub(crate) struct SuperedgePlan {
     body: PlannedBody,
     /// Exact encoded size in bits, kind and marker bits included.
     bits: u64,
@@ -228,7 +142,7 @@ enum PlannedBody {
     },
 }
 
-impl PositivePlan {
+impl SuperedgePlan {
     fn layout(&self) -> Layout {
         match self.body {
             PlannedBody::SingleTargets { .. } => Layout::SingleTargets,
@@ -244,8 +158,8 @@ impl PositivePlan {
     }
 }
 
-/// The distinct lists of a positive graph, each named by the stored list
-/// that first holds it, and every stored list's position among them.
+/// The distinct lists of a graph, each named by the stored list that first
+/// holds it, and every stored list's position among them.
 struct Distinct {
     first: Vec<u32>,
     index: Vec<u32>,
@@ -277,14 +191,19 @@ fn index_bits(index: &[u32], entries: usize) -> u64 {
         .sum()
 }
 
-/// Prices the three layouts of a positive graph and keeps the smallest,
-/// cheapest first: each layout gets a floor that costs one pass over the
-/// lists, the layouts are priced exactly in order of their floors, and
+/// Chooses how `links` will be stored: prices the three layouts and keeps
+/// the smallest, cheapest first: each layout gets a floor that costs one
+/// pass over the lists, the layouts are priced exactly in order of their
+/// floors, and
 /// pricing stops at the first floor the best exact price so far already
 /// beats — so windowed reference selection over all the stored lists, the
 /// expensive candidate, runs only for a graph the dictionaries might lose.
 /// The winner is the one pricing every layout exactly would pick.
-fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode) -> PositivePlan {
+pub(crate) fn plan_superedge(links: SuperedgeLinks<'_>, mode: RefMode) -> SuperedgePlan {
+    let SuperedgeLinks { sources, ni, .. } = links;
+    debug_assert_eq!(sources.len(), links.lists.len());
+    debug_assert!(sources.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(sources.last().is_none_or(|&s| u64::from(s) < ni));
     let pricer = Pricer::new(links, mode);
     let mut floors: Vec<(u64, Layout)> =
         [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
@@ -307,7 +226,7 @@ fn plan_positive(links: SuperedgeLinks<'_>, mode: RefMode) -> PositivePlan {
     best
 }
 
-/// One positive graph's links with what every layout's price shares.
+/// One graph's links with what every layout's price shares.
 struct Pricer<'a> {
     links: SuperedgeLinks<'a>,
     mode: RefMode,
@@ -367,7 +286,7 @@ impl<'a> Pricer<'a> {
 
     /// The exact encoding of the graph in `layout`, which must be one
     /// [`Pricer::floor`] returned a floor for.
-    fn price(&self, layout: Layout) -> PositivePlan {
+    fn price(&self, layout: Layout) -> SuperedgePlan {
         let SuperedgeLinks { lists, nj, .. } = self.links;
         let marker = layout.marker().len() as u64;
         let (body, body_bits) = match layout {
@@ -393,7 +312,7 @@ impl<'a> Pricer<'a> {
                 (PlannedBody::ListDictionary { dict, plan, index }, bits)
             }
         };
-        PositivePlan {
+        SuperedgePlan {
             body,
             bits: self.preamble_bits + marker + body_bits,
         }
@@ -417,8 +336,8 @@ fn single_target_dict(lists: FlatLists<'_>) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Splits a dense per-source list array into (non-empty source ids, their
-/// lists) — the positive representation's layout.
-fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, ListBuf) {
+/// lists) — what a superedge graph stores.
+fn sparse_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, ListBuf) {
     let mut lists = ListBuf::default();
     let sources = (0u32..)
         .zip(pos_lists)
@@ -431,38 +350,24 @@ fn positive_sources(pos_lists: &[Vec<u32>]) -> (Vec<u32>, ListBuf) {
     (sources, lists)
 }
 
-/// Writes the graph `plan` chose for `links`, every section straight onto
-/// one stream whose size the plan knows.
-pub(crate) fn write_superedge(links: SuperedgeLinks<'_>, plan: &SuperedgePlan) -> EncodedSuperedge {
-    match plan {
-        SuperedgePlan::Positive(pos) => write_superedge_positive(links, pos),
-        SuperedgePlan::Negative { lists, plan } => {
-            let mut w = BitWriter::with_capacity_bits(1 + plan.total_bits as usize);
-            w.write_bit(true); // kind = negative
-            write_lists_planned(&mut w, lists.view(), links.nj, plan);
-            let (bytes, bit_len) = w.finish();
-            EncodedSuperedge {
-                kind: SuperedgeKind::Negative,
-                bytes,
-                bit_len,
-            }
-        }
-    }
-}
-
-fn write_superedge_positive(links: SuperedgeLinks<'_>, pos: &PositivePlan) -> EncodedSuperedge {
-    let mut w = BitWriter::with_capacity_bits(pos.bits as usize);
+/// Writes `links` in the layout `chosen` planned, every section straight
+/// onto one stream whose size the plan knows.
+pub(crate) fn write_superedge(
+    links: SuperedgeLinks<'_>,
+    chosen: &SuperedgePlan,
+) -> EncodedSuperedge {
+    let mut w = BitWriter::with_capacity_bits(chosen.bits as usize);
     // |Ni| is NOT stored: the resident supernode metadata knows every
     // supernode's size, and the decoder receives it as a parameter.
-    w.write_bit(false); // kind = positive
-    (pos.layout().marker().iter()).for_each(|&bit| w.write_bit(bit));
+    w.write_bit(false); // kind: must read 0 (see `read_layout`)
+    (chosen.layout().marker().iter()).for_each(|&bit| w.write_bit(bit));
     write_bounded_gap_list(&mut w, links.sources, links.ni);
     let write_index = |w: &mut BitWriter, index: &[u32], entries: usize| {
         for &i in index {
             codes::write_minimal_binary(w, u64::from(i), entries as u64);
         }
     };
-    match &pos.body {
+    match &chosen.body {
         PlannedBody::SingleTargets { dict, index } => {
             write_bounded_gap_list(&mut w, dict, links.nj);
             write_index(&mut w, index, dict.len());
@@ -474,16 +379,12 @@ fn write_superedge_positive(links: SuperedgeLinks<'_>, pos: &PositivePlan) -> En
         }
     }
     let (bytes, bit_len) = w.finish();
-    debug_assert_eq!(bit_len, pos.bits, "positive plan mispriced its layout");
-    EncodedSuperedge {
-        kind: SuperedgeKind::Positive,
-        bytes,
-        bit_len,
-    }
+    debug_assert_eq!(bit_len, chosen.bits, "plan mispriced its layout");
+    EncodedSuperedge { bytes, bit_len }
 }
 
-/// Decodes a superedge graph back to **positive** lists, one per page of
-/// `Ni` (empty where no links exist). `ni`/`nj` must match the encoding
+/// Decodes a superedge graph back to its lists, one per page of `Ni`
+/// (empty where no links exist). `ni`/`nj` must match the encoding
 /// call (the resident metadata records both).
 pub fn decode_superedge(bytes: &[u8], bit_len: u64, ni: u64, nj: u64) -> Result<Vec<Vec<u32>>> {
     let index = SuperedgeIndex::parse(bytes, bit_len, ni, nj, ListCodec)?;
@@ -497,12 +398,11 @@ pub fn decode_superedge(bytes: &[u8], bit_len: u64, ni: u64, nj: u64) -> Result<
 /// [`crate::refenc::ListsIndex`].
 ///
 /// A compact header and one arena, which holds everything a decode reads
-/// besides the bytes, in the order it reads it: a positive graph's
-/// `sources`, then for a dictionary one index per source followed by the
-/// distinct targets or the offsets of the distinct lists, and otherwise
-/// the offsets of the list stream — one list per source, or per page of
-/// `Ni` for a negative graph. (The bytes hold a dictionary's entries ahead
-/// of its indexes.)
+/// besides the bytes, in the order it reads it: `sources`, then for a
+/// dictionary one index per source followed by the distinct targets or
+/// the offsets of the distinct lists, and otherwise the offsets of the
+/// list stream, one list per source. (The bytes hold a dictionary's
+/// entries ahead of its indexes.)
 /// Each is a [`Section`] at the width its bound needs: `sources` by |Ni|,
 /// indexes by the entry count, targets by |Nj|, offsets by the bit length.
 /// Of those only |Ni| is kept: the other two widths are, in bytes the
@@ -515,9 +415,6 @@ pub struct SuperedgeIndex {
     /// `|Ni|` and `|Nj|`.
     ni: u32,
     nj: u32,
-    /// Representation stored.
-    pub kind: SuperedgeKind,
-    /// [`Layout::Lists`] for a negative graph.
     layout: Layout,
     /// The width of a dictionary's indexes ([`Width::Zero`] otherwise).
     index: Width,
@@ -529,11 +426,11 @@ pub struct SuperedgeIndex {
 /// sections add up to the graph's bit length less any trailing bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperedgeBits {
-    /// Layout of the stored lists ([`Layout::Lists`] for a negative graph).
+    /// Layout of the stored lists.
     pub layout: Layout,
     /// Kind bit and layout marker.
     pub header: u64,
-    /// The `sources` gap list of a positive graph.
+    /// The `sources` gap list.
     pub sources: u64,
     /// Dictionary entries: distinct targets or the stream of distinct
     /// lists.
@@ -544,7 +441,7 @@ pub struct SuperedgeBits {
     pub stream: u64,
 }
 
-/// What [`scan_sources`] read of a positive superedge graph.
+/// What [`scan_sources`] read of a superedge graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Scanned {
     /// Where its `sources` lie in the pool.
@@ -556,11 +453,10 @@ pub(crate) struct Scanned {
 }
 
 /// Reads of an encoded superedge graph what a [`crate::cache::Fanout`]
-/// wants of it and builds nothing: appends a positive graph's `sources` —
-/// ascending and below `ni`, checked as [`SuperedgeIndex::parse`] checks
-/// them — to `pool` and returns where they lie in it, with the one target
-/// of a single-target dictionary of one entry (see [`sole_target`]);
-/// `None` for a negative graph, which stores a list for every page. On an
+/// wants of it and builds nothing: appends its `sources` — ascending and
+/// below `ni`, checked as [`SuperedgeIndex::parse`] checks them — to
+/// `pool` and returns where they lie in it, with the one target of a
+/// single-target dictionary of one entry (see [`sole_target`]). On an
 /// error `pool` is as it was.
 pub(crate) fn scan_sources(
     bytes: &[u8],
@@ -568,12 +464,10 @@ pub(crate) fn scan_sources(
     ni: u64,
     nj: u64,
     pool: &mut Vec<u32>,
-) -> Result<Option<Scanned>> {
+) -> Result<Scanned> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     let mut w = r.window();
-    let Some(layout) = positive_layout(&mut w)? else {
-        return Ok(None);
-    };
+    let layout = read_layout(&mut w)?;
     let start = pool.len();
     if let Err(e) = append_bounded_gap_list(&mut w, ni, pool) {
         pool.truncate(start);
@@ -584,7 +478,7 @@ pub(crate) fn scan_sources(
         Layout::SingleTargets => sole_target(&mut w, sources.len(), nj),
         Layout::Lists | Layout::ListDictionary => None,
     };
-    Ok(Some(Scanned { sources, target }))
+    Ok(Scanned { sources, target })
 }
 
 /// [`scan_sources`] for the pages `group` of the supernode only (local
@@ -592,8 +486,8 @@ pub(crate) fn scan_sources(
 /// lists its position in `group`, reading `sources` only until they pass
 /// the group's last page, and reads the one target of a single-target
 /// dictionary of one entry only if the graph lists a page of the group.
-/// What it reads is checked as [`scan_sources`] checks it. `None` for a
-/// negative graph; on an error `pool` is as it was.
+/// What it reads is checked as [`scan_sources`] checks it; on an error
+/// `pool` is as it was.
 pub(crate) fn scan_sources_of(
     bytes: &[u8],
     bit_len: u64,
@@ -601,12 +495,10 @@ pub(crate) fn scan_sources_of(
     nj: u64,
     group: &[u32],
     pool: &mut Vec<u32>,
-) -> Result<Option<Scanned>> {
+) -> Result<Scanned> {
     let mut r = BitReader::with_bit_len(bytes, bit_len);
     let mut w = r.window();
-    let Some(layout) = positive_layout(&mut w)? else {
-        return Ok(None);
-    };
+    let layout = read_layout(&mut w)?;
     // A one-target dictionary's entry lies past every source.
     let single = layout == Layout::SingleTargets;
     let (start, mut at) = (pool.len(), 0usize);
@@ -629,16 +521,19 @@ pub(crate) fn scan_sources_of(
         true => sole_target(&mut w, sources.len(), nj),
         false => None,
     };
-    Ok(Some(Scanned { sources, target }))
+    Ok(Scanned { sources, target })
 }
 
-/// Reads the kind bit of the superedge graph `w` opens and, for a
-/// positive graph, its layout; `None` for a negative graph.
-fn positive_layout(w: &mut Window<'_, '_>) -> Result<Option<Layout>> {
-    match w.read_bit()? {
-        true => Ok(None),
-        false => Layout::read(w).map(Some),
+/// Reads the kind bit and the layout of the superedge graph `w` opens.
+/// The kind bit must read 0: a 1 is the complement form earlier builds
+/// wrote, which no reader takes.
+fn read_layout(w: &mut Window<'_, '_>) -> Result<Layout> {
+    if w.read_bit()? {
+        return Err(SNodeError::Corrupt(
+            "negative superedge graph: rebuild the directory",
+        ));
     }
+    Layout::read(w)
 }
 
 /// The entry of the single-target dictionary `r` is at, after `sources`
@@ -655,9 +550,9 @@ fn sole_target(w: &mut Window<'_, '_>, sources: usize, nj: u64) -> Option<u32> {
 }
 
 impl SuperedgeIndex {
-    /// Parses an encoded superedge graph whole: its kind, for a positive
-    /// graph its layout and `sources`, and the directory of its body — the
-    /// offsets of a list stream, or a dictionary's entries and indexes.
+    /// Parses an encoded superedge graph whole: its layout and `sources`,
+    /// and the directory of its body — the offsets of a list stream, or a
+    /// dictionary's entries and indexes.
     /// `ni` = |Ni| and `nj` = |Nj| come from the supernode metadata; the
     /// codec argument is read by nothing, and [`ListCodec`] says which
     /// caller it stays for.
@@ -666,10 +561,9 @@ impl SuperedgeIndex {
     /// hold first: `sources` are read into it once their count fits the
     /// bits that follow, and it then grows once, to its size, after the
     /// body's count is read — a list stream must store one list per source
-    /// (per page of `Ni` if negative) and no more than its bits can, a
-    /// dictionary between one entry and one per source (none without
-    /// sources). So no allocation outgrows the graph's bits, whatever they
-    /// claim.
+    /// and no more than its bits can, a dictionary between one entry and
+    /// one per source (none without sources). So no allocation outgrows the
+    /// graph's bits, whatever they claim.
     pub fn parse(bytes: &[u8], bit_len: u64, ni: u64, nj: u64, _codec: ListCodec) -> Result<Self> {
         let pages = |n: u64| {
             u32::try_from(n).map_err(|_| SNodeError::Corrupt("supernode size overflows u32"))
@@ -677,27 +571,15 @@ impl SuperedgeIndex {
         let (ni32, nj32) = (pages(ni)?, pages(nj)?);
         let mut r = BitReader::with_bit_len(bytes, bit_len);
         let mut w = r.window();
-        let (kind, layout) = match w.read_bit()? {
-            true => (SuperedgeKind::Negative, Layout::Lists),
-            false => (SuperedgeKind::Positive, Layout::read(&mut w)?),
-        };
+        let layout = read_layout(&mut w)?;
         let mut arena = Vec::new();
-        let sources = match kind {
-            SuperedgeKind::Negative => 0,
-            SuperedgeKind::Positive => {
-                append_gap_section(&mut w, ni, &mut arena, Width::below(ni))?
-            }
-        };
+        let sources = append_gap_section(&mut w, ni, &mut arena, Width::below(ni))?;
         let body_at = w.position();
         // How many values the body holds, and a dictionary's entry count.
         let (len, entries) = match layout {
             Layout::Lists => {
                 let (lists, _) = stream_list_count(bytes, bit_len, body_at)?;
-                let stored = match kind {
-                    SuperedgeKind::Negative => ni,
-                    SuperedgeKind::Positive => u64::from(sources),
-                };
-                if lists != stored {
+                if lists != u64::from(sources) {
                     return Err(SNodeError::Corrupt(
                         "list stream count disagrees with sources",
                     ));
@@ -759,7 +641,6 @@ impl SuperedgeIndex {
             sources,
             ni: ni32,
             nj: nj32,
-            kind,
             layout,
             index,
             body,
@@ -793,16 +674,18 @@ impl SuperedgeIndex {
         ]
     }
 
-    /// The positive target list of local source `s` (`nj` = |Nj|).
-    pub fn targets_of(&self, bytes: &[u8], bit_len: u64, s: u64, nj: u64) -> Result<Vec<u32>> {
+    /// The target list of local source `s`. `_nj` = |Nj| is read by
+    /// nothing (the parse keeps it); it stays for callers outside the
+    /// workspace that pass it.
+    pub fn targets_of(&self, bytes: &[u8], bit_len: u64, s: u64, _nj: u64) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let mut scratch = DecodeScratch::default();
-        self.targets_of_into(bytes, bit_len, s, nj, &mut scratch, &mut out)?;
+        self.targets_of_into(bytes, bit_len, s, &mut scratch, &mut out)?;
         Ok(out)
     }
 
-    /// Decodes the positive target list of local source `s` into `out`
-    /// (cleared first), through the caller's buffers — see
+    /// Decodes the target list of local source `s` into `out` (cleared
+    /// first), through the caller's buffers — see
     /// [`ListsIndex::decode_list_into`], which this ends in unless the
     /// answer takes no list decode at all: a page that is none of the
     /// graph's `sources` has no targets, and a source of a single-target
@@ -812,24 +695,12 @@ impl SuperedgeIndex {
         bytes: &[u8],
         bit_len: u64,
         s: u64,
-        nj: u64,
         scratch: &mut DecodeScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
         out.clear();
         if s >= u64::from(self.ni) {
             return Err(SNodeError::Corrupt("superedge source out of range"));
-        }
-        if self.kind == SuperedgeKind::Negative {
-            // The stored list goes to a buffer of its own, lent out for
-            // the decode: `out` is for its complement.
-            let mut stored = std::mem::take(&mut scratch.stored);
-            let decoded = self.stored_list_into(bytes, bit_len, s as u32, scratch, &mut stored);
-            if decoded.is_ok() {
-                complement_into(&stored, nj as u32, out);
-            }
-            scratch.stored = stored;
-            return decoded;
         }
         match source_rank(self.sources(), s as u32, self.ni) {
             Some(i) => self.stored_list_into(bytes, bit_len, i as u32, scratch, out),
@@ -870,15 +741,11 @@ impl SuperedgeIndex {
             .decode_list_into(bytes, bit_len, list, scratch, out)
     }
 
-    /// Total number of positive edges represented.
-    pub fn count_positive_edges(&self, bytes: &[u8], bit_len: u64, nj: u64) -> Result<u64> {
+    /// Total number of edges represented.
+    pub fn count_edges(&self, bytes: &[u8], bit_len: u64) -> Result<u64> {
         let mut total = 0u64;
-        for i in 0..self.num_stored_lists() {
-            let stored = self.stored_list(bytes, bit_len, i)?.len() as u64;
-            total += match self.kind {
-                SuperedgeKind::Positive => stored,
-                SuperedgeKind::Negative => nj - stored,
-            };
+        for i in 0..self.sources {
+            total += self.stored_list(bytes, bit_len, i)?.len() as u64;
         }
         Ok(total)
     }
@@ -893,8 +760,8 @@ impl SuperedgeIndex {
     }
 
     /// Directory over the reference-encoded lists the graph stores — one
-    /// per non-empty source ([`Layout::Lists`], positive), per source page
-    /// (negative) or per distinct list ([`Layout::ListDictionary`]).
+    /// per source ([`Layout::Lists`]) or per distinct list
+    /// ([`Layout::ListDictionary`]).
     /// `None` for [`Layout::SingleTargets`], which stores no list stream.
     pub fn lists(&self) -> Option<ListsIndex<&[u8]>> {
         let offsets = match self.layout {
@@ -904,7 +771,7 @@ impl SuperedgeIndex {
         Some(ListsIndex::view(u64::from(self.nj), offsets))
     }
 
-    /// Layout of the stored lists ([`Layout::Lists`] for a negative graph).
+    /// Layout of the stored lists.
     pub fn layout(&self) -> Layout {
         self.layout
     }
@@ -914,16 +781,7 @@ impl SuperedgeIndex {
         u64::from(self.nj)
     }
 
-    /// Number of stored lists (in stored order, not source-id space): one
-    /// per source, or per page of `Ni` for a negative graph.
-    pub fn num_stored_lists(&self) -> u32 {
-        match self.kind {
-            SuperedgeKind::Positive => self.sources,
-            SuperedgeKind::Negative => self.ni,
-        }
-    }
-
-    /// Decodes stored list `i` (in stored order, not source-id space).
+    /// Decodes stored list `i`: the list of the `i`-th of `sources`.
     pub fn stored_list(&self, bytes: &[u8], bit_len: u64, i: u32) -> Result<Vec<u32>> {
         let mut out = Vec::new();
         let mut scratch = DecodeScratch::default();
@@ -945,14 +803,9 @@ impl SuperedgeIndex {
         let values = |section: Section<&[u8]>| section.iter().collect::<Vec<u32>>();
         // The marker's length is the one thing about a graph's bytes that
         // parsing does not keep; its code is a prefix code, so the layout
-        // gives it back. A negative graph has none, and no `sources`.
-        let (header, sources) = match self.kind {
-            SuperedgeKind::Positive => (
-                1 + self.layout.marker().len() as u64,
-                bounded_gap_list_len(&values(sources), u64::from(self.ni)),
-            ),
-            SuperedgeKind::Negative => (1, 0),
-        };
+        // gives it back.
+        let header = 1 + self.layout.marker().len() as u64;
+        let sources = bounded_gap_list_len(&values(sources), u64::from(self.ni));
         let body_start = header + sources;
         let stream = |offsets: Section<&[u8]>| {
             let end = offsets.last().map_or(body_start, u64::from);
@@ -980,19 +833,12 @@ impl SuperedgeIndex {
         bits
     }
 
-    /// Positive encodings only: the sorted source ids with non-empty
-    /// target lists (empty for negative encodings).
+    /// The sorted source ids with non-empty target lists: what
+    /// [`crate::cache::Fanout::build`] takes of a graph.
     pub fn sources(&self) -> Section<&[u8]> {
         let width = Width::below(u64::from(self.ni));
         let at = width.after(0, self.sources as usize);
         Section::cut(&self.arena, at, self.sources, width)
-    }
-
-    /// What [`crate::cache::Fanout::build`] takes of a graph: the
-    /// [`SuperedgeIndex::sources`] of a positive one, `None` for a
-    /// negative one, which every page consults.
-    pub fn positive_sources(&self) -> Option<Section<&[u8]>> {
-        (self.kind == SuperedgeKind::Positive).then(|| self.sources())
     }
 
     /// The local target every source links to, for a single-target
@@ -1040,21 +886,6 @@ fn source_rank(sources: Section<&[u8]>, s: u32, ni: u32) -> Option<usize> {
     Some(lo + sources.slice(lo..hi).position(s)?)
 }
 
-/// Overwrites `out` with the sorted complement of `list` within `0..n`,
-/// growing it to that length at most.
-fn complement_into(list: &[u32], n: u32, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve_exact((n as usize).saturating_sub(list.len()));
-    let mut li = 0usize;
-    for x in 0..n {
-        if li < list.len() && list[li] == x {
-            li += 1;
-        } else {
-            out.push(x);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1075,29 +906,8 @@ mod tests {
     }
 
     /// And for its sparse superedge links.
-    fn encode_links(
-        links: SuperedgeLinks<'_>,
-        mode: RefMode,
-        policy: SuperedgePolicy,
-    ) -> EncodedSuperedge {
-        write_superedge(links, &plan_superedge(links, mode, policy))
-    }
-
-    /// The positive representation, whether or not it would win.
-    fn encode_superedge_positive(
-        pos_lists: &[Vec<u32>],
-        nj: u64,
-        mode: RefMode,
-    ) -> EncodedSuperedge {
-        let (sources, lists) = positive_sources(pos_lists);
-        let links = SuperedgeLinks {
-            sources: &sources,
-            lists: lists.view(),
-            ni: pos_lists.len() as u64,
-            nj,
-        };
-        let pos = plan_positive(links, mode);
-        write_superedge_positive(links, &pos)
+    fn encode_links(links: SuperedgeLinks<'_>, mode: RefMode) -> EncodedSuperedge {
+        write_superedge(links, &plan_superedge(links, mode))
     }
 
     #[test]
@@ -1110,14 +920,13 @@ mod tests {
     }
 
     #[test]
-    fn sparse_superedge_stays_positive() {
+    fn sparse_superedge_round_trips() {
         // 10 sources into |Nj| = 50, very few links.
         let mut pos = vec![Vec::new(); 10];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
         for mode in modes() {
-            let enc = encode_superedge(&pos, 50, mode, SuperedgePolicy::EncodedSize);
-            assert_eq!(enc.kind, SuperedgeKind::Positive);
+            let enc = encode_superedge(&pos, 50, mode);
             assert_eq!(
                 decode_superedge(&enc.bytes, enc.bit_len, 10, 50).unwrap(),
                 pos
@@ -1125,68 +934,37 @@ mod tests {
         }
     }
 
+    /// A dense block — every page of `Ni` linking to all of `Nj`, or to
+    /// all but one page — is stored as its links: a complete block as a
+    /// list dictionary of one entry, which costs one list and `sources`.
     #[test]
-    fn dense_superedge_goes_negative() {
-        // Every source links to all but one target: complement is tiny.
+    fn dense_superedges_are_stored_as_their_links() {
         let nj = 30u32;
-        let pos: Vec<Vec<u32>> = (0..8u32)
+        let full: Vec<Vec<u32>> = (0..8).map(|_| (0..nj).collect()).collect();
+        let holed: Vec<Vec<u32>> = (0..8u32)
             .map(|s| (0..nj).filter(|&t| t != s % nj).collect())
             .collect();
-        let enc = encode_superedge(
-            &pos,
-            u64::from(nj),
-            RefMode::Windowed(4),
-            SuperedgePolicy::EncodedSize,
-        );
-        assert_eq!(enc.kind, SuperedgeKind::Negative);
-        assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 8, u64::from(nj)).unwrap(),
-            pos
-        );
-    }
-
-    #[test]
-    fn fully_dense_superedge_negative_is_empty_lists() {
-        // All sources link to all targets: the paper's SEdgeNeg is an empty
-        // graph — the smallest possible representation.
-        let nj = 12u32;
-        let pos: Vec<Vec<u32>> = (0..5).map(|_| (0..nj).collect()).collect();
-        let enc = encode_superedge(
-            &pos,
-            u64::from(nj),
-            RefMode::Windowed(4),
-            SuperedgePolicy::EncodedSize,
-        );
-        assert_eq!(enc.kind, SuperedgeKind::Negative);
-        let sparse = encode_superedge_positive(&pos, u64::from(nj), RefMode::Windowed(4));
-        assert!(enc.bit_len < sparse.bit_len / 2);
-        assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 5, u64::from(nj)).unwrap(),
-            pos
-        );
-    }
-
-    #[test]
-    fn edge_count_policy_matches_paper_heuristic() {
-        let nj = 10u32;
-        // 6 of 10 targets linked per source: negative has fewer edges.
-        let pos: Vec<Vec<u32>> = (0..4).map(|_| vec![0u32, 1, 2, 3, 4, 5]).collect();
-        let enc = encode_superedge(
-            &pos,
-            u64::from(nj),
-            RefMode::None,
-            SuperedgePolicy::EdgeCount,
-        );
-        assert_eq!(enc.kind, SuperedgeKind::Negative);
-        assert_eq!(
-            decode_superedge(&enc.bytes, enc.bit_len, 4, u64::from(nj)).unwrap(),
-            pos
+        let mut sizes = Vec::new();
+        for (pos, layout) in [(full, Layout::ListDictionary), (holed, Layout::Lists)] {
+            let enc = encode_superedge(&pos, u64::from(nj), RefMode::Windowed(4));
+            let (bytes, bits) = (&enc.bytes[..], enc.bit_len);
+            let index = SuperedgeIndex::parse(bytes, bits, 8, u64::from(nj), ListCodec).unwrap();
+            assert_eq!(index.layout(), layout);
+            assert_eq!(
+                decode_superedge(bytes, bits, 8, u64::from(nj)).unwrap(),
+                pos
+            );
+            sizes.push(bits);
+        }
+        assert!(
+            2 * sizes[0] < sizes[1],
+            "one list and `sources`: {sizes:?} bits"
         );
     }
 
     /// The builder's sparse input and the dense convenience are one
-    /// encoder: same bits whichever way the links arrive, for a negative
-    /// winner, a lone source among empty ones, and a dictionary.
+    /// encoder: same bits whichever way the links arrive, for a dense
+    /// block, a lone source among empty ones, and a dictionary.
     #[test]
     fn sparse_input_encodes_bit_for_bit_like_dense() {
         let lone = {
@@ -1194,11 +972,11 @@ mod tests {
             pos[217] = vec![4u32, 5, 30];
             pos
         };
-        // (name, dense lists, |Nj|, the kind that must win)
-        type Case = (&'static str, Vec<Vec<u32>>, u64, SuperedgeKind);
+        // (name, dense lists, |Nj|)
+        type Case = (&'static str, Vec<Vec<u32>>, u64);
         let cases: [Case; 4] = [
             (
-                "negative winner with unlinked sources",
+                "dense block with unlinked sources",
                 (0..9u32)
                     .map(|s| match s % 4 {
                         3 => Vec::new(),
@@ -1206,9 +984,8 @@ mod tests {
                     })
                     .collect(),
                 20,
-                SuperedgeKind::Negative,
             ),
-            ("all empty but one", lone, 31, SuperedgeKind::Positive),
+            ("all empty but one", lone, 31),
             (
                 "single-target dictionary",
                 (0..40u32)
@@ -1218,16 +995,10 @@ mod tests {
                     })
                     .collect(),
                 20,
-                SuperedgeKind::Positive,
             ),
-            (
-                "no links at all",
-                vec![Vec::new(); 6],
-                7,
-                SuperedgeKind::Positive,
-            ),
+            ("no links at all", vec![Vec::new(); 6], 7),
         ];
-        for (name, pos, nj, kind) in cases {
+        for (name, pos, nj) in cases {
             let ni = pos.len() as u64;
             // The sparse form as the builder derives it: one list per
             // linking source, pushed as its links arrive — in any order.
@@ -1247,22 +1018,18 @@ mod tests {
                 nj,
             };
             for mode in modes() {
-                for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
-                    let dense = encode_superedge(&pos, nj, mode, policy);
-                    let sparse = encode_links(links, mode, policy);
-                    assert_eq!(sparse, dense, "{name} {mode:?} {policy:?}");
-                    assert_eq!(dense.kind, kind, "{name} {mode:?} {policy:?}");
-                    let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj);
-                    assert_eq!(back.unwrap(), pos, "{name} {mode:?} {policy:?}");
-                    let index =
-                        SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, ListCodec)
-                            .unwrap();
-                    assert_eq!(
-                        index.layout() == Layout::SingleTargets,
-                        name == "single-target dictionary",
-                        "{name} {mode:?} {policy:?}"
-                    );
-                }
+                let dense = encode_superedge(&pos, nj, mode);
+                let sparse = encode_links(links, mode);
+                assert_eq!(sparse, dense, "{name} {mode:?}");
+                let back = decode_superedge(&dense.bytes, dense.bit_len, ni, nj);
+                assert_eq!(back.unwrap(), pos, "{name} {mode:?}");
+                let index =
+                    SuperedgeIndex::parse(&dense.bytes, dense.bit_len, ni, nj, ListCodec).unwrap();
+                assert_eq!(
+                    index.layout() == Layout::SingleTargets,
+                    name == "single-target dictionary",
+                    "{name} {mode:?}"
+                );
             }
         }
     }
@@ -1273,7 +1040,7 @@ mod tests {
         pos[3] = vec![0u32, 7, 14];
         pos[11] = vec![7];
         pos[19] = vec![0, 1, 2];
-        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4), SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4));
         let (bytes, bits) = (&enc.bytes[..], enc.bit_len);
         let index = SuperedgeIndex::parse(bytes, bits, 20, 15, ListCodec).unwrap();
         for (s, expect) in pos.iter().enumerate() {
@@ -1283,59 +1050,16 @@ mod tests {
             );
         }
         assert!(index.targets_of(bytes, bits, 20, 15).is_err());
-        assert_eq!(index.count_positive_edges(bytes, bits, 15).unwrap(), 7);
-    }
-
-    #[test]
-    fn negative_view_random_access() {
-        let nj = 9u32;
-        let pos: Vec<Vec<u32>> = (0..6u32)
-            .map(|s| (0..nj).filter(|&t| t != s && t != (s + 1) % nj).collect())
-            .collect();
-        let enc = encode_superedge(
-            &pos,
-            u64::from(nj),
-            RefMode::Windowed(4),
-            SuperedgePolicy::EncodedSize,
-        );
-        assert_eq!(enc.kind, SuperedgeKind::Negative);
-        let (bytes, bits, nj) = (&enc.bytes[..], enc.bit_len, u64::from(nj));
-        let index = SuperedgeIndex::parse(bytes, bits, 6, nj, ListCodec).unwrap();
-        for (s, expect) in pos.iter().enumerate() {
-            assert_eq!(
-                &index.targets_of(bytes, bits, s as u64, nj).unwrap(),
-                expect
-            );
-        }
-        assert_eq!(
-            index.count_positive_edges(bytes, bits, nj).unwrap(),
-            pos.iter().map(|l| l.len() as u64).sum::<u64>()
-        );
+        assert_eq!(index.count_edges(bytes, bits).unwrap(), 7);
     }
 
     #[test]
     fn empty_superedge_inputs() {
-        let enc = encode_superedge(&[], 5, RefMode::None, SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&[], 5, RefMode::None);
         assert_eq!(
             decode_superedge(&enc.bytes, enc.bit_len, 0, 5).unwrap(),
             Vec::<Vec<u32>>::new()
         );
-    }
-
-    fn complement(list: &[u32], n: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        complement_into(list, n, &mut out);
-        out
-    }
-
-    #[test]
-    fn complement_is_involutive() {
-        let list = vec![1u32, 4, 5, 8];
-        let c = complement(&list, 10);
-        assert_eq!(c, vec![0, 2, 3, 6, 7, 9]);
-        assert_eq!(complement(&c, 10), list);
-        assert_eq!(complement(&[], 3), vec![0, 1, 2]);
-        assert_eq!(complement(&[0, 1, 2], 3), Vec::<u32>::new());
     }
 
     #[test]
@@ -1344,9 +1068,8 @@ mod tests {
         let pos: Vec<Vec<u32>> = (0..40u32)
             .map(|s| vec![[2u32, 9, 14][(s % 3) as usize]])
             .collect();
-        let enc = encode_superedge(&pos, 20, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
-        assert_eq!(enc.kind, SuperedgeKind::Positive);
-        let (sources, lists) = positive_sources(&pos);
+        let enc = encode_superedge(&pos, 20, RefMode::Windowed(8));
+        let (sources, lists) = sparse_sources(&pos);
         let links = SuperedgeLinks {
             sources: &sources,
             lists: lists.view(),
@@ -1366,9 +1089,8 @@ mod tests {
         );
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 20, ListCodec).unwrap();
         assert!(index.lists().is_none(), "must store no list stream");
-        assert_eq!(index.num_stored_lists(), 40);
         assert_eq!(index.end_bit(), enc.bit_len);
-        let edges = index.count_positive_edges(&enc.bytes, enc.bit_len, 20);
+        let edges = index.count_edges(&enc.bytes, enc.bit_len);
         assert_eq!(edges.unwrap(), 40);
         assert!(index.sources().iter().eq(0..40u32));
     }
@@ -1378,8 +1100,7 @@ mod tests {
         let mut pos = vec![Vec::new(); 10];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
-        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
-        assert_eq!(enc.kind, SuperedgeKind::Positive);
+        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8));
         assert_eq!(
             decode_superedge(&enc.bytes, enc.bit_len, 10, 50).unwrap(),
             pos
@@ -1453,7 +1174,8 @@ mod tests {
     /// three multi-target lists down every other page of a site (the list
     /// dictionary); 1 — hubs, one target per source out of at most four
     /// (the single-target dictionary); 2 — lists drawn independently (the
-    /// list stream); 3 — all but at most one link present (negative).
+    /// list stream); 3 — a dense block, all but at most one link present
+    /// (a list dictionary again: at most thirteen distinct lists).
     fn shaped_links(shape: usize, seed: u64, n: usize) -> Links {
         let mut state = seed;
         let mut rng = move || {
@@ -1516,7 +1238,7 @@ mod tests {
 
     /// Every layout these links can take, priced whether or not it could
     /// win: the model the cheapest-first planner answers to.
-    fn price_every_layout(pricer: &Pricer<'_>) -> Vec<PositivePlan> {
+    fn price_every_layout(pricer: &Pricer<'_>) -> Vec<SuperedgePlan> {
         let lists = pricer.links.lists;
         [Layout::SingleTargets, Layout::Lists, Layout::ListDictionary]
             .into_iter()
@@ -1529,26 +1251,22 @@ mod tests {
     }
 
     #[test]
-    fn each_shape_is_stored_in_the_representation_made_for_it() {
+    fn each_shape_is_stored_in_the_layout_made_for_it() {
         let expected = [
-            (SuperedgeKind::Positive, Layout::ListDictionary),
-            (SuperedgeKind::Positive, Layout::SingleTargets),
-            (SuperedgeKind::Positive, Layout::Lists),
-            (SuperedgeKind::Negative, Layout::Lists),
+            Layout::ListDictionary,
+            Layout::SingleTargets,
+            Layout::Lists,
+            Layout::ListDictionary,
         ];
-        for (shape, (kind, layout)) in expected.into_iter().enumerate() {
+        for (shape, layout) in expected.into_iter().enumerate() {
             for mode in all_modes() {
                 let owned = shaped_links(shape, 7, 30);
                 let links = owned.links();
-                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize);
+                let enc = encode_links(links, mode);
                 let (bytes, bit_len) = (&enc.bytes, enc.bit_len);
                 let index =
                     SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, ListCodec).unwrap();
-                assert_eq!(
-                    (index.kind, index.layout()),
-                    (kind, layout),
-                    "{shape} {mode:?}"
-                );
+                assert_eq!(index.layout(), layout, "{shape} {mode:?}");
             }
         }
     }
@@ -1557,8 +1275,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// encode → `parse` → `targets_of`, for every source and every
-        /// page that is none, in every layout and the negative form, and
-        /// every reference mode.
+        /// page that is none, in every layout and every reference mode.
         #[test]
         fn every_representation_round_trips(
             shape in 0usize..4,
@@ -1569,7 +1286,7 @@ mod tests {
             let links = owned.links();
             let dense = owned.dense();
             for mode in all_modes() {
-                let enc = encode_links(links, mode, SuperedgePolicy::EncodedSize);
+                let enc = encode_links(links, mode);
                 let (bytes, bits) = (&enc.bytes[..], enc.bit_len);
                 let index =
                     SuperedgeIndex::parse(bytes, bits, links.ni, links.nj, ListCodec).unwrap();
@@ -1579,13 +1296,13 @@ mod tests {
                 }
                 prop_assert!(index.targets_of(bytes, bits, links.ni, links.nj).is_err());
                 let edges: u64 = dense.iter().map(|l| l.len() as u64).sum();
-                prop_assert_eq!(index.count_positive_edges(bytes, bits, links.nj).unwrap(), edges);
+                prop_assert_eq!(index.count_edges(bytes, bits).unwrap(), edges);
                 prop_assert_eq!(index.end_bit(), enc.bit_len);
                 // The one target a fanout answers with is the scan's and
                 // the parse's alike, and is every listed page's answer.
                 let mut pool = Vec::new();
                 let scanned = scan_sources(&enc.bytes, enc.bit_len, links.ni, links.nj, &mut pool);
-                let target = scanned.unwrap().and_then(|scanned| scanned.target);
+                let target = scanned.unwrap().target;
                 prop_assert_eq!(target, index.one_target());
                 let listed: Vec<&Vec<u32>> = dense.iter().filter(|l| !l.is_empty()).collect();
                 let one = listed.first().filter(|first| {
@@ -1601,8 +1318,8 @@ mod tests {
         /// their positions in the group, and the one target of a
         /// single-target dictionary of one entry if and only if one of
         /// them is a source — in every shape, and for a template whose
-        /// every source links to one target (that dictionary); a
-        /// negative graph is `None` to both. Damaged bytes are refused
+        /// every source links to one target (that dictionary). Damaged
+        /// bytes are refused
         /// or read, never a panic, and whatever the group scan takes
         /// from bytes the whole scan reads is the whole scan's.
         #[test]
@@ -1624,7 +1341,7 @@ mod tests {
             };
             let links = owned.links();
             let group: Vec<u32> = group.into_iter().filter(|&p| u64::from(p) < links.ni).collect();
-            let enc = encode_links(links, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
+            let enc = encode_links(links, RefMode::Windowed(8));
             let (ni, nj) = (links.ni, links.nj);
             let mut flipped = enc.bytes.clone();
             let at = (flip % enc.bit_len.max(1)) as usize;
@@ -1640,11 +1357,6 @@ mod tests {
                 };
                 let Ok(all) = all else {
                     continue;
-                };
-                let (all, of) = match (all, of) {
-                    (None, None) => continue,
-                    (Some(all), Some(of)) => (all, of),
-                    (all, of) => return Err(TestCaseError::fail(format!("{all:?} / {of:?}"))),
                 };
                 let listed: Vec<u32> = group
                     .iter()
@@ -1667,8 +1379,8 @@ mod tests {
         /// the same bytes at every entry point, in every reference mode,
         /// and decode to the lists that went in: templates (whole lists
         /// repeated), hubs (single targets), independent lists and dense
-        /// graphs that go negative, with the empty lists of the pages that
-        /// link nowhere among them.
+        /// blocks, with the empty lists of the pages that link nowhere
+        /// among them.
         #[test]
         fn nested_and_flat_inputs_encode_to_the_same_bytes(
             shape in 0usize..4,
@@ -1701,14 +1413,10 @@ mod tests {
                 prop_assert_eq!(&encode_flat(&pushed(&intra), links.ni, mode), &nested);
                 prop_assert_eq!(&decode_intranode(&nested.bytes, nested.bit_len).unwrap(), &intra);
 
-                for policy in [SuperedgePolicy::EncodedSize, SuperedgePolicy::EdgeCount] {
-                    let nested = encode_superedge(&dense, links.nj, mode, policy);
-                    let flat = encode_links(links, mode, policy);
-                    prop_assert_eq!(&flat, &nested, "{:?} {:?}", mode, policy);
-                    let (bytes, bits) = (&nested.bytes, nested.bit_len);
-                    let back = decode_superedge(bytes, bits, links.ni, links.nj);
-                    prop_assert_eq!(&back.unwrap(), &dense);
-                }
+                let nested = encode_superedge(&dense, links.nj, mode);
+                prop_assert_eq!(&encode_links(links, mode), &nested, "{:?}", mode);
+                let back = decode_superedge(&nested.bytes, nested.bit_len, links.ni, links.nj);
+                prop_assert_eq!(&back.unwrap(), &dense);
             }
         }
 
@@ -1728,7 +1436,7 @@ mod tests {
                 let pricer = Pricer::new(links, mode);
                 let all = price_every_layout(&pricer);
                 for plan in &all {
-                    let enc = write_superedge_positive(links, plan);
+                    let enc = write_superedge(links, plan);
                     prop_assert_eq!(enc.bit_len, plan.bits, "{:?} mispriced", plan.layout());
                     if let Some(floor) = pricer.floor(plan.layout()) {
                         prop_assert!(
@@ -1738,11 +1446,11 @@ mod tests {
                     }
                 }
                 let smallest = all.iter().min_by_key(|plan| plan.rank()).unwrap();
-                let chosen = plan_positive(links, mode);
+                let chosen = plan_superedge(links, mode);
                 prop_assert_eq!(chosen.rank(), smallest.rank(), "{:?}", mode);
                 prop_assert_eq!(
-                    write_superedge_positive(links, &chosen),
-                    write_superedge_positive(links, smallest)
+                    write_superedge(links, &chosen),
+                    write_superedge(links, smallest)
                 );
             }
         }
@@ -1757,8 +1465,7 @@ mod tests {
             let owned = shaped_links(shape, 11, 24);
             let links = owned.links();
             let dense = owned.dense();
-            let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_links(links, RefMode::default(), policy);
+            let enc = encode_links(links, RefMode::default());
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
                     .unwrap();
@@ -1800,7 +1507,7 @@ mod tests {
     }
 
     /// Every single-bit flip and every truncation of a graph in each
-    /// layout and of a negative one: `Corrupt`, or a graph whose every
+    /// layout and of a dense block: `Corrupt`, or a graph whose every
     /// answer is an error or a sorted list inside `|Nj|`.
     #[test]
     fn damaged_graphs_are_corrupt_or_answer_inside_their_universe() {
@@ -1808,13 +1515,12 @@ mod tests {
             (0, Layout::ListDictionary),
             (1, Layout::SingleTargets),
             (2, Layout::Lists),
-            (3, Layout::Lists),
+            (3, Layout::ListDictionary),
         ];
         for (shape, layout) in shapes {
             let owned = shaped_links(shape, 5, 18);
             let links = owned.links();
-            let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_links(links, RefMode::default(), policy);
+            let enc = encode_links(links, RefMode::default());
             let parse = |bytes: &[u8], bit_len| {
                 SuperedgeIndex::parse(bytes, bit_len, links.ni, links.nj, ListCodec)
             };
@@ -1828,7 +1534,7 @@ mod tests {
                 };
                 for s in 0..links.ni {
                     let (scratch, list) = (&mut scratch, &mut list);
-                    let decoded = index.targets_of_into(bytes, bit_len, s, links.nj, scratch, list);
+                    let decoded = index.targets_of_into(bytes, bit_len, s, scratch, list);
                     if decoded.is_ok() {
                         assert!(list.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted");
                         assert!(
@@ -1886,8 +1592,7 @@ mod tests {
         for shape in 0..4 {
             let owned = shaped_links(shape, 13, 21);
             let links = owned.links();
-            let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_links(links, RefMode::default(), policy);
+            let enc = encode_links(links, RefMode::default());
             let index =
                 SuperedgeIndex::parse(&enc.bytes, enc.bit_len, links.ni, links.nj, ListCodec)
                     .unwrap();
@@ -1901,11 +1606,7 @@ mod tests {
             let dictionary = bits.layout != Layout::Lists;
             assert_eq!(bits.dictionary > 0, dictionary, "{shape}: {bits:?}");
             assert_eq!(bits.stream > 0, !dictionary, "{shape}: {bits:?}");
-            let marker = match index.kind {
-                SuperedgeKind::Negative => 0,
-                SuperedgeKind::Positive => bits.layout.marker().len(),
-            };
-            assert_eq!(bits.header, 1 + marker as u64);
+            assert_eq!(bits.header, 1 + bits.layout.marker().len() as u64);
         }
     }
 
@@ -1934,7 +1635,7 @@ mod tests {
         }
     }
 
-    /// A positive graph's list-stream directory is in its arena from
+    /// A graph's list-stream directory is in its arena from
     /// parse on, charged as what it occupies: `sources`, then one offset per
     /// source and the end.
     #[test]
@@ -1943,8 +1644,7 @@ mod tests {
         pos[3] = vec![0u32, 7, 14];
         pos[11] = vec![7];
         pos[19] = vec![0, 1, 2];
-        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4), SuperedgePolicy::EncodedSize);
-        assert_eq!(enc.kind, SuperedgeKind::Positive);
+        let enc = encode_superedge(&pos, 15, RefMode::Windowed(4));
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 40, 15, ListCodec).unwrap();
         let built = index.lists().expect("built by the parse");
         assert_eq!(built.num_lists(), 3);
@@ -2000,12 +1700,10 @@ mod tests {
                 graphs.push((0..ni).map(list).collect());
             }
             for dense in graphs {
-                let policy = SuperedgePolicy::EncodedSize;
-                let enc = encode_superedge(&dense, u64::from(nj), RefMode::default(), policy);
+                let enc = encode_superedge(&dense, u64::from(nj), RefMode::default());
                 let (ni64, nj64) = (u64::from(ni), u64::from(nj));
                 let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni64, nj64, ListCodec);
                 let index = index.unwrap();
-                assert_eq!(index.kind, SuperedgeKind::Positive);
                 let [sources, indexes, body] = index.sections();
                 assert_eq!(sources.width(), Width::below(ni64));
                 let entries = match index.layout() {
@@ -2060,11 +1758,11 @@ mod tests {
         let mut pos = vec![Vec::new(); 12];
         pos[2] = vec![5u32, 9];
         pos[7] = vec![5];
-        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 50, RefMode::Windowed(8));
         let cut = enc.bit_len - 3;
         let mut pool = Vec::new();
         let scanned = scan_sources(&enc.bytes, cut, 12, 50, &mut pool);
-        assert_eq!(scanned.unwrap().map(|scanned| scanned.sources), Some(0..2));
+        assert_eq!(scanned.unwrap().sources, 0..2);
         assert_eq!(pool, [2, 7]);
         let got = SuperedgeIndex::parse(&enc.bytes, cut, 12, 50, ListCodec);
         assert!(got.is_err(), "{got:?}");
@@ -2078,12 +1776,12 @@ mod tests {
         let mut pos = vec![Vec::new(); 12];
         pos[2] = vec![7u32];
         pos[9] = vec![7];
-        let enc = encode_superedge(&pos, 20, RefMode::None, SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 20, RefMode::None);
         let scan = |bytes: &[u8], bit_len: u64, nj: u64| {
             let mut pool = Vec::new();
             let scanned = scan_sources(bytes, bit_len, 12, nj, &mut pool).unwrap();
             assert_eq!(pool, [2, 9]);
-            scanned.unwrap().target
+            scanned.target
         };
         assert_eq!(scan(&enc.bytes, enc.bit_len, 20), Some(7));
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 12, 20, ListCodec).unwrap();
@@ -2100,7 +1798,7 @@ mod tests {
         assert_eq!(scan(&enc.bytes, bits.header + bits.sources + 2, 20), None);
 
         pos[9] = vec![8];
-        let enc = encode_superedge(&pos, 20, RefMode::None, SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 20, RefMode::None);
         assert_eq!(scan(&enc.bytes, enc.bit_len, 20), None, "two entries");
         let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, 12, 20, ListCodec).unwrap();
         assert_eq!(index.layout(), Layout::SingleTargets);
@@ -2108,9 +1806,8 @@ mod tests {
     }
 
     /// A list stream in the retired directory form is refused wherever a
-    /// graph holds one, when the graph is parsed: an intranode graph, a
-    /// negative superedge graph, and a positive one's list stream or list
-    /// dictionary.
+    /// graph holds one, when the graph is parsed: an intranode graph, and
+    /// a superedge graph's list stream or list dictionary.
     #[test]
     fn retired_directory_streams_are_corrupt_in_every_graph_kind() {
         use crate::refenc::tests::{is_retired_form, retired_directory_stream};
@@ -2123,16 +1820,9 @@ mod tests {
         let got = decode_intranode(&bytes, bit_len);
         assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
 
-        let mut w = BitWriter::new();
-        w.write_bit(true); // negative
-        retired_directory_stream(&mut w, &lists, &parents, 3);
-        let (bytes, bit_len) = w.finish();
-        let got = SuperedgeIndex::parse(&bytes, bit_len, 3, 3, ListCodec);
-        assert!(got.as_ref().is_err_and(is_retired_form), "{got:?}");
-
         for layout in [Layout::Lists, Layout::ListDictionary] {
             let mut w = BitWriter::new();
-            w.write_bit(false); // positive
+            w.write_bit(false); // kind
             layout.marker().iter().for_each(|&bit| w.write_bit(bit));
             write_bounded_gap_list(&mut w, &[0, 1, 2], 4);
             retired_directory_stream(&mut w, &lists, &parents, 3);
@@ -2153,9 +1843,46 @@ mod tests {
         }
     }
 
+    /// A set kind bit — the complement form earlier builds wrote, one
+    /// list per page of `Ni` of the targets it does not link to, or any
+    /// graph whose first bit flipped — is `Corrupt` wherever a graph is
+    /// read: the parse, both fanout scans and the whole decode, with the
+    /// pool of a scan as it was.
+    #[test]
+    fn a_set_kind_bit_is_corrupt_wherever_it_is_read() {
+        let (ni, nj) = (4u64, 5u64);
+        let complement = ListBuf::from_nested(&[vec![0u32], vec![], vec![2, 4], vec![1]]);
+        let mut w = BitWriter::new();
+        w.write_bit(true);
+        let plan = plan_lists(complement.view(), nj, RefMode::default());
+        write_lists_planned(&mut w, complement.view(), nj, &plan);
+        let old = w.finish();
+        let mut flipped =
+            encode_superedge(&[vec![1], vec![], vec![1, 3], vec![0]], nj, RefMode::None);
+        flipped.bytes[0] |= 0x80;
+        let negative = |e: &SNodeError| {
+            matches!(
+                e,
+                SNodeError::Corrupt("negative superedge graph: rebuild the directory")
+            )
+        };
+        for (bytes, bit_len) in [old, (flipped.bytes, flipped.bit_len)] {
+            let got = SuperedgeIndex::parse(&bytes, bit_len, ni, nj, ListCodec);
+            assert!(got.as_ref().is_err_and(negative), "{got:?}");
+            let got = decode_superedge(&bytes, bit_len, ni, nj);
+            assert!(got.as_ref().is_err_and(negative), "{got:?}");
+            let mut pool = vec![7];
+            let got = scan_sources(&bytes, bit_len, ni, nj, &mut pool);
+            assert!(got.as_ref().is_err_and(negative), "{got:?}");
+            let got = scan_sources_of(&bytes, bit_len, ni, nj, &[0, 2], &mut pool);
+            assert!(got.as_ref().is_err_and(negative), "{got:?}");
+            assert_eq!(pool, [7]);
+        }
+    }
+
     #[test]
     fn singles_codec_decodes_identically_across_shapes() {
-        // Sparse single-target, mixed, dense (negative), and empty inputs
+        // Sparse single-target, mixed, dense, and empty inputs
         // all decode to the lists that went in.
         let nj = 16u32;
         let cases: Vec<Vec<Vec<u32>>> = vec![
@@ -2168,7 +1895,7 @@ mod tests {
         ];
         for pos in &cases {
             for mode in modes() {
-                let a = encode_superedge(pos, u64::from(nj), mode, SuperedgePolicy::EncodedSize);
+                let a = encode_superedge(pos, u64::from(nj), mode);
                 let ni = pos.len() as u64;
                 assert_eq!(
                     decode_superedge(&a.bytes, a.bit_len, ni, u64::from(nj)).unwrap(),
@@ -2181,7 +1908,7 @@ mod tests {
     #[test]
     fn singles_stream_truncation_and_bit_flips_never_panic() {
         let pos: Vec<Vec<u32>> = (0..30u32).map(|s| vec![(s * 7) % 11]).collect();
-        let enc = encode_superedge(&pos, 11, RefMode::Windowed(8), SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 11, RefMode::Windowed(8));
         for cut in 0..enc.bit_len {
             // Must not panic; may error or (for generous cuts) succeed.
             let _ = decode_superedge(&enc.bytes, cut, 30, 11);
@@ -2200,7 +1927,7 @@ mod tests {
     #[test]
     fn truncated_superedge_errors() {
         let pos = vec![vec![0u32, 1], vec![1]];
-        let enc = encode_superedge(&pos, 3, RefMode::None, SuperedgePolicy::EncodedSize);
+        let enc = encode_superedge(&pos, 3, RefMode::None);
         for cut in 1..enc.bit_len {
             // Must not panic; may error or (for generous cuts) succeed.
             let _ = decode_superedge(&enc.bytes, cut, 2, 3);

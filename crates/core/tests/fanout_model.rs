@@ -3,7 +3,8 @@
 //! looks up are the ones of them the fanout does not answer itself (a
 //! single-target dictionary of one entry), answers equal the source graph
 //! whatever the cache budget, and damage to one superedge blob costs
-//! exactly that blob's part.
+//! exactly that blob's part: a degraded open sends every page of the
+//! supernode to the damaged graph's slot, and goes without it.
 
 // Test code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -14,16 +15,18 @@ use wg_graph::Graph;
 use wg_snode::cache::{CacheEvent, CachedGraph, Fanout, GraphKey};
 use wg_snode::codec::ListCodec;
 use wg_snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
-use wg_snode::subgraphs::{SuperedgeIndex, SuperedgeKind};
+use wg_snode::subgraphs::{Layout, SuperedgeIndex};
 use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 /// A generated 3k-page corpus plus fifteen in sixteen of the links from
 /// every page of one domain to every page of another, the missing ones
-/// scattered — superedge graphs stored negative (a small complement, and
-/// no two lists alike for a dictionary to share).
-/// Returns the directory and, per page in the representation's numbering,
-/// its sorted adjacency list.
-fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>) {
+/// scattered — dense superedge graphs, each stored as its links: a list
+/// per source where the lists differ, a list dictionary where `|Nj|` is
+/// small enough that whole lists repeat.
+/// Returns the directory, per page in the representation's numbering its
+/// sorted adjacency list, and the dense block's graphs as (supernode,
+/// slot).
+fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>, Vec<(u32, usize)>) {
     let corpus = Corpus::generate(CorpusConfig::scaled(3000, 5));
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
@@ -53,8 +56,30 @@ fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>) {
         domains: &domains,
         graph: &graph,
     };
-    let (stats, renum) = build_snode(input, &SNodeConfig::default(), &dir).unwrap();
-    assert!(stats.negative_superedges >= 2, "the dense block");
+    let (_, renum) = build_snode(input, &SNodeConfig::default(), &dir).unwrap();
+    let meta = SNodeMeta::read(&dir).unwrap();
+    let files = IndexFileReader::open_resident(&dir).unwrap();
+    let (mut block, mut streams) = (Vec::new(), 0);
+    for &s in &meta.domain_supernodes[from_domain as usize] {
+        let graphs = superedges_of(&meta, &files, s);
+        let row = meta.supergraph.adj[s as usize].iter();
+        for (k, (&j, g)) in row.zip(&graphs).enumerate() {
+            if !meta.domain_supernodes[to_domain as usize].contains(&j) {
+                continue;
+            }
+            let pages = (meta.supernode_size(s), meta.supernode_size(j));
+            assert_eq!(g.sources().len() as u32, pages.0, "{s} → {j}: every page");
+            match g.layout() {
+                Layout::Lists => streams += 1,
+                layout => assert_eq!(layout, Layout::ListDictionary, "{s} → {j}: {pages:?}"),
+            }
+            block.push((s, k));
+        }
+    }
+    assert!(
+        streams >= 2,
+        "the dense block: {streams} streams of {block:?}"
+    );
     let truth = (renum.old_of_new.iter())
         .map(|&old| {
             let mut l: Vec<u32> = (graph.neighbors(old).iter())
@@ -64,7 +89,7 @@ fn build_block_corpus(name: &str) -> (PathBuf, Vec<Vec<u32>>) {
             l
         })
         .collect();
-    (dir, truth)
+    (dir, truth, block)
 }
 
 /// Per graph, the one target a fanout answers its pages with, if any.
@@ -74,10 +99,11 @@ fn targets_of(graphs: &[SuperedgeIndex]) -> Vec<Option<u32>> {
 
 /// The fanout of a supernode of `ni` pages over its out-superedge graphs.
 fn fanout_of(ni: u32, graphs: &[SuperedgeIndex]) -> Fanout {
-    let sources: Vec<Option<Vec<u32>>> = (graphs.iter())
-        .map(|g| Some(g.positive_sources()?.iter().collect()))
+    let sources: Vec<Vec<u32>> = graphs
+        .iter()
+        .map(|g| g.sources().iter().collect())
         .collect();
-    let sources = sources.iter().map(Option::as_deref);
+    let sources = sources.iter().map(|g| Some(&g[..]));
     Fanout::build(ni, sources, &targets_of(graphs)).unwrap()
 }
 
@@ -105,30 +131,34 @@ fn loads(snode: &SNode) -> Vec<GraphKey> {
 
 #[test]
 fn fanout_names_exactly_the_graphs_that_list_a_page() {
-    let (dir, truth) = build_block_corpus("model");
+    let (dir, truth, block) = build_block_corpus("model");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open_resident(&dir).unwrap();
     let snode = SNode::open_resident(&dir, 1 << 20).unwrap();
     snode.enable_cache_log();
-    let (mut negatives, mut named, mut out_superedges) = (0usize, 0usize, 0usize);
+    let (mut named, mut out_superedges) = (0usize, 0usize);
     let mut answered = 0usize;
     for s in 0..meta.num_supernodes() {
         let graphs = superedges_of(&meta, &files, s);
         let targets = targets_of(&graphs);
         let fanout = fanout_of(meta.supernode_size(s), &graphs);
         assert!((0u32..).zip(&targets).all(|(k, &t)| fanout.target(k) == t));
-        negatives += fanout.always().len();
+        // Every graph read: none that every page consults.
+        assert!(fanout.always().is_empty(), "supernode {s}");
         for p in meta.page_range(s) {
             let local = p - meta.page_range(s).start;
             let model: Vec<u32> = (0u32..)
                 .zip(&graphs)
-                .filter(|(_, g)| g.kind == SuperedgeKind::Negative || g.sources().contains(local))
+                .filter(|(_, g)| g.sources().contains(local))
                 .map(|(k, _)| k)
                 .collect();
-            let mut got: Vec<u32> = fanout.always().iter().collect();
-            got.extend(fanout.slots_of(local).iter());
-            got.sort_unstable();
+            let got: Vec<u32> = fanout.slots_of(local).iter().collect();
             assert_eq!(got, model, "page {p}");
+            let dense = block.iter().filter(|&&(b, _)| b == s);
+            assert!(
+                dense.clone().all(|&(_, k)| got.contains(&(k as u32))),
+                "page {p}"
+            );
             named += model.len();
             out_superedges += graphs.len();
 
@@ -151,10 +181,6 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
         }
     }
     assert!(
-        negatives >= 1,
-        "a negative graph is consulted by every page"
-    );
-    assert!(
         named * 4 < out_superedges,
         "{named} graphs named of {out_superedges} out-superedges"
     );
@@ -167,7 +193,7 @@ fn fanout_names_exactly_the_graphs_that_list_a_page() {
 
 #[test]
 fn answers_hold_under_every_budget() {
-    let (dir, truth) = build_block_corpus("budget");
+    let (dir, truth, _) = build_block_corpus("budget");
     let meta = SNodeMeta::read(&dir).unwrap();
     let blobs: u64 = (meta.supergraph.adj.iter())
         .map(|adj| 1 + adj.len() as u64)
@@ -210,22 +236,6 @@ fn answers_hold_under_every_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A supernode with at least two out-superedges, one of its positive
-/// superedge slots, and the first source page of that graph.
-fn pick_positive_superedge(meta: &SNodeMeta, files: &IndexFileReader) -> (u32, usize, u32) {
-    (0..meta.num_supernodes())
-        .find_map(|s| {
-            let graphs = superedges_of(meta, files, s);
-            if graphs.len() < 2 {
-                return None;
-            }
-            let k = (graphs.iter())
-                .position(|g| g.kind == SuperedgeKind::Positive && !g.sources().is_empty())?;
-            Some((s, k, graphs[k].sources().get(0)?))
-        })
-        .expect("a supernode with a positive out-superedge")
-}
-
 fn flip_byte(dir: &Path, file: u32, offset: u64) {
     let path = index_file_path(dir, file);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -233,13 +243,16 @@ fn flip_byte(dir: &Path, file: u32, offset: u64) {
     std::fs::write(&path, bytes).unwrap();
 }
 
+/// The damaged blob is one of the dense block's, which every page of its
+/// supernode draws on, in a supernode with another out-superedge.
 #[test]
 fn one_flipped_superedge_byte_costs_exactly_that_part() {
-    let (dir, truth) = build_block_corpus("flip");
+    let (dir, truth, block) = build_block_corpus("flip");
     let meta = SNodeMeta::read(&dir).unwrap();
-    let files = IndexFileReader::open_resident(&dir).unwrap();
-    let (s, k, source) = pick_positive_superedge(&meta, &files);
-    drop(files);
+    let (s, k) = *(block.iter())
+        .find(|&&(s, _)| meta.supergraph.adj[s as usize].len() >= 2)
+        .expect("a dense graph beside another out-superedge");
+    let source = 0;
     let loc = meta.superedge_loc[s as usize][k];
     flip_byte(&dir, loc.file, loc.offset);
     let range = meta.page_range(s);
@@ -293,7 +306,7 @@ fn one_flipped_superedge_byte_costs_exactly_that_part() {
 
 #[test]
 fn fanout_bigger_than_its_shard_is_still_admitted() {
-    let (dir, truth) = build_block_corpus("giant");
+    let (dir, truth, _) = build_block_corpus("giant");
     let meta = SNodeMeta::read(&dir).unwrap();
     let files = IndexFileReader::open_resident(&dir).unwrap();
     let budget = 1usize << 10;

@@ -29,7 +29,7 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
         domains: &domains,
         graph: &corpus.graph,
     };
-    let want = 0x2c52_dd63_7393_fe69_u64;
+    let want = 0x81c6_892a_85b1_0bfb_u64;
     for threads in [1, 4, 48, 80] {
         let dir =
             std::env::temp_dir().join(format!("wg_golden_build_{}_{threads}", std::process::id()));
@@ -113,7 +113,7 @@ fn streamed_build_is_pinned(pages: u32, fingerprint: u64, answers: u64) {
 /// The directory the ledger's `nav-100k` workload reads.
 #[test]
 fn the_100k_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(100_000, 0x114a_dca4_dae3_8b1c, 0xda91_2306_e8d1_4cb6);
+    streamed_build_is_pinned(100_000, 0xbf5b_dc75_01e5_d741, 0xda91_2306_e8d1_4cb6);
 }
 
 /// The ladder's upper rungs: `cargo test --release -p wg-snode --test
@@ -121,11 +121,11 @@ fn the_100k_directory_and_its_answers_are_the_committed_ones() {
 #[test]
 #[ignore = "release only: streams and builds 300 000 pages"]
 fn the_300k_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(300_000, 0x3675_de88_c837_a399, 0x71f9_eccd_2e0c_5d4f);
+    streamed_build_is_pinned(300_000, 0xf3e2_fed3_63db_03df, 0x71f9_eccd_2e0c_5d4f);
 }
 
 #[test]
 #[ignore = "release only: streams and builds 1 000 000 pages"]
 fn the_1m_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(1_000_000, 0xb36b_a2d4_44d8_e4d7, 0x1ab3_0852_9539_e410);
+    streamed_build_is_pinned(1_000_000, 0xe7fc_3366_8d38_e8e6, 0x1ab3_0852_9539_e410);
 }

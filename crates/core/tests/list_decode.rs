@@ -16,9 +16,7 @@ use proptest::prelude::*;
 use wg_snode::cache::CachedGraph;
 use wg_snode::codec::ListCodec;
 use wg_snode::refenc::{encode_lists, DecodeScratch, EncodedLists, ListsIndex, RefMode, Universe};
-use wg_snode::subgraphs::{
-    encode_superedge, Layout, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
-};
+use wg_snode::subgraphs::{encode_superedge, Layout, SuperedgeIndex};
 use wg_snode::Blob;
 
 const UNIVERSE: u64 = 64;
@@ -99,9 +97,9 @@ fn request_orders(n: u32, seed: u64) -> [Vec<u32>; 3] {
 /// representation: 0 — one of three templates down every other page (a
 /// list dictionary); 1 — one of four hubs per source (a single-target
 /// dictionary); 2 — independent lists (a list stream); 3 — every target
-/// but two, on every page (negative); 4 — no link at all (a list stream
-/// of no lists).
-fn shaped_superedge(shape: usize, seed: u64, n: usize) -> (Vec<Vec<u32>>, u64, Option<Layout>) {
+/// but two, on every page (a dense block: a list stream, no two lists
+/// alike enough to share); 4 — no link at all (a list stream of no lists).
+fn shaped_superedge(shape: usize, seed: u64, n: usize) -> (Vec<Vec<u32>>, u64, Layout) {
     let mut state = seed | 1;
     let mut draw = move |bound: u32| {
         state = state
@@ -129,11 +127,11 @@ fn shaped_superedge(shape: usize, seed: u64, n: usize) -> (Vec<Vec<u32>>, u64, O
         })
         .collect();
     let (nj, layout) = match shape {
-        0 => (64, Some(Layout::ListDictionary)),
-        1 => (16, Some(Layout::SingleTargets)),
-        2 => (256, Some(Layout::Lists)),
-        3 => (40, None),
-        _ => (8, Some(Layout::Lists)),
+        0 => (64, Layout::ListDictionary),
+        1 => (16, Layout::SingleTargets),
+        2 => (256, Layout::Lists),
+        3 => (40, Layout::Lists),
+        _ => (8, Layout::Lists),
     };
     (dense, nj, layout)
 }
@@ -145,7 +143,7 @@ proptest! {
     /// same directory on its own, is the list that went in, and what
     /// `decode_all` (an intranode graph) or
     /// `targets_of` (a superedge graph) gives on the same blob: intranode
-    /// graphs and superedge graphs in every layout and the negative form,
+    /// graphs and superedge graphs in every layout, a dense block and
     /// `sources` empty among them, in every reference mode and request
     /// order, into buffers in use.
     #[test]
@@ -179,12 +177,11 @@ proptest! {
                 prop_assert_eq!(&out, &all[i as usize], "{:?} intranode {}", mode, i);
             }
 
-            let enc = encode_superedge(&dense, nj, mode, SuperedgePolicy::EncodedSize);
+            let enc = encode_superedge(&dense, nj, mode);
             let parse = || SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, ListCodec).unwrap();
             let index = parse();
-            prop_assert_eq!(index.kind == SuperedgeKind::Negative, layout.is_none());
             if n >= 8 {
-                prop_assert_eq!(index.layout(), layout.unwrap_or(Layout::Lists), "{:?}", mode);
+                prop_assert_eq!(index.layout(), layout, "{:?}", mode);
             }
             let graph = CachedGraph::new_encoded_super(blob(&enc.bytes), enc.bit_len, parse(), nj);
             for s in request_orders(ni as u32, seed).into_iter().flatten() {
@@ -194,7 +191,7 @@ proptest! {
                 prop_assert_eq!(&out, &want, "{:?} source {} cached", mode, s);
                 let (bytes, bits, s) = (&enc.bytes, enc.bit_len, u64::from(s));
                 index
-                    .targets_of_into(bytes, bits, s, nj, &mut scratch, &mut out)
+                    .targets_of_into(bytes, bits, s, &mut scratch, &mut out)
                     .unwrap();
                 prop_assert_eq!(&out, &want, "{:?} source {}", mode, s);
             }

@@ -92,7 +92,7 @@ fn the_20k_resident_index_is_the_committed_one() {
 
     assert_eq!(
         (fields, answers),
-        (0x38a3_36be_223d_5e23, 0x0dfa_7114_c8e6_91f7),
+        (0x8ecc_be44_9af4_1835, 0x0dfa_7114_c8e6_91f7),
         "SNodeMeta::read hashes to {fields:#018x}, the handle's answers to {answers:#018x}"
     );
 }

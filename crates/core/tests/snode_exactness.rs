@@ -10,7 +10,6 @@ use wg_corpus::{Corpus, CorpusConfig};
 use wg_graph::Graph;
 use wg_snode::partition::RefineConfig;
 use wg_snode::refenc::RefMode;
-use wg_snode::subgraphs::SuperedgePolicy;
 use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -63,17 +62,16 @@ fn corpus_graph_round_trips_exactly() {
 }
 
 #[test]
-fn corpus_graph_round_trips_with_edge_count_policy_and_tight_files() {
+fn corpus_graph_round_trips_with_tight_files() {
     let corpus = Corpus::generate(CorpusConfig::scaled(800, 7));
     let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
     let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
     let config = SNodeConfig {
-        superedge_policy: SuperedgePolicy::EdgeCount,
         max_file_bytes: 512, // many tiny index files
         ref_mode: RefMode::Windowed(4),
         ..Default::default()
     };
-    check_exact("edgecount", &urls, &domains, &corpus.graph, &config);
+    check_exact("tightfiles", &urls, &domains, &corpus.graph, &config);
 }
 
 #[test]

@@ -18,7 +18,6 @@
 //!   picture the paper's Observation citations rest on).
 //! * [`trawl`] — Kumar et al. community trawling (§1.2's "mining for
 //!   communities"): complete-bipartite-core enumeration with pruning.
-//! * [`hits`] — Kleinberg's HITS over a base set (Query 3 of Table 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +26,6 @@
 pub mod bowtie;
 pub mod csr;
 pub mod diameter;
-pub mod hits;
 pub mod pagerank;
 pub mod scc;
 pub mod traversal;

@@ -31,12 +31,10 @@ fn main() {
     };
     let (stats, renum) = build_snode(input, &SNodeConfig::default(), &dir).expect("build");
     println!(
-        "s-node: {} supernodes, {} superedges, {:.2} bits/edge ({} positive / {} negative superedge graphs)",
+        "s-node: {} supernodes, {} superedges, {:.2} bits/edge",
         stats.num_supernodes,
         stats.num_superedges,
         stats.bits_per_edge(),
-        stats.positive_superedges,
-        stats.negative_superedges,
     );
 
     // 3. Open it with a 1 MiB decoded-graph budget and look around.

@@ -13,7 +13,7 @@ use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::snode::codec::{CodecConfig, ListCodec};
 use webgraph_repr::snode::disk::{GraphLocator, IndexFileWriter, SNodeMeta};
 use webgraph_repr::snode::refenc::{encode_lists, RefMode};
-use webgraph_repr::snode::subgraphs::{encode_intranode, encode_superedge, SuperedgePolicy};
+use webgraph_repr::snode::subgraphs::{encode_intranode, encode_superedge};
 use webgraph_repr::snode::supergraph::SupernodeGraph;
 use webgraph_repr::snode::{build_snode, IntegrityManifest, RepoInput, SNodeConfig};
 
@@ -52,9 +52,9 @@ fn build_clean(dir: &Path) {
 }
 
 /// Injects four corruptions: an empty PageID range (SN001), a zero-link
-/// superedge (SN010), a negative encoding larger than its positive form
-/// (SN030), and trailing index-file garbage (SN060) — under a manifest
-/// that matches, as a build would write one.
+/// superedge (SN010), a superedge graph in the complement form earlier
+/// builds wrote, its kind bit set (SN013), and trailing index-file garbage
+/// (SN060) — under a manifest that matches, as a build would write one.
 fn craft_corrupt(dir: &Path) {
     let supergraph = SupernodeGraph {
         adj: vec![vec![2], vec![], vec![0]],
@@ -66,12 +66,7 @@ fn craft_corrupt(dir: &Path) {
 
     let intra0 = encode_intranode(&[vec![1], vec![2], vec![]], RefMode::None);
     intranode_loc.push(w.append(&intra0.bytes, intra0.bit_len).unwrap());
-    let se02 = encode_superedge(
-        &[vec![], vec![], vec![]],
-        2,
-        RefMode::None,
-        SuperedgePolicy::EncodedSize,
-    );
+    let se02 = encode_superedge(&[vec![], vec![], vec![]], 2, RefMode::None);
     superedge_loc.push(vec![w.append(&se02.bytes, se02.bit_len).unwrap()]);
 
     let intra1 = encode_intranode(&[], RefMode::None);
@@ -124,17 +119,21 @@ fn check_reports_all_injected_corruptions_as_json() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "errors must exit 2: {out:?}");
     let json = String::from_utf8_lossy(&out.stdout);
-    for code in ["SN001", "SN010", "SN030", "SN060"] {
+    for code in ["SN001", "SN010", "SN013", "SN060"] {
         assert!(json.contains(code), "{code} missing from: {json}");
     }
     for name in [
         "pageid-gap",
         "empty-superedge",
-        "negative-superedge-not-smaller",
+        "decode-error",
         "index-file-oversize",
     ] {
         assert!(json.contains(name), "{name} missing from: {json}");
     }
+    // The complement-form graph is one error, which says to rebuild.
+    assert!(json.starts_with("{\"errors\":3,\"warnings\":1,"), "{json}");
+    let rebuild = "negative superedge graph: rebuild the directory";
+    assert_eq!(json.matches(rebuild).count(), 1, "{json}");
     assert!(json.contains("\"summary\""));
     std::fs::remove_dir_all(&repo).ok();
 }

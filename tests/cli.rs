@@ -343,7 +343,6 @@ fn build_metrics_and_trace_and_stats_json() {
         "superedge positive, one-target dictionary",
         "superedge positive, single-target dictionary",
         "superedge positive, list dictionary",
-        "superedge negative",
         "index files",
         "meta.bin",
     ] {

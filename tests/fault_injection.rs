@@ -619,7 +619,7 @@ fn repair_refuses_a_directory_that_is_not_the_forward_build() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Flips, in as many positive superedge graphs of `snode_dir` as have one,
+/// Flips, in as many superedge graphs of `snode_dir` as have one,
 /// a bit past `sources` — in the list stream, or in the dictionary — that
 /// leaves `sources` as they were but makes the graph fail to parse, or its
 /// first stored list fail to decode: damage a directory without `sums.bin`
@@ -628,7 +628,7 @@ fn repair_refuses_a_directory_that_is_not_the_forward_build() {
 fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
     use webgraph_repr::snode::codec::ListCodec;
     use webgraph_repr::snode::disk::{index_file_path, IndexFileReader, SNodeMeta};
-    use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex, SuperedgeKind};
+    use webgraph_repr::snode::subgraphs::{Layout, SuperedgeIndex};
     let meta = SNodeMeta::read(snode_dir).unwrap();
     let files = IndexFileReader::open_resident(snode_dir).unwrap();
     let mut flips: Vec<(u32, u64)> = Vec::new();
@@ -641,7 +641,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
             let clean = files.read_blob(&loc).unwrap();
             let (first, layout, body) =
                 match SuperedgeIndex::parse(&clean, loc.bit_len, ni, nj, ListCodec) {
-                    Ok(i) if i.kind == SuperedgeKind::Positive => {
+                    Ok(i) => {
                         let bits = i.bit_breakdown();
                         (i.sources().get(0), i.layout(), bits.header + bits.sources)
                     }
@@ -677,7 +677,7 @@ fn damage_list_streams(snode_dir: &Path) -> (usize, usize) {
 }
 
 /// Without `sums.bin` nothing checks a blob before it is parsed, and a
-/// positive superedge graph's list stream is not scanned, nor its
+/// superedge graph's list stream is not scanned, nor its
 /// dictionary decoded, until a probe whose page is among its sources draws
 /// on it. Under the default codec most graphs store a dictionary, so most
 /// of the damage lands in one. Damage there must still take the graceful

@@ -21,9 +21,7 @@ use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::query::reps::{Scheme, SchemeSet};
 use webgraph_repr::snode::cache::{CachedGraph, Fanout};
 use webgraph_repr::snode::refenc::{encode_lists, DecodeScratch, ListsIndex, RefMode, Universe};
-use webgraph_repr::snode::subgraphs::{
-    encode_superedge, Layout as Stored, SuperedgeIndex, SuperedgeKind, SuperedgePolicy,
-};
+use webgraph_repr::snode::subgraphs::{encode_superedge, Layout as Stored, SuperedgeIndex};
 use webgraph_repr::snode::{Blob, ListCodec, SNode, SNodeConfig};
 use webgraph_repr::store::Region;
 
@@ -204,15 +202,15 @@ fn encoding_and_parsing_a_list_stream_allocate_per_call_not_per_list() {
 }
 
 /// A superedge graph of `sources` linking pages in the shape stored as
-/// `shape` (or as a negative graph), as one list per page of `Ni`, and
-/// `|Nj|`.
-fn superedge_of(shape: Stored, negative: bool, sources: u32) -> (Vec<Vec<u32>>, u64) {
+/// `shape` (or as a dense block, stored as a list stream), as one list per
+/// page of `Ni`, and `|Nj|`.
+fn superedge_of(shape: Stored, dense: bool, sources: u32) -> (Vec<Vec<u32>>, u64) {
     let every_other = |list: &dyn Fn(u32) -> Vec<u32>| -> Vec<Vec<u32>> {
         (0..2 * sources)
             .map(|p| if p % 2 == 0 { list(p / 2) } else { Vec::new() })
             .collect()
     };
-    if negative {
+    if dense {
         // Every page links to all 200 targets but two, a pair of its own.
         let missing = |p: u32| [p % 200, (p % 200 + 1 + p / 200) % 200];
         let lists = (0..sources).map(|p| (0..200).filter(|t| !missing(p).contains(t)).collect());
@@ -282,7 +280,7 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
         );
     }
     let sizes: &[u32] = &[1, 1_000, 4_000, 10_000, 16_000];
-    // (what, stored as, negative, allocations, sources)
+    // (what, stored as, dense, allocations, sources)
     let shapes: [(&str, Stored, bool, u64, &[u32]); 4] = [
         ("list stream", Stored::Lists, false, 4, sizes),
         ("single targets", Stored::SingleTargets, false, 3, sizes),
@@ -294,22 +292,20 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             &[4, 1_000, 4_000, 16_000],
         ),
         (
-            "negative graph",
+            "dense block",
             Stored::Lists,
             true,
-            3,
+            4,
             &[1_000, 4_000, 16_000],
         ),
     ];
-    for (name, layout, negative, want, sizes) in shapes {
+    for (name, layout, block, want, sizes) in shapes {
         for &sources in sizes {
-            let (dense, nj) = superedge_of(layout, negative, sources);
+            let (dense, nj) = superedge_of(layout, block, sources);
             let ni = dense.len() as u64;
-            let policy = SuperedgePolicy::EncodedSize;
-            let enc = encode_superedge(&dense, nj, RefMode::None, policy);
+            let enc = encode_superedge(&dense, nj, RefMode::None);
             let index = SuperedgeIndex::parse(&enc.bytes, enc.bit_len, ni, nj, ListCodec).unwrap();
             assert_eq!(index.layout(), layout, "{name} of {sources} sources");
-            assert_eq!(index.kind == SuperedgeKind::Negative, negative, "{name}");
             let graph = |bytes: Blob| {
                 let index = SuperedgeIndex::parse(&bytes, enc.bit_len, ni, nj, ListCodec);
                 CachedGraph::new_encoded_super(bytes, enc.bit_len, index.unwrap(), nj)
@@ -321,15 +317,16 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
             );
         }
     }
-    // A fanout: the page's rows, `always`, the row starts and one target
-    // value per slot in one arena — every fourth positive graph has one
-    // target, up to page 1 800 of its supernode.
-    for (pages, negatives) in [(1_000u32, 1usize), (4_000, 10), (16_000, 100)] {
-        let positive: Vec<Vec<u32>> = (0..40u32)
+    // A fanout: the page's rows, `always` (graphs a degraded open could
+    // not read), the row starts and one target value per slot in one
+    // arena — every fourth graph read has one target, up to page 1 800 of
+    // its supernode.
+    for (pages, unreadable) in [(1_000u32, 1usize), (4_000, 10), (16_000, 100)] {
+        let read: Vec<Vec<u32>> = (0..40u32)
             .map(|k| (0..pages).filter(|p| (p + k) % 7 == 0).collect())
             .collect();
-        let graphs: Vec<Option<&[u32]>> = (positive.iter().map(|s| Some(&s[..])))
-            .chain(std::iter::repeat_n(None, negatives))
+        let graphs: Vec<Option<&[u32]>> = (read.iter().map(|s| Some(&s[..])))
+            .chain(std::iter::repeat_n(None, unreadable))
             .collect();
         let targets: Vec<Option<u32>> =
             (0..40u32).map(|k| (k % 4 == 0).then_some(k * 50)).collect();
@@ -339,18 +336,18 @@ fn a_cold_admission_allocates_a_fixed_number_of_times_per_graph() {
         });
         assert_eq!(
             n, 2,
-            "fanout of {pages} pages, {negatives} graphs every page consults"
+            "fanout of {pages} pages, {unreadable} graphs every page consults"
         );
         let fanout = fanout.as_fanout().unwrap();
-        assert_eq!(fanout.always().len(), negatives);
+        assert_eq!(fanout.always().len(), unreadable);
         let answered = (0..40).filter(|&k| fanout.target(k).is_some());
         assert_eq!(answered.count(), 10, "one-target slots");
     }
 }
 
-/// A count the bytes cannot back — a positive graph's `sources`, a
-/// dictionary's entries, a list stream's lists, a negative graph's or an
-/// intranode graph's lists — is refused at parse before anything is sized
+/// A count the bytes cannot back — a superedge graph's `sources`, a
+/// dictionary's entries, a list stream's lists, an intranode graph's
+/// lists — or a set kind bit is refused at parse before anything is sized
 /// by it: an error, no panic, and no allocation above the blob's bound,
 /// twelve bytes a bit (an arena word per source, per index and per entry
 /// or offset, each backed by a bit at least). The forged counts would
@@ -365,7 +362,7 @@ fn forged_counts_are_refused_before_the_arena_is_sized() {
         w.write_bits(0, 64);
         w.finish()
     };
-    let positive = |marker: &[bool], sources: &[u64]| {
+    let superedge = |marker: &[bool], sources: &[u64]| {
         let marker = marker.to_vec();
         let sources = sources.to_vec();
         move |w: &mut BitWriter| {
@@ -377,7 +374,9 @@ fn forged_counts_are_refused_before_the_arena_is_sized() {
     // (what is forged, the bytes, |Ni|). The γ codes after a count of two
     // stand in for `sources` 2 and 5: a minimal-binary first entry over
     // nine reads `010` as 2, and a γ gap `011` is 2.
-    let negative = |w: &mut BitWriter| {
+    // The complement form earlier builds wrote: a stream of a list per
+    // page of `Ni`.
+    let complement = |w: &mut BitWriter| {
         w.write_bit(true);
         codes::write_gamma(w, 1 << 30);
         w.write_bit(false);
@@ -386,23 +385,23 @@ fn forged_counts_are_refused_before_the_arena_is_sized() {
         // 60 000 sources claimed, two-bit gaps at most behind them.
         (
             "sources",
-            graph(&positive(&[false, false], &[60_000])),
+            graph(&superedge(&[false, false], &[60_000])),
             100_000,
         ),
         // Sources 2 and 5 of nine, then 2⁴⁰ dictionary entries.
         (
             "dictionary entries",
-            graph(&positive(&[true], &[2, 1, 2, 1 << 40])),
+            graph(&superedge(&[true], &[2, 1, 2, 1 << 40])),
             9,
         ),
         // Sources 2 and 5, then a stream of 2²⁰ lists for them.
         (
             "list stream lists",
-            graph(&positive(&[false, false], &[2, 1, 2, 1 << 20])),
+            graph(&superedge(&[false, false], &[2, 1, 2, 1 << 20])),
             9,
         ),
         // 2³⁰ lists, as many as the supernode has pages, in 64 bits.
-        ("negative lists", graph(&negative), 1 << 30),
+        ("complement lists", graph(&complement), 1 << 30),
     ];
     let bound = |bit_len: u64| 12 * bit_len as usize + 16;
     for (forged, (bytes, bit_len), ni) in cases {
