@@ -10,44 +10,34 @@
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_snode::{build_snode, RepoInput, SNodeConfig};
 
-static BASE: OnceLock<PathBuf> = OnceLock::new();
-static CASE: AtomicUsize = AtomicUsize::new(0);
+/// A pristine representation built afresh for each case, removed when
+/// dropped: a case that fails leaves nothing behind either.
+struct Fresh(PathBuf);
 
-/// Builds the pristine representation once per test process.
-fn base_dir() -> &'static Path {
-    BASE.get_or_init(|| {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("wg_analyze_fuzz_base_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let corpus = Corpus::generate(CorpusConfig::scaled(400, 11));
-        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-        let input = RepoInput {
-            urls: &urls,
-            domains: &domains,
-            graph: &corpus.graph,
-        };
-        build_snode(input, &SNodeConfig::default(), &dir).unwrap();
-        dir
-    })
+impl Drop for Fresh {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
-fn fresh_copy() -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    let mut dst = std::env::temp_dir();
-    dst.push(format!("wg_analyze_fuzz_case_{}_{n}", std::process::id()));
-    std::fs::remove_dir_all(&dst).ok();
-    std::fs::create_dir_all(&dst).unwrap();
-    for entry in std::fs::read_dir(base_dir()).unwrap().flatten() {
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
-    dst
+fn fresh_build() -> Fresh {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("wg_analyze_fuzz_case_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = Corpus::generate(CorpusConfig::scaled(400, 11));
+    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+    let input = RepoInput {
+        urls: &urls,
+        domains: &domains,
+        graph: &corpus.graph,
+    };
+    build_snode(input, &SNodeConfig::default(), &dir).unwrap();
+    Fresh(dir)
 }
 
 /// Applies one mutation: bit flip (truncate = false) or truncation.
@@ -83,11 +73,11 @@ proptest! {
         bit in proptest::prelude::any::<u8>(),
         truncate in proptest::prelude::any::<bool>(),
     ) {
-        let dir = fresh_copy();
-        let changed = mutate(&dir, file_pick, pos, bit, truncate);
-        let report = wg_analyze::check(&dir);
+        let fresh = fresh_build();
+        let dir = fresh.0.as_path();
+        let changed = mutate(dir, file_pick, pos, bit, truncate);
+        let report = wg_analyze::check(dir);
         let _ = report.to_json();
         prop_assert_eq!(report.num_errors() >= 1, changed, "{}", report);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

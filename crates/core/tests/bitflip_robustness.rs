@@ -14,13 +14,22 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
 use wg_corpus::{Corpus, CorpusConfig};
 use wg_snode::{build_snode, IntegrityManifest, RepoInput, SNode, SNodeConfig};
 
+/// A directory built afresh for each case, removed when dropped: a case
+/// that fails leaves nothing behind either.
+struct Built(std::path::PathBuf);
+
+impl Drop for Built {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 /// A directory whose graphs take every layout, so the list streams and the
 /// dictionaries' decode paths all face flipped bits.
-fn built_dir() -> std::path::PathBuf {
+fn built_dir() -> Built {
     let dir = std::env::temp_dir().join(format!("wg_bitflip_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -33,12 +42,7 @@ fn built_dir() -> std::path::PathBuf {
         graph: &corpus.graph,
     };
     build_snode(input, &SNodeConfig::default(), &dir).unwrap();
-    dir
-}
-
-fn dir() -> &'static std::path::Path {
-    static DIR: OnceLock<std::path::PathBuf> = OnceLock::new();
-    DIR.get_or_init(built_dir)
+    Built(dir)
 }
 
 proptest! {
@@ -49,13 +53,12 @@ proptest! {
         in_meta in any::<bool>(),
         pos in any::<u64>(),
     ) {
-        let dir = dir();
+        let built = built_dir();
+        let dir = built.0.as_path();
         let name = if in_meta { "meta.bin" } else { "index_000.bin" };
         let path = dir.join(name);
-        let orig = std::fs::read(&path).unwrap();
-        let sums = std::fs::read(dir.join("sums.bin")).unwrap();
-        let bit = (pos % (orig.len() as u64 * 8)) as usize;
-        let mut bytes = orig.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let bit = (pos % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
         // The blobs as the flipped `meta.bin` places them, or, where it
@@ -72,7 +75,5 @@ proptest! {
             }
         }
         let _ = SNode::open_resident(dir, 1 << 30).and_then(|snode| snode.to_graph());
-        std::fs::write(&path, &orig).unwrap();
-        std::fs::write(dir.join("sums.bin"), sums).unwrap();
     }
 }

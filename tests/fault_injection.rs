@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use webgraph_repr::corpus::textio::write_corpus;
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
 use webgraph_repr::fault::io::{clear_transients, install_transients};
@@ -49,23 +50,46 @@ fn transients() -> std::sync::MutexGuard<'static, ()> {
     SHIM.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One pristine representation shared by every proptest case (built once;
-/// cases operate on throwaway copies).
-fn pristine() -> &'static (PathBuf, u32) {
-    static DIR: OnceLock<(PathBuf, u32)> = OnceLock::new();
-    DIR.get_or_init(|| {
-        let corpus = Corpus::generate(CorpusConfig::scaled(600, 77));
-        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
-        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
-        let dir = temp_dir("pristine");
-        let input = RepoInput {
-            urls: &urls,
-            domains: &domains,
-            graph: &corpus.graph,
-        };
-        build_snode(input, &SNodeConfig::default(), &dir).expect("build");
-        (dir, corpus.num_pages())
-    })
+/// The pristine representation the tests below copy or open, built when
+/// the first of them asks for it and removed when the last one holding it
+/// lets go.
+struct Pristine {
+    dir: PathBuf,
+    num_pages: u32,
+}
+
+impl Drop for Pristine {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+/// The live pristine representation, or a fresh build of it in a
+/// directory of its own (the one it replaces may still be being removed).
+fn pristine() -> Arc<Pristine> {
+    static LIVE: Mutex<Weak<Pristine>> = Mutex::new(Weak::new());
+    static BUILDS: AtomicU32 = AtomicU32::new(0);
+    let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(pristine) = live.upgrade() {
+        return pristine;
+    }
+    let corpus = Corpus::generate(CorpusConfig::scaled(600, 77));
+    let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+    let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+    let build = BUILDS.fetch_add(1, Ordering::Relaxed);
+    let dir = temp_dir(&format!("pristine_{build}"));
+    let input = RepoInput {
+        urls: &urls,
+        domains: &domains,
+        graph: &corpus.graph,
+    };
+    build_snode(input, &SNodeConfig::default(), &dir).expect("build");
+    let pristine = Arc::new(Pristine {
+        dir,
+        num_pages: corpus.num_pages(),
+    });
+    *live = Arc::downgrade(&pristine);
+    pristine
 }
 
 /// True when any file of `dir` differs from its counterpart in `from`
@@ -86,7 +110,8 @@ proptest! {
     /// detects every plan that actually changed bytes.
     #[test]
     fn seeded_faults_never_panic_and_are_detected(seed in 0u64..10_000) {
-        let (pristine_dir, num_pages) = pristine();
+        let pristine = pristine();
+        let (pristine_dir, num_pages) = (&pristine.dir, pristine.num_pages);
         let dir = temp_dir(&format!("case_{seed}"));
         copy_dir(pristine_dir, &dir);
         let spec = FaultSpec {
@@ -116,13 +141,13 @@ proptest! {
         // Strict open: error or clean walk — never a panic, and never a
         // clean verdict over damaged checksummed bytes.
         if let Ok(snode) = SNode::open_resident(&dir, 1 << 20) {
-            for p in (0..*num_pages).step_by(13) {
+            for p in (0..num_pages).step_by(13) {
                 let _ = snode.out_neighbors(p);
             }
         }
         // Degraded open: damaged graphs quarantine, the rest answers.
         if let Ok(snode) = SNode::open_degraded(&dir, 1 << 20) {
-            for p in 0..*num_pages {
+            for p in 0..num_pages {
                 let _ = snode.out_neighbors(p);
             }
             let d = snode.degraded();
@@ -144,7 +169,8 @@ proptest! {
 /// error it absorbs there is one `degraded().retries` reports.
 #[test]
 fn retries_at_open_are_reported() {
-    let (pristine_dir, _) = pristine();
+    let pristine = pristine();
+    let pristine_dir = &pristine.dir;
     let _shim = transients();
     install_transients(vec![(0, TransientKind::Eio)]);
     let snode = SNode::open_degraded(pristine_dir, 1 << 20);
@@ -159,11 +185,12 @@ fn retries_at_open_are_reported() {
 /// open of the flipped directory finds it.
 #[test]
 fn a_flip_after_open_changes_no_answer() {
-    let (pristine_dir, num_pages) = pristine();
+    let pristine = pristine();
+    let (pristine_dir, num_pages) = (&pristine.dir, pristine.num_pages);
     let dir = temp_dir("flip_after_open");
     copy_dir(pristine_dir, &dir);
     let truth = SNode::open_resident(&dir, 1 << 20).unwrap();
-    let expected: Vec<Vec<u32>> = (0..*num_pages)
+    let expected: Vec<Vec<u32>> = (0..num_pages)
         .map(|p| truth.out_neighbors(p).unwrap())
         .collect();
     drop(truth);
@@ -174,7 +201,7 @@ fn a_flip_after_open_changes_no_answer() {
     let middle = bytes.len() / 2;
     bytes[middle] ^= 0x10;
     std::fs::write(&index, bytes).unwrap();
-    for p in 0..*num_pages {
+    for p in 0..num_pages {
         assert_eq!(
             snode.out_neighbors(p).unwrap(),
             expected[p as usize],
@@ -185,7 +212,7 @@ fn a_flip_after_open_changes_no_answer() {
     assert_eq!(snode.integrity_stats().1, 0);
 
     let fresh = SNode::open_degraded(&dir, 1 << 20).unwrap();
-    for p in 0..*num_pages {
+    for p in 0..num_pages {
         fresh.out_neighbors(p).unwrap();
     }
     assert_eq!(fresh.degraded().quarantined_supernodes, 1);
@@ -197,12 +224,13 @@ fn a_flip_after_open_changes_no_answer() {
 /// report counts exactly the skipped adjacency parts.
 #[test]
 fn degraded_answers_are_accurate() {
-    let (pristine_dir, num_pages) = pristine();
+    let pristine = pristine();
+    let (pristine_dir, num_pages) = (&pristine.dir, pristine.num_pages);
     let dir = temp_dir("accuracy");
     copy_dir(pristine_dir, &dir);
 
     let truth = SNode::open_resident(&dir, 1 << 20).unwrap();
-    let expected: Vec<Vec<u32>> = (0..*num_pages)
+    let expected: Vec<Vec<u32>> = (0..num_pages)
         .map(|p| truth.out_neighbors(p).unwrap())
         .collect();
     drop(truth);
@@ -230,7 +258,7 @@ fn degraded_answers_are_accurate() {
     let snode = SNode::open_degraded(&dir, 1 << 20).unwrap();
     let mut wrong_answers = 0u64;
     let mut shortened = 0u64;
-    for p in 0..*num_pages {
+    for p in 0..num_pages {
         let got = snode.out_neighbors(p).unwrap();
         if got != expected[p as usize] {
             wrong_answers += 1;
@@ -283,7 +311,8 @@ fn stats_and_query_exit_2_with_clean_diagnostics() {
     );
 
     // Half-written directory: meta.bin deleted after a successful build.
-    let (pristine_dir, _) = pristine();
+    let pristine = pristine();
+    let pristine_dir = &pristine.dir;
     let half = root.join("half");
     copy_dir(pristine_dir, &half);
     std::fs::remove_file(half.join("meta.bin")).unwrap();
@@ -337,13 +366,14 @@ fn dead_rebuild_leaves_a_directory_that_does_not_open() {
 /// still a valid one.
 #[test]
 fn directory_with_a_covered_shards_bin_stays_valid() {
-    let (pristine_dir, num_pages) = pristine();
+    let pristine = pristine();
+    let (pristine_dir, num_pages) = (&pristine.dir, pristine.num_pages);
     let dir = temp_dir("old_shards");
     copy_dir(pristine_dir, &dir);
     // One shard record, as those versions wrote it: magic, version, count,
     // then domain range, pages, supernodes, blobs, encoded bytes.
     let mut shards = b"SNSH".to_vec();
-    for word in [1u32, 1, 0, 1, *num_pages, 1, 1, 0, 64, 0] {
+    for word in [1u32, 1, 0, 1, num_pages, 1, 1, 0, 64, 0] {
         shards.extend_from_slice(&word.to_le_bytes());
     }
     std::fs::write(dir.join("shards.bin"), shards).unwrap();
@@ -353,7 +383,7 @@ fn directory_with_a_covered_shards_bin_stays_valid() {
     manifest.write(&dir).unwrap();
 
     let snode = SNode::open_resident(&dir, 1 << 20).expect("opens");
-    assert_eq!(snode.num_pages(), *num_pages);
+    assert_eq!(snode.num_pages(), num_pages);
     let out = wgr().arg("check").arg(&dir).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "wgr check: {out:?}");
     std::fs::remove_dir_all(&dir).ok();
