@@ -217,6 +217,7 @@ fn build_windowed(
         let count = |name: &str, n: u64| reg.counter(&format!("core.build.refine.{name}")).add(n);
         count("iterations", refine_stats.iterations);
         count("url_splits", refine_stats.url_splits);
+        count("cuts", refine_stats.cuts);
     }
 
     // 2. Page numbering (§3.3): supernodes numbered 1..n in element order;

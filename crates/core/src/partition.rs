@@ -6,13 +6,16 @@
 //! pages by a URL prefix one level deeper than the prefix that produced
 //! it, from hostname down to three directory levels. The largest element
 //! that can still split is refined first, until none can; an element whose
-//! prefixes are used up is final.
+//! prefixes are used up is final. Last, every element above
+//! [`MAX_ELEMENT_PAGES`] is cut into runs of URL order, so no supernode's
+//! graphs grow with the largest directory a site has.
 //!
 //! The paper refines further by clustered split, k-means over the pages'
 //! supernode-adjacency bit vectors, and picks elements at random. Neither
 //! is here: on generated corpora clustered split never fired under its
 //! default budget, and where a larger one made it fire it made compression
-//! worse (DESIGN.md §4b), so URL order alone decides the partition.
+//! worse (DESIGN.md §4b), so URL order alone decides the partition, and
+//! the cut bounds what clustered split was there to bound.
 
 use wg_graph::PageId;
 use wg_obs::{record_span, Stopwatch};
@@ -23,6 +26,15 @@ pub const MAX_URL_DEPTH: u32 = 3;
 
 /// Elements smaller than this are never split further.
 const MIN_ELEMENT_SIZE: u32 = 2;
+
+/// The most pages an element keeps once refinement ends: a larger one is
+/// cut into `⌈n / MAX_ELEMENT_PAGES⌉` runs of its URL order, sizes one
+/// apart at most. Every read of a supernode's graphs costs in its size, so
+/// the cap bounds a cold probe; and a superedge graph's targets are local
+/// ids of the supernode it leads to, so a smaller one spends fewer bits an
+/// id. Half of it (1 024) bought more speed and lost bits; twice it
+/// (4 096) kept most of the bits and half the speed (DESIGN.md §4b).
+pub const MAX_ELEMENT_PAGES: usize = 2_048;
 
 /// How an element may be split next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +62,8 @@ pub struct Element {
 /// A partition of the repository's pages.
 #[derive(Debug, Clone)]
 pub struct Partition {
-    /// Partition elements. Indices are stable across refinement.
+    /// Partition elements. Indices are stable across URL split; the cut
+    /// puts an element's runs where it stood.
     pub elements: Vec<Element>,
     /// `elem_of[p]` = element index of page `p`.
     pub elem_of: Vec<u32>,
@@ -210,6 +223,8 @@ pub struct RefineStats {
     pub iterations: u64,
     /// Successful URL splits.
     pub url_splits: u64,
+    /// Elements above [`MAX_ELEMENT_PAGES`] cut into runs.
+    pub cuts: u64,
 }
 
 /// Runs iterative refinement to completion and returns the final partition.
@@ -226,10 +241,57 @@ pub fn refine(urls: &[&str], domains: &[u32], config: &RefineConfig) -> (Partiti
     let t = Stopwatch::start();
     let ranks = rank_prefixes(&partition, urls);
     record_span("core.build.refine.rank_prefixes", "build", &t);
-    let stats = largest_first(&mut partition, &ranks, config);
+    let mut stats = largest_first(&mut partition, &ranks, config);
+    let t = Stopwatch::start();
+    stats.cuts = cut_large(&mut partition, urls);
+    record_span("core.build.refine.cut", "build", &t);
 
     debug_assert!(partition.validate(urls.len() as u32));
     (partition, stats)
+}
+
+/// Cuts every element above [`MAX_ELEMENT_PAGES`] into `⌈n /
+/// MAX_ELEMENT_PAGES⌉` runs of consecutive pages in the order
+/// `build::number_pages` lays it out in (URL, then page id), the first
+/// `n mod runs` a page longer than the rest; returns how many it cut. The
+/// runs stand in the element's place, one after another, so pages keep
+/// the ids the element gave them and each run is a range of them; an
+/// element at or under the cap is moved, not sorted or copied.
+fn cut_large(partition: &mut Partition, urls: &[&str]) -> u64 {
+    let over = |e: &Element| e.pages.len() > MAX_ELEMENT_PAGES;
+    let Some(first) = partition.elements.iter().position(over) else {
+        return 0;
+    };
+    let (mut cuts, tail) = (0, partition.elements.split_off(first));
+    for mut element in tail {
+        if !over(&element) {
+            partition.elements.push(element);
+            continue;
+        }
+        cuts += 1;
+        let pages = &mut element.pages;
+        pages.sort_unstable_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]).then(a.cmp(&b)));
+        let runs = pages.len().div_ceil(MAX_ELEMENT_PAGES);
+        let (len, longer) = (pages.len() / runs, pages.len() % runs);
+        let mut rest = &pages[..];
+        for run in 0..runs {
+            let (this, more) = rest.split_at(len + usize::from(run < longer));
+            rest = more;
+            let mut pages = this.to_vec();
+            pages.sort_unstable();
+            partition.elements.push(Element {
+                pages,
+                domain: element.domain,
+                state: SplitState::Exhausted,
+            });
+        }
+    }
+    for (e, element) in partition.elements.iter().enumerate().skip(first) {
+        for &p in &element.pages {
+            partition.elem_of[p as usize] = e as u32;
+        }
+    }
+    cuts
 }
 
 /// The refinement loop: a lazy max-heap of (size, element), so every
@@ -661,6 +723,120 @@ mod tests {
         let (p, stats) = refine(&[], &[], &RefineConfig::default());
         assert!(p.is_empty());
         assert_eq!(stats.iterations, 0);
+    }
+
+    /// One domain of `big` pages in one directory, seven pages to a URL and
+    /// numbered against URL order (page `p` is file `(big - 1 - p) / 7 *
+    /// 7`), then a domain of 3 pages.
+    fn one_big_directory(big: u32) -> (Vec<String>, Vec<u32>) {
+        let mut urls: Vec<String> = (0..big)
+            .map(|p| format!("http://www.big.com/d/p{:05}.html", (big - 1 - p) / 7 * 7))
+            .collect();
+        urls.extend((0..3).map(|p| format!("http://www.small.org/p{p}.html")));
+        let domains = (0..big + 3).map(|p| u32::from(p >= big)).collect();
+        (urls, domains)
+    }
+
+    /// The partition URL split alone leaves: what `refine` was before the
+    /// cut.
+    fn url_split_only(urls: &[&str], domains: &[u32]) -> Partition {
+        let mut partition = Partition::initial(domains);
+        let ranks = rank_prefixes(&partition, urls);
+        largest_first(&mut partition, &ranks, &RefineConfig::default());
+        partition
+    }
+
+    #[test]
+    fn the_cut_leaves_no_element_above_the_cap() {
+        for big in [2_049, 5_000, 3 * MAX_ELEMENT_PAGES as u32] {
+            let (urls, domains) = one_big_directory(big);
+            let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+            let (p, stats) = refine(&urls, &domains, &RefineConfig::default());
+            assert!(p.validate(big + 3));
+            assert_eq!(stats.cuts, 1, "{big} pages");
+            assert!(p
+                .elements
+                .iter()
+                .all(|e| e.pages.len() <= MAX_ELEMENT_PAGES));
+            let runs = p.elements.iter().filter(|e| e.domain == 0).count();
+            assert_eq!(
+                runs,
+                (big as usize).div_ceil(MAX_ELEMENT_PAGES),
+                "{big} pages"
+            );
+        }
+    }
+
+    /// A cut element's runs stand one after another where it stood, each
+    /// its pages ascending, and read in order they are its pages in URL
+    /// order, ties by page id: the order `build::number_pages` lays them
+    /// out in. Their sizes are at most one apart, longer ones first.
+    #[test]
+    fn the_runs_of_a_cut_element_are_consecutive_in_url_order() {
+        let big = 5_000;
+        let (urls, domains) = one_big_directory(big);
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+        let (p, _) = refine(&urls, &domains, &RefineConfig::default());
+        let runs: Vec<&Element> = p.elements.iter().filter(|e| e.domain == 0).collect();
+        assert_eq!(runs.len(), 3);
+        let first = p.elem_of[runs[0].pages[0] as usize] as usize;
+        for (k, run) in runs.iter().enumerate() {
+            assert_eq!(p.elem_of[run.pages[0] as usize] as usize, first + k);
+            assert!(run.pages.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(run.state, SplitState::Exhausted);
+        }
+        let sizes: Vec<usize> = runs.iter().map(|r| r.pages.len()).collect();
+        assert_eq!(sizes, [1_667, 1_667, 1_666]);
+
+        let mut want: Vec<PageId> = (0..big).collect();
+        want.sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
+        let mut got = Vec::new();
+        for run in &runs {
+            let mut pages = run.pages.clone();
+            pages.sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
+            got.extend(pages);
+        }
+        assert_eq!(got, want);
+    }
+
+    /// Where no element is above the cap — 5 000 generated pages — the cut
+    /// changes nothing: `refine` is URL split's partition.
+    #[test]
+    fn under_the_cap_the_partition_is_url_splits() {
+        let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(5_000, 42));
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        let before = url_split_only(&urls, &domains);
+        assert!(before
+            .elements
+            .iter()
+            .all(|e| e.pages.len() <= MAX_ELEMENT_PAGES));
+        let (after, stats) = refine(&urls, &domains, &RefineConfig::default());
+        assert!(after.validate(corpus.num_pages()));
+        assert_eq!(stats.cuts, 0);
+        assert_eq!(after.elem_of, before.elem_of);
+        let pages = |p: &Partition| -> Vec<Vec<PageId>> {
+            p.elements.iter().map(|e| e.pages.clone()).collect()
+        };
+        assert_eq!(pages(&after), pages(&before));
+    }
+
+    /// Over the cap, the cut only divides: each run lies inside one
+    /// element URL split left, and the elements it left under the cap are
+    /// untouched.
+    #[test]
+    fn the_cut_only_divides_the_elements_above_the_cap() {
+        let (urls, domains) = one_big_directory(5_000);
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+        let before = url_split_only(&urls, &domains);
+        let (after, _) = refine(&urls, &domains, &RefineConfig::default());
+        for e in &after.elements {
+            let from = &before.elements[before.elem_of[e.pages[0] as usize] as usize];
+            assert!(e.pages.iter().all(|p| from.pages.binary_search(p).is_ok()));
+            if from.pages.len() <= MAX_ELEMENT_PAGES {
+                assert_eq!(e.pages, from.pages);
+            }
+        }
     }
 
     #[test]

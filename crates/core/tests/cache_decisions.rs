@@ -17,11 +17,13 @@ use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 /// A quarter of a mebibyte: one shard, which refuses and evicts all pass.
 const BUDGET: usize = 256 << 10;
 
-/// Per pass: hits, misses, evictions, refusals.
-const PASSES: [[u64; 4]; 2] = [[5_159, 2_729, 406, 1_798], [5_742, 2_146, 169, 2_012]];
+/// Per pass: hits, misses, evictions, refusals. These and `ANSWERS` moved
+/// when supernodes above `MAX_ELEMENT_PAGES` came to be cut into runs: the
+/// largest one became two, so its batches draw on other graphs.
+const PASSES: [[u64; 4]; 2] = [[5_143, 2_691, 374, 1_770], [5_682, 2_152, 305, 1_854]];
 
 /// Every answer of both passes, hashed.
-const ANSWERS: u64 = 0x38dd_207a_9267_9b85;
+const ANSWERS: u64 = 0x936f_f167_8105_1625;
 
 /// What the two passes were charged, at most.
 const BYTES_LOADED_CEILING: u64 = 927_205;

@@ -29,7 +29,10 @@ fn build_of_a_generated_corpus_is_the_committed_directory() {
         domains: &domains,
         graph: &corpus.graph,
     };
-    let want = 0x81c6_892a_85b1_0bfb_u64;
+    // Moved when supernodes above `MAX_ELEMENT_PAGES` came to be cut into
+    // runs: this corpus's largest became two (so did the fingerprints of
+    // every rung below; the answers in corpus ids did not move).
+    let want = 0x1a50_6089_ebcf_ac4b_u64;
     for threads in [1, 4, 48, 80] {
         let dir =
             std::env::temp_dir().join(format!("wg_golden_build_{}_{threads}", std::process::id()));
@@ -125,7 +128,7 @@ fn streamed_build_is_pinned(pages: u32, fingerprint: u64, answers: u64) {
 /// The directory the ledger's `nav-100k` workload reads.
 #[test]
 fn the_100k_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(100_000, 0xbf5b_dc75_01e5_d741, 0xcfbe_d9da_3848_91c3);
+    streamed_build_is_pinned(100_000, 0xce63_a710_38cf_db9e, 0xcfbe_d9da_3848_91c3);
 }
 
 /// The ladder's upper rungs: `cargo test --release -p wg-snode --test
@@ -133,11 +136,11 @@ fn the_100k_directory_and_its_answers_are_the_committed_ones() {
 #[test]
 #[ignore = "release only: streams and builds 300 000 pages"]
 fn the_300k_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(300_000, 0xf3e2_fed3_63db_03df, 0x8ca5_0a4c_83a6_e835);
+    streamed_build_is_pinned(300_000, 0xf4c1_8eb8_1cc7_245e, 0x8ca5_0a4c_83a6_e835);
 }
 
 #[test]
 #[ignore = "release only: streams and builds 1 000 000 pages"]
 fn the_1m_directory_and_its_answers_are_the_committed_ones() {
-    streamed_build_is_pinned(1_000_000, 0xe7fc_3366_8d38_e8e6, 0x98a7_c7bb_6a82_354f);
+    streamed_build_is_pinned(1_000_000, 0x4295_1025_b002_3c91, 0x98a7_c7bb_6a82_354f);
 }
