@@ -1,7 +1,8 @@
 //! **Ablation A2** (DESIGN.md): partitioning policy vs compression.
 //! Compares the domain partition alone with the full refinement (URL
 //! split, the default build), plus a granularity sweep over the URL-split
-//! gate.
+//! gate. Every variant is cut to `MAX_ELEMENT_PAGES` last, as every build
+//! is.
 //!
 //! Usage: `cargo run -p wg-bench --release --bin ablation_partition
 //! [--scale pages-per-million]`
@@ -23,7 +24,7 @@ fn main() {
     );
 
     let domain_only = RefineConfig {
-        max_iterations: 0, // P0 untouched
+        max_iterations: 0, // P0, then only the cut
         ..Default::default()
     };
     let coarse = RefineConfig {
@@ -37,7 +38,7 @@ fn main() {
 
     let variants: Vec<(&str, SNodeConfig)> = vec![
         (
-            "domain-only (P0)",
+            "domain-only (P0, cut)",
             SNodeConfig {
                 refine: domain_only,
                 ..Default::default()

@@ -3,8 +3,8 @@
 //!
 //! For each size (100 and 1 000 paper-millions: 100 000 and 1 000 000
 //! pages at the default scale; seed 42) it streams the corpus, builds the
-//! directory and records, over the 10 000 probes `golden_build.rs` pins
-//! (page `i · 2 654 435 761 mod n`):
+//! directory and records, over 10 000 probes in Knuth's multiplicative
+//! scatter (page `i · 2 654 435 761 mod n`, in the directory's ids):
 //!
 //! * `SNode::open_resident`, and a fresh open → its first answer, in ms,
 //!   each the best of 20 tries;
@@ -37,7 +37,7 @@ use wg_snode::{build_snode, RepoInput, SNode, SNodeConfig};
 
 /// The sizes, in paper-millions.
 const RUNGS: [u32; 2] = [100, 1_000];
-/// Probes per pass: `golden_build.rs`'s set.
+/// Probes per pass.
 const PROBES: u64 = 10_000;
 /// Opens per rung, of which the best is reported.
 const OPENS: u32 = 20;

@@ -201,8 +201,8 @@ pub struct RefineConfig {
     /// several hundred pages per supernode on crawls whose hosts are ~1000×
     /// larger than this harness's synthetic ones).
     pub min_url_split_mean: u32,
-    /// Cap on refinement iterations (0 leaves `P0` untouched; the default
-    /// is never reached).
+    /// Cap on URL-split iterations (0 leaves `P0` to the cut alone; the
+    /// default is never reached).
     pub max_iterations: u64,
 }
 
