@@ -32,8 +32,9 @@ const MIN_ELEMENT_SIZE: u32 = 2;
 /// apart at most. Every read of a supernode's graphs costs in its size, so
 /// the cap bounds a cold probe; and a superedge graph's targets are local
 /// ids of the supernode it leads to, so a smaller one spends fewer bits an
-/// id. Half of it (1 024) bought more speed and lost bits; twice it
-/// (4 096) kept most of the bits and half the speed (DESIGN.md §4b).
+/// id. Half of it (1 024) bought more speed and cost bits; twice it
+/// (4 096) saved a few more bits and gave up most of the speed (DESIGN.md
+/// §4b).
 pub const MAX_ELEMENT_PAGES: usize = 2_048;
 
 /// How an element may be split next.
