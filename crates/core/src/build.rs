@@ -4,7 +4,7 @@
 
 use crate::disk::{GraphLocator, IndexFileWriter, Renumbering, SNodeMeta};
 use crate::flat::{FlatLists, ListBuf};
-use crate::partition::{refine, Partition, RefineConfig, RefineStats};
+use crate::partition::{refine, Partition, RefineConfig, RefineStats, SplitState};
 use crate::refenc::{plan_lists, write_lists, EncodedLists, RefMode};
 use crate::subgraphs::{
     plan_superedge, write_superedge, EncodedSuperedge, SuperedgeLinks, SuperedgePlan,
@@ -373,13 +373,17 @@ fn secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-/// Orders pages: supernode by element index, lexicographic URL within.
+/// Orders pages: supernode by element index, lexicographic URL within,
+/// ties by page id. A run the cut made is in that order already.
 fn number_pages(partition: &Partition, urls: &[&str]) -> Renumbering {
     let mut old_of_new = Vec::with_capacity(urls.len());
     for e in &partition.elements {
         let start = old_of_new.len();
         old_of_new.extend_from_slice(&e.pages);
-        old_of_new[start..].sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
+        if e.state != SplitState::Cut {
+            // Stable, over ascending ids: ties stay in page-id order.
+            old_of_new[start..].sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
+        }
     }
     Renumbering::from_old_of_new(old_of_new)
 }

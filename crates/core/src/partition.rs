@@ -47,12 +47,16 @@ pub enum SplitState {
     },
     /// URL prefixes are used up: the element is final.
     Exhausted,
+    /// A run [`MAX_ELEMENT_PAGES`] cut out of a larger element: final, its
+    /// pages already in the order `build::number_pages` lays them out in.
+    Cut,
 }
 
 /// One element of the partition.
 #[derive(Debug, Clone)]
 pub struct Element {
-    /// Pages in this element (ascending page id).
+    /// Pages in this element: ascending page id, or for a run the cut
+    /// made ([`SplitState::Cut`]), in URL order, ties by page id.
     pub pages: Vec<PageId>,
     /// The domain every page of this element belongs to (Property 2).
     pub domain: u32,
@@ -256,8 +260,10 @@ pub fn refine(urls: &[&str], domains: &[u32], config: &RefineConfig) -> (Partiti
 /// `build::number_pages` lays it out in (URL, then page id), the first
 /// `n mod runs` a page longer than the rest; returns how many it cut. The
 /// runs stand in the element's place, one after another, so pages keep
-/// the ids the element gave them and each run is a range of them; an
-/// element at or under the cap is moved, not sorted or copied.
+/// the ids the element gave them and each run is a range of them. A run
+/// keeps its pages in that order ([`SplitState::Cut`]), so the element is
+/// sorted by URL once, here, and not again when its pages are numbered;
+/// an element at or under the cap is moved, not sorted or copied.
 fn cut_large(partition: &mut Partition, urls: &[&str]) -> u64 {
     let over = |e: &Element| e.pages.len() > MAX_ELEMENT_PAGES;
     let Some(first) = partition.elements.iter().position(over) else {
@@ -278,12 +284,10 @@ fn cut_large(partition: &mut Partition, urls: &[&str]) -> u64 {
         for run in 0..runs {
             let (this, more) = rest.split_at(len + usize::from(run < longer));
             rest = more;
-            let mut pages = this.to_vec();
-            pages.sort_unstable();
             partition.elements.push(Element {
-                pages,
+                pages: this.to_vec(),
                 domain: element.domain,
-                state: SplitState::Exhausted,
+                state: SplitState::Cut,
             });
         }
     }
@@ -768,10 +772,10 @@ mod tests {
         }
     }
 
-    /// A cut element's runs stand one after another where it stood, each
-    /// its pages ascending, and read in order they are its pages in URL
-    /// order, ties by page id: the order `build::number_pages` lays them
-    /// out in. Their sizes are at most one apart, longer ones first.
+    /// A cut element's runs stand one after another where it stood, and
+    /// read in order they are its pages in URL order, ties by page id: the
+    /// order `build::number_pages` lays them out in, which each run keeps.
+    /// Their sizes are at most one apart, longer ones first.
     #[test]
     fn the_runs_of_a_cut_element_are_consecutive_in_url_order() {
         let big = 5_000;
@@ -783,20 +787,14 @@ mod tests {
         let first = p.elem_of[runs[0].pages[0] as usize] as usize;
         for (k, run) in runs.iter().enumerate() {
             assert_eq!(p.elem_of[run.pages[0] as usize] as usize, first + k);
-            assert!(run.pages.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(run.state, SplitState::Exhausted);
+            assert_eq!(run.state, SplitState::Cut);
         }
         let sizes: Vec<usize> = runs.iter().map(|r| r.pages.len()).collect();
         assert_eq!(sizes, [1_667, 1_667, 1_666]);
 
         let mut want: Vec<PageId> = (0..big).collect();
         want.sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
-        let mut got = Vec::new();
-        for run in &runs {
-            let mut pages = run.pages.clone();
-            pages.sort_by(|&a, &b| urls[a as usize].cmp(urls[b as usize]));
-            got.extend(pages);
-        }
+        let got: Vec<PageId> = runs.iter().flat_map(|run| run.pages.clone()).collect();
         assert_eq!(got, want);
     }
 
