@@ -1,9 +1,11 @@
 //! Regenerates **Table 1**: bits/edge for `WG` and `WGᵀ` under Plain
 //! Huffman, Link3, and S-Node, plus the "maximum repository representable
 //! in 8 GB of memory" extrapolation at the paper's mean out-degree of 14.
-//! S-Node's `WGᵀ` is built twice: refined on its own, as the paper builds
-//! it, and over `WG`'s partition, as `wgr query --reps` and `wgr serve`
-//! store it.
+//! S-Node's `WGᵀ` is built over `WG`'s partition, as `wgr query --reps`
+//! and `wgr serve` store it. The paper refines `WGᵀ` on its own, but
+//! refinement reads only URLs and domains, which the two directions share:
+//! refined on its own, `WGᵀ` gets the same partition, and its build is the
+//! same directory byte for byte.
 //!
 //! Per the paper, each bits/edge figure is the average over the 25 M, 50 M
 //! and 100 M-page data sets (scaled here).
@@ -30,7 +32,7 @@ fn main() {
     );
 
     // Accumulate bits/edge per scheme, per direction.
-    let mut acc = [[0.0f64; 2]; 4]; // [scheme][direction]
+    let mut acc = [[0.0f64; 2]; 3]; // [scheme][direction]
     let full = corpus_for(&args, *SIZES_M.last().expect("sizes"));
     for &m in &SIZES_M {
         let (urls, domains, graph) = crawl_prefix(&full, args.pages_for(m));
@@ -48,24 +50,8 @@ fn main() {
             build_snode(input, &SNodeConfig::default(), &dir).expect("snode build");
         let renum_graph = renumber_graph(&graph, &renum);
         let transpose = renum_graph.transpose();
-
-        // Transpose S-Node, refined on its own over the renumbered
-        // repository (the paper's WGᵀ row).
-        let t_urls: Vec<&str> = (0..graph.num_nodes())
-            .map(|new| urls[renum.old_of_new[new as usize] as usize])
-            .collect();
-        let t_domains: Vec<u32> = (0..graph.num_nodes())
-            .map(|new| domains[renum.old_of_new[new as usize] as usize])
-            .collect();
         let dir_t = args.work_dir.join(format!("t1_{m}_t"));
-        let t_input = RepoInput {
-            urls: &t_urls,
-            domains: &t_domains,
-            graph: &transpose,
-        };
-        let (stats_t, _) =
-            build_snode(t_input, &SNodeConfig::default(), &dir_t).expect("snode_t build");
-        let stats_shared = build_snode_transpose(&dir, &transpose, &SNodeConfig::default(), &dir_t)
+        let stats_t = build_snode_transpose(&dir, &transpose, &SNodeConfig::default(), &dir_t)
             .expect("snode_t build over WG's partition");
 
         let huff = HuffmanGraph::build(&renum_graph);
@@ -79,8 +65,6 @@ fn main() {
         acc[1][1] += link3_t.bits_per_edge();
         acc[2][0] += stats.bits_per_edge();
         acc[2][1] += stats_t.bits_per_edge();
-        acc[3][0] += stats.bits_per_edge();
-        acc[3][1] += stats_shared.bits_per_edge();
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir_t).ok();
@@ -107,7 +91,6 @@ fn main() {
     let names = [
         "Plain Huffman",
         "Connectivity Server (Link3)",
-        "S-Node",
         "S-Node, WG's partition",
     ];
     let paper = [[15.2, 15.4], [5.81, 5.92], [5.07, 5.63]];
@@ -125,9 +108,7 @@ fn main() {
                 &widths
             )
         );
-        let Some(paper) = paper.get(i) else {
-            continue;
-        };
+        let paper = paper[i];
         println!(
             "{}",
             row(
