@@ -1022,9 +1022,7 @@ impl GraphCache {
     pub fn insert(&self, key: GraphKey, graph: CachedGraph) -> Arc<CachedGraph> {
         let bytes = graph.bytes();
         let kind = key_kind(&key);
-        self.metrics.bytes_loaded.add(bytes as u64);
-        self.loaded_by_kind[kind].add(bytes as u64);
-        self.log_event(CacheEvent::Load(key));
+        self.count_load(key, bytes);
         let hash = shard_hash(&key);
         let i = self.shard_of(hash);
         if wg_obs::trace_enabled() {
@@ -1102,6 +1100,30 @@ impl GraphCache {
     fn holds(&self, key: GraphKey) -> bool {
         let shard = self.shards[self.shard_of(shard_hash(&key))].lock();
         shard.map.contains_key(&key)
+    }
+
+    /// Counts a lookup made outside the shards — a pinned read
+    /// ([`crate::SNode`] under a budget that holds its whole directory) —
+    /// as [`Self::lookup`] counts one: a hit, or a miss.
+    pub(crate) fn count_lookup(&self, hit: bool) {
+        match hit {
+            true => self.metrics.hits.inc(),
+            false => self.metrics.misses.inc(),
+        }
+    }
+
+    /// Counts and logs the load of a graph charged `bytes`, as
+    /// [`Self::insert`] does for every graph offered to it (a pinned fill
+    /// is one that is never offered).
+    pub(crate) fn count_load(&self, key: GraphKey, bytes: usize) {
+        self.metrics.bytes_loaded.add(bytes as u64);
+        self.loaded_by_kind[key_kind(&key)].add(bytes as u64);
+        self.log_event(CacheEvent::Load(key));
+    }
+
+    /// Logs that a pinned graph left its handle.
+    pub(crate) fn log_unload(&self, key: GraphKey) {
+        self.log_event(CacheEvent::Unload(key));
     }
 
     fn log_event(&self, ev: CacheEvent) {

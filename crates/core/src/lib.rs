@@ -55,8 +55,8 @@ pub mod integrity;
 pub mod par;
 pub mod partition;
 pub mod refenc;
-// The shared `SNode` handle's scratch pools, degradation state and
-// verified-blob bitset.
+// The shared `SNode` handle's scratch pools, pinned slots, degradation
+// state and verified-blob bitset.
 #[allow(clippy::disallowed_types)]
 pub mod repr;
 pub mod section;

@@ -8,7 +8,10 @@
 //! a per-supernode [`Fanout`] that tells a probe which of them to ask.
 //! The §4.3 query experiments open it under their memory cap; Table 2 and
 //! the global-access path (§1.2) open it with a budget the whole directory
-//! fits, so after one pass no access pays a load.
+//! fits, so after one pass no access pays a load. Under such a budget the
+//! handle *pins* ([`pin_bound`]): each graph and fanout has a slot of its
+//! own, filled once, and a warm read is one load of it — no lock, hash or
+//! recency stamp, since nothing would ever be evicted.
 
 use crate::cache::{
     intra_charge, CacheEvent, CachedGraph, Fanout, GraphCache, GraphCacheStats, GraphKey, Lookup,
@@ -22,9 +25,10 @@ use crate::subgraphs::{scan_sources, scan_sources_of, Scanned, SuperedgeIndex};
 use crate::{Result, SNodeError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wg_graph::PageId;
 
 /// What graceful degradation cost a representation so far.
@@ -169,6 +173,9 @@ struct Part {
 enum Answer {
     /// The page's list in this graph.
     Graph(Arc<CachedGraph>),
+    /// The page's list in the graph pinned in this slot of the batch's
+    /// [`Pins`], read in place.
+    Pinned(usize),
     /// The one local target of a single-target dictionary of one entry,
     /// the same for every page it lists: the fanout's, with no graph
     /// looked up.
@@ -216,6 +223,118 @@ struct BatchScratch {
     /// distinct local pages, ascending, whose ranks number the rows of
     /// the fanout built for them.
     group: Vec<u32>,
+    /// The pinned slots this scratch was last handed out with (`None`
+    /// unless the handle pins): kept across calls, so a call takes no
+    /// reference count, and replaced when the handle's are.
+    pins: Option<Arc<Pins>>,
+}
+
+/// A graph or fanout as a probe holds it: out of the cache, or borrowed
+/// from its pinned slot.
+enum Held<'p> {
+    Cached(Arc<CachedGraph>),
+    Pinned(&'p CachedGraph),
+}
+
+impl Deref for Held<'_> {
+    type Target = CachedGraph;
+
+    fn deref(&self) -> &CachedGraph {
+        match self {
+            Held::Cached(graph) => graph,
+            Held::Pinned(graph) => graph,
+        }
+    }
+}
+
+/// One slot per graph of a pinning handle, in the builder's linear order,
+/// then one per supernode for its fanout; each is filled once, by the
+/// first probe that misses it, with what a cache miss builds.
+#[derive(Debug)]
+struct Pins {
+    slots: Box<[OnceLock<Arc<CachedGraph>>]>,
+}
+
+impl Pins {
+    fn empty(slots: usize) -> Self {
+        Self {
+            slots: (0..slots).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The graph in `slot`, once it is filled.
+    fn graph(&self, slot: usize) -> Option<&CachedGraph> {
+        self.slots.get(slot)?.get().map(|graph| &**graph)
+    }
+
+    /// Fills `slot` with `graph`, unless a concurrent miss filled it
+    /// first: both built the same graph from the same bytes.
+    fn fill(&self, slot: usize, graph: CachedGraph) {
+        if let Some(cell) = self.slots.get(slot) {
+            let _ = cell.set(Arc::new(graph));
+        }
+    }
+
+    /// These slots, sharing every graph but the one in `slot`.
+    fn without(&self, slot: usize) -> Self {
+        let copy = |(i, cell): (usize, &OnceLock<Arc<CachedGraph>>)| {
+            let kept = cell.get().filter(|_| i != slot);
+            kept.map_or_else(OnceLock::new, |graph| OnceLock::from(Arc::clone(graph)))
+        };
+        Self {
+            slots: self.slots.iter().enumerate().map(copy).collect(),
+        }
+    }
+}
+
+/// The handle's scratch buffers not in use, and the pinned slots a call
+/// reads (`None` unless the handle pins).
+#[derive(Debug, Default)]
+struct Pool {
+    free: Vec<BatchScratch>,
+    pins: Option<Arc<Pins>>,
+}
+
+/// Whether `a` and `b` are the same slots, or both none.
+fn same_pins(a: &Option<Arc<Pins>>, b: &Option<Arc<Pins>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (a, b) => a.is_none() && b.is_none(),
+    }
+}
+
+/// An upper bound on what every intranode graph, superedge graph and
+/// fanout of a directory is charged together ([`CachedGraph::bytes`]),
+/// from its totals alone — `supernodes`, `superedges`, `pages` and the
+/// index files' `file_bytes` — so that a budget covering it holds all of
+/// them at once and nothing need ever be evicted. It holds for every
+/// directory an open accepts, whatever its graphs claim, because every
+/// arena value is at most a word (4 bytes, [`crate::section::Width`]) and
+/// all but a few per graph are backed by bits of the graph they came
+/// from — bits the parse checks are there before it sizes anything:
+///
+/// * per graph and per fanout, the value itself and one word (an end
+///   sentinel, a single target); per fanout besides, a row start per page
+///   and per out-superedge an `always` slot and a target value;
+/// * an intranode graph's offsets: a list takes two bits at least, so
+///   half a word a bit;
+/// * a superedge graph's sources, indexes, entries and offsets: a source
+///   takes a bit at least, as do an index among two entries or more and
+///   an entry of a single-target dictionary, and a stored list two — a
+///   word a bit;
+/// * a fanout's rows: one slot per source of its graphs, a word a bit.
+///
+/// A graph that does not read is never charged, and those that do lie in
+/// disjoint ranges of the files: 8 bytes a bit bounds all of it, 64 a
+/// file byte. The bound is loose — 48.7 MB at 100 000 pages (seed 42)
+/// and 145 MB at 300 000, where every graph and fanout is charged 2.3 and
+/// 6.9 MB — but it is a bound, and `nav-100k` and `build-300k`'s warm
+/// 256 MiB handles and Table 2's 1 GiB one cover it.
+fn pin_bound(supernodes: u64, superedges: u64, pages: u64, file_bytes: u64) -> u64 {
+    const WORD: u64 = 4;
+    let fixed = (2 * supernodes + superedges) * (LEAST_CHARGE as u64 + WORD);
+    let fanout_rows = WORD * pages + 2 * WORD * superedges;
+    fixed + fanout_rows + file_bytes.saturating_mul(2 * WORD * 8)
 }
 
 /// A directory as [`SNode`] opens it: `meta.bin` checked against
@@ -330,18 +449,23 @@ impl OpenDir {
 ///
 /// The handle is `Sync`: everything read at open (the metadata, the
 /// resident index files, the manifest) is immutable, and all query-time
-/// mutation lives in the sharded [`GraphCache`], the scratch-buffer pool
-/// and the lock-guarded quarantine state — so any number of threads can
-/// navigate one shared handle through `&self` (DESIGN.md §5f).
+/// mutation lives in the sharded [`GraphCache`] or the pinned slots, the
+/// scratch-buffer pool and the lock-guarded quarantine state — so any
+/// number of threads can navigate one shared handle through `&self`
+/// (DESIGN.md §5f).
 #[derive(Debug)]
 pub struct SNode {
     dir: OpenDir,
     cache: GraphCache,
+    /// Whether the budget covers [`pin_bound`], and graphs are read from
+    /// pinned slots rather than through `cache` (whose counters and log
+    /// they still feed).
+    pinned: bool,
     nav: Option<NavCounters>,
     /// Pool of reusable batch buffers: a navigation call pops one (or
     /// starts fresh), runs, and returns it, so the steady state of N
     /// concurrent readers holds N warm scratches and allocates nothing.
-    scratch: Mutex<Vec<BatchScratch>>,
+    scratch: Mutex<Pool>,
     degrade: Option<RwLock<DegradeState>>,
     /// The shim's retry count before the open's first read.
     retries_at_open: u64,
@@ -354,6 +478,9 @@ impl SNode {
     /// slices of one shared immutable image per file (the `mmap` analogue
     /// under the workspace's `forbid(unsafe_code)` — see
     /// [`wg_store::Region`]), at the cost of [`SNode::resident_bytes`].
+    ///
+    /// A budget that covers what every graph and fanout of the directory
+    /// could be charged together pins them instead ([`SNode::pins_graphs`]).
     ///
     /// Strict mode: a directory without `sums.bin` is `Corrupt` ("rebuild
     /// the directory"), and any checksum or decode failure is an error.
@@ -372,14 +499,38 @@ impl SNode {
 
     fn open_mode(dir: &Path, cache_budget_bytes: usize, degrade: bool) -> Result<Self> {
         let retries_at_open = wg_fault::retries_performed();
+        let dir = OpenDir::open(dir, degrade)?;
+        let index = &dir.index;
+        let (supernodes, blobs) = (u64::from(index.num_supernodes()), index.num_blobs());
+        let bound = pin_bound(
+            supernodes,
+            blobs - supernodes,
+            u64::from(index.num_pages()),
+            dir.files.resident_bytes(),
+        );
+        let pinned = cache_budget_bytes as u64 >= bound;
+        let pins = pinned.then(|| Arc::new(Pins::empty((blobs + supernodes) as usize)));
         Ok(Self {
-            dir: OpenDir::open(dir, degrade)?,
+            dir,
             cache: GraphCache::new(cache_budget_bytes),
+            pinned,
             nav: NavCounters::auto(),
-            scratch: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Pool {
+                free: Vec::new(),
+                pins,
+            }),
             degrade: degrade.then(|| RwLock::new(DegradeState::new())),
             retries_at_open,
         })
+    }
+
+    /// Whether the handle pins: its budget covers what every graph and
+    /// fanout of the directory could be charged together, so each is read
+    /// from a slot of its own, filled by its first miss and never
+    /// evicted, with no cache lookup. Decided at open; the answers, and
+    /// what [`SNode::cache_stats`] counts, are the cache's either way.
+    pub fn pins_graphs(&self) -> bool {
+        self.pinned
     }
 
     /// Degradation summary: quarantined supernodes, skipped adjacency
@@ -476,7 +627,9 @@ impl SNode {
     /// once those and `out` have grown to the lists they meet, a probe
     /// whose graphs are cached allocates nothing.
     pub fn out_neighbors_into(&self, p: PageId, out: &mut Vec<PageId>) -> Result<()> {
-        self.with_scratch(|scratch| self.batch_run(&[p], std::slice::from_mut(out), false, scratch))
+        self.with_scratch(|scratch, pins| {
+            self.batch_run(&[p], std::slice::from_mut(out), false, scratch, pins)
+        })
     }
 
     /// Batched navigation: answers `out_neighbors` for every page in
@@ -491,12 +644,12 @@ impl SNode {
         pages: &[PageId],
         visit: &mut dyn FnMut(PageId, &[PageId]),
     ) -> Result<()> {
-        self.with_scratch(|scratch| {
+        self.with_scratch(|scratch, pins| {
             let mut results = std::mem::take(&mut scratch.results);
             if results.len() < pages.len() {
                 results.resize_with(pages.len(), Vec::new);
             }
-            let run = self.batch_run(pages, &mut results[..pages.len()], true, scratch);
+            let run = self.batch_run(pages, &mut results[..pages.len()], true, scratch, pins);
             if run.is_ok() {
                 for (&p, list) in pages.iter().zip(&results) {
                     visit(p, list);
@@ -524,14 +677,29 @@ impl SNode {
         Ok(wg_graph::Graph::from_adjacency(lists))
     }
 
-    /// Runs `f` with a scratch from the pool and returns the scratch to it.
-    fn with_scratch<T>(&self, f: impl FnOnce(&mut BatchScratch) -> T) -> T {
-        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let r = f(&mut scratch);
-        // A pooled scratch must not keep graphs alive past their eviction.
+    /// Runs `f` with a scratch from the pool and the handle's pinned
+    /// slots, if it pins, and returns the scratch to the pool.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut BatchScratch, Option<&Pins>) -> T) -> T {
+        let mut scratch = {
+            let mut pool = self.scratch.lock();
+            let mut scratch = pool.free.pop().unwrap_or_default();
+            if !same_pins(&scratch.pins, &pool.pins) {
+                scratch.pins = pool.pins.clone();
+            }
+            scratch
+        };
+        let pins = scratch.pins.take();
+        let r = f(&mut scratch, pins.as_deref());
+        // A pooled scratch must not keep graphs alive past their eviction,
+        // nor slots past their replacement.
         scratch.parts.clear();
         scratch.parsed.clear();
-        self.scratch.lock().push(scratch);
+        scratch.pins = pins;
+        let mut pool = self.scratch.lock();
+        if !same_pins(&scratch.pins, &pool.pins) {
+            scratch.pins = None;
+        }
+        pool.free.push(scratch);
         r
     }
 
@@ -543,6 +711,7 @@ impl SNode {
         results: &mut [Vec<PageId>],
         count_batched: bool,
         scratch: &mut BatchScratch,
+        pins: Option<&Pins>,
     ) -> Result<()> {
         let n = pages.len();
         scratch.order.clear();
@@ -571,8 +740,8 @@ impl SNode {
             // the scalar path), and only of the graphs the fanout names
             // for the group's pages.
             let last = pages[scratch.order[end - 1] as usize] - range.start;
-            let intra = self.intranode(s, last)?;
-            let (fanout, whole) = self.fanout(s, (pages, g..end, range.start), scratch)?;
+            let intra = self.intranode(s, last, pins)?;
+            let (fanout, whole) = self.fanout(s, (pages, g..end, range.start), scratch, pins)?;
             let fanout = fanout.as_fanout().ok_or(SNodeError::Corrupt(
                 "graph cache holds a graph under a fanout key",
             ))?;
@@ -597,7 +766,7 @@ impl SNode {
                 slot: INTRA_SLOT,
                 j: s,
                 always: true,
-                answer: intra.map_or(Answer::Skipped, Answer::Graph),
+                answer: intra,
             });
             let row = self.dir.index.targets(s);
             let mut looked_up = 0u64;
@@ -611,8 +780,7 @@ impl SNode {
                     None => {
                         looked_up += 1;
                         let parsed = scratch.parsed.get_mut(k as usize).and_then(Option::take);
-                        self.superedge(s, k, j, parsed)?
-                            .map_or(Answer::Skipped, Answer::Graph)
+                        self.superedge(s, k, j, parsed, pins)?
                     }
                 };
                 scratch.parts.push(Part {
@@ -653,6 +821,9 @@ impl SNode {
                     }
                     let graph = match &part.answer {
                         Answer::Graph(graph) => graph,
+                        Answer::Pinned(slot) => pins
+                            .and_then(|pins| pins.graph(*slot))
+                            .ok_or(SNodeError::Corrupt("a probe's pinned graph left its slot"))?,
                         Answer::Target(t) => {
                             results[oi].push(part.start + t);
                             continue;
@@ -689,7 +860,8 @@ impl SNode {
         Ok(())
     }
 
-    /// Cache statistics.
+    /// Cache statistics: under a pinning handle, each slot read counts a
+    /// hit and each fill a miss and its charge, as the cache counts them.
     pub fn cache_stats(&self) -> GraphCacheStats {
         self.cache.stats()
     }
@@ -699,8 +871,20 @@ impl SNode {
         self.dir.files.read_count()
     }
 
-    /// Clears the decoded-graph cache (cold start) and resets statistics.
+    /// Clears the decoded-graph cache, or every pinned slot (cold start),
+    /// and resets statistics.
     pub fn clear_cache(&self) {
+        if self.pinned {
+            let slots = self.pin_slots();
+            let old = {
+                let mut pool = self.scratch.lock();
+                pool.free.iter_mut().for_each(|scratch| scratch.pins = None);
+                pool.pins.replace(Arc::new(Pins::empty(slots)))
+            };
+            if let Some(old) = old {
+                self.log_unpinned(&old);
+            }
+        }
         self.cache.clear();
         self.cache.reset_stats();
     }
@@ -756,9 +940,11 @@ impl SNode {
             Quarantine::Super(s, j) => {
                 d.quarantined_super.insert((s, j));
                 d.mark_supernode(s);
+                drop(d);
                 // The next probe into `s` builds a fanout that sends
                 // every page to this slot, to count what it goes without.
                 self.cache.remove(GraphKey::Fanout(s));
+                self.unpin_fanout(s);
             }
         }
         Ok(())
@@ -767,6 +953,54 @@ impl SNode {
     fn note_skip(&self) {
         if let Some(d) = &self.degrade {
             d.write().skip();
+        }
+    }
+
+    /// How many slots a pinning handle has: one per graph, then one per
+    /// supernode's fanout.
+    fn pin_slots(&self) -> usize {
+        let index = &self.dir.index;
+        (index.num_blobs() + u64::from(index.num_supernodes())) as usize
+    }
+
+    fn fanout_slot(&self, s: u32) -> usize {
+        (self.dir.index.num_blobs() + u64::from(s)) as usize
+    }
+
+    /// Drops `s`'s fanout from a pinning handle, as a quarantine drops it
+    /// from the cache: the slots are replaced by a copy without it, which
+    /// every call after this one reads. Degraded opens only, and only for
+    /// damage found after the fanout was built; a batch under way keeps the
+    /// slots it began with, and what it fills there from now on is built
+    /// again by the next miss.
+    fn unpin_fanout(&self, s: u32) {
+        if !self.pinned {
+            return;
+        }
+        let slot = self.fanout_slot(s);
+        let mut pool = self.scratch.lock();
+        let Some(pins) = pool.pins.as_ref().filter(|pins| pins.graph(slot).is_some()) else {
+            return;
+        };
+        pool.pins = Some(Arc::new(pins.without(slot)));
+        pool.free.iter_mut().for_each(|scratch| scratch.pins = None);
+        drop(pool);
+        self.cache.log_unload(GraphKey::Fanout(s));
+    }
+
+    /// Logs an unload for every graph filled in `pins`.
+    fn log_unpinned(&self, pins: &Pins) {
+        let index = &self.dir.index;
+        for s in 0..index.num_supernodes() {
+            let graphs = std::iter::once(GraphKey::Intra(s))
+                .chain(index.targets(s).iter().map(|&j| GraphKey::Super(s, j)));
+            let first = index.intra_blob(s) as usize;
+            let fanout = (self.fanout_slot(s), GraphKey::Fanout(s));
+            for (slot, key) in (first..).zip(graphs).chain([fanout]) {
+                if pins.graph(slot).is_some() {
+                    self.cache.log_unload(key);
+                }
+            }
         }
     }
 
@@ -780,34 +1014,63 @@ impl SNode {
         }
     }
 
+    /// Whether pinned `slot` holds its graph, counted as a cache lookup.
+    fn pinned_hit(&self, pins: &Pins, slot: usize) -> bool {
+        let hit = pins.graph(slot).is_some();
+        self.cache.count_lookup(hit);
+        hit
+    }
+
+    /// `graph`, built for a pinned miss of `key`, filled into `slot` and
+    /// counted as a cache load.
+    fn pin(&self, pins: &Pins, slot: usize, key: GraphKey, graph: CachedGraph) {
+        self.cache.count_load(key, graph.bytes());
+        pins.fill(slot, graph);
+    }
+
     /// The intranode graph of `s`, for a group of pages whose last local
-    /// id is `last`. `Ok(None)` means the graph is quarantined (degraded
+    /// id is `last`: from its pinned slot, from the cache, or built by this
+    /// probe. [`Answer::Skipped`] means the graph is quarantined (degraded
     /// mode only); the caller counts the skipped part per access.
-    fn intranode(&self, s: u32, last: u32) -> Result<Option<Arc<CachedGraph>>> {
+    fn intranode(&self, s: u32, last: u32, pins: Option<&Pins>) -> Result<Answer> {
         if let Some(d) = &self.degrade {
             if d.read().quarantined_intra.contains(&s) {
-                return Ok(None);
+                return Ok(Answer::Skipped);
             }
         }
         let index = &self.dir.index;
+        if let Some(pins) = pins {
+            let slot = index.intra_blob(s) as usize;
+            if !self.pinned_hit(pins, slot) {
+                match self.load_intranode(s, None)? {
+                    Some(graph) => self.pin(pins, slot, GraphKey::Intra(s), graph),
+                    None => return Ok(Answer::Skipped),
+                }
+            }
+            return Ok(Answer::Pinned(slot));
+        }
         // Exact: the charge of the directory the miss would build.
         let floor = || {
             let bit_len = index.locator(index.intra_blob(s)).bit_len;
             intra_charge(index.supernode_size(s), bit_len)
         };
-        match self.cache.lookup(GraphKey::Intra(s), floor) {
-            Lookup::Hit(g) => Ok(Some(g)),
-            Lookup::Miss => self.load_intranode(s, None),
-            Lookup::Declined => self.load_intranode(s, Some(last)),
-        }
+        let through = match self.cache.lookup(GraphKey::Intra(s), floor) {
+            Lookup::Hit(g) => return Ok(Answer::Graph(g)),
+            Lookup::Miss => None,
+            Lookup::Declined => Some(last),
+        };
+        Ok(match self.load_intranode(s, through)? {
+            Some(graph) => Answer::Graph(self.offer(GraphKey::Intra(s), graph, through.is_some())),
+            None => Answer::Skipped,
+        })
     }
 
-    /// An intranode miss: parses the graph's directory and admits it, or,
-    /// when the cache declined the miss, scans its payloads through list
-    /// `through` only — what the group's pages need — and offers nothing.
+    /// An intranode miss: parses the graph's directory, or, when the cache
+    /// declined the miss, scans its payloads through list `through` only —
+    /// what the group's pages need. `Ok(None)`: the graph is quarantined.
     /// Out of line, like [`SNode::build_fanout`].
     #[inline(never)]
-    fn load_intranode(&self, s: u32, through: Option<u32>) -> Result<Option<Arc<CachedGraph>>> {
+    fn load_intranode(&self, s: u32, through: Option<u32>) -> Result<Option<CachedGraph>> {
         let blob = self.dir.index.intra_blob(s);
         let loc = self.dir.index.locator(blob);
         let parsed = self.dir.load_blob(&loc, blob).and_then(|bytes| {
@@ -817,14 +1080,11 @@ impl SNode {
             Ok((bytes, index))
         });
         match parsed {
-            Ok((bytes, index)) => {
-                let graph = CachedGraph::new_encoded_intra(bytes, loc.bit_len, index);
-                Ok(Some(self.offer(
-                    GraphKey::Intra(s),
-                    graph,
-                    through.is_some(),
-                )))
-            }
+            Ok((bytes, index)) => Ok(Some(CachedGraph::new_encoded_intra(
+                bytes,
+                loc.bit_len,
+                index,
+            ))),
             Err(e) => {
                 self.quarantine(Quarantine::Intra(s), e)?;
                 Ok(None)
@@ -832,33 +1092,52 @@ impl SNode {
         }
     }
 
-    /// The fanout of supernode `s`, from the cache or built by this probe
-    /// for `group` — the pages, the positions of the group's in their
-    /// ascending order, and the supernode's first page — and whether its
-    /// rows are the supernode's pages (`true`) or, built for a miss the
-    /// cache declined, the ranks of the group's distinct pages.
-    fn fanout(
+    /// The fanout of supernode `s`, from its pinned slot, from the cache
+    /// or built by this probe for `group` — the pages, the positions of
+    /// the group's in their ascending order, and the supernode's first
+    /// page — and whether its rows are the supernode's pages (`true`) or,
+    /// built for a miss the cache declined, the ranks of the group's
+    /// distinct pages.
+    fn fanout<'p>(
         &self,
         s: u32,
         group: (&[PageId], std::ops::Range<usize>, PageId),
         scratch: &mut BatchScratch,
-    ) -> Result<(Arc<CachedGraph>, bool)> {
-        match self.cache.lookup(GraphKey::Fanout(s), || LEAST_CHARGE) {
-            Lookup::Hit(fanout) => Ok((fanout, true)),
-            Lookup::Miss => Ok((self.build_fanout(s, None, scratch)?, true)),
-            Lookup::Declined => Ok((self.build_fanout(s, Some(group), scratch)?, false)),
+        pins: Option<&'p Pins>,
+    ) -> Result<(Held<'p>, bool)> {
+        if let Some(pins) = pins {
+            let slot = self.fanout_slot(s);
+            if !self.pinned_hit(pins, slot) {
+                let built = self.build_fanout(s, None, scratch)?;
+                self.pin(pins, slot, GraphKey::Fanout(s), built);
+            }
+            let fanout =
+                (pins.graph(slot)).ok_or(SNodeError::Corrupt("a pinned fanout left its slot"))?;
+            return Ok((Held::Pinned(fanout), true));
         }
+        let key = GraphKey::Fanout(s);
+        Ok(match self.cache.lookup(key, || LEAST_CHARGE) {
+            Lookup::Hit(fanout) => (Held::Cached(fanout), true),
+            Lookup::Miss => {
+                let built = self.build_fanout(s, None, scratch)?;
+                (Held::Cached(self.offer(key, built, false)), true)
+            }
+            Lookup::Declined => {
+                let built = self.build_fanout(s, Some(group), scratch)?;
+                (Held::Cached(Arc::new(built)), false)
+            }
+        })
     }
 
     /// A fanout miss: builds the fanout of `s` from what a cold probe reads
     /// of every out-superedge graph anyway — the checksummed blob, scanned
     /// as far as `sources`, and for a single-target dictionary its entry
-    /// if it has one only — admits it, and leaves the other blobs in
-    /// `scratch.parsed` for the caller to parse and admit the ones its
-    /// pages need. For a miss the cache declined, `group` names the pages
-    /// of the probe's group: each `sources` is read until it passes the
-    /// last of them, a dictionary's entry only if one of them is a source,
-    /// and the fanout has a row for each of them only and is not offered.
+    /// if it has one only — and leaves the other blobs in `scratch.parsed`
+    /// for the caller to parse and keep the ones its pages need. For a
+    /// miss the cache declined, `group` names the pages of the probe's
+    /// group: each `sources` is read until it passes the last of them, a
+    /// dictionary's entry only if one of them is a source, and the fanout
+    /// has a row for each of them only.
     /// Out of line, like [`SNode::load_superedge`]: with the two miss
     /// paths inlined into `batch_run` every *warm* probe read 12 % slower
     /// (ten ledger pairs, none won).
@@ -868,7 +1147,7 @@ impl SNode {
         s: u32,
         group: Option<(&[PageId], std::ops::Range<usize>, PageId)>,
         scratch: &mut BatchScratch,
-    ) -> Result<Arc<CachedGraph>> {
+    ) -> Result<CachedGraph> {
         let BatchScratch {
             order,
             parsed,
@@ -926,8 +1205,7 @@ impl SNode {
             // No more than the supernode's pages.
             Some(_) => locals.len() as u32,
         };
-        let built = CachedGraph::from(Fanout::build(rows, graphs, targets)?);
-        Ok(self.offer(GraphKey::Fanout(s), built, group.is_some()))
+        Ok(CachedGraph::from(Fanout::build(rows, graphs, targets)?))
     }
 
     fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
@@ -948,30 +1226,46 @@ impl SNode {
         }
     }
 
-    /// Superedge graph `edge_idx` of `s`, from the cache or loaded by this
-    /// probe. `Ok(None)` means the graph is quarantined (degraded mode
-    /// only).
+    /// Superedge graph `edge_idx` of `s`, from its pinned slot, from the
+    /// cache or loaded by this probe. [`Answer::Skipped`] means the graph
+    /// is quarantined (degraded mode only).
     fn superedge(
         &self,
         s: u32,
         edge_idx: u32,
         j: u32,
         blob: Option<ParsedSuperedge>,
-    ) -> Result<Option<Arc<CachedGraph>>> {
+        pins: Option<&Pins>,
+    ) -> Result<Answer> {
         if self.superedge_quarantined(s, j) {
-            return Ok(None);
+            return Ok(Answer::Skipped);
         }
-        match self.cache.lookup(GraphKey::Super(s, j), || LEAST_CHARGE) {
-            Lookup::Hit(graph) => Ok(Some(graph)),
-            Lookup::Miss => self.load_superedge(s, edge_idx, j, blob, false),
-            Lookup::Declined => self.load_superedge(s, edge_idx, j, blob, true),
+        let key = GraphKey::Super(s, j);
+        if let Some(pins) = pins {
+            let slot = (self.dir.index.intra_blob(s) + 1 + u64::from(edge_idx)) as usize;
+            if !self.pinned_hit(pins, slot) {
+                match self.load_superedge(s, edge_idx, j, blob)? {
+                    Some(graph) => self.pin(pins, slot, key, graph),
+                    None => return Ok(Answer::Skipped),
+                }
+            }
+            return Ok(Answer::Pinned(slot));
         }
+        let declined = match self.cache.lookup(key, || LEAST_CHARGE) {
+            Lookup::Hit(graph) => return Ok(Answer::Graph(graph)),
+            Lookup::Miss => false,
+            Lookup::Declined => true,
+        };
+        Ok(match self.load_superedge(s, edge_idx, j, blob)? {
+            Some(graph) => Answer::Graph(self.offer(key, graph, declined)),
+            None => Answer::Skipped,
+        })
     }
 
     /// A superedge miss: parses the graph from `blob` (this probe's fanout
-    /// build already read it), else from disk, and admits it — or, when
-    /// the cache `declined` the miss, offers nothing: a dictionary's
-    /// layout has to be read whole either way.
+    /// build already read it), else from disk — whole, whether or not the
+    /// cache declined the miss: a dictionary's layout has to be read whole
+    /// either way. `Ok(None)`: the graph is quarantined.
     #[inline(never)]
     fn load_superedge(
         &self,
@@ -979,8 +1273,7 @@ impl SNode {
         edge_idx: u32,
         j: u32,
         blob: Option<ParsedSuperedge>,
-        declined: bool,
-    ) -> Result<Option<Arc<CachedGraph>>> {
+    ) -> Result<Option<CachedGraph>> {
         let blob_idx = self.dir.index.intra_blob(s) + 1 + u64::from(edge_idx);
         let loc = self.dir.index.locator(blob_idx);
         let ni = u64::from(self.dir.index.supernode_size(s));
@@ -993,10 +1286,9 @@ impl SNode {
             let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, ListCodec)?;
             Ok((blob, index))
         });
-        Ok(self.or_quarantine(s, j, loaded)?.map(|(blob, index)| {
-            let graph = CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj);
-            self.offer(GraphKey::Super(s, j), graph, declined)
-        }))
+        Ok(self
+            .or_quarantine(s, j, loaded)?
+            .map(|(blob, index)| CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj)))
     }
 }
 
@@ -1740,6 +2032,33 @@ mod tests {
             (report.quarantined_supernodes, report.skipped_edges),
             (1, 1)
         );
+
+        // Found after its supernode's fanout was built, the damage drops
+        // that fanout — from a pinning handle's slots as from the cache —
+        // so the next probe into the supernode builds one that sends every
+        // page to the quarantined slot: the two count alike.
+        let handles = [256 << 20, 1 << 20].map(|budget| {
+            let snode = SNode::open_degraded(&dir, budget).unwrap();
+            let answers: Vec<Vec<u32>> = std::iter::once(listed)
+                .chain(range.clone())
+                .map(|p| snode.out_neighbors(p).unwrap())
+                .collect();
+            let mut batch = Vec::new();
+            let pages: Vec<u32> = range.clone().collect();
+            let mut collect = |_: u32, list: &[u32]| batch.push(list.to_vec());
+            snode.out_neighbors_batch(&pages, &mut collect).unwrap();
+            let stats = snode.cache_stats();
+            assert_eq!((stats.evictions, stats.refused), (0, 0), "{budget}");
+            (snode.pins_graphs(), answers, batch, stats, snode.degraded())
+        });
+        let [(pinned, answers, batch, stats, report), cached] = handles;
+        assert!(pinned && !cached.0, "one handle pins, the other does not");
+        assert_eq!(answers, cached.1);
+        assert_eq!(batch, cached.2);
+        assert_eq!(stats, cached.3);
+        assert_eq!(report, cached.4);
+        assert_eq!(report.quarantined_supernodes, 1);
+        assert!(report.skipped_edges > range.len() as u64, "{report:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

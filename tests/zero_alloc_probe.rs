@@ -1,8 +1,9 @@
 //! The zero-allocation contract (SN202), executed and counted by the
-//! allocator itself: once one pass has filled the graph cache and grown the
-//! handle's decode buffers, `out_neighbors_into` and a repeated
-//! `out_neighbors_batch` answer without a single heap allocation,
-//! backlinks through `open_transpose` too; encoding or parsing a list
+//! allocator itself: once one pass has filled the graph cache — or a
+//! pinning handle's slots — and grown the handle's decode buffers,
+//! `out_neighbors_into` and a repeated `out_neighbors_batch` answer
+//! without a single heap allocation, backlinks through `open_transpose`
+//! too; encoding or parsing a list
 //! stream allocates per call, never per list; a cache entry is admitted
 //! with a fixed number of allocations, its arena among them; and a count
 //! the bytes cannot back sizes nothing.
@@ -18,6 +19,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use webgraph_repr::bitio::{codes, BitWriter};
 use webgraph_repr::corpus::{Corpus, CorpusConfig};
+use webgraph_repr::graph::Graph;
 use webgraph_repr::query::reps::{Scheme, SchemeSet};
 use webgraph_repr::snode::cache::{CachedGraph, Fanout};
 use webgraph_repr::snode::refenc::{encode_lists, DecodeScratch, ListsIndex, RefMode, Universe};
@@ -93,6 +95,47 @@ fn counted<T>(work: impl FnOnce() -> T) -> (u64, T) {
     (allocations() - before, done)
 }
 
+/// The budget a warm cache holds the 5 000-page directory in without
+/// pinning it: every graph fits, but not the bound a pinning handle needs.
+const CACHED: usize = 1 << 20;
+
+/// What `snode` allocates over a filled pass of every page, one probe at a
+/// time, and over three repeats of `batch`: both must be 0. Every answer
+/// is checked against `graph`.
+fn assert_warm_probes_allocate_nothing(snode: &SNode, graph: &Graph, batch: &[u32], what: &str) {
+    let n = graph.num_nodes();
+    let mut out = Vec::new();
+    let mut wrong = 0usize;
+    // The filling pass: every graph loaded, every buffer grown.
+    for p in 0..n {
+        snode.out_neighbors_into(p, &mut out).unwrap();
+    }
+    let before = allocations();
+    for p in 0..n {
+        snode.out_neighbors_into(p, &mut out).unwrap();
+        wrong += usize::from(out != graph.neighbors(p));
+    }
+    let scalar = allocations() - before;
+    assert_eq!(wrong, 0, "{what}: answers differ from the graph");
+    assert_eq!(scalar, 0, "{what}: allocations over {n} warm probes");
+
+    let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != graph.neighbors(p));
+    snode.out_neighbors_batch(batch, &mut check).unwrap();
+    let before = allocations();
+    for _ in 0..3 {
+        snode.out_neighbors_batch(batch, &mut check).unwrap();
+    }
+    let batched = allocations() - before;
+    assert_eq!(wrong, 0, "{what}: batched answers differ from the graph");
+    assert_eq!(batched, 0, "{what}: allocations over three warm batches");
+    let stats = snode.cache_stats();
+    assert_eq!(
+        (stats.evictions, stats.refused),
+        (0, 0),
+        "{what}: nothing was cold"
+    );
+}
+
 #[test]
 fn a_warm_probe_allocates_nothing() {
     let corpus = Corpus::generate(CorpusConfig::scaled(5_000, 42));
@@ -106,39 +149,25 @@ fn a_warm_probe_allocates_nothing() {
     let n = corpus.num_pages();
     let batch: Vec<u32> = (0..64).map(|i| i * (n / 64) + i % 7).collect();
 
-    let snode = SNode::open_resident(&root.join("snode"), 256 << 20).unwrap();
-    let mut out = Vec::new();
-    let mut wrong = 0usize;
-    // The filling pass: every graph cached, every buffer grown.
-    for p in 0..n {
-        snode.out_neighbors_into(p, &mut out).unwrap();
-    }
-    let before = allocations();
-    for p in 0..n {
-        snode.out_neighbors_into(p, &mut out).unwrap();
-        wrong += usize::from(out != set.graph.neighbors(p));
-    }
-    let scalar = allocations() - before;
-    assert_eq!(wrong, 0, "answers differ from the corpus graph");
-    assert_eq!(scalar, 0, "allocations over {n} warm probes");
-
-    let mut check = |p: u32, list: &[u32]| wrong += usize::from(list != set.graph.neighbors(p));
-    snode.out_neighbors_batch(&batch, &mut check).unwrap();
-    let before = allocations();
-    for _ in 0..3 {
-        snode.out_neighbors_batch(&batch, &mut check).unwrap();
-    }
-    let batched = allocations() - before;
-    assert_eq!(wrong, 0, "batched answers differ from the corpus");
-    assert_eq!(batched, 0, "allocations over three warm batches");
-    let stats = snode.cache_stats();
-    assert_eq!((stats.evictions, stats.refused), (0, 0), "nothing was cold");
+    // Both warm paths: graphs read from pinned slots, and through the
+    // cache's lookup.
+    let pinned = SNode::open_resident(&root.join("snode"), 256 << 20).unwrap();
+    assert!(pinned.pins_graphs(), "256 MiB pins the directory");
+    assert_warm_probes_allocate_nothing(&pinned, &set.graph, &batch, "pinned");
+    let cached = SNode::open_resident(&root.join("snode"), CACHED).unwrap();
+    assert!(
+        !cached.pins_graphs(),
+        "{CACHED} bytes do not pin the directory"
+    );
+    assert_warm_probes_allocate_nothing(&cached, &set.graph, &batch, "cached");
 
     // Backlinks take the same path: `snode_t` shares `snode`'s page ids, so
     // the handle `open_transpose` gives is an `SNode` with nothing between.
     let backlinks = set
         .open_with_budget(Scheme::SNode, 256 << 20, true)
         .unwrap();
+    let mut out = Vec::new();
+    let mut wrong = 0usize;
     for p in 0..n {
         backlinks.out_neighbors_into(p, &mut out).unwrap();
     }
