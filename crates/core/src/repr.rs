@@ -229,6 +229,16 @@ struct BatchScratch {
     pins: Option<Arc<Pins>>,
 }
 
+/// What a miss does with the graph it built ([`SNode::keep`]).
+#[derive(Clone, Copy)]
+enum Keep<'p> {
+    /// Offers it to the cache or, for a miss the cache declined (`true`),
+    /// hands it only to the probe that built it.
+    Offer(bool),
+    /// Fills it into this pinned slot.
+    Pin(&'p Pins, usize),
+}
+
 /// A graph or fanout as a probe holds it: out of the cache, or borrowed
 /// from its pinned slot.
 enum Held<'p> {
@@ -247,9 +257,9 @@ impl Deref for Held<'_> {
     }
 }
 
-/// One slot per graph of a pinning handle, in the builder's linear order,
-/// then one per supernode for its fanout; each is filled once, by the
-/// first probe that misses it, with what a cache miss builds.
+/// One slot per graph and fanout of a pinning handle, a supernode's
+/// together ([`SNode::pin_slot`]); each is filled once, by the first probe
+/// that misses it, with what a cache miss builds.
 #[derive(Debug)]
 struct Pins {
     slots: Box<[OnceLock<Arc<CachedGraph>>]>,
@@ -956,15 +966,22 @@ impl SNode {
         }
     }
 
-    /// How many slots a pinning handle has: one per graph, then one per
+    /// How many slots a pinning handle has: one per graph and one per
     /// supernode's fanout.
     fn pin_slots(&self) -> usize {
         let index = &self.dir.index;
         (index.num_blobs() + u64::from(index.num_supernodes())) as usize
     }
 
+    /// The first of supernode `s`'s pinned slots: its intranode graph's,
+    /// then its fanout's, then one per out-superedge in row order — so the
+    /// slots a probe reads first share a cache line.
+    fn pin_slot(&self, s: u32) -> usize {
+        (self.dir.index.intra_blob(s) + u64::from(s)) as usize
+    }
+
     fn fanout_slot(&self, s: u32) -> usize {
-        (self.dir.index.num_blobs() + u64::from(s)) as usize
+        self.pin_slot(s) + 1
     }
 
     /// Drops `s`'s fanout from a pinning handle, as a quarantine drops it
@@ -992,25 +1009,13 @@ impl SNode {
     fn log_unpinned(&self, pins: &Pins) {
         let index = &self.dir.index;
         for s in 0..index.num_supernodes() {
-            let graphs = std::iter::once(GraphKey::Intra(s))
-                .chain(index.targets(s).iter().map(|&j| GraphKey::Super(s, j)));
-            let first = index.intra_blob(s) as usize;
-            let fanout = (self.fanout_slot(s), GraphKey::Fanout(s));
-            for (slot, key) in (first..).zip(graphs).chain([fanout]) {
+            let graphs = [GraphKey::Intra(s), GraphKey::Fanout(s)].into_iter();
+            let graphs = graphs.chain(index.targets(s).iter().map(|&j| GraphKey::Super(s, j)));
+            for (slot, key) in (self.pin_slot(s)..).zip(graphs) {
                 if pins.graph(slot).is_some() {
                     self.cache.log_unload(key);
                 }
             }
-        }
-    }
-
-    /// `graph`, built for a miss, offered to the cache under `key` — or,
-    /// when the cache declined the miss, only handed to the probe that
-    /// built it.
-    fn offer(&self, key: GraphKey, graph: CachedGraph, declined: bool) -> Arc<CachedGraph> {
-        match declined {
-            true => Arc::new(graph),
-            false => self.cache.insert(key, graph),
         }
     }
 
@@ -1021,11 +1026,20 @@ impl SNode {
         hit
     }
 
-    /// `graph`, built for a pinned miss of `key`, filled into `slot` and
-    /// counted as a cache load.
-    fn pin(&self, pins: &Pins, slot: usize, key: GraphKey, graph: CachedGraph) {
-        self.cache.count_load(key, graph.bytes());
-        pins.fill(slot, graph);
+    /// `graph`, built for a miss of `key`, kept as `keep` says: offered to
+    /// the cache (or, for a miss it declined, handed only to the probe
+    /// that built it), or filled into its pinned slot and counted as the
+    /// cache counts a load.
+    fn keep(&self, key: GraphKey, graph: CachedGraph, keep: Keep<'_>) -> Answer {
+        match keep {
+            Keep::Offer(true) => Answer::Graph(Arc::new(graph)),
+            Keep::Offer(false) => Answer::Graph(self.cache.insert(key, graph)),
+            Keep::Pin(pins, slot) => {
+                self.cache.count_load(key, graph.bytes());
+                pins.fill(slot, graph);
+                Answer::Pinned(slot)
+            }
+        }
     }
 
     /// The intranode graph of `s`, for a group of pages whose last local
@@ -1038,39 +1052,32 @@ impl SNode {
                 return Ok(Answer::Skipped);
             }
         }
-        let index = &self.dir.index;
         if let Some(pins) = pins {
-            let slot = index.intra_blob(s) as usize;
-            if !self.pinned_hit(pins, slot) {
-                match self.load_intranode(s, None)? {
-                    Some(graph) => self.pin(pins, slot, GraphKey::Intra(s), graph),
-                    None => return Ok(Answer::Skipped),
-                }
-            }
-            return Ok(Answer::Pinned(slot));
+            let slot = self.pin_slot(s);
+            return match self.pinned_hit(pins, slot) {
+                true => Ok(Answer::Pinned(slot)),
+                false => self.load_intranode(s, None, Keep::Pin(pins, slot)),
+            };
         }
+        let index = &self.dir.index;
         // Exact: the charge of the directory the miss would build.
         let floor = || {
             let bit_len = index.locator(index.intra_blob(s)).bit_len;
             intra_charge(index.supernode_size(s), bit_len)
         };
-        let through = match self.cache.lookup(GraphKey::Intra(s), floor) {
-            Lookup::Hit(g) => return Ok(Answer::Graph(g)),
-            Lookup::Miss => None,
-            Lookup::Declined => Some(last),
-        };
-        Ok(match self.load_intranode(s, through)? {
-            Some(graph) => Answer::Graph(self.offer(GraphKey::Intra(s), graph, through.is_some())),
-            None => Answer::Skipped,
-        })
+        match self.cache.lookup(GraphKey::Intra(s), floor) {
+            Lookup::Hit(g) => Ok(Answer::Graph(g)),
+            Lookup::Miss => self.load_intranode(s, None, Keep::Offer(false)),
+            Lookup::Declined => self.load_intranode(s, Some(last), Keep::Offer(true)),
+        }
     }
 
-    /// An intranode miss: parses the graph's directory, or, when the cache
-    /// declined the miss, scans its payloads through list `through` only —
-    /// what the group's pages need. `Ok(None)`: the graph is quarantined.
-    /// Out of line, like [`SNode::build_fanout`].
+    /// An intranode miss: parses the graph's directory and keeps it, or,
+    /// when the cache declined the miss, scans its payloads through list
+    /// `through` only — what the group's pages need. Out of line, like
+    /// [`SNode::build_fanout`].
     #[inline(never)]
-    fn load_intranode(&self, s: u32, through: Option<u32>) -> Result<Option<CachedGraph>> {
+    fn load_intranode(&self, s: u32, through: Option<u32>, keep: Keep<'_>) -> Result<Answer> {
         let blob = self.dir.index.intra_blob(s);
         let loc = self.dir.index.locator(blob);
         let parsed = self.dir.load_blob(&loc, blob).and_then(|bytes| {
@@ -1080,14 +1087,13 @@ impl SNode {
             Ok((bytes, index))
         });
         match parsed {
-            Ok((bytes, index)) => Ok(Some(CachedGraph::new_encoded_intra(
-                bytes,
-                loc.bit_len,
-                index,
-            ))),
+            Ok((bytes, index)) => {
+                let graph = CachedGraph::new_encoded_intra(bytes, loc.bit_len, index);
+                Ok(self.keep(GraphKey::Intra(s), graph, keep))
+            }
             Err(e) => {
                 self.quarantine(Quarantine::Intra(s), e)?;
-                Ok(None)
+                Ok(Answer::Skipped)
             }
         }
     }
@@ -1108,32 +1114,30 @@ impl SNode {
         if let Some(pins) = pins {
             let slot = self.fanout_slot(s);
             if !self.pinned_hit(pins, slot) {
-                let built = self.build_fanout(s, None, scratch)?;
-                self.pin(pins, slot, GraphKey::Fanout(s), built);
+                self.build_fanout(s, None, scratch, Keep::Pin(pins, slot))?;
             }
             let fanout =
                 (pins.graph(slot)).ok_or(SNodeError::Corrupt("a pinned fanout left its slot"))?;
             return Ok((Held::Pinned(fanout), true));
         }
-        let key = GraphKey::Fanout(s);
-        Ok(match self.cache.lookup(key, || LEAST_CHARGE) {
-            Lookup::Hit(fanout) => (Held::Cached(fanout), true),
-            Lookup::Miss => {
-                let built = self.build_fanout(s, None, scratch)?;
-                (Held::Cached(self.offer(key, built, false)), true)
-            }
-            Lookup::Declined => {
-                let built = self.build_fanout(s, Some(group), scratch)?;
-                (Held::Cached(Arc::new(built)), false)
-            }
-        })
+        let (keep, group) = match self.cache.lookup(GraphKey::Fanout(s), || LEAST_CHARGE) {
+            Lookup::Hit(fanout) => return Ok((Held::Cached(fanout), true)),
+            Lookup::Miss => (Keep::Offer(false), None),
+            Lookup::Declined => (Keep::Offer(true), Some(group)),
+        };
+        let whole = group.is_none();
+        match self.build_fanout(s, group, scratch, keep)? {
+            Answer::Graph(fanout) => Ok((Held::Cached(fanout), whole)),
+            _ => Err(SNodeError::Corrupt("a fanout miss kept no fanout")),
+        }
     }
 
     /// A fanout miss: builds the fanout of `s` from what a cold probe reads
     /// of every out-superedge graph anyway — the checksummed blob, scanned
     /// as far as `sources`, and for a single-target dictionary its entry
-    /// if it has one only — and leaves the other blobs in `scratch.parsed`
-    /// for the caller to parse and keep the ones its pages need. For a
+    /// if it has one only — keeps it, and leaves the other blobs in
+    /// `scratch.parsed` for the caller to parse and keep the ones its
+    /// pages need. For a
     /// miss the cache declined, `group` names the pages of the probe's
     /// group: each `sources` is read until it passes the last of them, a
     /// dictionary's entry only if one of them is a source, and the fanout
@@ -1147,7 +1151,8 @@ impl SNode {
         s: u32,
         group: Option<(&[PageId], std::ops::Range<usize>, PageId)>,
         scratch: &mut BatchScratch,
-    ) -> Result<CachedGraph> {
+        keep: Keep<'_>,
+    ) -> Result<Answer> {
         let BatchScratch {
             order,
             parsed,
@@ -1205,7 +1210,8 @@ impl SNode {
             // No more than the supernode's pages.
             Some(_) => locals.len() as u32,
         };
-        Ok(CachedGraph::from(Fanout::build(rows, graphs, targets)?))
+        let built = CachedGraph::from(Fanout::build(rows, graphs, targets)?);
+        Ok(self.keep(GraphKey::Fanout(s), built, keep))
     }
 
     fn superedge_quarantined(&self, s: u32, j: u32) -> bool {
@@ -1240,32 +1246,24 @@ impl SNode {
         if self.superedge_quarantined(s, j) {
             return Ok(Answer::Skipped);
         }
-        let key = GraphKey::Super(s, j);
         if let Some(pins) = pins {
-            let slot = (self.dir.index.intra_blob(s) + 1 + u64::from(edge_idx)) as usize;
-            if !self.pinned_hit(pins, slot) {
-                match self.load_superedge(s, edge_idx, j, blob)? {
-                    Some(graph) => self.pin(pins, slot, key, graph),
-                    None => return Ok(Answer::Skipped),
-                }
-            }
-            return Ok(Answer::Pinned(slot));
+            let slot = self.pin_slot(s) + 2 + edge_idx as usize;
+            return match self.pinned_hit(pins, slot) {
+                true => Ok(Answer::Pinned(slot)),
+                false => self.load_superedge(s, edge_idx, j, blob, Keep::Pin(pins, slot)),
+            };
         }
-        let declined = match self.cache.lookup(key, || LEAST_CHARGE) {
-            Lookup::Hit(graph) => return Ok(Answer::Graph(graph)),
-            Lookup::Miss => false,
-            Lookup::Declined => true,
-        };
-        Ok(match self.load_superedge(s, edge_idx, j, blob)? {
-            Some(graph) => Answer::Graph(self.offer(key, graph, declined)),
-            None => Answer::Skipped,
-        })
+        match self.cache.lookup(GraphKey::Super(s, j), || LEAST_CHARGE) {
+            Lookup::Hit(graph) => Ok(Answer::Graph(graph)),
+            Lookup::Miss => self.load_superedge(s, edge_idx, j, blob, Keep::Offer(false)),
+            Lookup::Declined => self.load_superedge(s, edge_idx, j, blob, Keep::Offer(true)),
+        }
     }
 
     /// A superedge miss: parses the graph from `blob` (this probe's fanout
-    /// build already read it), else from disk — whole, whether or not the
-    /// cache declined the miss: a dictionary's layout has to be read whole
-    /// either way. `Ok(None)`: the graph is quarantined.
+    /// build already read it), else from disk, and keeps it — whole,
+    /// whether or not the cache declined the miss: a dictionary's layout
+    /// has to be read whole either way.
     #[inline(never)]
     fn load_superedge(
         &self,
@@ -1273,7 +1271,8 @@ impl SNode {
         edge_idx: u32,
         j: u32,
         blob: Option<ParsedSuperedge>,
-    ) -> Result<Option<CachedGraph>> {
+        keep: Keep<'_>,
+    ) -> Result<Answer> {
         let blob_idx = self.dir.index.intra_blob(s) + 1 + u64::from(edge_idx);
         let loc = self.dir.index.locator(blob_idx);
         let ni = u64::from(self.dir.index.supernode_size(s));
@@ -1286,9 +1285,13 @@ impl SNode {
             let index = SuperedgeIndex::parse(&blob, loc.bit_len, ni, nj, ListCodec)?;
             Ok((blob, index))
         });
-        Ok(self
-            .or_quarantine(s, j, loaded)?
-            .map(|(blob, index)| CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj)))
+        Ok(match self.or_quarantine(s, j, loaded)? {
+            Some((blob, index)) => {
+                let graph = CachedGraph::new_encoded_super(blob, loc.bit_len, index, nj);
+                self.keep(GraphKey::Super(s, j), graph, keep)
+            }
+            None => Answer::Skipped,
+        })
     }
 }
 
