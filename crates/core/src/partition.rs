@@ -47,8 +47,9 @@ pub enum SplitState {
     },
     /// URL prefixes are used up: the element is final.
     Exhausted,
-    /// A run [`MAX_ELEMENT_PAGES`] cut out of a larger element: final, its
-    /// pages already in the order `build::number_pages` lays them out in.
+    /// A run of at most [`MAX_ELEMENT_PAGES`] pages cut out of a larger
+    /// element: final, its pages already in the order `build::number_pages`
+    /// lays them out in.
     Cut,
 }
 

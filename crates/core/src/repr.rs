@@ -257,9 +257,10 @@ impl Deref for Held<'_> {
     }
 }
 
-/// One slot per graph and fanout of a pinning handle, a supernode's
-/// together ([`SNode::pin_slot`]); each is filled once, by the first probe
-/// that misses it, with what a cache miss builds.
+/// One slot per graph and fanout of a pinning handle — one per graph and
+/// one per supernode, a supernode's together ([`SNode::pin_slot`]); each
+/// is filled once, by the first probe that misses it, with what a cache
+/// miss builds.
 #[derive(Debug)]
 struct Pins {
     slots: Box<[OnceLock<Arc<CachedGraph>>]>,
@@ -307,10 +308,7 @@ struct Pool {
 
 /// Whether `a` and `b` are the same slots, or both none.
 fn same_pins(a: &Option<Arc<Pins>>, b: &Option<Arc<Pins>>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        (a, b) => a.is_none() && b.is_none(),
-    }
+    a.as_ref().map(Arc::as_ptr) == b.as_ref().map(Arc::as_ptr)
 }
 
 /// An upper bound on what every intranode graph, superedge graph and
@@ -884,16 +882,15 @@ impl SNode {
     /// Clears the decoded-graph cache, or every pinned slot (cold start),
     /// and resets statistics.
     pub fn clear_cache(&self) {
-        if self.pinned {
-            let slots = self.pin_slots();
-            let old = {
-                let mut pool = self.scratch.lock();
-                pool.free.iter_mut().for_each(|scratch| scratch.pins = None);
-                pool.pins.replace(Arc::new(Pins::empty(slots)))
-            };
-            if let Some(old) = old {
-                self.log_unpinned(&old);
-            }
+        let old = {
+            let mut pool = self.scratch.lock();
+            pool.free.iter_mut().for_each(|scratch| scratch.pins = None);
+            let old = pool.pins.take();
+            pool.pins = (old.as_ref()).map(|old| Arc::new(Pins::empty(old.slots.len())));
+            old
+        };
+        if let Some(old) = old {
+            self.log_unpinned(&old);
         }
         self.cache.clear();
         self.cache.reset_stats();
@@ -964,13 +961,6 @@ impl SNode {
         if let Some(d) = &self.degrade {
             d.write().skip();
         }
-    }
-
-    /// How many slots a pinning handle has: one per graph and one per
-    /// supernode's fanout.
-    fn pin_slots(&self) -> usize {
-        let index = &self.dir.index;
-        (index.num_blobs() + u64::from(index.num_supernodes())) as usize
     }
 
     /// The first of supernode `s`'s pinned slots: its intranode graph's,
@@ -1137,11 +1127,10 @@ impl SNode {
     /// as far as `sources`, and for a single-target dictionary its entry
     /// if it has one only — keeps it, and leaves the other blobs in
     /// `scratch.parsed` for the caller to parse and keep the ones its
-    /// pages need. For a
-    /// miss the cache declined, `group` names the pages of the probe's
-    /// group: each `sources` is read until it passes the last of them, a
-    /// dictionary's entry only if one of them is a source, and the fanout
-    /// has a row for each of them only.
+    /// pages need. For a miss the cache declined, `group` names the pages
+    /// of the probe's group: each `sources` is read until it passes the
+    /// last of them, a dictionary's entry only if one of them is a source,
+    /// and the fanout has a row for each of them only.
     /// Out of line, like [`SNode::load_superedge`]: with the two miss
     /// paths inlined into `batch_run` every *warm* probe read 12 % slower
     /// (ten ledger pairs, none won).
