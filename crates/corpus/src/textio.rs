@@ -81,7 +81,7 @@ impl BuildInput {
 /// the same messages.
 pub fn read_build_input(dir: &Path) -> Result<BuildInput, TextIoError> {
     let url_text = std::fs::read_to_string(dir.join("urls.txt"))?;
-    let n = url_text.lines().count();
+    let n = line_count(&url_text);
     let (_names, domains) = read_domains(dir, n)?;
     let graph = read_edges(dir, n)?.build();
     Ok(BuildInput {
@@ -95,7 +95,7 @@ pub fn read_build_input(dir: &Path) -> Result<BuildInput, TextIoError> {
 /// from URL host names.
 pub fn read_corpus(dir: &Path) -> Result<Corpus, TextIoError> {
     let url_text = std::fs::read_to_string(dir.join("urls.txt"))?;
-    let n = url_text.lines().count();
+    let n = line_count(&url_text);
     let (domains, page_domain) = read_domains(dir, n)?;
 
     // Hosts derived from URLs.
@@ -226,47 +226,155 @@ fn read_domains(dir: &Path, n: usize) -> Result<(Vec<String>, Vec<DomainId>), Te
     Ok((names, page_domain))
 }
 
-/// `edges.txt` over `n` pages, as a builder that has every edge, streamed
-/// through one reused line buffer. The builder's reservation is the
-/// file's line count — the edge count, plus the blank lines and the
-/// repeats — so it is never an under-estimate and the target array is
-/// allocated once.
+/// `edges.txt` over `n` pages, as a builder that has every edge. The
+/// builder's reservation is the file's line count — the edge count, plus
+/// the blank lines and the repeats — so it is never an under-estimate and
+/// the target array is allocated once.
+///
+/// Lines are parsed where they sit in the reader's buffer: a line of the
+/// form every writer produces in one scan ([`common_line`]), any other
+/// line by [`parse_edge_line`]. Only a line the buffer cuts is copied, to
+/// be parsed once its end has been read.
 fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
     let file = std::fs::File::open(dir.join("edges.txt"))?;
     let mut reader = BufReader::with_capacity(1 << 16, file);
     // Newlines, and a last line that has none.
     let (mut lines, mut last) = (0usize, b'\n');
-    loop {
-        let buf = match reader.fill_buf() {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            filled => filled?,
-        };
-        let Some(&end) = buf.last() else { break };
-        lines += buf.iter().filter(|&&b| b == b'\n').count();
-        last = end;
+    while let Some(buf) = fill(&mut reader)? {
+        lines += newlines(buf);
+        last = buf[buf.len() - 1];
         let len = buf.len();
         reader.consume(len);
     }
     lines += usize::from(last != b'\n');
     let mut builder = GraphBuilder::with_edge_capacity(n as u32, lines);
     reader.rewind()?;
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
-            break;
+    // The start of a line the last buffer cut.
+    let mut cut: Vec<u8> = Vec::new();
+    while let Some(buf) = fill(&mut reader)? {
+        let mut at = 0;
+        if !cut.is_empty() {
+            let Some(end) = line_end(buf) else {
+                cut.extend_from_slice(buf);
+                let len = buf.len();
+                reader.consume(len);
+                continue;
+            };
+            cut.extend_from_slice(&buf[..end]);
+            add_edge(&mut builder, n, parse_edge_line(&cut)?)?;
+            cut.clear();
+            at = end;
         }
-        let Some((u, v)) = parse_edge_line(&line)? else {
-            continue;
-        };
-        if u as usize >= n || v as usize >= n {
-            return Err(TextIoError::Malformed(format!(
-                "edge ({u}, {v}) out of range"
-            )));
+        while at < buf.len() {
+            let rest = &buf[at..];
+            if let Some((u, v, len)) = common_line(rest) {
+                add_edge(&mut builder, n, Some((u, v)))?;
+                at += len;
+            } else if let Some(end) = line_end(rest) {
+                add_edge(&mut builder, n, parse_edge_line(&rest[..end])?)?;
+                at += end;
+            } else {
+                cut.extend_from_slice(rest);
+                at = buf.len();
+            }
         }
-        builder.add_edge(u, v);
+        let len = buf.len();
+        reader.consume(len);
+    }
+    if !cut.is_empty() {
+        add_edge(&mut builder, n, parse_edge_line(&cut)?)?;
     }
     Ok(builder)
+}
+
+/// The reader's next buffer of bytes, or `None` at the end of the file.
+fn fill<R: std::io::Read>(reader: &mut BufReader<R>) -> std::io::Result<Option<&[u8]>> {
+    loop {
+        match reader.fill_buf() {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+            Ok(_) => break,
+        }
+    }
+    Ok(Some(reader.buffer()).filter(|buf| !buf.is_empty()))
+}
+
+/// `text.lines().count()`, from a count of its newlines.
+fn line_count(text: &str) -> usize {
+    newlines(text.as_bytes()) + usize::from(!text.is_empty() && !text.ends_with('\n'))
+}
+
+/// The newlines in `bytes`, counted in runs of 255 into one byte each: a
+/// count the compiler keeps in byte lanes, in under half the time of one
+/// kept in a word.
+fn newlines(bytes: &[u8]) -> usize {
+    let run = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    bytes.chunks(255).map(|r| usize::from(run(r))).sum()
+}
+
+/// The length of the line `bytes` starts with, its newline included, or
+/// `None` if `bytes` holds no newline.
+fn line_end(bytes: &[u8]) -> Option<usize> {
+    bytes.iter().position(|&b| b == b'\n').map(|i| i + 1)
+}
+
+/// Adds the edge of one line, if it has one, once both ids are pages.
+fn add_edge(
+    builder: &mut GraphBuilder,
+    n: usize,
+    edge: Option<(u32, u32)>,
+) -> Result<(), TextIoError> {
+    let Some((u, v)) = edge else { return Ok(()) };
+    if u as usize >= n || v as usize >= n {
+        return Err(TextIoError::Malformed(format!(
+            "edge ({u}, {v}) out of range"
+        )));
+    }
+    builder.add_edge(u, v);
+    Ok(())
+}
+
+/// The two ids of the line `bytes` starts with, and its length, if it has
+/// the form every writer produces — decimal digits, a space, decimal
+/// digits, a newline — and both ids fit a `u32`: one scan, each byte
+/// looked at once. `None` for any other line, and for one `bytes` cuts;
+/// [`parse_edge_line`] reads the same ids from such a line.
+#[inline]
+fn common_line(bytes: &[u8]) -> Option<(u32, u32, usize)> {
+    let (u, at) = decimal(bytes, 0)?;
+    if bytes.get(at) != Some(&b' ') {
+        return None;
+    }
+    let (v, at) = decimal(bytes, at + 1)?;
+    if bytes.get(at) != Some(&b'\n') {
+        return None;
+    }
+    Some((u, v, at + 1))
+}
+
+/// The run of one to ten decimal digits at `bytes[start..]`, if its value
+/// fits a `u32`, and where it ends. Ten digits fit a `u64` whatever they
+/// are, so no step can overflow; a longer run is left to the general
+/// parser, which reads leading zeros.
+#[inline]
+fn decimal(bytes: &[u8], start: usize) -> Option<(u32, usize)> {
+    let mut value = 0u64;
+    let mut at = start;
+    while let Some(&b) = bytes.get(at) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        if at - start == 10 {
+            return None;
+        }
+        value = value * 10 + u64::from(digit);
+        at += 1;
+    }
+    if at == start {
+        return None;
+    }
+    u32::try_from(value).ok().map(|id| (id, at))
 }
 
 /// The two page ids of one `edges.txt` line, or `None` for a blank line.
@@ -453,6 +561,145 @@ mod tests {
             assert_eq!(parse_edge_line(line).unwrap_err().to_string(), want);
             assert_eq!(parse_edge_line_general(line).unwrap_err().to_string(), want);
         }
+    }
+
+    /// The one-scan parser reads a line only where the general parser
+    /// reads the same ids: ten digits that fit a `u32`, and nothing past
+    /// them. A release build has no overflow checks, so this runs there
+    /// too.
+    #[test]
+    fn the_one_scan_parser_reads_only_what_the_general_parser_reads() {
+        type Read = Option<(u32, u32, usize)>;
+        let cases: [(&[u8], Read); 14] = [
+            (b"0 1\n", Some((0, 1, 4))),
+            (b"4294967295 4294967295\n", Some((u32::MAX, u32::MAX, 22))),
+            (b"0000000001 12\n", Some((1, 12, 14))),
+            (b"4294967296 1\n", None),
+            (b"9999999999 1\n", None),
+            (b"1 4294967296\n", None),
+            (b"00000000001 2\n", None),
+            (b"18446744073709551616 1\n", None),
+            (b"1 2", None),
+            (b"1 2\r\n", None),
+            (b"1\t2\n", None),
+            (b" 1 2\n", None),
+            (b"+1 2\n", None),
+            (b"1  2\n", None),
+        ];
+        for (line, want) in cases {
+            assert_eq!(common_line(line), want, "{line:?}");
+            if let Some((u, v, len)) = common_line(line) {
+                assert_eq!(len, line.len());
+                let general = parse_edge_line_general(line).unwrap();
+                assert_eq!(general, Some((u, v)), "{line:?}");
+            }
+        }
+        assert_eq!(
+            parse_edge_line(b"00000000001 2\n").unwrap(),
+            Some((1, 2)),
+            "leading zeros past ten digits are the general parser's"
+        );
+    }
+
+    #[test]
+    fn line_count_is_what_lines_count() {
+        let long = "a\n".repeat(300);
+        for text in [
+            "", "\n", "a", "a\n", "a\r\n", "\r", "a\r", "a\nb", "\n\n", "é\n\n", &long,
+        ] {
+            assert_eq!(line_count(text), text.lines().count(), "{text:?}");
+        }
+    }
+
+    /// What [`read_edges`] must make of `text` over `n` pages: each line,
+    /// as the general parser reads it, in order, up to the first line it
+    /// rejects or whose ids are not pages; the edges as a graph holds them.
+    fn edges_model(text: &[u8], n: usize) -> Result<Vec<(u32, u32)>, String> {
+        let mut edges = Vec::new();
+        for line in text.split_inclusive(|&b| b == b'\n') {
+            match parse_edge_line_general(line).map_err(|e| e.to_string())? {
+                Some((u, v)) if u as usize >= n || v as usize >= n => {
+                    return Err(format!("malformed corpus: edge ({u}, {v}) out of range"))
+                }
+                Some(edge) => edges.push(edge),
+                None => {}
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        Ok(edges)
+    }
+
+    /// Every shape of line, cut by the reader's 64 KiB buffer at every
+    /// byte of it, in the middle of a file and as its last line with no
+    /// newline, and lines longer than the buffer: [`read_edges`] reads
+    /// what the general parser reads, or fails in its words.
+    #[test]
+    fn edges_read_in_place_are_what_the_general_parser_reads() {
+        const BUFFER: usize = 1 << 16;
+        let dir = temp("inplace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = 100;
+        let long_tail = format!("1 2{}\n", " ".repeat(BUFFER + 100));
+        let long_blank = format!("{}\r\n", "\t".repeat(2 * BUFFER + 7));
+        let lines: Vec<&[u8]> = vec![
+            b"3 4\n",
+            b"12 99\n",
+            b"12 99\r\n",
+            b"  12\t 7  \r\n",
+            b"\t5\t6\t\n",
+            b"+3 +4\n",
+            b"007 0000000099\n",
+            b"00000000001 2\n",
+            b"4294967295 1\n",
+            b"4294967296 1\n",
+            b"3 4 trailing tokens\n",
+            "5\u{a0}6\n".as_bytes(),
+            b"8 9 \xc3\xa9\n",
+            b"0 1 \xff\n",
+            b"\xc3\n",
+            b"\n",
+            b" \t \r\n",
+            b"7\n",
+            b"7 x\n",
+            b"-1 2\n",
+            long_tail.as_bytes(),
+            long_blank.as_bytes(),
+        ];
+        let filler = b"1 2\n";
+        for line in &lines {
+            for last in [false, true] {
+                // The line starts `cut` bytes before the buffer ends: every
+                // cut that puts the buffer's end in it, or just past it.
+                let reach = line.len().min(40) + 2;
+                for cut in 0..reach {
+                    let mut text = Vec::new();
+                    let before = BUFFER - cut;
+                    while text.len() + filler.len() * 2 <= before {
+                        text.extend_from_slice(filler);
+                    }
+                    // A pad line takes the text to `before` exactly.
+                    let pad = before - text.len();
+                    text.extend_from_slice(b"0 1");
+                    text.resize(before - 1, b' ');
+                    text.push(b'\n');
+                    assert!(pad >= 4 && text.len() == before);
+                    if last {
+                        text.extend_from_slice(line.strip_suffix(b"\n").unwrap_or(line));
+                    } else {
+                        text.extend_from_slice(line);
+                        text.extend_from_slice(b"98 97\n99 0");
+                    }
+                    std::fs::write(dir.join("edges.txt"), &text).unwrap();
+                    let got = read_edges(&dir, n)
+                        .map(|b| b.build().edges().collect::<Vec<_>>())
+                        .map_err(|e| e.to_string());
+                    let want = edges_model(&text, n);
+                    assert_eq!(got, want, "{line:?} cut {cut}, last {last}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
