@@ -17,6 +17,7 @@
 //! worse (DESIGN.md §4b), so URL order alone decides the partition, and
 //! the cut bounds what clustered split was there to bound.
 
+use std::collections::HashMap;
 use wg_graph::PageId;
 use wg_obs::{record_span, Stopwatch};
 
@@ -348,71 +349,124 @@ type PrefixRanks = [u32; URL_LEVELS];
 /// directory levels.
 const URL_LEVELS: usize = MAX_URL_DEPTH as usize + 1;
 
-/// Ranks every page's URL prefixes, a domain (an element of the initial
-/// `partition`) at a time, by sorting the domain's pages on the hostname
-/// prefix, then each stretch of pages that agree so far on the segment the
-/// next level adds. Prefixes of one depth that continue the same prefix one
-/// level up are neighbours in that order and stand as their text does, a
-/// prefix that adds nothing (the filename follows) first, so ranks stand
-/// in for the text wherever URL split groups and orders the pages of an
-/// element — and the text, which no two visits to a domain find cached,
-/// is read this once.
+/// Ranks every page's URL prefixes among those of its domain (an element
+/// of the initial `partition`). Each distinct deepest prefix of a domain
+/// is found once, by the standard library's keyed hash (URLs come from
+/// outside the program), in one pass over the URLs in page order — the
+/// order the text lies in — and given a key that orders as the prefixes
+/// do segment by segment ([`push_prefix_key`]). One sort of those keys,
+/// domain by domain, and one pass down the sorted order rank them: a
+/// prefix starts a new rank at every depth from the first one at which it
+/// parts from the prefix before it. Prefixes of one depth that continue
+/// the same prefix one level up are neighbours in that order and stand as
+/// their text does, a prefix that adds nothing (the filename follows)
+/// first, so ranks stand in for the text wherever URL split groups and
+/// orders the pages of an element.
 fn rank_prefixes(partition: &Partition, urls: &[&str]) -> Vec<PrefixRanks> {
-    /// A page while its domain is ranked: what the level being ranked adds
-    /// to its prefix, and the rest of its URL.
-    struct Ranked<'a> {
-        segment: &'a str,
-        rest: &'a str,
-        page: PageId,
-        ranks: PrefixRanks,
+    /// A distinct deepest prefix of a domain: its key is `keys[start..]`,
+    /// and its prefix at depth `d` is the first `ends[d]` bytes of the key.
+    struct Prefix {
+        elem: u32,
+        start: usize,
+        ends: [usize; URL_LEVELS],
     }
+    impl Prefix {
+        fn key<'k>(&self, keys: &'k [u8], depth: usize) -> &'k [u8] {
+            &keys[self.start..self.start + self.ends[depth]]
+        }
+    }
+    const DEEPEST: usize = URL_LEVELS - 1;
+    // Every page's ranks, which hold the number of its deepest prefix
+    // until the prefixes are ranked.
     let mut ranks = vec![PrefixRanks::default(); urls.len()];
-    let mut domain: Vec<Ranked<'_>> = Vec::new();
-    // Where each stretch of `domain` that agrees on every level ranked so
-    // far ends, and the same with the level being ranked.
-    let (mut stretches, mut parted): (Vec<usize>, Vec<usize>) = Default::default();
-    for element in &partition.elements {
-        domain.clear();
-        domain.extend(element.pages.iter().map(|&page| {
-            let url = urls[page as usize];
-            let (segment, rest) = url.split_at(host_end(url));
-            Ranked {
-                segment,
-                rest,
-                page,
-                ranks: PrefixRanks::default(),
-            }
-        }));
-        stretches.clear();
-        stretches.push(domain.len());
-        for depth in 0..URL_LEVELS {
-            parted.clear();
-            let (mut start, mut rank) = (0, 0u32);
-            for &end in &stretches {
-                let stretch = &mut domain[start..end];
-                stretch.sort_unstable_by_key(|ranked| ranked.segment);
-                for at in 0..stretch.len() {
-                    if at > 0 && stretch[at - 1].segment != stretch[at].segment {
-                        rank += 1;
-                        parted.push(start + at);
-                    }
-                    stretch[at].ranks[depth] = rank;
-                }
-                rank += 1;
-                parted.push(end);
-                start = end;
-            }
-            std::mem::swap(&mut stretches, &mut parted);
-            for ranked in &mut domain {
-                let (segment, rest) = ranked.rest.split_at(one_deeper(ranked.rest, 0));
-                (ranked.segment, ranked.rest) = (segment, rest);
+    let mut ids: HashMap<(u32, &str), u32> = HashMap::new();
+    let (mut keys, mut prefixes) = (Vec::new(), Vec::new());
+    for ((url, &elem), page_ranks) in urls.iter().zip(&partition.elem_of).zip(&mut ranks) {
+        let ends = prefix_ends(url);
+        let id = ids.entry((elem, &url[..ends[DEEPEST]])).or_insert_with(|| {
+            let start = keys.len();
+            push_prefix_key(url, ends, &mut keys);
+            prefixes.push(Prefix { elem, start, ends });
+            (prefixes.len() - 1) as u32
+        });
+        page_ranks[0] = *id;
+    }
+    drop(ids);
+
+    let mut order: Vec<u32> = (0..prefixes.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (&prefixes[a as usize], &prefixes[b as usize]);
+        (a.elem, a.key(&keys, DEEPEST)).cmp(&(b.elem, b.key(&keys, DEEPEST)))
+    });
+    let mut ranks_of = vec![PrefixRanks::default(); prefixes.len()];
+    let mut rank = PrefixRanks::default();
+    for (at, &id) in order.iter().enumerate() {
+        let prefix = &prefixes[id as usize];
+        if let Some(previous) = at.checked_sub(1).map(|at| &prefixes[order[at] as usize]) {
+            if previous.elem != prefix.elem {
+                rank = PrefixRanks::default();
+            } else if let Some(depth) = (0..URL_LEVELS)
+                .find(|&depth| previous.key(&keys, depth) != prefix.key(&keys, depth))
+            {
+                rank[depth..].iter_mut().for_each(|r| *r += 1);
             }
         }
-        for ranked in &domain {
-            ranks[ranked.page as usize] = ranked.ranks;
-        }
+        ranks_of[id as usize] = rank;
+    }
+    for page_ranks in &mut ranks {
+        *page_ranks = ranks_of[page_ranks[0] as usize];
     }
     ranks
+}
+
+/// Where `url`'s prefix at each depth URL split groups by ends: what
+/// [`url_prefix`] cuts at, found in one scan. The hostname ends at the
+/// first `/` after the `scheme://`, or at the end; each directory level
+/// one `/` further on, or where the level above ended if none follows.
+fn prefix_ends(url: &str) -> [usize; URL_LEVELS] {
+    let bytes = url.as_bytes();
+    let is_scheme = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
+    let scheme = bytes
+        .iter()
+        .position(|b| !is_scheme(b))
+        .unwrap_or(bytes.len());
+    let mut at = match &bytes[scheme..] {
+        [b':', b'/', b'/', ..] if scheme > 0 => scheme + 3,
+        _ => 0,
+    };
+    let mut ends = [bytes.len(); URL_LEVELS];
+    for depth in 0..URL_LEVELS {
+        let Some(slash) = bytes[at..].iter().position(|&b| b == b'/') else {
+            if depth > 0 {
+                let above = ends[depth - 1];
+                ends[depth..].fill(above);
+            }
+            break;
+        };
+        ends[depth] = at + slash;
+        at += slash + 1;
+    }
+    ends
+}
+
+/// Appends to `keys` the sort key of `url`'s deepest prefix, whose ends
+/// at each depth are `ends` ([`prefix_ends`]): the prefix's bytes, each
+/// one more than it is, but with a 0 for the `/` that begins each
+/// directory segment. Compared as bytes, keys order as the prefixes do
+/// segment by segment: a segment below every longer segment it begins
+/// (`/a` before `/a-b`, where the text puts `/a-b/…` before `/a/…`), an
+/// absent level below every present one. No byte of UTF-8 text is 0xFF,
+/// so none overflows.
+fn push_prefix_key(url: &str, ends: [usize; URL_LEVELS], keys: &mut Vec<u8>) {
+    let start = keys.len();
+    keys.extend_from_slice(&url.as_bytes()[..ends[URL_LEVELS - 1]]);
+    let key = &mut keys[start..];
+    key.iter_mut().for_each(|b| *b += 1);
+    for depth in 1..URL_LEVELS {
+        if ends[depth] > ends[depth - 1] {
+            key[ends[depth - 1]] = 0;
+        }
+    }
 }
 
 /// Attempts URL split at `depth`, deepening past non-discriminating levels
@@ -441,13 +495,16 @@ fn try_url_split(
                 .iter()
                 .map(|&p| (ranks[p as usize][depth as usize], p)),
         );
-        // Groups in prefix order (every page of the element has the same
-        // prefix one level up — that is how the element came to be — so
-        // its groups' ranks order as their prefixes do), each one's pages
-        // ascending: what hashing the prefixes and sorting the keys
-        // arrived at.
-        keyed.sort_unstable();
-        if keyed[0].0 != keyed[keyed.len() - 1].0 {
+        let (low, high) = keyed.iter().fold((u32::MAX, 0), |(low, high), &(rank, _)| {
+            (low.min(rank), high.max(rank))
+        });
+        if low != high {
+            // Groups in prefix order (every page of the element has the
+            // same prefix one level up — that is how the element came to
+            // be — so its groups' ranks order as their prefixes do), each
+            // one's pages ascending: what hashing the prefixes and sorting
+            // the keys arrived at.
+            sort_by_rank(&mut keyed, low, high);
             // Granularity gate (Requirement 1): prefix groups below the
             // minimum size would spend more on per-graph overhead than
             // reference encoding saves, so they pool into one residual
@@ -492,6 +549,34 @@ fn try_url_split(
     false
 }
 
+/// Sorts an element's `(rank, page)` pairs, pages ascending, whose ranks
+/// run from `low` to `high`, as `sort_unstable` does: by rank, then page.
+/// The pages are ascending already, so where the ranks are fewer than the
+/// pages — an element's are every rank under the prefix its pages share,
+/// so each names one of them — a stable count of the ranks does it.
+fn sort_by_rank(keyed: &mut Vec<(u32, PageId)>, low: u32, high: u32) {
+    debug_assert!(keyed.windows(2).all(|pair| pair[0].1 < pair[1].1));
+    let span = (high - low) as usize + 1;
+    if span > keyed.len() {
+        keyed.sort_unstable();
+        return;
+    }
+    let mut at = vec![0usize; span + 1];
+    for &(rank, _) in keyed.iter() {
+        at[(rank - low) as usize + 1] += 1;
+    }
+    for r in 1..span {
+        at[r + 1] += at[r];
+    }
+    let mut sorted = vec![(0, 0); keyed.len()];
+    for &pair in keyed.iter() {
+        let slot = &mut at[(pair.0 - low) as usize];
+        sorted[*slot] = pair;
+        *slot += 1;
+    }
+    *keyed = sorted;
+}
+
 /// The URL prefix at `depth`: the hostname (with its `scheme://`, if the
 /// URL has one) for depth 0, plus the first `depth` directory segments
 /// otherwise. The trailing filename never participates. A prefix of `url`
@@ -531,6 +616,69 @@ fn one_deeper(url: &str, end: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The model [`rank_prefixes`] is held to, which it was until it ranked
+    /// each domain's prefixes in one sort: a domain's pages sorted on the
+    /// hostname prefix, then each stretch of pages that agree so far sorted
+    /// on the `&str` segment the next level adds, a level at a time, each
+    /// page given the running count of distinct prefixes at every depth.
+    fn rank_prefixes_level_by_level(partition: &Partition, urls: &[&str]) -> Vec<PrefixRanks> {
+        /// A page while its domain is ranked: what the level being ranked adds
+        /// to its prefix, and the rest of its URL.
+        struct Ranked<'a> {
+            segment: &'a str,
+            rest: &'a str,
+            page: PageId,
+            ranks: PrefixRanks,
+        }
+        let mut ranks = vec![PrefixRanks::default(); urls.len()];
+        let mut domain: Vec<Ranked<'_>> = Vec::new();
+        // Where each stretch of `domain` that agrees on every level ranked so
+        // far ends, and the same with the level being ranked.
+        let (mut stretches, mut parted): (Vec<usize>, Vec<usize>) = Default::default();
+        for element in &partition.elements {
+            domain.clear();
+            domain.extend(element.pages.iter().map(|&page| {
+                let url = urls[page as usize];
+                let (segment, rest) = url.split_at(host_end(url));
+                Ranked {
+                    segment,
+                    rest,
+                    page,
+                    ranks: PrefixRanks::default(),
+                }
+            }));
+            stretches.clear();
+            stretches.push(domain.len());
+            for depth in 0..URL_LEVELS {
+                parted.clear();
+                let (mut start, mut rank) = (0, 0u32);
+                for &end in &stretches {
+                    let stretch = &mut domain[start..end];
+                    stretch.sort_unstable_by_key(|ranked| ranked.segment);
+                    for at in 0..stretch.len() {
+                        if at > 0 && stretch[at - 1].segment != stretch[at].segment {
+                            rank += 1;
+                            parted.push(start + at);
+                        }
+                        stretch[at].ranks[depth] = rank;
+                    }
+                    rank += 1;
+                    parted.push(end);
+                    start = end;
+                }
+                std::mem::swap(&mut stretches, &mut parted);
+                for ranked in &mut domain {
+                    let (segment, rest) = ranked.rest.split_at(one_deeper(ranked.rest, 0));
+                    (ranked.segment, ranked.rest) = (segment, rest);
+                }
+            }
+            for ranked in &domain {
+                ranks[ranked.page as usize] = ranked.ranks;
+            }
+        }
+        ranks
+    }
 
     fn urls_and_domains() -> (Vec<&'static str>, Vec<u32>) {
         let urls = vec![
@@ -597,6 +745,131 @@ mod tests {
                     "{url:?} at {depth}"
                 );
             }
+        }
+    }
+
+    /// URLs whose prefixes a sort on the text, or a careless key, would
+    /// rank wrong: `/a` against `/a-b`, empty segments (`//`), host-only
+    /// URLs, no scheme or half of one, paths deeper than
+    /// [`MAX_URL_DEPTH`], non-ASCII and NUL bytes, repeats — and every
+    /// string of up to four bytes from `a`, `/`, `-` and `:`, bare and
+    /// behind a host.
+    fn adversarial_urls() -> Vec<String> {
+        let mut urls: Vec<String> = [
+            "http://h.x.com/a/p.html",
+            "http://h.x.com/a-b/p.html",
+            "http://h.x.com/a-b/c/p.html",
+            "http://h.x.com/a/c/p.html",
+            "http://h.x.com/a.b/c/p.html",
+            "http://h.x.com/a/b/c/d/e/f/p.html",
+            "http://h.x.com/a/b/c/d/q.html",
+            "http://h.x.com/a/b/c/",
+            "http://h.x.com/a/b/c",
+            "http://h.x.com//p",
+            "http://h.x.com///",
+            "http://h.x.com//a//b/",
+            "http://h.x.com",
+            "http://h.x.com/",
+            "https://h.x.com/a/p.html",
+            "http://h.x.com./a/p.html",
+            "http://h.x.com-/a/p.html",
+            "h.x.com",
+            "h.x.com/a/p.html",
+            "//h.x.com/a/p",
+            "/a/b/c/d",
+            "/",
+            "",
+            "ab:/c/d/e",
+            "ab://c/d",
+            "ab:",
+            "http:/h/a/p",
+            "http://h.x.com/é/p",
+            "http://h.x.com/e/p",
+            "http://h.x.com/ñ/ü/p",
+            "http://h.x.com/a\0/p",
+            "http://h.x.com/a/\0/p",
+            "http://h.x.com/a/\u{10ffff}/p",
+            "http://h.x.com/a/p.html",
+            "http://h.x.com/a-b/p.html",
+        ]
+        .map(String::from)
+        .to_vec();
+        let alphabet = ['a', '/', '-', ':'];
+        let mut short = vec![String::new()];
+        for _ in 0..4 {
+            let longer: Vec<String> = short
+                .iter()
+                .filter(|s| s.len() == short.last().map_or(0, String::len))
+                .flat_map(|s| alphabet.iter().map(move |c| format!("{s}{c}")))
+                .collect();
+            short.extend(longer);
+        }
+        for s in short {
+            urls.push(format!("http://h{s}"));
+            urls.push(s);
+        }
+        urls
+    }
+
+    /// The ranks of one sort and one pass are the model's, rank for rank,
+    /// with the URLs in one domain and dealt over three.
+    #[test]
+    fn ranks_of_one_sort_are_the_level_by_level_ranks() {
+        let urls = adversarial_urls();
+        let urls: Vec<&str> = urls.iter().map(String::as_str).collect();
+        for domains in [
+            vec![0; urls.len()],
+            (0..urls.len() as u32).map(|p| p % 3).collect(),
+        ] {
+            let partition = Partition::initial(&domains);
+            assert_eq!(
+                rank_prefixes(&partition, &urls),
+                rank_prefixes_level_by_level(&partition, &urls)
+            );
+        }
+        let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(5_000, 7));
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        let partition = Partition::initial(&domains);
+        assert_eq!(
+            rank_prefixes(&partition, &urls),
+            rank_prefixes_level_by_level(&partition, &urls)
+        );
+    }
+
+    /// One scan finds where [`url_prefix`] cuts at every depth.
+    #[test]
+    fn prefix_ends_are_where_url_prefix_cuts() {
+        for url in adversarial_urls() {
+            for (depth, end) in prefix_ends(&url).into_iter().enumerate() {
+                let cut = url_prefix(&url, depth as u32).len();
+                assert_eq!(end, cut, "{url:?} at {depth}");
+            }
+        }
+    }
+
+    /// Counting sorts what `sort_unstable` sorts: an element's pairs,
+    /// pages ascending, whether its ranks are dense or spread out.
+    #[test]
+    fn a_sort_by_rank_is_the_sort_by_rank_then_page() {
+        let mut state = 7u64;
+        for (pages, spread) in [(1, 1), (5, 2), (200, 7), (200, 199), (200, 1_000), (64, 64)] {
+            let keyed: Vec<(u32, PageId)> = (0..pages)
+                .map(|page| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (100 + (state >> 33) as u32 % spread, page * 3)
+                })
+                .collect();
+            let (low, high) = keyed
+                .iter()
+                .fold((u32::MAX, 0), |(l, h), &(r, _)| (l.min(r), h.max(r)));
+            let mut counted = keyed.clone();
+            sort_by_rank(&mut counted, low, high);
+            let mut sorted = keyed;
+            sorted.sort_unstable();
+            assert_eq!(counted, sorted, "{pages} pages over {spread} ranks");
         }
     }
 
