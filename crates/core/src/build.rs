@@ -190,7 +190,7 @@ pub fn build_snode_transpose(
         Partition::from_ranges(index.range_start(), domains)
     };
     let identity = Renumbering::from_old_of_new((0..transpose.num_nodes()).collect());
-    let mut stats = encode_and_write(transpose, &partition, &identity, config, dir, ENCODE_WINDOW)?;
+    let mut stats = encode_and_write(transpose, partition, &identity, config, dir, ENCODE_WINDOW)?;
     stats.timings.total_secs = secs(record_span("core.build.total", "build", &t_build));
     Ok(stats)
 }
@@ -226,7 +226,7 @@ fn build_windowed(
     let renumbering = number_pages(&partition, input.urls);
     let remap_secs = secs(record_span("core.build.remap", "build", &t));
 
-    let mut stats = encode_and_write(input.graph, &partition, &renumbering, config, dir, window)?;
+    let mut stats = encode_and_write(input.graph, partition, &renumbering, config, dir, window)?;
     stats.refine = refine_stats;
     stats.timings.refine_secs = refine_secs;
     stats.timings.remap_secs = remap_secs;
@@ -241,7 +241,7 @@ fn build_windowed(
 /// only the encode and write ones.
 fn encode_and_write(
     graph: &Graph,
-    partition: &Partition,
+    partition: Partition,
     renumbering: &Renumbering,
     config: &SNodeConfig,
     dir: &Path,
@@ -249,7 +249,23 @@ fn encode_and_write(
 ) -> Result<BuildStats> {
     remove_owned_files(dir)?;
     let threads = crate::par::resolve_threads(config.threads);
-    let range_start = compute_ranges(partition);
+    let range_start = compute_ranges(&partition);
+    let n_super = partition.len();
+    // Every page's domain is its supernode's: the index runs to the highest
+    // domain any page has.
+    let num_domains = partition
+        .elements
+        .iter()
+        .map(|e| e.domain as usize + 1)
+        .max();
+    let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains.unwrap_or(0)];
+    for (s, e) in partition.elements.iter().enumerate() {
+        domain_supernodes[e.domain as usize].push(s as u32);
+    }
+    // Of the partition, only where each page stands outlives this point.
+    let Partition { elements, elem_of } = partition;
+    drop(elements);
+    let places = Places::new(elem_of, &renumbering.new_of_old, &range_start);
 
     // 3. Remap and encode every graph (see `SupernodeEncoder`), one window
     //    of consecutive supernodes at a time, in parallel across the
@@ -259,10 +275,9 @@ fn encode_and_write(
     //    the files are what a serial pipeline would write, whatever the
     //    window and thread count; only a supernode's row of the supernode
     //    graph outlives its window.
-    let n_super = partition.len();
     let encoder = SupernodeEncoder {
         graph,
-        partition,
+        places: &places,
         renumbering,
         range_start: &range_start,
         config,
@@ -312,17 +327,6 @@ fn encode_and_write(
     // 4. Meta: supernode graph + pointers + PageID index + domain index.
     let t = Stopwatch::start();
     let (index_bytes, _files) = writer.finish()?;
-    // Every page's domain is its supernode's: the index runs to the highest
-    // domain any page has.
-    let num_domains = partition
-        .elements
-        .iter()
-        .map(|e| e.domain as usize + 1)
-        .max();
-    let mut domain_supernodes: Vec<Vec<u32>> = vec![Vec::new(); num_domains.unwrap_or(0)];
-    for (s, e) in partition.elements.iter().enumerate() {
-        domain_supernodes[e.domain as usize].push(s as u32);
-    }
     let supergraph_bits = supergraph.encoded_bits();
     let meta = SNodeMeta {
         num_pages: graph.num_nodes(),
@@ -441,14 +445,56 @@ struct EncodedSupernode {
 /// one supernode's links, in space proportional to their number and to no
 /// other graph's, so the build's peak is what the caller holds of the input
 /// — for `wgr build` the URL text, the page domains and the CSR graph, not
-/// a `Corpus` — plus the partition and the numbering, that per worker, and
-/// one window's encoded blobs.
+/// a `Corpus` — plus the numbering and its [`Places`], one supernode's
+/// links per worker, and one window's encoded blobs.
 struct SupernodeEncoder<'a> {
     graph: &'a Graph,
-    partition: &'a Partition,
+    places: &'a Places,
     renumbering: &'a Renumbering,
     range_start: &'a [u32],
     config: &'a SNodeConfig,
+}
+
+/// Where every page stands in the build's numbering — its supernode `j`
+/// and its local id there — packed into one word, `j << local_bits |
+/// local`, so that a link is re-expressed with one lookup. The words are
+/// the partition's `elem_of`, rewritten in place, wherever the supernode
+/// count and the largest supernode leave room in 32 bits (the cut keeps
+/// local ids below 2 048, 11 bits); only a larger build takes 64.
+enum Places {
+    Narrow { words: Vec<u32>, local_bits: u32 },
+    Wide { words: Vec<u64>, local_bits: u32 },
+}
+
+impl Places {
+    /// The place of every page, from the supernode of each (`elem_of`,
+    /// whose words it takes over), its new id and the supernodes' first
+    /// ids.
+    fn new(elem_of: Vec<u32>, new_of_old: &[u32], range_start: &[u32]) -> Places {
+        let bits = |n: u32| u32::BITS - n.leading_zeros();
+        let largest = range_start.windows(2).map(|r| r[1] - r[0]).max();
+        let local_bits = bits(largest.unwrap_or(0).saturating_sub(1));
+        let supernode_bits = bits((range_start.len() as u32).saturating_sub(2));
+        if local_bits + supernode_bits > u32::BITS || local_bits == u32::BITS {
+            return Places::wide(&elem_of, new_of_old, range_start, local_bits);
+        }
+        let mut words = elem_of;
+        for (word, &new) in words.iter_mut().zip(new_of_old) {
+            *word = *word << local_bits | (new - range_start[*word as usize]);
+        }
+        Places::Narrow { words, local_bits }
+    }
+
+    /// [`Places::new`] in 64-bit words, local ids in the low `local_bits`.
+    fn wide(elem_of: &[u32], new_of_old: &[u32], range_start: &[u32], local_bits: u32) -> Places {
+        let place = |(&j, &new): (&u32, &u32)| {
+            u64::from(j) << local_bits | u64::from(new - range_start[j as usize])
+        };
+        Places::Wide {
+            words: elem_of.iter().zip(new_of_old).map(place).collect(),
+            local_bits,
+        }
+    }
 }
 
 /// The links of one supernode in local ids, as the flat collections the
@@ -535,7 +581,21 @@ impl SupernodeEncoder<'_> {
     /// with its source pages ascending and every page's targets together:
     /// only those short runs are sorted, never the links as a whole.
     fn walk(&self, s: u32) -> SupernodeLinks {
+        match self.places {
+            Places::Narrow { words, local_bits } => self.walk_over(s, words, *local_bits),
+            Places::Wide { words, local_bits } => self.walk_over(s, words, *local_bits),
+        }
+    }
+
+    /// [`SupernodeEncoder::walk`] over the page places `words`.
+    fn walk_over<W: Copy + Into<u64>>(
+        &self,
+        s: u32,
+        words: &[W],
+        local_bits: u32,
+    ) -> SupernodeLinks {
         const NO_SLOT: u32 = u32::MAX;
+        let local_mask = (1u64 << local_bits) - 1;
         let first_page = self.range_start[s as usize] as usize;
         let pages = &self.renumbering.old_of_new[first_page..][..self.size(s) as usize];
 
@@ -545,13 +605,12 @@ impl SupernodeEncoder<'_> {
         let mut intra = ListBuf::default();
         let (mut cross_super, mut cross_target) = (Vec::new(), Vec::new());
         let mut cross_ends = Vec::with_capacity(pages.len());
-        let mut slot_of = vec![NO_SLOT; self.partition.len()];
+        let mut slot_of = vec![NO_SLOT; self.range_start.len() - 1];
         let mut targets = Vec::new();
         for &old_src in pages {
             let local = self.graph.neighbors(old_src).iter().filter_map(|&old_tgt| {
-                let j = self.partition.elem_of[old_tgt as usize];
-                let local_tgt =
-                    self.renumbering.new_of_old[old_tgt as usize] - self.range_start[j as usize];
+                let place: u64 = words[old_tgt as usize].into();
+                let (j, local_tgt) = ((place >> local_bits) as u32, (place & local_mask) as u32);
                 if j == s {
                     return Some(local_tgt);
                 }
@@ -906,6 +965,40 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
         }
         (dir_ref, stats_ref)
+    }
+
+    /// A build too large for 32-bit places walks 64-bit ones: every graph
+    /// of a generated corpus encodes to the same bytes through either.
+    #[test]
+    fn wide_places_encode_what_narrow_ones_do() {
+        let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(3_000, 5));
+        let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+        let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+        let (partition, _) = refine(&urls, &domains, &RefineConfig::default());
+        let renumbering = number_pages(&partition, &urls);
+        let range_start = compute_ranges(&partition);
+        let config = SNodeConfig::default();
+        let elem_of = partition.elem_of.clone();
+        let narrow = Places::new(partition.elem_of, &renumbering.new_of_old, &range_start);
+        assert!(matches!(narrow, Places::Narrow { .. }));
+        let wide = Places::wide(&elem_of, &renumbering.new_of_old, &range_start, u32::BITS);
+        let encoder = |places| SupernodeEncoder {
+            graph: &corpus.graph,
+            places,
+            renumbering: &renumbering,
+            range_start: &range_start,
+            config: &config,
+        };
+        let (narrow, wide) = (encoder(&narrow), encoder(&wide));
+        for s in 0..range_start.len() as u32 - 1 {
+            let (a, b) = (narrow.encode(s), wide.encode(s));
+            assert_eq!(a.targets, b.targets, "supernode {s}");
+            assert_eq!(a.intra.bytes, b.intra.bytes, "supernode {s}");
+            let edges = |e: &EncodedSupernode| -> Vec<Vec<u8>> {
+                e.edges.iter().map(|g| g.bytes.clone()).collect()
+            };
+            assert_eq!(edges(&a), edges(&b), "supernode {s}");
+        }
     }
 
     #[test]
