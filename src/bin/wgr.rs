@@ -746,12 +746,15 @@ fn cmd_check(args: &[String]) -> i32 {
 /// rebuild is byte-identical to the original), and replaces every file of
 /// `dir` that differs. Returns the replaced file names.
 ///
-/// Writes nothing, and says to rebuild the representations, when a file
-/// of `dir` other than `meta.bin` matches its own `sums.bin` entry yet
-/// differs from the rebuild's: the directory is not the forward build of
-/// this corpus (a reps root's `snode_t`, say), and replacing its files
-/// would turn it into one. `meta.bin` is left out because an intact one
-/// under an older version's header is what a repair is for.
+/// Writes nothing, and names the two causes and what mends each, when a
+/// file of `dir` other than `meta.bin` matches its own `sums.bin` entry
+/// yet differs from the rebuild's: an earlier format wrote the directory
+/// (a superedge graph in the complement form, which readers refuse as
+/// "negative superedge graph"), and `wgr build` rewrites it; or it is not
+/// the forward build of this corpus (another corpus's, or a reps root's
+/// `snode_t`), and replacing its files would turn it into one. `meta.bin`
+/// is left out because an intact one under an older version's header is
+/// what a repair is for.
 fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec<String>, String> {
     let config = SNodeConfig::default();
     let input = read_build_input(corpus_dir)
@@ -788,10 +791,12 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
         None => false,
     });
     if let Some((name, ..)) = apart {
+        let (dir, corpus) = (dir.display(), corpus_dir.display());
         return Err(format!(
-            "{} is not a build of {} ({name} is intact and differs): rebuild the representations",
-            dir.display(),
-            corpus_dir.display()
+            "{dir} is not this version's build of {corpus} ({name} is intact and differs): \
+             an earlier format or another corpus wrote it; \
+             `wgr build --corpus {corpus} --out {dir}` rebuilds it \
+             (a reps root's snode_t: rebuild the representations)"
         ));
     }
     let mut replaced = Vec::new();

@@ -606,7 +606,7 @@ fn reuse_refuses_a_transpose_numbered_apart() {
 /// `check --repair --from CORPUS` restores the forward build of CORPUS
 /// only. A reps root's `snode_t` with one flipped bit fails its check, but
 /// the files that are intact are not the forward build's: the repair exits
-/// 2, says to rebuild the representations, and writes nothing.
+/// 2, names both causes and what mends each, and writes nothing.
 #[test]
 fn repair_refuses_a_directory_that_is_not_the_forward_build() {
     let root = temp_dir("repair_apart");
@@ -640,12 +640,76 @@ fn repair_refuses_a_directory_that_is_not_the_forward_build() {
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(err.contains("an earlier format or another corpus"), "{err}");
     assert!(err.contains("rebuild the representations"), "{err}");
     assert!(
         files() == before,
         "the repair wrote to {}",
         snode_t.display()
     );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A directory an earlier format wrote, a superedge graph in the
+/// complement form under a `sums.bin` that vouches for it, is refused by
+/// readers ("negative superedge graph") and by `check --repair`, whose
+/// words name both causes and the command that mends it; the repair
+/// writes nothing, and that command does mend it.
+#[test]
+fn repair_names_the_build_that_mends_a_directory_of_an_earlier_format() {
+    let root = temp_dir("repair_earlier");
+    let (corpus_dir, dir) = (root.join("corpus"), root.join("snode"));
+    let corpus = Corpus::generate(CorpusConfig::scaled(1_500, 9));
+    write_corpus(&corpus_dir, &corpus).unwrap();
+    let build = || {
+        let out = (wgr().arg("build").arg("--corpus").arg(&corpus_dir))
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+    };
+    build();
+    let meta = webgraph_repr::snode::disk::SNodeMeta::read(&dir).unwrap();
+    let graph = meta.superedge_loc.iter().flatten().next().unwrap();
+    let file = dir.join(format!("index_{:03}.bin", graph.file));
+    let mut bytes = std::fs::read(&file).unwrap();
+    bytes[graph.offset as usize] |= 0x80; // the kind bit: complement form
+    std::fs::write(&file, bytes).unwrap();
+    let blobs = IntegrityManifest::blob_crcs(&dir).unwrap();
+    (IntegrityManifest::compute(&dir, blobs).unwrap().write(&dir)).unwrap();
+
+    let check = wgr().arg("check").arg(&dir).output().unwrap();
+    assert_eq!(check.status.code(), Some(2), "{check:?}");
+    let report = String::from_utf8_lossy(&check.stdout);
+    assert!(report.contains("negative superedge graph"), "{report}");
+
+    let files = || -> std::collections::BTreeMap<_, _> {
+        (std::fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+            .collect()
+    };
+    let before = files();
+    let out = (wgr().arg("check").arg(&dir))
+        .args(["--repair", "--from"])
+        .arg(&corpus_dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(err.contains("an earlier format or another corpus"), "{err}");
+    let mend = format!(
+        "`wgr build --corpus {} --out {}`",
+        corpus_dir.display(),
+        dir.display()
+    );
+    assert!(err.contains(&mend), "{err}");
+    assert!(files() == before, "the repair wrote to {}", dir.display());
+
+    build();
+    let check = wgr().arg("check").arg(&dir).output().unwrap();
+    assert_eq!(check.status.code(), Some(0), "{check:?}");
     std::fs::remove_dir_all(&root).ok();
 }
 
