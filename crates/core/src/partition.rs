@@ -551,16 +551,13 @@ fn try_url_split(
 
 /// Sorts an element's `(rank, page)` pairs, pages ascending, whose ranks
 /// run from `low` to `high`, as `sort_unstable` does: by rank, then page.
-/// The pages are ascending already, so where the ranks are fewer than the
-/// pages — an element's are every rank under the prefix its pages share,
-/// so each names one of them — a stable count of the ranks does it.
+/// The pages are ascending already, so a stable count of the ranks does
+/// it, in time and space linear in the pages: an element's ranks are
+/// every rank under the prefix its pages share, each held by one of them.
 fn sort_by_rank(keyed: &mut Vec<(u32, PageId)>, low: u32, high: u32) {
     debug_assert!(keyed.windows(2).all(|pair| pair[0].1 < pair[1].1));
     let span = (high - low) as usize + 1;
-    if span > keyed.len() {
-        keyed.sort_unstable();
-        return;
-    }
+    debug_assert!(span <= keyed.len());
     let mut at = vec![0usize; span + 1];
     for &(rank, _) in keyed.iter() {
         at[(rank - low) as usize + 1] += 1;
@@ -849,11 +846,11 @@ mod tests {
     }
 
     /// Counting sorts what `sort_unstable` sorts: an element's pairs,
-    /// pages ascending, whether its ranks are dense or spread out.
+    /// pages ascending, with few ranks or as many as pages.
     #[test]
     fn a_sort_by_rank_is_the_sort_by_rank_then_page() {
         let mut state = 7u64;
-        for (pages, spread) in [(1, 1), (5, 2), (200, 7), (200, 199), (200, 1_000), (64, 64)] {
+        for (pages, spread) in [(1, 1), (5, 2), (200, 7), (200, 199), (64, 64)] {
             let keyed: Vec<(u32, PageId)> = (0..pages)
                 .map(|page| {
                     state = state
