@@ -233,8 +233,8 @@ fn read_domains(dir: &Path, n: usize) -> Result<(Vec<String>, Vec<DomainId>), Te
 ///
 /// Lines are parsed where they sit in the reader's buffer: a line of the
 /// form every writer produces in one scan ([`common_line`]), any other
-/// line by [`parse_edge_line`]. Only a line the buffer cuts is copied, to
-/// be parsed once its end has been read.
+/// line by [`parse_edge_line_general`]. Only a line the buffer cuts is
+/// copied, to be parsed once its end has been read.
 fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
     let file = std::fs::File::open(dir.join("edges.txt"))?;
     let mut reader = BufReader::with_capacity(1 << 16, file);
@@ -261,7 +261,7 @@ fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
                 continue;
             };
             cut.extend_from_slice(&buf[..end]);
-            add_edge(&mut builder, n, parse_edge_line(&cut)?)?;
+            add_edge(&mut builder, n, parse_edge_line_general(&cut)?)?;
             cut.clear();
             at = end;
         }
@@ -271,7 +271,7 @@ fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
                 add_edge(&mut builder, n, Some((u, v)))?;
                 at += len;
             } else if let Some(end) = line_end(rest) {
-                add_edge(&mut builder, n, parse_edge_line(&rest[..end])?)?;
+                add_edge(&mut builder, n, parse_edge_line_general(&rest[..end])?)?;
                 at += end;
             } else {
                 cut.extend_from_slice(rest);
@@ -282,7 +282,7 @@ fn read_edges(dir: &Path, n: usize) -> Result<GraphBuilder, TextIoError> {
         reader.consume(len);
     }
     if !cut.is_empty() {
-        add_edge(&mut builder, n, parse_edge_line(&cut)?)?;
+        add_edge(&mut builder, n, parse_edge_line_general(&cut)?)?;
     }
     Ok(builder)
 }
@@ -336,16 +336,19 @@ fn add_edge(
 
 /// The two ids of the line `bytes` starts with, and its length, if it has
 /// the form every writer produces — decimal digits, a space, decimal
-/// digits, a newline — and both ids fit a `u32`: one scan, each byte
-/// looked at once. `None` for any other line, and for one `bytes` cuts;
-/// [`parse_edge_line`] reads the same ids from such a line.
+/// digits, a newline or CRLF — and both ids fit a `u32`: one scan, each
+/// byte looked at once. `None` for any other line, and for one `bytes`
+/// cuts; [`parse_edge_line_general`] reads the same ids from such a line.
 #[inline]
 fn common_line(bytes: &[u8]) -> Option<(u32, u32, usize)> {
     let (u, at) = decimal(bytes, 0)?;
     if bytes.get(at) != Some(&b' ') {
         return None;
     }
-    let (v, at) = decimal(bytes, at + 1)?;
+    let (v, mut at) = decimal(bytes, at + 1)?;
+    if bytes.get(at) == Some(&b'\r') {
+        at += 1;
+    }
     if bytes.get(at) != Some(&b'\n') {
         return None;
     }
@@ -377,45 +380,11 @@ fn decimal(bytes: &[u8], start: usize) -> Option<(u32, usize)> {
     u32::try_from(value).ok().map(|id| (id, at))
 }
 
-/// The two page ids of one `edges.txt` line, or `None` for a blank line.
-///
-/// The form every writer produces — decimal digits, ASCII whitespace — is
-/// parsed from the bytes. Any other line goes to
-/// [`parse_edge_line_general`], which decides what else is accepted and
-/// words every rejection.
-fn parse_edge_line(line: &[u8]) -> Result<Option<(u32, u32)>, TextIoError> {
-    let mut pos = 0usize;
-    if let (Some(u), Some(v)) = (ascii_id(line, &mut pos), ascii_id(line, &mut pos)) {
-        // Whatever follows the two ids is ignored, but must be text.
-        if line[pos..].is_ascii() {
-            return Ok(Some((u, v)));
-        }
-    }
-    parse_edge_line_general(line)
-}
-
-/// Skips ASCII whitespace from `*pos`, then reads one whitespace-delimited
-/// run of decimal digits that fits a `u32`.
-fn ascii_id(line: &[u8], pos: &mut usize) -> Option<u32> {
-    let is_space = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
-    while *pos < line.len() && is_space(line[*pos]) {
-        *pos += 1;
-    }
-    let start = *pos;
-    let mut id = 0u32;
-    while *pos < line.len() && line[*pos].is_ascii_digit() {
-        id = id
-            .checked_mul(10)?
-            .checked_add(u32::from(line[*pos] - b'0'))?;
-        *pos += 1;
-    }
-    let delimited = *pos == line.len() || is_space(line[*pos]);
-    (*pos > start && delimited).then_some(id)
-}
-
-/// [`parse_edge_line`] for any line at all: tokens split on Unicode
-/// whitespace and parsed as `u32` (a leading `+` is accepted), with the
-/// line quoted in the error when that fails.
+/// The two page ids of one `edges.txt` line, or `None` for a blank line:
+/// tokens split on Unicode whitespace and parsed as `u32` (a leading `+`
+/// is accepted), with the line quoted in the error when that fails. It
+/// decides what a line may be and words every rejection; [`common_line`]
+/// only reads faster what it would read.
 fn parse_edge_line_general(line: &[u8]) -> Result<Option<(u32, u32)>, TextIoError> {
     let line = std::str::from_utf8(line).map_err(|_| {
         std::io::Error::new(
@@ -518,8 +487,8 @@ mod tests {
     }
 
     /// Every shape of `edges.txt` line: what it parses to, or the message
-    /// it is rejected with. The byte parser and the general parser must
-    /// agree on all of them.
+    /// it is rejected with. The one-scan parser reads no line the general
+    /// parser rejects, and what it reads it reads alike.
     #[test]
     fn edge_line_table() {
         type Edge = Option<(u32, u32)>;
@@ -538,8 +507,10 @@ mod tests {
             ("\u{2003}\n".as_bytes(), None),
         ];
         for (line, want) in ok {
-            assert_eq!(parse_edge_line(line).unwrap(), want, "{line:?}");
             assert_eq!(parse_edge_line_general(line).unwrap(), want, "{line:?}");
+            if let Some((u, v, len)) = common_line(line) {
+                assert_eq!((Some((u, v)), len), (want, line.len()), "{line:?}");
+            }
         }
         let bad: [(&[u8], &str); 8] = [
             (b"7\n", "malformed corpus: short edge line \"7\""),
@@ -558,8 +529,8 @@ mod tests {
             ),
         ];
         for (line, want) in bad {
-            assert_eq!(parse_edge_line(line).unwrap_err().to_string(), want);
             assert_eq!(parse_edge_line_general(line).unwrap_err().to_string(), want);
+            assert_eq!(common_line(line), None, "{line:?}");
         }
     }
 
@@ -570,7 +541,7 @@ mod tests {
     #[test]
     fn the_one_scan_parser_reads_only_what_the_general_parser_reads() {
         type Read = Option<(u32, u32, usize)>;
-        let cases: [(&[u8], Read); 14] = [
+        let cases: [(&[u8], Read); 16] = [
             (b"0 1\n", Some((0, 1, 4))),
             (b"4294967295 4294967295\n", Some((u32::MAX, u32::MAX, 22))),
             (b"0000000001 12\n", Some((1, 12, 14))),
@@ -580,7 +551,9 @@ mod tests {
             (b"00000000001 2\n", None),
             (b"18446744073709551616 1\n", None),
             (b"1 2", None),
-            (b"1 2\r\n", None),
+            (b"1 2\r\n", Some((1, 2, 5))),
+            (b"1 2\r", None),
+            (b"1 2\r\r\n", None),
             (b"1\t2\n", None),
             (b" 1 2\n", None),
             (b"+1 2\n", None),
@@ -595,7 +568,7 @@ mod tests {
             }
         }
         assert_eq!(
-            parse_edge_line(b"00000000001 2\n").unwrap(),
+            parse_edge_line_general(b"00000000001 2\n").unwrap(),
             Some((1, 2)),
             "leading zeros past ten digits are the general parser's"
         );
