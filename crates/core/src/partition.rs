@@ -419,11 +419,25 @@ fn rank_prefixes(partition: &Partition, urls: &[&str]) -> Vec<PrefixRanks> {
     ranks
 }
 
-/// Where `url`'s prefix at each depth URL split groups by ends: what
-/// [`url_prefix`] cuts at, found in one scan. The hostname ends at the
-/// first `/` after the `scheme://`, or at the end; each directory level
-/// one `/` further on, or where the level above ended if none follows.
+/// Where `url`'s prefix at each depth URL split groups by ends: the
+/// first [`URL_LEVELS`] of [`prefix_cuts`].
 fn prefix_ends(url: &str) -> [usize; URL_LEVELS] {
+    let mut ends = [0; URL_LEVELS];
+    for (end, cut) in ends.iter_mut().zip(prefix_cuts(url)) {
+        *end = cut;
+    }
+    ends
+}
+
+/// Where `url`'s prefix at each depth ends, depth 0 first, found in one
+/// scan, without end. The hostname ends at the first `/` after the
+/// `scheme://` (letters, digits, `+`, `-` and `.`, then `://`), or after
+/// the start of a URL that has none, or at the end if no `/` follows;
+/// each directory level one `/` further on; past the last `/`, every
+/// depth ends where the one above did, for the filename never
+/// participates. A cut of any string: URL text comes from outside the
+/// program.
+fn prefix_cuts(url: &str) -> impl Iterator<Item = usize> + '_ {
     let bytes = url.as_bytes();
     let is_scheme = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
     let scheme = bytes
@@ -434,19 +448,16 @@ fn prefix_ends(url: &str) -> [usize; URL_LEVELS] {
         [b':', b'/', b'/', ..] if scheme > 0 => scheme + 3,
         _ => 0,
     };
-    let mut ends = [bytes.len(); URL_LEVELS];
-    for depth in 0..URL_LEVELS {
-        let Some(slash) = bytes[at..].iter().position(|&b| b == b'/') else {
-            if depth > 0 {
-                let above = ends[depth - 1];
-                ends[depth..].fill(above);
-            }
-            break;
-        };
-        ends[depth] = at + slash;
-        at += slash + 1;
-    }
-    ends
+    let mut cut = bytes.len();
+    std::iter::from_fn(move || {
+        if let Some(slash) = bytes[at..].iter().position(|&b| b == b'/') {
+            cut = at + slash;
+            at = cut + 1;
+        } else {
+            at = bytes.len();
+        }
+        Some(cut)
+    })
 }
 
 /// Appends to `keys` the sort key of `url`'s deepest prefix, whose ends
@@ -579,40 +590,38 @@ fn sort_by_rank(keyed: &mut Vec<(u32, PageId)>, low: u32, high: u32) {
 /// otherwise. The trailing filename never participates. A prefix of `url`
 /// for any string: URL text comes from outside the program.
 pub fn url_prefix(url: &str, depth: u32) -> &str {
-    let mut end = host_end(url);
-    for _ in 0..depth {
-        end = one_deeper(url, end);
-    }
-    &url[..end]
-}
-
-/// Where the hostname of `url` ends: at the first `/` after its
-/// `scheme://` (letters, digits, `+`, `-` and `.`, then `://`), or after
-/// the start of a URL that has none.
-fn host_end(url: &str) -> usize {
-    let is_scheme = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
-    let scheme = url.bytes().take_while(|b| is_scheme(b)).count();
-    let host_start = match &url.as_bytes()[scheme..] {
-        [b':', b'/', b'/', ..] if scheme > 0 => scheme + 3,
-        _ => 0,
-    };
-    url[host_start..]
-        .find('/')
-        .map_or(url.len(), |i| host_start + i)
-}
-
-/// Where the prefix one directory below `url[..end]` — the hostname or a
-/// deeper prefix, so followed by a `/` or by nothing — ends: after the
-/// next path segment if a further `/` follows it, and at `end` itself if
-/// it is the filename, which never participates.
-fn one_deeper(url: &str, end: usize) -> usize {
-    let segment = url.get(end + 1..).and_then(|rest| rest.find('/'));
-    segment.map_or(end, |i| end + 1 + i)
+    let mut cuts = prefix_cuts(url).skip(depth as usize);
+    &url[..cuts.next().unwrap_or(url.len())]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The model's cuts, as URL split made them before [`prefix_cuts`]:
+    /// where the hostname of `url` ends: at the first `/` after its
+    /// `scheme://` (letters, digits, `+`, `-` and `.`, then `://`), or after
+    /// the start of a URL that has none.
+    fn host_end(url: &str) -> usize {
+        let is_scheme = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
+        let scheme = url.bytes().take_while(|b| is_scheme(b)).count();
+        let host_start = match &url.as_bytes()[scheme..] {
+            [b':', b'/', b'/', ..] if scheme > 0 => scheme + 3,
+            _ => 0,
+        };
+        url[host_start..]
+            .find('/')
+            .map_or(url.len(), |i| host_start + i)
+    }
+
+    /// Where the prefix one directory below `url[..end]` — the hostname or a
+    /// deeper prefix, so followed by a `/` or by nothing — ends: after the
+    /// next path segment if a further `/` follows it, and at `end` itself if
+    /// it is the filename, which never participates.
+    fn one_deeper(url: &str, end: usize) -> usize {
+        let segment = url.get(end + 1..).and_then(|rest| rest.find('/'));
+        segment.map_or(end, |i| end + 1 + i)
+    }
 
     /// The model [`rank_prefixes`] is held to, which it was until it ranked
     /// each domain's prefixes in one sort: a domain's pages sorted on the
@@ -834,13 +843,19 @@ mod tests {
         );
     }
 
-    /// One scan finds where [`url_prefix`] cuts at every depth.
+    /// One scan cuts every URL where the model's hostname end and its
+    /// steps one directory deeper do, at every depth and past the last.
     #[test]
-    fn prefix_ends_are_where_url_prefix_cuts() {
+    fn prefixes_are_cut_where_the_model_cuts() {
         for url in adversarial_urls() {
-            for (depth, end) in prefix_ends(&url).into_iter().enumerate() {
-                let cut = url_prefix(&url, depth as u32).len();
-                assert_eq!(end, cut, "{url:?} at {depth}");
+            let mut end = host_end(&url);
+            let ends = prefix_ends(&url);
+            for depth in 0..6 {
+                assert_eq!(url_prefix(&url, depth), &url[..end], "{url:?} at {depth}");
+                if let Some(&cut) = ends.get(depth as usize) {
+                    assert_eq!(cut, end, "{url:?} at {depth}");
+                }
+                end = one_deeper(&url, end);
             }
         }
     }
