@@ -209,7 +209,7 @@ impl SNodeMeta {
 /// the supernode graph's rows end to end, one packed word per graph for its
 /// locator, and the domain index's lists end to end. [`SNodeMeta::parse`]
 /// is this decode expanded, so both views share every check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResidentIndex {
     num_pages: u32,
     /// Supernode `s` owns page ids `range_start[s] .. range_start[s + 1]`.
@@ -232,8 +232,19 @@ pub struct ResidentIndex {
 }
 
 impl ResidentIndex {
-    /// Decodes an in-memory `meta.bin` image.
+    /// Decodes an in-memory `meta.bin` image. With more than one thread
+    /// allowed ([`crate::par::resolve_threads`]), the graph-size table is
+    /// decoded on a helper thread while this one decodes the supernode
+    /// graph; the result, error included, is the serial decode's.
     pub fn parse(buf: &[u8]) -> Result<Self> {
+        Self::parse_with(buf, crate::par::resolve_threads(0) > 1)
+    }
+
+    /// [`ResidentIndex::parse`], decoding the size table on a helper
+    /// thread or not as `helper` says. The helper reads no file and
+    /// allocates nothing the index keeps: its entries go into a vector this
+    /// thread reserved.
+    fn parse_with(buf: &[u8], helper: bool) -> Result<Self> {
         let mut c = Cursor::new(buf);
         read_header(&mut c)?;
         let num_pages = c.u32()?;
@@ -251,38 +262,32 @@ impl ResidentIndex {
         if sg_bits > sg_bytes.len() as u64 * 8 {
             return Err(SNodeError::Corrupt("supergraph bit length exceeds payload"));
         }
-        let rows = crate::supergraph::decode_rows(sg_bytes, sg_bits)?;
+        // The size table is read before the rows are decoded; an error in
+        // it is held back to where a decode in file order meets it.
+        let table = SizeTable::read(&mut c);
+        let (rows, sizes) = match &table {
+            Ok(table) if helper => std::thread::scope(|scope| {
+                let reserved = table.reserve();
+                // A helper that cannot be had leaves the decode to this thread.
+                let sizes = std::thread::Builder::new()
+                    .spawn_scoped(scope, move || table.decode(reserved))
+                    .ok();
+                #[cfg(test)]
+                tests::HELPERS.with(|h| h.set(h.get() + u32::from(sizes.is_some())));
+                let rows = crate::supergraph::decode_rows(sg_bytes, sg_bits);
+                let sizes =
+                    sizes.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                (rows, sizes)
+            }),
+            _ => (crate::supergraph::decode_rows(sg_bytes, sg_bits), None),
+        };
+        let rows = rows?;
         if rows.row_start.len() != n + 1 {
             return Err(SNodeError::Corrupt("supergraph size mismatch"));
         }
-        let max_file_bytes = c.u64()?;
-        let size_bits = c.u64()?;
-        let size_len = c.u64()? as usize;
-        let size_bytes = c.bytes(size_len)?;
-        if size_bits > size_bytes.len() as u64 * 8 {
-            return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
-        }
-        let mut table = wg_bitio::BitReader::with_bit_len(size_bytes, size_bits);
-        // One window for the whole table: a γ size and 3 pad bits a graph.
-        let mut sizes = table.window();
-        // Replay the writer's rotation rule over the linear ordering.
-        let mut layout = LocatorLayout::new(max_file_bytes);
-        let blobs = n + rows.targets.len();
-        let mut blob_word = Vec::with_capacity(blobs);
-        let mut files = 0u64;
-        for _ in 0..blobs {
-            let (file, end, pad) = layout.next(&mut sizes)?;
-            let opens = u64::from(file) == files;
-            files += u64::from(opens);
-            if files > 1 << FILE_BITS {
-                return Err(SNodeError::Corrupt(
-                    "more index files than a resident index numbers",
-                ));
-            }
-            blob_word.push(
-                end << END_SHIFT | u64::from(file) << FILE_SHIFT | u64::from(opens) << 3 | pad,
-            );
-        }
+        let table = table?;
+        let sizes = sizes.unwrap_or_else(|| table.decode(table.reserve()));
+        let blob_word = sizes.first(n + rows.targets.len())?;
         let nd = c.u32()? as usize;
         let mut domain_start = Vec::with_capacity(nd.min(1 << 20) + 1);
         domain_start.push(0);
@@ -305,7 +310,7 @@ impl ResidentIndex {
             row_start: rows.row_start,
             targets: rows.targets,
             supergraph_bits: sg_bits,
-            max_file_bytes,
+            max_file_bytes: table.max_file_bytes,
             blob_word,
             domain_start,
             domain_members,
@@ -430,6 +435,86 @@ fn put_size(w: &mut wg_bitio::BitWriter, loc: &GraphLocator) {
     let pad = loc.byte_len * 8 - loc.bit_len;
     debug_assert!(pad < 8);
     w.write_bits(pad, 3);
+}
+
+/// `meta.bin`'s graph-size section: the index-file size cap, then the γ
+/// size and 3 pad bits of every graph in linear order.
+struct SizeTable<'a> {
+    max_file_bytes: u64,
+    bytes: &'a [u8],
+    bits: u64,
+}
+
+impl<'a> SizeTable<'a> {
+    fn read(c: &mut Cursor<'a>) -> Result<Self> {
+        let max_file_bytes = c.u64()?;
+        let bits = c.u64()?;
+        let len = c.u64()? as usize;
+        let bytes = c.bytes(len)?;
+        if bits > bytes.len() as u64 * 8 {
+            return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
+        }
+        Ok(Self {
+            max_file_bytes,
+            bytes,
+            bits,
+        })
+    }
+
+    /// Room for as many entries as the table could hold: each takes at
+    /// least 4 bits.
+    fn reserve(&self) -> Vec<u64> {
+        Vec::with_capacity((self.bits / 4) as usize)
+    }
+
+    /// Every entry the table holds, as [`ResidentIndex`] words pushed onto
+    /// `words` (which [`SizeTable::reserve`] made, so it never grows), up to
+    /// the first one that fails to decode — at the latest, the read past
+    /// the table's end.
+    fn decode(&self, mut words: Vec<u64>) -> Sizes {
+        let mut table = wg_bitio::BitReader::with_bit_len(self.bytes, self.bits);
+        // One window for the whole table: a γ size and 3 pad bits a graph.
+        let mut sizes = table.window();
+        // Replay the writer's rotation rule over the linear ordering.
+        let mut layout = LocatorLayout::new(self.max_file_bytes);
+        let mut files = 0u64;
+        let stop = loop {
+            let (file, end, pad) = match layout.next(&mut sizes) {
+                Ok(entry) => entry,
+                Err(e) => break e,
+            };
+            let opens = u64::from(file) == files;
+            files += u64::from(opens);
+            if files > 1 << FILE_BITS {
+                break SNodeError::Corrupt("more index files than a resident index numbers");
+            }
+            words.push(
+                end << END_SHIFT | u64::from(file) << FILE_SHIFT | u64::from(opens) << 3 | pad,
+            );
+        };
+        Sizes { words, stop }
+    }
+}
+
+/// A decoded size table: the words of its entries up to the first that
+/// failed, and that failure.
+struct Sizes {
+    words: Vec<u64>,
+    stop: SNodeError,
+}
+
+impl Sizes {
+    /// The words of the first `blobs` graphs, or the error a decode of
+    /// `blobs` entries meets.
+    fn first(self, blobs: usize) -> Result<Vec<u64>> {
+        let mut words = self.words;
+        if words.len() < blobs {
+            return Err(self.stop);
+        }
+        words.truncate(blobs);
+        words.shrink_to_fit();
+        Ok(words)
+    }
 }
 
 /// Replays [`IndexFileWriter`]'s rotation rule to rebuild locators from
@@ -810,6 +895,257 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Helper threads the parses on this thread have spawned.
+        pub(super) static HELPERS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The decode in file order, one thread, as it was before the size
+    /// table moved to a helper: the model both paths of
+    /// [`ResidentIndex::parse_with`] answer to, field for field and error
+    /// for error.
+    fn parse_model(buf: &[u8]) -> Result<ResidentIndex> {
+        let mut c = Cursor::new(buf);
+        read_header(&mut c)?;
+        let num_pages = c.u32()?;
+        let n = c.u32()? as usize;
+        let range_start: Vec<u32> = c.u32s(n + 1)?.collect();
+        if range_start.first() != Some(&0) || range_start.last() != Some(&num_pages) {
+            return Err(SNodeError::Corrupt("page ranges do not tile 0..num_pages"));
+        }
+        if range_start.windows(2).any(|w| w[0] > w[1]) {
+            return Err(SNodeError::Corrupt("page ranges not monotone"));
+        }
+        let sg_bits = c.u64()?;
+        let sg_len = c.u64()? as usize;
+        let sg_bytes = c.bytes(sg_len)?;
+        if sg_bits > sg_bytes.len() as u64 * 8 {
+            return Err(SNodeError::Corrupt("supergraph bit length exceeds payload"));
+        }
+        let rows = crate::supergraph::decode_rows(sg_bytes, sg_bits)?;
+        if rows.row_start.len() != n + 1 {
+            return Err(SNodeError::Corrupt("supergraph size mismatch"));
+        }
+        let max_file_bytes = c.u64()?;
+        let size_bits = c.u64()?;
+        let size_len = c.u64()? as usize;
+        let size_bytes = c.bytes(size_len)?;
+        if size_bits > size_bytes.len() as u64 * 8 {
+            return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
+        }
+        let mut table = wg_bitio::BitReader::with_bit_len(size_bytes, size_bits);
+        let mut sizes = table.window();
+        let mut layout = LocatorLayout::new(max_file_bytes);
+        let blobs = n + rows.targets.len();
+        let mut blob_word = Vec::with_capacity(blobs);
+        let mut files = 0u64;
+        for _ in 0..blobs {
+            let (file, end, pad) = layout.next(&mut sizes)?;
+            let opens = u64::from(file) == files;
+            files += u64::from(opens);
+            if files > 1 << FILE_BITS {
+                return Err(SNodeError::Corrupt(
+                    "more index files than a resident index numbers",
+                ));
+            }
+            blob_word.push(
+                end << END_SHIFT | u64::from(file) << FILE_SHIFT | u64::from(opens) << 3 | pad,
+            );
+        }
+        let nd = c.u32()? as usize;
+        let mut domain_start = Vec::with_capacity(nd.min(1 << 20) + 1);
+        domain_start.push(0);
+        let mut domain_members = Vec::new();
+        for _ in 0..nd {
+            let k = c.u32()? as usize;
+            for s in c.u32s(k)? {
+                if s as usize >= n {
+                    return Err(SNodeError::Corrupt(
+                        "domain index names a supernode beyond the graph",
+                    ));
+                }
+                domain_members.push(s);
+            }
+            domain_start.push(domain_members.len() as u32);
+        }
+        Ok(ResidentIndex {
+            num_pages,
+            range_start,
+            row_start: rows.row_start,
+            targets: rows.targets,
+            supergraph_bits: sg_bits,
+            max_file_bytes,
+            blob_word,
+            domain_start,
+            domain_members,
+        })
+    }
+
+    /// `meta.bin` of the 20 k-page seed-42 directory, built once a process.
+    fn meta_20k() -> &'static [u8] {
+        static META: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        META.get_or_init(|| {
+            let corpus = wg_corpus::Corpus::generate(wg_corpus::CorpusConfig::scaled(20_000, 42));
+            let urls: Vec<&str> = corpus.pages.iter().map(|p| p.url.as_str()).collect();
+            let domains: Vec<u32> = corpus.pages.iter().map(|p| p.domain).collect();
+            let input = crate::build::RepoInput {
+                urls: &urls,
+                domains: &domains,
+                graph: &corpus.graph,
+            };
+            let dir = temp_dir("meta_20k");
+            crate::build::build_snode(input, &crate::build::SNodeConfig::default(), &dir).unwrap();
+            let meta = std::fs::read(dir.join("meta.bin")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            meta
+        })
+    }
+
+    /// Where the supergraph section (its two length words first) begins
+    /// and the size section (its three words first) ends in `meta`.
+    fn sections(meta: &[u8]) -> std::ops::Range<usize> {
+        let mut c = Cursor::new(meta);
+        read_header(&mut c).unwrap();
+        c.u32().unwrap();
+        let n = c.u32().unwrap() as usize;
+        c.bytes(4 * (n + 1)).unwrap();
+        let start = c.pos;
+        c.u64().unwrap();
+        let sg_len = c.u64().unwrap() as usize;
+        c.bytes(sg_len).unwrap();
+        SizeTable::read(&mut c).unwrap();
+        start..c.pos
+    }
+
+    /// Both paths give what the model gives for `buf`, and the spawned
+    /// one spawns its helper exactly when the size section reads.
+    fn assert_as_model(buf: &[u8], what: &dyn Fn() -> String) {
+        let model = parse_model(buf);
+        for helper in [false, true] {
+            let before = HELPERS.with(|h| h.get());
+            let got = ResidentIndex::parse_with(buf, helper);
+            match (&model, &got) {
+                (Ok(want), Ok(got)) => assert!(want == got, "{}: helper {helper}", what()),
+                (Err(want), Err(got)) => assert_eq!(
+                    format!("{want:?}"),
+                    format!("{got:?}"),
+                    "{}: helper {helper}",
+                    what()
+                ),
+                _ => panic!("{}: helper {helper}: {got:?} against {model:?}", what()),
+            }
+            if !helper {
+                assert_eq!(HELPERS.with(|h| h.get()), before, "{}", what());
+            }
+        }
+    }
+
+    /// Every single-bit flip in the supergraph and size sections (their
+    /// length words included), every truncation, and byte soup in those
+    /// sections: the spawned and the inline decode are the model's. A
+    /// debug build takes every 127th flip and truncation; a release build
+    /// takes them all.
+    #[test]
+    fn both_decodes_are_the_serial_model_on_damaged_images() {
+        let meta = meta_20k();
+        let step = if cfg!(debug_assertions) { 127 } else { 1 };
+        let before = HELPERS.with(|h| h.get());
+        assert_as_model(meta, &|| "intact".into());
+        assert_eq!(
+            HELPERS.with(|h| h.get()),
+            before + 1,
+            "the spawned path spawns"
+        );
+
+        // In runs of 4 096 flips or truncations, spread over the machine.
+        let span = sections(meta);
+        let bits = span.start * 8..span.end * 8;
+        let threads = crate::par::resolve_threads(0);
+        crate::par::par_map(threads, bits.len().div_ceil(4096), |run| {
+            let mut buf = meta.to_vec();
+            let run = bits.start + run * 4096..(bits.start + (run + 1) * 4096).min(bits.end);
+            for bit in run.step_by(step) {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_as_model(&buf, &|| format!("bit {bit} flipped"));
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        });
+        crate::par::par_map(threads, meta.len().div_ceil(4096), |run| {
+            for len in (run * 4096..((run + 1) * 4096).min(meta.len())).step_by(step) {
+                assert_as_model(&meta[..len], &|| format!("truncated to {len} bytes"));
+            }
+        });
+
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..400 {
+            let mut buf = meta.to_vec();
+            // A run of random bytes somewhere in the two sections, or one
+            // of the sections' payloads replaced whole.
+            let (at, len) = match round % 4 {
+                0 | 1 => {
+                    let at = span.start + (next() as usize) % span.len();
+                    (at, (1 + next() as usize % 64).min(span.end - at))
+                }
+                2 => (span.start + 16, sections_sg_len(meta)),
+                _ => {
+                    let len = sections_size_len(meta);
+                    (span.end - len, len)
+                }
+            };
+            buf[at..at + len].iter_mut().for_each(|b| *b = next() as u8);
+            assert_as_model(&buf, &|| format!("soup round {round}: {len} bytes at {at}"));
+        }
+        for round in 0..100 {
+            let len = next() as usize % 256;
+            let soup: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_as_model(&soup, &|| format!("pure soup round {round}"));
+        }
+    }
+
+    fn sections_sg_len(meta: &[u8]) -> usize {
+        let at = sections(meta).start + 8;
+        u64::from_le_bytes(meta[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    fn sections_size_len(meta: &[u8]) -> usize {
+        let at = sections(meta).start + 16 + sections_sg_len(meta) + 16;
+        u64::from_le_bytes(meta[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// With `WGR_THREADS=1` an open spawns no helper and holds what the
+    /// model decodes (in a child process, so that the variable is set for
+    /// it alone).
+    #[test]
+    fn one_thread_parses_without_a_helper() {
+        const CHILD: &str = "WG_DISK_ONE_THREAD_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            let meta = meta_20k();
+            let index = ResidentIndex::parse(meta).unwrap();
+            assert_eq!(HELPERS.with(|h| h.get()), 0);
+            assert!(index == parse_model(meta).unwrap());
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["disk::tests::one_thread_parses_without_a_helper", "--exact"])
+            .env(CHILD, "1")
+            .env("WGR_THREADS", "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("1 passed"), "{stdout}");
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -20,9 +20,13 @@ use std::sync::atomic::Ordering;
 /// Resolves an effective worker count from a configured value.
 ///
 /// `0` means "auto": the `WGR_THREADS` environment variable if set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`].
+/// positive integer, otherwise [`std::thread::available_parallelism`],
+/// taken once a process (it reads the cgroup's CPU quota from files, about
+/// 25 µs, and every directory open asks).
 /// Any explicit positive value wins over both.
+#[allow(clippy::disallowed_types)] // The machine's parallelism, found once.
 pub fn resolve_threads(configured: u32) -> u32 {
+    static MACHINE: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
     if configured > 0 {
         return configured;
     }
@@ -33,7 +37,7 @@ pub fn resolve_threads(configured: u32) -> u32 {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u32))
 }
 
 /// Maps `f` over `0..n` with up to `threads` workers, returning results in

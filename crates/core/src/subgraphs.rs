@@ -270,6 +270,22 @@ impl<'a> Pricer<'a> {
                 0
             }
             Layout::Lists => stream_bits_floor((0..lists.len() as u32).map(|i| self.plain_cost(i))),
+            // With fewer than two lists every list is distinct.
+            Layout::ListDictionary if lists.len() < 2 => return None,
+            Layout::ListDictionary if lists.iter().all(|l| l.len() == 1) => {
+                // The distinct lists are the distinct targets, in whatever
+                // order, and no index is shorter than the shortest
+                // codeword: a floor with no dictionary built.
+                let mut targets: Vec<u32> = lists.iter().map(|l| l[0]).collect();
+                targets.sort_unstable();
+                targets.dedup();
+                if targets.len() == lists.len() {
+                    return None;
+                }
+                let shortest_index = codes::minimal_binary_len(0, targets.len() as u64);
+                stream_bits_floor(targets.iter().map(|&t| plain_cost(&[t], self.links.nj)))
+                    + lists.len() as u64 * shortest_index
+            }
             Layout::ListDictionary => {
                 let Distinct { first, index } = self.distinct();
                 // With every list distinct the dictionary is the list

@@ -305,6 +305,7 @@ fn cmd_build(args: &[String]) -> i32 {
         read_build_input(&corpus_dir),
         format!("cannot read corpus {}", corpus_dir.display()),
     );
+    let urls = input.urls();
     let read_ns = obs::record_span("core.build.read", "build", &t_read);
     println!(
         "read {} pages, {} links in {:?}",
@@ -318,7 +319,7 @@ fn cmd_build(args: &[String]) -> i32 {
     };
     let t0 = obs::Stopwatch::start();
     let (stats, _renum) = or_exit(
-        build_from(&input, &config, &out),
+        build_from(&input, &urls, &config, &out),
         format!("cannot build {}", out.display()),
     );
     rss.refresh();
@@ -340,16 +341,17 @@ fn cmd_build(args: &[String]) -> i32 {
     flags.write_trace()
 }
 
-/// Builds the representation of `input` under `out`: where the flat
-/// arrays a corpus is read into become the slices the builder borrows.
+/// Builds the representation of `input`, whose URLs `urls` has split,
+/// under `out`: where the flat arrays a corpus is read into become the
+/// slices the builder borrows.
 fn build_from(
     input: &BuildInput,
+    urls: &[&str],
     config: &SNodeConfig,
     out: &std::path::Path,
 ) -> webgraph_repr::snode::Result<(BuildStats, Renumbering)> {
-    let urls = input.urls();
     let repo = RepoInput {
-        urls: &urls,
+        urls,
         domains: &input.domains,
         graph: &input.graph,
     };
@@ -761,7 +763,7 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
         .map_err(|e| format!("cannot read corpus at {}: {e}", corpus_dir.display()))?;
     let tmp = std::env::temp_dir().join(format!("wgr_repair_{}", std::process::id()));
     std::fs::remove_dir_all(&tmp).ok();
-    let built = build_from(&input, &config, &tmp)
+    let built = build_from(&input, &input.urls(), &config, &tmp)
         .map(|_| ())
         .map_err(|e| format!("re-encode failed: {e}"));
     let rebuilt = built.and_then(|()| {
