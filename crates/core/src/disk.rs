@@ -505,15 +505,17 @@ struct Sizes {
 
 impl Sizes {
     /// The words of the first `blobs` graphs, or the error a decode of
-    /// `blobs` entries meets.
+    /// `blobs` entries meets. They are copied out at their size: trimming
+    /// the reservation in place instead hands its tail back to the
+    /// allocator, and the next open's reservation takes fresh pages (so
+    /// trimmed, an open with the helper was 0.4 ms slower than one
+    /// without at 100 k and 300 k pages, the two alternated in one
+    /// process).
     fn first(self, blobs: usize) -> Result<Vec<u64>> {
-        let mut words = self.words;
-        if words.len() < blobs {
-            return Err(self.stop);
+        match self.words.get(..blobs) {
+            Some(kept) => Ok(kept.to_vec()),
+            None => Err(self.stop),
         }
-        words.truncate(blobs);
-        words.shrink_to_fit();
-        Ok(words)
     }
 }
 
