@@ -242,8 +242,8 @@ impl ResidentIndex {
 
     /// [`ResidentIndex::parse`], decoding the size table on a helper
     /// thread or not as `helper` says. The helper reads no file and
-    /// allocates nothing the index keeps: its entries go into a vector this
-    /// thread reserved.
+    /// allocates nothing: its entries go into a vector this thread
+    /// reserved, and this thread copies out the ones the index keeps.
     fn parse_with(buf: &[u8], helper: bool) -> Result<Self> {
         let mut c = Cursor::new(buf);
         read_header(&mut c)?;
