@@ -2,7 +2,7 @@
 //!
 //! The physical pass runs first. It reads `sums.bin`, then every file the
 //! manifest lists, whole, and holds each to its record: `meta.bin` by its
-//! four sections, an index file by the CRC of each graph blob in it.
+//! five sections, an index file by the CRC of each graph blob in it.
 //! Damage is reported once, at the finest unit that caught it — SN104 for
 //! a blob, SN102 for a `meta.bin` section, and SN103 or SN105 for a whole
 //! file only when no finer record in it failed (`pagemap.bin`, bytes past
@@ -260,6 +260,7 @@ fn verify_meta(
             Location::Meta,
             Location::Supergraph,
             Location::SizeTable,
+            Location::Checkpoints,
             Location::DomainIndex,
         ];
         let before = diags.len();

@@ -193,6 +193,9 @@ pub enum Location {
     Supergraph,
     /// The per-supernode size table inside `meta.bin`.
     SizeTable,
+    /// The checkpoints into the supernode graph and the size table inside
+    /// `meta.bin`.
+    Checkpoints,
     /// The page renumbering file (`pagemap.bin`).
     Pagemap,
     /// The integrity manifest (`sums.bin`).
@@ -212,6 +215,7 @@ impl std::fmt::Display for Location {
             Location::DomainIndex => write!(f, "domain-index"),
             Location::Supergraph => write!(f, "supergraph"),
             Location::SizeTable => write!(f, "size-table"),
+            Location::Checkpoints => write!(f, "checkpoints"),
             Location::Pagemap => write!(f, "pagemap.bin"),
             Location::Manifest => write!(f, "sums.bin"),
             Location::IndexFile(no) => write!(f, "index_{no:03}.bin"),

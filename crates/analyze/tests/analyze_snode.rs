@@ -158,12 +158,14 @@ fn domain_table_size_and_trailing_bit_defects_are_reported() {
     };
     meta.write(&dir).unwrap();
     // The supergraph section is the stream's bit and byte lengths, then
-    // the stream: splice in one under the other table.
+    // the stream: splice in one under the other table, and point the
+    // checkpoints at its rows.
     let mut sg = BitWriter::new();
     wg_bitio::codes::write_gamma(&mut sg, 2);
     HuffmanCode::from_lengths(vec![1, 1])
         .unwrap()
         .write_lengths(&mut sg);
+    let rows_at = sg.bit_len() as u32;
     wg_bitio::codes::write_gamma(&mut sg, 0);
     wg_bitio::codes::write_gamma(&mut sg, 0);
     let (stream, bits) = sg.finish();
@@ -175,6 +177,13 @@ fn domain_table_size_and_trailing_bit_defects_are_reported() {
     bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&stream);
     bytes.extend_from_slice(&old[(start + len) as usize..]);
+    // The checkpoints point into the new stream: its one group's rows
+    // start after the table and end where the stream does.
+    let [.., (checkpoints, _), _] = meta_section_bounds(&bytes).unwrap();
+    for (k, bit) in [(0, rows_at), (1, bits as u32)] {
+        let at = checkpoints as usize + 20 * k;
+        bytes[at..at + 4].copy_from_slice(&bit.to_le_bytes());
+    }
     std::fs::write(&path, bytes).unwrap();
     let blobs = IntegrityManifest::blob_crcs(&dir).unwrap();
     IntegrityManifest::compute(&dir, blobs)

@@ -172,15 +172,16 @@ impl BitLedger {
             index_bytes.saturating_sub(referenced_bytes) * 8,
         ));
 
-        // `meta.bin`, by the four sections its checksums tile it into; the
+        // `meta.bin`, by the five sections its checksums tile it into; the
         // first holds the fixed header words and the PageID index.
-        let [header, supergraph, sizes, domains] = meta_section_bounds(&meta_buf)?;
+        let [header, supergraph, sizes, checkpoints, domains] = meta_section_bounds(&meta_buf)?;
         let page_ranges = (u64::from(meta.num_supernodes()) + 1) * 4;
         for (part, bytes) in [
             ("header", header.1 - page_ranges),
             ("page ranges", page_ranges),
             ("supernode graph (Huffman)", supergraph.1),
             ("graph size table", sizes.1),
+            ("checkpoints", checkpoints.1),
             ("domain index", domains.1),
         ] {
             rows.push(file_row("meta.bin", part, bytes * 8));

@@ -156,6 +156,24 @@ impl Fanout {
         })
     }
 
+    /// A floor on what [`CachedGraph::from`] charges the fanout
+    /// [`Fanout::build`] makes of a supernode of `ni` pages whole, from its
+    /// `degree` out-superedge graphs: each of them is consulted by every
+    /// page or lists a source at least (a graph that lists none is
+    /// `Corrupt` to the scan that reads them), so each puts an entry in
+    /// the slots, at the width `degree` asks; and when `all_read` (a
+    /// strict open, where a graph that cannot be read fails the build
+    /// instead), some graph lists a source, so every row start takes a
+    /// byte at least.
+    pub(crate) fn least_charge(ni: u32, degree: usize, all_read: bool) -> usize {
+        let slots = Width::below(degree as u64).bytes() * degree;
+        let starts = match all_read && degree > 0 {
+            true => ni as usize + 1,
+            false => 0,
+        };
+        LEAST_CHARGE + starts + slots
+    }
+
     /// The row starts, and every slot: `always`, then the rows.
     fn sections(&self) -> (Section<&[u8]>, Section<&[u8]>) {
         let n = self.ni + 1;
@@ -1886,13 +1904,60 @@ mod tests {
     /// Every kind of entry is charged its header and its arena — each
     /// section at its width, from a multiple of it, and nothing past the
     /// last — and not the blob it borrows from the resident image.
+    /// [`Fanout::least_charge`] is never above what a fanout is charged:
+    /// over random supernodes, with every graph read and with some read by
+    /// every page, each graph listing a source at least.
+    #[test]
+    fn a_fanout_is_charged_its_least_charge_at_least() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below.max(1)
+        };
+        for round in 0..400 {
+            let ni = 1 + next(3000) as u32;
+            let degree = match round % 4 {
+                0 => next(4),
+                1 => next(300),
+                _ => next(40),
+            } as usize;
+            let unread = round % 3 == 0;
+            let graphs: Vec<Option<Vec<u32>>> = (0..degree)
+                .map(|_| match unread && next(3) == 0 {
+                    true => None,
+                    false => {
+                        let mut sources: Vec<u32> = (0..1 + next(12))
+                            .map(|_| next(u64::from(ni)) as u32)
+                            .collect();
+                        sources.sort_unstable();
+                        sources.dedup();
+                        Some(sources)
+                    }
+                })
+                .collect();
+            let targets: Vec<Option<u32>> = (0..degree)
+                .map(|_| next(2).checked_sub(1).map(|_| 0))
+                .collect();
+            let fanout = Fanout::build(ni, graphs.iter().map(Option::as_deref), &targets).unwrap();
+            let charge = CachedGraph::from(fanout).bytes();
+            let all_read = graphs.iter().all(Option::is_some);
+            let floor = Fanout::least_charge(ni, degree, all_read);
+            assert!(floor <= charge, "round {round}: {floor} above {charge}");
+            assert!(Fanout::least_charge(ni, degree, false) <= floor);
+        }
+    }
+
     #[test]
     fn every_entry_is_charged_its_header_and_arena() {
         // The header every entry is charged: a field that comes or goes in
         // a graph's directory must not move it, and with it every eviction.
+        // (80 bytes while a blob held a fat `Arc<[u8]>`; 72 since it holds
+        // its file's read buffer behind a thin one.)
         let header = std::mem::size_of::<CachedGraph>();
         assert_eq!(std::mem::size_of::<SuperedgeIndex>(), 32);
-        assert_eq!(header, 80);
+        assert_eq!(header, 72);
         let offsets = crate::refenc::offset_width;
         let codec = crate::codec::ListCodec;
 

@@ -1,6 +1,6 @@
 //! What is left of a per-directory codec choice: nothing to choose.
 //!
-//! Every directory is `meta.bin` version 3 with the `g+st` codec word
+//! Every directory is `meta.bin` version 4 with the `g+st` codec word
 //! ([`crate::disk`]): γ-coded gaps and RLE copy-masks for every list
 //! (§3.3), and every positive superedge graph in the cheapest of three
 //! layouts ([`crate::subgraphs::Layout`]). These two types carry nothing.

@@ -26,15 +26,35 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const META_MAGIC: u32 = 0x534E_4F44; // "SNOD"
-/// The one format: version 3, whose header carries a codec word after the
+/// The one format: version 4, whose header carries a codec word after the
 /// version, and in it the one word this version writes and reads, `g+st`:
 /// in each list class's byte, `0x01` (the γ gap code) and bits 6 and 7 (the
 /// two dictionary layouts a positive superedge graph may take beside its
-/// list stream). Versions 1 and 2, and a version-3 word without the
-/// dictionaries (`0x0101`, the paper's plain format), are refused.
-const META_VERSION: u32 = 3;
+/// list stream). Version 4 is version 3 with a checkpoint every [`GROUP`]
+/// supernodes and the domain index as γ-coded gaps. Versions 1 to 3, and
+/// a codec word without the dictionaries (`0x0101`, the paper's plain
+/// format), are refused.
+const META_VERSION: u32 = 4;
 const CODEC_WORD: u32 = 0xC1C1;
 const PAGEMAP_MAGIC: u32 = 0x534E_504D; // "SNPM"
+
+/// Supernodes one checkpoint of `meta.bin` leads: an open decodes their
+/// rows of the supernode graph and their entries of the size table
+/// together, the first time one of them is asked for.
+const GROUP: usize = 64;
+
+/// One checkpoint on disk: the bit offsets into the row stream and the
+/// size table and the superedges before the group (a `u32` each), and the
+/// index file and byte offset the graph before it ends at (one `u64`, the
+/// file above `PLACE_SHIFT`) — 160 bits.
+const CHECKPOINT_BYTES: u64 = 20;
+const PLACE_SHIFT: u32 = 40;
+
+/// Bytes of `meta.bin`'s checkpoint section for `n` supernodes: one
+/// checkpoint per group and one past the last.
+pub(crate) fn checkpoint_section_len(n: u64) -> u64 {
+    (n.div_ceil(GROUP as u64) + 1) * CHECKPOINT_BYTES
+}
 
 /// Reads the magic, the version and the codec word; shared by every reader
 /// of `meta.bin` so all accept the one format.
@@ -44,11 +64,20 @@ fn read_header(c: &mut Cursor<'_>) -> Result<()> {
     }
     if c.u32()? != META_VERSION || c.u32()? != CODEC_WORD {
         return Err(SNodeError::Corrupt(
-            "meta.bin is of an older or retired format than version 3 `g+st`: \
+            "meta.bin is of an older or retired format than version 4 `g+st`: \
              rebuild the directory",
         ));
     }
     Ok(())
+}
+
+/// The format version of a `meta.bin` image an earlier version of this
+/// format wrote (its magic, and a version word below this one's): what a
+/// repair names when it replaces one.
+pub fn earlier_meta_version(buf: &[u8]) -> Option<u32> {
+    let word = |at: usize| Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?));
+    let version = word(4)?;
+    (word(0)? == META_MAGIC && version < META_VERSION).then_some(version)
 }
 
 /// Location of one encoded graph inside the index files.
@@ -91,7 +120,7 @@ pub struct SNodeMeta {
     /// are not stored explicitly: the linear ordering plus the per-graph
     /// sizes fully determine file numbers and offsets, so `meta.bin` only
     /// stores γ-coded graph sizes (the in-memory locator tables are
-    /// reconstructed by replaying the writer's rotation rule at open).
+    /// reconstructed by replaying the writer's rotation rule).
     pub max_file_bytes: u64,
 }
 
@@ -119,7 +148,9 @@ impl SNodeMeta {
         r.end - r.start
     }
 
-    /// Serialises to `dir/meta.bin`, returning the bytes written.
+    /// Serialises to `dir/meta.bin`, returning the bytes written: the
+    /// header and the PageID index, the supernode graph, the size table,
+    /// the checkpoints and the domain index.
     pub fn write(&self, dir: &Path) -> Result<u64> {
         let mut out = Vec::new();
         put_u32(&mut out, META_MAGIC);
@@ -132,7 +163,7 @@ impl SNodeMeta {
         for &s in &self.range_start {
             put_u32(&mut out, s);
         }
-        let (sg_bytes, sg_bits) = self.supergraph.encode();
+        let (sg_bytes, sg_bits, row_marks) = self.supergraph.encode_marked(GROUP);
         put_u64(&mut out, sg_bits);
         put_u64(&mut out, sg_bytes.len() as u64);
         out.extend_from_slice(&sg_bytes);
@@ -142,24 +173,65 @@ impl SNodeMeta {
         assert_eq!(self.intranode_loc.len(), n as usize);
         assert_eq!(self.superedge_loc.len(), n as usize);
         let mut sizes = wg_bitio::BitWriter::new();
+        let mut marks = Vec::with_capacity(row_marks.len());
+        // The file and the offset the last graph written ends at.
+        let (mut superedges, mut place) = (0u64, (0u32, 0u64));
         for s in 0..n as usize {
-            assert_eq!(self.superedge_loc[s].len(), self.supergraph.adj[s].len());
-            put_size(&mut sizes, &self.intranode_loc[s]);
-            for loc in &self.superedge_loc[s] {
-                put_size(&mut sizes, loc);
+            if s % GROUP == 0 {
+                marks.push((sizes.bit_len(), superedges, place));
             }
+            assert_eq!(self.superedge_loc[s].len(), self.supergraph.adj[s].len());
+            for loc in std::iter::once(&self.intranode_loc[s]).chain(&self.superedge_loc[s]) {
+                put_size(&mut sizes, loc);
+                place = (loc.file, loc.offset + loc.byte_len);
+            }
+            superedges += self.superedge_loc[s].len() as u64;
         }
+        marks.push((sizes.bit_len(), superedges, place));
         let (size_bytes, size_bits) = sizes.finish();
         put_u64(&mut out, size_bits);
         put_u64(&mut out, size_bytes.len() as u64);
         out.extend_from_slice(&size_bytes);
-        put_u32(&mut out, self.domain_supernodes.len() as u32);
+        for (&row_bit, &(size_bit, superedges, (file, used))) in row_marks.iter().zip(&marks) {
+            let word = |v: u64| {
+                u32::try_from(v).map_err(|_| {
+                    SNodeError::Corrupt("meta.bin outgrows the 32-bit words of its checkpoints")
+                })
+            };
+            put_u32(&mut out, word(row_bit)?);
+            put_u32(&mut out, word(size_bit)?);
+            put_u32(&mut out, word(superedges)?);
+            if file >= 1 << FILE_BITS || used >= 1 << PLACE_SHIFT {
+                return Err(SNodeError::Corrupt(
+                    "index files outgrow what a checkpoint places",
+                ));
+            }
+            put_u64(&mut out, u64::from(file) << PLACE_SHIFT | used);
+        }
+        // Each list as γ(length), then each member as the γ-coded zigzag of
+        // its distance from the supernode after the member before it — for
+        // a list's first member, after the previous list's first. A build
+        // numbers each domain's first supernode in domain order, so a
+        // first member takes one bit.
+        let mut domains = wg_bitio::BitWriter::new();
+        let mut first = 0i64;
         for list in &self.domain_supernodes {
-            put_u32(&mut out, list.len() as u32);
-            for &s in list {
-                put_u32(&mut out, s);
+            wg_bitio::codes::write_gamma(&mut domains, list.len() as u64);
+            let mut next = first;
+            for (k, &s) in list.iter().enumerate() {
+                let gap = i64::from(s) - next;
+                wg_bitio::codes::write_gamma(&mut domains, ((gap << 1) ^ (gap >> 63)) as u64);
+                next = i64::from(s) + 1;
+                if k == 0 {
+                    first = next;
+                }
             }
         }
+        let (domain_bytes, domain_bits) = domains.finish();
+        put_u32(&mut out, self.domain_supernodes.len() as u32);
+        put_u64(&mut out, domain_bits);
+        put_u64(&mut out, domain_bytes.len() as u64);
+        out.extend_from_slice(&domain_bytes);
         let path = dir.join("meta.bin");
         let mut f = File::create(path)?;
         f.write_all(&out)?;
@@ -175,19 +247,21 @@ impl SNodeMeta {
 
     /// Deserialises from an in-memory `meta.bin` image (callers that
     /// checksum the raw bytes parse the same buffer they verified): the
-    /// [`ResidentIndex`] decode, expanded into per-supernode vectors.
+    /// [`ResidentIndex`] open with every group decoded, expanded into
+    /// per-supernode vectors.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        let index = ResidentIndex::parse(buf)?;
+        let index = ResidentIndex::parse(buf.to_vec())?;
         let n = index.num_supernodes();
-        let intranode_loc = (0..n).map(|s| index.locator(index.intra_blob(s))).collect();
-        let superedge_loc = (0..n)
-            .map(|s| {
-                let first = index.intra_blob(s) + 1;
-                let k = index.targets(s).len() as u64;
-                (first..first + k).map(|b| index.locator(b)).collect()
-            })
-            .collect();
-        let adj = (0..n).map(|s| index.targets(s).to_vec()).collect();
+        let mut adj = Vec::with_capacity(n as usize);
+        let mut intranode_loc = Vec::with_capacity(n as usize);
+        let mut superedge_loc = Vec::with_capacity(n as usize);
+        for s in 0..n {
+            let row = index.row(s)?;
+            adj.push(row.targets().to_vec());
+            intranode_loc.push(row.locator(0)?);
+            let supers = (1..=row.targets().len()).map(|k| row.locator(k));
+            superedge_loc.push(supers.collect::<Result<_>>()?);
+        }
         let domain_supernodes = (0..index.num_domains())
             .map(|d| index.supernodes_of_domain(d).to_vec())
             .collect();
@@ -205,26 +279,75 @@ impl SNodeMeta {
     }
 }
 
-/// `meta.bin` as an open handle holds it, in flat arrays: the PageID index,
-/// the supernode graph's rows end to end, one packed word per graph for its
-/// locator, and the domain index's lists end to end. [`SNodeMeta::parse`]
-/// is this decode expanded, so both views share every check.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where a group of [`GROUP`] supernodes starts in `meta.bin`'s sections:
+/// the bit its first row starts at in the supernode graph's stream and
+/// its first entry in the size table, the superedges (and so the graphs)
+/// before it, and the index file and byte offset the graph before it
+/// ends at — where the rotation rule stands when it places the group's
+/// first graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Checkpoint {
+    row_bit: u64,
+    size_bit: u64,
+    superedges: u32,
+    file: u32,
+    used: u64,
+}
+
+impl Checkpoint {
+    fn read(c: &mut Cursor<'_>) -> Result<Self> {
+        let (row_bit, size_bit, superedges) = (c.u32()?, c.u32()?, c.u32()?);
+        let place = c.u64()?;
+        Ok(Self {
+            row_bit: row_bit.into(),
+            size_bit: size_bit.into(),
+            superedges,
+            file: (place >> PLACE_SHIFT) as u32,
+            used: place & ((1 << PLACE_SHIFT) - 1),
+        })
+    }
+}
+
+/// What a group's first touch decodes: its supernodes' rows of the
+/// supernode graph and a locator word per graph.
+#[derive(Debug, PartialEq, Eq)]
+struct Group {
+    /// The superedges before each supernode of the group, and before the
+    /// next group: supernode `first + i`'s row is `targets[row_start[i] -
+    /// row_start[0] .. row_start[i + 1] - row_start[0]]`.
+    row_start: Box<[u32]>,
+    targets: Box<[u32]>,
+    /// Per graph in linear order (each supernode's intranode graph, then
+    /// its superedge graphs in row order), one word: its bit padding,
+    /// whether it opens its index file, the file's number, and the byte
+    /// offset the graph ends at in it (see [`Row::locator`]).
+    words: Box<[u64]>,
+}
+
+/// `meta.bin` as an open handle holds it: the PageID index and the domain
+/// index decoded, the checkpoints read and checked, and the supernode
+/// graph's rows and the size table left in the image until a group of
+/// them is first asked for ([`ResidentIndex::row`]). Every group is
+/// decoded by the one decoder, [`decode_group`]; [`SNodeMeta::parse`] is
+/// this index with every group decoded, expanded.
+#[derive(Debug)]
+#[allow(clippy::disallowed_types)] // A group is decoded once, on first touch, by any reader.
 pub struct ResidentIndex {
     num_pages: u32,
     /// Supernode `s` owns page ids `range_start[s] .. range_start[s + 1]`.
     range_start: Vec<u32>,
-    /// The supernode graph: row `s` is `targets[row_start[s]..row_start[s + 1]]`.
-    row_start: Vec<u32>,
-    targets: Vec<u32>,
     supergraph_bits: u64,
     max_file_bytes: u64,
-    /// Per graph in linear order (supernode `s`'s intranode graph is
-    /// graph `s + row_start[s]`, its superedge graphs follow it in row
-    /// order), one word: its bit padding, whether it opens its index file,
-    /// the file's number, and the byte offset the graph ends at in it (see
-    /// [`ResidentIndex::locator`]).
-    blob_word: Vec<u64>,
+    /// `meta.bin` whole, as read.
+    image: Vec<u8>,
+    /// The supernode graph's stream and the size table, in `image`.
+    rows: std::ops::Range<usize>,
+    sizes: std::ops::Range<usize>,
+    /// One per group, and one past the last group.
+    checkpoints: Vec<Checkpoint>,
+    /// The supernode graph's code, read at the first group's decode.
+    code: std::sync::OnceLock<Result<wg_bitio::HuffmanDecoder>>,
+    groups: Box<[std::sync::OnceLock<Result<Group>>]>,
     /// Domain `d` is held by supernodes
     /// `domain_members[domain_start[d]..domain_start[d + 1]]`.
     domain_start: Vec<u32>,
@@ -232,20 +355,14 @@ pub struct ResidentIndex {
 }
 
 impl ResidentIndex {
-    /// Decodes an in-memory `meta.bin` image. With more than one thread
-    /// allowed ([`crate::par::resolve_threads`]), the graph-size table is
-    /// decoded on a helper thread while this one decodes the supernode
-    /// graph; the result, error included, is the serial decode's.
-    pub fn parse(buf: &[u8]) -> Result<Self> {
-        Self::parse_with(buf, crate::par::resolve_threads(0) > 1)
-    }
-
-    /// [`ResidentIndex::parse`], decoding the size table on a helper
-    /// thread or not as `helper` says. The helper reads no file and
-    /// allocates nothing: its entries go into a vector this thread
-    /// reserved, and this thread copies out the ones the index keeps.
-    fn parse_with(buf: &[u8], helper: bool) -> Result<Self> {
-        let mut c = Cursor::new(buf);
+    /// Opens an in-memory `meta.bin` image: reads the header, the page
+    /// ranges, the checkpoints and the domain index, and checks that the
+    /// checkpoints step forward through their sections, leave each group
+    /// room for what it must hold, and end where the header's totals do.
+    /// No row and no size is decoded.
+    #[allow(clippy::disallowed_types)] // Starts the groups' cells, empty.
+    pub fn parse(image: Vec<u8>) -> Result<Self> {
+        let mut c = Cursor::new(&image);
         read_header(&mut c)?;
         let num_pages = c.u32()?;
         let n = c.u32()? as usize;
@@ -257,63 +374,35 @@ impl ResidentIndex {
             return Err(SNodeError::Corrupt("page ranges not monotone"));
         }
         let sg_bits = c.u64()?;
-        let sg_len = c.u64()? as usize;
-        let sg_bytes = c.bytes(sg_len)?;
-        if sg_bits > sg_bytes.len() as u64 * 8 {
+        let rows = c.section()?;
+        if sg_bits > rows.len() as u64 * 8 {
             return Err(SNodeError::Corrupt("supergraph bit length exceeds payload"));
         }
-        // The size table is read before the rows are decoded; an error in
-        // it is held back to where a decode in file order meets it.
-        let table = SizeTable::read(&mut c);
-        let (rows, sizes) = match &table {
-            Ok(table) if helper => std::thread::scope(|scope| {
-                let reserved = table.reserve();
-                // A helper that cannot be had leaves the decode to this thread.
-                let sizes = std::thread::Builder::new()
-                    .spawn_scoped(scope, move || table.decode(reserved))
-                    .ok();
-                #[cfg(test)]
-                tests::HELPERS.with(|h| h.set(h.get() + u32::from(sizes.is_some())));
-                let rows = crate::supergraph::decode_rows(sg_bytes, sg_bits);
-                let sizes =
-                    sizes.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-                (rows, sizes)
-            }),
-            _ => (crate::supergraph::decode_rows(sg_bytes, sg_bits), None),
-        };
-        let rows = rows?;
-        if rows.row_start.len() != n + 1 {
-            return Err(SNodeError::Corrupt("supergraph size mismatch"));
+        let max_file_bytes = c.u64()?;
+        let size_bits = c.u64()?;
+        let sizes = c.section()?;
+        if size_bits > sizes.len() as u64 * 8 {
+            return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
         }
-        let table = table?;
-        let sizes = sizes.unwrap_or_else(|| table.decode(table.reserve()));
-        let blob_word = sizes.first(n + rows.targets.len())?;
-        let nd = c.u32()? as usize;
-        let mut domain_start = Vec::with_capacity(nd.min(1 << 20) + 1);
-        domain_start.push(0);
-        let mut domain_members = Vec::new();
-        for _ in 0..nd {
-            let k = c.u32()? as usize;
-            for s in c.u32s(k)? {
-                if s as usize >= n {
-                    return Err(SNodeError::Corrupt(
-                        "domain index names a supernode beyond the graph",
-                    ));
-                }
-                domain_members.push(s);
-            }
-            domain_start.push(domain_members.len() as u32);
-        }
+        let groups = n.div_ceil(GROUP);
+        let checkpoints = (0..=groups)
+            .map(|_| Checkpoint::read(&mut c))
+            .collect::<Result<Vec<_>>>()?;
+        check_checkpoints(&checkpoints, n, sg_bits, size_bits)?;
+        let (domain_start, domain_members) = read_domains(&mut c, n)?;
         Ok(Self {
             num_pages,
             range_start,
-            row_start: rows.row_start,
-            targets: rows.targets,
             supergraph_bits: sg_bits,
-            max_file_bytes: table.max_file_bytes,
-            blob_word,
+            max_file_bytes,
+            rows,
+            sizes,
+            checkpoints,
+            code: std::sync::OnceLock::new(),
+            groups: (0..groups).map(|_| std::sync::OnceLock::new()).collect(),
             domain_start,
             domain_members,
+            image,
         })
     }
 
@@ -327,9 +416,11 @@ impl ResidentIndex {
         (self.range_start.len() - 1) as u32
     }
 
-    /// Number of superedges.
+    /// Number of superedges (the last checkpoint's count).
     pub fn num_superedges(&self) -> u64 {
-        self.targets.len() as u64
+        self.checkpoints
+            .last()
+            .map_or(0, |c| u64::from(c.superedges))
     }
 
     /// Encoded size of the supernode graph in bits.
@@ -358,22 +449,18 @@ impl ResidentIndex {
         (self.range_start.partition_point(|&s| s <= p) - 1) as u32
     }
 
-    /// Page-id range of supernode `s`.
+    /// Page-id range of supernode `s` (empty for one beyond the index).
     pub fn page_range(&self, s: u32) -> std::ops::Range<u32> {
-        self.range_start[s as usize]..self.range_start[s as usize + 1]
+        let s = s as usize;
+        match (self.range_start.get(s), self.range_start.get(s + 1)) {
+            (Some(&a), Some(&b)) => a..b,
+            _ => 0..0,
+        }
     }
 
     /// Number of pages in supernode `s`.
     pub fn supernode_size(&self, s: u32) -> u32 {
-        let r = self.page_range(s);
-        r.end - r.start
-    }
-
-    /// Superedge targets of supernode `s`, ascending: its row of the
-    /// supernode graph.
-    pub fn targets(&self, s: u32) -> &[u32] {
-        let s = s as usize;
-        &self.targets[self.row_start[s] as usize..self.row_start[s + 1] as usize]
+        self.page_range(s).len() as u32
     }
 
     /// Number of domains in the domain index.
@@ -393,31 +480,308 @@ impl ResidentIndex {
 
     /// Number of graphs (intranode and superedge) in the index files.
     pub fn num_blobs(&self) -> u64 {
-        self.blob_word.len() as u64
+        u64::from(self.num_supernodes()) + self.num_superedges()
+    }
+
+    /// Groups of supernodes decoded so far (an open decodes none).
+    pub fn groups_decoded(&self) -> usize {
+        self.groups.iter().filter(|g| g.get().is_some()).count()
+    }
+
+    /// Supernode `s`'s row of the supernode graph and the locators of its
+    /// graphs, its group decoded first if no one has asked for one of
+    /// its supernodes yet. `Corrupt` for a supernode beyond the index, or
+    /// in a group that does not decode.
+    pub fn row(&self, s: u32) -> Result<Row<'_>> {
+        let (g, local) = (s as usize / GROUP, s as usize % GROUP);
+        let cell = (self.groups.get(g))
+            .ok_or(SNodeError::Corrupt("supernode beyond the resident index"))?;
+        let group = match cell.get_or_init(|| self.decode_group(g)) {
+            Ok(group) => group,
+            Err(e) => return Err(again(e)),
+        };
+        let beyond = || SNodeError::Corrupt("supernode beyond its group");
+        let base = group.row_start.first().ok_or_else(beyond)?;
+        let (a, b) = match (group.row_start.get(local), group.row_start.get(local + 1)) {
+            (Some(&a), Some(&b)) => ((a - base) as usize, (b - base) as usize),
+            _ => return Err(beyond()),
+        };
+        // The graphs before `s` in the group: an intranode graph a
+        // supernode, and the superedge graphs before its row.
+        let first = local + a;
+        let before = match first.checked_sub(1) {
+            None => self.checkpoints[g].used,
+            Some(k) => group.words.get(k).ok_or_else(beyond)? >> END_SHIFT,
+        };
+        Ok(Row {
+            targets: group.targets.get(a..b).ok_or_else(beyond)?,
+            words: group
+                .words
+                .get(first..first + 1 + b - a)
+                .ok_or_else(beyond)?,
+            first_blob: u64::from(s) + u64::from(*base) + a as u64,
+            before,
+        })
+    }
+
+    /// Superedge targets of supernode `s`, ascending: its row of the
+    /// supernode graph.
+    pub fn targets(&self, s: u32) -> Result<&[u32]> {
+        Ok(self.row(s)?.targets)
     }
 
     /// Linear index of supernode `s`'s intranode graph; its superedge
     /// graph `k` (in row order) is the one `1 + k` after it.
-    pub fn intra_blob(&self, s: u32) -> u64 {
-        u64::from(s) + u64::from(self.row_start[s as usize])
+    pub fn intra_blob(&self, s: u32) -> Result<u64> {
+        Ok(self.row(s)?.first_blob)
     }
 
     /// Where graph `blob` (a linear index below [`ResidentIndex::num_blobs`])
-    /// lies in the index files: it starts where the graph before it ends,
-    /// unless it opens its file.
-    pub fn locator(&self, blob: u64) -> GraphLocator {
-        let word = self.blob_word[blob as usize];
-        let offset = match word & 1 << 3 != 0 {
-            true => 0,
-            false => self.blob_word[blob as usize - 1] >> END_SHIFT,
+    /// lies in the index files.
+    pub fn locator(&self, blob: u64) -> Result<GraphLocator> {
+        let beyond = || SNodeError::Corrupt("graph beyond the resident index");
+        // Group `g` begins at graph `GROUP · g + superedges before it`.
+        let first_of = |g: usize| (g * GROUP) as u64 + u64::from(self.checkpoints[g].superedges);
+        let g = (0..self.groups.len()).rev().find(|&g| first_of(g) <= blob);
+        let g = g.ok_or_else(beyond)?;
+        // The group's last supernode whose intranode graph is not past it.
+        let (mut lo, mut hi) = (g * GROUP, ((g + 1) * GROUP).min(self.range_start.len() - 1));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            match self.intra_blob(mid as u32)? <= blob {
+                true => lo = mid,
+                false => hi = mid,
+            }
+        }
+        let row = self.row(lo as u32)?;
+        let k = blob.checked_sub(row.first_blob).ok_or_else(beyond)?;
+        row.locator(usize::try_from(k).map_err(|_| beyond())?)
+    }
+
+    /// The supernode graph's code, read once.
+    fn code(&self) -> Result<&wg_bitio::HuffmanDecoder> {
+        match self.code.get_or_init(|| self.read_code()) {
+            Ok(code) => Ok(code),
+            Err(e) => Err(again(e)),
+        }
+    }
+
+    fn read_code(&self) -> Result<wg_bitio::HuffmanDecoder> {
+        let stream = &self.image[self.rows.clone()];
+        let mut r = wg_bitio::BitReader::with_bit_len(stream, self.supergraph_bits);
+        let code = crate::supergraph::read_code(&mut r)?;
+        if code.num_symbols() != self.range_start.len() - 1 {
+            return Err(SNodeError::Corrupt("supergraph size mismatch"));
+        }
+        if Some(r.position()) != self.checkpoints.first().map(|c| c.row_bit) {
+            return Err(SNodeError::Corrupt(
+                "the supernode graph's rows do not start at the first checkpoint",
+            ));
+        }
+        Ok(code.decoder())
+    }
+
+    /// Group `g`'s decode: the one decoder of the supernode graph's rows
+    /// and the size table a reader of this format runs.
+    fn decode_group(&self, g: usize) -> Result<Group> {
+        let code = self.code()?;
+        if wg_obs::metrics_enabled() {
+            wg_obs::global().counter("core.open.groups_decoded").inc();
+        }
+        let n = self.range_start.len() - 1;
+        let (at, next) = (self.checkpoints[g], self.checkpoints[g + 1]);
+        let members = (n - g * GROUP).min(GROUP);
+        // The open checked that the checkpoints step forward, and that each
+        // step has a bit at least for every target and four for every size:
+        // the reservations are bounded by the group's bits.
+        let edges = (next.superedges - at.superedges) as usize;
+        let stream = &self.image[self.rows.clone()];
+        let mut r = wg_bitio::BitReader::with_bit_len(stream, next.row_bit);
+        r.seek(at.row_bit)?;
+        let mut targets = Vec::with_capacity(edges);
+        let mut row_start = Vec::with_capacity(members + 1);
+        row_start.push(at.superedges);
+        let mut w = r.window();
+        crate::supergraph::read_rows(
+            &mut w,
+            code,
+            n,
+            members,
+            edges as u64,
+            &mut targets,
+            &mut row_start,
+        )?;
+        let rows_end = w.position();
+
+        let table = &self.image[self.sizes.clone()];
+        let mut r = wg_bitio::BitReader::with_bit_len(table, next.size_bit);
+        r.seek(at.size_bit)?;
+        let mut sizes = r.window();
+        let mut layout = LocatorLayout {
+            max_bytes: self.max_file_bytes.max(1),
+            file: at.file,
+            used: at.used,
+        };
+        let mut words = Vec::with_capacity(members + edges);
+        for k in 0..members + edges {
+            // The directory's first graph opens file 0.
+            words.push(layout.next(&mut sizes, g == 0 && k == 0)?);
+        }
+        if rows_end != next.row_bit
+            || targets.len() != edges
+            || sizes.position() != next.size_bit
+            || (layout.file, layout.used) != (next.file, next.used)
+        {
+            return Err(SNodeError::Corrupt(
+                "a group of supernodes does not end at the next checkpoint",
+            ));
+        }
+        Ok(Group {
+            row_start: row_start.into_boxed_slice(),
+            targets: targets.into_boxed_slice(),
+            words: words.into_boxed_slice(),
+        })
+    }
+}
+
+/// The error a group's decode stored, for another reader of the group.
+fn again(e: &SNodeError) -> SNodeError {
+    match e {
+        SNodeError::Bits(e) => SNodeError::Bits(e.clone()),
+        SNodeError::Corrupt(why) => SNodeError::Corrupt(why),
+        _ => SNodeError::Corrupt("a group of supernodes failed to decode"),
+    }
+}
+
+/// The checkpoints an open holds its groups to: the first at the start of
+/// every section but the rows' (whose start the code's end fixes), each
+/// after its predecessor by at least a bit per row, a bit per target, four
+/// bits per size entry (a γ size and 3 pad bits) and the place its graphs
+/// take, and the last inside the sections.
+fn check_checkpoints(
+    checkpoints: &[Checkpoint],
+    n: usize,
+    sg_bits: u64,
+    size_bits: u64,
+) -> Result<()> {
+    let bad = || SNodeError::Corrupt("meta.bin checkpoints do not step through their sections");
+    let first = checkpoints.first().ok_or_else(bad)?;
+    if (first.size_bit, first.superedges, first.file, first.used) != (0, 0, 0, 0) {
+        return Err(bad());
+    }
+    for (g, pair) in checkpoints.windows(2).enumerate() {
+        let (a, b) = (pair[0], pair[1]);
+        let members = (n - g * GROUP).min(GROUP) as u64;
+        let edges = u64::from(b.superedges.checked_sub(a.superedges).ok_or_else(bad)?);
+        let rows = b.row_bit.checked_sub(a.row_bit).ok_or_else(bad)?;
+        let sizes = b.size_bit.checked_sub(a.size_bit).ok_or_else(bad)?;
+        if rows < members + edges
+            || sizes < 4 * (members + edges)
+            || (b.file, b.used) < (a.file, a.used)
+            || b.file >= 1 << FILE_BITS
+        {
+            return Err(bad());
+        }
+    }
+    let last = checkpoints.last().ok_or_else(bad)?;
+    if last.row_bit > sg_bits || last.size_bit > size_bits {
+        return Err(bad());
+    }
+    Ok(())
+}
+
+/// Reads the domain index: the domain count, the bit and byte lengths of
+/// its stream, and the stream [`SNodeMeta::write`] describes.
+fn read_domains(c: &mut Cursor<'_>, n: usize) -> Result<(Vec<u32>, Vec<u32>)> {
+    let nd = c.u32()? as usize;
+    let bits = c.u64()?;
+    let len = c.u64()? as usize;
+    let bytes = c.bytes(len)?;
+    if bits > bytes.len() as u64 * 8 {
+        return Err(SNodeError::Corrupt(
+            "domain index bit length exceeds payload",
+        ));
+    }
+    // Every list takes a bit at least, as does every member.
+    if nd as u64 > bits {
+        return Err(SNodeError::Corrupt(
+            "domain index counts more lists than its bits hold",
+        ));
+    }
+    let mut domain_start = Vec::with_capacity(nd + 1);
+    domain_start.push(0);
+    let mut domain_members = Vec::with_capacity(n.min(bits as usize));
+    let mut r = wg_bitio::BitReader::with_bit_len(bytes, bits);
+    let mut w = r.window();
+    let beyond = || SNodeError::Corrupt("domain index names a supernode beyond the graph");
+    let mut first = 0i64;
+    for _ in 0..nd {
+        let k = w.read_gamma()?;
+        if k > w.remaining() {
+            return Err(SNodeError::Corrupt(
+                "a domain lists more supernodes than its bits hold",
+            ));
+        }
+        let mut next = first;
+        for member in 0..k {
+            let z = w.read_gamma()?;
+            let gap = (z >> 1) as i64 ^ -((z & 1) as i64);
+            let s = next
+                .checked_add(gap)
+                .filter(|&s| (0..n as i64).contains(&s));
+            let s = s.ok_or_else(beyond)?;
+            domain_members.push(s as u32);
+            next = s + 1;
+            if member == 0 {
+                first = next;
+            }
+        }
+        domain_start.push(u32::try_from(domain_members.len()).map_err(|_| beyond())?);
+    }
+    Ok((domain_start, domain_members))
+}
+
+/// Supernode `s`'s part of a [`ResidentIndex`] ([`ResidentIndex::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    targets: &'a [u32],
+    /// The words of its intranode graph, then of its superedge graphs.
+    words: &'a [u64],
+    first_blob: u64,
+    /// The byte offset the graph before its intranode graph ends at.
+    before: u64,
+}
+
+impl<'a> Row<'a> {
+    /// Superedge targets of the supernode, ascending.
+    pub fn targets(&self) -> &'a [u32] {
+        self.targets
+    }
+
+    /// Linear index of the supernode's intranode graph; its superedge
+    /// graph `k` (in row order) is the one `1 + k` after it.
+    pub fn intra_blob(&self) -> u64 {
+        self.first_blob
+    }
+
+    /// Where the supernode's graph `k` lies in the index files: its
+    /// intranode graph for 0, superedge graph `k - 1` after that. A graph
+    /// starts where the graph before it ends, unless it opens its file.
+    pub fn locator(&self, k: usize) -> Result<GraphLocator> {
+        let word =
+            *(self.words.get(k)).ok_or(SNodeError::Corrupt("graph beyond its supernode's row"))?;
+        let offset = match (word & 1 << 3 != 0, k.checked_sub(1)) {
+            (true, _) => 0,
+            (false, None) => self.before,
+            (false, Some(k)) => self.words[k] >> END_SHIFT,
         };
         let byte_len = (word >> END_SHIFT) - offset;
-        GraphLocator {
+        Ok(GraphLocator {
             file: (word >> FILE_SHIFT & ((1 << FILE_BITS) - 1)) as u32,
             offset,
             byte_len,
             bit_len: byte_len * 8 - (word & 7),
-        }
+        })
     }
 }
 
@@ -437,125 +801,40 @@ fn put_size(w: &mut wg_bitio::BitWriter, loc: &GraphLocator) {
     w.write_bits(pad, 3);
 }
 
-/// `meta.bin`'s graph-size section: the index-file size cap, then the γ
-/// size and 3 pad bits of every graph in linear order.
-struct SizeTable<'a> {
-    max_file_bytes: u64,
-    bytes: &'a [u8],
-    bits: u64,
-}
-
-impl<'a> SizeTable<'a> {
-    fn read(c: &mut Cursor<'a>) -> Result<Self> {
-        let max_file_bytes = c.u64()?;
-        let bits = c.u64()?;
-        let len = c.u64()? as usize;
-        let bytes = c.bytes(len)?;
-        if bits > bytes.len() as u64 * 8 {
-            return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
-        }
-        Ok(Self {
-            max_file_bytes,
-            bytes,
-            bits,
-        })
-    }
-
-    /// Room for as many entries as the table could hold: each takes at
-    /// least 4 bits.
-    fn reserve(&self) -> Vec<u64> {
-        Vec::with_capacity((self.bits / 4) as usize)
-    }
-
-    /// Every entry the table holds, as [`ResidentIndex`] words pushed onto
-    /// `words` (which [`SizeTable::reserve`] made, so it never grows), up to
-    /// the first one that fails to decode — at the latest, the read past
-    /// the table's end.
-    fn decode(&self, mut words: Vec<u64>) -> Sizes {
-        let mut table = wg_bitio::BitReader::with_bit_len(self.bytes, self.bits);
-        // One window for the whole table: a γ size and 3 pad bits a graph.
-        let mut sizes = table.window();
-        // Replay the writer's rotation rule over the linear ordering.
-        let mut layout = LocatorLayout::new(self.max_file_bytes);
-        let mut files = 0u64;
-        let stop = loop {
-            let (file, end, pad) = match layout.next(&mut sizes) {
-                Ok(entry) => entry,
-                Err(e) => break e,
-            };
-            let opens = u64::from(file) == files;
-            files += u64::from(opens);
-            if files > 1 << FILE_BITS {
-                break SNodeError::Corrupt("more index files than a resident index numbers");
-            }
-            words.push(
-                end << END_SHIFT | u64::from(file) << FILE_SHIFT | u64::from(opens) << 3 | pad,
-            );
-        };
-        Sizes { words, stop }
-    }
-}
-
-/// A decoded size table: the words of its entries up to the first that
-/// failed, and that failure.
-struct Sizes {
-    words: Vec<u64>,
-    stop: SNodeError,
-}
-
-impl Sizes {
-    /// The words of the first `blobs` graphs, or the error a decode of
-    /// `blobs` entries meets. They are copied out at their size: trimming
-    /// the reservation in place instead hands its tail back to the
-    /// allocator, and the next open's reservation takes fresh pages (so
-    /// trimmed, an open with the helper was 0.4 ms slower than one
-    /// without at 100 k and 300 k pages, the two alternated in one
-    /// process).
-    fn first(self, blobs: usize) -> Result<Vec<u64>> {
-        match self.words.get(..blobs) {
-            Some(kept) => Ok(kept.to_vec()),
-            None => Err(self.stop),
-        }
-    }
-}
-
 /// Replays [`IndexFileWriter`]'s rotation rule to rebuild locators from
-/// sizes alone.
+/// sizes alone: the index file it is writing, and the bytes in it.
 struct LocatorLayout {
     max_bytes: u64,
     file: u32,
     used: u64,
-    first: bool,
 }
 
 impl LocatorLayout {
-    fn new(max_bytes: u64) -> Self {
-        Self {
-            max_bytes: max_bytes.max(1),
-            file: 0,
-            used: 0,
-            first: true,
-        }
-    }
-
-    /// The next graph's index file, the byte offset it ends at there, and
-    /// its bit padding.
-    fn next(&mut self, sizes: &mut wg_bitio::Window<'_, '_>) -> Result<(u32, u64, u64)> {
+    /// The next graph's [`ResidentIndex`] word, from its size entry; it
+    /// opens its file if it is the directory's `first` or the rule
+    /// rotates to a new one for it.
+    fn next(&mut self, sizes: &mut wg_bitio::Window<'_, '_>, first: bool) -> Result<u64> {
         let byte_len = sizes.read_gamma()?;
         let pad = sizes.read_bits(3)?;
         if pad >= 8 || (byte_len == 0 && pad != 0) {
             return Err(SNodeError::Corrupt("invalid graph size entry"));
         }
-        if !self.first && self.used > 0 && self.used.saturating_add(byte_len) > self.max_bytes {
+        let rotates = self.used > 0 && self.used.saturating_add(byte_len) > self.max_bytes;
+        if rotates {
             self.file += 1;
             self.used = 0;
+            if self.file >= 1 << FILE_BITS {
+                return Err(SNodeError::Corrupt(
+                    "more index files than a resident index numbers",
+                ));
+            }
         }
-        self.first = false;
         // The end offset must fit its field of a resident index word.
         self.used = (self.used.checked_add(byte_len))
             .filter(|&end| end < 1 << (64 - END_SHIFT))
             .ok_or(SNodeError::Corrupt("graph sizes overflow their index file"))?;
-        Ok((self.file, self.used, pad))
+        let opens = u64::from(first || rotates);
+        Ok(self.used << END_SHIFT | u64::from(self.file) << FILE_SHIFT | opens << 3 | pad)
     }
 }
 
@@ -878,6 +1157,13 @@ impl<'a> Cursor<'a> {
         let b = self.bytes(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
+    /// A byte length, then that many bytes: where they lie in the buffer.
+    fn section(&mut self) -> Result<std::ops::Range<usize>> {
+        let len = self.u64()? as usize;
+        let start = self.pos;
+        self.bytes(len)?;
+        Ok(start..self.pos)
+    }
     /// `n` little-endian words, bounds-checked at once.
     fn u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a> {
         let n_bytes = n
@@ -897,17 +1183,27 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wg_bitio::{codes, BitReader};
 
-    thread_local! {
-        /// Helper threads the parses on this thread have spawned.
-        pub(super) static HELPERS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// A `meta.bin` image with every part decoded: what an index holds
+    /// once every group has been asked for.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Expanded {
+        num_pages: u32,
+        range_start: Vec<u32>,
+        row_start: Vec<u32>,
+        targets: Vec<u32>,
+        supergraph_bits: u64,
+        max_file_bytes: u64,
+        blob_word: Vec<u64>,
+        domain_start: Vec<u32>,
+        domain_members: Vec<u32>,
     }
 
-    /// The decode in file order, one thread, as it was before the size
-    /// table moved to a helper: the model both paths of
-    /// [`ResidentIndex::parse_with`] answer to, field for field and error
-    /// for error.
-    fn parse_model(buf: &[u8]) -> Result<ResidentIndex> {
+    /// The eager decode: every section in file order, a code at a time
+    /// from the reader, the checkpoints skipped unread. The model the
+    /// lazy open answers to.
+    fn parse_model(buf: &[u8]) -> Result<Expanded> {
         let mut c = Cursor::new(buf);
         read_header(&mut c)?;
         let num_pages = c.u32()?;
@@ -925,10 +1221,20 @@ mod tests {
         if sg_bits > sg_bytes.len() as u64 * 8 {
             return Err(SNodeError::Corrupt("supergraph bit length exceeds payload"));
         }
-        let rows = crate::supergraph::decode_rows(sg_bytes, sg_bits)?;
-        if rows.row_start.len() != n + 1 {
+        let mut r = BitReader::with_bit_len(sg_bytes, sg_bits);
+        let code = crate::supergraph::read_code(&mut r)?;
+        if code.num_symbols() != n {
             return Err(SNodeError::Corrupt("supergraph size mismatch"));
         }
+        let dec = code.decoder();
+        let (mut row_start, mut targets) = (vec![0u32], Vec::new());
+        for _ in 0..n {
+            for _ in 0..codes::read_gamma(&mut r)? {
+                targets.push(dec.decode(&mut r)?);
+            }
+            row_start.push(targets.len() as u32);
+        }
+
         let max_file_bytes = c.u64()?;
         let size_bits = c.u64()?;
         let size_len = c.u64()? as usize;
@@ -936,51 +1242,107 @@ mod tests {
         if size_bits > size_bytes.len() as u64 * 8 {
             return Err(SNodeError::Corrupt("size table bit length exceeds payload"));
         }
-        let mut table = wg_bitio::BitReader::with_bit_len(size_bytes, size_bits);
-        let mut sizes = table.window();
-        let mut layout = LocatorLayout::new(max_file_bytes);
-        let blobs = n + rows.targets.len();
-        let mut blob_word = Vec::with_capacity(blobs);
-        let mut files = 0u64;
-        for _ in 0..blobs {
-            let (file, end, pad) = layout.next(&mut sizes)?;
-            let opens = u64::from(file) == files;
+        let mut r = BitReader::with_bit_len(size_bytes, size_bits);
+        let (mut file, mut used, mut files) = (0u64, 0u64, 0u64);
+        let mut blob_word = Vec::new();
+        for _ in 0..n + targets.len() {
+            let byte_len = codes::read_gamma(&mut r)?;
+            let pad = r.read_bits(3)?;
+            if byte_len == 0 && pad != 0 {
+                return Err(SNodeError::Corrupt("invalid graph size entry"));
+            }
+            if used > 0 && used.saturating_add(byte_len) > max_file_bytes.max(1) {
+                (file, used) = (file + 1, 0);
+            }
+            used = (used.checked_add(byte_len))
+                .filter(|&end| end < 1 << 40)
+                .ok_or(SNodeError::Corrupt("graph sizes overflow their index file"))?;
+            let opens = file == files;
             files += u64::from(opens);
-            if files > 1 << FILE_BITS {
+            if files > 1 << 20 {
                 return Err(SNodeError::Corrupt(
                     "more index files than a resident index numbers",
                 ));
             }
-            blob_word.push(
-                end << END_SHIFT | u64::from(file) << FILE_SHIFT | u64::from(opens) << 3 | pad,
-            );
+            blob_word.push(used << 24 | file << 4 | u64::from(opens) << 3 | pad);
         }
-        let nd = c.u32()? as usize;
-        let mut domain_start = Vec::with_capacity(nd.min(1 << 20) + 1);
-        domain_start.push(0);
-        let mut domain_members = Vec::new();
+
+        c.bytes(checkpoint_section_len(n as u64) as usize)?;
+        let nd = c.u32()?;
+        let domain_bits = c.u64()?;
+        let domain_len = c.u64()? as usize;
+        let domain_bytes = c.bytes(domain_len)?;
+        if domain_bits > domain_bytes.len() as u64 * 8 {
+            return Err(SNodeError::Corrupt(
+                "domain index bit length exceeds payload",
+            ));
+        }
+        let mut r = BitReader::with_bit_len(domain_bytes, domain_bits);
+        let (mut domain_start, mut domain_members, mut first) = (vec![0u32], Vec::new(), 0i128);
         for _ in 0..nd {
-            let k = c.u32()? as usize;
-            for s in c.u32s(k)? {
-                if s as usize >= n {
+            let mut next = first;
+            for member in 0..codes::read_gamma(&mut r)? {
+                let z = i128::from(codes::read_gamma(&mut r)?);
+                let s = next + if z % 2 == 0 { z / 2 } else { -(z + 1) / 2 };
+                if !(0..n as i128).contains(&s) {
                     return Err(SNodeError::Corrupt(
                         "domain index names a supernode beyond the graph",
                     ));
                 }
-                domain_members.push(s);
+                domain_members.push(s as u32);
+                next = s + 1;
+                if member == 0 {
+                    first = next;
+                }
             }
             domain_start.push(domain_members.len() as u32);
         }
-        Ok(ResidentIndex {
+        Ok(Expanded {
             num_pages,
             range_start,
-            row_start: rows.row_start,
-            targets: rows.targets,
+            row_start,
+            targets,
             supergraph_bits: sg_bits,
             max_file_bytes,
             blob_word,
             domain_start,
             domain_members,
+        })
+    }
+
+    /// The lazy open of `buf`, which decodes no group, with every group
+    /// then asked for; and, group by group, that what the decode reserved
+    /// (a target and a word per graph) fits the group's bits (a bit a
+    /// target, four a size entry).
+    fn open_every_group(buf: &[u8]) -> Result<Expanded> {
+        let index = ResidentIndex::parse(buf.to_vec())?;
+        assert_eq!(index.groups_decoded(), 0, "an open decodes no group");
+        let n = index.num_supernodes() as usize;
+        for (g, pair) in index.checkpoints.windows(2).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
+            let edges = u64::from(b.superedges - a.superedges);
+            let members = (n - g * GROUP).min(GROUP) as u64;
+            assert!(edges <= b.row_bit - a.row_bit);
+            assert!(4 * (members + edges) <= b.size_bit - a.size_bit);
+        }
+        let (mut row_start, mut targets, mut blob_word) = (vec![0u32], Vec::new(), Vec::new());
+        for s in 0..n as u32 {
+            let row = index.row(s)?;
+            targets.extend_from_slice(row.targets());
+            row_start.push(targets.len() as u32);
+            blob_word.extend_from_slice(row.words);
+        }
+        assert_eq!(index.groups_decoded(), n.div_ceil(GROUP));
+        Ok(Expanded {
+            num_pages: index.num_pages,
+            range_start: index.range_start.clone(),
+            row_start,
+            targets,
+            supergraph_bits: index.supergraph_bits,
+            max_file_bytes: index.max_file_bytes,
+            blob_word,
+            domain_start: index.domain_start.clone(),
+            domain_members: index.domain_members.clone(),
         })
     }
 
@@ -1004,70 +1366,35 @@ mod tests {
         })
     }
 
-    /// Where the supergraph section (its two length words first) begins
-    /// and the size section (its three words first) ends in `meta`.
-    fn sections(meta: &[u8]) -> std::ops::Range<usize> {
-        let mut c = Cursor::new(meta);
-        read_header(&mut c).unwrap();
-        c.u32().unwrap();
-        let n = c.u32().unwrap() as usize;
-        c.bytes(4 * (n + 1)).unwrap();
-        let start = c.pos;
-        c.u64().unwrap();
-        let sg_len = c.u64().unwrap() as usize;
-        c.bytes(sg_len).unwrap();
-        SizeTable::read(&mut c).unwrap();
-        start..c.pos
-    }
-
-    /// Both paths give what the model gives for `buf`, and the spawned
-    /// one spawns its helper exactly when the size section reads.
+    /// The lazy open with every group touched is the model's decode of
+    /// `buf`, or an error; never an image the model refuses.
     fn assert_as_model(buf: &[u8], what: &dyn Fn() -> String) {
         let model = parse_model(buf);
-        for helper in [false, true] {
-            let before = HELPERS.with(|h| h.get());
-            let got = ResidentIndex::parse_with(buf, helper);
-            match (&model, &got) {
-                (Ok(want), Ok(got)) => assert!(want == got, "{}: helper {helper}", what()),
-                (Err(want), Err(got)) => assert_eq!(
-                    format!("{want:?}"),
-                    format!("{got:?}"),
-                    "{}: helper {helper}",
-                    what()
-                ),
-                _ => panic!("{}: helper {helper}: {got:?} against {model:?}", what()),
-            }
-            if !helper {
-                assert_eq!(HELPERS.with(|h| h.get()), before, "{}", what());
-            }
+        let got = open_every_group(buf);
+        match (&model, &got) {
+            (Ok(want), Ok(got)) => assert!(want == got, "{}", what()),
+            (_, Err(_)) => {}
+            (Err(_), Ok(_)) => panic!("{}: opens where the model refuses: {model:?}", what()),
         }
     }
 
-    /// Every single-bit flip in the supergraph and size sections (their
-    /// length words included), every truncation, and byte soup in those
-    /// sections: the spawned and the inline decode are the model's. A
-    /// debug build takes every 127th flip and truncation; a release build
-    /// takes them all.
+    /// Every single-bit flip and every truncation of the 20 k `meta.bin`,
+    /// and byte soup in each of its sections and alone: the lazy open with
+    /// every group touched equals the eager model field for field, or is
+    /// an error, and never panics. A debug build takes every 127th flip
+    /// and truncation; a release build takes them all.
     #[test]
-    fn both_decodes_are_the_serial_model_on_damaged_images() {
+    fn every_group_of_a_damaged_image_decodes_as_the_eager_model() {
         let meta = meta_20k();
         let step = if cfg!(debug_assertions) { 127 } else { 1 };
-        let before = HELPERS.with(|h| h.get());
-        assert_as_model(meta, &|| "intact".into());
-        assert_eq!(
-            HELPERS.with(|h| h.get()),
-            before + 1,
-            "the spawned path spawns"
-        );
+        assert!(parse_model(meta).unwrap() == open_every_group(meta).unwrap());
 
         // In runs of 4 096 flips or truncations, spread over the machine.
-        let span = sections(meta);
-        let bits = span.start * 8..span.end * 8;
         let threads = crate::par::resolve_threads(0);
-        crate::par::par_map(threads, bits.len().div_ceil(4096), |run| {
+        let bits = meta.len() * 8;
+        crate::par::par_map(threads, bits.div_ceil(4096), |run| {
             let mut buf = meta.to_vec();
-            let run = bits.start + run * 4096..(bits.start + (run + 1) * 4096).min(bits.end);
-            for bit in run.step_by(step) {
+            for bit in (run * 4096..((run + 1) * 4096).min(bits)).step_by(step) {
                 buf[bit / 8] ^= 1 << (bit % 8);
                 assert_as_model(&buf, &|| format!("bit {bit} flipped"));
                 buf[bit / 8] ^= 1 << (bit % 8);
@@ -1086,20 +1413,21 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for round in 0..400 {
+        let sections = crate::integrity::meta_section_bounds(meta).unwrap();
+        for round in 0..500 {
             let mut buf = meta.to_vec();
-            // A run of random bytes somewhere in the two sections, or one
-            // of the sections' payloads replaced whole.
-            let (at, len) = match round % 4 {
-                0 | 1 => {
-                    let at = span.start + (next() as usize) % span.len();
-                    (at, (1 + next() as usize % 64).min(span.end - at))
+            // A run of random bytes somewhere in one section, or the
+            // section replaced whole.
+            let (start, len) = sections[round % sections.len()];
+            let (at, len) = match round % 2 {
+                0 => {
+                    let at = start as usize + (next() as usize) % len as usize;
+                    (
+                        at,
+                        (1 + next() as usize % 64).min(start as usize + len as usize - at),
+                    )
                 }
-                2 => (span.start + 16, sections_sg_len(meta)),
-                _ => {
-                    let len = sections_size_len(meta);
-                    (span.end - len, len)
-                }
+                _ => (start as usize, len as usize),
             };
             buf[at..at + len].iter_mut().for_each(|b| *b = next() as u8);
             assert_as_model(&buf, &|| format!("soup round {round}: {len} bytes at {at}"));
@@ -1111,42 +1439,21 @@ mod tests {
         }
     }
 
-    fn sections_sg_len(meta: &[u8]) -> usize {
-        let at = sections(meta).start + 8;
-        u64::from_le_bytes(meta[at..at + 8].try_into().unwrap()) as usize
-    }
-
-    fn sections_size_len(meta: &[u8]) -> usize {
-        let at = sections(meta).start + 16 + sections_sg_len(meta) + 16;
-        u64::from_le_bytes(meta[at..at + 8].try_into().unwrap()) as usize
-    }
-
-    /// With `WGR_THREADS=1` an open spawns no helper and holds what the
-    /// model decodes (in a child process, so that the variable is set for
-    /// it alone).
+    /// The checkpoints cost what they say: one per group of supernodes and
+    /// one past the last, 160 bits each; and the domain index of a build,
+    /// whose supernodes run consecutively, takes about a bit a supernode
+    /// beside its list lengths.
     #[test]
-    fn one_thread_parses_without_a_helper() {
-        const CHILD: &str = "WG_DISK_ONE_THREAD_CHILD";
-        if std::env::var_os(CHILD).is_some() {
-            let meta = meta_20k();
-            let index = ResidentIndex::parse(meta).unwrap();
-            assert_eq!(HELPERS.with(|h| h.get()), 0);
-            assert!(index == parse_model(meta).unwrap());
-            return;
-        }
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["disk::tests::one_thread_parses_without_a_helper", "--exact"])
-            .env(CHILD, "1")
-            .env("WGR_THREADS", "1")
-            .output()
-            .unwrap();
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "{stdout}{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(stdout.contains("1 passed"), "{stdout}");
+    fn checkpoints_and_domain_lists_take_the_bits_they_should() {
+        let meta = meta_20k();
+        let n = u64::from(u32::from_le_bytes(meta[16..20].try_into().unwrap()));
+        let [.., (_, checkpoints), (_, domains)] =
+            crate::integrity::meta_section_bounds(meta).unwrap();
+        assert_eq!(checkpoints, (n.div_ceil(64) + 1) * 20);
+        let index = ResidentIndex::parse(meta.to_vec()).unwrap();
+        let lists = u64::from(index.num_domains());
+        // The count and two lengths, then γ(k) and a bit a member.
+        assert!(domains * 8 <= 160 + 8 + lists * 13 + n, "{domains} bytes");
     }
 
     fn temp_dir(name: &str) -> PathBuf {

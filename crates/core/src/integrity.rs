@@ -9,7 +9,7 @@
 //! property of the encoder — so the checksums live in a **sidecar
 //! manifest** rather than inline trailers,
 //! and the directory format version bump (v1 → [`DIRECTORY_VERSION`]) is
-//! carried by the manifest itself. (`meta.bin` has its own version, 3, the
+//! carried by the manifest itself. (`meta.bin` has its own version, 4, the
 //! one readers accept: directories an earlier version wrote are refused
 //! whether or not they carry a manifest.) A directory without a manifest
 //! (hand-assembled, or stripped of it) is `Corrupt` to every strict
@@ -18,9 +18,10 @@
 //!
 //! The manifest covers every byte of the directory:
 //!
-//! * `meta.bin` is checksummed in four sections tiling the file —
+//! * `meta.bin` is checksummed in five sections tiling the file —
 //!   header (magic through the PageID index), supergraph, size table,
-//!   domain index — so `wgr check` can localise damage within it;
+//!   checkpoints, domain index — so `wgr check` can localise damage
+//!   within it;
 //! * every other file (`index_NNN.bin`, `pagemap.bin`) gets a whole-file
 //!   `(length, CRC)` record, which also witnesses truncation;
 //! * every intranode/superedge blob gets its own CRC in linear order, the
@@ -75,9 +76,15 @@ pub fn fingerprint_dir(dir: &Path) -> std::io::Result<u64> {
     Ok(h)
 }
 
-/// Human names of the four `meta.bin` sections, index-aligned with
+/// Human names of the five `meta.bin` sections, index-aligned with
 /// [`IntegrityManifest::meta_sections`].
-pub const META_SECTION_NAMES: [&str; 4] = ["header", "supergraph", "size-table", "domain-index"];
+pub const META_SECTION_NAMES: [&str; 5] = [
+    "header",
+    "supergraph",
+    "size-table",
+    "checkpoints",
+    "domain-index",
+];
 
 /// One checksummed byte range of `meta.bin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +111,7 @@ pub struct FileSum {
 /// The parsed manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntegrityManifest {
-    /// The four `meta.bin` sections, in [`META_SECTION_NAMES`] order.
+    /// The five `meta.bin` sections, in [`META_SECTION_NAMES`] order.
     pub meta_sections: Vec<MetaSection>,
     /// Whole-file records for every file except the manifest itself,
     /// sorted by name.
@@ -114,10 +121,10 @@ pub struct IntegrityManifest {
     pub blob_crc: Vec<u32>,
 }
 
-/// Byte ranges of the four `meta.bin` sections, tiling the whole buffer.
+/// Byte ranges of the five `meta.bin` sections, tiling the whole buffer.
 /// Parses just enough structure to find the boundaries; full validation is
 /// [`crate::disk::SNodeMeta::read`]'s job.
-pub fn meta_section_bounds(buf: &[u8]) -> Result<[(u64, u64); 4]> {
+pub fn meta_section_bounds(buf: &[u8]) -> Result<[(u64, u64); 5]> {
     let mut c = Cur { buf, pos: 0 };
     c.u32()?; // magic
     c.u32()?; // version
@@ -157,11 +164,17 @@ pub fn meta_section_bounds(buf: &[u8]) -> Result<[(u64, u64); 4]> {
     if size_end > buf.len() {
         return Err(SNodeError::Corrupt("meta file ends inside size table"));
     }
+    // The checkpoints' length follows from the supernode count.
+    let checkpoints_end = (crate::disk::checkpoint_section_len(n) as usize)
+        .checked_add(size_end)
+        .filter(|&end| end <= buf.len())
+        .ok_or(SNodeError::Corrupt("meta file ends inside the checkpoints"))?;
     Ok([
         (0, header_end as u64),
         (header_end as u64, (sg_end - header_end) as u64),
         (sg_end as u64, (size_end - sg_end) as u64),
-        (size_end as u64, (buf.len() - size_end) as u64),
+        (size_end as u64, (checkpoints_end - size_end) as u64),
+        (checkpoints_end as u64, (buf.len() - checkpoints_end) as u64),
     ])
 }
 

@@ -470,7 +470,8 @@ pub(crate) struct Scanned {
 
 /// Reads of an encoded superedge graph what a [`crate::cache::Fanout`]
 /// wants of it and builds nothing: appends its `sources` — ascending and
-/// below `ni`, checked as [`SuperedgeIndex::parse`] checks them — to
+/// below `ni`, checked as [`SuperedgeIndex::parse`] checks them, and one
+/// at least — to
 /// `pool` and returns where they lie in it, with the one target of a
 /// single-target dictionary of one entry (see [`sole_target`]). On an
 /// error `pool` is as it was.
@@ -490,6 +491,12 @@ pub(crate) fn scan_sources(
         return Err(e);
     }
     let sources = start..pool.len();
+    if sources.is_empty() {
+        // A superedge is there because a page links across it.
+        return Err(SNodeError::Corrupt(
+            "a superedge graph lists no source page",
+        ));
+    }
     let target = match layout {
         Layout::SingleTargets => sole_target(&mut w, sources.len(), nj),
         Layout::Lists | Layout::ListDictionary => None,

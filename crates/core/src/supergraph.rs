@@ -8,7 +8,7 @@
 
 use crate::partition::Partition;
 use crate::{Result, SNodeError};
-use wg_bitio::{codes, BitReader, BitWriter, HuffmanCode};
+use wg_bitio::{codes, BitReader, BitWriter, HuffmanCode, HuffmanDecoder, Window};
 use wg_graph::Graph;
 
 /// The top-level graph of an S-Node representation.
@@ -85,17 +85,31 @@ impl SupernodeGraph {
     /// Serialises the graph: header, Huffman length table, then per node a
     /// γ-coded degree and Huffman-coded targets.
     pub fn encode(&self) -> (Vec<u8>, u64) {
+        let (bytes, bits, _) = self.encode_marked(usize::MAX);
+        (bytes, bits)
+    }
+
+    /// [`SupernodeGraph::encode`], with the bit position every `every`-th
+    /// row starts at (row 0, `every`, `2 · every`, …) and, last, the
+    /// position the rows end at: where `meta.bin`'s checkpoints point.
+    pub(crate) fn encode_marked(&self, every: usize) -> (Vec<u8>, u64, Vec<u64>) {
         let code = self.canonical_code();
         let mut w = BitWriter::new();
         codes::write_gamma(&mut w, self.adj.len() as u64);
         code.write_lengths(&mut w);
-        for list in &self.adj {
+        let mut marks = Vec::with_capacity(self.adj.len() / every.max(1) + 2);
+        for (s, list) in self.adj.iter().enumerate() {
+            if s % every == 0 {
+                marks.push(w.bit_len());
+            }
             codes::write_gamma(&mut w, list.len() as u64);
             for &t in list {
                 code.encode(&mut w, t);
             }
         }
-        w.finish()
+        marks.push(w.bit_len());
+        let (bytes, bits) = w.finish();
+        (bytes, bits, marks)
     }
 
     /// Deserialises a graph written by [`SupernodeGraph::encode`].
@@ -105,13 +119,34 @@ impl SupernodeGraph {
 
     /// Like [`SupernodeGraph::decode`], additionally returning the stored
     /// Huffman length table and the bit position where decoding ended, so
-    /// audits can check table canonicality and trailing garbage.
+    /// audits can check table canonicality and trailing garbage. The rows
+    /// are read by [`read_rows`], the decoder an open runs a group at a
+    /// time.
     pub fn decode_full(bytes: &[u8], bit_len: u64) -> Result<(Self, Vec<u32>, u64)> {
-        let rows = decode_rows(bytes, bit_len)?;
-        let adj = (rows.row_start.windows(2))
-            .map(|w| rows.targets[w[0] as usize..w[1] as usize].to_vec())
+        let mut r = BitReader::with_bit_len(bytes, bit_len);
+        let code = read_code(&mut r)?;
+        let n = code.num_symbols();
+        // Each target takes at least the shortest codeword.
+        let shortest = code.lengths().iter().filter(|&&l| l > 0).min();
+        let most = r.remaining() / u64::from(shortest.copied().unwrap_or(1));
+        let mut targets = Vec::with_capacity(most.min(1 << 24) as usize);
+        let mut row_start = Vec::with_capacity((n + 1).min(1 << 20));
+        row_start.push(0);
+        let mut w = r.window();
+        read_rows(
+            &mut w,
+            &code.decoder(),
+            n,
+            n,
+            most,
+            &mut targets,
+            &mut row_start,
+        )?;
+        let end = w.position();
+        let adj = (row_start.windows(2))
+            .map(|w| targets[w[0] as usize..w[1] as usize].to_vec())
             .collect();
-        Ok((Self { adj }, rows.code.lengths().to_vec(), rows.end))
+        Ok((Self { adj }, code.lengths().to_vec(), end))
     }
 
     /// Size in bits of the Huffman-coded adjacency structure alone.
@@ -128,59 +163,57 @@ impl SupernodeGraph {
     }
 }
 
-/// A supernode graph as [`decode_rows`] reads it: its rows end to end.
-#[derive(Debug)]
-pub(crate) struct Rows {
-    /// Row `s` is `targets[row_start[s]..row_start[s + 1]]`.
-    pub row_start: Vec<u32>,
-    /// Every row's superedge targets, end to end.
-    pub targets: Vec<u32>,
-    /// The stored code.
-    pub code: HuffmanCode,
-    /// Bit position where decoding ended.
-    pub end: u64,
-}
-
-/// Decodes a graph written by [`SupernodeGraph::encode`] into flat rows:
-/// the one decoder of the supernode graph.
-pub(crate) fn decode_rows(bytes: &[u8], bit_len: u64) -> Result<Rows> {
-    let mut r = BitReader::with_bit_len(bytes, bit_len);
-    let n = codes::read_gamma(&mut r)?;
+/// Reads what a stream [`SupernodeGraph::encode`] wrote opens with: the
+/// supernode count and the Huffman code, whose symbols are the
+/// supernodes.
+pub(crate) fn read_code(r: &mut BitReader<'_>) -> Result<HuffmanCode> {
+    let n = codes::read_gamma(r)?;
     if n > u64::from(u32::MAX) {
         return Err(SNodeError::Corrupt("supernode count overflows u32"));
     }
-    let code = HuffmanCode::read_lengths(&mut r)?;
+    let code = HuffmanCode::read_lengths(r)?;
     if code.num_symbols() != n as usize {
         return Err(SNodeError::Corrupt("huffman table size mismatch"));
     }
-    let dec = code.decoder();
-    let mut row_start = Vec::with_capacity((n as usize + 1).min(1 << 20));
-    row_start.push(0);
-    // Each target takes at least the shortest codeword: reserve for as many
-    // as the stream could hold, so that the rows are never moved.
-    let shortest = code.lengths().iter().filter(|&&l| l > 0).min();
-    let most = r.remaining() / u64::from(shortest.copied().unwrap_or(1));
-    let mut targets = Vec::with_capacity(most.min(1 << 24) as usize);
-    let mut w = r.window();
-    for _ in 0..n {
+    Ok(code)
+}
+
+/// Decodes the next `rows` rows of a supernode graph of `n` supernodes
+/// (the symbols of `dec`) from `w`: pushes their targets onto `targets`, at most `most` of them in
+/// all (one more is `Corrupt`, so the vector never outgrows a reservation
+/// of `most`), and after each row the end of its targets onto `row_end`,
+/// counted on from `row_end`'s last entry. The one decoder of the supernode
+/// graph's rows: a whole stream ([`SupernodeGraph::decode_full`]) and a
+/// group of `meta.bin` ([`crate::disk::ResidentIndex`]) both read them here.
+pub(crate) fn read_rows(
+    w: &mut Window<'_, '_>,
+    dec: &HuffmanDecoder,
+    n: usize,
+    rows: usize,
+    most: u64,
+    targets: &mut Vec<u32>,
+    row_end: &mut Vec<u32>,
+) -> Result<()> {
+    let (start, mut end) = (targets.len(), row_end.last().copied().unwrap_or(0));
+    for _ in 0..rows {
         let deg = w.read_gamma()?;
+        if deg > most - (targets.len() - start) as u64 {
+            return Err(SNodeError::Corrupt(
+                "a supernode's row holds more superedges than its bits can",
+            ));
+        }
         for _ in 0..deg {
-            let t = w.read_huffman(&dec)?;
-            if u64::from(t) >= n {
+            let t = w.read_huffman(dec)?;
+            if t as usize >= n {
                 return Err(SNodeError::Corrupt("superedge target out of range"));
             }
             targets.push(t);
         }
-        let end = u32::try_from(targets.len())
+        end = u32::try_from(u64::from(end) + deg)
             .map_err(|_| SNodeError::Corrupt("superedge count overflows u32"))?;
-        row_start.push(end);
+        row_end.push(end);
     }
-    Ok(Rows {
-        row_start,
-        targets,
-        code,
-        end: w.position(),
-    })
+    Ok(())
 }
 
 #[cfg(test)]

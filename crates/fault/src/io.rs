@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How many times a transient read error is attempted in total before it
 /// surfaces to the caller.
@@ -173,45 +173,18 @@ fn read_exact_at_raw(mut f: &File, buf: &mut [u8], offset: u64) -> std::io::Resu
 }
 
 /// Reads a whole file through the shim (open + slurp, with injection and
-/// retry applied to the read).
+/// retry applied to the read) into a buffer of the file's length: the
+/// read fills it without zeroing it first, and a file that changes length
+/// while it is read is read as it then is.
 #[allow(clippy::disallowed_methods)] // The shim itself.
 pub fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
     with_retry(|| {
         inject()?;
-        let mut buf = Vec::new();
-        let mut f = File::open(path)?;
-        f.read_to_end(&mut buf)?;
-        Ok(buf)
-    })
-}
-
-/// Reads a whole file through the shim straight into one shared buffer
-/// of its length: one allocation and one pass over the bytes, where
-/// [`read_file`] and an `Arc::from` would take two of each. A file that
-/// changes length while it is read is read as it then is.
-#[allow(clippy::disallowed_methods)] // The shim itself.
-pub fn read_file_shared(path: &Path) -> std::io::Result<Arc<[u8]>> {
-    with_retry(|| {
-        inject()?;
         let mut f = File::open(path)?;
         let len = usize::try_from(f.metadata()?.len()).map_err(std::io::Error::other)?;
-        let mut shared: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        let buf = Arc::get_mut(&mut shared)
-            .ok_or_else(|| std::io::Error::other("a freshly allocated buffer is shared"))?;
-        let mut filled = 0;
-        while filled < len {
-            match f.read(&mut buf[filled..]) {
-                Ok(0) => return Ok(Arc::from(&buf[..filled])),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut grown = Vec::new();
-        match f.read_to_end(&mut grown)? {
-            0 => Ok(shared),
-            _ => Ok(Arc::from([&*shared, &grown].concat())),
-        }
+        let mut buf = Vec::with_capacity(len);
+        f.read_to_end(&mut buf)?;
+        Ok(buf)
     })
 }
 
@@ -245,7 +218,6 @@ mod tests {
         read_exact_at(&f, &mut buf, 100).expect("positioned read");
         assert_eq!(&buf[..], &data[100..116]);
         assert_eq!(read_file(&path).expect("slurp"), data);
-        assert_eq!(&*read_file_shared(&path).expect("shared slurp"), &data[..]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -30,7 +30,6 @@ pub mod plan;
 
 pub use crc32c::crc32c;
 pub use io::{
-    read_exact_at, read_file, read_file_shared, retries_performed, transient_faults_injected,
-    TransientKind,
+    read_exact_at, read_file, retries_performed, transient_faults_injected, TransientKind,
 };
 pub use plan::{AppliedFault, Fault, FaultPlan, FaultSpec};

@@ -10,7 +10,7 @@
 //!
 //! Lifetime/safety argument (DESIGN.md §5i): the buffer behind a
 //! `Region` is written once at construction and never mutated or
-//! reallocated afterwards (the `Arc<[u8]>` owns it and nothing exposes
+//! reallocated afterwards (the `Arc<Vec<u8>>` owns it and nothing exposes
 //! `&mut`), so a `RegionSlice`'s bytes are stable for its whole life;
 //! the `Arc` guarantees the backing allocation outlives every
 //! outstanding slice, which is the property an OS `mmap` would provide
@@ -26,24 +26,22 @@ use std::sync::Arc;
 /// [`RegionSlice`] handles.
 #[derive(Debug, Clone)]
 pub struct Region {
-    bytes: Arc<[u8]>,
+    bytes: Arc<Vec<u8>>,
 }
 
 impl Region {
-    /// Takes `bytes` as a shared immutable region, copying them once into
-    /// the buffer it keeps ([`Region::read`] reads a file with no copy).
+    /// Takes `bytes` as a shared immutable region: the buffer itself, with
+    /// no copy.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         Self {
-            bytes: Arc::from(bytes),
+            bytes: Arc::new(bytes),
         }
     }
 
     /// Reads the file at `path` whole, through the retrying shim, into the
     /// buffer the region keeps: the file's one resident copy.
     pub fn read(path: &Path) -> std::io::Result<Self> {
-        Ok(Self {
-            bytes: wg_fault::read_file_shared(path)?,
-        })
+        Ok(Self::from_vec(wg_fault::read_file(path)?))
     }
 
     /// Region length in bytes.
@@ -70,7 +68,7 @@ impl Region {
             return None;
         }
         Some(RegionSlice {
-            bytes: Arc::clone(&self.bytes),
+            bytes: Some(Arc::clone(&self.bytes)),
             offset,
             len,
         })
@@ -79,10 +77,10 @@ impl Region {
 
 /// A sub-range of a [`Region`] that keeps the backing buffer alive.
 /// Derefs to `[u8]`, so it drops into any API that borrows bytes. The
-/// default is empty and allocates nothing (an empty `Arc<[u8]>` is static).
+/// default is empty and allocates nothing (it holds no buffer).
 #[derive(Debug, Clone, Default)]
 pub struct RegionSlice {
-    bytes: Arc<[u8]>,
+    bytes: Option<Arc<Vec<u8>>>,
     offset: usize,
     len: usize,
 }
@@ -103,7 +101,10 @@ impl Deref for RegionSlice {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.bytes[self.offset..self.offset + self.len]
+        match &self.bytes {
+            Some(bytes) => &bytes[self.offset..self.offset + self.len],
+            None => &[],
+        }
     }
 }
 

@@ -37,6 +37,7 @@ use webgraph_repr::query::queries::{QueryEnv, Workload};
 use webgraph_repr::query::reps::SchemeSet;
 use webgraph_repr::query::{DomainTable, PageRankIndex, Scheme, TextIndex};
 use webgraph_repr::serve::{Client, ServeConfig, ServeContext, Server, Status as ServeStatus};
+use webgraph_repr::snode::disk::earlier_meta_version;
 use webgraph_repr::snode::{
     build_snode, BuildStats, IntegrityManifest, Renumbering, RepoInput, SNode, SNodeConfig,
 };
@@ -800,6 +801,15 @@ fn repair_dir(dir: &std::path::Path, corpus_dir: &std::path::Path) -> Result<Vec
              `wgr build --corpus {corpus} --out {dir}` rebuilds it \
              (a reps root's snode_t: rebuild the representations)"
         ));
+    }
+    let own_meta = rebuilt.iter().find(|(name, ..)| name == "meta.bin");
+    let earlier = own_meta.and_then(|(_, _, own)| earlier_meta_version(own.as_deref()?));
+    if let Some(version) = earlier {
+        let (dir, corpus) = (dir.display(), corpus_dir.display());
+        eprintln!(
+            "{dir}/meta.bin is format version {version}, an earlier format: replaced by this \
+             version's, which `wgr build --corpus {corpus} --out {dir}` writes"
+        );
     }
     let mut replaced = Vec::new();
     for (name, good, own) in rebuilt {

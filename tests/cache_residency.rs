@@ -29,9 +29,9 @@ const STRIDE_CHARGE_CEILING: u64 = 303_566;
 /// The encoded bytes a cold probe into supernode `s` reads: its intranode
 /// blob and every out-superedge blob.
 fn encoded_bytes(snode: &SNode, s: u32) -> u64 {
-    let index = snode.index();
-    let blobs = index.intra_blob(s)..=index.intra_blob(s) + index.targets(s).len() as u64;
-    blobs.map(|b| index.locator(b).byte_len).sum()
+    let row = snode.index().row(s).unwrap();
+    let graphs = 0..=row.targets().len();
+    graphs.map(|k| row.locator(k).unwrap().byte_len).sum()
 }
 
 /// The 20 k-page directory of seed 42 in a directory named for `test`,

@@ -1,10 +1,11 @@
-//! One format, written and read. `tests/fixtures/v3_g_st/` (see its
-//! README), written by the last commit that had the codec grid, is what a
-//! build of its corpus writes today, byte for byte, and opens, checks and
-//! answers exactly as a rebuild does. Every older header — versions 1 and
-//! 2, and version 3 with any codec word but `g+st`'s — is refused as
-//! `Corrupt`, and `wgr check --repair` turns such a directory back into the
-//! fixture.
+//! One format, written and read: `meta.bin` version 4. `tests/fixtures/v3_g_st/`
+//! (see its README), written by the last commit that had the codec grid,
+//! is a version-3 directory of the corpus a build of which writes the same
+//! index files and `pagemap.bin` byte for byte today, and a `meta.bin` of
+//! version 4. Every reader refuses it, and every older header — versions 1
+//! and 2, and version 3 with any codec word — as `Corrupt` ("rebuild the
+//! directory"), `wgr check` exits 2 on it, and `wgr check --repair` names
+//! the earlier format and turns the directory into this version's build.
 
 // Test code: unwrap on setup failure is the desired behaviour.
 #![allow(clippy::unwrap_used)]
@@ -55,8 +56,27 @@ fn answers(snode: &SNode, dir: &Path) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// `wgr gen` of the fixture's corpus into `root/corpus`.
+fn gen_corpus(root: &Path) -> PathBuf {
+    let corpus = root.join("corpus");
+    let out = (wgr().args(["gen", "--pages", "400", "--seed", "5", "--out"]))
+        .arg(&corpus)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    corpus
+}
+
+/// Whether `got` is the `Corrupt` that says to rebuild the directory.
+fn says_rebuild(got: Result<(), SNodeError>) -> bool {
+    match got {
+        Err(SNodeError::Corrupt(why)) => why.contains("rebuild"),
+        _ => false,
+    }
+}
+
 #[test]
-fn the_v3_directory_opens_checks_and_answers_like_a_rebuild() {
+fn the_v3_directory_is_refused_and_a_repair_rewrites_it() {
     let corpus = Corpus::generate(CorpusConfig::scaled(400, 5));
     let truth: Vec<Vec<u32>> = (0..corpus.num_pages())
         .map(|p| corpus.graph.neighbors(p).to_vec())
@@ -68,48 +88,88 @@ fn the_v3_directory_opens_checks_and_answers_like_a_rebuild() {
         domains: &domains,
         graph: &corpus.graph,
     };
-    let rebuilt_dir = std::env::temp_dir().join(format!("wg_old_dirs_{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("wg_old_dirs_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let rebuilt_dir = root.join("rebuilt");
     build_snode(input, &SNodeConfig::default(), &rebuilt_dir).unwrap();
     let rebuilt = answers(
         &SNode::open_resident(&rebuilt_dir, 1 << 20).unwrap(),
         &rebuilt_dir,
     );
     assert_eq!(rebuilt, truth, "this version's own build");
-    assert!(
-        files(&rebuilt_dir) == files(&fixture()),
-        "a build writes v3_g_st/"
-    );
+    // The graphs and the renumbering are the fixture's, byte for byte.
+    let (ours, old) = (files(&rebuilt_dir), files(&fixture()));
+    let names = |files: &[(String, Vec<u8>)]| files.iter().map(|f| f.0.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&ours), names(&old));
+    for ((name, ours), (_, old)) in ours.iter().zip(&old) {
+        let same = !matches!(name.as_str(), "meta.bin" | "sums.bin");
+        assert_eq!(ours == old, same, "{name}");
+    }
+    let meta = std::fs::read(rebuilt_dir.join("meta.bin")).unwrap();
+    assert_eq!(meta[4..12], [4, 0, 0, 0, 0xC1, 0xC1, 0, 0]);
 
     let dir = fixture();
-    let meta_bytes = std::fs::read(dir.join("meta.bin")).unwrap();
-    assert_eq!(meta_bytes[4..8], 3u32.to_le_bytes());
-    assert_eq!(meta_bytes[8..12], 0xC1C1u32.to_le_bytes());
+    let old_meta = std::fs::read(dir.join("meta.bin")).unwrap();
+    assert_eq!(old_meta[4..12], [3, 0, 0, 0, 0xC1, 0xC1, 0, 0]);
+    assert!(says_rebuild(SNodeMeta::parse(&old_meta).map(drop)), "parse");
     for budget in [1 << 20, 1 << 10] {
-        let snode = SNode::open_resident(&dir, budget).unwrap();
-        assert!(snode.verifies_checksums(), "sums.bin is honoured");
-        assert_eq!(answers(&snode, &dir), rebuilt, "in {budget} bytes");
+        let strict = SNode::open_resident(&dir, budget).map(drop);
+        assert!(says_rebuild(strict), "strict open in {budget} bytes");
+        let degraded = SNode::open_degraded(&dir, budget).map(drop);
+        assert!(says_rebuild(degraded), "degraded open in {budget} bytes");
     }
     let out = wgr().arg("check").arg(&dir).output().unwrap();
-    assert_eq!(out.status.code(), Some(0), "wgr check: {out:?}");
-    let ledger = BitLedger::of(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(2), "wgr check: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("rebuild"),
+        "{out:?}"
+    );
+
+    // A repair of a copy names the format it replaces and the build that
+    // writes this one, and leaves this version's build.
+    let copy = root.join("copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for (file, bytes) in files(&dir) {
+        std::fs::write(copy.join(file), bytes).unwrap();
+    }
+    let corpus_dir = gen_corpus(&root);
+    let out = (wgr().arg("check").arg(&copy))
+        .args(["--repair", "--from"])
+        .arg(&corpus_dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "repair: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("version 3") && stderr.contains("earlier format"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("wgr build --corpus"), "{stderr}");
+    assert!(files(&copy) == files(&rebuilt_dir), "repaired");
+    let snode = SNode::open_resident(&copy, 1 << 20).unwrap();
+    assert!(snode.verifies_checksums(), "sums.bin is honoured");
+    assert_eq!(answers(&snode, &copy), rebuilt);
+    let ledger = BitLedger::of(&copy).unwrap();
     let bits: u64 = ledger.rows.iter().map(|row| row.bits).sum();
     assert_eq!(bits, ledger.total_bits, "--bits accounts for the directory");
     assert_eq!(ledger.edges, corpus.graph.num_edges());
-    std::fs::remove_dir_all(&rebuilt_dir).ok();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The fixture under each header an earlier version wrote. All but the
 /// version-1 one are re-manifested, so the checksums agree with the bytes
 /// and only the format check can tell; version 1 has no manifest at all.
 /// Every reader refuses the directory and says to rebuild it, and a
-/// repair from the corpus does.
+/// repair from the corpus turns it into this version's build.
 #[test]
 fn old_headers_are_refused_then_repaired() {
     let root = std::env::temp_dir().join(format!("wg_old_headers_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    let corpus = root.join("corpus");
-    let out = (wgr().args(["gen", "--pages", "400", "--seed", "5", "--out"]))
-        .arg(&corpus)
+    let corpus = gen_corpus(&root);
+    let current = root.join("current");
+    let out = (wgr().args(["build", "--corpus"]).arg(&corpus))
+        .arg("--out")
+        .arg(&current)
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -143,13 +203,12 @@ fn old_headers_are_refused_then_repaired() {
             None => std::fs::remove_file(dir.join("sums.bin")).unwrap(),
         }
 
-        let rebuild = |got: Result<(), SNodeError>| match got {
-            Err(SNodeError::Corrupt(why)) => why.contains("rebuild"),
-            _ => false,
-        };
-        assert!(rebuild(SNodeMeta::parse(&meta).map(drop)), "{name}: parse");
+        assert!(
+            says_rebuild(SNodeMeta::parse(&meta).map(drop)),
+            "{name}: parse"
+        );
         let opened = SNode::open_resident(&dir, 1 << 20).map(drop);
-        assert!(rebuild(opened), "{name}: open");
+        assert!(says_rebuild(opened), "{name}: open");
 
         // Version 1 had no manifest; the others verify, and do not parse.
         let out = wgr().arg("check").arg(&dir).output().unwrap();
@@ -172,16 +231,16 @@ fn old_headers_are_refused_then_repaired() {
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "{name}: repair: {out:?}");
-        assert!(files(&dir) == files(&fixture()), "{name}: repaired");
+        assert!(files(&dir) == files(&current), "{name}: repaired");
     }
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// What this version writes is version 3 with the `g+st` codec word, and a
+/// What this version writes is version 4 with the `g+st` codec word, and a
 /// codec word with a bit no version defines — in either class's byte or in
-/// the reserved half — or one that names a cell of the retired ablation
-/// grid is `Corrupt`, never a directory that opens and reads its graphs
-/// under some other layout or code.
+/// the reserved half — under version 3 or 4, or one that names a cell of
+/// the retired ablation grid, is `Corrupt`, never a directory that opens
+/// and reads its graphs under some other layout or code.
 #[test]
 fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
     let corpus = Corpus::generate(CorpusConfig::scaled(300, 9));
@@ -195,7 +254,7 @@ fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
     let dir = std::env::temp_dir().join(format!("wg_v3_header_{}", std::process::id()));
     build_snode(input, &SNodeConfig::default(), &dir).unwrap();
     let good = std::fs::read(dir.join("meta.bin")).unwrap();
-    assert_eq!(good[4..8], 3u32.to_le_bytes());
+    assert_eq!(good[4..8], 4u32.to_le_bytes());
     assert_eq!(good[8..12], 0xC1C1u32.to_le_bytes());
     assert!(SNodeMeta::parse(&good).is_ok());
 
@@ -211,11 +270,13 @@ fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
         0x81C1,      // list dictionary without the single-target one
         0xC181,      //
     ] {
-        let got = with_word(3, bad);
-        assert!(
-            matches!(got, Err(SNodeError::Corrupt(_))),
-            "{bad:#x}: {got:?}"
-        );
+        for version in [3, 4] {
+            let got = with_word(version, bad);
+            assert!(
+                matches!(got, Err(SNodeError::Corrupt(_))),
+                "v{version} {bad:#x}: {got:?}"
+            );
+        }
     }
     // The grid v2 and v3 had beside `g` and `g+st`: the message says what
     // wrote the directory and what to do about it.
@@ -228,7 +289,7 @@ fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
         0xC9C1, // never a cell: ζ₉
         0xC1C0, // nor ζ₀
     ] {
-        for version in [2, 3] {
+        for version in [2, 3, 4] {
             let got = with_word(version, retired);
             assert!(
                 matches!(got, Err(SNodeError::Corrupt(why))
@@ -238,7 +299,7 @@ fn v3_header_with_an_unknown_codec_bit_is_corrupt() {
         }
     }
     // Nor does another version word make the one codec word readable.
-    for version in [2, 4] {
+    for version in [2, 3, 5] {
         assert!(matches!(
             with_word(version, 0xC1C1),
             Err(SNodeError::Corrupt(_))
