@@ -189,11 +189,14 @@ impl HuffmanDecoder {
             index += count[l as usize];
         }
 
-        // Symbols in canonical order: by length, then by symbol id.
-        let mut sorted: Vec<Symbol> = (0..lengths.len() as u32)
-            .filter(|&s| lengths[s as usize] > 0)
-            .collect();
-        sorted.sort_by_key(|&s| (lengths[s as usize], s));
+        // Symbols in canonical order: by length, then by symbol id — each
+        // put, in id order, at the next place its length has.
+        let mut next = first_index.clone();
+        let mut sorted = vec![0; index as usize];
+        for (sym, &len) in lengths.iter().enumerate().filter(|(_, &len)| len > 0) {
+            sorted[next[len as usize] as usize] = sym as Symbol;
+            next[len as usize] += 1;
+        }
 
         let fast_bits = FAST_BITS.min(max_len.max(1));
         let mut fast = vec![(0u32, 0u8); 1usize << fast_bits];
@@ -425,16 +428,12 @@ fn canonical_codewords(lengths: &[u32]) -> Vec<u64> {
         next[l as usize] = code;
         code += count[l as usize];
     }
-    // Within a length, symbols are ordered by id — matching the decoder.
-    let mut order: Vec<u32> = (0..lengths.len() as u32)
-        .filter(|&s| lengths[s as usize] > 0)
-        .collect();
-    order.sort_by_key(|&s| (lengths[s as usize], s));
+    // Within a length, codewords rise with the symbol id — matching the
+    // decoder — so one pass in id order hands them out.
     let mut words = vec![0u64; lengths.len()];
-    for s in order {
-        let l = lengths[s as usize] as usize;
-        words[s as usize] = next[l];
-        next[l] += 1;
+    for (word, &l) in words.iter_mut().zip(lengths).filter(|(_, &l)| l > 0) {
+        *word = next[l as usize];
+        next[l as usize] += 1;
     }
     words
 }

@@ -524,40 +524,6 @@ impl ResidentIndex {
         })
     }
 
-    /// Superedge targets of supernode `s`, ascending: its row of the
-    /// supernode graph.
-    pub fn targets(&self, s: u32) -> Result<&[u32]> {
-        Ok(self.row(s)?.targets)
-    }
-
-    /// Linear index of supernode `s`'s intranode graph; its superedge
-    /// graph `k` (in row order) is the one `1 + k` after it.
-    pub fn intra_blob(&self, s: u32) -> Result<u64> {
-        Ok(self.row(s)?.first_blob)
-    }
-
-    /// Where graph `blob` (a linear index below [`ResidentIndex::num_blobs`])
-    /// lies in the index files.
-    pub fn locator(&self, blob: u64) -> Result<GraphLocator> {
-        let beyond = || SNodeError::Corrupt("graph beyond the resident index");
-        // Group `g` begins at graph `GROUP · g + superedges before it`.
-        let first_of = |g: usize| (g * GROUP) as u64 + u64::from(self.checkpoints[g].superedges);
-        let g = (0..self.groups.len()).rev().find(|&g| first_of(g) <= blob);
-        let g = g.ok_or_else(beyond)?;
-        // The group's last supernode whose intranode graph is not past it.
-        let (mut lo, mut hi) = (g * GROUP, ((g + 1) * GROUP).min(self.range_start.len() - 1));
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            match self.intra_blob(mid as u32)? <= blob {
-                true => lo = mid,
-                false => hi = mid,
-            }
-        }
-        let row = self.row(lo as u32)?;
-        let k = blob.checked_sub(row.first_blob).ok_or_else(beyond)?;
-        row.locator(usize::try_from(k).map_err(|_| beyond())?)
-    }
-
     /// The supernode graph's code, read once.
     fn code(&self) -> Result<&wg_bitio::HuffmanDecoder> {
         match self.code.get_or_init(|| self.read_code()) {

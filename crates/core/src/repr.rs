@@ -1695,9 +1695,10 @@ mod tests {
         let mut most = 0;
         for p in 0..graph.num_nodes() {
             let s = snode.supernode_of(p);
-            let d = snode.index().targets(s).unwrap().len() as u64;
+            let row = snode.index().row(s).unwrap();
+            let d = row.targets().len() as u64;
             most = most.max(d);
-            let base = snode.index().intra_blob(s).unwrap();
+            let base = row.intra_blob();
             let blobs = base..base + 1 + d;
             let unchecked = blobs.clone().filter(|&b| !snode.dir.is_verified(b)).count();
             snode.clear_cache();
@@ -1763,7 +1764,7 @@ mod tests {
         let lost = meta.page_range(meta.supergraph.adj[s as usize][k]);
 
         let strict = SNode::open_resident(&dir, 1 << 20).unwrap();
-        let blob = strict.dir.index.intra_blob(s).unwrap() + 1 + k as u64;
+        let blob = strict.dir.index.row(s).unwrap().intra_blob() + 1 + k as u64;
         for (touch, p) in (1..).zip(range.clone()) {
             assert!(strict.out_neighbors(p).is_err(), "strict page {p}");
             assert_eq!(strict.integrity_stats().1, touch, "page {p}");
