@@ -285,7 +285,7 @@ impl SNodeMeta {
 /// before it, and the index file and byte offset the graph before it
 /// ends at — where the rotation rule stands when it places the group's
 /// first graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Checkpoint {
     row_bit: u64,
     size_bit: u64,
@@ -310,7 +310,7 @@ impl Checkpoint {
 
 /// What a group's first touch decodes: its supernodes' rows of the
 /// supernode graph and a locator word per graph.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct Group {
     /// The superedges before each supernode of the group, and before the
     /// next group: supernode `first + i`'s row is `targets[row_start[i] -
@@ -328,8 +328,8 @@ struct Group {
 /// index decoded, the checkpoints read and checked, and the supernode
 /// graph's rows and the size table left in the image until a group of
 /// them is first asked for ([`ResidentIndex::row`]). Every group is
-/// decoded by the one decoder, [`decode_group`]; [`SNodeMeta::parse`] is
-/// this index with every group decoded, expanded.
+/// decoded by the one decoder of both; [`SNodeMeta::parse`] is this index
+/// with every group decoded, expanded.
 #[derive(Debug)]
 #[allow(clippy::disallowed_types)] // A group is decoded once, on first touch, by any reader.
 pub struct ResidentIndex {

@@ -120,7 +120,7 @@ impl SupernodeGraph {
     /// Like [`SupernodeGraph::decode`], additionally returning the stored
     /// Huffman length table and the bit position where decoding ended, so
     /// audits can check table canonicality and trailing garbage. The rows
-    /// are read by [`read_rows`], the decoder an open runs a group at a
+    /// are read by the one row decoder, which an open runs a group at a
     /// time.
     pub fn decode_full(bytes: &[u8], bit_len: u64) -> Result<(Self, Vec<u32>, u64)> {
         let mut r = BitReader::with_bit_len(bytes, bit_len);
@@ -179,12 +179,13 @@ pub(crate) fn read_code(r: &mut BitReader<'_>) -> Result<HuffmanCode> {
 }
 
 /// Decodes the next `rows` rows of a supernode graph of `n` supernodes
-/// (the symbols of `dec`) from `w`: pushes their targets onto `targets`, at most `most` of them in
-/// all (one more is `Corrupt`, so the vector never outgrows a reservation
-/// of `most`), and after each row the end of its targets onto `row_end`,
-/// counted on from `row_end`'s last entry. The one decoder of the supernode
-/// graph's rows: a whole stream ([`SupernodeGraph::decode_full`]) and a
-/// group of `meta.bin` ([`crate::disk::ResidentIndex`]) both read them here.
+/// (the symbols of `dec`) from `w`: pushes their targets onto `targets`,
+/// at most `most` of them in all (one more is `Corrupt`, so the vector
+/// never outgrows a reservation of `most`), and after each row the end of
+/// its targets onto `row_end`, counted on from `row_end`'s last entry. The
+/// one decoder of the supernode graph's rows: a whole stream
+/// ([`SupernodeGraph::decode_full`]) and a group of `meta.bin`
+/// ([`crate::disk::ResidentIndex`]) both read them here.
 pub(crate) fn read_rows(
     w: &mut Window<'_, '_>,
     dec: &HuffmanDecoder,
