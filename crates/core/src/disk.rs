@@ -1277,9 +1277,9 @@ mod tests {
     }
 
     /// The lazy open of `buf`, which decodes no group, with every group
-    /// then asked for; and, group by group, that what the decode reserved
-    /// (a target and a word per graph) fits the group's bits (a bit a
-    /// target, four a size entry).
+    /// then asked for and every locator rebuilt; and, group by group, that
+    /// what the decode reserved (a target and a word per graph) fits the
+    /// group's bits (a bit a target, four a size entry).
     fn open_every_group(buf: &[u8]) -> Result<Expanded> {
         let index = ResidentIndex::parse(buf.to_vec())?;
         assert_eq!(index.groups_decoded(), 0, "an open decodes no group");
@@ -1297,6 +1297,9 @@ mod tests {
             targets.extend_from_slice(row.targets());
             row_start.push(targets.len() as u32);
             blob_word.extend_from_slice(row.words);
+            for k in 0..=row.targets().len() {
+                row.locator(k)?;
+            }
         }
         assert_eq!(index.groups_decoded(), n.div_ceil(GROUP));
         Ok(Expanded {
