@@ -1901,9 +1901,6 @@ mod tests {
         assert_eq!(widths, [Width::Zero, Width::One, Width::Two, Width::Four]);
     }
 
-    /// Every kind of entry is charged its header and its arena — each
-    /// section at its width, from a multiple of it, and nothing past the
-    /// last — and not the blob it borrows from the resident image.
     /// [`Fanout::least_charge`] is never above what a fanout is charged:
     /// over random supernodes, with every graph read and with some read by
     /// every page, each graph listing a source at least.
@@ -1949,6 +1946,9 @@ mod tests {
         }
     }
 
+    /// Every kind of entry is charged its header and its arena — each
+    /// section at its width, from a multiple of it, and nothing past the
+    /// last — and not the blob it borrows from the resident image.
     #[test]
     fn every_entry_is_charged_its_header_and_arena() {
         // The header every entry is charged: a field that comes or goes in
